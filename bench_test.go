@@ -34,6 +34,7 @@ import (
 	"govents/internal/telemetry"
 	"govents/internal/topics"
 	"govents/internal/tuplespace"
+	"govents/internal/vclock"
 	"govents/internal/wire"
 	"govents/internal/workload"
 )
@@ -979,6 +980,46 @@ func BenchmarkWireCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkEnvelopeRoundTrip measures the envelope's binary framing,
+// one codec.Marshal and one codec.Unmarshal around an already encoded
+// compact payload — what every publication pays once per frame on top
+// of the payload codec above. "flat" is the FIFO wire path's envelope
+// (no optional field); "every-field" adds a vector clock, a priority
+// and a validity window. Part of the dispatch CI family.
+func BenchmarkEnvelopeRoundTrip(b *testing.B) {
+	reg := obvent.NewRegistry()
+	workload.RegisterTypes(reg)
+	flat, err := codec.New(reg).Encode(workload.StockQuote{
+		StockObvent: workload.StockObvent{Company: "Telco Mobiles", Price: 80, Amount: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat.Publisher, flat.Seq = "127.0.0.1:40123", 1234
+	every := *flat
+	every.VC = vclock.VC{"127.0.0.1:40123": 1234, "127.0.0.1:40124": 77, "127.0.0.1:40125": 3}
+	every.Priority, every.HasPriority = 5, true
+	every.Birth, every.TTL = time.Unix(1790000000, 42), 5*time.Second
+	for _, tc := range []struct {
+		name string
+		env  *codec.Envelope
+	}{{"flat", flat}, {"every-field", &every}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var data []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				if data, err = codec.Marshal(tc.env); err != nil {
+					b.Fatal(err)
+				}
+				if _, err = codec.Unmarshal(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "bytes/ev")
 		})
 	}
 }

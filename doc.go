@@ -68,6 +68,43 @@
 // AppendWire* helpers, and must produce byte-identical encodings to
 // the compiled program (the generated ones are differentially tested).
 //
+// # Envelope wire format
+//
+// Around the payload, every publication travels — and is stored in
+// durable inboxes, outboxes and spill logs — as one envelope record, a
+// fixed binary layout written and read by hand (no reflection, one
+// allocation to write, five to read a plain FIFO envelope):
+//
+//	format       1 byte   0xE1
+//	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
+//	Enc          1 byte   payload encoding (0 gob, 1 compiled)
+//	ID           uvarint length (at most 65535) + bytes
+//	Type         likewise
+//	Publisher    likewise
+//	Seq          uvarint
+//	GlobalSeq    uvarint
+//	Reliability  zigzag varint
+//	Ordering     zigzag varint
+//	Priority     zigzag varint
+//	TTL          zigzag varint, nanoseconds
+//	PubNanos     zigzag varint
+//	Birth        has-birth only: zigzag varint Unix seconds, uvarint nanoseconds
+//	VC           has-vector-clock only: uvarint count (1 to 65535), then per
+//	             entry a length-prefixed key and a uvarint value
+//	Payload      uvarint length + bytes, ending the record
+//
+// The decoder faces peers and disks: it checks every length against
+// the bytes that remain and the field's cap before allocating, rejects
+// an unknown format byte, unknown flags and trailing bytes, and copies
+// the payload out of the frame. The format byte is the only version
+// marker; there is no second decode path. Builds before this format
+// framed the envelope with encoding/gob, so a durable or spill
+// directory they wrote is not readable: each such record fails with
+// "unknown envelope format" and is dropped and counted (replay
+// acknowledges it as a poison record; a live frame counts as a decode
+// error). Start from empty directories, or drain them with the old
+// build first. The payload negotiation above is unaffected.
+//
 // # Interest-aware multicast
 //
 // Every dissemination class prunes to the interested subset of the

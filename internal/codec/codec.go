@@ -4,12 +4,13 @@
 // serialized, sent over the wire, and deserialized" (§3.1) without the
 // application implementing any specific operations or hooks.
 //
-// An obvent travels as an Envelope: a self-describing wire record carrying
-// the obvent's class name, its gob-encoded state, and the metadata needed
-// by the delivery semantics of its type (sequence numbers, vector clock,
+// An obvent travels as an Envelope: a wire record carrying the obvent's
+// class name, its encoded state (a compiled per-class encoding, or gob
+// for classes the compiler rejects; wire.go), and the metadata needed by
+// the delivery semantics of its type (sequence numbers, vector clock,
 // priority, expiry). The envelope is the "reified message" of paper
 // §3.1.2 — the obvent reflects its semantics at every moment of the
-// transfer.
+// transfer. Its own framing is a fixed binary layout (framing.go).
 package codec
 
 import (
@@ -46,10 +47,9 @@ type Envelope struct {
 	// Enc.
 	Payload []byte
 	// Enc identifies the payload encoding: EncGob (the zero value — the
-	// legacy self-describing gob encoding, which is also what every
-	// pre-wire peer sends, since gob omits zero fields an old envelope
-	// and a new gob-payload envelope are byte-identical on the wire) or
-	// EncWire (the compact per-class compiled encoding, wire.go).
+	// self-describing gob encoding, the only one a wire-incapable peer
+	// reads) or EncWire (the compact per-class compiled encoding,
+	// wire.go). It travels as its own byte of the envelope record.
 	Enc uint8
 
 	// Publisher is the node that published the obvent.
@@ -83,10 +83,9 @@ type Envelope struct {
 	// PubNanos is the publisher's wall clock (UnixNano) at encode time;
 	// subscribers time end-to-end publish→deliver latency against it.
 	// Write-once: stamped by Encode, never mutated afterwards (envelopes
-	// are shared across concurrent routes). Zero from legacy peers — gob
-	// omits zero fields on encode and ignores unknown fields on decode,
-	// so the stamp is wire-compatible in both directions, and receivers
-	// gate on PubNanos > 0.
+	// are shared across concurrent routes). Always on the wire; zero
+	// means the publisher took no stamp, so receivers gate on
+	// PubNanos > 0.
 	PubNanos int64
 }
 
@@ -409,24 +408,6 @@ func (c *Codec) Clone(o obvent.Obvent) (obvent.Obvent, error) {
 	return c.Decode(e)
 }
 
-// Marshal serializes an envelope for transmission.
-func Marshal(e *Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("codec: marshal envelope: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal deserializes an envelope from the wire.
-func Unmarshal(data []byte) (*Envelope, error) {
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("codec: unmarshal envelope: %w", err)
-	}
-	return &e, nil
-}
-
 // NewID returns a fresh 128-bit random identifier.
 func NewID() string {
 	var b [16]byte
@@ -435,7 +416,9 @@ func NewID() string {
 		// no reasonable fallback for uniqueness.
 		panic(fmt.Sprintf("codec: crypto/rand failed: %v", err))
 	}
-	return hex.EncodeToString(b[:])
+	var s [2 * len(b)]byte
+	hex.Encode(s[:], b[:])
+	return string(s[:])
 }
 
 // encodeValue gob-encodes a value via reflection so that concrete types

@@ -191,12 +191,6 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 	}
 }
 
-func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not a gob stream")); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestCloneIsDeepAndDistinct(t *testing.T) {
 	c := newCodec(t)
 	in := nested{Inner: quote{Company: "X"}, Tags: []string{"t"}, Meta: map[string]int{"k": 1}}

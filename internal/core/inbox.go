@@ -131,7 +131,7 @@ func (in *priorityInbox) shedOldestLocked() {
 // spillEnv appends one envelope (with its priority) to the overflow log
 // (caller holds mu); a spill failure degrades to a counted shed.
 func (in *priorityInbox) spillEnv(env *codec.Envelope, prio int) {
-	if in.spill.append(marshalSpill(env, prio)) {
+	if in.spill.append(env, prio) {
 		in.st.counters.spilled.Add(1)
 	} else {
 		in.st.counters.shed.Add(1)

@@ -471,7 +471,7 @@ func (l *fifoLane) noteShed(env *codec.Envelope) {
 // (caller holds mu). A spill failure degrades to a counted shed — the
 // lane must keep draining even with a broken disk.
 func (l *fifoLane) spillItem(item laneItem) {
-	if l.spill.append(marshalSpill(item.env, 0)) {
+	if l.spill.append(item.env, 0) {
 		l.st.counters.spilled.Add(1)
 	} else {
 		l.noteShed(item.env)

@@ -32,6 +32,9 @@ type laneSpill struct {
 	// lastDrained reports how many records the latest drain call moved,
 	// for the caller's counters.
 	lastDrained int
+	// rec is the record scratch: the segment log copies what it is
+	// handed, so one buffer serves every append.
+	rec []byte
 }
 
 // errSpillStop aborts a ReadFrom once the drain batch is full.
@@ -44,15 +47,20 @@ func (sp *laneSpill) init(cfg laneConfig, gauge int) {
 	sp.gauge = gauge
 }
 
-// append adds one encoded envelope to the overflow log, reporting
-// whether it is safely spilled. Any failure (no directory, open error,
-// disk error, nil data from a failed encode) returns false and the
-// caller sheds the envelope instead — a broken disk must never wedge
-// the lane.
-func (sp *laneSpill) append(data []byte) bool {
-	if sp.failed || sp.dir == "" || data == nil {
+// append adds one envelope (plus its serial-lane priority) to the
+// overflow log, reporting whether it is safely spilled. Any failure (no
+// directory, open error, disk error, an envelope that does not encode)
+// returns false and the caller sheds the envelope instead — a broken
+// disk must never wedge the lane.
+func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
+	if sp.failed || sp.dir == "" {
 		return false
 	}
+	data, err := marshalSpill(sp.rec[:0], env, prio)
+	if err != nil {
+		return false
+	}
+	sp.rec = data
 	if sp.log == nil {
 		lg, err := durable.OpenSegmentLog(
 			filepath.Join(sp.dir, fmt.Sprintf("lane-%d", sp.gauge)),
@@ -131,18 +139,10 @@ func (sp *laneSpill) close() {
 // lanes store zero.
 const spillPrioBytes = 8
 
-// marshalSpill encodes an envelope (plus its serial-lane priority) as
-// one spill record. Returns nil when the envelope does not encode —
-// the caller sheds it.
-func marshalSpill(env *codec.Envelope, prio int) []byte {
-	body, err := codec.Marshal(env)
-	if err != nil {
-		return nil
-	}
-	rec := make([]byte, spillPrioBytes+len(body))
-	binary.BigEndian.PutUint64(rec, uint64(int64(prio)))
-	copy(rec[spillPrioBytes:], body)
-	return rec
+// marshalSpill appends one spill record — the envelope behind its
+// serial-lane priority — to dst.
+func marshalSpill(dst []byte, env *codec.Envelope, prio int) ([]byte, error) {
+	return codec.AppendEnvelope(binary.BigEndian.AppendUint64(dst, uint64(int64(prio))), env)
 }
 
 // unmarshalSpill decodes one spill record.

@@ -219,14 +219,14 @@ var _ core.Disseminator = (*Node)(nil)
 //     destinations witnessed at >= adVerWire and transcode to gob for
 //     the rest, so a legacy peer downgrades its own traffic, never the
 //     whole fleet's.
-//   - adVerTelemetry witnesses the telemetry-era envelope schema: the
-//     node stamps PubNanos (the publish wall clock) on its publications
-//     and times end-to-end latency against stamps it receives. The
-//     stamp itself needs no gating — gob omits the zero field on encode
-//     and ignores the unknown field on decode, and receivers gate on
-//     PubNanos > 0 — so a mixed-version fleet simply records no e2e
-//     samples for legacy publishers; the version exists so operators
-//     can see which peers contribute e2e data.
+//   - adVerTelemetry witnesses that the node stamps PubNanos (the
+//     publish wall clock) on its publications and times end-to-end
+//     latency against stamps it receives. The stamp itself needs no
+//     gating — it is a fixed field of the envelope record, zero when
+//     the publisher took none, and receivers gate on PubNanos > 0 — so
+//     a fleet simply records no e2e samples for publishers that do not
+//     stamp; the version exists so operators can see which peers
+//     contribute e2e data.
 const (
 	adVerDelta     = 1
 	adVerWire      = 2

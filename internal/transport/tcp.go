@@ -56,6 +56,9 @@ var ErrClosed = errors.New("transport: closed")
 // TCP is a netsim.Transport over real TCP sockets.
 type TCP struct {
 	ln net.Listener
+	// addr is ln.Addr().String(), rendered once: every Send stamps it
+	// into its frame.
+	addr string
 
 	mu      sync.Mutex
 	conns   map[string]net.Conn // destination address -> outbound conn
@@ -78,6 +81,7 @@ func Listen(addr string) (*TCP, error) {
 	}
 	t := &TCP{
 		ln:      ln,
+		addr:    ln.Addr().String(),
 		conns:   make(map[string]net.Conn),
 		inbound: make(map[net.Conn]bool),
 	}
@@ -87,7 +91,7 @@ func Listen(addr string) (*TCP, error) {
 }
 
 // Addr implements netsim.Transport.
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
+func (t *TCP) Addr() string { return t.addr }
 
 // SetHandler implements netsim.Transport.
 func (t *TCP) SetHandler(h netsim.Handler) {
