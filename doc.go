@@ -105,6 +105,107 @@
 // error). Start from empty directories, or drain them with the old
 // build first. The payload negotiation above is unaffected.
 //
+// # Link protocol
+//
+// Under the envelope sit three thin layers, each with a few bytes of
+// header: the reliable link that the reliable and ordered classes
+// (§3.1.2) ride, the stream multiplexer, and the TCP transport. A
+// 60-byte FIFO event crosses the wire as one data frame of about 170
+// bytes, and a sixteenth of an acknowledgement.
+//
+// Every multicast protocol speaks one record: a kind byte, a uvarint of
+// presence flags, then only the fields that are not zero, the payload
+// last and unprefixed (it is the rest of the record):
+//
+//	kind      1 byte
+//	flags     uvarint: 1 Seq, 2 SkipFrom, 4 Epoch, 8 Base, 16 GSeq, 32 Origin,
+//	          64 ID, 128 Rounds, 256 VC
+//	Seq       uvarint
+//	GSeq      uvarint
+//	SkipFrom  uvarint, counted down from GSeq (or Seq when there is no GSeq)
+//	Epoch     uvarint
+//	Base      uvarint, counted down from Seq
+//	Origin    uvarint length (1 to 65535) + bytes
+//	ID        likewise
+//	Rounds    1 byte
+//	VC        uvarint count (1 to 65535), then per entry, keys ascending, a
+//	          length-prefixed key and a uvarint value
+//	Payload   the remaining bytes
+//
+// A record has exactly one encoding (shortest uvarints, no flagged
+// zeros, sorted clock keys), and the decoder, which faces peers, rejects
+// everything else, checks each length against the bytes that remain
+// before it allocates, and hands the payload on as a slice of the frame
+// it was given rather than a copy.
+//
+// The reliable layer numbers what it sends per link, one (sender,
+// destination) pair, instead of naming each message. A data frame
+// carries:
+//
+//	Epoch  the sender's incarnation: the microsecond it created the group,
+//	       strictly increasing within a process. A receiver that meets a
+//	       later epoch than it knows starts the link afresh, so a restarted
+//	       sender, numbering from 1 again, is delivered and not mistaken for
+//	       its own duplicates; a frame of an earlier epoch is dropped.
+//	Seq    the link sequence, 1, 2, 3, … per destination, never reused, and
+//	       continued across the destination leaving and rejoining.
+//	Base   the lowest link sequence the sender still owes this destination.
+//	       The receiver treats everything below it as settled, so a frame
+//	       abandoned under Tuning.RetransmitLimit, or dropped while the
+//	       destination was out of the membership, never leaves a hole the
+//	       receiver waits behind.
+//
+// The sender of a frame is the transport's: the reliable layer has no
+// relay, so no origin travels. The receiver remembers, per sender, the
+// epoch, the cumulative sequence below which everything is settled, and
+// the runs of sequences delivered above it (one run per hole, at most
+// 256); a frame is a duplicate when it is at or below the first or
+// inside one of the second. Every first arrival is delivered at once,
+// in or out of order: ordering belongs to the FIFO, causal and total
+// layers above. An acknowledgement carries the epoch it answers, the
+// cumulative sequence, and the 32 lowest runs beyond it, each as the
+// distance from the run before and a length. It is sent
+//
+//   - when 16 data frames await acknowledgement;
+//   - when the acknowledgement timer, a quarter of
+//     Tuning.RetransmitInterval, finds any;
+//   - at once for a frame arriving in a timer period in which no
+//     acknowledgement has gone out yet, so a lone message is confirmed as
+//     promptly as ever and only sustained traffic is batched.
+//
+// A duplicate counts like a first arrival: alone, it is answered at
+// once (its earlier acknowledgement was lost); in a burst of
+// retransmissions, the acknowledgement its first frame draws is
+// cumulative and answers the rest.
+//
+// Both constants derive from the one existing knob: an acknowledgement
+// is at most a quarter interval late, while the sender retransmits a
+// frame only after it has gone a full RetransmitInterval since it was
+// last sent. On a loss-free link nothing is sent twice. Data is never held back:
+// only acknowledgements are batched. Both ends hold state in proportion
+// to the traffic in flight and the peers they have met, and none per
+// message delivered.
+//
+// The multiplexer prefixes each frame with its stream name (a two-byte
+// length and the name). The TCP transport keeps one outbound
+// connection per destination, with a lock of its own: a peer that stops
+// reading stalls the senders to it, for at most the two-second write
+// deadline, and nobody else. The first frame on a connection is a
+// hello, a four-byte word with the top bit set and the length of the
+// sender's listen address in the rest, then the address (at most 512
+// bytes); it names the sender of every frame that follows. Every other
+// frame is a four-byte big-endian length and the payload, together at
+// most 16 MiB. A frame before the hello, a second hello or an over-long
+// address closes the connection and is logged; a reconnect says hello
+// again.
+//
+// None of this is negotiated. Like the envelope record, the link
+// layouts replaced their predecessors outright (a fixed-width record
+// with a random 32-character ID per message and an acknowledgement per
+// message; a sender address in every TCP frame), and a node of either
+// era drops the other's frames as undecodable: upgrade a domain's nodes
+// together.
+//
 // # Interest-aware multicast
 //
 // Every dissemination class prunes to the interested subset of the

@@ -141,7 +141,6 @@ func main() {
 	fmt.Println("telemetry: ok")
 }
 
-
 func must(err error) {
 	if err != nil {
 		panic(err)

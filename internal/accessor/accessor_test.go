@@ -48,8 +48,8 @@ type embedded struct {
 func (e embedded) GetRegion() string { return e.Region }
 
 type event struct {
-	embedded          // promoted fields and methods
-	*inner            // promoted through a nil-able embedded pointer
+	embedded // promoted fields and methods
+	*inner   // promoted through a nil-able embedded pointer
 	Company  string
 	Price    price
 	Amount   int
@@ -108,34 +108,34 @@ func mkEvent(rng *rand.Rand) event {
 var paths = [][]string{
 	{"GetCompany"},
 	{"Company"},
-	{"Region"},              // promoted field
-	{"GetRegion"},           // promoted value-receiver method
-	{"Price"},               // named non-struct leaf
-	{"Price", "Cents"},      // method on a named non-struct type
+	{"Region"},         // promoted field
+	{"GetRegion"},      // promoted value-receiver method
+	{"Price"},          // named non-struct leaf
+	{"Price", "Cents"}, // method on a named non-struct type
 	{"Amount"},
 	{"Active"},
-	{"AddrAmount"},          // pointer-receiver accessor
+	{"AddrAmount"}, // pointer-receiver accessor
 	{"Nested", "Score"},
 	{"Nested", "GetScore"},
-	{"Nested", "PtrLabel"},  // pointer-receiver on a nested field
-	{"Nested", "hidden"},    // unexported field
-	{"Ptr", "Score"},        // explicit pointer hop (nil-able)
+	{"Nested", "PtrLabel"}, // pointer-receiver on a nested field
+	{"Nested", "hidden"},   // unexported field
+	{"Ptr", "Score"},       // explicit pointer hop (nil-able)
 	{"Ptr", "GetScore"},
 	{"Ptr", "PtrLabel"},
-	{"PtrPtr", "Score"},     // multi-level pointer
-	{"Iface", "CurScore"},   // interface method (addressable iff &event root)
-	{"Iface", "Missing"},    // not in the interface's method set
+	{"PtrPtr", "Score"},      // multi-level pointer
+	{"Iface", "CurScore"},    // interface method (addressable iff &event root)
+	{"Iface", "Missing"},     // not in the interface's method set
 	{"IfacePtr", "CurScore"}, // interface method behind a pointer deref
 	{"IfacePtr", "Missing"},
-	{"Score"},               // promoted through embedded pointer (nil-able)
-	{"Label"},               // ditto
-	{"PtrLabel"},            // promoted pointer-receiver method
-	{"Tags"},                // resolves, but ValueOf rejects
-	{"Missing"},             // no such segment
+	{"Score"},    // promoted through embedded pointer (nil-able)
+	{"Label"},    // ditto
+	{"PtrLabel"}, // promoted pointer-receiver method
+	{"Tags"},     // resolves, but ValueOf rejects
+	{"Missing"},  // no such segment
 	{"Nested", "Missing"},
-	{"Company", "Length"},   // segment on non-struct leaf
-	{"TwoResults"},          // malformed accessor signature
-	{"Arity"},               // malformed accessor signature
+	{"Company", "Length"}, // segment on non-struct leaf
+	{"TwoResults"},        // malformed accessor signature
+	{"Arity"},             // malformed accessor signature
 }
 
 // TestProgramMatchesResolvePath is the randomized equivalence fuzz: for

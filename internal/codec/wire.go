@@ -40,7 +40,7 @@ const (
 // codecWire is the codec's wire-encoding state (the Codec struct embeds
 // it, like codecCopiers).
 type codecWire struct {
-	// wireProgs caches reflect.Type -> wireEntry; a nil program marks a
+	// wireProgs caches reflect.Type -> *wireEntry; a nil program marks a
 	// rejected class, decided once per codec.
 	wireProgs sync.Map
 	// wireOff disables the compact encoding entirely (legacy emulation
@@ -58,7 +58,13 @@ type codecWire struct {
 }
 
 // wireEntry is one class's cached compilation outcome.
-type wireEntry struct{ prog *wire.Prog }
+type wireEntry struct {
+	prog *wire.Prog
+	// size is the length of the class's latest compact encoding: the
+	// next one starts with that much room, since a class's events are
+	// mostly of a size, instead of growing from nothing.
+	size atomic.Int64
+}
 
 // WireStats describes a codec's compact-encoding activity.
 type WireStats struct {
@@ -103,26 +109,32 @@ func (c *Codec) SetWireDisabled(off bool) { c.wireOff.Store(off) }
 // WireDisabled reports whether the compact encoding is switched off.
 func (c *Codec) WireDisabled() bool { return c.wireOff.Load() }
 
-// wireProgFor returns the compiled wire program for t, compiling and
-// caching the outcome on first use; nil means the class is rejected and
-// keeps gob. Entries are valid forever: a layout never changes.
+// wireProgFor returns the compiled wire program for t; nil means the
+// class is rejected and keeps gob.
 func (c *Codec) wireProgFor(t reflect.Type) *wire.Prog {
+	return c.wireEntryFor(t).prog
+}
+
+// wireEntryFor returns t's cached compilation outcome, compiling on
+// first use. Entries are valid forever: a layout never changes.
+func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 	if v, ok := c.wireProgs.Load(t); ok {
-		return v.(wireEntry).prog
+		return v.(*wireEntry)
 	}
 	p, err := wire.Compile(t)
 	if err != nil {
 		p = nil
 	}
-	if v, loaded := c.wireProgs.LoadOrStore(t, wireEntry{p}); loaded {
-		return v.(wireEntry).prog
+	e := &wireEntry{prog: p}
+	if v, loaded := c.wireProgs.LoadOrStore(t, e); loaded {
+		return v.(*wireEntry)
 	}
 	if p != nil {
 		c.wireCompiles.Add(1)
 	} else {
 		c.wireRejects.Add(1)
 	}
-	return p
+	return e
 }
 
 // encodePayload serializes o with the compact encoding when its class
@@ -134,16 +146,20 @@ func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, uint8, error) {
 		for t.Kind() == reflect.Pointer {
 			t = t.Elem()
 		}
-		if p := c.wireProgFor(t); p != nil {
+		if e := c.wireEntryFor(t); e.prog != nil {
 			c.wireEncodes.Add(1)
-			if nc := p.Native(); nc != nil {
-				return nc.Enc(nil, o), EncWire, nil
+			buf := make([]byte, 0, e.size.Load())
+			if nc := e.prog.Native(); nc != nil {
+				buf = nc.Enc(buf, o)
+			} else {
+				v := reflect.ValueOf(o)
+				for v.Kind() == reflect.Pointer {
+					v = v.Elem()
+				}
+				buf = e.prog.Append(buf, v)
 			}
-			v := reflect.ValueOf(o)
-			for v.Kind() == reflect.Pointer {
-				v = v.Elem()
-			}
-			return p.Append(nil, v), EncWire, nil
+			e.size.Store(int64(len(buf)))
+			return buf, EncWire, nil
 		}
 	}
 	b, err := encodeValue(o)

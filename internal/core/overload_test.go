@@ -313,8 +313,8 @@ func TestOverloadPropertyStress(t *testing.T) {
 func TestFifoLaneWorkStealing(t *testing.T) {
 	reg := obvent.NewRegistry()
 	var mu sync.Mutex
-	var got []int                    // stolen publisher's dispatched sequence
-	states := map[*laneState]int{}   // which lane dispatched what
+	var got []int                  // stolen publisher's dispatched sequence
+	states := map[*laneState]int{} // which lane dispatched what
 	blockerStarted := make(chan struct{})
 	release := make(chan struct{})
 	var delivered atomic.Int64

@@ -174,7 +174,8 @@ type Node struct {
 	peers     []string
 	sink      func(*codec.Envelope)
 	localSubs []core.SubscriptionInfo
-	groups    map[string]multicast.Group
+	groups    map[string]multicast.Group   // by stream name
+	byClass   map[groupKey]multicast.Group // the same groups as group() looks them up
 	closed    bool
 
 	// epoch is this process incarnation's boot stamp, carried in every
@@ -308,6 +309,7 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 		cfg:     cfg,
 		routes:  routing.NewTable(reg),
 		groups:  make(map[string]multicast.Group),
+		byClass: make(map[groupKey]multicast.Group),
 		lastAdv: make(map[string]core.SubscriptionInfo),
 		peerVer: make(map[string]int),
 	}
@@ -528,12 +530,21 @@ func streamName(proto, class string) string {
 	return "dace/" + proto + "/" + class
 }
 
+// groupKey names a channel the way a publish does, so that finding an
+// existing one does not build its stream name.
+type groupKey struct{ proto, class string }
+
 // group returns (creating lazily) the channel for a proto/class pair.
 func (n *Node) group(proto, class string) multicast.Group {
-	stream := streamName(proto, class)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.groupLocked(proto, class, stream)
+	key := groupKey{proto, class}
+	g, ok := n.byClass[key]
+	if !ok {
+		g = n.groupLocked(proto, class, streamName(proto, class))
+		n.byClass[key] = g
+	}
+	return g
 }
 
 func (n *Node) groupLocked(proto, class, stream string) multicast.Group {

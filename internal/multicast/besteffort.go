@@ -1,10 +1,6 @@
 package multicast
 
-import (
-	"fmt"
-
-	"govents/internal/codec"
-)
+import "fmt"
 
 // BestEffort is the weakest dissemination protocol: a unicast fanout with
 // no acknowledgements, retransmissions, or ordering. It models the
@@ -53,12 +49,9 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: besteffort %s: closed", g.stream)
 	}
-	wire, err := encodeMessage(&message{
-		Kind:    kindData,
-		Origin:  g.self,
-		ID:      codec.NewID(),
-		Payload: payload,
-	})
+	// The record carries nothing but the payload: there is no relay, so
+	// the origin is the transport's sender, and nothing deduplicates.
+	frame, err := frameMessage(g.stream, &message{Kind: kindData, Payload: payload})
 	if err != nil {
 		return err
 	}
@@ -69,7 +62,7 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 			g.queue.push(g.self, payload)
 			continue
 		}
-		_ = g.mux.Send(addr, g.stream, wire)
+		_ = g.mux.sendFrame(addr, frame)
 	}
 	return nil
 }
@@ -82,10 +75,10 @@ func (g *BestEffort) Close() error {
 	return nil
 }
 
-func (g *BestEffort) onMessage(_ string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil || m.Kind != kindData {
+func (g *BestEffort) onMessage(from string, data []byte) {
+	var m message
+	if err := decodeMessage(data, &m); err != nil || m.Kind != kindData {
 		return
 	}
-	g.queue.push(m.Origin, m.Payload)
+	g.queue.push(from, m.Payload)
 }

@@ -175,8 +175,8 @@ func (g *Causal) Held() int {
 
 // onInner runs on the inner group's single delivery goroutine.
 func (g *Causal) onInner(origin string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
+	var m message
+	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
 		return
 	}
 

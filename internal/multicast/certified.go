@@ -143,7 +143,9 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if err := g.log.Append(store.Entry{ID: id, Payload: payload}); err != nil {
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
-	wire, err := encodeMessage(&message{Kind: kindCertData, Origin: g.self, ID: id, Payload: payload})
+	// No Origin on the record: there is no relay, so the publisher is
+	// the transport's sender.
+	frame, err := frameMessage(g.stream, &message{Kind: kindCertData, ID: id, Payload: payload})
 	if err != nil {
 		return err
 	}
@@ -177,7 +179,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 		}
 	}
 	for _, addr := range addrs {
-		_ = g.mux.Send(addr, g.stream, wire)
+		_ = g.mux.sendFrame(addr, frame)
 	}
 	// Local delivery for a publishing subscriber node.
 	if localFresh {
@@ -214,13 +216,8 @@ func (g *Certified) redeliver() {
 			continue
 		}
 		for _, e := range pending {
-			wire, err := encodeMessage(&message{Kind: kindCertData, Origin: g.self, ID: e.ID, Payload: e.Payload})
+			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Payload: e.Payload})
 			if err != nil {
-				g.opts.Logger.Warn("multicast: certified redelivery cannot encode entry",
-					"stream", g.stream, "id", e.ID, "err", err)
-				continue
-			}
-			if err := g.mux.Send(addr, g.stream, wire); err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
 					"stream", g.stream, "subscriber", durableID, "addr", addr, "err", err)
 			}
@@ -266,8 +263,8 @@ func (g *Certified) Pause() { g.queue.pause() }
 func (g *Certified) Resume() { g.queue.resume() }
 
 func (g *Certified) onMessage(from string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil {
+	var m message
+	if err := decodeMessage(data, &m); err != nil {
 		g.opts.Logger.Warn("multicast: certified dropping undecodable frame",
 			"stream", g.stream, "from", from, "bytes", len(data), "err", err)
 		return
@@ -281,14 +278,14 @@ func (g *Certified) onMessage(from string, data []byte) {
 		stager := g.stager
 		g.mu.Unlock()
 		if stager != nil {
-			fresh, err := stager.Stage(m.ID, m.Origin, m.Payload)
+			fresh, err := stager.Stage(m.ID, from, m.Payload)
 			if err != nil {
 				g.opts.Logger.Warn("multicast: certified staging failed; withholding ack",
 					"stream", g.stream, "id", m.ID, "err", err)
 				return // no ack: the publisher keeps redelivering
 			}
 			if fresh {
-				g.queue.push(m.Origin, m.Payload)
+				g.queue.push(from, m.Payload)
 			}
 		} else {
 			seen, err := g.dedup.Has(m.ID)
@@ -299,13 +296,10 @@ func (g *Certified) onMessage(from string, data []byte) {
 				if err := g.dedup.Add(m.ID); err != nil {
 					return // do not ack what we could not record
 				}
-				g.queue.push(m.Origin, m.Payload)
+				g.queue.push(from, m.Payload)
 			}
 		}
-		ack, err := encodeMessage(&message{Kind: kindCertAck, Origin: g.DurableID(), ID: m.ID})
-		if err == nil {
-			_ = g.mux.Send(from, g.stream, ack)
-		}
+		_ = g.mux.sendMessage(from, g.stream, &message{Kind: kindCertAck, Origin: g.DurableID(), ID: m.ID})
 	case kindCertAck:
 		_ = g.log.Ack(m.Origin, m.ID)
 	}

@@ -158,8 +158,8 @@ func (g *FIFO) Close() error {
 // its top was deliberately skipped for this node and is simply stepped
 // over.
 func (g *FIFO) onInner(origin string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
+	var m message
+	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
 		return
 	}
 	from := coveredFrom(m.SkipFrom, m.Seq)

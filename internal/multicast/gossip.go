@@ -243,7 +243,8 @@ func (g *Gossip) onMessage(_ string, data []byte) {
 	if err != nil {
 		return
 	}
-	for _, m := range batch {
+	for i := range batch {
+		m := &batch[i]
 		if m.Kind != kindGossip {
 			continue
 		}
@@ -272,39 +273,42 @@ func encodeBatch(batch []*message) ([]byte, error) {
 	}
 	out := binary.BigEndian.AppendUint16(nil, uint16(len(batch)))
 	for _, m := range batch {
-		wire, err := encodeMessage(m)
+		size, err := messageSize(m)
 		if err != nil {
 			return nil, err
 		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(wire)))
-		out = append(out, wire...)
+		out = binary.BigEndian.AppendUint32(out, uint32(size))
+		out = appendMessage(out, m)
 	}
 	return out, nil
 }
 
-// decodeBatch parses a gossip batch.
-func decodeBatch(data []byte) ([]*message, error) {
+// decodeBatch parses a gossip batch. The messages' payloads alias data.
+func decodeBatch(data []byte) ([]message, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("multicast: short gossip batch")
 	}
 	count := int(binary.BigEndian.Uint16(data[:2]))
 	off := 2
-	out := make([]*message, 0, count)
-	for i := 0; i < count; i++ {
+	// Every event takes at least its four-byte length, which bounds the
+	// slice by the input before it is allocated.
+	if count > (len(data)-off)/4 {
+		return nil, fmt.Errorf("multicast: truncated gossip batch")
+	}
+	out := make([]message, count)
+	for i := range out {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("multicast: truncated gossip batch")
 		}
 		n := int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		if off+n > len(data) {
+		if n > len(data)-off {
 			return nil, fmt.Errorf("multicast: truncated gossip event")
 		}
-		m, err := decodeMessage(data[off : off+n])
-		if err != nil {
+		if err := decodeMessage(data[off:off+n], &out[i]); err != nil {
 			return nil, err
 		}
 		off += n
-		out = append(out, m)
 	}
 	return out, nil
 }

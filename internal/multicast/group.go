@@ -2,7 +2,9 @@ package multicast
 
 import (
 	"log/slog"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,7 +12,8 @@ import (
 // protocols. Zero values select the defaults below.
 type Options struct {
 	// RetransmitInterval is the period between retransmissions of
-	// unacknowledged messages (Reliable, Certified, Total).
+	// unacknowledged messages (Reliable, Certified, Total). Reliable
+	// also derives its acknowledgement timer from it (a quarter).
 	RetransmitInterval time.Duration
 	// RetransmitLimit bounds retransmission attempts per message for
 	// the Reliable protocol; 0 means retry forever.
@@ -203,6 +206,13 @@ func (m *membership) snapshot() []string {
 	return m.members
 }
 
+// has reports whether addr is a member.
+func (m *membership) has(addr string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return slices.Contains(m.members, addr)
+}
+
 // others returns the members excluding self.
 func (m *membership) others(self string) []string {
 	m.mu.RLock()
@@ -232,7 +242,7 @@ type deliveryQueue struct {
 	cond   *sync.Cond
 	items  []queuedMsg
 	closed bool
-	paused bool
+	paused atomic.Bool // written under mu; the drain reads it between deliveries
 	wg     sync.WaitGroup
 }
 
@@ -244,22 +254,41 @@ func newDeliveryQueue(deliver Deliver) *deliveryQueue {
 	q.wg.Add(1)
 	go func() {
 		defer q.wg.Done()
+		// The drain takes the whole backlog at once and leaves push the
+		// slice it emptied the time before, so the two backing arrays
+		// keep their capacity and no consumed item stays reachable.
+		var batch []queuedMsg
 		for {
 			q.mu.Lock()
-			for !q.closed && (q.paused || len(q.items) == 0) {
+			for !q.closed && (q.paused.Load() || len(q.items) == 0) {
 				q.cond.Wait()
 			}
-			if len(q.items) == 0 && q.closed {
+			if len(q.items) == 0 {
 				q.mu.Unlock()
-				return
+				return // closed and drained
 			}
-			item := q.items[0]
-			q.items = q.items[1:]
+			batch, q.items = q.items, batch[:0]
 			q.mu.Unlock()
-			deliver(item.origin, item.payload)
+			for i := range batch {
+				if q.paused.Load() {
+					q.awaitResume()
+				}
+				deliver(batch[i].origin, batch[i].payload)
+				batch[i] = queuedMsg{}
+			}
 		}
 	}()
 	return q
+}
+
+// awaitResume parks the drain between two deliveries of a batch until
+// the pause is released or the queue closes.
+func (q *deliveryQueue) awaitResume() {
+	q.mu.Lock()
+	for q.paused.Load() && !q.closed {
+		q.cond.Wait()
+	}
+	q.mu.Unlock()
 }
 
 // push enqueues a delivery; it never blocks. Pushes after close are
@@ -280,14 +309,14 @@ func (q *deliveryQueue) push(origin string, payload []byte) {
 func (q *deliveryQueue) pause() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.paused = true
+	q.paused.Store(true)
 }
 
 // resume releases a pause; the accumulated backlog drains in order.
 func (q *deliveryQueue) resume() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.paused = false
+	q.paused.Store(false)
 	q.cond.Signal()
 }
 

@@ -10,7 +10,8 @@
 // The protocols provided are:
 //
 //   - BestEffort — unicast fanout, no guarantees (the IP-multicast stand-in)
-//   - Reliable   — ack/retransmit sender-driven reliable broadcast
+//   - Reliable   — link-sequenced, cumulatively acknowledged sender-driven
+//     reliable broadcast
 //   - FIFO       — per-publisher order on top of Reliable
 //   - Causal     — vector-clock causal order on top of Reliable
 //   - Total      — fixed-sequencer total order on top of Reliable
@@ -111,14 +112,49 @@ func (m *Mux) Redeliver(stream, from string, payload []byte) {
 
 // Send transmits payload on the named stream to the destination address.
 func (m *Mux) Send(to, stream string, payload []byte) error {
-	if len(stream) > 0xFFFF {
-		return fmt.Errorf("multicast: stream name too long (%d bytes)", len(stream))
+	buf, err := newFrame(stream, len(payload))
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, 2+len(stream)+len(payload))
+	return m.tr.Send(to, append(buf, payload...))
+}
+
+// sendMessage transmits one protocol record on the named stream.
+func (m *Mux) sendMessage(to, stream string, msg *message) error {
+	frame, err := frameMessage(stream, msg)
+	if err != nil {
+		return err
+	}
+	return m.tr.Send(to, frame)
+}
+
+// sendFrame transmits a frame frameMessage built: a sender fanning one
+// record out builds it once.
+func (m *Mux) sendFrame(to string, frame []byte) error { return m.tr.Send(to, frame) }
+
+// frameMessage builds the transport frame [stream][record] of msg in a
+// single exactly-sized buffer.
+func frameMessage(stream string, msg *message) ([]byte, error) {
+	size, err := messageSize(msg)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := newFrame(stream, size)
+	if err != nil {
+		return nil, err
+	}
+	return appendMessage(buf, msg), nil
+}
+
+// newFrame starts a transport frame: the stream prefix, with room for a
+// body of the given size behind it.
+func newFrame(stream string, body int) ([]byte, error) {
+	if len(stream) > 0xFFFF {
+		return nil, fmt.Errorf("multicast: stream name too long (%d bytes)", len(stream))
+	}
+	buf := make([]byte, 0, 2+len(stream)+body)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(stream)))
-	buf = append(buf, stream...)
-	buf = append(buf, payload...)
-	return m.tr.Send(to, buf)
+	return append(buf, stream...), nil
 }
 
 // dispatch routes an inbound transport frame to its stream handler.
@@ -130,15 +166,14 @@ func (m *Mux) dispatch(from string, data []byte) {
 	if 2+n > len(data) {
 		return
 	}
-	stream := string(data[2 : 2+n])
 	m.mu.RLock()
-	h := m.handlers[stream]
+	h := m.handlers[string(data[2:2+n])] // no allocation: the conversion only keys the lookup
 	fb := m.fallback
 	m.mu.RUnlock()
 	switch {
 	case h != nil:
 		h(from, data[2+n:])
 	case fb != nil:
-		fb(stream, from, data[2+n:])
+		fb(string(data[2:2+n]), from, data[2+n:])
 	}
 }

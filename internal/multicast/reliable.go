@@ -1,43 +1,307 @@
 package multicast
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
-
-	"govents/internal/codec"
+	"sync/atomic"
+	"time"
 )
 
 // Reliable is an acknowledgement-based, sender-driven reliable broadcast:
 // the publisher retransmits a message to each member until that member
-// acknowledges it (or the retransmit limit is reached). Receivers
-// deduplicate by message ID. It realizes the paper's Reliable delivery
-// semantics (§3.1.2): "once successfully published, a reliable obvent
-// will be received by any notifiable that is up for long enough".
+// acknowledges it (or the retransmit limit is reached). It realizes the
+// paper's Reliable delivery semantics (§3.1.2): "once successfully
+// published, a reliable obvent will be received by any notifiable that
+// is up for long enough".
+//
+// Identity and acknowledgement are per link — one (origin → destination)
+// pair — not per message. The sender numbers what it sends each
+// destination 1, 2, 3, … and stamps every data frame with its epoch
+// (the incarnation of this group: a restarted sender starts a new link
+// rather than being mistaken for its own duplicates) and its base, the
+// lowest link sequence it still owes that destination. The receiver
+// keeps, per origin, the cumulative sequence below which everything is
+// settled plus the runs of sequences delivered ahead of it, delivers
+// every first arrival at once whatever its position (ordering is the job
+// of FIFO, Causal and Total above), and acknowledges cumulatively and in
+// batches: when ackEvery frames are unacknowledged, when the
+// acknowledgement timer (a quarter of RetransmitInterval) finds any, and
+// at once for a frame arriving in a timer period in which no
+// acknowledgement has gone out yet (a lone message, or a lone duplicate
+// whose acknowledgement was lost, is answered as promptly as ever; only
+// sustained traffic is batched). The sender retransmits only what has
+// gone a full RetransmitInterval without acknowledgement. The "Link
+// protocol" section of the govents package documentation has the frame
+// layouts and the rules in full.
+//
+// State on both ends is bounded by the traffic in flight: the sender
+// holds one queue entry per (message, destination) pair sent since the
+// oldest one still unacknowledged, the receiver one run per hole in what
+// it has received (at most maxAhead per origin), and both one small
+// record per peer ever addressed or heard. Nothing is remembered per
+// delivered message.
 //
 // The protocol tolerates message loss and duplication but not publisher
-// crash (there is no relay phase); that stronger guarantee is the domain
-// of the Certified protocol backed by stable storage.
+// crash (there is no relay phase, so a frame's origin is the transport's
+// sender); that stronger guarantee is the domain of the Certified
+// protocol backed by stable storage.
 type Reliable struct {
 	mux    *Mux
 	stream string
 	self   string
 	opts   Options
+	epoch  uint64
 
 	queue   *deliveryQueue
 	members membership
 	lc      *lifecycle
 
-	mu        sync.Mutex
-	nextSeq   uint64
-	outbox    map[string]*outEntry // message ID -> retransmission state
-	delivered map[string]bool      // message IDs already delivered locally
+	mu    sync.Mutex
+	gen   uint64              // acknowledgement-timer periods elapsed
+	bcast uint64              // broadcasts issued; names a broadcast across its links
+	out   map[string]*outLink // destination -> what it has not acknowledged
+	in    map[string]*inLink  // origin -> what has been delivered from it
 }
 
-// outEntry tracks one unacknowledged broadcast.
+// The acknowledgement policy's constants; the timer is the one knob
+// (RetransmitInterval) divided, not a second one.
+const (
+	// ticksPerInterval is how many acknowledgement-timer periods make a
+	// RetransmitInterval. An acknowledgement is at most one period late,
+	// so a frame that arrived is acknowledged well inside the interval
+	// after which its sender would resend it.
+	ticksPerInterval = 4
+	// ackEvery is how many delivered frames a receiver lets accumulate
+	// before it acknowledges without waiting for the timer.
+	ackEvery = 16
+	// maxAckList bounds the runs of sequences above the cumulative one
+	// that a single acknowledgement names (the lowest ones: they are the
+	// next the cumulative sequence will absorb).
+	maxAckList = 32
+	// maxAhead bounds the runs a receiver remembers per origin, that is
+	// the holes it tolerates in what it has received. A frame that would
+	// open one more is dropped unacknowledged and comes back by
+	// retransmission once the holes below it have filled.
+	maxAhead = 256
+)
+
+// lastEpoch makes epochs strictly increasing within a process even when
+// the clock's resolution is coarser than a close-and-reopen.
+var lastEpoch atomic.Uint64
+
+// newEpoch stamps a group incarnation: wall-clock microseconds, so that
+// a restarted process outranks the one it replaces.
+func newEpoch() uint64 {
+	for {
+		last := lastEpoch.Load()
+		e := max(uint64(time.Now().UnixMicro()), last+1)
+		if lastEpoch.CompareAndSwap(last, e) {
+			return e
+		}
+	}
+}
+
+// outLink is the sender's end of one link: the frames a destination has
+// not acknowledged, in link-sequence order.
+type outLink struct {
+	// next is the last link sequence assigned. It is never reused, and
+	// survives the destination leaving the membership: what it is sent
+	// after returning continues the numbering, and the base on those
+	// frames steps its receiver over everything dropped meanwhile.
+	next uint64
+	// entries[head:] carry the consecutive sequences ending at next;
+	// entries[head], when there is one, is still owed.
+	entries []outEntry
+	head    int
+}
+
+// outEntry is one unacknowledged frame of a link. The payload is the
+// broadcast's, shared by all its destinations.
 type outEntry struct {
-	wire     []byte
-	pending  map[string]bool // members that have not acked yet
-	attempts int
+	payload  []byte
+	bcast    uint64
+	gen      uint64 // timer period of the latest transmission
+	attempts int    // retransmissions so far
+	settled  bool   // acknowledged or given up; trimmed on reaching the head
+}
+
+// seqAt is the link sequence of entries[i].
+func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-i) }
+
+// base is the lowest link sequence still owed.
+func (l *outLink) base() uint64 {
+	if l.head == len(l.entries) {
+		return l.next + 1
+	}
+	return l.seqAt(l.head)
+}
+
+// push queues a new frame and returns its link sequence.
+func (l *outLink) push(payload []byte, bcast, gen uint64) uint64 {
+	l.next++
+	l.entries = append(l.entries, outEntry{payload: payload, bcast: bcast, gen: gen})
+	return l.next
+}
+
+// settle retires the queued frames with link sequences lo through hi.
+func (l *outLink) settle(lo, hi uint64) {
+	first := l.base()
+	for seq := max(lo, first); seq <= min(hi, l.next); seq++ {
+		l.entries[l.head+int(seq-first)].settled = true
+	}
+}
+
+// trim drops settled frames from the head and keeps the queue's backing
+// array from creeping: once the dead prefix is the larger part, the live
+// entries move down over it.
+func (l *outLink) trim() {
+	for l.head < len(l.entries) && l.entries[l.head].settled {
+		l.entries[l.head] = outEntry{}
+		l.head++
+	}
+	if l.head > len(l.entries)-l.head {
+		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
+	}
+}
+
+// drop forgets everything queued: the destination is no longer owed it.
+func (l *outLink) drop() {
+	clear(l.entries)
+	l.entries, l.head = l.entries[:0], 0
+}
+
+// seqRange is a run of consecutive link sequences, both ends included.
+type seqRange struct{ lo, hi uint64 }
+
+// inLink is the receiver's end of one link.
+type inLink struct {
+	epoch uint64
+	// cum is the cumulative sequence: every sequence up to it has been
+	// delivered, or written off by the sender's base.
+	cum uint64
+	// ahead holds what was delivered beyond cum as runs: ascending,
+	// disjoint, and at least one missing sequence apart from each other
+	// and from cum. Its length is the number of holes, not of frames.
+	ahead   []seqRange
+	unacked int    // data frames received since the last acknowledgement
+	ackGen  uint64 // timer period of the last acknowledgement
+}
+
+// raise applies a data frame's base: nothing below it is owed any more.
+func (l *inLink) raise(base uint64) {
+	if base-1 <= l.cum {
+		return
+	}
+	l.cum = base - 1
+	l.absorb()
+}
+
+// absorb drops the runs cum has overtaken and moves it to the end of
+// one it has reached.
+func (l *inLink) absorb() {
+	if len(l.ahead) == 0 {
+		return
+	}
+	n := 0
+	for n < len(l.ahead) && l.ahead[n].lo <= l.cum+1 {
+		l.cum = max(l.cum, l.ahead[n].hi)
+		n++
+	}
+	l.ahead = slices.Delete(l.ahead, 0, n)
+}
+
+// after returns the index of the first run that lies wholly above seq.
+func (l *inLink) after(seq uint64) int {
+	i, _ := slices.BinarySearchFunc(l.ahead, seq, func(r seqRange, seq uint64) int {
+		if r.lo > seq {
+			return 1
+		}
+		return -1
+	})
+	return i
+}
+
+// seen reports whether seq was delivered (or written off) before.
+func (l *inLink) seen(seq uint64) bool {
+	if seq <= l.cum {
+		return true
+	}
+	i := l.after(seq)
+	return i > 0 && l.ahead[i-1].hi >= seq
+}
+
+// note records the first delivery of seq. It reports false when seq
+// would open one hole more than a link remembers, in which case the
+// frame must be dropped.
+func (l *inLink) note(seq uint64) bool {
+	if seq == l.cum+1 {
+		l.cum++
+		l.absorb()
+		return true
+	}
+	i := l.after(seq)
+	joinsBelow := i > 0 && l.ahead[i-1].hi+1 == seq
+	joinsAbove := i < len(l.ahead) && seq+1 == l.ahead[i].lo
+	switch {
+	case joinsBelow && joinsAbove:
+		l.ahead[i-1].hi = l.ahead[i].hi
+		l.ahead = slices.Delete(l.ahead, i, i+1)
+	case joinsBelow:
+		l.ahead[i-1].hi = seq
+	case joinsAbove:
+		l.ahead[i].lo = seq
+	case len(l.ahead) >= maxAhead:
+		return false
+	default:
+		l.ahead = slices.Insert(l.ahead, i, seqRange{seq, seq})
+	}
+	return true
+}
+
+// ack builds the link's acknowledgement and books it as sent in timer
+// period gen.
+func (l *inLink) ack(gen uint64) message {
+	l.unacked, l.ackGen = 0, gen
+	m := message{Kind: kindAck, Epoch: l.epoch, Seq: l.cum}
+	if len(l.ahead) > 0 {
+		m.Payload = appendRanges(nil, l.cum, l.ahead[:min(len(l.ahead), maxAckList)])
+	}
+	return m
+}
+
+// appendRanges appends the runs rs, which ascend above floor with gaps
+// between them, as pairs of uvarints: the distance from the end of the
+// run before (from floor, for the first) to the run's start, and the
+// run's length less one.
+func appendRanges(dst []byte, floor uint64, rs []seqRange) []byte {
+	for _, r := range rs {
+		dst = binary.AppendUvarint(dst, r.lo-floor)
+		dst = binary.AppendUvarint(dst, r.hi-r.lo)
+		floor = r.hi
+	}
+	return dst
+}
+
+// eachRange calls fn for every run of a list appendRanges wrote above
+// floor, stopping quietly at the first malformed pair: the list is
+// advisory (an acknowledgement that names less only delays a frame's
+// retirement).
+func eachRange(list []byte, floor uint64, fn func(lo, hi uint64)) {
+	for len(list) > 0 {
+		gap, n := binary.Uvarint(list)
+		if n <= 0 || gap == 0 || floor+gap < floor {
+			return
+		}
+		span, k := binary.Uvarint(list[n:])
+		lo := floor + gap
+		if k <= 0 || lo+span < lo {
+			return
+		}
+		fn(lo, lo+span)
+		floor, list = lo+span, list[n+k:]
+	}
 }
 
 var _ Group = (*Reliable)(nil)
@@ -46,23 +310,25 @@ var _ Group = (*Reliable)(nil)
 func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliable {
 	opts = opts.withDefaults()
 	g := &Reliable{
-		mux:       mux,
-		stream:    stream,
-		self:      mux.Addr(),
-		opts:      opts,
-		queue:     newDeliveryQueue(deliver),
-		lc:        newLifecycle(),
-		outbox:    make(map[string]*outEntry),
-		delivered: make(map[string]bool),
+		mux:    mux,
+		stream: stream,
+		self:   mux.Addr(),
+		opts:   opts,
+		epoch:  newEpoch(),
+		queue:  newDeliveryQueue(deliver),
+		lc:     newLifecycle(),
+		gen:    1, // 0 is inLink.ackGen's "never acknowledged"
+		out:    make(map[string]*outLink),
+		in:     make(map[string]*inLink),
 	}
 	mux.Handle(stream, g.onMessage)
-	g.lc.goTick(opts.RetransmitInterval, g.retransmit)
+	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
 	return g
 }
 
 // SetMembers implements Group. Members added after a broadcast do not
-// retroactively receive it; members removed are dropped from pending
-// acknowledgement sets at the next retransmission sweep.
+// retroactively receive it; members removed stop being owed what they
+// have not acknowledged once it falls due for retransmission.
 func (g *Reliable) SetMembers(members []string) { g.members.set(members) }
 
 // Broadcast implements Group. The local node always receives its own
@@ -74,47 +340,45 @@ func (g *Reliable) Broadcast(payload []byte) error {
 // BroadcastTo reliably disseminates to an explicit destination set
 // (which may include the local node), supporting publisher-side
 // filtering (paper §2.3.2). Destinations that subsequently leave the
-// membership stop being owed retransmissions.
+// membership stop being owed retransmissions. The payload is kept, not
+// copied, until every destination has acknowledged it; the caller must
+// not modify it afterwards.
 func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: reliable %s: closed", g.stream)
 	}
+	type linkSend struct {
+		addr      string
+		seq, base uint64
+	}
+	var few [4]linkSend // the usual fan-out fits; append spills to the heap beyond it
+	sends := few[:0]
 	toSelf := false
-	others := make([]string, 0, len(dests))
+
+	g.mu.Lock()
+	g.bcast++
 	for _, addr := range dests {
 		if addr == g.self {
 			toSelf = true
 			continue
 		}
-		others = append(others, addr)
-	}
-
-	g.mu.Lock()
-	g.nextSeq++
-	m := &message{
-		Kind:    kindData,
-		Origin:  g.self,
-		Seq:     g.nextSeq,
-		ID:      codec.NewID(),
-		Payload: payload,
-	}
-	wire, err := encodeMessage(m)
-	if err != nil {
-		g.mu.Unlock()
-		return err
-	}
-	if len(others) > 0 {
-		pending := make(map[string]bool, len(others))
-		for _, addr := range others {
-			pending[addr] = true
+		l := g.out[addr]
+		if l == nil {
+			l = &outLink{}
+			g.out[addr] = l
 		}
-		g.outbox[m.ID] = &outEntry{wire: wire, pending: pending}
+		if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
+			continue // addr listed twice
+		}
+		seq := l.push(payload, g.bcast, g.gen)
+		sends = append(sends, linkSend{addr: addr, seq: seq, base: l.base()})
 	}
-	g.delivered[m.ID] = true
 	g.mu.Unlock()
 
-	for _, addr := range others {
-		_ = g.mux.Send(addr, g.stream, wire)
+	for _, s := range sends {
+		// A failed send is a lost frame: retransmission covers it.
+		_ = g.mux.sendMessage(s.addr, g.stream,
+			&message{Kind: kindData, Epoch: g.epoch, Seq: s.seq, Base: s.base, Payload: payload})
 	}
 	if toSelf {
 		g.queue.push(g.self, payload)
@@ -135,82 +399,138 @@ func (g *Reliable) Close() error {
 func (g *Reliable) Outstanding() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.outbox)
-}
-
-// retransmit resends unacknowledged messages and enforces the limit.
-func (g *Reliable) retransmit() {
-	type resend struct {
-		wire  []byte
-		addrs []string
-	}
-	current := make(map[string]bool)
-	for _, addr := range g.members.snapshot() {
-		current[addr] = true
-	}
-
-	g.mu.Lock()
-	var work []resend
-	for id, e := range g.outbox {
-		// Members that left the group no longer owe an ack.
-		for addr := range e.pending {
-			if !current[addr] {
-				delete(e.pending, addr)
+	owed := make(map[uint64]struct{})
+	for _, l := range g.out {
+		for i := l.head; i < len(l.entries); i++ {
+			if !l.entries[i].settled {
+				owed[l.entries[i].bcast] = struct{}{}
 			}
 		}
-		if len(e.pending) == 0 {
-			delete(g.outbox, id)
-			continue
+	}
+	return len(owed)
+}
+
+// tick is one acknowledgement-timer period: it acknowledges whatever
+// was delivered and not yet acknowledged, and retransmits (or gives up
+// on) the frames that have been out for a full RetransmitInterval since
+// they were last sent. A frame sent during period p has been out for
+// ticksPerInterval whole periods only once the generation passes
+// p+ticksPerInterval.
+func (g *Reliable) tick() {
+	type frame struct {
+		addr string
+		msg  message
+	}
+	var frames []frame
+
+	g.mu.Lock()
+	g.gen++
+	for origin, l := range g.in {
+		if l.unacked > 0 {
+			frames = append(frames, frame{origin, l.ack(g.gen)})
 		}
-		e.attempts++
-		if g.opts.RetransmitLimit > 0 && e.attempts > g.opts.RetransmitLimit {
-			delete(g.outbox, id) // give up
-			continue
+	}
+	for addr, l := range g.out {
+		first, checked := len(frames), false
+		for i := l.head; i < len(l.entries); i++ {
+			e := &l.entries[i]
+			if e.settled || g.gen-e.gen <= ticksPerInterval {
+				continue
+			}
+			if !checked {
+				checked = true
+				if !g.members.has(addr) {
+					l.drop() // a member that left the group no longer owes an ack
+					break
+				}
+			}
+			if g.opts.RetransmitLimit > 0 && e.attempts >= g.opts.RetransmitLimit {
+				e.settled = true // give up
+				continue
+			}
+			e.attempts++
+			e.gen = g.gen
+			frames = append(frames, frame{addr, message{
+				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Payload: e.payload}})
 		}
-		addrs := make([]string, 0, len(e.pending))
-		for addr := range e.pending {
-			addrs = append(addrs, addr)
+		if checked {
+			// The base goes on after the trim, so that every resent
+			// frame carries what the give-ups above have moved it to.
+			l.trim()
+			for k := first; k < len(frames); k++ {
+				frames[k].msg.Base = l.base()
+			}
 		}
-		work = append(work, resend{wire: e.wire, addrs: addrs})
 	}
 	g.mu.Unlock()
 
-	for _, r := range work {
-		for _, addr := range r.addrs {
-			_ = g.mux.Send(addr, g.stream, r.wire)
-		}
+	for i := range frames {
+		_ = g.mux.sendMessage(frames[i].addr, g.stream, &frames[i].msg)
 	}
 }
 
 func (g *Reliable) onMessage(from string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil {
+	var m message
+	if err := decodeMessage(data, &m); err != nil {
 		return
 	}
 	switch m.Kind {
 	case kindData:
-		// Always ack, even for duplicates: the ack may have been lost.
-		ack, err := encodeMessage(&message{Kind: kindAck, Origin: g.self, ID: m.ID})
-		if err == nil {
-			_ = g.mux.Send(from, g.stream, ack)
-		}
-		g.mu.Lock()
-		dup := g.delivered[m.ID]
-		if !dup {
-			g.delivered[m.ID] = true
-		}
-		g.mu.Unlock()
-		if !dup {
-			g.queue.push(m.Origin, m.Payload)
-		}
+		g.onData(from, &m)
 	case kindAck:
+		if m.Epoch != g.epoch {
+			return // addressed to an earlier incarnation of this group
+		}
 		g.mu.Lock()
-		if e, ok := g.outbox[m.ID]; ok {
-			delete(e.pending, m.Origin)
-			if len(e.pending) == 0 {
-				delete(g.outbox, m.ID)
-			}
+		if l := g.out[from]; l != nil {
+			l.settle(1, m.Seq)
+			eachRange(m.Payload, m.Seq, l.settle)
+			l.trim()
 		}
 		g.mu.Unlock()
+	}
+}
+
+// onData delivers a data frame's payload unless it is a duplicate, and
+// acknowledges according to the policy in the type's documentation.
+func (g *Reliable) onData(from string, m *message) {
+	if m.Epoch == 0 || m.Base == 0 {
+		return // not a link frame
+	}
+	g.mu.Lock()
+	l := g.in[from]
+	switch {
+	case l == nil || m.Epoch > l.epoch:
+		// A sender never heard from, or its next incarnation: the link
+		// starts at the frame's base.
+		l = &inLink{epoch: m.Epoch, cum: m.Base - 1}
+		g.in[from] = l
+	case m.Epoch < l.epoch:
+		g.mu.Unlock()
+		return // a straggler of a dead incarnation
+	}
+	l.raise(m.Base)
+	dup := l.seen(m.Seq)
+	if !dup && !l.note(m.Seq) {
+		g.mu.Unlock()
+		return
+	}
+	// A duplicate is owed an acknowledgement like a first arrival (the
+	// earlier one was lost, or the frame was resent before it landed),
+	// and is batched like one: a burst of retransmissions is answered
+	// by the cumulative acknowledgement its first frame draws.
+	l.unacked++
+	ackNow := l.unacked >= ackEvery || l.ackGen != g.gen
+	var ack message
+	if ackNow {
+		ack = l.ack(g.gen)
+	}
+	g.mu.Unlock()
+
+	if ackNow {
+		_ = g.mux.sendMessage(from, g.stream, &ack)
+	}
+	if !dup {
+		g.queue.push(from, m.Payload)
 	}
 }

@@ -1,0 +1,437 @@
+package multicast
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"govents/internal/netsim"
+)
+
+// tally counts deliveries per payload at one node.
+type tally struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func newTally() *tally { return &tally{seen: make(map[string]int)} }
+
+func (c *tally) record(_ string, payload []byte) {
+	c.mu.Lock()
+	c.seen[string(payload)]++
+	c.mu.Unlock()
+}
+
+func (c *tally) count(payload string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seen[payload]
+}
+
+func (c *tally) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.seen {
+		n += k
+	}
+	return n
+}
+
+// linkState reads a group's link bookkeeping: frames queued for
+// acknowledgement (and the capacity kept for them) on the sending side,
+// runs remembered out of order on the receiving side.
+func linkState(g *Reliable) (queued, queueCap, ahead int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, l := range g.out {
+		queued += len(l.entries) - l.head
+		queueCap += cap(l.entries)
+	}
+	for _, l := range g.in {
+		ahead += len(l.ahead)
+	}
+	return queued, queueCap, ahead
+}
+
+// TestReliableExactlyOnceProperty drives the link protocol over a
+// network that loses a fifth of the frames, duplicates a fifth and
+// delays each by up to 2 ms: every addressed member gets every message
+// exactly once, nobody else gets it, across subsets, a sender restart
+// and a member that leaves and returns.
+func TestReliableExactlyOnceProperty(t *testing.T) {
+	net := netsim.New(netsim.Config{LossRate: 0.2, DupRate: 0.2, MaxLatency: 2 * time.Millisecond, Seed: 42})
+	defer net.Close()
+	names := []string{"a", "b", "c", "d"}
+	nodes := make(map[string]*testNode)
+	tallies := make(map[string]*tally)
+	groups := make(map[string]*Reliable)
+	for _, name := range names {
+		nodes[name] = newTestNode(t, net, name)
+		tallies[name] = newTally()
+		groups[name] = NewReliable(nodes[name].mux, "cls", tallies[name].record, fastOpts())
+		groups[name].SetMembers(names)
+	}
+	defer func() {
+		for _, g := range groups {
+			_ = g.Close()
+		}
+	}()
+
+	// expect[node][payload] is true for every delivery owed.
+	expect := make(map[string]map[string]bool)
+	for _, name := range names {
+		expect[name] = make(map[string]bool)
+	}
+	settle := func(what string) {
+		t.Helper()
+		waitFor(t, 20*time.Second, what+": deliveries", func() bool {
+			for _, name := range names {
+				for p := range expect[name] {
+					if tallies[name].count(p) == 0 {
+						return false
+					}
+				}
+			}
+			return true
+		})
+		waitFor(t, 20*time.Second, what+": acknowledged", func() bool { return groups["a"].Outstanding() == 0 })
+		// Stragglers: duplicates and retransmissions still in flight.
+		net.Settle()
+		time.Sleep(20 * time.Millisecond)
+		for _, name := range names {
+			if got, want := tallies[name].total(), len(expect[name]); got != want {
+				t.Fatalf("%s: %s holds %d deliveries, want exactly %d", what, name, got, want)
+			}
+		}
+	}
+
+	// Subsets: each message goes to a random non-empty set of members.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 120; i++ {
+		var dests []string
+		for _, name := range names {
+			if rng.Intn(2) == 0 {
+				dests = append(dests, name)
+			}
+		}
+		if len(dests) == 0 {
+			dests = []string{names[rng.Intn(len(names))]}
+		}
+		p := fmt.Sprintf("subset-%03d", i)
+		for _, d := range dests {
+			expect[d][p] = true
+		}
+		if err := groups["a"].BroadcastTo(dests, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle("subsets")
+
+	// A sender restart: the new incarnation numbers its links from 1
+	// again under a later epoch, and must be delivered, not deduplicated
+	// against its predecessor.
+	old := groups["a"].epoch
+	_ = groups["a"].Close()
+	groups["a"] = NewReliable(nodes["a"].mux, "cls", tallies["a"].record, fastOpts())
+	groups["a"].SetMembers(names)
+	if groups["a"].epoch <= old {
+		t.Fatalf("restarted epoch %d does not outrank %d", groups["a"].epoch, old)
+	}
+	for i := 0; i < 40; i++ {
+		p := fmt.Sprintf("restart-%03d", i)
+		for _, name := range names {
+			expect[name][p] = true
+		}
+		if err := groups["a"].Broadcast([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle("sender restart")
+
+	// d leaves while frames to it are outstanding (it is unreachable, so
+	// they stay that way), then returns: everything sent after the
+	// return arrives, and d's receive state does not sit behind the hole
+	// of what was dropped.
+	net.Crash("d")
+	for i := 0; i < 10; i++ {
+		p := fmt.Sprintf("absent-%03d", i)
+		for _, name := range []string{"a", "b", "c"} {
+			expect[name][p] = true
+		}
+		if err := groups["a"].Broadcast([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groups["a"].SetMembers([]string{"a", "b", "c"})
+	settle("member absent") // includes a no longer owing d anything
+	net.Restart("d")
+	groups["a"].SetMembers(names)
+	for i := 0; i < 40; i++ {
+		p := fmt.Sprintf("returned-%03d", i)
+		for _, name := range names {
+			expect[name][p] = true
+		}
+		if err := groups["a"].Broadcast([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle("member returned")
+	for _, name := range []string{"b", "c", "d"} {
+		if _, _, ahead := linkState(groups[name]); ahead != 0 {
+			t.Errorf("%s still remembers %d out-of-order sequences with nothing in flight", name, ahead)
+		}
+	}
+}
+
+// TestReliableGiveUpDoesNotWedgeReceiver: a frame the sender gave up on
+// under RetransmitLimit leaves a hole in the link sequence; the base on
+// the next frame closes it.
+func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	a := newTestNode(t, net, "a")
+	b := newTestNode(t, net, "b")
+	opts := fastOpts()
+	opts.RetransmitLimit = 2
+	ga := NewReliable(a.mux, "cls", a.record, opts)
+	gb := NewReliable(b.mux, "cls", b.record, opts)
+	defer ga.Close()
+	defer gb.Close()
+	ga.SetMembers([]string{"a", "b"})
+	gb.SetMembers([]string{"a", "b"})
+
+	_ = ga.BroadcastTo([]string{"b"}, []byte("first"))
+	waitFor(t, 5*time.Second, "first delivery", func() bool { return b.count() == 1 })
+	waitFor(t, 5*time.Second, "first acknowledged", func() bool { return ga.Outstanding() == 0 })
+
+	net.Partition([]string{"a"}, []string{"b"})
+	_ = ga.BroadcastTo([]string{"b"}, []byte("lost"))
+	waitFor(t, 5*time.Second, "give up", func() bool { return ga.Outstanding() == 0 })
+	net.Heal()
+
+	_ = ga.BroadcastTo([]string{"b"}, []byte("next"))
+	waitFor(t, 5*time.Second, "delivery after the give-up", func() bool { return b.count() == 2 })
+	waitFor(t, 5*time.Second, "acknowledged after the give-up", func() bool { return ga.Outstanding() == 0 })
+	if got := b.payloads(); got[0] != "first" || got[1] != "next" {
+		t.Errorf("b delivered %v", got)
+	}
+	gb.mu.Lock()
+	cum, ahead := gb.in["a"].cum, len(gb.in["a"].ahead)
+	gb.mu.Unlock()
+	if cum != 3 || ahead != 0 {
+		t.Errorf("receiver at cum %d with %d sequences ahead; want 3 and 0 (the base steps over the hole)", cum, ahead)
+	}
+}
+
+// TestReliableStateBoundedByInFlight sends 50 000 messages through one
+// link with at most a window of them in flight: neither end may hold
+// state that grows with the messages delivered.
+func TestReliableStateBoundedByInFlight(t *testing.T) {
+	net := netsim.New(netsim.Config{MaxLatency: 200 * time.Microsecond, Seed: 9})
+	defer net.Close()
+	a := newTestNode(t, net, "a")
+	b := newTestNode(t, net, "b")
+	var delivered atomic.Int64
+	ga := NewReliable(a.mux, "cls", func(string, []byte) {}, Options{})
+	gb := NewReliable(b.mux, "cls", func(string, []byte) { delivered.Add(1) }, Options{})
+	defer ga.Close()
+	defer gb.Close()
+	ga.SetMembers([]string{"a", "b"})
+	gb.SetMembers([]string{"a", "b"})
+
+	const total, window = 50_000, 256
+	payload := []byte("m")
+	maxQueued, maxAheadSeen := 0, 0
+	for i := int64(0); i < total; i++ {
+		for i-delivered.Load() >= window {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := ga.BroadcastTo([]string{"b"}, payload); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 0 {
+			queued, _, _ := linkState(ga)
+			_, _, ahead := linkState(gb)
+			maxQueued, maxAheadSeen = max(maxQueued, queued), max(maxAheadSeen, ahead)
+		}
+	}
+	waitFor(t, 20*time.Second, "all delivered", func() bool { return delivered.Load() == total })
+	waitFor(t, 20*time.Second, "all acknowledged", func() bool { return ga.Outstanding() == 0 })
+
+	// In flight is the window plus what was delivered and awaits its
+	// batched acknowledgement, itself in flight for a while: hundreds of
+	// frames, a couple of thousand on a slow day, not fifty thousand.
+	const bound = total / 10
+	queued, queueCap, _ := linkState(ga)
+	_, _, ahead := linkState(gb)
+	if queued != 0 || ahead != 0 {
+		t.Errorf("at rest the sender queues %d frames and the receiver remembers %d sequences; want 0 and 0", queued, ahead)
+	}
+	if maxQueued > bound || maxAheadSeen > bound || queueCap > bound {
+		t.Errorf("under load: sender queue %d (capacity %d), receiver out-of-order set %d; want each within %d",
+			maxQueued, queueCap, maxAheadSeen, bound)
+	}
+	gb.mu.Lock()
+	cum := gb.in["a"].cum
+	gb.mu.Unlock()
+	if cum != total {
+		t.Errorf("receiver's cumulative sequence is %d, want %d", cum, total)
+	}
+}
+
+// countingTransport counts the frames an endpoint sends.
+type countingTransport struct {
+	netsim.Transport
+	sends atomic.Int64
+}
+
+func (c *countingTransport) Send(to string, payload []byte) error {
+	c.sends.Add(1)
+	return c.Transport.Send(to, payload)
+}
+
+// TestReliableSendsOnLossFreeNetwork pins the retransmission age rule
+// and the acknowledgement batching where nothing is lost: next to no
+// frame is sent twice, and at most one acknowledgement answers eight
+// data frames.
+func TestReliableSendsOnLossFreeNetwork(t *testing.T) {
+	net := netsim.New(netsim.Config{MinLatency: 200 * time.Microsecond, MaxLatency: 200 * time.Microsecond})
+	defer net.Close()
+	epA, err := net.NewEndpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := net.NewEndpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, tb := &countingTransport{Transport: epA}, &countingTransport{Transport: epB}
+	var delivered atomic.Int64
+	// A long interval keeps the timer's share of the acknowledgements
+	// small even when the race detector slows the link to a crawl.
+	opts := Options{RetransmitInterval: 100 * time.Millisecond}
+	ga := NewReliable(NewMux(ta), "cls", func(string, []byte) {}, opts)
+	gb := NewReliable(NewMux(tb), "cls", func(string, []byte) { delivered.Add(1) }, opts)
+	defer ga.Close()
+	defer gb.Close()
+	ga.SetMembers([]string{"a", "b"})
+	gb.SetMembers([]string{"a", "b"})
+
+	const total, window = 10_000, 64
+	for i := int64(0); i < total; i++ {
+		for i-delivered.Load() >= window {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := ga.BroadcastTo([]string{"b"}, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 20*time.Second, "all delivered", func() bool { return delivered.Load() == total })
+	waitFor(t, 20*time.Second, "all acknowledged", func() bool { return ga.Outstanding() == 0 })
+	net.Settle()
+
+	data, acks := ta.sends.Load(), tb.sends.Load()
+	if data > total*101/100 {
+		t.Errorf("%d data frames for %d messages: more than 1%% were sent again on a network that lost none", data, total)
+	}
+	if acks > data/8 {
+		t.Errorf("%d acknowledgements for %d data frames, want at most one in eight", acks, data)
+	}
+	if acks == 0 {
+		t.Error("no acknowledgement was sent")
+	}
+}
+
+func TestAckRangesRoundTrip(t *testing.T) {
+	runs := []seqRange{{12, 12}, {14, 40}, {1 << 40, 1<<40 + 5}}
+	list := appendRanges(nil, 10, runs)
+	var got []seqRange
+	collect := func(lo, hi uint64) { got = append(got, seqRange{lo, hi}) }
+	eachRange(list, 10, collect)
+	if !reflect.DeepEqual(got, runs) {
+		t.Errorf("list = %v, want %v", got, runs)
+	}
+	// A malformed tail ends the walk; what came before it stands.
+	got = nil
+	eachRange(append(list[:4:4], 0x80), 10, collect)
+	if !reflect.DeepEqual(got, runs[:2]) {
+		t.Errorf("list with a torn tail = %v, want %v", got, runs[:2])
+	}
+	none := func(lo, hi uint64) { t.Errorf("malformed list named %d..%d", lo, hi) }
+	eachRange([]byte{0, 0}, 10, none)                                                          // a run cannot start at the floor
+	eachRange([]byte{1}, 10, none)                                                             // a start without a length
+	eachRange([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0}, 10, none) // start past the top of the range
+	eachRange([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 10, none) // end past it
+}
+
+// TestInLinkRunsAgainstSet drives the receiver's run bookkeeping with
+// random arrivals and bases and compares it, step by step, with a plain
+// set of sequences.
+func TestInLinkRunsAgainstSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		l := &inLink{}
+		set := map[uint64]bool{}
+		floor := uint64(0) // everything at or below it is settled
+		for step := 0; step < 300; step++ {
+			if rng.Intn(20) == 0 {
+				base := floor + 1 + uint64(rng.Intn(8)) // a frame's base is at least 1
+				l.raise(base)
+				floor = max(floor, base-1)
+			} else {
+				seq := floor + 1 + uint64(rng.Intn(40))
+				want := set[seq] || seq <= floor
+				if got := l.seen(seq); got != want {
+					t.Fatalf("round %d step %d: seen(%d) = %v, want %v (cum %d, runs %v)", round, step, seq, got, want, l.cum, l.ahead)
+				}
+				if !want {
+					if !l.note(seq) {
+						t.Fatalf("round %d step %d: note(%d) refused with %d runs", round, step, seq, len(l.ahead))
+					}
+					set[seq] = true
+				}
+			}
+			for set[floor+1] {
+				floor++
+			}
+			if l.cum != floor {
+				t.Fatalf("round %d step %d: cum %d, want %d (runs %v)", round, step, l.cum, floor, l.ahead)
+			}
+			prev := l.cum
+			for _, r := range l.ahead {
+				if r.lo < prev+2 || r.hi < r.lo {
+					t.Fatalf("round %d step %d: runs %v not ascending with gaps above cum %d", round, step, l.ahead, l.cum)
+				}
+				for s := r.lo; s <= r.hi; s++ {
+					if !set[s] {
+						t.Fatalf("round %d step %d: run %v covers %d, never delivered", round, step, r, s)
+					}
+				}
+				prev = r.hi
+			}
+		}
+	}
+}
+
+func TestInLinkRefusesOneHoleTooMany(t *testing.T) {
+	l := &inLink{}
+	for i := 0; i < maxAhead; i++ {
+		if !l.note(uint64(2*i + 2)) {
+			t.Fatalf("run %d refused", i)
+		}
+	}
+	if l.note(uint64(2*maxAhead + 2)) {
+		t.Error("a run beyond maxAhead was accepted")
+	}
+	if !l.note(3) || !l.note(1) {
+		t.Error("a sequence that fills a hole must be accepted at the bound")
+	}
+	if l.cum != 4 || len(l.ahead) != maxAhead-2 {
+		t.Errorf("cum %d with %d runs, want 4 and %d", l.cum, len(l.ahead), maxAhead-2)
+	}
+}

@@ -40,13 +40,13 @@ type Total struct {
 	lc        *lifecycle
 
 	mu       sync.Mutex
-	planner  Planner         // sequencer: interest filter (nil = broadcast all)
-	tracker  *skipTracker    // sequencer: per-destination covered sequences
-	observer PruneObserver   // optional pruning counters sink
-	nextGSeq uint64          // sequencer only
-	seenReqs map[string]bool // sequencer: deduplicated request IDs
-	pending  map[string][]byte
-	expected uint64 // next global sequence to deliver
+	planner  Planner           // sequencer: interest filter (nil = broadcast all)
+	tracker  *skipTracker      // sequencer: per-destination covered sequences
+	observer PruneObserver     // optional pruning counters sink
+	nextGSeq uint64            // sequencer only
+	seenReqs map[string]bool   // sequencer: deduplicated request IDs
+	pending  map[string][]byte // own requests not yet seen sequenced: message ID -> request frame
+	expected uint64            // next global sequence to deliver
 	hold     map[uint64]totalHeld
 }
 
@@ -127,14 +127,14 @@ func (g *Total) Broadcast(payload []byte) error {
 	if g.self == g.sequencer {
 		return g.sequence(id, g.self, payload)
 	}
-	req, err := encodeMessage(&message{Kind: kindOrderReq, Origin: g.self, ID: id, Payload: payload})
+	req, err := frameMessage(g.stream, &message{Kind: kindOrderReq, Origin: g.self, ID: id, Payload: payload})
 	if err != nil {
 		return err
 	}
 	g.mu.Lock()
 	g.pending[id] = req
 	g.mu.Unlock()
-	return g.mux.Send(g.sequencer, g.stream, req)
+	return g.mux.sendFrame(g.sequencer, req)
 }
 
 // Close implements Group.
@@ -275,8 +275,8 @@ func (g *Total) onOrderReq(_ string, data []byte) {
 	if g.self != g.sequencer {
 		return
 	}
-	m, err := decodeMessage(data)
-	if err != nil || m.Kind != kindOrderReq {
+	var m message
+	if err := decodeMessage(data, &m); err != nil || m.Kind != kindOrderReq {
 		return
 	}
 	_ = g.sequence(m.ID, m.Origin, m.Payload)
@@ -292,7 +292,7 @@ func (g *Total) retransmitRequests() {
 	}
 	g.mu.Unlock()
 	for _, req := range reqs {
-		_ = g.mux.Send(g.sequencer, g.stream, req)
+		_ = g.mux.sendFrame(g.sequencer, req)
 	}
 }
 
@@ -302,8 +302,8 @@ func (g *Total) retransmitRequests() {
 // everything in the range below its top was deliberately skipped for
 // this node. Runs on the inner group's single delivery goroutine.
 func (g *Total) onInner(_ string, data []byte) {
-	m, err := decodeMessage(data)
-	if err != nil || (m.Kind != kindData && m.Kind != kindSkip) || m.GSeq == 0 {
+	var m message
+	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) || m.GSeq == 0 {
 		return
 	}
 	h := totalHeld{

@@ -3,16 +3,48 @@ package multicast
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"govents/internal/vclock"
 )
+
+// This file is the wire record every protocol of the package exchanges:
+// one layout, flagged so that a field a protocol does not use costs
+// nothing, in the style of the envelope's record (internal/codec):
+//
+//	kind      1 byte    msgKind
+//	flags     uvarint   one presence bit per optional field below
+//	Seq       uvarint                                        flagSeq
+//	GSeq      uvarint                                        flagGSeq
+//	SkipFrom  uvarint   top - SkipFrom, top = GSeq, else Seq; flagSkipFrom
+//	                    (absolute when the record has neither)
+//	Epoch     uvarint                                        flagEpoch
+//	Base      uvarint   Seq - Base                           flagBase
+//	Origin    uvarint length (1..maxWireString) + bytes      flagOrigin
+//	ID        likewise                                       flagID
+//	Rounds    1 byte                                         flagRounds
+//	VC        uvarint count (1..maxWireVC), then per entry,  flagVC
+//	          in ascending key order, a length-prefixed key
+//	          and a uvarint value
+//	Payload   the rest of the record
+//
+// A field travels exactly when it is non-zero, every uvarint is in its
+// shortest form, and vector-clock keys ascend strictly, so a record has
+// one encoding: what decodeMessage accepts, encodeMessage reproduces
+// byte for byte. The decoder faces peers: every length is checked
+// against the bytes that remain before anything is allocated.
+//
+// The layout shares nothing with the fixed-width one before it; nodes
+// of the two eras do not interoperate (see "Link protocol" in the
+// govents package documentation).
 
 // msgKind enumerates protocol message types.
 type msgKind byte
 
 const (
 	kindData     msgKind = iota + 1 // broadcast payload
-	kindAck                         // reliable-broadcast acknowledgement
+	kindAck                         // reliable-broadcast cumulative acknowledgement
 	kindCertData                    // certified payload (per-consumer ack)
 	kindCertAck                     // certified acknowledgement
 	kindGossip                      // gossip event batch
@@ -21,8 +53,8 @@ const (
 )
 
 // message is the wire record exchanged by all protocols in this package.
-// Fields are used selectively per kind; unused fields stay zero and cost
-// almost nothing on the wire.
+// Fields are used selectively per kind; unused fields stay zero and do
+// not travel.
 //
 // SkipFrom carries the interest-aware pruning protocol of the ordered
 // classes: a frame covers the per-destination sequence range
@@ -30,107 +62,294 @@ const (
 // number below the last is a publication the sender deliberately did
 // not ship to this destination (no matching subscriber there). A
 // kindData frame's payload belongs to the top of the range; a kindSkip
-// frame is all range and no payload. SkipFrom zero (or beyond the top)
-// means "no skip information": the frame covers only its own sequence,
-// which is exactly the pre-pruning wire behavior.
+// frame is all range and no payload. SkipFrom zero means "no skip
+// information": the frame covers only its own sequence.
+//
+// Epoch and Base belong to Reliable's link protocol (reliable.go): on a
+// data frame Seq is the link sequence and Base the lowest link sequence
+// the sender still owes this destination; on an acknowledgement Seq is
+// the cumulative acknowledgement and Payload lists the runs of link
+// sequences received above it (appendRanges).
 type message struct {
 	Kind     msgKind
 	Origin   string // original publisher address (or durable consumer ID in cert acks)
 	Seq      uint64 // per-origin sequence number
 	GSeq     uint64 // sequencer-assigned global sequence
 	SkipFrom uint64 // first sequence covered by this frame (0 = Seq/GSeq only)
+	Epoch    uint64 // link incarnation of the data frame's sender
+	Base     uint64 // lowest link sequence still owed (1 <= Base <= Seq)
 	Rounds   uint8  // gossip rounds-to-live
 	ID       string // unique message ID
 	VC       vclock.VC
-	Payload  []byte
+	Payload  []byte // aliases the decoded frame
 }
 
-const maxWireString = 0xFFFF
+const (
+	flagSeq = 1 << iota
+	flagSkipFrom
+	flagEpoch
+	flagBase
+	flagGSeq
+	flagOrigin
+	flagID
+	flagRounds
+	flagVC
+	knownFlags = 1<<iota - 1
 
-// encodeMessage renders a message in a compact binary form.
-func encodeMessage(m *message) ([]byte, error) {
-	if len(m.Origin) > maxWireString || len(m.ID) > maxWireString {
-		return nil, fmt.Errorf("multicast: string field too long")
+	// Field caps, enforced on encode and decode alike.
+	maxWireString = 0xFFFF
+	maxWireVC     = 0xFFFF
+)
+
+// flags returns the presence bits of m's non-zero fields.
+func (m *message) flags() uint64 {
+	var f uint64
+	if m.Seq != 0 {
+		f |= flagSeq
 	}
-	if len(m.VC) > maxWireString {
-		return nil, fmt.Errorf("multicast: vector clock too large")
+	if m.SkipFrom != 0 {
+		f |= flagSkipFrom
 	}
-	size := 1 + 2 + len(m.Origin) + 8 + 8 + 8 + 1 + 2 + len(m.ID) + 2 + 4 + len(m.Payload)
-	for k := range m.VC {
-		size += 2 + len(k) + 8
+	if m.Epoch != 0 {
+		f |= flagEpoch
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(m.Kind))
-	buf = appendString(buf, m.Origin)
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, m.GSeq)
-	buf = binary.BigEndian.AppendUint64(buf, m.SkipFrom)
-	buf = append(buf, m.Rounds)
-	buf = appendString(buf, m.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.VC)))
-	for k, v := range m.VC {
-		if len(k) > maxWireString {
-			return nil, fmt.Errorf("multicast: vector clock key too long")
-		}
-		buf = appendString(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, v)
+	if m.Base != 0 {
+		f |= flagBase
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
-	buf = append(buf, m.Payload...)
-	return buf, nil
+	if m.GSeq != 0 {
+		f |= flagGSeq
+	}
+	if m.Origin != "" {
+		f |= flagOrigin
+	}
+	if m.ID != "" {
+		f |= flagID
+	}
+	if m.Rounds != 0 {
+		f |= flagRounds
+	}
+	if len(m.VC) > 0 {
+		f |= flagVC
+	}
+	return f
 }
 
-// decodeMessage parses a message from wire bytes.
-func decodeMessage(data []byte) (*message, error) {
-	d := &decoder{buf: data}
-	m := &message{}
-	m.Kind = msgKind(d.u8())
-	m.Origin = d.str()
-	m.Seq = d.u64()
-	m.GSeq = d.u64()
-	m.SkipFrom = d.u64()
-	m.Rounds = d.u8()
-	m.ID = d.str()
-	nvc := int(d.u16())
-	if nvc > 0 {
-		m.VC = make(vclock.VC, nvc)
-		for i := 0; i < nvc; i++ {
-			k := d.str()
-			v := d.u64()
-			if d.err != nil {
-				break
+// top is the sequence SkipFrom is measured down from.
+func (m *message) top() uint64 {
+	if m.GSeq != 0 {
+		return m.GSeq
+	}
+	return m.Seq
+}
+
+// skipDelta is SkipFrom's wire form.
+func (m *message) skipDelta() uint64 {
+	if top := m.top(); top != 0 {
+		return top - m.SkipFrom
+	}
+	return m.SkipFrom
+}
+
+// messageSize returns the exact length of m's wire record, or an error
+// when a field is outside what the layout can carry.
+func messageSize(m *message) (int, error) {
+	switch top := m.top(); {
+	case len(m.Origin) > maxWireString || len(m.ID) > maxWireString:
+		return 0, fmt.Errorf("multicast: string field too long")
+	case len(m.VC) > maxWireVC:
+		return 0, fmt.Errorf("multicast: vector clock too large")
+	case top != 0 && m.SkipFrom > top:
+		return 0, fmt.Errorf("multicast: skip range start %d beyond its top %d", m.SkipFrom, top)
+	case m.Base > m.Seq:
+		return 0, fmt.Errorf("multicast: link base %d beyond link sequence %d", m.Base, m.Seq)
+	}
+	f := m.flags()
+	n := 1 + uvarintLen(f) + len(m.Payload)
+	if f&flagSeq != 0 {
+		n += uvarintLen(m.Seq)
+	}
+	if f&flagGSeq != 0 {
+		n += uvarintLen(m.GSeq)
+	}
+	if f&flagSkipFrom != 0 {
+		n += uvarintLen(m.skipDelta())
+	}
+	if f&flagEpoch != 0 {
+		n += uvarintLen(m.Epoch)
+	}
+	if f&flagBase != 0 {
+		n += uvarintLen(m.Seq - m.Base)
+	}
+	if f&flagOrigin != 0 {
+		n += lenStringLen(m.Origin)
+	}
+	if f&flagID != 0 {
+		n += lenStringLen(m.ID)
+	}
+	if f&flagRounds != 0 {
+		n++
+	}
+	if f&flagVC != 0 {
+		n += uvarintLen(uint64(len(m.VC)))
+		for k, v := range m.VC {
+			if len(k) > maxWireString {
+				return 0, fmt.Errorf("multicast: vector clock key too long")
 			}
-			m.VC[k] = v
+			n += lenStringLen(k) + uvarintLen(v)
 		}
 	}
-	m.Payload = d.blob()
-	if d.err != nil {
-		return nil, fmt.Errorf("multicast: decode message: %w", d.err)
+	return n, nil
+}
+
+// appendMessage appends m's wire record to dst. The caller has sized
+// dst with messageSize, which also vouches for the fields.
+func appendMessage(dst []byte, m *message) []byte {
+	f := m.flags()
+	b := append(dst, byte(m.Kind))
+	b = binary.AppendUvarint(b, f)
+	if f&flagSeq != 0 {
+		b = binary.AppendUvarint(b, m.Seq)
 	}
-	return m, nil
+	if f&flagGSeq != 0 {
+		b = binary.AppendUvarint(b, m.GSeq)
+	}
+	if f&flagSkipFrom != 0 {
+		b = binary.AppendUvarint(b, m.skipDelta())
+	}
+	if f&flagEpoch != 0 {
+		b = binary.AppendUvarint(b, m.Epoch)
+	}
+	if f&flagBase != 0 {
+		b = binary.AppendUvarint(b, m.Seq-m.Base)
+	}
+	if f&flagOrigin != 0 {
+		b = appendLenString(b, m.Origin)
+	}
+	if f&flagID != 0 {
+		b = appendLenString(b, m.ID)
+	}
+	if f&flagRounds != 0 {
+		b = append(b, m.Rounds)
+	}
+	if f&flagVC != 0 {
+		keys := make([]string, 0, len(m.VC))
+		for k := range m.VC {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		b = binary.AppendUvarint(b, uint64(len(keys)))
+		for _, k := range keys {
+			b = appendLenString(b, k)
+			b = binary.AppendUvarint(b, m.VC[k])
+		}
+	}
+	return append(b, m.Payload...)
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+// encodeMessage renders a message as its wire record in one allocation.
+func encodeMessage(m *message) ([]byte, error) {
+	size, err := messageSize(m)
+	if err != nil {
+		return nil, err
+	}
+	return appendMessage(make([]byte, 0, size), m), nil
 }
 
-// decoder is a cursor over wire bytes with sticky error handling.
+func appendLenString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func lenStringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// uvarintLen is the encoded length of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// decodeMessage parses a wire record into m, which the caller owns (a
+// hot path keeps it on its stack). Nothing but the strings and the
+// vector clock is allocated: m.Payload aliases data, which every
+// transport hands over for keeps and nobody may mutate.
+func decodeMessage(data []byte, m *message) error {
+	*m = message{}
+	d := decoder{buf: data}
+	m.Kind = msgKind(d.u8())
+	f := d.uvarint()
+	if f&^knownFlags != 0 {
+		d.fail("unknown flags %#x", f&^knownFlags)
+	}
+	if f&flagSeq != 0 {
+		m.Seq = d.nonZero("Seq")
+	}
+	if f&flagGSeq != 0 {
+		m.GSeq = d.nonZero("GSeq")
+	}
+	if f&flagSkipFrom != 0 {
+		delta := d.uvarint()
+		switch top := m.top(); {
+		case top == 0:
+			m.SkipFrom = delta
+		case delta < top:
+			m.SkipFrom = top - delta
+		}
+		if m.SkipFrom == 0 {
+			d.fail("skip range start below 1")
+		}
+	}
+	if f&flagEpoch != 0 {
+		m.Epoch = d.nonZero("Epoch")
+	}
+	if f&flagBase != 0 {
+		lag := d.uvarint()
+		if lag >= m.Seq {
+			d.fail("link base below 1")
+		}
+		m.Base = m.Seq - lag
+	}
+	if f&flagOrigin != 0 {
+		m.Origin = d.str("Origin")
+	}
+	if f&flagID != 0 {
+		m.ID = d.str("ID")
+	}
+	if f&flagRounds != 0 {
+		if m.Rounds = d.u8(); m.Rounds == 0 {
+			d.fail("zero Rounds flagged present")
+		}
+	}
+	if f&flagVC != 0 {
+		m.VC = d.vc()
+	}
+	if d.err != nil {
+		*m = message{}
+		return fmt.Errorf("multicast: decode message: %w", d.err)
+	}
+	if d.off < len(data) {
+		m.Payload = data[d.off:]
+	}
+	return nil
+}
+
+// decoder is a cursor over wire bytes with a sticky error: after the
+// first failure every read returns a zero value, so decodeMessage
+// checks once at the end.
 type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail() {
+func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("truncated at offset %d", d.off)
+		d.err = fmt.Errorf(format, args...)
 	}
 }
 
 func (d *decoder) u8() byte {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
+	if d.err != nil {
+		return 0
+	}
+	if d.off >= len(d.buf) {
+		d.fail("truncated at offset %d", d.off)
 		return 0
 	}
 	v := d.buf[d.off]
@@ -138,50 +357,85 @@ func (d *decoder) u8() byte {
 	return v
 }
 
-func (d *decoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.buf) {
-		d.fail()
+// uvarint reads a uvarint in its shortest form.
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.fail("truncated at offset %d", d.off)
+		return 0
+	case n < 0:
+		d.fail("varint overflow at offset %d", d.off)
+		return 0
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.fail("overlong varint at offset %d", d.off)
+		return 0
+	}
+	d.off += n
 	return v
 }
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
+// nonZero reads the uvarint of a field whose flag says it is present.
+func (d *decoder) nonZero(what string) uint64 {
+	v := d.uvarint()
+	if v == 0 {
+		d.fail("zero %s flagged present", what)
 	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
 	return v
 }
 
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
+// str reads a length-prefixed, non-empty string.
+func (d *decoder) str(what string) string {
+	n := d.uvarint()
+	if d.err != nil {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
+	if n == 0 || n > maxWireString || n > uint64(len(d.buf)-d.off) {
+		d.fail("%s of %d bytes at offset %d", what, n, d.off)
+		return ""
+	}
+	s := string(d.buf[d.off : d.off+int(n)])
+	d.off += int(n)
 	return s
 }
 
-func (d *decoder) blob() []byte {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
+func (d *decoder) vc() vclock.VC {
+	n := d.uvarint()
+	if d.err != nil {
 		return nil
 	}
-	n := int(binary.BigEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
-	if d.off+n > len(d.buf) {
-		d.fail()
+	// Every entry takes at least two bytes (an empty key's length and a
+	// value), which bounds the map's size by the input's before it is
+	// allocated.
+	if n == 0 || n > maxWireVC || n > uint64(len(d.buf)-d.off)/2 {
+		d.fail("vector clock of %d entries at offset %d", n, d.off)
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+n])
-	d.off += n
-	return b
+	vc := make(vclock.VC, n)
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		klen := d.uvarint()
+		if d.err != nil {
+			return nil
+		}
+		if klen > maxWireString || klen > uint64(len(d.buf)-d.off) {
+			d.fail("vector clock key of %d bytes at offset %d", klen, d.off)
+			return nil
+		}
+		k := string(d.buf[d.off : d.off+int(klen)])
+		d.off += int(klen)
+		v := d.uvarint()
+		if d.err != nil {
+			return nil
+		}
+		if i > 0 && k <= prev {
+			d.fail("vector clock key %q out of order", k)
+			return nil
+		}
+		vc[k], prev = v, k
+	}
+	return vc
 }

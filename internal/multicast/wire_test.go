@@ -2,63 +2,136 @@ package multicast
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"govents/internal/vclock"
 )
 
-func TestMessageRoundTrip(t *testing.T) {
+// roundTrip encodes m, checks the record's size against messageSize,
+// decodes it and returns what came back.
+func roundTrip(t *testing.T, m *message) message {
+	t.Helper()
+	wire, err := encodeMessage(m)
+	if err != nil {
+		t.Fatalf("encode %+v: %v", m, err)
+	}
+	if size, _ := messageSize(m); size != len(wire) || cap(wire) != len(wire) {
+		t.Fatalf("record of %d bytes (cap %d), messageSize says %d", len(wire), cap(wire), size)
+	}
+	var got message
+	if err := decodeMessage(wire, &got); err != nil {
+		t.Fatalf("decode %+v: %v", m, err)
+	}
+	return got
+}
+
+// TestMessageRoundTripEveryCombination walks every kind with every
+// subset of the optional fields, with and without a payload.
+func TestMessageRoundTripEveryCombination(t *testing.T) {
+	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindGossip, kindOrderReq, kindSkip}
+	for _, kind := range kinds {
+		for fields := uint64(0); fields <= knownFlags; fields++ {
+			for _, payload := range [][]byte{nil, []byte("payload")} {
+				m := message{Kind: kind, Payload: payload}
+				if fields&flagSeq != 0 {
+					m.Seq = 300
+				}
+				if fields&flagGSeq != 0 {
+					m.GSeq = 70000
+				}
+				if fields&flagSkipFrom != 0 {
+					m.SkipFrom = 5
+				}
+				if fields&flagEpoch != 0 {
+					m.Epoch = 1_759_000_000_000_000
+				}
+				if fields&flagBase != 0 {
+					m.Base = 299
+				}
+				if fields&flagOrigin != 0 {
+					m.Origin = "127.0.0.1:40001"
+				}
+				if fields&flagID != 0 {
+					m.ID = "0123456789abcdef0123456789abcdef"
+				}
+				if fields&flagRounds != 0 {
+					m.Rounds = 5
+				}
+				if fields&flagVC != 0 {
+					m.VC = vclock.VC{"b": 9, "a": 1, "": 3, "z": 0}
+				}
+				if m.flags() != fields {
+					t.Fatalf("flags() = %#x for fields %#x", m.flags(), fields)
+				}
+				if m.Base > m.Seq {
+					if _, err := encodeMessage(&m); err == nil {
+						t.Fatalf("%+v: a base beyond the sequence must not encode", m)
+					}
+					continue
+				}
+				if got := roundTrip(t, &m); !reflect.DeepEqual(got, m) {
+					t.Fatalf("round trip:\n got %+v\nwant %+v", got, m)
+				}
+			}
+		}
+	}
+}
+
+func TestMessageRoundTripProtocolFrames(t *testing.T) {
 	tests := []struct {
 		name string
 		m    message
+		size int // 0: not pinned
 	}{
-		{"data", message{Kind: kindData, Origin: "node-a", Seq: 7, ID: "id-1", Payload: []byte("payload")}},
-		{"ack", message{Kind: kindAck, Origin: "node-b", ID: "id-2"}},
-		{"empty payload", message{Kind: kindData, Origin: "x", ID: "y"}},
-		{"with vclock", message{Kind: kindData, Origin: "p", VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}},
-		{"with gseq+rounds", message{Kind: kindGossip, GSeq: 99, Rounds: 5, ID: "z"}},
+		{"besteffort data", message{Kind: kindData, Payload: []byte("payload")}, 2 + 7},
+		{"reliable data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")}, 2 + 8 + 3 + 1 + 1},
+		{"reliable ack", message{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})}, 2 + 8 + 3 + 4},
+		{"fifo data, no gap", message{Kind: kindData, Seq: 70000, SkipFrom: 70000, Payload: []byte("p")}, 2 + 3 + 1 + 1},
+		{"fifo skip", message{Kind: kindSkip, Seq: 9, SkipFrom: 2}, 2 + 1 + 1},
+		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, SkipFrom: 9, Payload: []byte{0}}, 0},
+		{"total data", message{Kind: kindData, Origin: "p", GSeq: 99, SkipFrom: 90, ID: "z", Payload: []byte("x")}, 0},
+		{"total order request", message{Kind: kindOrderReq, Origin: "p", ID: "z", Payload: []byte("x")}, 0},
+		{"certified data", message{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")}, 0},
+		{"certified ack", message{Kind: kindCertAck, Origin: "consumer", ID: "id-1"}, 0},
+		{"gossip", message{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")}, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			wire, err := encodeMessage(&tt.m)
-			if err != nil {
-				t.Fatal(err)
+			got := roundTrip(t, &tt.m)
+			if !reflect.DeepEqual(got, tt.m) {
+				t.Errorf("round trip:\n got %+v\nwant %+v", got, tt.m)
 			}
-			got, err := decodeMessage(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Kind != tt.m.Kind || got.Origin != tt.m.Origin || got.Seq != tt.m.Seq ||
-				got.GSeq != tt.m.GSeq || got.Rounds != tt.m.Rounds || got.ID != tt.m.ID {
-				t.Errorf("header mismatch: %+v vs %+v", got, tt.m)
-			}
-			if !bytes.Equal(got.Payload, tt.m.Payload) {
-				t.Errorf("payload mismatch")
-			}
-			if !got.VC.Equal(tt.m.VC) {
-				t.Errorf("vclock mismatch: %v vs %v", got.VC, tt.m.VC)
+			if size, _ := messageSize(&tt.m); tt.size != 0 && size != tt.size {
+				t.Errorf("record is %d bytes, want %d", size, tt.size)
 			}
 		})
 	}
 }
 
 func TestMessageRoundTripProperty(t *testing.T) {
-	f := func(origin, id string, seq, gseq uint64, rounds uint8, payload []byte) bool {
+	f := func(origin, id string, seq, gseq, epoch uint64, rounds uint8, payload []byte) bool {
 		if len(origin) > maxWireString || len(id) > maxWireString {
 			return true // out of contract
 		}
-		m := &message{Kind: kindData, Origin: origin, Seq: seq, GSeq: gseq, Rounds: rounds, ID: id, Payload: payload}
+		m := &message{Kind: kindData, Origin: origin, Seq: seq, GSeq: gseq, Epoch: epoch, Base: seq/2 + seq%2, Rounds: rounds, ID: id, Payload: payload}
+		if gseq > 0 {
+			m.SkipFrom = gseq/3 + 1
+		}
 		wire, err := encodeMessage(m)
 		if err != nil {
 			return false
 		}
-		got, err := decodeMessage(wire)
-		if err != nil {
+		var got message
+		if err := decodeMessage(wire, &got); err != nil {
 			return false
 		}
-		return got.Origin == origin && got.ID == id && got.Seq == seq &&
-			got.GSeq == gseq && got.Rounds == rounds && bytes.Equal(got.Payload, payload)
+		if len(payload) == 0 {
+			m.Payload = nil // an empty payload and none are the same record
+		}
+		return reflect.DeepEqual(&got, m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -66,15 +139,84 @@ func TestMessageRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeMessageTruncated(t *testing.T) {
-	m := &message{Kind: kindData, Origin: "origin", ID: "id", Payload: []byte("data")}
+	m := &message{Kind: kindData, Origin: "origin", Seq: 300, Epoch: 77, Base: 1, ID: "id", VC: vclock.VC{"k": 1}}
 	wire, err := encodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without a payload every byte belongs to a field, so every proper
+	// prefix is short of one.
 	for cut := 0; cut < len(wire); cut++ {
-		if _, err := decodeMessage(wire[:cut]); err == nil {
+		var got message
+		if err := decodeMessage(wire[:cut], &got); err == nil {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(wire))
 		}
+	}
+}
+
+func TestDecodeMessageRejectsNonCanonical(t *testing.T) {
+	cases := map[string][]byte{
+		"unknown flag":             {byte(kindData), 0x80, 0x04},
+		"overlong flags":           {byte(kindData), 0x81, 0x00},
+		"zero Seq flagged":         {byte(kindData), flagSeq, 0},
+		"overlong Seq":             {byte(kindData), flagSeq, 0x81, 0x00},
+		"varint overflow":          {byte(kindData), flagSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+		"skip start below 1":       {byte(kindData), flagSeq | flagSkipFrom, 5, 5},
+		"absolute skip start zero": {byte(kindData), flagSkipFrom, 0},
+		"base below 1":             {byte(kindData), flagSeq | flagBase, 5, 5},
+		"base without Seq":         {byte(kindData), flagBase, 0},
+		"empty Origin":             {byte(kindData), flagOrigin, 0},
+		"Origin past the end":      {byte(kindData), flagOrigin, 9, 'a'},
+		"zero Rounds":              {byte(kindGossip), 0x80, 0x01, 0},
+		"empty vector clock":       {byte(kindData), 0x80, 0x02, 0},
+		"vector clock too large":   {byte(kindData), 0x80, 0x02, 9, 1, 'a', 1},
+		"vector clock unordered":   {byte(kindData), 0x80, 0x02, 2, 1, 'b', 1, 1, 'a', 1},
+		"vector clock duplicate":   {byte(kindData), 0x80, 0x02, 2, 1, 'a', 1, 1, 'a', 2},
+	}
+	for name, wire := range cases {
+		var m message
+		if err := decodeMessage(wire, &m); err == nil {
+			t.Errorf("%s: decoded %x as %+v", name, wire, m)
+		}
+	}
+}
+
+func TestDecodeMessageAliasesPayload(t *testing.T) {
+	wire, err := encodeMessage(&message{Kind: kindData, Seq: 1, Payload: []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m message
+	if err := decodeMessage(wire, &m); err != nil {
+		t.Fatal(err)
+	}
+	if &m.Payload[0] != &wire[len(wire)-len(m.Payload)] {
+		t.Error("the decoded payload is a copy; it must alias the frame")
+	}
+}
+
+// TestMessageCodecAllocs pins the hot path's allocations: one buffer to
+// encode, nothing to decode a frame without strings or a vector clock.
+func TestMessageCodecAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 120)
+	data := message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
+	var wire []byte
+	if n := testing.AllocsPerRun(100, func() { wire, _ = encodeMessage(&data) }); n > 1 {
+		t.Errorf("encodeMessage: %v allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { wire, _ = frameMessage("dace/fifo/some.Class", &data) }); n > 1 {
+		t.Errorf("frameMessage: %v allocations, want at most 1", n)
+	}
+	wire, _ = encodeMessage(&data)
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		var m message
+		if err := decodeMessage(wire, &m); err != nil {
+			t.Fatal(err)
+		}
+		sink += len(m.Payload)
+	}); n != 0 {
+		t.Errorf("decodeMessage: %v allocations, want 0", n)
 	}
 }
 
@@ -91,7 +233,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].ID != "1" || got[1].ID != "2" || got[1].Rounds != 1 {
+	if len(got) != 2 || !reflect.DeepEqual(got[0], *batch[0]) || !reflect.DeepEqual(got[1], *batch[1]) {
 		t.Errorf("batch = %+v", got)
 	}
 }
@@ -103,4 +245,53 @@ func TestDecodeBatchCorrupt(t *testing.T) {
 	if _, err := decodeBatch([]byte{0, 5}); err == nil {
 		t.Error("batch claiming 5 events with no bytes should fail")
 	}
+	if _, err := decodeBatch([]byte{0xFF, 0xFF, 0, 0, 0, 0}); err == nil {
+		t.Error("batch claiming 65535 events in 4 bytes should fail before allocating for them")
+	}
+}
+
+// FuzzDecodeMessage feeds the peer-facing decoder raw bytes: it must
+// never panic, must hold no more memory than the input it was given,
+// and whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeMessage(f *testing.F) {
+	for _, m := range []message{
+		{Kind: kindData, Payload: []byte("payload")},
+		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")},
+		{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})},
+		{Kind: kindSkip, Seq: 9, SkipFrom: 2},
+		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, SkipFrom: 9, Payload: []byte{0}},
+		{Kind: kindData, Origin: "p", GSeq: 99, SkipFrom: 90, ID: "z", Payload: []byte("x")},
+		{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")},
+	} {
+		wire, err := encodeMessage(&m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{byte(kindData), 0xFF, 0x03})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m message
+		if err := decodeMessage(data, &m); err != nil {
+			if !reflect.DeepEqual(m, message{}) {
+				t.Fatalf("a rejected record left %+v behind", m)
+			}
+			return
+		}
+		held := len(m.Origin) + len(m.ID) + len(m.Payload)
+		for k := range m.VC {
+			held += len(k) + 1
+		}
+		if held > len(data) {
+			t.Fatalf("decoded message holds %d bytes of a %d-byte record", held, len(data))
+		}
+		again, err := encodeMessage(&m)
+		if err != nil {
+			t.Fatalf("accepted %x but cannot re-encode %+v: %v", data, m, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encoded %x (%s)", data, again, fmt.Sprintf("%+v", m))
+		}
+	})
 }

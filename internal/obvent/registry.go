@@ -35,6 +35,11 @@ type Registry struct {
 	// key on it to detect staleness without taking the registry lock.
 	gen atomic.Uint64
 
+	// names caches NameOf answers (reflect.Type of a registered concrete
+	// struct -> wire name), so a publish does not rebuild the name. Types
+	// are never unregistered, so entries hold forever.
+	names sync.Map
+
 	// semCache caches ClassSemantics answers (wire name -> *classSem),
 	// stamped with the generation they were computed under. Lookups are
 	// lock-free; entries are recomputed lazily after a registry mutation.
@@ -221,14 +226,21 @@ func (r *Registry) NameOf(o Obvent) (string, error) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
+	if name, ok := r.names.Load(t); ok {
+		return name.(string), nil
+	}
 	name := TypeName(t)
 	r.mu.RLock()
 	_, ok := r.byName[name]
 	r.mu.RUnlock()
-	if ok {
-		return name, nil
+	if !ok {
+		var err error
+		if name, err = r.Register(o); err != nil {
+			return "", err
+		}
 	}
-	return r.Register(o)
+	r.names.Store(t, name)
+	return name, nil
 }
 
 // TypeByName returns the registered concrete type for a wire name.

@@ -2,30 +2,47 @@
 // netsim.Transport interface, used by the standalone broker binary and
 // by integration tests that exercise the stack over actual sockets.
 //
-// Wire format per message: a 4-byte big-endian frame length, a 2-byte
-// big-endian sender-address length, the sender address, and the payload.
-// Connections are dialed lazily per destination and kept open; the
-// transport is best-effort like the simulated network — reliability is
-// layered above by the multicast protocols.
+// A transport keeps one outbound connection per destination, dialed on
+// the first send and kept open, and reads from every connection its
+// listener accepts. The two directions between a pair of nodes are
+// separate connections: nothing is ever written on an accepted one.
+//
+// Every frame on a connection is a 4-byte big-endian word and a body.
+// The first frame is the hello: the word is helloFlag | length and the
+// body the sender's listen address, which names the sender of every
+// frame that follows. All other frames are data: the word is the
+// payload's length (word and payload together at most maxFrame), the
+// body the payload. A data frame before the hello, a second hello, or
+// a hello longer than maxAddr makes the reader log and close the
+// connection. See "Link protocol" in the govents package documentation.
+//
+// Each destination has its own lock, so a peer that stops reading
+// stalls the senders to that peer only, and only until writeTimeout
+// fails the write and drops the connection. The transport is
+// best-effort like the simulated network — reliability is layered above
+// by the multicast protocols.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"govents/internal/netsim"
 )
 
 // pkgLogger receives transport diagnostics that have no error-return
-// path to the application — torn frames on inbound connections, which
-// readLoop previously swallowed. Package-level because accepted
-// connections have no per-instance configuration hook. Default: discard.
+// path to the application — torn frames and protocol violations on
+// inbound connections. Package-level because accepted connections have
+// no per-instance configuration hook. Default: discard.
 var pkgLogger atomic.Pointer[slog.Logger]
 
 // SetLogger installs the package's diagnostics logger (nil restores the
@@ -46,9 +63,31 @@ func logger() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// maxFrame bounds a single message frame (16 MiB) to stop a corrupted
-// length prefix from allocating unbounded memory.
-const maxFrame = 16 << 20
+const (
+	// maxFrame bounds a single frame, length word included (16 MiB), to
+	// stop a corrupted length from allocating unbounded memory.
+	maxFrame = 16 << 20
+	// helloFlag marks a frame's length word as a hello's.
+	helloFlag = 1 << 31
+	// maxAddr bounds the address a hello may carry: a DNS name, a colon
+	// and a port fit with room to spare.
+	maxAddr = 512
+	// frameHeader is the length word.
+	frameHeader = 4
+
+	// dialTimeout bounds connection establishment and writeTimeout one
+	// frame's write: a peer that is unreachable, or that has stopped
+	// reading long enough for its socket buffer to fill, costs a sender
+	// to it at most this long per Send and nobody else anything.
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+
+	// readBuffer sizes an inbound connection's bufio.Reader: many small
+	// frames arrive per read.
+	readBuffer = 16 << 10
+	// maxScratch is the largest write buffer a peer keeps between sends.
+	maxScratch = 64 << 10
+)
 
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
@@ -56,17 +95,27 @@ var ErrClosed = errors.New("transport: closed")
 // TCP is a netsim.Transport over real TCP sockets.
 type TCP struct {
 	ln net.Listener
-	// addr is ln.Addr().String(), rendered once: every Send stamps it
-	// into its frame.
+	// addr is ln.Addr().String(), rendered once: every hello carries it.
+	addr string
+
+	handler atomic.Pointer[netsim.Handler]
+
+	mu     sync.Mutex
+	peers  map[string]*peer      // destination address -> its outbound side
+	conns  map[net.Conn]struct{} // every open connection, either direction, for Close
+	closed bool
+
+	wg sync.WaitGroup
+}
+
+// peer is the outbound side of one destination. Its lock serialises the
+// dial and the writes to that destination and nothing else.
+type peer struct {
 	addr string
 
 	mu      sync.Mutex
-	conns   map[string]net.Conn // destination address -> outbound conn
-	inbound map[net.Conn]bool   // accepted connections, closed on Close
-	handler netsim.Handler
-	closed  bool
-
-	wg sync.WaitGroup
+	conn    net.Conn // nil until dialed, and again after a failed write
+	scratch []byte   // header and payload joined for one Write; reused
 }
 
 var _ netsim.Transport = (*TCP)(nil)
@@ -80,10 +129,10 @@ func Listen(addr string) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t := &TCP{
-		ln:      ln,
-		addr:    ln.Addr().String(),
-		conns:   make(map[string]net.Conn),
-		inbound: make(map[net.Conn]bool),
+		ln:    ln,
+		addr:  ln.Addr().String(),
+		peers: make(map[string]*peer),
+		conns: make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -93,86 +142,131 @@ func Listen(addr string) (*TCP, error) {
 // Addr implements netsim.Transport.
 func (t *TCP) Addr() string { return t.addr }
 
-// SetHandler implements netsim.Transport.
+// SetHandler implements netsim.Transport. The handler owns the payload
+// it is given: every frame is read into a buffer of its own.
 func (t *TCP) SetHandler(h netsim.Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
+	if h == nil {
+		t.handler.Store(nil)
+		return
+	}
+	t.handler.Store(&h)
 }
 
-// Send implements netsim.Transport. The first send to a destination dials
-// a connection that is cached for subsequent sends; a send on a broken
-// cached connection evicts it and retries once with a fresh dial.
+// Send implements netsim.Transport. The first send to a destination
+// dials a connection, introduces this transport on it with a hello and
+// keeps it for subsequent sends; a send on a broken connection drops it
+// and retries once on a fresh one. A write that times out is not
+// retried: the peer is not reading. Send does not keep payload.
 func (t *TCP) Send(to string, payload []byte) error {
-	frame, err := encodeFrame(t.Addr(), payload)
+	if len(payload) > maxFrame-frameHeader {
+		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
+	}
+	p, err := t.peer(to)
 	if err != nil {
 		return err
 	}
-	if err := t.writeFrame(to, frame); err == nil {
-		return nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	kept := p.conn != nil
+	err = t.write(p, payload)
+	if err != nil && kept && !errors.Is(err, os.ErrDeadlineExceeded) {
+		err = t.write(p, payload) // the kept connection had died since the last send
 	}
-	// Retry once on a fresh connection (the cached one may have died).
-	t.evict(to)
-	return t.writeFrame(to, frame)
+	return err
 }
 
-func (t *TCP) writeFrame(to string, frame []byte) error {
-	conn, err := t.conn(to)
-	if err != nil {
-		return err
-	}
+// peer returns the outbound side of a destination, creating it on first
+// use.
+func (t *TCP) peer(to string) (*peer, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if _, err := conn.Write(frame); err != nil {
-		return fmt.Errorf("transport: send to %s: %w", to, err)
+	p := t.peers[to]
+	if p == nil {
+		p = &peer{addr: to}
+		t.peers[to] = p
+	}
+	return p, nil
+}
+
+// write sends one data frame on p's connection, dialing it first if
+// there is none. Any failure drops the connection, since a frame may
+// have been written in part. The caller holds p.mu.
+func (t *TCP) write(p *peer, payload []byte) error {
+	if p.conn == nil {
+		if err := t.dial(p); err != nil {
+			return err
+		}
+	}
+	buf := frame(p.scratch[:0], uint32(len(payload)), payload)
+	if cap(buf) <= maxScratch {
+		p.scratch = buf
+	}
+	err := p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err == nil {
+		_, err = p.conn.Write(buf)
+	}
+	if err != nil {
+		t.forget(p.conn)
+		p.conn = nil
+		return fmt.Errorf("transport: send to %s: %w", p.addr, err)
 	}
 	return nil
 }
 
-func (t *TCP) conn(to string) (net.Conn, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	t.mu.Unlock()
-
-	c, err := net.Dial("tcp", to)
+// dial connects p and introduces this transport with a hello. The
+// caller holds p.mu.
+func (t *TCP) dial(p *peer) error {
+	conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
+		return fmt.Errorf("transport: dial %s: %w", p.addr, err)
 	}
+	if !t.track(conn) {
+		return ErrClosed
+	}
+	err = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err == nil {
+		_, err = conn.Write(frame(nil, helloFlag|uint32(len(t.addr)), []byte(t.addr)))
+	}
+	if err != nil {
+		t.forget(conn)
+		return fmt.Errorf("transport: hello to %s: %w", p.addr, err)
+	}
+	p.conn = conn
+	return nil
+}
+
+// frame appends a length word and a body to dst.
+func frame(dst []byte, word uint32, body []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, word)
+	return append(dst, body...)
+}
+
+// track registers an open connection so that Close can reach it; on a
+// closed transport it closes the connection and reports false.
+func (t *TCP) track(conn net.Conn) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		_ = c.Close()
-		return nil, ErrClosed
+		_ = conn.Close()
+		return false
 	}
-	if existing, ok := t.conns[to]; ok {
-		// Lost the race with a concurrent dial; keep the first.
-		_ = c.Close()
-		return existing, nil
-	}
-	t.conns[to] = c
-	return c, nil
+	t.conns[conn] = struct{}{}
+	return true
 }
 
-func (t *TCP) evict(to string) {
+// forget closes a connection and drops it from Close's reach.
+func (t *TCP) forget(conn net.Conn) {
+	_ = conn.Close()
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.conns[to]; ok {
-		_ = c.Close()
-		delete(t.conns, to)
-	}
+	delete(t.conns, conn)
+	t.mu.Unlock()
 }
 
-// Close implements netsim.Transport.
+// Close implements netsim.Transport. Closing the connections is also
+// what releases a sender blocked in a write.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -180,14 +274,10 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
-	for _, c := range t.conns {
+	for c := range t.conns {
 		_ = c.Close()
 	}
-	t.conns = make(map[string]net.Conn)
-	for c := range t.inbound {
-		_ = c.Close()
-	}
-	t.inbound = make(map[net.Conn]bool)
+	clear(t.conns)
 	t.mu.Unlock()
 	err := t.ln.Close()
 	t.wg.Wait()
@@ -201,87 +291,89 @@ func (t *TCP) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			_ = conn.Close()
+		if !t.track(conn) {
 			return
 		}
-		t.inbound[conn] = true
-		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
 }
 
+// readLoop hands the frames of one accepted connection to the handler,
+// under the sender address its hello announced.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		t.mu.Lock()
-		delete(t.inbound, conn)
-		t.mu.Unlock()
-	}()
-	for {
-		from, payload, err := readFrame(conn)
-		if err != nil {
-			// Clean close (EOF between frames, or our own Close tearing
-			// the socket down) is the normal end of a connection; anything
-			// else — a torn frame, a corrupt length prefix — is a peer or
-			// network anomaly worth surfacing.
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				logger().Warn("transport: closing inbound connection on bad frame",
-					"remote", conn.RemoteAddr().String(), "err", err)
-			}
-			return
+	defer t.forget(conn)
+	br := bufio.NewReaderSize(conn, readBuffer)
+	from, err := readHello(br)
+	for err == nil {
+		var hello bool
+		var payload []byte
+		if hello, payload, err = readFrame(br); err != nil {
+			break
 		}
-		t.mu.Lock()
-		h := t.handler
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
+		if hello {
+			err = errors.New("transport: second hello on a connection")
+			break
 		}
-		if h != nil {
-			h(from, payload)
+		if h := t.handler.Load(); h != nil {
+			(*h)(from, payload)
 		}
+	}
+	// Clean close (EOF between frames, or our own Close tearing the
+	// socket down) is the normal end of a connection; anything else — a
+	// torn frame, a corrupt length, a broken hello — is a peer or
+	// network anomaly worth surfacing.
+	if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+		logger().Warn("transport: closing inbound connection on bad frame",
+			"remote", conn.RemoteAddr().String(), "err", err)
 	}
 }
 
-// encodeFrame builds [len u32][addrLen u16][addr][payload].
-func encodeFrame(from string, payload []byte) ([]byte, error) {
-	if len(from) > 0xFFFF {
-		return nil, fmt.Errorf("transport: sender address too long (%d bytes)", len(from))
+// readHello reads a connection's first frame, which must be a hello,
+// and returns the sender address it carries.
+func readHello(br *bufio.Reader) (string, error) {
+	hello, addr, err := readFrame(br)
+	switch {
+	case err != nil:
+		return "", err
+	case !hello:
+		return "", errors.New("transport: data frame before hello")
+	case len(addr) == 0:
+		return "", errors.New("transport: hello without an address")
 	}
-	body := 2 + len(from) + len(payload)
-	if body > maxFrame {
-		return nil, fmt.Errorf("transport: frame too large (%d bytes)", body)
-	}
-	buf := make([]byte, 4+body)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(body))
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(from)))
-	copy(buf[6:], from)
-	copy(buf[6+len(from):], payload)
-	return buf, nil
+	return string(addr), nil
 }
 
-// readFrame reads one frame from r.
-func readFrame(r io.Reader) (from string, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", nil, err
+// readFrame reads one frame: a hello's address or a data frame's
+// payload, in a buffer of its own (the one allocation per frame). It
+// returns io.EOF only at a frame boundary.
+func readFrame(br *bufio.Reader) (hello bool, body []byte, err error) {
+	// Peek, not ReadFull into a local array: the array would escape
+	// through the io.Reader interface and cost an allocation per frame.
+	head, err := br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return false, nil, err
 	}
-	body := binary.BigEndian.Uint32(lenBuf[:])
-	if body < 2 || body > maxFrame {
-		return "", nil, fmt.Errorf("transport: invalid frame length %d", body)
+	word := binary.BigEndian.Uint32(head)
+	_, _ = br.Discard(frameHeader) // cannot fail: the bytes were just peeked
+	hello = word&helloFlag != 0
+	n := word &^ helloFlag
+	switch {
+	case hello && n > maxAddr:
+		return false, nil, fmt.Errorf("transport: hello address of %d bytes exceeds %d", n, maxAddr)
+	case n > maxFrame-frameHeader:
+		return false, nil, fmt.Errorf("transport: invalid frame length %d", n)
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", nil, err
+	body = make([]byte, n)
+	if _, err := io.ReadFull(br, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return false, nil, err
 	}
-	addrLen := int(binary.BigEndian.Uint16(buf[0:2]))
-	if 2+addrLen > len(buf) {
-		return "", nil, fmt.Errorf("transport: invalid address length %d", addrLen)
-	}
-	return string(buf[2 : 2+addrLen]), buf[2+addrLen:], nil
+	return hello, body, nil
 }

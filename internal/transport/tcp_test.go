@@ -1,10 +1,20 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"net"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -223,29 +233,364 @@ func TestConcurrentSenders(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return count.Load() == 2*per })
 }
 
-func TestFrameCodecRoundTrip(t *testing.T) {
-	frame, err := encodeFrame("1.2.3.4:5", []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
+func TestFrameRoundTrip(t *testing.T) {
+	var wire []byte
+	wire = frame(wire, helloFlag|9, []byte("1.2.3.4:5"))
+	wire = frame(wire, 7, []byte("payload"))
+	wire = frame(wire, 0, nil)
+	br := bufio.NewReader(bytes.NewReader(wire))
+	from, err := readHello(br)
+	if err != nil || from != "1.2.3.4:5" {
+		t.Fatalf("hello = %q, %v", from, err)
 	}
-	from, payload, err := readFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"payload", ""} {
+		hello, body, err := readFrame(br)
+		if err != nil || hello || string(body) != want {
+			t.Fatalf("frame = hello %v %q %v, want %q", hello, body, err, want)
+		}
 	}
-	if from != "1.2.3.4:5" || string(payload) != "payload" {
-		t.Errorf("round trip = %q %q", from, payload)
+	if _, _, err := readFrame(br); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }
 
-func TestReadFrameRejectsCorruptLength(t *testing.T) {
-	// A frame claiming more than maxFrame.
-	if _, _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0})); err == nil {
-		t.Fatal("expected error for oversized frame")
+func TestReadFrameRejectsCorruptInput(t *testing.T) {
+	read := func(wire []byte) error {
+		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(wire)))
+		return err
 	}
-	// A frame whose address length exceeds the body.
-	frame, _ := encodeFrame("ab", nil)
-	frame[5] = 200 // corrupt addrLen
-	if _, _, err := readFrame(bytes.NewReader(frame)); err == nil {
-		t.Fatal("expected error for corrupt address length")
+	// A frame claiming more than maxFrame.
+	if err := read([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0, 0}); err == nil {
+		t.Error("expected error for oversized frame")
+	}
+	// A hello claiming more than maxAddr.
+	long := frame(nil, helloFlag|(maxAddr+1), bytes.Repeat([]byte{'a'}, maxAddr+1))
+	if err := read(long); err == nil || !strings.Contains(err.Error(), "hello address") {
+		t.Errorf("over-long hello: %v", err)
+	}
+	// Torn inside the length word and inside the body: not a clean end.
+	whole := frame(nil, 7, []byte("payload"))
+	for _, cut := range []int{1, 3, 5, len(whole) - 1} {
+		if err := read(whole[:cut]); err != io.ErrUnexpectedEOF {
+			t.Errorf("frame cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+	// The first frame of a connection must be a hello with an address.
+	if _, err := readHello(bufio.NewReader(bytes.NewReader(whole))); err == nil {
+		t.Error("a data frame was taken for a hello")
+	}
+	if _, err := readHello(bufio.NewReader(bytes.NewReader(frame(nil, helloFlag, nil)))); err == nil {
+		t.Error("an empty hello was accepted")
+	}
+}
+
+// FuzzReadFrame feeds the peer-facing frame reader raw bytes: it must
+// never panic, never hand out more than it was given, and consume the
+// input exactly as the frames it returned account for.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(frame(frame(nil, helloFlag|9, []byte("1.2.3.4:5")), 7, []byte("payload")))
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x80, 0x00, 0x02, 0x01, 'a'})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(data), readBuffer)
+		used := 0
+		for {
+			hello, body, err := readFrame(br)
+			if err != nil {
+				if err == io.EOF && used != len(data) {
+					t.Fatalf("clean end after %d of %d bytes", used, len(data))
+				}
+				return
+			}
+			if hello && len(body) > maxAddr {
+				t.Fatalf("hello of %d bytes accepted", len(body))
+			}
+			used += frameHeader + len(body)
+			if used > len(data) {
+				t.Fatalf("frames account for %d bytes of a %d-byte input", used, len(data))
+			}
+			if !bytes.Equal(body, data[used-len(body):used]) {
+				t.Fatalf("frame body differs from the input at %d", used-len(body))
+			}
+		}
+	})
+}
+
+// logSink collects the package logger's records.
+type logSink struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (s *logSink) Enabled(context.Context, slog.Level) bool { return true }
+func (s *logSink) WithAttrs([]slog.Attr) slog.Handler       { return s }
+func (s *logSink) WithGroup(string) slog.Handler            { return s }
+func (s *logSink) Handle(_ context.Context, r slog.Record) error {
+	line := r.Message
+	r.Attrs(func(a slog.Attr) bool {
+		line += " " + a.Key + "=" + a.Value.String()
+		return true
+	})
+	s.mu.Lock()
+	s.msgs = append(s.msgs, line)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *logSink) contains(sub string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.msgs {
+		if strings.Contains(m, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+func captureLog(t *testing.T) *logSink {
+	t.Helper()
+	sink := &logSink{}
+	SetLogger(slog.New(sink))
+	t.Cleanup(func() { SetLogger(nil) })
+	return sink
+}
+
+// expectClosed waits for the transport to close a raw connection.
+func expectClosed(t *testing.T, conn net.Conn) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// A reset, not an EOF, when the transport closed with bytes unread.
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("connection not closed by the transport: %v", err)
+	}
+}
+
+func TestHelloViolationsCloseTheConnection(t *testing.T) {
+	cases := []struct {
+		name string
+		wire []byte
+		log  string
+		want int32 // frames delivered before the violation
+	}{
+		{"data frame before hello", frame(nil, 1, []byte("x")), "before hello", 0},
+		{"second hello", frame(frame(frame(frame(nil, helloFlag|4, []byte("peer")), 1, []byte("x")), helloFlag|4, []byte("peer")), 1, []byte("y")), "second hello", 1},
+		{"over-long address", frame(nil, helloFlag|(maxAddr+1), bytes.Repeat([]byte{'a'}, maxAddr+1)), "hello address", 0},
+		{"hello without an address", frame(nil, helloFlag, nil), "without an address", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			logs := captureLog(t)
+			a, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			var got atomic.Int32
+			a.SetHandler(func(from string, _ []byte) {
+				if from != "peer" {
+					t.Errorf("from = %q, want the hello's address", from)
+				}
+				got.Add(1)
+			})
+			conn, err := net.Dial("tcp", a.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.wire); err != nil {
+				t.Fatal(err)
+			}
+			expectClosed(t, conn)
+			if got.Load() != tc.want {
+				t.Errorf("%d frames delivered, want %d", got.Load(), tc.want)
+			}
+			waitFor(t, time.Second, func() bool { return logs.contains(tc.log) })
+		})
+	}
+}
+
+// rawPeer is a plain TCP listener standing in for a remote transport.
+type rawPeer struct {
+	ln net.Listener
+}
+
+func newRawPeer(t *testing.T) *rawPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	return &rawPeer{ln: ln}
+}
+
+func (p *rawPeer) addr() string { return p.ln.Addr().String() }
+
+func (p *rawPeer) accept(t *testing.T) net.Conn {
+	t.Helper()
+	conn, err := p.ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return conn
+}
+
+func TestHelloOncePerConnectionAndAgainOnReconnect(t *testing.T) {
+	a, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	peer := newRawPeer(t)
+
+	for i := 0; i < 3; i++ {
+		if err := a.Send(peer.addr(), []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := peer.accept(t)
+	want := frame(nil, helloFlag|uint32(len(a.Addr())), []byte(a.Addr()))
+	for i := 0; i < 3; i++ {
+		want = frame(want, 1, []byte("m"))
+	}
+	got := make([]byte, len(want))
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("first connection carried %x (%v), want one hello and three 5-byte frames %x", got, err, want)
+	}
+
+	// The peer drops the connection; the transport notices on a later
+	// write, dials again and introduces itself again.
+	_ = conn.Close()
+	second := make(chan net.Conn, 1)
+	go func() {
+		c, err := peer.ln.Accept()
+		if err == nil {
+			second <- c
+		}
+	}()
+	var conn2 net.Conn
+	waitFor(t, 5*time.Second, func() bool {
+		_ = a.Send(peer.addr(), []byte("m"))
+		select {
+		case conn2 = <-second:
+			return true
+		default:
+			return false
+		}
+	})
+	defer conn2.Close()
+	br := bufio.NewReader(conn2)
+	_ = conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if from, err := readHello(br); err != nil || from != a.Addr() {
+		t.Fatalf("second connection began with %q, %v; want a hello from %s", from, err, a.Addr())
+	}
+}
+
+// TestStalledPeerBlocksNobodyElse is the head-of-line test: a peer that
+// accepts and never reads fills its socket buffer; sends to another
+// peer must go on, and the blocked send must fail at the write
+// deadline instead of hanging.
+func TestStalledPeerBlocksNobodyElse(t *testing.T) {
+	a, b := newPair(t)
+	var got atomic.Int32
+	b.SetHandler(func(string, []byte) { got.Add(1) })
+	stalled := newRawPeer(t)
+
+	var progress atomic.Int64
+	blockedErr := make(chan error, 1)
+	go func() {
+		chunk := make([]byte, 256<<10)
+		for {
+			if err := a.Send(stalled.addr(), chunk); err != nil {
+				blockedErr <- err
+				return
+			}
+			progress.Add(1)
+		}
+	}()
+	_ = stalled.accept(t) // and never read from it
+
+	// The sender is stuck once its counter stops moving.
+	last, since := int64(-1), time.Now()
+	waitFor(t, 10*time.Second, func() bool {
+		if p := progress.Load(); p != last {
+			last, since = p, time.Now()
+		}
+		return time.Since(since) > 200*time.Millisecond
+	})
+
+	start := time.Now()
+	if err := a.Send(b.Addr(), []byte("through")); err != nil {
+		t.Fatalf("send to the healthy peer: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("send to the healthy peer took %v behind a stalled one", d)
+	}
+	waitFor(t, time.Second, func() bool { return got.Load() == 1 })
+
+	select {
+	case err := <-blockedErr:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("blocked send failed with %v, want the write deadline", err)
+		}
+	case <-time.After(writeTimeout + 3*time.Second):
+		t.Fatal("send to the stalled peer never returned")
+	}
+}
+
+// TestSendAndReceiveAllocations pins the per-frame allocations: none to
+// send, one (the payload the handler owns) to receive.
+func TestSendAndReceiveAllocations(t *testing.T) {
+	a, b := newPair(t)
+	payload := bytes.Repeat([]byte{7}, 173)
+
+	sink := newRawPeer(t)
+	go func() {
+		if conn, err := sink.ln.Accept(); err == nil {
+			_, _ = io.Copy(io.Discard, conn)
+			_ = conn.Close()
+		}
+	}()
+	to := sink.addr()
+	if err := a.Send(to, payload); err != nil { // dial, hello, size the scratch
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if err := a.Send(to, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Send: %v allocations per frame, want 0", n)
+	}
+
+	const frames = 2000
+	var got atomic.Int32
+	b.SetHandler(func(string, []byte) { got.Add(1) })
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame(frame(nil, helloFlag|4, []byte("peer")), uint32(len(payload)), payload)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 }) // the connection's own set-up is done
+	wire := make([]byte, 0, frames*(frameHeader+len(payload)))
+	for i := 0; i < frames; i++ {
+		wire = frame(wire, uint32(len(payload)), payload)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return got.Load() == frames+1 })
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / frames; per > 1.05 {
+		t.Errorf("receive: %.2f allocations per frame, want 1", per)
 	}
 }
