@@ -213,8 +213,8 @@ func expC1() {
 		fmt.Printf("             routing@publisher: events=%d compound-evals=%d pruned=%d fallback=%d plans=%d ads=%d partial-decodes=%d materializations=%d\n",
 			rst.EventsRouted, rst.CompoundEvals, rst.NodesPruned, rst.FallbackEvals, rst.PlansCompiled, rst.AdsApplied,
 			rst.PartialDecodes, rst.WireMaterializations)
-		fmt.Printf("             wire@publisher:    encodes=%d gob-encodes=%d downgrades=%d\n",
-			dst.WireEncodes, dst.GobPayloadEncodes, dst.WireDowngrades)
+		fmt.Printf("             wire@publisher:    encodes=%d gob-encodes=%d\n",
+			dst.WireEncodes, dst.GobPayloadEncodes)
 	}
 
 	fmt.Println("\n== C1b: compound filter factoring ([ASS+99]) ==")

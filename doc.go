@@ -25,6 +25,23 @@
 // (type-based matching, §2.2): supertypes by struct embedding or
 // interface satisfaction.
 //
+// # Activation is not a barrier
+//
+// The paper's activate and deactivate (§3.4.1, §3.4.2) say when a
+// subscription starts and stops receiving; they do not say what happens
+// to an obvent already inside the process. Here an envelope is matched
+// against the subscription table current when its dispatch lane
+// dispatches it, not the one current when it arrived. Activate and
+// Deactivate are therefore not barriers for envelopes already queued: a
+// subscription activated while an envelope waits on a lane receives it,
+// one deactivated meanwhile does not. Deactivate returning guarantees
+// only that no dispatch starting afterwards delivers to the
+// subscription; a dispatch under way, and deliveries already handed to
+// the subscription's executor, may still run the handler. A caller that
+// needs a cut waits for the lanes to drain (Domain.LaneStats: every
+// Queued zero and the Enqueued total equal to Stats().EventsIn) before
+// it toggles.
+//
 // # Domains
 //
 // A Domain is one process's membership in a govents domain, opened
@@ -52,21 +69,26 @@
 // Event payloads travel in a compact per-class binary encoding compiled
 // once per class (varint integers, raw IEEE floats, length-prefixed
 // strings — no per-event type metadata), replacing gob on the hot path.
-// Classes the compiler cannot prove encodable (interfaces, channels,
-// time.Time fields, recursion) keep gob transparently, and peers
-// negotiate per destination: a publisher transcodes to gob for exactly
-// the peers that have not advertised wire capability, so one legacy
-// process never downgrades the rest of the domain. On the routing and
-// matching path, plans whose filters reference only structural fields
-// evaluate by partial decode — extracting just those fields from the
-// encoded bytes — and the event is materialized only for actual
-// matches and deliveries. Domain.Stats exposes the codec counters
-// (WireEncodes, GobPayloadEncodes, WireDowngrades, PartialDecodes,
-// ...). The psc generator emits reflection-free typed codecs for
-// eligible classes, registered via RegisterWireCodec; hand-written
-// codecs can use the same hook with NewWireDecoder and the
-// AppendWire* helpers, and must produce byte-identical encodings to
-// the compiled program (the generated ones are differentially tested).
+// The encoding is a property of the class, chosen by the encoder and
+// named in the envelope's Enc byte; nothing is chosen per destination,
+// and every publication is marshaled once, whatever protocol carries
+// it. Classes the compiler cannot prove encodable (interfaces, channels,
+// time.Time fields, custom marshalers, recursion) keep gob: only a
+// self-describing encoding can carry a value whose layout is not known
+// from its class. Compilation is deterministic per layout, so every
+// node of one build decides each class alike, and every node reads both
+// encodings. A process that reads only gob is not a supported peer (it
+// could not parse the envelope or link records below either). On the
+// routing and matching path, plans whose filters reference only
+// structural fields evaluate by partial decode — extracting just those
+// fields from the encoded bytes — and the event is materialized only
+// for actual matches and deliveries. Domain.Stats exposes the codec
+// counters (WireEncodes, GobPayloadEncodes, PartialDecodes, ...). The
+// psc generator emits reflection-free typed codecs for eligible
+// classes, registered via RegisterWireCodec; hand-written codecs can use
+// the same hook with NewWireDecoder and the AppendWire* helpers, and
+// must produce byte-identical encodings to the compiled program (the
+// generated ones are differentially tested).
 //
 // # Envelope wire format
 //
@@ -103,7 +125,7 @@
 // "unknown envelope format" and is dropped and counted (replay
 // acknowledges it as a poison record; a live frame counts as a decode
 // error). Start from empty directories, or drain them with the old
-// build first. The payload negotiation above is unaffected.
+// build first.
 //
 // # Link protocol
 //
@@ -308,8 +330,8 @@
 //	e2e               publisher's Publish → handler returned, cross-node
 //
 // The e2e stage is timed against a publish timestamp carried in the
-// envelope; peers predating it simply produce no e2e samples, and their
-// own pipelines are unaffected. WithMetricsAddr serves the histograms,
+// envelope; an envelope that carries none (a zero stamp) produces no
+// e2e sample. WithMetricsAddr serves the histograms,
 // drop counters and lane-depth gauges as Prometheus text on /metrics
 // (plus expvar on /debug/vars and the profiler under /debug/pprof);
 // Domain.MetricsAddr reports the bound address. WithTraceHook streams

@@ -311,8 +311,7 @@ func (d *Domain) Stats() DispatchStats { return d.eng.Stats() }
 // histograms, keyed by stage name (publish_to_route, route_to_write,
 // wire_to_lane, lane_wait, dispatch, e2e). All durations are
 // nanoseconds. Empty histograms mean telemetry is off (WithTelemetry
-// false) or the stage has not run — e.g. e2e needs a wire-capable
-// remote publisher.
+// false) or the stage has not run — e.g. e2e needs a remote publisher.
 func (d *Domain) Histograms() map[string]StageSnapshot {
 	return d.tele.Histograms()
 }

@@ -112,8 +112,8 @@ type Codec struct {
 	// classes (copier.go).
 	codecCopiers
 
-	// codecWire is the compiled wire-codec cache and encoding-negotiation
-	// state (wire.go).
+	// codecWire is the compiled wire-codec cache and its counters
+	// (wire.go).
 	codecWire
 }
 
@@ -246,12 +246,6 @@ func (c *Codec) SourceInto(e *Envelope, s *CloneSource) error {
 	switch e.Enc {
 	case EncGob:
 	case EncWire:
-		if c.wireOff.Load() {
-			// A wire-disabled codec is observationally a pre-wire binary,
-			// which could not read this payload either; the negotiation
-			// layer exists to keep such payloads from ever being sent here.
-			return fmt.Errorf("codec: decode %s: unsupported payload encoding %d", e.Type, e.Enc)
-		}
 		if s.wp = c.wireProgFor(t); s.wp == nil {
 			// Compilation is deterministic per layout, so a compact
 			// payload for a class we reject means the peer's layout for

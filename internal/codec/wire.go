@@ -4,20 +4,18 @@ package codec
 // into the codec. The division of labor mirrors the compiled-copier
 // cache: the wire package compiles one immutable codec program per
 // class by walking its struct type; this file owns the per-codec cache
-// of compile outcomes, the payload-encoding decision on Encode, the
-// encoding-aware decode in CloneSource, and the gob transcode used for
-// destinations that did not advertise wire capability.
+// of compile outcomes, the payload-encoding decision on Encode and the
+// encoding-aware decode in CloneSource.
 //
-// The fallback story is the same conservative one as everywhere else in
-// this codebase: a class the wire compiler rejects (custom marshalers,
+// The encoding is chosen by the encoder from the class alone, never per
+// destination: a class the wire compiler rejects (custom marshalers,
 // interface fields, non-flat map keys, recursive layouts) keeps the
-// self-describing gob encoding, and the dissemination layer (dace)
-// negotiates the encoding per destination, so a mixed fleet never
-// misreads a payload — rejection and legacy peers cost performance,
-// never correctness.
+// self-describing gob encoding, and every other class travels compact.
+// Envelope.Enc tells the decoder which one it holds. Compilation is
+// deterministic per layout, so every node of one build makes the same
+// choice; rejection costs performance, never correctness.
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -28,10 +26,8 @@ import (
 
 // Payload encodings carried in Envelope.Enc.
 const (
-	// EncGob marks a self-describing gob payload. It is the zero value:
-	// envelopes from pre-wire peers (which never set the field) decode
-	// as gob, and gob omits zero fields on encode, so a gob-payload
-	// envelope is byte-identical to one from a pre-wire peer.
+	// EncGob marks a self-describing gob payload: how a class the wire
+	// compiler rejects travels.
 	EncGob uint8 = 0
 	// EncWire marks a compact compiled-program payload (internal/wire).
 	EncWire uint8 = 1
@@ -43,10 +39,6 @@ type codecWire struct {
 	// wireProgs caches reflect.Type -> *wireEntry; a nil program marks a
 	// rejected class, decided once per codec.
 	wireProgs sync.Map
-	// wireOff disables the compact encoding entirely (legacy emulation
-	// and operational escape hatch): encodes fall back to gob and
-	// compact payloads are refused, exactly like a pre-wire binary.
-	wireOff atomic.Bool
 
 	wireCompiles atomic.Uint64
 	wireRejects  atomic.Uint64
@@ -54,7 +46,6 @@ type codecWire struct {
 	wireDecodes  atomic.Uint64
 	gobEncodes   atomic.Uint64
 	gobDecodes   atomic.Uint64
-	downgrades   atomic.Uint64
 }
 
 // wireEntry is one class's cached compilation outcome.
@@ -78,13 +69,10 @@ type WireStats struct {
 	// layer, which owns that decision.
 	Encodes uint64
 	Decodes uint64
-	// GobEncodes / GobDecodes count gob fallback payload traffic
-	// (rejected classes, legacy peers, wire-disabled codecs).
+	// GobEncodes / GobDecodes count gob payload traffic: the classes the
+	// wire compiler rejects.
 	GobEncodes uint64
 	GobDecodes uint64
-	// Downgrades counts per-destination gob transcodes for peers that
-	// did not advertise wire capability.
-	Downgrades uint64
 }
 
 // WireStats returns the codec's wire-encoding counters.
@@ -96,18 +84,8 @@ func (c *Codec) WireStats() WireStats {
 		Decodes:    c.wireDecodes.Load(),
 		GobEncodes: c.gobEncodes.Load(),
 		GobDecodes: c.gobDecodes.Load(),
-		Downgrades: c.downgrades.Load(),
 	}
 }
-
-// SetWireDisabled switches the codec's compact encoding off (or back
-// on). A disabled codec encodes every payload as gob and refuses
-// compact payloads with a decode error — observationally a pre-wire
-// binary, which is what makes mixed-version interop tests honest.
-func (c *Codec) SetWireDisabled(off bool) { c.wireOff.Store(off) }
-
-// WireDisabled reports whether the compact encoding is switched off.
-func (c *Codec) WireDisabled() bool { return c.wireOff.Load() }
 
 // wireProgFor returns the compiled wire program for t; nil means the
 // class is rejected and keeps gob.
@@ -141,65 +119,30 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 // compiles (through the class's registered native codec when one
 // exists), falling back to gob otherwise.
 func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, uint8, error) {
-	if !c.wireOff.Load() {
-		t := reflect.TypeOf(o)
-		for t.Kind() == reflect.Pointer {
-			t = t.Elem()
-		}
-		if e := c.wireEntryFor(t); e.prog != nil {
-			c.wireEncodes.Add(1)
-			buf := make([]byte, 0, e.size.Load())
-			if nc := e.prog.Native(); nc != nil {
-				buf = nc.Enc(buf, o)
-			} else {
-				v := reflect.ValueOf(o)
-				for v.Kind() == reflect.Pointer {
-					v = v.Elem()
-				}
-				buf = e.prog.Append(buf, v)
+	t := reflect.TypeOf(o)
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if e := c.wireEntryFor(t); e.prog != nil {
+		c.wireEncodes.Add(1)
+		buf := make([]byte, 0, e.size.Load())
+		if nc := e.prog.Native(); nc != nil {
+			buf = nc.Enc(buf, o)
+		} else {
+			v := reflect.ValueOf(o)
+			for v.Kind() == reflect.Pointer {
+				v = v.Elem()
 			}
-			e.size.Store(int64(len(buf)))
-			return buf, EncWire, nil
+			buf = e.prog.Append(buf, v)
 		}
+		e.size.Store(int64(len(buf)))
+		return buf, EncWire, nil
 	}
 	b, err := encodeValue(o)
 	if err == nil {
 		c.gobEncodes.Add(1)
 	}
 	return b, EncGob, err
-}
-
-// TranscodeGob returns an envelope carrying e's obvent with a gob
-// payload, for a destination that did not advertise wire capability:
-// a compact payload is materialized once and re-encoded; a gob-payload
-// envelope passes through unchanged (and unallocated). Everything but
-// the payload is shared with e.
-func (c *Codec) TranscodeGob(e *Envelope) (*Envelope, error) {
-	if e.Enc == EncGob {
-		return e, nil
-	}
-	var s CloneSource
-	if err := c.SourceInto(e, &s); err != nil {
-		return nil, err
-	}
-	v, err := s.decodeNew()
-	if err != nil {
-		return nil, err
-	}
-	o, err := s.box(v)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := encodeValue(o)
-	if err != nil {
-		return nil, fmt.Errorf("codec: transcode %s: %w", e.Type, err)
-	}
-	c.gobEncodes.Add(1)
-	c.downgrades.Add(1)
-	out := *e
-	out.Payload = payload
-	out.Enc = EncGob
-	return &out, nil
 }
 
 // Wire exposes the compact payload and its compiled program when the

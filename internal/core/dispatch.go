@@ -105,13 +105,10 @@ type DispatchStats struct {
 	// compact decodes (materializations) by the engine's codec.
 	WireEncodes uint64
 	WireDecodes uint64
-	// GobPayloadEncodes / GobPayloadDecodes count gob-fallback payload
-	// traffic (rejected classes, legacy peers, wire-disabled codecs).
+	// GobPayloadEncodes / GobPayloadDecodes count gob payload traffic:
+	// events of the classes the wire compiler rejects.
 	GobPayloadEncodes uint64
 	GobPayloadDecodes uint64
-	// WireDowngrades counts per-destination gob transcodes performed for
-	// peers that did not advertise wire capability.
-	WireDowngrades uint64
 	// PartialDecodes counts wire-encoded events the live table's
 	// matchers evaluated straight from the compact payload, without
 	// materializing the event at all.
@@ -183,7 +180,6 @@ func (e *Engine) Stats() DispatchStats {
 	st.WireDecodes = ws.Decodes
 	st.GobPayloadEncodes = ws.GobEncodes
 	st.GobPayloadDecodes = ws.GobDecodes
-	st.WireDowngrades = ws.Downgrades
 	e.table.Load().buckets.Range(func(_, v any) bool {
 		if b := v.(*typeBucket); b.compound != nil {
 			ms := b.compound.Stats()

@@ -117,7 +117,6 @@ type engineConfig struct {
 	registry    *obvent.Registry
 	naive       bool
 	lanes       int
-	legacyWire  bool
 	tele        *telemetry.Plane
 	teleSet     bool
 	logger      *slog.Logger
@@ -152,16 +151,6 @@ func WithDispatchLanes(n int) Option {
 // production use.
 func WithNaiveDispatch() Option {
 	return func(c *engineConfig) { c.naive = true }
-}
-
-// WithLegacyWire disables the compact per-class payload encoding in the
-// engine's codec: every payload is gob-encoded and compact payloads are
-// refused, making the engine observationally a pre-wire binary. This is
-// the mixed-version test and operational escape hatch; distributed
-// deployments also disable the encoding on the dissemination substrate
-// (dace Config.LegacyWire) so the node advertises accordingly.
-func WithLegacyWire() Option {
-	return func(c *engineConfig) { c.legacyWire = true }
 }
 
 // WithTelemetry installs the engine's telemetry plane. Passing nil
@@ -250,9 +239,6 @@ func NewEngine(id string, diss Disseminator, opts ...Option) *Engine {
 		log:           logger,
 		stallBudget:   cfg.stallBudget,
 		mailbox:       cfg.mailbox,
-	}
-	if cfg.legacyWire {
-		e.codec.SetWireDisabled(true)
 	}
 	if e.tele.Node() == "" {
 		e.tele.SetNode(id)

@@ -89,6 +89,11 @@ func (s *Subscription) certifiedType() bool {
 // Activate starts delivery for this subscription — the effective action
 // of subscribing (§3.4.1). Activating an already active subscription
 // fails with ErrCannotSubscribe, as the paper specifies.
+//
+// Activate is not a barrier for envelopes already queued: an envelope is
+// matched against the subscription table current when its lane
+// dispatches it, not when it arrived, so the subscription may receive
+// an event that reached the engine before Activate was called.
 func (s *Subscription) Activate() error {
 	return s.activate("")
 }
@@ -128,6 +133,11 @@ func (s *Subscription) activate(durableID string) error {
 // Deactivating an inactive subscription fails with ErrCannotUnsubscribe.
 // Activation and deactivation can be interleaved an unlimited number of
 // times; a deactivated subscription handle stays valid.
+//
+// Deactivate is not a barrier either: its return guarantees only that no
+// dispatch starting afterwards delivers to the subscription. A dispatch
+// already under way, and deliveries already handed to the subscription's
+// executor, may still run the handler after it returns.
 func (s *Subscription) Deactivate() error {
 	s.mu.Lock()
 	if !s.activated {
@@ -263,8 +273,8 @@ const defaultQuarantineMailbox = 1024
 // never the envelope or the clone — so handler-return timing can close
 // the dequeue→handler and end-to-end spans: deq is the lane's dequeue
 // timestamp (0 when telemetry was off), pub the publisher's wall-clock
-// UnixNano stamp (0 from legacy peers), id/class the envelope identity
-// for trace spans.
+// UnixNano stamp (0 when the envelope carries none), id/class the
+// envelope identity for trace spans.
 type submission struct {
 	o       obvent.Obvent
 	ordered bool
@@ -419,7 +429,7 @@ func (x *executor) loop() {
 // returned: the dequeue→handler-return stage timed against the lane's
 // dequeue stamp, the cross-node end-to-end stage timed against the
 // envelope's publish stamp (wall clock; negative skew clamps to zero;
-// absent — legacy publisher — means no e2e sample), and a sampled
+// absent means no e2e sample), and a sampled
 // delivered trace span. The no-telemetry path costs two integer field
 // checks plus one atomic load.
 func (x *executor) finish(item submission, ok bool) {

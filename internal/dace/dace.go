@@ -13,9 +13,9 @@
 //   - The control plane is reflexive: subscription advertisements are
 //     themselves obvents, published on a dedicated control channel,
 //     "allowing distributed processes to learn about other, possibly
-//     new, multicast classes". Advertisements are versioned and come in
-//     two forms: idempotent full snapshots and deltas (add/remove per
-//     subscription ID) reconciled by per-node sequence numbers.
+//     new, multicast classes". Advertisements come in two forms:
+//     idempotent full snapshots and deltas (add/remove per subscription
+//     ID) reconciled by per-node sequence numbers.
 //
 //   - Remote filters travel in the advertisements; with publisher-side
 //     filter placement, a publishing node evaluates the filters of each
@@ -134,14 +134,6 @@ type Config struct {
 	// node counts as interested) and the rest receive amortized skip
 	// markers preserving each class's ordering contract.
 	NoOrderedPruning bool
-	// LegacyWire makes the node behave as a pre-wire binary: its codec
-	// gob-encodes every payload and refuses compact ones, and its
-	// advertisements carry the delta-capable but wire-incapable schema
-	// version, so peers transcode this node's traffic per destination
-	// instead of downgrading the whole domain. Pair it with the
-	// engine-side core.WithLegacyWire (the engine encodes publications
-	// with its own codec).
-	LegacyWire bool
 	// Telemetry is the node's telemetry plane, shared with the engine
 	// above it so publisher-side stages (publish→route, route→write) and
 	// receiver-side stages (wire→lane) land in one place. Nil disables
@@ -184,11 +176,9 @@ type Node struct {
 	// previous life. See routing.Table.NoteEpoch.
 	epoch int64
 
-	adVer        int                              // ad schema version we advertise (adSchemaVersion, capped by LegacyWire)
 	adSeq        uint64                           // our advertisement sequence number
 	lastAdv      map[string]core.SubscriptionInfo // snapshot described by ad adSeq (delta base)
 	adsSinceSnap int                              // deltas sent since the last full snapshot
-	peerVer      map[string]int                   // newest ad schema version witnessed per node
 
 	control *multicast.Reliable
 
@@ -203,39 +193,6 @@ type Node struct {
 }
 
 var _ core.Disseminator = (*Node)(nil)
-
-// Advertisement schema versions. Ver in a subscriptionAd witnesses the
-// newest protocol generation its sender speaks; capabilities are
-// cumulative:
-//
-//   - Version 0 (the zero value, what the oldest nodes encode) knows
-//     only full snapshots.
-//   - adVerDelta adds delta advertisements. A node sends deltas only
-//     once every current peer has been witnessed at >= adVerDelta — a
-//     version-0 peer (or one not heard from yet, which might be one)
-//     would gob-decode a delta into the old struct, silently drop the
-//     unknown fields and misapply it as a full snapshot.
-//   - adVerWire adds the compact per-class payload encoding
-//     (internal/wire). Publishers send compact payloads only to
-//     destinations witnessed at >= adVerWire and transcode to gob for
-//     the rest, so a legacy peer downgrades its own traffic, never the
-//     whole fleet's.
-//   - adVerTelemetry witnesses that the node stamps PubNanos (the
-//     publish wall clock) on its publications and times end-to-end
-//     latency against stamps it receives. The stamp itself needs no
-//     gating — it is a fixed field of the envelope record, zero when
-//     the publisher took none, and receivers gate on PubNanos > 0 — so
-//     a fleet simply records no e2e samples for publishers that do not
-//     stamp; the version exists so operators can see which peers
-//     contribute e2e data.
-const (
-	adVerDelta     = 1
-	adVerWire      = 2
-	adVerTelemetry = 3
-	// adSchemaVersion is the newest version this binary speaks — what a
-	// node advertises unless Config.LegacyWire caps it at adVerDelta.
-	adSchemaVersion = adVerTelemetry
-)
 
 // maxAdBytes bounds a control-channel advertisement payload. A frame
 // beyond it is rejected before the gob decoder ever sees it (and
@@ -254,7 +211,7 @@ const snapshotEvery = 8
 //
 //   - A full snapshot (Delta false): Subs is the node's complete
 //     subscription set at Seq. Idempotent; receivers apply the newest.
-//   - A delta (Delta true, Ver >= 1): Subs are additions and Removed
+//   - A delta (Delta true): Subs are additions and Removed
 //     are removals relative to the snapshot described by BaseSeq.
 //     Receivers apply a delta only on top of exactly BaseSeq and park
 //     it otherwise (the reliable control channel does not order).
@@ -270,9 +227,6 @@ type subscriptionAd struct {
 	// received).
 	Seq  uint64
 	Subs []core.SubscriptionInfo
-	// Ver is the ad schema version (adSchemaVersion); 0 identifies a
-	// legacy snapshot-only sender.
-	Ver int
 	// Delta marks a delta advertisement; BaseSeq is the sequence it
 	// applies on top of and Removed the subscription IDs it retires.
 	Delta   bool
@@ -282,9 +236,7 @@ type subscriptionAd struct {
 	// seeing a higher epoch than recorded for Node forgets the previous
 	// incarnation's routing state (its ad sequence died with it); a
 	// lower epoch marks a late retransmission from a dead incarnation
-	// and the whole ad is dropped. Zero (a legacy sender) disables the
-	// check. Gob's unknown-field tolerance makes this a compatible
-	// addition — no ad schema version bump needed.
+	// and the whole ad is dropped. Zero disables the check.
 	Epoch int64
 }
 
@@ -311,7 +263,6 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 		groups:  make(map[string]multicast.Group),
 		byClass: make(map[groupKey]multicast.Group),
 		lastAdv: make(map[string]core.SubscriptionInfo),
-		peerVer: make(map[string]int),
 	}
 	n.destBuf.New = func() any { return &destScratch{} }
 	n.epoch = time.Now().UnixNano()
@@ -327,11 +278,6 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 		// group below) must both see it.
 		cfg.Multicast.Logger = n.log
 		n.cfg.Multicast.Logger = n.log
-	}
-	n.adVer = adSchemaVersion
-	if cfg.LegacyWire {
-		n.adVer = adVerDelta
-		n.cdc.SetWireDisabled(true)
 	}
 	reg.MustRegister(subscriptionAd{})
 	n.control = multicast.NewReliable(mux, "dace/ctrl", n.onControl, cfg.Multicast)
@@ -398,9 +344,6 @@ func (n *Node) dropPeers(expired []string) {
 		}
 	}
 	n.peers = kept
-	for p := range dead {
-		delete(n.peerVer, p)
-	}
 	peers := append([]string(nil), n.peers...)
 	groups := n.groupsSnapshotLocked()
 	n.mu.Unlock()
@@ -421,18 +364,6 @@ func (n *Node) Registry() *obvent.Registry { return n.reg }
 func (n *Node) SetPeers(peers []string) {
 	n.mu.Lock()
 	n.peers = append([]string(nil), peers...)
-	for node := range n.peerVer {
-		found := node == n.self
-		for _, p := range peers {
-			if p == node {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(n.peerVer, node)
-		}
-	}
 	groups := n.groupsSnapshotLocked()
 	n.mu.Unlock()
 	n.routes.RetainNodes(append([]string{n.self}, peers...))
@@ -679,8 +610,8 @@ func (n *Node) pruneObserver(class string) multicast.PruneObserver {
 }
 
 // plannerFor builds the sequencer-side interest filter of a total-order
-// class: stamped payloads are routed like any publication, split per
-// destination encoding capability. Any failure to evaluate reports
+// class: stamped payloads are routed like any publication and go out
+// verbatim to the interested nodes. Any failure to evaluate reports
 // ok=false, failing open to a full broadcast.
 func (n *Node) plannerFor(class string) multicast.Planner {
 	return func(payload []byte) ([]multicast.Send, bool) {
@@ -690,54 +621,16 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 		}
 		buf := n.destBuf.Get().(*destScratch)
 		dests := n.destinationsFor(env, buf, buf.ids[:0])
-		sends, err := n.freshSends(env, payload, dests)
+		var sends []multicast.Send
+		if len(dests) > 0 {
+			// The multicast layer may use the Send after this node's
+			// scratch is reused: hand it its own copy.
+			sends = []multicast.Send{{Dests: append([]string(nil), dests...), Payload: payload}}
+		}
 		buf.ids = dests[:0]
 		n.destBuf.Put(buf)
-		if err != nil {
-			return nil, false
-		}
 		return sends, true
 	}
-}
-
-// freshSends builds the per-encoding Sends of a planned publication in
-// freshly allocated slices (the caller hands them to a multicast layer
-// that may use them after this node's scratch is reused). payload must
-// be the marshaled form of env, reused verbatim for capable
-// destinations.
-func (n *Node) freshSends(env *codec.Envelope, payload []byte, dests []string) ([]multicast.Send, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if env.Enc != codec.EncWire {
-		return []multicast.Send{{Dests: append([]string(nil), dests...), Payload: payload}}, nil
-	}
-	var capable, legacy []string
-	n.mu.Lock()
-	for _, d := range dests {
-		if d == n.self || n.peerVer[d] >= adVerWire {
-			capable = append(capable, d)
-		} else {
-			legacy = append(legacy, d)
-		}
-	}
-	n.mu.Unlock()
-	sends := make([]multicast.Send, 0, 2)
-	if len(legacy) > 0 {
-		genv, err := n.cdc.TranscodeGob(env)
-		if err != nil {
-			return nil, err
-		}
-		gp, err := codec.Marshal(genv)
-		if err != nil {
-			return nil, err
-		}
-		sends = append(sends, multicast.Send{Dests: legacy, Payload: gp})
-	}
-	if len(capable) > 0 {
-		sends = append(sends, multicast.Send{Dests: capable, Payload: payload})
-	}
-	return sends, nil
 }
 
 // interestFor builds the gossip interest function of a class: the
@@ -822,7 +715,7 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if err := cert.SetSubscribers(n.certSubscribersFor(env.Type)); err != nil {
 			return err
 		}
-		payload, err := n.marshalForBroadcast(env)
+		payload, err := codec.Marshal(env)
 		if err != nil {
 			return err
 		}
@@ -834,93 +727,55 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		n.markWrite(t1)
 		return err
 	case "be", "rel":
-		// Unordered classes support per-message destination pruning and
-		// per-destination payload encoding.
-		tg, canTarget := g.(interface {
+		// Unordered classes support per-message destination pruning.
+		if tg, ok := g.(interface {
 			BroadcastTo(dests []string, payload []byte) error
-		})
-		if !canTarget {
-			payload, err := n.marshalForBroadcast(env)
-			if err != nil {
-				return err
-			}
-			t1 := n.markRoute(t0)
-			err = g.Broadcast(payload)
-			n.markWrite(t1)
-			return err
+		}); ok {
+			return n.publishRouted(env, t0, tg.BroadcastTo)
 		}
-		buf := n.destBuf.Get().(*destScratch)
-		dests := n.destinationsFor(env, buf, buf.ids[:0])
-		t1 := n.markRoute(t0)
-		err := n.sendTargeted(tg, env, dests, buf)
-		n.markWrite(t1)
-		// BroadcastTo copies what it keeps; the scratch can be reused.
-		buf.ids = dests[:0]
-		n.destBuf.Put(buf)
-		return err
 	case "fifo", "causal":
 		// Interest-aware ordered classes: data frames only to nodes the
-		// routing plane marks interested, split per destination encoding
-		// capability; the multicast layer heals the sequence holes of
-		// the rest with skip markers.
-		sp, canSplit := g.(interface {
+		// routing plane marks interested; the multicast layer heals the
+		// sequence holes of the rest with skip markers. An empty
+		// destination set still publishes (the sequence number must
+		// advance; every member is healed by skip markers).
+		if sp, ok := g.(interface {
 			BroadcastSplit(sends []multicast.Send) error
-		})
-		if n.cfg.NoOrderedPruning || !canSplit {
-			payload, err := n.marshalForBroadcast(env)
-			if err != nil {
-				return err
-			}
-			t1 := n.markRoute(t0)
-			err = g.Broadcast(payload)
-			n.markWrite(t1)
-			return err
+		}); ok && !n.cfg.NoOrderedPruning {
+			return n.publishRouted(env, t0, func(dests []string, payload []byte) error {
+				return sp.BroadcastSplit([]multicast.Send{{Dests: dests, Payload: payload}})
+			})
 		}
-		buf := n.destBuf.Get().(*destScratch)
-		dests := n.destinationsFor(env, buf, buf.ids[:0])
-		t1 := n.markRoute(t0)
-		err := n.publishSplit(sp, env, dests, buf)
-		n.markWrite(t1)
-		// BroadcastSplit copies what it keeps; the scratch can be reused.
-		buf.ids = dests[:0]
-		n.destBuf.Put(buf)
-		return err
-	case "total":
-		if !n.cfg.NoOrderedPruning {
-			// Publications route to the sequencer, which filters after
-			// stamping (plannerFor); the publisher only ensures the
-			// sequencer itself can decode the payload.
-			payload, err := n.marshalForSequencer(env)
-			if err != nil {
-				return err
-			}
-			t1 := n.markRoute(t0)
-			err = g.Broadcast(payload)
-			n.markWrite(t1)
-			return err
-		}
-		payload, err := n.marshalForBroadcast(env)
-		if err != nil {
-			return err
-		}
-		t1 := n.markRoute(t0)
-		err = g.Broadcast(payload)
-		n.markWrite(t1)
-		return err
-	default:
-		// Gossip and unknown classes broadcast whole frames (gossip
-		// biases its per-round fanout via interestFor instead; relayed
-		// frames must stay decodable by every peer, so a legacy peer
-		// still downgrades the frame at the origin).
-		payload, err := n.marshalForBroadcast(env)
-		if err != nil {
-			return err
-		}
-		t1 := n.markRoute(t0)
-		err = g.Broadcast(payload)
-		n.markWrite(t1)
+	}
+	// Everything else is one frame to the whole group: total order routes
+	// to the sequencer, which filters after stamping (plannerFor); gossip
+	// biases its per-round fanout instead (interestFor); ordered classes
+	// with pruning off broadcast by definition.
+	payload, err := codec.Marshal(env)
+	if err != nil {
 		return err
 	}
+	t1 := n.markRoute(t0)
+	err = g.Broadcast(payload)
+	n.markWrite(t1)
+	return err
+}
+
+// publishRouted resolves env's destination set, marshals it once and
+// hands both to send (a targeted or split broadcast, which copies what
+// it keeps, so the pooled scratch is reused afterwards).
+func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func(dests []string, payload []byte) error) error {
+	buf := n.destBuf.Get().(*destScratch)
+	dests := n.destinationsFor(env, buf, buf.ids[:0])
+	t1 := n.markRoute(t0)
+	payload, err := codec.Marshal(env)
+	if err == nil {
+		err = send(dests, payload)
+	}
+	n.markWrite(t1)
+	buf.ids = dests[:0]
+	n.destBuf.Put(buf)
+	return err
 }
 
 // markRoute closes the publish→route span opened at t0 (0 = telemetry
@@ -942,155 +797,16 @@ func (n *Node) markWrite(t1 int64) {
 	n.tele.Record(uint32(t1), telemetry.StageRouteWrite, telemetry.Now()-t1)
 }
 
-// publishSplit hands an interest-pruned publication to a
-// split-broadcasting ordered group, transcoding the payload to gob for
-// destinations that have not advertised wire capability — only the
-// legacy destinations' traffic downgrades, never the whole frame. An
-// empty destination set still publishes (the sequence number must
-// advance; every member is healed by skip markers).
-func (n *Node) publishSplit(sp interface {
-	BroadcastSplit(sends []multicast.Send) error
-}, env *codec.Envelope, dests []string, buf *destScratch) error {
-	if env.Enc != codec.EncWire {
-		payload, err := codec.Marshal(env)
-		if err != nil {
-			return err
-		}
-		return sp.BroadcastSplit([]multicast.Send{{Dests: dests, Payload: payload}})
-	}
-	capable, legacy := n.splitWireDests(dests, buf)
-	defer func() {
-		buf.capable, buf.legacy = capable[:0], legacy[:0]
-	}()
-	sends := make([]multicast.Send, 0, 2)
-	if len(legacy) > 0 {
-		genv, err := n.cdc.TranscodeGob(env)
-		if err != nil {
-			return err
-		}
-		payload, err := codec.Marshal(genv)
-		if err != nil {
-			return err
-		}
-		sends = append(sends, multicast.Send{Dests: legacy, Payload: payload})
-	}
-	if len(capable) > 0 {
-		payload, err := codec.Marshal(env)
-		if err != nil {
-			return err
-		}
-		sends = append(sends, multicast.Send{Dests: capable, Payload: payload})
-	}
-	return sp.BroadcastSplit(sends)
-}
-
-// marshalForSequencer frames env for its trip to the total-order
-// sequencer. Only the sequencer must decode it before redistribution
-// (plannerFor transcodes for legacy destinations there), so a compact
-// payload downgrades only when the sequencer itself is a legacy node.
-func (n *Node) marshalForSequencer(env *codec.Envelope) ([]byte, error) {
-	if env.Enc == codec.EncWire {
-		n.mu.Lock()
-		seqr := n.sequencerLocked()
-		legacySeqr := seqr != n.self && n.peerVer[seqr] < adVerWire
-		n.mu.Unlock()
-		if legacySeqr {
-			genv, err := n.cdc.TranscodeGob(env)
-			if err != nil {
-				return nil, err
-			}
-			return codec.Marshal(genv)
-		}
-	}
-	return codec.Marshal(env)
-}
-
-// marshalForBroadcast frames env for a whole-group send. A compact
-// payload is transcoded to gob first unless every peer advertised wire
-// capability: broadcast protocols deliver one frame to the whole
-// membership, so a single legacy peer downgrades that send (but never a
-// send on a targeted channel, which splits per destination instead).
-func (n *Node) marshalForBroadcast(env *codec.Envelope) ([]byte, error) {
-	if env.Enc == codec.EncWire && !n.allPeersWireCapable() {
-		var err error
-		if env, err = n.cdc.TranscodeGob(env); err != nil {
-			return nil, err
-		}
-	}
-	return codec.Marshal(env)
-}
-
-// sendTargeted delivers env to dests over a targeted channel,
-// transcoding the payload to gob for destinations that have not
-// advertised wire capability. The common cases — gob payload, or every
-// destination wire-capable — marshal exactly once.
-func (n *Node) sendTargeted(tg interface {
-	BroadcastTo(dests []string, payload []byte) error
-}, env *codec.Envelope, dests []string, buf *destScratch) error {
-	if env.Enc != codec.EncWire {
-		payload, err := codec.Marshal(env)
-		if err != nil {
-			return err
-		}
-		return tg.BroadcastTo(dests, payload)
-	}
-	capable, legacy := n.splitWireDests(dests, buf)
-	defer func() {
-		buf.capable, buf.legacy = capable[:0], legacy[:0]
-	}()
-	if len(legacy) > 0 {
-		genv, err := n.cdc.TranscodeGob(env)
-		if err != nil {
-			return err
-		}
-		payload, err := codec.Marshal(genv)
-		if err != nil {
-			return err
-		}
-		if err := tg.BroadcastTo(legacy, payload); err != nil {
-			return err
-		}
-		if len(capable) == 0 {
-			return nil
-		}
-	}
-	payload, err := codec.Marshal(env)
-	if err != nil {
-		return err
-	}
-	return tg.BroadcastTo(capable, payload)
-}
-
-// splitWireDests partitions dests into wire-capable and legacy
-// destinations using the witnessed ad schema versions. The local node
-// counts as capable: a compact envelope this node produced is decodable
-// by this node's engine.
-func (n *Node) splitWireDests(dests []string, buf *destScratch) (capable, legacy []string) {
-	capable, legacy = buf.capable[:0], buf.legacy[:0]
-	n.mu.Lock()
-	for _, d := range dests {
-		if d == n.self || n.peerVer[d] >= adVerWire {
-			capable = append(capable, d)
-		} else {
-			legacy = append(legacy, d)
-		}
-	}
-	n.mu.Unlock()
-	return capable, legacy
-}
-
 // destScratch is the pooled per-publication destination buffer. The two
 // closures are created once per scratch and capture the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
 // allocates neither closures nor decode state; src is reset after every
 // event.
 type destScratch struct {
-	ids     []string
-	capable []string
-	legacy  []string
-	src     codec.CloneSource
-	full    func() (any, error)
-	dec     func() any
+	ids  []string
+	src  codec.CloneSource
+	full func() (any, error)
+	dec  func() any
 }
 
 // destinationsFor appends the nodes owed a copy of env: nodes hosting
@@ -1216,15 +932,16 @@ func (n *Node) SubscriptionChanged(infos []core.SubscriptionInfo) error {
 // the change against the previously advertised snapshot is small, the
 // wire carries a delta (add/remove per subscription ID) instead of the
 // full set; a full snapshot is forced by forceSnapshot (membership
-// changes, anti-entropy introductions), every snapshotEvery deltas,
-// and whenever a legacy (snapshot-only) peer has been witnessed.
+// changes, anti-entropy introductions) and every snapshotEvery deltas.
+// A delta that overtakes its base on the way to a peer is parked there
+// (bounded) until the base arrives; see routing.Table.ApplyDelta.
 //
 // Only the sequence bump and diff run under n.mu; gob encoding and the
 // control broadcast happen outside every lock.
 func (n *Node) advertise(forceSnapshot bool) {
 	n.mu.Lock()
 	n.adSeq++
-	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Ver: n.adVer, Epoch: n.epoch}
+	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Epoch: n.epoch}
 	cur := append([]core.SubscriptionInfo(nil), n.localSubs...)
 
 	var added []core.SubscriptionInfo
@@ -1244,7 +961,7 @@ func (n *Node) advertise(forceSnapshot bool) {
 	}
 	n.lastAdv = curByID
 
-	useDelta := !forceSnapshot && n.allPeersSpeakDeltasLocked() && n.adSeq > 1 &&
+	useDelta := !forceSnapshot && n.adSeq > 1 &&
 		n.adsSinceSnap < snapshotEvery && len(added)+len(removed) < len(cur)
 	if useDelta {
 		n.adsSinceSnap++
@@ -1266,44 +983,16 @@ func (n *Node) advertise(forceSnapshot bool) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ad); err != nil {
-		return
+	err := gob.NewEncoder(&buf).Encode(ad)
+	if err == nil {
+		err = n.control.Broadcast(buf.Bytes())
 	}
-	_ = n.control.Broadcast(buf.Bytes())
-}
-
-// allPeersSpeakDeltasLocked reports whether every current peer has been
-// witnessed advertising schema version >= adVerDelta. Until then full
-// snapshots are sent: an unheard-from peer might be a legacy node that
-// would misread a delta as a snapshot.
-func (n *Node) allPeersSpeakDeltasLocked() bool {
-	for _, p := range n.peers {
-		if p == n.self {
-			continue
-		}
-		if n.peerVer[p] < adVerDelta {
-			return false
-		}
+	if err != nil {
+		// Peers keep routing on our previous advertisement until the next
+		// one gets through.
+		n.log.Warn("dace: advertisement not sent",
+			"node", n.self, "seq", ad.Seq, "delta", ad.Delta, "err", err)
 	}
-	return true
-}
-
-// allPeersWireCapable reports whether every current peer has been
-// witnessed advertising schema version >= adVerWire. Unheard-from peers
-// count as incapable: they might be legacy nodes that would fail to
-// decode a compact payload.
-func (n *Node) allPeersWireCapable() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, p := range n.peers {
-		if p == n.self {
-			continue
-		}
-		if n.peerVer[p] < adVerWire {
-			return false
-		}
-	}
-	return true
 }
 
 // sameInfo reports whether two advertised descriptions are identical
@@ -1339,11 +1028,6 @@ func (n *Node) onControl(_ string, payload []byte) {
 			"node", ad.Node, "epoch", ad.Epoch)
 		return
 	}
-	n.mu.Lock()
-	if ad.Ver > n.peerVer[ad.Node] {
-		n.peerVer[ad.Node] = ad.Ver
-	}
-	n.mu.Unlock()
 	var res routing.ApplyResult
 	if ad.Delta {
 		res = n.routes.ApplyDelta(ad.Node, ad.Seq, ad.BaseSeq, ad.Subs, ad.Removed)

@@ -123,6 +123,47 @@ func waitAds(t *testing.T, n *Node, want int) {
 		func() bool { return n.RemoteSubscriptionCount() >= want })
 }
 
+// waitRouted waits until n's routing table holds, for class, exactly the
+// subscriptions in want, keyed {node address, Subscription.ID()}. It
+// converges on identity, not count: churn that deactivates one
+// subscription and activates another leaves the count where it was
+// before either advertisement has landed.
+func waitRouted(t *testing.T, n *Node, class, what string, want map[[2]string]bool) {
+	t.Helper()
+	waitFor(t, 10*time.Second, what, func() bool {
+		seen, ok := 0, true
+		n.routes.ForEachConforming(class, func(node string, info core.SubscriptionInfo) {
+			seen++
+			ok = ok && want[[2]string{node, info.ID}]
+		})
+		return ok && seen == len(want)
+	})
+}
+
+// waitDrained waits until every engine has dispatched every envelope it
+// was handed. Call it after net.Settle(): Settle covers frames in flight
+// on netsim, not envelopes queued on a dispatch lane, and a queued
+// envelope is matched against the subscription table current when its
+// lane dispatches it (doc.go, "Activation is not a barrier").
+func waitDrained(t *testing.T, nodes []*testNode) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "dispatch lanes drained", func() bool {
+		for _, n := range nodes {
+			var enqueued uint64
+			for _, l := range n.engine.LaneStats() {
+				if l.Queued != 0 {
+					return false
+				}
+				enqueued += l.Enqueued
+			}
+			if enqueued != n.engine.Stats().EventsIn {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestCrossNodeDelivery(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()

@@ -1,7 +1,9 @@
 package dace
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"govents/internal/core"
 	"govents/internal/filter"
 	"govents/internal/netsim"
+	"govents/internal/obvent"
 )
 
 func TestCertifiedClassDeliversAfterPartitionHeals(t *testing.T) {
@@ -163,6 +166,7 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 		cfg.Placement = placement
 		nodes := newDomain(t, net, 4, cfg)
 		pub := nodes[0]
+		quoteClass := obvent.TypeName(obvent.TypeOf[StockQuote]())
 		rng := rand.New(rand.NewSource(1234))
 
 		var mu sync.Mutex
@@ -231,15 +235,13 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 			}
 			// Converge: the publisher must know exactly the active set
 			// before the wave, so routing decisions are deterministic.
-			activeCount := 0
+			active := make(map[[2]string]bool)
 			for _, st := range subs {
 				if st.active {
-					activeCount++
+					active[[2]string{nodes[st.node].node.Addr(), st.sub.ID()}] = true
 				}
 			}
-			waitFor(t, 10*time.Second, fmt.Sprintf("wave %d ad convergence", w), func() bool {
-				return pub.node.RemoteSubscriptionCount() == activeCount
-			})
+			waitRouted(t, pub.node, quoteClass, fmt.Sprintf("wave %d ad convergence", w), active)
 			net.Settle()
 
 			if cfgW.partitioned {
@@ -281,7 +283,11 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 			if cfgW.partitioned {
 				net.Heal()
 			}
+			// An envelope no expected subscriber needed may still sit in a
+			// dispatch lane; the next wave's churn must not activate a
+			// subscription under it.
 			net.Settle()
+			waitDrained(t, nodes)
 		}
 
 		mu.Lock()
@@ -319,5 +325,100 @@ func TestDeliverySetEquivalenceAcrossPlacements(t *testing.T) {
 		if !atSub[k] {
 			t.Errorf("delivered at-publisher but not at-subscriber: %s", k)
 		}
+	}
+}
+
+// warnRecorder is a slog.Handler that keeps the attributes of every
+// record with a given message.
+type warnRecorder struct {
+	msg string
+	mu  sync.Mutex
+	got []map[string]any
+}
+
+func (h *warnRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *warnRecorder) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *warnRecorder) WithGroup(string) slog.Handler            { return h }
+
+func (h *warnRecorder) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != h.msg || r.Level != slog.LevelWarn {
+		return nil
+	}
+	attrs := make(map[string]any)
+	r.Attrs(func(a slog.Attr) bool {
+		attrs[a.Key] = a.Value.Any()
+		return true
+	})
+	h.mu.Lock()
+	h.got = append(h.got, attrs)
+	h.mu.Unlock()
+	return nil
+}
+
+// TestAdvertiseFailureIsLogged pins the control plane's no-return path:
+// an advertisement that cannot be sent is reported at Warn with enough
+// to tell which one it was (node, sequence, delta or snapshot), not
+// dropped silently. A closed node advertises nothing and stays quiet.
+func TestAdvertiseFailureIsLogged(t *testing.T) {
+	quote := obvent.TypeName(obvent.TypeOf[StockQuote]())
+	base := []core.SubscriptionInfo{{ID: "a", TypeName: quote}, {ID: "b", TypeName: quote}}
+	cases := []struct {
+		name      string
+		closeNode bool // Node.Close, not just the control group under it
+		advertise func(n *Node)
+		wantWarn  bool
+		wantDelta bool
+	}{
+		{"closed control group, snapshot", false, func(n *Node) { n.advertise(true) }, true, false},
+		{"closed control group, delta", false, func(n *Node) {
+			_ = n.SubscriptionChanged([]core.SubscriptionInfo{base[0], base[1], {ID: "c", TypeName: quote}})
+		}, true, true},
+		{"closed node", true, func(n *Node) { n.advertise(true) }, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			ep, err := net.NewEndpoint("node-0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obvent.NewRegistry()
+			registerAll(reg)
+			rec := &warnRecorder{msg: "dace: advertisement not sent"}
+			cfg := fastCfg()
+			cfg.Logger = slog.New(rec)
+			n := NewNode(ep, reg, cfg)
+			defer n.Close()
+			n.SetPeers([]string{"node-0"})
+			if err := n.SubscriptionChanged(base); err != nil {
+				t.Fatal(err)
+			}
+			if tc.closeNode {
+				_ = n.Close()
+			} else {
+				_ = n.control.Close()
+			}
+			n.mu.Lock()
+			wantSeq := n.adSeq + 1
+			n.mu.Unlock()
+			tc.advertise(n)
+
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if !tc.wantWarn {
+				if len(rec.got) != 0 {
+					t.Fatalf("closed node logged %v, want nothing", rec.got)
+				}
+				return
+			}
+			if len(rec.got) != 1 {
+				t.Fatalf("got %d warnings %v, want 1", len(rec.got), rec.got)
+			}
+			w := rec.got[0]
+			if w["node"] != "node-0" || w["seq"] != wantSeq || w["delta"] != tc.wantDelta || w["err"] == nil {
+				t.Errorf("warning attrs = %v, want node=node-0 seq=%d delta=%v and an err", w, wantSeq, tc.wantDelta)
+			}
+		})
 	}
 }

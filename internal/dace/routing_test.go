@@ -143,7 +143,7 @@ func TestCorruptOrSlowAdCannotStallPublish(t *testing.T) {
 				continue
 			}
 			seq++
-			ad := subscriptionAd{Node: "evil", Seq: seq, Ver: adSchemaVersion, Subs: hugeSubs}
+			ad := subscriptionAd{Node: "evil", Seq: seq, Subs: hugeSubs}
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(ad); err != nil {
 				return
@@ -199,31 +199,8 @@ func (o *adObserver) from(node string) []subscriptionAd {
 	return out
 }
 
-// introduceObserver broadcasts one empty v1 snapshot for the observer
-// and waits until node n has witnessed it: deltas only flow once every
-// peer is known to speak the delta schema, so a silent control-channel
-// member would otherwise pin the domain to snapshots.
-func introduceObserver(t *testing.T, ctrl *multicast.Reliable, n *Node) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(subscriptionAd{Node: "observer", Seq: 1, Ver: adSchemaVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Broadcast(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	// The node sends deltas only once every peer (the observer included)
-	// has been witnessed at the delta-capable schema version; wait for
-	// that state so the tests below exercise deltas deterministically.
-	waitFor(t, 5*time.Second, "all peers witnessed as delta-capable", func() bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.allPeersSpeakDeltasLocked()
-	})
-}
-
 // TestDeltaAdvertisementsOnTheWire pins the wire protocol: the first
-// advertisement is a versioned full snapshot, subsequent small changes
+// advertisement is a full snapshot, subsequent small changes
 // travel as deltas (adds and removals by subscription ID), and the
 // receiving node reconciles them to the same state a snapshot would
 // give.
@@ -233,9 +210,7 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 	nodes := newDomain(t, net, 2, fastCfg())
 	pub, sub := nodes[0], nodes[1]
 
-	// An observer on the control channel: it records the ad stream and
-	// advertises exactly once (introduceObserver) so the nodes treat it
-	// as a delta-capable peer.
+	// A silent observer on the control channel records the ad stream.
 	ep, err := net.NewEndpoint("observer")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +223,6 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 	ctrl.SetMembers(peers)
 	pub.node.SetPeers(peers)
 	sub.node.SetPeers(peers)
-	introduceObserver(t, ctrl, sub.node)
 
 	var subsHeld []*core.Subscription
 	for i := 0; i < 3; i++ {
@@ -269,37 +243,21 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 		return pub.node.RemoteSubscriptionCount() == 2
 	})
 
-	waitFor(t, 5*time.Second, "observer saw the ad stream", func() bool {
-		return len(obs.from("node-1")) >= 4
-	})
-	ads := obs.from("node-1")
+	// The control channel does not order, so wait for the observer to
+	// hold one advertisement of each form, not for a count of them.
 	var sawSnapshot, sawDeltaAdd, sawDeltaRemove bool
-	for _, ad := range ads {
-		if ad.Ver != adSchemaVersion {
-			t.Errorf("ad seq %d: Ver = %d, want %d", ad.Seq, ad.Ver, adSchemaVersion)
+	waitFor(t, 5*time.Second, "observer saw a snapshot, a delta with additions and one with removals", func() bool {
+		for _, ad := range obs.from("node-1") {
+			sawSnapshot = sawSnapshot || !ad.Delta
+			sawDeltaAdd = sawDeltaAdd || (ad.Delta && len(ad.Subs) > 0)
+			sawDeltaRemove = sawDeltaRemove || (ad.Delta && len(ad.Removed) > 0)
 		}
-		if !ad.Delta {
-			sawSnapshot = true
-			continue
-		}
-		if ad.BaseSeq != ad.Seq-1 {
+		return sawSnapshot && sawDeltaAdd && sawDeltaRemove
+	})
+	for _, ad := range obs.from("node-1") {
+		if ad.Delta && ad.BaseSeq != ad.Seq-1 {
 			t.Errorf("delta seq %d has BaseSeq %d, want %d", ad.Seq, ad.BaseSeq, ad.Seq-1)
 		}
-		if len(ad.Subs) > 0 {
-			sawDeltaAdd = true
-		}
-		if len(ad.Removed) > 0 {
-			sawDeltaRemove = true
-		}
-	}
-	if !sawSnapshot {
-		t.Error("no full snapshot observed (first ad must be one)")
-	}
-	if !sawDeltaAdd {
-		t.Error("no delta advertisement with additions observed")
-	}
-	if !sawDeltaRemove {
-		t.Error("no delta advertisement with removals observed")
 	}
 
 	// Reconciled state must match reality: re-activate and check the
@@ -331,7 +289,6 @@ func TestSnapshotForcedAfterDeltaRun(t *testing.T) {
 	ctrl.SetMembers(peers)
 	nodes[0].node.SetPeers(peers)
 	sub.node.SetPeers(peers)
-	introduceObserver(t, ctrl, sub.node)
 
 	// A stable base of subscriptions keeps each toggle's diff small, so
 	// the toggles below travel as deltas.

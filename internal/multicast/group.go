@@ -78,12 +78,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// A Send is one slice of an interest-pruned publication: the payload
-// variant owed to a set of destinations. A publication splits into
-// several Sends when destinations need different encodings of the same
-// event (e.g. a compact payload for wire-capable peers and a gob
-// transcode for a legacy one); all Sends of one BroadcastSplit call
-// share a single publication sequence number.
+// A Send is one slice of an interest-pruned publication: a payload and
+// the destinations owed it. The dissemination layer (dace) passes one
+// Send per publication, the interested nodes; the slice form lets a
+// caller address different payloads to disjoint destination sets under
+// one publication sequence number, which all Sends of one
+// BroadcastSplit call share.
 type Send struct {
 	Dests   []string
 	Payload []byte

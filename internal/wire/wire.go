@@ -38,9 +38,8 @@
 // layout (the marshaler exists precisely because the layout is not the
 // whole state), map keys that are not flat, or recursive pointer types
 // is rejected at compile time and keeps gob as its payload encoding.
-// The codec negotiates the fallback per destination (package dace), so
-// a mixed fleet is never misread: rejection costs performance, never
-// correctness.
+// Envelope.Enc names the encoding a payload carries and every node
+// reads both, so rejection costs performance, never correctness.
 //
 // Decoding is defensive: every length and count read off the wire is
 // validated against the remaining input before allocation, and a

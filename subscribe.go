@@ -34,7 +34,10 @@ func (s *Subscription) Active() bool { return s.s.Active() }
 
 // Activate starts delivery — the effective action of subscribing
 // (§3.4.1). Activating an already active subscription fails with
-// ErrCannotSubscribe.
+// ErrCannotSubscribe. It is not a barrier for events already queued in
+// this process: each is matched when its lane dispatches it, so the
+// subscription may receive one that arrived before the call (package
+// doc, "Activation is not a barrier").
 func (s *Subscription) Activate() error { return s.s.Activate() }
 
 // ActivateDurable activates the subscription under a stable durable
@@ -49,7 +52,9 @@ func (s *Subscription) ActivateDurable(durableID string) error {
 // Deactivating an inactive subscription fails with
 // ErrCannotUnsubscribe. Deactivating a durable subscription releases
 // its durable-identity claim, letting a later SubscribeDurable in the
-// same domain member reclaim the identity.
+// same domain member reclaim the identity. Its return guarantees only
+// that no dispatch starting afterwards delivers to the subscription; a
+// delivery already under way may still run the handler.
 func (s *Subscription) Deactivate() error {
 	if err := s.s.Deactivate(); err != nil {
 		return err
