@@ -140,13 +140,11 @@
 // last and unprefixed (it is the rest of the record):
 //
 //	kind      1 byte
-//	flags     uvarint: 1 Seq, 2 SkipFrom, 4 Epoch, 8 Base, 16 GSeq, 32 Origin,
-//	          64 ID, 128 Rounds, 256 VC
+//	flags     uvarint: 1 Seq, 4 Epoch, 8 Base, 32 Origin, 64 ID, 128 Rounds,
+//	          256 VC (2 and 16 are retired and rejected as unknown)
 //	Seq       uvarint
-//	GSeq      uvarint
-//	SkipFrom  uvarint, counted down from GSeq (or Seq when there is no GSeq)
 //	Epoch     uvarint
-//	Base      uvarint, counted down from Seq
+//	Base      uvarint, counted down from Seq (absolute when there is no Seq)
 //	Origin    uvarint length (1 to 65535) + bytes
 //	ID        likewise
 //	Rounds    1 byte
@@ -178,15 +176,31 @@
 //	       receiver waits behind.
 //
 // The sender of a frame is the transport's: the reliable layer has no
-// relay, so no origin travels. The receiver remembers, per sender, the
-// epoch, the cumulative sequence below which everything is settled, and
-// the runs of sequences delivered above it (one run per hole, at most
-// 256); a frame is a duplicate when it is at or below the first or
-// inside one of the second. Every first arrival is delivered at once,
-// in or out of order: ordering belongs to the FIFO, causal and total
-// layers above. An acknowledgement carries the epoch it answers, the
-// cumulative sequence, and the 32 lowest runs beyond it, each as the
-// distance from the run before and a length. It is sent
+// relay, and an origin travels only on the frames of a total-order
+// sequencer, which publishes on its members' behalf. The receiver
+// remembers, per sender, the epoch, the cumulative sequence below which
+// everything is settled, and the runs of sequences received above it
+// (one run per hole, at most 256) with their frames; a frame is a
+// duplicate when it is at or below the first or inside one of the
+// second. Frames are released to the class above in link-sequence
+// order: a first arrival that is next in line goes up at once, together
+// with the run it was the hole below, and any other is held while a
+// hole sits below it. A hole closes when the missing frame arrives, at
+// first or by retransmission, or when a Base passes it; what a receiver
+// holds is what its sender has in flight, and a frame that would open a
+// 257th hole is dropped unacknowledged and comes back by
+// retransmission. This order is the only sequencing there is: FIFO is
+// the link, total order is the sequencer's links, and causal order adds
+// a vector clock but no numbers. When the sender abandons frames
+// (Tuning.RetransmitLimit, or their destination leaving the
+// membership) in a timer period that resends nothing else on the link,
+// it announces the new Base in a frame of its own, of the "step over"
+// kind: Epoch and Base, no Seq and no payload, consuming no sequence.
+// A receiver that holds frames behind the abandoned ones releases them
+// on it, not on the next publication, which may never come. An
+// acknowledgement carries the epoch it answers, the cumulative
+// sequence, and the 32 lowest runs beyond it, each as the distance from
+// the run before and a length. It is sent
 //
 //   - when 16 data frames await acknowledgement;
 //   - when the acknowledgement timer, a quarter of
@@ -203,10 +217,12 @@
 // Both constants derive from the one existing knob: an acknowledgement
 // is at most a quarter interval late, while the sender retransmits a
 // frame only after it has gone a full RetransmitInterval since it was
-// last sent. On a loss-free link nothing is sent twice. Data is never held back:
-// only acknowledgements are batched. Both ends hold state in proportion
-// to the traffic in flight and the peers they have met, and none per
-// message delivered.
+// last sent. On a loss-free link nothing is sent twice. A sender never
+// holds data back: only acknowledgements are batched, and over TCP,
+// which keeps a connection's frames in order, a receiver holds a frame
+// only across a reconnect. Both ends hold state in proportion to the
+// traffic in flight and the peers they have met, and none per message
+// delivered.
 //
 // The multiplexer prefixes each frame with its stream name (a two-byte
 // length and the name). The TCP transport keeps one outbound
@@ -222,10 +238,16 @@
 // again.
 //
 // None of this is negotiated. Like the envelope record, the link
-// layouts replaced their predecessors outright (a fixed-width record
-// with a random 32-character ID per message and an acknowledgement per
-// message; a sender address in every TCP frame), and a node of either
-// era drops the other's frames as undecodable: upgrade a domain's nodes
+// layouts replaced their predecessors outright, twice: first a
+// fixed-width record with a random 32-character ID per message, an
+// acknowledgement per message and a sender address in every TCP frame;
+// then the ordered classes' own sequence numbers, skip ranges and
+// request IDs, carried in a second record nested inside the link's
+// payload (FIFO and total-order payloads are now the envelope itself,
+// and total-order requests travel on a link of their own). A node of
+// one era drops another's frames as undecodable or, where only the
+// nested record differs, hands up payloads that fail to decode as
+// envelopes and are counted as decode errors: upgrade a domain's nodes
 // together.
 //
 // # Interest-aware multicast
@@ -234,19 +256,26 @@
 // domain, not just the unordered ones. FIFO and causal publishers
 // consult the routing plane and ship data frames only to nodes with a
 // passing subscription; for total order the publication routes to the
-// sequencer, which filters after stamping, so the global sequence stays
-// gap-free. Pruned nodes keep their per-origin sequences (and causal
-// clocks) advancing through lightweight skip markers: every data frame
-// carries the sequence range it covers for its destination, and
-// destinations with no follow-up data get amortized skip frames on the
-// retransmission tick. Gossip classes bias their per-round fanout
-// toward interested nodes while keeping a configurable floor of
-// uniformly random edges (Tuning.GossipRandomEdges) so rumors still
-// cross interest boundaries. Pruning fails open — an unevaluable event
-// or unknown node counts as interested — and preserves each class's
-// ordering contract exactly; WithOrderedPruning(false) restores
+// sequencer, which filters as it broadcasts. Pruning costs an ordered
+// class nothing, because order rides the link sequence and a link is
+// one (sender, destination) pair: a node that was not sent a frame
+// consumed no number, so it has no gap to wait behind, and neither FIFO
+// nor total order ever sends it anything in the frame's place. Every
+// member of a total-order class sees a subsequence of the one order in
+// which the sequencer's broadcasts took their place on its links.
+// Causal order needs one thing more. A pruned node misses the
+// publisher's clock tick, and a third party's event that causally
+// follows the pruned one would wait there forever, so on its
+// retransmission tick a causal publisher sends the members it did not
+// send its latest tick a payload-less marker carrying its clock, which
+// the receiver merges without a delivery. Gossip classes bias their
+// per-round fanout toward interested nodes while keeping a configurable
+// floor of uniformly random edges (Tuning.GossipRandomEdges) so rumors
+// still cross interest boundaries. Pruning fails open — an unevaluable
+// event or unknown node counts as interested — and preserves each
+// class's ordering contract exactly; WithOrderedPruning(false) restores
 // full-group broadcasts. RoutingStats reports the saved traffic as
-// PrunedSends and SkipFrames.
+// PrunedSends, and the causal clock markers as SkipFrames.
 //
 // # Overload and flow control
 //

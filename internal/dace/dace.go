@@ -43,11 +43,12 @@
 // subscription.
 //
 // Ordered and gossip classes are interest-aware too (unless
-// Config.NoOrderedPruning): FIFO and Causal publishers split data
-// frames to interested nodes and let the multicast layer heal the
-// sequence holes of the rest with skip markers; Total publications
-// still route to the sequencer, which filters after stamping so the
-// global sequence stays gap-free; gossip biases rumor fanout toward
+// Config.NoOrderedPruning): FIFO and Causal publishers ship data frames
+// to interested nodes only, which costs the rest nothing because order
+// rides each destination's own link sequence (Causal alone follows up
+// with a clock marker); Total publications still route to the
+// sequencer, which filters as it broadcasts, every member seeing a
+// subsequence of its one order; gossip biases rumor fanout toward
 // interested peers with a random-edge floor for anti-entropy. All
 // pruning fails open — an unevaluable event is shipped to every
 // candidate, each subscriber's local pass deciding — so delivery
@@ -131,8 +132,9 @@ type Config struct {
 	// group broadcasts with subscriber-side filtering. The zero value
 	// keeps pruning on: data frames go only to nodes the routing plane
 	// marks interested (fail-open — an unevaluable event or unknown
-	// node counts as interested) and the rest receive amortized skip
-	// markers preserving each class's ordering contract.
+	// node counts as interested). The rest are sent nothing, except by
+	// causal classes, whose publishers follow up with an amortized
+	// clock marker; each class's ordering contract is preserved.
 	NoOrderedPruning bool
 	// Telemetry is the node's telemetry plane, shared with the engine
 	// above it so publisher-side stages (publish→route, route→write) and
@@ -735,10 +737,9 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		}
 	case "fifo", "causal":
 		// Interest-aware ordered classes: data frames only to nodes the
-		// routing plane marks interested; the multicast layer heals the
-		// sequence holes of the rest with skip markers. An empty
-		// destination set still publishes (the sequence number must
-		// advance; every member is healed by skip markers).
+		// routing plane marks interested. Order rides the per-destination
+		// link sequence, so the rest are owed nothing (causal sends them
+		// its clock on the next flush).
 		if sp, ok := g.(interface {
 			BroadcastSplit(sends []multicast.Send) error
 		}); ok && !n.cfg.NoOrderedPruning {

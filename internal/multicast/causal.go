@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"slices"
 	"sync"
 
 	"govents/internal/vclock"
@@ -9,20 +10,21 @@ import (
 // Causal layers vector-clock causal ordering (CBCAST-style) on top of
 // Reliable: obvents are delivered in an order consistent with the
 // happens-before relationship of their publications (paper §3.1.2,
-// [Lam78]). A message from origin j carrying clock V is deliverable at a
-// node once V[j] equals the node's clock for j plus one and V[k] is not
-// ahead of the node's clock for any other k; otherwise it is held back.
+// [Lam78]). The link below hands over each origin's frames in the order
+// that origin published them, so a frame from origin j carrying clock V
+// is by construction the next one from j, and is deliverable at a node
+// once V[k] is not ahead of the node's clock for any other k; otherwise
+// it is held back. Delivering it moves the node's clock for j to V[j].
 //
 // The class is interest-aware: BroadcastSplit ships data frames only to
-// interested destinations, and every frame carries the range of the
-// origin's own ticks it covers (SkipFrom..V[j]), so a destination
-// pruned for a while advances its clock for j over the skipped ticks
-// from the next frame it does receive. Destinations with no follow-up
-// data get periodic skip markers carrying the publisher's latest clock;
-// consuming one merges that clock without an upcall. Skipping is sound
-// because causal order only constrains the events a node actually
-// delivers, and a skipped event's causal successors still wait for
-// the clock advance the marker carries.
+// interested destinations. A destination that was pruned misses the
+// publisher's tick, which would block a third party's causal successor
+// there forever, so destinations that were not sent the latest tick get
+// a payload-less marker carrying the publisher's clock on the next
+// flush; consuming one merges that clock without an upcall. Skipping is
+// sound because causal order only constrains the events a node actually
+// delivers, and a skipped event's causal successors still wait for the
+// clock advance the marker carries.
 type Causal struct {
 	inner   *Reliable
 	self    string
@@ -31,20 +33,18 @@ type Causal struct {
 
 	mu       sync.Mutex
 	clock    vclock.VC
-	lastVC   vclock.VC // clock of the latest publication (skip-marker body)
-	tracker  *skipTracker
+	lastVC   vclock.VC         // clock of the latest publication (the marker's body)
+	sent     map[string]uint64 // destination -> latest own tick shipped to it
 	observer PruneObserver
 	hold     []heldMsg
 }
 
-// heldMsg is a message waiting for its causal predecessors. from is the
-// first of the origin's ticks the frame covers; skip marks a
-// payload-less marker.
+// heldMsg is a frame waiting for its causal predecessors; marker marks
+// a payload-less clock marker.
 type heldMsg struct {
 	origin  string
 	vc      vclock.VC
-	from    uint64
-	skip    bool
+	marker  bool
 	payload []byte
 }
 
@@ -58,7 +58,7 @@ func NewCausal(mux *Mux, stream string, deliver Deliver, opts Options) *Causal {
 		deliver: deliver,
 		lc:      newLifecycle(),
 		clock:   vclock.New(),
-		tracker: newSkipTracker(),
+		sent:    make(map[string]uint64),
 	}
 	g.inner = NewReliable(mux, stream, g.onInner, opts)
 	g.lc.goTick(opts.RetransmitInterval, g.flush)
@@ -69,12 +69,17 @@ func NewCausal(mux *Mux, stream string, deliver Deliver, opts Options) *Causal {
 func (g *Causal) SetMembers(members []string) {
 	g.inner.SetMembers(members)
 	g.mu.Lock()
-	g.tracker.retain(members)
+	for d := range g.sent {
+		if !slices.Contains(members, d) {
+			delete(g.sent, d)
+		}
+	}
 	g.mu.Unlock()
 }
 
 // SetPruneObserver installs the pruning-counters sink.
 func (g *Causal) SetPruneObserver(obs PruneObserver) {
+	g.inner.SetPruneObserver(obs)
 	g.mu.Lock()
 	g.observer = obs
 	g.mu.Unlock()
@@ -87,76 +92,61 @@ func (g *Causal) Broadcast(payload []byte) error {
 }
 
 // BroadcastSplit publishes one event under a single vector-clock tick,
-// shipping each Send's payload variant to its destinations only.
+// shipping each Send's payload variant to its destinations only. The
+// tick and the publication's place on the links are one critical
+// section, so a link carries its publisher's ticks in ascending order.
 func (g *Causal) BroadcastSplit(sends []Send) error {
-	type frame struct {
-		dests []string
-		wire  []byte
-	}
-	var frames []frame
-	sent := 0
+	framed := make([]Send, len(sends))
+	var few [4]linkFrame
 	g.mu.Lock()
 	g.clock.Tick(g.self)
 	vc := g.clock.Copy()
-	seq := vc.Get(g.self)
 	g.lastVC = vc
-	g.tracker.mark(seq)
-	for _, s := range sends {
-		sent += len(s.Dests)
-		for from, dests := range g.tracker.advance(s.Dests, seq) {
-			wire, err := encodeMessage(&message{Kind: kindData, VC: vc, SkipFrom: from, Payload: s.Payload})
-			if err != nil {
-				g.mu.Unlock()
-				return err
-			}
-			frames = append(frames, frame{dests: dests, wire: wire})
-		}
-	}
-	pruned := len(g.inner.members.snapshot()) - sent
-	obs := g.observer
-	g.mu.Unlock()
-	if obs != nil && pruned > 0 {
-		obs(uint64(pruned), 0)
-	}
-	for _, f := range frames {
-		if err := g.inner.BroadcastTo(f.dests, f.wire); err != nil {
+	tick := vc.Get(g.self)
+	for i, s := range sends {
+		wire, err := encodeMessage(&message{Kind: kindData, VC: vc, Payload: s.Payload})
+		if err != nil {
+			g.mu.Unlock()
 			return err
 		}
+		framed[i] = Send{Dests: s.Dests, Payload: wire}
+		for _, d := range s.Dests {
+			g.sent[d] = tick
+		}
 	}
-	return nil
+	frames, err := g.inner.stamp(g.self, framed, few[:0])
+	g.mu.Unlock()
+	g.inner.transmit(frames)
+	return err
 }
 
-// flush ships skip markers carrying the latest publication's clock to
-// every destination trailing the head. The pending range of any lagging
-// destination always ends at the latest publication, so one clock
-// serves every marker. Without the flush a pruned tick could block a
-// causal successor at another node forever (the successor's clock
-// references a tick its holder never sees data for).
+// flush ships a clock marker to every member that was not sent the
+// latest tick. Without it a pruned tick could block a causal successor
+// at another node forever (the successor's clock references a tick its
+// holder never sees data for). A marker overtaken by a later tick's
+// data is harmless: merging a clock never moves it back.
 func (g *Causal) flush() {
-	type frame struct {
-		dests []string
-		wire  []byte
-	}
-	var frames []frame
-	var skips uint64
+	var lagging []string
 	g.mu.Lock()
-	vc := g.lastVC
-	for from, dests := range g.tracker.lagging(g.inner.members.snapshot()) {
-		wire, err := encodeMessage(&message{Kind: kindSkip, VC: vc, SkipFrom: from})
-		if err != nil {
-			continue
+	tick, vc, obs := g.clock.Get(g.self), g.lastVC, g.observer
+	for _, d := range g.inner.members.snapshot() {
+		if d != g.self && g.sent[d] < tick {
+			g.sent[d] = tick
+			lagging = append(lagging, d)
 		}
-		frames = append(frames, frame{dests: dests, wire: wire})
-		skips += uint64(len(dests))
 	}
-	obs := g.observer
 	g.mu.Unlock()
-	if obs != nil && skips > 0 {
-		obs(0, skips)
+	if len(lagging) == 0 {
+		return
 	}
-	for _, f := range frames {
-		_ = g.inner.BroadcastTo(f.dests, f.wire)
+	wire, err := encodeMessage(&message{Kind: kindSkip, VC: vc})
+	if err != nil {
+		return
 	}
+	if obs != nil {
+		obs(0, uint64(len(lagging)))
+	}
+	_ = g.inner.BroadcastTo(lagging, wire)
 }
 
 // Close implements Group.
@@ -179,26 +169,17 @@ func (g *Causal) onInner(origin string, data []byte) {
 	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
 		return
 	}
-
 	if origin == g.self {
 		// Own publications were ticked at Broadcast and are always
-		// locally deliverable in publication order; own skip markers
-		// carry a clock the local node already holds.
+		// locally deliverable in publication order.
 		if m.Kind == kindData {
 			g.deliver(origin, m.Payload)
 		}
 		return
 	}
 
-	h := heldMsg{
-		origin:  origin,
-		vc:      m.VC,
-		from:    coveredFrom(m.SkipFrom, m.VC.Get(origin)),
-		skip:    m.Kind == kindSkip,
-		payload: m.Payload,
-	}
 	g.mu.Lock()
-	g.hold = append(g.hold, h)
+	g.hold = append(g.hold, heldMsg{origin: origin, vc: m.VC, marker: m.Kind == kindSkip, payload: m.Payload})
 	ready := g.releaseLocked()
 	g.mu.Unlock()
 
@@ -207,57 +188,36 @@ func (g *Causal) onInner(origin string, data []byte) {
 	}
 }
 
-// releaseLocked repeatedly scans the hold-back queue, releasing every
-// message whose causal predecessors have been delivered (or covered by
-// a consumed skip range) and dropping frames entirely below the local
-// clock, until a fixpoint is reached. Consuming a skip marker merges
-// its clock without producing a delivery. Caller holds g.mu.
+// releaseLocked releases, until none is left, the earliest held frame
+// whose causal predecessors have been delivered (or covered by a
+// consumed marker). Starting over from the front after every release
+// keeps an origin's frames in link order: a later one depends on
+// everything an earlier one does. Consuming a marker merges its clock
+// without producing a delivery. Caller holds g.mu.
 func (g *Causal) releaseLocked() []heldMsg {
 	var ready []heldMsg
-	for {
-		progress := false
-		for i := 0; i < len(g.hold); i++ {
-			h := g.hold[i]
-			if h.vc.Get(h.origin) <= g.clock.Get(h.origin) {
-				// Already covered (a stale or duplicate range): drop.
-				g.hold = append(g.hold[:i], g.hold[i+1:]...)
-				i--
-				progress = true
-				continue
-			}
-			if !g.deliverableLocked(h) {
-				continue
-			}
-			// Deliver: advance the local clock to include it (for a
-			// range frame this steps over every skipped tick at once).
-			g.clock.Merge(h.vc)
-			if !h.skip {
-				ready = append(ready, h)
-			}
-			g.hold = append(g.hold[:i], g.hold[i+1:]...)
-			i--
-			progress = true
-		}
-		if !progress {
-			return ready
-		}
-	}
-}
-
-// deliverableLocked applies the CBCAST condition, range-aware: the
-// frame is deliverable once the start of the origin-tick range it
-// covers is next (everything between it and the frame's own tick was
-// deliberately skipped for this node) and no other origin's entry is
-// ahead of the local clock.
-func (g *Causal) deliverableLocked(h heldMsg) bool {
-	if h.from > g.clock.Get(h.origin)+1 {
-		return false
-	}
-	for k, v := range h.vc {
-		if k == h.origin {
+	for i := 0; i < len(g.hold); {
+		h := g.hold[i]
+		if !g.deliverableLocked(h) {
+			i++
 			continue
 		}
-		if v > g.clock.Get(k) {
+		g.clock.Merge(h.vc)
+		if !h.marker {
+			ready = append(ready, h)
+		}
+		g.hold = slices.Delete(g.hold, i, i+1)
+		i = 0
+	}
+	return ready
+}
+
+// deliverableLocked applies the CBCAST condition as it stands on an
+// in-order link: the frame is its origin's next, so all that can be
+// missing is another origin's entry ahead of the local clock.
+func (g *Causal) deliverableLocked(h heldMsg) bool {
+	for k, v := range h.vc {
+		if k != h.origin && v > g.clock.Get(k) {
 			return false
 		}
 	}

@@ -81,9 +81,9 @@ func (o Options) withDefaults() Options {
 // A Send is one slice of an interest-pruned publication: a payload and
 // the destinations owed it. The dissemination layer (dace) passes one
 // Send per publication, the interested nodes; the slice form lets a
-// caller address different payloads to disjoint destination sets under
-// one publication sequence number, which all Sends of one
-// BroadcastSplit call share.
+// caller address different payloads to disjoint destination sets as one
+// publication: BroadcastSplit places all Sends of a call at one point
+// of every link's order.
 type Send struct {
 	Dests   []string
 	Payload []byte
@@ -91,97 +91,12 @@ type Send struct {
 
 // PruneObserver receives the interest-pruning counters of a group:
 // prunedSends counts per-destination data frames not sent because the
-// destination had no matching subscriber, skipFrames the
-// per-destination skip-marker frames shipped instead (amortized over
-// flush ticks, so typically far fewer). Implementations must be safe
-// for concurrent use and must not call back into the group.
+// destination had no matching subscriber, skipFrames the causal clock
+// markers shipped to such destinations instead (one per destination per
+// flush tick at most; FIFO and total order need none). Implementations
+// must be safe for concurrent use and must not call back into the
+// group.
 type PruneObserver func(prunedSends, skipFrames uint64)
-
-// skipTracker is the publisher-side bookkeeping of the skip-marker
-// protocol shared by the ordered classes: per destination, the highest
-// publication sequence already covered by something handed to the
-// reliable layer (a data frame or a skip marker), plus the head — the
-// latest sequence published at all. Any destination whose covered
-// sequence trails the head is owed a skip marker at the next flush.
-// Callers hold their group's mutex.
-type skipTracker struct {
-	head uint64
-	last map[string]uint64
-}
-
-func newSkipTracker() *skipTracker {
-	return &skipTracker{last: make(map[string]uint64)}
-}
-
-// advance records a data send of seq to dests and returns them grouped
-// by the SkipFrom their frame must carry (one past each destination's
-// covered sequence, so the frame also heals any pruning gap behind it).
-func (t *skipTracker) advance(dests []string, seq uint64) map[uint64][]string {
-	if seq > t.head {
-		t.head = seq
-	}
-	groups := make(map[uint64][]string, 1)
-	for _, d := range dests {
-		from := t.last[d] + 1
-		groups[from] = append(groups[from], d)
-		t.last[d] = seq
-	}
-	return groups
-}
-
-// mark advances the head without sending (a publication pruned for
-// every destination still advances the sequence space).
-func (t *skipTracker) mark(seq uint64) {
-	if seq > t.head {
-		t.head = seq
-	}
-}
-
-// lagging returns the members whose covered sequence trails the head,
-// grouped by the SkipFrom their skip marker must carry, recording them
-// as covered through the head (the marker rides the reliable layer, so
-// handing it over is enough).
-func (t *skipTracker) lagging(members []string) map[uint64][]string {
-	if t.head == 0 {
-		return nil
-	}
-	var groups map[uint64][]string
-	for _, d := range members {
-		if t.last[d] >= t.head {
-			continue
-		}
-		if groups == nil {
-			groups = make(map[uint64][]string)
-		}
-		from := t.last[d] + 1
-		groups[from] = append(groups[from], d)
-		t.last[d] = t.head
-	}
-	return groups
-}
-
-// retain drops tracking state for departed members.
-func (t *skipTracker) retain(members []string) {
-	keep := make(map[string]bool, len(members))
-	for _, m := range members {
-		keep[m] = true
-	}
-	for d := range t.last {
-		if !keep[d] {
-			delete(t.last, d)
-		}
-	}
-}
-
-// coveredFrom normalizes a frame's skip range start against its top
-// sequence: zero (a pre-pruning sender) or a start beyond the top
-// (corrupt) collapses the range to the top alone.
-func coveredFrom(skipFrom, top uint64) uint64 {
-	if skipFrom == 0 || skipFrom > top {
-		return top
-	}
-	return skipFrom
-}
 
 // membership is the shared mutable member list of a group.
 type membership struct {

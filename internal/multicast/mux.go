@@ -11,10 +11,12 @@
 //
 //   - BestEffort — unicast fanout, no guarantees (the IP-multicast stand-in)
 //   - Reliable   — link-sequenced, cumulatively acknowledged sender-driven
-//     reliable broadcast
-//   - FIFO       — per-publisher order on top of Reliable
+//     reliable broadcast, released in link order: the one sequencing
+//     mechanism of the package
+//   - FIFO       — per-publisher order: the Reliable link under its own name
 //   - Causal     — vector-clock causal order on top of Reliable
-//   - Total      — fixed-sequencer total order on top of Reliable
+//   - Total      — fixed-sequencer total order: one Reliable link to the
+//     sequencer, its atomic broadcasts back
 //   - Certified  — durable delivery backed by a store.Log, surviving
 //     subscriber disconnection
 //   - Gossip     — probabilistic broadcast in the style of lpbcast

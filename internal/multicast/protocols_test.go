@@ -2,9 +2,12 @@ package multicast
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"govents/internal/netsim"
 	"govents/internal/store"
@@ -465,6 +468,102 @@ func TestTotalOrderAgreement(t *testing.T) {
 			if got[j] != ref[j] {
 				t.Fatalf("node %d position %d = %q, reference %q: total order violated", i+1, j, got[j], ref[j])
 			}
+		}
+	}
+}
+
+// stateSize sums, over everything reachable from v through this
+// package's own types, the entries of every map and the capacity of
+// every slice that is not a byte string: what a group remembers, in
+// units that a table keyed by message would grow by one per message.
+// The mux, the transport beneath it and the logger are not the group's.
+func stateSize(v reflect.Value, seen map[unsafe.Pointer]bool) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.UnsafePointer()] || v.Type() == reflect.TypeOf((*Mux)(nil)) {
+			return 0
+		}
+		seen[v.UnsafePointer()] = true
+		return stateSize(v.Elem(), seen)
+	case reflect.Struct:
+		if v.Type().PkgPath() != reflect.TypeOf(Reliable{}).PkgPath() {
+			return 0
+		}
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += stateSize(v.Field(i), seen)
+		}
+		return n
+	case reflect.Map:
+		n := v.Len()
+		for it := v.MapRange(); it.Next(); {
+			n += stateSize(it.Value(), seen)
+		}
+		return n
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return 0
+		}
+		n := v.Cap()
+		for i := 0; i < v.Len(); i++ {
+			n += stateSize(v.Index(i), seen)
+		}
+		return n
+	}
+	return 0
+}
+
+// TestTotalStateBoundedByInFlight publishes 20 000 messages from a
+// member that is not the sequencer, at most a window of them in flight:
+// afterwards neither the sequencer, nor the publisher, nor a third
+// member may hold anything that grew with the messages sequenced.
+func TestTotalStateBoundedByInFlight(t *testing.T) {
+	net := netsim.New(netsim.Config{MaxLatency: 200 * time.Microsecond, Seed: 13})
+	defer net.Close()
+	names := []string{"seq", "b", "c"}
+	groups := make(map[string]*Total)
+	var atC atomic.Int64
+	for _, name := range names {
+		deliver := func(string, []byte) {}
+		if name == "c" {
+			deliver = func(string, []byte) { atC.Add(1) }
+		}
+		g := NewTotal(newTestNode(t, net, name).mux, "cls", "seq", deliver, Options{})
+		g.SetMembers(names)
+		defer g.Close()
+		groups[name] = g
+	}
+
+	const total, window = 20_000, 256
+	payload := []byte("m")
+	for i := int64(0); i < total; i++ {
+		for i-atC.Load() >= window {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := groups["b"].Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 30*time.Second, "all delivered", func() bool { return atC.Load() == total })
+	waitFor(t, 30*time.Second, "all acknowledged", func() bool {
+		return groups["b"].req.Outstanding() == 0 && groups["seq"].inner.Outstanding() == 0
+	})
+
+	// A queue's backing array keeps the capacity of the deepest it has
+	// been, which is the traffic in flight: the window, plus what awaits
+	// a batched acknowledgement. The sequencer has half a dozen such
+	// queues (two links out, two delivery queues and their spares), a few
+	// hundred deep each: thousands in sum, not 20 000.
+	const bound = total / 4
+	for _, name := range names {
+		g := groups[name]
+		for what, link := range map[string]*Reliable{"request": g.req, "broadcast": g.inner} {
+			if queued, _, ahead, held := linkState(link); queued != 0 || ahead != 0 || held != 0 {
+				t.Errorf("%s, %s link at rest: %d frames queued, %d held in %d runs; want none", name, what, queued, held, ahead)
+			}
+		}
+		if n := stateSize(reflect.ValueOf(g), map[unsafe.Pointer]bool{}); n > bound {
+			t.Errorf("%s holds %d entries after %d messages, want at most %d", name, n, total, bound)
 		}
 	}
 }

@@ -11,51 +11,11 @@ import (
 	"govents/internal/netsim"
 )
 
-func TestSkipTrackerRanges(t *testing.T) {
-	tr := newSkipTracker()
-	// seq 1 to b only.
-	g := tr.advance([]string{"b"}, 1)
-	if len(g) != 1 || len(g[1]) != 1 || g[1][0] != "b" {
-		t.Fatalf("advance(1) = %v", g)
-	}
-	// seq 2 to b and c: b continues at 2, c heals 1..2.
-	g = tr.advance([]string{"b", "c"}, 2)
-	if len(g[2]) != 1 || g[2][0] != "b" || len(g[1]) != 1 || g[1][0] != "c" {
-		t.Fatalf("advance(2) = %v", g)
-	}
-	// seq 3 pruned for everyone.
-	tr.mark(3)
-	lag := tr.lagging([]string{"b", "c", "d"})
-	// b and c trail from 3, the never-seen d from 1.
-	if len(lag[3]) != 2 || len(lag[1]) != 1 || lag[1][0] != "d" {
-		t.Fatalf("lagging = %v", lag)
-	}
-	if lag2 := tr.lagging([]string{"b", "c", "d"}); lag2 != nil {
-		t.Fatalf("second lagging = %v, want nil (already covered)", lag2)
-	}
-	tr.retain([]string{"b"})
-	if _, ok := tr.last["c"]; ok {
-		t.Fatal("retain kept departed member")
-	}
-}
-
-func TestCoveredFrom(t *testing.T) {
-	for _, tc := range []struct{ from, top, want uint64 }{
-		{0, 7, 7}, // pre-pruning sender: top only
-		{9, 7, 7}, // corrupt range: top only
-		{3, 7, 3}, // real range
-		{7, 7, 7}, // single
-	} {
-		if got := coveredFrom(tc.from, tc.top); got != tc.want {
-			t.Errorf("coveredFrom(%d,%d) = %d, want %d", tc.from, tc.top, got, tc.want)
-		}
-	}
-}
-
-// TestFIFOSplitPrunesAndHeals pins the skip protocol on FIFO: data
-// frames go only to the Send destinations, and the range carried on the
-// next frame a destination does receive heals its sequence hole without
-// waiting for a flush.
+// TestFIFOSplitPrunesAndHeals pins interest pruning on FIFO: data
+// frames go only to the Send destinations, a destination pruned for a
+// while has no hole to wait behind when it is addressed again, and
+// nothing at all, no marker either, travels to a destination while it
+// is pruned.
 func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -76,13 +36,13 @@ func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 	var pruned, skips atomic.Uint64
 	ga.SetPruneObserver(func(p, s uint64) { pruned.Add(p); skips.Add(s) })
 
-	// seq 1,2 to b only; seq 3 to both.
+	// m1, m2 to b only; m3 to both.
 	_ = ga.BroadcastSplit([]Send{{Dests: []string{"b"}, Payload: []byte("m1")}})
 	_ = ga.BroadcastSplit([]Send{{Dests: []string{"b"}, Payload: []byte("m2")}})
 	_ = ga.BroadcastSplit([]Send{{Dests: []string{"b", "c"}, Payload: []byte("m3")}})
 
 	waitFor(t, 5*time.Second, "b gets all three", func() bool { return b.count() == 3 })
-	waitFor(t, 5*time.Second, "c gets m3 over the healed gap", func() bool { return c.count() == 1 })
+	waitFor(t, 5*time.Second, "c gets m3 with nothing to heal", func() bool { return c.count() == 1 })
 	if got := b.payloads(); got[0] != "m1" || got[1] != "m2" || got[2] != "m3" {
 		t.Fatalf("b order = %v", got)
 	}
@@ -93,46 +53,30 @@ func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 	if pruned.Load() < 5 {
 		t.Errorf("pruned = %d, want >= 5", pruned.Load())
 	}
-}
 
-// TestFIFOFlushAdvancesIdleDestination pins the flush path: a
-// destination that stops being interested receives amortized skip
-// markers, so its holder's expected sequence keeps up without data.
-func TestFIFOFlushAdvancesIdleDestination(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	a := newTestNode(t, net, "a")
-	c := newTestNode(t, net, "c")
-	ga := NewFIFO(a.mux, "cls", a.record, fastOpts())
-	gc := NewFIFO(c.mux, "cls", c.record, fastOpts())
-	defer ga.Close()
-	defer gc.Close()
-	ga.SetMembers([]string{"a", "c"})
-	gc.SetMembers([]string{"a", "c"})
-
-	var skips atomic.Uint64
-	ga.SetPruneObserver(func(_, s uint64) { skips.Add(s) })
-
+	// With c cut off from a, every frame between the two is one the
+	// network drops and counts. Publications pruned for c, and the
+	// retransmission periods after them, must add none.
+	waitFor(t, 5*time.Second, "everything acknowledged", func() bool { return ga.Outstanding() == 0 })
+	net.Settle()
+	net.Partition([]string{"a"}, []string{"c"})
+	net.ResetStats()
 	for i := 0; i < 5; i++ {
-		_ = ga.BroadcastSplit([]Send{{Dests: nil, Payload: []byte("x")}})
+		_ = ga.BroadcastSplit([]Send{{Dests: []string{"b"}, Payload: []byte("to-b")}})
 	}
-	waitFor(t, 5*time.Second, "c's expected advanced by skips", func() bool {
-		gc.mu.Lock()
-		defer gc.mu.Unlock()
-		return gc.expected["a"] == 6
-	})
-	if c.count() != 0 {
-		t.Fatalf("c delivered %d pruned events", c.count())
+	waitFor(t, 5*time.Second, "b gets the pruned batch", func() bool { return b.count() == 8 })
+	waitFor(t, 5*time.Second, "the pruned batch acknowledged", func() bool { return ga.Outstanding() == 0 })
+	time.Sleep(4 * fastOpts().RetransmitInterval)
+	net.Settle()
+	if _, _, dropped, _ := net.Stats(); dropped != 0 {
+		t.Errorf("%d frames travelled between a and the pruned c, want none", dropped)
 	}
-	if skips.Load() == 0 {
-		t.Error("no skip frames counted")
+	if skips.Load() != 0 {
+		t.Errorf("%d marker frames counted, want none", skips.Load())
 	}
-	// a's own holder advanced too (flush includes self).
-	waitFor(t, 5*time.Second, "a's own expected advanced", func() bool {
-		ga.mu.Lock()
-		defer ga.mu.Unlock()
-		return ga.expected["a"] == 6
-	})
+	if c.count() != 1 {
+		t.Errorf("c delivered %d events, want 1", c.count())
+	}
 }
 
 // TestCausalSkipFlushCrossOriginLiveness pins the liveness role of the
@@ -174,12 +118,11 @@ func TestCausalSkipFlushCrossOriginLiveness(t *testing.T) {
 	}
 }
 
-// TestTotalPlannerFiltersAfterStamping pins the sequencer rule: the
-// global sequence is stamped before interest filtering, so every member
-// observes a gap-free sequence and any two members deliver their common
-// events in the same relative order. An uninterested origin receives an
-// immediate stamped skip carrying its request ID, stopping its
-// retransmission loop.
+// TestTotalPlannerFiltersAfterStamping pins the sequencer rule: every
+// publication takes one place in the sequencer's order whoever is
+// interested in it, so any two members deliver their common events in
+// the same relative order, and an origin that is not interested in its
+// own publication still gets it sequenced.
 func TestTotalPlannerFiltersAfterStamping(t *testing.T) {
 	net := netsim.New(netsim.Config{MaxLatency: 2 * time.Millisecond, Seed: 7})
 	defer net.Close()
@@ -235,45 +178,104 @@ func TestTotalPlannerFiltersAfterStamping(t *testing.T) {
 		return b.count() == wantB && c.count() == wantC && seq.count() == wantSeq
 	})
 
-	// Pending requests all drained — including those whose origin was
-	// not interested (the stamped skip carries the request ID).
-	waitFor(t, 5*time.Second, "pending drained", func() bool {
-		gb.mu.Lock()
-		pb := len(gb.pending)
-		gb.mu.Unlock()
-		gc.mu.Lock()
-		pc := len(gc.pending)
-		gc.mu.Unlock()
-		return pb == 0 && pc == 0
-	})
-
 	// Any two members deliver their common events in the same relative
-	// order (a single gap-free global sequence).
-	pair := func(x, y []string) {
-		t.Helper()
-		set := make(map[string]bool, len(y))
-		for _, p := range y {
-			set[p] = true
-		}
-		var common []string
-		for _, p := range x {
-			if set[p] {
-				common = append(common, p)
-			}
-		}
-		j := 0
-		for _, p := range y {
-			if j < len(common) && p == common[j] {
-				j++
-			}
-		}
-		if j != len(common) {
-			t.Fatalf("common events ordered differently:\n%v\nvs\n%v", x, y)
+	// order (each sees a subsequence of the sequencer's one order).
+	commonOrderAgrees(t, b.payloads(), c.payloads())
+	commonOrderAgrees(t, b.payloads(), seq.payloads())
+	commonOrderAgrees(t, c.payloads(), seq.payloads())
+}
+
+// commonOrderAgrees fails the test unless the events x and y share
+// appear in the same relative order in both.
+func commonOrderAgrees(t *testing.T, x, y []string) {
+	t.Helper()
+	set := make(map[string]bool, len(y))
+	for _, p := range y {
+		set[p] = true
+	}
+	var common []string
+	for _, p := range x {
+		if set[p] {
+			common = append(common, p)
 		}
 	}
-	pair(b.payloads(), c.payloads())
-	pair(b.payloads(), seq.payloads())
-	pair(c.payloads(), seq.payloads())
+	j := 0
+	for _, p := range y {
+		if j < len(common) && p == common[j] {
+			j++
+		}
+	}
+	if j != len(common) {
+		t.Fatalf("common events ordered differently:\n%v\nvs\n%v", x, y)
+	}
+}
+
+// TestTotalConcurrentSequencerSplitAgreement pins the single stamping
+// critical section: several goroutines publish at the sequencer at once
+// through a planner that sends every publication to a different subset
+// of the members, over a network that reorders, and still every pair of
+// members (the sequencer's own delivery included) agrees on the order
+// of the events both received.
+func TestTotalConcurrentSequencerSplitAgreement(t *testing.T) {
+	net := netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 23})
+	defer net.Close()
+	names := []string{"seq", "b", "c", "d"}
+	nodes := make([]*testNode, len(names))
+	groups := make([]*Total, len(names))
+	for i, name := range names {
+		nodes[i] = newTestNode(t, net, name)
+		groups[i] = NewTotal(nodes[i].mux, "cls", "seq", nodes[i].record, fastOpts())
+		groups[i].SetMembers(names)
+		defer groups[i].Close()
+	}
+	// The payload's first byte is the set of members it goes to.
+	groups[0].SetPlanner(func(payload []byte) ([]Send, bool) {
+		var dests []string
+		for i, name := range names {
+			if payload[0]&(1<<i) != 0 {
+				dests = append(dests, name)
+			}
+		}
+		return []Send{{Dests: dests, Payload: payload}}, true
+	})
+
+	const publishers, per = 6, 60
+	want := make([]int, len(names))
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		for i := 0; i < per; i++ {
+			mask := (p*per+i)%15 + 1
+			for k := range names {
+				if mask&(1<<k) != 0 {
+					want[k]++
+				}
+			}
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				mask := byte((p*per+i)%15 + 1)
+				if err := groups[0].Broadcast(append([]byte{mask}, fmt.Sprintf("p%d-%d", p, i)...)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	waitFor(t, 15*time.Second, "every member's share", func() bool {
+		for k, n := range nodes {
+			if n.count() != want[k] {
+				return false
+			}
+		}
+		return true
+	})
+	for i := range nodes {
+		for j := i + 1; j < len(nodes); j++ {
+			commonOrderAgrees(t, nodes[i].payloads(), nodes[j].payloads())
+		}
+	}
 }
 
 // TestTotalPlannerFailOpen pins the fail-open rule: a planner that
@@ -396,35 +398,4 @@ func TestGossipRandomEdgesCrossInterestBoundary(t *testing.T) {
 		}
 		return reached >= n*3/4
 	})
-}
-
-// TestFIFOPrunedInteropWithUnprunedFrames pins wire compatibility: a
-// holder must consume both range-carrying frames and pre-pruning frames
-// (SkipFrom zero) from the same origin.
-func TestFIFOPrunedInteropWithUnprunedFrames(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	a := newTestNode(t, net, "a")
-	b := newTestNode(t, net, "b")
-	ga := NewFIFO(a.mux, "cls", a.record, fastOpts())
-	gb := NewFIFO(b.mux, "cls", b.record, fastOpts())
-	defer ga.Close()
-	defer gb.Close()
-	ga.SetMembers([]string{"a", "b"})
-	gb.SetMembers([]string{"a", "b"})
-
-	// Plain broadcasts produce full-membership sends whose frames carry
-	// from == last+1 ranges; interleave with explicit splits.
-	_ = ga.Broadcast([]byte("m1"))
-	_ = ga.BroadcastSplit([]Send{{Dests: []string{"b"}, Payload: []byte("m2")}})
-	_ = ga.Broadcast([]byte("m3"))
-	waitFor(t, 5*time.Second, "b gets all", func() bool { return b.count() == 3 })
-	if got := b.payloads(); got[0] != "m1" || got[1] != "m2" || got[2] != "m3" {
-		t.Fatalf("b order = %v", got)
-	}
-	// a skipped m2 for itself (not in the Send), so it delivers m1,m3.
-	waitFor(t, 5*time.Second, "a gets its two", func() bool { return a.count() == 2 })
-	if got := a.payloads(); got[0] != "m1" || got[1] != "m3" {
-		t.Fatalf("a order = %v", got)
-	}
 }

@@ -3,6 +3,7 @@ package multicast
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,37 +17,45 @@ import (
 // published, a reliable obvent will be received by any notifiable that
 // is up for long enough".
 //
-// Identity and acknowledgement are per link — one (origin → destination)
-// pair — not per message. The sender numbers what it sends each
-// destination 1, 2, 3, … and stamps every data frame with its epoch
+// Identity, acknowledgement and order are per link — one (origin →
+// destination) pair — not per message. The sender numbers what it sends
+// each destination 1, 2, 3, … and stamps every data frame with its epoch
 // (the incarnation of this group: a restarted sender starts a new link
 // rather than being mistaken for its own duplicates) and its base, the
 // lowest link sequence it still owes that destination. The receiver
 // keeps, per origin, the cumulative sequence below which everything is
-// settled plus the runs of sequences delivered ahead of it, delivers
-// every first arrival at once whatever its position (ordering is the job
-// of FIFO, Causal and Total above), and acknowledges cumulatively and in
+// settled plus the runs of sequences received ahead of it, and hands
+// frames to its upcall in link-sequence order: a frame waits only while
+// a hole sits below it, and a hole closes by arrival, by retransmission
+// or by the sender's base passing it. That order is all the FIFO class
+// needs and what Causal and Total build on; nothing above this type
+// numbers messages again. The receiver acknowledges cumulatively and in
 // batches: when ackEvery frames are unacknowledged, when the
 // acknowledgement timer (a quarter of RetransmitInterval) finds any, and
 // at once for a frame arriving in a timer period in which no
 // acknowledgement has gone out yet (a lone message, or a lone duplicate
 // whose acknowledgement was lost, is answered as promptly as ever; only
 // sustained traffic is batched). The sender retransmits only what has
-// gone a full RetransmitInterval without acknowledgement. The "Link
-// protocol" section of the govents package documentation has the frame
-// layouts and the rules in full.
+// gone a full RetransmitInterval without acknowledgement, and the timer
+// period in which it abandons a frame (RetransmitLimit, or the
+// destination leaving the membership) announces the base that moved, so
+// that what the receiver holds behind the hole is released without
+// waiting for the next publication. The "Link protocol" section of the
+// govents package documentation has the frame layouts and the rules in
+// full.
 //
 // State on both ends is bounded by the traffic in flight: the sender
 // holds one queue entry per (message, destination) pair sent since the
 // oldest one still unacknowledged, the receiver one run per hole in what
-// it has received (at most maxAhead per origin), and both one small
-// record per peer ever addressed or heard. Nothing is remembered per
-// delivered message.
+// it has received (at most maxAhead per origin) and the frames of those
+// runs, and both one small record per peer ever addressed or heard.
+// Nothing is remembered per delivered message.
 //
 // The protocol tolerates message loss and duplication but not publisher
-// crash (there is no relay phase, so a frame's origin is the transport's
-// sender); that stronger guarantee is the domain of the Certified
-// protocol backed by stable storage.
+// crash (there is no relay phase: Total's sequencer, the one sender that
+// publishes on behalf of others, names the publisher on the frame); that
+// stronger guarantee is the domain of the Certified protocol backed by
+// stable storage.
 type Reliable struct {
 	mux    *Mux
 	stream string
@@ -58,11 +67,15 @@ type Reliable struct {
 	members membership
 	lc      *lifecycle
 
-	mu    sync.Mutex
-	gen   uint64              // acknowledgement-timer periods elapsed
-	bcast uint64              // broadcasts issued; names a broadcast across its links
-	out   map[string]*outLink // destination -> what it has not acknowledged
-	in    map[string]*inLink  // origin -> what has been delivered from it
+	// mu is also the stamping lock: a broadcast takes its place on every
+	// link, the local delivery queue included, in one critical section,
+	// and a receiver queues what a frame releases in the one that books it.
+	mu       sync.Mutex
+	gen      uint64              // acknowledgement-timer periods elapsed
+	bcast    uint64              // broadcasts issued; names a broadcast across its links
+	out      map[string]*outLink // destination -> what it has not acknowledged
+	in       map[string]*inLink  // origin -> what has been received from it
+	observer PruneObserver       // optional pruning counters sink
 }
 
 // The acknowledgement policy's constants; the timer is the one knob
@@ -80,10 +93,10 @@ const (
 	// that a single acknowledgement names (the lowest ones: they are the
 	// next the cumulative sequence will absorb).
 	maxAckList = 32
-	// maxAhead bounds the runs a receiver remembers per origin, that is
-	// the holes it tolerates in what it has received. A frame that would
-	// open one more is dropped unacknowledged and comes back by
-	// retransmission once the holes below it have filled.
+	// maxAhead bounds the runs a receiver holds per origin, that is the
+	// holes it tolerates in what it has received. A frame that would open
+	// one more is dropped unacknowledged and comes back by retransmission
+	// once the holes below it have filled.
 	maxAhead = 256
 )
 
@@ -118,9 +131,11 @@ type outLink struct {
 }
 
 // outEntry is one unacknowledged frame of a link. The payload is the
-// broadcast's, shared by all its destinations.
+// broadcast's, shared by all its destinations; origin is empty unless
+// the broadcast was on another node's behalf.
 type outEntry struct {
 	payload  []byte
+	origin   string
 	bcast    uint64
 	gen      uint64 // timer period of the latest transmission
 	attempts int    // retransmissions so far
@@ -139,9 +154,9 @@ func (l *outLink) base() uint64 {
 }
 
 // push queues a new frame and returns its link sequence.
-func (l *outLink) push(payload []byte, bcast, gen uint64) uint64 {
+func (l *outLink) push(payload []byte, origin string, bcast, gen uint64) uint64 {
 	l.next++
-	l.entries = append(l.entries, outEntry{payload: payload, bcast: bcast, gen: gen})
+	l.entries = append(l.entries, outEntry{payload: payload, origin: origin, bcast: bcast, gen: gen})
 	return l.next
 }
 
@@ -179,17 +194,23 @@ type seqRange struct{ lo, hi uint64 }
 type inLink struct {
 	epoch uint64
 	// cum is the cumulative sequence: every sequence up to it has been
-	// delivered, or written off by the sender's base.
+	// handed to the upcall, or written off by the sender's base.
 	cum uint64
-	// ahead holds what was delivered beyond cum as runs: ascending,
+	// ahead holds what was received beyond cum as runs: ascending,
 	// disjoint, and at least one missing sequence apart from each other
 	// and from cum. Its length is the number of holes, not of frames.
-	ahead   []seqRange
+	ahead []seqRange
+	// held keeps the frames of those runs, by link sequence, until cum
+	// reaches them.
+	held map[uint64]queuedMsg
+	// ready collects, in link order, the frames raise and note release;
+	// the caller queues and clears it.
+	ready   []queuedMsg
 	unacked int    // data frames received since the last acknowledgement
 	ackGen  uint64 // timer period of the last acknowledgement
 }
 
-// raise applies a data frame's base: nothing below it is owed any more.
+// raise applies a sender's base: nothing below it is owed any more.
 func (l *inLink) raise(base uint64) {
 	if base-1 <= l.cum {
 		return
@@ -198,16 +219,20 @@ func (l *inLink) raise(base uint64) {
 	l.absorb()
 }
 
-// absorb drops the runs cum has overtaken and moves it to the end of
-// one it has reached.
+// absorb releases the runs cum has reached or overtaken and moves it to
+// the end of the last of them.
 func (l *inLink) absorb() {
-	if len(l.ahead) == 0 {
-		return
-	}
 	n := 0
-	for n < len(l.ahead) && l.ahead[n].lo <= l.cum+1 {
-		l.cum = max(l.cum, l.ahead[n].hi)
-		n++
+	for ; n < len(l.ahead) && l.ahead[n].lo <= l.cum+1; n++ {
+		r := l.ahead[n]
+		for seq := r.lo; ; seq++ {
+			l.ready = append(l.ready, l.held[seq])
+			delete(l.held, seq)
+			if seq == r.hi {
+				break
+			}
+		}
+		l.cum = max(l.cum, r.hi)
 	}
 	l.ahead = slices.Delete(l.ahead, 0, n)
 }
@@ -223,7 +248,7 @@ func (l *inLink) after(seq uint64) int {
 	return i
 }
 
-// seen reports whether seq was delivered (or written off) before.
+// seen reports whether seq was received (or written off) before.
 func (l *inLink) seen(seq uint64) bool {
 	if seq <= l.cum {
 		return true
@@ -232,12 +257,14 @@ func (l *inLink) seen(seq uint64) bool {
 	return i > 0 && l.ahead[i-1].hi >= seq
 }
 
-// note records the first delivery of seq. It reports false when seq
-// would open one hole more than a link remembers, in which case the
-// frame must be dropped.
-func (l *inLink) note(seq uint64) bool {
+// note records the first arrival of seq and its frame: released at once
+// when it is the next in order, with whatever it was the hole below,
+// and held otherwise. It reports false when seq would open one hole more
+// than a link remembers, in which case the frame must be dropped.
+func (l *inLink) note(seq uint64, msg queuedMsg) bool {
 	if seq == l.cum+1 {
 		l.cum++
+		l.ready = append(l.ready, msg)
 		l.absorb()
 		return true
 	}
@@ -257,6 +284,10 @@ func (l *inLink) note(seq uint64) bool {
 	default:
 		l.ahead = slices.Insert(l.ahead, i, seqRange{seq, seq})
 	}
+	if l.held == nil {
+		l.held = make(map[uint64]queuedMsg)
+	}
+	l.held[seq] = msg
 	return true
 }
 
@@ -331,6 +362,13 @@ func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliab
 // have not acknowledged once it falls due for retransmission.
 func (g *Reliable) SetMembers(members []string) { g.members.set(members) }
 
+// SetPruneObserver installs the pruning-counters sink of BroadcastSplit.
+func (g *Reliable) SetPruneObserver(obs PruneObserver) {
+	g.mu.Lock()
+	g.observer = obs
+	g.mu.Unlock()
+}
+
 // Broadcast implements Group. The local node always receives its own
 // broadcast, whether or not it appears in the membership.
 func (g *Reliable) Broadcast(payload []byte) error {
@@ -344,46 +382,91 @@ func (g *Reliable) Broadcast(payload []byte) error {
 // copied, until every destination has acknowledged it; the caller must
 // not modify it afterwards.
 func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
+	return g.broadcastAs(g.self, []Send{{Dests: dests, Payload: payload}})
+}
+
+// BroadcastSplit publishes one event, shipping each Send's payload to
+// its destinations only and counting the members of no Send as pruned.
+// The publication is atomic with respect to every other broadcast of
+// the group: all its link sequences, and its place in the local
+// delivery queue, are assigned in one critical section, so any two
+// publications are ordered the same way on every link that carries
+// both. A destination of no Send is sent nothing, now or later: it
+// consumed no link sequence, so it has no hole to heal.
+func (g *Reliable) BroadcastSplit(sends []Send) error { return g.broadcastAs(g.self, sends) }
+
+// broadcastAs is BroadcastSplit on behalf of origin.
+func (g *Reliable) broadcastAs(origin string, sends []Send) error {
+	var few [4]linkFrame // the usual fan-out fits; append spills to the heap beyond it
+	frames, err := g.stamp(origin, sends, few[:0])
+	g.transmit(frames)
+	return err
+}
+
+// linkFrame is one link frame and where it goes.
+type linkFrame struct {
+	addr string
+	msg  message
+}
+
+// stamp is the ordering half of a broadcast on behalf of origin, which
+// the frames name when it is not the local node: it queues the
+// publication on every destination's link and for local delivery, and
+// appends to frames what transmit must then send. A caller that orders
+// publications by a mark of its own (Causal's clock tick) marks and
+// stamps under one lock, and transmits outside it.
+func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, error) {
 	if g.lc.closed() {
-		return fmt.Errorf("multicast: reliable %s: closed", g.stream)
+		return frames, fmt.Errorf("multicast: reliable %s: closed", g.stream)
 	}
-	type linkSend struct {
-		addr      string
-		seq, base uint64
+	named := origin
+	if origin == g.self {
+		named = ""
 	}
-	var few [4]linkSend // the usual fan-out fits; append spills to the heap beyond it
-	sends := few[:0]
-	toSelf := false
+	sent, toSelf := 0, false
 
 	g.mu.Lock()
 	g.bcast++
-	for _, addr := range dests {
-		if addr == g.self {
-			toSelf = true
-			continue
+	for _, s := range sends {
+		sent += len(s.Dests)
+		for _, addr := range s.Dests {
+			if addr == g.self {
+				if !toSelf {
+					toSelf = true
+					g.queue.push(origin, s.Payload)
+				}
+				continue
+			}
+			l := g.out[addr]
+			if l == nil {
+				l = &outLink{}
+				g.out[addr] = l
+			}
+			if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
+				continue // addr listed twice
+			}
+			seq := l.push(s.Payload, named, g.bcast, g.gen)
+			frames = append(frames, linkFrame{addr, message{
+				Kind: kindData, Epoch: g.epoch, Seq: seq, Base: l.base(), Origin: named, Payload: s.Payload}})
 		}
-		l := g.out[addr]
-		if l == nil {
-			l = &outLink{}
-			g.out[addr] = l
-		}
-		if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
-			continue // addr listed twice
-		}
-		seq := l.push(payload, g.bcast, g.gen)
-		sends = append(sends, linkSend{addr: addr, seq: seq, base: l.base()})
 	}
+	obs := g.observer
 	g.mu.Unlock()
 
-	for _, s := range sends {
-		// A failed send is a lost frame: retransmission covers it.
-		_ = g.mux.sendMessage(s.addr, g.stream,
-			&message{Kind: kindData, Epoch: g.epoch, Seq: s.seq, Base: s.base, Payload: payload})
+	if obs != nil {
+		if pruned := len(g.members.snapshot()) - sent; pruned > 0 {
+			obs(uint64(pruned), 0)
+		}
 	}
-	if toSelf {
-		g.queue.push(g.self, payload)
+	return frames, nil
+}
+
+// transmit sends link frames. A failed send is a lost frame:
+// retransmission covers it.
+func (g *Reliable) transmit(frames []linkFrame) {
+	for i := range frames {
+		_ = g.mux.sendMessage(frames[i].addr, g.stream, &frames[i].msg)
 	}
-	return nil
 }
 
 // Close implements Group.
@@ -411,27 +494,24 @@ func (g *Reliable) Outstanding() int {
 }
 
 // tick is one acknowledgement-timer period: it acknowledges whatever
-// was delivered and not yet acknowledged, and retransmits (or gives up
+// was received and not yet acknowledged, and retransmits (or gives up
 // on) the frames that have been out for a full RetransmitInterval since
 // they were last sent. A frame sent during period p has been out for
 // ticksPerInterval whole periods only once the generation passes
-// p+ticksPerInterval.
+// p+ticksPerInterval. A link whose base the period moved by abandoning
+// frames, with nothing resent to carry it, gets a base announcement.
 func (g *Reliable) tick() {
-	type frame struct {
-		addr string
-		msg  message
-	}
-	var frames []frame
+	var frames []linkFrame
 
 	g.mu.Lock()
 	g.gen++
 	for origin, l := range g.in {
 		if l.unacked > 0 {
-			frames = append(frames, frame{origin, l.ack(g.gen)})
+			frames = append(frames, linkFrame{origin, l.ack(g.gen)})
 		}
 	}
 	for addr, l := range g.out {
-		first, checked := len(frames), false
+		first, checked, was := len(frames), false, l.base()
 		for i := l.head; i < len(l.entries); i++ {
 			e := &l.entries[i]
 			if e.settled || g.gen-e.gen <= ticksPerInterval {
@@ -450,23 +530,24 @@ func (g *Reliable) tick() {
 			}
 			e.attempts++
 			e.gen = g.gen
-			frames = append(frames, frame{addr, message{
-				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Payload: e.payload}})
+			frames = append(frames, linkFrame{addr, message{
+				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Origin: e.origin, Payload: e.payload}})
 		}
 		if checked {
 			// The base goes on after the trim, so that every resent
 			// frame carries what the give-ups above have moved it to.
 			l.trim()
+			base := l.base()
 			for k := first; k < len(frames); k++ {
-				frames[k].msg.Base = l.base()
+				frames[k].msg.Base = base
+			}
+			if first == len(frames) && base != was {
+				frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Epoch: g.epoch, Base: base}})
 			}
 		}
 	}
 	g.mu.Unlock()
-
-	for i := range frames {
-		_ = g.mux.sendMessage(frames[i].addr, g.stream, &frames[i].msg)
-	}
+	g.transmit(frames)
 }
 
 func (g *Reliable) onMessage(from string, data []byte) {
@@ -475,8 +556,8 @@ func (g *Reliable) onMessage(from string, data []byte) {
 		return
 	}
 	switch m.Kind {
-	case kindData:
-		g.onData(from, &m)
+	case kindData, kindSkip:
+		g.onLink(from, &m)
 	case kindAck:
 		if m.Epoch != g.epoch {
 			return // addressed to an earlier incarnation of this group
@@ -491,18 +572,29 @@ func (g *Reliable) onMessage(from string, data []byte) {
 	}
 }
 
-// onData delivers a data frame's payload unless it is a duplicate, and
-// acknowledges according to the policy in the type's documentation.
-func (g *Reliable) onData(from string, m *message) {
+// onLink books a link frame — a data frame, or a base announcement,
+// which is a base and nothing else — queues for delivery whatever it
+// lets out in link order, and acknowledges a data frame according to
+// the policy in the type's documentation.
+func (g *Reliable) onLink(from string, m *message) {
 	if m.Epoch == 0 || m.Base == 0 {
 		return // not a link frame
+	}
+	origin := from
+	if m.Origin != "" {
+		origin = m.Origin
 	}
 	g.mu.Lock()
 	l := g.in[from]
 	switch {
 	case l == nil || m.Epoch > l.epoch:
 		// A sender never heard from, or its next incarnation: the link
-		// starts at the frame's base.
+		// starts at the frame's base. What is still held of the previous
+		// incarnation goes out first; its holes will never fill.
+		if l != nil {
+			l.raise(math.MaxUint64)
+			g.releaseLocked(l)
+		}
 		l = &inLink{epoch: m.Epoch, cum: m.Base - 1}
 		g.in[from] = l
 	case m.Epoch < l.epoch:
@@ -510,27 +602,34 @@ func (g *Reliable) onData(from string, m *message) {
 		return // a straggler of a dead incarnation
 	}
 	l.raise(m.Base)
-	dup := l.seen(m.Seq)
-	if !dup && !l.note(m.Seq) {
-		g.mu.Unlock()
-		return
-	}
 	// A duplicate is owed an acknowledgement like a first arrival (the
 	// earlier one was lost, or the frame was resent before it landed),
 	// and is batched like one: a burst of retransmissions is answered
-	// by the cumulative acknowledgement its first frame draws.
-	l.unacked++
-	ackNow := l.unacked >= ackEvery || l.ackGen != g.gen
+	// by the cumulative acknowledgement its first frame draws. A frame
+	// note refuses is owed none.
 	var ack message
-	if ackNow {
-		ack = l.ack(g.gen)
+	ackNow := false
+	if m.Kind == kindData && (l.seen(m.Seq) || l.note(m.Seq, queuedMsg{origin, m.Payload})) {
+		l.unacked++
+		if ackNow = l.unacked >= ackEvery || l.ackGen != g.gen; ackNow {
+			ack = l.ack(g.gen)
+		}
 	}
+	g.releaseLocked(l)
 	g.mu.Unlock()
 
 	if ackNow {
 		_ = g.mux.sendMessage(from, g.stream, &ack)
 	}
-	if !dup {
-		g.queue.push(from, m.Payload)
+}
+
+// releaseLocked queues what a link has ready, in order. Caller holds
+// g.mu, which is what keeps two frames of one link from queueing out of
+// turn.
+func (g *Reliable) releaseLocked(l *inLink) {
+	for i, msg := range l.ready {
+		g.queue.push(msg.origin, msg.payload)
+		l.ready[i] = queuedMsg{}
 	}
+	l.ready = l.ready[:0]
 }

@@ -1,9 +1,11 @@
 package multicast
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +14,11 @@ import (
 	"govents/internal/netsim"
 )
 
-// tally counts deliveries per payload at one node.
+// tally counts deliveries per payload at one node and keeps their order.
 type tally struct {
-	mu   sync.Mutex
-	seen map[string]int
+	mu    sync.Mutex
+	seen  map[string]int
+	order []string
 }
 
 func newTally() *tally { return &tally{seen: make(map[string]int)} }
@@ -23,7 +26,14 @@ func newTally() *tally { return &tally{seen: make(map[string]int)} }
 func (c *tally) record(_ string, payload []byte) {
 	c.mu.Lock()
 	c.seen[string(payload)]++
+	c.order = append(c.order, string(payload))
 	c.mu.Unlock()
+}
+
+func (c *tally) delivered() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.order)
 }
 
 func (c *tally) count(payload string) int {
@@ -44,8 +54,9 @@ func (c *tally) total() int {
 
 // linkState reads a group's link bookkeeping: frames queued for
 // acknowledgement (and the capacity kept for them) on the sending side,
-// runs remembered out of order on the receiving side.
-func linkState(g *Reliable) (queued, queueCap, ahead int) {
+// runs received out of order and the frames held for them on the
+// receiving side.
+func linkState(g *Reliable) (queued, queueCap, ahead, held int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, l := range g.out {
@@ -54,15 +65,17 @@ func linkState(g *Reliable) (queued, queueCap, ahead int) {
 	}
 	for _, l := range g.in {
 		ahead += len(l.ahead)
+		held += len(l.held) + len(l.ready)
 	}
-	return queued, queueCap, ahead
+	return queued, queueCap, ahead, held
 }
 
 // TestReliableExactlyOnceProperty drives the link protocol over a
 // network that loses a fifth of the frames, duplicates a fifth and
 // delays each by up to 2 ms: every addressed member gets every message
-// exactly once, nobody else gets it, across subsets, a sender restart
-// and a member that leaves and returns.
+// exactly once and in the order it was sent, nobody else gets it,
+// across subsets, a sender restart and a member that leaves and
+// returns.
 func TestReliableExactlyOnceProperty(t *testing.T) {
 	net := netsim.New(netsim.Config{LossRate: 0.2, DupRate: 0.2, MaxLatency: 2 * time.Millisecond, Seed: 42})
 	defer net.Close()
@@ -82,10 +95,16 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 		}
 	}()
 
-	// expect[node][payload] is true for every delivery owed.
+	// expect[node][payload] is true for every delivery owed, and
+	// inOrder[node] lists them as a, the one sender, sent them.
 	expect := make(map[string]map[string]bool)
+	inOrder := make(map[string][]string)
 	for _, name := range names {
 		expect[name] = make(map[string]bool)
+	}
+	owe := func(name, p string) {
+		expect[name][p] = true
+		inOrder[name] = append(inOrder[name], p)
 	}
 	settle := func(what string) {
 		t.Helper()
@@ -107,6 +126,9 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 			if got, want := tallies[name].total(), len(expect[name]); got != want {
 				t.Fatalf("%s: %s holds %d deliveries, want exactly %d", what, name, got, want)
 			}
+			if got := tallies[name].delivered(); !slices.Equal(got, inOrder[name]) {
+				t.Fatalf("%s: %s delivered out of send order:\n got %v\nwant %v", what, name, got, inOrder[name])
+			}
 		}
 	}
 
@@ -124,7 +146,7 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 		}
 		p := fmt.Sprintf("subset-%03d", i)
 		for _, d := range dests {
-			expect[d][p] = true
+			owe(d, p)
 		}
 		if err := groups["a"].BroadcastTo(dests, []byte(p)); err != nil {
 			t.Fatal(err)
@@ -145,7 +167,7 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := fmt.Sprintf("restart-%03d", i)
 		for _, name := range names {
-			expect[name][p] = true
+			owe(name, p)
 		}
 		if err := groups["a"].Broadcast([]byte(p)); err != nil {
 			t.Fatal(err)
@@ -161,7 +183,7 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p := fmt.Sprintf("absent-%03d", i)
 		for _, name := range []string{"a", "b", "c"} {
-			expect[name][p] = true
+			owe(name, p)
 		}
 		if err := groups["a"].Broadcast([]byte(p)); err != nil {
 			t.Fatal(err)
@@ -174,7 +196,7 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := fmt.Sprintf("returned-%03d", i)
 		for _, name := range names {
-			expect[name][p] = true
+			owe(name, p)
 		}
 		if err := groups["a"].Broadcast([]byte(p)); err != nil {
 			t.Fatal(err)
@@ -182,50 +204,100 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 	}
 	settle("member returned")
 	for _, name := range []string{"b", "c", "d"} {
-		if _, _, ahead := linkState(groups[name]); ahead != 0 {
-			t.Errorf("%s still remembers %d out-of-order sequences with nothing in flight", name, ahead)
+		if _, _, ahead, held := linkState(groups[name]); ahead != 0 || held != 0 {
+			t.Errorf("%s still holds %d frames in %d out-of-order runs with nothing in flight", name, held, ahead)
 		}
 	}
 }
 
+// lossyTransport drops the link frames its filter picks.
+type lossyTransport struct {
+	netsim.Transport
+	drop func(m *message) bool
+}
+
+func (l *lossyTransport) Send(to string, frame []byte) error {
+	var m message
+	stream := int(binary.BigEndian.Uint16(frame))
+	if decodeMessage(frame[2+stream:], &m) == nil && l.drop(&m) {
+		return nil
+	}
+	return l.Transport.Send(to, frame)
+}
+
 // TestReliableGiveUpDoesNotWedgeReceiver: a frame the sender gave up on
-// under RetransmitLimit leaves a hole in the link sequence; the base on
-// the next frame closes it.
+// under RetransmitLimit leaves a hole in the link sequence. The base on
+// the next frame closes it; and when frames are already held behind the
+// hole and nothing further is published, the base announcement of the
+// timer period that gave up does.
 func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	a := newTestNode(t, net, "a")
-	b := newTestNode(t, net, "b")
-	opts := fastOpts()
-	opts.RetransmitLimit = 2
-	ga := NewReliable(a.mux, "cls", a.record, opts)
-	gb := NewReliable(b.mux, "cls", b.record, opts)
-	defer ga.Close()
-	defer gb.Close()
-	ga.SetMembers([]string{"a", "b"})
-	gb.SetMembers([]string{"a", "b"})
+	setup := func(t *testing.T, drop func(*message) bool) (net *netsim.Network, b *testNode, ga, gb *Reliable) {
+		net = netsim.New(netsim.Config{})
+		t.Cleanup(func() { net.Close() })
+		epA, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = newTestNode(t, net, "b")
+		opts := fastOpts()
+		opts.RetransmitLimit = 2
+		ga = NewReliable(NewMux(&lossyTransport{epA, drop}), "cls", func(string, []byte) {}, opts)
+		gb = NewReliable(b.mux, "cls", b.record, opts)
+		t.Cleanup(func() { ga.Close(); gb.Close() })
+		ga.SetMembers([]string{"a", "b"})
+		gb.SetMembers([]string{"a", "b"})
 
-	_ = ga.BroadcastTo([]string{"b"}, []byte("first"))
-	waitFor(t, 5*time.Second, "first delivery", func() bool { return b.count() == 1 })
-	waitFor(t, 5*time.Second, "first acknowledged", func() bool { return ga.Outstanding() == 0 })
-
-	net.Partition([]string{"a"}, []string{"b"})
-	_ = ga.BroadcastTo([]string{"b"}, []byte("lost"))
-	waitFor(t, 5*time.Second, "give up", func() bool { return ga.Outstanding() == 0 })
-	net.Heal()
-
-	_ = ga.BroadcastTo([]string{"b"}, []byte("next"))
-	waitFor(t, 5*time.Second, "delivery after the give-up", func() bool { return b.count() == 2 })
-	waitFor(t, 5*time.Second, "acknowledged after the give-up", func() bool { return ga.Outstanding() == 0 })
-	if got := b.payloads(); got[0] != "first" || got[1] != "next" {
-		t.Errorf("b delivered %v", got)
+		_ = ga.BroadcastTo([]string{"b"}, []byte("first"))
+		waitFor(t, 5*time.Second, "first delivery", func() bool { return b.count() == 1 })
+		waitFor(t, 5*time.Second, "first acknowledged", func() bool { return ga.Outstanding() == 0 })
+		return net, b, ga, gb
 	}
-	gb.mu.Lock()
-	cum, ahead := gb.in["a"].cum, len(gb.in["a"].ahead)
-	gb.mu.Unlock()
-	if cum != 3 || ahead != 0 {
-		t.Errorf("receiver at cum %d with %d sequences ahead; want 3 and 0 (the base steps over the hole)", cum, ahead)
+	atRest := func(t *testing.T, gb *Reliable, want uint64) {
+		t.Helper()
+		gb.mu.Lock()
+		cum := gb.in["a"].cum
+		gb.mu.Unlock()
+		_, _, ahead, held := linkState(gb)
+		if cum != want || ahead != 0 || held != 0 {
+			t.Errorf("receiver at cum %d with %d runs ahead holding %d frames; want %d, 0 and 0", cum, ahead, held, want)
+		}
 	}
+
+	t.Run("base on the next frame", func(t *testing.T) {
+		net, b, ga, gb := setup(t, func(*message) bool { return false })
+		net.Partition([]string{"a"}, []string{"b"})
+		_ = ga.BroadcastTo([]string{"b"}, []byte("lost"))
+		waitFor(t, 5*time.Second, "give up", func() bool { return ga.Outstanding() == 0 })
+		net.Heal()
+
+		_ = ga.BroadcastTo([]string{"b"}, []byte("next"))
+		waitFor(t, 5*time.Second, "delivery after the give-up", func() bool { return b.count() == 2 })
+		waitFor(t, 5*time.Second, "acknowledged after the give-up", func() bool { return ga.Outstanding() == 0 })
+		if got := b.payloads(); got[0] != "first" || got[1] != "next" {
+			t.Errorf("b delivered %v", got)
+		}
+		atRest(t, gb, 3)
+	})
+
+	t.Run("base announced with nothing further published", func(t *testing.T) {
+		// Link sequence 2 never makes it; 3 and 4 do, and wait behind it.
+		_, b, ga, gb := setup(t, func(m *message) bool { return m.Kind == kindData && m.Seq == 2 })
+		for _, p := range []string{"lost", "third", "fourth"} {
+			_ = ga.BroadcastTo([]string{"b"}, []byte(p))
+		}
+		waitFor(t, 5*time.Second, "3 and 4 held behind the hole", func() bool {
+			_, _, _, held := linkState(gb)
+			return held == 2
+		})
+		if b.count() != 1 {
+			t.Fatalf("b delivered %v past a hole", b.payloads())
+		}
+		waitFor(t, 5*time.Second, "release on the give-up", func() bool { return b.count() == 3 })
+		if got := b.payloads(); got[1] != "third" || got[2] != "fourth" {
+			t.Errorf("b delivered %v, want first, third, fourth", got)
+		}
+		atRest(t, gb, 4)
+	})
 }
 
 // TestReliableStateBoundedByInFlight sends 50 000 messages through one
@@ -246,7 +318,7 @@ func TestReliableStateBoundedByInFlight(t *testing.T) {
 
 	const total, window = 50_000, 256
 	payload := []byte("m")
-	maxQueued, maxAheadSeen := 0, 0
+	maxQueued, maxAheadSeen, maxHeld := 0, 0, 0
 	for i := int64(0); i < total; i++ {
 		for i-delivered.Load() >= window {
 			time.Sleep(50 * time.Microsecond)
@@ -255,9 +327,9 @@ func TestReliableStateBoundedByInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%1000 == 0 {
-			queued, _, _ := linkState(ga)
-			_, _, ahead := linkState(gb)
-			maxQueued, maxAheadSeen = max(maxQueued, queued), max(maxAheadSeen, ahead)
+			queued, _, _, _ := linkState(ga)
+			_, _, ahead, held := linkState(gb)
+			maxQueued, maxAheadSeen, maxHeld = max(maxQueued, queued), max(maxAheadSeen, ahead), max(maxHeld, held)
 		}
 	}
 	waitFor(t, 20*time.Second, "all delivered", func() bool { return delivered.Load() == total })
@@ -267,14 +339,14 @@ func TestReliableStateBoundedByInFlight(t *testing.T) {
 	// batched acknowledgement, itself in flight for a while: hundreds of
 	// frames, a couple of thousand on a slow day, not fifty thousand.
 	const bound = total / 10
-	queued, queueCap, _ := linkState(ga)
-	_, _, ahead := linkState(gb)
-	if queued != 0 || ahead != 0 {
-		t.Errorf("at rest the sender queues %d frames and the receiver remembers %d sequences; want 0 and 0", queued, ahead)
+	queued, queueCap, _, _ := linkState(ga)
+	_, _, ahead, held := linkState(gb)
+	if queued != 0 || ahead != 0 || held != 0 {
+		t.Errorf("at rest the sender queues %d frames and the receiver holds %d in %d runs; want 0, 0 and 0", queued, held, ahead)
 	}
-	if maxQueued > bound || maxAheadSeen > bound || queueCap > bound {
-		t.Errorf("under load: sender queue %d (capacity %d), receiver out-of-order set %d; want each within %d",
-			maxQueued, queueCap, maxAheadSeen, bound)
+	if maxQueued > bound || maxAheadSeen > bound || maxHeld > bound || queueCap > bound {
+		t.Errorf("under load: sender queue %d (capacity %d), receiver runs %d holding %d frames; want each within %d",
+			maxQueued, queueCap, maxAheadSeen, maxHeld, bound)
 	}
 	gb.mu.Lock()
 	cum := gb.in["a"].cum
@@ -371,13 +443,15 @@ func TestAckRangesRoundTrip(t *testing.T) {
 
 // TestInLinkRunsAgainstSet drives the receiver's run bookkeeping with
 // random arrivals and bases and compares it, step by step, with a plain
-// set of sequences.
+// set of sequences; what it releases must be every frame received, once
+// and in ascending order, none ahead of the cumulative sequence.
 func TestInLinkRunsAgainstSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 200; round++ {
 		l := &inLink{}
 		set := map[uint64]bool{}
 		floor := uint64(0) // everything at or below it is settled
+		released, last := 0, uint64(0)
 		for step := 0; step < 300; step++ {
 			if rng.Intn(20) == 0 {
 				base := floor + 1 + uint64(rng.Intn(8)) // a frame's base is at least 1
@@ -390,7 +464,7 @@ func TestInLinkRunsAgainstSet(t *testing.T) {
 					t.Fatalf("round %d step %d: seen(%d) = %v, want %v (cum %d, runs %v)", round, step, seq, got, want, l.cum, l.ahead)
 				}
 				if !want {
-					if !l.note(seq) {
+					if !l.note(seq, queuedMsg{payload: binary.AppendUvarint(nil, seq)}) {
 						t.Fatalf("round %d step %d: note(%d) refused with %d runs", round, step, seq, len(l.ahead))
 					}
 					set[seq] = true
@@ -401,6 +475,17 @@ func TestInLinkRunsAgainstSet(t *testing.T) {
 			}
 			if l.cum != floor {
 				t.Fatalf("round %d step %d: cum %d, want %d (runs %v)", round, step, l.cum, floor, l.ahead)
+			}
+			for _, msg := range l.ready {
+				seq, _ := binary.Uvarint(msg.payload)
+				if !set[seq] || seq <= last || seq > l.cum {
+					t.Fatalf("round %d step %d: released %d after %d at cum %d", round, step, seq, last, l.cum)
+				}
+				released, last = released+1, seq
+			}
+			l.ready = l.ready[:0]
+			if released+len(l.held) != len(set) {
+				t.Fatalf("round %d step %d: %d released and %d held of %d received", round, step, released, len(l.held), len(set))
 			}
 			prev := l.cum
 			for _, r := range l.ahead {
@@ -421,14 +506,14 @@ func TestInLinkRunsAgainstSet(t *testing.T) {
 func TestInLinkRefusesOneHoleTooMany(t *testing.T) {
 	l := &inLink{}
 	for i := 0; i < maxAhead; i++ {
-		if !l.note(uint64(2*i + 2)) {
+		if !l.note(uint64(2*i+2), queuedMsg{}) {
 			t.Fatalf("run %d refused", i)
 		}
 	}
-	if l.note(uint64(2*maxAhead + 2)) {
+	if l.note(uint64(2*maxAhead+2), queuedMsg{}) {
 		t.Error("a run beyond maxAhead was accepted")
 	}
-	if !l.note(3) || !l.note(1) {
+	if !l.note(3, queuedMsg{}) || !l.note(1, queuedMsg{}) {
 		t.Error("a sequence that fills a hole must be accepted at the bound")
 	}
 	if l.cum != 4 || len(l.ahead) != maxAhead-2 {

@@ -1,106 +1,63 @@
 package multicast
 
-import (
-	"fmt"
-	"sync"
-
-	"govents/internal/codec"
-)
+import "sync"
 
 // Total implements totally ordered broadcast with a fixed sequencer: all
 // members deliver all messages in the same (subscriber-side) order, the
 // paper's TotalOrder delivery semantics (§3.1.2).
 //
-// Publications are routed to the sequencer, which assigns a global
-// sequence number and reliably broadcasts the stamped message; members
-// deliver in global-sequence order. Publishers retransmit unstamped
-// requests until they observe their own message sequenced, so the
+// It is two reliable links and no numbering of its own. A publication
+// travels to the sequencer over one link (exactly once and in the
+// publisher's order, so there is no request to identify, deduplicate or
+// resend); the sequencer broadcasts it over the other, naming the
+// publisher on the frame. The global order is the order in which the
+// sequencer's broadcasts take their place on its links: Reliable assigns
+// every destination's link sequence, and the sequencer's own delivery,
+// in one critical section per broadcast, and every member releases in
+// link order, so each member sees a subsequence of the one order. The
 // protocol tolerates loss of both requests and stamped broadcasts; it
 // does not tolerate sequencer crash (sequencer election is outside the
 // paper's scope).
 //
 // The class is interest-aware through a Planner installed on the
-// sequencer: filtering happens strictly AFTER stamping, so the global
-// sequence is assigned to every publication and stays gap-free at every
-// member. Stamped data frames go only to interested destinations;
-// everyone else learns the covered range from the SkipFrom carried on
-// the next frame they do receive, from a periodic flush skip marker, or
-// — for an uninterested origin — from an immediate targeted skip
-// carrying the message ID (which also stops the origin's request
-// retransmission). A Planner returning ok=false fails open to a full
+// sequencer: stamped frames go only to interested destinations, and a
+// destination that was pruned consumed no link sequence, so it waits
+// for nothing. A Planner returning ok=false fails open to a full
 // broadcast.
 type Total struct {
-	mux       *Mux
-	stream    string // sequencing-request stream
 	self      string
 	sequencer string
-	opts      Options
-	inner     *Reliable
-	deliver   Deliver
-	lc        *lifecycle
+	req       *Reliable // publications, publisher → sequencer
+	inner     *Reliable // stamped broadcasts, sequencer → members
 
-	mu       sync.Mutex
-	planner  Planner           // sequencer: interest filter (nil = broadcast all)
-	tracker  *skipTracker      // sequencer: per-destination covered sequences
-	observer PruneObserver     // optional pruning counters sink
-	nextGSeq uint64            // sequencer only
-	seenReqs map[string]bool   // sequencer: deduplicated request IDs
-	pending  map[string][]byte // own requests not yet seen sequenced: message ID -> request frame
-	expected uint64            // next global sequence to deliver
-	hold     map[uint64]totalHeld
+	mu      sync.Mutex
+	planner Planner // sequencer: interest filter (nil = broadcast all)
 }
 
-// Planner maps a stamped publication's payload to its interest-pruned
-// Sends. ok=false means the payload could not be evaluated; the caller
-// fails open to a full broadcast. Called by the sequencer once per
-// publication, serialized with stamping.
+// Planner maps a publication's payload to its interest-pruned Sends.
+// ok=false means the payload could not be evaluated; the caller fails
+// open to a full broadcast. Called by the sequencer once per
+// publication, from the goroutine that publishes or the one that
+// delivers requests: it must be safe for concurrent use.
 type Planner func(payload []byte) ([]Send, bool)
-
-// totalHeld is a buffered out-of-order frame: the global-sequence range
-// it covers ends at its hold key; skip marks a payload-less marker.
-type totalHeld struct {
-	origin  string
-	from    uint64
-	skip    bool
-	payload []byte
-}
 
 var _ Group = (*Total)(nil)
 
 // NewTotal creates a totally ordered group on the given stream with the
 // designated sequencer address (every member must configure the same
-// sequencer).
+// sequencer). Requests travel on the stream's "!ord" companion.
 func NewTotal(mux *Mux, stream, sequencer string, deliver Deliver, opts Options) *Total {
-	opts = opts.withDefaults()
-	g := &Total{
-		mux:       mux,
-		stream:    stream + "!ord",
-		self:      mux.Addr(),
-		sequencer: sequencer,
-		opts:      opts,
-		deliver:   deliver,
-		lc:        newLifecycle(),
-		tracker:   newSkipTracker(),
-		seenReqs:  make(map[string]bool),
-		pending:   make(map[string][]byte),
-		expected:  1,
-		hold:      make(map[uint64]totalHeld),
-	}
-	g.inner = NewReliable(mux, stream, g.onInner, opts)
-	mux.Handle(g.stream, g.onOrderReq)
-	g.lc.goTick(opts.RetransmitInterval, g.retransmitRequests)
-	if g.self == sequencer {
-		g.lc.goTick(opts.RetransmitInterval, g.flush)
-	}
+	g := &Total{self: mux.Addr(), sequencer: sequencer}
+	g.inner = NewReliable(mux, stream, deliver, opts)
+	g.req = NewReliable(mux, stream+"!ord", g.onRequest, opts)
 	return g
 }
 
-// SetMembers implements Group.
+// SetMembers implements Group. The sequencer must be a member, or
+// requests to it are dropped as owed to nobody.
 func (g *Total) SetMembers(members []string) {
 	g.inner.SetMembers(members)
-	g.mu.Lock()
-	g.tracker.retain(members)
-	g.mu.Unlock()
+	g.req.SetMembers(members)
 }
 
 // SetPlanner installs the sequencer-side interest filter. Only the
@@ -111,255 +68,46 @@ func (g *Total) SetPlanner(p Planner) {
 	g.mu.Unlock()
 }
 
-// SetPruneObserver installs the pruning-counters sink.
-func (g *Total) SetPruneObserver(obs PruneObserver) {
-	g.mu.Lock()
-	g.observer = obs
-	g.mu.Unlock()
-}
+// SetPruneObserver installs the pruning-counters sink (the sequencer
+// is where total order prunes).
+func (g *Total) SetPruneObserver(obs PruneObserver) { g.inner.SetPruneObserver(obs) }
 
 // Broadcast implements Group.
 func (g *Total) Broadcast(payload []byte) error {
-	if g.lc.closed() {
-		return fmt.Errorf("multicast: total %s: closed", g.stream)
-	}
-	id := codec.NewID()
 	if g.self == g.sequencer {
-		return g.sequence(id, g.self, payload)
+		return g.sequence(g.self, payload)
 	}
-	req, err := frameMessage(g.stream, &message{Kind: kindOrderReq, Origin: g.self, ID: id, Payload: payload})
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.pending[id] = req
-	g.mu.Unlock()
-	return g.mux.sendFrame(g.sequencer, req)
+	return g.req.BroadcastTo([]string{g.sequencer}, payload)
 }
 
 // Close implements Group.
 func (g *Total) Close() error {
-	g.mux.Unhandle(g.stream)
-	g.lc.close()
+	_ = g.req.Close()
 	return g.inner.Close()
 }
 
-// sequence stamps a message with the next global sequence number and
-// disseminates it: a full reliable broadcast without a planner, an
-// interest-pruned split with one. Sequencer only.
-func (g *Total) sequence(id, origin string, payload []byte) error {
-	g.mu.Lock()
-	if g.seenReqs[id] {
-		g.mu.Unlock()
-		return nil // duplicate request
+// onRequest receives a publication at the sequencer (nobody addresses
+// one to any other node).
+func (g *Total) onRequest(origin string, payload []byte) {
+	if g.self == g.sequencer {
+		_ = g.sequence(origin, payload)
 	}
-	g.seenReqs[id] = true
+}
+
+// sequence gives a publication its place in the global order: one
+// atomic broadcast, interest-pruned when a planner can evaluate the
+// payload and to the whole group otherwise. Sequencer only.
+func (g *Total) sequence(origin string, payload []byte) error {
+	g.mu.Lock()
 	planner := g.planner
 	g.mu.Unlock()
-
-	if planner == nil {
-		g.mu.Lock()
-		g.nextGSeq++
-		gseq := g.nextGSeq
-		g.mu.Unlock()
-		wire, err := encodeMessage(&message{Kind: kindData, Origin: origin, GSeq: gseq, ID: id, Payload: payload})
-		if err != nil {
-			return err
-		}
-		return g.inner.Broadcast(wire)
+	var sends []Send
+	ok := false
+	if planner != nil {
+		sends, ok = planner(payload)
 	}
-
-	// Plan before stamping (the plan does not depend on the sequence
-	// number); fail open to a full broadcast on an unevaluable payload.
-	sends, ok := planner(payload)
 	if !ok {
-		sends = []Send{{Dests: g.inner.members.snapshot(), Payload: payload}}
+		sends = []Send{{Dests: append(g.inner.members.others(g.self), g.self), Payload: payload}}
 	}
-
-	type frame struct {
-		dests []string
-		wire  []byte
-	}
-	var frames []frame
-	var originSkips uint64
-	sent := 0
-	originSent := false
-
-	// Stamping and skip-tracker bookkeeping are one critical section:
-	// ranges handed to destinations must be assigned in global-sequence
-	// order to stay contiguous.
-	g.mu.Lock()
-	g.nextGSeq++
-	gseq := g.nextGSeq
-	g.tracker.mark(gseq)
-	for _, s := range sends {
-		sent += len(s.Dests)
-		for _, d := range s.Dests {
-			if d == origin {
-				originSent = true
-			}
-		}
-		for from, dests := range g.tracker.advance(s.Dests, gseq) {
-			wire, err := encodeMessage(&message{Kind: kindData, Origin: origin, GSeq: gseq, SkipFrom: from, ID: id, Payload: s.Payload})
-			if err != nil {
-				g.mu.Unlock()
-				return err
-			}
-			frames = append(frames, frame{dests: dests, wire: wire})
-		}
-	}
-	if !originSent {
-		// The origin is not interested in its own publication: send it a
-		// stamped skip carrying the message ID immediately, so its
-		// pending-request retransmission stops.
-		for from, dests := range g.tracker.advance([]string{origin}, gseq) {
-			wire, err := encodeMessage(&message{Kind: kindSkip, GSeq: gseq, SkipFrom: from, ID: id})
-			if err != nil {
-				break
-			}
-			frames = append(frames, frame{dests: dests, wire: wire})
-			originSkips++
-		}
-	}
-	pruned := len(g.inner.members.snapshot()) - sent
-	obs := g.observer
-	g.mu.Unlock()
-
-	if obs != nil && (pruned > 0 || originSkips > 0) {
-		if pruned < 0 {
-			pruned = 0
-		}
-		obs(uint64(pruned), originSkips)
-	}
-	for _, f := range frames {
-		if err := g.inner.BroadcastTo(f.dests, f.wire); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flush ships stamped skip markers to every destination trailing the
-// sequencer's head, keeping the global sequence gap-free at members no
-// recent publication was sent to. Sequencer only.
-func (g *Total) flush() {
-	type frame struct {
-		dests []string
-		wire  []byte
-	}
-	var frames []frame
-	var skips uint64
-	g.mu.Lock()
-	head := g.tracker.head
-	for from, dests := range g.tracker.lagging(g.inner.members.snapshot()) {
-		wire, err := encodeMessage(&message{Kind: kindSkip, GSeq: head, SkipFrom: from})
-		if err != nil {
-			continue
-		}
-		frames = append(frames, frame{dests: dests, wire: wire})
-		skips += uint64(len(dests))
-	}
-	obs := g.observer
-	g.mu.Unlock()
-	if obs != nil && skips > 0 {
-		obs(0, skips)
-	}
-	for _, f := range frames {
-		_ = g.inner.BroadcastTo(f.dests, f.wire)
-	}
-}
-
-// onOrderReq handles sequencing requests (sequencer only; other nodes
-// never receive on this stream).
-func (g *Total) onOrderReq(_ string, data []byte) {
-	if g.self != g.sequencer {
-		return
-	}
-	var m message
-	if err := decodeMessage(data, &m); err != nil || m.Kind != kindOrderReq {
-		return
-	}
-	_ = g.sequence(m.ID, m.Origin, m.Payload)
-}
-
-// retransmitRequests resends sequencing requests not yet observed as
-// stamped broadcasts.
-func (g *Total) retransmitRequests() {
-	g.mu.Lock()
-	reqs := make([][]byte, 0, len(g.pending))
-	for _, req := range g.pending {
-		reqs = append(reqs, req)
-	}
-	g.mu.Unlock()
-	for _, req := range reqs {
-		_ = g.mux.sendFrame(g.sequencer, req)
-	}
-}
-
-// onInner receives stamped frames from the sequencer's reliable
-// broadcast and releases them in global-sequence order. A frame is
-// consumable once the range it covers reaches the expected sequence;
-// everything in the range below its top was deliberately skipped for
-// this node. Runs on the inner group's single delivery goroutine.
-func (g *Total) onInner(_ string, data []byte) {
-	var m message
-	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) || m.GSeq == 0 {
-		return
-	}
-	h := totalHeld{
-		origin:  m.Origin,
-		from:    coveredFrom(m.SkipFrom, m.GSeq),
-		skip:    m.Kind == kindSkip,
-		payload: m.Payload,
-	}
-
-	var ready []totalHeld
-	g.mu.Lock()
-	if m.ID != "" {
-		delete(g.pending, m.ID) // our own request has been sequenced
-	}
-	switch {
-	case m.GSeq < g.expected:
-		// Entirely below the expected sequence: already covered.
-	case h.from <= g.expected:
-		if !h.skip {
-			ready = append(ready, h)
-		}
-		g.expected = m.GSeq + 1
-		ready = g.drainLocked(ready)
-	default:
-		g.hold[m.GSeq] = h
-	}
-	g.mu.Unlock()
-
-	for _, r := range ready {
-		g.deliver(r.origin, r.payload)
-	}
-}
-
-// drainLocked releases buffered frames whose covered range now reaches
-// the expected global sequence. The sequencer emits disjoint contiguous
-// ranges per destination, so at most one held frame is consumable at a
-// time; the scan repeats until a fixpoint. Caller holds g.mu.
-func (g *Total) drainLocked(ready []totalHeld) []totalHeld {
-	for {
-		progress := false
-		for top, h := range g.hold {
-			switch {
-			case top < g.expected:
-				delete(g.hold, top)
-				progress = true
-			case h.from <= g.expected:
-				delete(g.hold, top)
-				if !h.skip {
-					ready = append(ready, h)
-				}
-				g.expected = top + 1
-				progress = true
-			}
-		}
-		if !progress {
-			return ready
-		}
-	}
+	return g.inner.broadcastAs(origin, sends)
 }

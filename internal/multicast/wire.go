@@ -16,11 +16,9 @@ import (
 //	kind      1 byte    msgKind
 //	flags     uvarint   one presence bit per optional field below
 //	Seq       uvarint                                        flagSeq
-//	GSeq      uvarint                                        flagGSeq
-//	SkipFrom  uvarint   top - SkipFrom, top = GSeq, else Seq; flagSkipFrom
-//	                    (absolute when the record has neither)
 //	Epoch     uvarint                                        flagEpoch
-//	Base      uvarint   Seq - Base                           flagBase
+//	Base      uvarint   Seq - Base (absolute when the        flagBase
+//	                    record has no Seq)
 //	Origin    uvarint length (1..maxWireString) + bytes      flagOrigin
 //	ID        likewise                                       flagID
 //	Rounds    1 byte                                         flagRounds
@@ -35,9 +33,11 @@ import (
 // byte for byte. The decoder faces peers: every length is checked
 // against the bytes that remain before anything is allocated.
 //
-// The layout shares nothing with the fixed-width one before it; nodes
-// of the two eras do not interoperate (see "Link protocol" in the
-// govents package documentation).
+// Flag bits 2 and 16 belonged to the ordered classes' own sequencing
+// (a skip-range start and a global sequence), which rode on top of the
+// link's; they are retired, and a record that sets one is rejected like
+// any unknown flag. Nodes of different eras do not interoperate (see
+// "Link protocol" in the govents package documentation).
 
 // msgKind enumerates protocol message types.
 type msgKind byte
@@ -48,53 +48,40 @@ const (
 	kindCertData                    // certified payload (per-consumer ack)
 	kindCertAck                     // certified acknowledgement
 	kindGossip                      // gossip event batch
-	kindOrderReq                    // total-order sequencing request
-	kindSkip                        // sequence-range skip marker (no payload)
+	kindSkip                        // "step over": no payload, consumes no sequence
 )
 
 // message is the wire record exchanged by all protocols in this package.
 // Fields are used selectively per kind; unused fields stay zero and do
 // not travel.
 //
-// SkipFrom carries the interest-aware pruning protocol of the ordered
-// classes: a frame covers the per-destination sequence range
-// [SkipFrom, Seq] (or [SkipFrom, GSeq] for total order), of which every
-// number below the last is a publication the sender deliberately did
-// not ship to this destination (no matching subscriber there). A
-// kindData frame's payload belongs to the top of the range; a kindSkip
-// frame is all range and no payload. SkipFrom zero means "no skip
-// information": the frame covers only its own sequence.
-//
-// Epoch and Base belong to Reliable's link protocol (reliable.go): on a
-// data frame Seq is the link sequence and Base the lowest link sequence
-// the sender still owes this destination; on an acknowledgement Seq is
-// the cumulative acknowledgement and Payload lists the runs of link
+// Epoch, Seq and Base belong to Reliable's link protocol (reliable.go):
+// on a data frame Seq is the link sequence and Base the lowest link
+// sequence the sender still owes this destination; a kindSkip link
+// frame announces a Base alone; on an acknowledgement Seq is the
+// cumulative acknowledgement and Payload lists the runs of link
 // sequences received above it (appendRanges).
 type message struct {
-	Kind     msgKind
-	Origin   string // original publisher address (or durable consumer ID in cert acks)
-	Seq      uint64 // per-origin sequence number
-	GSeq     uint64 // sequencer-assigned global sequence
-	SkipFrom uint64 // first sequence covered by this frame (0 = Seq/GSeq only)
-	Epoch    uint64 // link incarnation of the data frame's sender
-	Base     uint64 // lowest link sequence still owed (1 <= Base <= Seq)
-	Rounds   uint8  // gossip rounds-to-live
-	ID       string // unique message ID
-	VC       vclock.VC
-	Payload  []byte // aliases the decoded frame
+	Kind    msgKind
+	Origin  string // original publisher where it is not the frame's sender (or durable consumer ID in cert acks)
+	Seq     uint64 // link sequence, or cumulative acknowledgement
+	Epoch   uint64 // link incarnation of the data frame's sender
+	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
+	Rounds  uint8  // gossip rounds-to-live
+	ID      string // unique message ID
+	VC      vclock.VC
+	Payload []byte // aliases the decoded frame
 }
 
 const (
-	flagSeq = 1 << iota
-	flagSkipFrom
-	flagEpoch
-	flagBase
-	flagGSeq
-	flagOrigin
-	flagID
-	flagRounds
-	flagVC
-	knownFlags = 1<<iota - 1
+	flagSeq    = 1 << 0
+	flagEpoch  = 1 << 2
+	flagBase   = 1 << 3
+	flagOrigin = 1 << 5
+	flagID     = 1 << 6
+	flagRounds = 1 << 7
+	flagVC     = 1 << 8
+	knownFlags = flagSeq | flagEpoch | flagBase | flagOrigin | flagID | flagRounds | flagVC
 
 	// Field caps, enforced on encode and decode alike.
 	maxWireString = 0xFFFF
@@ -107,17 +94,11 @@ func (m *message) flags() uint64 {
 	if m.Seq != 0 {
 		f |= flagSeq
 	}
-	if m.SkipFrom != 0 {
-		f |= flagSkipFrom
-	}
 	if m.Epoch != 0 {
 		f |= flagEpoch
 	}
 	if m.Base != 0 {
 		f |= flagBase
-	}
-	if m.GSeq != 0 {
-		f |= flagGSeq
 	}
 	if m.Origin != "" {
 		f |= flagOrigin
@@ -134,33 +115,24 @@ func (m *message) flags() uint64 {
 	return f
 }
 
-// top is the sequence SkipFrom is measured down from.
-func (m *message) top() uint64 {
-	if m.GSeq != 0 {
-		return m.GSeq
+// baseDelta is Base's wire form: how far it trails Seq, or itself when
+// the record has no Seq (a base announcement).
+func (m *message) baseDelta() uint64 {
+	if m.Seq != 0 {
+		return m.Seq - m.Base
 	}
-	return m.Seq
-}
-
-// skipDelta is SkipFrom's wire form.
-func (m *message) skipDelta() uint64 {
-	if top := m.top(); top != 0 {
-		return top - m.SkipFrom
-	}
-	return m.SkipFrom
+	return m.Base
 }
 
 // messageSize returns the exact length of m's wire record, or an error
 // when a field is outside what the layout can carry.
 func messageSize(m *message) (int, error) {
-	switch top := m.top(); {
+	switch {
 	case len(m.Origin) > maxWireString || len(m.ID) > maxWireString:
 		return 0, fmt.Errorf("multicast: string field too long")
 	case len(m.VC) > maxWireVC:
 		return 0, fmt.Errorf("multicast: vector clock too large")
-	case top != 0 && m.SkipFrom > top:
-		return 0, fmt.Errorf("multicast: skip range start %d beyond its top %d", m.SkipFrom, top)
-	case m.Base > m.Seq:
+	case m.Seq != 0 && m.Base > m.Seq:
 		return 0, fmt.Errorf("multicast: link base %d beyond link sequence %d", m.Base, m.Seq)
 	}
 	f := m.flags()
@@ -168,17 +140,11 @@ func messageSize(m *message) (int, error) {
 	if f&flagSeq != 0 {
 		n += uvarintLen(m.Seq)
 	}
-	if f&flagGSeq != 0 {
-		n += uvarintLen(m.GSeq)
-	}
-	if f&flagSkipFrom != 0 {
-		n += uvarintLen(m.skipDelta())
-	}
 	if f&flagEpoch != 0 {
 		n += uvarintLen(m.Epoch)
 	}
 	if f&flagBase != 0 {
-		n += uvarintLen(m.Seq - m.Base)
+		n += uvarintLen(m.baseDelta())
 	}
 	if f&flagOrigin != 0 {
 		n += lenStringLen(m.Origin)
@@ -210,17 +176,11 @@ func appendMessage(dst []byte, m *message) []byte {
 	if f&flagSeq != 0 {
 		b = binary.AppendUvarint(b, m.Seq)
 	}
-	if f&flagGSeq != 0 {
-		b = binary.AppendUvarint(b, m.GSeq)
-	}
-	if f&flagSkipFrom != 0 {
-		b = binary.AppendUvarint(b, m.skipDelta())
-	}
 	if f&flagEpoch != 0 {
 		b = binary.AppendUvarint(b, m.Epoch)
 	}
 	if f&flagBase != 0 {
-		b = binary.AppendUvarint(b, m.Seq-m.Base)
+		b = binary.AppendUvarint(b, m.baseDelta())
 	}
 	if f&flagOrigin != 0 {
 		b = appendLenString(b, m.Origin)
@@ -280,30 +240,19 @@ func decodeMessage(data []byte, m *message) error {
 	if f&flagSeq != 0 {
 		m.Seq = d.nonZero("Seq")
 	}
-	if f&flagGSeq != 0 {
-		m.GSeq = d.nonZero("GSeq")
-	}
-	if f&flagSkipFrom != 0 {
-		delta := d.uvarint()
-		switch top := m.top(); {
-		case top == 0:
-			m.SkipFrom = delta
-		case delta < top:
-			m.SkipFrom = top - delta
-		}
-		if m.SkipFrom == 0 {
-			d.fail("skip range start below 1")
-		}
-	}
 	if f&flagEpoch != 0 {
 		m.Epoch = d.nonZero("Epoch")
 	}
 	if f&flagBase != 0 {
-		lag := d.uvarint()
-		if lag >= m.Seq {
+		switch delta := d.uvarint(); {
+		case m.Seq == 0:
+			m.Base = delta
+		case delta < m.Seq:
+			m.Base = m.Seq - delta
+		}
+		if m.Base == 0 {
 			d.fail("link base below 1")
 		}
-		m.Base = m.Seq - lag
 	}
 	if f&flagOrigin != 0 {
 		m.Origin = d.str("Origin")

@@ -31,19 +31,16 @@ func roundTrip(t *testing.T, m *message) message {
 // TestMessageRoundTripEveryCombination walks every kind with every
 // subset of the optional fields, with and without a payload.
 func TestMessageRoundTripEveryCombination(t *testing.T) {
-	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindGossip, kindOrderReq, kindSkip}
+	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindGossip, kindSkip}
 	for _, kind := range kinds {
 		for fields := uint64(0); fields <= knownFlags; fields++ {
+			if fields&^knownFlags != 0 {
+				continue // a retired bit
+			}
 			for _, payload := range [][]byte{nil, []byte("payload")} {
 				m := message{Kind: kind, Payload: payload}
 				if fields&flagSeq != 0 {
 					m.Seq = 300
-				}
-				if fields&flagGSeq != 0 {
-					m.GSeq = 70000
-				}
-				if fields&flagSkipFrom != 0 {
-					m.SkipFrom = 5
 				}
 				if fields&flagEpoch != 0 {
 					m.Epoch = 1_759_000_000_000_000
@@ -66,7 +63,7 @@ func TestMessageRoundTripEveryCombination(t *testing.T) {
 				if m.flags() != fields {
 					t.Fatalf("flags() = %#x for fields %#x", m.flags(), fields)
 				}
-				if m.Base > m.Seq {
+				if m.Seq != 0 && m.Base > m.Seq {
 					if _, err := encodeMessage(&m); err == nil {
 						t.Fatalf("%+v: a base beyond the sequence must not encode", m)
 					}
@@ -89,11 +86,10 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 		{"besteffort data", message{Kind: kindData, Payload: []byte("payload")}, 2 + 7},
 		{"reliable data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")}, 2 + 8 + 3 + 1 + 1},
 		{"reliable ack", message{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})}, 2 + 8 + 3 + 4},
-		{"fifo data, no gap", message{Kind: kindData, Seq: 70000, SkipFrom: 70000, Payload: []byte("p")}, 2 + 3 + 1 + 1},
-		{"fifo skip", message{Kind: kindSkip, Seq: 9, SkipFrom: 2}, 2 + 1 + 1},
-		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, SkipFrom: 9, Payload: []byte{0}}, 0},
-		{"total data", message{Kind: kindData, Origin: "p", GSeq: 99, SkipFrom: 90, ID: "z", Payload: []byte("x")}, 0},
-		{"total order request", message{Kind: kindOrderReq, Origin: "p", ID: "z", Payload: []byte("x")}, 0},
+		{"reliable base announcement", message{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001}, 2 + 8 + 3},
+		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}, 0},
+		{"causal clock marker", message{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}}, 0},
+		{"total data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 8 + 1 + 1 + 2 + 1},
 		{"certified data", message{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")}, 0},
 		{"certified ack", message{Kind: kindCertAck, Origin: "consumer", ID: "id-1"}, 0},
 		{"gossip", message{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")}, 0},
@@ -112,14 +108,14 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 }
 
 func TestMessageRoundTripProperty(t *testing.T) {
-	f := func(origin, id string, seq, gseq, epoch uint64, rounds uint8, payload []byte) bool {
+	f := func(origin, id string, seq, base, epoch uint64, rounds uint8, payload []byte) bool {
 		if len(origin) > maxWireString || len(id) > maxWireString {
 			return true // out of contract
 		}
-		m := &message{Kind: kindData, Origin: origin, Seq: seq, GSeq: gseq, Epoch: epoch, Base: seq/2 + seq%2, Rounds: rounds, ID: id, Payload: payload}
-		if gseq > 0 {
-			m.SkipFrom = gseq/3 + 1
+		if seq != 0 {
+			base = seq/2 + seq%2 // a data frame's base trails its sequence; an announcement's stands alone
 		}
+		m := &message{Kind: kindData, Origin: origin, Seq: seq, Epoch: epoch, Base: base, Rounds: rounds, ID: id, Payload: payload}
 		wire, err := encodeMessage(m)
 		if err != nil {
 			return false
@@ -156,22 +152,22 @@ func TestDecodeMessageTruncated(t *testing.T) {
 
 func TestDecodeMessageRejectsNonCanonical(t *testing.T) {
 	cases := map[string][]byte{
-		"unknown flag":             {byte(kindData), 0x80, 0x04},
-		"overlong flags":           {byte(kindData), 0x81, 0x00},
-		"zero Seq flagged":         {byte(kindData), flagSeq, 0},
-		"overlong Seq":             {byte(kindData), flagSeq, 0x81, 0x00},
-		"varint overflow":          {byte(kindData), flagSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
-		"skip start below 1":       {byte(kindData), flagSeq | flagSkipFrom, 5, 5},
-		"absolute skip start zero": {byte(kindData), flagSkipFrom, 0},
-		"base below 1":             {byte(kindData), flagSeq | flagBase, 5, 5},
-		"base without Seq":         {byte(kindData), flagBase, 0},
-		"empty Origin":             {byte(kindData), flagOrigin, 0},
-		"Origin past the end":      {byte(kindData), flagOrigin, 9, 'a'},
-		"zero Rounds":              {byte(kindGossip), 0x80, 0x01, 0},
-		"empty vector clock":       {byte(kindData), 0x80, 0x02, 0},
-		"vector clock too large":   {byte(kindData), 0x80, 0x02, 9, 1, 'a', 1},
-		"vector clock unordered":   {byte(kindData), 0x80, 0x02, 2, 1, 'b', 1, 1, 'a', 1},
-		"vector clock duplicate":   {byte(kindData), 0x80, 0x02, 2, 1, 'a', 1, 1, 'a', 2},
+		"unknown flag":           {byte(kindData), 0x80, 0x04},
+		"overlong flags":         {byte(kindData), 0x81, 0x00},
+		"zero Seq flagged":       {byte(kindData), flagSeq, 0},
+		"overlong Seq":           {byte(kindData), flagSeq, 0x81, 0x00},
+		"varint overflow":        {byte(kindData), flagSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+		"retired SkipFrom flag":  {byte(kindData), flagSeq | 2, 5, 5},
+		"retired GSeq flag":      {byte(kindData), 16, 5},
+		"base below 1":           {byte(kindData), flagSeq | flagBase, 5, 5},
+		"absolute base zero":     {byte(kindSkip), flagBase, 0},
+		"empty Origin":           {byte(kindData), flagOrigin, 0},
+		"Origin past the end":    {byte(kindData), flagOrigin, 9, 'a'},
+		"zero Rounds":            {byte(kindGossip), 0x80, 0x01, 0},
+		"empty vector clock":     {byte(kindData), 0x80, 0x02, 0},
+		"vector clock too large": {byte(kindData), 0x80, 0x02, 9, 1, 'a', 1},
+		"vector clock unordered": {byte(kindData), 0x80, 0x02, 2, 1, 'b', 1, 1, 'a', 1},
+		"vector clock duplicate": {byte(kindData), 0x80, 0x02, 2, 1, 'a', 1, 1, 'a', 2},
 	}
 	for name, wire := range cases {
 		var m message
@@ -258,9 +254,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: kindData, Payload: []byte("payload")},
 		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")},
 		{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})},
-		{Kind: kindSkip, Seq: 9, SkipFrom: 2},
-		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, SkipFrom: 9, Payload: []byte{0}},
-		{Kind: kindData, Origin: "p", GSeq: 99, SkipFrom: 90, ID: "z", Payload: []byte("x")},
+		{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001},
+		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")},
+		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}},
+		{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}},
+		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
 		{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")},
 	} {
 		wire, err := encodeMessage(&m)

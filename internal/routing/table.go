@@ -197,11 +197,11 @@ type Stats struct {
 	// matching subscriber (reported by the dissemination layer via
 	// NotePrunedSends) — the wire traffic ordered/gossip pruning saves.
 	PrunedSends uint64
-	// SkipFrames counts the per-destination skip-marker frames the
-	// ordered classes shipped instead of pruned data (reported via
-	// NoteSkipFrames). Markers are amortized over flush ticks and carry
-	// no payload, so this stays far below PrunedSends under sparse
-	// interest.
+	// SkipFrames counts the per-destination clock markers a causal class
+	// shipped to nodes it had pruned (reported via NoteSkipFrames); FIFO
+	// and total order send pruned nodes nothing and leave it at zero.
+	// Markers are amortized over flush ticks and carry no payload, so
+	// this stays far below PrunedSends under sparse interest.
 	SkipFrames uint64
 	// AccessorPrograms counts the accessor programs compiled by the live
 	// class plans' compound matchers (package accessor: per-event
@@ -937,8 +937,8 @@ func (t *Table) NotePrunedSends(class string, n uint64) {
 	}
 }
 
-// NoteSkipFrames records n per-destination skip-marker frames shipped
-// in place of pruned data for the given class.
+// NoteSkipFrames records n per-destination causal clock markers shipped
+// to pruned nodes of the given class.
 func (t *Table) NoteSkipFrames(class string, n uint64) {
 	if n > 0 {
 		t.counters(class).skipFrames.Add(n)

@@ -300,13 +300,15 @@ func WithRMI(tr Transport) Option {
 // WithOrderedPruning toggles interest-aware pruning of the ordered
 // (FIFO/Causal/Total) and gossip classes. It defaults to on: data
 // frames go only to nodes the routing plane marks interested — for
-// total order the sequencer filters after stamping, keeping the global
-// sequence gap-free — while the rest receive amortized skip markers,
-// so delivery cost scales with interest size instead of group size.
-// Pruning fails open (an unevaluable event or unknown node counts as
-// interested) and preserves every class's ordering contract; the saved
-// traffic shows in Stats as PrunedSends/SkipFrames. Pass false to
-// revert to full-group broadcasts with subscriber-side filtering.
+// total order the sequencer filters as it broadcasts — and the rest
+// are sent nothing, because order rides each destination's own link
+// sequence (causal publishers alone follow up with an amortized clock
+// marker), so delivery cost scales with interest size instead of group
+// size. Pruning fails open (an unevaluable event or unknown node
+// counts as interested) and preserves every class's ordering contract;
+// the saved traffic shows in Stats as PrunedSends, the causal markers
+// as SkipFrames. Pass false to revert to full-group broadcasts with
+// subscriber-side filtering.
 func WithOrderedPruning(enabled bool) Option {
 	return func(c *config) { c.pruneOff = !enabled }
 }
