@@ -42,6 +42,18 @@
 // Queued zero and the Enqueued total equal to Stats().EventsIn) before
 // it toggles.
 //
+// # Thread semantics
+//
+// §3.3.5 makes multi-threading the default "except in the case of
+// ordered obvents". What a subscription is promised: unordered obvents
+// are handled concurrently, up to the limit set by SetMultiThreading or
+// SetSingleThreading (which also holds across a change of limit), they
+// start in the order they were queued, and none waits behind a running
+// handler while the limit has room; ordered obvents are handled alone
+// and in order. What it is not promised is a goroutine per delivery: a
+// handler runs on whichever goroutine dequeued the obvent, and the same
+// goroutine may run the next one.
+//
 // # Domains
 //
 // A Domain is one process's membership in a govents domain, opened

@@ -179,9 +179,13 @@ func (c *Codec) Decode(e *Envelope) (obvent.Obvent, error) {
 // resolution once and only the clone cost per clone. Three clone
 // strategies exist, resolved per class at Source time:
 //
-//   - modeFlat: pointer-free classes. The payload is gob-decoded once
-//     into a prototype; every clone is a single reflect value copy,
-//     which is already a deep copy.
+//   - modeFlat: pointer-free classes. The payload is decoded once and
+//     boxed once; every Clone returns that same interface value. The
+//     box cannot be observed to be shared: a value held in an interface
+//     is not addressable, so no subscriber can write to it, and with no
+//     reference kinds inside there is nothing to write through. Every
+//     assertion (As[T]) copies the value out, and that copy is already
+//     a deep copy.
 //   - modeCopier: pointer-bearing classes with a compiled deep copier
 //     (copier.go). The payload is gob-decoded once into a prototype;
 //     every clone is one compiled deep copy of it — no per-clone wire
@@ -210,6 +214,8 @@ type CloneSource struct {
 	// proto is the payload decoded once (modeFlat/modeCopier), valid
 	// after the first successful Clone.
 	proto reflect.Value
+	// shared is proto boxed once (modeFlat only).
+	shared obvent.Obvent
 }
 
 // cloneMode selects a CloneSource's per-clone strategy.
@@ -218,7 +224,7 @@ type cloneMode uint8
 const (
 	// modeGob decodes the payload per clone (fallback).
 	modeGob cloneMode = iota
-	// modeFlat value-copies the decoded prototype.
+	// modeFlat shares one immutable box of the decoded prototype.
 	modeFlat
 	// modeCopier deep-copies the decoded prototype with a compiled
 	// copier.
@@ -275,15 +281,18 @@ func (s *CloneSource) Clone() (obvent.Obvent, error) {
 		return s.box(v)
 	}
 	// Prototype modes: decode the payload once, then clone off the
-	// prototype. With no reference kinds (modeFlat), the value copy
-	// performed by Interface boxing is already a deep copy — strings are
-	// immutable, so sharing their backing bytes is safe. Otherwise
-	// (modeCopier) the compiled copier rebuilds the prototype's pointee,
+	// prototype. With no reference kinds (modeFlat), the one boxed value
+	// serves every clone — strings are immutable, so sharing their
+	// backing bytes is safe. Otherwise (modeCopier) the compiled copier
+	// rebuilds the prototype's pointee,
 	// slice and map structure with fresh allocations; the prototype is a
 	// decoded tree (gob output is always a tree, and the wire decoder
 	// likewise allocates every pointee fresh — no aliasing, no cycles),
 	// so the copy is indistinguishable from another decode of the
 	// payload.
+	if s.shared != nil {
+		return s.shared, nil
+	}
 	if !s.proto.IsValid() {
 		v, err := s.decodeNew()
 		if err != nil {
@@ -292,7 +301,9 @@ func (s *CloneSource) Clone() (obvent.Obvent, error) {
 		s.proto = v
 	}
 	if s.mode == modeFlat {
-		return s.box(s.proto)
+		var err error
+		s.shared, err = s.box(s.proto) // nil on error
+		return s.shared, err
 	}
 	n := reflect.New(s.typ).Elem()
 	s.copy(n, s.proto)

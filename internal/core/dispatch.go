@@ -16,7 +16,7 @@ import (
 // This file implements the engine's indexed delivery pipeline:
 //
 //	wire type name ──► dispatchTable ──► typeBucket ──► compound match
-//	                   (atomic COW)      (per class)    ──► clone per match
+//	                   (atomic COW)      (per class)    ──► one obvent per match
 //
 // The table is an immutable snapshot of the active subscription set,
 // republished through an atomic pointer on every activate/deactivate, so
@@ -27,11 +27,15 @@ import (
 // their remote filters, so an event's conditions are evaluated once
 // across all subscribers instead of once per subscription. The envelope
 // is decoded once into a canonical value used only for remote-filter
-// matching; the per-subscriber clones required by obvent local
-// uniqueness (§2.1.2) are produced only for the subscriptions whose
-// remote matching passed, and opaque local filters run on the
-// subscriber's own clone (as in the naive path), so filters can never
-// observe another subscriber's state.
+// matching. Obvent local uniqueness (§2.1.2) is then paid only for the
+// subscriptions whose remote matching passed: one deep copy per match for
+// a class with reference kinds, and one immutable box per envelope for a
+// flat class (no pointer, slice or map, transitively). A boxed flat value
+// cannot be observed to be shared: a value held in an interface is not
+// addressable and holds nothing to write through, and every typed handler
+// copies it out (As[T]), so each subscriber still owns what it sees.
+// Opaque local filters run on the subscriber's own obvent (as in the
+// naive path), so filters can never observe another subscriber's state.
 
 // DispatchStats are the engine's cumulative delivery counters. They make
 // silently dropped traffic (expired envelopes, undecodable payloads)
@@ -246,7 +250,7 @@ type typeBucket struct {
 func newDispatchTable(reg *obvent.Registry, subs map[string]*Subscription) *dispatchTable {
 	t := &dispatchTable{reg: reg, byTarget: make(map[string][]*Subscription)}
 	for _, s := range subs {
-		if !s.active() {
+		if !s.Active() {
 			continue
 		}
 		t.byTarget[s.typeName] = append(t.byTarget[s.typeName], s)
@@ -334,7 +338,7 @@ type dispatchScratch struct {
 }
 
 // dispatch matches one envelope against the indexed subscription table
-// and hands a fresh clone to each matching subscription's executor. It
+// and hands each matching subscription's executor its obvent. It
 // runs on a lane goroutine with that lane's private state ln; lanes
 // dispatch concurrently, sharing only the immutable table snapshot, the
 // codec and the (internally synchronized) executors.
@@ -414,17 +418,18 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 			s = b.byID[matched[mi]]
 			mi++
 		}
-		if !s.active() {
+		if !s.Active() {
 			continue
 		}
 		deliver = append(deliver, s)
 	}
 
-	// Clone per match (§2.1.2): only subscriptions whose remote
-	// matching passed pay a decode, O(matches)+1 instead of
-	// O(subscriptions). Opaque local filters run on the subscriber's
-	// own clone — exactly as in the naive path — so a mutating local
-	// filter can never leak state across subscriptions.
+	// One obvent per match (§2.1.2; see the header for what a flat class
+	// shares): only subscriptions whose remote matching passed pay for
+	// one, O(matches)+1 instead of O(subscriptions). Opaque local filters
+	// run on the subscriber's own obvent — exactly as in the naive path —
+	// so a mutating local filter can never leak state across
+	// subscriptions.
 	ordered := e.orderedDelivery(env)
 	decodeFailed := false // count decode errors once per envelope
 	for _, s := range deliver {
@@ -501,7 +506,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 	srcResolved := false
 	decodeFailed := false // count decode errors once per envelope, as the indexed path does
 	for _, s := range subs {
-		if !s.active() {
+		if !s.Active() {
 			continue
 		}
 		if !e.reg.ConformsTo(env.Type, s.typeName) {

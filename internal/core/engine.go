@@ -340,7 +340,7 @@ func (e *Engine) register(s *Subscription) error {
 func (e *Engine) infoLocked() []SubscriptionInfo {
 	infos := make([]SubscriptionInfo, 0, len(e.subs))
 	for _, s := range e.subs {
-		if !s.active() {
+		if !s.Active() {
 			continue
 		}
 		infos = append(infos, s.info())
@@ -359,6 +359,9 @@ func (e *Engine) subscriptionChanged() error {
 	return e.diss.SubscriptionChanged(infos)
 }
 
+// marshalFilter is a variable so a test can count canonical marshals.
+var marshalFilter = filter.MarshalCanonical
+
 // SubscribeDynamic creates a subscription to the (possibly abstract)
 // type t with an optional remote filter and an optional opaque local
 // predicate. Most callers use the typed generic Subscribe /
@@ -371,10 +374,12 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
+	var filterBytes []byte
 	if remote != nil {
 		if err := remote.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 		}
+		filterBytes, _ = marshalFilter(remote) // validated: cannot fail
 	}
 	typeName := obvent.TypeName(t)
 	if t.Kind() == reflect.Interface {
@@ -387,6 +392,7 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 		typeName:     typeName,
 		goType:       t,
 		remoteFilter: remote,
+		filterBytes:  filterBytes,
 		localFilter:  local,
 		handler:      handler,
 	}

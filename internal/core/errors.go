@@ -34,7 +34,7 @@
 //
 //	           ┌► serial lane (priority heap) ─┐
 //	           │   ordered / prioritary        │
-//	envelope ─►│                               ├─► type index ──► compound match ──► clone per match
+//	envelope ─►│                               ├─► type index ──► compound match ──► one obvent per match
 //	           └► lane[hash(publisher) % N] ───┘
 //	               unordered (parallel)
 //
@@ -72,12 +72,12 @@
 //     conditions are evaluated once across all subscribers — shared path
 //     resolution, common-subexpression elimination, threshold binary
 //     search — rather than once per subscription.
-//  3. Clone per match: the envelope is decoded once into a canonical
-//     value used only for remote-filter matching; the distinct
-//     per-subscriber clones required by obvent local uniqueness (§2.1.2)
-//     are produced only for subscriptions whose remote matching passed
-//     (opaque local filters run on the subscriber's own clone), cutting
-//     decode work from O(subscriptions) to O(matches)+1.
+//  3. One obvent per match: the envelope is decoded once into a canonical
+//     value used only for remote-filter matching; obvent local uniqueness
+//     (§2.1.2) is paid only for subscriptions whose remote matching
+//     passed — a deep copy per match, or for a flat class one immutable
+//     box per envelope (dispatch.go) — cutting decode work from
+//     O(subscriptions) to O(matches)+1.
 //
 // Engine.Stats exposes the pipeline's cumulative delivery counters
 // (folded across lanes; Engine.LaneStats breaks them out per lane);

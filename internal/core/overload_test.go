@@ -624,7 +624,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 		return true
 	}, nil, budget, mailbox, counters)
 	defer x.close()
-	x.setLimit(1) // wedge the intake inline, the worst case
+	x.setLimit(1) // single-threading: the wedge blocks the whole queue, the worst case
 
 	x.submit(freeTick{N: 0}, false, 0, 0, "wedge", "freeTick")
 	<-started
@@ -717,8 +717,8 @@ func TestWedgedConsumerShutdownAndLeak(t *testing.T) {
 		t.Fatal("engine close hung on the wedged handler")
 	}
 
-	// The wedged handler still holds its goroutine (and the abandoned
-	// intake); once it returns, everything must drain back to baseline.
+	// The wedged handler still holds its goroutine (the abandoned
+	// drainer); once it returns, everything must drain back to baseline.
 	close(release)
 	waitFor(t, 10*time.Second, "goroutines drained after handler release", func() bool {
 		runtime.GC()

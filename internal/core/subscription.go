@@ -32,9 +32,17 @@ type Subscription struct {
 	// delivered event in their inbox.
 	deliveryHandler func(obvent.Obvent, Delivery)
 	executor        *executor
+	// filterBytes is remoteFilter's canonical wire form, marshaled once at
+	// Subscribe (the filter is immutable afterwards). Canonical means
+	// semantically identical filters of different subscribers are
+	// byte-identical on the wire, so filtering hosts can deduplicate them
+	// by bytes alone (routing plan keys).
+	filterBytes []byte
 
+	// activated and durableID change together under mu; the dispatch path
+	// reads activated lock-free.
 	mu        sync.Mutex
-	activated bool
+	activated atomic.Bool
 	durableID string
 }
 
@@ -45,32 +53,17 @@ func (s *Subscription) ID() string { return s.id }
 func (s *Subscription) TypeName() string { return s.typeName }
 
 // Active reports whether the subscription currently receives obvents.
-func (s *Subscription) Active() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activated
-}
-
-// active is the internal spelling used by the engine snapshot paths.
-func (s *Subscription) active() bool { return s.Active() }
+func (s *Subscription) Active() bool { return s.activated.Load() }
 
 // info snapshots the substrate-visible description.
 func (s *Subscription) info() SubscriptionInfo {
 	s.mu.Lock()
 	durable := s.durableID
 	s.mu.Unlock()
-	var fb []byte
-	if s.remoteFilter != nil {
-		// Validation happened at Subscribe; Marshal cannot fail then.
-		// The canonical form makes semantically identical filters of
-		// different subscribers byte-identical on the wire, so filtering
-		// hosts can deduplicate them by bytes alone (routing plan keys).
-		fb, _ = filter.MarshalCanonical(s.remoteFilter)
-	}
 	return SubscriptionInfo{
 		ID:        s.id,
 		TypeName:  s.typeName,
-		Filter:    fb,
+		Filter:    s.filterBytes,
 		DurableID: durable,
 		Certified: s.certifiedType(),
 	}
@@ -112,17 +105,17 @@ func (s *Subscription) ActivateDurable(durableID string) error {
 
 func (s *Subscription) activate(durableID string) error {
 	s.mu.Lock()
-	if s.activated {
+	if s.activated.Load() {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: subscription %s already activated", ErrCannotSubscribe, s.id)
 	}
-	s.activated = true
+	s.activated.Store(true)
 	s.durableID = durableID
 	s.mu.Unlock()
 
 	if err := s.engine.subscriptionChanged(); err != nil {
 		s.mu.Lock()
-		s.activated = false
+		s.activated.Store(false)
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 	}
@@ -140,11 +133,11 @@ func (s *Subscription) activate(durableID string) error {
 // executor, may still run the handler after it returns.
 func (s *Subscription) Deactivate() error {
 	s.mu.Lock()
-	if !s.activated {
+	if !s.activated.Load() {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: subscription %s not active", ErrCannotUnsubscribe, s.id)
 	}
-	s.activated = false
+	s.activated.Store(false)
 	s.mu.Unlock()
 
 	if err := s.engine.subscriptionChanged(); err != nil {
@@ -154,7 +147,8 @@ func (s *Subscription) Deactivate() error {
 }
 
 // SetSingleThreading makes the handler process at most one obvent at a
-// time (paper §3.3.5). Already-queued work is unaffected.
+// time (paper §3.3.5): a queued obvent waits until every handler already
+// running has returned.
 func (s *Subscription) SetSingleThreading() {
 	s.executor.setLimit(1)
 }
@@ -167,7 +161,7 @@ func (s *Subscription) SetMultiThreading(maxNb int) {
 }
 
 // invoke runs the application handler for one obvent, reporting whether
-// it completed. A panicking handler is contained here — on the executor
+// it completed. A panicking handler is contained here — on a drainer
 // goroutine it would otherwise kill the whole process — counted in the
 // engine's HandlerPanics stat and the telemetry drop map, and logged
 // with its stack so the crash stays diagnosable (the net/http handler
@@ -196,10 +190,16 @@ func (s *Subscription) invoke(item submission) (ok bool) {
 	return true
 }
 
-// executor runs a subscription's handler according to its thread policy:
-// a serial intake goroutine pulls obvents off an unbounded queue and
-// either runs the handler inline (single-threading) or spawns handler
-// goroutines gated by a semaphore (multi-threading with a cap).
+// executor runs a subscription's handler according to its thread policy
+// (§3.3.5). It owns no goroutine of its own: deliveries wait in an
+// unbounded queue, one predicate under mu (admitLocked) decides whether
+// the head of the queue may start now, and on-demand drainer goroutines
+// pop admissible items and run the handler themselves, so a delivery
+// costs one goroutine hop and an idle subscription costs none. At most
+// one drainer is ever on its way to the queue (pending): a burst of
+// submits cannot raise a storm of cold goroutines. A drainer starts its
+// successor just before it enters the handler, so nothing waits behind a
+// running handler it is allowed to overtake.
 //
 // When the engine configures a slow-consumer stall budget, the executor
 // additionally watches its own progress: a handler that has been running
@@ -211,8 +211,9 @@ func (s *Subscription) invoke(item submission) (ok bool) {
 // head-of-line-block the lane, the engine, or — via the close-abandon
 // path below — shutdown.
 type executor struct {
-	run  func(submission) bool // reports whether the handler completed
-	tele *telemetry.Plane
+	run     func(submission) bool // reports whether the handler completed
+	drainFn func()                // x.drain, bound once: `go x.drainFn()` allocates nothing
+	tele    *telemetry.Plane
 
 	// Slow-consumer isolation (quarantine) configuration: a zero
 	// stallBudget disables it and every probe short-circuits.
@@ -220,27 +221,26 @@ type executor struct {
 	mailbox     int
 	counters    *overloadCounters
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []submission
-	limit  int // 0 = unlimited, 1 = single, n = bounded
-	closed bool
+	mu      sync.Mutex
+	queue   []submission // live items are queue[head:]
+	head    int
+	limit   int // 0 = unlimited, 1 = single, n = bounded
+	closed  bool
+	active  int           // handlers running now
+	serial  bool          // one of them must run with nothing started beside it
+	pending bool          // a drainer is started and has not reached the queue yet
+	idle    chan struct{} // close's wait: closed when active == 0 && !pending
 
 	// quarantined is the isolation state; transitions happen under mu,
 	// reads may be lock-free.
 	quarantined atomic.Bool
 
-	// Stall detection (lock-free): running handlers now; the monotonic
-	// time the current busy era began (running went 0→1); the monotonic
+	// Stall detection, maintained only with a stallBudget: the monotonic
+	// time the current busy era began (active went 0→1) and the monotonic
 	// time of the last handler completion. A healthy pipelined consumer
 	// keeps lastDone fresh no matter how old its era is.
-	running  atomic.Int64
-	eraStart atomic.Int64
-	lastDone atomic.Int64
-
-	inflight sync.WaitGroup
-	intake   sync.WaitGroup
-	sem      chan struct{} // rebuilt when the limit changes
+	eraStart int64
+	lastDone int64
 }
 
 // overloadCounters are the engine-wide slow-consumer accounting shared
@@ -267,7 +267,7 @@ const (
 const defaultQuarantineMailbox = 1024
 
 // submission is one queued delivery; ordered deliveries bypass the
-// thread policy and run inline on the intake goroutine, because "multi-
+// thread policy and run alone, in submit order, because "multi-
 // threading ... [is] assumed by default, except in the case of ordered
 // obvents" (paper §3.3.5). The telemetry context rides the submission —
 // never the envelope or the clone — so handler-return timing can close
@@ -289,24 +289,17 @@ func newExecutor(run func(submission) bool, tele *telemetry.Plane, stallBudget t
 		mailbox = defaultQuarantineMailbox
 	}
 	x := &executor{run: run, tele: tele, stallBudget: stallBudget, mailbox: mailbox, counters: counters}
-	x.cond = sync.NewCond(&x.mu)
-	x.intake.Add(1)
-	go x.loop()
+	x.drainFn = x.drain
 	return x
 }
 
+// setLimit changes the thread policy and re-examines the queue at once:
+// a wider limit may admit items that were waiting.
 func (x *executor) setLimit(n int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	x.limit = n
-	if n > 1 {
-		x.sem = make(chan struct{}, n)
-	} else {
-		x.sem = nil
-	}
+	x.limit = max(n, 0)
+	x.kickLocked()
 }
 
 // submit enqueues one delivery; the status reports when the executor is
@@ -321,108 +314,102 @@ func (x *executor) submit(o obvent.Obvent, ordered bool, deq, pub int64, id, cla
 		return submitClosed
 	}
 	if x.stallBudget > 0 {
-		if !x.quarantined.Load() && len(x.queue) > 0 && x.stalled(telemetry.Now()) {
+		queued := len(x.queue) - x.head
+		if !x.quarantined.Load() && queued > 0 && x.stalledLocked(telemetry.Now()) {
 			x.quarantined.Store(true)
 			x.counters.quarantines.Add(1)
 		}
-		if x.quarantined.Load() && len(x.queue) >= x.mailbox {
+		if x.quarantined.Load() && queued >= x.mailbox {
 			x.counters.slowDrops.Add(1)
 			return submitShed
 		}
 	}
+	if x.head > len(x.queue)/2 {
+		// Reuse the popped prefix: a queue that never quite empties must
+		// not creep through memory. Fewer items move than were popped
+		// since the last move, so the cost stays constant per delivery.
+		n := copy(x.queue, x.queue[x.head:])
+		clear(x.queue[n:])
+		x.queue, x.head = x.queue[:n], 0
+	}
 	x.queue = append(x.queue, submission{o: o, ordered: ordered, deq: deq, pub: pub, id: id, class: class})
-	x.cond.Signal()
+	x.kickLocked()
 	return submitOK
 }
 
-// stalled reports whether the handler is wedged: work is running, the
-// busy era started longer than the stall budget ago, and nothing has
-// completed within the budget either. Cheap enough for the submit path
-// (three atomic loads); a healthy consumer fails the lastDone check.
-func (x *executor) stalled(now int64) bool {
-	if x.running.Load() == 0 {
-		return false
-	}
+// stalledLocked reports whether the handler is wedged: work is running,
+// the busy era started longer than the stall budget ago, and nothing has
+// completed within the budget either. A healthy consumer fails the
+// lastDone check.
+func (x *executor) stalledLocked(now int64) bool {
 	budget := int64(x.stallBudget)
-	if era := x.eraStart.Load(); era == 0 || now-era <= budget {
+	return x.active > 0 && now-x.eraStart > budget && now-x.lastDone > budget
+}
+
+// admitLocked is the whole thread policy: may the head of the queue
+// start now? Up to limit handlers run at once; an ordered delivery
+// starts only with nothing running, and nothing starts beside a serial
+// one (see drain).
+func (x *executor) admitLocked() bool {
+	switch {
+	case x.head == len(x.queue) || x.serial:
 		return false
+	case x.queue[x.head].ordered:
+		return x.active == 0
 	}
-	return now-x.lastDone.Load() > budget
+	return x.limit == 0 || x.active < x.limit
 }
 
-// runTracked wraps one handler invocation with the stall-detection
-// bookkeeping and the quarantine-recovery check.
-func (x *executor) runTracked(item submission) bool {
-	if x.stallBudget <= 0 {
-		return x.run(item)
+// kickLocked starts a drainer if the head of the queue is admissible and
+// none is already on its way.
+func (x *executor) kickLocked() {
+	if !x.pending && x.admitLocked() {
+		x.pending = true
+		go x.drainFn()
 	}
-	if x.running.Add(1) == 1 {
-		x.eraStart.Store(telemetry.Now())
-	}
-	ok := x.run(item)
-	x.lastDone.Store(telemetry.Now())
-	x.running.Add(-1)
-	if x.quarantined.Load() {
-		// A completion is progress: release the quarantine once the
-		// mailbox has drained to half, so recovery has headroom before
-		// the next overflow.
-		x.mu.Lock()
-		if x.quarantined.Load() && len(x.queue) <= x.mailbox/2 {
-			x.quarantined.Store(false)
-		}
-		x.mu.Unlock()
-	}
-	return ok
 }
 
-func (x *executor) loop() {
-	defer x.intake.Done()
-	for {
-		x.mu.Lock()
-		for len(x.queue) == 0 && !x.closed {
-			x.cond.Wait()
+// drain runs admissible deliveries on this goroutine until none is left.
+func (x *executor) drain() {
+	x.mu.Lock()
+	x.pending = false
+	for x.admitLocked() {
+		item := x.queue[x.head]
+		x.queue[x.head] = submission{} // do not pin the obvent for the GC
+		if x.head++; x.head == len(x.queue) {
+			x.queue, x.head = x.queue[:0], 0
 		}
-		if len(x.queue) == 0 && x.closed {
-			x.mu.Unlock()
-			return
+		// Ordered deliveries run alone. So do a quarantined consumer's:
+		// more goroutines at a handler that finishes nothing would only
+		// grow the leak.
+		serial := item.ordered || x.quarantined.Load()
+		x.serial = serial
+		if x.active++; x.active == 1 && x.stallBudget > 0 {
+			x.eraStart = telemetry.Now()
 		}
-		item := x.queue[0]
-		x.queue = x.queue[1:]
-		limit := x.limit
-		sem := x.sem
+		x.kickLocked()
 		x.mu.Unlock()
-
-		switch {
-		case item.ordered || limit == 1 || x.quarantined.Load():
-			// Ordered obvents and single-threading: at most one
-			// obvent at a time, in arrival order. For ordered
-			// obvents we additionally wait out concurrent unordered
-			// handlers so an ordered delivery never races ahead.
-			// A quarantined consumer also serializes: spawning more
-			// goroutines at a handler that is not finishing any would
-			// just grow the leak.
-			if item.ordered {
-				x.inflight.Wait()
+		x.finish(item, x.run(item))
+		x.mu.Lock()
+		x.active--
+		if serial {
+			x.serial = false
+		}
+		if x.stallBudget > 0 {
+			x.lastDone = telemetry.Now()
+			// A completion is progress: release the quarantine once the
+			// mailbox has drained to half, so recovery has headroom before
+			// the next overflow.
+			if x.quarantined.Load() && len(x.queue)-x.head <= x.mailbox/2 {
+				x.quarantined.Store(false)
 			}
-			x.finish(item, x.runTracked(item))
-		case sem != nil:
-			// Bounded multi-threading.
-			sem <- struct{}{}
-			x.inflight.Add(1)
-			go func(item submission) {
-				defer x.inflight.Done()
-				defer func() { <-sem }()
-				x.finish(item, x.runTracked(item))
-			}(item)
-		default:
-			// Unlimited multi-threading (paper default).
-			x.inflight.Add(1)
-			go func(item submission) {
-				defer x.inflight.Done()
-				x.finish(item, x.runTracked(item))
-			}(item)
 		}
 	}
+	if x.idle != nil && x.active == 0 && !x.pending {
+		close(x.idle)
+		x.idle = nil
+	}
+	x.mu.Unlock()
 }
 
 // finish closes one delivery's telemetry spans after the handler
@@ -458,38 +445,32 @@ func (x *executor) finish(item submission, ok bool) {
 	}
 }
 
-// close drains the queue, waits for the intake goroutine and all
-// in-flight handlers — unless the consumer is provably stalled past its
-// budget, in which case close abandons it instead of hanging the
-// engine's shutdown on a wedged handler: the intake goroutine drains
-// the remaining queue and exits on its own whenever the handler finally
-// returns, so nothing leaks beyond the handler's own lifetime.
+// close refuses further submits and returns once the queue has drained:
+// no handler running, no drainer pending — unless the consumer is provably
+// stalled past its budget, in which case close abandons it instead of
+// hanging the engine's shutdown on a wedged handler. A handler may also have
+// wedged too recently for the probe to prove it, so with isolation
+// enabled shutdown waits at most two budgets. An abandoned drainer
+// finishes the remaining queue and exits on its own whenever the handler
+// finally returns, so nothing leaks beyond the handler's own lifetime.
 func (x *executor) close() {
 	x.mu.Lock()
 	x.closed = true
-	x.cond.Signal()
-	abandoned := x.stallBudget > 0 && x.stalled(telemetry.Now())
+	if (x.active == 0 && !x.pending) || (x.stallBudget > 0 && x.stalledLocked(telemetry.Now())) {
+		x.mu.Unlock()
+		return
+	}
+	if x.idle == nil {
+		x.idle = make(chan struct{})
+	}
+	idle := x.idle
 	x.mu.Unlock()
-	if abandoned {
-		return
-	}
+	var abandon <-chan time.Time // nil without a budget: wait for good
 	if x.stallBudget > 0 {
-		// A handler may have wedged too recently for stalled() to prove
-		// it; with isolation enabled, shutdown waits at most two budgets
-		// before abandoning. The waiter goroutine ends when the handler
-		// does, like the abandoned intake goroutine.
-		done := make(chan struct{})
-		go func() {
-			x.intake.Wait()
-			x.inflight.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(2 * x.stallBudget):
-		}
-		return
+		abandon = time.After(2 * x.stallBudget)
 	}
-	x.intake.Wait()
-	x.inflight.Wait()
+	select {
+	case <-idle:
+	case <-abandon:
+	}
 }
