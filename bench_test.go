@@ -1157,7 +1157,8 @@ type quoteBookGob struct {
 
 // BenchmarkClonePointerBearing measures per-subscriber cloning of a
 // pointer-bearing class: the gob-decode-per-clone baseline (a class the
-// copier compiler rejects) against the compiled deep copier. Flat
+// copier compiler rejects) against the compiled deep copier, and then
+// whole envelopes of the copier class at 1, 2 and 5 matches. Flat
 // classes are unaffected (they keep the PR 2 value-copy fastpath).
 // Part of the dispatch CI family.
 func BenchmarkClonePointerBearing(b *testing.B) {
@@ -1212,6 +1213,33 @@ func BenchmarkClonePointerBearing(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := src.Clone(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	// What indexed dispatch pays per envelope of the copier class: one
+	// decode, a copy for every match but the last, and the prototype
+	// itself for the last (CloneLast). matches=1 is the decode alone;
+	// each further match adds one compiled-copier op from above.
+	env, err := c.Encode(cases[1].o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, matches := range []int{1, 2, 5} {
+		b.Run(fmt.Sprintf("envelope/matches=%d", matches), func(b *testing.B) {
+			var src codec.CloneSource
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.SourceInto(env, &src); err != nil {
+					b.Fatal(err)
+				}
+				for m := 1; m < matches; m++ {
+					if _, err := src.Clone(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := src.CloneLast(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1329,35 +1357,48 @@ func BenchmarkSparseMulticast(b *testing.B) {
 
 // --- Durable publish: certified cost under the durability plane ---
 
+// padCertified is a certified event that carries a payload worth
+// copying: what the durable path does with Pad's bytes is what the
+// pad=1KiB cases and TestCertifiedDurableAllocsPerEvent count.
+type padCertified struct {
+	obvent.Base
+	obvent.CertifiedBase
+	Seq int64
+	Pad []byte
+}
+
 // BenchmarkDurablePublish measures certified publish+deliver cost on a
 // two-node domain under four configurations: the seed baseline
 // (WithCertifiedStores over in-memory stores), the default domain with
 // no durability (must stay within the CI gate of the seed — the
 // durability plane is pay-for-what-you-use), and the on-disk plane
 // under both sync policies, exposing the fsync-per-record price
-// (paper §3.4.1).
+// (paper §3.4.1). The pad=1KiB cases publish an event with a 1 KiB
+// []byte field, where B/op follows the copies made of it per hop.
 func BenchmarkDurablePublish(b *testing.B) {
+	syncOpts := func(policy govents.SyncPolicy) func(b *testing.B) []govents.Option {
+		return func(b *testing.B) []govents.Option {
+			return []govents.Option{
+				govents.WithDurability(b.TempDir()),
+				govents.WithDurabilityTuning(govents.DurabilityTuning{Sync: policy}),
+			}
+		}
+	}
+	none := func(b *testing.B) []govents.Option { return nil }
 	cases := []struct {
 		name    string
 		durable bool // subscribe under a durable identity
+		pad     int  // 0: the workload's quote; else a padCertified of that many bytes
 		opts    func(b *testing.B) []govents.Option
 	}{
-		{"seed", false, func(b *testing.B) []govents.Option {
+		{"seed", false, 0, func(b *testing.B) []govents.Option {
 			return []govents.Option{govents.WithCertifiedStores(store.NewMemLog(), store.NewMemSet())}
 		}},
-		{"durable=off", false, func(b *testing.B) []govents.Option { return nil }},
-		{"sync=always", true, func(b *testing.B) []govents.Option {
-			return []govents.Option{
-				govents.WithDurability(b.TempDir()),
-				govents.WithDurabilityTuning(govents.DurabilityTuning{Sync: govents.SyncAlways}),
-			}
-		}},
-		{"sync=batch", true, func(b *testing.B) []govents.Option {
-			return []govents.Option{
-				govents.WithDurability(b.TempDir()),
-				govents.WithDurabilityTuning(govents.DurabilityTuning{Sync: govents.SyncBatch}),
-			}
-		}},
+		{"durable=off", false, 0, none},
+		{"sync=always", true, 0, syncOpts(govents.SyncAlways)},
+		{"sync=batch", true, 0, syncOpts(govents.SyncBatch)},
+		{"pad=1KiB,durable=off", false, 1024, none},
+		{"pad=1KiB,sync=batch", true, 1024, syncOpts(govents.SyncBatch)},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -1382,6 +1423,7 @@ func BenchmarkDurablePublish(b *testing.B) {
 					b.Fatal(err)
 				}
 				workload.RegisterTypes(d.Registry())
+				d.Registry().MustRegister(padCertified{})
 				domains[i] = d
 			}
 			defer func() {
@@ -1396,12 +1438,16 @@ func BenchmarkDurablePublish(b *testing.B) {
 			}
 
 			var got atomic.Int64
-			handler := func(q workload.QuoteCertified) { got.Add(1) }
 			var err error
-			if tc.durable {
-				_, err = govents.SubscribeDurable(domains[1], "bench-sub", handler)
-			} else {
-				_, err = govents.Subscribe(domains[1], nil, handler)
+			switch {
+			case tc.pad > 0 && tc.durable:
+				_, err = govents.SubscribeDurable(domains[1], "bench-sub", func(padCertified) { got.Add(1) })
+			case tc.pad > 0:
+				_, err = govents.Subscribe(domains[1], nil, func(padCertified) { got.Add(1) })
+			case tc.durable:
+				_, err = govents.SubscribeDurable(domains[1], "bench-sub", func(workload.QuoteCertified) { got.Add(1) })
+			default:
+				_, err = govents.Subscribe(domains[1], nil, func(workload.QuoteCertified) { got.Add(1) })
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -1409,10 +1455,16 @@ func BenchmarkDurablePublish(b *testing.B) {
 			waitUntil(b, 5*time.Second, func() bool { return domains[0].RemoteSubscriptionCount() >= 1 })
 			net.Settle()
 			gen := workload.NewQuoteGen(31, 10)
+			pad := make([]byte, tc.pad)
 
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := domains[0].Publish(ctx, workload.QuoteCertified{StockObvent: gen.Next().StockObvent}); err != nil {
+				var ev govents.Obvent = padCertified{Seq: int64(i), Pad: pad}
+				if tc.pad == 0 {
+					ev = workload.QuoteCertified{StockObvent: gen.Next().StockObvent}
+				}
+				if err := domains[0].Publish(ctx, ev); err != nil {
 					b.Fatal(err)
 				}
 			}

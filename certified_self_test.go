@@ -1,0 +1,309 @@
+// A publisher that subscribes to its own certified class, and one that
+// does not: what each stages, acknowledges, sends itself and replays.
+package govents_test
+
+import (
+	"context"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"govents"
+	"govents/internal/durable"
+	"govents/netsim"
+	"govents/obvent"
+	"govents/store"
+)
+
+// selfTap counts the frames a domain's endpoint sends to its own
+// address.
+type selfTap struct {
+	govents.Transport
+	toSelf atomic.Int64
+}
+
+func (tap *selfTap) Send(to string, frame []byte) error {
+	if to == tap.Addr() {
+		tap.toSelf.Add(1)
+	}
+	return tap.Transport.Send(to, frame)
+}
+
+// selfNet opens domains by hand (a DomainGroup owns its endpoints, and
+// these tests put a tap on them).
+type selfNet struct {
+	t     *testing.T
+	net   *netsim.Network
+	addrs []string
+	opts  func(addr string) []govents.Option
+}
+
+func (sn *selfNet) open(addr string) (*govents.Domain, *selfTap) {
+	sn.t.Helper()
+	ep, err := sn.net.NewEndpoint(addr)
+	if err != nil {
+		sn.t.Fatal(err)
+	}
+	tap := &selfTap{Transport: ep}
+	opts := append([]govents.Option{
+		govents.WithTransport(tap),
+		govents.WithPeers(sn.addrs...),
+		govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
+	}, sn.opts(addr)...)
+	d, err := govents.Open(context.Background(), addr, opts...)
+	if err != nil {
+		sn.t.Fatal(err)
+	}
+	sn.t.Cleanup(func() { _ = d.Close(context.Background()) })
+	return d, tap
+}
+
+// exactlyOnce fails unless r holds each of seq 0..n-1 of pub once and
+// nothing else.
+func exactlyOnce(t *testing.T, who string, r *recorder, pub string, n int) {
+	t.Helper()
+	if got := len(r.keys()); got != n {
+		t.Errorf("%s saw %d distinct events, want %d: %v", who, got, n, r.keys())
+	}
+	for i := 0; i < n; i++ {
+		if !r.has(tickKey(pub, i)) {
+			t.Errorf("%s never saw %s", who, tickKey(pub, i))
+		}
+	}
+	if d := r.dups(); d != 0 {
+		t.Errorf("%s saw %d duplicate deliveries", who, d)
+	}
+}
+
+// TestSelfSubscribedDurablePublisher: node-0 publishes a certified class
+// and subscribes to it durably, node-1 subscribes too. Each handler sees
+// each event once; node-0 sends itself nothing; its outbox is
+// acknowledged by both identities and compaction retires it; a crash
+// replays to node-0's subscription what its cursor had not acknowledged
+// and no more; and what node-0 publishes while its own subscription is
+// away reaches it, once, when it is back.
+func TestSelfSubscribedDurablePublisher(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	sn := &selfNet{
+		t:     t,
+		net:   netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 19}),
+		addrs: []string{"node-0", "node-1"},
+		opts: func(addr string) []govents.Option {
+			return []govents.Option{
+				govents.WithDurability(filepath.Join(root, addr)),
+				govents.WithDurabilityTuning(govents.DurabilityTuning{SegmentBytes: 256}),
+			}
+		},
+	}
+	defer sn.net.Close()
+	d0, tap0 := sn.open("node-0")
+	d1, tap1 := sn.open("node-1")
+
+	here, there := newRecorder(), newRecorder()
+	var crashing atomic.Bool // node-0's handler dies under these events, unacknowledged
+	subscribeHere := func(d *govents.Domain) *govents.Subscription {
+		t.Helper()
+		sub, err := govents.SubscribeDurable(d, "self-sub", func(e chaosTick) {
+			if crashing.Load() {
+				panic("handler dies before the cursor moves")
+			}
+			here.record(e.Pub, e.Seq)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	subscribeHere(d0)
+	if _, err := govents.SubscribeDurable(d1, "sub-1", func(e chaosTick) { there.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "node-1's ad at node-0", func() bool { return d0.RemoteSubscriptionCount() >= 1 })
+
+	seq := 0
+	publish := func(d *govents.Domain, n int) (keys []string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := d.Publish(ctx, chaosTick{Pub: "node-0", Seq: seq}); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, tickKey("node-0", seq))
+			seq++
+		}
+		return keys
+	}
+
+	// Phase A: live.
+	batchA := publish(d0, 40)
+	waitFor(t, "phase A at both", func() bool { return here.hasAll(batchA) && there.hasAll(batchA) })
+	exactlyOnce(t, "node-0", here, "node-0", 40)
+	exactlyOnce(t, "node-1", there, "node-0", 40)
+	if st := d0.DurableStats(); st.Staged != 40 || st.StageDups != 0 {
+		t.Errorf("node-0 staged %d of its own 40 events (%d duplicates), want 40 and none", st.Staged, st.StageDups)
+	}
+
+	// Phase B: five events whose handler at node-0 dies. They are staged
+	// and self-acknowledged in the outbox; the cursor does not move.
+	crashing.Store(true)
+	batchB := publish(d0, 5)
+	waitFor(t, "phase B at node-1", func() bool { return there.hasAll(batchB) })
+	waitFor(t, "phase B handled (and dropped) at node-0", func() bool { return d0.Stats().HandlerPanics >= 5 })
+	crashing.Store(false)
+	if here.hasAny(batchB) {
+		t.Fatal("a dying handler recorded its event")
+	}
+	waitFor(t, "outbox acknowledged by both identities and retired", func() bool {
+		if err := d0.CompactDurable(); err != nil {
+			t.Fatal(err)
+		}
+		return d0.DurableStats().ReclaimedRecords >= 40
+	})
+	sn.net.Settle()
+	if n := tap0.toSelf.Load() + tap1.toSelf.Load(); n != 0 {
+		t.Errorf("%d frames addressed to the sender's own address, want none", n)
+	}
+
+	// Crash node-0 and read its outbox off the disk: nothing is owed.
+	sn.net.Crash("node-0")
+	if err := d0.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	classDir := filepath.Join(root, "node-0", obvent.TypeName(obvent.TypeOf[chaosTick]()))
+	ob, err := durable.OpenOutbox(filepath.Join(classDir, "outbox-data"), filepath.Join(classDir, "outbox-meta"),
+		durable.SegmentConfig{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"self-sub", "sub-1"} {
+		if pending, err := ob.Pending(id); err != nil || len(pending) != 0 {
+			t.Errorf("%s is still owed %d outbox entries (%v)", id, len(pending), err)
+		}
+	}
+	if ob.Len() >= 45 {
+		t.Errorf("outbox still holds %d of 45 entries after compaction", ob.Len())
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rebirth. Before its subscription is back, node-0 publishes: those
+	// events are owed to "self-sub" by the outbox. The subscription then
+	// replays phase B — what its cursor had not acknowledged — and only
+	// that.
+	sn.net.Restart("node-0")
+	d0, _ = sn.open("node-0")
+	waitFor(t, "node-1's ad at the reborn node-0", func() bool { return d0.RemoteSubscriptionCount() >= 1 })
+	batchC := publish(d0, 3)
+	if st := d0.DurableStats(); st.Staged != 0 {
+		t.Errorf("node-0 staged %d events while it had no subscription", st.Staged)
+	}
+	sub := subscribeHere(d0)
+	if !here.hasAll(batchB) {
+		t.Errorf("replay did not deliver what the cursor had not acknowledged: %v", here.keys())
+	}
+	if st := d0.DurableStats(); st.Replayed != 5 {
+		t.Errorf("replayed %d events, want the 5 unacknowledged ones", st.Replayed)
+	}
+	waitFor(t, "phase C at both", func() bool { return here.hasAll(batchC) && there.hasAll(batchC) })
+
+	// The same through a deactivation: no crash, the subscription is
+	// merely away while its own domain publishes.
+	if err := sub.Deactivate(); err != nil {
+		t.Fatal(err)
+	}
+	batchD := publish(d0, 3)
+	waitFor(t, "phase D at node-1", func() bool { return there.hasAll(batchD) })
+	if here.hasAny(batchD) {
+		t.Fatal("a deactivated subscription was delivered to")
+	}
+	subscribeHere(d0)
+	waitFor(t, "phase D at node-0 once its subscription is back", func() bool { return here.hasAll(batchD) })
+
+	batchE := publish(d0, 5)
+	waitFor(t, "phase E at both", func() bool { return here.hasAll(batchE) && there.hasAll(batchE) })
+	time.Sleep(30 * time.Millisecond) // several redelivery ticks: a duplicate would land by now
+	exactlyOnce(t, "node-0", here, "node-0", seq)
+	exactlyOnce(t, "node-1", there, "node-0", seq)
+}
+
+// TestSelfSubscribedPublisherWithoutDurability is the same node on the
+// in-memory stores: the delivered set stands in for the staging inbox.
+func TestSelfSubscribedPublisherWithoutDurability(t *testing.T) {
+	ctx := context.Background()
+	logs := map[string]*store.MemLog{"node-0": store.NewMemLog(), "node-1": store.NewMemLog()}
+	sets := map[string]*store.MemSet{"node-0": store.NewMemSet(), "node-1": store.NewMemSet()}
+	sn := &selfNet{
+		t:     t,
+		net:   netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 23}),
+		addrs: []string{"node-0", "node-1"},
+		opts: func(addr string) []govents.Option {
+			return []govents.Option{govents.WithCertifiedStores(logs[addr], sets[addr])}
+		},
+	}
+	defer sn.net.Close()
+	d0, tap0 := sn.open("node-0")
+	d1, tap1 := sn.open("node-1")
+	here, there := newRecorder(), newRecorder()
+	if _, err := govents.Subscribe(d0, nil, func(e chaosTick) { here.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := govents.Subscribe(d1, nil, func(e chaosTick) { there.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "node-1's ad at node-0", func() bool { return d0.RemoteSubscriptionCount() >= 1 })
+
+	const n = 40
+	var keys []string
+	for i := 0; i < n; i++ {
+		if err := d0.Publish(ctx, chaosTick{Pub: "node-0", Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tickKey("node-0", i))
+	}
+	waitFor(t, "delivery at both", func() bool { return here.hasAll(keys) && there.hasAll(keys) })
+	waitFor(t, "outbox acknowledged by both and collected", func() bool {
+		_, err := logs["node-0"].GC()
+		return err == nil && logs["node-0"].Len() == 0
+	})
+	time.Sleep(30 * time.Millisecond) // several redelivery ticks
+	sn.net.Settle()
+	exactlyOnce(t, "node-0", here, "node-0", n)
+	exactlyOnce(t, "node-1", there, "node-0", n)
+	if got := tap0.toSelf.Load() + tap1.toSelf.Load(); got != 0 {
+		t.Errorf("%d frames addressed to the sender's own address, want none", got)
+	}
+	if got, _ := sets["node-0"].Len(); got != n {
+		t.Errorf("node-0's delivered set holds %d IDs for %d events delivered there", got, n)
+	}
+}
+
+// TestPublisherWithoutLocalSubscriptionStagesNothing is the converse:
+// a publisher that is not among its class's subscribers writes its
+// outbox and nothing else.
+func TestPublisherWithoutLocalSubscriptionStagesNothing(t *testing.T) {
+	ctx := context.Background()
+	g := chaosGroup(t, 2)
+	got := newRecorder()
+	if _, err := govents.SubscribeDurable(g.Domain(1), "sub-1", func(e chaosTick) { got.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription ad at publisher", func() bool { return g.Domain(0).RemoteSubscriptionCount() >= 1 })
+	const n = 20
+	var keys []string
+	for i := 0; i < n; i++ {
+		if err := g.Domain(0).Publish(ctx, chaosTick{Pub: "node-0", Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tickKey("node-0", i))
+	}
+	waitFor(t, "delivery", func() bool { return got.hasAll(keys) })
+	if st := g.Domain(0).DurableStats(); st.Staged != 0 || st.Acked != 0 {
+		t.Errorf("publisher's inbox: staged %d, acknowledged %d; want an untouched inbox", st.Staged, st.Acked)
+	}
+	if st := g.Domain(1).DurableStats(); st.Staged != n {
+		t.Errorf("subscriber staged %d, want %d", st.Staged, n)
+	}
+	exactlyOnce(t, "node-1", got, "node-0", n)
+}

@@ -354,6 +354,23 @@
 // DomainGroup harness (OpenGroup) drives crash-restart, partition and
 // torn-log chaos schedules against exactly these guarantees.
 //
+// A publisher writes its outbox record for a certified event and
+// nothing else, unless it is one of the class's subscribers (the
+// routing table holds its own active subscriptions under its own
+// address): only as a subscriber of its own class does it stage the
+// event in its own inbox, acknowledge it to its outbox under its own
+// durable identities and deliver it locally — in-process, never by
+// sending itself the frame. Activation is not a barrier here either: an
+// event published while the publisher's own subscription is away
+// (deactivated, or not yet back after a restart) is not staged, but
+// stays owed to that identity by the outbox, which redelivers it once
+// the subscription is back. Redelivery resends what a subscriber has
+// not acknowledged only once it has been out for a full
+// Tuning.RetransmitInterval, the rule of the link protocol: a tick
+// leaves alone what was first sent since the tick before. Payloads are
+// handed on, not copied: internal/store.Log and internal/codec state
+// who may keep and who may alias one.
+//
 // # Observability
 //
 // Every Domain records per-stage latency histograms on the delivery

@@ -116,6 +116,8 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 			return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 		}
 		err = ib.Replay(durableID, func(eventID, origin string, payload []byte) error {
+			// The copying decode: payload is a slice of the record the log
+			// read, which is the log's to hand out as it sees fit.
 			if env, uerr := codec.Unmarshal(payload); uerr != nil {
 				// A poison record must not wedge the subscription
 				// forever: drop it, acknowledged, and say so.

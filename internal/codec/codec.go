@@ -11,6 +11,11 @@
 // priority, expiry). The envelope is the "reified message" of paper
 // §3.1.2 — the obvent reflects its semantics at every moment of the
 // transfer. Its own framing is a fixed binary layout (framing.go).
+//
+// An envelope's Payload is read-only from the moment it exists: the
+// decoders copy what they keep of it and nothing writes to it, which is
+// what lets UnmarshalAlias hand out a slice of the frame where
+// Unmarshal copies (framing.go says who may call which).
 package codec
 
 import (
@@ -187,9 +192,9 @@ func (c *Codec) Decode(e *Envelope) (obvent.Obvent, error) {
 //     assertion (As[T]) copies the value out, and that copy is already
 //     a deep copy.
 //   - modeCopier: pointer-bearing classes with a compiled deep copier
-//     (copier.go). The payload is gob-decoded once into a prototype;
-//     every clone is one compiled deep copy of it — no per-clone wire
-//     decode.
+//     (copier.go). The payload is decoded once into a prototype; every
+//     clone is one compiled deep copy of it — no per-clone wire decode —
+//     and the last one (CloneLast) is the prototype itself.
 //   - modeGob: classes the copier compiler rejects. Every clone pays
 //     the full gob decode, as all classes originally did.
 //
@@ -308,6 +313,26 @@ func (s *CloneSource) Clone() (obvent.Obvent, error) {
 	n := reflect.New(s.typ).Elem()
 	s.copy(n, s.proto)
 	return s.box(n)
+}
+
+// CloneLast is Clone for the last clone a caller takes of this source:
+// a class with a compiled copier hands out the decoded prototype itself
+// instead of one more copy of it (N clones: one decode, N−1 copies) and
+// forgets it, so a Clone after this decodes again. The other modes have
+// nothing to give away and clone as ever.
+func (s *CloneSource) CloneLast() (obvent.Obvent, error) {
+	if s.mode != modeCopier {
+		return s.Clone()
+	}
+	v := s.proto
+	s.proto = reflect.Value{}
+	if !v.IsValid() {
+		var err error
+		if v, err = s.decodeNew(); err != nil {
+			return nil, err
+		}
+	}
+	return s.box(v)
 }
 
 // decodeNew materializes the payload into a fresh value of the class,

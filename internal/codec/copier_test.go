@@ -217,6 +217,66 @@ func TestCopierCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneLastHandsOutThePrototype: the last clone of a copier class
+// is the decoded prototype itself, so it is as independent of the
+// earlier clones as they are of each other, it costs no copy, and the
+// source is left able to decode again.
+func TestCloneLastHandsOutThePrototype(t *testing.T) {
+	reg := obvent.NewRegistry()
+	reg.MustRegister(ptrQuote{})
+	c := New(reg)
+	in := ptrQuote{Company: "Acme", Detail: &leaf{Name: "d"}, Tags: []string{"a", "b"}, Meta: map[string]int{"k": 1}}
+	env, err := c.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodes := func() uint64 { st := c.WireStats(); return st.Decodes + st.GobDecodes }
+	for _, n := range []int{1, 2, 5} {
+		src, err := c.Source(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := decodes()
+		clones := make([]ptrQuote, n)
+		for i := range clones {
+			clone := src.Clone
+			if i == n-1 {
+				clone = src.CloneLast
+			}
+			o, err := clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			clones[i] = o.(ptrQuote)
+		}
+		if got := decodes() - before; got != 1 {
+			t.Errorf("%d clones took %d decodes, want 1", n, got)
+		}
+		if src.proto.IsValid() {
+			t.Errorf("%d clones: the source still holds the prototype it handed out", n)
+		}
+		for i := range clones {
+			// Everything each clone reaches is its own: write through all
+			// of it, then look at the others.
+			clones[i].Detail.Name = fmt.Sprint("mut", i)
+			clones[i].Tags[0] = fmt.Sprint("mut", i)
+			clones[i].Meta["k"] = -i - 1
+		}
+		for i, q := range clones {
+			if q.Detail.Name != fmt.Sprint("mut", i) || q.Tags[0] != fmt.Sprint("mut", i) || q.Meta["k"] != -i-1 {
+				t.Errorf("%d clones: clone %d shares state with another: %+v", n, i, q)
+			}
+		}
+		again, err := src.Clone() // decodes anew: the mutations above are not in it
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := again.(ptrQuote); q.Detail.Name != "d" || q.Tags[0] != "a" || q.Meta["k"] != 1 {
+			t.Errorf("%d clones: a clone after CloneLast carries a subscriber's writes: %+v", n, q)
+		}
+	}
+}
+
 // TestCopierRejectsUnsupportedLayouts pins the compile-time fallback
 // decisions: recursion, interfaces, chans, and pointer-bearing map keys
 // all reject to gob, once, and the rejection is cached.

@@ -164,8 +164,24 @@ func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 // disk-facing: every length is checked against the bytes that remain
 // and against the field's cap before anything is allocated; unknown
 // flags, an unknown format byte and trailing bytes are errors. The
-// returned envelope shares no memory with data.
+// returned envelope shares no memory with data, so this is the form for
+// a caller that decodes out of a buffer it goes on using.
 func Unmarshal(data []byte) (*Envelope, error) {
+	e, err := UnmarshalAlias(data)
+	if err != nil {
+		return nil, err
+	}
+	e.Payload = slices.Clone(e.Payload)
+	return e, nil
+}
+
+// UnmarshalAlias is Unmarshal without the payload's copy: the returned
+// envelope's Payload is a slice of data (every other field is copied
+// out). It is for the caller that owns data and never writes to it
+// again (the receive path: the transport allocates a buffer per frame)
+// or that drops the envelope before data changes (routing a frame).
+// Anything else calls Unmarshal.
+func UnmarshalAlias(data []byte) (*Envelope, error) {
 	r := envReader{buf: data}
 	if format := r.u8(); r.err == nil && format != envelopeFormat {
 		return nil, fmt.Errorf("codec: unmarshal envelope: unknown envelope format 0x%02x", format)
@@ -318,8 +334,8 @@ func (r *envReader) vc() vclock.VC {
 	return vc
 }
 
-// payload reads the final field, which must end the record, and copies
-// it out of the frame: callers may recycle data.
+// payload reads the final field, which must end the record. The result
+// aliases the frame.
 func (r *envReader) payload() []byte {
 	b := r.span("payload", maxEnvelopePayload)
 	if r.err != nil {
@@ -332,5 +348,5 @@ func (r *envReader) payload() []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	return slices.Clone(b)
+	return b
 }

@@ -28,9 +28,10 @@ import (
 // across all subscribers instead of once per subscription. The envelope
 // is decoded once into a canonical value used only for remote-filter
 // matching. Obvent local uniqueness (§2.1.2) is then paid only for the
-// subscriptions whose remote matching passed: one deep copy per match for
-// a class with reference kinds, and one immutable box per envelope for a
-// flat class (no pointer, slice or map, transitively). A boxed flat value
+// subscriptions whose remote matching passed: for a class with reference
+// kinds one deep copy per match but the last, which takes the decoded
+// prototype, and one immutable box per envelope for a flat class (no
+// pointer, slice or map, transitively). A boxed flat value
 // cannot be observed to be shared: a value held in an interface is not
 // addressable and holds nothing to write through, and every typed handler
 // copies it out (As[T]), so each subscriber still owns what it sees.
@@ -430,10 +431,18 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 	// run on the subscriber's own obvent — exactly as in the naive path —
 	// so a mutating local filter can never leak state across
 	// subscriptions.
+	// The deliver list is final, so its last member can have the decoded
+	// prototype itself (CloneLast) where the others get copies of it.
 	ordered := e.orderedDelivery(env)
 	decodeFailed := false // count decode errors once per envelope
-	for _, s := range deliver {
-		o, err := src.Clone()
+	for i, s := range deliver {
+		var o obvent.Obvent
+		var err error
+		if i == len(deliver)-1 {
+			o, err = src.CloneLast()
+		} else {
+			o, err = src.Clone()
+		}
 		if err != nil {
 			if !decodeFailed {
 				decodeFailed = true

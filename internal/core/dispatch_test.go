@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -595,5 +596,73 @@ func TestCopierClonesAreIndependentAcrossSubscribers(t *testing.T) {
 	a.Levels[0] = -1
 	if b.Info.Venue != "X" || b.Levels[0] != 9 {
 		t.Errorf("mutation leaked across subscribers: %+v", b)
+	}
+}
+
+// TestLastMatchTakesThePrototype: the indexed path gives its last match
+// the decoded prototype itself where the naive path copies for every
+// match. With 1, 2 and 5 matches of a class with a slice and a pointer,
+// every handler writes through everything it was given: each must have
+// seen the event as published (nothing another handler wrote, on this
+// envelope or the one before), hold an object of its own, and have seen
+// what the naive oracle's handlers saw.
+func TestLastMatchTakesThePrototype(t *testing.T) {
+	type seen struct {
+		Sub    int
+		Levels []float64
+		Venue  string
+	}
+	run := func(t *testing.T, matches int, opts ...Option) (views []seen, objs []bookQuote) {
+		e := NewEngine("test-node", NewLocal(), opts...)
+		t.Cleanup(func() { _ = e.Close() })
+		e.Registry().MustRegister(bookQuote{})
+		var mu sync.Mutex
+		for i := 0; i < matches; i++ {
+			sub, err := Subscribe(e, nil, func(q bookQuote) {
+				mu.Lock()
+				defer mu.Unlock()
+				views = append(views, seen{i, append([]float64(nil), q.Levels...), q.Info.Venue})
+				q.Levels[0], q.Info.Venue = float64(-i-1), fmt.Sprint("mut-", i)
+				objs = append(objs, q)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Activate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ev := 0; ev < 2; ev++ {
+			if err := Publish(e, bookQuote{Company: "Acme", Levels: []float64{9, 8}, Info: &tickInfo{Venue: "X"}}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, "every match handled", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(views) == (ev+1)*matches
+			})
+		}
+		sort.Slice(views, func(a, b int) bool { return views[a].Sub < views[b].Sub })
+		return views, objs
+	}
+	for _, matches := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("matches=%d", matches), func(t *testing.T) {
+			views, objs := run(t, matches)
+			for _, v := range views {
+				if !reflect.DeepEqual(v.Levels, []float64{9, 8}) || v.Venue != "X" {
+					t.Errorf("subscription %d was handed another handler's writes: %+v", v.Sub, v)
+				}
+			}
+			for a := range objs {
+				for b := a + 1; b < len(objs); b++ {
+					if &objs[a].Levels[0] == &objs[b].Levels[0] || objs[a].Info == objs[b].Info {
+						t.Errorf("deliveries %d and %d share a backing array or a pointee", a, b)
+					}
+				}
+			}
+			if oracle, _ := run(t, matches, WithNaiveDispatch()); !reflect.DeepEqual(views, oracle) {
+				t.Errorf("indexed handlers saw %+v\nnaive handlers saw %+v", views, oracle)
+			}
+		})
 	}
 }

@@ -151,6 +151,8 @@ func unmarshalSpill(data []byte) (*codec.Envelope, int, error) {
 		return nil, 0, fmt.Errorf("core: spill record too short (%d bytes)", len(data))
 	}
 	prio := int(int64(binary.BigEndian.Uint64(data)))
+	// The copying decode: a refill reads records out of the spill log's
+	// buffer, and the envelope outlives the read.
 	env, err := codec.Unmarshal(data[spillPrioBytes:])
 	if err != nil {
 		return nil, 0, err

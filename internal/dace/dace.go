@@ -63,6 +63,7 @@ import (
 	"log/slog"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"govents/internal/codec"
@@ -183,6 +184,12 @@ type Node struct {
 	adsSinceSnap int                              // deltas sent since the last full snapshot
 
 	control *multicast.Reliable
+
+	// certGen is the routing-table generation the certified groups'
+	// subscriber sets are current with; certMu serializes their refresh
+	// (an older view must not land on a group after a newer one).
+	certMu  sync.Mutex
+	certGen atomic.Uint64
 
 	// hbStop ends the ad-TTL heartbeat goroutine (nil when AdTTL is
 	// unset); hbWG waits it out on Close.
@@ -391,18 +398,12 @@ func (n *Node) groupsSnapshotLocked() map[string]multicast.Group {
 // outbox consumers that never acknowledge, pinning the durable outbox's
 // GC frontier at zero forever.
 func (n *Node) setGroupsMembers(groups map[string]multicast.Group, peers []string) {
-	for stream, g := range groups {
-		if c, ok := g.(*multicast.Certified); ok {
-			if class := strings.TrimPrefix(stream, "dace/cert/"); class != stream {
-				if err := c.SetSubscribers(n.certSubscribersFor(class)); err != nil {
-					n.log.Warn("dace: certified membership update failed",
-						"stream", stream, "err", err)
-				}
-				continue
-			}
+	for _, g := range groups {
+		if _, ok := g.(*multicast.Certified); !ok {
+			g.SetMembers(peers)
 		}
-		g.SetMembers(peers)
 	}
+	n.refreshCertSubscribers()
 }
 
 // SetSink implements core.Disseminator.
@@ -617,7 +618,8 @@ func (n *Node) pruneObserver(class string) multicast.PruneObserver {
 // ok=false, failing open to a full broadcast.
 func (n *Node) plannerFor(class string) multicast.Planner {
 	return func(payload []byte) ([]multicast.Send, bool) {
-		env, err := codec.Unmarshal(payload)
+		// Aliasing decode: env is read for routing and dropped here.
+		env, err := codec.UnmarshalAlias(payload)
 		if err != nil || env.Type != class {
 			return nil, false
 		}
@@ -640,7 +642,8 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 // reports ok=false (uniform fanout).
 func (n *Node) interestFor(class string) multicast.Interest {
 	return func(payload []byte) ([]string, bool) {
-		env, err := codec.Unmarshal(payload)
+		// Aliasing decode: env is read for routing and dropped here.
+		env, err := codec.UnmarshalAlias(payload)
 		if err != nil || env.Type != class {
 			return nil, false
 		}
@@ -712,11 +715,13 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 
 	switch proto {
 	case "cert":
-		// Certified classes address durable subscribers explicitly.
+		// Certified classes address durable subscribers explicitly: the
+		// routing plane's view, taken again only if the table has moved.
 		cert := g.(*multicast.Certified)
-		if err := cert.SetSubscribers(n.certSubscribersFor(env.Type)); err != nil {
-			return err
+		if n.routes.Gen() != n.certGen.Load() {
+			n.refreshCertSubscribers()
 		}
+		// A fresh buffer nothing writes to again: the outbox keeps it.
 		payload, err := codec.Marshal(env)
 		if err != nil {
 			return err
@@ -880,7 +885,10 @@ func (n *Node) onData(stream string, payload []byte) {
 	if n.tele.Enabled() {
 		t0 = telemetry.Now()
 	}
-	env, err := codec.Unmarshal(payload)
+	// Aliasing decode: payload is a slice of a frame the transport
+	// allocated for this delivery (or of the buffer a local publisher
+	// marshalled), and nothing writes to an envelope's payload.
+	env, err := codec.UnmarshalAlias(payload)
 	if err != nil {
 		// An undecodable frame was a silent vanish: make it count and
 		// make it loggable.
@@ -979,9 +987,14 @@ func (n *Node) advertise(forceSnapshot bool) {
 
 	// Our own state enters the routing table directly (the control
 	// echo of our broadcast is discarded in onControl).
-	n.routes.ApplySnapshot(n.self, ad.Seq, cur)
+	moved := n.routes.ApplySnapshot(n.self, ad.Seq, cur).Applied
 	if closed {
 		return
+	}
+	if moved {
+		// A local durable subscription that came back is owed what the
+		// outbox holds for it: redelivery must learn where it is.
+		n.refreshCertSubscribers()
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(ad)
@@ -1051,8 +1064,12 @@ func (n *Node) onControl(_ string, payload []byte) {
 }
 
 // refreshCertSubscribers pushes the routing plane's durable-subscriber
-// view into every live certified group.
+// view into every live certified group, one refresh at a time, and
+// notes the table generation the view is at least as new as.
 func (n *Node) refreshCertSubscribers() {
+	n.certMu.Lock()
+	defer n.certMu.Unlock()
+	gen := n.routes.Gen() // read before the table is: a change in between shows as a newer generation
 	n.mu.Lock()
 	groups := n.groupsSnapshotLocked()
 	n.mu.Unlock()
@@ -1068,8 +1085,10 @@ func (n *Node) refreshCertSubscribers() {
 		if err := c.SetSubscribers(n.certSubscribersFor(class)); err != nil {
 			n.log.Warn("dace: certified membership update failed",
 				"stream", stream, "err", err)
+			gen = 0 // no generation is 0: the next publish tries again
 		}
 	}
+	n.certGen.Store(gen)
 }
 
 // RemoteSubscriptionCount reports how many remote subscriptions this

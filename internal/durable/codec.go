@@ -11,8 +11,9 @@ import (
 // they are still surfaced as errors rather than panics so a mixed-
 // version restart degrades loudly instead of crashing.
 
-// appendBlob appends [u32 len][bytes].
-func appendBlob(dst []byte, b []byte) []byte {
+// appendBlob appends [u32 len][bytes]; a string goes in without a
+// conversion's copy.
+func appendBlob[T ~string | ~[]byte](dst []byte, b T) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
 }

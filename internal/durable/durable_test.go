@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -378,5 +379,286 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	if !ib.HasCursor("d1") {
 		t.Fatal("cursor lost across manager reopen")
+	}
+}
+
+// TestDurableAppendAllocs pins the steady-state allocations of the four
+// per-event durable operations: the record headers go into scratch the
+// outbox and inbox keep, the frame into the log's buffer, the payload is
+// kept or written as it is. What is left is each index's map insert.
+func TestDurableAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	dir := t.TempDir()
+	cfg := SegmentConfig{Sync: SyncBatch}
+	o, err := OpenOutbox(filepath.Join(dir, "od"), filepath.Join(dir, "om"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	ib, err := OpenInbox(filepath.Join(dir, "id"), filepath.Join(dir, "ia"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ib.Close()
+	if err := o.RegisterConsumer("sub"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ib.EnsureCursor("sub"); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	ids := make([]string, 4*(runs+1)+8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("event-%06d", i)
+	}
+	payload := make([]byte, 1024)
+	next := 0
+	step := func(op func(id string) error) func() {
+		return func() {
+			if err := op(ids[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	appendOp := step(func(id string) error { return o.Append(store.Entry{ID: id, Payload: payload}) })
+	stageOp := step(func(id string) error { _, err := ib.Stage(id, "pub", payload); return err })
+	for i := 0; i < 8; i++ { // warm the scratch, the framing buffers and the indexes
+		appendOp()
+	}
+	next = 0
+	for i := 0; i < 8; i++ {
+		stageOp()
+	}
+
+	next = 8
+	if n := testing.AllocsPerRun(runs, appendOp); n > 1 {
+		t.Errorf("Outbox.Append allocates %.0f per call, want <= 1", n)
+	}
+	appended := next
+	next = 8
+	if n := testing.AllocsPerRun(runs, stageOp); n > 1 {
+		t.Errorf("Inbox.Stage allocates %.0f per call, want <= 1", n)
+	}
+	staged := min(next, appended)
+	next = 0
+	if n := testing.AllocsPerRun(staged-1, step(func(id string) error { return o.Ack("sub", id) })); n != 0 {
+		t.Errorf("Outbox.Ack allocates %.0f per call, want 0", n)
+	}
+	next = 0
+	if n := testing.AllocsPerRun(staged-1, step(func(id string) error { return ib.Ack("sub", id) })); n != 0 {
+		t.Errorf("Inbox.Ack allocates %.0f per call, want 0", n)
+	}
+}
+
+// TestOutboxKeepsCallersPayload: store.Log's ownership contract as the
+// outbox uses it. Append keeps the slice it was given, and every Pending
+// hands out that same slice.
+func TestOutboxKeepsCallersPayload(t *testing.T) {
+	o := openTestOutbox(t, t.TempDir())
+	defer o.Close()
+	if err := o.RegisterConsumer("sub"); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("handed over")
+	if err := o.Append(store.Entry{ID: "e0", Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		pending, err := o.Pending("sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pending) != 1 || &pending[0].Payload[0] != &payload[0] {
+			t.Fatalf("Pending = %v: not the appended slice", pending)
+		}
+	}
+}
+
+// TestOutboxCursorOutOfOrderAcks drives the outbox's per-consumer state
+// (the cursorState it shares with the inbox) through acknowledgements
+// that arrive out of order, a GC in the middle, and reopens: Pending is
+// what was never acknowledged, in append order, each time.
+func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Outbox {
+		o, err := OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"),
+			SegmentConfig{SegmentBytes: 1}) // one record per segment: GC can drop any prefix
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	pendingIDs := func(o *Outbox, consumer string) []string {
+		t.Helper()
+		pending, err := o.Pending(consumer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(pending))
+		for i, e := range pending {
+			ids[i] = e.ID
+		}
+		return ids
+	}
+	check := func(o *Outbox, consumer string, want ...string) {
+		t.Helper()
+		if got := pendingIDs(o, consumer); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Pending(%s) = %v, want %v", consumer, got, want)
+		}
+	}
+	ack := func(o *Outbox, consumer string, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if err := o.Ack(consumer, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	o := open()
+	for _, c := range []string{"a", "b"} {
+		if err := o.RegisterConsumer(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 8 {
+		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack(o, "a", "e5", "e1", "e0", "e1", "e3") // frontier e1; e3, e5 above it
+	ack(o, "b", "e2", "e0", "e1")             // frontier e2
+	check(o, "a", "e2", "e4", "e6", "e7")
+	check(o, "b", "e3", "e4", "e5", "e6", "e7")
+	if cs := o.consumers["a"]; cs.frontier != 2 || len(cs.sparse) != 2 {
+		t.Fatalf("a: frontier %d with %d above it, want 2 (e1) with 2", cs.frontier, len(cs.sparse))
+	}
+
+	if dropped, err := o.GC(); err != nil || dropped != 2 { // e0, e1: acknowledged by both
+		t.Fatalf("GC dropped %d (%v), want 2", dropped, err)
+	}
+	check(o, "a", "e2", "e4", "e6", "e7")
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o = open() // the snapshot, then nothing
+	check(o, "a", "e2", "e4", "e6", "e7")
+	check(o, "b", "e3", "e4", "e5", "e6", "e7")
+	ack(o, "a", "e2", "e4") // closes both holes: frontier runs to e5
+	if cs := o.consumers["a"]; cs.frontier != 6 || len(cs.sparse) != 0 {
+		t.Fatalf("a: frontier %d with %d above it, want 6 (e5) with none", cs.frontier, len(cs.sparse))
+	}
+	if err := o.RegisterConsumer("late"); err != nil { // owed everything still held
+		t.Fatal(err)
+	}
+	check(o, "late", "e2", "e3", "e4", "e5", "e6", "e7")
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o = open() // the snapshot, then acks and a registration after it
+	defer o.Close()
+	check(o, "a", "e6", "e7")
+	check(o, "b", "e3", "e4", "e5", "e6", "e7")
+	check(o, "late", "e2", "e3", "e4", "e5", "e6", "e7")
+	if err := o.UnregisterConsumer("late"); err != nil {
+		t.Fatal(err)
+	}
+	ack(o, "b", "e3", "e4", "e5", "e6")
+	if dropped, err := o.GC(); err != nil || dropped != 4 { // e2..e5
+		t.Fatalf("second GC dropped %d (%v), want 4", dropped, err)
+	}
+	check(o, "a", "e6", "e7")
+	check(o, "b", "e7")
+}
+
+// TestOutboxAckStateBoundedByInFlight: acknowledged in order with a
+// window in flight, a consumer's state is its frontier, whatever the
+// number of entries the outbox has seen and still holds, and Pending
+// returns the window without walking the rest.
+func TestOutboxAckStateBoundedByInFlight(t *testing.T) {
+	o, err := OpenOutbox(filepath.Join(t.TempDir(), "data"), filepath.Join(t.TempDir(), "meta"),
+		SegmentConfig{Sync: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if err := o.RegisterConsumer("sub"); err != nil {
+		t.Fatal(err)
+	}
+	const total, window = 5000, 16
+	for i := 0; i < total; i++ {
+		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte("p")}); err != nil {
+			t.Fatal(err)
+		}
+		if i >= window {
+			if err := o.Ack("sub", fmt.Sprintf("e%d", i-window)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cs := o.consumers["sub"]
+	if cs.frontier != total-window || len(cs.sparse) != 0 {
+		t.Fatalf("frontier %d with %d entries above it after %d in-order acks, want %d and none",
+			cs.frontier, len(cs.sparse), total-window, total-window)
+	}
+	pending, err := o.Pending("sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != window || pending[0].ID != fmt.Sprintf("e%d", total-window) {
+		t.Fatalf("Pending = %d entries from %s, want the %d in flight", len(pending), pending[0].ID, window)
+	}
+}
+
+// TestOutboxAckOfLostRecordIsNotInherited: a crash under SyncBatch can
+// take the data log's last record and leave the acknowledgement of it in
+// the meta log. The entry appended next gets the lost record's offset;
+// it must be owed, not taken for acknowledged.
+func TestOutboxAckOfLostRecordIsNotInherited(t *testing.T) {
+	dir := t.TempDir()
+	o := openTestOutbox(t, dir)
+	if err := o.RegisterConsumer("sub"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"e0", "e1", "e2"} {
+		if err := o.Append(store.Entry{ID: id, Payload: []byte(id)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Ack("sub", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := segPath(filepath.Join(dir, "data"), 1)
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := int64(frameHeader + 4 + len("e2") + len("e2")) // e2's whole frame
+	if err := os.Truncate(seg, info.Size()-lost); err != nil {
+		t.Fatal(err)
+	}
+
+	o = openTestOutbox(t, dir)
+	defer o.Close()
+	if o.Len() != 2 {
+		t.Fatalf("outbox holds %d entries after losing one of three", o.Len())
+	}
+	if err := o.Append(store.Entry{ID: "e3", Payload: []byte("e3")}); err != nil {
+		t.Fatal(err)
+	}
+	pending, err := o.Pending("sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].ID != "e3" {
+		t.Fatalf("Pending = %v, want [e3]: the lost record's acknowledgement was inherited", pending)
 	}
 }

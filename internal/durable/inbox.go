@@ -33,6 +33,7 @@ type Inbox struct {
 	log  *slog.Logger
 
 	mu      sync.Mutex
+	hdr     []byte            // record-header scratch, reused under mu
 	byID    map[string]uint64 // staged event ID -> offset
 	cursors map[string]*cursorState
 	closed  bool
@@ -41,13 +42,6 @@ type Inbox struct {
 	stageDups uint64
 	acked     uint64
 	replayed  uint64
-}
-
-// cursorState is one durable subscription's position in the inbox.
-type cursorState struct {
-	start    uint64 // offsets <= start are not owed
-	frontier uint64 // offsets <= frontier are acknowledged (>= start)
-	sparse   map[uint64]bool
 }
 
 // Ack-log record kinds.
@@ -131,9 +125,7 @@ func (ib *Inbox) applyAck(rec []byte) error {
 			return err
 		}
 		if _, ok := ib.cursors[string(id)]; !ok {
-			ib.cursors[string(id)] = &cursorState{
-				start: start, frontier: start, sparse: make(map[uint64]bool),
-			}
+			ib.cursors[string(id)] = newCursor(start)
 		}
 	case ackAck:
 		id, rest, err := takeBlob(rest)
@@ -157,28 +149,6 @@ func (ib *Inbox) applyAck(rec []byte) error {
 		return fmt.Errorf("unknown ack kind %d", kind)
 	}
 	return nil
-}
-
-// record folds one acknowledged offset into the cursor, advancing the
-// contiguous frontier through any sparse backlog it unlocks.
-func (cs *cursorState) record(off uint64) {
-	if off <= cs.frontier || cs.sparse[off] {
-		return
-	}
-	if off == cs.frontier+1 {
-		cs.frontier++
-		for cs.sparse[cs.frontier+1] {
-			delete(cs.sparse, cs.frontier+1)
-			cs.frontier++
-		}
-		return
-	}
-	cs.sparse[off] = true
-}
-
-// acked reports whether the cursor has acknowledged the offset.
-func (cs *cursorState) ackedAt(off uint64) bool {
-	return off <= cs.frontier || cs.sparse[off]
 }
 
 // encodeCursorSnapshot serialises all cursors.
@@ -253,10 +223,8 @@ func (ib *Inbox) Stage(id, origin string, payload []byte) (fresh bool, err error
 		ib.stageDups++
 		return false, nil
 	}
-	rec := appendBlob(nil, []byte(id))
-	rec = appendBlob(rec, []byte(origin))
-	rec = append(rec, payload...)
-	off, err := ib.data.Append(rec)
+	ib.hdr = appendBlob(appendBlob(ib.hdr[:0], id), origin)
+	off, err := ib.data.AppendParts(ib.hdr, payload)
 	if err != nil {
 		return false, err
 	}
@@ -279,14 +247,11 @@ func (ib *Inbox) EnsureCursor(durableID string) (resumed bool, err error) {
 		return true, nil
 	}
 	start := ib.data.NextOffset() - 1
-	rec := appendBlob([]byte{ackCursor}, []byte(durableID))
-	rec = appendUint64(rec, start)
-	if _, err := ib.acks.Append(rec); err != nil {
+	ib.hdr = appendUint64(appendBlob(append(ib.hdr[:0], ackCursor), durableID), start)
+	if _, err := ib.acks.Append(ib.hdr); err != nil {
 		return false, err
 	}
-	ib.cursors[durableID] = &cursorState{
-		start: start, frontier: start, sparse: make(map[uint64]bool),
-	}
+	ib.cursors[durableID] = newCursor(start)
 	return false, nil
 }
 
@@ -318,9 +283,8 @@ func (ib *Inbox) Ack(durableID, eventID string) error {
 	if cs.ackedAt(off) {
 		return nil
 	}
-	rec := appendBlob([]byte{ackAck}, []byte(durableID))
-	rec = appendUint64(rec, off)
-	if _, err := ib.acks.Append(rec); err != nil {
+	ib.hdr = appendUint64(appendBlob(append(ib.hdr[:0], ackAck), durableID), off)
+	if _, err := ib.acks.Append(ib.hdr); err != nil {
 		return err
 	}
 	cs.record(off)

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -22,10 +23,11 @@ type Outbox struct {
 	log  *slog.Logger
 
 	mu        sync.Mutex
-	offsets   []uint64 // live entry offsets, ascending
-	entries   map[uint64]store.Entry
+	hdr       []byte        // record-header scratch, reused under mu
+	base      uint64        // offset of entries[0]; data offsets are contiguous
+	entries   []store.Entry // live entries, ascending; payloads are the callers'
 	byID      map[string]uint64
-	consumers map[string]map[uint64]bool // consumer -> acked offsets
+	consumers map[string]*cursorState // consumer -> acknowledged offsets
 	closed    bool
 }
 
@@ -59,9 +61,9 @@ func OpenOutbox(dataDir, metaDir string, cfg SegmentConfig) (*Outbox, error) {
 		data:      data,
 		meta:      meta,
 		log:       logger,
-		entries:   make(map[uint64]store.Entry),
+		base:      data.FirstOffset(),
 		byID:      make(map[string]uint64),
-		consumers: make(map[string]map[uint64]bool),
+		consumers: make(map[string]*cursorState),
 	}
 	if err := o.replay(); err != nil {
 		_ = data.Close()
@@ -81,8 +83,7 @@ func (o *Outbox) replay() error {
 			return fmt.Errorf("durable: outbox data record %d: %w", off, err)
 		}
 		e := store.Entry{ID: string(id), Payload: append([]byte(nil), payload...)}
-		o.offsets = append(o.offsets, off)
-		o.entries[off] = e
+		o.entries = append(o.entries, e)
 		o.byID[e.ID] = off
 		return nil
 	})
@@ -110,7 +111,7 @@ func (o *Outbox) applyMeta(rec []byte) error {
 			return err
 		}
 		if _, ok := o.consumers[string(name)]; !ok {
-			o.consumers[string(name)] = make(map[uint64]bool)
+			o.consumers[string(name)] = newCursor(o.base - 1)
 		}
 	case metaUnregister:
 		name, _, err := takeBlob(rest)
@@ -127,11 +128,13 @@ func (o *Outbox) applyMeta(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		if acked, ok := o.consumers[string(name)]; ok {
-			acked[off] = true
+		// An offset past the data log's end names a record a crash took
+		// (SyncBatch): the next append gets that offset and is owed afresh.
+		if cs, ok := o.consumers[string(name)]; ok && off < o.base+uint64(len(o.entries)) {
+			cs.record(off)
 		}
 	case metaSnapshot:
-		cs, err := decodeConsumerSnapshot(rest)
+		cs, err := o.decodeConsumerSnapshot(rest)
 		if err != nil {
 			return err
 		}
@@ -142,39 +145,43 @@ func (o *Outbox) applyMeta(rec []byte) error {
 	return nil
 }
 
-// encodeConsumerSnapshot serialises the full consumer/ack state.
-func encodeConsumerSnapshot(consumers map[string]map[uint64]bool) []byte {
-	names := make([]string, 0, len(consumers))
-	for n := range consumers {
+// encodeConsumerSnapshot serialises the full consumer/ack state: per
+// consumer, the live offsets it has acknowledged, ascending.
+func (o *Outbox) encodeConsumerSnapshot() []byte {
+	names := make([]string, 0, len(o.consumers))
+	for n := range o.consumers {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := []byte{metaSnapshot}
 	out = appendUint32(out, uint32(len(names)))
 	for _, n := range names {
-		out = appendBlob(out, []byte(n))
-		acked := consumers[n]
-		offs := make([]uint64, 0, len(acked))
-		for off := range acked {
-			offs = append(offs, off)
+		out = appendBlob(out, n)
+		cs := o.consumers[n]
+		count := len(out)
+		out = appendUint32(out, 0)
+		acked := uint32(0)
+		for i := range o.entries {
+			if off := o.base + uint64(i); cs.ackedAt(off) {
+				out = appendUint64(out, off)
+				acked++
+			}
 		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-		out = appendUint32(out, uint32(len(offs)))
-		for _, off := range offs {
-			out = appendUint64(out, off)
-		}
+		binary.BigEndian.PutUint32(out[count:], acked)
 	}
 	return out
 }
 
 // decodeConsumerSnapshot is the inverse of encodeConsumerSnapshot
-// (minus the kind byte, already consumed).
-func decodeConsumerSnapshot(rec []byte) (map[string]map[uint64]bool, error) {
+// (minus the kind byte, already consumed). Everything below the first
+// live offset was acknowledged by every consumer before it was
+// compacted, so each cursor starts there.
+func (o *Outbox) decodeConsumerSnapshot(rec []byte) (map[string]*cursorState, error) {
 	n, rec, err := takeUint32(rec)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[uint64]bool, n)
+	out := make(map[string]*cursorState, n)
 	for range n {
 		var name []byte
 		name, rec, err = takeBlob(rec)
@@ -186,16 +193,16 @@ func decodeConsumerSnapshot(rec []byte) (map[string]map[uint64]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		acked := make(map[uint64]bool, cnt)
+		cs := newCursor(o.base - 1)
 		for range cnt {
 			var off uint64
 			off, rec, err = takeUint64(rec)
 			if err != nil {
 				return nil, err
 			}
-			acked[off] = true
+			cs.record(off)
 		}
-		out[string(name)] = acked
+		out[string(name)] = cs
 	}
 	return out, nil
 }
@@ -210,15 +217,12 @@ func (o *Outbox) Append(e store.Entry) error {
 	if _, ok := o.byID[e.ID]; ok {
 		return nil
 	}
-	rec := appendBlob(nil, []byte(e.ID))
-	rec = append(rec, e.Payload...)
-	off, err := o.data.Append(rec)
+	o.hdr = appendBlob(o.hdr[:0], e.ID)
+	off, err := o.data.AppendParts(o.hdr, e.Payload)
 	if err != nil {
 		return err
 	}
-	cp := store.Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
-	o.offsets = append(o.offsets, off)
-	o.entries[off] = cp
+	o.entries = append(o.entries, e) // the caller's payload, kept (store.Log)
 	o.byID[e.ID] = off
 	return nil
 }
@@ -234,11 +238,11 @@ func (o *Outbox) RegisterConsumer(id string) error {
 	if _, ok := o.consumers[id]; ok {
 		return nil
 	}
-	rec := append([]byte{metaRegister}, appendBlob(nil, []byte(id))...)
-	if _, err := o.meta.Append(rec); err != nil {
+	o.hdr = appendBlob(append(o.hdr[:0], metaRegister), id)
+	if _, err := o.meta.Append(o.hdr); err != nil {
 		return err
 	}
-	o.consumers[id] = make(map[uint64]bool)
+	o.consumers[id] = newCursor(o.base - 1)
 	return nil
 }
 
@@ -252,8 +256,8 @@ func (o *Outbox) UnregisterConsumer(id string) error {
 	if _, ok := o.consumers[id]; !ok {
 		return nil
 	}
-	rec := append([]byte{metaUnregister}, appendBlob(nil, []byte(id))...)
-	if _, err := o.meta.Append(rec); err != nil {
+	o.hdr = appendBlob(append(o.hdr[:0], metaUnregister), id)
+	if _, err := o.meta.Append(o.hdr); err != nil {
 		return err
 	}
 	delete(o.consumers, id)
@@ -281,36 +285,41 @@ func (o *Outbox) Ack(consumer, entryID string) error {
 	if o.closed {
 		return ErrLogClosed
 	}
-	acked, ok := o.consumers[consumer]
+	cs, ok := o.consumers[consumer]
 	if !ok {
 		return fmt.Errorf("%w: %q", store.ErrUnknownConsumer, consumer)
 	}
 	off, ok := o.byID[entryID]
-	if !ok || acked[off] {
+	if !ok || cs.ackedAt(off) {
 		return nil
 	}
-	rec := appendBlob([]byte{metaAck}, []byte(consumer))
-	rec = appendUint64(rec, off)
-	if _, err := o.meta.Append(rec); err != nil {
+	o.hdr = appendUint64(appendBlob(append(o.hdr[:0], metaAck), consumer), off)
+	if _, err := o.meta.Append(o.hdr); err != nil {
 		return err
 	}
-	acked[off] = true
+	cs.record(off)
 	return nil
 }
 
-// Pending implements store.Log: in append (offset) order.
+// Pending implements store.Log: in append (offset) order, walking from
+// the consumer's frontier, so the cost is what it has in flight and not
+// what the outbox still holds. The payloads are the outbox's own
+// (read-only, store.Log).
 func (o *Outbox) Pending(consumer string) ([]store.Entry, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	acked, ok := o.consumers[consumer]
+	cs, ok := o.consumers[consumer]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", store.ErrUnknownConsumer, consumer)
 	}
-	var out []store.Entry
-	for _, off := range o.offsets {
-		if !acked[off] {
-			e := o.entries[off]
-			out = append(out, store.Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)})
+	from, end := max(cs.frontier+1, o.base), o.base+uint64(len(o.entries))
+	if from >= end {
+		return nil, nil
+	}
+	out := make([]store.Entry, 0, end-from)
+	for off := from; off < end; off++ {
+		if !cs.sparse[off] {
+			out = append(out, o.entries[off-o.base])
 		}
 	}
 	return out, nil
@@ -332,19 +341,9 @@ func (o *Outbox) GC() (int, error) {
 		return 0, nil // nobody registered: retain everything
 	}
 	// Contiguous frontier: every offset <= frontier acked by all.
-	frontier := o.data.FirstOffset() - 1
-	for _, off := range o.offsets {
-		ackedByAll := true
-		for _, acked := range o.consumers {
-			if !acked[off] {
-				ackedByAll = false
-				break
-			}
-		}
-		if !ackedByAll || off != frontier+1 {
-			break
-		}
-		frontier = off
+	frontier := o.data.NextOffset() - 1
+	for _, cs := range o.consumers {
+		frontier = min(frontier, cs.frontier)
 	}
 	_, records, err := o.data.Compact(frontier + 1)
 	if err != nil {
@@ -352,18 +351,13 @@ func (o *Outbox) GC() (int, error) {
 	}
 	// Prune memory to match disk, so a restart reconstructs the same
 	// state the live process holds.
-	newFirst := o.data.FirstOffset()
-	dropped := 0
-	for len(o.offsets) > 0 && o.offsets[0] < newFirst {
-		off := o.offsets[0]
-		delete(o.byID, o.entries[off].ID)
-		delete(o.entries, off)
-		for _, acked := range o.consumers {
-			delete(acked, off)
-		}
-		o.offsets = o.offsets[1:]
-		dropped++
+	dropped := int(o.data.FirstOffset() - o.base)
+	for _, e := range o.entries[:dropped] {
+		delete(o.byID, e.ID)
 	}
+	clear(o.entries[:dropped]) // the array outlives the reslice; let the payloads go
+	o.entries = o.entries[dropped:]
+	o.base += uint64(dropped)
 	if uint64(dropped) != records {
 		// Disk and memory disagree on what was dropped; loud but
 		// non-fatal — the durable state on disk is authoritative.
@@ -371,7 +365,7 @@ func (o *Outbox) GC() (int, error) {
 	}
 	// Snapshot consumer state so the meta log does not grow without
 	// bound; everything before the snapshot is then redundant.
-	snap := encodeConsumerSnapshot(o.consumers)
+	snap := o.encodeConsumerSnapshot()
 	snapOff, err := o.meta.Append(snap)
 	if err != nil {
 		return dropped, err
@@ -394,7 +388,7 @@ func (o *Outbox) Stats() (data, meta SegmentStats) {
 func (o *Outbox) Len() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.offsets)
+	return len(o.entries)
 }
 
 // Close implements store.Log.

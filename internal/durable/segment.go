@@ -123,6 +123,7 @@ type SegmentLog struct {
 	segs    []*segment
 	active  *os.File // append handle of segs[len(segs)-1]
 	next    uint64   // next offset to assign
+	frame   []byte   // framing buffer, reused across appends
 	closed  bool
 	appends uint64
 	syncs   uint64
@@ -304,19 +305,46 @@ func (l *SegmentLog) rollLocked() error {
 // Append frames and appends one record, returning its offset. Under
 // SyncAlways the record is on stable storage when Append returns.
 func (l *SegmentLog) Append(data []byte) (uint64, error) {
-	if len(data) > maxRecordBytes {
-		return 0, fmt.Errorf("durable: record of %d bytes exceeds limit", len(data))
+	return l.AppendParts(data)
+}
+
+// maxKeptFrame bounds the framing buffer a log keeps between appends; a
+// larger record's buffer is let go once it is written.
+const maxKeptFrame = 1 << 20
+
+// AppendParts is Append of the concatenation of parts, framed (length,
+// CRC over all parts, bytes) straight into the log's framing buffer and
+// written in one write: a caller with a header and a payload does not
+// join them first. The parts are not retained.
+func (l *SegmentLog) AppendParts(parts ...[]byte) (uint64, error) {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
-	frame := make([]byte, frameHeader+len(data))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(data)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(data))
-	copy(frame[frameHeader:], data)
+	if size > maxRecordBytes {
+		return 0, fmt.Errorf("durable: record of %d bytes exceeds limit", size)
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrLogClosed
 	}
+	var hdr [frameHeader]byte // filled in below, once the CRC is known
+	frame := append(l.frame[:0], hdr[:]...)
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		frame = append(frame, p...)
+	}
+	binary.BigEndian.PutUint32(frame[0:4], uint32(size))
+	binary.BigEndian.PutUint32(frame[4:8], crc)
+	if cap(frame) <= maxKeptFrame {
+		l.frame = frame
+	} else {
+		l.frame = nil
+	}
+
 	seg := l.segs[len(l.segs)-1]
 	if seg.size > 0 && seg.size+int64(len(frame)) > l.cfg.SegmentBytes {
 		if err := l.rollLocked(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -269,6 +270,153 @@ func TestSegmentLogSyncPolicies(t *testing.T) {
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendPartsTornTailEveryByte is the torn-write property over
+// records appended as parts: the segment file is byte for byte what
+// Append of each concatenation writes, and truncating it at every
+// offset inside the final record still opens to the longest valid
+// prefix, whose records read back as the concatenations.
+func TestAppendPartsTornTailEveryByte(t *testing.T) {
+	base := t.TempDir()
+	records := [][][]byte{
+		{[]byte("hdr"), []byte("alpha")},
+		{nil, []byte("beta-beta")},
+		{[]byte("one part")},
+		{[]byte("h"), nil, []byte("gamma!"), []byte("tail")},
+		{[]byte("the final"), []byte(" record")},
+	}
+	partsDir, wholeDir := filepath.Join(base, "parts"), filepath.Join(base, "whole")
+	lp, err := OpenSegmentLog(partsDir, SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := OpenSegmentLog(wholeDir, SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole [][]byte
+	for i, parts := range records {
+		rec := bytes.Join(parts, nil)
+		whole = append(whole, rec)
+		op, err := lp.AppendParts(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ow, err := lw.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op != ow || op != uint64(i+1) {
+			t.Fatalf("record %d: offsets %d (parts) and %d (whole), want %d", i, op, ow, i+1)
+		}
+	}
+	if err := lp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(segPath(partsDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(segPath(wholeDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full, ref) {
+		t.Fatalf("AppendParts wrote\n%x\nAppend of the concatenations wrote\n%x", full, ref)
+	}
+
+	goodBytes := len(full) - (frameHeader + len(whole[len(whole)-1]))
+	for cut := goodBytes; cut <= len(full); cut++ {
+		dir := filepath.Join(base, fmt.Sprintf("cut-%d", cut))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(dir, 1), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenSegmentLog(dir, SegmentConfig{})
+		if err != nil {
+			t.Fatalf("cut at %d: Open failed: %v", cut, err)
+		}
+		want := whole[:len(whole)-1]
+		if cut == len(full) {
+			want = whole
+		}
+		got := collect(t, l, 1)
+		if len(got) != len(want) {
+			t.Fatalf("cut at %d: replayed %d records, want %d", cut, len(got), len(want))
+		}
+		for i, rec := range want {
+			if !bytes.Equal(got[uint64(i+1)], rec) {
+				t.Fatalf("cut at %d: record %d = %q, want %q", cut, i+1, got[uint64(i+1)], rec)
+			}
+		}
+		wantTorn := uint64(1)
+		if cut == goodBytes || cut == len(full) {
+			wantTorn = 0 // a frame boundary is a clean end
+		}
+		if st := l.Stats(); st.TornTails != wantTorn {
+			t.Fatalf("cut at %d: TornTails = %d, want %d", cut, st.TornTails, wantTorn)
+		}
+		// The framing buffer is reused: a record appended after recovery
+		// must not carry bytes of an earlier, longer one.
+		off, err := l.AppendParts([]byte("post"), []byte("-recovery"))
+		if err != nil {
+			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
+		}
+		if got := collect(t, l, off)[off]; string(got) != "post-recovery" {
+			t.Fatalf("cut at %d: post-recovery record = %q", cut, got)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendPartsConcurrent appends records of many lengths from several
+// goroutines at once: the framing buffer is shared under the log's lock,
+// so every record must read back whole and as one of those written.
+func TestAppendPartsConcurrent(t *testing.T) {
+	l, err := OpenSegmentLog(t.TempDir(), SegmentConfig{SegmentBytes: 4 << 10, Sync: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const writers, each = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				head := []byte(fmt.Sprintf("w%d-%d:", w, i))
+				body := bytes.Repeat([]byte{byte('a' + w)}, (i*37)%900)
+				if _, err := l.AppendParts(head, body); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got := collect(t, l, 1)
+	if len(got) != writers*each {
+		t.Fatalf("read back %d records, want %d", len(got), writers*each)
+	}
+	for off, rec := range got {
+		var w, i int
+		head, body, ok := bytes.Cut(rec, []byte(":"))
+		if _, err := fmt.Sscanf(string(head), "w%d-%d", &w, &i); !ok || err != nil {
+			t.Fatalf("record %d: malformed head %q", off, rec)
+		}
+		if want := bytes.Repeat([]byte{byte('a' + w)}, (i*37)%900); !bytes.Equal(body, want) {
+			t.Fatalf("record %d (writer %d, #%d): body of %d bytes, want %d of %q", off, w, i, len(body), len(want), 'a'+w)
 		}
 	}
 }

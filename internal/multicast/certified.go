@@ -32,9 +32,11 @@ type Stager interface {
 // (§3.1.2): "even if a notifiable temporarily disconnects or fails, it
 // will eventually deliver the obvent". The publisher persists every
 // broadcast in a store.Log and retransmits to each registered durable
-// subscriber until that subscriber acknowledges; subscribers
-// deduplicate through a durable store.Set so redeliveries after a crash
-// are delivered exactly once.
+// subscriber until that subscriber acknowledges (what has gone a full
+// RetransmitInterval without acknowledgement, not what has just left);
+// subscribers deduplicate through a durable store.Set or a Stager, so
+// redeliveries after a crash are delivered exactly once. The publisher
+// is a subscriber only if SetSubscribers names its own address.
 type Certified struct {
 	mux    *Mux
 	stream string
@@ -44,13 +46,24 @@ type Certified struct {
 	queue *deliveryQueue
 	lc    *lifecycle
 
-	log   store.Log // publisher-side durable outbox
-	dedup store.Set // subscriber-side durable delivered set
+	log     store.Log  // publisher-side durable outbox
+	dedup   store.Set  // subscriber-side durable delivered set
+	dedupMu sync.Mutex // makes dedup's test-and-add one step
 
 	mu        sync.Mutex
 	subs      map[string]string // durable ID -> current address
+	remote    []string          // one address per durable ID subscribed elsewhere
+	local     []string          // durable IDs subscribed at this node
 	durableID string            // our identity when acknowledging
 	stager    Stager            // optional durable staging inbox
+
+	// young holds the IDs first sent since the last redelivery tick,
+	// which a tick leaves alone: they have not been out for a
+	// RetransmitInterval. A broadcast holds sending shared from its
+	// outbox append to its last send and the tick takes the young set
+	// holding it exclusively, so no broadcast straddles a tick.
+	sending sync.RWMutex
+	young   map[string]struct{}
 }
 
 var _ Group = (*Certified)(nil)
@@ -71,6 +84,7 @@ func NewCertified(mux *Mux, stream string, log store.Log, dedup store.Set, deliv
 		log:    log,
 		dedup:  dedup,
 		subs:   make(map[string]string),
+		young:  make(map[string]struct{}),
 	}
 	mux.Handle(stream, g.onMessage)
 	g.lc.goTick(opts.RetransmitInterval, g.redeliver)
@@ -80,7 +94,9 @@ func NewCertified(mux *Mux, stream string, log store.Log, dedup store.Set, deliv
 // SetSubscribers replaces the set of durable subscribers. New durable
 // IDs are registered as consumers of the outbox log and are owed every
 // entry not yet garbage-collected; a subscriber reconnecting under a new
-// address receives its pending backlog there.
+// address receives its pending backlog there. Only with a subscriber at
+// this node's own address does a broadcast take the local leg (record,
+// self-acknowledge, deliver), and never over the transport.
 func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -98,7 +114,21 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	// the case certified delivery exists for. Use Unsubscribe for a
 	// permanent goodbye.
 	g.subs = next
+	g.splitLocked()
 	return nil
+}
+
+// splitLocked derives remote and local from subs. The slices are
+// replaced, never written to: a broadcast reads them outside the lock.
+func (g *Certified) splitLocked() {
+	g.remote, g.local = nil, nil
+	for id, addr := range g.subs {
+		if addr == g.self {
+			g.local = append(g.local, id)
+		} else {
+			g.remote = append(g.remote, addr)
+		}
+	}
 }
 
 // Unsubscribe permanently removes a durable subscriber; its pending
@@ -107,21 +137,22 @@ func (g *Certified) Unsubscribe(durableID string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	delete(g.subs, durableID)
+	g.splitLocked()
 	return g.log.UnregisterConsumer(durableID)
 }
 
-// SetMembers implements Group by treating each address as a durable
-// subscriber whose ID is the address itself. Groups needing durable IDs
-// distinct from addresses use SetSubscribers.
+// SetMembers implements Group by treating each address, this node's
+// included, as a durable subscriber whose ID is the address itself.
+// Groups needing durable IDs distinct from addresses use SetSubscribers.
 func (g *Certified) SetMembers(members []string) {
 	subs := make([]CertSubscriber, 0, len(members))
 	for _, addr := range members {
-		if addr == g.self {
-			continue
-		}
 		subs = append(subs, CertSubscriber{DurableID: addr, Addr: addr})
 	}
-	_ = g.SetSubscribers(subs)
+	if err := g.SetSubscribers(subs); err != nil {
+		g.opts.Logger.Warn("multicast: certified membership update failed",
+			"stream", g.stream, "err", err)
+	}
 }
 
 // Broadcast implements Group: the payload is persisted before any
@@ -135,11 +166,14 @@ func (g *Certified) Broadcast(payload []byte) error {
 // BroadcastWithID is Broadcast under a caller-chosen event identity.
 // Callers whose payload already carries an ID (envelopes) pass it here,
 // so the durable staging inbox and the application-level delivery
-// acknowledgements key the same event by the same string.
+// acknowledgements key the same event by the same string. The outbox
+// keeps payload (store.Log): the caller does not write to it again.
 func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
+	g.sending.RLock()
+	defer g.sending.RUnlock()
 	if err := g.log.Append(store.Entry{ID: id, Payload: payload}); err != nil {
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
@@ -150,42 +184,50 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 		return err
 	}
 	g.mu.Lock()
-	addrs := make([]string, 0, len(g.subs))
-	for _, addr := range g.subs {
-		addrs = append(addrs, addr)
-	}
-	stager := g.stager
+	remote, local := g.remote, g.local
+	g.young[id] = struct{}{}
 	g.mu.Unlock()
-	// Record the local delivery in the dedup state BEFORE pushing it,
-	// so the wire copy a self-subscribed node receives back is
-	// suppressed instead of delivered twice.
-	localFresh := true
-	if stager != nil {
-		fresh, err := stager.Stage(id, g.self, payload)
-		if err != nil {
+	// The local leg of a node subscribed to its own class: record as a
+	// received event is, acknowledge to ourselves, deliver in-process.
+	fresh := false
+	if len(local) > 0 {
+		if fresh, err = g.admit(id, g.self, payload); err != nil {
 			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 		}
-		localFresh = fresh
-		// A publisher subscribed under its own durable identity has, by
-		// staging, durably received its own event: self-ack the outbox.
-		_ = g.log.Ack(g.DurableID(), id)
-	} else if g.dedup != nil {
-		if seen, err := g.dedup.Has(id); err == nil && !seen {
-			if err := g.dedup.Add(id); err != nil {
-				localFresh = false
+		for _, durableID := range local {
+			if err := g.log.Ack(durableID, id); err != nil {
+				// Still pending for us: redelivery acknowledges it.
+				g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
+					"stream", g.stream, "subscriber", durableID, "id", id, "err", err)
 			}
-		} else {
-			localFresh = false
 		}
 	}
-	for _, addr := range addrs {
-		_ = g.mux.sendFrame(addr, frame)
+	for _, addr := range remote {
+		_ = g.mux.sendFrame(addr, frame) // unacknowledged: redelivery sends it again
 	}
-	// Local delivery for a publishing subscriber node.
-	if localFresh {
+	if fresh {
 		g.queue.push(g.self, payload)
 	}
 	return nil
+}
+
+// admit records an incoming event durably (staged, or added to the
+// delivered set), which must precede its acknowledgement and delivery.
+// fresh is false for a redelivery: acknowledge, do not deliver.
+func (g *Certified) admit(id, from string, payload []byte) (fresh bool, err error) {
+	g.mu.Lock()
+	stager := g.stager
+	g.mu.Unlock()
+	if stager != nil {
+		return stager.Stage(id, from, payload)
+	}
+	// One step: a first send and its redelivery may arrive concurrently.
+	g.dedupMu.Lock()
+	defer g.dedupMu.Unlock()
+	if seen, err := g.dedup.Has(id); err != nil || seen {
+		return false, err
+	}
+	return true, g.dedup.Add(id)
 }
 
 // Close implements Group.
@@ -199,14 +241,19 @@ func (g *Certified) Close() error {
 // GC drops fully acknowledged entries from the outbox.
 func (g *Certified) GC() (int, error) { return g.log.GC() }
 
-// redeliver pushes each subscriber's pending backlog.
+// redeliver is one tick: it sends each subscriber what it has not
+// acknowledged, bar the entries first sent since the previous tick.
 func (g *Certified) redeliver() {
+	g.sending.Lock()
 	g.mu.Lock()
 	subs := make(map[string]string, len(g.subs))
 	for id, addr := range g.subs {
 		subs[id] = addr
 	}
+	young := g.young
+	g.young = make(map[string]struct{}, len(young))
 	g.mu.Unlock()
+	g.sending.Unlock()
 
 	for durableID, addr := range subs {
 		pending, err := g.log.Pending(durableID)
@@ -216,6 +263,9 @@ func (g *Certified) redeliver() {
 			continue
 		}
 		for _, e := range pending {
+			if _, ok := young[e.ID]; ok {
+				continue
+			}
 			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Payload: e.Payload})
 			if err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
@@ -274,30 +324,14 @@ func (g *Certified) onMessage(from string, data []byte) {
 		// Acknowledge under our durable identity — after durably
 		// recording the delivery, so a crash between deliver and ack
 		// causes redelivery that the dedup state suppresses.
-		g.mu.Lock()
-		stager := g.stager
-		g.mu.Unlock()
-		if stager != nil {
-			fresh, err := stager.Stage(m.ID, from, m.Payload)
-			if err != nil {
-				g.opts.Logger.Warn("multicast: certified staging failed; withholding ack",
-					"stream", g.stream, "id", m.ID, "err", err)
-				return // no ack: the publisher keeps redelivering
-			}
-			if fresh {
-				g.queue.push(from, m.Payload)
-			}
-		} else {
-			seen, err := g.dedup.Has(m.ID)
-			if err != nil {
-				return
-			}
-			if !seen {
-				if err := g.dedup.Add(m.ID); err != nil {
-					return // do not ack what we could not record
-				}
-				g.queue.push(from, m.Payload)
-			}
+		fresh, err := g.admit(m.ID, from, m.Payload)
+		if err != nil {
+			g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
+				"stream", g.stream, "id", m.ID, "err", err)
+			return // no ack: the publisher keeps redelivering
+		}
+		if fresh {
+			g.queue.push(from, m.Payload)
 		}
 		_ = g.mux.sendMessage(from, g.stream, &message{Kind: kindCertAck, Origin: g.DurableID(), ID: m.ID})
 	case kindCertAck:

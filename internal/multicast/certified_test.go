@@ -1,0 +1,301 @@
+package multicast
+
+import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"govents/internal/netsim"
+	"govents/internal/store"
+)
+
+// tapTransport counts the certified data frames an endpoint sends, by
+// destination.
+type tapTransport struct {
+	netsim.Transport
+	mu   sync.Mutex
+	data map[string]int
+}
+
+func newTapNode(t *testing.T, net *netsim.Network, addr string) (*testNode, *tapTransport) {
+	t.Helper()
+	ep, err := net.NewEndpoint(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapTransport{Transport: ep, data: make(map[string]int)}
+	return &testNode{mux: NewMux(tap)}, tap
+}
+
+func (tt *tapTransport) Send(to string, frame []byte) error {
+	var m message
+	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindCertData {
+		tt.mu.Lock()
+		tt.data[to]++
+		tt.mu.Unlock()
+	}
+	return tt.Transport.Send(to, frame)
+}
+
+func (tt *tapTransport) dataTo(addr string) int {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	return tt.data[addr]
+}
+
+// countingLog counts the acknowledgements a Certified books in its
+// outbox, and those the outbox refused.
+type countingLog struct {
+	store.Log
+	acks, ackErrs atomic.Int64
+}
+
+func (l *countingLog) Ack(consumer, id string) error {
+	l.acks.Add(1)
+	err := l.Log.Ack(consumer, id)
+	if err != nil {
+		l.ackErrs.Add(1)
+	}
+	return err
+}
+
+// countingStager is a Stager that deduplicates in memory and counts.
+type countingStager struct {
+	mu     sync.Mutex
+	staged map[string]bool
+	calls  int
+}
+
+func (s *countingStager) Stage(id, origin string, payload []byte) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls++
+	if s.staged == nil {
+		s.staged = make(map[string]bool)
+	}
+	fresh := !s.staged[id]
+	s.staged[id] = true
+	return fresh, nil
+}
+
+func (s *countingStager) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+// TestCertifiedPublisherWithoutLocalSubscriber: a publisher whose class
+// has subscribers elsewhere only does nothing on its own behalf — no
+// acknowledgement in its outbox (there used to be one per publish, under
+// an identity the outbox had never registered, whose error was thrown
+// away), nothing staged, nothing in the delivered set, no local
+// delivery, no frame to its own address.
+func TestCertifiedPublisherWithoutLocalSubscriber(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stager=%v", staged), func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			pub, tap := newTapNode(t, net, "pub")
+			newTestNode(t, net, "sub") // reachable, runs no group: it never acknowledges
+			log := &countingLog{Log: store.NewMemLog()}
+			dedup := store.NewMemSet()
+			stager := &countingStager{}
+			gp := NewCertified(pub.mux, "cls", log, dedup, pub.record, Options{RetransmitInterval: time.Hour})
+			defer gp.Close()
+			if staged {
+				gp.SetStager(stager)
+			}
+			if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
+				t.Fatal(err)
+			}
+			const msgs = 100
+			for i := 0; i < msgs; i++ {
+				if err := gp.Broadcast([]byte("m")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Settle()
+			if got := tap.dataTo("sub"); got != msgs {
+				t.Errorf("%d data frames to the subscriber, want %d", got, msgs)
+			}
+			if got := tap.dataTo("pub"); got != 0 {
+				t.Errorf("%d data frames to the publisher's own address, want none", got)
+			}
+			if a, e := log.acks.Load(), log.ackErrs.Load(); a != 0 || e != 0 {
+				t.Errorf("publisher booked %d acknowledgements of its own (%d refused), want none", a, e)
+			}
+			if n, _ := dedup.Len(); n != 0 {
+				t.Errorf("delivered set holds %d IDs of events never delivered here", n)
+			}
+			if n := stager.count(); n != 0 {
+				t.Errorf("%d events staged at a node that does not subscribe", n)
+			}
+			if n := pub.count(); n != 0 {
+				t.Errorf("%d local deliveries at a node that does not subscribe", n)
+			}
+		})
+	}
+}
+
+// TestCertifiedSelfSubscribedPublisher: a node among its own class's
+// subscribers records, acknowledges and delivers each of its events
+// once, under every identity it subscribes with, and sends itself
+// nothing; the subscriber elsewhere is served as ever.
+func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stager=%v", staged), func(t *testing.T) {
+			net := netsim.New(netsim.Config{MaxLatency: 200 * time.Microsecond, Seed: 5})
+			defer net.Close()
+			pub, tap := newTapNode(t, net, "pub")
+			sub := newTestNode(t, net, "sub")
+			log := &countingLog{Log: store.NewMemLog()}
+			dedup := store.NewMemSet()
+			stager := &countingStager{}
+			gp := NewCertified(pub.mux, "cls", log, dedup, pub.record, fastOpts())
+			defer gp.Close()
+			if staged {
+				gp.SetStager(stager)
+			}
+			gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(), sub.record, fastOpts())
+			gs.SetDurableID("tenant")
+			defer gs.Close()
+			err := gp.SetSubscribers([]CertSubscriber{
+				{DurableID: "tenant", Addr: "sub"},
+				{DurableID: "self-a", Addr: "pub"},
+				{DurableID: "self-b", Addr: "pub"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const msgs = 50
+			for i := 0; i < msgs; i++ {
+				if err := gp.Broadcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 10*time.Second, "delivery at both", func() bool { return pub.count() >= msgs && sub.count() >= msgs })
+			waitFor(t, 10*time.Second, "outbox acknowledged and collected", func() bool {
+				_, err := gp.GC()
+				return err == nil && log.Log.(*store.MemLog).Len() == 0
+			})
+			time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+			if pub.count() != msgs || sub.count() != msgs {
+				t.Errorf("delivered %d here and %d there, want exactly %d each", pub.count(), sub.count(), msgs)
+			}
+			if got := tap.dataTo("pub"); got != 0 {
+				t.Errorf("%d data frames to the publisher's own address, want none", got)
+			}
+			if e := log.ackErrs.Load(); e != 0 {
+				t.Errorf("%d acknowledgements refused by the outbox", e)
+			}
+			for _, id := range []string{"self-a", "self-b", "tenant"} {
+				if pending, err := log.Pending(id); err != nil || len(pending) != 0 {
+					t.Errorf("%s is still owed %d entries (%v)", id, len(pending), err)
+				}
+			}
+			if staged {
+				if n := stager.count(); n != msgs {
+					t.Errorf("%d stagings for %d events", n, msgs)
+				}
+			} else if n, _ := dedup.Len(); n != msgs {
+				t.Errorf("delivered set holds %d IDs for %d events", n, msgs)
+			}
+		})
+	}
+}
+
+// TestCertifiedRedeliveryWaitsAFullInterval drives the redelivery tick
+// by hand against a subscriber that never acknowledges: a tick resends
+// what was first sent before the previous tick, not what left since.
+func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	pub, tap := newTapNode(t, net, "pub")
+	newTestNode(t, net, "sub")
+	gp := NewCertified(pub.mux, "cls", store.NewMemLog(), store.NewMemSet(), pub.record,
+		Options{RetransmitInterval: time.Hour}) // the timer never fires: the test is the timer
+	defer gp.Close()
+	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, do func(), want int) {
+		t.Helper()
+		do()
+		if got := tap.dataTo("sub"); got != want {
+			t.Fatalf("after %s: %d data frames sent, want %d", what, got, want)
+		}
+	}
+	broadcast := func(p string) func() {
+		return func() {
+			if err := gp.Broadcast([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("publishing m1", broadcast("m1"), 1)
+	step("the tick m1 left in", gp.redeliver, 1)
+	step("publishing m2", broadcast("m2"), 2)
+	step("the next tick (m1 is due, m2 is not)", gp.redeliver, 3)
+	step("the tick after (both due)", gp.redeliver, 5)
+	step("publishing m3", broadcast("m3"), 6)
+	step("one more tick (m1, m2)", gp.redeliver, 8)
+}
+
+// TestCertifiedPublisherStateBoundedByInFlight publishes 20 000 events
+// with at most a window of them in flight, to a subscriber elsewhere
+// and none here, without a staging inbox: afterwards the publisher
+// holds nothing that grew with the events published. Its delivered set
+// used to gain every ID it published.
+func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
+	net := netsim.New(netsim.Config{MaxLatency: 200 * time.Microsecond, Seed: 17})
+	defer net.Close()
+	pub := newTestNode(t, net, "pub")
+	sub := newTestNode(t, net, "sub")
+	pubLog, pubDedup := store.NewMemLog(), store.NewMemSet()
+	gp := NewCertified(pub.mux, "cls", pubLog, pubDedup, pub.record, fastOpts())
+	defer gp.Close()
+	var atSub atomic.Int64
+	gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(),
+		func(string, []byte) { atSub.Add(1) }, fastOpts())
+	defer gs.Close()
+	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	const total, window = 20_000, 256
+	payload := []byte("m")
+	for i := int64(0); i < total; i++ {
+		for i-atSub.Load() >= window {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := gp.Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+		if i%1024 == 0 {
+			if _, err := gp.GC(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, 30*time.Second, "all delivered, acknowledged and collected", func() bool {
+		_, err := gp.GC()
+		return err == nil && atSub.Load() >= total && pubLog.Len() == 0
+	})
+	time.Sleep(4 * fastOpts().RetransmitInterval) // two ticks empty the set of the recently sent
+	gp.Close()                                    // the timer stops: the state can be read
+
+	if n, _ := pubDedup.Len(); n != 0 {
+		t.Errorf("publisher's delivered set holds %d IDs after %d events it never delivered", n, total)
+	}
+	if n := stateSize(reflect.ValueOf(gp), map[unsafe.Pointer]bool{}); n > 4*window {
+		t.Errorf("publisher holds %d entries after %d events, want at most %d", n, total, 4*window)
+	}
+	if atSub.Load() != total {
+		t.Errorf("subscriber delivered %d, want exactly %d", atSub.Load(), total)
+	}
+}

@@ -596,6 +596,11 @@ func (t *Table) SubscriptionCount(exclude string) int {
 	return total
 }
 
+// Gen returns a number that grows, from 1, whenever an answer of the
+// table may have changed: with every applied mutation, and with every
+// type registration, which can extend conformance.
+func (t *Table) Gen() uint64 { return 1 + t.gen.Load() + t.reg.Gen() }
+
 // ForEachConforming calls fn for every applied subscription whose
 // target type the class conforms to (the certified-delivery subscriber
 // enumeration). fn must not call back into the table.

@@ -18,6 +18,8 @@ import (
 )
 
 // Entry is one durable record: an opaque payload under a unique ID.
+// The payload's bytes are immutable from the moment the entry is given
+// to a Log (see Log.Append).
 type Entry struct {
 	ID      string
 	Payload []byte
@@ -30,9 +32,16 @@ var ErrUnknownConsumer = errors.New("store: unknown consumer")
 // Log is a durable append log with per-consumer acknowledgement
 // tracking: an entry is retired once every registered consumer has
 // acknowledged it. Implementations are safe for concurrent use.
+//
+// Ownership of payloads: Append takes e.Payload — a log may keep the
+// slice instead of copying it, so the caller must not write to it
+// afterwards (it may go on reading and sending it). Pending returns
+// read-only entries — their payloads may be the log's own, shared with
+// every other Pending result, so a caller forwards them and never
+// writes to them.
 type Log interface {
-	// Append stores an entry. Appending an ID that already exists is a
-	// no-op (idempotent).
+	// Append stores an entry, taking its payload. Appending an ID that
+	// already exists is a no-op (idempotent).
 	Append(e Entry) error
 	// RegisterConsumer makes the log track acknowledgements for the
 	// given durable consumer ID. Registration is idempotent; entries
@@ -45,7 +54,7 @@ type Log interface {
 	// Ack marks the entry acknowledged by the consumer.
 	Ack(consumer, entryID string) error
 	// Pending returns, in append order, the entries not yet
-	// acknowledged by the consumer.
+	// acknowledged by the consumer; their payloads are read-only.
 	Pending(consumer string) ([]Entry, error)
 	// GC drops entries acknowledged by all registered consumers and
 	// returns how many were dropped.
