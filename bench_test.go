@@ -30,7 +30,6 @@ import (
 	"govents/internal/obvent"
 	"govents/internal/rmi"
 	"govents/internal/routing"
-	"govents/internal/store"
 	"govents/internal/telemetry"
 	"govents/internal/topics"
 	"govents/internal/tuplespace"
@@ -1368,10 +1367,8 @@ type padCertified struct {
 }
 
 // BenchmarkDurablePublish measures certified publish+deliver cost on a
-// two-node domain under four configurations: the seed baseline
-// (WithCertifiedStores over in-memory stores), the default domain with
-// no durability (must stay within the CI gate of the seed — the
-// durability plane is pay-for-what-you-use), and the on-disk plane
+// two-node domain under three configurations: the default domain with
+// no durability (each class's state in memory), and the on-disk plane
 // under both sync policies, exposing the fsync-per-record price
 // (paper §3.4.1). The pad=1KiB cases publish an event with a 1 KiB
 // []byte field, where B/op follows the copies made of it per hop.
@@ -1391,9 +1388,6 @@ func BenchmarkDurablePublish(b *testing.B) {
 		pad     int  // 0: the workload's quote; else a padCertified of that many bytes
 		opts    func(b *testing.B) []govents.Option
 	}{
-		{"seed", false, 0, func(b *testing.B) []govents.Option {
-			return []govents.Option{govents.WithCertifiedStores(store.NewMemLog(), store.NewMemSet())}
-		}},
 		{"durable=off", false, 0, none},
 		{"sync=always", true, 0, syncOpts(govents.SyncAlways)},
 		{"sync=batch", true, 0, syncOpts(govents.SyncBatch)},

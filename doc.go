@@ -333,11 +333,18 @@
 // directory: an append-only, CRC-framed, size-rolled publisher outbox
 // (write-ahead of any transmission) and a subscriber-side staging inbox
 // that records every certified arrival durably BEFORE acknowledging it
-// to the publisher. It supersedes WithCertifiedStores for certified
-// classes. Sync policy (fsync per record vs batched) and segment size
-// come from WithDurabilityTuning; Domain.DurableStats exposes the
-// plane's counters and Domain.CompactDurable drops fully consumed
-// segments. DurabilityTuning.Retention schedules that compaction on a
+// to the publisher. A certified class's state lives in one place: with
+// WithDurability under dir/<class>, where it survives a crash of either
+// end; without, in memory, where it survives a subscriber's
+// disconnection only. The in-memory state is per class too (an outbox
+// and a set of delivered IDs, shared with no other class), and the
+// outbox holds what is unacknowledged, not what was ever published: an
+// entry goes with the acknowledgement that completes it.
+//
+// Sync policy (fsync per record vs batched) and segment size come from
+// WithDurabilityTuning; Domain.DurableStats exposes the plane's
+// counters and Domain.CompactDurable drops fully consumed segments.
+// DurabilityTuning.Retention schedules that compaction on a
 // jittered background ticker instead — reclaiming only behind the
 // slowest consumer frontier, never a record still owed to a durable
 // identity — and DurableStats reports the reclaimed bytes and records.
@@ -407,6 +414,6 @@
 // publish/subscribe (§2.3.2) via Domain.Topics, and RMI (§5.4) via
 // Domain.RMI — so one process composes interaction styles over one
 // substrate. Subpackages govents/filter and govents/obvent carry the
-// filter DSL and the obvent markers; govents/netsim and govents/store
-// supply the simulated network and certified-delivery stable storage.
+// filter DSL and the obvent markers; govents/netsim supplies the
+// simulated network.
 package govents

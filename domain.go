@@ -14,7 +14,6 @@ import (
 	"govents/internal/obvent"
 	"govents/internal/rmi"
 	"govents/internal/routing"
-	"govents/internal/store"
 	"govents/internal/telemetry"
 	"govents/internal/topics"
 	"govents/internal/transport"
@@ -161,10 +160,9 @@ func Open(ctx context.Context, name string, opts ...Option) (*Domain, error) {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	} else {
-		// The package-level sinks (file-log replay, TCP transport) have
-		// no per-domain hook; the most recent domain's logger wins,
-		// which is the common single-domain case.
-		store.SetLogger(log)
+		// The TCP transport's package-level sink has no per-domain
+		// hook; the most recent domain's logger wins, which is the
+		// common single-domain case.
 		transport.SetLogger(log)
 	}
 	d.log = log

@@ -2,9 +2,9 @@
 // semantics + §3.4.1 durable activation) on the public govents API: a
 // trade-settlement feed whose subscriber crashes mid-stream, restarts,
 // re-activates its subscription under the same durable identity, and
-// receives every trade it missed — exactly once, thanks to a
-// file-backed dedup set and a file-backed publisher outbox
-// (govents.WithCertifiedStores, real stable storage on disk).
+// receives every trade it missed — exactly once, thanks to the
+// durability plane (govents.WithDurability): the publisher's outbox and
+// the desk's staging inbox and cursor are segment logs on disk.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"govents"
 	"govents/netsim"
 	"govents/obvent"
-	"govents/store"
 )
 
 // Settlement is a certified obvent: its type demands that disconnected
@@ -39,44 +38,40 @@ func main() {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 
-	// Publisher with a file-backed outbox (survives anything).
-	outbox, err := store.OpenFileLog(filepath.Join(dir, "outbox.log"))
-	must(err)
+	// Publisher with its outbox on disk (survives anything).
 	pubEp, err := net.NewEndpoint("settler")
 	must(err)
 	pub, err := govents.Open(ctx, "settler",
 		govents.WithTransport(pubEp),
-		govents.WithCertifiedStores(outbox, nil),
+		govents.WithDurability(filepath.Join(dir, "settler")),
 		govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
 	)
 	must(err)
 	defer pub.Close(ctx)
 
-	// Subscriber with a file-backed dedup set (its stable storage).
-	dedupPath := filepath.Join(dir, "delivered.set")
+	// Subscriber whose stable storage is its own durability directory:
+	// every incarnation of the desk opens the same one.
+	deskDir := filepath.Join(dir, "desk")
 	var mu sync.Mutex
 	var received []int
 
 	startSubscriber := func(addr string) *govents.Domain {
-		dedup, err := store.OpenFileSet(dedupPath)
-		must(err)
 		ep, err := net.NewEndpoint(addr)
 		must(err)
 		d, err := govents.Open(ctx, addr,
 			govents.WithTransport(ep),
-			govents.WithCertifiedStores(nil, dedup),
-			govents.WithDurableID("settlement-desk"), // paper: activate(id)
+			govents.WithDurability(deskDir),
 			govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
 		)
 		must(err)
-		sub, err := govents.SubscribeInactive(d, nil, func(s Settlement) {
+		// paper: activate(id)
+		_, err = govents.SubscribeDurable(d, "settlement-desk", func(s Settlement) {
 			mu.Lock()
 			received = append(received, s.TradeID)
 			mu.Unlock()
 			fmt.Printf("[desk@%s] settled trade %d (%.2f)\n", addr, s.TradeID, s.Amount)
 		})
 		must(err)
-		must(sub.ActivateDurable("settlement-desk"))
 		return d
 	}
 
@@ -101,7 +96,7 @@ func main() {
 	time.Sleep(50 * time.Millisecond)
 
 	// The desk restarts at a NEW address with the same durable
-	// identity and the same on-disk dedup set.
+	// identity and the same durability directory.
 	fmt.Println("[desk] RESTART at desk-2")
 	desk2 := startSubscriber("desk-2")
 	defer desk2.Close(ctx)

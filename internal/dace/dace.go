@@ -103,17 +103,10 @@ type Config struct {
 	GossipUnreliable bool
 	// Multicast tunes the protocol timers.
 	Multicast multicast.Options
-	// CertLog is the publisher-side durable outbox for certified
-	// classes (default: in-memory).
-	CertLog store.Log
-	// CertDedup is the subscriber-side durable delivered-set for
-	// certified classes (default: in-memory).
-	CertDedup store.Set
-	// Durable, when set, replaces CertLog/CertDedup with per-class
-	// crash-recoverable state: each certified class gets its own
-	// segment-log outbox, and incoming certified events are staged in a
-	// per-class inbox BEFORE they are acknowledged to the publisher, so
-	// delivery state survives crash-restart, not just disconnect.
+	// Durable, when set, keeps each certified class's state in segment
+	// logs of its own — an outbox, and an inbox that stages an incoming
+	// event BEFORE it is acknowledged to the publisher — so that it
+	// survives crash-restart, not just disconnect. Nil: see certStores.
 	Durable *durable.Manager
 	// DurableID is this node's default durable identity for certified
 	// subscriptions activated without one.
@@ -254,12 +247,6 @@ type subscriptionAd struct {
 func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 	if cfg.Placement == 0 {
 		cfg.Placement = AtSubscriber
-	}
-	if cfg.CertLog == nil {
-		cfg.CertLog = store.NewMemLog()
-	}
-	if cfg.CertDedup == nil {
-		cfg.CertDedup = store.NewMemSet()
 	}
 	mux := multicast.NewMux(tr)
 	n := &Node{
@@ -490,30 +477,8 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 	var g multicast.Group
 	switch proto {
 	case "cert":
-		log, dedup := n.cfg.CertLog, n.cfg.CertDedup
-		var stager multicast.Stager
-		if n.cfg.Durable != nil {
-			// Per-class crash-recoverable state replaces the shared
-			// in-memory defaults. Failure to open falls back loudly —
-			// delivery semantics degrade to disconnect-only recovery,
-			// they do not disappear.
-			if ob, err := n.cfg.Durable.OutboxFor(class); err != nil {
-				n.log.Warn("dace: durable outbox unavailable; using default cert log",
-					"class", class, "err", err)
-			} else {
-				log = ob
-			}
-			if ib, err := n.cfg.Durable.InboxFor(class); err != nil {
-				n.log.Warn("dace: durable inbox unavailable; using default cert dedup",
-					"class", class, "err", err)
-			} else {
-				stager = ib
-			}
-		}
-		c := multicast.NewCertified(n.mux, stream, log, dedup, deliver, n.cfg.Multicast)
-		if stager != nil {
-			c.SetStager(stager)
-		}
+		log, in := n.certStores(class)
+		c := multicast.NewCertified(n.mux, stream, log, in, deliver, n.cfg.Multicast)
 		if id := n.durableIDForLocked(class); id != "" {
 			c.SetDurableID(id)
 		}
@@ -563,6 +528,28 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 	return g
 }
 
+// certStores is the one place a certified class's stores come from: the
+// durability manager's outbox and inbox of the class, else a fresh
+// in-memory pair that the class's group owns. Either way no two classes
+// share one, so no class is owed another's events. The manager opens
+// both logs of a class or neither; failing that the class falls back to
+// memory, loudly — delivery degrades to disconnect-only recovery, it
+// does not disappear.
+func (n *Node) certStores(class string) (store.Log, multicast.Stager) {
+	if n.cfg.Durable != nil {
+		ob, err := n.cfg.Durable.OutboxFor(class)
+		if err == nil {
+			var ib *durable.Inbox
+			if ib, err = n.cfg.Durable.InboxFor(class); err == nil {
+				return ob, ib
+			}
+		}
+		n.log.Warn("dace: durable state unavailable; certified class keeps its state in memory",
+			"class", class, "err", err)
+	}
+	return store.NewMemLog(), store.NewMemSet()
+}
+
 // durableIDForLocked resolves the durable identity this node
 // acknowledges under for one certified class: the durable ID of the
 // first local subscription conforming to the class, else the node-wide
@@ -583,6 +570,13 @@ func (n *Node) certifiedGroup(class string) *multicast.Certified {
 	g := n.group("cert", class)
 	c, _ := g.(*multicast.Certified)
 	return c
+}
+
+// CertifiedOutboxLen returns how many events of a certified class this
+// node's outbox holds (a test aid: it creates the class's group if the
+// node has not used the class yet).
+func (n *Node) CertifiedOutboxLen(class string) int {
+	return n.certifiedGroup(class).OutboxLen()
 }
 
 // PauseCertified parks a certified class's local delivery: incoming

@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"govents/internal/core"
+	"govents/internal/durable"
 	"govents/internal/filter"
 	"govents/internal/multicast"
 	"govents/internal/netsim"
 	"govents/internal/obvent"
-	"govents/internal/store"
 )
 
 // Shared obvent hierarchy (paper Figures 1/2).
@@ -409,13 +409,20 @@ func TestCertifiedSurvivesSubscriberCrash(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 
-	pubLog := store.NewMemLog()
+	// Each node's stable storage: what it would still have after a crash.
+	stable := func() *durable.Manager {
+		m, err := durable.Open(durable.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		return m
+	}
 	cfgPub := fastCfg()
-	cfgPub.CertLog = pubLog
+	cfgPub.Durable = stable()
 	cfgSub := fastCfg()
 	cfgSub.DurableID = "durable-trader"
-	subDedup := store.NewMemSet()
-	cfgSub.CertDedup = subDedup
+	cfgSub.Durable = stable()
 
 	// Build the two nodes with distinct configs.
 	epPub, _ := net.NewEndpoint("pub")
@@ -460,7 +467,7 @@ func TestCertifiedSurvivesSubscriberCrash(t *testing.T) {
 	}
 
 	// Subscriber restarts; pending certified obvents are redelivered
-	// (its durable identity and dedup set survived on stable storage).
+	// (its durable identity and staging inbox survived on stable storage).
 	net.Restart("sub")
 	waitFor(t, 10*time.Second, "redelivery after restart", func() bool { return got.Load() == 3 })
 	time.Sleep(50 * time.Millisecond)

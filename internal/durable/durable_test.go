@@ -19,59 +19,6 @@ func openTestOutbox(t *testing.T, dir string) *Outbox {
 	return o
 }
 
-func TestOutboxMatchesMemLogSemantics(t *testing.T) {
-	dir := t.TempDir()
-	o := openTestOutbox(t, dir)
-	defer o.Close()
-	mem := store.NewMemLog()
-
-	for _, l := range []store.Log{o, mem} {
-		if err := l.RegisterConsumer("sub-a"); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.RegisterConsumer("sub-a"); err != nil { // idempotent
-			t.Fatal(err)
-		}
-		for i := range 5 {
-			e := store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}
-			if err := l.Append(e); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Append(e); err != nil { // idempotent
-				t.Fatal(err)
-			}
-		}
-		if err := l.Ack("sub-a", "e1"); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Ack("sub-a", "never-appended"); err != nil { // tolerated
-			t.Fatal(err)
-		}
-		if err := l.Ack("ghost", "e1"); !errors.Is(err, store.ErrUnknownConsumer) {
-			t.Fatalf("Ack unknown consumer: %v", err)
-		}
-		if _, err := l.Pending("ghost"); !errors.Is(err, store.ErrUnknownConsumer) {
-			t.Fatalf("Pending unknown consumer: %v", err)
-		}
-	}
-	op, err := o.Pending("sub-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := mem.Pending("sub-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(op) != len(mp) {
-		t.Fatalf("pending: outbox %d, memlog %d", len(op), len(mp))
-	}
-	for i := range op {
-		if op[i].ID != mp[i].ID {
-			t.Fatalf("pending[%d]: outbox %q, memlog %q", i, op[i].ID, mp[i].ID)
-		}
-	}
-}
-
 func TestOutboxSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir)

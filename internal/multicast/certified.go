@@ -17,13 +17,15 @@ type CertSubscriber struct {
 	Addr      string
 }
 
-// Stager is the durable subscriber-side staging hook: incoming
-// certified events are staged — durably appended and deduplicated by
-// event ID — BEFORE they are acknowledged to the publisher. fresh
-// reports whether the event was new; a false return means the event is
-// already durable here (a redelivery) and must be re-acked but not
-// delivered again. A Stager subsumes the store.Set dedup: when one is
-// installed the set is not consulted.
+// Stager is the subscriber-side store of a certified group, the
+// counterpart of the publisher's store.Log: an incoming event is staged
+// — recorded and deduplicated by event ID, test and add in one step —
+// BEFORE it is acknowledged to the publisher and delivered. fresh
+// reports whether the event was new; a false return means it is
+// recorded here already (a redelivery) and must be re-acked but not
+// delivered again. durable.Inbox stages the whole event on disk, so a
+// restarted subscriber can replay it; store.MemSet keeps the ID in
+// memory.
 type Stager interface {
 	Stage(id, origin string, payload []byte) (fresh bool, err error)
 }
@@ -34,9 +36,11 @@ type Stager interface {
 // broadcast in a store.Log and retransmits to each registered durable
 // subscriber until that subscriber acknowledges (what has gone a full
 // RetransmitInterval without acknowledgement, not what has just left);
-// subscribers deduplicate through a durable store.Set or a Stager, so
-// redeliveries after a crash are delivered exactly once. The publisher
-// is a subscriber only if SetSubscribers names its own address.
+// subscribers record every event in a Stager before acknowledging it,
+// so a redelivery is delivered exactly once. How much of that survives
+// a crash is the two stores' business, not the protocol's. The
+// publisher is a subscriber only if SetSubscribers names its own
+// address.
 type Certified struct {
 	mux    *Mux
 	stream string
@@ -46,16 +50,14 @@ type Certified struct {
 	queue *deliveryQueue
 	lc    *lifecycle
 
-	log     store.Log  // publisher-side durable outbox
-	dedup   store.Set  // subscriber-side durable delivered set
-	dedupMu sync.Mutex // makes dedup's test-and-add one step
+	log store.Log // publisher side: the outbox
+	in  Stager    // subscriber side: what has been received
 
 	mu        sync.Mutex
 	subs      map[string]string // durable ID -> current address
 	remote    []string          // one address per durable ID subscribed elsewhere
 	local     []string          // durable IDs subscribed at this node
 	durableID string            // our identity when acknowledging
-	stager    Stager            // optional durable staging inbox
 
 	// young holds the IDs first sent since the last redelivery tick,
 	// which a tick leaves alone: they have not been out for a
@@ -68,11 +70,11 @@ type Certified struct {
 
 var _ Group = (*Certified)(nil)
 
-// NewCertified creates a certified group. log is the publisher-side
-// durable outbox; dedup is the subscriber-side durable delivered set
-// (pass store.NewMemSet() when at-least-once is acceptable or the node
-// never subscribes).
-func NewCertified(mux *Mux, stream string, log store.Log, dedup store.Set, deliver Deliver, opts Options) *Certified {
+// NewCertified creates a certified group over the two stores of its
+// class: log is the outbox it publishes from, in records what it
+// receives. A node uses the one its role calls for and leaves the other
+// empty.
+func NewCertified(mux *Mux, stream string, log store.Log, in Stager, deliver Deliver, opts Options) *Certified {
 	opts = opts.withDefaults()
 	g := &Certified{
 		mux:    mux,
@@ -82,7 +84,7 @@ func NewCertified(mux *Mux, stream string, log store.Log, dedup store.Set, deliv
 		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
 		log:    log,
-		dedup:  dedup,
+		in:     in,
 		subs:   make(map[string]string),
 		young:  make(map[string]struct{}),
 	}
@@ -111,8 +113,8 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	}
 	// Note: durable IDs that disappear are intentionally NOT
 	// unregistered from the log — a disconnected subscriber is exactly
-	// the case certified delivery exists for. Use Unsubscribe for a
-	// permanent goodbye.
+	// the case certified delivery exists for. Nothing says a permanent
+	// goodbye yet: what a departed identity is owed stays in the outbox.
 	g.subs = next
 	g.splitLocked()
 	return nil
@@ -129,16 +131,6 @@ func (g *Certified) splitLocked() {
 			g.remote = append(g.remote, addr)
 		}
 	}
-}
-
-// Unsubscribe permanently removes a durable subscriber; its pending
-// entries become garbage-collectable.
-func (g *Certified) Unsubscribe(durableID string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.subs, durableID)
-	g.splitLocked()
-	return g.log.UnregisterConsumer(durableID)
 }
 
 // SetMembers implements Group by treating each address, this node's
@@ -191,7 +183,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	// received event is, acknowledge to ourselves, deliver in-process.
 	fresh := false
 	if len(local) > 0 {
-		if fresh, err = g.admit(id, g.self, payload); err != nil {
+		if fresh, err = g.in.Stage(id, g.self, payload); err != nil {
 			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 		}
 		for _, durableID := range local {
@@ -211,25 +203,6 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	return nil
 }
 
-// admit records an incoming event durably (staged, or added to the
-// delivered set), which must precede its acknowledgement and delivery.
-// fresh is false for a redelivery: acknowledge, do not deliver.
-func (g *Certified) admit(id, from string, payload []byte) (fresh bool, err error) {
-	g.mu.Lock()
-	stager := g.stager
-	g.mu.Unlock()
-	if stager != nil {
-		return stager.Stage(id, from, payload)
-	}
-	// One step: a first send and its redelivery may arrive concurrently.
-	g.dedupMu.Lock()
-	defer g.dedupMu.Unlock()
-	if seen, err := g.dedup.Has(id); err != nil || seen {
-		return false, err
-	}
-	return true, g.dedup.Add(id)
-}
-
 // Close implements Group.
 func (g *Certified) Close() error {
 	g.mux.Unhandle(g.stream)
@@ -241,35 +214,46 @@ func (g *Certified) Close() error {
 // GC drops fully acknowledged entries from the outbox.
 func (g *Certified) GC() (int, error) { return g.log.GC() }
 
+// OutboxLen returns how many entries the outbox holds.
+func (g *Certified) OutboxLen() int { return g.log.Len() }
+
 // redeliver is one tick: it sends each subscriber what it has not
 // acknowledged, bar the entries first sent since the previous tick.
+// What is owed is read inside the barrier that takes the young set: read
+// after it, an entry appended since would be in neither and be sent
+// again at once — to this very node, if it subscribes here and had not
+// yet acknowledged to itself.
 func (g *Certified) redeliver() {
+	type owed struct {
+		durableID, addr string
+		entries         []store.Entry
+	}
+	var due []owed
 	g.sending.Lock()
 	g.mu.Lock()
-	subs := make(map[string]string, len(g.subs))
-	for id, addr := range g.subs {
-		subs[id] = addr
-	}
 	young := g.young
 	g.young = make(map[string]struct{}, len(young))
-	g.mu.Unlock()
-	g.sending.Unlock()
-
-	for durableID, addr := range subs {
+	for durableID, addr := range g.subs {
 		pending, err := g.log.Pending(durableID)
 		if err != nil {
 			g.opts.Logger.Warn("multicast: certified redelivery cannot read outbox",
 				"stream", g.stream, "subscriber", durableID, "err", err)
 			continue
 		}
-		for _, e := range pending {
+		due = append(due, owed{durableID, addr, pending})
+	}
+	g.mu.Unlock()
+	g.sending.Unlock()
+
+	for _, d := range due {
+		for _, e := range d.entries {
 			if _, ok := young[e.ID]; ok {
 				continue
 			}
-			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Payload: e.Payload})
+			err := g.mux.sendMessage(d.addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Payload: e.Payload})
 			if err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
-					"stream", g.stream, "subscriber", durableID, "addr", addr, "err", err)
+					"stream", g.stream, "subscriber", d.durableID, "addr", d.addr, "err", err)
 			}
 		}
 	}
@@ -294,15 +278,6 @@ func (g *Certified) SetDurableID(id string) {
 	g.durableID = id
 }
 
-// SetStager installs the durable staging inbox. With a stager, incoming
-// events are staged before acknowledgement and the store.Set dedup is
-// bypassed — the stager's own ID dedup takes over.
-func (g *Certified) SetStager(s Stager) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.stager = s
-}
-
 // Pause parks the group's delivery goroutine; incoming events continue
 // to be staged and acknowledged but are not delivered until Resume.
 // Used to make the replay→live handoff of a durable subscription
@@ -321,10 +296,10 @@ func (g *Certified) onMessage(from string, data []byte) {
 	}
 	switch m.Kind {
 	case kindCertData:
-		// Acknowledge under our durable identity — after durably
-		// recording the delivery, so a crash between deliver and ack
-		// causes redelivery that the dedup state suppresses.
-		fresh, err := g.admit(m.ID, from, m.Payload)
+		// Acknowledge under our durable identity — after recording the
+		// event, so a crash between deliver and ack causes a redelivery
+		// that the record suppresses.
+		fresh, err := g.in.Stage(m.ID, from, m.Payload)
 		if err != nil {
 			g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
 				"stream", g.stream, "id", m.ID, "err", err)

@@ -1,148 +1,44 @@
 package store
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-)
+import "sync"
 
-// Set is a durable set of string IDs. It backs subscriber-side
-// deduplication for certified delivery: a subscriber that crashes after
-// delivering an obvent but before the publisher saw its acknowledgement
-// must not deliver the redelivered copy twice.
-type Set interface {
-	// Add inserts id (idempotent).
-	Add(id string) error
-	// Has reports membership.
-	Has(id string) (bool, error)
-	// Len returns the number of members.
-	Len() (int, error)
-	// Close releases resources.
-	Close() error
-}
-
-// MemSet is an in-memory Set.
+// MemSet is the in-memory subscriber-side store of a certified class:
+// the set of event IDs delivered here. It implements multicast.Stager,
+// so a subscriber that is sent an event again — its acknowledgement was
+// lost, or arrived after the publisher's redelivery tick — delivers it
+// once. The set lives as long as the process and is never pruned.
 type MemSet struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[string]bool
 }
-
-var _ Set = (*MemSet)(nil)
 
 // NewMemSet returns an empty in-memory set.
 func NewMemSet() *MemSet { return &MemSet{m: make(map[string]bool)} }
 
-// Add implements Set.
-func (s *MemSet) Add(id string) error {
+// Stage records id as delivered and reports whether it was new, as one
+// step: a first send and its redelivery may arrive concurrently, and
+// exactly one of them is fresh. Only the ID is kept; an event staged in
+// memory is not there to be replayed.
+func (s *MemSet) Stage(id, origin string, payload []byte) (fresh bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.m[id] {
+		return false, nil
+	}
 	s.m[id] = true
-	return nil
+	return true, nil
 }
 
-// Has implements Set.
+// Has reports membership (test aid).
 func (s *MemSet) Has(id string) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.m[id], nil
 }
 
-// Len implements Set.
+// Len returns the number of members (test aid).
 func (s *MemSet) Len() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.m), nil
-}
-
-// Close implements Set.
-func (s *MemSet) Close() error { return nil }
-
-// FileSet is a Set persisted as an append-only file of length-framed
-// IDs, replayed at open.
-type FileSet struct {
-	mu  sync.Mutex
-	f   *os.File
-	mem map[string]bool
-}
-
-var _ Set = (*FileSet)(nil)
-
-// OpenFileSet opens (or creates) a file-backed set at path.
-func OpenFileSet(path string) (*FileSet, error) {
-	mem := make(map[string]bool)
-	if f, err := os.Open(path); err == nil {
-		for {
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				_ = f.Close()
-				return nil, fmt.Errorf("store: replay set %s: %w", path, err)
-			}
-			n := binary.BigEndian.Uint32(lenBuf[:])
-			if n > 1<<20 {
-				_ = f.Close()
-				return nil, fmt.Errorf("store: corrupt set record length %d", n)
-			}
-			b := make([]byte, n)
-			if _, err := io.ReadFull(f, b); err != nil {
-				_ = f.Close()
-				return nil, fmt.Errorf("store: truncated set record: %w", err)
-			}
-			mem[string(b)] = true
-		}
-		_ = f.Close()
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: open set %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open set %s for append: %w", path, err)
-	}
-	return &FileSet{f: f, mem: mem}, nil
-}
-
-// Add implements Set.
-func (s *FileSet) Add(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mem[id] {
-		return nil
-	}
-	buf := make([]byte, 0, 4+len(id))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(id)))
-	buf = append(buf, id...)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: set add: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: set sync: %w", err)
-	}
-	s.mem[id] = true
-	return nil
-}
-
-// Has implements Set.
-func (s *FileSet) Has(id string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem[id], nil
-}
-
-// Len implements Set.
-func (s *FileSet) Len() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem), nil
-}
-
-// Close implements Set.
-func (s *FileSet) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
 }

@@ -1,16 +1,24 @@
-// Package store implements the durable substrate for certified obvent
+// Package store holds the two storage seams of certified obvent
 // delivery (paper §3.1.2: "even if a notifiable temporarily disconnects
 // or fails, it will eventually deliver the obvent", and §3.4.1: durable
 // subscriptions outliving their hosting process, re-identified via
-// activate(id)).
+// activate(id)) and their in-memory implementations.
 //
-// Two implementations of the Log interface are provided: MemLog, an
-// in-memory log whose lifetime models stable storage in simulated-crash
-// tests (the netsim "crash" kills the node, not the store), and FileLog,
-// a real append-only operation log on disk replayed at open.
+// The publisher side is the Log interface: an outbox that tracks, per
+// durable consumer, what has not been acknowledged. It has two
+// implementations. MemLog, here, is what a certified class runs on in a
+// domain without a durability directory — its state survives a
+// subscriber's disconnection, not this process — and the oracle the
+// other is tested against (TestLogConformance). durable.Outbox is the
+// crash-recoverable one, on segment logs.
+//
+// The subscriber side is multicast.Stager: record an incoming event,
+// deduplicated by ID, before it is acknowledged. MemSet, here, is the
+// in-memory implementation; durable.Inbox is the crash-recoverable one.
 package store
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -57,19 +65,28 @@ type Log interface {
 	// acknowledged by the consumer; their payloads are read-only.
 	Pending(consumer string) ([]Entry, error)
 	// GC drops entries acknowledged by all registered consumers and
-	// returns how many were dropped.
+	// returns how many were dropped. With nobody registered it drops
+	// nothing. A log may retire such entries earlier, as they are
+	// acknowledged, or later, a sealed segment at a time.
 	GC() (int, error)
+	// Len returns the number of entries the log holds: appended and not
+	// yet retired.
+	Len() int
 	// Close releases resources. The log must not be used afterwards.
 	Close() error
 }
 
-// MemLog is an in-memory Log. The zero value is not usable; create with
-// NewMemLog.
+// MemLog is the in-memory Log: what a certified class of a domain
+// without a durability directory publishes from, and the oracle
+// durable.Outbox is tested against. It holds what is unacknowledged,
+// not what was ever appended: Ack retires an entry the moment the last
+// registered consumer acknowledges it. The zero value is not usable;
+// create with NewMemLog.
 type MemLog struct {
 	mu        sync.Mutex
-	order     []string // entry IDs in append order
-	entries   map[string]Entry
-	consumers map[string]map[string]bool // consumer -> acked entry IDs
+	order     *list.List                 // of Entry, in append order
+	entries   map[string]*list.Element   // the entries of order, by ID
+	consumers map[string]map[string]bool // consumer -> entry IDs it acknowledged
 }
 
 var _ Log = (*MemLog)(nil)
@@ -77,7 +94,8 @@ var _ Log = (*MemLog)(nil)
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog {
 	return &MemLog{
-		entries:   make(map[string]Entry),
+		order:     list.New(),
+		entries:   make(map[string]*list.Element),
 		consumers: make(map[string]map[string]bool),
 	}
 }
@@ -89,9 +107,7 @@ func (l *MemLog) Append(e Entry) error {
 	if _, ok := l.entries[e.ID]; ok {
 		return nil
 	}
-	cp := Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
-	l.entries[e.ID] = cp
-	l.order = append(l.order, e.ID)
+	l.entries[e.ID] = l.order.PushBack(e) // the caller's payload, kept (Log)
 	return nil
 }
 
@@ -125,7 +141,10 @@ func (l *MemLog) Consumers() ([]string, error) {
 	return out, nil
 }
 
-// Ack implements Log.
+// Ack implements Log, and retires the entry if this acknowledgement is
+// the one that completes it (GC's rule, applied when it becomes true).
+// An entry the log does not hold — retired already, or never appended —
+// is nothing to book: a duplicate acknowledgement leaves no trace.
 func (l *MemLog) Ack(consumer, entryID string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -133,8 +152,32 @@ func (l *MemLog) Ack(consumer, entryID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownConsumer, consumer)
 	}
-	acked[entryID] = true
+	if _, ok := l.entries[entryID]; ok {
+		acked[entryID] = true
+		l.retireIfAckedByAllLocked(entryID)
+	}
 	return nil
+}
+
+// retireIfAckedByAllLocked applies the retirement rule to a live entry:
+// every registered consumer has acknowledged it, and somebody is
+// registered (with nobody registered the log retains everything, for
+// whoever registers next). Its acknowledgements go with it.
+func (l *MemLog) retireIfAckedByAllLocked(id string) bool {
+	for _, acked := range l.consumers {
+		if !acked[id] {
+			return false
+		}
+	}
+	if len(l.consumers) == 0 {
+		return false
+	}
+	l.order.Remove(l.entries[id])
+	delete(l.entries, id)
+	for _, acked := range l.consumers {
+		delete(acked, id)
+	}
+	return true
 }
 
 // Pending implements Log.
@@ -146,52 +189,36 @@ func (l *MemLog) Pending(consumer string) ([]Entry, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownConsumer, consumer)
 	}
 	var out []Entry
-	for _, id := range l.order {
-		if !acked[id] {
-			e := l.entries[id]
-			out = append(out, Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)})
+	for el := l.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(Entry); !acked[e.ID] {
+			out = append(out, e)
 		}
 	}
 	return out, nil
 }
 
-// GC implements Log.
+// GC implements Log. Ack has retired what an acknowledgement completed;
+// left for GC is what an UnregisterConsumer made eligible.
 func (l *MemLog) GC() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.consumers) == 0 {
-		return 0, nil // nobody registered: retain everything
-	}
-	var kept []string
 	dropped := 0
-	for _, id := range l.order {
-		ackedByAll := true
-		for _, acked := range l.consumers {
-			if !acked[id] {
-				ackedByAll = false
-				break
-			}
-		}
-		if ackedByAll {
-			delete(l.entries, id)
-			for _, acked := range l.consumers {
-				delete(acked, id)
-			}
+	for el := l.order.Front(); el != nil; {
+		next := el.Next() // retiring el unlinks it
+		if l.retireIfAckedByAllLocked(el.Value.(Entry).ID) {
 			dropped++
-		} else {
-			kept = append(kept, id)
 		}
+		el = next
 	}
-	l.order = kept
 	return dropped, nil
 }
 
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
 
-// Len returns the number of live entries (test aid).
+// Len implements Log.
 func (l *MemLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.order)
+	return len(l.entries)
 }

@@ -1,12 +1,18 @@
-package store
+// The conformance suite sits outside the package so that it can hold
+// both implementations of Log (durable imports store), and dot-imports
+// it so that the cases read as they did inside.
+package store_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"govents/internal/durable"
+	. "govents/internal/store"
 )
 
 // logFactory builds a fresh Log for the shared conformance tests.
@@ -15,12 +21,15 @@ type logFactory func(t *testing.T) Log
 func factories() map[string]logFactory {
 	return map[string]logFactory{
 		"MemLog": func(t *testing.T) Log { return NewMemLog() },
-		"FileLog": func(t *testing.T) Log {
-			l, err := OpenFileLog(filepath.Join(t.TempDir(), "log"))
+		"Outbox": func(t *testing.T) Log {
+			dir := t.TempDir()
+			// One record per segment: GC can retire any acknowledged prefix.
+			o, err := durable.OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"),
+				durable.SegmentConfig{SegmentBytes: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return l
+			return o
 		},
 	}
 }
@@ -120,20 +129,40 @@ func TestLogConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n != 0 {
-					t.Fatalf("GC dropped %d; entry a not acked by c2", n)
+				if n != 0 || l.Len() != 2 {
+					t.Fatalf("GC dropped %d and left %d; entry a not acked by c2", n, l.Len())
 				}
+				// A log retires a at this acknowledgement or at the GC
+				// after it: either way it is gone once GC has run.
 				_ = l.Ack("c2", "a")
-				n, err = l.GC()
-				if err != nil {
+				if _, err = l.GC(); err != nil {
 					t.Fatal(err)
 				}
-				if n != 1 {
-					t.Fatalf("GC dropped %d, want 1", n)
+				if l.Len() != 1 {
+					t.Fatalf("log holds %d entries after GC, want b alone", l.Len())
 				}
 				pend, _ := l.Pending("c1")
 				if len(pend) != 1 || pend[0].ID != "b" {
 					t.Fatalf("after GC pending = %v", pend)
+				}
+			})
+
+			t.Run("GCAfterUnregister", func(t *testing.T) {
+				l := mk(t)
+				defer l.Close()
+				_ = l.RegisterConsumer("stays")
+				_ = l.RegisterConsumer("leaves")
+				_ = l.Append(Entry{ID: "a"})
+				_ = l.Append(Entry{ID: "b"})
+				_ = l.Ack("stays", "a")
+				_ = l.UnregisterConsumer("leaves")
+				// No acknowledgement completed a: only GC can retire it.
+				n, err := l.GC()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != 1 || l.Len() != 1 {
+					t.Fatalf("GC dropped %d and left %d, want a dropped and b left", n, l.Len())
 				}
 			})
 
@@ -202,116 +231,126 @@ func TestLogConformance(t *testing.T) {
 			})
 		})
 	}
-}
 
-func TestFileLogSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = l.RegisterConsumer("sub-1")
-	_ = l.Append(Entry{ID: "m1", Payload: []byte("hello")})
-	_ = l.Append(Entry{ID: "m2", Payload: []byte("world")})
-	_ = l.Ack("sub-1", "m1")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: state must be fully recovered.
-	l2, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	pend, err := l2.Pending("sub-1")
-	if err != nil {
-		t.Fatalf("consumer lost on reopen: %v", err)
-	}
-	if len(pend) != 1 || pend[0].ID != "m2" || string(pend[0].Payload) != "world" {
-		t.Fatalf("recovered pending = %+v", pend)
-	}
-}
-
-func TestFileLogReopenAppendReopen(t *testing.T) {
-	// Multiple open/append/close cycles must yield a replayable log
-	// (regression: framed records, not a single gob stream).
-	path := filepath.Join(t.TempDir(), "log")
-	for i := 0; i < 3; i++ {
-		l, err := OpenFileLog(path)
-		if err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
+	// One script over both, compared: MemLog is the oracle for the
+	// tolerances the cases above do not spell out (repeated
+	// registration, an acknowledgement of an entry never appended).
+	t.Run("OutboxMatchesMemLog", func(t *testing.T) {
+		mem, o := factories()["MemLog"](t), factories()["Outbox"](t)
+		defer o.Close()
+		for _, l := range []Log{o, mem} {
+			if err := l.RegisterConsumer("sub-a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.RegisterConsumer("sub-a"); err != nil { // idempotent
+				t.Fatal(err)
+			}
+			for i := range 5 {
+				e := Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}
+				if err := l.Append(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Append(e); err != nil { // idempotent
+					t.Fatal(err)
+				}
+			}
+			if err := l.Ack("sub-a", "e1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Ack("sub-a", "never-appended"); err != nil { // tolerated
+				t.Fatal(err)
+			}
+			if err := l.Ack("ghost", "e1"); !errors.Is(err, ErrUnknownConsumer) {
+				t.Fatalf("Ack unknown consumer: %v", err)
+			}
+			if _, err := l.Pending("ghost"); !errors.Is(err, ErrUnknownConsumer) {
+				t.Fatalf("Pending unknown consumer: %v", err)
+			}
 		}
-		_ = l.Append(Entry{ID: fmt.Sprintf("m%d", i), Payload: []byte{byte(i)}})
-		if err := l.Close(); err != nil {
+		op, err := o.Pending("sub-a")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	_ = l.RegisterConsumer("c")
-	pend, _ := l.Pending("c")
-	if len(pend) != 3 {
-		t.Fatalf("recovered %d entries, want 3", len(pend))
-	}
-}
-
-func TestFileLogGCCompactsDisk(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = l.RegisterConsumer("c")
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("m%d", i)
-		_ = l.Append(Entry{ID: id, Payload: make([]byte, 1024)})
-		_ = l.Ack("c", id)
-	}
-	n, err := l.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("GC dropped %d, want 10", n)
-	}
-	// Log still usable after compaction.
-	_ = l.Append(Entry{ID: "after"})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatalf("reopen after GC: %v", err)
-	}
-	defer l2.Close()
-	pend, err := l2.Pending("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pend) != 1 || pend[0].ID != "after" {
-		t.Fatalf("after GC+reopen pending = %v", pend)
-	}
-}
-
-func TestOpRoundTripProperty(t *testing.T) {
-	ops := []op{
-		{kind: opAppend, id: "id", payload: []byte("payload")},
-		{kind: opRegister, id: "consumer"},
-		{kind: opAck, id: "entry", consumer: "consumer"},
-		{kind: opAppend, id: "", payload: nil},
-	}
-	for _, o := range ops {
-		buf := encodeOp(o)
-		got, err := readOp(bytes.NewReader(buf))
+		mp, err := mem.Pending("sub-a")
 		if err != nil {
-			t.Fatalf("readOp(%v): %v", o.kind, err)
+			t.Fatal(err)
 		}
-		if got.kind != o.kind || got.id != o.id || got.consumer != o.consumer || string(got.payload) != string(o.payload) {
-			t.Errorf("round trip: got %+v, want %+v", got, o)
+		if len(op) != len(mp) {
+			t.Fatalf("pending: outbox %d, memlog %d", len(op), len(mp))
 		}
+		for i := range op {
+			if op[i].ID != mp[i].ID {
+				t.Fatalf("pending[%d]: outbox %q, memlog %q", i, op[i].ID, mp[i].ID)
+			}
+		}
+	})
+}
+
+// TestMemLogHoldsWhatIsUnacknowledged: the acknowledgement that
+// completes an entry retires it, with no GC; a repeated acknowledgement
+// of a retired entry leaves nothing behind; and an ID retired and
+// appended again is owed once, not twice.
+func TestMemLogHoldsWhatIsUnacknowledged(t *testing.T) {
+	l := NewMemLog()
+	_ = l.RegisterConsumer("c1")
+	_ = l.RegisterConsumer("c2")
+	const n = 1000
+	for i := range n {
+		id := fmt.Sprintf("e%d", i)
+		_ = l.Append(Entry{ID: id})
+		_ = l.Ack("c1", id)
+		if i%2 == 1 { // c2 lags one behind, out of order
+			_ = l.Ack("c2", id)
+			_ = l.Ack("c2", fmt.Sprintf("e%d", i-1))
+		}
+		if l.Len() > 2 {
+			t.Fatalf("log holds %d entries with at most 2 unacknowledged", l.Len())
+		}
+	}
+	if l.Len() != 0 {
+		t.Fatalf("log holds %d entries after every acknowledgement", l.Len())
+	}
+	_ = l.Ack("c1", "e7") // a duplicate acknowledgement, after retirement
+	_ = l.Append(Entry{ID: "e7"})
+	for _, c := range []string{"c1", "c2"} {
+		if pend, _ := l.Pending(c); len(pend) != 1 || pend[0].ID != "e7" {
+			t.Fatalf("%s is owed %v after e7 was appended again, want e7 once", c, pend)
+		}
+	}
+}
+
+// TestMemSetStageIsOneStep: eight goroutines stage the same IDs (a first
+// send racing its redelivery); each ID is fresh exactly once.
+func TestMemSetStageIsOneStep(t *testing.T) {
+	s := NewMemSet()
+	const ids, stagers = 1000, 8
+	var fresh [ids]atomic.Int32
+	var wg sync.WaitGroup
+	for range stagers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ids {
+				ok, err := s.Stage(fmt.Sprintf("e%d", i), "pub", nil)
+				if err != nil {
+					t.Error(err)
+				}
+				if ok {
+					fresh[i].Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range ids {
+		if n := fresh[i].Load(); n != 1 {
+			t.Errorf("e%d was fresh %d times, want once", i, n)
+		}
+		if has, _ := s.Has(fmt.Sprintf("e%d", i)); !has {
+			t.Errorf("e%d staged and not held", i)
+		}
+	}
+	if n, _ := s.Len(); n != ids {
+		t.Errorf("set holds %d IDs, want %d", n, ids)
 	}
 }

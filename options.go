@@ -9,7 +9,6 @@ import (
 	"govents/internal/durable"
 	"govents/internal/multicast"
 	"govents/internal/obvent"
-	"govents/internal/store"
 	"govents/internal/telemetry"
 )
 
@@ -138,8 +137,6 @@ type config struct {
 	durableID    string
 	durDir       string
 	durTuning    DurabilityTuning
-	certLog      store.Log
-	certDedup    store.Set
 	gossip       bool
 	naive        bool
 	pruneOff     bool
@@ -268,8 +265,11 @@ func WithDurableID(id string) Option {
 //
 // The directory belongs to one domain member; reopening it under a new
 // transport address orphans the previous incarnation's outbox
-// consumers. WithDurability supersedes WithCertifiedStores for the
-// certified classes; it requires WithTransport.
+// consumers. Without WithDurability every certified class keeps the
+// same state in memory, one outbox and one delivered set per class,
+// holding what is unacknowledged: it outlasts a subscriber's
+// disconnection, not this process. WithDurability requires
+// WithTransport.
 func WithDurability(dir string) Option {
 	return func(c *config) { c.durDir = dir }
 }
@@ -278,14 +278,6 @@ func WithDurability(dir string) Option {
 // fsync policy. It only has effect together with WithDurability.
 func WithDurabilityTuning(t DurabilityTuning) Option {
 	return func(c *config) { c.durTuning = t }
-}
-
-// WithCertifiedStores installs stable storage for certified delivery:
-// log is the publisher-side outbox, dedup the subscriber-side
-// delivered-set. Defaults are in-memory; pass the file-backed
-// implementations of govents/store to survive crashes.
-func WithCertifiedStores(log store.Log, dedup store.Set) Option {
-	return func(c *config) { c.certLog, c.certDedup = log, dedup }
 }
 
 // WithRMI attaches a remote-method-invocation runtime (paper §5.4) to
@@ -381,9 +373,6 @@ func (c *config) distributedOnly() []string {
 	if c.durableID != "" {
 		bad = append(bad, "WithDurableID")
 	}
-	if c.certLog != nil || c.certDedup != nil {
-		bad = append(bad, "WithCertifiedStores")
-	}
 	if c.durDir != "" {
 		bad = append(bad, "WithDurability")
 	}
@@ -405,8 +394,6 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 	return dace.Config{
 		Placement:        placement,
 		GossipUnreliable: c.gossip,
-		CertLog:          c.certLog,
-		CertDedup:        c.certDedup,
 		Durable:          dur,
 		DurableID:        c.durableID,
 		AdTTL:            c.adTTL,
