@@ -556,7 +556,7 @@ func (s *sinkTap) PublishEnvelope(env *codec.Envelope) error { s.sink(env); retu
 
 func (s *sinkTap) SetSink(sink func(*codec.Envelope)) { s.sink = sink }
 
-func (s *sinkTap) SubscriptionChanged([]core.SubscriptionInfo) error { return nil }
+func (s *sinkTap) SubscriptionChanged([]core.SubscriptionInfo, ...string) error { return nil }
 
 func (s *sinkTap) Close() error { return nil }
 

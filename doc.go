@@ -90,7 +90,20 @@
 // from its class. Compilation is deterministic per layout, so every
 // node of one build decides each class alike, and every node reads both
 // encodings. A process that reads only gob is not a supported peer (it
-// could not parse the envelope or link records below either). On the
+// could not parse the envelope or link records below either). Such
+// payloads and remote invocation (rmi) are all that gob still carries:
+// the control plane left it. A subscription advertisement and a
+// filter's marshaled form (filter.Marshal, which ads carry) are binary
+// records in the one-encoding idiom of the link record below — a kind
+// byte, shortest uvarints, every count and length checked against the
+// bytes that remain, trailing bytes and every second spelling of a
+// value refused — so equal filters have equal bytes, and a node parses
+// an advertised filter once per subscription and advertised bytes,
+// whatever the number of ads that repeat it. This was a stated wire
+// break, not negotiated: a gob-framed ad of an earlier build is refused
+// at its first byte and counted (RoutingStats.AdsRejected), and its
+// filters would not parse, so upgrade a domain together. The layouts
+// are in internal/dace/ad.go and internal/filter/marshal.go. On the
 // routing and matching path, plans whose filters reference only
 // structural fields evaluate by partial decode — extracting just those
 // fields from the encoded bytes — and the event is materialized only
@@ -129,8 +142,8 @@
 //
 // The decoder faces peers and disks: it checks every length against
 // the bytes that remain and the field's cap before allocating, rejects
-// an unknown format byte, unknown flags and trailing bytes, and copies
-// the payload out of the frame. The format byte is the only version
+// an unknown format byte, unknown flags, a uvarint not in its shortest
+// form and trailing bytes, and copies the payload out of the frame. The format byte is the only version
 // marker; there is no second decode path. Builds before this format
 // framed the envelope with encoding/gob, so a durable or spill
 // directory they wrote is not readable: each such record fails with

@@ -90,12 +90,18 @@ func Evaluate(e *Expr, obj any) (bool, error) { return internal.Evaluate(e, obj)
 // equal.
 func Normalize(e *Expr) *Expr { return internal.Normalize(e) }
 
-// Marshal serializes an expression for migration to a filtering host.
+// Marshal serializes an expression for migration to a filtering host, as
+// a compact binary record (no gob): equal trees give equal bytes. It
+// fails for an invalid expression, one nested deeper than 64 levels, or
+// one whose record would exceed 64 KiB.
 func Marshal(e *Expr) ([]byte, error) { return internal.Marshal(e) }
 
 // MarshalCanonical serializes Normalize(e): identical filters produce
 // byte-identical encodings regardless of how subscribers wrote them.
 func MarshalCanonical(e *Expr) ([]byte, error) { return internal.MarshalCanonical(e) }
 
-// Unmarshal reconstructs and validates an expression from the wire.
+// Unmarshal reconstructs an expression from the bytes Marshal wrote, and
+// from nothing else: every tree has one encoding, and any other input
+// (a second spelling, trailing bytes, a record of an earlier, gob-framed
+// build) is an error. What it returns is valid.
 func Unmarshal(data []byte) (*Expr, error) { return internal.Unmarshal(data) }

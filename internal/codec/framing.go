@@ -3,11 +3,11 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
 	"govents/internal/obvent"
+	"govents/internal/rec"
 	"govents/internal/vclock"
 )
 
@@ -49,8 +49,8 @@ const (
 	knownFlags   = flagPriority | flagBirth | flagVC
 
 	// Field caps, enforced on encode and decode alike.
-	maxEnvelopeString  = 0xFFFF
-	maxEnvelopeVC      = 0xFFFF
+	maxEnvelopeString  = rec.MaxString
+	maxEnvelopeVC      = vclock.MaxEntries
 	maxEnvelopePayload = 1 << 30
 )
 
@@ -84,9 +84,9 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		copy(b, dst)
 	}
 	b = append(b, envelopeFormat, flags, e.Enc)
-	b = appendLenString(b, e.ID)
-	b = appendLenString(b, e.Type)
-	b = appendLenString(b, e.Publisher)
+	b = rec.AppendLenString(b, e.ID)
+	b = rec.AppendLenString(b, e.Type)
+	b = rec.AppendLenString(b, e.Publisher)
 	b = binary.AppendUvarint(b, e.Seq)
 	b = binary.AppendUvarint(b, e.GlobalSeq)
 	b = binary.AppendVarint(b, int64(e.Reliability))
@@ -103,7 +103,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	if flags&flagVC != 0 {
 		b = binary.AppendUvarint(b, uint64(len(e.VC)))
 		for k, v := range e.VC {
-			b = appendLenString(b, k)
+			b = rec.AppendLenString(b, k)
 			b = binary.AppendUvarint(b, v)
 		}
 	}
@@ -127,38 +127,28 @@ func envelopeSize(e *Envelope) (int, error) {
 		return 0, fmt.Errorf("payload of %d bytes exceeds %d", len(e.Payload), maxEnvelopePayload)
 	}
 	n := 3 +
-		lenStringLen(e.ID) + lenStringLen(e.Type) + lenStringLen(e.Publisher) +
-		uvarintLen(e.Seq) + uvarintLen(e.GlobalSeq) +
+		rec.LenStringLen(e.ID) + rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) +
+		rec.UvarintLen(e.Seq) + rec.UvarintLen(e.GlobalSeq) +
 		varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) +
 		varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + varintLen(e.PubNanos) +
-		uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+		rec.UvarintLen(uint64(len(e.Payload))) + len(e.Payload)
 	if !e.Birth.IsZero() {
-		n += varintLen(e.Birth.Unix()) + uvarintLen(uint64(e.Birth.Nanosecond()))
+		n += varintLen(e.Birth.Unix()) + rec.UvarintLen(uint64(e.Birth.Nanosecond()))
 	}
 	if len(e.VC) > 0 {
-		n += uvarintLen(uint64(len(e.VC)))
+		n += rec.UvarintLen(uint64(len(e.VC)))
 		for k, v := range e.VC {
 			if len(k) > maxEnvelopeString {
 				return 0, fmt.Errorf("vector clock key of %d bytes exceeds %d", len(k), maxEnvelopeString)
 			}
-			n += lenStringLen(k) + uvarintLen(v)
+			n += rec.LenStringLen(k) + rec.UvarintLen(v)
 		}
 	}
 	return n, nil
 }
 
-func appendLenString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func lenStringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-// uvarintLen is the encoded length of binary.AppendUvarint(nil, x).
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
 // varintLen is the encoded length of binary.AppendVarint(nil, x).
-func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+func varintLen(x int64) int { return rec.UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // Unmarshal deserializes an envelope from the wire. It is peer- and
 // disk-facing: every length is checked against the bytes that remain
@@ -182,170 +172,68 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // or that drops the envelope before data changes (routing a frame).
 // Anything else calls Unmarshal.
 func UnmarshalAlias(data []byte) (*Envelope, error) {
-	r := envReader{buf: data}
-	if format := r.u8(); r.err == nil && format != envelopeFormat {
+	r := envReader{rec.Reader{Buf: data}}
+	if format := r.U8(); r.Err == nil && format != envelopeFormat {
 		return nil, fmt.Errorf("codec: unmarshal envelope: unknown envelope format 0x%02x", format)
 	}
-	flags := r.u8()
+	flags := r.U8()
 	if flags&^knownFlags != 0 {
 		return nil, fmt.Errorf("codec: unmarshal envelope: unknown flags 0x%02x", flags&^knownFlags)
 	}
 	// The reads below run in lexical order, which is the wire order.
 	e := &Envelope{
-		Enc:         r.u8(),
+		Enc:         r.U8(),
 		ID:          r.str("ID"),
 		Type:        r.str("Type"),
 		Publisher:   r.str("Publisher"),
-		Seq:         r.uvarint(),
-		GlobalSeq:   r.uvarint(),
+		Seq:         r.Uvarint(),
+		GlobalSeq:   r.Uvarint(),
 		Reliability: obvent.Reliability(r.intVal()),
 		Ordering:    obvent.Ordering(r.intVal()),
 		Priority:    r.intVal(),
 		HasPriority: flags&flagPriority != 0,
-		TTL:         time.Duration(r.varint()),
-		PubNanos:    r.varint(),
+		TTL:         time.Duration(r.Varint()),
+		PubNanos:    r.Varint(),
 	}
 	if flags&flagBirth != 0 {
-		sec, nsec := r.varint(), r.uvarint()
+		sec, nsec := r.Varint(), r.Uvarint()
 		if nsec >= 1e9 {
-			r.fail("Birth nanoseconds %d out of range", nsec)
+			r.Fail("Birth nanoseconds %d out of range", nsec)
 		}
 		e.Birth = time.Unix(sec, int64(nsec))
 	}
 	if flags&flagVC != 0 {
-		e.VC = r.vc()
+		e.VC = vclock.Read(&r.Reader, false)
 	}
 	e.Payload = r.payload()
-	if r.err != nil {
-		return nil, fmt.Errorf("codec: unmarshal envelope: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("codec: unmarshal envelope: %w", r.Err)
 	}
 	return e, nil
 }
 
-// envReader is a cursor over an envelope record with a sticky error:
-// after the first failure every read returns a zero value, so Unmarshal
-// checks once at the end.
-type envReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *envReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *envReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("truncated at offset %d", r.off)
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *envReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n == 0 {
-		r.fail("truncated at offset %d", r.off)
-		return 0
-	}
-	if n < 0 {
-		r.fail("varint overflow at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *envReader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
+// envReader reads an envelope's fields off the shared record cursor.
+type envReader struct{ rec.Reader }
 
 // intVal reads a varint that must fit the platform's int.
 func (r *envReader) intVal() int {
-	v := r.varint()
+	v := r.Varint()
 	if int64(int(v)) != v {
-		r.fail("integer %d overflows int", v)
+		r.Fail("integer %d overflows int", v)
 		return 0
 	}
 	return int(v)
 }
 
-// span reads a length prefix, checks it against limit and the bytes
-// that remain, and returns the bytes it covers (aliasing buf).
-func (r *envReader) span(what string, limit int) []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(limit) {
-		r.fail("%s of %d bytes exceeds %d", what, n, limit)
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail("%s of %d bytes truncated at offset %d", what, n, r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
 func (r *envReader) str(what string) string {
-	return string(r.span(what, maxEnvelopeString))
-}
-
-func (r *envReader) vc() vclock.VC {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Every entry takes at least two bytes (an empty key's length and a
-	// value), which bounds the map's size by the input's before it is
-	// allocated.
-	if n == 0 || n > maxEnvelopeVC || n > uint64(len(r.buf)-r.off)/2 {
-		r.fail("vector clock of %d entries at offset %d", n, r.off)
-		return nil
-	}
-	vc := make(vclock.VC, n)
-	for i := uint64(0); i < n; i++ {
-		k := r.str("vector clock key")
-		v := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if _, dup := vc[k]; dup {
-			r.fail("duplicate vector clock key %q", k)
-			return nil
-		}
-		vc[k] = v
-	}
-	return vc
+	return string(r.Span(what, 0, maxEnvelopeString))
 }
 
 // payload reads the final field, which must end the record. The result
 // aliases the frame.
 func (r *envReader) payload() []byte {
-	b := r.span("payload", maxEnvelopePayload)
-	if r.err != nil {
-		return nil
-	}
-	if r.off != len(r.buf) {
-		r.fail("%d trailing bytes", len(r.buf)-r.off)
-		return nil
-	}
-	if len(b) == 0 {
+	b := r.Span("payload", 0, maxEnvelopePayload)
+	if r.End() != nil || len(b) == 0 {
 		return nil
 	}
 	return b

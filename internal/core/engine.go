@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +28,13 @@ type Disseminator interface {
 	// SetSink installs the engine's delivery entry point. It must be
 	// called once before any traffic flows.
 	SetSink(sink func(env *codec.Envelope))
-	// SubscriptionChanged notifies the substrate that the set of
-	// local subscriptions changed (for advertisement to filtering
-	// hosts / membership maintenance). info lists all currently
-	// active local subscriptions.
-	SubscriptionChanged(info []SubscriptionInfo) error
+	// SubscriptionChanged notifies the substrate that the set of active
+	// local subscriptions changed (for advertisement to filtering hosts
+	// / membership maintenance), and carries the change, not the set:
+	// active lists the subscriptions that became active or whose
+	// description changed, removed the IDs of those no longer active.
+	// The engine makes one call at a time, in the order of the changes.
+	SubscriptionChanged(active []SubscriptionInfo, removed ...string) error
 	// Close releases the substrate.
 	Close() error
 }
@@ -58,6 +60,13 @@ type SubscriptionInfo struct {
 	Certified bool
 }
 
+// Equal reports whether two descriptions are identical (filters compare
+// by their canonical wire bytes).
+func (a SubscriptionInfo) Equal(b SubscriptionInfo) bool {
+	return a.ID == b.ID && a.TypeName == b.TypeName && a.DurableID == b.DurableID &&
+		a.Certified == b.Certified && bytes.Equal(a.Filter, b.Filter)
+}
+
 // Engine is one process's publish/subscribe runtime: it owns the type
 // registry, the local subscription table, and the delivery pipeline
 // that enforces the obvent semantics of §3.1.2.
@@ -71,6 +80,10 @@ type Engine struct {
 	subs   map[string]*Subscription
 	nextID int
 	closed bool
+	// advMu orders the reports to the substrate: each reads the state of
+	// the subscriptions it names under it, so the last report to name a
+	// subscription carries that subscription's last state.
+	advMu sync.Mutex
 
 	// Inbound delivery: the sharded multi-lane dispatcher (lanes.go).
 	// Ordered and Prioritary envelopes drain through one serial
@@ -282,8 +295,18 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Unlock()
 
+	// One table rebuild and one report for them all: the substrate sends
+	// a single final advertisement, not one per subscription.
+	var changed []*Subscription
 	for _, s := range subs {
-		_ = s.Deactivate() // best effort; already-inactive is fine
+		if s.setInactive() {
+			changed = append(changed, s)
+		}
+	}
+	if len(changed) > 0 {
+		_ = e.subscriptionChanged(changed...) // best effort: the substrate closes next
+	}
+	for _, s := range subs {
 		s.executor.close()
 	}
 	e.lanes.close()
@@ -336,27 +359,23 @@ func (e *Engine) register(s *Subscription) error {
 	return nil
 }
 
-// infoLocked snapshots all active subscriptions for the substrate.
-func (e *Engine) infoLocked() []SubscriptionInfo {
-	infos := make([]SubscriptionInfo, 0, len(e.subs))
-	for _, s := range e.subs {
-		if !s.Active() {
-			continue
-		}
-		infos = append(infos, s.info())
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	return infos
-}
-
-// subscriptionChanged recompiles the dispatch index and pushes the
-// current subscription set to the substrate.
-func (e *Engine) subscriptionChanged() error {
+// subscriptionChanged recompiles the dispatch index and reports to the
+// substrate what has become of the subscriptions whose activation
+// changed.
+func (e *Engine) subscriptionChanged(changed ...*Subscription) error {
 	e.rebuildTable()
-	e.mu.Lock()
-	infos := e.infoLocked()
-	e.mu.Unlock()
-	return e.diss.SubscriptionChanged(infos)
+	e.advMu.Lock()
+	defer e.advMu.Unlock()
+	var active []SubscriptionInfo
+	var removed []string
+	for _, s := range changed {
+		if s.Active() {
+			active = append(active, s.info())
+		} else {
+			removed = append(removed, s.id)
+		}
+	}
+	return e.diss.SubscriptionChanged(active, removed...)
 }
 
 // marshalFilter is a variable so a test can count canonical marshals.
@@ -376,10 +395,10 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 	}
 	var filterBytes []byte
 	if remote != nil {
-		if err := remote.Validate(); err != nil {
+		var err error
+		if filterBytes, err = marshalFilter(remote); err != nil { // validates
 			return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 		}
-		filterBytes, _ = marshalFilter(remote) // validated: cannot fail
 	}
 	typeName := obvent.TypeName(t)
 	if t.Kind() == reflect.Interface {

@@ -53,7 +53,7 @@ func (l *Local) PublishEnvelope(env *codec.Envelope) error {
 
 // SubscriptionChanged implements Disseminator; the loopback has no
 // remote parties to advertise to.
-func (l *Local) SubscriptionChanged([]SubscriptionInfo) error { return nil }
+func (l *Local) SubscriptionChanged([]SubscriptionInfo, ...string) error { return nil }
 
 // Close implements Disseminator.
 func (l *Local) Close() error {

@@ -113,10 +113,8 @@ func (s *Subscription) activate(durableID string) error {
 	s.durableID = durableID
 	s.mu.Unlock()
 
-	if err := s.engine.subscriptionChanged(); err != nil {
-		s.mu.Lock()
-		s.activated.Store(false)
-		s.mu.Unlock()
+	if err := s.engine.subscriptionChanged(s); err != nil {
+		s.setInactive()
 		return fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 	}
 	return nil
@@ -132,18 +130,21 @@ func (s *Subscription) activate(durableID string) error {
 // already under way, and deliveries already handed to the subscription's
 // executor, may still run the handler after it returns.
 func (s *Subscription) Deactivate() error {
-	s.mu.Lock()
-	if !s.activated.Load() {
-		s.mu.Unlock()
+	if !s.setInactive() {
 		return fmt.Errorf("%w: subscription %s not active", ErrCannotUnsubscribe, s.id)
 	}
-	s.activated.Store(false)
-	s.mu.Unlock()
-
-	if err := s.engine.subscriptionChanged(); err != nil {
+	if err := s.engine.subscriptionChanged(s); err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotUnsubscribe, err)
 	}
 	return nil
+}
+
+// setInactive stops delivery and reports whether the subscription was
+// active; the caller owes the engine a subscriptionChanged.
+func (s *Subscription) setInactive() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.activated.CompareAndSwap(true, false)
 }
 
 // SetSingleThreading makes the handler process at most one obvent at a

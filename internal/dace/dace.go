@@ -57,8 +57,6 @@
 package dace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -158,13 +156,12 @@ type Node struct {
 	// locking and is never touched under n.mu.
 	routes *routing.Table
 
-	mu        sync.Mutex
-	peers     []string
-	sink      func(*codec.Envelope)
-	localSubs []core.SubscriptionInfo
-	groups    map[string]multicast.Group   // by stream name
-	byClass   map[groupKey]multicast.Group // the same groups as group() looks them up
-	closed    bool
+	mu      sync.Mutex
+	peers   []string
+	sink    func(*codec.Envelope)
+	groups  map[string]multicast.Group   // by stream name
+	byClass map[groupKey]multicast.Group // the same groups as group() looks them up
+	closed  bool
 
 	// epoch is this process incarnation's boot stamp, carried in every
 	// advertisement so peers can tell a restarted node (whose ad
@@ -172,8 +169,12 @@ type Node struct {
 	// previous life. See routing.Table.NoteEpoch.
 	epoch int64
 
+	// adMu makes taking an advertisement's sequence and applying it to our
+	// own routing table one step, so that the table meets our ads in
+	// order and parks none of them. It is taken before mu.
+	adMu         sync.Mutex
 	adSeq        uint64                           // our advertisement sequence number
-	lastAdv      map[string]core.SubscriptionInfo // snapshot described by ad adSeq (delta base)
+	lastAdv      map[string]core.SubscriptionInfo // our active subscriptions as of ad adSeq, by ID
 	adsSinceSnap int                              // deltas sent since the last full snapshot
 
 	control *multicast.Reliable
@@ -196,51 +197,10 @@ type Node struct {
 
 var _ core.Disseminator = (*Node)(nil)
 
-// maxAdBytes bounds a control-channel advertisement payload. A frame
-// beyond it is rejected before the gob decoder ever sees it (and
-// counted via routing.Table.NoteAdRejected): the control plane must not
-// let one corrupt or hostile peer allocate unbounded decode state.
-const maxAdBytes = 1 << 20
-
 // snapshotEvery bounds how many consecutive delta ads may be sent
 // before a full snapshot is forced, so a node that somehow lost the
 // chain resynchronizes within a bounded number of changes.
 const snapshotEvery = 8
-
-// subscriptionAd is the reflexive control obvent: the paper's
-// subscription/unsubscription requests disseminated as obvents (§4.2).
-// Two forms travel on the control channel, distinguished by Delta:
-//
-//   - A full snapshot (Delta false): Subs is the node's complete
-//     subscription set at Seq. Idempotent; receivers apply the newest.
-//   - A delta (Delta true): Subs are additions and Removed
-//     are removals relative to the snapshot described by BaseSeq.
-//     Receivers apply a delta only on top of exactly BaseSeq and park
-//     it otherwise (the reliable control channel does not order).
-//
-// Advertised filters are canonical filter.Marshal bytes
-// (filter.MarshalCanonical), so identical filters of different
-// subscribers are byte-identical and deduplicate as routing plan keys.
-type subscriptionAd struct {
-	obvent.Base
-	Node string
-	// Seq orders a node's advertisements: receivers apply only newer
-	// ones (a late joiner must not be blocked behind ads it never
-	// received).
-	Seq  uint64
-	Subs []core.SubscriptionInfo
-	// Delta marks a delta advertisement; BaseSeq is the sequence it
-	// applies on top of and Removed the subscription IDs it retires.
-	Delta   bool
-	BaseSeq uint64
-	Removed []string
-	// Epoch is the sender's process-incarnation boot stamp. A receiver
-	// seeing a higher epoch than recorded for Node forgets the previous
-	// incarnation's routing state (its ad sequence died with it); a
-	// lower epoch marks a late retransmission from a dead incarnation
-	// and the whole ad is dropped. Zero disables the check.
-	Epoch int64
-}
 
 // NewNode creates a DACE node over a transport endpoint. The registry
 // must be shared with the engine created on top (use core.WithRegistry).
@@ -315,7 +275,7 @@ func (n *Node) heartbeatLoop(ttl time.Duration) {
 		case <-n.hbStop:
 			return
 		case <-tick.C:
-			n.advertise(false)
+			n.advertise(nil, nil, false)
 			if expired := n.routes.ExpireSilent(n.self); len(expired) > 0 {
 				n.dropPeers(expired)
 			}
@@ -366,7 +326,7 @@ func (n *Node) SetPeers(peers []string) {
 	n.control.SetMembers(peers)
 	n.setGroupsMembers(groups, peers)
 	// Full snapshot: a joiner gaining membership has no delta base.
-	n.advertise(true)
+	n.advertise(nil, nil, true)
 }
 
 // groupsSnapshotLocked snapshots the live groups with their streams.
@@ -552,16 +512,18 @@ func (n *Node) certStores(class string) (store.Log, multicast.Stager) {
 
 // durableIDForLocked resolves the durable identity this node
 // acknowledges under for one certified class: the durable ID of the
-// first local subscription conforming to the class, else the node-wide
-// Config.DurableID, else empty (the group falls back to the node
-// address). Callers hold n.mu.
+// local subscription conforming to the class (the one of the smallest
+// subscription ID when several do), else the node-wide Config.DurableID,
+// else empty (the group falls back to the node address). Callers hold
+// n.mu.
 func (n *Node) durableIDForLocked(class string) string {
-	for _, info := range n.localSubs {
-		if info.DurableID != "" && n.reg.ConformsTo(class, info.TypeName) {
-			return info.DurableID
+	first, durable := "", n.cfg.DurableID
+	for id, info := range n.lastAdv {
+		if info.DurableID != "" && (first == "" || id < first) && n.reg.ConformsTo(class, info.TypeName) {
+			first, durable = id, info.DurableID
 		}
 	}
-	return n.cfg.DurableID
+	return durable
 }
 
 // certifiedGroup returns (creating lazily) the certified group of a
@@ -905,83 +867,81 @@ func (n *Node) onData(stream string, payload []byte) {
 
 // --- control plane ---
 
-// SubscriptionChanged implements core.Disseminator.
-func (n *Node) SubscriptionChanged(infos []core.SubscriptionInfo) error {
-	n.mu.Lock()
-	n.localSubs = append([]core.SubscriptionInfo(nil), infos...)
-	// Certified groups created before a durable activation must learn
-	// the durable identity they now acknowledge under.
-	for stream, g := range n.groups {
-		c, ok := g.(*multicast.Certified)
-		if !ok {
-			continue
-		}
-		class := strings.TrimPrefix(stream, "dace/cert/")
-		if class == stream {
-			continue
-		}
-		if id := n.durableIDForLocked(class); id != "" {
-			c.SetDurableID(id)
-		}
-	}
-	n.mu.Unlock()
-	n.advertise(false)
+// SubscriptionChanged implements core.Disseminator: the change is
+// advertised, and applied to what this node holds, at the cost of the
+// change.
+func (n *Node) SubscriptionChanged(active []core.SubscriptionInfo, removed ...string) error {
+	n.advertise(active, removed, false)
 	return nil
 }
 
-// advertise publishes this node's subscription state on the control
-// channel — as an obvent, per the reflexive design of §4.2 — and
-// mirrors it into the local routing table under our own address. When
-// the change against the previously advertised snapshot is small, the
-// wire carries a delta (add/remove per subscription ID) instead of the
-// full set; a full snapshot is forced by forceSnapshot (membership
-// changes, anti-entropy introductions) and every snapshotEvery deltas.
-// A delta that overtakes its base on the way to a peer is parked there
-// (bounded) until the base arrives; see routing.Table.ApplyDelta.
+// advertise folds a change of this node's subscriptions (none for a
+// heartbeat or a re-introduction) into lastAdv and publishes the result
+// on the control channel — as an obvent, per the reflexive design of
+// §4.2 — and into the local routing table under our own address, the
+// way a peer applies it. When the change is smaller than the set, the
+// ad is a delta (add/remove per subscription ID); a full snapshot is
+// forced by forceSnapshot (membership changes, anti-entropy
+// introductions) and every snapshotEvery deltas. A delta that overtakes
+// its base on the way to a peer is parked there (bounded) until the
+// base arrives; see routing.Table.ApplyDelta.
 //
-// Only the sequence bump and diff run under n.mu; gob encoding and the
-// control broadcast happen outside every lock.
-func (n *Node) advertise(forceSnapshot bool) {
+// Only the sequence bump and the bookkeeping of the change run under
+// n.mu; encoding and the control broadcast happen outside every lock.
+func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, forceSnapshot bool) {
+	n.adMu.Lock()
 	n.mu.Lock()
 	n.adSeq++
 	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Epoch: n.epoch}
-	cur := append([]core.SubscriptionInfo(nil), n.localSubs...)
-
-	var added []core.SubscriptionInfo
-	var removed []string
-	curByID := make(map[string]core.SubscriptionInfo, len(cur))
-	for _, info := range cur {
-		curByID[info.ID] = info
-		prev, ok := n.lastAdv[info.ID]
-		if !ok || !sameInfo(prev, info) {
-			added = append(added, info)
+	durable := false // whether a durable identity came or went
+	for _, id := range removed {
+		if prev, ok := n.lastAdv[id]; ok {
+			delete(n.lastAdv, id)
+			ad.Removed = append(ad.Removed, id)
+			durable = durable || prev.DurableID != ""
 		}
 	}
-	for id := range n.lastAdv {
-		if _, ok := curByID[id]; !ok {
-			removed = append(removed, id)
+	for _, info := range active {
+		if prev, ok := n.lastAdv[info.ID]; !ok || !prev.Equal(info) {
+			n.lastAdv[info.ID] = info
+			ad.Subs = append(ad.Subs, info)
+			durable = durable || info.DurableID != "" || prev.DurableID != ""
 		}
 	}
-	n.lastAdv = curByID
-
-	useDelta := !forceSnapshot && n.adSeq > 1 &&
-		n.adsSinceSnap < snapshotEvery && len(added)+len(removed) < len(cur)
-	if useDelta {
+	if durable {
+		// Certified groups created before a durable activation must learn
+		// the durable identity they now acknowledge under.
+		for stream, g := range n.groups {
+			c, ok := g.(*multicast.Certified)
+			class := strings.TrimPrefix(stream, "dace/cert/")
+			if !ok || class == stream {
+				continue
+			}
+			if id := n.durableIDForLocked(class); id != "" {
+				c.SetDurableID(id)
+			}
+		}
+	}
+	if !forceSnapshot && n.adSeq > 1 && n.adsSinceSnap < snapshotEvery &&
+		len(ad.Subs)+len(ad.Removed) < len(n.lastAdv) {
 		n.adsSinceSnap++
 		ad.Delta = true
 		ad.BaseSeq = n.adSeq - 1
-		ad.Subs = added
-		ad.Removed = removed
 	} else {
 		n.adsSinceSnap = 0
-		ad.Subs = cur
+		ad.Removed = nil
+		ad.Subs = make([]core.SubscriptionInfo, 0, len(n.lastAdv))
+		for _, info := range n.lastAdv {
+			ad.Subs = append(ad.Subs, info)
+		}
 	}
 	closed := n.closed
 	n.mu.Unlock()
 
 	// Our own state enters the routing table directly (the control
 	// echo of our broadcast is discarded in onControl).
-	moved := n.routes.ApplySnapshot(n.self, ad.Seq, cur).Applied
+	moved := n.applyAd(&ad).Applied
+	n.adMu.Unlock()
 	if closed {
 		return
 	}
@@ -990,10 +950,9 @@ func (n *Node) advertise(forceSnapshot bool) {
 		// outbox holds for it: redelivery must learn where it is.
 		n.refreshCertSubscribers()
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(ad)
+	payload, err := encodeAd(&ad)
 	if err == nil {
-		err = n.control.Broadcast(buf.Bytes())
+		err = n.control.Broadcast(payload)
 	}
 	if err != nil {
 		// Peers keep routing on our previous advertisement until the next
@@ -1003,26 +962,28 @@ func (n *Node) advertise(forceSnapshot bool) {
 	}
 }
 
-// sameInfo reports whether two advertised descriptions are identical
-// (filters compare by their canonical wire bytes).
-func sameInfo(a, b core.SubscriptionInfo) bool {
-	return a.ID == b.ID && a.TypeName == b.TypeName && a.DurableID == b.DurableID &&
-		a.Certified == b.Certified && bytes.Equal(a.Filter, b.Filter)
+// applyAd ingests an advertisement, a peer's or our own, into the
+// routing table.
+func (n *Node) applyAd(ad *subscriptionAd) routing.ApplyResult {
+	if ad.Delta {
+		return n.routes.ApplyDelta(ad.Node, ad.Seq, ad.BaseSeq, ad.Subs, ad.Removed)
+	}
+	return n.routes.ApplySnapshot(ad.Node, ad.Seq, ad.Subs)
 }
 
-// onControl processes a subscription advertisement. The gob decode,
-// filter parsing and plan bookkeeping all happen outside n.mu — a
-// slow, huge or corrupt advertisement must never stall the publish
-// path (PublishEnvelope briefly takes n.mu); the routing table has its
-// own short-held lock.
+// onControl processes a subscription advertisement. The decode, filter
+// parsing and plan bookkeeping all happen outside n.mu — a slow, huge
+// or corrupt advertisement must never stall the publish path
+// (PublishEnvelope briefly takes n.mu); the routing table has its own
+// short-held lock.
 func (n *Node) onControl(_ string, payload []byte) {
 	if len(payload) > maxAdBytes {
 		n.routes.NoteAdRejected()
 		n.log.Warn("dace: rejecting oversized advertisement", "bytes", len(payload))
 		return // oversized advertisement: refuse before decoding
 	}
-	var ad subscriptionAd
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ad); err != nil {
+	ad, err := decodeAd(payload)
+	if err != nil {
 		n.routes.NoteAdRejected()
 		n.log.Warn("dace: rejecting undecodable advertisement",
 			"bytes", len(payload), "err", err)
@@ -1036,17 +997,12 @@ func (n *Node) onControl(_ string, payload []byte) {
 			"node", ad.Node, "epoch", ad.Epoch)
 		return
 	}
-	var res routing.ApplyResult
-	if ad.Delta {
-		res = n.routes.ApplyDelta(ad.Node, ad.Seq, ad.BaseSeq, ad.Subs, ad.Removed)
-	} else {
-		res = n.routes.ApplySnapshot(ad.Node, ad.Seq, ad.Subs)
-	}
+	res := n.applyAd(ad)
 	if res.NewNode {
 		// Anti-entropy: introduce ourselves to newly seen nodes so a
 		// late joiner learns the existing subscription tables. Full
 		// snapshot — the joiner has no delta base of ours.
-		n.advertise(true)
+		n.advertise(nil, nil, true)
 	}
 	if res.Applied {
 		// Certified redelivery targets the routing plane's current

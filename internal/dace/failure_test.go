@@ -369,11 +369,11 @@ func TestAdvertiseFailureIsLogged(t *testing.T) {
 		wantWarn  bool
 		wantDelta bool
 	}{
-		{"closed control group, snapshot", false, func(n *Node) { n.advertise(true) }, true, false},
+		{"closed control group, snapshot", false, func(n *Node) { n.advertise(nil, nil, true) }, true, false},
 		{"closed control group, delta", false, func(n *Node) {
 			_ = n.SubscriptionChanged([]core.SubscriptionInfo{base[0], base[1], {ID: "c", TypeName: quote}})
 		}, true, true},
-		{"closed node", true, func(n *Node) { n.advertise(true) }, false, false},
+		{"closed node", true, func(n *Node) { n.advertise(nil, nil, true) }, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,6 @@
 package dace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -139,16 +137,15 @@ func TestCorruptOrSlowAdCannotStallPublish(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				_ = ctrl.Broadcast([]byte("\xff\x00this is not a gob stream\x13\x37"))
+				_ = ctrl.Broadcast([]byte("\xff\x00this is not an ad record\x13\x37"))
 				continue
 			}
 			seq++
-			ad := subscriptionAd{Node: "evil", Seq: seq, Subs: hugeSubs}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(ad); err != nil {
+			payload, err := encodeAd(&subscriptionAd{Node: "evil", Seq: seq, Subs: hugeSubs})
+			if err != nil {
 				return
 			}
-			_ = ctrl.Broadcast(buf.Bytes())
+			_ = ctrl.Broadcast(payload)
 		}
 	}()
 
@@ -178,12 +175,12 @@ type adObserver struct {
 }
 
 func (o *adObserver) onControl(_ string, payload []byte) {
-	var ad subscriptionAd
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ad); err != nil {
+	ad, err := decodeAd(payload)
+	if err != nil {
 		return
 	}
 	o.mu.Lock()
-	o.ads = append(o.ads, ad)
+	o.ads = append(o.ads, *ad)
 	o.mu.Unlock()
 }
 
@@ -199,6 +196,28 @@ func (o *adObserver) from(node string) []subscriptionAd {
 	return out
 }
 
+// adsOnControl joins the control channel of nodes as a silent member
+// and records every advertisement it receives.
+func adsOnControl(t *testing.T, net *netsim.Network, nodes []*testNode) *adObserver {
+	t.Helper()
+	ep, err := net.NewEndpoint("observer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &adObserver{}
+	ctrl := multicast.NewReliable(multicast.NewMux(ep), "dace/ctrl", obs.onControl, fastCfg().Multicast)
+	t.Cleanup(func() { _ = ctrl.Close() })
+	peers := []string{"observer"}
+	for _, n := range nodes {
+		peers = append(peers, n.node.Addr())
+	}
+	ctrl.SetMembers(peers)
+	for _, n := range nodes {
+		n.node.SetPeers(peers)
+	}
+	return obs
+}
+
 // TestDeltaAdvertisementsOnTheWire pins the wire protocol: the first
 // advertisement is a full snapshot, subsequent small changes
 // travel as deltas (adds and removals by subscription ID), and the
@@ -211,18 +230,7 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 	pub, sub := nodes[0], nodes[1]
 
 	// A silent observer on the control channel records the ad stream.
-	ep, err := net.NewEndpoint("observer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := multicast.NewMux(ep)
-	obs := &adObserver{}
-	ctrl := multicast.NewReliable(mux, "dace/ctrl", obs.onControl, fastCfg().Multicast)
-	defer ctrl.Close()
-	peers := []string{"node-0", "node-1", "observer"}
-	ctrl.SetMembers(peers)
-	pub.node.SetPeers(peers)
-	sub.node.SetPeers(peers)
+	obs := adsOnControl(t, net, nodes)
 
 	var subsHeld []*core.Subscription
 	for i := 0; i < 3; i++ {
@@ -243,8 +251,9 @@ func TestDeltaAdvertisementsOnTheWire(t *testing.T) {
 		return pub.node.RemoteSubscriptionCount() == 2
 	})
 
-	// The control channel does not order, so wait for the observer to
-	// hold one advertisement of each form, not for a count of them.
+	// Anti-entropy introductions interleave with the changes' ads, so wait
+	// for the observer to hold one advertisement of each form, not for a
+	// count of them.
 	var sawSnapshot, sawDeltaAdd, sawDeltaRemove bool
 	waitFor(t, 5*time.Second, "observer saw a snapshot, a delta with additions and one with removals", func() bool {
 		for _, ad := range obs.from("node-1") {
@@ -277,18 +286,7 @@ func TestSnapshotForcedAfterDeltaRun(t *testing.T) {
 	nodes := newDomain(t, net, 2, fastCfg())
 	sub := nodes[1]
 
-	ep, err := net.NewEndpoint("observer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := multicast.NewMux(ep)
-	obs := &adObserver{}
-	ctrl := multicast.NewReliable(mux, "dace/ctrl", obs.onControl, fastCfg().Multicast)
-	defer ctrl.Close()
-	peers := []string{"node-0", "node-1", "observer"}
-	ctrl.SetMembers(peers)
-	nodes[0].node.SetPeers(peers)
-	sub.node.SetPeers(peers)
+	obs := adsOnControl(t, net, nodes)
 
 	// A stable base of subscriptions keeps each toggle's diff small, so
 	// the toggles below travel as deltas.

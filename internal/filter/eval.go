@@ -26,7 +26,7 @@ type evaluator struct {
 	obj reflect.Value
 }
 
-// ValueOf, Compare and ResolveValue are exported so that package
+// ValueOf, Compare and ResolvePath are exported so that package
 // matching can factor conditions across subscriptions while reusing the
 // exact evaluation semantics of this package.
 
@@ -97,16 +97,6 @@ func (ev *evaluator) resolve(o Operand) (Constant, error) {
 		return Constant{}, fmt.Errorf("filter: path %s: %w", strings.Join(o.Path, "."), err)
 	}
 	return v, nil
-}
-
-// ResolveValue resolves an accessor path on an object to a primitive
-// value in one step.
-func ResolveValue(obj any, path []string) (Constant, error) {
-	rv, err := ResolvePath(reflect.ValueOf(obj), path)
-	if err != nil {
-		return Constant{}, err
-	}
-	return ValueOf(rv)
 }
 
 // ResolvePath walks an accessor path on a reflected object: each segment

@@ -249,50 +249,18 @@ func Not(child *Expr) *Expr {
 
 // --- Canonical form ---
 
-// Canon returns a canonical string rendering of the expression, used as
-// a common-subexpression key when factoring filters of different
-// subscribers into a compound filter (paper §2.3.2, §4.4.3). Two
-// expressions with equal Canon are semantically identical: And/Or
-// children are rendered in sorted order.
+// Canon returns the expression's canonical encoding (MarshalCanonical's
+// bytes, as a string): the common-subexpression key when filters of
+// different subscribers are factored into a compound filter (paper
+// §2.3.2, §4.4.3). Two expressions with equal Canon are semantically
+// identical: the order and repetition of And/Or terms do not matter. An
+// expression that does not marshal has the Canon "invalid".
 func (e *Expr) Canon() string {
-	var b strings.Builder
-	e.canon(&b)
-	return b.String()
-}
-
-func (e *Expr) canon(b *strings.Builder) {
-	switch e.Kind {
-	case KindConstTrue:
-		b.WriteString("true")
-	case KindConstFalse:
-		b.WriteString("false")
-	case KindLeaf:
-		b.WriteString(e.Cond.Canon())
-	case KindAnd, KindOr:
-		if e.Kind == KindAnd {
-			b.WriteString("and(")
-		} else {
-			b.WriteString("or(")
-		}
-		keys := make([]string, len(e.Children))
-		for i, c := range e.Children {
-			keys[i] = c.Canon()
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(k)
-		}
-		b.WriteByte(')')
-	case KindNot:
-		b.WriteString("not(")
-		e.Children[0].canon(b)
-		b.WriteByte(')')
-	default:
-		fmt.Fprintf(b, "invalid(%d)", e.Kind)
+	b, err := MarshalCanonical(e)
+	if err != nil {
+		return "invalid"
 	}
+	return string(b)
 }
 
 // Normalize returns an expression semantically equivalent to e in
@@ -320,7 +288,7 @@ func Normalize(e *Expr) *Expr {
 			// Key on the normalized child so that terms that differ only
 			// pre-normalization (e.g. or(a,a) vs or(a)) still deduplicate.
 			n := Normalize(c)
-			ks = append(ks, keyed{key: n.Canon(), child: n})
+			ks = append(ks, keyed{key: string(appendExpr(nil, n)), child: n})
 		}
 		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 		children := make([]*Expr, 0, len(ks))
@@ -339,27 +307,9 @@ func Normalize(e *Expr) *Expr {
 	}
 }
 
-// Canon returns the canonical rendering of a leaf condition.
+// Canon returns the canonical key of a leaf condition: its encoding.
 func (c *Cond) Canon() string {
-	return c.LHS.canon() + string(rune(0)) + c.Op.String() + string(rune(0)) + c.RHS.canon()
-}
-
-func (o Operand) canon() string {
-	if len(o.Path) > 0 {
-		return "path:" + strings.Join(o.Path, ".")
-	}
-	switch o.Const.Kind {
-	case ConstInt:
-		return "i:" + strconv.FormatInt(o.Const.I, 10)
-	case ConstFloat:
-		return "f:" + strconv.FormatFloat(o.Const.F, 'g', -1, 64)
-	case ConstString:
-		return "s:" + strconv.Quote(o.Const.S)
-	case ConstBool:
-		return "b:" + strconv.FormatBool(o.Const.B)
-	default:
-		return "invalid"
-	}
+	return string(appendOperand(appendOperand([]byte{byte(c.Op)}, c.LHS), c.RHS))
 }
 
 // String renders the expression in a human-readable infix form.
@@ -408,12 +358,16 @@ func (o Operand) String() string {
 }
 
 // Validate checks structural well-formedness: children arities, leaf
-// conditions present, and operands being either paths or valid
-// constants. A filter received from the wire should be validated before
-// evaluation.
-func (e *Expr) Validate() error {
+// conditions present, operands being either paths or valid constants,
+// and nesting no deeper than a marshaled filter may be (maxDepth).
+func (e *Expr) Validate() error { return e.validate(maxDepth) }
+
+func (e *Expr) validate(depth int) error {
 	if e == nil {
 		return fmt.Errorf("%w: nil expression", ErrInvalid)
+	}
+	if depth == 0 {
+		return fmt.Errorf("%w: nested deeper than %d", ErrInvalid, maxDepth)
 	}
 	switch e.Kind {
 	case KindConstTrue, KindConstFalse:
@@ -445,7 +399,7 @@ func (e *Expr) Validate() error {
 			return fmt.Errorf("%w: %v with no children", ErrInvalid, e.Kind)
 		}
 		for _, c := range e.Children {
-			if err := c.Validate(); err != nil {
+			if err := c.validate(depth - 1); err != nil {
 				return err
 			}
 		}
@@ -454,7 +408,7 @@ func (e *Expr) Validate() error {
 		if len(e.Children) != 1 {
 			return fmt.Errorf("%w: not with %d children", ErrInvalid, len(e.Children))
 		}
-		return e.Children[0].Validate()
+		return e.Children[0].validate(depth - 1)
 	default:
 		return fmt.Errorf("%w: invalid node kind %d", ErrInvalid, e.Kind)
 	}

@@ -3,9 +3,9 @@ package multicast
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 
+	"govents/internal/rec"
 	"govents/internal/vclock"
 )
 
@@ -84,8 +84,8 @@ const (
 	knownFlags = flagSeq | flagEpoch | flagBase | flagOrigin | flagID | flagRounds | flagVC
 
 	// Field caps, enforced on encode and decode alike.
-	maxWireString = 0xFFFF
-	maxWireVC     = 0xFFFF
+	maxWireString = rec.MaxString
+	maxWireVC     = vclock.MaxEntries
 )
 
 // flags returns the presence bits of m's non-zero fields.
@@ -136,32 +136,32 @@ func messageSize(m *message) (int, error) {
 		return 0, fmt.Errorf("multicast: link base %d beyond link sequence %d", m.Base, m.Seq)
 	}
 	f := m.flags()
-	n := 1 + uvarintLen(f) + len(m.Payload)
+	n := 1 + rec.UvarintLen(f) + len(m.Payload)
 	if f&flagSeq != 0 {
-		n += uvarintLen(m.Seq)
+		n += rec.UvarintLen(m.Seq)
 	}
 	if f&flagEpoch != 0 {
-		n += uvarintLen(m.Epoch)
+		n += rec.UvarintLen(m.Epoch)
 	}
 	if f&flagBase != 0 {
-		n += uvarintLen(m.baseDelta())
+		n += rec.UvarintLen(m.baseDelta())
 	}
 	if f&flagOrigin != 0 {
-		n += lenStringLen(m.Origin)
+		n += rec.LenStringLen(m.Origin)
 	}
 	if f&flagID != 0 {
-		n += lenStringLen(m.ID)
+		n += rec.LenStringLen(m.ID)
 	}
 	if f&flagRounds != 0 {
 		n++
 	}
 	if f&flagVC != 0 {
-		n += uvarintLen(uint64(len(m.VC)))
+		n += rec.UvarintLen(uint64(len(m.VC)))
 		for k, v := range m.VC {
 			if len(k) > maxWireString {
 				return 0, fmt.Errorf("multicast: vector clock key too long")
 			}
-			n += lenStringLen(k) + uvarintLen(v)
+			n += rec.LenStringLen(k) + rec.UvarintLen(v)
 		}
 	}
 	return n, nil
@@ -183,10 +183,10 @@ func appendMessage(dst []byte, m *message) []byte {
 		b = binary.AppendUvarint(b, m.baseDelta())
 	}
 	if f&flagOrigin != 0 {
-		b = appendLenString(b, m.Origin)
+		b = rec.AppendLenString(b, m.Origin)
 	}
 	if f&flagID != 0 {
-		b = appendLenString(b, m.ID)
+		b = rec.AppendLenString(b, m.ID)
 	}
 	if f&flagRounds != 0 {
 		b = append(b, m.Rounds)
@@ -199,7 +199,7 @@ func appendMessage(dst []byte, m *message) []byte {
 		slices.Sort(keys)
 		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
-			b = appendLenString(b, k)
+			b = rec.AppendLenString(b, k)
 			b = binary.AppendUvarint(b, m.VC[k])
 		}
 	}
@@ -215,176 +215,55 @@ func encodeMessage(m *message) ([]byte, error) {
 	return appendMessage(make([]byte, 0, size), m), nil
 }
 
-func appendLenString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func lenStringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-// uvarintLen is the encoded length of binary.AppendUvarint(nil, x).
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
 // decodeMessage parses a wire record into m, which the caller owns (a
 // hot path keeps it on its stack). Nothing but the strings and the
 // vector clock is allocated: m.Payload aliases data, which every
 // transport hands over for keeps and nobody may mutate.
 func decodeMessage(data []byte, m *message) error {
 	*m = message{}
-	d := decoder{buf: data}
-	m.Kind = msgKind(d.u8())
-	f := d.uvarint()
+	d := rec.Reader{Buf: data}
+	m.Kind = msgKind(d.U8())
+	f := d.Uvarint()
 	if f&^knownFlags != 0 {
-		d.fail("unknown flags %#x", f&^knownFlags)
+		d.Fail("unknown flags %#x", f&^knownFlags)
 	}
 	if f&flagSeq != 0 {
-		m.Seq = d.nonZero("Seq")
+		m.Seq = d.NonZero("Seq")
 	}
 	if f&flagEpoch != 0 {
-		m.Epoch = d.nonZero("Epoch")
+		m.Epoch = d.NonZero("Epoch")
 	}
 	if f&flagBase != 0 {
-		switch delta := d.uvarint(); {
+		switch delta := d.Uvarint(); {
 		case m.Seq == 0:
 			m.Base = delta
 		case delta < m.Seq:
 			m.Base = m.Seq - delta
 		}
 		if m.Base == 0 {
-			d.fail("link base below 1")
+			d.Fail("link base below 1")
 		}
 	}
 	if f&flagOrigin != 0 {
-		m.Origin = d.str("Origin")
+		m.Origin = d.Str("Origin")
 	}
 	if f&flagID != 0 {
-		m.ID = d.str("ID")
+		m.ID = d.Str("ID")
 	}
 	if f&flagRounds != 0 {
-		if m.Rounds = d.u8(); m.Rounds == 0 {
-			d.fail("zero Rounds flagged present")
+		if m.Rounds = d.U8(); m.Rounds == 0 {
+			d.Fail("zero Rounds")
 		}
 	}
 	if f&flagVC != 0 {
-		m.VC = d.vc()
+		m.VC = vclock.Read(&d, true)
 	}
-	if d.err != nil {
+	if d.Err != nil {
 		*m = message{}
-		return fmt.Errorf("multicast: decode message: %w", d.err)
+		return fmt.Errorf("multicast: decode message: %w", d.Err)
 	}
-	if d.off < len(data) {
-		m.Payload = data[d.off:]
+	if d.Off < len(data) {
+		m.Payload = data[d.Off:]
 	}
 	return nil
-}
-
-// decoder is a cursor over wire bytes with a sticky error: after the
-// first failure every read returns a zero value, so decodeMessage
-// checks once at the end.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated at offset %d", d.off)
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-// uvarint reads a uvarint in its shortest form.
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	switch {
-	case n == 0:
-		d.fail("truncated at offset %d", d.off)
-		return 0
-	case n < 0:
-		d.fail("varint overflow at offset %d", d.off)
-		return 0
-	case n > 1 && d.buf[d.off+n-1] == 0:
-		d.fail("overlong varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// nonZero reads the uvarint of a field whose flag says it is present.
-func (d *decoder) nonZero(what string) uint64 {
-	v := d.uvarint()
-	if v == 0 {
-		d.fail("zero %s flagged present", what)
-	}
-	return v
-}
-
-// str reads a length-prefixed, non-empty string.
-func (d *decoder) str(what string) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n == 0 || n > maxWireString || n > uint64(len(d.buf)-d.off) {
-		d.fail("%s of %d bytes at offset %d", what, n, d.off)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) vc() vclock.VC {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	// Every entry takes at least two bytes (an empty key's length and a
-	// value), which bounds the map's size by the input's before it is
-	// allocated.
-	if n == 0 || n > maxWireVC || n > uint64(len(d.buf)-d.off)/2 {
-		d.fail("vector clock of %d entries at offset %d", n, d.off)
-		return nil
-	}
-	vc := make(vclock.VC, n)
-	prev := ""
-	for i := uint64(0); i < n; i++ {
-		klen := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
-		if klen > maxWireString || klen > uint64(len(d.buf)-d.off) {
-			d.fail("vector clock key of %d bytes at offset %d", klen, d.off)
-			return nil
-		}
-		k := string(d.buf[d.off : d.off+int(klen)])
-		d.off += int(klen)
-		v := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
-		if i > 0 && k <= prev {
-			d.fail("vector clock key %q out of order", k)
-			return nil
-		}
-		vc[k], prev = v, k
-	}
-	return vc
 }

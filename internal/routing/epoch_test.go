@@ -62,11 +62,11 @@ func TestEpochForgottenWithNode(t *testing.T) {
 	tb := NewTable(newReg(t))
 	tb.NoteEpoch("node-a", 200)
 	tb.ApplySnapshot("node-a", 3, nil)
-	tb.RemoveNode("node-a")
-	// After an explicit removal the old epoch must not block a node
-	// that rejoins with a smaller (but fresh to us) epoch.
+	tb.RetainNodes(nil)
+	// After a removal the old epoch must not block a node that rejoins
+	// with a smaller (but fresh to us) epoch.
 	if !tb.NoteEpoch("node-a", 150) {
-		t.Fatal("epoch survived RemoveNode")
+		t.Fatal("epoch survived the node's removal")
 	}
 	tb.NoteEpoch("node-b", 300)
 	tb.ApplySnapshot("node-b", 1, nil)

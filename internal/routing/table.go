@@ -32,11 +32,11 @@
 // snapshots replace a node's state when newer, deltas (add/remove by
 // subscription ID) apply only on top of the exact base sequence they
 // were diffed against and are otherwise parked until the chain closes —
-// the control channel is reliable but unordered.
+// a node's ads may race each other to the control channel, and a peer
+// may join in the middle of a chain.
 package routing
 
 import (
-	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,6 +87,8 @@ type Table struct {
 	adsRefreshed atomic.Uint64
 	adsRejected  atomic.Uint64
 	nodesExpired atomic.Uint64
+	// filtersParsed counts filter.Unmarshal calls (Stats.FiltersParsed).
+	filtersParsed atomic.Uint64
 
 	// classStats maps class name -> *classCounters. Only registered
 	// classes get entries; events of unknown wire names fold into
@@ -178,6 +180,11 @@ type Stats struct {
 	// NodesExpired counts nodes dropped by the silent-TTL expiry
 	// (ExpireSilent), as opposed to membership removal.
 	NodesExpired uint64
+	// FiltersParsed counts advertised filters parsed: one per (node,
+	// subscription, advertised bytes), shared by equal bytes within one
+	// advertisement. A snapshot repeating what the table holds parses
+	// none, so this grows with the changes advertised, not with the sets.
+	FiltersParsed uint64
 	// PlansCompiled counts per-class plan compilations.
 	PlansCompiled uint64
 	// EventsRouted counts routing decisions (Destinations/NodesFor calls).
@@ -268,41 +275,71 @@ func (t *Table) SetAdTTL(d time.Duration) {
 
 // --- advertisement ingestion ---
 
-// toRecords compiles advertised filters outside any lock.
-func toRecords(infos []core.SubscriptionInfo) []subRecord {
-	recs := make([]subRecord, 0, len(infos))
-	for _, info := range infos {
-		r := subRecord{info: info}
-		if len(info.Filter) > 0 {
-			if expr, err := filter.Unmarshal(info.Filter); err == nil {
-				r.expr = expr
+// parse compiles the advertised filters of recs[i] for i in fresh,
+// outside any lock. Equal filter bytes within one advertisement share
+// one parsed expression (expressions are immutable).
+func (t *Table) parse(recs []subRecord, fresh []int) {
+	var shared map[string]*filter.Expr
+	if len(fresh) > 1 {
+		shared = make(map[string]*filter.Expr)
+	}
+	for _, i := range fresh {
+		r := &recs[i]
+		if len(r.info.Filter) == 0 {
+			continue
+		}
+		expr, seen := shared[string(r.info.Filter)]
+		if !seen {
+			t.filtersParsed.Add(1)
+			expr, _ = filter.Unmarshal(r.info.Filter) // nil fails open, see subRecord
+			if shared != nil {
+				shared[string(r.info.Filter)] = expr
 			}
 		}
-		recs = append(recs, r)
+		r.expr = expr
 	}
-	return recs
+}
+
+// reuse pairs an advertised set with the node's applied records (cur,
+// read under t.mu; nil when there is nothing to reuse): a description
+// the table already holds byte for byte keeps its record, parsed filter
+// included, and the indices of the rest are returned for parse. A filter
+// is therefore parsed once per (node, subscription ID, advertised
+// bytes), not once per advertisement that repeats it.
+func reuse(cur map[string]subRecord, subs []core.SubscriptionInfo) (recs []subRecord, fresh []int) {
+	recs = make([]subRecord, len(subs))
+	for i, info := range subs {
+		if prev, ok := cur[info.ID]; ok && prev.info.Equal(info) {
+			recs[i] = prev
+			continue
+		}
+		recs[i].info = info
+		fresh = append(fresh, i)
+	}
+	return recs, fresh
 }
 
 // ApplySnapshot ingests a full snapshot advertisement: node's complete
 // subscription set at sequence seq. Snapshots are idempotent and
 // newest-wins; a snapshot additionally drains any parked deltas that
-// chain directly onto it. A snapshot identical to the applied state (a
+// chain directly onto it. Only what the snapshot changes is parsed
+// (reuse), and a snapshot identical to the applied state (a
 // liveness heartbeat) advances the sequence and refreshes lastSeen but
 // does not invalidate compiled plans.
 func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionInfo) ApplyResult {
 	t.mu.Lock()
-	st, res := t.nodeLocked(node)
-	st.lastSeen = t.now()
-	if st.subs != nil && seq <= st.seq {
-		t.adsStale.Add(1)
+	st, res, news := t.admitLocked(node, seq)
+	if !news {
 		t.mu.Unlock()
 		return res
 	}
-	if sameSubsLocked(st.subs, subs) {
-		// Heartbeat snapshot: nothing changed, so skip filter
-		// recompilation entirely — advance the sequence, drain any
-		// parked deltas that now chain, and leave compiled plans
-		// alone unless a drained delta changed something.
+	recs, fresh := reuse(st.subs, subs)
+	if st.subs != nil && len(fresh) == 0 && len(st.subs) == len(subs) {
+		// Heartbeat snapshot: nothing changed (nil subs — no snapshot
+		// applied yet — never equals, so a first snapshot always counts
+		// as a change). Advance the sequence, drain any parked deltas
+		// that now chain, and leave compiled plans alone unless a
+		// drained delta changed something.
 		st.seq = seq
 		t.adsRefreshed.Add(1)
 		changed := t.drainLocked(st)
@@ -315,16 +352,15 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 	}
 	t.mu.Unlock()
 
-	recs := toRecords(subs) // parse filters outside the lock
+	t.parse(recs, fresh)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Reacquire the state: it may have been expired or advanced while
 	// the filters were compiling (NewNode was already captured above).
-	st, _ = t.nodeLocked(node)
-	st.lastSeen = t.now()
-	if st.subs != nil && seq <= st.seq {
-		t.adsStale.Add(1)
+	// The records kept above stay good whatever happened to it: each is
+	// the parse of the bytes beside it.
+	if st, _, news = t.admitLocked(node, seq); !news {
 		return res
 	}
 	st.subs = make(map[string]subRecord, len(recs))
@@ -370,45 +406,24 @@ func (t *Table) NoteEpoch(node string, epoch int64) bool {
 	return true
 }
 
-// sameSubsLocked reports whether the applied subscription map equals
-// the incoming snapshot (nil subs — no snapshot applied yet — never
-// equals, so a first snapshot always counts as a change). Comparison is
-// by advertised bytes only, so heartbeat snapshots are recognized
-// without parsing a single filter.
-func sameSubsLocked(cur map[string]subRecord, subs []core.SubscriptionInfo) bool {
-	if cur == nil || len(cur) != len(subs) {
-		return false
-	}
-	for _, info := range subs {
-		prev, ok := cur[info.ID]
-		if !ok || !infoEqual(prev.info, info) {
-			return false
-		}
-	}
-	return true
-}
-
-// infoEqual reports whether two advertised descriptions are identical
-// (filters compare by canonical wire bytes).
-func infoEqual(a, b core.SubscriptionInfo) bool {
-	return a.ID == b.ID && a.TypeName == b.TypeName && a.DurableID == b.DurableID &&
-		a.Certified == b.Certified && bytes.Equal(a.Filter, b.Filter)
-}
-
 // ApplyDelta ingests a delta advertisement: adds and removals relative
 // to the node's state at baseSeq. A delta whose base is not the
-// currently applied sequence is parked (the control channel does not
-// order) and applied when the chain closes; one already overtaken is
-// discarded.
+// currently applied sequence is parked and applied when the chain
+// closes; one already overtaken is discarded, unparsed.
 func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.SubscriptionInfo, remove []string) ApplyResult {
-	recs := toRecords(add)
+	t.mu.Lock()
+	_, res, news := t.admitLocked(node, seq)
+	t.mu.Unlock()
+	if !news {
+		return res
+	}
+	recs, fresh := reuse(nil, add) // a delta carries only what changed
+	t.parse(recs, fresh)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st, res := t.nodeLocked(node)
-	st.lastSeen = t.now()
-	if st.subs != nil && seq <= st.seq {
-		t.adsStale.Add(1)
+	st, _, news := t.admitLocked(node, seq)
+	if !news {
 		return res
 	}
 	d := &delta{seq: seq, add: recs, remove: remove}
@@ -447,8 +462,11 @@ func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.Subscrip
 	return res
 }
 
-// nodeLocked returns (creating if first witnessed) a node's state.
-func (t *Table) nodeLocked(node string) (*nodeState, ApplyResult) {
+// admitLocked notes that node advertised (creating its state if first
+// witnessed, refreshing lastSeen) and reports whether sequence seq is
+// still news to the table; an advertisement overtaken by a newer one is
+// counted stale.
+func (t *Table) admitLocked(node string, seq uint64) (*nodeState, ApplyResult, bool) {
 	var res ApplyResult
 	st, ok := t.nodes[node]
 	if !ok {
@@ -456,7 +474,12 @@ func (t *Table) nodeLocked(node string) (*nodeState, ApplyResult) {
 		t.nodes[node] = st
 		res.NewNode = true
 	}
-	return st, res
+	st.lastSeen = t.now()
+	if st.subs != nil && seq <= st.seq {
+		t.adsStale.Add(1)
+		return st, res, false
+	}
+	return st, res, true
 }
 
 // applyDeltaLocked applies one delta and reports whether it actually
@@ -471,7 +494,7 @@ func (t *Table) applyDeltaLocked(st *nodeState, d *delta) bool {
 		}
 	}
 	for _, r := range d.add {
-		if prev, ok := st.subs[r.info.ID]; !ok || !infoEqual(prev.info, r.info) {
+		if prev, ok := st.subs[r.info.ID]; !ok || !prev.info.Equal(r.info) {
 			st.subs[r.info.ID] = r
 			changed = true
 		}
@@ -503,18 +526,6 @@ func (t *Table) drainLocked(st *nodeState) bool {
 		delete(st.pending, st.seq)
 		changed = t.applyDeltaLocked(st, d) || changed
 	}
-}
-
-// RemoveNode forgets a node entirely (membership departure).
-func (t *Table) RemoveNode(node string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.nodes[node]; !ok {
-		return
-	}
-	delete(t.nodes, node)
-	delete(t.epochs, node)
-	t.gen.Add(1)
 }
 
 // RetainNodes forgets every node not in members — the membership-change
@@ -895,12 +906,13 @@ func (s *Stats) add(o Stats) {
 // Stats returns the table's cumulative counters, folded across classes.
 func (t *Table) Stats() Stats {
 	s := Stats{
-		AdsApplied:   t.adsApplied.Load(),
-		AdsStale:     t.adsStale.Load(),
-		AdsDeferred:  t.adsDeferred.Load(),
-		AdsRefreshed: t.adsRefreshed.Load(),
-		AdsRejected:  t.adsRejected.Load(),
-		NodesExpired: t.nodesExpired.Load(),
+		AdsApplied:    t.adsApplied.Load(),
+		AdsStale:      t.adsStale.Load(),
+		AdsDeferred:   t.adsDeferred.Load(),
+		AdsRefreshed:  t.adsRefreshed.Load(),
+		AdsRejected:   t.adsRejected.Load(),
+		NodesExpired:  t.nodesExpired.Load(),
+		FiltersParsed: t.filtersParsed.Load(),
 	}
 	s.add(t.unknownStats.snapshot())
 	t.classStats.Range(func(_, v any) bool {
@@ -948,19 +960,6 @@ func (t *Table) NoteSkipFrames(class string, n uint64) {
 	if n > 0 {
 		t.counters(class).skipFrames.Add(n)
 	}
-}
-
-// ClassStats returns one class's routing counters (the advertisement
-// counters are table-wide and stay zero here).
-func (t *Table) ClassStats(class string) Stats {
-	var s Stats
-	if v, ok := t.classStats.Load(class); ok {
-		s = v.(*classCounters).snapshot()
-	}
-	if v, ok := t.plans.Load(class); ok {
-		s.foldAccessor(v.(*classPlan))
-	}
-	return s
 }
 
 // StatsByClass returns the per-class routing counters for every class

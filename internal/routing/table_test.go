@@ -121,7 +121,7 @@ func TestFilterlessSubscriptionShortCircuitsNode(t *testing.T) {
 		t.Errorf("Destinations = %v", got)
 	}
 	// The short-circuited node must not even cost a compound evaluation.
-	st := tb.ClassStats(quoteClass())
+	st := tb.StatsByClass()[quoteClass()]
 	if st.CompoundEvals != 0 {
 		t.Errorf("CompoundEvals = %d for an always-match-only plan", st.CompoundEvals)
 	}
@@ -212,7 +212,7 @@ func TestRemoveNode(t *testing.T) {
 	if got := dests(tb, quoteClass(), stockQuote{}); len(got) != 2 {
 		t.Fatalf("before removal: %v", got)
 	}
-	tb.RemoveNode("node-a")
+	tb.RetainNodes([]string{"node-b"}) // node-a leaves the membership
 	if got := dests(tb, quoteClass(), stockQuote{}); !reflect.DeepEqual(got, []string{"node-b"}) {
 		t.Errorf("after removal: %v", got)
 	}
@@ -226,7 +226,7 @@ func TestFailOpenOnUndecodableEvent(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"node-a", "node-b"}) {
 		t.Errorf("fail-open destinations = %v", got)
 	}
-	st := tb.ClassStats(quoteClass())
+	st := tb.StatsByClass()[quoteClass()]
 	if st.FallbackEvals != 1 || st.CompoundEvals != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -255,7 +255,7 @@ func TestOneCompoundEvalPerEventRegardlessOfSubCount(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		dests(tb, quoteClass(), ev)
 	}
-	st := tb.ClassStats(quoteClass())
+	st := tb.StatsByClass()[quoteClass()]
 	if st.CompoundEvals != 10 {
 		t.Errorf("CompoundEvals = %d for 10 events over %d subscriptions, want 10", st.CompoundEvals, nodes*per)
 	}
@@ -273,7 +273,7 @@ func TestPlanInvalidationOnAdAndRegistryChange(t *testing.T) {
 	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
 	ev := stockQuote{}
 	dests(tb, quoteClass(), ev)
-	if st := tb.ClassStats(quoteClass()); st.PlansCompiled != 1 {
+	if st := tb.StatsByClass()[quoteClass()]; st.PlansCompiled != 1 {
 		t.Fatalf("PlansCompiled = %d", st.PlansCompiled)
 	}
 	// A new ad invalidates the plan...
@@ -281,14 +281,14 @@ func TestPlanInvalidationOnAdAndRegistryChange(t *testing.T) {
 	if got := dests(tb, quoteClass(), ev); !reflect.DeepEqual(got, []string{"node-a", "node-b"}) {
 		t.Errorf("after new ad: %v", got)
 	}
-	if st := tb.ClassStats(quoteClass()); st.PlansCompiled != 2 {
+	if st := tb.StatsByClass()[quoteClass()]; st.PlansCompiled != 2 {
 		t.Errorf("PlansCompiled = %d after ad, want 2", st.PlansCompiled)
 	}
 	// ...and so does a registry registration (conformance may widen).
 	type lateQuote struct{ stockQuote }
 	reg.MustRegister(lateQuote{})
 	dests(tb, quoteClass(), ev)
-	if st := tb.ClassStats(quoteClass()); st.PlansCompiled != 3 {
+	if st := tb.StatsByClass()[quoteClass()]; st.PlansCompiled != 3 {
 		t.Errorf("PlansCompiled = %d after registration, want 3", st.PlansCompiled)
 	}
 }
@@ -299,7 +299,7 @@ func TestNodesPrunedCounter(t *testing.T) {
 	tb.ApplySnapshot("node-b", 1, []core.SubscriptionInfo{info(t, "b1", quoteClass(), priceLt(100))})
 	dests(tb, quoteClass(), stockQuote{stockObvent{Price: 500}}) // both pruned
 	dests(tb, quoteClass(), stockQuote{stockObvent{Price: 50}})  // none pruned
-	if st := tb.ClassStats(quoteClass()); st.NodesPruned != 2 {
+	if st := tb.StatsByClass()[quoteClass()]; st.NodesPruned != 2 {
 		t.Errorf("NodesPruned = %d, want 2", st.NodesPruned)
 	}
 }
@@ -502,8 +502,8 @@ func TestRoutingStatsAccessorPrograms(t *testing.T) {
 }
 
 // TestPerClassStatsFoldAccessorCounters pins the per-class breakout of
-// the accessor counters: ClassStats and StatsByClass must report the
-// same compile counts the aggregate Stats folds from the class plan.
+// the accessor counters: StatsByClass must report the same compile
+// counts the aggregate Stats folds from the class plan.
 func TestPerClassStatsFoldAccessorCounters(t *testing.T) {
 	reg := obvent.NewRegistry()
 	reg.MustRegister(flatQuote{})
@@ -516,10 +516,60 @@ func TestPerClassStatsFoldAccessorCounters(t *testing.T) {
 	if dests := tb.Destinations(class, func() any { return ev }, nil); len(dests) != 1 {
 		t.Fatalf("Destinations = %v", dests)
 	}
-	if got := tb.ClassStats(class).AccessorPrograms; got != 1 {
-		t.Errorf("ClassStats.AccessorPrograms = %d, want 1", got)
-	}
 	if got := tb.StatsByClass()[class].AccessorPrograms; got != 1 {
 		t.Errorf("StatsByClass.AccessorPrograms = %d, want 1", got)
+	}
+}
+
+// TestFiltersParsedOncePerAdvertisedBytes is the counted scaling test
+// of ad ingestion: a node that subscribes N times in a row, advertising
+// each subscription in a delta and its whole set in a snapshot after
+// every eight (as dace does), costs this table N filter parses, one per
+// subscription. A snapshot parses only the records it changes: none
+// when it repeats what is held, and equal filter bytes in one
+// advertisement are parsed once between them.
+func TestFiltersParsedOncePerAdvertisedBytes(t *testing.T) {
+	for _, n := range []int{64, 512} {
+		tb := NewTable(newReg(t))
+		var all []core.SubscriptionInfo
+		seq := uint64(0)
+		for i := 0; i < n; i++ {
+			all = append(all, info(t, fmt.Sprintf("a%d", i), quoteClass(), priceLt(float64(i%10))))
+			seq++
+			before := tb.Stats().FiltersParsed
+			if i%9 == 0 {
+				if res := tb.ApplySnapshot("node-a", seq, all); !res.Applied {
+					t.Fatalf("snapshot %d not applied", seq)
+				}
+			} else if res := tb.ApplyDelta("node-a", seq, seq-1, all[i:], nil); !res.Applied {
+				t.Fatalf("delta %d not applied", seq)
+			}
+			if got := tb.Stats().FiltersParsed - before; got != 1 {
+				t.Fatalf("ad %d of %d subscriptions, one of them new, parsed %d filters", seq, len(all), got)
+			}
+		}
+		if got := tb.Stats().FiltersParsed; got != uint64(n) {
+			t.Errorf("%d sequential subscriptions parsed %d filters, want %d", n, got, n)
+		}
+		// A snapshot that repeats the set (a heartbeat), a delta already
+		// overtaken and a snapshot that drops a subscription parse nothing.
+		tb.ApplySnapshot("node-a", seq+1, all)
+		tb.ApplyDelta("node-a", seq, seq-1, all[:1], nil)
+		tb.ApplySnapshot("node-a", seq+2, all[1:])
+		// One that changes a filter parses that filter.
+		all[5] = info(t, all[5].ID, quoteClass(), priceLt(1e6))
+		tb.ApplySnapshot("node-a", seq+3, all[1:])
+		if got := tb.Stats().FiltersParsed; got != uint64(n)+1 {
+			t.Errorf("parsed %d filters, want %d: the %d subscriptions' and the one that changed", got, n+1, n)
+		}
+		// A newcomer's first snapshot: eleven distinct filters by now,
+		// eleven parses.
+		tb.ApplySnapshot("node-b", 1, all)
+		if got := tb.Stats().FiltersParsed; got != uint64(n)+12 {
+			t.Errorf("a first snapshot of %d subscriptions with 11 distinct filters parsed %d", n, got-uint64(n)-1)
+		}
+		if got := dests(tb, quoteClass(), stockQuote{stockObvent{Price: 0.5}}); !reflect.DeepEqual(got, []string{"node-a", "node-b"}) {
+			t.Errorf("destinations = %v", got)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"govents/internal/rec"
 )
 
 // VC is a vector clock: a map from process identifier to the number of
@@ -102,4 +104,40 @@ func (v VC) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// MaxEntries caps the clocks the wire records carry, on encode and
+// decode alike.
+const MaxEntries = 0xFFFF
+
+// Read reads a clock as the wire records carry it (the envelope's, the
+// multicast record's): a uvarint count of 1 to MaxEntries, then per entry a
+// length-prefixed key and a uvarint value. ascending is the multicast
+// record's rule, keys in strictly ascending order (one encoding per
+// clock); without it a key may just not repeat. Every entry takes at
+// least two bytes (an empty key's length and a value), which bounds the
+// map's size by the input's before it is allocated.
+func Read(r *rec.Reader, ascending bool) VC {
+	n := r.Count("vector clock entries", 1, 2)
+	if n > MaxEntries {
+		r.Fail("vector clock of %d entries", n)
+	}
+	if r.Err != nil {
+		return nil
+	}
+	vc := make(VC, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		k := string(r.Span("vector clock key", 0, rec.MaxString))
+		v := r.Uvarint()
+		if r.Err != nil {
+			return nil
+		}
+		if _, dup := vc[k]; dup || (ascending && i > 0 && k <= prev) {
+			r.Fail("duplicate or out-of-order vector clock key %q", k)
+			return nil
+		}
+		vc[k], prev = v, k
+	}
+	return vc
 }
