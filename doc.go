@@ -120,7 +120,9 @@
 // Around the payload, every publication travels — and is stored in
 // durable inboxes, outboxes and spill logs — as one envelope record, a
 // fixed binary layout written and read by hand (no reflection, one
-// allocation to write, five to read a plain FIFO envelope):
+// allocation to write, three to read a plain FIFO envelope: the struct,
+// one block that ID, Type and Publisher are slices of, and the payload's
+// copy, which the receive path, owning its frame, does not make):
 //
 //	format       1 byte   0xE1
 //	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
@@ -143,21 +145,45 @@
 // The decoder faces peers and disks: it checks every length against
 // the bytes that remain and the field's cap before allocating, rejects
 // an unknown format byte, unknown flags, a uvarint not in its shortest
-// form and trailing bytes, and copies the payload out of the frame. The format byte is the only version
-// marker; there is no second decode path. Builds before this format
-// framed the envelope with encoding/gob, so a durable or spill
-// directory they wrote is not readable: each such record fails with
-// "unknown envelope format" and is dropped and counted (replay
-// acknowledges it as a poison record; a live frame counts as a decode
-// error). Start from empty directories, or drain them with the old
-// build first.
+// form and trailing bytes, and copies the payload out of the frame.
+//
+// Two forms of the record exist, and they differ only in which strings
+// are empty. Stored (outbox, inbox, spill log), every field is spelled
+// out: the record outlives the link it came by and the address of the
+// node that wrote it, and replay reads it with neither. So is the
+// record of a certified class on the wire, because that record is the
+// one its outbox and its subscriber's inbox keep. On the link of every
+// other class the record leaves out what the link already says: Type is
+// empty, because a channel carries one class (§4.2) and the frame's
+// stream names it, and Publisher is empty when the publisher is the
+// node that published, because the multicast origin names it (the
+// transport's hello, or the Origin field of a frame the total-order
+// sequencer relays or gossip forwards). The receiving node puts both
+// back before the engine sees the envelope, which is field for field
+// the published one; a Publisher that is not the publishing node
+// travels as it is. An empty string was always a legal field, so there
+// is no flag, no second layout and no second decoder, and the saving is
+// the two strings: about a tenth of the wire bytes of a small event.
+// The break is one way and stated, not negotiated: this build reads a
+// full record on any link (a fixture written by the build before it
+// pins that), while a build from before the link form finds no class in
+// a link record, so no subscription to hand it to, and drops it without
+// a count. Upgrade a domain together.
+//
+// The format byte is the only version marker; there is no second decode
+// path. Builds before this format framed the envelope with
+// encoding/gob, so a durable or spill directory they wrote is not
+// readable: each such record fails with "unknown envelope format" and is
+// dropped and counted (replay acknowledges it as a poison record; a live
+// frame counts as a decode error). Start from empty directories, or
+// drain them with the old build first.
 //
 // # Link protocol
 //
 // Under the envelope sit three thin layers, each with a few bytes of
 // header: the reliable link that the reliable and ordered classes
 // (§3.1.2) ride, the stream multiplexer, and the TCP transport. A
-// 60-byte FIFO event crosses the wire as one data frame of about 170
+// 60-byte FIFO event crosses the wire as one data frame of about 130
 // bytes, and a sixteenth of an acknowledgement.
 //
 // Every multicast protocol speaks one record: a kind byte, a uvarint of

@@ -219,8 +219,11 @@ type CloneSource struct {
 	// proto is the payload decoded once (modeFlat/modeCopier), valid
 	// after the first successful Clone.
 	proto reflect.Value
-	// shared is proto boxed once (modeFlat only).
+	// shared is the decoded payload boxed once (modeFlat only).
 	shared obvent.Obvent
+	// scratch pools the class's scratch values, as *T (compact payloads
+	// only; see decodeFlat).
+	scratch *sync.Pool
 }
 
 // cloneMode selects a CloneSource's per-clone strategy.
@@ -257,12 +260,14 @@ func (c *Codec) SourceInto(e *Envelope, s *CloneSource) error {
 	switch e.Enc {
 	case EncGob:
 	case EncWire:
-		if s.wp = c.wireProgFor(t); s.wp == nil {
+		we := c.wireEntryFor(t)
+		if we.prog == nil {
 			// Compilation is deterministic per layout, so a compact
 			// payload for a class we reject means the peer's layout for
 			// this class differs from ours — refuse rather than misread.
 			return fmt.Errorf("codec: decode %s: compact payload for a class with no wire program", e.Type)
 		}
+		s.wp, s.scratch = we.prog, &we.scratch
 	default:
 		return fmt.Errorf("codec: decode %s: unsupported payload encoding %d", e.Type, e.Enc)
 	}
@@ -297,6 +302,11 @@ func (s *CloneSource) Clone() (obvent.Obvent, error) {
 	// payload.
 	if s.shared != nil {
 		return s.shared, nil
+	}
+	if s.mode == modeFlat && s.scratch != nil && s.wp.Native() == nil {
+		var err error
+		s.shared, err = s.decodeFlat() // nil on error
+		return s.shared, err
 	}
 	if !s.proto.IsValid() {
 		v, err := s.decodeNew()
@@ -333,6 +343,30 @@ func (s *CloneSource) CloneLast() (obvent.Obvent, error) {
 		}
 	}
 	return s.box(v)
+}
+
+// decodeFlat decodes a flat class's compact payload straight to its box.
+// Boxing copies the value, so the payload is decoded into a scratch value
+// from the class's pool, which goes back zeroed (it pins no string of the
+// event, and a failed decode leaves nothing behind): the box is the one
+// allocation, the event's strings apart.
+func (s *CloneSource) decodeFlat() (obvent.Obvent, error) {
+	p := s.scratch.Get()
+	if p == nil {
+		p = reflect.New(s.typ).Interface()
+	}
+	v := reflect.ValueOf(p).Elem()
+	s.cw.wireDecodes.Add(1)
+	var o obvent.Obvent
+	err := s.wp.Decode(s.payload, v)
+	if err == nil {
+		o, err = s.box(v)
+	} else {
+		err = fmt.Errorf("codec: decode %s: %w", s.name, err)
+	}
+	v.SetZero()
+	s.scratch.Put(p)
+	return o, err
 }
 
 // decodeNew materializes the payload into a fresh value of the class,

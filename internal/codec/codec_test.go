@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -420,6 +422,122 @@ func TestCloneFlatFastpathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("flat Clone allocates %.1f per call, want 0", allocs)
 	}
+}
+
+// flatTick is a flat class with no string: decoding one allocates only
+// what the codec does.
+type flatTick struct {
+	obvent.Base
+	Seq  int64
+	A, B float64
+}
+
+// The first clone of a flat compact payload costs its box: the payload is
+// decoded into the class's scratch value, not into a value of its own
+// that is then copied into the box.
+func TestCloneFlatFirstCloneAllocs(t *testing.T) {
+	c := newCodec(t)
+	c.Registry().MustRegister(flatTick{})
+	env, err := c.Encode(flatTick{Seq: 7, A: 1.5, B: -2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Enc != EncWire {
+		t.Fatal("the class did not take the compact encoding")
+	}
+	var src CloneSource
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := c.SourceInto(env, &src); err != nil {
+			t.Fatal(err)
+		}
+		o, err := src.Clone()
+		if err != nil || o.(flatTick).Seq != 7 {
+			t.Fatalf("clone = %+v, %v", o, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("first Clone of a flat compact payload allocates %.1f times, want <= 1 (the box)", allocs)
+	}
+}
+
+// The scratch value a flat class's payloads are decoded into never
+// escapes: each event's clone holds that event's fields, strings
+// included, whether its class's events are decoded back to back or on
+// eight goroutines at once, and a failed decode in between leaves
+// nothing of itself in the next one.
+func TestCloneFlatScratchNeverEscapes(t *testing.T) {
+	c := newCodec(t)
+	c.Registry().MustRegister(flatArrayQuote{})
+	event := func(i int) flatArrayQuote {
+		return flatArrayQuote{
+			Inner:  quote{Company: fmt.Sprint("company-", i), Price: float64(i), Amount: i},
+			Window: [4]float64{float64(i), 2, 3, float64(-i)},
+			Label:  fmt.Sprint("label-", i),
+		}
+	}
+	decode := func(i int) (obvent.Obvent, error) {
+		env, err := c.Encode(event(i))
+		if err != nil {
+			return nil, err
+		}
+		var src CloneSource
+		if err := c.SourceInto(env, &src); err != nil {
+			return nil, err
+		}
+		return src.Clone()
+	}
+
+	first, err := decode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A payload cut short fails part-way through the scratch value.
+	env, err := c.Encode(event(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Payload = env.Payload[:len(env.Payload)-3]
+	var cut CloneSource
+	if err := c.SourceInto(env, &cut); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := cut.Clone(); err == nil {
+		t.Fatalf("a cut payload decoded: %+v", o)
+	}
+	second, err := decode(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.(flatArrayQuote) != event(1) || second.(flatArrayQuote) != event(2) {
+		t.Errorf("back to back: got %+v and %+v", first, second)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			held := make([]obvent.Obvent, 0, 200)
+			for i := 0; i < 200; i++ {
+				o, err := decode(g*1000 + i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				held = append(held, o)
+			}
+			// Checked after every decode of the goroutine, and while the
+			// others still run: a clone sharing the scratch would have
+			// been overwritten by now.
+			for i, o := range held {
+				if o.(flatArrayQuote) != event(g*1000+i) {
+					t.Errorf("goroutine %d, event %d: got %+v", g, i, o)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCloneFlatCorruptPayload(t *testing.T) {

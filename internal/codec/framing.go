@@ -35,7 +35,9 @@ import (
 //	Payload      uvarint length + bytes, ending the record
 //
 // An empty payload and a nil one are the same record and decode as nil;
-// so are an empty vector clock and a nil one.
+// so are an empty vector clock and a nil one. Any of the three strings
+// may be empty: a record on a link leaves out Type and, when the link
+// names it, Publisher; a stored one spells them out (dace's seal).
 const (
 	// envelopeFormat leads every record. No gob stream starts with it
 	// (gob's leading byte count is below 0x80 or above 0xF7), so a record
@@ -181,11 +183,13 @@ func UnmarshalAlias(data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("codec: unmarshal envelope: unknown flags 0x%02x", flags&^knownFlags)
 	}
 	// The reads below run in lexical order, which is the wire order.
+	enc := r.U8()
+	id, typ, pub := r.header()
 	e := &Envelope{
-		Enc:         r.U8(),
-		ID:          r.str("ID"),
-		Type:        r.str("Type"),
-		Publisher:   r.str("Publisher"),
+		Enc:         enc,
+		ID:          id,
+		Type:        typ,
+		Publisher:   pub,
 		Seq:         r.Uvarint(),
 		GlobalSeq:   r.Uvarint(),
 		Reliability: obvent.Reliability(r.intVal()),
@@ -225,8 +229,31 @@ func (r *envReader) intVal() int {
 	return int(v)
 }
 
-func (r *envReader) str(what string) string {
-	return string(r.Span(what, 0, maxEnvelopeString))
+// header reads ID, Type and Publisher, which are adjacent on the wire,
+// in one allocation: the bytes from the first of ID to the last of the
+// last field that is not empty are converted once, and the three strings
+// are slices of that.
+func (r *envReader) header() (id, typ, pub string) {
+	var at, n [3]int
+	end := 0
+	for i, what := range [...]string{"ID", "Type", "Publisher"} {
+		b := r.Span(what, 0, maxEnvelopeString)
+		at[i], n[i] = r.Off-len(b), len(b)
+		if len(b) > 0 {
+			end = r.Off
+		}
+	}
+	if r.Err != nil || end == 0 {
+		return "", "", ""
+	}
+	block := string(r.Buf[at[0]:end])
+	field := func(i int) string {
+		if n[i] == 0 {
+			return ""
+		}
+		return block[at[i]-at[0]:][:n[i]]
+	}
+	return field(0), field(1), field(2)
 }
 
 // payload reads the final field, which must end the record. The result

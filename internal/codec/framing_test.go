@@ -89,6 +89,18 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			e.ID, e.Type, e.Publisher = long, long, long
 			e.VC = vclock.VC{long: 1}
 		})},
+		// The forms a link carries (Type, and a self-Publisher, left out)
+		// and every other mix of empty and set header strings: they are
+		// read as slices of one span.
+		{"no Type", with(func(e *Envelope) { e.Type = "" })},
+		{"no Type, no Publisher", with(func(e *Envelope) { e.Type, e.Publisher = "", "" })},
+		{"no ID", with(func(e *Envelope) { e.ID = "" })},
+		{"Type only", with(func(e *Envelope) { e.ID, e.Publisher = "", "" })},
+		{"Publisher only", with(func(e *Envelope) { e.ID, e.Type = "", "" })},
+		{"no Publisher", with(func(e *Envelope) { e.Publisher = "" })},
+		{"no header string", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", "" })},
+		{"64 KiB-1 ID alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = long, "", "" })},
+		{"64 KiB-1 Publisher alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", long })},
 		{"gob payload encoding", with(func(e *Envelope) { e.Enc = EncGob })},
 		{"unassigned payload encoding", with(func(e *Envelope) { e.Enc = 0xFF })},
 		{"64 KiB payload", with(func(e *Envelope) { e.Payload = bytes.Repeat([]byte{1}, 64<<10) })},
@@ -199,7 +211,7 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 	// valid is: format, flags, Enc, three 1-byte strings with 1-byte
 	// lengths, seven 1-byte numbers, the payload's length, the payload.
-	const flagsAt, idLenAt, seqAt, payloadLenAt = 1, 3, 9, 16
+	const flagsAt, idLenAt, typeLenAt, pubLenAt, seqAt, payloadLenAt = 1, 3, 5, 7, 9, 16
 	patch := func(at int, b ...byte) []byte {
 		out := append([]byte(nil), valid[:at]...)
 		out = append(out, b...)
@@ -220,7 +232,12 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"unknown flag", "unknown flags", patch(flagsAt, 0x08)},
 		{"trailing byte", "trailing", append(append([]byte(nil), valid...), 0)},
 		{"string longer than the frame", "truncated", patch(idLenAt, 0x7F)},
-		{"string over its cap", "exceeds", patch(idLenAt, 0x80, 0x80, 0x04)},
+		{"string over its cap", "ID of 65536 bytes exceeds", patch(idLenAt, 0x80, 0x80, 0x04)},
+		{"second string longer than the frame", "Type of 127 bytes truncated", patch(typeLenAt, 0x7F)},
+		{"second string over its cap", "Type of 65536 bytes exceeds", patch(typeLenAt, 0x80, 0x80, 0x04)},
+		{"third string longer than the frame", "Publisher of 127 bytes truncated", patch(pubLenAt, 0x7F)},
+		{"third string over its cap", "Publisher of 65536 bytes exceeds", patch(pubLenAt, 0x80, 0x80, 0x04)},
+		{"overlong string length", "overlong", patch(pubLenAt, 0x81, 0x00)},
 		{"payload longer than the frame", "truncated", patch(payloadLenAt, 4)},
 		{"payload shorter than the frame", "trailing", patch(payloadLenAt, 2)},
 		{"payload over its cap", "exceeds", patch(payloadLenAt, 0x81, 0x80, 0x80, 0x80, 0x04)},
@@ -278,13 +295,26 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Marshal: %v allocs, want <= 1", n)
 	}
-	// The struct, three strings and the payload.
+	// The struct, the block the three strings are slices of, and the
+	// payload.
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := Unmarshal(data); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 5 {
-		t.Errorf("Unmarshal: %v allocs, want <= 5", n)
+	}); n > 3 {
+		t.Errorf("Unmarshal: %v allocs, want <= 3", n)
+	}
+	// A record with no header string allocates no block.
+	bare, err := Marshal(&Envelope{Seq: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := UnmarshalAlias(bare); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("UnmarshalAlias of a record with no header string: %v allocs, want <= 1", n)
 	}
 	buf := make([]byte, 0, 2*len(data))
 	if n := testing.AllocsPerRun(200, func() {
@@ -301,7 +331,11 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 // data than the input carried (no length claim is trusted beyond the
 // bytes behind it) and survives a re-marshal unchanged.
 func FuzzEnvelopeUnmarshal(f *testing.F) {
-	for _, env := range []*Envelope{{}, flatFIFOEnvelope(), everyFieldEnvelope()} {
+	link := flatFIFOEnvelope() // as a link carries it: the channel names the class, the origin the publisher
+	link.Type, link.Publisher = "", ""
+	noType := flatFIFOEnvelope() // relayed for another node: the publisher travels
+	noType.Type = ""
+	for _, env := range []*Envelope{{}, flatFIFOEnvelope(), everyFieldEnvelope(), link, noType} {
 		data, err := Marshal(env)
 		if err != nil {
 			f.Fatal(err)

@@ -55,6 +55,9 @@ type wireEntry struct {
 	// next one starts with that much room, since a class's events are
 	// mostly of a size, instead of growing from nothing.
 	size atomic.Int64
+	// scratch pools values a flat class's payloads are decoded into on
+	// their way to a box (CloneSource.decodeFlat).
+	scratch sync.Pool
 }
 
 // WireStats describes a codec's compact-encoding activity.
@@ -87,14 +90,9 @@ func (c *Codec) WireStats() WireStats {
 	}
 }
 
-// wireProgFor returns the compiled wire program for t; nil means the
-// class is rejected and keeps gob.
-func (c *Codec) wireProgFor(t reflect.Type) *wire.Prog {
-	return c.wireEntryFor(t).prog
-}
-
 // wireEntryFor returns t's cached compilation outcome, compiling on
-// first use. Entries are valid forever: a layout never changes.
+// first use; a nil program means the class is rejected and keeps gob.
+// Entries are valid forever: a layout never changes.
 func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 	if v, ok := c.wireProgs.Load(t); ok {
 		return v.(*wireEntry)

@@ -432,7 +432,8 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 	if g, ok := n.groups[stream]; ok {
 		return g
 	}
-	deliver := n.onData
+	// A channel carries one class, so its frames need not name it.
+	deliver := func(origin string, payload []byte) { n.onData(class, origin, payload) }
 	prune := !n.cfg.NoOrderedPruning
 	var g multicast.Group
 	switch proto {
@@ -574,8 +575,8 @@ func (n *Node) pruneObserver(class string) multicast.PruneObserver {
 // ok=false, failing open to a full broadcast.
 func (n *Node) plannerFor(class string) multicast.Planner {
 	return func(payload []byte) ([]multicast.Send, bool) {
-		// Aliasing decode: env is read for routing and dropped here.
-		env, err := codec.UnmarshalAlias(payload)
+		// env is read for routing and dropped: the publisher is not missed.
+		env, err := open(class, "", payload)
 		if err != nil || env.Type != class {
 			return nil, false
 		}
@@ -598,8 +599,8 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 // reports ok=false (uniform fanout).
 func (n *Node) interestFor(class string) multicast.Interest {
 	return func(payload []byte) ([]string, bool) {
-		// Aliasing decode: env is read for routing and dropped here.
-		env, err := codec.UnmarshalAlias(payload)
+		// As in plannerFor: read for routing and dropped.
+		env, err := open(class, "", payload)
 		if err != nil || env.Type != class {
 			return nil, false
 		}
@@ -678,7 +679,7 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 			n.refreshCertSubscribers()
 		}
 		// A fresh buffer nothing writes to again: the outbox keeps it.
-		payload, err := codec.Marshal(env)
+		payload, err := n.seal(env, false)
 		if err != nil {
 			return err
 		}
@@ -694,7 +695,9 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if tg, ok := g.(interface {
 			BroadcastTo(dests []string, payload []byte) error
 		}); ok {
-			return n.publishRouted(env, t0, tg.BroadcastTo)
+			return n.publishRouted(env, t0, func(s []multicast.Send) error {
+				return tg.BroadcastTo(s[0].Dests, s[0].Payload)
+			})
 		}
 	case "fifo", "causal":
 		// Interest-aware ordered classes: data frames only to nodes the
@@ -704,16 +707,14 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if sp, ok := g.(interface {
 			BroadcastSplit(sends []multicast.Send) error
 		}); ok && !n.cfg.NoOrderedPruning {
-			return n.publishRouted(env, t0, func(dests []string, payload []byte) error {
-				return sp.BroadcastSplit([]multicast.Send{{Dests: dests, Payload: payload}})
-			})
+			return n.publishRouted(env, t0, sp.BroadcastSplit)
 		}
 	}
 	// Everything else is one frame to the whole group: total order routes
 	// to the sequencer, which filters after stamping (plannerFor); gossip
 	// biases its per-round fanout instead (interestFor); ordered classes
 	// with pruning off broadcast by definition.
-	payload, err := codec.Marshal(env)
+	payload, err := n.seal(env, true)
 	if err != nil {
 		return err
 	}
@@ -724,20 +725,60 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 }
 
 // publishRouted resolves env's destination set, marshals it once and
-// hands both to send (a targeted or split broadcast, which copies what
-// it keeps, so the pooled scratch is reused afterwards).
-func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func(dests []string, payload []byte) error) error {
+// hands both to send as one Send (a targeted or split broadcast, which
+// copies what it keeps of the destinations and of the slice, so the
+// pooled scratch is reused afterwards).
+func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicast.Send) error) error {
 	buf := n.destBuf.Get().(*destScratch)
 	dests := n.destinationsFor(env, buf, buf.ids[:0])
 	t1 := n.markRoute(t0)
-	payload, err := codec.Marshal(env)
+	payload, err := n.seal(env, true)
 	if err == nil {
-		err = send(dests, payload)
+		buf.send[0] = multicast.Send{Dests: dests, Payload: payload}
+		err = send(buf.send[:])
+		buf.send[0] = multicast.Send{}
 	}
 	n.markWrite(t1)
 	buf.ids = dests[:0]
 	n.destBuf.Put(buf)
 	return err
+}
+
+// seal marshals env for its class's channel. On a link the record leaves
+// out (elide) what the link already says: the class, which the channel
+// names, and the publisher when it is this node, which the multicast
+// origin names. An empty string is a legal field, so the layout is one
+// and open puts both back. A certified class's record is sealed in full:
+// the outbox and the subscriber's inbox keep it past the link and the
+// address, and replay reads it with neither. env is not written to.
+func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
+	if !elide {
+		return codec.Marshal(env)
+	}
+	link := *env
+	link.Type = ""
+	if link.Publisher == n.self {
+		link.Publisher = ""
+	}
+	return codec.Marshal(&link)
+}
+
+// open decodes a record that arrived on class's channel from origin and
+// restores what seal left out. The envelope's payload aliases the record,
+// which the caller owns and never writes to again (a frame the transport
+// allocated, a buffer a local publisher marshalled), or outlives.
+func open(class, origin string, record []byte) (*codec.Envelope, error) {
+	env, err := codec.UnmarshalAlias(record)
+	if err != nil {
+		return nil, err
+	}
+	if env.Type == "" {
+		env.Type = class
+	}
+	if env.Publisher == "" {
+		env.Publisher = origin
+	}
+	return env, nil
 }
 
 // markRoute closes the publish→route span opened at t0 (0 = telemetry
@@ -766,6 +807,7 @@ func (n *Node) markWrite(t1 int64) {
 // event.
 type destScratch struct {
 	ids  []string
+	send [1]multicast.Send // the one Send of a routed publication
 	src  codec.CloneSource
 	full func() (any, error)
 	dec  func() any
@@ -832,26 +874,23 @@ func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
 	return subs
 }
 
-// onData receives a class-channel payload and hands the envelope to the
-// engine. The wire→lane stage spans the envelope decode plus the sink
-// call (the sink is Engine.deliver, which returns once the envelope is
-// enqueued on its dispatch lane).
-func (n *Node) onData(stream string, payload []byte) {
+// onData receives a payload of class's channel, published by origin,
+// and hands the envelope to the engine. The wire→lane stage spans the
+// envelope decode plus the sink call (the sink is Engine.deliver, which
+// returns once the envelope is enqueued on its dispatch lane).
+func (n *Node) onData(class, origin string, payload []byte) {
 	var t0 int64
 	if n.tele.Enabled() {
 		t0 = telemetry.Now()
 	}
-	// Aliasing decode: payload is a slice of a frame the transport
-	// allocated for this delivery (or of the buffer a local publisher
-	// marshalled), and nothing writes to an envelope's payload.
-	env, err := codec.UnmarshalAlias(payload)
+	env, err := open(class, origin, payload)
 	if err != nil {
 		// An undecodable frame was a silent vanish: make it count and
 		// make it loggable.
 		n.tele.Drop(telemetry.ReasonDecodeError)
-		n.tele.Trace("", "", telemetry.StageWireLane, 0, telemetry.ReasonDecodeError.String())
+		n.tele.Trace("", class, telemetry.StageWireLane, 0, telemetry.ReasonDecodeError.String())
 		n.log.Warn("dace: dropping undecodable data frame",
-			"stream", stream, "bytes", len(payload), "err", err)
+			"class", class, "origin", origin, "bytes", len(payload), "err", err)
 		return
 	}
 	n.mu.Lock()

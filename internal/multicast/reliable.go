@@ -76,6 +76,11 @@ type Reliable struct {
 	out      map[string]*outLink // destination -> what it has not acknowledged
 	in       map[string]*inLink  // origin -> what has been received from it
 	observer PruneObserver       // optional pruning counters sink
+
+	// tickFrames is the cleared slice of what a tick last sent, kept for
+	// its capacity. The timer goroutine, tick's one caller, owns it, and
+	// writes it only in a period that sends something.
+	tickFrames []linkFrame
 }
 
 // The acknowledgement policy's constants; the timer is the one knob
@@ -501,7 +506,7 @@ func (g *Reliable) Outstanding() int {
 // p+ticksPerInterval. A link whose base the period moved by abandoning
 // frames, with nothing resent to carry it, gets a base announcement.
 func (g *Reliable) tick() {
-	var frames []linkFrame
+	frames := g.tickFrames[:0]
 
 	g.mu.Lock()
 	g.gen++
@@ -548,6 +553,10 @@ func (g *Reliable) tick() {
 	}
 	g.mu.Unlock()
 	g.transmit(frames)
+	if len(frames) > 0 {
+		clear(frames) // pin no payload until the next period
+		g.tickFrames = frames[:0]
+	}
 }
 
 func (g *Reliable) onMessage(from string, data []byte) {

@@ -520,3 +520,50 @@ func TestInLinkRefusesOneHoleTooMany(t *testing.T) {
 		t.Errorf("cum %d with %d runs, want 4 and %d", l.cum, len(l.ahead), maxAhead-2)
 	}
 }
+
+// discardTransport sends nothing.
+type discardTransport struct{ netsim.Transport }
+
+func (discardTransport) Send(string, []byte) error { return nil }
+
+// TestReliableTickAllocs pins what a timer period costs a link that owes
+// one acknowledgement: the acknowledgement's frame and nothing else. The
+// slice of frames a period sends is the group's, reused and cleared.
+func TestReliableTickAllocs(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	ep, err := net.NewEndpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing leaves, so that a send costs what the group pays for it; the
+	// interval keeps the timer out of the way.
+	g := NewReliable(NewMux(discardTransport{ep}), "cls", func(string, []byte) {}, Options{RetransmitInterval: time.Hour})
+	defer g.Close()
+	data, err := encodeMessage(&message{Kind: kindData, Epoch: 1, Seq: 1, Base: 1, Payload: []byte("m")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.onMessage("a", data)
+	g.mu.Lock()
+	l := g.in["a"]
+	g.mu.Unlock()
+	if l == nil || l.cum != 1 {
+		t.Fatalf("the frame opened no link: %+v", l)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		g.mu.Lock()
+		l.unacked = 1
+		g.mu.Unlock()
+		g.tick()
+		if l.unacked != 0 {
+			t.Fatal("the period did not acknowledge")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a period that owes one acknowledgement allocates %.1f times, want <= 1 (its frame)", allocs)
+	}
+	if kept := g.tickFrames[:cap(g.tickFrames)]; len(kept) == 0 || kept[0].addr != "" || kept[0].msg.Kind != 0 {
+		t.Errorf("the period's frames were not kept and cleared after sending: %+v", kept)
+	}
+}

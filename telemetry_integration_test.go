@@ -310,9 +310,9 @@ func TestTelemetryOff(t *testing.T) {
 	}
 	wg.Wait()
 
-	if d.Stats().Delivered != 10 {
-		t.Fatalf("Delivered = %d, want 10", d.Stats().Delivered)
-	}
+	// A delivery is counted after its handler was handed the event, which
+	// may be after the handler returned.
+	waitFor(t, "Delivered = 10", func() bool { return d.Stats().Delivered == 10 })
 	for stage, snap := range d.Histograms() {
 		if snap.Count != 0 {
 			t.Errorf("stage %s recorded %d samples with telemetry off", stage, snap.Count)
