@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"govents"
 	"govents/netsim"
@@ -20,7 +21,7 @@ import (
 // that no event waits for a timer.
 func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	subscribe func(d *govents.Domain, got *atomic.Int64) error,
-	publish func(d *govents.Domain, seq int64) error) (bytes, allocs float64) {
+	publish func(d *govents.Domain, seq int64) error) (r pinReading) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -68,28 +69,48 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	}
 	run(500)
 
-	const events = 5000
 	var before, after runtime.MemStats
+	pub0, sub0, start := domains[0].DurableStats(), domains[1].DurableStats(), time.Now()
 	runtime.ReadMemStats(&before)
-	run(events)
+	run(pinEvents)
 	runtime.ReadMemStats(&after)
-	bytes = float64(after.TotalAlloc-before.TotalAlloc) / events
-	allocs = float64(after.Mallocs-before.Mallocs) / events
-	t.Logf("%.0f bytes and %.1f allocations per event", bytes, allocs)
-	return bytes, allocs
+	r.took, r.pub, r.sub = time.Since(start), domains[0].DurableStats(), domains[1].DurableStats()
+	r.pub.Appends -= pub0.Appends
+	r.sub.Staged, r.sub.StageDups = r.sub.Staged-sub0.Staged, r.sub.StageDups-sub0.StageDups
+	r.bytes = float64(after.TotalAlloc-before.TotalAlloc) / pinEvents
+	r.allocs = float64(after.Mallocs-before.Mallocs) / pinEvents
+	t.Logf("%.0f bytes and %.1f allocations per event", r.bytes, r.allocs)
+	return r
+}
+
+// pinEvents is how many events allocsPerEvent measures over.
+const pinEvents = 5000
+
+// pinReading is what they cost per event, how long they took, and what
+// they added to the durability counters of the publisher (Appends) and
+// the subscriber (Staged, StageDups).
+type pinReading struct {
+	bytes, allocs float64
+	took          time.Duration
+	pub, sub      govents.DurableStats
 }
 
 // TestCertifiedDurableAllocsPerEvent pins what it costs the heap to move
 // one certified event with a 1 KiB []byte field from Publish on one
 // durable domain to a durable subscription's handler on another
 // (WithDurability + SyncBatch on both): outbox append, frame, staging,
-// decode, dispatch, both acknowledgements. Before the payload was copied
-// once per hop this read 21.4 KB and 65 allocations; the limits are the
-// reading (7.4 KB, 24.3) and a tenth.
+// decode, dispatch, and its share of an acknowledgement of runs. With an
+// acknowledgement frame and an outbox record per event this read 7.4 KB
+// and 24.3 allocations; the limits are the reading (7.0 KB, 17.7) and a
+// tenth. The steady state it measures resends nothing, and the
+// publisher's meta log takes a record per acknowledgement, of which the
+// subscriber sends one per ackEvery (16) events and one per timer period
+// (a quarter of the default 20 ms RetransmitInterval), where it took
+// 5000.
 func TestCertifiedDurableAllocsPerEvent(t *testing.T) {
 	ctx := context.Background()
 	pad := make([]byte, 1024)
-	bytes, allocs := allocsPerEvent(t,
+	r := allocsPerEvent(t,
 		func() []govents.Option {
 			return []govents.Option{
 				govents.WithDurability(t.TempDir()),
@@ -100,8 +121,16 @@ func TestCertifiedDurableAllocsPerEvent(t *testing.T) {
 			return err
 		},
 		func(d *govents.Domain, seq int64) error { return d.Publish(ctx, padCertified{Seq: seq, Pad: pad}) })
-	if bytes > 8<<10 || allocs > 27 {
-		t.Errorf("one certified-durable 1 KiB event costs %.0f bytes and %.1f allocations, want <= %d and <= 27", bytes, allocs, 8<<10)
+	if r.bytes > 7700 || r.allocs > 19.5 {
+		t.Errorf("one certified-durable 1 KiB event costs %.0f bytes and %.1f allocations, want <= 7700 and <= 19.5", r.bytes, r.allocs)
+	}
+	if r.sub.Staged != pinEvents || r.sub.StageDups != 0 {
+		t.Errorf("the subscriber staged %d events and suppressed %d redeliveries of %d published, want each sent once", r.sub.Staged, r.sub.StageDups, pinEvents)
+	}
+	records, periods := int(r.pub.Appends)-pinEvents, int(r.took/(5*time.Millisecond))+1
+	t.Logf("%d acknowledgement records in the publisher's meta log over %d timer periods", records, periods)
+	if limit := pinEvents/8 + periods; records > limit {
+		t.Errorf("the publisher's meta log took %d acknowledgement records for %d events over %d timer periods, want <= %d", records, pinEvents, periods, limit)
 	}
 }
 
@@ -123,14 +152,14 @@ type flatFIFO struct {
 // the link form and the one-block header this read 1.31 KB and 17.5.
 func TestFIFOWirePathAllocsPerEvent(t *testing.T) {
 	ctx := context.Background()
-	bytes, allocs := allocsPerEvent(t,
+	r := allocsPerEvent(t,
 		func() []govents.Option { return nil },
 		func(d *govents.Domain, got *atomic.Int64) error {
 			_, err := govents.Subscribe(d, nil, func(flatFIFO) { got.Add(1) })
 			return err
 		},
 		func(d *govents.Domain, seq int64) error { return d.Publish(ctx, flatFIFO{Seq: seq, A: 1.5}) })
-	if bytes > 1200 || allocs > 14.9 {
-		t.Errorf("one flat FIFO event costs %.0f bytes and %.1f allocations, want <= 1200 and <= 14.9", bytes, allocs)
+	if r.bytes > 1200 || r.allocs > 14.9 {
+		t.Errorf("one flat FIFO event costs %.0f bytes and %.1f allocations, want <= 1200 and <= 14.9", r.bytes, r.allocs)
 	}
 }

@@ -245,6 +245,92 @@ func TestSelfSubscribedDurablePublisher(t *testing.T) {
 	exactlyOnce(t, "node-1", there, "node-0", seq)
 }
 
+// TestCertifiedTwoDurableIdentitiesOnOneNode: node-1 subscribes to a
+// certified class under two durable identities. The publisher sends the
+// node one frame per event, not one per identity, and the node
+// acknowledges under both: each handler sees each event once, neither
+// identity stays owed anything, and once nothing is owed nothing is sent
+// again. The node used to acknowledge under one identity only, so the
+// other's whole backlog came back every redelivery tick, for ever.
+func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	sn := &selfNet{
+		t:     t,
+		net:   netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 29}),
+		addrs: []string{"node-0", "node-1"},
+		opts: func(addr string) []govents.Option {
+			return []govents.Option{govents.WithDurability(filepath.Join(root, addr))}
+		},
+	}
+	defer sn.net.Close()
+	d0, tap0 := sn.open("node-0")
+	d1, _ := sn.open("node-1")
+	ids := []string{"desk-a", "desk-b"}
+	seen := []*recorder{newRecorder(), newRecorder()}
+	for i, id := range ids {
+		if _, err := govents.SubscribeDurable(d1, id, func(e chaosTick) { seen[i].record(e.Pub, e.Seq) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both ads at node-0", func() bool { return d0.RemoteSubscriptionCount() >= 2 })
+
+	const events = 200
+	var keys []string
+	for i := 0; i < events; i++ {
+		if err := d0.Publish(ctx, chaosTick{Pub: "node-0", Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tickKey("node-0", i))
+	}
+	waitFor(t, "every event at both handlers", func() bool { return seen[0].hasAll(keys) && seen[1].hasAll(keys) })
+	// Everything is acknowledged once a whole redelivery interval sends
+	// nothing: the tick resends whatever either identity is still owed.
+	class := "dace/cert/" + obvent.TypeName(obvent.TypeOf[chaosTick]())
+	dataFrames := func() (n int) {
+		for _, stream := range tap0.sentTo("node-1") {
+			if stream == class {
+				n++
+			}
+		}
+		return n
+	}
+	waitFor(t, "the publisher to fall silent", func() bool {
+		before := dataFrames()
+		time.Sleep(15 * time.Millisecond) // three intervals
+		return dataFrames() == before
+	})
+	// A 5 ms interval resends what a loaded machine has not staged yet:
+	// that is a few frames per event, where a backlog that keeps coming
+	// back is 200 frames per tick.
+	if n := dataFrames(); n > 10*events {
+		t.Errorf("%d data frames for %d events to one node", n, events)
+	}
+	if st := d1.DurableStats(); st.Staged != events || st.StageDups > 10*events {
+		t.Errorf("node-1 staged %d events and suppressed %d duplicates, want %d and a few per event at most", st.Staged, st.StageDups, events)
+	}
+	for i, id := range ids {
+		exactlyOnce(t, id, seen[i], "node-0", events)
+	}
+
+	// Read the outbox off the disk: neither identity is owed anything.
+	sn.net.Crash("node-0")
+	if err := d0.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	classDir := filepath.Join(root, "node-0", obvent.TypeName(obvent.TypeOf[chaosTick]()))
+	ob, err := durable.OpenOutbox(filepath.Join(classDir, "outbox-data"), filepath.Join(classDir, "outbox-meta"), durable.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ob.Close()
+	for _, id := range ids {
+		if pending, err := ob.Pending(id); err != nil || len(pending) != 0 {
+			t.Errorf("%s is still owed %d outbox entries (%v)", id, len(pending), err)
+		}
+	}
+}
+
 // TestSelfSubscribedPublisherWithoutDurability is the same node on the
 // in-memory stores of a default domain: the delivered set stands in for
 // the staging inbox.

@@ -371,8 +371,9 @@
 // WithDurability gives the domain a per-class segment log under the
 // directory: an append-only, CRC-framed, size-rolled publisher outbox
 // (write-ahead of any transmission) and a subscriber-side staging inbox
-// that records every certified arrival durably BEFORE acknowledging it
-// to the publisher. A certified class's state lives in one place: with
+// that records every certified arrival durably before its offset joins
+// an acknowledgement to the publisher. A certified class's state lives
+// in one place: with
 // WithDurability under dir/<class>, where it survives a crash of either
 // end; without, in memory, where it survives a subscriber's
 // disconnection only. The in-memory state is per class too (an outbox
@@ -416,6 +417,35 @@
 // leaves alone what was first sent since the tick before. Payloads are
 // handed on, not copied: internal/store.Log and internal/codec state
 // who may keep and who may alias one.
+//
+// The certified class speaks two frames of the link protocol's record:
+//
+//	data  Seq    the entry's outbox offset: 1, 2, 3, … per class and
+//	             publisher, in append order, and across a restart of a
+//	             publisher with a durability directory
+//	      Epoch  the publisher's incarnation, as on a reliable link
+//	      ID     the event's identity, which the subscriber deduplicates by
+//	      Payload
+//	ack   Origin   a durable identity of the subscriber
+//	      Epoch    the incarnation whose offsets it names
+//	      Payload  runs of offsets, each as the distance from the run before
+//	               (from 0, for the first) and a length, as a link
+//	               acknowledgement lists them
+//
+// A subscriber stages an arrival, a duplicate like any other, then adds
+// its offset to the runs it owes that publisher, and sends them when
+// the reliable link would acknowledge ("Link protocol": 16 frames, the
+// quarter-interval timer, at once for the first frame of a quiet
+// period), once under each durable identity it holds for the class; a
+// node with two identities is still sent one data frame per event. The
+// publisher books an acknowledgement as one outbox record, whatever it
+// names, and drops one of another epoch: an in-memory outbox numbers
+// from 1 again after a restart. Neither frame is negotiated. On the
+// wire, both ways: a build from before offsets acknowledges by event
+// ID, which retires nothing here, and finds no ID in this build's
+// acknowledgements; upgrade a domain together. On disk, one way: this
+// build replays the older record of one acknowledged offset, the older
+// build refuses an outbox holding a record of runs.
 //
 // # Observability
 //

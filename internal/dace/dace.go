@@ -59,6 +59,7 @@ package dace
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -440,9 +441,7 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 	case "cert":
 		log, in := n.certStores(class)
 		c := multicast.NewCertified(n.mux, stream, log, in, deliver, n.cfg.Multicast)
-		if id := n.durableIDForLocked(class); id != "" {
-			c.SetDurableID(id)
-		}
+		c.SetDurableIDs(n.durableIDsForLocked(class))
 		g = c
 	case "total":
 		t := multicast.NewTotal(n.mux, stream, n.sequencerLocked(), deliver, n.cfg.Multicast)
@@ -511,20 +510,22 @@ func (n *Node) certStores(class string) (store.Log, multicast.Stager) {
 	return store.NewMemLog(), store.NewMemSet()
 }
 
-// durableIDForLocked resolves the durable identity this node
-// acknowledges under for one certified class: the durable ID of the
-// local subscription conforming to the class (the one of the smallest
-// subscription ID when several do), else the node-wide Config.DurableID,
-// else empty (the group falls back to the node address). Callers hold
-// n.mu.
-func (n *Node) durableIDForLocked(class string) string {
-	first, durable := "", n.cfg.DurableID
-	for id, info := range n.lastAdv {
-		if info.DurableID != "" && (first == "" || id < first) && n.reg.ConformsTo(class, info.TypeName) {
-			first, durable = id, info.DurableID
+// durableIDsForLocked resolves the durable identities this node
+// acknowledges under for one certified class: the durable ID of every
+// local subscription conforming to the class, else the node-wide
+// Config.DurableID, else none (the group falls back to the node
+// address). Callers hold n.mu.
+func (n *Node) durableIDsForLocked(class string) []string {
+	var ids []string
+	for _, info := range n.lastAdv {
+		if info.DurableID != "" && !slices.Contains(ids, info.DurableID) && n.reg.ConformsTo(class, info.TypeName) {
+			ids = append(ids, info.DurableID)
 		}
 	}
-	return durable
+	if len(ids) == 0 && n.cfg.DurableID != "" {
+		ids = []string{n.cfg.DurableID}
+	}
+	return ids
 }
 
 // certifiedGroup returns (creating lazily) the certified group of a
@@ -949,16 +950,14 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 	}
 	if durable {
 		// Certified groups created before a durable activation must learn
-		// the durable identity they now acknowledge under.
+		// the durable identities they now acknowledge under.
 		for stream, g := range n.groups {
 			c, ok := g.(*multicast.Certified)
 			class := strings.TrimPrefix(stream, "dace/cert/")
 			if !ok || class == stream {
 				continue
 			}
-			if id := n.durableIDForLocked(class); id != "" {
-				c.SetDurableID(id)
-			}
+			c.SetDurableIDs(n.durableIDsForLocked(class))
 		}
 	}
 	if !forceSnapshot && n.adSeq > 1 && n.adsSinceSnap < snapshotEvery &&

@@ -32,6 +32,18 @@ func (cs *cursorState) record(off uint64) {
 	cs.sparse[off] = true
 }
 
+// recordRun folds the acknowledged offsets lo through hi into the
+// cursor and reports whether any of them was new to it.
+func (cs *cursorState) recordRun(lo, hi uint64) (fresh bool) {
+	for off := max(lo, cs.frontier+1); off <= hi; off++ {
+		if !cs.sparse[off] {
+			fresh = true
+			cs.record(off)
+		}
+	}
+	return fresh
+}
+
 // ackedAt reports whether the cursor has acknowledged the offset.
 func (cs *cursorState) ackedAt(off uint64) bool {
 	return off <= cs.frontier || cs.sparse[off]

@@ -3,7 +3,9 @@ package durable
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"govents/internal/store"
@@ -155,4 +157,115 @@ func TestOpensDirectoryWrittenByParent(t *testing.T) {
 		t.Errorf("after compaction and reopen, replay = %v, want d1 empty and d2 %v", replay, expect.Replay["d2"])
 	}
 
+}
+
+// TestOutboxOpensParentsPerOffsetAcks: the meta log's old
+// acknowledgement record, one per offset, is still read.
+// testdata/parent-pr22/dir is an outbox written by the commit before an
+// acknowledgement became one record of runs (by mkfixture.go.txt beside
+// it: two consumers, out-of-order per-offset acknowledgements, a GC
+// snapshot, history after it), and expect.json is what that commit read
+// back. This code reads the same, acknowledges a run, and reads its own
+// record back after a reopen; cut anywhere inside, that record is a torn
+// tail like any other and the run is owed again.
+func TestOutboxOpensParentsPerOffsetAcks(t *testing.T) {
+	var expect struct {
+		Pending map[string][]string
+		Len     int
+	}
+	raw, err := os.ReadFile("testdata/parent-pr22/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &expect); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir() // acknowledging appends: work on a copy
+	if err := os.CopyFS(dir, os.DirFS("testdata/parent-pr22/dir")); err != nil {
+		t.Fatal(err)
+	}
+	data, meta := filepath.Join(dir, "outbox-data"), filepath.Join(dir, "outbox-meta")
+	open := func() *Outbox {
+		t.Helper()
+		ob, err := OpenOutbox(data, meta, SegmentConfig{SegmentBytes: 96})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ob
+	}
+	owed := func(ob *Outbox) map[string][]string {
+		t.Helper()
+		out := map[string][]string{}
+		for c := range expect.Pending {
+			pending, err := ob.Pending(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[c] = []string{}
+			for _, e := range pending {
+				out[c] = append(out[c], e.ID)
+			}
+		}
+		return out
+	}
+
+	ob := open()
+	if got := owed(ob); !reflect.DeepEqual(got, expect.Pending) || ob.Len() != expect.Len {
+		t.Fatalf("read %v in %d entries, the parent read %v in %d", got, ob.Len(), expect.Pending, expect.Len)
+	}
+	if _, tail := ob.Stats(); tail.TornTails != 0 {
+		t.Errorf("%d torn tails in a cleanly closed outbox", tail.TornTails)
+	}
+	// e6..e9 sit at offsets 7..10; sub-b has acknowledged e5 and e9 of
+	// its backlog out of order already.
+	if err := ob.AckRuns("sub-b", []store.Run{{Lo: 7, Hi: 10}, {Lo: 2, Hi: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	after := map[string][]string{"sub-a": expect.Pending["sub-a"], "sub-b": {"e4", "e10", "e11", "e12"}}
+	if got := owed(ob); !reflect.DeepEqual(got, after) {
+		t.Fatalf("after acknowledging offsets 7..10: owed %v, want %v", got, after)
+	}
+	_, before := ob.Stats()
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ob = open()
+	if got := owed(ob); !reflect.DeepEqual(got, after) {
+		t.Fatalf("reopened: owed %v, want %v", got, after)
+	}
+	if _, st := ob.Stats(); st.Records != before.Records {
+		t.Errorf("meta log holds %d records reopened, %d before", st.Records, before.Records)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The run record is the meta log's last, alone in the newest segment
+	// or behind the parent's: cut it at every byte.
+	segs, err := filepath.Glob(filepath.Join(meta, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("meta segments: %v, %v", segs, err)
+	}
+	sort.Strings(segs)
+	last := segs[len(segs)-1]
+	full, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := frameHeader + 1 + 4 + len("sub-b") + 16 // kind, consumer blob, one run: the other named nothing live
+	for cut := len(full) - record + 1; cut < len(full); cut++ {
+		if err := os.WriteFile(last, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ob := open()
+		if got := owed(ob); !reflect.DeepEqual(got, expect.Pending) {
+			t.Fatalf("cut at %d of %d: owed %v, want the parent's %v", cut, len(full), got, expect.Pending)
+		}
+		if _, st := ob.Stats(); st.TornTails != 1 {
+			t.Fatalf("cut at %d of %d: %d torn tails, want 1", cut, len(full), st.TornTails)
+		}
+		if err := ob.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

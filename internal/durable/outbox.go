@@ -37,8 +37,9 @@ var _ store.Log = (*Outbox)(nil)
 const (
 	metaRegister   = 1 // [blob consumer]
 	metaUnregister = 2 // [blob consumer]
-	metaAck        = 3 // [blob consumer][u64 offset]
+	metaAck        = 3 // [blob consumer][u64 offset]; read, no longer written
 	metaSnapshot   = 4 // full consumer/ack state; resets replay
+	metaAckRuns    = 5 // [blob consumer] then [u64 lo][u64 hi] per run, to the record's end
 )
 
 // OpenOutbox opens (or creates) the outbox under dataDir/metaDir,
@@ -82,7 +83,7 @@ func (o *Outbox) replay() error {
 		if err != nil {
 			return fmt.Errorf("durable: outbox data record %d: %w", off, err)
 		}
-		e := store.Entry{ID: string(id), Payload: append([]byte(nil), payload...)}
+		e := store.Entry{ID: string(id), Payload: append([]byte(nil), payload...), Offset: off}
 		o.entries = append(o.entries, e)
 		o.byID[e.ID] = off
 		return nil
@@ -119,19 +120,25 @@ func (o *Outbox) applyMeta(rec []byte) error {
 			return err
 		}
 		delete(o.consumers, string(name))
-	case metaAck:
+	case metaAck, metaAckRuns:
 		name, rest, err := takeBlob(rest)
 		if err != nil {
 			return err
 		}
-		off, _, err := takeUint64(rest)
-		if err != nil {
-			return err
-		}
-		// An offset past the data log's end names a record a crash took
-		// (SyncBatch): the next append gets that offset and is owed afresh.
-		if cs, ok := o.consumers[string(name)]; ok && off < o.base+uint64(len(o.entries)) {
-			cs.record(off)
+		cs := o.consumers[string(name)]
+		for more := true; more; more = kind == metaAckRuns && len(rest) > 0 {
+			var lo, hi uint64
+			if lo, rest, err = takeUint64(rest); err != nil {
+				return err
+			}
+			if hi = lo; kind == metaAckRuns {
+				if hi, rest, err = takeUint64(rest); err != nil {
+					return err
+				}
+			}
+			if cs != nil {
+				cs.recordRun(lo, min(hi, o.last()))
+			}
 		}
 	case metaSnapshot:
 		cs, err := o.decodeConsumerSnapshot(rest)
@@ -207,24 +214,36 @@ func (o *Outbox) decodeConsumerSnapshot(rec []byte) (map[string]*cursorState, er
 	return out, nil
 }
 
-// Append implements store.Log: idempotent by entry ID.
-func (o *Outbox) Append(e store.Entry) error {
+// Add implements store.Log: idempotent by entry ID.
+func (o *Outbox) Add(e store.Entry) (uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return ErrLogClosed
+		return 0, ErrLogClosed
 	}
-	if _, ok := o.byID[e.ID]; ok {
-		return nil
+	if off, ok := o.byID[e.ID]; ok {
+		return off, nil
 	}
 	o.hdr = appendBlob(o.hdr[:0], e.ID)
 	off, err := o.data.AppendParts(o.hdr, e.Payload)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	e.Offset = off
 	o.entries = append(o.entries, e) // the caller's payload, kept (store.Log)
 	o.byID[e.ID] = off
-	return nil
+	return off, nil
+}
+
+// Append and Ack are Add and AckRuns for a caller that works an event
+// at a time, by ID (the benchmark's durable probe).
+func (o *Outbox) Append(e store.Entry) error { _, err := o.Add(e); return err }
+
+func (o *Outbox) Ack(consumer, entryID string) error {
+	o.mu.Lock()
+	off := o.byID[entryID] // 0, which no entry has, when the outbox does not hold it
+	o.mu.Unlock()
+	return o.AckRuns(consumer, []store.Run{{Lo: off, Hi: off}})
 }
 
 // RegisterConsumer implements store.Log: idempotent, and a known
@@ -276,10 +295,16 @@ func (o *Outbox) Consumers() ([]string, error) {
 	return out, nil
 }
 
-// Ack implements store.Log. Acknowledging an unknown (or already
-// compacted) entry is a no-op, mirroring MemLog's tolerance; an unknown
-// consumer is an error.
-func (o *Outbox) Ack(consumer, entryID string) error {
+// last is the highest offset the data log holds. An acknowledgement of
+// one beyond it names a record a crash took (SyncBatch): the next append
+// gets that offset and is owed afresh.
+func (o *Outbox) last() uint64 { return o.base + uint64(len(o.entries)) - 1 }
+
+// AckRuns implements store.Log: one meta record per call, of the runs
+// that acknowledge something new, and none when no run does. Offsets
+// the outbox does not hold (compacted, or never assigned) are ignored,
+// mirroring MemLog's tolerance; an unknown consumer is an error.
+func (o *Outbox) AckRuns(consumer string, runs []store.Run) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
@@ -289,16 +314,19 @@ func (o *Outbox) Ack(consumer, entryID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", store.ErrUnknownConsumer, consumer)
 	}
-	off, ok := o.byID[entryID]
-	if !ok || cs.ackedAt(off) {
+	o.hdr = appendBlob(append(o.hdr[:0], metaAckRuns), consumer)
+	fresh := false
+	for _, r := range runs {
+		if hi := min(r.Hi, o.last()); cs.recordRun(r.Lo, hi) {
+			fresh = true
+			o.hdr = appendUint64(appendUint64(o.hdr, r.Lo), hi)
+		}
+	}
+	if !fresh {
 		return nil
 	}
-	o.hdr = appendUint64(appendBlob(append(o.hdr[:0], metaAck), consumer), off)
-	if _, err := o.meta.Append(o.hdr); err != nil {
-		return err
-	}
-	cs.record(off)
-	return nil
+	_, err := o.meta.Append(o.hdr)
+	return err
 }
 
 // Pending implements store.Log: in append (offset) order, walking from

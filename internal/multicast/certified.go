@@ -1,8 +1,15 @@
 package multicast
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
+	"log/slog"
+	"math"
+	"slices"
 	"sync"
+	"time"
 
 	"govents/internal/codec"
 	"govents/internal/store"
@@ -20,12 +27,12 @@ type CertSubscriber struct {
 // Stager is the subscriber-side store of a certified group, the
 // counterpart of the publisher's store.Log: an incoming event is staged
 // — recorded and deduplicated by event ID, test and add in one step —
-// BEFORE it is acknowledged to the publisher and delivered. fresh
-// reports whether the event was new; a false return means it is
-// recorded here already (a redelivery) and must be re-acked but not
-// delivered again. durable.Inbox stages the whole event on disk, so a
-// restarted subscriber can replay it; store.MemSet keeps the ID in
-// memory.
+// before its offset joins those the next acknowledgement names and
+// before it is delivered. fresh reports whether the event was new; a
+// false return means it is recorded here already (a redelivery) and
+// must be acknowledged again but not delivered again. durable.Inbox
+// stages the whole event on disk, so a restarted subscriber can replay
+// it; store.MemSet keeps the ID in memory.
 type Stager interface {
 	Stage(id, origin string, payload []byte) (fresh bool, err error)
 }
@@ -41,11 +48,19 @@ type Stager interface {
 // a crash is the two stores' business, not the protocol's. The
 // publisher is a subscriber only if SetSubscribers names its own
 // address.
+//
+// A data frame names its entry's outbox offset (Seq) and the group's
+// incarnation (Epoch); a subscriber acknowledges runs of offsets, when
+// Reliable would (ackEvery, ticksPerInterval), under each identity it
+// holds, and the publisher books each acknowledgement of its own
+// incarnation as one outbox record ("Durability" in the govents
+// package documentation).
 type Certified struct {
 	mux    *Mux
 	stream string
 	self   string
 	opts   Options
+	epoch  uint64
 
 	queue *deliveryQueue
 	lc    *lifecycle
@@ -53,19 +68,48 @@ type Certified struct {
 	log store.Log // publisher side: the outbox
 	in  Stager    // subscriber side: what has been received
 
-	mu        sync.Mutex
-	subs      map[string]string // durable ID -> current address
-	remote    []string          // one address per durable ID subscribed elsewhere
-	local     []string          // durable IDs subscribed at this node
-	durableID string            // our identity when acknowledging
+	mu     sync.Mutex
+	subs   map[string]string    // durable ID -> current address
+	remote []string             // the addresses of the durable IDs subscribed elsewhere
+	local  []string             // durable IDs subscribed at this node
+	ids    []string             // our identities when acknowledging
+	gen    uint64               // acknowledgement-timer periods elapsed
+	links  map[string]*certLink // publisher -> what to acknowledge to it
 
-	// young holds the IDs first sent since the last redelivery tick,
-	// which a tick leaves alone: they have not been out for a
-	// RetransmitInterval. A broadcast holds sending shared from its
-	// outbox append to its last send and the tick takes the young set
-	// holding it exclusively, so no broadcast straddles a tick.
+	// young is the lowest offset first sent since the last redelivery
+	// tick, which a tick leaves alone with all above it: they have not
+	// been out for a RetransmitInterval. A broadcast holds
+	// sending shared from its outbox append to its last send and the
+	// tick takes the watermark holding it exclusively, so no broadcast
+	// straddles a tick.
 	sending sync.RWMutex
-	young   map[string]struct{}
+	young   uint64
+}
+
+// certLink is the subscriber's end of one publisher's stream: the
+// offsets of the frames received since the last acknowledgement, a
+// duplicate's too, ackEvery of them at most.
+type certLink struct {
+	epoch  uint64 // the publisher's incarnation the offsets are of
+	staged []uint64
+	ackGen uint64 // timer period of the last acknowledgement
+}
+
+// ack builds the link's acknowledgement, identity apart, and books it
+// as sent in timer period gen.
+func (l *certLink) ack(gen uint64) message {
+	slices.Sort(l.staged)
+	var few [ackEvery]seqRange
+	runs := few[:0]
+	for _, off := range l.staged {
+		if n := len(runs); n > 0 && off <= runs[n-1].hi+1 {
+			runs[n-1].hi = off
+		} else {
+			runs = append(runs, seqRange{off, off})
+		}
+	}
+	l.staged, l.ackGen = l.staged[:0], gen
+	return message{Kind: kindCertAck, Epoch: l.epoch, Payload: appendRanges(nil, 0, runs)}
 }
 
 var _ Group = (*Certified)(nil)
@@ -81,15 +125,19 @@ func NewCertified(mux *Mux, stream string, log store.Log, in Stager, deliver Del
 		stream: stream,
 		self:   mux.Addr(),
 		opts:   opts,
+		epoch:  newEpoch(),
 		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
 		log:    log,
 		in:     in,
 		subs:   make(map[string]string),
-		young:  make(map[string]struct{}),
+		ids:    []string{mux.Addr()},
+		gen:    1, // 0 is certLink.ackGen's "never acknowledged"
+		young:  math.MaxUint64,
+		links:  make(map[string]*certLink),
 	}
 	mux.Handle(stream, g.onMessage)
-	g.lc.goTick(opts.RetransmitInterval, g.redeliver)
+	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
 	return g
 }
 
@@ -120,14 +168,16 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	return nil
 }
 
-// splitLocked derives remote and local from subs. The slices are
+// splitLocked derives remote and local from subs: a node holding
+// several identities is one address, sent one frame. The slices are
 // replaced, never written to: a broadcast reads them outside the lock.
 func (g *Certified) splitLocked() {
 	g.remote, g.local = nil, nil
 	for id, addr := range g.subs {
-		if addr == g.self {
+		switch {
+		case addr == g.self:
 			g.local = append(g.local, id)
-		} else {
+		case !slices.Contains(g.remote, addr):
 			g.remote = append(g.remote, addr)
 		}
 	}
@@ -166,18 +216,19 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	}
 	g.sending.RLock()
 	defer g.sending.RUnlock()
-	if err := g.log.Append(store.Entry{ID: id, Payload: payload}); err != nil {
+	off, err := g.log.Add(store.Entry{ID: id, Payload: payload})
+	if err != nil {
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
 	// No Origin on the record: there is no relay, so the publisher is
 	// the transport's sender.
-	frame, err := frameMessage(g.stream, &message{Kind: kindCertData, ID: id, Payload: payload})
+	frame, err := frameMessage(g.stream, &message{Kind: kindCertData, ID: id, Seq: off, Epoch: g.epoch, Payload: payload})
 	if err != nil {
 		return err
 	}
 	g.mu.Lock()
 	remote, local := g.remote, g.local
-	g.young[id] = struct{}{}
+	g.young = min(g.young, off)
 	g.mu.Unlock()
 	// The local leg of a node subscribed to its own class: record as a
 	// received event is, acknowledge to ourselves, deliver in-process.
@@ -186,8 +237,9 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 		if fresh, err = g.in.Stage(id, g.self, payload); err != nil {
 			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 		}
+		run := [1]store.Run{{Lo: off, Hi: off}}
 		for _, durableID := range local {
-			if err := g.log.Ack(durableID, id); err != nil {
+			if err := g.log.AckRuns(durableID, run[:]); err != nil {
 				// Still pending for us: redelivery acknowledges it.
 				g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
 					"stream", g.stream, "subscriber", durableID, "id", id, "err", err)
@@ -217,22 +269,40 @@ func (g *Certified) GC() (int, error) { return g.log.GC() }
 // OutboxLen returns how many entries the outbox holds.
 func (g *Certified) OutboxLen() int { return g.log.Len() }
 
-// redeliver is one tick: it sends each subscriber what it has not
-// acknowledged, bar the entries first sent since the previous tick.
-// What is owed is read inside the barrier that takes the young set: read
-// after it, an entry appended since would be in neither and be sent
-// again at once — to this very node, if it subscribes here and had not
-// yet acknowledged to itself.
-func (g *Certified) redeliver() {
-	type owed struct {
-		durableID, addr string
-		entries         []store.Entry
+// tick is one acknowledgement-timer period: it acknowledges what was
+// staged and not yet acknowledged, and every ticksPerInterval-th period
+// is a redelivery tick.
+func (g *Certified) tick() {
+	var acks []linkFrame
+	g.mu.Lock()
+	g.gen++
+	gen, ids := g.gen, g.ids
+	for from, l := range g.links {
+		if len(l.staged) > 0 {
+			acks = append(acks, linkFrame{from, l.ack(gen)})
+		}
 	}
-	var due []owed
+	g.mu.Unlock()
+	for i := range acks {
+		g.sendAck(acks[i].addr, &acks[i].msg, ids)
+	}
+	if gen%ticksPerInterval == 0 {
+		g.redeliver()
+	}
+}
+
+// redeliver is one redelivery tick: it sends each subscribed address
+// what an identity there has not acknowledged, bar the entries first
+// sent since the previous tick. What is owed is read inside the barrier
+// that takes the watermark: read after it, an entry appended since would
+// be on neither side of it and be sent again at once — to this very
+// node, if it subscribes here and had not yet acknowledged to itself.
+func (g *Certified) redeliver() {
+	due := make(map[string][]store.Entry) // address -> owed there, by offset
 	g.sending.Lock()
 	g.mu.Lock()
 	young := g.young
-	g.young = make(map[string]struct{}, len(young))
+	g.young = math.MaxUint64
 	for durableID, addr := range g.subs {
 		pending, err := g.log.Pending(durableID)
 		if err != nil {
@@ -240,42 +310,41 @@ func (g *Certified) redeliver() {
 				"stream", g.stream, "subscriber", durableID, "err", err)
 			continue
 		}
-		due = append(due, owed{durableID, addr, pending})
+		if owed, shared := due[addr]; shared {
+			// A second identity at the address: what either is owed, once.
+			owed = append(owed, pending...)
+			slices.SortFunc(owed, func(a, b store.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
+			pending = slices.CompactFunc(owed, func(a, b store.Entry) bool { return a.Offset == b.Offset })
+		}
+		due[addr] = pending
 	}
 	g.mu.Unlock()
 	g.sending.Unlock()
 
-	for _, d := range due {
-		for _, e := range d.entries {
-			if _, ok := young[e.ID]; ok {
-				continue
+	for addr, owed := range due {
+		for _, e := range owed {
+			if e.Offset >= young {
+				break // the rest left since the previous tick
 			}
-			err := g.mux.sendMessage(d.addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Payload: e.Payload})
+			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Seq: e.Offset, Epoch: g.epoch, Payload: e.Payload})
 			if err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
-					"stream", g.stream, "subscriber", d.durableID, "addr", d.addr, "err", err)
+					"stream", g.stream, "addr", addr, "id", e.ID, "err", err)
 			}
 		}
 	}
 }
 
-// DurableID returns the durable subscriber identity this node
-// acknowledges under. It defaults to the node address; override with
-// SetDurableID before subscribing durably.
-func (g *Certified) DurableID() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.durableID != "" {
-		return g.durableID
+// SetDurableIDs sets the durable identities this node acknowledges
+// under: those of its subscriptions to the class. With none it
+// acknowledges under its address.
+func (g *Certified) SetDurableIDs(ids []string) {
+	if len(ids) == 0 {
+		ids = []string{g.self}
 	}
-	return g.self
-}
-
-// SetDurableID sets the durable identity used in acknowledgements.
-func (g *Certified) SetDurableID(id string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.durableID = id
+	g.ids = ids
 }
 
 // Pause parks the group's delivery goroutine; incoming events continue
@@ -287,6 +356,15 @@ func (g *Certified) Pause() { g.queue.pause() }
 // Resume releases a Pause, draining accumulated deliveries in order.
 func (g *Certified) Resume() { g.queue.resume() }
 
+// sendAck sends one acknowledgement under each of ids. A lost one is
+// made good by the redelivery it fails to prevent.
+func (g *Certified) sendAck(to string, ack *message, ids []string) {
+	for _, id := range ids {
+		ack.Origin = id
+		_ = g.mux.sendMessage(to, g.stream, ack)
+	}
+}
+
 func (g *Certified) onMessage(from string, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil {
@@ -296,9 +374,12 @@ func (g *Certified) onMessage(from string, data []byte) {
 	}
 	switch m.Kind {
 	case kindCertData:
-		// Acknowledge under our durable identity — after recording the
-		// event, so a crash between deliver and ack causes a redelivery
-		// that the record suppresses.
+		if m.Seq == 0 || m.Epoch == 0 {
+			return // names no offset: nothing here could acknowledge it
+		}
+		// The offset is acknowledged after the event is recorded, so a
+		// crash between the two causes a redelivery that the record
+		// suppresses.
 		fresh, err := g.in.Stage(m.ID, from, m.Payload)
 		if err != nil {
 			g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
@@ -308,8 +389,44 @@ func (g *Certified) onMessage(from string, data []byte) {
 		if fresh {
 			g.queue.push(from, m.Payload)
 		}
-		_ = g.mux.sendMessage(from, g.stream, &message{Kind: kindCertAck, Origin: g.DurableID(), ID: m.ID})
+		g.mu.Lock()
+		l := g.links[from]
+		if l == nil || m.Epoch > l.epoch {
+			// A publisher never heard from, or its next incarnation, which
+			// would drop an acknowledgement of the last one's offsets.
+			l = &certLink{epoch: m.Epoch}
+			g.links[from] = l
+		}
+		var ack message         // of no kind until it is due
+		if m.Epoch == l.epoch { // else a straggler of a dead incarnation
+			// A duplicate is owed an acknowledgement like a first arrival.
+			l.staged = append(l.staged, m.Seq)
+			if len(l.staged) >= ackEvery || l.ackGen != g.gen {
+				ack = l.ack(g.gen)
+			}
+		}
+		ids := g.ids
+		g.mu.Unlock()
+		if ack.Kind != 0 {
+			g.sendAck(from, &ack, ids)
+		}
 	case kindCertAck:
-		_ = g.log.Ack(m.Origin, m.ID)
+		if m.Epoch != g.epoch {
+			return // addressed to an earlier incarnation of this group
+		}
+		var few [4]store.Run
+		runs := few[:0]
+		eachRange(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, store.Run{Lo: lo, Hi: hi}) })
+		if len(runs) == 0 {
+			return
+		}
+		if err := g.log.AckRuns(m.Origin, runs); err != nil {
+			level := slog.LevelWarn
+			if errors.Is(err, store.ErrUnknownConsumer) {
+				level = slog.LevelDebug // an identity that subscribed and left
+			}
+			g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
+				"stream", g.stream, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
+		}
 	}
 }

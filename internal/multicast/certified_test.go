@@ -14,12 +14,14 @@ import (
 	"govents/internal/store"
 )
 
-// tapTransport counts the certified data frames an endpoint sends, by
-// destination.
+// tapTransport counts the certified data and acknowledgement frames an
+// endpoint sends, by destination, and shows each data frame to onData.
 type tapTransport struct {
 	netsim.Transport
-	mu   sync.Mutex
-	data map[string]int
+	onData func(m *message)
+	mu     sync.Mutex
+	data   map[string]int
+	acks   map[string]int
 }
 
 func newTapNode(t *testing.T, net *netsim.Network, addr string) (*testNode, *tapTransport) {
@@ -28,18 +30,32 @@ func newTapNode(t *testing.T, net *netsim.Network, addr string) (*testNode, *tap
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := &tapTransport{Transport: ep, data: make(map[string]int)}
+	tap := &tapTransport{Transport: ep, data: make(map[string]int), acks: make(map[string]int)}
 	return &testNode{mux: NewMux(tap)}, tap
 }
 
 func (tt *tapTransport) Send(to string, frame []byte) error {
 	var m message
-	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindCertData {
+	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil {
 		tt.mu.Lock()
-		tt.data[to]++
+		switch m.Kind {
+		case kindCertData:
+			tt.data[to]++
+			if tt.onData != nil {
+				tt.onData(&m)
+			}
+		case kindCertAck:
+			tt.acks[to]++
+		}
 		tt.mu.Unlock()
 	}
 	return tt.Transport.Send(to, frame)
+}
+
+func (tt *tapTransport) acksTo(addr string) int {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	return tt.acks[addr]
 }
 
 func (tt *tapTransport) dataTo(addr string) int {
@@ -49,19 +65,39 @@ func (tt *tapTransport) dataTo(addr string) int {
 }
 
 // countingLog counts the acknowledgements a Certified books in its
-// outbox, and those the outbox refused.
+// outbox, and those the outbox refused, and remembers the offsets of
+// those it took.
 type countingLog struct {
 	store.Log
 	acks, ackErrs atomic.Int64
+	mu            sync.Mutex
+	acked         map[uint64]bool
 }
 
-func (l *countingLog) Ack(consumer, id string) error {
+func (l *countingLog) AckRuns(consumer string, runs []store.Run) error {
 	l.acks.Add(1)
-	err := l.Log.Ack(consumer, id)
+	err := l.Log.AckRuns(consumer, runs)
 	if err != nil {
 		l.ackErrs.Add(1)
+		return err
 	}
-	return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.acked == nil {
+		l.acked = make(map[uint64]bool)
+	}
+	for _, r := range runs {
+		for off := r.Lo; off <= r.Hi; off++ {
+			l.acked[off] = true
+		}
+	}
+	return nil
+}
+
+func (l *countingLog) hasAcked(off uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.acked[off]
 }
 
 // countingStager is a Stager that deduplicates in memory and counts.
@@ -164,7 +200,7 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 			gp := NewCertified(pub.mux, "cls", log, in, pub.record, fastOpts())
 			defer gp.Close()
 			gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(), sub.record, fastOpts())
-			gs.SetDurableID("tenant")
+			gs.SetDurableIDs([]string{"tenant"})
 			defer gs.Close()
 			err := gp.SetSubscribers([]CertSubscriber{
 				{DurableID: "tenant", Addr: "sub"},
@@ -246,6 +282,142 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	step("the tick after (both due)", gp.redeliver, 5)
 	step("publishing m3", broadcast("m3"), 6)
 	step("one more tick (m1, m2)", gp.redeliver, 8)
+}
+
+// TestCertifiedRunAcksUnderLoss drives both timers by hand over a
+// network that loses and duplicates frames, data and acknowledgements
+// alike: every event is delivered once and the outbox drains; the
+// subscriber acknowledges in batches (an acknowledgement per ackEvery
+// frames received, which duplication makes at most two per ackEvery
+// sent, and one per timer period); and the publisher resends only what
+// it has no acknowledgement of, which is at most what the lost frames
+// carried or named.
+func TestCertifiedRunAcksUnderLoss(t *testing.T) {
+	for _, seed := range []int64{3, 11, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			net := netsim.New(netsim.Config{LossRate: 0.15, DupRate: 0.1, Seed: seed})
+			defer net.Close()
+			pub, pubTap := newTapNode(t, net, "pub")
+			sub, subTap := newTapNode(t, net, "sub")
+			log := &countingLog{Log: store.NewMemLog()}
+			var resentAcked atomic.Int64
+			pubTap.onData = func(m *message) {
+				if log.hasAcked(m.Seq) {
+					resentAcked.Add(1)
+				}
+			}
+			opts := Options{RetransmitInterval: time.Hour} // the timers never fire: the test is the timers
+			gp := NewCertified(pub.mux, "cls", log, store.NewMemSet(), pub.record, opts)
+			defer gp.Close()
+			gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(), sub.record, opts)
+			defer gs.Close()
+			if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
+				t.Fatal(err)
+			}
+
+			const rounds, perRound = 10, 40
+			periods := 0
+			period := func() { // acknowledgements first, so that a redelivery finds them booked
+				periods++
+				gs.tick()
+				net.Settle()
+				gp.tick()
+				net.Settle()
+			}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perRound; i++ {
+					if err := gp.Broadcast([]byte(fmt.Sprintf("m%d", r*perRound+i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				net.Settle()
+				period()
+			}
+			for gp.OutboxLen() > 0 && periods < 400 {
+				period()
+			}
+
+			const msgs = rounds * perRound
+			if gp.OutboxLen() != 0 {
+				t.Fatalf("outbox still holds %d of %d entries after %d periods", gp.OutboxLen(), msgs, periods)
+			}
+			waitFor(t, 10*time.Second, "the delivery queue to drain", func() bool { return sub.count() >= msgs })
+			seen := make(map[string]int)
+			for _, p := range sub.payloads() {
+				seen[p]++
+			}
+			if len(seen) != msgs || sub.count() != msgs {
+				t.Errorf("delivered %d events, %d distinct; want each of %d once", sub.count(), len(seen), msgs)
+			}
+			data, acks := pubTap.dataTo("sub"), subTap.acksTo("pub")
+			_, _, dropped, _ := net.Stats()
+			t.Logf("%d events: %d data frames, %d acknowledgements, %d frames lost, %d periods", msgs, data, acks, dropped, periods)
+			if limit := data/8 + periods + 1; acks > limit {
+				t.Errorf("%d acknowledgement frames for %d data frames over %d periods, want at most %d", acks, data, periods, limit)
+			}
+			if n := resentAcked.Load(); n != 0 {
+				t.Errorf("%d data frames sent for offsets the outbox had an acknowledgement of", n)
+			}
+			if limit := msgs + ackEvery*int(dropped); data > limit {
+				t.Errorf("%d data frames for %d events with %d frames lost, want at most %d", data, msgs, dropped, limit)
+			}
+		})
+	}
+}
+
+// TestCertifiedAckOfAnotherEpochRetiresNothing: offsets are an
+// incarnation's (an in-memory outbox numbers from 1 again after a
+// restart), so an acknowledgement addressed to another epoch is dropped,
+// as is one that names no run; the same runs under the group's own
+// epoch retire what they name.
+func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	pub := newTestNode(t, net, "pub")
+	sub := newTestNode(t, net, "sub") // runs no group: the test is the subscriber
+	log := store.NewMemLog()
+	gp := NewCertified(pub.mux, "cls", log, store.NewMemSet(), pub.record, Options{RetransmitInterval: time.Hour})
+	defer gp.Close()
+	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := gp.Broadcast([]byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owed := func() int {
+		t.Helper()
+		net.Settle()
+		pending, err := log.Pending("tenant")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pending)
+	}
+	all := appendRanges(nil, 0, []seqRange{{1, 3}})
+	for _, ack := range []message{
+		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch - 1, Payload: all},
+		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch + 1, Payload: all},
+		{Kind: kindCertAck, Origin: "tenant", Payload: all},
+		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch},
+		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: []byte{0, 0}}, // a zero gap: malformed
+		{Kind: kindCertAck, Origin: "nobody", Epoch: gp.epoch, Payload: all},
+	} {
+		if err := sub.mux.sendMessage("pub", "cls", &ack); err != nil {
+			t.Fatal(err)
+		}
+		if n := owed(); n != 3 {
+			t.Fatalf("after %+v: %d entries owed, want all 3", ack, n)
+		}
+	}
+	ack := message{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: appendRanges(nil, 0, []seqRange{{1, 1}, {3, 9}})}
+	if err := sub.mux.sendMessage("pub", "cls", &ack); err != nil {
+		t.Fatal(err)
+	}
+	if n := owed(); n != 1 {
+		t.Fatalf("after the group's own epoch acknowledged 1 and 3..9: %d entries owed, want entry 2 alone", n)
+	}
 }
 
 // TestCertifiedPublisherStateBoundedByInFlight publishes 20 000 events

@@ -579,7 +579,7 @@ func TestCertifiedDeliversAfterSubscriberRestart(t *testing.T) {
 	defer gp.Close()
 	subDedup := store.NewMemSet() // survives the "crash" (stable storage)
 	gs := NewCertified(sub.mux, "cls", store.NewMemLog(), subDedup, sub.record, fastOpts())
-	gs.SetDurableID("durable-sub")
+	gs.SetDurableIDs([]string{"durable-sub"})
 	defer gs.Close()
 
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "durable-sub", Addr: "sub"}}); err != nil {
@@ -656,7 +656,7 @@ func TestCertifiedSubscriberMovesAddress(t *testing.T) {
 	defer gp.Close()
 	dedup := store.NewMemSet()
 	gs1 := NewCertified(sub1.mux, "cls", store.NewMemLog(), dedup, sub1.record, fastOpts())
-	gs1.SetDurableID("tenant-7")
+	gs1.SetDurableIDs([]string{"tenant-7"})
 	_ = gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant-7", Addr: "sub1"}})
 
 	_ = gp.Broadcast([]byte("m1"))
@@ -670,7 +670,7 @@ func TestCertifiedSubscriberMovesAddress(t *testing.T) {
 
 	sub2 := newTestNode(t, net, "sub2")
 	gs2 := NewCertified(sub2.mux, "cls", store.NewMemLog(), dedup, sub2.record, fastOpts())
-	gs2.SetDurableID("tenant-7")
+	gs2.SetDurableIDs([]string{"tenant-7"})
 	defer gs2.Close()
 	_ = gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant-7", Addr: "sub2"}})
 

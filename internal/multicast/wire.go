@@ -45,8 +45,8 @@ type msgKind byte
 const (
 	kindData     msgKind = iota + 1 // broadcast payload
 	kindAck                         // reliable-broadcast cumulative acknowledgement
-	kindCertData                    // certified payload (per-consumer ack)
-	kindCertAck                     // certified acknowledgement
+	kindCertData                    // certified payload at an outbox offset
+	kindCertAck                     // certified acknowledgement of runs of offsets
 	kindGossip                      // gossip event batch
 	kindSkip                        // "step over": no payload, consumes no sequence
 )
@@ -60,12 +60,15 @@ const (
 // sequence the sender still owes this destination; a kindSkip link
 // frame announces a Base alone; on an acknowledgement Seq is the
 // cumulative acknowledgement and Payload lists the runs of link
-// sequences received above it (appendRanges).
+// sequences received above it (appendRanges). Certified (certified.go)
+// borrows them: Seq is a data frame's outbox offset, Epoch the
+// publisher's incarnation on both its kinds, and an acknowledgement's
+// Payload lists runs of offsets above 0.
 type message struct {
 	Kind    msgKind
 	Origin  string // original publisher where it is not the frame's sender (or durable consumer ID in cert acks)
-	Seq     uint64 // link sequence, or cumulative acknowledgement
-	Epoch   uint64 // link incarnation of the data frame's sender
+	Seq     uint64 // link sequence, cumulative acknowledgement, or outbox offset
+	Epoch   uint64 // incarnation of the data frame's sender
 	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
 	Rounds  uint8  // gossip rounds-to-live
 	ID      string // unique message ID

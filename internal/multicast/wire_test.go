@@ -2,7 +2,9 @@ package multicast
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -90,8 +92,8 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}, 0},
 		{"causal clock marker", message{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}}, 0},
 		{"total data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 8 + 1 + 1 + 2 + 1},
-		{"certified data", message{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")}, 0},
-		{"certified ack", message{Kind: kindCertAck, Origin: "consumer", ID: "id-1"}, 0},
+		{"certified data", message{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 8 + 5 + 7},
+		{"certified ack", message{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "consumer", Payload: appendRanges(nil, 0, []seqRange{{70000, 70015}})}, 2 + 8 + 9 + 4},
 		{"gossip", message{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")}, 0},
 	}
 	for _, tt := range tests {
@@ -260,6 +262,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}},
 		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
 		{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")},
+		{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
+		{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "desk", Payload: appendRanges(nil, 0, []seqRange{{70000, 70015}, {70017, 70017}})},
+		// Run lists eachRange must stop at, quietly: a zero gap, a run
+		// past the end of the numbers, half a pair.
+		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
+		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
+		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{5, 2, 4}},
 	} {
 		wire, err := encodeMessage(&m)
 		if err != nil {
@@ -290,6 +300,21 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, re-encoded %x (%s)", data, again, fmt.Sprintf("%+v", m))
+		}
+		// An acknowledgement's run list is a peer's too: whatever it
+		// holds, the runs read from it ascend above the floor, a gap
+		// apart, and each costs at least the two bytes of its pair.
+		if m.Kind == kindAck || m.Kind == kindCertAck {
+			runs, end := 0, m.Seq
+			eachRange(m.Payload, m.Seq, func(lo, hi uint64) {
+				if runs++; lo <= end || hi < lo {
+					t.Fatalf("run %d..%d after %d in list %x", lo, hi, end, m.Payload)
+				}
+				end = hi
+			})
+			if 2*runs > len(m.Payload) {
+				t.Fatalf("%d runs from a %d-byte list", runs, len(m.Payload))
+			}
 		}
 	})
 }

@@ -27,11 +27,16 @@ import (
 
 // Entry is one durable record: an opaque payload under a unique ID.
 // The payload's bytes are immutable from the moment the entry is given
-// to a Log (see Log.Append).
+// to a Log (see Log.Add). Offset is the log's to assign: Add ignores
+// the caller's and returns its own, Pending fills it in.
 type Entry struct {
 	ID      string
 	Payload []byte
+	Offset  uint64
 }
+
+// Run is a run of consecutive offsets, both ends included.
+type Run struct{ Lo, Hi uint64 }
 
 // ErrUnknownConsumer is returned when acknowledging or querying a
 // consumer that was never registered.
@@ -41,16 +46,20 @@ var ErrUnknownConsumer = errors.New("store: unknown consumer")
 // tracking: an entry is retired once every registered consumer has
 // acknowledged it. Implementations are safe for concurrent use.
 //
-// Ownership of payloads: Append takes e.Payload — a log may keep the
+// Offsets start at 1, ascend in append order, and are never reused by
+// a log that is open; they are what a subscriber acknowledges by.
+//
+// Ownership of payloads: Add takes e.Payload — a log may keep the
 // slice instead of copying it, so the caller must not write to it
 // afterwards (it may go on reading and sending it). Pending returns
 // read-only entries — their payloads may be the log's own, shared with
 // every other Pending result, so a caller forwards them and never
-// writes to them.
+// writes to them. A slice of runs stays the caller's: AckRuns reads it
+// and keeps nothing of it.
 type Log interface {
-	// Append stores an entry, taking its payload. Appending an ID that
-	// already exists is a no-op (idempotent).
-	Append(e Entry) error
+	// Add stores an entry, taking its payload, and returns its offset.
+	// Adding an ID the log holds returns the offset it has (idempotent).
+	Add(e Entry) (offset uint64, err error)
 	// RegisterConsumer makes the log track acknowledgements for the
 	// given durable consumer ID. Registration is idempotent; entries
 	// appended before registration are owed to the consumer as well.
@@ -59,8 +68,10 @@ type Log interface {
 	UnregisterConsumer(id string) error
 	// Consumers returns the sorted registered consumer IDs.
 	Consumers() ([]string, error)
-	// Ack marks the entry acknowledged by the consumer.
-	Ack(consumer, entryID string) error
+	// AckRuns marks the entries at the offsets of runs acknowledged by
+	// the consumer. Runs may overlap, repeat, and name offsets the log
+	// does not hold (retired, or beyond the last one): those are ignored.
+	AckRuns(consumer string, runs []Run) error
 	// Pending returns, in append order, the entries not yet
 	// acknowledged by the consumer; their payloads are read-only.
 	Pending(consumer string) ([]Entry, error)
@@ -79,14 +90,16 @@ type Log interface {
 // MemLog is the in-memory Log: what a certified class of a domain
 // without a durability directory publishes from, and the oracle
 // durable.Outbox is tested against. It holds what is unacknowledged,
-// not what was ever appended: Ack retires an entry the moment the last
-// registered consumer acknowledges it. The zero value is not usable;
-// create with NewMemLog.
+// not what was ever appended: AckRuns retires an entry the moment the
+// last registered consumer acknowledges it. The zero value is not
+// usable; create with NewMemLog.
 type MemLog struct {
 	mu        sync.Mutex
+	last      uint64                     // the last offset assigned
 	order     *list.List                 // of Entry, in append order
-	entries   map[string]*list.Element   // the entries of order, by ID
-	consumers map[string]map[string]bool // consumer -> entry IDs it acknowledged
+	byID      map[string]uint64          // the offsets of the entries of order, by ID
+	entries   map[uint64]*list.Element   // the entries of order, by offset
+	consumers map[string]map[uint64]bool // consumer -> live offsets it acknowledged
 }
 
 var _ Log = (*MemLog)(nil)
@@ -95,20 +108,24 @@ var _ Log = (*MemLog)(nil)
 func NewMemLog() *MemLog {
 	return &MemLog{
 		order:     list.New(),
-		entries:   make(map[string]*list.Element),
-		consumers: make(map[string]map[string]bool),
+		byID:      make(map[string]uint64),
+		entries:   make(map[uint64]*list.Element),
+		consumers: make(map[string]map[uint64]bool),
 	}
 }
 
-// Append implements Log.
-func (l *MemLog) Append(e Entry) error {
+// Add implements Log.
+func (l *MemLog) Add(e Entry) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.entries[e.ID]; ok {
-		return nil
+	if off, ok := l.byID[e.ID]; ok {
+		return off, nil
 	}
-	l.entries[e.ID] = l.order.PushBack(e) // the caller's payload, kept (Log)
-	return nil
+	l.last++
+	e.Offset = l.last
+	l.byID[e.ID] = e.Offset
+	l.entries[e.Offset] = l.order.PushBack(e) // the caller's payload, kept (Log)
+	return e.Offset, nil
 }
 
 // RegisterConsumer implements Log.
@@ -116,7 +133,7 @@ func (l *MemLog) RegisterConsumer(id string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.consumers[id]; !ok {
-		l.consumers[id] = make(map[string]bool)
+		l.consumers[id] = make(map[uint64]bool)
 	}
 	return nil
 }
@@ -141,20 +158,29 @@ func (l *MemLog) Consumers() ([]string, error) {
 	return out, nil
 }
 
-// Ack implements Log, and retires the entry if this acknowledgement is
-// the one that completes it (GC's rule, applied when it becomes true).
-// An entry the log does not hold — retired already, or never appended —
-// is nothing to book: a duplicate acknowledgement leaves no trace.
-func (l *MemLog) Ack(consumer, entryID string) error {
+// AckRuns implements Log, and retires each entry whose acknowledgements
+// this one completes (GC's rule, applied when it becomes true). An
+// offset the log does not hold — retired already, or never assigned —
+// is nothing to book: a duplicate acknowledgement leaves no trace, and
+// a run costs what it covers of the live span, whatever it claims.
+func (l *MemLog) AckRuns(consumer string, runs []Run) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	acked, ok := l.consumers[consumer]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownConsumer, consumer)
 	}
-	if _, ok := l.entries[entryID]; ok {
-		acked[entryID] = true
-		l.retireIfAckedByAllLocked(entryID)
+	if l.order.Len() == 0 {
+		return nil
+	}
+	first := l.order.Front().Value.(Entry).Offset
+	for _, r := range runs {
+		for off := max(r.Lo, first); off <= min(r.Hi, l.last); off++ {
+			if _, ok := l.entries[off]; ok {
+				acked[off] = true
+				l.retireIfAckedByAllLocked(off)
+			}
+		}
 	}
 	return nil
 }
@@ -163,19 +189,19 @@ func (l *MemLog) Ack(consumer, entryID string) error {
 // every registered consumer has acknowledged it, and somebody is
 // registered (with nobody registered the log retains everything, for
 // whoever registers next). Its acknowledgements go with it.
-func (l *MemLog) retireIfAckedByAllLocked(id string) bool {
+func (l *MemLog) retireIfAckedByAllLocked(off uint64) bool {
 	for _, acked := range l.consumers {
-		if !acked[id] {
+		if !acked[off] {
 			return false
 		}
 	}
 	if len(l.consumers) == 0 {
 		return false
 	}
-	l.order.Remove(l.entries[id])
-	delete(l.entries, id)
+	delete(l.byID, l.order.Remove(l.entries[off]).(Entry).ID)
+	delete(l.entries, off)
 	for _, acked := range l.consumers {
-		delete(acked, id)
+		delete(acked, off)
 	}
 	return true
 }
@@ -190,22 +216,22 @@ func (l *MemLog) Pending(consumer string) ([]Entry, error) {
 	}
 	var out []Entry
 	for el := l.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(Entry); !acked[e.ID] {
+		if e := el.Value.(Entry); !acked[e.Offset] {
 			out = append(out, e)
 		}
 	}
 	return out, nil
 }
 
-// GC implements Log. Ack has retired what an acknowledgement completed;
-// left for GC is what an UnregisterConsumer made eligible.
+// GC implements Log. AckRuns has retired what an acknowledgement
+// completed; left for GC is what an UnregisterConsumer made eligible.
 func (l *MemLog) GC() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	dropped := 0
 	for el := l.order.Front(); el != nil; {
 		next := el.Next() // retiring el unlinks it
-		if l.retireIfAckedByAllLocked(el.Value.(Entry).ID) {
+		if l.retireIfAckedByAllLocked(el.Value.(Entry).Offset) {
 			dropped++
 		}
 		el = next

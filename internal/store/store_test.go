@@ -34,6 +34,19 @@ func factories() map[string]logFactory {
 	}
 }
 
+// add appends an entry and returns its offset.
+func add(t *testing.T, l Log, e Entry) uint64 {
+	t.Helper()
+	off, err := l.Add(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return off
+}
+
+// one is the run holding off alone.
+func one(off uint64) []Run { return []Run{{Lo: off, Hi: off}} }
+
 func TestLogConformance(t *testing.T) {
 	for name, mk := range factories() {
 		t.Run(name, func(t *testing.T) {
@@ -43,9 +56,11 @@ func TestLogConformance(t *testing.T) {
 				if err := l.RegisterConsumer("c1"); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < 3; i++ {
-					if err := l.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
-						t.Fatal(err)
+				var offs [3]uint64
+				for i := range offs {
+					offs[i] = add(t, l, Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}})
+					if offs[i] == 0 || i > 0 && offs[i] <= offs[i-1] {
+						t.Fatalf("offsets %v; they start above 0 and ascend", offs[:i+1])
 					}
 				}
 				pend, err := l.Pending("c1")
@@ -56,8 +71,8 @@ func TestLogConformance(t *testing.T) {
 					t.Fatalf("pending = %d, want 3", len(pend))
 				}
 				for i, e := range pend {
-					if e.ID != fmt.Sprintf("e%d", i) {
-						t.Errorf("pending[%d] = %q; order must be append order", i, e.ID)
+					if e.ID != fmt.Sprintf("e%d", i) || e.Offset != offs[i] {
+						t.Errorf("pending[%d] = %q at %d; order must be append order, offsets those Add returned (%d)", i, e.ID, e.Offset, offs[i])
 					}
 				}
 			})
@@ -66,8 +81,10 @@ func TestLogConformance(t *testing.T) {
 				l := mk(t)
 				defer l.Close()
 				_ = l.RegisterConsumer("c")
-				_ = l.Append(Entry{ID: "x", Payload: []byte("1")})
-				_ = l.Append(Entry{ID: "x", Payload: []byte("2")})
+				first := add(t, l, Entry{ID: "x", Payload: []byte("1")})
+				if again := add(t, l, Entry{ID: "x", Payload: []byte("2")}); again != first {
+					t.Errorf("the same ID at offsets %d and %d", first, again)
+				}
 				pend, _ := l.Pending("c")
 				if len(pend) != 1 {
 					t.Fatalf("pending = %d, want 1", len(pend))
@@ -81,9 +98,9 @@ func TestLogConformance(t *testing.T) {
 				l := mk(t)
 				defer l.Close()
 				_ = l.RegisterConsumer("c")
-				_ = l.Append(Entry{ID: "a"})
-				_ = l.Append(Entry{ID: "b"})
-				if err := l.Ack("c", "a"); err != nil {
+				a := add(t, l, Entry{ID: "a"})
+				add(t, l, Entry{ID: "b"})
+				if err := l.AckRuns("c", one(a)); err != nil {
 					t.Fatal(err)
 				}
 				pend, _ := l.Pending("c")
@@ -95,7 +112,7 @@ func TestLogConformance(t *testing.T) {
 			t.Run("EntriesOwedToLateConsumers", func(t *testing.T) {
 				l := mk(t)
 				defer l.Close()
-				_ = l.Append(Entry{ID: "before"})
+				add(t, l, Entry{ID: "before"})
 				_ = l.RegisterConsumer("late")
 				pend, err := l.Pending("late")
 				if err != nil {
@@ -112,8 +129,8 @@ func TestLogConformance(t *testing.T) {
 				if _, err := l.Pending("ghost"); !errors.Is(err, ErrUnknownConsumer) {
 					t.Errorf("Pending err = %v", err)
 				}
-				if err := l.Ack("ghost", "x"); !errors.Is(err, ErrUnknownConsumer) {
-					t.Errorf("Ack err = %v", err)
+				if err := l.AckRuns("ghost", one(1)); !errors.Is(err, ErrUnknownConsumer) {
+					t.Errorf("AckRuns err = %v", err)
 				}
 			})
 
@@ -122,9 +139,9 @@ func TestLogConformance(t *testing.T) {
 				defer l.Close()
 				_ = l.RegisterConsumer("c1")
 				_ = l.RegisterConsumer("c2")
-				_ = l.Append(Entry{ID: "a"})
-				_ = l.Append(Entry{ID: "b"})
-				_ = l.Ack("c1", "a")
+				a := add(t, l, Entry{ID: "a"})
+				add(t, l, Entry{ID: "b"})
+				_ = l.AckRuns("c1", one(a))
 				n, err := l.GC()
 				if err != nil {
 					t.Fatal(err)
@@ -134,7 +151,7 @@ func TestLogConformance(t *testing.T) {
 				}
 				// A log retires a at this acknowledgement or at the GC
 				// after it: either way it is gone once GC has run.
-				_ = l.Ack("c2", "a")
+				_ = l.AckRuns("c2", one(a))
 				if _, err = l.GC(); err != nil {
 					t.Fatal(err)
 				}
@@ -152,9 +169,9 @@ func TestLogConformance(t *testing.T) {
 				defer l.Close()
 				_ = l.RegisterConsumer("stays")
 				_ = l.RegisterConsumer("leaves")
-				_ = l.Append(Entry{ID: "a"})
-				_ = l.Append(Entry{ID: "b"})
-				_ = l.Ack("stays", "a")
+				a := add(t, l, Entry{ID: "a"})
+				add(t, l, Entry{ID: "b"})
+				_ = l.AckRuns("stays", one(a))
 				_ = l.UnregisterConsumer("leaves")
 				// No acknowledgement completed a: only GC can retire it.
 				n, err := l.GC()
@@ -169,7 +186,7 @@ func TestLogConformance(t *testing.T) {
 			t.Run("GCWithNoConsumersRetains", func(t *testing.T) {
 				l := mk(t)
 				defer l.Close()
-				_ = l.Append(Entry{ID: "a"})
+				add(t, l, Entry{ID: "a"})
 				n, err := l.GC()
 				if err != nil {
 					t.Fatal(err)
@@ -203,6 +220,57 @@ func TestLogConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("AckRuns", func(t *testing.T) {
+				l := mk(t)
+				defer l.Close()
+				_ = l.RegisterConsumer("c")
+				_ = l.RegisterConsumer("other") // acknowledges nothing: every entry stays held
+				var offs [10]uint64
+				for i := range offs {
+					offs[i] = add(t, l, Entry{ID: fmt.Sprintf("e%d", i)})
+				}
+				owed := func() (ids string) {
+					t.Helper()
+					pend, err := l.Pending("c")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range pend {
+						ids += e.ID[1:]
+					}
+					return ids
+				}
+				last := offs[9]
+				for _, step := range []struct {
+					what string
+					runs []Run
+					want string
+				}{
+					{"no run", nil, "0123456789"},
+					{"two runs in one call", []Run{{offs[1], offs[2]}, {offs[5], offs[5]}}, "0346789"},
+					{"the same again", []Run{{offs[1], offs[2]}, {offs[5], offs[5]}}, "0346789"},
+					{"overlapping what is acknowledged and each other", []Run{{offs[2], offs[4]}, {offs[3], offs[6]}}, "0789"},
+					{"descending in the call", []Run{{offs[8], offs[8]}, {offs[0], offs[0]}}, "79"},
+					{"wholly beyond the last offset", []Run{{last + 1, last + 1000}, {^uint64(0), ^uint64(0)}}, "79"},
+					{"below the first offset and inverted", []Run{{0, 0}, {offs[9], offs[7]}}, "79"},
+					{"from inside to far beyond the last offset", []Run{{offs[9], ^uint64(0)}}, "7"},
+					{"everything there could ever be", []Run{{0, ^uint64(0)}}, ""},
+				} {
+					if err := l.AckRuns("c", step.runs); err != nil {
+						t.Fatalf("%s: %v", step.what, err)
+					}
+					if got := owed(); got != step.want {
+						t.Fatalf("after %s: owed %q, want %q", step.what, got, step.want)
+					}
+				}
+				// What was acknowledged beyond the last offset was ignored,
+				// not remembered: the next entry is owed.
+				add(t, l, Entry{ID: "e10"})
+				if got := owed(); got != "10" {
+					t.Fatalf("an entry added after a run that reached past the end: owed %q, want it", got)
+				}
+			})
+
 			t.Run("ConcurrentAppendAck", func(t *testing.T) {
 				l := mk(t)
 				defer l.Close()
@@ -214,10 +282,11 @@ func TestLogConformance(t *testing.T) {
 						defer wg.Done()
 						for i := 0; i < 25; i++ {
 							id := fmt.Sprintf("g%d-%d", g, i)
-							if err := l.Append(Entry{ID: id}); err != nil {
-								t.Errorf("append: %v", err)
+							off, err := l.Add(Entry{ID: id})
+							if err != nil {
+								t.Errorf("add: %v", err)
 							}
-							if err := l.Ack("c", id); err != nil {
+							if err := l.AckRuns("c", one(off)); err != nil {
 								t.Errorf("ack: %v", err)
 							}
 						}
@@ -234,7 +303,8 @@ func TestLogConformance(t *testing.T) {
 
 	// One script over both, compared: MemLog is the oracle for the
 	// tolerances the cases above do not spell out (repeated
-	// registration, an acknowledgement of an entry never appended).
+	// registration, an acknowledgement of an offset never assigned) and
+	// for the offsets themselves.
 	t.Run("OutboxMatchesMemLog", func(t *testing.T) {
 		mem, o := factories()["MemLog"](t), factories()["Outbox"](t)
 		defer o.Close()
@@ -245,23 +315,22 @@ func TestLogConformance(t *testing.T) {
 			if err := l.RegisterConsumer("sub-a"); err != nil { // idempotent
 				t.Fatal(err)
 			}
-			for i := range 5 {
+			var offs [5]uint64
+			for i := range offs {
 				e := Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}
-				if err := l.Append(e); err != nil {
-					t.Fatal(err)
-				}
-				if err := l.Append(e); err != nil { // idempotent
-					t.Fatal(err)
+				offs[i] = add(t, l, e)
+				if again := add(t, l, e); again != offs[i] { // idempotent
+					t.Fatalf("e%d at offsets %d and %d", i, offs[i], again)
 				}
 			}
-			if err := l.Ack("sub-a", "e1"); err != nil {
+			if err := l.AckRuns("sub-a", one(offs[1])); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Ack("sub-a", "never-appended"); err != nil { // tolerated
+			if err := l.AckRuns("sub-a", []Run{{offs[3], offs[4] + 7}}); err != nil { // beyond the end: tolerated
 				t.Fatal(err)
 			}
-			if err := l.Ack("ghost", "e1"); !errors.Is(err, ErrUnknownConsumer) {
-				t.Fatalf("Ack unknown consumer: %v", err)
+			if err := l.AckRuns("ghost", one(offs[1])); !errors.Is(err, ErrUnknownConsumer) {
+				t.Fatalf("AckRuns unknown consumer: %v", err)
 			}
 			if _, err := l.Pending("ghost"); !errors.Is(err, ErrUnknownConsumer) {
 				t.Fatalf("Pending unknown consumer: %v", err)
@@ -279,8 +348,8 @@ func TestLogConformance(t *testing.T) {
 			t.Fatalf("pending: outbox %d, memlog %d", len(op), len(mp))
 		}
 		for i := range op {
-			if op[i].ID != mp[i].ID {
-				t.Fatalf("pending[%d]: outbox %q, memlog %q", i, op[i].ID, mp[i].ID)
+			if op[i].ID != mp[i].ID || op[i].Offset != mp[i].Offset {
+				t.Fatalf("pending[%d]: outbox %q at %d, memlog %q at %d", i, op[i].ID, op[i].Offset, mp[i].ID, mp[i].Offset)
 			}
 		}
 	})
@@ -295,13 +364,13 @@ func TestMemLogHoldsWhatIsUnacknowledged(t *testing.T) {
 	_ = l.RegisterConsumer("c1")
 	_ = l.RegisterConsumer("c2")
 	const n = 1000
+	var offs [n]uint64
 	for i := range n {
-		id := fmt.Sprintf("e%d", i)
-		_ = l.Append(Entry{ID: id})
-		_ = l.Ack("c1", id)
+		offs[i], _ = l.Add(Entry{ID: fmt.Sprintf("e%d", i)})
+		_ = l.AckRuns("c1", one(offs[i]))
 		if i%2 == 1 { // c2 lags one behind, out of order
-			_ = l.Ack("c2", id)
-			_ = l.Ack("c2", fmt.Sprintf("e%d", i-1))
+			_ = l.AckRuns("c2", one(offs[i]))
+			_ = l.AckRuns("c2", one(offs[i-1]))
 		}
 		if l.Len() > 2 {
 			t.Fatalf("log holds %d entries with at most 2 unacknowledged", l.Len())
@@ -310,8 +379,10 @@ func TestMemLogHoldsWhatIsUnacknowledged(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("log holds %d entries after every acknowledgement", l.Len())
 	}
-	_ = l.Ack("c1", "e7") // a duplicate acknowledgement, after retirement
-	_ = l.Append(Entry{ID: "e7"})
+	_ = l.AckRuns("c1", one(offs[7])) // a duplicate acknowledgement, after retirement
+	if again, _ := l.Add(Entry{ID: "e7"}); again <= offs[n-1] {
+		t.Fatalf("e7 appended again at offset %d, which the log has assigned before", again)
+	}
 	for _, c := range []string{"c1", "c2"} {
 		if pend, _ := l.Pending(c); len(pend) != 1 || pend[0].ID != "e7" {
 			t.Fatalf("%s is owed %v after e7 was appended again, want e7 once", c, pend)
