@@ -39,8 +39,8 @@
 // subscription; a dispatch under way, and deliveries already handed to
 // the subscription's executor, may still run the handler. A caller that
 // needs a cut waits for the lanes to drain (Domain.LaneStats: every
-// Queued zero and the Enqueued total equal to Stats().EventsIn) before
-// it toggles.
+// Queued zero, which covers a lane's queue and its loan buffers, and
+// the Enqueued total equal to Stats().EventsIn) before it toggles.
 //
 // # Thread semantics
 //
@@ -331,18 +331,32 @@
 // # Overload and flow control
 //
 // Inbound dispatch degrades gracefully instead of growing without
-// bound. WithLaneQueueBound caps every dispatch lane's in-memory
-// queue, and WithOverloadPolicy selects what a full lane does:
+// bound. WithLaneQueueBound caps what every dispatch lane holds in
+// memory, and WithOverloadPolicy selects what a full lane does:
 // OverloadBlock (the default) applies backpressure to the intake,
-// OverloadDropOldest sheds the oldest queued envelope with a counted
-// reason, and OverloadSpill overflows to a per-lane durable segment
-// log (requires WithDurability) that drains back — in order — once
-// the lane catches up, so bursts cost latency rather than loss.
+// OverloadDropOldest sheds the oldest envelope the lane holds with a
+// counted reason, and OverloadSpill overflows to a per-lane durable
+// segment log (requires WithDurability) that drains back — in order —
+// once the lane catches up, so bursts cost latency rather than loss.
 // FIFO-ordered traffic dispatches on per-publisher parallel sub-lanes
 // (only causal, total and prioritary classes serialize), and idle
 // lanes steal whole-publisher batches from overloaded siblings
 // through a loan protocol that preserves each publisher's delivery
 // order exactly.
+//
+// What the bound bounds is everything the lane owes: its queue plus
+// the arrivals of publishers on loan, which wait in the lane's loan
+// buffers for the thief to come back. That sum is LaneStat.Queued, it
+// is what a blocked intake waits on and what DropOldest sheds from
+// (the queue first), and above it a lane has only the one batch a
+// thief holds in hand, already in dispatch. A lane under OverloadSpill
+// is not stolen from: a loaned publisher's overflow could not go to
+// the lane's disk log without the lane refilling it behind the thief's
+// back, a per-publisher reorder. On the serial lane the spill log
+// keeps arrival order and each record's priority, so under Spill a
+// Prioritary obvent overtakes within the in-memory window only: what
+// is on disk waits its turn, whatever its priority. Causal and total
+// arrival order is never affected.
 //
 // One stuck handler cannot stall the rest of the domain:
 // WithSlowConsumerBudget(stall, mailbox) quarantines a subscription

@@ -21,9 +21,13 @@ import (
 // semantics that need a single global arrival order — Causal, Total and
 // Prioritary — share the strictly serial lane:
 //
-//	              ┌► serial lane (priority heap) ── causal/total/prioritary
+//	              ┌► lane{priorityOrder}               ── causal/total/prioritary
 //	deliver ─► route
-//	              └► lane[hash(publisher) % N]  ── FIFO + everything else
+//	              └► lane{arrivalOrder}[hash(pub) % N] ── FIFO + everything else
+//
+// Both are the one lane type below: it owns the lock, the bound, the
+// overload policies, the spill log, the drain loop and the telemetry, and
+// is parameterised only by the order its queue pops in (laneOrder).
 //
 // Routing rules, in order:
 //
@@ -41,19 +45,21 @@ import (
 //     publication ID when there is none), so one publisher's envelopes
 //     always share a lane and per-publisher arrival order stays stable.
 //
-// Every lane queue may be bounded (laneConfig.bound); a full lane
-// applies the engine's OverloadPolicy. Idle parallel lanes steal
-// whole-publisher batches from the hottest sibling (the loan protocol
-// below), so one hot publisher no longer pins one lane while the others
-// sleep.
+// Every lane may be bounded (laneConfig.bound); a full lane applies the
+// engine's OverloadPolicy. Idle parallel lanes steal whole-publisher
+// batches from the hottest sibling (the loan protocol below), so one hot
+// publisher no longer pins one lane while the others sleep. What the
+// bound counts is the lane's occupancy — its queue plus the arrivals
+// waiting in open loan buffers — and occupancyLocked is the one function
+// that knows it.
 //
 // Each lane owns its queue, its dispatchScratch and its dispatchCounters,
 // so lanes never contend on dispatch state; Engine.Stats folds the
 // per-lane counters, Engine.LaneStats exposes them individually.
 
 // OverloadPolicy selects what a bounded dispatch lane does with new
-// arrivals once its queue is full (laneConfig.bound reached). The zero
-// value is OverloadBlock.
+// arrivals once it is full (its occupancy has reached laneConfig.bound).
+// The zero value is OverloadBlock.
 type OverloadPolicy int
 
 const (
@@ -89,8 +95,8 @@ func (p OverloadPolicy) String() string {
 // laneConfig is the per-lane overload configuration, shared by every
 // lane of a laneSet.
 type laneConfig struct {
-	// bound caps each lane's in-memory queue; 0 means unbounded (the
-	// default), and then policy never applies.
+	// bound caps each lane's occupancy (queue plus open loan buffers);
+	// 0 means unbounded (the default), and then policy never applies.
 	bound int
 	// policy is applied by a full lane.
 	policy OverloadPolicy
@@ -126,9 +132,12 @@ type LaneStat struct {
 	Serial bool
 	// Enqueued counts envelopes ever routed to this lane.
 	Enqueued uint64
-	// Queued is the instantaneous in-memory backlog length.
+	// Queued is the lane's instantaneous occupancy: everything it owes in
+	// memory, its queue plus the arrivals waiting in open loan buffers
+	// (publishers a thief lane is draining). It is what Bound bounds; an
+	// envelope a thief has in hand is in dispatch, not queued.
 	Queued int
-	// Bound is the lane's queue bound (0 = unbounded).
+	// Bound is the lane's occupancy bound (0 = unbounded).
 	Bound int
 	// Policy is the lane's overload policy (meaningful when Bound > 0).
 	Policy OverloadPolicy
@@ -139,13 +148,13 @@ type LaneStat struct {
 	Stats DispatchStats
 }
 
-// laneSet is the engine's dispatcher: one serial priority lane plus N
-// parallel FIFO lanes.
+// laneSet is the engine's dispatcher: one serial priority-ordered lane
+// plus N parallel arrival-ordered lanes.
 type laneSet struct {
 	reg    *obvent.Registry
 	cfg    laneConfig
-	serial *priorityInbox
-	par    []*fifoLane
+	serial *lane
+	par    []*lane
 }
 
 func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, cfg laneConfig) *laneSet {
@@ -162,19 +171,17 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 		cfg.logger.Warn("overload policy spill without a spill directory; degrading to drop-oldest")
 		cfg.policy = OverloadDropOldest
 	}
-	ls := &laneSet{
-		reg:    reg,
-		cfg:    cfg,
-		serial: newPriorityInbox(dispatch, tele, cfg),
-		par:    make([]*fifoLane, n),
-	}
+	ls := &laneSet{reg: reg, cfg: cfg, par: make([]*lane, n)}
+	// The serial lane owns gauge (and spill directory) 0 and has no
+	// siblings: it neither steals nor lends.
+	ls.serial = newLane(priorityOrder, dispatch, tele, 0, cfg, nil)
 	for i := range ls.par {
-		// Gauge index i+1: the serial lane owns gauge 0.
-		ls.par[i] = makeFifoLane(dispatch, tele, i+1, cfg, ls)
+		ls.par[i] = newLane(arrivalOrder, dispatch, tele, i+1, cfg, ls)
 	}
 	// Start the loops only once every sibling is in par: an idle lane's
 	// first act is a steal scan over set.par, which must never observe
 	// the slice mid-construction.
+	ls.serial.start()
 	for _, l := range ls.par {
 		l.start()
 	}
@@ -189,11 +196,11 @@ func (ls *laneSet) route(env *codec.Envelope) {
 		if env.HasPriority {
 			prio = env.Priority
 		}
-		ls.serial.push(env, prio)
+		ls.serial.push(env, "", prio)
 		return
 	}
 	key := laneKey(env)
-	ls.par[laneIndex(key, len(ls.par))].push(env, key)
+	ls.par[laneIndex(key, len(ls.par))].push(env, key, 0)
 }
 
 // routeSerial is the semantics-aware routing decision. It costs two
@@ -225,11 +232,6 @@ func laneKey(env *codec.Envelope) string {
 	return env.ID
 }
 
-// laneFor returns the parallel lane an envelope hashes onto.
-func (ls *laneSet) laneFor(env *codec.Envelope) int {
-	return laneIndex(laneKey(env), len(ls.par))
-}
-
 // laneIndex hashes a publisher key onto a parallel lane: one publisher's
 // envelopes always share a lane, keeping per-publisher arrival order
 // stable. FNV-1a, inlined to stay allocation-free.
@@ -254,26 +256,9 @@ func (ls *laneSet) stats() DispatchStats {
 // laneStats snapshots each lane individually, serial lane first.
 func (ls *laneSet) laneStats() []LaneStat {
 	out := make([]LaneStat, 0, len(ls.par)+1)
-	out = append(out, LaneStat{
-		Lane:         -1,
-		Serial:       true,
-		Enqueued:     ls.serial.st.enqueued.Load(),
-		Queued:       ls.serial.queued(),
-		Bound:        ls.cfg.bound,
-		Policy:       ls.cfg.policy,
-		SpillBacklog: ls.serial.spillBacklog(),
-		Stats:        ls.serial.st.counters.snapshot(),
-	})
+	out = append(out, ls.serial.stat(-1))
 	for i, l := range ls.par {
-		out = append(out, LaneStat{
-			Lane:         i,
-			Enqueued:     l.st.enqueued.Load(),
-			Queued:       l.queued(),
-			Bound:        ls.cfg.bound,
-			Policy:       ls.cfg.policy,
-			SpillBacklog: l.spillBacklog(),
-			Stats:        l.st.counters.snapshot(),
-		})
+		out = append(out, l.stat(i))
 	}
 	return out
 }
@@ -282,31 +267,126 @@ func (ls *laneSet) laneStats() []LaneStat {
 // spill backlog) first.
 func (ls *laneSet) close() {
 	var wg sync.WaitGroup
-	wg.Add(1 + len(ls.par))
-	go func() {
-		defer wg.Done()
-		ls.serial.close()
-	}()
-	for _, l := range ls.par {
-		go func(l *fifoLane) {
+	for _, l := range append([]*lane{ls.serial}, ls.par...) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
 			l.close()
-		}(l)
+		}()
 	}
 	wg.Wait()
 }
 
 // laneItem is one queued envelope plus its publisher key (for
-// per-publisher stealing) and its telemetry enqueue timestamp (0 when
-// telemetry is off at enqueue time). The timestamp rides the queue,
-// never the envelope: the same *Envelope may be routed concurrently many
-// times (loopback fan-in, benchmarks), so envelopes must stay immutable
-// through the dispatcher — which is also what lets the spill path
-// re-encode them safely.
+// per-publisher stealing), its priority and arrival sequence (the
+// priority order's sort key; the sequence also finds the oldest item to
+// shed) and its telemetry enqueue timestamp (0 when telemetry is off at
+// enqueue time). All of it rides the queue, never the envelope: the same
+// *Envelope may be routed concurrently many times (loopback fan-in,
+// benchmarks), so envelopes must stay immutable through the dispatcher —
+// which is also what lets the spill path re-encode them safely.
 type laneItem struct {
-	env *codec.Envelope
-	pub string
-	enq int64
+	env  *codec.Envelope
+	pub  string
+	prio int
+	seq  uint64
+	enq  int64
+}
+
+// laneOrder is a lane's one parameter: the order its queue pops in.
+type laneOrder int
+
+const (
+	// arrivalOrder pops oldest first, off a ring: a publisher-hashed
+	// parallel lane.
+	arrivalOrder laneOrder = iota
+	// priorityOrder pops the highest priority first and in arrival order
+	// among equals, off the heap of inbox.go: the serial lane.
+	priorityOrder
+)
+
+// laneShrinkMin is the queue capacity below which lanes never bother
+// shrinking their backing arrays: reclaiming a few hundred pointers is
+// not worth the copy, and a small warm buffer avoids re-growing under
+// ordinary jitter.
+const laneShrinkMin = 64
+
+// laneQueue is a lane's in-memory queue in either order, over one
+// []laneItem so that nothing is boxed on the way in or out.
+type laneQueue struct {
+	order laneOrder
+	items []laneItem
+	head  int // arrivalOrder: index of the next item to pop; a heap keeps 0
+}
+
+func (q *laneQueue) len() int { return len(q.items) - q.head }
+
+func (q *laneQueue) push(item laneItem) {
+	q.items = append(q.items, item)
+	if q.order == priorityOrder {
+		heapUp(q.items, len(q.items)-1)
+	}
+}
+
+// pop removes the next item in the queue's order.
+func (q *laneQueue) pop() (item laneItem) {
+	if q.order == priorityOrder {
+		q.items, item = heapRemove(q.items, 0)
+	} else {
+		item = q.items[q.head]
+		q.items[q.head] = laneItem{}
+		q.head++
+	}
+	q.compact()
+	return item
+}
+
+// dropOldest removes the earliest arrival whatever its priority: the
+// ring's head, or the heap's minimum sequence — an O(n) scan, but only
+// DropOldest at the overload boundary asks, never the steady state.
+func (q *laneQueue) dropOldest() {
+	if q.order == arrivalOrder {
+		q.pop()
+		return
+	}
+	oldest := 0
+	for i := range q.items {
+		if q.items[i].seq < q.items[oldest].seq {
+			oldest = i
+		}
+	}
+	q.items, _ = heapRemove(q.items, oldest)
+}
+
+// compact keeps the queue's memory proportional to its live backlog.
+// Without it, append would grow a ring forever (head only advances) and
+// a one-time burst would pin its high-water array for the engine's
+// lifetime. A straight copy preserves the heap invariant.
+func (q *laneQueue) compact() {
+	live := q.len()
+	switch {
+	case live == 0:
+		// Empty: restart at the front; release a burst-sized array.
+		if cap(q.items) > laneShrinkMin {
+			q.items = nil
+		} else {
+			q.items = q.items[:0]
+		}
+		q.head = 0
+	case cap(q.items) > laneShrinkMin && cap(q.items) > 4*live:
+		// Backlog occupies under a quarter of the array: right-size it.
+		shrunk := make([]laneItem, live)
+		copy(shrunk, q.items[q.head:])
+		q.items = shrunk
+		q.head = 0
+	case q.head >= laneShrinkMin && 2*q.head >= len(q.items):
+		// Mostly dead prefix: slide the live tail down in place so
+		// append reuses the front instead of growing.
+		copy(q.items, q.items[q.head:])
+		clear(q.items[live:])
+		q.items = q.items[:live]
+		q.head = 0
+	}
 }
 
 // pubLoan is one publisher's backlog on loan to a thief lane: while the
@@ -326,21 +406,21 @@ const stealMinBacklog = 8
 // into memory.
 const spillDrainBatch = 64
 
-// fifoLane is one parallel dispatch lane: a single goroutine draining a
-// FIFO queue in arrival order. The queue may be bounded (laneConfig);
-// an idle lane steals whole-publisher batches from the hottest sibling.
-type fifoLane struct {
+// lane is one dispatch lane: a single goroutine draining a bounded queue
+// in the lane's order. A full lane applies its overload policy; an idle
+// parallel lane steals whole-publisher batches from the hottest sibling.
+type lane struct {
 	dispatch func(*codec.Envelope, *laneState)
 	tele     *telemetry.Plane
-	gauge    int // telemetry occupancy-gauge index (serial lane = 0)
+	gauge    int // telemetry gauge, histogram shard and spill directory index
 	cfg      laneConfig
-	set      *laneSet // sibling access for work-stealing (nil in tests)
+	set      *laneSet // sibling access for work-stealing (nil: serial lane, tests)
 
 	mu      sync.Mutex
 	cond    *sync.Cond // work available (lane goroutine waits here)
 	notFull *sync.Cond // space available (OverloadBlock pushers wait here)
-	queue   []laneItem
-	head    int // index of the next envelope to pop
+	q       laneQueue
+	nextSeq uint64
 	closed  bool
 	wg      sync.WaitGroup
 
@@ -357,29 +437,36 @@ type fifoLane struct {
 	st laneState
 }
 
-func newFifoLane(dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, gauge int, cfg laneConfig, set *laneSet) *fifoLane {
-	l := makeFifoLane(dispatch, tele, gauge, cfg, set)
-	l.start()
-	return l
-}
-
-// makeFifoLane constructs a lane without starting its goroutine;
-// newLaneSet starts all lanes only after par is fully populated so a
-// thief's steal scan never races the set's construction.
-func makeFifoLane(dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, gauge int, cfg laneConfig, set *laneSet) *fifoLane {
-	l := &fifoLane{dispatch: dispatch, tele: tele, gauge: gauge, cfg: cfg, set: set}
+// newLane constructs a lane without starting its goroutine; newLaneSet
+// starts all lanes only after par is fully populated so a thief's steal
+// scan never races the set's construction.
+func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, gauge int, cfg laneConfig, set *laneSet) *lane {
+	l := &lane{dispatch: dispatch, tele: tele, gauge: gauge, cfg: cfg, set: set}
+	l.q.order = order
 	l.cond = sync.NewCond(&l.mu)
 	l.notFull = sync.NewCond(&l.mu)
 	l.spill.init(cfg, gauge)
 	return l
 }
 
-func (l *fifoLane) start() {
+func (l *lane) start() {
 	l.wg.Add(1)
 	go l.loop()
 }
 
-func (l *fifoLane) push(env *codec.Envelope, pub string) {
+// occupancyLocked is what the lane owes in memory, and what its bound
+// bounds: the queue plus every arrival waiting in an open loan buffer.
+// A loan moves a publisher's backlog to a thief, not off the books — the
+// buffer behind it fills exactly as the queue would have.
+func (l *lane) occupancyLocked() int {
+	n := l.q.len()
+	for _, lo := range l.loans {
+		n += len(lo.buf)
+	}
+	return n
+}
+
+func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 	var enq int64
 	if l.tele.Enabled() {
 		enq = telemetry.Now()
@@ -390,60 +477,56 @@ func (l *fifoLane) push(env *codec.Envelope, pub string) {
 		return
 	}
 	l.st.enqueued.Add(1)
-	item := laneItem{env: env, pub: pub, enq: enq}
-	// The routing decision re-runs from the top after every Block wait:
-	// while the pusher was parked a thief may have put this publisher on
-	// loan (its extraction is what frees the space and wakes us), and
-	// appending to the queue then would let the victim dispatch this item
-	// after the thief delivers later ones — a per-publisher reorder.
-	for {
-		// A publisher on loan: its backlog belongs to the thief until the
-		// loan closes. Appending to the loan buffer (never the queue)
-		// keeps per-publisher order — the thief drains it before
-		// returning.
-		if lo, ok := l.loans[pub]; ok {
-			lo.buf = append(lo.buf, item)
-			l.mu.Unlock()
-			return
-		}
-		// Spill mode is sticky: while a disk backlog exists it is older
-		// than any new arrival, so arrivals keep spilling until it fully
-		// drains.
-		if l.spill.count > 0 {
-			l.spillItem(item)
-			l.cond.Signal()
-			l.mu.Unlock()
-			return
-		}
-		if l.cfg.bound <= 0 || len(l.queue)-l.head < l.cfg.bound {
+	item := laneItem{env: env, pub: pub, prio: prio, enq: enq}
+	// Admission re-runs from the top after every Block wait: what freed
+	// the space may have been a thief putting this publisher on loan, and
+	// the item must then follow the loan, not the queue.
+	for l.cfg.bound > 0 {
+		// Spill mode is sticky: while a disk backlog exists (only the
+		// Spill policy makes one) it is older than any new arrival, so
+		// arrivals keep spilling until it fully drains.
+		if l.spill.count == 0 && l.occupancyLocked() < l.cfg.bound {
 			break
 		}
-		switch l.cfg.policy {
-		case OverloadDropOldest:
-			l.shedOldestLocked()
-		case OverloadSpill:
-			l.spillItem(item)
+		if l.cfg.policy == OverloadSpill {
+			if l.spill.append(env, prio) {
+				l.st.counters.spilled.Add(1)
+			} else {
+				// A spill failure degrades to a counted shed — the lane
+				// must keep draining even with a broken disk.
+				l.noteShed()
+			}
 			l.cond.Signal()
 			l.mu.Unlock()
 			return
-		default: // OverloadBlock
-			for !l.closed && len(l.queue)-l.head >= l.cfg.bound {
-				l.notFull.Wait()
-			}
-			if l.closed {
-				l.mu.Unlock()
-				return
-			}
-			continue
 		}
-		break
+		if l.cfg.policy == OverloadDropOldest {
+			l.shedOldestLocked()
+			break
+		}
+		l.notFull.Wait() // OverloadBlock
+		if l.closed {
+			l.mu.Unlock()
+			return
+		}
 	}
-	l.queue = append(l.queue, item)
+	l.nextSeq++
+	item.seq = l.nextSeq
+	// A publisher on loan: its backlog belongs to the thief until the loan
+	// closes. Appending to the loan buffer (never the queue, which the
+	// victim would dispatch after the thief delivers later ones) keeps
+	// per-publisher order — the thief drains it before returning.
+	if lo, ok := l.loans[pub]; ok {
+		lo.buf = append(lo.buf, item)
+		l.mu.Unlock()
+		return
+	}
+	l.q.push(item)
 	l.cond.Signal()
 	// A backlog crossing (or re-crossing) the steal threshold means this
 	// lane is hot while a sibling may be parked: wake one idle thief.
 	// The wake runs after releasing our own lock — lane locks never nest.
-	backlog := len(l.queue) - l.head
+	backlog := l.q.len()
 	wake := l.set != nil && backlog >= stealMinBacklog && backlog%stealMinBacklog == 0
 	l.mu.Unlock()
 	if wake {
@@ -451,53 +534,57 @@ func (l *fifoLane) push(env *codec.Envelope, pub string) {
 	}
 }
 
-// shedOldestLocked drops the oldest queued envelope (OverloadDropOldest).
-func (l *fifoLane) shedOldestLocked() {
-	item := l.queue[l.head]
-	l.queue[l.head] = laneItem{}
-	l.head++
-	l.noteShed(item.env)
+// shedOldestLocked drops the oldest envelope the lane owes
+// (OverloadDropOldest): the queue's, and with the queue empty the oldest
+// waiting in a loan buffer. Only a full lane sheds, so one of the two is
+// there. Losing the front of a buffer leaves a gap in that publisher's
+// sequence, never a reorder.
+func (l *lane) shedOldestLocked() {
+	if l.q.len() > 0 {
+		l.q.dropOldest()
+	} else {
+		var oldest *pubLoan
+		for _, lo := range l.loans {
+			if len(lo.buf) > 0 && (oldest == nil || lo.buf[0].seq < oldest.buf[0].seq) {
+				oldest = lo
+			}
+		}
+		oldest.buf[0] = laneItem{}
+		oldest.buf = oldest.buf[1:]
+	}
+	l.noteShed()
 }
 
 // noteShed counts one shed envelope in the lane counters and the
 // telemetry drop map. It runs under l.mu, so it must not invoke user
 // hooks (a trace hook calling back into LaneStats would deadlock).
-func (l *fifoLane) noteShed(env *codec.Envelope) {
+func (l *lane) noteShed() {
 	l.st.counters.shed.Add(1)
 	l.tele.Drop(telemetry.ReasonOverloadShed)
 }
 
-// spillItem appends one envelope to the lane's overflow segment log
-// (caller holds mu). A spill failure degrades to a counted shed — the
-// lane must keep draining even with a broken disk.
-func (l *fifoLane) spillItem(item laneItem) {
-	if l.spill.append(item.env, 0) {
-		l.st.counters.spilled.Add(1)
-	} else {
-		l.noteShed(item.env)
+// stat snapshots the lane for Engine.LaneStats; idx is its LaneStat.Lane.
+func (l *lane) stat(idx int) LaneStat {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return LaneStat{
+		Lane:         idx,
+		Serial:       l.q.order == priorityOrder,
+		Enqueued:     l.st.enqueued.Load(),
+		Queued:       l.occupancyLocked(),
+		Bound:        l.cfg.bound,
+		Policy:       l.cfg.policy,
+		SpillBacklog: l.spill.count,
+		Stats:        l.st.counters.snapshot(),
 	}
 }
 
-// queued returns the instantaneous in-memory backlog length.
-func (l *fifoLane) queued() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue) - l.head
-}
-
-// spillBacklog returns the number of spilled, not-yet-drained envelopes.
-func (l *fifoLane) spillBacklog() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.spill.count
-}
-
-func (l *fifoLane) loop() {
+func (l *lane) loop() {
 	defer l.wg.Done()
 	for {
 		l.mu.Lock()
 		l.busyPub = ""
-		for l.head == len(l.queue) {
+		for l.q.len() == 0 {
 			if l.spill.count > 0 {
 				// Refill from the spill backlog before anything newer:
 				// spilled records are older than every queued arrival.
@@ -513,12 +600,9 @@ func (l *fifoLane) loop() {
 			}
 			l.cond.Wait()
 		}
-		item := l.queue[l.head]
-		l.queue[l.head] = laneItem{}
-		l.head++
-		l.compactLocked()
+		item := l.q.pop()
 		l.busyPub = item.pub
-		backlog := len(l.queue) - l.head
+		backlog := l.q.len()
 		l.notFull.Signal()
 		l.mu.Unlock()
 		l.runItem(item, backlog)
@@ -527,7 +611,7 @@ func (l *fifoLane) loop() {
 
 // runItem records the queue-wait telemetry for one envelope and
 // dispatches it on this lane's private state.
-func (l *fifoLane) runItem(item laneItem, backlog int) {
+func (l *lane) runItem(item laneItem, backlog int) {
 	l.st.deq = 0
 	if item.enq != 0 {
 		// lane_wait closes on dequeue; the dequeue timestamp is
@@ -542,12 +626,14 @@ func (l *fifoLane) runItem(item laneItem, backlog int) {
 }
 
 // refillFromSpillLocked moves up to spillDrainBatch spilled records back
-// into the in-memory queue (caller holds mu; the segment log is
-// internally synchronized, so concurrent drains by a blocked pusher are
-// impossible but concurrent appends would be safe).
-func (l *fifoLane) refillFromSpillLocked() {
+// into the in-memory queue (caller holds mu), re-sequencing them in spill
+// (arrival) order with the priority each record carries. Spill therefore
+// preserves arrival order, and priority overtaking applies within the
+// in-memory window only: a degradation of Prioritary under overload,
+// never of Causal/Total arrival order.
+func (l *lane) refillFromSpillLocked() {
 	l.spill.drain(func(data []byte) {
-		env, _, err := unmarshalSpill(data)
+		env, prio, err := unmarshalSpill(data)
 		if err != nil {
 			l.st.counters.decodeErrors.Add(1)
 			l.tele.Drop(telemetry.ReasonDecodeError)
@@ -557,7 +643,8 @@ func (l *fifoLane) refillFromSpillLocked() {
 		if l.tele.Enabled() {
 			enq = telemetry.Now()
 		}
-		l.queue = append(l.queue, laneItem{env: env, pub: laneKey(env), enq: enq})
+		l.nextSeq++
+		l.q.push(laneItem{env: env, pub: laneKey(env), prio: prio, seq: l.nextSeq, enq: enq})
 	})
 	l.st.counters.spillDrained.Add(uint64(l.spill.lastDrained))
 	if l.spill.count == 0 {
@@ -570,13 +657,13 @@ func (l *fifoLane) refillFromSpillLocked() {
 // wakeThief signals the first idle parallel lane other than hot, so a
 // parked sibling gets a chance to steal hot's backlog. Called with no
 // lane lock held.
-func (ls *laneSet) wakeThief(hot *fifoLane) {
+func (ls *laneSet) wakeThief(hot *lane) {
 	for _, s := range ls.par {
 		if s == hot {
 			continue
 		}
 		s.mu.Lock()
-		idle := s.head == len(s.queue) && s.spill.count == 0 && !s.closed
+		idle := s.q.len() == 0 && s.spill.count == 0 && !s.closed
 		if idle {
 			s.cond.Signal()
 		}
@@ -593,17 +680,18 @@ func (ls *laneSet) wakeThief(hot *fifoLane) {
 // re-acquires the lock. Returns true when any work was done (caller
 // re-checks its queue), false when there was nothing to steal (caller
 // may sleep).
-func (l *fifoLane) stealLocked() bool {
+func (l *lane) stealLocked() bool {
 	l.mu.Unlock()
 	stole := l.stealCycle()
 	l.mu.Lock()
-	return stole || l.head < len(l.queue) || l.spill.count > 0 || l.closed
+	return stole || l.q.len() > 0 || l.spill.count > 0 || l.closed
 }
 
 // stealCycle performs one complete loan: pick a victim and publisher,
 // extract the publisher's queued batch, dispatch it here, then drain any
-// arrivals that accumulated in the loan buffer until it runs dry.
-func (l *fifoLane) stealCycle() bool {
+// arrivals that accumulated in the loan buffer until it runs dry. The
+// batch in hand is the one thing a bounded victim owes above its bound.
+func (l *lane) stealCycle() bool {
 	victim, pub, batch := l.stealBatch()
 	if victim == nil {
 		return false
@@ -622,23 +710,36 @@ func (l *fifoLane) stealCycle() bool {
 			return true
 		}
 		batch, lo.buf = lo.buf, nil
+		// Taking the buffer lowered the victim's occupancy.
+		victim.notFull.Broadcast()
 		victim.mu.Unlock()
 	}
 }
 
-// stealBatch picks the sibling with the largest backlog and extracts
+// stealBatch picks the sibling with the longest queue and extracts
 // every queued envelope of its hottest stealable publisher, installing
 // a loan so later arrivals for that publisher follow the batch instead
 // of racing it. Lock discipline: only the victim's mu is held — lane
 // locks never nest, so steals cannot deadlock.
-func (l *fifoLane) stealBatch() (victim *fifoLane, pub string, batch []laneItem) {
-	var best *fifoLane
+func (l *lane) stealBatch() (victim *lane, pub string, batch []laneItem) {
+	if l.cfg.bound > 0 && l.cfg.policy == OverloadSpill {
+		// A Spill-policy lane (the set shares one config) lends nothing:
+		// a loaned publisher's overflow could not go to the victim's disk
+		// log, which the victim refills and dispatches itself, without a
+		// per-publisher reorder — and a backlog already on disk is newer
+		// than the in-memory window a thief would take.
+		return nil, "", nil
+	}
+	var best *lane
 	bestLen := stealMinBacklog - 1
 	for _, s := range l.set.par {
 		if s == l {
 			continue
 		}
-		if n := s.queued(); n > bestLen {
+		s.mu.Lock()
+		n := s.q.len()
+		s.mu.Unlock()
+		if n > bestLen {
 			best, bestLen = s, n
 		}
 	}
@@ -647,17 +748,13 @@ func (l *fifoLane) stealBatch() (victim *fifoLane, pub string, batch []laneItem)
 	}
 	best.mu.Lock()
 	defer best.mu.Unlock()
-	if best.spill.count > 0 {
-		// A spilling lane's disk backlog may hold newer envelopes of any
-		// publisher; stealing its in-memory window would reorder them.
-		return nil, "", nil
-	}
 	// Hottest publisher among the queued items, skipping the one in
 	// dispatch right now and those already on loan. The map allocates,
 	// but only on this rare idle-lane path — never per envelope.
+	queued := best.q.items[best.q.head:]
 	counts := make(map[string]int)
-	for i := best.head; i < len(best.queue); i++ {
-		p := best.queue[i].pub
+	for i := range queued {
+		p := queued[i].pub
 		if p == best.busyPub {
 			continue
 		}
@@ -675,65 +772,32 @@ func (l *fifoLane) stealBatch() (victim *fifoLane, pub string, batch []laneItem)
 	if bestCount == 0 {
 		return nil, "", nil
 	}
-	w := best.head
-	for i := best.head; i < len(best.queue); i++ {
-		if best.queue[i].pub == pub {
-			batch = append(batch, best.queue[i])
+	w := 0
+	for i := range queued {
+		if queued[i].pub == pub {
+			batch = append(batch, queued[i])
 		} else {
-			best.queue[w] = best.queue[i]
+			queued[w] = queued[i]
 			w++
 		}
 	}
-	for i := w; i < len(best.queue); i++ {
-		best.queue[i] = laneItem{}
-	}
-	best.queue = best.queue[:w]
+	clear(queued[w:])
+	best.q.items = best.q.items[:best.q.head+w]
 	if best.loans == nil {
 		best.loans = make(map[string]*pubLoan)
 	}
 	best.loans[pub] = &pubLoan{}
-	// The extraction freed queue space: wake Block-policy pushers.
+	// The extraction lowered the victim's occupancy: wake Block-policy
+	// pushers.
 	best.notFull.Broadcast()
 	return best, pub, batch
 }
 
-// compactLocked keeps the queue's memory proportional to its live
-// backlog. Without it, append would grow the slice forever (head only
-// advances) and a one-time burst would pin its high-water array for the
-// engine's lifetime.
-func (l *fifoLane) compactLocked() {
-	live := len(l.queue) - l.head
-	switch {
-	case live == 0:
-		// Empty: restart at the front; release a burst-sized array.
-		if cap(l.queue) > laneShrinkMin {
-			l.queue = nil
-		} else {
-			l.queue = l.queue[:0]
-		}
-		l.head = 0
-	case cap(l.queue) > laneShrinkMin && cap(l.queue) > 4*live:
-		// Backlog occupies under a quarter of the array: right-size it.
-		shrunk := make([]laneItem, live)
-		copy(shrunk, l.queue[l.head:])
-		l.queue = shrunk
-		l.head = 0
-	case l.head >= laneShrinkMin && 2*l.head >= len(l.queue):
-		// Mostly dead prefix: slide the live tail down in place so
-		// append reuses the front instead of growing.
-		copy(l.queue, l.queue[l.head:])
-		for i := live; i < len(l.queue); i++ {
-			l.queue[i] = laneItem{}
-		}
-		l.queue = l.queue[:live]
-		l.head = 0
-	}
-}
-
 // close marks the lane closed, wakes everyone (drain goroutine and any
 // blocked pushers) and waits for the backlog — memory and spill — to
-// drain. Broadcast for the same reason as priorityInbox.close.
-func (l *fifoLane) close() {
+// drain. Broadcast, not Signal: Signal wakes a single waiter, which
+// would leave the other blocked pushers waiting forever.
+func (l *lane) close() {
 	l.mu.Lock()
 	l.closed = true
 	l.cond.Broadcast()

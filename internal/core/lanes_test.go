@@ -125,9 +125,9 @@ func TestLaneRoutingSemantics(t *testing.T) {
 	for p := 0; p < 16; p++ {
 		pub := fmt.Sprintf("pub-%d", p)
 		env := encodeFrom(t, e, StockQuote{}, pub)
-		lane := e.lanes.laneFor(env)
+		lane := laneIndex(laneKey(env), len(e.lanes.par))
 		for i := 0; i < 5; i++ {
-			if got := e.lanes.laneFor(env); got != lane {
+			if got := laneIndex(laneKey(env), len(e.lanes.par)); got != lane {
 				t.Fatalf("publisher %s: lane flapped %d -> %d", pub, lane, got)
 			}
 		}
@@ -139,17 +139,23 @@ func TestLaneRoutingSemantics(t *testing.T) {
 
 	// A publisher-less envelope falls back to its publication ID.
 	anon := encodeFrom(t, e, StockQuote{}, "")
-	_ = e.lanes.laneFor(anon) // must not panic; distribution covered above
+	if laneKey(anon) != anon.ID {
+		t.Errorf("publisher-less envelope keyed by %q, want its publication ID %q", laneKey(anon), anon.ID)
+	}
 }
 
-// TestLaneRoutingZeroAlloc pins the acceptance criterion that the
-// routing decision adds zero steady-state allocations: wire-metadata
-// routing, cached class-semantics routing, and lane hashing.
+// TestLaneRoutingZeroAlloc pins the acceptance criterion that routing
+// adds zero steady-state allocations: the decision (wire-metadata
+// routing, cached class-semantics routing, lane hashing) and then the
+// whole trip through a lane of either order, push and pop. The serial
+// lane's heap is written over []laneItem for exactly this: container/heap
+// boxed every item into an `any`, one allocation per ordered envelope.
 func TestLaneRoutingZeroAlloc(t *testing.T) {
 	e := NewEngine("route-alloc", NewLocal(), WithDispatchLanes(4))
 	t.Cleanup(func() { _ = e.Close() })
 	reg := e.Registry()
 	reg.MustRegister(StockQuote{})
+	reg.MustRegister(prioAlert{})
 	registerTickTypes(reg)
 
 	free := encodeFrom(t, e, StockQuote{}, "pub-7")
@@ -169,106 +175,149 @@ func TestLaneRoutingZeroAlloc(t *testing.T) {
 		if !e.lanes.routeSerial(ordered) || !e.lanes.routeSerial(unstamped) {
 			t.Fatal("ordered not routed serial")
 		}
-		_ = e.lanes.laneFor(free)
+		_ = laneIndex(laneKey(free), len(e.lanes.par))
 	})
 	if allocs != 0 {
 		t.Errorf("routing decision allocates %.1f times per envelope, want 0", allocs)
 	}
+
+	// Through the lanes: a bare lane set whose dispatch only counts, so
+	// the figure is the lane layer's alone. Each run waits for its
+	// envelopes to be popped — AllocsPerRun counts every goroutine's
+	// allocations, the lane loops' included.
+	var popped atomic.Int64
+	ls := newLaneSet(reg, 4, func(*codec.Envelope, *laneState) { popped.Add(1) }, nil, laneConfig{})
+	defer ls.close()
+	total := encodeFrom(t, e, totalTick{Pub: "p", N: 1}, "p")
+	prio := encodeFrom(t, e, prioAlert{Msg: "x", PriorityBase: obvent.PriorityBase{Prio: 3}}, "p")
+	if total.Ordering <= obvent.FIFO || !prio.HasPriority {
+		t.Fatalf("envelopes not stamped: total ordering %v, prio stamped %v", total.Ordering, prio.HasPriority)
+	}
+	for _, tc := range []struct {
+		name string
+		envs []*codec.Envelope
+	}{
+		{"serial", []*codec.Envelope{total, prio}},
+		{"parallel", []*codec.Envelope{free, fifo}},
+	} {
+		var want int64
+		allocs := testing.AllocsPerRun(1000, func() {
+			for _, env := range tc.envs {
+				ls.route(env)
+			}
+			want += int64(len(tc.envs))
+			for popped.Load() != want {
+				runtime.Gosched()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s lane: route through push and pop allocates %.2f times per run, want 0", tc.name, allocs)
+		}
+		popped.Store(0)
+	}
+	// 1000 runs and AllocsPerRun's warm-up, two envelopes each, per case.
+	var parallel uint64
+	for i, l := range ls.par {
+		parallel += l.stat(i).Enqueued
+	}
+	if serial := ls.serial.stat(-1).Enqueued; serial != 2002 || parallel != 2002 {
+		t.Errorf("serial lane carried %d envelopes and the parallel lanes %d, want 2002 each", serial, parallel)
+	}
 }
+
+// newWedgedLane starts one lane of the given order whose goroutine is
+// parked inside the dispatch of a first "blocker" envelope, so that what
+// the test pushes next queues up and the queue's state is fully
+// controlled. dispatched returns the IDs dispatched after the blocker, in
+// order; release lets the blocker return.
+func newWedgedLane(t *testing.T, order laneOrder, cfg laneConfig) (l *lane, dispatched func() []string, release func()) {
+	t.Helper()
+	var mu sync.Mutex
+	var ids []string
+	started := make(chan struct{})
+	wedge := make(chan struct{})
+	l = newLane(order, func(env *codec.Envelope, _ *laneState) {
+		if env.ID == "blocker" {
+			close(started)
+			<-wedge
+			return
+		}
+		mu.Lock()
+		ids = append(ids, env.ID)
+		mu.Unlock()
+	}, nil, 1, cfg, nil)
+	l.start()
+	l.push(&codec.Envelope{ID: "blocker"}, "b", 0)
+	<-started
+	return l, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), ids...)
+	}, func() { close(wedge) }
+}
+
+// laneOrders names the two orderings for the tests that drive the one
+// lane constructor with both.
+var laneOrders = []struct {
+	name  string
+	order laneOrder
+}{{"fifo", arrivalOrder}, {"serial", priorityOrder}}
 
 // TestSerialLanePriorityOvertaking is the deterministic lane-level
 // overtaking test: with the lane goroutine blocked on a first envelope,
 // later high-priority arrivals must be dispatched before earlier
 // low-priority backlog, FIFO among equals.
 func TestSerialLanePriorityOvertaking(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	started := make(chan struct{})
-	release := make(chan struct{})
-	in := newPriorityInbox(func(env *codec.Envelope, _ *laneState) {
-		if env.ID == "blocker" {
-			started <- struct{}{}
-			<-release
-		}
-		mu.Lock()
-		order = append(order, env.ID)
-		mu.Unlock()
-	}, nil, laneConfig{})
+	l, dispatched, release := newWedgedLane(t, priorityOrder, laneConfig{})
+	l.push(&codec.Envelope{ID: "low-1"}, "", 1)
+	l.push(&codec.Envelope{ID: "high"}, "", 9)
+	l.push(&codec.Envelope{ID: "low-2"}, "", 1)
+	release()
+	l.close() // drains the backlog before returning
 
-	in.push(&codec.Envelope{ID: "blocker"}, 0)
-	<-started // lane goroutine is now inside dispatch; pushes below queue up
-	in.push(&codec.Envelope{ID: "low-1"}, 1)
-	in.push(&codec.Envelope{ID: "high"}, 9)
-	in.push(&codec.Envelope{ID: "low-2"}, 1)
-	close(release)
-	in.close() // drains the backlog before returning
-
-	want := []string{"blocker", "high", "low-1", "low-2"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("dispatch order = %v, want %v", order, want)
+	if got, want := fmt.Sprint(dispatched()), "[high low-1 low-2]"; got != want {
+		t.Errorf("dispatch order after the blocker = %v, want %v", got, want)
 	}
-	if got := in.st.enqueued.Load(); got != 4 {
+	if got := l.st.enqueued.Load(); got != 4 {
 		t.Errorf("enqueued = %d, want 4", got)
+	}
+}
+
+// testLaneQueueShrinks wedges a lane of each order, pushes n envelopes
+// at it and checks that the queue grew to hold what the configuration
+// admits (all n, or the bound) and that draining released the high-water
+// backing array.
+func testLaneQueueShrinks(t *testing.T, cfg laneConfig, n int) {
+	for _, o := range laneOrders {
+		t.Run(o.name, func(t *testing.T) {
+			l, _, release := newWedgedLane(t, o.order, cfg)
+			for i := 0; i < n; i++ {
+				l.push(&codec.Envelope{}, "p", i%7)
+			}
+			want := n
+			if cfg.bound > 0 {
+				want = cfg.bound
+			}
+			l.mu.Lock()
+			grown, queued := cap(l.q.items), l.q.len()
+			l.mu.Unlock()
+			if grown < want || queued != want {
+				t.Fatalf("backlog did not accumulate: cap=%d queued=%d, want %d", grown, queued, want)
+			}
+			release()
+			l.close()
+			if c := cap(l.q.items); c > laneShrinkMin {
+				t.Errorf("queue capacity after drain = %d, want <= %d", c, laneShrinkMin)
+			}
+		})
 	}
 }
 
 // TestLaneQueuesShrinkAfterBurst pins the memory satellite: a one-time
 // backlog spike must not pin its high-water backing array for the
-// engine's lifetime, on either lane flavor.
+// engine's lifetime, in either order.
 func TestLaneQueuesShrinkAfterBurst(t *testing.T) {
-	const burst = 5000
-	t.Run("serial", func(t *testing.T) {
-		started := make(chan struct{})
-		release := make(chan struct{})
-		in := newPriorityInbox(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				started <- struct{}{}
-				<-release
-			}
-		}, nil, laneConfig{})
-		in.push(&codec.Envelope{ID: "blocker"}, 0)
-		<-started
-		for i := 0; i < burst; i++ {
-			in.push(&codec.Envelope{}, i%5)
-		}
-		in.mu.Lock()
-		grown := cap(in.heap)
-		in.mu.Unlock()
-		if grown < burst {
-			t.Fatalf("burst did not accumulate: cap = %d", grown)
-		}
-		close(release)
-		in.close()
-		if c := cap(in.heap); c > laneShrinkMin {
-			t.Errorf("heap capacity after drain = %d, want <= %d", c, laneShrinkMin)
-		}
-	})
-	t.Run("fifo", func(t *testing.T) {
-		started := make(chan struct{})
-		release := make(chan struct{})
-		l := newFifoLane(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				started <- struct{}{}
-				<-release
-			}
-		}, nil, 1, laneConfig{}, nil)
-		l.push(&codec.Envelope{ID: "blocker"}, "blocker")
-		<-started
-		for i := 0; i < burst; i++ {
-			l.push(&codec.Envelope{}, "burst")
-		}
-		l.mu.Lock()
-		grown := cap(l.queue)
-		l.mu.Unlock()
-		if grown < burst {
-			t.Fatalf("burst did not accumulate: cap = %d", grown)
-		}
-		close(release)
-		l.close()
-		if c := cap(l.queue); c > laneShrinkMin {
-			t.Errorf("queue capacity after drain = %d, want <= %d", c, laneShrinkMin)
-		}
-	})
+	testLaneQueueShrinks(t, laneConfig{}, 5000)
 }
 
 // TestFifoLaneSteadyStateMemory: a lane alternating one push and one pop
@@ -276,10 +325,11 @@ func TestLaneQueuesShrinkAfterBurst(t *testing.T) {
 // compaction must reclaim the dead prefix).
 func TestFifoLaneSteadyStateMemory(t *testing.T) {
 	var n atomic.Int64
-	l := newFifoLane(func(*codec.Envelope, *laneState) { n.Add(1) }, nil, 1, laneConfig{}, nil)
+	l := newLane(arrivalOrder, func(*codec.Envelope, *laneState) { n.Add(1) }, nil, 1, laneConfig{}, nil)
+	l.start()
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < 5000; i++ {
-		l.push(&codec.Envelope{}, "p")
+		l.push(&codec.Envelope{}, "p", 0)
 		for n.Load() != int64(i+1) {
 			if time.Now().After(deadline) {
 				t.Fatalf("lane stalled at %d/%d", n.Load(), i+1)
@@ -288,7 +338,7 @@ func TestFifoLaneSteadyStateMemory(t *testing.T) {
 		}
 	}
 	l.mu.Lock()
-	c := cap(l.queue)
+	c := cap(l.q.items)
 	l.mu.Unlock()
 	l.close()
 	if c > laneShrinkMin {

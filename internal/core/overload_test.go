@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,6 +306,19 @@ func TestOverloadPropertyStress(t *testing.T) {
 	}
 }
 
+// collidingPublishers returns two distinct publishers that hash onto the
+// same one of n parallel lanes: one to wedge the lane's goroutine with,
+// one for a thief to steal.
+func collidingPublishers(n int) (victimPub, hotPub string, lane int) {
+	victimPub = "victim-pub"
+	lane = laneIndex(victimPub, n)
+	for i := 0; ; i++ {
+		if p := fmt.Sprintf("hot-%d", i); laneIndex(p, n) == lane {
+			return victimPub, p, lane
+		}
+	}
+}
+
 // TestFifoLaneWorkStealing wedges one parallel lane on a blocker and
 // keeps publishing a colliding publisher's envelopes at it. The idle
 // sibling must wake up, steal the backlog whole-publisher batches at a
@@ -335,19 +349,9 @@ func TestFifoLaneWorkStealing(t *testing.T) {
 		ls.close()
 	}()
 
-	// Two distinct publishers that hash onto the same lane.
-	victimPub := "victim-pub"
-	victimLane := laneIndex(victimPub, 2)
-	hotPub := ""
-	for i := 0; ; i++ {
-		p := fmt.Sprintf("hot-%d", i)
-		if laneIndex(p, 2) == victimLane {
-			hotPub = p
-			break
-		}
-	}
+	victimPub, hotPub, victimLane := collidingPublishers(2)
 
-	ls.par[victimLane].push(&codec.Envelope{ID: "blocker"}, victimPub)
+	ls.par[victimLane].push(&codec.Envelope{ID: "blocker"}, victimPub, 0)
 	<-blockerStarted // victim lane goroutine now wedged in dispatch
 
 	// Keep the hot publisher producing until the thief has moved a solid
@@ -359,7 +363,7 @@ func TestFifoLaneWorkStealing(t *testing.T) {
 			t.Fatalf("thief never drained the hot publisher: delivered %d/%d, lanes %+v",
 				delivered.Load(), want, ls.laneStats())
 		}
-		ls.par[victimLane].push(&codec.Envelope{ID: fmt.Sprintf("hot-%d", n), Seq: uint64(n)}, hotPub)
+		ls.par[victimLane].push(&codec.Envelope{ID: fmt.Sprintf("hot-%d", n), Seq: uint64(n)}, hotPub, 0)
 	}
 
 	mu.Lock()
@@ -390,216 +394,261 @@ func TestFifoLaneWorkStealing(t *testing.T) {
 	}
 }
 
+// TestLoanCountsAgainstBound pins what a lane's bound counts: a
+// publisher on loan to a thief is still owed by its lane, so the arrivals
+// waiting in the loan buffer occupy the bound exactly as the queue would.
+// Two lanes, bound 8: the victim's goroutine is wedged on one publisher
+// and the thief is wedged inside the handler of the first envelope of the
+// batch it stole, so every later arrival for the stolen publisher lands in
+// the loan buffer. (Before the bound counted it, 100,000 of 100,000 such
+// pushes returned at once and 99,992 sat in the buffer.)
+func TestLoanCountsAgainstBound(t *testing.T) {
+	const bound, pushes = 8, 60
+	for _, policy := range []OverloadPolicy{OverloadBlock, OverloadDropOldest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			var got []int // the loaned publisher's dispatched sequence
+			victimWedged, thiefWedged := make(chan struct{}), make(chan struct{})
+			releaseVictim, releaseThief := make(chan struct{}), make(chan struct{})
+			ls := newLaneSet(obvent.NewRegistry(), 2, func(env *codec.Envelope, _ *laneState) {
+				switch {
+				case env.ID == "blocker":
+					close(victimWedged)
+					<-releaseVictim
+					return
+				case env.Seq == 0:
+					close(thiefWedged)
+					<-releaseThief
+				}
+				mu.Lock()
+				got = append(got, int(env.Seq))
+				mu.Unlock()
+			}, nil, laneConfig{bound: bound, policy: policy})
+			victimPub, hotPub, victimLane := collidingPublishers(2)
+			victim := ls.par[victimLane]
+			owed := func() int { return victim.stat(victimLane).Queued }
+			var returned atomic.Int64
+			push := func(n int) {
+				victim.push(&codec.Envelope{ID: fmt.Sprintf("hot-%d", n), Seq: uint64(n)}, hotPub, 0)
+				returned.Add(1)
+			}
+
+			victim.push(&codec.Envelope{ID: "blocker"}, victimPub, 0)
+			<-victimWedged
+			// Fill the queue to the bound, which is also the backlog a
+			// thief asks for, and nudge the idle sibling until it has taken
+			// the batch (its first wake may have raced its start-up scan).
+			for n := 0; n < bound; n++ {
+				push(n)
+			}
+			for wedged := false; !wedged; {
+				select {
+				case <-thiefWedged:
+					wedged = true
+				case <-time.After(time.Millisecond):
+					ls.wakeThief(victim)
+				}
+			}
+			if n := owed(); n != 0 {
+				t.Fatalf("victim owes %d with its whole queue in the thief's hand, want 0", n)
+			}
+
+			// The rest arrive while the loan is open and nothing drains.
+			rest := make(chan struct{})
+			go func() {
+				defer close(rest)
+				for n := bound; n < pushes; n++ {
+					push(n)
+					if o := owed(); o > bound {
+						t.Errorf("after push %d the victim owes %d, bound %d", n, o, bound)
+					}
+				}
+			}()
+			wantShed := uint64(0)
+			if policy == OverloadBlock {
+				// bound more pushes return and the next one blocks.
+				waitFor(t, 10*time.Second, "the loan buffer to fill", func() bool { return returned.Load() >= 2*bound })
+				time.Sleep(50 * time.Millisecond)
+				if r := returned.Load(); r != 2*bound {
+					t.Fatalf("%d pushes returned with victim and thief wedged, want %d (one batch in hand + bound)", r, 2*bound)
+				}
+			} else {
+				// Every push returns; all but the last bound are shed.
+				<-rest
+				wantShed = pushes - 2*bound
+			}
+			// LaneStat.Queued is the occupancy: the loan buffer is visible
+			// to a caller waiting for the lanes to drain.
+			if o := owed(); o != bound {
+				t.Errorf("victim owes %d with an empty queue and a full loan buffer, want %d", o, bound)
+			}
+			if shed := victim.stat(victimLane).Stats.Shed; shed != wantShed {
+				t.Errorf("Shed = %d, want %d", shed, wantShed)
+			}
+
+			// Releasing the thief alone unblocks the pusher: the thief
+			// drains the loan buffer, and whatever arrives after it closes
+			// the loan queues on the wedged victim until stolen again. (A
+			// lane full at exactly the steal threshold wakes a thief once,
+			// and that wake can race the thief's scan: hence the nudge.)
+			close(releaseThief)
+			waitFor(t, 10*time.Second, "every push to return once the thief drains", func() bool {
+				ls.wakeThief(victim)
+				return returned.Load() == pushes
+			})
+			<-rest
+			close(releaseVictim)
+			ls.close()
+			if o := owed(); o != 0 {
+				t.Errorf("victim owes %d after close, want 0", o)
+			}
+			// Publication order, none duplicated, and under DropOldest the
+			// survivors are the batch in hand and the newest bound.
+			for i := 1; i < len(got); i++ {
+				if got[i] <= got[i-1] {
+					t.Fatalf("loaned publisher reordered or duplicated at %d: %v", i, got)
+				}
+			}
+			if uint64(len(got)) != pushes-wantShed || got[len(got)-1] != pushes-1 {
+				t.Errorf("delivered %v, want %d ending at %d", got, pushes-wantShed, pushes-1)
+			}
+		})
+	}
+}
+
+// overloadPolicyRows is the one table of lane-level overload behaviour,
+// driven through the one lane constructor in both orders. Each row
+// wedges a lane, pushes one envelope per entry of prios (IDs e0, e1, …,
+// one publisher) and releases it. Rows with mixed priorities are the
+// serial-only expectations: a ring ignores priority.
+var overloadPolicyRows = []struct {
+	name   string
+	orders []laneOrder // nil: both
+	cfg    laneConfig
+	prios  []int
+	// blocks says the last push must not return until the lane is released.
+	blocks bool
+	// want is the dispatch order after the wedge; shed and spilled are the
+	// lane's counters once closed (everything spilled must drain).
+	want          string
+	shed, spilled uint64
+}{
+	{
+		name:  "block",
+		cfg:   laneConfig{bound: 2, policy: OverloadBlock},
+		prios: make([]int, 3), blocks: true,
+		want: "[e0 e1 e2]",
+	},
+	{
+		// The last bound arrivals survive, in order.
+		name:  "drop-oldest",
+		cfg:   laneConfig{bound: 4, policy: OverloadDropOldest},
+		prios: make([]int, 10),
+		want:  "[e6 e7 e8 e9]", shed: 6,
+	},
+	{
+		// bound in memory, the rest on disk; arrival order survives the
+		// round trip.
+		name:  "spill",
+		cfg:   laneConfig{bound: 2, policy: OverloadSpill},
+		prios: make([]int, 10),
+		want:  "[e0 e1 e2 e3 e4 e5 e6 e7 e8 e9]", spilled: 8,
+	},
+	{
+		// The shed victim is the oldest arrival whatever its priority;
+		// the survivors still overtake by priority.
+		name: "drop-oldest-priorities", orders: []laneOrder{priorityOrder},
+		cfg:   laneConfig{bound: 3, policy: OverloadDropOldest},
+		prios: []int{1, 9, 1, 5, 9},
+		want:  "[e4 e3 e2]", shed: 2,
+	},
+	{
+		// A spill record carries its priority, and overtaking applies
+		// within the in-memory window: e1 overtakes e0 in the first
+		// window, the refilled e2..e4 re-sort among themselves, and
+		// nothing on disk overtakes what was in memory before it.
+		name: "spill-priorities", orders: []laneOrder{priorityOrder},
+		cfg:   laneConfig{bound: 2, policy: OverloadSpill},
+		prios: []int{1, 9, 9, 1, 5},
+		want:  "[e1 e0 e2 e4 e3]", spilled: 3,
+	},
+}
+
+// testLaneOverloadPolicies runs every row of overloadPolicyRows that
+// applies to the order, with the lane goroutine wedged so the queue state
+// is fully controlled.
+func testLaneOverloadPolicies(t *testing.T, order laneOrder) {
+	for _, row := range overloadPolicyRows {
+		if row.orders != nil && !slices.Contains(row.orders, order) {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			if cfg.policy == OverloadSpill {
+				cfg.spillDir = t.TempDir()
+			}
+			l, dispatched, release := newWedgedLane(t, order, cfg)
+			push := func(i int) {
+				l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"}, "p", row.prios[i])
+			}
+			n := len(row.prios)
+			if row.blocks {
+				n--
+			}
+			for i := 0; i < n; i++ {
+				push(i)
+			}
+			unblocked := make(chan struct{})
+			if row.blocks {
+				go func() {
+					push(n) // full: must block
+					close(unblocked)
+				}()
+				select {
+				case <-unblocked:
+					t.Fatal("push into a full Block-policy lane returned immediately")
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			if st := l.stat(0); st.SpillBacklog != int(row.spilled) || st.Queued > cfg.bound {
+				t.Fatalf("wedged lane holds %d in memory and %d on disk, want at most bound %d and %d",
+					st.Queued, st.SpillBacklog, cfg.bound, row.spilled)
+			}
+			release() // lane drains; a blocked pusher must complete
+			if row.blocks {
+				select {
+				case <-unblocked:
+				case <-time.After(5 * time.Second):
+					t.Fatal("blocked pusher never unblocked after the lane drained")
+				}
+			}
+			l.close() // drains memory, then the spill backlog
+			if got := fmt.Sprint(dispatched()); got != row.want {
+				t.Errorf("dispatched %v, want %s", got, row.want)
+			}
+			c := &l.st.counters
+			if shed, sp, dr := c.shed.Load(), c.spilled.Load(), c.spillDrained.Load(); shed != row.shed || sp != row.spilled || dr != row.spilled {
+				t.Errorf("shed/spilled/drained = %d/%d/%d, want %d/%d/%d", shed, sp, dr, row.shed, row.spilled, row.spilled)
+			}
+		})
+	}
+}
+
 // TestFifoLaneOverloadPolicies pins each policy's exact lane-level
-// semantics deterministically, with the lane goroutine wedged so the
-// queue state is fully controlled.
-func TestFifoLaneOverloadPolicies(t *testing.T) {
-	newWedgedLane := func(t *testing.T, cfg laneConfig) (*fifoLane, *[]string, chan struct{}, *sync.Mutex) {
-		t.Helper()
-		var mu sync.Mutex
-		var order []string
-		started := make(chan struct{})
-		release := make(chan struct{})
-		l := newFifoLane(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				close(started)
-				<-release
-				return
-			}
-			mu.Lock()
-			order = append(order, env.ID)
-			mu.Unlock()
-		}, nil, 1, cfg, nil)
-		l.push(&codec.Envelope{ID: "blocker"}, "b")
-		<-started
-		return l, &order, release, &mu
-	}
+// semantics on an arrival-ordered (parallel) lane.
+func TestFifoLaneOverloadPolicies(t *testing.T) { testLaneOverloadPolicies(t, arrivalOrder) }
 
-	t.Run("drop-oldest", func(t *testing.T) {
-		l, order, release, _ := newWedgedLane(t, laneConfig{bound: 4, policy: OverloadDropOldest})
-		for i := 0; i < 10; i++ {
-			l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i)}, "p")
-		}
-		close(release)
-		l.close()
-		want := "[e6 e7 e8 e9]"
-		if got := fmt.Sprint(*order); got != want {
-			t.Errorf("dispatched %v, want %s (last bound survivors, in order)", got, want)
-		}
-		if shed := l.st.counters.shed.Load(); shed != 6 {
-			t.Errorf("shed = %d, want 6", shed)
-		}
-	})
+// TestSerialInboxOverloadPolicies runs the same rows on the
+// priority-ordered (causal/total/prioritary) lane, plus the rows only a
+// priority order can show.
+func TestSerialInboxOverloadPolicies(t *testing.T) { testLaneOverloadPolicies(t, priorityOrder) }
 
-	t.Run("spill", func(t *testing.T) {
-		l, order, release, _ := newWedgedLane(t, laneConfig{
-			bound: 2, policy: OverloadSpill, spillDir: t.TempDir(),
-		})
-		for i := 0; i < 10; i++ {
-			env := &codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"}
-			l.push(env, "p")
-		}
-		if b := l.spillBacklog(); b != 8 {
-			t.Fatalf("spill backlog = %d, want 8 (bound 2 in memory, rest on disk)", b)
-		}
-		close(release)
-		l.close() // drains memory then the spill backlog, in arrival order
-		want := "[e0 e1 e2 e3 e4 e5 e6 e7 e8 e9]"
-		if got := fmt.Sprint(*order); got != want {
-			t.Errorf("dispatched %v, want %s (spill must preserve arrival order)", got, want)
-		}
-		if sp, dr := l.st.counters.spilled.Load(), l.st.counters.spillDrained.Load(); sp != 8 || dr != 8 {
-			t.Errorf("spilled/drained = %d/%d, want 8/8", sp, dr)
-		}
-	})
-
-	t.Run("block", func(t *testing.T) {
-		l, order, release, _ := newWedgedLane(t, laneConfig{bound: 2, policy: OverloadBlock})
-		l.push(&codec.Envelope{ID: "e0"}, "p")
-		l.push(&codec.Envelope{ID: "e1"}, "p")
-		unblocked := make(chan struct{})
-		go func() {
-			l.push(&codec.Envelope{ID: "e2"}, "p") // full: must block
-			close(unblocked)
-		}()
-		select {
-		case <-unblocked:
-			t.Fatal("push into a full Block-policy lane returned immediately")
-		case <-time.After(50 * time.Millisecond):
-		}
-		close(release) // lane drains; blocked pusher must complete
-		select {
-		case <-unblocked:
-		case <-time.After(5 * time.Second):
-			t.Fatal("blocked pusher never unblocked after the lane drained")
-		}
-		l.close()
-		if got := fmt.Sprint(*order); got != "[e0 e1 e2]" {
-			t.Errorf("dispatched %v, want [e0 e1 e2]", got)
-		}
-	})
-}
-
-// TestSerialInboxOverloadPolicies covers the serial (causal/total/
-// prioritary) lane's bounded behavior: DropOldest sheds the oldest
-// arrival, and Spill preserves arrival order through the disk round
-// trip for equal priorities.
-func TestSerialInboxOverloadPolicies(t *testing.T) {
-	newWedgedInbox := func(t *testing.T, cfg laneConfig) (*priorityInbox, *[]string, chan struct{}) {
-		t.Helper()
-		var mu sync.Mutex
-		var order []string
-		started := make(chan struct{})
-		release := make(chan struct{})
-		in := newPriorityInbox(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				close(started)
-				<-release
-				return
-			}
-			mu.Lock()
-			order = append(order, env.ID)
-			mu.Unlock()
-		}, nil, cfg)
-		in.push(&codec.Envelope{ID: "blocker"}, 0)
-		<-started
-		return in, &order, release
-	}
-
-	t.Run("drop-oldest", func(t *testing.T) {
-		in, order, release := newWedgedInbox(t, laneConfig{bound: 3, policy: OverloadDropOldest})
-		for i := 0; i < 8; i++ {
-			in.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i)}, 0)
-		}
-		close(release)
-		in.close()
-		want := "[e5 e6 e7]"
-		if got := fmt.Sprint(*order); got != want {
-			t.Errorf("dispatched %v, want %s", got, want)
-		}
-		if shed := in.st.counters.shed.Load(); shed != 5 {
-			t.Errorf("shed = %d, want 5", shed)
-		}
-	})
-
-	t.Run("spill", func(t *testing.T) {
-		in, order, release := newWedgedInbox(t, laneConfig{
-			bound: 2, policy: OverloadSpill, spillDir: t.TempDir(),
-		})
-		for i := 0; i < 8; i++ {
-			in.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "totalTick"}, 0)
-		}
-		if b := in.spillBacklog(); b != 6 {
-			t.Fatalf("spill backlog = %d, want 6", b)
-		}
-		close(release)
-		in.close()
-		want := "[e0 e1 e2 e3 e4 e5 e6 e7]"
-		if got := fmt.Sprint(*order); got != want {
-			t.Errorf("dispatched %v, want %s (equal-priority arrival order through spill)", got, want)
-		}
-	})
-}
-
-// TestBoundedLaneQueueShrinksAfterOverload extends the PR 2 memory pin
-// to bounded lanes: a queue that filled to a large bound under
-// sustained overload must still release its high-water backing array
-// once drained, on both lane flavors.
+// TestBoundedLaneQueueShrinksAfterOverload extends the memory pin to
+// bounded lanes: a queue that filled to a large bound under sustained
+// overload (the second half of the pushes sheds; the queue stays full)
+// must still release its high-water backing array once drained.
 func TestBoundedLaneQueueShrinksAfterOverload(t *testing.T) {
-	const bound = 4096
-	t.Run("fifo", func(t *testing.T) {
-		started := make(chan struct{})
-		release := make(chan struct{})
-		l := newFifoLane(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				close(started)
-				<-release
-			}
-		}, nil, 1, laneConfig{bound: bound, policy: OverloadDropOldest}, nil)
-		l.push(&codec.Envelope{ID: "blocker"}, "b")
-		<-started
-		for i := 0; i < 2*bound; i++ { // second half sheds, queue stays full
-			l.push(&codec.Envelope{}, "p")
-		}
-		l.mu.Lock()
-		grown := cap(l.queue)
-		queued := len(l.queue) - l.head
-		l.mu.Unlock()
-		if grown < bound || queued != bound {
-			t.Fatalf("overload did not fill the bound: cap=%d queued=%d want bound %d", grown, queued, bound)
-		}
-		close(release)
-		l.close()
-		if c := cap(l.queue); c > laneShrinkMin {
-			t.Errorf("queue capacity after overload drain = %d, want <= %d", c, laneShrinkMin)
-		}
-	})
-	t.Run("serial", func(t *testing.T) {
-		started := make(chan struct{})
-		release := make(chan struct{})
-		in := newPriorityInbox(func(env *codec.Envelope, _ *laneState) {
-			if env.ID == "blocker" {
-				close(started)
-				<-release
-			}
-		}, nil, laneConfig{bound: bound, policy: OverloadDropOldest})
-		in.push(&codec.Envelope{ID: "blocker"}, 0)
-		<-started
-		for i := 0; i < 2*bound; i++ {
-			in.push(&codec.Envelope{}, i%7)
-		}
-		in.mu.Lock()
-		grown := cap(in.heap)
-		in.mu.Unlock()
-		if grown < bound {
-			t.Fatalf("overload did not fill the bound: cap = %d", grown)
-		}
-		close(release)
-		in.close()
-		if c := cap(in.heap); c > laneShrinkMin {
-			t.Errorf("heap capacity after overload drain = %d, want <= %d", c, laneShrinkMin)
-		}
-	})
+	testLaneQueueShrinks(t, laneConfig{bound: 4096, policy: OverloadDropOldest}, 2*4096)
 }
 
 // TestExecutorQuarantineLifecycle drives one executor through the full
