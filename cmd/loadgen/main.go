@@ -1,17 +1,19 @@
-// Command loadgen regenerates the experiment series of EXPERIMENTS.md:
-// for each experiment it runs the workload sweep and prints one table
-// of rows. The paper's evaluation is qualitative (it publishes no
-// measurement tables); these experiments validate each of its
-// performance claims on the simulated substrate — see DESIGN.md §4.
+// Command loadgen prints the experiment tables that the root package's
+// benchmarks (bench_test.go) do not: sparse-interest multicast (C7),
+// per-stage pipeline latency (C8), durable crash/catch-up/resume (C9)
+// and overload resilience (C10), each as one table of rows from a
+// workload sweep. Experiments C1-C6 (filter placement and factoring,
+// delivery-semantics cost, gossip, subscription-scheme baselines,
+// thread policies, RMI fanout) are BenchmarkC1... to BenchmarkC6...
+// there: go test -run '^$' -bench 'BenchmarkC[1-6]' .
 //
 // The whole harness runs on the public govents API: domains over the
-// simulated network, public filter/workload/matching packages, and the
-// baseline abstractions (topics, content, tuple space, RMI).
+// simulated network and the public workload package.
 //
 // Usage:
 //
-//	loadgen            # run all experiments
-//	loadgen -exp C1    # run one experiment
+//	loadgen             # run all experiments
+//	loadgen -exp C7     # run one experiment
 package main
 
 import (
@@ -20,17 +22,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"govents"
-	"govents/content"
-	"govents/filter"
-	"govents/matching"
 	"govents/netsim"
-	"govents/rmi"
-	"govents/tuplespace"
 	"govents/workload"
 )
 
@@ -45,7 +41,7 @@ var defaultPlacement = govents.AtSubscriber
 var showMetrics = false
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: C1, C2, C3, C4, C5, C6, C7, C8, C9, C10 or all")
+	exp := flag.String("exp", "all", "experiment to run: C7, C8, C9, C10 or all")
 	placement := flag.String("placement", "subscriber", "default remote filter placement: subscriber or publisher")
 	metrics := flag.Bool("metrics", false, "print per-stage latency quantiles (p50/p90/p99/max) after each run")
 	flag.Parse()
@@ -62,10 +58,7 @@ func main() {
 	}
 
 	experiments := map[string]func(){
-		"C1": expC1, "C2": expC2, "C3": expC3,
-		"C4": expC4, "C5": expC5, "C6": expC6,
-		"C7": expC7, "C8": expC8, "C9": expC9,
-		"C10": expC10,
+		"C7": expC7, "C8": expC8, "C9": expC9, "C10": expC10,
 	}
 	if *exp == "all" {
 		names := make([]string, 0, len(experiments))
@@ -166,409 +159,6 @@ func waitUntil(timeout time.Duration, cond func() bool) bool {
 		time.Sleep(time.Millisecond)
 	}
 	return false
-}
-
-// --- C1: filter placement & factoring (paper §2.3.2) ---
-
-func expC1() {
-	fmt.Println("\n== C1a: remote (publisher-side) vs local (subscriber-side) filtering ==")
-	fmt.Println("claim: migrating filters to the publisher saves network messages (§2.3.2)")
-	fmt.Printf("%-12s %14s %14s %8s\n", "selectivity", "msgs@subscr", "msgs@publshr", "saving")
-
-	for _, selectivity := range []float64{0.01, 0.10, 0.50, 1.00} {
-		run := func(p govents.Placement) (int64, govents.RoutingStats, govents.DispatchStats) {
-			net := netsim.New(netsim.Config{})
-			defer net.Close()
-			domains := domain(net, 2, govents.WithPlacement(p))
-			defer closeAll(domains)
-
-			var got atomic.Int64
-			threshold := 1000 * selectivity // prices uniform in [1,1000)
-			f := filter.Path("GetPrice").Lt(filter.Float(threshold))
-			if _, err := govents.Subscribe(domains[1], f, func(q workload.StockQuote) { got.Add(1) }); err != nil {
-				panic(err)
-			}
-			waitUntil(5*time.Second, func() bool { return domains[0].RemoteSubscriptionCount() >= 1 })
-			net.Settle()
-			net.ResetStats()
-
-			gen := workload.NewQuoteGen(1, 20)
-			const quotes = 200
-			want := int64(0)
-			for i := 0; i < quotes; i++ {
-				q := gen.Next()
-				if q.Price < threshold {
-					want++
-				}
-				_ = domains[0].Publish(ctx, q)
-			}
-			waitUntil(10*time.Second, func() bool { return got.Load() == want })
-			net.Settle()
-			sent, _, _, _ := net.Stats()
-			return sent, domains[0].RoutingStats(), domains[0].Stats()
-		}
-		atSub, _, _ := run(govents.AtSubscriber)
-		atPub, rst, dst := run(govents.AtPublisher)
-		fmt.Printf("%-12.2f %14d %14d %7.1f%%\n", selectivity, atSub, atPub, 100*(1-float64(atPub)/float64(atSub)))
-		fmt.Printf("             routing@publisher: events=%d compound-evals=%d pruned=%d fallback=%d plans=%d ads=%d partial-decodes=%d materializations=%d\n",
-			rst.EventsRouted, rst.CompoundEvals, rst.NodesPruned, rst.FallbackEvals, rst.PlansCompiled, rst.AdsApplied,
-			rst.PartialDecodes, rst.WireMaterializations)
-		fmt.Printf("             wire@publisher:    encodes=%d gob-encodes=%d\n",
-			dst.WireEncodes, dst.GobPayloadEncodes)
-	}
-
-	fmt.Println("\n== C1b: compound filter factoring ([ASS+99]) ==")
-	fmt.Println("claim: factoring redundant filters of many subscribers improves matching")
-	fmt.Printf("%-8s %12s %12s %8s %12s\n", "subs", "naive ns/ev", "compound", "speedup", "uniqueconds")
-	gen := workload.NewQuoteGen(2, 20)
-	for _, subs := range []int{10, 100, 1000} {
-		c := matching.New()
-		for i, spec := range gen.Interests(subs) {
-			if err := c.Add(fmt.Sprintf("s%04d", i), spec.Filter()); err != nil {
-				panic(err)
-			}
-		}
-		q := gen.Next()
-		const evs = 2000
-		start := time.Now()
-		for i := 0; i < evs; i++ {
-			c.MatchNaive(q)
-		}
-		naive := time.Since(start).Nanoseconds() / evs
-		start = time.Now()
-		for i := 0; i < evs; i++ {
-			c.Match(q)
-		}
-		compound := time.Since(start).Nanoseconds() / evs
-		st := c.Stats()
-		fmt.Printf("%-8d %12d %12d %7.1fx %6d/%d\n", subs, naive, compound,
-			float64(naive)/float64(compound), st.UniqueConds, st.TotalConds)
-	}
-}
-
-// --- C2: cost of delivery semantics (paper §3.1.2) ---
-
-func expC2() {
-	fmt.Println("\n== C2: cost of composable delivery semantics (§3.1.2) ==")
-	fmt.Println("claim: stronger semantics cost more; the application pays only for what the type requests")
-	fmt.Printf("%-12s %14s %14s\n", "semantics", "events/sec", "wire msgs/ev")
-
-	publish := map[string]func(d *govents.Domain, q workload.StockObvent) error{
-		"unreliable": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.StockQuote{StockObvent: q})
-		},
-		"reliable": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.QuoteReliable{StockObvent: q})
-		},
-		"fifo": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.QuoteFIFO{StockObvent: q})
-		},
-		"causal": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.QuoteCausal{StockObvent: q})
-		},
-		"total": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.QuoteTotal{StockObvent: q})
-		},
-		"certified": func(d *govents.Domain, q workload.StockObvent) error {
-			return d.Publish(ctx, workload.QuoteCertified{StockObvent: q})
-		},
-	}
-	order := []string{"unreliable", "reliable", "fifo", "causal", "total", "certified"}
-
-	for _, sem := range order {
-		net := netsim.New(netsim.Config{})
-		domains := domain(net, 4)
-
-		var got atomic.Int64
-		for _, d := range domains[1:] {
-			if _, err := govents.Subscribe(d, nil, func(o workload.StockObvent) { got.Add(1) }); err != nil {
-				panic(err)
-			}
-		}
-		waitUntil(5*time.Second, func() bool { return domains[0].RemoteSubscriptionCount() >= 3 })
-		net.Settle()
-		net.ResetStats()
-
-		gen := workload.NewQuoteGen(3, 10)
-		const events = 200
-		want := int64(events * 3)
-		start := time.Now()
-		for i := 0; i < events; i++ {
-			if err := publish[sem](domains[0], gen.Next().StockObvent); err != nil {
-				panic(err)
-			}
-		}
-		ok := waitUntil(30*time.Second, func() bool { return got.Load() >= want })
-		elapsed := time.Since(start)
-		net.Settle()
-		sent, _, _, _ := net.Stats()
-		rate := float64(events) / elapsed.Seconds()
-		if !ok {
-			fmt.Printf("%-12s INCOMPLETE (%d/%d)\n", sem, got.Load(), want)
-		} else {
-			fmt.Printf("%-12s %14.0f %14.1f\n", sem, rate, float64(sent)/events)
-		}
-		closeAll(domains)
-		_ = net.Close()
-	}
-}
-
-// --- C3: gossip scalability (paper §4.2, [EGH+01]) ---
-
-func expC3() {
-	fmt.Println("\n== C3: gossip dissemination vs group size under 20% loss ==")
-	fmt.Println("claim: gossip delivers with high probability at per-node cost independent of group size")
-	fmt.Printf("%-8s %14s %14s %16s\n", "nodes", "delivery%", "msgs/node", "reliable msgs/node")
-
-	for _, n := range []int{8, 16, 32, 64} {
-		// Gossip run.
-		gossipRatio, gossipMsgs := gossipRun(n, true)
-		// Reliable unicast-fanout run (publisher pays O(n) + retries).
-		_, relMsgs := gossipRun(n, false)
-		fmt.Printf("%-8d %13.1f%% %14.1f %16.1f\n", n, gossipRatio*100, gossipMsgs, relMsgs)
-	}
-}
-
-func gossipRun(n int, gossip bool) (ratio float64, msgsPerNode float64) {
-	net := netsim.New(netsim.Config{LossRate: 0.2, Seed: int64(n)})
-	defer net.Close()
-	tuning := fastTuning()
-	// lpbcast-style provisioning: fanout ~ log2(n)+2, generous rounds —
-	// per-node cost still stays flat while delivery probability holds.
-	tuning.GossipFanout = 2
-	for m := n; m > 1; m /= 2 {
-		tuning.GossipFanout++
-	}
-	tuning.GossipRounds = 12
-	opts := []govents.Option{govents.WithTuning(tuning)}
-	if gossip {
-		opts = append(opts, govents.WithGossipUnreliable())
-	}
-	domains := domain(net, n, opts...)
-	defer closeAll(domains)
-
-	var got atomic.Int64
-	for _, d := range domains[1:] {
-		var err error
-		if gossip {
-			_, err = govents.Subscribe(d, nil, func(q workload.StockQuote) { got.Add(1) })
-		} else {
-			_, err = govents.Subscribe(d, nil, func(q workload.QuoteReliable) { got.Add(1) })
-		}
-		if err != nil {
-			panic(err)
-		}
-	}
-	waitUntil(10*time.Second, func() bool { return domains[0].RemoteSubscriptionCount() >= n-1 })
-	net.Settle()
-	net.ResetStats()
-
-	gen := workload.NewQuoteGen(5, 5)
-	const events = 10
-	for i := 0; i < events; i++ {
-		if gossip {
-			_ = domains[0].Publish(ctx, gen.Next())
-		} else {
-			_ = domains[0].Publish(ctx, workload.QuoteReliable{StockObvent: gen.Next().StockObvent})
-		}
-	}
-	want := int64(events * (n - 1))
-	waitUntil(15*time.Second, func() bool { return got.Load() >= want })
-	net.Settle()
-	sent, _, _, _ := net.Stats()
-	return float64(got.Load()) / float64(want), float64(sent) / float64(events) / float64(n)
-}
-
-// --- C4: subscription-scheme baselines (paper §2.3.2, §5, §6) ---
-
-func expC4() {
-	fmt.Println("\n== C4: matching cost across subscription schemes ==")
-	fmt.Println("claim: type-based+filters buys content selectivity at modest cost over topics;")
-	fmt.Println("       tuple spaces and attribute maps are weakly typed baselines")
-	fmt.Printf("%-22s %14s\n", "scheme (1000 subs)", "ns/event")
-
-	const subs = 1000
-	gen := workload.NewQuoteGen(7, 20)
-	specs := gen.Interests(subs)
-	q := gen.Next()
-	const evs = 2000
-
-	// Type-based + compound filters (this paper).
-	comp := matching.New()
-	for i, s := range specs {
-		_ = comp.Add(fmt.Sprintf("s%d", i), s.Filter())
-	}
-	start := time.Now()
-	for i := 0; i < evs; i++ {
-		comp.Match(q)
-	}
-	fmt.Printf("%-22s %14d\n", "type-based+compound", time.Since(start).Nanoseconds()/evs)
-
-	// Topic-based: company as topic; price selectivity inexpressible.
-	// The sibling abstractions hang off one local domain facade.
-	local, err := govents.Open(ctx, "c4-baselines")
-	if err != nil {
-		panic(err)
-	}
-	defer local.Close(ctx)
-	tb := local.Topics()
-	for _, s := range specs {
-		_, _ = tb.Subscribe("stocks."+s.Company, func(string, any) {})
-	}
-	start = time.Now()
-	for i := 0; i < evs; i++ {
-		tb.Publish("stocks."+q.Company, q)
-	}
-	fmt.Printf("%-22s %14d   (cannot express price predicate)\n", "topic-based", time.Since(start).Nanoseconds()/evs)
-
-	// Content-based attribute maps.
-	cb := content.New()
-	for _, s := range specs {
-		_, _ = cb.Subscribe([]content.Pred{
-			{Attr: "company", Op: content.Eq, Val: s.Company},
-			{Attr: "price", Op: content.Lt, Val: s.MaxPrice},
-		}, func(content.Event) {})
-	}
-	ev := content.Event{"company": q.Company, "price": q.Price, "amount": q.Amount}
-	start = time.Now()
-	for i := 0; i < evs; i++ {
-		cb.Publish(ev)
-	}
-	fmt.Printf("%-22s %14d   (encapsulation broken: raw attributes)\n", "content attr-value", time.Since(start).Nanoseconds()/evs)
-
-	// Tuple space notify.
-	ts := local.TupleSpace()
-	for _, s := range specs {
-		// Template matching has no range predicates: only exact
-		// values/types (paper §5.1.2), so subscribe to the company
-		// only.
-		ts.Notify(tuplespace.Template{tuplespace.Val(s.Company), tuplespace.Type[float64]()}, func(tuplespace.Tuple) {})
-	}
-	start = time.Now()
-	for i := 0; i < evs; i++ {
-		_ = ts.Out(tuplespace.Tuple{q.Company, q.Price})
-	}
-	fmt.Printf("%-22s %14d   (templates: no range predicates)\n", "tuple space", time.Since(start).Nanoseconds()/evs)
-}
-
-// --- C5: thread policies (paper §3.3.5) ---
-
-func expC5() {
-	fmt.Println("\n== C5: handler thread policies under blocking handlers ==")
-	fmt.Println("claim: multi-threading raises throughput for blocking handlers; single-threading serializes")
-	fmt.Printf("%-16s %14s\n", "policy", "events/sec")
-
-	for _, policy := range []string{"single", "multi(4)", "multi(unbounded)"} {
-		d, err := govents.Open(ctx, "c5")
-		if err != nil {
-			panic(err)
-		}
-		const events = 64
-		var wg sync.WaitGroup
-		wg.Add(events)
-		sub, err := govents.SubscribeInactive(d, nil, func(q workload.StockQuote) {
-			time.Sleep(2 * time.Millisecond) // simulated I/O
-			wg.Done()
-		})
-		if err != nil {
-			panic(err)
-		}
-		switch policy {
-		case "single":
-			sub.SetSingleThreading()
-		case "multi(4)":
-			sub.SetMultiThreading(4)
-		default:
-			sub.SetMultiThreading(0)
-		}
-		if err := sub.Activate(); err != nil {
-			panic(err)
-		}
-		gen := workload.NewQuoteGen(11, 5)
-		start := time.Now()
-		for i := 0; i < events; i++ {
-			_ = d.Publish(ctx, gen.Next())
-		}
-		wg.Wait()
-		fmt.Printf("%-16s %14.0f\n", policy, events/time.Since(start).Seconds())
-		_ = d.Close(ctx)
-	}
-}
-
-// --- C6: RMI vs publish/subscribe fanout (paper §5.4) ---
-
-func expC6() {
-	fmt.Println("\n== C6: notifying N receivers: RMI loop vs one publish ==")
-	fmt.Println("claim: pub/sub scales to many receivers; RPC couples the sender to each receiver")
-	fmt.Printf("%-8s %16s %16s\n", "N", "rmi ms/round", "pubsub ms/round")
-
-	for _, n := range []int{1, 4, 16, 64} {
-		rmiMs := rmiFanout(n)
-		psMs := pubsubFanout(n)
-		fmt.Printf("%-8d %16.2f %16.2f\n", n, rmiMs, psMs)
-	}
-}
-
-func rmiFanout(n int) float64 {
-	net := netsim.New(netsim.Config{MinLatency: 200 * time.Microsecond, MaxLatency: 400 * time.Microsecond})
-	defer net.Close()
-	callerEp, _ := net.NewEndpoint("caller")
-	caller := rmi.New(callerEp, rmi.Options{})
-	defer caller.Close()
-
-	proxies := make([]*rmi.Proxy, n)
-	for i := 0; i < n; i++ {
-		ep, _ := net.NewEndpoint(fmt.Sprintf("recv-%02d", i))
-		rt := rmi.New(ep, rmi.Options{})
-		defer rt.Close()
-		if err := rt.Bind("sink", &sink{}); err != nil {
-			panic(err)
-		}
-		proxies[i] = caller.Dial(ep.Addr(), "sink")
-	}
-
-	const rounds = 20
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		// Synchronous RPC to every receiver, one by one (the paper's
-		// point: the invoker blocks per receiver).
-		for _, p := range proxies {
-			if err := p.Call("Notify", []any{"quote", 80.0}); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return float64(time.Since(start).Milliseconds()) / rounds
-}
-
-// sink is the RMI receiver.
-type sink struct{}
-
-// Notify accepts a notification.
-func (s *sink) Notify(what string, price float64) {}
-
-func pubsubFanout(n int) float64 {
-	net := netsim.New(netsim.Config{MinLatency: 200 * time.Microsecond, MaxLatency: 400 * time.Microsecond})
-	defer net.Close()
-	domains := domain(net, n+1)
-	defer closeAll(domains)
-	var got atomic.Int64
-	for _, d := range domains[1:] {
-		if _, err := govents.Subscribe(d, nil, func(q workload.QuoteReliable) { got.Add(1) }); err != nil {
-			panic(err)
-		}
-	}
-	waitUntil(10*time.Second, func() bool { return domains[0].RemoteSubscriptionCount() >= n })
-
-	const rounds = 20
-	gen := workload.NewQuoteGen(13, 5)
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		want := got.Load() + int64(n)
-		_ = domains[0].Publish(ctx, workload.QuoteReliable{StockObvent: gen.Next().StockObvent})
-		waitUntil(10*time.Second, func() bool { return got.Load() >= want })
-	}
-	return float64(time.Since(start).Milliseconds()) / rounds
 }
 
 // --- C7: interest-aware sparse multicast (ordered & gossip classes) ---

@@ -109,11 +109,10 @@
 // fields from the encoded bytes — and the event is materialized only
 // for actual matches and deliveries. Domain.Stats exposes the codec
 // counters (WireEncodes, GobPayloadEncodes, PartialDecodes, ...). The
-// psc generator emits reflection-free typed codecs for eligible
-// classes, registered via RegisterWireCodec; hand-written codecs can use
-// the same hook with NewWireDecoder and the AppendWire* helpers, and
-// must produce byte-identical encodings to the compiled program (the
-// generated ones are differentially tested).
+// compiled program is a class's one compact encoding: there is no
+// per-class hook, generated or hand-written, that replaces it (LM1:
+// serialization needs no application code). The psc generator emits
+// typed adapters and lifted filters, nothing that touches the payload.
 //
 // # Envelope wire format
 //
@@ -333,11 +332,12 @@
 // Inbound dispatch degrades gracefully instead of growing without
 // bound. WithLaneQueueBound caps what every dispatch lane holds in
 // memory, and WithOverloadPolicy selects what a full lane does:
-// OverloadBlock (the default) applies backpressure to the intake,
-// OverloadDropOldest sheds the oldest envelope the lane holds with a
-// counted reason, and OverloadSpill overflows to a per-lane durable
-// segment log (requires WithDurability) that drains back — in order —
-// once the lane catches up, so bursts cost latency rather than loss.
+// OverloadBlock (the default) makes the lane's intake wait, losing
+// nothing; OverloadDropOldest sheds the oldest envelope the lane holds
+// with a counted reason; and OverloadSpill overflows to a per-lane
+// durable segment log (requires WithDurability) that drains back — in
+// order — once the lane catches up, so bursts cost latency rather than
+// loss.
 // FIFO-ordered traffic dispatches on per-publisher parallel sub-lanes
 // (only causal, total and prioritary classes serialize), and idle
 // lanes steal whole-publisher batches from overloaded siblings
@@ -357,6 +357,19 @@
 // Prioritary obvent overtakes within the in-memory window only: what
 // is on disk waits its turn, whatever its priority. Causal and total
 // arrival order is never affected.
+//
+// The bound bounds the lane, not the node, and under OverloadBlock the
+// wait does not reach a publisher. The goroutine a full lane blocks is
+// the one that delivers to the engine: a distributed class's delivery
+// queue, which the link fills as frames arrive and acknowledges as it
+// fills, or a local domain's publish queue. Neither queue blocks or has
+// a bound, so the backlog a Block lane refuses waits there, in memory
+// and in arrival order, outside LaneStat.Queued; the link keeps
+// acknowledging and Publish keeps returning. In a probe, a reliable
+// receiver whose upcall blocked, as a full Block lane's push does,
+// acknowledged all of 20,000 broadcasts while one upcall had been
+// entered: the other 19,999 waited in its delivery queue. Backpressure
+// that reaches Publish is not implemented.
 //
 // One stuck handler cannot stall the rest of the domain:
 // WithSlowConsumerBudget(stall, mailbox) quarantines a subscription

@@ -196,93 +196,3 @@ func BulkOffersExpr() *filter.Expr {
 func CheapTelcoExpr() *filter.Expr {
 	return filter.And(filter.Path("GetPrice").Lt(filter.Int(100)), filter.Path("GetCompany").Contains(filter.Str("Telco")))
 }
-
-// init registers the typed wire codecs: reflection-free mirrors of
-// the runtime's compiled per-class programs, producing byte-for-byte
-// identical encodings (enforced by the generator's differential test).
-func init() {
-	govents.RegisterWireCodec(govents.WireCodec[MarketPrice]{Encode: encodeMarketPriceWire, Decode: decodeMarketPriceWire})
-	govents.RegisterWireCodec(govents.WireCodec[SpotPrice]{Encode: encodeSpotPriceWire, Decode: decodeSpotPriceWire})
-	govents.RegisterWireCodec(govents.WireCodec[StockObvent]{Encode: encodeStockObventWire, Decode: decodeStockObventWire})
-	govents.RegisterWireCodec(govents.WireCodec[StockRequest]{Encode: encodeStockRequestWire, Decode: decodeStockRequestWire})
-}
-
-// encodeMarketPriceWire appends the compact wire encoding of o.
-func encodeMarketPriceWire(dst []byte, o MarketPrice) []byte {
-	dst = govents.AppendWireString(dst, o.StockRequest.StockObvent.Company)
-	dst = govents.AppendWireFloat64(dst, o.StockRequest.StockObvent.Price)
-	dst = govents.AppendWireInt(dst, int64(o.StockRequest.StockObvent.Amount))
-	dst = govents.AppendWireString(dst, o.StockRequest.Broker)
-	dst = govents.AppendWireFloat64(dst, o.LimitPrice)
-	return dst
-}
-
-// decodeMarketPriceWire decodes one compact payload, consuming all of it.
-func decodeMarketPriceWire(data []byte) (MarketPrice, error) {
-	d := govents.NewWireDecoder(data)
-	var o MarketPrice
-	o.StockRequest.StockObvent.Company = d.String()
-	o.StockRequest.StockObvent.Price = d.Float64()
-	o.StockRequest.StockObvent.Amount = int(d.Int())
-	o.StockRequest.Broker = d.String()
-	o.LimitPrice = d.Float64()
-	return o, d.Finish()
-}
-
-// encodeSpotPriceWire appends the compact wire encoding of o.
-func encodeSpotPriceWire(dst []byte, o SpotPrice) []byte {
-	dst = govents.AppendWireString(dst, o.StockRequest.StockObvent.Company)
-	dst = govents.AppendWireFloat64(dst, o.StockRequest.StockObvent.Price)
-	dst = govents.AppendWireInt(dst, int64(o.StockRequest.StockObvent.Amount))
-	dst = govents.AppendWireString(dst, o.StockRequest.Broker)
-	return dst
-}
-
-// decodeSpotPriceWire decodes one compact payload, consuming all of it.
-func decodeSpotPriceWire(data []byte) (SpotPrice, error) {
-	d := govents.NewWireDecoder(data)
-	var o SpotPrice
-	o.StockRequest.StockObvent.Company = d.String()
-	o.StockRequest.StockObvent.Price = d.Float64()
-	o.StockRequest.StockObvent.Amount = int(d.Int())
-	o.StockRequest.Broker = d.String()
-	return o, d.Finish()
-}
-
-// encodeStockObventWire appends the compact wire encoding of o.
-func encodeStockObventWire(dst []byte, o StockObvent) []byte {
-	dst = govents.AppendWireString(dst, o.Company)
-	dst = govents.AppendWireFloat64(dst, o.Price)
-	dst = govents.AppendWireInt(dst, int64(o.Amount))
-	return dst
-}
-
-// decodeStockObventWire decodes one compact payload, consuming all of it.
-func decodeStockObventWire(data []byte) (StockObvent, error) {
-	d := govents.NewWireDecoder(data)
-	var o StockObvent
-	o.Company = d.String()
-	o.Price = d.Float64()
-	o.Amount = int(d.Int())
-	return o, d.Finish()
-}
-
-// encodeStockRequestWire appends the compact wire encoding of o.
-func encodeStockRequestWire(dst []byte, o StockRequest) []byte {
-	dst = govents.AppendWireString(dst, o.StockObvent.Company)
-	dst = govents.AppendWireFloat64(dst, o.StockObvent.Price)
-	dst = govents.AppendWireInt(dst, int64(o.StockObvent.Amount))
-	dst = govents.AppendWireString(dst, o.Broker)
-	return dst
-}
-
-// decodeStockRequestWire decodes one compact payload, consuming all of it.
-func decodeStockRequestWire(data []byte) (StockRequest, error) {
-	d := govents.NewWireDecoder(data)
-	var o StockRequest
-	o.StockObvent.Company = d.String()
-	o.StockObvent.Price = d.Float64()
-	o.StockObvent.Amount = int(d.Int())
-	o.Broker = d.String()
-	return o, d.Finish()
-}

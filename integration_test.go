@@ -4,7 +4,6 @@
 package govents_test
 
 import (
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,30 +104,6 @@ func TestFullStackOverTCP(t *testing.T) {
 	}
 	if all.Load() != 3 {
 		t.Errorf("supertype subscriber got %d, want 3", all.Load())
-	}
-}
-
-// TestPscGeneratedAdaptersFresh regenerates the stocktrading example's
-// adapters and verifies the committed psc_generated.go is up to date
-// (the moral equivalent of a go:generate diff check).
-func TestPscGeneratedAdaptersFresh(t *testing.T) {
-	res, err := psc.Scan("examples/stocktrading")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("example filters violate mobility restrictions: %v", res.Violations)
-	}
-	want, err := psc.Generate(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile("examples/stocktrading/psc_generated.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Error("examples/stocktrading/psc_generated.go is stale; rerun: go run ./cmd/psc -dir examples/stocktrading")
 	}
 }
 

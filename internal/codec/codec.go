@@ -303,7 +303,7 @@ func (s *CloneSource) Clone() (obvent.Obvent, error) {
 	if s.shared != nil {
 		return s.shared, nil
 	}
-	if s.mode == modeFlat && s.scratch != nil && s.wp.Native() == nil {
+	if s.mode == modeFlat && s.scratch != nil {
 		var err error
 		s.shared, err = s.decodeFlat() // nil on error
 		return s.shared, err
@@ -370,8 +370,7 @@ func (s *CloneSource) decodeFlat() (obvent.Obvent, error) {
 }
 
 // decodeNew materializes the payload into a fresh value of the class,
-// honoring the payload encoding: the compiled wire program (through the
-// class's registered native codec when one exists) for compact
+// honoring the payload encoding: the compiled wire program for compact
 // payloads, gob otherwise.
 func (s *CloneSource) decodeNew() (reflect.Value, error) {
 	if s.enc == EncWire {
@@ -380,17 +379,6 @@ func (s *CloneSource) decodeNew() (reflect.Value, error) {
 		}
 		if s.cw != nil {
 			s.cw.wireDecodes.Add(1)
-		}
-		if nc := s.wp.Native(); nc != nil {
-			o, err := nc.Dec(s.payload)
-			if err != nil {
-				return reflect.Value{}, fmt.Errorf("codec: decode %s: %w", s.name, err)
-			}
-			rv := reflect.ValueOf(o)
-			for rv.Kind() == reflect.Pointer {
-				rv = rv.Elem()
-			}
-			return rv, nil
 		}
 		v := reflect.New(s.typ)
 		if err := s.wp.Decode(s.payload, v.Elem()); err != nil {

@@ -114,8 +114,7 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 }
 
 // encodePayload serializes o with the compact encoding when its class
-// compiles (through the class's registered native codec when one
-// exists), falling back to gob otherwise.
+// compiles, falling back to gob otherwise.
 func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, uint8, error) {
 	t := reflect.TypeOf(o)
 	for t.Kind() == reflect.Pointer {
@@ -123,16 +122,11 @@ func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, uint8, error) {
 	}
 	if e := c.wireEntryFor(t); e.prog != nil {
 		c.wireEncodes.Add(1)
-		buf := make([]byte, 0, e.size.Load())
-		if nc := e.prog.Native(); nc != nil {
-			buf = nc.Enc(buf, o)
-		} else {
-			v := reflect.ValueOf(o)
-			for v.Kind() == reflect.Pointer {
-				v = v.Elem()
-			}
-			buf = e.prog.Append(buf, v)
+		v := reflect.ValueOf(o)
+		for v.Kind() == reflect.Pointer {
+			v = v.Elem()
 		}
+		buf := e.prog.Append(make([]byte, 0, e.size.Load()), v)
 		e.size.Store(int64(len(buf)))
 		return buf, EncWire, nil
 	}

@@ -63,9 +63,12 @@ import (
 type OverloadPolicy int
 
 const (
-	// OverloadBlock applies backpressure: the push blocks until the lane
-	// drains below its bound (or the lane closes). Publishers on this
-	// process and transport reader goroutines slow down; nothing is lost.
+	// OverloadBlock makes the push wait until the lane drains below its
+	// bound (or the lane closes); nothing is lost. The pusher is the
+	// goroutine that delivers to the engine, a multicast group's
+	// deliveryQueue drain or Local's loop, and the queue it drains never
+	// blocks and has no bound: the backlog moves in front of the lane,
+	// and no publisher or transport reader slows down.
 	OverloadBlock OverloadPolicy = iota
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
 	// new one. Sheds are counted (DispatchStats.Shed, telemetry reason

@@ -45,21 +45,6 @@ type Class struct {
 	// QoS lists the embedded QoS bases (documentation of the
 	// composed semantics).
 	QoS []string
-	// Codec is the flattened exported-field layout used to generate
-	// the class's typed wire codec — one entry per primitive field, in
-	// declared order, embedded structs contributing their fields at
-	// their position. Nil when the class is not codec-generatable (a
-	// field type the generator cannot prove primitive, or an embedded
-	// obvent.TimelyBase, whose time.Time fields the wire compiler
-	// rejects anyway).
-	Codec []CodecField
-}
-
-// CodecField is one flattened field of a codec-generatable class: the
-// full selector path from the class value and its source type name.
-type CodecField struct {
-	Path string
-	Type string
 }
 
 // FilterFunc is a discovered //psc:filter function.
@@ -99,86 +84,6 @@ type structInfo struct {
 	embedsObventBase bool // directly embeds obvent.Base
 	embeds           []string
 	qos              []string
-	items            []structItem // full field layout, declared order
-	foreign          bool         // embeds a type the scanner cannot resolve
-}
-
-// structItem is one field (named or embedded) of a scanned struct.
-type structItem struct {
-	embed string // embedded type name ("obvent.X" for QoS bases); "" for named fields
-	name  string // named field name
-	typ   string // named field's rendered source type
-}
-
-// wirePrims maps the source type names the codec generator accepts to
-// their wire encoding family. Everything else (slices, maps, pointers,
-// external types the scanner cannot see into) leaves codec generation
-// to the runtime's compiled reflect program.
-var wirePrims = map[string]string{
-	"bool":    "bool",
-	"string":  "string",
-	"float32": "float32", "float64": "float64",
-	"int": "int", "int8": "int", "int16": "int", "int32": "int",
-	"int64": "int", "rune": "int", "time.Duration": "int",
-	"uint": "uint", "uint8": "uint", "uint16": "uint", "uint32": "uint",
-	"uint64": "uint", "byte": "uint",
-}
-
-// liftCodec flattens a class's wire-traveling fields in encoding order,
-// or returns nil when the class is not codec-generatable.
-func liftCodec(name string, structs map[string]*structInfo) []CodecField {
-	fields, ok := flattenFields(name, "", structs, map[string]bool{})
-	if !ok {
-		return nil
-	}
-	return fields
-}
-
-// flattenFields walks a struct's declared field order, descending into
-// same-package embedded structs — exactly the traversal the wire
-// compiler performs, so the flattened sequence is the wire layout.
-func flattenFields(name, prefix string, structs map[string]*structInfo, seen map[string]bool) ([]CodecField, bool) {
-	if seen[name] {
-		return nil, false // recursive embedding: wire-rejected
-	}
-	seen[name] = true
-	defer delete(seen, name)
-	info, ok := structs[name]
-	if !ok || info.foreign {
-		return nil, false
-	}
-	fields := []CodecField{}
-	for _, it := range info.items {
-		if it.embed != "" {
-			switch it.embed {
-			case "obvent.Base", "obvent.ReliableBase", "obvent.CertifiedBase",
-				"obvent.TotalOrderBase", "obvent.FIFOOrderBase", "obvent.CausalOrderBase":
-				// Empty marker structs contribute no wire bytes.
-			case "obvent.PriorityBase":
-				fields = append(fields, CodecField{Path: prefix + "PriorityBase.Prio", Type: "int"})
-			case "obvent.TimelyBase":
-				return nil, false // time.Time fields: the wire compiler rejects the class
-			default:
-				if !ast.IsExported(it.embed) {
-					continue // unexported embedded field: not on the wire
-				}
-				sub, ok := flattenFields(it.embed, prefix+it.embed+".", structs, seen)
-				if !ok {
-					return nil, false
-				}
-				fields = append(fields, sub...)
-			}
-			continue
-		}
-		if !ast.IsExported(it.name) {
-			continue // unexported fields do not travel
-		}
-		if _, ok := wirePrims[it.typ]; !ok {
-			return nil, false
-		}
-		fields = append(fields, CodecField{Path: prefix + it.name, Type: it.typ})
-	}
-	return fields, true
 }
 
 // qosBases are the embeddable markers from package obvent.
@@ -214,8 +119,7 @@ func Scan(dir string) (*Result, error) {
 
 	res := &Result{Package: pkg.Name}
 
-	// Pass 1: struct declarations with their embedded type names and
-	// their full field layout (in declared order, for codec generation).
+	// Pass 1: struct declarations with their embedded type names.
 	structs := make(map[string]*structInfo)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -231,30 +135,20 @@ func Scan(dir string) (*Result, error) {
 				}
 				info := &structInfo{}
 				for _, field := range st.Fields.List {
-					if len(field.Names) == 0 {
-						switch t := field.Type.(type) {
-						case *ast.SelectorExpr:
-							if id, ok := t.X.(*ast.Ident); ok && id.Name == "obvent" && qosBases[t.Sel.Name] {
-								if t.Sel.Name == "Base" {
-									info.embedsObventBase = true
-								} else {
-									info.qos = append(info.qos, t.Sel.Name)
-								}
-								info.items = append(info.items, structItem{embed: "obvent." + t.Sel.Name})
-								continue
-							}
-							info.foreign = true // embedded external type
-						case *ast.Ident:
-							info.embeds = append(info.embeds, t.Name)
-							info.items = append(info.items, structItem{embed: t.Name})
-						default:
-							info.foreign = true // embedded pointer/instantiation
-						}
+					if len(field.Names) > 0 {
 						continue
 					}
-					typ := exprString(field.Type)
-					for _, name := range field.Names {
-						info.items = append(info.items, structItem{name: name.Name, typ: typ})
+					switch t := field.Type.(type) {
+					case *ast.SelectorExpr:
+						if id, ok := t.X.(*ast.Ident); ok && id.Name == "obvent" && qosBases[t.Sel.Name] {
+							if t.Sel.Name == "Base" {
+								info.embedsObventBase = true
+							} else {
+								info.qos = append(info.qos, t.Sel.Name)
+							}
+						}
+					case *ast.Ident:
+						info.embeds = append(info.embeds, t.Name)
 					}
 				}
 				structs[ts.Name.Name] = info
@@ -293,7 +187,7 @@ func Scan(dir string) (*Result, error) {
 		}
 		qos := append([]string(nil), info.qos...)
 		sort.Strings(qos)
-		res.Classes = append(res.Classes, Class{Name: name, QoS: qos, Codec: liftCodec(name, structs)})
+		res.Classes = append(res.Classes, Class{Name: name, QoS: qos})
 	}
 	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i].Name < res.Classes[j].Name })
 
@@ -573,57 +467,6 @@ func (l *filterLifter) paramChain(e ast.Expr) (string, bool) {
 	}
 }
 
-// wireEncStmt renders the encode statement for one flattened field.
-func wireEncStmt(f CodecField) string {
-	sel := "o." + f.Path
-	switch wirePrims[f.Type] {
-	case "bool":
-		return fmt.Sprintf("dst = govents.AppendWireBool(dst, %s)", sel)
-	case "string":
-		return fmt.Sprintf("dst = govents.AppendWireString(dst, %s)", sel)
-	case "float32":
-		return fmt.Sprintf("dst = govents.AppendWireFloat32(dst, %s)", sel)
-	case "float64":
-		return fmt.Sprintf("dst = govents.AppendWireFloat64(dst, %s)", sel)
-	case "int":
-		return fmt.Sprintf("dst = govents.AppendWireInt(dst, int64(%s))", sel)
-	default: // "uint"
-		return fmt.Sprintf("dst = govents.AppendWireUint(dst, uint64(%s))", sel)
-	}
-}
-
-// wireDecExpr renders the decode expression for one flattened field,
-// with the exact-width check the compiled decoder performs on narrow
-// integer fields.
-func wireDecExpr(f CodecField) string {
-	switch f.Type {
-	case "bool":
-		return "d.Bool()"
-	case "string":
-		return "d.String()"
-	case "float32":
-		return "d.Float32()"
-	case "float64":
-		return "d.Float64()"
-	case "int64":
-		return "d.Int()"
-	case "int":
-		return "int(d.Int())"
-	case "time.Duration":
-		return "time.Duration(d.Int())"
-	case "int8", "int16", "int32", "rune":
-		bits := map[string]int{"int8": 8, "int16": 16, "int32": 32, "rune": 32}[f.Type]
-		return fmt.Sprintf("%s(d.IntBits(%d))", f.Type, bits)
-	case "uint64":
-		return "d.Uint()"
-	case "uint":
-		return "uint(d.Uint())"
-	default: // uint8, byte, uint16, uint32
-		bits := map[string]int{"uint8": 8, "byte": 8, "uint16": 16, "uint32": 32}[f.Type]
-		return fmt.Sprintf("%s(d.UintBits(%d))", f.Type, bits)
-	}
-}
-
 // exprString renders a type expression.
 func exprString(e ast.Expr) string {
 	switch x := e.(type) {
@@ -645,21 +488,9 @@ func Generate(res *Result) ([]byte, error) {
 	fmt.Fprintf(&b, "// Code generated by psc; DO NOT EDIT.\n")
 	fmt.Fprintf(&b, "//\n// Typed adapters in the mold of the paper's Figure 6: one XxxAdapter\n")
 	fmt.Fprintf(&b, "// per obvent class, plus lifted filter expressions (§4.4.3).\n\n")
-	needTime := false
-	for _, c := range res.Classes {
-		for _, f := range c.Codec {
-			if f.Type == "time.Duration" {
-				needTime = true
-			}
-		}
-	}
 	fmt.Fprintf(&b, "package %s\n\n", res.Package)
 	fmt.Fprintf(&b, "import (\n")
-	fmt.Fprintf(&b, "\t\"context\"\n")
-	if needTime {
-		fmt.Fprintf(&b, "\t\"time\"\n")
-	}
-	fmt.Fprintf(&b, "\n")
+	fmt.Fprintf(&b, "\t\"context\"\n\n")
 	fmt.Fprintf(&b, "\t\"govents\"\n")
 	fmt.Fprintf(&b, "\t\"govents/filter\"\n")
 	fmt.Fprintf(&b, ")\n\n")
@@ -692,39 +523,6 @@ func Generate(res *Result) ([]byte, error) {
 	for _, f := range res.Filters {
 		fmt.Fprintf(&b, "// %sExpr is the migratable form of filter %s (lifted by psc).\n", f.Name, f.Name)
 		fmt.Fprintf(&b, "func %sExpr() *filter.Expr {\n\treturn %s\n}\n\n", f.Name, f.ExprSrc)
-	}
-
-	var codecClasses []Class
-	for _, c := range res.Classes {
-		if c.Codec != nil {
-			codecClasses = append(codecClasses, c)
-		}
-	}
-	if len(codecClasses) > 0 {
-		fmt.Fprintf(&b, "// init registers the typed wire codecs: reflection-free mirrors of\n")
-		fmt.Fprintf(&b, "// the runtime's compiled per-class programs, producing byte-for-byte\n")
-		fmt.Fprintf(&b, "// identical encodings (enforced by the generator's differential test).\n")
-		fmt.Fprintf(&b, "func init() {\n")
-		for _, c := range codecClasses {
-			fmt.Fprintf(&b, "\tgovents.RegisterWireCodec(govents.WireCodec[%s]{Encode: encode%sWire, Decode: decode%sWire})\n", c.Name, c.Name, c.Name)
-		}
-		fmt.Fprintf(&b, "}\n\n")
-		for _, c := range codecClasses {
-			fmt.Fprintf(&b, "// encode%sWire appends the compact wire encoding of o.\n", c.Name)
-			fmt.Fprintf(&b, "func encode%sWire(dst []byte, o %s) []byte {\n", c.Name, c.Name)
-			for _, f := range c.Codec {
-				fmt.Fprintf(&b, "\t%s\n", wireEncStmt(f))
-			}
-			fmt.Fprintf(&b, "\treturn dst\n}\n\n")
-			fmt.Fprintf(&b, "// decode%sWire decodes one compact payload, consuming all of it.\n", c.Name)
-			fmt.Fprintf(&b, "func decode%sWire(data []byte) (%s, error) {\n", c.Name, c.Name)
-			fmt.Fprintf(&b, "\td := govents.NewWireDecoder(data)\n")
-			fmt.Fprintf(&b, "\tvar o %s\n", c.Name)
-			for _, f := range c.Codec {
-				fmt.Fprintf(&b, "\to.%s = %s\n", f.Path, wireDecExpr(f))
-			}
-			fmt.Fprintf(&b, "\treturn o, d.Finish()\n}\n\n")
-		}
 	}
 
 	out, err := format.Source([]byte(b.String()))

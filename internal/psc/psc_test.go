@@ -3,7 +3,6 @@ package psc
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -129,90 +128,6 @@ func TestScanClasses(t *testing.T) {
 	}
 }
 
-func TestCodecDiscovery(t *testing.T) {
-	const src = `package stock
-
-import "govents/internal/obvent"
-
-type Flat struct {
-	obvent.Base
-	obvent.PriorityBase
-	Name  string
-	Score float64
-	hidden int
-}
-
-type Nested struct {
-	Flat
-	Count uint16
-}
-
-type Timed struct {
-	obvent.Base
-	obvent.TimelyBase
-	N int
-}
-
-type Sliced struct {
-	obvent.Base
-	Tags []string
-}
-`
-	dir := writePkg(t, map[string]string{"stock.go": src})
-	res, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codecs := map[string][]CodecField{}
-	for _, c := range res.Classes {
-		codecs[c.Name] = c.Codec
-	}
-	flatWant := []CodecField{
-		{Path: "PriorityBase.Prio", Type: "int"},
-		{Path: "Name", Type: "string"},
-		{Path: "Score", Type: "float64"},
-	}
-	if got := codecs["Flat"]; !reflect.DeepEqual(got, flatWant) {
-		t.Errorf("Flat codec = %v, want %v", got, flatWant)
-	}
-	nestedWant := []CodecField{
-		{Path: "Flat.PriorityBase.Prio", Type: "int"},
-		{Path: "Flat.Name", Type: "string"},
-		{Path: "Flat.Score", Type: "float64"},
-		{Path: "Count", Type: "uint16"},
-	}
-	if got := codecs["Nested"]; !reflect.DeepEqual(got, nestedWant) {
-		t.Errorf("Nested codec = %v, want %v", got, nestedWant)
-	}
-	if codecs["Timed"] != nil {
-		t.Errorf("Timed must get no codec (TimelyBase carries time.Time): %v", codecs["Timed"])
-	}
-	if codecs["Sliced"] != nil {
-		t.Errorf("Sliced must get no codec (slice field): %v", codecs["Sliced"])
-	}
-
-	out, err := Generate(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := string(out)
-	for _, frag := range []string{
-		"govents.RegisterWireCodec(govents.WireCodec[Flat]{Encode: encodeFlatWire, Decode: decodeFlatWire})",
-		"dst = govents.AppendWireInt(dst, int64(o.PriorityBase.Prio))",
-		"o.Flat.Score = d.Float64()",
-		"o.Count = uint16(d.UintBits(16))",
-	} {
-		if !strings.Contains(gen, frag) {
-			t.Errorf("generated code missing %q", frag)
-		}
-	}
-	for _, absent := range []string{"encodeTimedWire", "encodeSlicedWire"} {
-		if strings.Contains(gen, absent) {
-			t.Errorf("generated code must not contain %q", absent)
-		}
-	}
-}
-
 func TestLiftPaperFilter(t *testing.T) {
 	dir := writePkg(t, map[string]string{"stock.go": stockSrc})
 	res, err := Scan(dir)
@@ -334,6 +249,36 @@ func TestGenerate(t *testing.T) {
 	}
 	if strings.Contains(src, "PlainAdapter") {
 		t.Error("non-obvent structs must not get adapters")
+	}
+	for _, absent := range []string{"func init", "Wire"} {
+		if strings.Contains(src, absent) {
+			t.Errorf("generated code must not contain %q: psc emits adapters and filters only", absent)
+		}
+	}
+}
+
+// TestStocktradingGeneratedFresh regenerates the stocktrading example
+// and requires the committed psc_generated.go byte for byte: the
+// generator and its committed output must not drift apart.
+func TestStocktradingGeneratedFresh(t *testing.T) {
+	const dir = "../../examples/stocktrading"
+	res, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) > 0 {
+		t.Fatalf("example filters violate mobility restrictions: %v", res.Violations)
+	}
+	want, err := Generate(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "psc_generated.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("examples/stocktrading/psc_generated.go is stale; rerun: go run ./cmd/psc -dir ./examples/stocktrading")
 	}
 }
 

@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 )
 
 // encFn appends v's encoding to dst.
@@ -70,10 +69,9 @@ type skipFn func(data []byte, pos int) (int, error)
 // Prog is one class's compiled codec program pair. Programs are
 // immutable and safe for concurrent use.
 type Prog struct {
-	t      reflect.Type
-	enc    encFn
-	dec    decFn
-	native *NativeCodec
+	t   reflect.Type
+	enc encFn
+	dec decFn
 }
 
 // Type returns the class type the program encodes.
@@ -99,43 +97,6 @@ func (p *Prog) Decode(data []byte, v reflect.Value) error {
 	return nil
 }
 
-// Native returns the registered hand- or generator-written typed codec
-// for the program's class, nil when none. Native codecs produce and
-// consume exactly the bytes the compiled program does; they exist to
-// skip even the compiled program's reflection (package psc emits them
-// per generated class).
-func (p *Prog) Native() *NativeCodec {
-	return p.native
-}
-
-// NativeCodec is a typed, reflection-free implementation of one class's
-// wire format, registered via RegisterNative (psc-generated code routes
-// through the public govents.RegisterWireCodec hook).
-type NativeCodec struct {
-	// Enc appends the encoding of o — a value (or pointer to a value) of
-	// the registered class — to dst.
-	Enc func(dst []byte, o any) []byte
-	// Dec decodes one value of the class from data, consuming all of it.
-	Dec func(data []byte) (any, error)
-}
-
-// natives is the process-wide typed-codec registry: reflect.Type ->
-// *NativeCodec. Registration happens in init functions of generated
-// packages, before any codec compiles programs.
-var natives sync.Map
-
-// RegisterNative installs a typed codec for class type t. The codec
-// must produce byte-for-byte the compiled program's encoding (the psc
-// generator's tests enforce this); it is consulted only for classes
-// whose layout Compile accepts, so the format is always well defined
-// even if a registration is wrong about its own class.
-func RegisterNative(t reflect.Type, nc *NativeCodec) {
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	natives.Store(t, nc)
-}
-
 // Compile builds the codec program for class type t, or returns an
 // error describing why the class must keep the gob fallback. Callers
 // cache the outcome per type (a layout never changes).
@@ -148,11 +109,7 @@ func Compile(t reflect.Type) (*Prog, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prog{t: t, enc: enc, dec: dec}
-	if v, ok := natives.Load(t); ok {
-		p.native = v.(*NativeCodec)
-	}
-	return p, nil
+	return &Prog{t: t, enc: enc, dec: dec}, nil
 }
 
 // customMarshalIfaces are the interfaces that opt a type out of

@@ -274,28 +274,6 @@ func TestExtractorCorruptFallsBack(t *testing.T) {
 	}
 }
 
-func TestNativeRegistration(t *testing.T) {
-	type natEv struct {
-		N int
-	}
-	typ := reflect.TypeOf(natEv{})
-	RegisterNative(typ, &NativeCodec{
-		Enc: func(dst []byte, o any) []byte { return dst },
-		Dec: func(data []byte) (any, error) { return natEv{}, nil },
-	})
-	p, err := Compile(typ)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if p.Native() == nil {
-		t.Fatal("native codec not attached")
-	}
-	// A class without a registration has none.
-	if mustCompile(t, flatEvent{}).Native() != nil {
-		t.Fatal("unexpected native codec")
-	}
-}
-
 func TestZigzag(t *testing.T) {
 	for _, i := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
 		if got := unzigzag(zigzag(i)); got != i {

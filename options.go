@@ -17,10 +17,13 @@ import (
 type OverloadPolicy = core.OverloadPolicy
 
 const (
-	// OverloadBlock applies backpressure: the enqueue blocks until the
-	// lane drains a slot. No event is lost; a saturated lane slows the
-	// path feeding it (the wire reader or the local publish loop)
-	// instead of growing without bound. This is the default.
+	// OverloadBlock makes a full lane's intake wait until the lane
+	// drains below its bound: no event is lost, and the lane holds at
+	// most its bound. The wait stops at the lane. What feeds it (a
+	// distributed class's delivery queue, a local domain's publish
+	// queue) never blocks and has no bound, so the backlog a full lane
+	// refuses waits there instead, and neither the wire reader nor
+	// Publish slows down. This is the default.
 	OverloadBlock = core.OverloadBlock
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
 	// newest. Sheds are counted in DispatchStats.Shed and under the
