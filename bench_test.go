@@ -980,12 +980,15 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 	for _, tc := range cases {
 		rt := reflect.TypeOf(tc.v)
-		prog, err := wire.Compile(rt)
+		prog, err := wire.Compile(rt, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rv := reflect.ValueOf(tc.v)
-		wireData := prog.Append(nil, rv)
+		wireData, err := prog.Append(nil, rv)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var gobBuf bytes.Buffer
 		if err := gob.NewEncoder(&gobBuf).Encode(tc.v); err != nil {
 			b.Fatal(err)
@@ -1007,7 +1010,9 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.ReportAllocs()
 			var data []byte
 			for i := 0; i < b.N; i++ {
-				data = prog.Append(data[:0], rv)
+				if data, err = prog.Append(data[:0], rv); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(len(data)), "bytes/ev")
 		})
@@ -1190,29 +1195,38 @@ type venueInfo struct {
 	Country string
 }
 
-// quoteBookGob carries the same payload but adds a recursive marker
-// field, which the copier compiler rejects at compile time — pinning
-// the gob-decode-per-clone baseline on an identical workload.
-type quoteBookGob struct {
+// quoteBookRecursive carries the same payload plus a recursive field,
+// nil on the wire: a recursive class clones by the same one decode.
+type quoteBookRecursive struct {
 	obvent.Base
 	Company string
 	Bids    []bookLevel
 	Asks    []bookLevel
 	Venue   *venueInfo
 	Meta    map[string]string
-	Self    *quoteBookGob // recursive: forces the gob fallback; nil on the wire
+	Self    *quoteBookRecursive
 }
 
-// BenchmarkClonePointerBearing measures per-subscriber cloning of a
-// pointer-bearing class: the gob-decode-per-clone baseline (a class the
-// copier compiler rejects) against the compiled deep copier, and then
-// whole envelopes of the copier class at 1, 2 and 5 matches. Flat
-// classes are unaffected (they keep the PR 2 value-copy fastpath).
-// Part of the dispatch CI family.
+// quoteReading is a Timely class: its TimelyBase's time.Time travels as
+// its GobEncode output.
+type quoteReading struct {
+	obvent.Base
+	obvent.TimelyBase
+	Company string
+	Price   float64
+	Amount  int
+}
+
+// BenchmarkClonePointerBearing measures per-subscriber cloning of
+// classes a value copy cannot clone, each clone one decode of the
+// payload: a recursive class, a Timely class, and then whole envelopes
+// of quoteBook at 1, 2 and 5 matches. Flat classes are unaffected (they
+// share one box per envelope). Part of the dispatch CI family.
 func BenchmarkClonePointerBearing(b *testing.B) {
 	reg := obvent.NewRegistry()
 	reg.MustRegister(quoteBook{})
-	reg.MustRegister(quoteBookGob{})
+	reg.MustRegister(quoteBookRecursive{})
+	reg.MustRegister(quoteReading{})
 	c := codec.New(reg)
 
 	bids := []bookLevel{{99, 10}, {98, 25}, {97, 5}}
@@ -1220,28 +1234,16 @@ func BenchmarkClonePointerBearing(b *testing.B) {
 	venue := &venueInfo{Name: "XETRA", Country: "DE"}
 	meta := map[string]string{"session": "open", "tier": "1"}
 
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		o    obvent.Obvent
-		// mode asserts which clone strategy the class resolved to (via
-		// the codec's compile counters), so a silently changed copier
-		// admission rule cannot make the two sides measure the same
-		// thing. Checked per sub-benchmark: a -bench filter may select
-		// either one alone.
-		mode func(CopierStats codec.CopierStats) bool
 	}{
-		{
-			"gob-fallback",
-			quoteBookGob{Company: "Telco Mobiles", Bids: bids, Asks: asks, Venue: venue, Meta: meta},
-			func(st codec.CopierStats) bool { return st.Rejects >= 1 },
-		},
-		{
-			"compiled-copier",
-			quoteBook{Company: "Telco Mobiles", Bids: bids, Asks: asks, Venue: venue, Meta: meta},
-			func(st codec.CopierStats) bool { return st.Compiles >= 1 },
-		},
-	}
-	for _, tc := range cases {
+		{"recursive", quoteBookRecursive{Company: "Telco Mobiles", Bids: bids, Asks: asks, Venue: venue, Meta: meta}},
+		{"timely", quoteReading{
+			TimelyBase: obvent.TimelyBase{TTL: time.Second, BirthTime: time.Unix(1790000000, 42)},
+			Company:    "Telco Mobiles", Price: 80, Amount: 10,
+		}},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			env, err := c.Encode(tc.o)
 			if err != nil {
@@ -1249,12 +1251,6 @@ func BenchmarkClonePointerBearing(b *testing.B) {
 			}
 			src, err := c.Source(env)
 			if err != nil {
-				b.Fatal(err)
-			}
-			if !tc.mode(c.CopierStats()) {
-				b.Fatalf("CopierStats = %+v: %s no longer resolves to its intended clone mode; results are not comparable", c.CopierStats(), tc.name)
-			}
-			if _, err := src.Clone(); err != nil { // warm the prototype
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -1266,11 +1262,9 @@ func BenchmarkClonePointerBearing(b *testing.B) {
 			}
 		})
 	}
-	// What indexed dispatch pays per envelope of the copier class: one
-	// decode, a copy for every match but the last, and the prototype
-	// itself for the last (CloneLast). matches=1 is the decode alone;
-	// each further match adds one compiled-copier op from above.
-	env, err := c.Encode(cases[1].o)
+	// What indexed dispatch pays per envelope of quoteBook: one decode
+	// per match.
+	env, err := c.Encode(quoteBook{Company: "Telco Mobiles", Bids: bids, Asks: asks, Venue: venue, Meta: meta})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1282,13 +1276,10 @@ func BenchmarkClonePointerBearing(b *testing.B) {
 				if err := c.SourceInto(env, &src); err != nil {
 					b.Fatal(err)
 				}
-				for m := 1; m < matches; m++ {
+				for m := 0; m < matches; m++ {
 					if _, err := src.Clone(); err != nil {
 						b.Fatal(err)
 					}
-				}
-				if _, err := src.CloneLast(); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

@@ -135,9 +135,8 @@ func run() error {
 		st := d.Stats()
 		fmt.Printf("dispatch: lanes=%d in=%d matched=%d delivered=%d expired=%d decode-errors=%d panics=%d\n",
 			d.DispatchLanes(), st.EventsIn, st.Matched, st.Delivered, st.Expired, st.DecodeErrors, st.HandlerPanics)
-		fmt.Printf("wire: compiles=%d rejects=%d encodes=%d decodes=%d gob-enc=%d gob-dec=%d partial-decodes=%d materializations=%d\n",
+		fmt.Printf("wire: compiles=%d rejects=%d encodes=%d decodes=%d partial-decodes=%d materializations=%d\n",
 			st.WireCompiles, st.WireRejects, st.WireEncodes, st.WireDecodes,
-			st.GobPayloadEncodes, st.GobPayloadDecodes,
 			st.PartialDecodes, st.WireMaterializations)
 		for _, l := range d.LaneStats() {
 			name := fmt.Sprintf("lane %d ", l.Lane)

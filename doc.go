@@ -78,21 +78,38 @@
 //
 // # The wire format
 //
-// Event payloads travel in a compact per-class binary encoding compiled
-// once per class (varint integers, raw IEEE floats, length-prefixed
-// strings — no per-event type metadata), replacing gob on the hot path.
-// The encoding is a property of the class, chosen by the encoder and
-// named in the envelope's Enc byte; nothing is chosen per destination,
-// and every publication is marshaled once, whatever protocol carries
-// it. Classes the compiler cannot prove encodable (interfaces, channels,
-// time.Time fields, custom marshalers, recursion) keep gob: only a
-// self-describing encoding can carry a value whose layout is not known
-// from its class. Compilation is deterministic per layout, so every
-// node of one build decides each class alike, and every node reads both
-// encodings. A process that reads only gob is not a supported peer (it
-// could not parse the envelope or link records below either). Such
-// payloads and remote invocation (rmi) are all that gob still carries:
-// the control plane left it. A subscription advertisement and a
+// Event payloads travel in one encoding, compiled once per class
+// (varint integers, raw IEEE floats, length-prefixed strings — no
+// per-event type metadata). It is a property of the class, not chosen
+// per destination, and every publication is marshaled once, whatever
+// protocol carries it. Compilation is deterministic per layout, so
+// every node of one build encodes each class alike. The compiler covers
+// every layout gob encoded:
+//
+//   - a type with a GobEncoder, BinaryMarshaler or TextMarshaler pair,
+//     checked in gob's order, travels as the method's output, length
+//     prefixed, and its fields are never walked; time.Time is one, so a
+//     Timely class (TimelyBase) compiles like any other;
+//   - chan and func fields are skipped, as gob skips them;
+//   - uintptr is an unsigned varint, and a map key may hold pointers;
+//   - an interface field travels as the registered name of the class it
+//     holds (empty for nil), then that class's encoding, length prefixed;
+//     the receiver resolves the name in its own registry;
+//   - a recursive type compiles, and a value nests through recursion and
+//     interface fields at most 1000 levels deep, on encode (a cyclic
+//     value is an error, not a hang) and on decode.
+//
+// The one narrowing is the interface field: gob also accepted
+// predeclared types and anything gob.Register'ed there, while here the
+// field must hold a registered obvent class, exactly (not a pointer to
+// one), or Publish fails with ErrCannotPublish. No code in this
+// repository puts a value in an interface field of an obvent. The
+// compiler refuses only what gob refused too (unsafe.Pointer, and chan
+// or func outside a struct field), and Publish of such a class fails
+// with the compiler's error. gob carries nothing on the data path;
+// remote invocation (rmi) is all it still carries.
+//
+// The control plane left gob too. A subscription advertisement and a
 // filter's marshaled form (filter.Marshal, which ads carry) are binary
 // records in the one-encoding idiom of the link record below — a kind
 // byte, shortest uvarints, every count and length checked against the
@@ -106,13 +123,18 @@
 // are in internal/dace/ad.go and internal/filter/marshal.go. On the
 // routing and matching path, plans whose filters reference only
 // structural fields evaluate by partial decode — extracting just those
-// fields from the encoded bytes — and the event is materialized only
-// for actual matches and deliveries. Domain.Stats exposes the codec
-// counters (WireEncodes, GobPayloadEncodes, PartialDecodes, ...). The
-// compiled program is a class's one compact encoding: there is no
-// per-class hook, generated or hand-written, that replaces it (LM1:
-// serialization needs no application code). The psc generator emits
-// typed adapters and lifted filters, nothing that touches the payload.
+// fields from the encoded bytes, stepping over marshaled and interface
+// fields by their length — and the event is materialized only
+// for actual matches and deliveries, or when a filter reads a method or
+// a field inside a marshaled type. A clone for a subscriber is one
+// decode of the payload, except for a class with no pointer, slice or
+// map anywhere, whose subscribers share one immutable box. Domain.Stats
+// exposes the codec counters (WireEncodes, WireDecodes, PartialDecodes,
+// WireMaterializations, ...). The compiled program is a class's one
+// encoding: there is no per-class hook, generated or hand-written, that
+// replaces it (LM1: serialization needs no application code). The psc
+// generator emits typed adapters and lifted filters, nothing that
+// touches the payload.
 //
 // # Envelope wire format
 //
@@ -125,7 +147,7 @@
 //
 //	format       1 byte   0xE1
 //	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
-//	Enc          1 byte   payload encoding (0 gob, 1 compiled)
+//	Enc          1 byte   payload encoding, always 1 (the compiled one)
 //	ID           uvarint length (at most 65535) + bytes
 //	Type         likewise
 //	Publisher    likewise
@@ -168,6 +190,19 @@
 // pins that), while a build from before the link form finds no class in
 // a link record, so no subscription to hand it to, and drops it without
 // a count. Upgrade a domain together.
+//
+// Builds before this one sent a class their compiler refused as gob,
+// payload encoding 0: every Timely class, and any class with an
+// interface field, a custom marshaler, a chan or func field or a
+// recursive type. This build writes only 1 and refuses any other value
+// ("unsupported payload encoding 0"), counted as a decode error on a
+// live frame and acknowledged and logged as a poison record on replay;
+// an older build refuses this build's payload of such a class as a
+// compiled payload of a class it has no program for. A class that
+// compiled before travels byte for byte as it did, both ways, and its
+// stored records open field for field. The break is stated, not
+// negotiated: upgrade a domain together, and drain durable directories
+// that hold such classes with the old build first.
 //
 // The format byte is the only version marker; there is no second decode
 // path. Builds before this format framed the envelope with

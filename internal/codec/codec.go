@@ -5,10 +5,10 @@
 // application implementing any specific operations or hooks.
 //
 // An obvent travels as an Envelope: a wire record carrying the obvent's
-// class name, its encoded state (a compiled per-class encoding, or gob
-// for classes the compiler rejects; wire.go), and the metadata needed by
-// the delivery semantics of its type (sequence numbers, vector clock,
-// priority, expiry). The envelope is the "reified message" of paper
+// class name, its encoded state (the class's compiled encoding, the one
+// payload encoding; wire.go), and the metadata needed by the delivery
+// semantics of its type (sequence numbers, vector clock, priority,
+// expiry). The envelope is the "reified message" of paper
 // §3.1.2 — the obvent reflects its semantics at every moment of the
 // transfer. Its own framing is a fixed binary layout (framing.go).
 //
@@ -19,19 +19,15 @@
 package codec
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"govents/internal/obvent"
 	"govents/internal/vclock"
-	"govents/internal/wire"
 )
 
 // ErrUnregistered is the sentinel wrapped whenever an envelope names an
@@ -48,14 +44,9 @@ type Envelope struct {
 	ID string
 	// Type is the registered wire name of the obvent's concrete class.
 	Type string
-	// Payload is the serialized obvent value, in the encoding named by
-	// Enc.
+	// Payload is the serialized obvent value: the class's compiled
+	// encoding (internal/wire).
 	Payload []byte
-	// Enc identifies the payload encoding: EncGob (the zero value — the
-	// self-describing gob encoding, the only one a wire-incapable peer
-	// reads) or EncWire (the compact per-class compiled encoding,
-	// wire.go). It travels as its own byte of the envelope record.
-	Enc uint8
 
 	// Publisher is the node that published the obvent.
 	Publisher string
@@ -107,16 +98,6 @@ func (e *Envelope) Expired(now time.Time) bool {
 type Codec struct {
 	reg *obvent.Registry
 
-	// flat caches, per concrete class (reflect.Type -> bool), whether a
-	// plain value copy of the struct is already a deep copy — i.e. the
-	// type transitively contains no reference kinds. A type's layout
-	// never changes once registered, so entries are valid forever.
-	flat sync.Map
-
-	// codecCopiers is the compiled deep-copier cache for pointer-bearing
-	// classes (copier.go).
-	codecCopiers
-
 	// codecWire is the compiled wire-codec cache and its counters
 	// (wire.go).
 	codecWire
@@ -139,7 +120,7 @@ func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode: %w", err)
 	}
-	payload, enc, err := c.encodePayload(o)
+	payload, err := c.encodePayload(o)
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode %s: %w", name, err)
 	}
@@ -148,7 +129,6 @@ func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) {
 		ID:          NewID(),
 		Type:        name,
 		Payload:     payload,
-		Enc:         enc,
 		Reliability: sem.Reliability,
 		Ordering:    sem.Ordering,
 		PubNanos:    time.Now().UnixNano(),
@@ -181,22 +161,14 @@ func (c *Codec) Decode(e *Envelope) (obvent.Obvent, error) {
 // A CloneSource produces per-subscriber clones of one envelope. It
 // front-loads the registry lookup so that a dispatcher delivering one
 // publication to many local subscriptions pays the (read-locked) type
-// resolution once and only the clone cost per clone. Three clone
-// strategies exist, resolved per class at Source time:
-//
-//   - modeFlat: pointer-free classes. The payload is decoded once and
-//     boxed once; every Clone returns that same interface value. The
-//     box cannot be observed to be shared: a value held in an interface
-//     is not addressable, so no subscriber can write to it, and with no
-//     reference kinds inside there is nothing to write through. Every
-//     assertion (As[T]) copies the value out, and that copy is already
-//     a deep copy.
-//   - modeCopier: pointer-bearing classes with a compiled deep copier
-//     (copier.go). The payload is decoded once into a prototype; every
-//     clone is one compiled deep copy of it — no per-clone wire decode —
-//     and the last one (CloneLast) is the prototype itself.
-//   - modeGob: classes the copier compiler rejects. Every clone pays
-//     the full gob decode, as all classes originally did.
+// resolution once and only the clone cost per clone. A clone is one
+// decode of the payload by the class's compiled program, except for a
+// flat class: one with no reference kinds, whose payload is decoded and
+// boxed once, every Clone returning that same interface value. The box
+// cannot be observed to be shared: a value held in an interface is not
+// addressable, so no subscriber can write to it, and with no reference
+// kinds inside there is nothing to write through. Every assertion
+// (As[T]) copies the value out, and that copy is already a deep copy.
 //
 // A CloneSource is not safe for concurrent use: it belongs to the one
 // dispatch invocation that created it.
@@ -205,39 +177,15 @@ type CloneSource struct {
 	name    string
 	payload []byte
 
-	// enc is the payload encoding (Envelope.Enc); wp is the compiled
-	// wire program resolved for compact payloads (wire.go).
-	enc uint8
-	wp  *wire.Prog
-	// cw points at the owning codec's wire counters so decode activity
-	// is attributed wherever the decode actually happens.
+	// we is the class's compiled program, flatness and scratch pool
+	// (wire.go); cw points at the owning codec's wire counters so decode
+	// activity is attributed wherever the decode actually happens.
+	we *wireEntry
 	cw *codecWire
 
-	mode cloneMode
-	// copy is the compiled deep copier (modeCopier only).
-	copy copyFn
-	// proto is the payload decoded once (modeFlat/modeCopier), valid
-	// after the first successful Clone.
-	proto reflect.Value
-	// shared is the decoded payload boxed once (modeFlat only).
+	// shared is a flat class's decoded payload, boxed once.
 	shared obvent.Obvent
-	// scratch pools the class's scratch values, as *T (compact payloads
-	// only; see decodeFlat).
-	scratch *sync.Pool
 }
-
-// cloneMode selects a CloneSource's per-clone strategy.
-type cloneMode uint8
-
-const (
-	// modeGob decodes the payload per clone (fallback).
-	modeGob cloneMode = iota
-	// modeFlat shares one immutable box of the decoded prototype.
-	modeFlat
-	// modeCopier deep-copies the decoded prototype with a compiled
-	// copier.
-	modeCopier
-)
 
 // Source resolves the envelope's obvent class for repeated cloning.
 func (c *Codec) Source(e *Envelope) (*CloneSource, error) {
@@ -256,145 +204,49 @@ func (c *Codec) SourceInto(e *Envelope, s *CloneSource) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnregistered, e.Type)
 	}
-	*s = CloneSource{typ: t, name: e.Type, payload: e.Payload, enc: e.Enc, cw: &c.codecWire}
-	switch e.Enc {
-	case EncGob:
-	case EncWire:
-		we := c.wireEntryFor(t)
-		if we.prog == nil {
-			// Compilation is deterministic per layout, so a compact
-			// payload for a class we reject means the peer's layout for
-			// this class differs from ours — refuse rather than misread.
-			return fmt.Errorf("codec: decode %s: compact payload for a class with no wire program", e.Type)
-		}
-		s.wp, s.scratch = we.prog, &we.scratch
-	default:
-		return fmt.Errorf("codec: decode %s: unsupported payload encoding %d", e.Type, e.Enc)
+	we := c.wireEntryFor(t)
+	if we.prog == nil {
+		return fmt.Errorf("codec: decode %s: %w", e.Type, we.err)
 	}
-	if c.flatType(t) {
-		s.mode = modeFlat
-	} else if fn := c.copierFor(t); fn != nil {
-		s.mode = modeCopier
-		s.copy = fn
-	}
+	*s = CloneSource{typ: t, name: e.Type, payload: e.Payload, we: we, cw: &c.codecWire}
 	return nil
 }
 
 // Clone decodes one fresh obvent value — the paper's distributed object
 // creation (§2.1.2): every call yields a distinct object.
 func (s *CloneSource) Clone() (obvent.Obvent, error) {
-	if s.mode == modeGob {
-		v, err := s.decodeNew()
-		if err != nil {
-			return nil, err
-		}
-		return s.box(v)
-	}
-	// Prototype modes: decode the payload once, then clone off the
-	// prototype. With no reference kinds (modeFlat), the one boxed value
-	// serves every clone — strings are immutable, so sharing their
-	// backing bytes is safe. Otherwise (modeCopier) the compiled copier
-	// rebuilds the prototype's pointee,
-	// slice and map structure with fresh allocations; the prototype is a
-	// decoded tree (gob output is always a tree, and the wire decoder
-	// likewise allocates every pointee fresh — no aliasing, no cycles),
-	// so the copy is indistinguishable from another decode of the
-	// payload.
 	if s.shared != nil {
 		return s.shared, nil
 	}
-	if s.mode == modeFlat && s.scratch != nil {
-		var err error
-		s.shared, err = s.decodeFlat() // nil on error
-		return s.shared, err
+	o, err := s.decode()
+	if s.we.flat {
+		s.shared = o // nil on error: the next Clone decodes again
 	}
-	if !s.proto.IsValid() {
-		v, err := s.decodeNew()
-		if err != nil {
-			return nil, err
-		}
-		s.proto = v
-	}
-	if s.mode == modeFlat {
-		var err error
-		s.shared, err = s.box(s.proto) // nil on error
-		return s.shared, err
-	}
-	n := reflect.New(s.typ).Elem()
-	s.copy(n, s.proto)
-	return s.box(n)
+	return o, err
 }
 
-// CloneLast is Clone for the last clone a caller takes of this source:
-// a class with a compiled copier hands out the decoded prototype itself
-// instead of one more copy of it (N clones: one decode, N−1 copies) and
-// forgets it, so a Clone after this decodes again. The other modes have
-// nothing to give away and clone as ever.
-func (s *CloneSource) CloneLast() (obvent.Obvent, error) {
-	if s.mode != modeCopier {
-		return s.Clone()
-	}
-	v := s.proto
-	s.proto = reflect.Value{}
-	if !v.IsValid() {
-		var err error
-		if v, err = s.decodeNew(); err != nil {
-			return nil, err
-		}
-	}
-	return s.box(v)
-}
-
-// decodeFlat decodes a flat class's compact payload straight to its box.
-// Boxing copies the value, so the payload is decoded into a scratch value
-// from the class's pool, which goes back zeroed (it pins no string of the
-// event, and a failed decode leaves nothing behind): the box is the one
-// allocation, the event's strings apart.
-func (s *CloneSource) decodeFlat() (obvent.Obvent, error) {
-	p := s.scratch.Get()
+// decode decodes the payload straight to its box. Boxing copies the
+// value, so the payload is decoded into a scratch value from the class's
+// pool, which goes back zeroed (it pins nothing of the event, and a
+// failed decode leaves nothing behind): the box is the one allocation
+// beyond what the event's own strings, slices, maps and pointees need.
+func (s *CloneSource) decode() (obvent.Obvent, error) {
+	p := s.we.scratch.Get()
 	if p == nil {
 		p = reflect.New(s.typ).Interface()
 	}
 	v := reflect.ValueOf(p).Elem()
 	s.cw.wireDecodes.Add(1)
 	var o obvent.Obvent
-	err := s.wp.Decode(s.payload, v)
+	err := s.we.prog.Decode(s.payload, v)
 	if err == nil {
 		o, err = s.box(v)
 	} else {
 		err = fmt.Errorf("codec: decode %s: %w", s.name, err)
 	}
 	v.SetZero()
-	s.scratch.Put(p)
+	s.we.scratch.Put(p)
 	return o, err
-}
-
-// decodeNew materializes the payload into a fresh value of the class,
-// honoring the payload encoding: the compiled wire program for compact
-// payloads, gob otherwise.
-func (s *CloneSource) decodeNew() (reflect.Value, error) {
-	if s.enc == EncWire {
-		if s.wp == nil {
-			return reflect.Value{}, fmt.Errorf("codec: decode %s: compact payload for a class with no wire program", s.name)
-		}
-		if s.cw != nil {
-			s.cw.wireDecodes.Add(1)
-		}
-		v := reflect.New(s.typ)
-		if err := s.wp.Decode(s.payload, v.Elem()); err != nil {
-			return reflect.Value{}, fmt.Errorf("codec: decode %s: %w", s.name, err)
-		}
-		return v.Elem(), nil
-	}
-	if s.cw != nil {
-		s.cw.gobDecodes.Add(1)
-	}
-	v := reflect.New(s.typ)
-	dec := gob.NewDecoder(bytes.NewReader(s.payload))
-	if err := dec.DecodeValue(v); err != nil {
-		return reflect.Value{}, fmt.Errorf("codec: decode %s: %w", s.name, err)
-	}
-	return v.Elem(), nil
 }
 
 // box converts a decoded value to the Obvent interface (copying it into
@@ -407,17 +259,6 @@ func (s *CloneSource) box(v reflect.Value) (obvent.Obvent, error) {
 		return nil, fmt.Errorf("codec: decode: %s is not an obvent", s.name)
 	}
 	return o, nil
-}
-
-// flatType reports (and caches) whether t can use the value-copy clone
-// fastpath.
-func (c *Codec) flatType(t reflect.Type) bool {
-	if v, ok := c.flat.Load(t); ok {
-		return v.(bool)
-	}
-	f := isFlat(t)
-	c.flat.Store(t, f)
-	return f
 }
 
 // isFlat reports whether a value copy of type t is a deep copy: t
@@ -471,19 +312,4 @@ func NewID() string {
 	var s [2 * len(b)]byte
 	hex.Encode(s[:], b[:])
 	return string(s[:])
-}
-
-// encodeValue gob-encodes a value via reflection so that concrete types
-// need not be gob.Registered globally.
-func encodeValue(o obvent.Obvent) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	v := reflect.ValueOf(o)
-	for v.Kind() == reflect.Pointer {
-		v = v.Elem()
-	}
-	if err := enc.EncodeValue(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

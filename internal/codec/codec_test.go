@@ -337,12 +337,12 @@ func TestFlatTypeDetection(t *testing.T) {
 				t.Fatal(err)
 			}
 			typ, _ := c.Registry().TypeByName(name)
-			if got := c.flatType(typ); got != tc.want {
-				t.Errorf("flatType(%s) = %v, want %v", name, got, tc.want)
+			if got := c.wireEntryFor(typ).flat; got != tc.want {
+				t.Errorf("flat(%s) = %v, want %v", name, got, tc.want)
 			}
 			// The cached second answer agrees.
-			if got := c.flatType(typ); got != tc.want {
-				t.Errorf("cached flatType(%s) = %v, want %v", name, got, tc.want)
+			if got := c.wireEntryFor(typ).flat; got != tc.want {
+				t.Errorf("cached flat(%s) = %v, want %v", name, got, tc.want)
 			}
 		})
 	}
@@ -369,7 +369,7 @@ func TestCloneFlatFastpathIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.mode != modeFlat {
+	if !src.we.flat {
 		t.Fatal("flat class did not take the value-copy fastpath")
 	}
 	a, err := src.Clone()
@@ -441,9 +441,6 @@ func TestCloneFlatFirstCloneAllocs(t *testing.T) {
 	env, err := c.Encode(flatTick{Seq: 7, A: 1.5, B: -2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if env.Enc != EncWire {
-		t.Fatal("the class did not take the compact encoding")
 	}
 	var src CloneSource
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -558,9 +555,8 @@ func TestCloneFlatCorruptPayload(t *testing.T) {
 	}
 }
 
-// BenchmarkCloneSource pins the satellite's benchmark delta: value-copy
-// cloning for flat classes vs the full gob decode for reference-bearing
-// ones.
+// BenchmarkCloneSource measures a clone: the shared box of a flat class
+// against one decode per clone of a reference-bearing one.
 func BenchmarkCloneSource(b *testing.B) {
 	reg := obvent.NewRegistry()
 	reg.MustRegister(quote{})
@@ -571,7 +567,7 @@ func BenchmarkCloneSource(b *testing.B) {
 		o    obvent.Obvent
 	}{
 		{"flat", quote{Company: "Telco Mobiles", Price: 80, Amount: 10}},
-		{"gob", nested{Inner: quote{Company: "Telco"}, Tags: []string{"a", "b"}, Meta: map[string]int{"k": 1}}},
+		{"pointer-bearing", nested{Inner: quote{Company: "Telco"}, Tags: []string{"a", "b"}, Meta: map[string]int{"k": 1}}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -18,7 +19,7 @@ import (
 //
 //	format       1 byte   envelopeFormat
 //	flags        1 byte   flagPriority | flagBirth | flagVC
-//	Enc          1 byte
+//	Enc          1 byte   payloadEncoding
 //	ID           uvarint length (≤ maxEnvelopeString) + bytes
 //	Type         likewise
 //	Publisher    likewise
@@ -45,6 +46,12 @@ const (
 	// being misread.
 	envelopeFormat = 0xE1
 
+	// payloadEncoding names the payload's encoding, the class's compiled
+	// program (internal/wire), the only one there is. The byte stays so
+	// that the record's layout did not move when gob, encoding 0, was
+	// retired.
+	payloadEncoding = 1
+
 	flagPriority = 1 << 0
 	flagBirth    = 1 << 1
 	flagVC       = 1 << 2
@@ -55,6 +62,11 @@ const (
 	maxEnvelopeVC      = vclock.MaxEntries
 	maxEnvelopePayload = 1 << 30
 )
+
+// ErrPayloadEncoding is wrapped when a record names a payload encoding
+// other than the compiled one: 0 is the gob encoding of earlier builds,
+// every other value is unassigned.
+var ErrPayloadEncoding = errors.New("unsupported payload encoding")
 
 // Marshal serializes an envelope for transmission in one allocation.
 func Marshal(e *Envelope) ([]byte, error) {
@@ -85,7 +97,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		b = make([]byte, len(dst), len(dst)+size)
 		copy(b, dst)
 	}
-	b = append(b, envelopeFormat, flags, e.Enc)
+	b = append(b, envelopeFormat, flags, payloadEncoding)
 	b = rec.AppendLenString(b, e.ID)
 	b = rec.AppendLenString(b, e.Type)
 	b = rec.AppendLenString(b, e.Publisher)
@@ -182,11 +194,12 @@ func UnmarshalAlias(data []byte) (*Envelope, error) {
 	if flags&^knownFlags != 0 {
 		return nil, fmt.Errorf("codec: unmarshal envelope: unknown flags 0x%02x", flags&^knownFlags)
 	}
+	if enc := r.U8(); r.Err == nil && enc != payloadEncoding {
+		return nil, fmt.Errorf("codec: unmarshal envelope: %w %d", ErrPayloadEncoding, enc)
+	}
 	// The reads below run in lexical order, which is the wire order.
-	enc := r.U8()
 	id, typ, pub := r.header()
 	e := &Envelope{
-		Enc:         enc,
 		ID:          id,
 		Type:        typ,
 		Publisher:   pub,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -32,7 +34,6 @@ func flatFIFOEnvelope() *Envelope {
 		ID:          "0123456789abcdef0123456789abcdef",
 		Type:        "bench.Event",
 		Payload:     bytes.Repeat([]byte{0xA5}, 60),
-		Enc:         EncWire,
 		Publisher:   "127.0.0.1:40123",
 		Seq:         1234,
 		Reliability: obvent.ReliableDelivery,
@@ -101,8 +102,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{"no header string", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", "" })},
 		{"64 KiB-1 ID alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = long, "", "" })},
 		{"64 KiB-1 Publisher alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", long })},
-		{"gob payload encoding", with(func(e *Envelope) { e.Enc = EncGob })},
-		{"unassigned payload encoding", with(func(e *Envelope) { e.Enc = 0xFF })},
 		{"64 KiB payload", with(func(e *Envelope) { e.Payload = bytes.Repeat([]byte{1}, 64<<10) })},
 	}
 	for _, tc := range cases {
@@ -120,6 +119,35 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			}
 			if !sameEnvelope(tc.env, back) {
 				t.Errorf("round trip:\n got %+v\nwant %+v", back, tc.env)
+			}
+		})
+	}
+	// The compiled encoding is the only one: a record naming an earlier
+	// build's gob payload (encoding 0), or an unassigned encoding, does
+	// not come back.
+	const encAt = 2 // after format and flags
+	for _, tc := range []struct {
+		name string
+		enc  byte
+	}{
+		{"gob payload encoding", 0},
+		{"unassigned payload encoding", 0xFF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := Marshal(flatFIFOEnvelope())
+			if err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			if data[encAt] != payloadEncoding {
+				t.Fatalf("record names encoding %d, want %d", data[encAt], payloadEncoding)
+			}
+			data[encAt] = tc.enc
+			e, err := Unmarshal(data)
+			if !errors.Is(err, ErrPayloadEncoding) {
+				t.Fatalf("Unmarshal = %+v, %v; want %v", e, err, ErrPayloadEncoding)
+			}
+			if want := fmt.Sprintf("%v %d", ErrPayloadEncoding, tc.enc); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
 			}
 		})
 	}

@@ -25,16 +25,16 @@ import (
 // candidate subscriptions (expanded through the registry's conformance
 // relation) and a compound matcher (package matching) that factors all
 // their remote filters, so an event's conditions are evaluated once
-// across all subscribers instead of once per subscription. The envelope
-// is decoded once into a canonical value used only for remote-filter
-// matching. Obvent local uniqueness (§2.1.2) is then paid only for the
-// subscriptions whose remote matching passed: for a class with reference
-// kinds one deep copy per match but the last, which takes the decoded
-// prototype, and one immutable box per envelope for a flat class (no
-// pointer, slice or map, transitively). A boxed flat value
-// cannot be observed to be shared: a value held in an interface is not
-// addressable and holds nothing to write through, and every typed handler
-// copies it out (As[T]), so each subscriber still owns what it sees.
+// across all subscribers instead of once per subscription, reading the
+// fields it needs straight from the encoded payload where it can. Obvent
+// local uniqueness (§2.1.2) is then paid only for the subscriptions
+// whose remote matching passed: for a class with reference kinds one
+// decode of the payload per match, and one immutable box per envelope
+// for a flat class (no pointer, slice or map, transitively). A boxed
+// flat value cannot be observed to be shared: a value held in an
+// interface is not addressable and holds nothing to write through, and
+// every typed handler copies it out (As[T]), so each subscriber still
+// owns what it sees.
 // Opaque local filters run on the subscriber's own obvent (as in the
 // naive path), so filters can never observe another subscriber's state.
 
@@ -93,27 +93,16 @@ type DispatchStats struct {
 	// table's matchers that fell back to name-based reflection (path
 	// does not compile for the event type; fail-open is preserved).
 	AccessorFallbacks uint64
-	// CopierCompiles counts pointer-bearing classes for which the
-	// engine's codec compiled a deep copier (cumulative; a class is
-	// decided once).
-	CopierCompiles uint64
-	// CopierFallbacks counts classes the copier compiler rejected to the
-	// gob-decode-per-clone fallback (unsupported layout).
-	CopierFallbacks uint64
 
 	// WireCompiles / WireRejects count per-class wire-codec program
 	// compilation outcomes in the engine's codec (each class is decided
-	// once; rejected classes keep the gob payload encoding).
+	// once; a rejected class cannot be published).
 	WireCompiles uint64
 	WireRejects  uint64
-	// WireEncodes / WireDecodes count compact payload encodes and full
-	// compact decodes (materializations) by the engine's codec.
+	// WireEncodes / WireDecodes count payload encodes and full decodes
+	// (materializations) by the engine's codec.
 	WireEncodes uint64
 	WireDecodes uint64
-	// GobPayloadEncodes / GobPayloadDecodes count gob payload traffic:
-	// events of the classes the wire compiler rejects.
-	GobPayloadEncodes uint64
-	GobPayloadDecodes uint64
 	// PartialDecodes counts wire-encoded events the live table's
 	// matchers evaluated straight from the compact payload, without
 	// materializing the event at all.
@@ -169,22 +158,17 @@ func (s *DispatchStats) add(o DispatchStats) {
 // Stats returns a snapshot of the engine's delivery counters, folded
 // across all dispatch lanes, plus the compile-step counters of the
 // reflection-free pipeline: accessor programs in the live dispatch
-// table's matchers and deep copiers in the engine's codec.
+// table's matchers and wire programs in the engine's codec.
 func (e *Engine) Stats() DispatchStats {
 	st := e.lanes.stats()
 	st.HandlerPanics = e.handlerPanics.Load()
 	st.SlowConsumerDrops = e.overload.slowDrops.Load()
 	st.Quarantines = e.overload.quarantines.Load()
-	cs := e.codec.CopierStats()
-	st.CopierCompiles = cs.Compiles
-	st.CopierFallbacks = cs.Rejects
 	ws := e.codec.WireStats()
 	st.WireCompiles = ws.Compiles
 	st.WireRejects = ws.Rejects
 	st.WireEncodes = ws.Encodes
 	st.WireDecodes = ws.Decodes
-	st.GobPayloadEncodes = ws.GobEncodes
-	st.GobPayloadDecodes = ws.GobDecodes
 	e.table.Load().buckets.Range(func(_, v any) bool {
 		if b := v.(*typeBucket); b.compound != nil {
 			ms := b.compound.Stats()
@@ -376,33 +360,22 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 	}
 	matched := sc.ids[:0]
 	if b.compound != nil {
-		// Wire-encoded payloads evaluate lazily: the compound extracts
-		// the referenced fields straight from the compact payload and
-		// materializes the event (through sc.full) only when a plan path
-		// goes through an accessor method. Gob payloads decode once into
-		// a canonical value, as before.
-		if wp, payload, isWire := src.Wire(); isWire {
-			if sc.full == nil {
-				sc.full = func() (any, error) { return sc.src.Clone() }
-			}
-			m, err := b.compound.MatchWireAppend(wp, payload, sc.full, matched)
-			if err != nil {
-				ln.counters.decodeErrors.Add(1)
-				e.noteDrop(env, telemetry.ReasonDecodeError)
-				sc.src = codec.CloneSource{} // do not pin the failed envelope
-				return
-			}
-			matched = m
-		} else {
-			canonical, err := src.Clone()
-			if err != nil {
-				ln.counters.decodeErrors.Add(1)
-				e.noteDrop(env, telemetry.ReasonDecodeError)
-				sc.src = codec.CloneSource{} // do not pin the failed envelope
-				return
-			}
-			matched = b.compound.MatchAppend(canonical, matched)
+		// The compound evaluates lazily: it extracts the referenced
+		// fields straight from the payload and materializes the event
+		// (through sc.full) only when a plan path goes through an
+		// accessor method or a marshaled field.
+		if sc.full == nil {
+			sc.full = func() (any, error) { return sc.src.Clone() }
 		}
+		wp, payload, _ := src.Wire()
+		m, err := b.compound.MatchWireAppend(wp, payload, sc.full, matched)
+		if err != nil {
+			ln.counters.decodeErrors.Add(1)
+			e.noteDrop(env, telemetry.ReasonDecodeError)
+			sc.src = codec.CloneSource{} // do not pin the failed envelope
+			return
+		}
+		matched = m
 	}
 
 	// Merge the unfiltered candidates with the compound matches in
@@ -427,22 +400,14 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 
 	// One obvent per match (§2.1.2; see the header for what a flat class
 	// shares): only subscriptions whose remote matching passed pay for
-	// one, O(matches)+1 instead of O(subscriptions). Opaque local filters
+	// one, O(matches) instead of O(subscriptions). Opaque local filters
 	// run on the subscriber's own obvent — exactly as in the naive path —
 	// so a mutating local filter can never leak state across
 	// subscriptions.
-	// The deliver list is final, so its last member can have the decoded
-	// prototype itself (CloneLast) where the others get copies of it.
 	ordered := e.orderedDelivery(env)
 	decodeFailed := false // count decode errors once per envelope
-	for i, s := range deliver {
-		var o obvent.Obvent
-		var err error
-		if i == len(deliver)-1 {
-			o, err = src.CloneLast()
-		} else {
-			o, err = src.Clone()
-		}
+	for _, s := range deliver {
+		o, err := src.Clone()
 		if err != nil {
 			if !decodeFailed {
 				decodeFailed = true
@@ -465,7 +430,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		}
 	}
 	// Retain any buffer growth for this lane's next envelope; drop the
-	// clone source's payload and prototype references so an idle lane
+	// clone source's payload and shared box so an idle lane
 	// does not pin its last envelope's obvent for the GC.
 	sc.ids = matched[:0]
 	sc.deliver = deliver[:0]
@@ -560,7 +525,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 			e.noteDrop(env, telemetry.ReasonExecutorClosed)
 		}
 	}
-	// Do not pin the envelope's payload or prototype on an idle lane.
+	// Do not pin the envelope's payload or shared box on an idle lane.
 	ln.scratch.src = codec.CloneSource{}
 }
 

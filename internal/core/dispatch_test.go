@@ -472,8 +472,8 @@ type tickInfo struct {
 	Venue string
 }
 
-// loopQuote is a recursive class: the copier compiler rejects it at
-// compile time and clones take the gob fallback.
+// loopQuote is a recursive class: it compiles under the wire program's
+// nesting bound.
 type loopQuote struct {
 	obvent.Base
 	V    int
@@ -533,7 +533,7 @@ func TestDispatchSourceScratchAllocs(t *testing.T) {
 
 // TestEngineStatsCompileCounters pins the observability satellite:
 // Engine.Stats surfaces the accessor programs compiled by the live
-// dispatch table and the codec's copier compile/reject decisions.
+// dispatch table and the codec's wire compile/reject decisions.
 func TestEngineStatsCompileCounters(t *testing.T) {
 	e := newLocalEngine(t)
 	e.Registry().MustRegister(bookQuote{})
@@ -554,22 +554,20 @@ func TestEngineStatsCompileCounters(t *testing.T) {
 	if st.AccessorPrograms == 0 {
 		t.Errorf("AccessorPrograms = 0, want > 0 after filtered dispatch")
 	}
-	if st.CopierCompiles != 1 {
-		t.Errorf("CopierCompiles = %d, want 1 (bookQuote)", st.CopierCompiles)
-	}
-	if st.CopierFallbacks != 1 {
-		t.Errorf("CopierFallbacks = %d, want 1 (recursive loopQuote)", st.CopierFallbacks)
+	if st.WireCompiles != 3 || st.WireRejects != 0 {
+		t.Errorf("WireCompiles = %d, WireRejects = %d; want 3 (StockQuote, bookQuote, recursive loopQuote) and 0",
+			st.WireCompiles, st.WireRejects)
 	}
 	if got := loop.all()[0]; got.Next == nil || got.Next.V != 2 {
-		t.Errorf("gob-fallback delivery mangled recursive obvent: %+v", got)
+		t.Errorf("delivery mangled recursive obvent: %+v", got)
 	}
 }
 
-// TestCopierClonesAreIndependentAcrossSubscribers is the end-to-end
-// obvent local uniqueness check (§2.1.2) on the copier path: two
-// subscribers to a pointer-bearing class receive clones that are equal
-// in content but share no pointees.
-func TestCopierClonesAreIndependentAcrossSubscribers(t *testing.T) {
+// TestClonesAreIndependentAcrossSubscribers is the end-to-end obvent
+// local uniqueness check (§2.1.2) for a pointer-bearing class: two
+// subscribers receive clones that are equal in content but share no
+// pointees.
+func TestClonesAreIndependentAcrossSubscribers(t *testing.T) {
 	e := newLocalEngine(t)
 	e.Registry().MustRegister(bookQuote{})
 	c1 := subscribeCollector[bookQuote](t, e, nil)
@@ -599,14 +597,13 @@ func TestCopierClonesAreIndependentAcrossSubscribers(t *testing.T) {
 	}
 }
 
-// TestLastMatchTakesThePrototype: the indexed path gives its last match
-// the decoded prototype itself where the naive path copies for every
-// match. With 1, 2 and 5 matches of a class with a slice and a pointer,
+// TestEveryMatchHoldsItsOwnObject: each match of a class with a slice
+// and a pointer decodes an object of its own. With 1, 2 and 5 matches,
 // every handler writes through everything it was given: each must have
 // seen the event as published (nothing another handler wrote, on this
 // envelope or the one before), hold an object of its own, and have seen
 // what the naive oracle's handlers saw.
-func TestLastMatchTakesThePrototype(t *testing.T) {
+func TestEveryMatchHoldsItsOwnObject(t *testing.T) {
 	type seen struct {
 		Sub    int
 		Levels []float64

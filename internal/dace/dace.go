@@ -801,17 +801,16 @@ func (n *Node) markWrite(t1 int64) {
 	n.tele.Record(uint32(t1), telemetry.StageRouteWrite, telemetry.Now()-t1)
 }
 
-// destScratch is the pooled per-publication destination buffer. The two
-// closures are created once per scratch and capture the scratch pointer
+// destScratch is the pooled per-publication destination buffer. The
+// closure is created once per scratch and captures the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
-// allocates neither closures nor decode state; src is reset after every
+// allocates neither a closure nor decode state; src is reset after every
 // event.
 type destScratch struct {
 	ids  []string
 	send [1]multicast.Send // the one Send of a routed publication
 	src  codec.CloneSource
 	full func() (any, error)
-	dec  func() any
 }
 
 // destinationsFor appends the nodes owed a copy of env: nodes hosting
@@ -819,12 +818,11 @@ type destScratch struct {
 // by publisher-side compound-filter evaluation when Placement is
 // AtPublisher — one indexed evaluation per event against the class's
 // compiled routing plan, not one interpretation per remote
-// subscription. A compact payload is evaluated lazily: the plan reads
-// only the fields it references straight off the wire bytes and the
-// event is materialized only when some referenced path needs a method
-// accessor. Gob payloads decode at most once, and only when some
-// candidate node actually advertised filters; an undecodable event
-// fails open to all candidates (each subscriber's local pass decides).
+// subscription. The payload is evaluated lazily: the plan reads only
+// the fields it references straight off the wire bytes and the event is
+// materialized only when some referenced path needs a method accessor
+// or goes into a marshaled field. An undecodable event fails open to
+// all candidates (each subscriber's local pass decides).
 func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []string) []string {
 	if n.cfg.Placement != AtPublisher {
 		return n.routes.NodesFor(env.Type, dst)
@@ -832,23 +830,11 @@ func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []stri
 	if err := n.cdc.SourceInto(env, &buf.src); err != nil {
 		return n.routes.Destinations(env.Type, nil, dst)
 	}
-	if wp, payload, ok := buf.src.Wire(); ok {
-		if buf.full == nil {
-			buf.full = func() (any, error) { return buf.src.Clone() }
-		}
-		dst = n.routes.DestinationsWire(env.Type, wp, payload, buf.full, dst)
-	} else {
-		if buf.dec == nil {
-			buf.dec = func() any {
-				o, err := buf.src.Clone()
-				if err != nil {
-					return nil
-				}
-				return o
-			}
-		}
-		dst = n.routes.Destinations(env.Type, buf.dec, dst)
+	if buf.full == nil {
+		buf.full = func() (any, error) { return buf.src.Clone() }
 	}
+	wp, payload, _ := buf.src.Wire()
+	dst = n.routes.DestinationsWire(env.Type, wp, payload, buf.full, dst)
 	buf.src = codec.CloneSource{}
 	return dst
 }

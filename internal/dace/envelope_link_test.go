@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,60 +308,79 @@ func TestParentFrameOpens(t *testing.T) {
 	}
 }
 
-// TestUndecodableFrameIsLogged feeds a class's group one garbage frame:
-// the drop is counted, traced under the class and logged with the class
-// and the origin under their own keys.
+// TestUndecodableFrameIsLogged feeds a class's group one frame that does
+// not decode: the drop is counted, traced under the class and logged with
+// the class and the origin under their own keys. One frame is garbage;
+// the other is the stored record of a Timely class as the build before
+// gob was retired wrote it (testdata/parent-pr25 at the repository root),
+// which names payload encoding 0.
 func TestUndecodableFrameIsLogged(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	ep, err := net.NewEndpoint("node-0")
+	parentGob, err := os.ReadFile("../../testdata/parent-pr25/timely.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obvent.NewRegistry()
-	registerAll(reg)
-	rec := &warnRecorder{msg: "dace: dropping undecodable data frame"}
-	cfg := fastCfg()
-	cfg.Logger = slog.New(rec)
-	cfg.Telemetry = telemetry.NewPlane()
-	var traced []telemetry.TraceEvent
-	cfg.Telemetry.SetTraceHook(func(ev telemetry.TraceEvent) { traced = append(traced, ev) }, 1)
-	n := NewNode(ep, reg, cfg)
-	defer n.Close()
-	delivered := 0
-	n.SetSink(func(*codec.Envelope) { delivered++ })
+	for _, tc := range []struct {
+		name, err string
+		frame     []byte
+	}{
+		{"garbage", "unknown envelope format", []byte("not an envelope record")},
+		{"parent gob record", "payload encoding 0", parentGob},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			ep, err := net.NewEndpoint("node-0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obvent.NewRegistry()
+			registerAll(reg)
+			rec := &warnRecorder{msg: "dace: dropping undecodable data frame"}
+			cfg := fastCfg()
+			cfg.Logger = slog.New(rec)
+			cfg.Telemetry = telemetry.NewPlane()
+			var traced []telemetry.TraceEvent
+			cfg.Telemetry.SetTraceHook(func(ev telemetry.TraceEvent) { traced = append(traced, ev) }, 1)
+			n := NewNode(ep, reg, cfg)
+			defer n.Close()
+			delivered := 0
+			n.SetSink(func(*codec.Envelope) { delivered++ })
 
-	// A peer's group on the class's channel sends one well-formed frame
-	// whose payload is not an envelope.
-	class := className[StockQuote]()
-	peer, err := net.NewEndpoint("node-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := multicast.NewBestEffort(multicast.NewMux(peer), streamName("be", class), func(string, []byte) {})
-	defer be.Close()
-	garbage := []byte("not an envelope record")
-	if err := be.BroadcastTo([]string{"node-0"}, garbage); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "the drop", func() bool {
-		return cfg.Telemetry.DroppedByReason()[telemetry.ReasonDecodeError.String()] == 1
-	})
-	_ = n.Close() // the group's delivery goroutine is done with the hook and the sink
+			// A peer's group on the class's channel sends one well-formed
+			// frame whose payload does not decode as an envelope.
+			class := className[StockQuote]()
+			peer, err := net.NewEndpoint("node-7")
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := multicast.NewBestEffort(multicast.NewMux(peer), streamName("be", class), func(string, []byte) {})
+			defer be.Close()
+			if err := be.BroadcastTo([]string{"node-0"}, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, "the drop", func() bool {
+				return cfg.Telemetry.DroppedByReason()[telemetry.ReasonDecodeError.String()] == 1
+			})
+			_ = n.Close() // the group's delivery goroutine is done with the hook and the sink
 
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.got) != 1 {
-		t.Fatalf("got %d warnings %v, want 1", len(rec.got), rec.got)
-	}
-	w := rec.got[0]
-	if w["class"] != class || w["origin"] != "node-7" || w["bytes"] != int64(len(garbage)) || w["err"] == nil {
-		t.Errorf("warning attrs = %v, want class=%s origin=node-7 bytes=%d and an err", w, class, len(garbage))
-	}
-	if len(traced) != 1 || traced[0].Class != class || traced[0].Outcome != telemetry.ReasonDecodeError.String() {
-		t.Errorf("trace records = %+v, want one %s under class %s", traced, telemetry.ReasonDecodeError, class)
-	}
-	if delivered != 0 {
-		t.Errorf("%d envelopes reached the sink", delivered)
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if len(rec.got) != 1 {
+				t.Fatalf("got %d warnings %v, want 1", len(rec.got), rec.got)
+			}
+			w := rec.got[0]
+			if w["class"] != class || w["origin"] != "node-7" || w["bytes"] != int64(len(tc.frame)) || w["err"] == nil {
+				t.Errorf("warning attrs = %v, want class=%s origin=node-7 bytes=%d and an err", w, class, len(tc.frame))
+			}
+			if e, ok := w["err"].(error); !ok || !strings.Contains(e.Error(), tc.err) {
+				t.Errorf("warning err = %v, want one mentioning %q", w["err"], tc.err)
+			}
+			if len(traced) != 1 || traced[0].Class != class || traced[0].Outcome != telemetry.ReasonDecodeError.String() {
+				t.Errorf("trace records = %+v, want one %s under class %s", traced, telemetry.ReasonDecodeError, class)
+			}
+			if delivered != 0 {
+				t.Errorf("%d envelopes reached the sink", delivered)
+			}
+		})
 	}
 }

@@ -37,8 +37,8 @@ func matrixClassOf[T obvent.Obvent](tag string, mk func(n int) T, num func(T) in
 // matrix: one class per protocol tag, published from a node that has
 // installed its membership but heard no peer's advertisement yet, and
 // again after convergence. What a publisher knows about its peers
-// decides where an event goes, never how it is encoded: every payload
-// stays compact, every post-convergence event reaches every subscriber,
+// decides where an event goes, never how it is encoded: every class
+// compiles, every post-convergence event reaches every subscriber,
 // and the certified events published before any subscriber was known
 // are owed by the outbox and arrive too. Pre-advertisement events of
 // the routed unreliable classes may reach nobody; they must only cause
@@ -158,11 +158,11 @@ func TestCompactPayloadBeforeAdConvergence(t *testing.T) {
 					t.Errorf("%s: DecodeErrors = %d, want 0", addrs[i], st.DecodeErrors)
 				}
 			}
-			if ws := pub.node.cdc.WireStats(); ws.GobEncodes != 0 {
-				t.Errorf("publisher node codec: GobEncodes = %d, want 0; stats %+v", ws.GobEncodes, ws)
+			if ws := pub.node.cdc.WireStats(); ws.Rejects != 0 {
+				t.Errorf("publisher node codec: Rejects = %d, want 0; stats %+v", ws.Rejects, ws)
 			}
-			if st := pub.engine.Stats(); st.GobPayloadEncodes != 0 {
-				t.Errorf("publisher engine codec: GobPayloadEncodes = %d, want 0", st.GobPayloadEncodes)
+			if st := pub.engine.Stats(); st.WireRejects != 0 {
+				t.Errorf("publisher engine codec: WireRejects = %d, want 0", st.WireRejects)
 			}
 		})
 	}

@@ -375,3 +375,58 @@ func TestMembershipDepartureDropsRoutingState(t *testing.T) {
 		t.Errorf("cert subscribers after departure = %v, want only node-1's", subs)
 	}
 }
+
+// timelyReading is a Timely class: TimelyBase's time.Time is a marshaled
+// field, which the routing plan skips over on the wire.
+type timelyReading struct {
+	obvent.Base
+	obvent.TimelyBase
+	Sensor string
+	Value  float64
+	Seq    int
+}
+
+// TestTimelyClassRoutesByPartialDecode: a publisher-side filter on a
+// Timely class is decided straight from the payload's bytes, on the
+// publisher's routing plan and on the subscriber's dispatch table alike;
+// no event is materialized to be matched.
+func TestTimelyClassRoutesByPartialDecode(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	cfg := fastCfg()
+	cfg.Placement = AtPublisher
+	nodes := newDomain(t, net, 2, cfg)
+	for _, n := range nodes {
+		n.node.Registry().MustRegister(timelyReading{})
+	}
+	pub, sub := nodes[0], nodes[1]
+
+	var got atomic.Int32
+	s, err := core.Subscribe(sub.engine, filter.Path("Value").Gt(filter.Float(20)), func(timelyReading) { got.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	waitAds(t, pub.node, 1)
+
+	const events = 10 // Value 15..24: 21..24 pass
+	for i := 0; i < events; i++ {
+		r := timelyReading{TimelyBase: obvent.TimelyBase{TTL: time.Minute}, Sensor: "s-1", Value: float64(15 + i), Seq: i}
+		if err := core.Publish(pub.engine, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "the passing readings", func() bool { return got.Load() == 4 })
+
+	st := pub.node.RoutingStatsByClass()[obvent.TypeName(obvent.TypeOf[timelyReading]())]
+	if st.PartialDecodes != events || st.WireMaterializations != 0 {
+		t.Errorf("publisher routing: PartialDecodes = %d, WireMaterializations = %d; want %d and 0",
+			st.PartialDecodes, st.WireMaterializations, events)
+	}
+	if es := sub.engine.Stats(); es.PartialDecodes == 0 || es.WireMaterializations != 0 {
+		t.Errorf("subscriber dispatch: PartialDecodes = %d, WireMaterializations = %d; want > 0 and 0",
+			es.PartialDecodes, es.WireMaterializations)
+	}
+}

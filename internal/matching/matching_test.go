@@ -1,13 +1,17 @@
 package matching
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"govents/internal/filter"
+	"govents/internal/wire"
 )
 
 type quote struct {
@@ -604,5 +608,97 @@ func TestProgramTableGrowthCapped(t *testing.T) {
 	}
 	if _, ok := p.programs.Load(reflect.TypeOf(quote{})); ok {
 		t.Error("over-cap type was cached anyway")
+	}
+}
+
+// geoPoint has exported fields and MarshalBinary: on the wire it is the
+// method's output (here the fields reversed), not its fields.
+type geoPoint struct{ Lat, Lon float64 }
+
+func (g geoPoint) MarshalBinary() ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(g.Lon)), math.Float64bits(g.Lat)), nil
+}
+
+func (g *geoPoint) UnmarshalBinary(b []byte) error {
+	if len(b) != 16 {
+		return fmt.Errorf("geoPoint: %d bytes", len(b))
+	}
+	g.Lon, g.Lat = math.Float64frombits(binary.LittleEndian.Uint64(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	return nil
+}
+
+type located struct {
+	Site string
+	Loc  geoPoint
+	Seq  int
+}
+
+// TestMarshaledFieldFilterMaterializes: a filter on a field of a
+// marshaled type cannot be read from the payload's bytes, so the wire
+// match path materializes the event, and its verdicts are
+// filter.Evaluate's; a plan that reads only fields behind the marshaled
+// one still decides by partial decode.
+func TestMarshaledFieldFilterMaterializes(t *testing.T) {
+	prog, err := wire.Compile(reflect.TypeOf(located{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		filters     map[string]*filter.Expr
+		materialize bool
+	}{
+		{"into the marshaled field", map[string]*filter.Expr{
+			"north": filter.Path("Loc.Lat").Gt(filter.Float(45)),
+			"east":  filter.And(filter.Path("Loc.Lon").Gt(filter.Float(0)), filter.Path("Seq").Lt(filter.Int(3))),
+		}, true},
+		{"behind the marshaled field", map[string]*filter.Expr{
+			"early": filter.Path("Seq").Lt(filter.Int(3)),
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			if err := c.AddBatch(tc.filters); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			const events = 50
+			for i := 0; i < events; i++ {
+				ev := located{Site: "s", Loc: geoPoint{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}, Seq: rng.Intn(6)}
+				payload, err := prog.Append(nil, reflect.ValueOf(ev))
+				if err != nil {
+					t.Fatal(err)
+				}
+				full := func() (any, error) {
+					v := reflect.New(prog.Type()).Elem()
+					if err := prog.Decode(payload, v); err != nil {
+						return nil, err
+					}
+					return v.Interface(), nil
+				}
+				got, err := c.MatchWireAppend(prog, payload, full, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for id, e := range tc.filters {
+					if ok, err := filter.Evaluate(e, ev); err == nil && ok {
+						want = append(want, id)
+					}
+				}
+				sort.Strings(got)
+				sort.Strings(want)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("event %+v matched %v, filter.Evaluate says %v", ev, got, want)
+				}
+			}
+			st := c.Stats()
+			if tc.materialize && (st.WireMaterializations != events || st.PartialDecodes != 0) {
+				t.Errorf("WireMaterializations = %d, PartialDecodes = %d; want %d and 0", st.WireMaterializations, st.PartialDecodes, events)
+			}
+			if !tc.materialize && (st.PartialDecodes != events || st.WireMaterializations != 0) {
+				t.Errorf("PartialDecodes = %d, WireMaterializations = %d; want %d and 0", st.PartialDecodes, st.WireMaterializations, events)
+			}
+		})
 	}
 }

@@ -57,7 +57,7 @@ func CompileExtract(t reflect.Type, chains [][]int) (*Extractor, error) {
 			ex.all = false
 		}
 	}
-	b := &builder{building: make(map[reflect.Type]bool)}
+	b := &builder{building: make(map[reflect.Type]*codecFns)}
 	run, err := buildWalk(b, t, slots, false)
 	if err != nil {
 		return nil, err
@@ -92,9 +92,14 @@ func (e *Extractor) Extract(data []byte, vals []filter.Constant, ok []bool) erro
 }
 
 // chainExtractable reports whether a chain lands on a filter-primitive
-// leaf through struct fields and pointer derefs only.
+// leaf through struct fields and pointer derefs only. A marshaled type
+// is opaque on the wire (its bytes are its method's output), so a chain
+// into or onto one is not extractable.
 func chainExtractable(t reflect.Type, chain []int) bool {
 	for _, s := range chain {
+		if _, marshaled := marshalerOf(t); marshaled {
+			return false
+		}
 		if s < 0 {
 			if t.Kind() != reflect.Pointer {
 				return false
@@ -106,14 +111,16 @@ func chainExtractable(t reflect.Type, chain []int) bool {
 			return false
 		}
 		f := t.Field(s)
-		if !f.IsExported() {
-			// Unexported fields do not travel on the wire.
+		if !travels(f) {
 			return false
 		}
 		t = f.Type
 	}
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
+	}
+	if _, marshaled := marshalerOf(t); marshaled {
+		return false
 	}
 	switch t.Kind() {
 	case reflect.Bool,
@@ -144,7 +151,7 @@ func buildWalk(b *builder, t reflect.Type, slots []islot, needTail bool) (extFn,
 			return nil, err
 		}
 		return func(data []byte, pos int, _ []filter.Constant, _ []bool) (int, error) {
-			return skip(data, pos)
+			return skip(data, pos, 0)
 		}, nil
 	}
 
@@ -199,7 +206,7 @@ func buildWalk(b *builder, t reflect.Type, slots []islot, needTail bool) (extFn,
 				break
 			}
 			f := t.Field(i)
-			if !f.IsExported() {
+			if !travels(f) {
 				continue
 			}
 			fn, err := buildWalk(b, f.Type, byField[i], needTail || i < last)

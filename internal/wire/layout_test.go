@@ -34,11 +34,14 @@ func TestEmbeddedAndForeignStructFields(t *testing.T) {
 		StockObvent: StockObvent{Company: "Telco", Price: 42, Amount: 9},
 		Market:      rmi.Ref{Addr: "n1", Name: "market"},
 	}
-	prog, err := wire.Compile(reflect.TypeOf(q))
+	prog, err := wire.Compile(reflect.TypeOf(q), nil)
 	if err != nil {
 		t.Fatalf("wire.Compile(StockQuote): %v", err)
 	}
-	data := prog.Append(nil, reflect.ValueOf(q))
+	data, err := prog.Append(nil, reflect.ValueOf(q))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rv := reflect.New(reflect.TypeOf(q)).Elem()
 	if err := prog.Decode(data, rv); err != nil {
 		t.Fatalf("decode: %v", err)
