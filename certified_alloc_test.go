@@ -134,6 +134,26 @@ func TestCertifiedDurableAllocsPerEvent(t *testing.T) {
 	}
 }
 
+// TestCertifiedAllocsPerEvent pins the same event on the in-memory
+// certified path, domains without WithDurability, whose outbox and
+// inbox are internal/durable's over a file seam that keeps no bytes. It
+// reads 6.7 KB and 16.6 allocations; the limits are those of the
+// separate in-memory log this path replaced (6.8 KB, 18.7) and a tenth.
+func TestCertifiedAllocsPerEvent(t *testing.T) {
+	ctx := context.Background()
+	pad := make([]byte, 1024)
+	r := allocsPerEvent(t,
+		func() []govents.Option { return nil },
+		func(d *govents.Domain, got *atomic.Int64) error {
+			_, err := govents.Subscribe(d, nil, func(padCertified) { got.Add(1) })
+			return err
+		},
+		func(d *govents.Domain, seq int64) error { return d.Publish(ctx, padCertified{Seq: seq, Pad: pad}) })
+	if r.bytes > 7500 || r.allocs > 20.5 {
+		t.Errorf("one in-memory certified 1 KiB event costs %.0f bytes and %.1f allocations, want <= 7500 and <= 20.5", r.bytes, r.allocs)
+	}
+}
+
 // flatFIFO is a flat FIFO-ordered class of about the benchmark's size.
 type flatFIFO struct {
 	obvent.Base

@@ -435,17 +435,25 @@
 // (write-ahead of any transmission) and a subscriber-side staging inbox
 // that records every certified arrival durably before its offset joins
 // an acknowledgement to the publisher. A certified class's state lives
-// in one place: with
-// WithDurability under dir/<class>, where it survives a crash of either
-// end; without, in memory, where it survives a subscriber's
-// disconnection only. The in-memory state is per class too (an outbox
-// and a set of delivered IDs, shared with no other class), and the
-// outbox holds what is unacknowledged, not what was ever published: an
-// entry goes with the acknowledgement that completes it.
+// in one place, shared with no other class: with WithDurability under
+// dir/<class>, where it survives a crash of either end; without, in
+// memory, where it survives a subscriber's disconnection only. Both are
+// the same outbox and inbox, whose logs without a directory write to
+// nothing. One retirement rule holds for both: an outbox entry leaves
+// memory at the acknowledgement that completes it (every registered
+// durable identity has acknowledged it), and its record leaves the disk
+// when compaction drops the segment holding it.
 //
 // Sync policy (fsync per record vs batched) and segment size come from
 // WithDurabilityTuning; Domain.DurableStats exposes the plane's
 // counters and Domain.CompactDurable drops fully consumed segments.
+// Under SyncAlways a crash loses nothing a returned call wrote. Under
+// SyncBatch it loses what each log wrote since its last sync, at most a
+// segment: enumerating every crash point of 20 events, two consumers
+// and 128-byte segments, an outbox lost up to 4 entries and 4
+// acknowledgement records, an inbox up to 3 staged events and 5
+// acknowledgements. A lost acknowledgement costs a redelivery; a lost
+// entry, or a staged event already acknowledged, is not sent again.
 // DurabilityTuning.Retention schedules that compaction on a
 // jittered background ticker instead — reclaiming only behind the
 // slowest consumer frontier, never a record still owed to a durable
@@ -477,8 +485,8 @@
 // not acknowledged only once it has been out for a full
 // Tuning.RetransmitInterval, the rule of the link protocol: a tick
 // leaves alone what was first sent since the tick before. Payloads are
-// handed on, not copied: internal/store.Log and internal/codec state
-// who may keep and who may alias one.
+// handed on, not copied: internal/durable.Outbox and internal/codec
+// state who may keep and who may alias one.
 //
 // The certified class speaks two frames of the link protocol's record:
 //

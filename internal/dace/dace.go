@@ -72,7 +72,6 @@ import (
 	"govents/internal/netsim"
 	"govents/internal/obvent"
 	"govents/internal/routing"
-	"govents/internal/store"
 	"govents/internal/telemetry"
 )
 
@@ -489,13 +488,13 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 }
 
 // certStores is the one place a certified class's stores come from: the
-// durability manager's outbox and inbox of the class, else a fresh
-// in-memory pair that the class's group owns. Either way no two classes
-// share one, so no class is owed another's events. The manager opens
-// both logs of a class or neither; failing that the class falls back to
-// memory, loudly — delivery degrades to disconnect-only recovery, it
-// does not disappear.
-func (n *Node) certStores(class string) (store.Log, multicast.Stager) {
+// durability manager's outbox and inbox of the class, else a fresh pair
+// in memory that the class's group owns (durable.NewMemOutbox,
+// NewMemInbox). Either way no two classes share one, so no class is owed
+// another's events. The manager opens both logs of a class or neither;
+// failing that the class falls back to memory, loudly — delivery
+// degrades to disconnect-only recovery, it does not disappear.
+func (n *Node) certStores(class string) (*durable.Outbox, *durable.Inbox) {
 	if n.cfg.Durable != nil {
 		ob, err := n.cfg.Durable.OutboxFor(class)
 		if err == nil {
@@ -507,7 +506,7 @@ func (n *Node) certStores(class string) (store.Log, multicast.Stager) {
 		n.log.Warn("dace: durable state unavailable; certified class keeps its state in memory",
 			"class", class, "err", err)
 	}
-	return store.NewMemLog(), store.NewMemSet()
+	return durable.NewMemOutbox(), durable.NewMemInbox()
 }
 
 // durableIDsForLocked resolves the durable identities this node

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"govents/internal/store"
 )
 
 func openTestOutbox(t *testing.T, dir string) *Outbox {
@@ -26,7 +24,7 @@ func TestOutboxSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range 6 {
-		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
+		if err := o.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +72,7 @@ func TestOutboxGCSnapshotCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range 5 {
-		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
+		if err := o.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +102,10 @@ func TestOutboxGCSnapshotCompact(t *testing.T) {
 	if len(pending) != 1 || pending[0].ID != "e3" {
 		t.Fatalf("pending after GC+reopen = %v", pending)
 	}
-	if o.Len() != 2 { // e3 (pending) + e4 (acked, segment not droppable past gap)
-		t.Fatalf("Len after GC+reopen = %d, want 2", o.Len())
+	// e4 is acknowledged: retired from memory, though its segment, past
+	// the gap, stays on disk.
+	if o.Len() != 1 {
+		t.Fatalf("Len after GC+reopen = %d, want 1 (e3)", o.Len())
 	}
 }
 
@@ -113,7 +113,7 @@ func TestOutboxGCWithoutConsumersRetains(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir)
 	defer o.Close()
-	if err := o.Append(store.Entry{ID: "e0"}); err != nil {
+	if err := o.Append(Entry{ID: "e0"}); err != nil {
 		t.Fatal(err)
 	}
 	dropped, err := o.GC()
@@ -284,7 +284,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ob.Append(store.Entry{ID: "e0", Payload: []byte("q")}); err != nil {
+	if err := ob.Append(Entry{ID: "e0", Payload: []byte("q")}); err != nil {
 		t.Fatal(err)
 	}
 	ib, err := m.InboxFor("pkg.Quote")
@@ -370,7 +370,7 @@ func TestDurableAppendAllocs(t *testing.T) {
 			next++
 		}
 	}
-	appendOp := step(func(id string) error { return o.Append(store.Entry{ID: id, Payload: payload}) })
+	appendOp := step(func(id string) error { return o.Append(Entry{ID: id, Payload: payload}) })
 	stageOp := step(func(id string) error { _, err := ib.Stage(id, "pub", payload); return err })
 	for i := 0; i < 8; i++ { // warm the scratch, the framing buffers and the indexes
 		appendOp()
@@ -400,7 +400,7 @@ func TestDurableAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestOutboxKeepsCallersPayload: store.Log's ownership contract as the
+// TestOutboxKeepsCallersPayload: the Outbox's ownership contract as the
 // outbox uses it. Append keeps the slice it was given, and every Pending
 // hands out that same slice.
 func TestOutboxKeepsCallersPayload(t *testing.T) {
@@ -410,7 +410,7 @@ func TestOutboxKeepsCallersPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("handed over")
-	if err := o.Append(store.Entry{ID: "e0", Payload: payload}); err != nil {
+	if err := o.Append(Entry{ID: "e0", Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	for range 2 {
@@ -472,7 +472,7 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 		}
 	}
 	for i := range 8 {
-		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
+		if err := o.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -499,10 +499,10 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 	if cs := o.consumers["a"]; cs.frontier != 6 || len(cs.sparse) != 0 {
 		t.Fatalf("a: frontier %d with %d above it, want 6 (e5) with none", cs.frontier, len(cs.sparse))
 	}
-	if err := o.RegisterConsumer("late"); err != nil { // owed everything still held
+	if err := o.RegisterConsumer("late"); err != nil { // owed everything still held: e2 is retired
 		t.Fatal(err)
 	}
-	check(o, "late", "e2", "e3", "e4", "e5", "e6", "e7")
+	check(o, "late", "e3", "e4", "e5", "e6", "e7")
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 	defer o.Close()
 	check(o, "a", "e6", "e7")
 	check(o, "b", "e3", "e4", "e5", "e6", "e7")
-	check(o, "late", "e2", "e3", "e4", "e5", "e6", "e7")
+	check(o, "late", "e3", "e4", "e5", "e6", "e7")
 	if err := o.UnregisterConsumer("late"); err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestOutboxAckStateBoundedByInFlight(t *testing.T) {
 	}
 	const total, window = 5000, 16
 	for i := 0; i < total; i++ {
-		if err := o.Append(store.Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte("p")}); err != nil {
+		if err := o.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte("p")}); err != nil {
 			t.Fatal(err)
 		}
 		if i >= window {
@@ -573,7 +573,7 @@ func TestOutboxAckOfLostRecordIsNotInherited(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"e0", "e1", "e2"} {
-		if err := o.Append(store.Entry{ID: id, Payload: []byte(id)}); err != nil {
+		if err := o.Append(Entry{ID: id, Payload: []byte(id)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := o.Ack("sub", id); err != nil {
@@ -595,10 +595,11 @@ func TestOutboxAckOfLostRecordIsNotInherited(t *testing.T) {
 
 	o = openTestOutbox(t, dir)
 	defer o.Close()
-	if o.Len() != 2 {
-		t.Fatalf("outbox holds %d entries after losing one of three", o.Len())
+	if data, _ := o.Stats(); data.NextOffset != 3 || o.Len() != 0 {
+		t.Fatalf("outbox data log ends before offset %d and holds %d entries after losing one of three acknowledged, want 3 and none",
+			data.NextOffset, o.Len())
 	}
-	if err := o.Append(store.Entry{ID: "e3", Payload: []byte("e3")}); err != nil {
+	if err := o.Append(Entry{ID: "e3", Payload: []byte("e3")}); err != nil {
 		t.Fatal(err)
 	}
 	pending, err := o.Pending("sub")

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"govents/internal/store"
 )
 
 // fixtureEvent is one entry of testdata/parent-pr17/expect.json.
@@ -110,10 +108,10 @@ func TestOpensDirectoryWrittenByParent(t *testing.T) {
 	if fresh, err := ib.Stage("s5", "pub", []byte("again")); err != nil || fresh {
 		t.Fatalf("restaging the parent's s5: fresh=%v err=%v", fresh, err)
 	}
-	if err := ob.Append(store.Entry{ID: "e7", Payload: []byte("again")}); err != nil || ob.Len() != expect.Len {
+	if err := ob.Append(Entry{ID: "e7", Payload: []byte("again")}); err != nil || ob.Len() != expect.Len {
 		t.Fatalf("re-appending the parent's e7: err=%v, %d entries", err, ob.Len())
 	}
-	if err := ob.Append(store.Entry{ID: "e12", Payload: []byte("payload-12")}); err != nil {
+	if err := ob.Append(Entry{ID: "e12", Payload: []byte("payload-12")}); err != nil {
 		t.Fatal(err)
 	}
 	for c, owed := range expect.Pending {
@@ -209,16 +207,24 @@ func TestOutboxOpensParentsPerOffsetAcks(t *testing.T) {
 		return out
 	}
 
+	// The parent held an entry every consumer had acknowledged until GC;
+	// this code holds what somebody is owed.
+	held := map[string]bool{}
+	for _, ids := range expect.Pending {
+		for _, id := range ids {
+			held[id] = true
+		}
+	}
 	ob := open()
-	if got := owed(ob); !reflect.DeepEqual(got, expect.Pending) || ob.Len() != expect.Len {
-		t.Fatalf("read %v in %d entries, the parent read %v in %d", got, ob.Len(), expect.Pending, expect.Len)
+	if got := owed(ob); !reflect.DeepEqual(got, expect.Pending) || ob.Len() != len(held) {
+		t.Fatalf("read %v in %d entries, the parent read %v in %d, of which %d owed", got, ob.Len(), expect.Pending, expect.Len, len(held))
 	}
 	if _, tail := ob.Stats(); tail.TornTails != 0 {
 		t.Errorf("%d torn tails in a cleanly closed outbox", tail.TornTails)
 	}
 	// e6..e9 sit at offsets 7..10; sub-b has acknowledged e5 and e9 of
 	// its backlog out of order already.
-	if err := ob.AckRuns("sub-b", []store.Run{{Lo: 7, Hi: 10}, {Lo: 2, Hi: 3}}); err != nil {
+	if err := ob.AckRuns("sub-b", []Run{{Lo: 7, Hi: 10}, {Lo: 2, Hi: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	after := map[string][]string{"sub-a": expect.Pending["sub-a"], "sub-b": {"e4", "e10", "e11", "e12"}}

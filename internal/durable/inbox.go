@@ -82,15 +82,30 @@ func OpenInbox(dataDir, acksDir string, cfg SegmentConfig) (*Inbox, error) {
 	return ib, nil
 }
 
+// NewMemInbox returns an empty inbox that keeps its state in memory
+// only: what a certified class of a domain without a durability
+// directory stages into. It deduplicates by the IDs it has staged,
+// which it keeps for as long as it lives, and holds no event to replay.
+func NewMemInbox() *Inbox {
+	ib, err := OpenInbox("inbox-data", "inbox-acks", memConfig)
+	if err != nil {
+		panic(err) // discardFS fails nothing
+	}
+	return ib
+}
+
 // replay rebuilds the dedup index from the data log and the cursors
 // from the ack log. Dedup knowledge for compacted events is gone, but a
 // compacted event was acknowledged by every cursor AND acknowledged to
 // its publisher, so a redelivery of it can only come from a publisher
 // that itself lost the ack — a duplicate within the at-least-once
-// floor, not a correctness break.
+// floor, not a correctness break. A cursor naming an offset beyond the
+// data log's last names an event a crash took (SyncBatch): the offset
+// is dropped from it, and the ack history is cut behind a snapshot, so
+// that it cannot apply to the event that takes the offset next.
 func (ib *Inbox) replay() error {
 	err := ib.data.ReadFrom(ib.data.FirstOffset(), func(off uint64, rec []byte) error {
-		id, _, err := takeBlob(rec)
+		id, _, _, err := takeStaged(rec)
 		if err != nil {
 			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
 		}
@@ -100,12 +115,33 @@ func (ib *Inbox) replay() error {
 	if err != nil {
 		return err
 	}
-	return ib.acks.ReadFrom(ib.acks.FirstOffset(), func(off uint64, rec []byte) error {
+	err = ib.acks.ReadFrom(ib.acks.FirstOffset(), func(off uint64, rec []byte) error {
 		if err := ib.applyAck(rec); err != nil {
 			return fmt.Errorf("durable: inbox ack record %d: %w", off, err)
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	last, clipped := ib.data.NextOffset()-1, false
+	for _, cs := range ib.cursors {
+		clipped = cs.clip(last) || clipped
+	}
+	if !clipped {
+		return nil
+	}
+	ib.log.Warn("durable: inbox cursors name events the data log lost; snapshotting", "last", last)
+	return ib.snapshotAcksLocked(nil)
+}
+
+// takeStaged decodes a data record, [blob id][blob origin][payload].
+func takeStaged(rec []byte) (id, origin, payload []byte, err error) {
+	if id, rec, err = takeBlob(rec); err != nil {
+		return nil, nil, nil, err
+	}
+	origin, payload, err = takeBlob(rec)
+	return id, origin, payload, err
 }
 
 // applyAck applies one ack-log record during replay.
@@ -158,11 +194,7 @@ func encodeCursorSnapshot(cursors map[string]*cursorState) []byte {
 	for id, cs := range cursors {
 		out = appendBlob(out, []byte(id))
 		out = appendUint64(out, cs.start)
-		out = appendUint64(out, cs.frontier)
-		out = appendUint32(out, uint32(len(cs.sparse)))
-		for off := range cs.sparse {
-			out = appendUint64(out, off)
-		}
+		out = appendOffsets(appendUint64(out, cs.frontier), cs)
 	}
 	return out
 }
@@ -174,7 +206,7 @@ func decodeCursorSnapshot(rec []byte) (map[string]*cursorState, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*cursorState, n)
+	out := make(map[string]*cursorState)
 	for range n {
 		var id []byte
 		id, rec, err = takeBlob(rec)
@@ -190,18 +222,8 @@ func decodeCursorSnapshot(rec []byte) (map[string]*cursorState, error) {
 		if err != nil {
 			return nil, err
 		}
-		var cnt uint32
-		cnt, rec, err = takeUint32(rec)
-		if err != nil {
+		if rec, err = takeOffsets(cs, rec); err != nil {
 			return nil, err
-		}
-		for range cnt {
-			var off uint64
-			off, rec, err = takeUint64(rec)
-			if err != nil {
-				return nil, err
-			}
-			cs.sparse[off] = true
 		}
 		out[string(id)] = cs
 	}
@@ -320,11 +342,7 @@ func (ib *Inbox) Replay(durableID string, fn func(eventID, origin string, payloa
 		if sparse[off] {
 			return nil
 		}
-		id, rest, err := takeBlob(rec)
-		if err != nil {
-			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
-		}
-		origin, payload, err := takeBlob(rest)
+		id, origin, payload, err := takeStaged(rec)
 		if err != nil {
 			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
 		}
@@ -335,9 +353,9 @@ func (ib *Inbox) Replay(durableID string, fn func(eventID, origin string, payloa
 	})
 }
 
-// Compact drops data segments every cursor has fully acknowledged and
-// snapshots the cursor state into the ack log. With no cursors, all
-// sealed segments are droppable — nobody is owed anything.
+// Compact snapshots the cursor state into the ack log and drops the
+// data segments every cursor has fully acknowledged. With no cursors,
+// all sealed segments are droppable — nobody is owed anything.
 func (ib *Inbox) Compact() error {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
@@ -350,16 +368,28 @@ func (ib *Inbox) Compact() error {
 			frontier = cs.frontier
 		}
 	}
-	if _, _, err := ib.data.Compact(frontier + 1); err != nil {
+	return ib.snapshotAcksLocked(func() error {
+		_, _, err := ib.data.Compact(frontier + 1)
 		return err
-	}
-	snap := encodeCursorSnapshot(ib.cursors)
-	snapOff, err := ib.acks.Append(snap)
+	})
+}
+
+// snapshotAcksLocked writes every cursor as one record and seals it (a
+// roll syncs, whatever the policy). Then, with the acknowledgements
+// durable, it runs compact, if any, and drops the ack history behind
+// the snapshot.
+func (ib *Inbox) snapshotAcksLocked(compact func() error) error {
+	snapOff, err := ib.acks.Append(encodeCursorSnapshot(ib.cursors))
 	if err != nil {
 		return err
 	}
 	if err := ib.acks.Roll(); err != nil {
 		return err
+	}
+	if compact != nil {
+		if err := compact(); err != nil {
+			return err
+		}
 	}
 	_, _, err = ib.acks.Compact(snapOff)
 	return err

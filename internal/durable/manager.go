@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/url"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -90,7 +89,7 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := (osFS{}).MkdirAll(cfg.Dir); err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", cfg.Dir, err)
 	}
 	m := &Manager{
@@ -99,7 +98,7 @@ func Open(cfg Config) (*Manager, error) {
 		classes: make(map[string]*classState),
 		known:   make(map[string]bool),
 	}
-	entries, err := os.ReadDir(cfg.Dir)
+	entries, err := (osFS{}).ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: scan %s: %w", cfg.Dir, err)
 	}

@@ -1,7 +1,4 @@
-// The conformance suite sits outside the package so that it can hold
-// both implementations of Log (durable imports store), and dot-imports
-// it so that the cases read as they did inside.
-package store_test
+package durable
 
 import (
 	"errors"
@@ -10,22 +7,21 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"govents/internal/durable"
-	. "govents/internal/store"
 )
 
-// logFactory builds a fresh Log for the shared conformance tests.
-type logFactory func(t *testing.T) Log
+// The cases every Outbox passes, whatever its file seam: TestOutboxConformance
+// runs them over discardFS, as a domain without a durability directory
+// has it, and over the disk.
 
-func factories() map[string]logFactory {
-	return map[string]logFactory{
-		"MemLog": func(t *testing.T) Log { return NewMemLog() },
-		"Outbox": func(t *testing.T) Log {
+// factories builds a fresh Outbox over each seam.
+func factories() map[string]func(t *testing.T) *Outbox {
+	return map[string]func(t *testing.T) *Outbox{
+		"Memory": func(t *testing.T) *Outbox { return NewMemOutbox() },
+		"Disk": func(t *testing.T) *Outbox {
 			dir := t.TempDir()
-			// One record per segment: GC can retire any acknowledged prefix.
-			o, err := durable.OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"),
-				durable.SegmentConfig{SegmentBytes: 1})
+			// One record per segment: GC can drop any acknowledged prefix.
+			o, err := OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"),
+				SegmentConfig{SegmentBytes: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +31,7 @@ func factories() map[string]logFactory {
 }
 
 // add appends an entry and returns its offset.
-func add(t *testing.T, l Log, e Entry) uint64 {
+func add(t *testing.T, l *Outbox, e Entry) uint64 {
 	t.Helper()
 	off, err := l.Add(e)
 	if err != nil {
@@ -47,7 +43,7 @@ func add(t *testing.T, l Log, e Entry) uint64 {
 // one is the run holding off alone.
 func one(off uint64) []Run { return []Run{{Lo: off, Hi: off}} }
 
-func TestLogConformance(t *testing.T) {
+func TestOutboxConformance(t *testing.T) {
 	for name, mk := range factories() {
 		t.Run(name, func(t *testing.T) {
 			t.Run("AppendAndPending", func(t *testing.T) {
@@ -149,9 +145,12 @@ func TestLogConformance(t *testing.T) {
 				if n != 0 || l.Len() != 2 {
 					t.Fatalf("GC dropped %d and left %d; entry a not acked by c2", n, l.Len())
 				}
-				// A log retires a at this acknowledgement or at the GC
-				// after it: either way it is gone once GC has run.
+				// The acknowledgement that completes a retires it; GC
+				// changes nothing in memory.
 				_ = l.AckRuns("c2", one(a))
+				if l.Len() != 1 {
+					t.Fatalf("log holds %d entries after a was acknowledged by both, want b alone", l.Len())
+				}
 				if _, err = l.GC(); err != nil {
 					t.Fatal(err)
 				}
@@ -174,12 +173,14 @@ func TestLogConformance(t *testing.T) {
 				_ = l.AckRuns("stays", one(a))
 				_ = l.UnregisterConsumer("leaves")
 				// No acknowledgement completed a: only GC can retire it.
+				// What GC drops from the data log is whole segments: a's
+				// on disk, none of the one segment in memory.
 				n, err := l.GC()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n != 1 || l.Len() != 1 {
-					t.Fatalf("GC dropped %d and left %d, want a dropped and b left", n, l.Len())
+				if want := map[string]int{"Memory": 0, "Disk": 1}[name]; n != want || l.Len() != 1 {
+					t.Fatalf("GC dropped %d records and left %d entries, want %d dropped and b left", n, l.Len(), want)
 				}
 			})
 
@@ -301,14 +302,15 @@ func TestLogConformance(t *testing.T) {
 		})
 	}
 
-	// One script over both, compared: MemLog is the oracle for the
-	// tolerances the cases above do not spell out (repeated
-	// registration, an acknowledgement of an offset never assigned) and
-	// for the offsets themselves.
-	t.Run("OutboxMatchesMemLog", func(t *testing.T) {
-		mem, o := factories()["MemLog"](t), factories()["Outbox"](t)
+	// One script over both seams, compared: the tolerances the cases
+	// above do not spell out (repeated registration, an acknowledgement
+	// of an offset never assigned) and the offsets themselves do not
+	// depend on where the bytes go.
+	t.Run("MemoryMatchesDisk", func(t *testing.T) {
+		mem, o := factories()["Memory"](t), factories()["Disk"](t)
 		defer o.Close()
-		for _, l := range []Log{o, mem} {
+		defer mem.Close()
+		for _, l := range []*Outbox{o, mem} {
 			if err := l.RegisterConsumer("sub-a"); err != nil {
 				t.Fatal(err)
 			}
@@ -345,55 +347,89 @@ func TestLogConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(op) != len(mp) {
-			t.Fatalf("pending: outbox %d, memlog %d", len(op), len(mp))
+			t.Fatalf("pending: on disk %d, in memory %d", len(op), len(mp))
 		}
 		for i := range op {
 			if op[i].ID != mp[i].ID || op[i].Offset != mp[i].Offset {
-				t.Fatalf("pending[%d]: outbox %q at %d, memlog %q at %d", i, op[i].ID, op[i].Offset, mp[i].ID, mp[i].Offset)
+				t.Fatalf("pending[%d]: on disk %q at %d, in memory %q at %d", i, op[i].ID, op[i].Offset, mp[i].ID, mp[i].Offset)
 			}
 		}
 	})
 }
 
-// TestMemLogHoldsWhatIsUnacknowledged: the acknowledgement that
-// completes an entry retires it, with no GC; a repeated acknowledgement
-// of a retired entry leaves nothing behind; and an ID retired and
-// appended again is owed once, not twice.
-func TestMemLogHoldsWhatIsUnacknowledged(t *testing.T) {
-	l := NewMemLog()
-	_ = l.RegisterConsumer("c1")
-	_ = l.RegisterConsumer("c2")
-	const n = 1000
-	var offs [n]uint64
-	for i := range n {
-		offs[i], _ = l.Add(Entry{ID: fmt.Sprintf("e%d", i)})
-		_ = l.AckRuns("c1", one(offs[i]))
-		if i%2 == 1 { // c2 lags one behind, out of order
-			_ = l.AckRuns("c2", one(offs[i]))
-			_ = l.AckRuns("c2", one(offs[i-1]))
-		}
-		if l.Len() > 2 {
-			t.Fatalf("log holds %d entries with at most 2 unacknowledged", l.Len())
-		}
+// TestOutboxHoldsWhatIsUnacknowledged: the acknowledgement that
+// completes an entry retires it from memory, with no GC, on either seam
+// (on disk the outbox used to hold every entry until GC, which only a
+// Retention ticker calls); a repeated acknowledgement of a retired entry
+// leaves nothing behind; an ID retired and appended again is owed once,
+// not twice; and a reopen holds what the outbox held before it.
+func TestOutboxHoldsWhatIsUnacknowledged(t *testing.T) {
+	dir := t.TempDir()
+	open := map[string]func() *Outbox{
+		"Memory": NewMemOutbox,
+		"Disk": func() *Outbox {
+			o, err := OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"), SegmentConfig{Sync: SyncBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o
+		},
 	}
-	if l.Len() != 0 {
-		t.Fatalf("log holds %d entries after every acknowledgement", l.Len())
-	}
-	_ = l.AckRuns("c1", one(offs[7])) // a duplicate acknowledgement, after retirement
-	if again, _ := l.Add(Entry{ID: "e7"}); again <= offs[n-1] {
-		t.Fatalf("e7 appended again at offset %d, which the log has assigned before", again)
-	}
-	for _, c := range []string{"c1", "c2"} {
-		if pend, _ := l.Pending(c); len(pend) != 1 || pend[0].ID != "e7" {
-			t.Fatalf("%s is owed %v after e7 was appended again, want e7 once", c, pend)
-		}
+	for name, open := range open {
+		t.Run(name, func(t *testing.T) {
+			l := open()
+			_ = l.RegisterConsumer("c1")
+			_ = l.RegisterConsumer("c2")
+			const n = 10_000
+			offs := make([]uint64, n)
+			for i := range n {
+				offs[i] = add(t, l, Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte("p")})
+				_ = l.AckRuns("c1", one(offs[i]))
+				if i%2 == 1 { // c2 lags one behind, out of order
+					_ = l.AckRuns("c2", one(offs[i]))
+					_ = l.AckRuns("c2", one(offs[i-1]))
+				}
+				if l.Len() > 2 {
+					t.Fatalf("outbox holds %d entries with at most 2 unacknowledged", l.Len())
+				}
+			}
+			if l.Len() != 0 {
+				t.Fatalf("outbox holds %d entries after every acknowledgement", l.Len())
+			}
+			_ = l.AckRuns("c1", one(offs[7])) // a duplicate acknowledgement, after retirement
+			if again := add(t, l, Entry{ID: "e7"}); again <= offs[n-1] {
+				t.Fatalf("e7 appended again at offset %d, which the outbox has assigned before", again)
+			}
+			owedOnce := func(l *Outbox) {
+				t.Helper()
+				for _, c := range []string{"c1", "c2"} {
+					if pend, _ := l.Pending(c); len(pend) != 1 || pend[0].ID != "e7" {
+						t.Fatalf("%s is owed %v after e7 was appended again, want e7 once", c, pend)
+					}
+				}
+				if l.Len() != 1 {
+					t.Fatalf("outbox holds %d entries, want e7 alone", l.Len())
+				}
+			}
+			owedOnce(l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if name == "Disk" {
+				l = open()
+				defer l.Close()
+				owedOnce(l)
+			}
+		})
 	}
 }
 
-// TestMemSetStageIsOneStep: eight goroutines stage the same IDs (a first
-// send racing its redelivery); each ID is fresh exactly once.
-func TestMemSetStageIsOneStep(t *testing.T) {
-	s := NewMemSet()
+// TestInboxStageIsOneStep: eight goroutines stage the same IDs (a first
+// send racing its redelivery) into an in-memory inbox; each ID is fresh
+// exactly once, and staged again it is not fresh.
+func TestInboxStageIsOneStep(t *testing.T) {
+	ib := NewMemInbox()
+	defer ib.Close()
 	const ids, stagers = 1000, 8
 	var fresh [ids]atomic.Int32
 	var wg sync.WaitGroup
@@ -402,7 +438,7 @@ func TestMemSetStageIsOneStep(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range ids {
-				ok, err := s.Stage(fmt.Sprintf("e%d", i), "pub", nil)
+				ok, err := ib.Stage(fmt.Sprintf("e%d", i), "pub", nil)
 				if err != nil {
 					t.Error(err)
 				}
@@ -417,11 +453,11 @@ func TestMemSetStageIsOneStep(t *testing.T) {
 		if n := fresh[i].Load(); n != 1 {
 			t.Errorf("e%d was fresh %d times, want once", i, n)
 		}
-		if has, _ := s.Has(fmt.Sprintf("e%d", i)); !has {
+		if again, _ := ib.Stage(fmt.Sprintf("e%d", i), "pub", nil); again {
 			t.Errorf("e%d staged and not held", i)
 		}
 	}
-	if n, _ := s.Len(); n != ids {
-		t.Errorf("set holds %d IDs, want %d", n, ids)
+	if st := ib.Stats(); st.Staged != ids {
+		t.Errorf("inbox staged %d IDs, want %d", st.Staged, ids)
 	}
 }

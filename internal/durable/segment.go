@@ -1,8 +1,14 @@
-// Package durable is the persistence layer beneath durable domains: a
-// per-class append-only segment log with CRC-framed records, an outbox
-// implementing store.Log over it (publisher-side certified state), and
-// an inbox with offset-tracked cursors (subscriber-side staged
-// deliveries and resumable durable subscriptions, paper §3.1.2/§3.4.1).
+// Package durable is the certified log (paper §3.1.2, §3.4.1) and the
+// persistence beneath it: a per-class append-only segment log with
+// CRC-framed records; an Outbox over it, the publisher-side certified
+// state of every certified class; and an Inbox with offset-tracked
+// cursors (subscriber-side staged deliveries and resumable durable
+// subscriptions).
+//
+// The logs reach their bytes through a small file seam. A durable
+// domain's logs are on disk; a domain without a durability directory
+// opens the same Outbox and Inbox over a seam that keeps no bytes
+// (NewMemOutbox, NewMemInbox), so both run one implementation.
 //
 // The design goal is crash-restart recovery, not raw throughput: every
 // record is individually CRC-framed so a torn tail (a crash mid-append)
@@ -16,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -50,6 +57,10 @@ const DefaultSegmentBytes = 1 << 20
 // as corruption rather than allocated.
 const maxRecordBytes = 64 << 20
 
+// maxEagerFrame is the largest frame body read into a buffer of the
+// length the frame claims; a longer one grows as its bytes are read.
+const maxEagerFrame = 64 << 10
+
 // frameHeader is [dataLen u32][crc32(data) u32], both big-endian.
 const frameHeader = 8
 
@@ -72,6 +83,8 @@ type SegmentConfig struct {
 	// Logger receives recovery diagnostics (torn-tail truncations).
 	// Nil discards.
 	Logger *slog.Logger
+
+	fs fileSystem // what holds the segments; nil is the disk (osFS)
 }
 
 // SegmentStats are a SegmentLog's counters.
@@ -117,13 +130,14 @@ func (s *segment) end() uint64 { return s.base + s.count }
 type SegmentLog struct {
 	dir string
 	cfg SegmentConfig
+	fs  fileSystem
 	log *slog.Logger
 
 	mu      sync.Mutex
 	segs    []*segment
-	active  *os.File // append handle of segs[len(segs)-1]
-	next    uint64   // next offset to assign
-	frame   []byte   // framing buffer, reused across appends
+	active  file   // append handle of segs[len(segs)-1]
+	next    uint64 // next offset to assign
+	frame   []byte // framing buffer, reused across appends
 	closed  bool
 	appends uint64
 	syncs   uint64
@@ -147,10 +161,13 @@ func OpenSegmentLog(dir string, cfg SegmentConfig) (*SegmentLog, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if cfg.fs == nil {
+		cfg.fs = osFS{}
+	}
+	if err := cfg.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", dir, err)
 	}
-	l := &SegmentLog{dir: dir, cfg: cfg, log: logger, next: 1}
+	l := &SegmentLog{dir: dir, cfg: cfg, fs: cfg.fs, log: logger, next: 1}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -160,7 +177,7 @@ func OpenSegmentLog(dir string, cfg SegmentConfig) (*SegmentLog, error) {
 		}
 	} else {
 		last := l.segs[len(l.segs)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := l.fs.OpenFile(last.path, os.O_WRONLY|os.O_APPEND)
 		if err != nil {
 			return nil, fmt.Errorf("durable: reopen %s: %w", last.path, err)
 		}
@@ -176,7 +193,7 @@ func segPath(dir string, base uint64) string {
 
 // scan discovers and verifies the existing segments.
 func (l *SegmentLog) scan() error {
-	entries, err := os.ReadDir(l.dir)
+	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("durable: scan %s: %w", l.dir, err)
 	}
@@ -216,7 +233,7 @@ func (l *SegmentLog) scan() error {
 // final segment only — truncating a torn tail to the last whole-record
 // boundary.
 func (l *SegmentLog) scanSegment(seg *segment, final bool) error {
-	f, err := os.Open(seg.path)
+	f, err := l.fs.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("durable: scan %s: %w", seg.path, err)
 	}
@@ -234,7 +251,7 @@ func (l *SegmentLog) scanSegment(seg *segment, final bool) error {
 			// Torn tail: a crash mid-append left a partial (or
 			// garbage-length) frame. Truncate to the last whole record;
 			// the lost record was never acknowledged to anyone.
-			if terr := os.Truncate(seg.path, good); terr != nil {
+			if terr := l.fs.Truncate(seg.path, good); terr != nil {
 				return fmt.Errorf("durable: truncate torn tail of %s: %w", seg.path, terr)
 			}
 			l.torn++
@@ -267,9 +284,19 @@ func readFrame(r io.Reader) ([]byte, int64, error) {
 	if n > maxRecordBytes {
 		return nil, 0, fmt.Errorf("frame length %d exceeds limit", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, 0, fmt.Errorf("torn frame body: %w", err)
+	var data []byte
+	if n <= maxEagerFrame {
+		data = make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, 0, fmt.Errorf("torn frame body: %w", err)
+		}
+	} else {
+		// Grown as bytes arrive: a torn or garbage length costs what the
+		// file holds, not what the length claims.
+		var err error
+		if data, err = io.ReadAll(io.LimitReader(r, int64(n))); err != nil || len(data) < int(n) {
+			return nil, 0, fmt.Errorf("torn frame body: %d of %d bytes (%v)", len(data), n, err)
+		}
 	}
 	if crc := crc32.ChecksumIEEE(data); crc != binary.BigEndian.Uint32(hdr[4:8]) {
 		return nil, 0, fmt.Errorf("crc mismatch")
@@ -280,7 +307,7 @@ func readFrame(r io.Reader) ([]byte, int64, error) {
 // newSegmentLocked starts a fresh active segment at the current offset.
 func (l *SegmentLog) newSegmentLocked() error {
 	seg := &segment{base: l.next, path: segPath(l.dir, l.next)}
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := l.fs.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("durable: create %s: %w", seg.path, err)
 	}
@@ -433,7 +460,7 @@ func (l *SegmentLog) ReadFrom(from uint64, fn func(off uint64, data []byte) erro
 		if seg.end() <= from || seg.count == 0 {
 			continue
 		}
-		if err := readSegment(seg, from, fn); err != nil {
+		if err := l.readSegment(seg, from, fn); err != nil {
 			return err
 		}
 	}
@@ -441,10 +468,10 @@ func (l *SegmentLog) ReadFrom(from uint64, fn func(off uint64, data []byte) erro
 }
 
 // readSegment streams one captured segment's records to fn.
-func readSegment(seg segment, from uint64, fn func(off uint64, data []byte) error) error {
-	f, err := os.Open(seg.path)
+func (l *SegmentLog) readSegment(seg segment, from uint64, fn func(off uint64, data []byte) error) error {
+	f, err := l.fs.Open(seg.path)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil // compacted while reading: records were fully acked
 		}
 		return fmt.Errorf("durable: read %s: %w", seg.path, err)
@@ -476,7 +503,7 @@ func (l *SegmentLog) Compact(before uint64) (segments int, records uint64, err e
 	}
 	for len(l.segs) > 1 && l.segs[0].end() <= before {
 		seg := l.segs[0]
-		if err := os.Remove(seg.path); err != nil {
+		if err := l.fs.Remove(seg.path); err != nil {
 			return segments, records, fmt.Errorf("durable: compact %s: %w", seg.path, err)
 		}
 		l.segs = l.segs[1:]

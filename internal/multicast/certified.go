@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"govents/internal/codec"
-	"govents/internal/store"
+	"govents/internal/durable"
 )
 
 // CertSubscriber identifies a durable subscriber of a certified group:
@@ -25,14 +25,15 @@ type CertSubscriber struct {
 }
 
 // Stager is the subscriber-side store of a certified group, the
-// counterpart of the publisher's store.Log: an incoming event is staged
-// — recorded and deduplicated by event ID, test and add in one step —
+// counterpart of the publisher's outbox: an incoming event is staged —
+// recorded and deduplicated by event ID, test and add in one step —
 // before its offset joins those the next acknowledgement names and
 // before it is delivered. fresh reports whether the event was new; a
 // false return means it is recorded here already (a redelivery) and
-// must be acknowledged again but not delivered again. durable.Inbox
-// stages the whole event on disk, so a restarted subscriber can replay
-// it; store.MemSet keeps the ID in memory.
+// must be acknowledged again but not delivered again. durable.Inbox is
+// the one a node uses: on disk it stages the whole event, so a
+// restarted subscriber can replay it; in memory (durable.NewMemInbox)
+// it keeps the ID.
 type Stager interface {
 	Stage(id, origin string, payload []byte) (fresh bool, err error)
 }
@@ -40,7 +41,7 @@ type Stager interface {
 // Certified implements the paper's Certified delivery semantics
 // (§3.1.2): "even if a notifiable temporarily disconnects or fails, it
 // will eventually deliver the obvent". The publisher persists every
-// broadcast in a store.Log and retransmits to each registered durable
+// broadcast in a durable.Outbox and retransmits to each registered durable
 // subscriber until that subscriber acknowledges (what has gone a full
 // RetransmitInterval without acknowledgement, not what has just left);
 // subscribers record every event in a Stager before acknowledging it,
@@ -65,8 +66,8 @@ type Certified struct {
 	queue *deliveryQueue
 	lc    *lifecycle
 
-	log store.Log // publisher side: the outbox
-	in  Stager    // subscriber side: what has been received
+	log *durable.Outbox // publisher side: the outbox
+	in  Stager          // subscriber side: what has been received
 
 	mu     sync.Mutex
 	subs   map[string]string    // durable ID -> current address
@@ -118,7 +119,7 @@ var _ Group = (*Certified)(nil)
 // class: log is the outbox it publishes from, in records what it
 // receives. A node uses the one its role calls for and leaves the other
 // empty.
-func NewCertified(mux *Mux, stream string, log store.Log, in Stager, deliver Deliver, opts Options) *Certified {
+func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliver Deliver, opts Options) *Certified {
 	opts = opts.withDefaults()
 	g := &Certified{
 		mux:    mux,
@@ -209,14 +210,14 @@ func (g *Certified) Broadcast(payload []byte) error {
 // Callers whose payload already carries an ID (envelopes) pass it here,
 // so the durable staging inbox and the application-level delivery
 // acknowledgements key the same event by the same string. The outbox
-// keeps payload (store.Log): the caller does not write to it again.
+// keeps payload (durable.Outbox): the caller does not write to it again.
 func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
 	g.sending.RLock()
 	defer g.sending.RUnlock()
-	off, err := g.log.Add(store.Entry{ID: id, Payload: payload})
+	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
@@ -237,7 +238,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 		if fresh, err = g.in.Stage(id, g.self, payload); err != nil {
 			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 		}
-		run := [1]store.Run{{Lo: off, Hi: off}}
+		run := [1]durable.Run{{Lo: off, Hi: off}}
 		for _, durableID := range local {
 			if err := g.log.AckRuns(durableID, run[:]); err != nil {
 				// Still pending for us: redelivery acknowledges it.
@@ -262,9 +263,6 @@ func (g *Certified) Close() error {
 	g.queue.close()
 	return nil
 }
-
-// GC drops fully acknowledged entries from the outbox.
-func (g *Certified) GC() (int, error) { return g.log.GC() }
 
 // OutboxLen returns how many entries the outbox holds.
 func (g *Certified) OutboxLen() int { return g.log.Len() }
@@ -298,7 +296,7 @@ func (g *Certified) tick() {
 // be on neither side of it and be sent again at once — to this very
 // node, if it subscribes here and had not yet acknowledged to itself.
 func (g *Certified) redeliver() {
-	due := make(map[string][]store.Entry) // address -> owed there, by offset
+	due := make(map[string][]durable.Entry) // address -> owed there, by offset
 	g.sending.Lock()
 	g.mu.Lock()
 	young := g.young
@@ -313,8 +311,8 @@ func (g *Certified) redeliver() {
 		if owed, shared := due[addr]; shared {
 			// A second identity at the address: what either is owed, once.
 			owed = append(owed, pending...)
-			slices.SortFunc(owed, func(a, b store.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
-			pending = slices.CompactFunc(owed, func(a, b store.Entry) bool { return a.Offset == b.Offset })
+			slices.SortFunc(owed, func(a, b durable.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
+			pending = slices.CompactFunc(owed, func(a, b durable.Entry) bool { return a.Offset == b.Offset })
 		}
 		due[addr] = pending
 	}
@@ -414,15 +412,15 @@ func (g *Certified) onMessage(from string, data []byte) {
 		if m.Epoch != g.epoch {
 			return // addressed to an earlier incarnation of this group
 		}
-		var few [4]store.Run
+		var few [4]durable.Run
 		runs := few[:0]
-		eachRange(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, store.Run{Lo: lo, Hi: hi}) })
+		eachRange(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
 		if len(runs) == 0 {
 			return
 		}
 		if err := g.log.AckRuns(m.Origin, runs); err != nil {
 			level := slog.LevelWarn
-			if errors.Is(err, store.ErrUnknownConsumer) {
+			if errors.Is(err, durable.ErrUnknownConsumer) {
 				level = slog.LevelDebug // an identity that subscribed and left
 			}
 			g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",

@@ -1,17 +1,20 @@
 package multicast
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"govents/internal/durable"
 	"govents/internal/netsim"
-	"govents/internal/store"
 )
 
 // tapTransport counts the certified data and acknowledgement frames an
@@ -64,40 +67,41 @@ func (tt *tapTransport) dataTo(addr string) int {
 	return tt.data[addr]
 }
 
-// countingLog counts the acknowledgements a Certified books in its
-// outbox, and those the outbox refused, and remembers the offsets of
-// those it took.
-type countingLog struct {
-	store.Log
-	acks, ackErrs atomic.Int64
-	mu            sync.Mutex
-	acked         map[uint64]bool
+// ackRecords is how many acknowledgement records the outbox's meta log
+// took: its appends beyond one registration per consumer.
+func ackRecords(t *testing.T, log *durable.Outbox) int {
+	t.Helper()
+	consumers, err := log.Consumers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, meta := log.Stats()
+	return int(meta.Appends) - len(consumers)
 }
 
-func (l *countingLog) AckRuns(consumer string, runs []store.Run) error {
-	l.acks.Add(1)
-	err := l.Log.AckRuns(consumer, runs)
-	if err != nil {
-		l.ackErrs.Add(1)
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.acked == nil {
-		l.acked = make(map[uint64]bool)
-	}
-	for _, r := range runs {
-		for off := r.Lo; off <= r.Hi; off++ {
-			l.acked[off] = true
-		}
+// refusals counts the acknowledgements a Certified's outbox refused,
+// which it logs (at any level) and does not return.
+type refusals struct{ n atomic.Int64 }
+
+func (r *refusals) Enabled(context.Context, slog.Level) bool { return true }
+func (r *refusals) WithAttrs([]slog.Attr) slog.Handler       { return r }
+func (r *refusals) WithGroup(string) slog.Handler            { return r }
+func (r *refusals) Handle(_ context.Context, rec slog.Record) error {
+	if strings.Contains(rec.Message, "acknowledgement failed") || strings.Contains(rec.Message, "acknowledgement not booked") {
+		r.n.Add(1)
 	}
 	return nil
 }
 
-func (l *countingLog) hasAcked(off uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acked[off]
+// pendingAt reports whether the outbox owes consumer the entry at off.
+func pendingAt(log *durable.Outbox, consumer string, off uint64) bool {
+	pending, _ := log.Pending(consumer)
+	for _, e := range pending {
+		if e.Offset == off {
+			return true
+		}
+	}
+	return false
 }
 
 // countingStager is a Stager that deduplicates in memory and counts.
@@ -138,14 +142,15 @@ func TestCertifiedPublisherWithoutLocalSubscriber(t *testing.T) {
 			defer net.Close()
 			pub, tap := newTapNode(t, net, "pub")
 			newTestNode(t, net, "sub") // reachable, runs no group: it never acknowledges
-			log := &countingLog{Log: store.NewMemLog()}
-			dedup := store.NewMemSet()
+			log := durable.NewMemOutbox()
+			dedup := durable.NewMemInbox()
 			stager := &countingStager{}
 			in := Stager(dedup)
 			if staged {
 				in = stager
 			}
-			gp := NewCertified(pub.mux, "cls", log, in, pub.record, Options{RetransmitInterval: time.Hour})
+			refused := &refusals{}
+			gp := NewCertified(pub.mux, "cls", log, in, pub.record, Options{RetransmitInterval: time.Hour, Logger: slog.New(refused)})
 			defer gp.Close()
 			if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
 				t.Fatal(err)
@@ -163,10 +168,10 @@ func TestCertifiedPublisherWithoutLocalSubscriber(t *testing.T) {
 			if got := tap.dataTo("pub"); got != 0 {
 				t.Errorf("%d data frames to the publisher's own address, want none", got)
 			}
-			if a, e := log.acks.Load(), log.ackErrs.Load(); a != 0 || e != 0 {
+			if a, e := ackRecords(t, log), refused.n.Load(); a != 0 || e != 0 {
 				t.Errorf("publisher booked %d acknowledgements of its own (%d refused), want none", a, e)
 			}
-			if n, _ := dedup.Len(); n != 0 {
+			if n := dedup.Stats().Staged; n != 0 {
 				t.Errorf("delivered set holds %d IDs of events never delivered here", n)
 			}
 			if n := stager.count(); n != 0 {
@@ -190,16 +195,19 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 			defer net.Close()
 			pub, tap := newTapNode(t, net, "pub")
 			sub := newTestNode(t, net, "sub")
-			log := &countingLog{Log: store.NewMemLog()}
-			dedup := store.NewMemSet()
+			log := durable.NewMemOutbox()
+			dedup := durable.NewMemInbox()
 			stager := &countingStager{}
 			in := Stager(dedup)
 			if staged {
 				in = stager
 			}
-			gp := NewCertified(pub.mux, "cls", log, in, pub.record, fastOpts())
+			refused := &refusals{}
+			opts := fastOpts()
+			opts.Logger = slog.New(refused)
+			gp := NewCertified(pub.mux, "cls", log, in, pub.record, opts)
 			defer gp.Close()
-			gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(), sub.record, fastOpts())
+			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, fastOpts())
 			gs.SetDurableIDs([]string{"tenant"})
 			defer gs.Close()
 			err := gp.SetSubscribers([]CertSubscriber{
@@ -217,10 +225,7 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 				}
 			}
 			waitFor(t, 10*time.Second, "delivery at both", func() bool { return pub.count() >= msgs && sub.count() >= msgs })
-			waitFor(t, 10*time.Second, "outbox acknowledged and collected", func() bool {
-				_, err := gp.GC()
-				return err == nil && log.Log.(*store.MemLog).Len() == 0
-			})
+			waitFor(t, 10*time.Second, "outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
 			time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
 			if pub.count() != msgs || sub.count() != msgs {
 				t.Errorf("delivered %d here and %d there, want exactly %d each", pub.count(), sub.count(), msgs)
@@ -228,7 +233,7 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 			if got := tap.dataTo("pub"); got != 0 {
 				t.Errorf("%d data frames to the publisher's own address, want none", got)
 			}
-			if e := log.ackErrs.Load(); e != 0 {
+			if e := refused.n.Load(); e != 0 {
 				t.Errorf("%d acknowledgements refused by the outbox", e)
 			}
 			for _, id := range []string{"self-a", "self-b", "tenant"} {
@@ -240,7 +245,7 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 				if n := stager.count(); n != msgs {
 					t.Errorf("%d stagings for %d events", n, msgs)
 				}
-			} else if n, _ := dedup.Len(); n != msgs {
+			} else if n := dedup.Stats().Staged; n != msgs {
 				t.Errorf("delivered set holds %d IDs for %d events", n, msgs)
 			}
 		})
@@ -255,7 +260,7 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	defer net.Close()
 	pub, tap := newTapNode(t, net, "pub")
 	newTestNode(t, net, "sub")
-	gp := NewCertified(pub.mux, "cls", store.NewMemLog(), store.NewMemSet(), pub.record,
+	gp := NewCertified(pub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), pub.record,
 		Options{RetransmitInterval: time.Hour}) // the timer never fires: the test is the timer
 	defer gp.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
@@ -299,17 +304,17 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 			defer net.Close()
 			pub, pubTap := newTapNode(t, net, "pub")
 			sub, subTap := newTapNode(t, net, "sub")
-			log := &countingLog{Log: store.NewMemLog()}
+			log := durable.NewMemOutbox()
 			var resentAcked atomic.Int64
 			pubTap.onData = func(m *message) {
-				if log.hasAcked(m.Seq) {
+				if !pendingAt(log, "sub", m.Seq) {
 					resentAcked.Add(1)
 				}
 			}
 			opts := Options{RetransmitInterval: time.Hour} // the timers never fire: the test is the timers
-			gp := NewCertified(pub.mux, "cls", log, store.NewMemSet(), pub.record, opts)
+			gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, opts)
 			defer gp.Close()
-			gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(), sub.record, opts)
+			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, opts)
 			defer gs.Close()
 			if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
 				t.Fatal(err)
@@ -375,8 +380,8 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 	defer net.Close()
 	pub := newTestNode(t, net, "pub")
 	sub := newTestNode(t, net, "sub") // runs no group: the test is the subscriber
-	log := store.NewMemLog()
-	gp := NewCertified(pub.mux, "cls", log, store.NewMemSet(), pub.record, Options{RetransmitInterval: time.Hour})
+	log := durable.NewMemOutbox()
+	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, Options{RetransmitInterval: time.Hour})
 	defer gp.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
 		t.Fatal(err)
@@ -431,11 +436,11 @@ func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
 	defer net.Close()
 	pub := newTestNode(t, net, "pub")
 	sub := newTestNode(t, net, "sub")
-	pubLog, pubDedup := store.NewMemLog(), store.NewMemSet()
+	pubLog, pubDedup := durable.NewMemOutbox(), durable.NewMemInbox()
 	gp := NewCertified(pub.mux, "cls", pubLog, pubDedup, pub.record, fastOpts())
 	defer gp.Close()
 	var atSub atomic.Int64
-	gs := NewCertified(sub.mux, "cls", store.NewMemLog(), store.NewMemSet(),
+	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(),
 		func(string, []byte) { atSub.Add(1) }, fastOpts())
 	defer gs.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
@@ -460,7 +465,7 @@ func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
 	time.Sleep(4 * fastOpts().RetransmitInterval) // two ticks empty the set of the recently sent
 	gp.Close()                                    // the timer stops: the state can be read
 
-	if n, _ := pubDedup.Len(); n != 0 {
+	if n := pubDedup.Stats().Staged; n != 0 {
 		t.Errorf("publisher's delivered set holds %d IDs after %d events it never delivered", n, total)
 	}
 	if n := stateSize(reflect.ValueOf(gp), map[unsafe.Pointer]bool{}); n > 4*window {

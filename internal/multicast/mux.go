@@ -17,7 +17,7 @@
 //   - Causal     — vector-clock causal order on top of Reliable
 //   - Total      — fixed-sequencer total order: one Reliable link to the
 //     sequencer, its atomic broadcasts back
-//   - Certified  — durable delivery backed by a store.Log, surviving
+//   - Certified  — durable delivery backed by a durable.Outbox, surviving
 //     subscriber disconnection
 //   - Gossip     — probabilistic broadcast in the style of lpbcast
 //
