@@ -140,10 +140,10 @@
 //
 // Around the payload, every publication travels — and is stored in
 // durable inboxes, outboxes and spill logs — as one envelope record, a
-// fixed binary layout written and read by hand (no reflection, one
-// allocation to write, three to read a plain FIFO envelope: the struct,
-// one block that ID, Type and Publisher are slices of, and the payload's
-// copy, which the receive path, owning its frame, does not make):
+// fixed binary layout written and read by hand (no reflection; reading a
+// plain FIFO envelope takes the struct and one block that ID, Type and
+// Publisher are slices of, plus the payload's copy where the reader
+// does not own the bytes):
 //
 //	format       1 byte   0xE1
 //	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
@@ -164,9 +164,36 @@
 //	Payload      uvarint length + bytes, ending the record
 //
 // The decoder faces peers and disks: it checks every length against
-// the bytes that remain and the field's cap before allocating, rejects
-// an unknown format byte, unknown flags, a uvarint not in its shortest
-// form and trailing bytes, and copies the payload out of the frame.
+// the bytes that remain and the field's cap before allocating, and
+// rejects an unknown format byte, unknown flags, a uvarint not in its
+// shortest form and trailing bytes. A reader that goes on using its
+// buffer (a durable segment, a spill log) gets the payload copied out;
+// the receive path, which owns its frame, reads it in place.
+//
+// Who owns each buffer, and how often a payload is copied per hop: the
+// publisher encodes the event once, into one buffer, behind room for
+// the record's header sized from what Publish knows (every header field
+// but the ordering metadata, the publishing node included). The first
+// seal of that buffer writes the header, in the link form or in full,
+// into the room, directly in front of the payload, so the record is the
+// header and the payload where they lie; the envelope, the record, the
+// link's retransmission queue and a certified outbox all share that one
+// buffer, and nothing writes to it again. The right to the room is the
+// buffer's, not the envelope value's: a copy of the envelope sealed
+// after it (another ID), or a header the room cannot hold (a vector
+// clock or a sequence number added later), gets a record of its own by
+// copy, and a record already handed to a link or an outbox is never
+// written over. The multiplexer then builds the frame (stream name, link
+// header, record) in a buffer it reuses once the transport's Send has
+// returned, since no transport keeps what Send is given: on the
+// publisher a payload is copied once on its way to the transport's
+// write buffer, into the frame, and no frame costs an allocation. A
+// best-effort or certified record goes to all its destinations in that
+// one frame; the links of the other classes number each destination's
+// frames, so each gets a frame, and a copy, of its own. On the
+// subscriber the TCP transport reads each frame into a buffer of its own
+// (that side's one copy), which the link, the delivery queue and the
+// envelope share by slicing; the handler's value is decoded out of it.
 //
 // Two forms of the record exist, and they differ only in which strings
 // are empty. Stored (outbox, inbox, spill log), every field is spelled
@@ -310,7 +337,15 @@
 // delivered.
 //
 // The multiplexer prefixes each frame with its stream name (a two-byte
-// length and the name). The TCP transport keeps one outbound
+// length and the name), building it in a reused buffer for each Send:
+// netsim.Transport's Send keeps nothing it is given, on every transport.
+// A publication whose frame would exceed what one carries (16 MiB less
+// the length word below, a bound the simulated network enforces too) is
+// refused by Publish with ErrCannotPublish before any protocol stamps or
+// persists it: no link sequence, no outbox entry, nothing resent on any
+// tick. One with no frame to send, delivered only at the publishing
+// node, is not refused, bar a certified one, which its outbox may owe
+// to a subscriber elsewhere later. The TCP transport keeps one outbound
 // connection per destination, with a lock of its own: a peer that stops
 // reading stalls the senders to it, for at most the two-second write
 // deadline, and nobody else. The first frame on a connection is a

@@ -15,7 +15,9 @@
 // An envelope's Payload is read-only from the moment it exists: the
 // decoders copy what they keep of it and nothing writes to it, which is
 // what lets UnmarshalAlias hand out a slice of the frame where
-// Unmarshal copies (framing.go says who may call which).
+// Unmarshal copies (framing.go says who may call which), and Seal hand
+// out a record that is the payload with a header written in front of it
+// (Encode leaves the room).
 package codec
 
 import (
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"govents/internal/obvent"
+	"govents/internal/rec"
 	"govents/internal/vclock"
 )
 
@@ -83,6 +86,18 @@ type Envelope struct {
 	// means the publisher took no stamp, so receivers gate on
 	// PubNanos > 0.
 	PubNanos int64
+
+	// room is the buffer Encode wrote Payload into, behind headroom for
+	// the record's header (Seal); nil for an envelope Encode did not
+	// make. A copy of the envelope shares it, and the claim on it.
+	room *headroom
+}
+
+// encoded is what Encode allocates: the envelope and its payload's
+// headroom in one object.
+type encoded struct {
+	env  Envelope
+	room headroom
 }
 
 // Expired reports whether a timely envelope is obsolete at instant now.
@@ -115,23 +130,29 @@ func (c *Codec) Registry() *obvent.Registry { return c.reg }
 // o's type, stamps timely/priority metadata, and serializes the value.
 // Ordering metadata (Seq, VC, GlobalSeq) is left for the dissemination
 // layer to fill in.
-func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) {
+func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) { return c.EncodeFrom("", o) }
+
+// EncodeFrom is Encode for a publisher that names itself on the
+// envelope. With every header field but the ordering metadata known, the
+// compiled program writes the payload behind room for the envelope's
+// full record header, where the first Seal writes it: sealing the
+// envelope, or a link form of it, copies no payload.
+func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error) {
 	name, err := c.reg.NameOf(o)
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode: %w", err)
 	}
-	payload, err := c.encodePayload(o)
-	if err != nil {
-		return nil, fmt.Errorf("codec: encode %s: %w", name, err)
-	}
 	sem := obvent.Resolve(o)
-	env := &Envelope{
+	enc := new(encoded)
+	env := &enc.env
+	*env = Envelope{
 		ID:          NewID(),
 		Type:        name,
-		Payload:     payload,
+		Publisher:   publisher,
 		Reliability: sem.Reliability,
 		Ordering:    sem.Ordering,
 		PubNanos:    time.Now().UnixNano(),
+		room:        &enc.room,
 	}
 	if sem.Prioritary {
 		env.Priority = sem.Priority
@@ -144,6 +165,19 @@ func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) {
 			env.Birth = time.Now()
 		}
 	}
+	// The header as it stands, with the longest payload length prefix in
+	// place of the empty payload's. A header the caps refuse gets no room:
+	// Seal reports it.
+	off := 0
+	if head, err := headerSize(env); err == nil {
+		off = head - 1 + rec.UvarintLen(maxEnvelopePayload)
+	}
+	buf, err := c.encodePayload(o, off)
+	if err != nil {
+		return nil, fmt.Errorf("codec: encode %s: %w", name, err)
+	}
+	env.Payload = buf[off:]
+	enc.room.buf, enc.room.off = buf, off
 	return env, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"govents/internal/obvent"
@@ -77,10 +78,67 @@ func Marshal(e *Envelope) ([]byte, error) {
 // once, and returns the extended slice. On error dst is returned
 // unchanged.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
-	size, err := envelopeSize(e)
+	head, err := headerSize(e)
 	if err != nil {
 		return dst, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
+	return appendRecord(dst, head, e), nil
+}
+
+// appendRecord is AppendEnvelope once headerSize has vouched for e.
+func appendRecord(dst []byte, head int, e *Envelope) []byte {
+	b := dst
+	if size := head + len(e.Payload); cap(b)-len(b) < size {
+		// Not slices.Grow: the race detector's build allocates twice there.
+		b = make([]byte, len(dst), len(dst)+size)
+		copy(b, dst)
+	}
+	return append(appendHeader(b, e), e.Payload...)
+}
+
+// Seal returns e's wire record, byte for byte Marshal's, without copying
+// the payload when Encode left room for the header in front of it: the
+// first Seal of that buffer writes the header there, and the record is
+// the header and the payload where they lie. The right to the room is
+// the buffer's, not the Envelope value's, so of the copies of an
+// envelope sharing one payload (a copy with another ID, a link form with
+// strings left out) only the first sealed writes it; any later Seal,
+// and a header that does not fit the room, copies as Marshal does. The
+// record is read-only like the payload it shares; a record a link or an
+// outbox keeps is never written again.
+func Seal(e *Envelope) ([]byte, error) {
+	head, err := headerSize(e)
+	if err != nil {
+		return nil, fmt.Errorf("codec: marshal envelope: %w", err)
+	}
+	if r := e.room; r != nil && head <= r.off && r.holds(e.Payload) && r.claimed.CompareAndSwap(false, true) {
+		start := r.off - head
+		appendHeader(r.buf[start:start:r.off], e)
+		return r.buf[start:len(r.buf):len(r.buf)], nil
+	}
+	return appendRecord(nil, head, e), nil
+}
+
+// headroom is the buffer Encode wrote a payload into: room for the
+// record's header, then the payload, which runs to the buffer's end.
+// claimed is set by the one Seal that writes the header into it.
+type headroom struct {
+	buf     []byte
+	off     int // where the payload starts
+	claimed atomic.Bool
+}
+
+// holds reports whether payload is still the one Encode wrote behind the
+// room, not a slice a caller put in its place.
+func (r *headroom) holds(payload []byte) bool {
+	return len(payload) > 0 && len(payload) == len(r.buf)-r.off && &payload[0] == &r.buf[r.off]
+}
+
+// appendHeader appends e's record up to and including the payload's
+// length prefix: the one header writer, behind Marshal's copy and Seal's
+// room alike. The caller has sized dst with headerSize, which also
+// vouches for the fields.
+func appendHeader(b []byte, e *Envelope) []byte {
 	var flags byte
 	if e.HasPriority {
 		flags |= flagPriority
@@ -90,12 +148,6 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	}
 	if len(e.VC) > 0 {
 		flags |= flagVC
-	}
-	b := dst
-	if cap(b)-len(b) < size {
-		// Not slices.Grow: the race detector's build allocates twice there.
-		b = make([]byte, len(dst), len(dst)+size)
-		copy(b, dst)
 	}
 	b = append(b, envelopeFormat, flags, payloadEncoding)
 	b = rec.AppendLenString(b, e.ID)
@@ -121,13 +173,12 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 			b = binary.AppendUvarint(b, v)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(e.Payload)))
-	return append(b, e.Payload...), nil
+	return binary.AppendUvarint(b, uint64(len(e.Payload)))
 }
 
-// envelopeSize returns the exact length of e's wire record, or an error
-// when a field exceeds its cap.
-func envelopeSize(e *Envelope) (int, error) {
+// headerSize returns the exact length of e's wire record less the
+// payload's bytes, or an error when a field exceeds its cap.
+func headerSize(e *Envelope) (int, error) {
 	switch {
 	case len(e.ID) > maxEnvelopeString:
 		return 0, fmt.Errorf("ID of %d bytes exceeds %d", len(e.ID), maxEnvelopeString)
@@ -145,7 +196,7 @@ func envelopeSize(e *Envelope) (int, error) {
 		rec.UvarintLen(e.Seq) + rec.UvarintLen(e.GlobalSeq) +
 		varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) +
 		varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + varintLen(e.PubNanos) +
-		rec.UvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+		rec.UvarintLen(uint64(len(e.Payload)))
 	if !e.Birth.IsZero() {
 		n += varintLen(e.Birth.Unix()) + rec.UvarintLen(uint64(e.Birth.Nanosecond()))
 	}

@@ -110,8 +110,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Marshal: %v", err)
 			}
-			if size, _ := envelopeSize(tc.env); size != len(data) {
-				t.Errorf("envelopeSize = %d, record has %d bytes", size, len(data))
+			if head, _ := headerSize(tc.env); head+len(tc.env.Payload) != len(data) {
+				t.Errorf("headerSize = %d and a payload of %d bytes, record has %d bytes", head, len(tc.env.Payload), len(data))
 			}
 			back, err := Unmarshal(data)
 			if err != nil {

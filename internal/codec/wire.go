@@ -91,8 +91,9 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 	return e
 }
 
-// encodePayload serializes o with its class's compiled program.
-func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, error) {
+// encodePayload serializes o with its class's compiled program, behind
+// off bytes of room: the payload is buf[off:].
+func (c *Codec) encodePayload(o obvent.Obvent, off int) ([]byte, error) {
 	v := reflect.ValueOf(o)
 	for v.Kind() == reflect.Pointer {
 		v = v.Elem()
@@ -101,12 +102,12 @@ func (c *Codec) encodePayload(o obvent.Obvent) ([]byte, error) {
 	if e.prog == nil {
 		return nil, e.err
 	}
-	buf, err := e.prog.Append(make([]byte, 0, e.size.Load()), v)
+	buf, err := e.prog.Append(make([]byte, off, off+int(e.size.Load())), v)
 	if err != nil {
 		return nil, err
 	}
 	c.wireEncodes.Add(1)
-	e.size.Store(int64(len(buf)))
+	e.size.Store(int64(len(buf) - off))
 	return buf, nil
 }
 

@@ -327,11 +327,10 @@ func (e *Engine) Publish(o obvent.Obvent) error {
 	if o == nil {
 		return fmt.Errorf("%w: nil obvent", ErrCannotPublish)
 	}
-	env, err := e.codec.Encode(o)
+	env, err := e.codec.EncodeFrom(e.id, o)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotPublish, err)
 	}
-	env.Publisher = e.id
 	if err := e.diss.PublishEnvelope(env); err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotPublish, err)
 	}

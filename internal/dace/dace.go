@@ -750,17 +750,19 @@ func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicas
 // origin names. An empty string is a legal field, so the layout is one
 // and open puts both back. A certified class's record is sealed in full:
 // the outbox and the subscriber's inbox keep it past the link and the
-// address, and replay reads it with neither. env is not written to.
+// address, and replay reads it with neither. env is not written to; an
+// envelope fresh from Encode gets its header written in front of its
+// payload, which is not copied (codec.Seal).
 func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
 	if !elide {
-		return codec.Marshal(env)
+		return codec.Seal(env)
 	}
 	link := *env
 	link.Type = ""
 	if link.Publisher == n.self {
 		link.Publisher = ""
 	}
-	return codec.Marshal(&link)
+	return codec.Seal(&link)
 }
 
 // open decodes a record that arrived on class's channel from origin and

@@ -51,18 +51,16 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 	}
 	// The record carries nothing but the payload: there is no relay, so
 	// the origin is the transport's sender, and nothing deduplicates.
-	frame, err := frameMessage(g.stream, &message{Kind: kindData, Payload: payload})
-	if err != nil {
-		return err
+	msg := message{Kind: kindData, Payload: payload}
+	if err := g.mux.fanOut(dests, g.self, g.stream, &msg); err != nil {
+		return fmt.Errorf("multicast: besteffort %s: %w", g.stream, err)
 	}
 	for _, addr := range dests {
 		if addr == g.self {
 			// Local delivery: the publishing node may itself
 			// subscribe.
 			g.queue.push(g.self, payload)
-			continue
 		}
-		_ = g.mux.sendFrame(addr, frame)
 	}
 	return nil
 }

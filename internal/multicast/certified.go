@@ -215,18 +215,23 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
+	// No Origin on the record: there is no relay, so the publisher is
+	// the transport's sender. The frame is checked at its widest offset
+	// before the outbox takes the event, which it would owe for ever,
+	// even with no remote subscriber now: the outbox owes an entry to
+	// every durable identity it knows, departed ones included, and
+	// redelivers it to wherever one reappears.
+	data := message{Kind: kindCertData, ID: id, Seq: math.MaxUint64, Epoch: g.epoch, Payload: payload}
+	if err := fits(g.stream, &data); err != nil {
+		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
+	}
 	g.sending.RLock()
 	defer g.sending.RUnlock()
 	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
-	// No Origin on the record: there is no relay, so the publisher is
-	// the transport's sender.
-	frame, err := frameMessage(g.stream, &message{Kind: kindCertData, ID: id, Seq: off, Epoch: g.epoch, Payload: payload})
-	if err != nil {
-		return err
-	}
+	data.Seq = off
 	g.mu.Lock()
 	remote, local := g.remote, g.local
 	g.young = min(g.young, off)
@@ -247,9 +252,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 			}
 		}
 	}
-	for _, addr := range remote {
-		_ = g.mux.sendFrame(addr, frame) // unacknowledged: redelivery sends it again
-	}
+	_ = g.mux.fanOut(remote, g.self, g.stream, &data) // unacknowledged: redelivery sends it again
 	if fresh {
 		g.queue.push(g.self, payload)
 	}

@@ -106,6 +106,18 @@ func (g *Gossip) Broadcast(payload []byte) error {
 		return fmt.Errorf("multicast: gossip %s: closed", g.stream)
 	}
 	id := codec.NewID()
+	// A rumor travels in a batch; one that even a batch of itself alone
+	// cannot carry would be dropped every round. With no other member
+	// there is no round to drop it from.
+	if remote(g.members.snapshot(), g.self) {
+		size, err := messageSize(&message{Kind: kindGossip, Origin: g.self, ID: id, Rounds: uint8(g.opts.GossipRounds), Payload: payload})
+		if err == nil {
+			_, err = frameLen(g.stream, batchHeader+size)
+		}
+		if err != nil {
+			return fmt.Errorf("multicast: gossip %s: %w", g.stream, err)
+		}
+	}
 	interested := g.computeInterest(payload)
 	g.mu.Lock()
 	g.seen[id] = true
@@ -265,6 +277,10 @@ func (g *Gossip) onMessage(_ string, data []byte) {
 		g.queue.push(m.Origin, m.Payload)
 	}
 }
+
+// batchHeader is what a batch of one adds to its message: the count and
+// the message's length.
+const batchHeader = 2 + 4
 
 // encodeBatch frames a slice of messages as [count u16] ([len u32][msg])*.
 func encodeBatch(batch []*message) ([]byte, error) {

@@ -22,7 +22,12 @@
 //   - Gossip     — probabilistic broadcast in the style of lpbcast
 //
 // All protocols run over a Mux, which multiplexes named streams onto a
-// single point-to-point netsim.Transport endpoint.
+// single point-to-point netsim.Transport endpoint and builds every frame
+// in a reused buffer, which Transport.Send does not keep; a record sent
+// to several destinations unchanged is framed once. A publication with a
+// frame to send that no transport would carry (netsim.MaxFrame) is
+// refused before it is stamped or persisted; one delivered only at this
+// node has no frame, and no such bound.
 package multicast
 
 import (
@@ -114,49 +119,132 @@ func (m *Mux) Redeliver(stream, from string, payload []byte) {
 
 // Send transmits payload on the named stream to the destination address.
 func (m *Mux) Send(to, stream string, payload []byte) error {
-	buf, err := newFrame(stream, len(payload))
+	f, err := newFrame(stream, len(payload))
 	if err != nil {
 		return err
 	}
-	return m.tr.Send(to, append(buf, payload...))
+	defer f.release()
+	f.b = append(f.b, payload...)
+	return m.tr.Send(to, f.b)
 }
 
 // sendMessage transmits one protocol record on the named stream.
 func (m *Mux) sendMessage(to, stream string, msg *message) error {
-	frame, err := frameMessage(stream, msg)
+	f, err := messageFrame(stream, msg)
 	if err != nil {
 		return err
 	}
-	return m.tr.Send(to, frame)
+	defer f.release()
+	return m.tr.Send(to, f.b)
 }
 
-// sendFrame transmits a frame frameMessage built: a sender fanning one
-// record out builds it once.
-func (m *Mux) sendFrame(to string, frame []byte) error { return m.tr.Send(to, frame) }
+// fanOut transmits one protocol record on the named stream to every
+// address in dests but self. The frame is built once and handed to each
+// Send in turn: one copy of the record whatever the fan-out. It fails
+// only when the frame cannot be built, before anything is sent, and not
+// at all when dests names nobody but self; a failed Send is the
+// caller's protocol's to recover, or not.
+func (m *Mux) fanOut(dests []string, self, stream string, msg *message) error {
+	if !remote(dests, self) {
+		return nil
+	}
+	f, err := messageFrame(stream, msg)
+	if err != nil {
+		return err
+	}
+	defer f.release()
+	for _, addr := range dests {
+		if addr != self {
+			_ = m.tr.Send(addr, f.b)
+		}
+	}
+	return nil
+}
 
-// frameMessage builds the transport frame [stream][record] of msg in a
-// single exactly-sized buffer.
-func frameMessage(stream string, msg *message) ([]byte, error) {
+// remote reports whether dests names an address other than self: only
+// then does a publication have a frame to send, and a bound to fit.
+func remote(dests []string, self string) bool {
+	for _, addr := range dests {
+		if addr != self {
+			return true
+		}
+	}
+	return false
+}
+
+// A frame is one transport frame, [stream][body], built in a pooled
+// buffer for one Send. Transport.Send keeps nothing it is given, so the
+// buffer goes back to the pool (release) as soon as Send returns, and a
+// frame costs no allocation once the pool holds a buffer of its size.
+type frame struct{ b []byte }
+
+// framePool recycles frames; a buffer above maxPooledFrame is left to
+// the collector on release rather than kept for the next small frame.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+const maxPooledFrame = 64 << 10
+
+// newFrame starts a frame: the stream prefix, with room for a body of
+// the given size behind it.
+func newFrame(stream string, body int) (*frame, error) {
+	size, err := frameLen(stream, body)
+	if err != nil {
+		return nil, err
+	}
+	f := framePool.Get().(*frame)
+	if cap(f.b) < size {
+		f.b = make([]byte, 0, size)
+	}
+	f.b = binary.BigEndian.AppendUint16(f.b[:0], uint16(len(stream)))
+	f.b = append(f.b, stream...)
+	return f, nil
+}
+
+// messageFrame builds msg's frame on stream.
+func messageFrame(stream string, msg *message) (*frame, error) {
 	size, err := messageSize(msg)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := newFrame(stream, size)
+	f, err := newFrame(stream, size)
 	if err != nil {
 		return nil, err
 	}
-	return appendMessage(buf, msg), nil
+	f.b = appendMessage(f.b, msg)
+	return f, nil
 }
 
-// newFrame starts a transport frame: the stream prefix, with room for a
-// body of the given size behind it.
-func newFrame(stream string, body int) ([]byte, error) {
-	if len(stream) > 0xFFFF {
-		return nil, fmt.Errorf("multicast: stream name too long (%d bytes)", len(stream))
+// release returns the frame to the pool once its Send has returned.
+func (f *frame) release() {
+	if cap(f.b) > maxPooledFrame {
+		f.b = nil
 	}
-	buf := make([]byte, 0, 2+len(stream)+body)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(stream)))
-	return append(buf, stream...), nil
+	framePool.Put(f)
+}
+
+// frameLen returns the length of a frame on stream with a body of the
+// given size, or an error when no transport would carry it.
+func frameLen(stream string, body int) (int, error) {
+	if len(stream) > 0xFFFF {
+		return 0, fmt.Errorf("multicast: stream name too long (%d bytes)", len(stream))
+	}
+	n := 2 + len(stream) + body
+	if n > netsim.MaxFrame {
+		return 0, fmt.Errorf("multicast: %s: %w (%d bytes)", stream, netsim.ErrFrameTooLarge, n)
+	}
+	return n, nil
+}
+
+// fits checks, before a protocol stamps or persists a publication, that
+// msg's frame on stream is one a transport carries. The caller sets the
+// fields it does not know yet to their widest: a frame refused here is
+// refused every time, so no retransmission could deliver it.
+func fits(stream string, msg *message) error {
+	size, err := messageSize(msg)
+	if err == nil {
+		_, err = frameLen(stream, size)
+	}
+	return err
 }
 
 // dispatch routes an inbound transport frame to its stream handler.

@@ -1,6 +1,9 @@
 package multicast
 
 import (
+	"bytes"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,5 +101,95 @@ func TestMuxStreamNameTooLong(t *testing.T) {
 	}
 	if err := a.mux.Send("a", string(long), nil); err == nil {
 		t.Error("oversized stream name must fail")
+	}
+}
+
+// frameTap records, per Send, the frame and to whom it goes.
+type frameTap struct {
+	netsim.Transport
+	to     []string
+	frames []string
+}
+
+func (f *frameTap) Send(to string, frame []byte) error {
+	f.to = append(f.to, to)
+	f.frames = append(f.frames, string(frame))
+	return nil
+}
+
+// TestFanOutFramesOnce: a record fanned out goes, in one frame, to every
+// destination but self; with no destination but self nothing is framed,
+// however long the record. TestMuxSendAllocs pins that the frame is
+// built once.
+func TestFanOutFramesOnce(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	ep, err := net.NewEndpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &frameTap{Transport: ep}
+	m := NewMux(tap)
+	msg := message{Kind: kindData, Payload: []byte("m")}
+	if err := m.fanOut([]string{"b", "a", "c", "d"}, "a", "s", &msg); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(tap.to, ","); got != "b,c,d" {
+		t.Errorf("sent to %s, want b,c,d", got)
+	}
+	var got message
+	for _, f := range tap.frames {
+		if err := decodeMessage([]byte(f[3:]), &got); err != nil || string(got.Payload) != "m" {
+			t.Errorf("a destination was sent %q", f)
+		}
+	}
+	tap.to = nil
+	huge := message{Kind: kindData, Payload: make([]byte, netsim.MaxFrame)}
+	if err := m.fanOut([]string{"a"}, "a", "s", &huge); err != nil || len(tap.to) != 0 {
+		t.Errorf("a fan-out to self only: %v, %d sends; want nil and none", err, len(tap.to))
+	}
+	if err := m.fanOut([]string{"a", "b"}, "a", "s", &huge); !errors.Is(err, netsim.ErrFrameTooLarge) || len(tap.to) != 0 {
+		t.Errorf("an unframeable fan-out: %v, %d sends; want ErrFrameTooLarge and none", err, len(tap.to))
+	}
+}
+
+// TestMuxSendAllocs pins the cost of a frame: none. A protocol record
+// (sendMessage, or fanOut to several destinations at once) and a payload
+// on a stream (Send, which gossip uses) are each framed in a pooled
+// buffer that goes back once Transport.Send has returned. A frame too
+// long for the pool to keep costs its one buffer, however many
+// destinations it is fanned out to.
+func TestMuxSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	ep, err := net.NewEndpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMux(discardTransport{ep})
+	payload := bytes.Repeat([]byte{7}, 1200)
+	data := message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
+	dests := []string{"b", "a", "c", "d"}
+	long := message{Kind: kindData, Payload: make([]byte, 2*maxPooledFrame)}
+	for _, tc := range []struct {
+		what string
+		send func() error
+		want float64
+	}{
+		{"sendMessage", func() error { return m.sendMessage("b", "dace/fifo/some.Class", &data) }, 0},
+		{"fanOut", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &data) }, 0},
+		{"Send", func() error { return m.Send("b", "dace/gossip/some.Class", payload) }, 0},
+		{"fanOut of a long record", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &long) }, 1},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != tc.want {
+			t.Errorf("%s: %v allocations per frame, want %v", tc.what, n, tc.want)
+		}
 	}
 }

@@ -26,13 +26,16 @@ type delivery struct {
 	payload string
 }
 
+// newTestNode opens an endpoint that overwrites every frame once it is
+// sent (scribbleTransport), so that every protocol test checks that no
+// layer keeps a sent frame.
 func newTestNode(t *testing.T, net *netsim.Network, addr string) *testNode {
 	t.Helper()
 	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testNode{mux: NewMux(ep)}
+	return &testNode{mux: NewMux(scribbleTransport{ep})}
 }
 
 func (n *testNode) record(origin string, payload []byte) {

@@ -428,6 +428,14 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 	if origin == g.self {
 		named = ""
 	}
+	for _, s := range sends {
+		if !remote(s.Dests, g.self) {
+			continue // delivered here only: no frame
+		}
+		if err := g.fits(named, s.Payload); err != nil {
+			return frames, err
+		}
+	}
 	sent, toSelf := 0, false
 
 	g.mu.Lock()
@@ -464,6 +472,17 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 		}
 	}
 	return frames, nil
+}
+
+// fits refuses, before it takes a link sequence, a payload whose data
+// frame naming origin (empty for this node) no transport would carry,
+// with the link sequence and base at their widest.
+func (g *Reliable) fits(named string, payload []byte) error {
+	err := fits(g.stream, &message{Kind: kindData, Epoch: g.epoch, Seq: math.MaxUint64, Base: 1, Origin: named, Payload: payload})
+	if err != nil {
+		return fmt.Errorf("multicast: reliable %s: %w", g.stream, err)
+	}
+	return nil
 }
 
 // transmit sends link frames. A failed send is a lost frame:

@@ -527,8 +527,10 @@ type discardTransport struct{ netsim.Transport }
 func (discardTransport) Send(string, []byte) error { return nil }
 
 // TestReliableTickAllocs pins what a timer period costs a link that owes
-// one acknowledgement: the acknowledgement's frame and nothing else. The
-// slice of frames a period sends is the group's, reused and cleared.
+// one acknowledgement: nothing. The slice of frames a period sends is the
+// group's, reused and cleared, and the acknowledgement's frame is built
+// in a reused buffer. Under -race the pool drops some of what it is
+// given, so there the count goes unchecked and the rest still runs.
 func TestReliableTickAllocs(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -560,8 +562,8 @@ func TestReliableTickAllocs(t *testing.T) {
 			t.Fatal("the period did not acknowledge")
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("a period that owes one acknowledgement allocates %.1f times, want <= 1 (its frame)", allocs)
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("a period that owes one acknowledgement allocates %.1f times, want 0", allocs)
 	}
 	if kept := g.tickFrames[:cap(g.tickFrames)]; len(kept) == 0 || kept[0].addr != "" || kept[0].msg.Kind != 0 {
 		t.Errorf("the period's frames were not kept and cleared after sending: %+v", kept)

@@ -72,10 +72,17 @@ func (g *Total) SetPlanner(p Planner) {
 // is where total order prunes).
 func (g *Total) SetPruneObserver(obs PruneObserver) { g.inner.SetPruneObserver(obs) }
 
-// Broadcast implements Group.
+// Broadcast implements Group. Away from the sequencer, a payload the
+// sequencer's frame, which names this node as its origin, could not
+// carry is refused here: the request link would deliver it to a
+// sequencer that cannot send it on. At the sequencer, stamp checks the
+// frames it sends.
 func (g *Total) Broadcast(payload []byte) error {
 	if g.self == g.sequencer {
 		return g.sequence(g.self, payload)
+	}
+	if err := g.inner.fits(g.self, payload); err != nil {
+		return err
 	}
 	return g.req.BroadcastTo([]string{g.sequencer}, payload)
 }

@@ -32,7 +32,11 @@ type Transport interface {
 	Addr() string
 	// Send transmits payload to the endpoint with address to. Send is
 	// asynchronous and best-effort: a nil error does not imply
-	// delivery.
+	// delivery. Send does not keep payload, nor write to it: the caller
+	// may overwrite it as soon as Send returns, or send it again, which
+	// is what lets the multicast layer build every frame in a reused
+	// buffer and fan one frame out. A payload longer than
+	// MaxFrame is refused with an error wrapping ErrFrameTooLarge.
 	Send(to string, payload []byte) error
 	// SetHandler installs the inbound message handler. It must be
 	// called before any message is expected; installing a handler
@@ -96,6 +100,17 @@ func New(cfg Config) *Network {
 
 // ErrClosed is returned by operations on closed networks or endpoints.
 var ErrClosed = errors.New("netsim: closed")
+
+// MaxFrame is the longest payload a Transport carries in one Send: the
+// TCP transport's 16 MiB frame less its four-byte length word. The
+// simulated network enforces the same bound, and the multicast protocols
+// refuse a publication whose frame would exceed it before they stamp or
+// persist it, since no retransmission could ever deliver it.
+const MaxFrame = 16<<20 - 4
+
+// ErrFrameTooLarge is wrapped by the error of a Send longer than
+// MaxFrame, and of a publication whose frame would be.
+var ErrFrameTooLarge = errors.New("frame too large")
 
 // NewEndpoint creates and registers an endpoint with the given address.
 func (n *Network) NewEndpoint(addr string) (*Endpoint, error) {
@@ -336,13 +351,16 @@ func (e *Endpoint) SetHandler(h Handler) {
 	e.handler = h
 }
 
-// Send implements Transport.
+// Send implements Transport. The payload is copied before Send returns.
 func (e *Endpoint) Send(to string, payload []byte) error {
 	e.mu.RLock()
 	closed := e.closed
 	e.mu.RUnlock()
 	if closed {
 		return ErrClosed
+	}
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("netsim: %w (%d bytes)", ErrFrameTooLarge, len(payload))
 	}
 	return e.net.send(e.addr, to, payload)
 }

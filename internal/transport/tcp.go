@@ -65,8 +65,9 @@ func logger() *slog.Logger {
 
 const (
 	// maxFrame bounds a single frame, length word included (16 MiB), to
-	// stop a corrupted length from allocating unbounded memory.
-	maxFrame = 16 << 20
+	// stop a corrupted length from allocating unbounded memory. The
+	// payload's share is netsim.MaxFrame, the bound every transport keeps.
+	maxFrame = netsim.MaxFrame + frameHeader
 	// helloFlag marks a frame's length word as a hello's.
 	helloFlag = 1 << 31
 	// maxAddr bounds the address a hello may carry: a DNS name, a colon
@@ -158,8 +159,8 @@ func (t *TCP) SetHandler(h netsim.Handler) {
 // and retries once on a fresh one. A write that times out is not
 // retried: the peer is not reading. Send does not keep payload.
 func (t *TCP) Send(to string, payload []byte) error {
-	if len(payload) > maxFrame-frameHeader {
-		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
+	if len(payload) > netsim.MaxFrame {
+		return fmt.Errorf("transport: %w (%d bytes)", netsim.ErrFrameTooLarge, len(payload))
 	}
 	p, err := t.peer(to)
 	if err != nil {
