@@ -283,36 +283,36 @@
 //	       continued across the destination leaving and rejoining.
 //	Base   the lowest link sequence the sender still owes this destination.
 //	       The receiver treats everything below it as settled, so a frame
-//	       abandoned under Tuning.RetransmitLimit, or dropped while the
-//	       destination was out of the membership, never leaves a hole the
-//	       receiver waits behind.
+//	       dropped while the destination was out of the membership never
+//	       leaves a hole the receiver waits behind.
 //
 // The sender of a frame is the transport's: the reliable layer has no
 // relay, and an origin travels only on the frames of a total-order
 // sequencer, which publishes on its members' behalf. The receiver
-// remembers, per sender, the epoch, the cumulative sequence below which
-// everything is settled, and the runs of sequences received above it
-// (one run per hole, at most 256) with their frames; a frame is a
-// duplicate when it is at or below the first or inside one of the
-// second. Frames are released to the class above in link-sequence
-// order: a first arrival that is next in line goes up at once, together
-// with the run it was the hole below, and any other is held while a
-// hole sits below it. A hole closes when the missing frame arrives, at
-// first or by retransmission, or when a Base passes it; what a receiver
-// holds is what its sender has in flight, and a frame that would open a
-// 257th hole is dropped unacknowledged and comes back by
-// retransmission. This order is the only sequencing there is: FIFO is
-// the link, total order is the sequencer's links, and causal order adds
-// a vector clock but no numbers. When the sender abandons frames
-// (Tuning.RetransmitLimit, or their destination leaving the
-// membership) in a timer period that resends nothing else on the link,
-// it announces the new Base in a frame of its own, of the "step over"
-// kind: Epoch and Base, no Seq and no payload, consuming no sequence.
-// A receiver that holds frames behind the abandoned ones releases them
-// on it, not on the next publication, which may never come. An
-// acknowledgement carries the epoch it answers, the cumulative
-// sequence, and the 32 lowest runs beyond it, each as the distance from
-// the run before and a length. It is sent
+// remembers, per sender, the epoch and one set of link sequences: the
+// cumulative sequence, at or below which everything is settled, and the
+// runs of sequences received above it (one run per hole, at most 256),
+// whose frames it holds; a frame is a duplicate when the set has its
+// sequence. The certified acknowledgement and the durable cursors keep
+// the same set ("Durability"). Frames are released to the class above
+// in link-sequence order: a first arrival that is next in line goes up
+// at once, together with the run it was the hole below, and any other
+// is held while a hole sits below it. A hole closes when the missing
+// frame arrives, at first or by retransmission, or when a Base passes
+// it; what a receiver holds is what its sender has in flight, and a
+// frame that would open a 257th hole is dropped unacknowledged and
+// comes back by retransmission. This order is the only sequencing there
+// is: FIFO is the link, total order is the sequencer's links, and
+// causal order adds a vector clock but no numbers. A sender retransmits
+// to a destination until it acknowledges or leaves the membership; it
+// never gives up on a member. When it abandons a destination that left,
+// it drops what it owed there and announces the new Base in a frame of
+// its own, of the "step over" kind: Epoch and Base, no Seq and no
+// payload, consuming no sequence. A receiver that holds frames behind
+// the abandoned ones releases them on it, not on the next publication,
+// which may never come. An acknowledgement carries the epoch it
+// answers, the cumulative sequence, and the 32 lowest runs beyond it,
+// each as the distance from the run before and a length. It is sent
 //
 //   - when 16 data frames await acknowledgement;
 //   - when the acknowledgement timer, a quarter of
@@ -538,11 +538,16 @@
 //	               acknowledgement lists them
 //
 // A subscriber stages an arrival, a duplicate like any other, then adds
-// its offset to the runs it owes that publisher, and sends them when
-// the reliable link would acknowledge ("Link protocol": 16 frames, the
-// quarter-interval timer, at once for the first frame of a quiet
-// period), once under each durable identity it holds for the class; a
-// node with two identities is still sent one data frame per event. The
+// its offset to the set of offsets it owes that publisher, the set a
+// reliable link keeps, and sends its runs when the reliable link would
+// acknowledge ("Link protocol": 16 frames, the quarter-interval timer,
+// at once for the first frame of a quiet period), once under each
+// durable identity it holds for the class, and empties it; a node with
+// two identities is still sent one data frame per event. Each outbox
+// consumer and each inbox cursor keeps the same set again, of the
+// offsets it acknowledged: a frontier and the runs above it, in memory
+// as many as the holes in what it acknowledged, and on disk, in a
+// snapshot, the frontier and every offset above it. The
 // publisher books an acknowledgement as one outbox record, whatever it
 // names, and drops one of another epoch: an in-memory outbox numbers
 // from 1 again after a restart. Neither frame is negotiated. On the

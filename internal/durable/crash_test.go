@@ -114,7 +114,7 @@ func outboxWorkload(t *testing.T, policy SyncPolicy) *crashWorkload {
 	ack := func(c string, runs ...Run) {
 		w.call(t, crashStep{kind: "ack", who: c, runs: runs}, obMeta, func(*crashStep) error { return o.AckRuns(c, runs) })
 	}
-	at := func(id string) Run { return Run{offs[id], offs[id]} }
+	at := func(id string) Run { return Run{Lo: offs[id], Hi: offs[id]} }
 
 	register("c1")
 	for _, id := range crashIDs[:3] {
@@ -129,7 +129,7 @@ func outboxWorkload(t *testing.T, policy SyncPolicy) *crashWorkload {
 		add(id)
 		ack("c1", at(id))
 		if i%3 == 2 {
-			ack("c2", Run{c2, offs[id]})
+			ack("c2", Run{Lo: c2, Hi: offs[id]})
 			c2 = offs[id] + 1
 		}
 		switch i {
@@ -310,7 +310,7 @@ func checkOutbox(w *crashWorkload, policy SyncPolicy, disk *simDisk, survived fu
 		}
 	}
 	for _, c := range consumers {
-		if err := o.AckRuns(c, []Run{{0, math.MaxUint64}}); err != nil {
+		if err := o.AckRuns(c, []Run{{Lo: 0, Hi: math.MaxUint64}}); err != nil {
 			return err
 		}
 	}

@@ -480,8 +480,8 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 	ack(o, "b", "e2", "e0", "e1")             // frontier e2
 	check(o, "a", "e2", "e4", "e6", "e7")
 	check(o, "b", "e3", "e4", "e5", "e6", "e7")
-	if cs := o.consumers["a"]; cs.frontier != 2 || len(cs.sparse) != 2 {
-		t.Fatalf("a: frontier %d with %d above it, want 2 (e1) with 2", cs.frontier, len(cs.sparse))
+	if cs := o.consumers["a"]; cs.acked.Floor() != 2 || len(cs.acked.Runs()) != 2 {
+		t.Fatalf("a: frontier %d with runs %v above it, want 2 (e1) with 2", cs.acked.Floor(), cs.acked.Runs())
 	}
 
 	if dropped, err := o.GC(); err != nil || dropped != 2 { // e0, e1: acknowledged by both
@@ -496,8 +496,8 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 	check(o, "a", "e2", "e4", "e6", "e7")
 	check(o, "b", "e3", "e4", "e5", "e6", "e7")
 	ack(o, "a", "e2", "e4") // closes both holes: frontier runs to e5
-	if cs := o.consumers["a"]; cs.frontier != 6 || len(cs.sparse) != 0 {
-		t.Fatalf("a: frontier %d with %d above it, want 6 (e5) with none", cs.frontier, len(cs.sparse))
+	if cs := o.consumers["a"]; cs.acked.Floor() != 6 || len(cs.acked.Runs()) != 0 {
+		t.Fatalf("a: frontier %d with runs %v above it, want 6 (e5) with none", cs.acked.Floor(), cs.acked.Runs())
 	}
 	if err := o.RegisterConsumer("late"); err != nil { // owed everything still held: e2 is retired
 		t.Fatal(err)
@@ -523,43 +523,71 @@ func TestOutboxCursorOutOfOrderAcks(t *testing.T) {
 	check(o, "b", "e7")
 }
 
-// TestOutboxAckStateBoundedByInFlight: acknowledged in order with a
-// window in flight, a consumer's state is its frontier, whatever the
-// number of entries the outbox has seen and still holds, and Pending
-// returns the window without walking the rest.
+// TestOutboxAckStateBoundedByInFlight: a consumer's state follows the
+// holes in what it acknowledged, not the acknowledgements. In order with
+// a window in flight it is its frontier, whatever the number of entries
+// the outbox has seen and still holds, and Pending returns the window
+// without walking the rest; above one hole it is one run.
 func TestOutboxAckStateBoundedByInFlight(t *testing.T) {
-	o, err := OpenOutbox(filepath.Join(t.TempDir(), "data"), filepath.Join(t.TempDir(), "meta"),
-		SegmentConfig{Sync: SyncBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if err := o.RegisterConsumer("sub"); err != nil {
-		t.Fatal(err)
-	}
-	const total, window = 5000, 16
-	for i := 0; i < total; i++ {
-		if err := o.Append(Entry{ID: fmt.Sprintf("e%d", i), Payload: []byte("p")}); err != nil {
+	open := func(t *testing.T) *Outbox {
+		o, err := OpenOutbox(filepath.Join(t.TempDir(), "data"), filepath.Join(t.TempDir(), "meta"),
+			SegmentConfig{Sync: SyncBatch})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i >= window {
-			if err := o.Ack("sub", fmt.Sprintf("e%d", i-window)); err != nil {
-				t.Fatal(err)
-			}
+		t.Cleanup(func() { o.Close() })
+		if err := o.RegisterConsumer("sub"); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	appendAck := func(t *testing.T, o *Outbox, add, ack string) {
+		t.Helper()
+		if err := o.Append(Entry{ID: add, Payload: []byte("p")}); err != nil {
+			t.Fatal(err)
+		}
+		if ack == "" {
+			return
+		}
+		if err := o.Ack("sub", ack); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cs := o.consumers["sub"]
-	if cs.frontier != total-window || len(cs.sparse) != 0 {
-		t.Fatalf("frontier %d with %d entries above it after %d in-order acks, want %d and none",
-			cs.frontier, len(cs.sparse), total-window, total-window)
+	check := func(t *testing.T, o *Outbox, frontier uint64, runs int, pending int, first string) {
+		t.Helper()
+		if cs := o.consumers["sub"]; cs.acked.Floor() != frontier || len(cs.acked.Runs()) != runs {
+			t.Fatalf("frontier %d with %d runs above it, want %d and %d", cs.acked.Floor(), len(cs.acked.Runs()), frontier, runs)
+		}
+		got, err := o.Pending("sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != pending || got[0].ID != first {
+			t.Fatalf("Pending = %d entries from %s, want %d from %s", len(got), got[0].ID, pending, first)
+		}
 	}
-	pending, err := o.Pending("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != window || pending[0].ID != fmt.Sprintf("e%d", total-window) {
-		t.Fatalf("Pending = %d entries from %s, want the %d in flight", len(pending), pending[0].ID, window)
-	}
+
+	t.Run("in order", func(t *testing.T) {
+		o := open(t)
+		const total, window = 5000, 16
+		for i := 0; i < total; i++ {
+			ack := ""
+			if i >= window {
+				ack = fmt.Sprintf("e%d", i-window)
+			}
+			appendAck(t, o, fmt.Sprintf("e%d", i), ack)
+		}
+		check(t, o, total-window, 0, window, fmt.Sprintf("e%d", total-window))
+	})
+	t.Run("above one hole", func(t *testing.T) {
+		o := open(t)
+		const above = 10_000
+		appendAck(t, o, "hole", "")
+		for i := 1; i <= above; i++ {
+			appendAck(t, o, fmt.Sprintf("e%d", i), fmt.Sprintf("e%d", i))
+		}
+		check(t, o, 0, 1, 1, "hole")
+	})
 }
 
 // TestOutboxAckOfLostRecordIsNotInherited: a crash under SyncBatch can

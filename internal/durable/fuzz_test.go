@@ -48,12 +48,12 @@ func recoveryDisk(tb testing.TB) *simDisk {
 			must(err)
 		}
 		if i%2 == 1 {
-			must(o.AckRuns("c1", []Run{{off, off}, {off - 1, off - 1}}))
+			must(o.AckRuns("c1", []Run{{Lo: off, Hi: off}, {Lo: off - 1, Hi: off - 1}}))
 			must(ib.Ack("d1", id))
 			must(ib.Ack("d1", crashIDs[i-1]))
 		}
 		if i == 5 {
-			must(o.AckRuns("c2", []Run{{1, off}}))
+			must(o.AckRuns("c2", []Run{{Lo: 1, Hi: off}}))
 			_, err = o.GC()
 			must(err)
 			must(ib.Compact())
@@ -154,7 +154,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, c := range consumers {
-				if err := o.AckRuns(c, []Run{{0, math.MaxUint64}}); err != nil {
+				if err := o.AckRuns(c, []Run{{Lo: 0, Hi: math.MaxUint64}}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 )
 
@@ -24,9 +25,9 @@ var ErrUnknownCursor = errors.New("durable: unknown durable cursor")
 //
 // Each durable subscription ID owns a persistent cursor: a start
 // offset (events staged before the cursor existed are not owed), a
-// contiguous acknowledged frontier, and a sparse set of out-of-order
-// acknowledgements. SubscribeDurable resumes by replaying everything
-// between the frontier and the log head that is not sparsely acked.
+// contiguous acknowledged frontier, and the runs acknowledged out of
+// order above it. SubscribeDurable resumes by replaying everything
+// between the frontier and the log head that no run holds.
 type Inbox struct {
 	data *SegmentLog // staged events: [blob id][blob origin][payload]
 	acks *SegmentLog // cursor history
@@ -173,7 +174,7 @@ func (ib *Inbox) applyAck(rec []byte) error {
 			return err
 		}
 		if cs, ok := ib.cursors[string(id)]; ok {
-			cs.record(off)
+			cs.acked.Add(off, off, 0)
 		}
 	case ackSnapshot:
 		cursors, err := decodeCursorSnapshot(rest)
@@ -193,8 +194,7 @@ func encodeCursorSnapshot(cursors map[string]*cursorState) []byte {
 	out = appendUint32(out, uint32(len(cursors)))
 	for id, cs := range cursors {
 		out = appendBlob(out, []byte(id))
-		out = appendUint64(out, cs.start)
-		out = appendOffsets(appendUint64(out, cs.frontier), cs)
+		out = appendAcked(appendUint64(out, cs.start), cs)
 	}
 	return out
 }
@@ -213,16 +213,11 @@ func decodeCursorSnapshot(rec []byte) (map[string]*cursorState, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs := &cursorState{sparse: make(map[uint64]bool)}
-		cs.start, rec, err = takeUint64(rec)
-		if err != nil {
+		cs := &cursorState{}
+		if cs.start, rec, err = takeUint64(rec); err != nil {
 			return nil, err
 		}
-		cs.frontier, rec, err = takeUint64(rec)
-		if err != nil {
-			return nil, err
-		}
-		if rec, err = takeOffsets(cs, rec); err != nil {
+		if rec, err = takeAcked(cs, rec); err != nil {
 			return nil, err
 		}
 		out[string(id)] = cs
@@ -302,14 +297,14 @@ func (ib *Inbox) Ack(durableID, eventID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEvent, eventID)
 	}
-	if cs.ackedAt(off) {
+	if cs.acked.Has(off) {
 		return nil
 	}
 	ib.hdr = appendUint64(appendBlob(append(ib.hdr[:0], ackAck), durableID), off)
 	if _, err := ib.acks.Append(ib.hdr); err != nil {
 		return err
 	}
-	cs.record(off)
+	cs.acked.Add(off, off, 0)
 	ib.acked++
 	return nil
 }
@@ -331,16 +326,15 @@ func (ib *Inbox) Replay(durableID string, fn func(eventID, origin string, payloa
 		ib.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownCursor, durableID)
 	}
-	from := cs.frontier + 1
-	sparse := make(map[uint64]bool, len(cs.sparse))
-	for off := range cs.sparse {
-		sparse[off] = true
-	}
+	from, above := cs.acked.Floor()+1, slices.Clone(cs.acked.Runs())
 	ib.mu.Unlock()
 
 	return ib.data.ReadFrom(from, func(off uint64, rec []byte) error {
-		if sparse[off] {
-			return nil
+		for len(above) > 0 && above[0].Hi < off {
+			above = above[1:]
+		}
+		if len(above) > 0 && above[0].Lo <= off {
+			return nil // acknowledged out of order
 		}
 		id, origin, payload, err := takeStaged(rec)
 		if err != nil {
@@ -364,9 +358,7 @@ func (ib *Inbox) Compact() error {
 	}
 	frontier := ib.data.NextOffset() - 1
 	for _, cs := range ib.cursors {
-		if cs.frontier < frontier {
-			frontier = cs.frontier
-		}
+		frontier = min(frontier, cs.acked.Floor())
 	}
 	return ib.snapshotAcksLocked(func() error {
 		_, _, err := ib.data.Compact(frontier + 1)

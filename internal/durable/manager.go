@@ -182,10 +182,8 @@ func (m *Manager) AckDelivered(class, durableID, eventID string) error {
 	if err != nil {
 		return err
 	}
-	if !cs.inbox.HasCursor(durableID) {
-		if _, err := cs.inbox.EnsureCursor(durableID); err != nil {
-			return err
-		}
+	if _, err := cs.inbox.EnsureCursor(durableID); err != nil {
+		return err
 	}
 	return cs.inbox.Ack(durableID, eventID)
 }

@@ -19,9 +19,6 @@ type Entry struct {
 	Offset  uint64
 }
 
-// Run is a run of consecutive offsets, both ends included.
-type Run struct{ Lo, Hi uint64 }
-
 // ErrUnknownConsumer is returned when acknowledging or querying a
 // consumer that was never registered.
 var ErrUnknownConsumer = errors.New("durable: unknown consumer")
@@ -197,7 +194,7 @@ func (o *Outbox) applyMeta(rec []byte, last uint64) (clipped bool, err error) {
 			o.consumers[string(name)] = newCursor(o.base - 1)
 		}
 	case metaCursor:
-		name, cs, _, err := o.takeCursor(rest)
+		name, cs, _, err := o.takeCursor(rest, true)
 		if err != nil {
 			return false, err
 		}
@@ -228,28 +225,10 @@ func (o *Outbox) applyMeta(rec []byte, last uint64) (clipped bool, err error) {
 			}
 			clipped = clipped || hi > last
 			if cs != nil {
-				cs.recordRun(lo, min(hi, last))
+				cs.acked.Add(lo, min(hi, last), 0)
 			}
 		}
-	case metaSnapshot:
-		n, rest, err := takeUint32(rest)
-		if err != nil {
-			return false, err
-		}
-		consumers := make(map[string]*cursorState)
-		for range n {
-			var name []byte
-			if name, rest, err = takeBlob(rest); err != nil {
-				return false, err
-			}
-			cs := newCursor(o.base - 1)
-			if rest, err = takeOffsets(cs, rest); err != nil {
-				return false, err
-			}
-			consumers[string(name)] = cs
-		}
-		o.consumers = consumers
-	case metaCursors:
+	case metaSnapshot, metaCursors:
 		n, rest, err := takeUint32(rest)
 		if err != nil {
 			return false, err
@@ -258,7 +237,7 @@ func (o *Outbox) applyMeta(rec []byte, last uint64) (clipped bool, err error) {
 		for range n {
 			var name string
 			var cs *cursorState
-			if name, cs, rest, err = o.takeCursor(rest); err != nil {
+			if name, cs, rest, err = o.takeCursor(rest, kind == metaCursors); err != nil {
 				return false, err
 			}
 			consumers[name] = cs
@@ -270,26 +249,22 @@ func (o *Outbox) applyMeta(rec []byte, last uint64) (clipped bool, err error) {
 	return clipped, nil
 }
 
-// appendCursor appends a [cursor]: the consumer's frontier and the
-// offsets it acknowledged above it, ascending.
-func appendCursor(dst []byte, name string, cs *cursorState) []byte {
-	return appendOffsets(appendUint64(appendBlob(dst, name), cs.frontier), cs)
-}
-
-// takeCursor consumes a [cursor]. Everything below the data log's first
-// offset was acknowledged by every consumer before it was compacted.
-func (o *Outbox) takeCursor(src []byte) (name string, cs *cursorState, rest []byte, err error) {
+// takeCursor consumes a [cursor], or without its frontier a consumer of
+// a metaSnapshot, [blob consumer][u32 n][u64 offset].... Everything
+// below the data log's first offset was acknowledged by every consumer
+// before it was compacted.
+func (o *Outbox) takeCursor(src []byte, frontier bool) (name string, cs *cursorState, rest []byte, err error) {
 	blob, src, err := takeBlob(src)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	frontier, src, err := takeUint64(src)
-	if err != nil {
-		return "", nil, nil, err
+	cs = newCursor(o.base - 1)
+	if frontier {
+		rest, err = takeAcked(cs, src)
+	} else {
+		rest, err = takeOffsets(cs, src)
 	}
-	cs = newCursor(max(o.base-1, frontier))
-	src, err = takeOffsets(cs, src)
-	return string(blob), cs, src, err
+	return string(blob), cs, rest, err
 }
 
 // snapshotMetaLocked writes every consumer's state as one record and
@@ -304,7 +279,7 @@ func (o *Outbox) snapshotMetaLocked(compact func() error) error {
 	sort.Strings(names)
 	snap := appendUint32([]byte{metaCursors}, uint32(len(names)))
 	for _, n := range names {
-		snap = appendCursor(snap, n, o.consumers[n])
+		snap = appendAcked(appendBlob(snap, n), o.consumers[n])
 	}
 	off, err := o.meta.Append(snap)
 	if err != nil {
@@ -345,7 +320,7 @@ func (o *Outbox) push(e Entry) {
 // every registered consumer has acknowledged off.
 func (o *Outbox) ackedByAllLocked(off uint64) bool {
 	for _, cs := range o.consumers {
-		if !cs.ackedAt(off) {
+		if !cs.acked.Has(off) {
 			return false
 		}
 	}
@@ -423,10 +398,10 @@ func (o *Outbox) RegisterConsumer(id string) error {
 	cs := newCursor(o.base - 1)
 	for off := o.base; off <= o.last(); off++ {
 		if o.slot(off).Offset == 0 { // retired before this consumer came
-			cs.record(off)
+			cs.acked.Add(off, off, 0)
 		}
 	}
-	o.hdr = appendCursor(append(o.hdr[:0], metaCursor), id, cs)
+	o.hdr = appendAcked(appendBlob(append(o.hdr[:0], metaCursor), id), cs)
 	if _, err := o.meta.Append(o.hdr); err != nil {
 		return err
 	}
@@ -487,7 +462,7 @@ func (o *Outbox) AckRuns(consumer string, runs []Run) error {
 	o.hdr = appendBlob(append(o.hdr[:0], metaAckRuns), consumer)
 	fresh, last := false, o.last()
 	for _, r := range runs {
-		if hi := min(r.Hi, last); cs.recordRun(r.Lo, hi) {
+		if hi := min(r.Hi, last); cs.acked.Add(r.Lo, hi, 0) {
 			fresh = true
 			o.hdr = appendUint64(appendUint64(o.hdr, r.Lo), hi)
 		}
@@ -515,13 +490,13 @@ func (o *Outbox) Pending(consumer string) ([]Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownConsumer, consumer)
 	}
-	from, end := max(cs.frontier+1, o.base), o.last()+1
+	from, end := max(cs.acked.Floor()+1, o.base), o.last()+1
 	if from >= end {
 		return nil, nil
 	}
 	out := make([]Entry, 0, end-from)
 	for off := from; off < end; off++ {
-		if e := o.slot(off); e.Offset != 0 && !cs.sparse[off] {
+		if e := o.slot(off); e.Offset != 0 && !cs.acked.Has(off) {
 			out = append(out, *e)
 		}
 	}
@@ -546,7 +521,7 @@ func (o *Outbox) GC() (int, error) {
 	}
 	frontier := o.last()
 	for _, cs := range o.consumers {
-		frontier = min(frontier, cs.frontier)
+		frontier = min(frontier, cs.acked.Floor())
 	}
 	var records uint64
 	err := o.snapshotMetaLocked(func() (err error) {

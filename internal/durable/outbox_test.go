@@ -248,14 +248,14 @@ func TestOutboxConformance(t *testing.T) {
 					want string
 				}{
 					{"no run", nil, "0123456789"},
-					{"two runs in one call", []Run{{offs[1], offs[2]}, {offs[5], offs[5]}}, "0346789"},
-					{"the same again", []Run{{offs[1], offs[2]}, {offs[5], offs[5]}}, "0346789"},
-					{"overlapping what is acknowledged and each other", []Run{{offs[2], offs[4]}, {offs[3], offs[6]}}, "0789"},
-					{"descending in the call", []Run{{offs[8], offs[8]}, {offs[0], offs[0]}}, "79"},
-					{"wholly beyond the last offset", []Run{{last + 1, last + 1000}, {^uint64(0), ^uint64(0)}}, "79"},
-					{"below the first offset and inverted", []Run{{0, 0}, {offs[9], offs[7]}}, "79"},
-					{"from inside to far beyond the last offset", []Run{{offs[9], ^uint64(0)}}, "7"},
-					{"everything there could ever be", []Run{{0, ^uint64(0)}}, ""},
+					{"two runs in one call", []Run{{Lo: offs[1], Hi: offs[2]}, {Lo: offs[5], Hi: offs[5]}}, "0346789"},
+					{"the same again", []Run{{Lo: offs[1], Hi: offs[2]}, {Lo: offs[5], Hi: offs[5]}}, "0346789"},
+					{"overlapping what is acknowledged and each other", []Run{{Lo: offs[2], Hi: offs[4]}, {Lo: offs[3], Hi: offs[6]}}, "0789"},
+					{"descending in the call", []Run{{Lo: offs[8], Hi: offs[8]}, {Lo: offs[0], Hi: offs[0]}}, "79"},
+					{"wholly beyond the last offset", []Run{{Lo: last + 1, Hi: last + 1000}, {Lo: ^uint64(0), Hi: ^uint64(0)}}, "79"},
+					{"below the first offset and inverted", []Run{{Lo: 0, Hi: 0}, {Lo: offs[9], Hi: offs[7]}}, "79"},
+					{"from inside to far beyond the last offset", []Run{{Lo: offs[9], Hi: ^uint64(0)}}, "7"},
+					{"everything there could ever be", []Run{{Lo: 0, Hi: ^uint64(0)}}, ""},
 				} {
 					if err := l.AckRuns("c", step.runs); err != nil {
 						t.Fatalf("%s: %v", step.what, err)
@@ -328,7 +328,7 @@ func TestOutboxConformance(t *testing.T) {
 			if err := l.AckRuns("sub-a", one(offs[1])); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.AckRuns("sub-a", []Run{{offs[3], offs[4] + 7}}); err != nil { // beyond the end: tolerated
+			if err := l.AckRuns("sub-a", []Run{{Lo: offs[3], Hi: offs[4] + 7}}); err != nil { // beyond the end: tolerated
 				t.Fatal(err)
 			}
 			if err := l.AckRuns("ghost", one(offs[1])); !errors.Is(err, ErrUnknownConsumer) {

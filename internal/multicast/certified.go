@@ -13,6 +13,7 @@ import (
 
 	"govents/internal/codec"
 	"govents/internal/durable"
+	"govents/internal/seqset"
 )
 
 // CertSubscriber identifies a durable subscriber of a certified group:
@@ -89,28 +90,25 @@ type Certified struct {
 
 // certLink is the subscriber's end of one publisher's stream: the
 // offsets of the frames received since the last acknowledgement, a
-// duplicate's too, ackEvery of them at most.
+// duplicate's too, and when that was.
 type certLink struct {
-	epoch  uint64 // the publisher's incarnation the offsets are of
-	staged []uint64
-	ackGen uint64 // timer period of the last acknowledgement
+	epoch  uint64     // the publisher's incarnation the offsets are of
+	staged seqset.Set // offsets start at 1: the floor is a run from 1
+	acker
 }
 
-// ack builds the link's acknowledgement, identity apart, and books it
-// as sent in timer period gen.
+// ack builds the link's acknowledgement, identity apart, books it as
+// sent in timer period gen and empties the set.
 func (l *certLink) ack(gen uint64) message {
-	slices.Sort(l.staged)
-	var few [ackEvery]seqRange
+	var few [ackEvery]seqset.Run
 	runs := few[:0]
-	for _, off := range l.staged {
-		if n := len(runs); n > 0 && off <= runs[n-1].hi+1 {
-			runs[n-1].hi = off
-		} else {
-			runs = append(runs, seqRange{off, off})
-		}
+	if floor := l.staged.Floor(); floor > 0 {
+		runs = append(runs, seqset.Run{Lo: 1, Hi: floor})
 	}
-	l.staged, l.ackGen = l.staged[:0], gen
-	return message{Kind: kindCertAck, Epoch: l.epoch, Payload: appendRanges(nil, 0, runs)}
+	runs = append(runs, l.staged.Runs()...)
+	l.staged.Clip(0)
+	l.sent(gen)
+	return message{Kind: kindCertAck, Epoch: l.epoch, Payload: seqset.AppendRuns(nil, 0, runs)}
 }
 
 var _ Group = (*Certified)(nil)
@@ -279,7 +277,7 @@ func (g *Certified) tick() {
 	g.gen++
 	gen, ids := g.gen, g.ids
 	for from, l := range g.links {
-		if len(l.staged) > 0 {
+		if l.unacked > 0 {
 			acks = append(acks, linkFrame{from, l.ack(gen)})
 		}
 	}
@@ -401,8 +399,8 @@ func (g *Certified) onMessage(from string, data []byte) {
 		var ack message         // of no kind until it is due
 		if m.Epoch == l.epoch { // else a straggler of a dead incarnation
 			// A duplicate is owed an acknowledgement like a first arrival.
-			l.staged = append(l.staged, m.Seq)
-			if len(l.staged) >= ackEvery || l.ackGen != g.gen {
+			l.staged.Add(m.Seq, m.Seq, 0)
+			if l.arrived(g.gen) {
 				ack = l.ack(g.gen)
 			}
 		}
@@ -417,7 +415,7 @@ func (g *Certified) onMessage(from string, data []byte) {
 		}
 		var few [4]durable.Run
 		runs := few[:0]
-		eachRange(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
+		seqset.EachRun(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
 		if len(runs) == 0 {
 			return
 		}

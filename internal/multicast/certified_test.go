@@ -15,6 +15,7 @@ import (
 
 	"govents/internal/durable"
 	"govents/internal/netsim"
+	"govents/internal/seqset"
 )
 
 // tapTransport counts the certified data and acknowledgement frames an
@@ -400,7 +401,7 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 		}
 		return len(pending)
 	}
-	all := appendRanges(nil, 0, []seqRange{{1, 3}})
+	all := seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 3}})
 	for _, ack := range []message{
 		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch - 1, Payload: all},
 		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch + 1, Payload: all},
@@ -416,7 +417,7 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 			t.Fatalf("after %+v: %d entries owed, want all 3", ack, n)
 		}
 	}
-	ack := message{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: appendRanges(nil, 0, []seqRange{{1, 1}, {3, 9}})}
+	ack := message{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
 	if err := sub.mux.sendMessage("pub", "cls", &ack); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package multicast
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 
@@ -66,6 +67,10 @@ var _ Group = (*Gossip)(nil)
 // NewGossip creates a gossip group on the given stream.
 func NewGossip(mux *Mux, stream string, deliver Deliver, opts Options) *Gossip {
 	opts = opts.withDefaults()
+	// The peer choices are seeded by address and stream: the nodes of a
+	// domain pick differently, each the same way every run.
+	seed := fnv.New64a()
+	seed.Write([]byte(mux.Addr() + "\x00" + stream))
 	g := &Gossip{
 		mux:    mux,
 		stream: stream,
@@ -73,7 +78,7 @@ func NewGossip(mux *Mux, stream string, deliver Deliver, opts Options) *Gossip {
 		opts:   opts,
 		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		rng:    rand.New(rand.NewSource(int64(seed.Sum64()))),
 		seen:   make(map[string]bool),
 		active: make(map[string]*gossipEvent),
 	}
@@ -158,7 +163,8 @@ func (g *Gossip) Close() error {
 
 // round performs one gossip round: pick each active event's target peers
 // (interest-biased when interest information is available, uniformly
-// random otherwise), batch events per peer, send, then age the events.
+// random otherwise), batch events per peer, as many batches as the
+// frames they fill, send, then age the events.
 func (g *Gossip) round() {
 	others := g.members.others(g.self)
 	if len(others) == 0 {
@@ -170,14 +176,8 @@ func (g *Gossip) round() {
 	var pruned uint64
 	for id, ev := range g.active {
 		targets := g.targetsLocked(ev, others)
-		if ev.interested != nil {
-			baseline := g.opts.GossipFanout
-			if len(others) < baseline {
-				baseline = len(others)
-			}
-			if len(targets) < baseline {
-				pruned += uint64(baseline - len(targets))
-			}
+		if baseline := min(g.opts.GossipFanout, len(others)); ev.interested != nil && len(targets) < baseline {
+			pruned += uint64(baseline - len(targets))
 		}
 		m := &message{
 			Kind:    kindGossip,
@@ -201,11 +201,13 @@ func (g *Gossip) round() {
 		obs(pruned, 0)
 	}
 	for peer, batch := range perPeer {
-		wire, err := encodeBatch(batch)
-		if err != nil {
-			continue
+		for len(batch) > 0 {
+			n := batchFits(g.stream, batch)
+			if wire, err := encodeBatch(batch[:n]); err == nil {
+				_ = g.mux.Send(peer, g.stream, wire)
+			}
+			batch = batch[n:]
 		}
-		_ = g.mux.Send(peer, g.stream, wire)
 	}
 }
 
@@ -281,6 +283,21 @@ func (g *Gossip) onMessage(_ string, data []byte) {
 // batchHeader is what a batch of one adds to its message: the count and
 // the message's length.
 const batchHeader = 2 + 4
+
+// batchFits returns how many of msgs, from the front and at least one,
+// one batch on stream takes: as many as its frame carries, and no more
+// than the count's 65,535.
+func batchFits(stream string, msgs []*message) int {
+	body := 2
+	for n, m := range msgs {
+		size, _ := messageSize(m) // checked when the rumor was published or read
+		body += 4 + size
+		if _, err := frameLen(stream, body); n == 0xFFFF || err != nil && n > 0 {
+			return n
+		}
+	}
+	return len(msgs)
+}
 
 // encodeBatch frames a slice of messages as [count u16] ([len u32][msg])*.
 func encodeBatch(batch []*message) ([]byte, error) {

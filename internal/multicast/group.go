@@ -15,9 +15,6 @@ type Options struct {
 	// unacknowledged messages (Reliable, Certified, Total). Reliable
 	// also derives its acknowledgement timer from it (a quarter).
 	RetransmitInterval time.Duration
-	// RetransmitLimit bounds retransmission attempts per message for
-	// the Reliable protocol; 0 means retry forever.
-	RetransmitLimit int
 	// GossipPeriod is the interval between gossip rounds.
 	GossipPeriod time.Duration
 	// GossipFanout is the number of peers gossiped to per round.
@@ -33,9 +30,6 @@ type Options struct {
 	// rounds are already uniformly random. Negative disables the floor;
 	// 0 selects the default.
 	GossipRandomEdges int
-	// Seed seeds the gossip peer-selection randomness (0 = fixed
-	// default, keeping runs reproducible).
-	Seed int64
 	// Logger receives protocol diagnostics that have no error-return
 	// path (undecodable frames, failed redeliveries). Nil means discard.
 	Logger *slog.Logger
@@ -68,9 +62,6 @@ func (o Options) withDefaults() Options {
 		o.GossipRandomEdges = DefaultGossipRandomEdges
 	} else if o.GossipRandomEdges < 0 {
 		o.GossipRandomEdges = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)

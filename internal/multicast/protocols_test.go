@@ -1,8 +1,10 @@
 package multicast
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,20 +240,6 @@ func TestReliableDedupUnderDuplication(t *testing.T) {
 	if b.count() != 10 {
 		t.Errorf("b delivered %d, want exactly 10 (dedup)", b.count())
 	}
-}
-
-func TestReliableGivesUpAtRetransmitLimit(t *testing.T) {
-	net := netsim.New(netsim.Config{LossRate: 1.0})
-	defer net.Close()
-	a := newTestNode(t, net, "a")
-	_ = newTestNode(t, net, "b")
-	opts := fastOpts()
-	opts.RetransmitLimit = 3
-	ga := NewReliable(a.mux, "cls", a.record, opts)
-	defer ga.Close()
-	ga.SetMembers([]string{"a", "b"})
-	_ = ga.Broadcast([]byte("x"))
-	waitFor(t, 5*time.Second, "give up", func() bool { return ga.Outstanding() == 0 })
 }
 
 func TestReliableMemberRemovalClearsPending(t *testing.T) {
@@ -691,13 +679,9 @@ func TestGossipReachesAllMembers(t *testing.T) {
 	opts := fastOpts()
 	opts.GossipFanout = 4
 	opts.GossipRounds = 6
-	opts.Seed = 99
 	var groups []*Gossip
-	for i, node := range nodes {
-		node := node
-		o := opts
-		o.Seed = int64(i + 1) // decorrelate peer choices
-		groups = append(groups, NewGossip(node.mux, "cls", node.record, o))
+	for _, node := range nodes {
+		groups = append(groups, NewGossip(node.mux, "cls", node.record, opts))
 	}
 	for _, g := range groups {
 		g.SetMembers(addrs(nodes))
@@ -741,11 +725,8 @@ func TestGossipToleratesLoss(t *testing.T) {
 	opts.GossipFanout = 4
 	opts.GossipRounds = 8
 	var groups []*Gossip
-	for i, node := range nodes {
-		node := node
-		o := opts
-		o.Seed = int64(100 + i)
-		groups = append(groups, NewGossip(node.mux, "cls", node.record, o))
+	for _, node := range nodes {
+		groups = append(groups, NewGossip(node.mux, "cls", node.record, opts))
 	}
 	for _, g := range groups {
 		g.SetMembers(addrs(nodes))
@@ -768,6 +749,52 @@ func TestGossipToleratesLoss(t *testing.T) {
 		}
 		return reached >= n*9/10
 	})
+}
+
+// TestGossipPeerChoiceDiffersByNode: two groups at different addresses
+// shuffle the same candidates differently, so the nodes of a domain do
+// not all gossip to the same peers.
+func TestGossipPeerChoiceDiffersByNode(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	pool := make([]string, 16)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("n%02d", i)
+	}
+	var picks [2][]string
+	for i, addr := range []string{"a", "b"} {
+		g := NewGossip(newTestNode(t, net, addr).mux, "cls", func(string, []byte) {}, Options{GossipPeriod: time.Hour})
+		g.mu.Lock()
+		picks[i] = g.pickLocked(pool, 3, nil)
+		g.mu.Unlock()
+		_ = g.Close()
+	}
+	if slices.Equal(picks[0], picks[1]) {
+		t.Errorf("a and b both picked %v first", picks[0])
+	}
+}
+
+// TestGossipRoundLargerThanAFrame: a round whose rumors for one peer
+// exceed what one frame carries goes out as several batches, and every
+// rumor arrives.
+func TestGossipRoundLargerThanAFrame(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	a, b := newTestNode(t, net, "a"), newTestNode(t, net, "b")
+	opts := Options{GossipPeriod: time.Hour, GossipRounds: 1} // rounds run by hand, once
+	ga := NewGossip(a.mux, "cls", func(string, []byte) {}, opts)
+	gb := NewGossip(b.mux, "cls", b.record, opts)
+	defer ga.Close()
+	defer gb.Close()
+	ga.SetMembers([]string{"a", "b"})
+	gb.SetMembers([]string{"a", "b"})
+	for i := range 3 {
+		if err := ga.Broadcast(bytes.Repeat([]byte{byte(i)}, 6<<20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ga.round()
+	waitFor(t, 10*time.Second, "three 6 MiB rumors at b", func() bool { return b.count() == 3 })
 }
 
 func TestBroadcastOnClosedGroupFails(t *testing.T) {

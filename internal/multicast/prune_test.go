@@ -319,11 +319,8 @@ func TestGossipInterestBias(t *testing.T) {
 	opts.GossipRounds = 6
 	var groups []*Gossip
 	var pruned atomic.Uint64
-	for i, node := range nodes {
-		node := node
-		o := opts
-		o.Seed = int64(i + 1)
-		g := NewGossip(node.mux, "cls", node.record, o)
+	for _, node := range nodes {
+		g := NewGossip(node.mux, "cls", node.record, opts)
 		g.SetInterest(func(payload []byte) ([]string, bool) {
 			return []string{"n00", "n01", "n02", "n03"}, true
 		})
@@ -371,11 +368,8 @@ func TestGossipRandomEdgesCrossInterestBoundary(t *testing.T) {
 	opts.GossipRounds = 10
 	opts.GossipRandomEdges = 2
 	var groups []*Gossip
-	for i, node := range nodes {
-		node := node
-		o := opts
-		o.Seed = int64(i + 1)
-		g := NewGossip(node.mux, "cls", node.record, o)
+	for _, node := range nodes {
+		g := NewGossip(node.mux, "cls", node.record, opts)
 		g.SetInterest(func(payload []byte) ([]string, bool) { return nil, true })
 		groups = append(groups, g)
 	}

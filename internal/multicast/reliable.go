@@ -1,21 +1,22 @@
 package multicast
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"govents/internal/seqset"
 )
 
 // Reliable is an acknowledgement-based, sender-driven reliable broadcast:
 // the publisher retransmits a message to each member until that member
-// acknowledges it (or the retransmit limit is reached). It realizes the
-// paper's Reliable delivery semantics (§3.1.2): "once successfully
-// published, a reliable obvent will be received by any notifiable that
-// is up for long enough".
+// acknowledges it or leaves the membership. It realizes the paper's
+// Reliable delivery semantics (§3.1.2): "once successfully published, a
+// reliable obvent will be received by any notifiable that is up for
+// long enough".
 //
 // Identity, acknowledgement and order are per link — one (origin →
 // destination) pair — not per message. The sender numbers what it sends
@@ -23,26 +24,19 @@ import (
 // (the incarnation of this group: a restarted sender starts a new link
 // rather than being mistaken for its own duplicates) and its base, the
 // lowest link sequence it still owes that destination. The receiver
-// keeps, per origin, the cumulative sequence below which everything is
-// settled plus the runs of sequences received ahead of it, and hands
-// frames to its upcall in link-sequence order: a frame waits only while
-// a hole sits below it, and a hole closes by arrival, by retransmission
-// or by the sender's base passing it. That order is all the FIFO class
-// needs and what Causal and Total build on; nothing above this type
-// numbers messages again. The receiver acknowledges cumulatively and in
-// batches: when ackEvery frames are unacknowledged, when the
-// acknowledgement timer (a quarter of RetransmitInterval) finds any, and
-// at once for a frame arriving in a timer period in which no
-// acknowledgement has gone out yet (a lone message, or a lone duplicate
-// whose acknowledgement was lost, is answered as promptly as ever; only
-// sustained traffic is batched). The sender retransmits only what has
-// gone a full RetransmitInterval without acknowledgement, and the timer
-// period in which it abandons a frame (RetransmitLimit, or the
-// destination leaving the membership) announces the base that moved, so
-// that what the receiver holds behind the hole is released without
-// waiting for the next publication. The "Link protocol" section of the
-// govents package documentation has the frame layouts and the rules in
-// full.
+// keeps, per origin, a seqset.Set of what it has received: the
+// cumulative sequence below which everything is settled, and the runs
+// of sequences received ahead of it. It hands frames to its upcall in
+// link-sequence order: a frame waits only while a hole sits below it,
+// and a hole closes by arrival, by retransmission or by the sender's
+// base passing it. That order is all the FIFO class needs and what
+// Causal and Total build on; nothing above this type numbers messages
+// again. The receiver acknowledges cumulatively and in batches (acker),
+// the sender retransmits only what has gone a full RetransmitInterval
+// without acknowledgement, and the timer period in which it abandons a
+// destination that left the membership announces the base that moved.
+// The "Link protocol" section of the govents package documentation has
+// the frame layouts and the rules in full.
 //
 // State on both ends is bounded by the traffic in flight: the sender
 // holds one queue entry per (message, destination) pair sent since the
@@ -129,34 +123,29 @@ type outLink struct {
 	// after returning continues the numbering, and the base on those
 	// frames steps its receiver over everything dropped meanwhile.
 	next uint64
-	// entries[head:] carry the consecutive sequences ending at next;
-	// entries[head], when there is one, is still owed.
+	// settled holds the link sequences acknowledged or dropped.
+	settled seqset.Set
+	// entries[head:] carry the sequences above the floor of settled up to
+	// next, the ones settled holds included.
 	entries []outEntry
 	head    int
 }
 
-// outEntry is one unacknowledged frame of a link. The payload is the
+// outEntry is one queued frame of a link. The payload is the
 // broadcast's, shared by all its destinations; origin is empty unless
 // the broadcast was on another node's behalf.
 type outEntry struct {
-	payload  []byte
-	origin   string
-	bcast    uint64
-	gen      uint64 // timer period of the latest transmission
-	attempts int    // retransmissions so far
-	settled  bool   // acknowledged or given up; trimmed on reaching the head
+	payload []byte
+	origin  string
+	bcast   uint64
+	gen     uint64 // timer period of the latest transmission
 }
 
 // seqAt is the link sequence of entries[i].
 func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-i) }
 
 // base is the lowest link sequence still owed.
-func (l *outLink) base() uint64 {
-	if l.head == len(l.entries) {
-		return l.next + 1
-	}
-	return l.seqAt(l.head)
-}
+func (l *outLink) base() uint64 { return l.settled.Floor() + 1 }
 
 // push queues a new frame and returns its link sequence.
 func (l *outLink) push(payload []byte, origin string, bcast, gen uint64) uint64 {
@@ -165,19 +154,13 @@ func (l *outLink) push(payload []byte, origin string, bcast, gen uint64) uint64 
 	return l.next
 }
 
-// settle retires the queued frames with link sequences lo through hi.
-func (l *outLink) settle(lo, hi uint64) {
-	first := l.base()
-	for seq := max(lo, first); seq <= min(hi, l.next); seq++ {
-		l.entries[l.head+int(seq-first)].settled = true
-	}
-}
-
-// trim drops settled frames from the head and keeps the queue's backing
-// array from creeping: once the dead prefix is the larger part, the live
+// settle retires the queued frames with link sequences lo through hi,
+// dropping what the base passes, and keeps the queue's backing array
+// from creeping: once the dead prefix is the larger part, the live
 // entries move down over it.
-func (l *outLink) trim() {
-	for l.head < len(l.entries) && l.entries[l.head].settled {
+func (l *outLink) settle(lo, hi uint64) {
+	l.settled.Add(lo, min(hi, l.next), 0)
+	for l.head < len(l.entries) && l.seqAt(l.head) < l.base() {
 		l.entries[l.head] = outEntry{}
 		l.head++
 	}
@@ -190,76 +173,57 @@ func (l *outLink) trim() {
 func (l *outLink) drop() {
 	clear(l.entries)
 	l.entries, l.head = l.entries[:0], 0
+	l.settled.Raise(l.next)
 }
-
-// seqRange is a run of consecutive link sequences, both ends included.
-type seqRange struct{ lo, hi uint64 }
 
 // inLink is the receiver's end of one link.
 type inLink struct {
 	epoch uint64
-	// cum is the cumulative sequence: every sequence up to it has been
-	// handed to the upcall, or written off by the sender's base.
-	cum uint64
-	// ahead holds what was received beyond cum as runs: ascending,
-	// disjoint, and at least one missing sequence apart from each other
-	// and from cum. Its length is the number of holes, not of frames.
-	ahead []seqRange
-	// held keeps the frames of those runs, by link sequence, until cum
-	// reaches them.
+	// got's floor is the cumulative sequence, up to which every one was
+	// handed to the upcall or written off by the sender's base; its runs,
+	// maxAhead at most, are what was received beyond it, their frames
+	// held by link sequence until the floor reaches them.
+	got  seqset.Set
 	held map[uint64]queuedMsg
 	// ready collects, in link order, the frames raise and note release;
 	// the caller queues and clears it.
-	ready   []queuedMsg
-	unacked int    // data frames received since the last acknowledgement
-	ackGen  uint64 // timer period of the last acknowledgement
+	ready []queuedMsg
+	acker
 }
 
-// raise applies a sender's base: nothing below it is owed any more.
+// acker is the acknowledging half of a link's receiving end, the same
+// for a reliable link and a certified one: the data frames received
+// since the last acknowledgement, and the timer period that one went.
+type acker struct {
+	unacked int
+	ackGen  uint64
+}
+
+// arrived books a data frame received in timer period gen, a duplicate
+// like a first arrival, and reports whether the acknowledgement is due
+// now: ackEvery frames await it, or none has gone out this period (a
+// lone frame, or a lone duplicate whose acknowledgement was lost, is
+// answered at once; only sustained traffic is batched).
+func (a *acker) arrived(gen uint64) bool {
+	a.unacked++
+	return a.unacked >= ackEvery || a.ackGen != gen
+}
+
+// sent books an acknowledgement as sent in timer period gen.
+func (a *acker) sent(gen uint64) { a.unacked, a.ackGen = 0, gen }
+
+// raise applies a sender's base, nothing below which is owed any more,
+// and releases the frames of the runs the cumulative sequence reaches.
 func (l *inLink) raise(base uint64) {
-	if base-1 <= l.cum {
-		return
-	}
-	l.cum = base - 1
-	l.absorb()
-}
-
-// absorb releases the runs cum has reached or overtaken and moves it to
-// the end of the last of them.
-func (l *inLink) absorb() {
-	n := 0
-	for ; n < len(l.ahead) && l.ahead[n].lo <= l.cum+1; n++ {
-		r := l.ahead[n]
-		for seq := r.lo; ; seq++ {
+	for _, r := range l.got.Raise(base - 1) {
+		for seq := r.Lo; ; seq++ {
 			l.ready = append(l.ready, l.held[seq])
 			delete(l.held, seq)
-			if seq == r.hi {
+			if seq == r.Hi {
 				break
 			}
 		}
-		l.cum = max(l.cum, r.hi)
 	}
-	l.ahead = slices.Delete(l.ahead, 0, n)
-}
-
-// after returns the index of the first run that lies wholly above seq.
-func (l *inLink) after(seq uint64) int {
-	i, _ := slices.BinarySearchFunc(l.ahead, seq, func(r seqRange, seq uint64) int {
-		if r.lo > seq {
-			return 1
-		}
-		return -1
-	})
-	return i
-}
-
-// seen reports whether seq was received (or written off) before.
-func (l *inLink) seen(seq uint64) bool {
-	if seq <= l.cum {
-		return true
-	}
-	i := l.after(seq)
-	return i > 0 && l.ahead[i-1].hi >= seq
 }
 
 // note records the first arrival of seq and its frame: released at once
@@ -267,27 +231,13 @@ func (l *inLink) seen(seq uint64) bool {
 // and held otherwise. It reports false when seq would open one hole more
 // than a link remembers, in which case the frame must be dropped.
 func (l *inLink) note(seq uint64, msg queuedMsg) bool {
-	if seq == l.cum+1 {
-		l.cum++
+	if seq == l.got.Floor()+1 {
 		l.ready = append(l.ready, msg)
-		l.absorb()
+		l.raise(seq + 1)
 		return true
 	}
-	i := l.after(seq)
-	joinsBelow := i > 0 && l.ahead[i-1].hi+1 == seq
-	joinsAbove := i < len(l.ahead) && seq+1 == l.ahead[i].lo
-	switch {
-	case joinsBelow && joinsAbove:
-		l.ahead[i-1].hi = l.ahead[i].hi
-		l.ahead = slices.Delete(l.ahead, i, i+1)
-	case joinsBelow:
-		l.ahead[i-1].hi = seq
-	case joinsAbove:
-		l.ahead[i].lo = seq
-	case len(l.ahead) >= maxAhead:
+	if !l.got.Add(seq, seq, maxAhead) {
 		return false
-	default:
-		l.ahead = slices.Insert(l.ahead, i, seqRange{seq, seq})
 	}
 	if l.held == nil {
 		l.held = make(map[uint64]queuedMsg)
@@ -299,45 +249,13 @@ func (l *inLink) note(seq uint64, msg queuedMsg) bool {
 // ack builds the link's acknowledgement and books it as sent in timer
 // period gen.
 func (l *inLink) ack(gen uint64) message {
-	l.unacked, l.ackGen = 0, gen
-	m := message{Kind: kindAck, Epoch: l.epoch, Seq: l.cum}
-	if len(l.ahead) > 0 {
-		m.Payload = appendRanges(nil, l.cum, l.ahead[:min(len(l.ahead), maxAckList)])
+	l.sent(gen)
+	cum, runs := l.got.Floor(), l.got.Runs()
+	m := message{Kind: kindAck, Epoch: l.epoch, Seq: cum}
+	if len(runs) > 0 {
+		m.Payload = seqset.AppendRuns(nil, cum, runs[:min(len(runs), maxAckList)])
 	}
 	return m
-}
-
-// appendRanges appends the runs rs, which ascend above floor with gaps
-// between them, as pairs of uvarints: the distance from the end of the
-// run before (from floor, for the first) to the run's start, and the
-// run's length less one.
-func appendRanges(dst []byte, floor uint64, rs []seqRange) []byte {
-	for _, r := range rs {
-		dst = binary.AppendUvarint(dst, r.lo-floor)
-		dst = binary.AppendUvarint(dst, r.hi-r.lo)
-		floor = r.hi
-	}
-	return dst
-}
-
-// eachRange calls fn for every run of a list appendRanges wrote above
-// floor, stopping quietly at the first malformed pair: the list is
-// advisory (an acknowledgement that names less only delays a frame's
-// retirement).
-func eachRange(list []byte, floor uint64, fn func(lo, hi uint64)) {
-	for len(list) > 0 {
-		gap, n := binary.Uvarint(list)
-		if n <= 0 || gap == 0 || floor+gap < floor {
-			return
-		}
-		span, k := binary.Uvarint(list[n:])
-		lo := floor + gap
-		if k <= 0 || lo+span < lo {
-			return
-		}
-		fn(lo, lo+span)
-		floor, list = lo+span, list[n+k:]
-	}
 }
 
 var _ Group = (*Reliable)(nil)
@@ -509,7 +427,7 @@ func (g *Reliable) Outstanding() int {
 	owed := make(map[uint64]struct{})
 	for _, l := range g.out {
 		for i := l.head; i < len(l.entries); i++ {
-			if !l.entries[i].settled {
+			if !l.settled.Has(l.seqAt(i)) {
 				owed[l.entries[i].bcast] = struct{}{}
 			}
 		}
@@ -518,12 +436,13 @@ func (g *Reliable) Outstanding() int {
 }
 
 // tick is one acknowledgement-timer period: it acknowledges whatever
-// was received and not yet acknowledged, and retransmits (or gives up
-// on) the frames that have been out for a full RetransmitInterval since
-// they were last sent. A frame sent during period p has been out for
-// ticksPerInterval whole periods only once the generation passes
-// p+ticksPerInterval. A link whose base the period moved by abandoning
-// frames, with nothing resent to carry it, gets a base announcement.
+// was received and not yet acknowledged, and retransmits the frames that
+// have been out for a full RetransmitInterval since they were last sent.
+// A frame sent during period p has been out for ticksPerInterval whole
+// periods only once the generation passes p+ticksPerInterval. A link
+// whose destination has left the membership is dropped instead, and
+// announces the base that moved, so that its receiver, should it hear,
+// is stepped over the frames dropped.
 func (g *Reliable) tick() {
 	frames := g.tickFrames[:0]
 
@@ -535,39 +454,22 @@ func (g *Reliable) tick() {
 		}
 	}
 	for addr, l := range g.out {
-		first, checked, was := len(frames), false, l.base()
+		base, checked := l.base(), false
 		for i := l.head; i < len(l.entries); i++ {
 			e := &l.entries[i]
-			if e.settled || g.gen-e.gen <= ticksPerInterval {
+			if g.gen-e.gen <= ticksPerInterval || l.settled.Has(l.seqAt(i)) {
 				continue
 			}
 			if !checked {
-				checked = true
-				if !g.members.has(addr) {
+				if checked = true; !g.members.has(addr) {
 					l.drop() // a member that left the group no longer owes an ack
+					frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Epoch: g.epoch, Base: l.base()}})
 					break
 				}
 			}
-			if g.opts.RetransmitLimit > 0 && e.attempts >= g.opts.RetransmitLimit {
-				e.settled = true // give up
-				continue
-			}
-			e.attempts++
 			e.gen = g.gen
 			frames = append(frames, linkFrame{addr, message{
-				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Origin: e.origin, Payload: e.payload}})
-		}
-		if checked {
-			// The base goes on after the trim, so that every resent
-			// frame carries what the give-ups above have moved it to.
-			l.trim()
-			base := l.base()
-			for k := first; k < len(frames); k++ {
-				frames[k].msg.Base = base
-			}
-			if first == len(frames) && base != was {
-				frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Epoch: g.epoch, Base: base}})
-			}
+				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Base: base, Origin: e.origin, Payload: e.payload}})
 		}
 	}
 	g.mu.Unlock()
@@ -593,8 +495,7 @@ func (g *Reliable) onMessage(from string, data []byte) {
 		g.mu.Lock()
 		if l := g.out[from]; l != nil {
 			l.settle(1, m.Seq)
-			eachRange(m.Payload, m.Seq, l.settle)
-			l.trim()
+			seqset.EachRun(m.Payload, m.Seq, l.settle)
 		}
 		g.mu.Unlock()
 	}
@@ -623,7 +524,8 @@ func (g *Reliable) onLink(from string, m *message) {
 			l.raise(math.MaxUint64)
 			g.releaseLocked(l)
 		}
-		l = &inLink{epoch: m.Epoch, cum: m.Base - 1}
+		l = &inLink{epoch: m.Epoch}
+		l.got.Raise(m.Base - 1)
 		g.in[from] = l
 	case m.Epoch < l.epoch:
 		g.mu.Unlock()
@@ -637,9 +539,8 @@ func (g *Reliable) onLink(from string, m *message) {
 	// note refuses is owed none.
 	var ack message
 	ackNow := false
-	if m.Kind == kindData && (l.seen(m.Seq) || l.note(m.Seq, queuedMsg{origin, m.Payload})) {
-		l.unacked++
-		if ackNow = l.unacked >= ackEvery || l.ackGen != g.gen; ackNow {
+	if m.Kind == kindData && (l.got.Has(m.Seq) || l.note(m.Seq, queuedMsg{origin, m.Payload})) {
+		if ackNow = l.arrived(g.gen); ackNow {
 			ack = l.ack(g.gen)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -64,7 +63,7 @@ func linkState(g *Reliable) (queued, queueCap, ahead, held int) {
 		queueCap += cap(l.entries)
 	}
 	for _, l := range g.in {
-		ahead += len(l.ahead)
+		ahead += len(l.got.Runs())
 		held += len(l.held) + len(l.ready)
 	}
 	return queued, queueCap, ahead, held
@@ -225,11 +224,12 @@ func (l *lossyTransport) Send(to string, frame []byte) error {
 	return l.Transport.Send(to, frame)
 }
 
-// TestReliableGiveUpDoesNotWedgeReceiver: a frame the sender gave up on
-// under RetransmitLimit leaves a hole in the link sequence. The base on
-// the next frame closes it; and when frames are already held behind the
-// hole and nothing further is published, the base announcement of the
-// timer period that gave up does.
+// TestReliableGiveUpDoesNotWedgeReceiver: a frame the sender gives up on,
+// its destination having left the membership, leaves a hole in the link
+// sequence. The base on the next frame, once the destination is back,
+// closes it; and when frames are already held behind the hole and
+// nothing further is published, the base announcement of the timer
+// period that gave up does.
 func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
 	setup := func(t *testing.T, drop func(*message) bool) (net *netsim.Network, b *testNode, ga, gb *Reliable) {
 		net = netsim.New(netsim.Config{})
@@ -239,10 +239,8 @@ func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
 			t.Fatal(err)
 		}
 		b = newTestNode(t, net, "b")
-		opts := fastOpts()
-		opts.RetransmitLimit = 2
-		ga = NewReliable(NewMux(&lossyTransport{epA, drop}), "cls", func(string, []byte) {}, opts)
-		gb = NewReliable(b.mux, "cls", b.record, opts)
+		ga = NewReliable(NewMux(&lossyTransport{epA, drop}), "cls", func(string, []byte) {}, fastOpts())
+		gb = NewReliable(b.mux, "cls", b.record, fastOpts())
 		t.Cleanup(func() { ga.Close(); gb.Close() })
 		ga.SetMembers([]string{"a", "b"})
 		gb.SetMembers([]string{"a", "b"})
@@ -255,7 +253,7 @@ func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
 	atRest := func(t *testing.T, gb *Reliable, want uint64) {
 		t.Helper()
 		gb.mu.Lock()
-		cum := gb.in["a"].cum
+		cum := gb.in["a"].got.Floor()
 		gb.mu.Unlock()
 		_, _, ahead, held := linkState(gb)
 		if cum != want || ahead != 0 || held != 0 {
@@ -267,8 +265,10 @@ func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
 		net, b, ga, gb := setup(t, func(*message) bool { return false })
 		net.Partition([]string{"a"}, []string{"b"})
 		_ = ga.BroadcastTo([]string{"b"}, []byte("lost"))
+		ga.SetMembers([]string{"a"})
 		waitFor(t, 5*time.Second, "give up", func() bool { return ga.Outstanding() == 0 })
 		net.Heal()
+		ga.SetMembers([]string{"a", "b"})
 
 		_ = ga.BroadcastTo([]string{"b"}, []byte("next"))
 		waitFor(t, 5*time.Second, "delivery after the give-up", func() bool { return b.count() == 2 })
@@ -292,6 +292,7 @@ func TestReliableGiveUpDoesNotWedgeReceiver(t *testing.T) {
 		if b.count() != 1 {
 			t.Fatalf("b delivered %v past a hole", b.payloads())
 		}
+		ga.SetMembers([]string{"a"})
 		waitFor(t, 5*time.Second, "release on the give-up", func() bool { return b.count() == 3 })
 		if got := b.payloads(); got[1] != "third" || got[2] != "fourth" {
 			t.Errorf("b delivered %v, want first, third, fourth", got)
@@ -349,7 +350,7 @@ func TestReliableStateBoundedByInFlight(t *testing.T) {
 			maxQueued, queueCap, maxAheadSeen, maxHeld, bound)
 	}
 	gb.mu.Lock()
-	cum := gb.in["a"].cum
+	cum := gb.in["a"].got.Floor()
 	gb.mu.Unlock()
 	if cum != total {
 		t.Errorf("receiver's cumulative sequence is %d, want %d", cum, total)
@@ -419,85 +420,129 @@ func TestReliableSendsOnLossFreeNetwork(t *testing.T) {
 	}
 }
 
-func TestAckRangesRoundTrip(t *testing.T) {
-	runs := []seqRange{{12, 12}, {14, 40}, {1 << 40, 1<<40 + 5}}
-	list := appendRanges(nil, 10, runs)
-	var got []seqRange
-	collect := func(lo, hi uint64) { got = append(got, seqRange{lo, hi}) }
-	eachRange(list, 10, collect)
-	if !reflect.DeepEqual(got, runs) {
-		t.Errorf("list = %v, want %v", got, runs)
-	}
-	// A malformed tail ends the walk; what came before it stands.
-	got = nil
-	eachRange(append(list[:4:4], 0x80), 10, collect)
-	if !reflect.DeepEqual(got, runs[:2]) {
-		t.Errorf("list with a torn tail = %v, want %v", got, runs[:2])
-	}
-	none := func(lo, hi uint64) { t.Errorf("malformed list named %d..%d", lo, hi) }
-	eachRange([]byte{0, 0}, 10, none)                                                          // a run cannot start at the floor
-	eachRange([]byte{1}, 10, none)                                                             // a start without a length
-	eachRange([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0}, 10, none) // start past the top of the range
-	eachRange([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 10, none) // end past it
+// inLinkOracle runs an inLink beside a plain set of the sequences it
+// has received and the floor at or below which all are settled, and
+// checks after every step that the two agree: what the link releases
+// must be every frame received, once and in ascending order, none ahead
+// of the cumulative sequence.
+type inLinkOracle struct {
+	t        *testing.T
+	l        inLink
+	set      map[uint64]bool
+	floor    uint64
+	released int
+	last     uint64
 }
 
-// TestInLinkRunsAgainstSet drives the receiver's run bookkeeping with
-// random arrivals and bases and compares it, step by step, with a plain
-// set of sequences; what it releases must be every frame received, once
-// and in ascending order, none ahead of the cumulative sequence.
+func newInLinkOracle(t *testing.T) *inLinkOracle {
+	return &inLinkOracle{t: t, set: map[uint64]bool{}}
+}
+
+// step applies the arrival of a data frame with link sequence seq or,
+// with base above 0, a base announcement, and checks the link.
+func (o *inLinkOracle) step(where string, i int, seq, base uint64) {
+	t, l := o.t, &o.l
+	if base > 0 {
+		l.raise(base)
+		o.floor = max(o.floor, base-1)
+	} else {
+		want := o.set[seq] || seq <= o.floor
+		if got := l.got.Has(seq); got != want {
+			t.Fatalf("%s step %d: seen(%d) = %v, want %v (cum %d, runs %v)", where, i, seq, got, want, l.got.Floor(), l.got.Runs())
+		}
+		if !want {
+			if !l.note(seq, queuedMsg{payload: binary.AppendUvarint(nil, seq)}) {
+				t.Fatalf("%s step %d: note(%d) refused with %d runs", where, i, seq, len(l.got.Runs()))
+			}
+			o.set[seq] = true
+		}
+	}
+	for o.set[o.floor+1] {
+		o.floor++
+	}
+	cum := l.got.Floor()
+	if cum != o.floor {
+		t.Fatalf("%s step %d: cum %d, want %d (runs %v)", where, i, cum, o.floor, l.got.Runs())
+	}
+	for _, msg := range l.ready {
+		seq, _ := binary.Uvarint(msg.payload)
+		if !o.set[seq] || seq <= o.last || seq > cum {
+			t.Fatalf("%s step %d: released %d after %d at cum %d", where, i, seq, o.last, cum)
+		}
+		o.released, o.last = o.released+1, seq
+	}
+	l.ready = l.ready[:0]
+	if o.released+len(l.held) != len(o.set) {
+		t.Fatalf("%s step %d: %d released and %d held of %d received", where, i, o.released, len(l.held), len(o.set))
+	}
+	prev := cum
+	for _, r := range l.got.Runs() {
+		if r.Lo < prev+2 || r.Hi < r.Lo {
+			t.Fatalf("%s step %d: runs %v not ascending with gaps above cum %d", where, i, l.got.Runs(), cum)
+		}
+		for s := r.Lo; s <= r.Hi; s++ {
+			if !o.set[s] {
+				t.Fatalf("%s step %d: run %v covers %d, never delivered", where, i, r, s)
+			}
+		}
+		prev = r.Hi
+	}
+}
+
+// permute calls fn with every order of xs, rearranging xs in place.
+func permute(xs []uint64, fn func([]uint64)) {
+	var walk func(k int)
+	walk = func(k int) {
+		if k == len(xs) {
+			fn(xs)
+			return
+		}
+		for i := k; i < len(xs); i++ {
+			xs[k], xs[i] = xs[i], xs[k]
+			walk(k + 1)
+			xs[k], xs[i] = xs[i], xs[k]
+		}
+	}
+	walk(0)
+}
+
+// TestInLinkRunsAgainstSet drives the receiver's run bookkeeping against
+// inLinkOracle: with random arrivals and bases, and with every arrival
+// order of the frames of each subset of link sequences 1..5, one of
+// them arriving twice and one base announcement, of each base from 1 to
+// 6, among them.
 func TestInLinkRunsAgainstSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 200; round++ {
-		l := &inLink{}
-		set := map[uint64]bool{}
-		floor := uint64(0) // everything at or below it is settled
-		released, last := 0, uint64(0)
+		o, where := newInLinkOracle(t), fmt.Sprintf("round %d", round)
 		for step := 0; step < 300; step++ {
 			if rng.Intn(20) == 0 {
-				base := floor + 1 + uint64(rng.Intn(8)) // a frame's base is at least 1
-				l.raise(base)
-				floor = max(floor, base-1)
+				o.step(where, step, 0, o.floor+1+uint64(rng.Intn(8))) // a frame's base is at least 1
 			} else {
-				seq := floor + 1 + uint64(rng.Intn(40))
-				want := set[seq] || seq <= floor
-				if got := l.seen(seq); got != want {
-					t.Fatalf("round %d step %d: seen(%d) = %v, want %v (cum %d, runs %v)", round, step, seq, got, want, l.cum, l.ahead)
-				}
-				if !want {
-					if !l.note(seq, queuedMsg{payload: binary.AppendUvarint(nil, seq)}) {
-						t.Fatalf("round %d step %d: note(%d) refused with %d runs", round, step, seq, len(l.ahead))
+				o.step(where, step, o.floor+1+uint64(rng.Intn(40)), 0)
+			}
+		}
+	}
+	for subset := 1; subset < 1<<5; subset++ {
+		var frames []uint64
+		for seq := uint64(1); seq <= 5; seq++ {
+			if subset&(1<<(seq-1)) != 0 {
+				frames = append(frames, seq)
+			}
+		}
+		for _, dup := range frames {
+			for base := uint64(1); base <= 6; base++ {
+				events := append(slices.Clone(frames), dup, 0) // 0 is the base announcement
+				permute(events, func(order []uint64) {
+					o, where := newInLinkOracle(t), fmt.Sprintf("%v (0: base %d)", order, base)
+					for i, seq := range order {
+						if seq == 0 {
+							o.step(where, i, 0, base)
+						} else {
+							o.step(where, i, seq, 0)
+						}
 					}
-					set[seq] = true
-				}
-			}
-			for set[floor+1] {
-				floor++
-			}
-			if l.cum != floor {
-				t.Fatalf("round %d step %d: cum %d, want %d (runs %v)", round, step, l.cum, floor, l.ahead)
-			}
-			for _, msg := range l.ready {
-				seq, _ := binary.Uvarint(msg.payload)
-				if !set[seq] || seq <= last || seq > l.cum {
-					t.Fatalf("round %d step %d: released %d after %d at cum %d", round, step, seq, last, l.cum)
-				}
-				released, last = released+1, seq
-			}
-			l.ready = l.ready[:0]
-			if released+len(l.held) != len(set) {
-				t.Fatalf("round %d step %d: %d released and %d held of %d received", round, step, released, len(l.held), len(set))
-			}
-			prev := l.cum
-			for _, r := range l.ahead {
-				if r.lo < prev+2 || r.hi < r.lo {
-					t.Fatalf("round %d step %d: runs %v not ascending with gaps above cum %d", round, step, l.ahead, l.cum)
-				}
-				for s := r.lo; s <= r.hi; s++ {
-					if !set[s] {
-						t.Fatalf("round %d step %d: run %v covers %d, never delivered", round, step, r, s)
-					}
-				}
-				prev = r.hi
+				})
 			}
 		}
 	}
@@ -516,8 +561,24 @@ func TestInLinkRefusesOneHoleTooMany(t *testing.T) {
 	if !l.note(3, queuedMsg{}) || !l.note(1, queuedMsg{}) {
 		t.Error("a sequence that fills a hole must be accepted at the bound")
 	}
-	if l.cum != 4 || len(l.ahead) != maxAhead-2 {
-		t.Errorf("cum %d with %d runs, want 4 and %d", l.cum, len(l.ahead), maxAhead-2)
+	if cum, runs := l.got.Floor(), len(l.got.Runs()); cum != 4 || runs != maxAhead-2 {
+		t.Errorf("cum %d with %d runs, want 4 and %d", cum, runs, maxAhead-2)
+	}
+}
+
+// TestInLinkInOrderAllocs pins the FIFO receive path's bookkeeping: a
+// frame that is next in line costs the link nothing.
+func TestInLinkInOrderAllocs(t *testing.T) {
+	l, seq := &inLink{}, uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		seq++
+		l.note(seq, queuedMsg{})
+		l.ready = l.ready[:0]
+	}); n != 0 {
+		t.Errorf("an in-order frame allocates %.1f times, want 0", n)
+	}
+	if l.got.Floor() != seq || len(l.held) != 0 {
+		t.Errorf("cum %d holding %d frames, want %d and none", l.got.Floor(), len(l.held), seq)
 	}
 }
 
@@ -550,7 +611,7 @@ func TestReliableTickAllocs(t *testing.T) {
 	g.mu.Lock()
 	l := g.in["a"]
 	g.mu.Unlock()
-	if l == nil || l.cum != 1 {
+	if l == nil || l.got.Floor() != 1 {
 		t.Fatalf("the frame opened no link: %+v", l)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"govents/internal/seqset"
 	"govents/internal/vclock"
 )
 
@@ -87,13 +88,13 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 	}{
 		{"besteffort data", message{Kind: kindData, Payload: []byte("payload")}, 2 + 7},
 		{"reliable data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")}, 2 + 8 + 3 + 1 + 1},
-		{"reliable ack", message{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})}, 2 + 8 + 3 + 4},
+		{"reliable ack", message{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})}, 2 + 8 + 3 + 4},
 		{"reliable base announcement", message{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001}, 2 + 8 + 3},
 		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}, 0},
 		{"causal clock marker", message{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}}, 0},
 		{"total data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 8 + 1 + 1 + 2 + 1},
 		{"certified data", message{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 8 + 5 + 7},
-		{"certified ack", message{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "consumer", Payload: appendRanges(nil, 0, []seqRange{{70000, 70015}})}, 2 + 8 + 9 + 4},
+		{"certified ack", message{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "consumer", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}})}, 2 + 8 + 9 + 4},
 		{"gossip", message{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")}, 0},
 	}
 	for _, tt := range tests {
@@ -253,7 +254,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range []message{
 		{Kind: kindData, Payload: []byte("payload")},
 		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")},
-		{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: appendRanges(nil, 70000, []seqRange{{70002, 70002}, {70005, 70009}})},
+		{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})},
 		{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001},
 		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")},
 		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}},
@@ -261,8 +262,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
 		{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")},
 		{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "desk", Payload: appendRanges(nil, 0, []seqRange{{70000, 70015}, {70017, 70017}})},
-		// Run lists eachRange must stop at, quietly: a zero gap, a run
+		{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "desk", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}, {Lo: 70017, Hi: 70017}})},
+		// Run lists seqset.EachRun must stop at, quietly: a zero gap, a run
 		// past the end of the numbers, half a pair.
 		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
 		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
@@ -304,7 +305,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// apart, and each costs at least the two bytes of its pair.
 		if m.Kind == kindAck || m.Kind == kindCertAck {
 			runs, end := 0, m.Seq
-			eachRange(m.Payload, m.Seq, func(lo, hi uint64) {
+			seqset.EachRun(m.Payload, m.Seq, func(lo, hi uint64) {
 				if runs++; lo <= end || hi < lo {
 					t.Fatalf("run %d..%d after %d in list %x", lo, hi, end, m.Payload)
 				}

@@ -106,9 +106,6 @@ type Tuning struct {
 	// unacknowledged messages (reliable, certified and total-order
 	// classes).
 	RetransmitInterval time.Duration
-	// RetransmitLimit bounds retransmission attempts per message for
-	// reliable classes; 0 means retry forever.
-	RetransmitLimit int
 	// GossipPeriod, GossipFanout and GossipRounds tune the gossip
 	// protocol used for unreliable classes when WithGossipUnreliable
 	// is set.
@@ -122,9 +119,6 @@ type Tuning struct {
 	// pruning is on (see WithOrderedPruning). 0 selects the default
 	// (1); negative disables the floor.
 	GossipRandomEdges int
-	// GossipSeed seeds gossip peer selection (0 = fixed default,
-	// keeping runs reproducible).
-	GossipSeed int64
 }
 
 // config collects the Open options.
@@ -405,12 +399,10 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 		Logger:           log,
 		Multicast: multicast.Options{
 			RetransmitInterval: c.tuning.RetransmitInterval,
-			RetransmitLimit:    c.tuning.RetransmitLimit,
 			GossipPeriod:       c.tuning.GossipPeriod,
 			GossipFanout:       c.tuning.GossipFanout,
 			GossipRounds:       c.tuning.GossipRounds,
 			GossipRandomEdges:  c.tuning.GossipRandomEdges,
-			Seed:               c.tuning.GossipSeed,
 		},
 	}
 }
