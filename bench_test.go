@@ -160,11 +160,13 @@ func BenchmarkC1RemoteFiltering(b *testing.B) {
 func BenchmarkC1Factoring(b *testing.B) {
 	gen := workload.NewQuoteGen(2, 20)
 	for _, subs := range []int{10, 100, 1000} {
-		c := matching.New()
+		filters := map[string]*filter.Expr{}
 		for i, spec := range gen.Interests(subs) {
-			if err := c.Add(fmt.Sprintf("s%04d", i), spec.Filter()); err != nil {
-				b.Fatal(err)
-			}
+			filters[fmt.Sprintf("s%04d", i)] = spec.Filter()
+		}
+		c := matching.New()
+		if err := c.AddBatch(filters); err != nil {
+			b.Fatal(err)
 		}
 		q := gen.Next()
 		b.Run(fmt.Sprintf("naive/subs=%d", subs), func(b *testing.B) {
@@ -335,11 +337,13 @@ func BenchmarkC4Baselines(b *testing.B) {
 	q := gen.Next()
 
 	b.Run("type-based-compound", func(b *testing.B) {
-		c := matching.New()
+		filters := map[string]*filter.Expr{}
 		for i, s := range specs {
-			if err := c.Add(fmt.Sprintf("s%d", i), s.Filter()); err != nil {
-				b.Fatal(err)
-			}
+			filters[fmt.Sprintf("s%d", i)] = s.Filter()
+		}
+		c := matching.New()
+		if err := c.AddBatch(filters); err != nil {
+			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

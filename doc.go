@@ -389,9 +389,9 @@
 // retransmission tick a causal publisher sends the members it did not
 // send its latest tick a payload-less marker carrying its clock, which
 // the receiver merges without a delivery. Gossip classes bias their
-// per-round fanout toward interested nodes while keeping a configurable
-// floor of uniformly random edges (Tuning.GossipRandomEdges) so rumors
-// still cross interest boundaries. Pruning fails open — an unevaluable
+// per-round fanout toward interested nodes while adding one uniformly
+// random edge per event and round, so rumors still cross interest
+// boundaries. Pruning fails open — an unevaluable
 // event or unknown node counts as interested — and preserves each
 // class's ordering contract exactly; WithOrderedPruning(false) restores
 // full-group broadcasts. RoutingStats reports the saved traffic as

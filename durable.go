@@ -204,9 +204,8 @@ func (d *Domain) releaseDurable(classes []string, durableID string) {
 // (DurabilityTuning.Retention): every Interval ± 10% jitter it runs the
 // same snapshot+compact pass as CompactDurable — outbox GC up to the
 // consumer frontier, inbox compaction behind every cursor — so durable
-// disk usage is reclaimed without manual calls. With MaxBytes set the
-// tick compacts only while the logs' on-disk size exceeds it. The
-// jitter decorrelates a fleet of domains restarted together. Close
+// disk usage is reclaimed without manual calls. The jitter
+// decorrelates a fleet of domains restarted together. Close
 // stops the ticker before the durable logs shut down.
 func (d *Domain) startRetention(p RetentionPolicy) {
 	d.retainStop = make(chan struct{})
@@ -225,9 +224,6 @@ func (d *Domain) startRetention(p RetentionPolicy) {
 				timer.Stop()
 				return
 			case <-timer.C:
-			}
-			if p.MaxBytes > 0 && d.dur.Stats().Bytes <= p.MaxBytes {
-				continue
 			}
 			if err := d.dur.Compact(); err != nil {
 				d.log.Warn("govents: retention compaction failed; will retry next tick",

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"govents/internal/codec"
 	"govents/internal/filter"
 	"govents/internal/obvent"
 )
@@ -603,5 +605,34 @@ func TestDurableActivation(t *testing.T) {
 	}
 	if got := sub.info().DurableID; got != "broker-7" {
 		t.Errorf("DurableID = %q", got)
+	}
+}
+
+// TestLocalReleasesDeliveredEnvelopes: once the sink has an envelope,
+// the local domain keeps nothing of it reachable, so an idle domain does
+// not pin its last burst.
+func TestLocalReleasesDeliveredEnvelopes(t *testing.T) {
+	l := NewLocal()
+	defer l.Close()
+	delivered := make(chan struct{}, 1)
+	l.SetSink(func(*codec.Envelope) { delivered <- struct{}{} })
+	collected := make(chan struct{})
+	env := &codec.Envelope{ID: codec.NewID(), Payload: make([]byte, 1<<10)}
+	runtime.SetFinalizer(env, func(*codec.Envelope) { close(collected) })
+	if err := l.PublishEnvelope(env); err != nil {
+		t.Fatal(err)
+	}
+	env = nil
+	<-delivered
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("delivered envelope still reachable after GC")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

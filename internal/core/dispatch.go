@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,18 +14,19 @@ import (
 
 // This file implements the engine's indexed delivery pipeline:
 //
-//	wire type name ──► dispatchTable ──► typeBucket ──► compound match
-//	                   (atomic COW)      (per class)    ──► one obvent per match
+//	wire type name ──► dispatchTable ──► per-class plan ──► compound match
+//	                   (atomic COW)      (matching.Cache) ──► one obvent per match
 //
 // The table is an immutable snapshot of the active subscription set,
 // republished through an atomic pointer on every activate/deactivate, so
 // the per-envelope hot path never takes the engine mutex and never sorts.
-// Each concrete obvent class gets a lazily compiled bucket holding its
-// candidate subscriptions (expanded through the registry's conformance
-// relation) and a compound matcher (package matching) that factors all
-// their remote filters, so an event's conditions are evaluated once
-// across all subscribers instead of once per subscription, reading the
-// fields it needs straight from the encoded payload where it can. Obvent
+// Each concrete obvent class gets a lazily compiled plan: one compound
+// matcher (package matching) over its candidate subscriptions (expanded
+// through the registry's conformance relation), an entry without a
+// filter for each one that has no remote filter, so an event's
+// conditions are evaluated once across all subscribers instead of once
+// per subscription, reading the fields it needs straight from the
+// encoded payload where it can. Obvent
 // local uniqueness (§2.1.2) is then paid only for the subscriptions
 // whose remote matching passed: for a class with reference kinds one
 // decode of the payload per match, and one immutable box per envelope
@@ -85,9 +85,9 @@ type DispatchStats struct {
 
 	// AccessorPrograms counts the accessor programs compiled by the live
 	// dispatch table's compound matchers: one per (event type, unique
-	// filter path) first seen by a bucket. Counters follow the current
-	// table — buckets (and their matchers) are recompiled on
-	// subscription churn and registry growth, restarting the count.
+	// filter path) first seen by a class plan. Counters follow the
+	// current table — plans are compiled again on subscription churn
+	// and registry growth, restarting the count.
 	AccessorPrograms uint64
 	// AccessorFallbacks counts per-event path resolutions in the live
 	// table's matchers that fell back to name-based reflection (path
@@ -169,16 +169,11 @@ func (e *Engine) Stats() DispatchStats {
 	st.WireRejects = ws.Rejects
 	st.WireEncodes = ws.Encodes
 	st.WireDecodes = ws.Decodes
-	e.table.Load().buckets.Range(func(_, v any) bool {
-		if b := v.(*typeBucket); b.compound != nil {
-			ms := b.compound.Stats()
-			st.AccessorPrograms += ms.AccessorPrograms
-			st.AccessorFallbacks += ms.AccessorFallbacks
-			st.PartialDecodes += ms.PartialDecodes
-			st.WireMaterializations += ms.WireMaterializations
-		}
-		return true
-	})
+	ms := e.table.Load().buckets.AccessorStats("")
+	st.AccessorPrograms = ms.AccessorPrograms
+	st.AccessorFallbacks = ms.AccessorFallbacks
+	st.PartialDecodes = ms.PartialDecodes
+	st.WireMaterializations = ms.WireMaterializations
 	return st
 }
 
@@ -192,42 +187,21 @@ func (e *Engine) DispatchLanes() int { return len(e.lanes.par) }
 
 // dispatchTable is an immutable snapshot of the active subscriptions,
 // grouped by subscribed (target) type name. It is published via
-// Engine.table; dispatch loads it lock-free. Buckets for concrete
-// classes are compiled on first use and cached in a sync.Map — the cache
-// is monotone per table (a bucket is only ever replaced by an equivalent
-// recompilation after a registry mutation), so racing compilations are
-// harmless.
+// Engine.table; dispatch loads it lock-free. Plans for concrete classes
+// are compiled on first use and cached in a matching.Cache under the
+// registry generation (a later registration, e.g. of an abstract type,
+// can extend conformance), so racing compilations are harmless.
 type dispatchTable struct {
 	reg *obvent.Registry
 	// byTarget maps each subscribed type name to its active
-	// subscriptions, each group sorted by subscription ID.
+	// subscriptions.
 	byTarget map[string][]*Subscription
 	// targets is the sorted key set of byTarget, for deterministic
-	// bucket compilation order.
+	// plan compilation order.
 	targets []string
-	// buckets caches concrete wire type name -> *typeBucket.
-	buckets sync.Map
-}
-
-// typeBucket is the precompiled dispatch state for one concrete obvent
-// class: every active subscription the class conforms to, with all
-// remote filters factored into one compound matcher.
-type typeBucket struct {
-	// gen is the registry generation the bucket was compiled under; a
-	// later registration (e.g. of an abstract type) invalidates it.
-	gen uint64
-	// subs is every candidate subscription, sorted by ID — the
-	// deterministic dispatch order.
-	subs []*Subscription
-	// unfiltered are the candidates without a remote filter (always
-	// match, modulo local predicates), sorted by ID.
-	unfiltered []*Subscription
-	// compound factors the remote filters of the remaining candidates;
-	// nil when no candidate has a remote filter — then no canonical
-	// decode is needed at all.
-	compound *matching.Compound
-	// byID resolves compound match results back to subscriptions.
-	byID map[string]*Subscription
+	// buckets caches each concrete class's compound over its candidate
+	// subscriptions, with the map resolving match IDs back to them.
+	buckets *matching.Cache[map[string]*Subscription]
 }
 
 // newDispatchTable snapshots the active subscription set. Caller must
@@ -240,71 +214,34 @@ func newDispatchTable(reg *obvent.Registry, subs map[string]*Subscription) *disp
 		}
 		t.byTarget[s.typeName] = append(t.byTarget[s.typeName], s)
 	}
-	for name, group := range t.byTarget {
-		sort.Slice(group, func(i, j int) bool { return group[i].id < group[j].id })
+	for name := range t.byTarget {
 		t.targets = append(t.targets, name)
 	}
 	sort.Strings(t.targets)
+	t.buckets = matching.NewCache(reg, reg.Gen, t.compileBucket)
 	return t
 }
 
-// bucket returns the compiled dispatch state for a concrete class,
-// compiling and caching it on first use (and recompiling when the type
-// registry has grown since, which can extend conformance). Wire names
-// the registry does not know are never cached: env.Type comes off the
-// wire, and caching arbitrary peer-supplied strings would grow the
-// table without bound.
-func (t *dispatchTable) bucket(concrete string) *typeBucket {
-	gen := t.reg.Gen()
-	if v, ok := t.buckets.Load(concrete); ok {
-		b := v.(*typeBucket)
-		if b.gen == gen {
-			return b
-		}
-	}
-	b := t.compileBucket(concrete, gen)
-	if _, known := t.reg.TypeByName(concrete); known {
-		t.buckets.Store(concrete, b)
-	}
-	return b
-}
-
 // compileBucket gathers the candidates for one concrete class and
-// factors their remote filters into a compound matcher.
-func (t *dispatchTable) compileBucket(concrete string, gen uint64) *typeBucket {
-	var cands []*Subscription
+// factors their remote filters into a compound matcher whose IDs are
+// subscription IDs.
+func (t *dispatchTable) compileBucket(concrete string) (*matching.Compound, map[string]*Subscription) {
+	filters := make(map[string]*filter.Expr)
+	byID := make(map[string]*Subscription)
 	for _, target := range t.targets {
-		if t.reg.ConformsTo(concrete, target) {
-			cands = append(cands, t.byTarget[target]...)
-		}
-	}
-	if len(cands) == 0 {
-		return &typeBucket{gen: gen}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
-
-	b := &typeBucket{gen: gen, subs: cands}
-	var filters map[string]*filter.Expr
-	for _, s := range cands {
-		if s.remoteFilter == nil {
-			b.unfiltered = append(b.unfiltered, s)
+		if !t.reg.ConformsTo(concrete, target) {
 			continue
 		}
-		if filters == nil {
-			filters = make(map[string]*filter.Expr)
-			b.byID = make(map[string]*Subscription)
+		for _, s := range t.byTarget[target] {
+			filters[s.id] = s.remoteFilter
+			byID[s.id] = s
 		}
-		filters[s.id] = s.remoteFilter
-		b.byID[s.id] = s
 	}
-	if filters != nil {
-		b.compound = matching.New()
-		// One batch add = one plan compilation (per-Add compilation
-		// would be quadratic in candidates, on the dispatcher
-		// goroutine). Validated at Subscribe; AddBatch cannot fail.
-		_ = b.compound.AddBatch(filters)
-	}
-	return b
+	c := matching.New()
+	// One batch add = one plan compilation. Validated at Subscribe;
+	// AddBatch cannot fail.
+	_ = c.AddBatch(filters)
+	return c, byID
 }
 
 // dispatchScratch is one dispatch lane's reusable working state. Each
@@ -341,13 +278,13 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		return
 	}
 
-	b := e.table.Load().bucket(env.Type)
-	if len(b.subs) == 0 {
+	c, byID := e.table.Load().buckets.Get(env.Type)
+	if len(byID) == 0 {
 		return
 	}
 
 	// Decode once: one canonical value drives all remote-filter
-	// evaluation; buckets without remote filters skip the decode. The
+	// evaluation; plans without remote filters skip the decode. The
 	// CloneSource lives in the lane scratch — resolving a source must
 	// not allocate per envelope.
 	sc := &ln.scratch
@@ -358,44 +295,26 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		sc.src = codec.CloneSource{} // do not pin the failed envelope
 		return
 	}
-	matched := sc.ids[:0]
-	if b.compound != nil {
-		// The compound evaluates lazily: it extracts the referenced
-		// fields straight from the payload and materializes the event
-		// (through sc.full) only when a plan path goes through an
-		// accessor method or a marshaled field.
-		if sc.full == nil {
-			sc.full = func() (any, error) { return sc.src.Clone() }
-		}
-		wp, payload, _ := src.Wire()
-		m, err := b.compound.MatchWireAppend(wp, payload, sc.full, matched)
-		if err != nil {
-			ln.counters.decodeErrors.Add(1)
-			e.noteDrop(env, telemetry.ReasonDecodeError)
-			sc.src = codec.CloneSource{} // do not pin the failed envelope
-			return
-		}
-		matched = m
+	// The compound evaluates lazily: it extracts the referenced fields
+	// straight from the payload and materializes the event (through
+	// sc.full) only when a plan path goes through an accessor method or
+	// a marshaled field. Its matches come in subscription-ID order.
+	if sc.full == nil {
+		sc.full = func() (any, error) { return sc.src.Clone() }
 	}
-
-	// Merge the unfiltered candidates with the compound matches in
-	// subscription-ID order (both lists are sorted), dropping inactive
-	// members.
+	wp, payload, _ := src.Wire()
+	matched, err := c.MatchWireAppend(wp, payload, sc.full, sc.ids[:0])
+	if err != nil {
+		ln.counters.decodeErrors.Add(1)
+		e.noteDrop(env, telemetry.ReasonDecodeError)
+		sc.src = codec.CloneSource{} // do not pin the failed envelope
+		return
+	}
 	deliver := sc.deliver[:0]
-	ui, mi := 0, 0
-	for ui < len(b.unfiltered) || mi < len(matched) {
-		var s *Subscription
-		if mi >= len(matched) || (ui < len(b.unfiltered) && b.unfiltered[ui].id < matched[mi]) {
-			s = b.unfiltered[ui]
-			ui++
-		} else {
-			s = b.byID[matched[mi]]
-			mi++
+	for _, id := range matched {
+		if s := byID[id]; s.Active() {
+			deliver = append(deliver, s)
 		}
-		if !s.Active() {
-			continue
-		}
-		deliver = append(deliver, s)
 	}
 
 	// One obvent per match (§2.1.2; see the header for what a flat class

@@ -12,6 +12,7 @@ import (
 
 	"govents/internal/codec"
 	"govents/internal/filter"
+	"govents/internal/matching"
 	"govents/internal/obvent"
 )
 
@@ -104,7 +105,16 @@ func TestDispatchTransparency(t *testing.T) {
 	}
 }
 
+// testDispatchTransparency runs the property over three populations: 7
+// in 10 subscriptions with a remote filter (classes with filterless
+// candidates, filtered ones, or both), none, and all of them.
 func testDispatchTransparency(t *testing.T, opts ...Option) {
+	for _, filtered := range []int{7, 0, 10} {
+		testDispatchPopulation(t, filtered, opts...)
+	}
+}
+
+func testDispatchPopulation(t *testing.T, filteredOf10 int, opts ...Option) {
 	rng := rand.New(rand.NewSource(42))
 	e := NewEngine("transparency", NewLocal(), opts...)
 	t.Cleanup(func() { _ = e.Close() })
@@ -130,7 +140,7 @@ func testDispatchTransparency(t *testing.T, opts ...Option) {
 
 	for i := 0; i < nSubs; i++ {
 		spec := &subSpec{target: targets[rng.Intn(len(targets))]}
-		if rng.Intn(10) < 7 {
+		if rng.Intn(10) < filteredOf10 {
 			spec.remote = randFilter(rng, 2)
 		}
 		if rng.Intn(10) < 3 {
@@ -419,8 +429,8 @@ func TestUnknownWireTypeNotCached(t *testing.T) {
 	})
 
 	cached := map[string]bool{}
-	e.table.Load().buckets.Range(func(k, v any) bool {
-		cached[k.(string)] = true
+	e.table.Load().buckets.Range(func(class string, _ *matching.Compound) bool {
+		cached[class] = true
 		return true
 	})
 	for name := range cached {

@@ -63,11 +63,11 @@
 //
 //  1. Type index: every activation change compiles an immutable
 //     dispatchTable published through an atomic pointer; the dispatcher
-//     resolves the envelope's wire type to a pre-sorted candidate bucket
-//     (expanded through the registry's conformance relation) with a
+//     resolves the envelope's wire type to its class plan (candidates
+//     expanded through the registry's conformance relation) with a
 //     lock-free load, instead of snapshotting and sorting the
 //     subscription table per envelope.
-//  2. Compound match: each bucket factors its candidates' remote filters
+//  2. Compound match: each plan factors its candidates' remote filters
 //     into one matching.Compound (paper §2.3.2, [ASS+99]), so an event's
 //     conditions are evaluated once across all subscribers — shared path
 //     resolution, common-subexpression elimination, threshold binary

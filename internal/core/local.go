@@ -81,6 +81,7 @@ func (l *Local) loop() {
 			return
 		}
 		env := l.queue[0]
+		l.queue[0] = nil // the backing array must not keep it alive
 		l.queue = l.queue[1:]
 		sink := l.sink
 		l.mu.Unlock()

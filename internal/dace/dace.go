@@ -33,7 +33,7 @@
 //	routing.Table ── per-node snapshots, seq-reconciled
 //	        │ compiled lazily per published class
 //	        ▼
-//	classPlan: always-match nodes + one matching.Compound
+//	one matching.Compound per class (one entry per node)
 //	        │ one evaluation per published event
 //	        ▼
 //	destination fan-out: BroadcastTo(prunedNodes, payload)

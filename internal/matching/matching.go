@@ -5,7 +5,7 @@
 // individual filters. By doing so, performance can be significantly
 // improved (e.g., [ASS+99])").
 //
-// Two optimizations are applied, following Aguilera et al. [ASS+99]:
+// Three optimizations are applied, following Aguilera et al. [ASS+99]:
 //
 //  1. Common-subexpression elimination: syntactically identical leaf
 //     conditions (by canonical form) across all subscriptions are
@@ -22,16 +22,21 @@
 //     (package accessor) so steady-state matching performs no
 //     name-based reflection at all; paths that cannot compile for a
 //     type fall back to reflective resolution per event, preserving
-//     fail-open semantics exactly. Programs live as long as the plan
-//     and are invalidated with it on subscription churn.
+//     fail-open semantics exactly. Programs live as long as the plan.
+//
+// The same matcher answers "which candidates of this class does an
+// event reach" on both sides of the wire: on a publisher its IDs are
+// nodes (package routing), on a subscriber they are subscriptions (the
+// engine's dispatch table). Both keep one plan per class in a Cache.
 //
 // Compound matching is semantically transparent: Match returns exactly
-// the subscriptions whose filter would individually accept the event
+// the entries whose filter would individually accept the event
 // (property-tested against filter.Evaluate).
 package matching
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strings"
@@ -43,29 +48,17 @@ import (
 	"govents/internal/wire"
 )
 
-// Compound is a factored matcher over a dynamic set of subscriptions.
-// It is safe for concurrent use; Match runs under a read lock so
-// subscriptions can be added or removed concurrently with matching.
-//
-// Compilation is lazy: mutations (Add/AddBatch/Remove/RemoveBatch) only
-// mark the plan dirty, and the next Match (or Stats) call recompiles it
-// once. A burst of mutations — a routing-table ad application removing
-// and adding many subscriptions — therefore costs a single compilation,
-// not one per call.
+// Compound is a factored matcher over a set of entries, each an ID and a
+// filter; a nil filter matches every event. It is built once: AddBatch
+// compiles the entries into an immutable plan and publishes it, and the
+// Match methods load that plan without a lock, so they are safe for
+// concurrent use with each other and with AddBatch.
 type Compound struct {
-	mu         sync.RWMutex
-	subs       map[string]*filter.Expr
-	plan       *plan // valid while !dirty; recompiled lazily on demand
-	dirty      bool
-	recompiles uint64 // plan compilations performed (Stats observability)
-
-	// accessorStats survives plan recompilations: program compiles and
-	// reflective fallbacks are properties of the matcher's lifetime, not
-	// of one plan.
-	accessorStats accessorCounters
+	mu   sync.Mutex // serializes AddBatch; matching never takes it
+	plan atomic.Pointer[plan]
 }
 
-// accessorCounters tracks the accessor-program activity of a matcher.
+// accessorCounters tracks the accessor-program activity of one plan.
 type accessorCounters struct {
 	// compiles counts per-(event type, path) programs compiled.
 	compiles atomic.Uint64
@@ -81,107 +74,56 @@ type accessorCounters struct {
 	materialized atomic.Uint64
 }
 
+// emptyPlan is the plan of a Compound no AddBatch has added to. It
+// matches nothing, so its counters never move.
+var emptyPlan = compile(nil)
+
 // New returns an empty compound matcher.
 func New() *Compound {
-	c := &Compound{subs: make(map[string]*filter.Expr)}
-	c.plan = compile(c.subs, &c.accessorStats)
+	c := &Compound{}
+	c.plan.Store(emptyPlan)
 	return c
 }
 
-// Add registers (or replaces) a subscription's filter.
-func (c *Compound) Add(subID string, e *filter.Expr) error {
-	if err := e.Validate(); err != nil {
-		return fmt.Errorf("matching: add %s: %w", subID, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.subs[subID] = e
-	c.dirty = true
-	return nil
-}
-
-// AddBatch registers many subscriptions' filters at once. On a
-// validation error nothing is registered. (With lazy compilation Add is
-// no longer quadratic across a bulk load, but AddBatch remains the
-// idiomatic bulk entry point and validates all-or-nothing.)
+// AddBatch registers (or replaces) many entries at once and publishes
+// the plan compiled over everything registered so far. A nil filter
+// matches every event. On a validation error nothing is registered.
 func (c *Compound) AddBatch(filters map[string]*filter.Expr) error {
 	for id, e := range filters {
+		if e == nil {
+			continue
+		}
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("matching: add %s: %w", id, err)
 		}
 	}
+	if len(filters) == 0 {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, e := range filters {
-		c.subs[id] = e
-	}
-	if len(filters) > 0 {
-		c.dirty = true
-	}
+	old := c.plan.Load().subs
+	subs := make(map[string]*filter.Expr, len(old)+len(filters))
+	maps.Copy(subs, old)
+	maps.Copy(subs, filters)
+	c.plan.Store(compile(subs))
 	return nil
 }
 
-// Remove drops a subscription.
-func (c *Compound) Remove(subID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.subs[subID]; !ok {
-		return
-	}
-	delete(c.subs, subID)
-	c.dirty = true
-}
+// IDs returns every entry's ID, sorted. The slice is shared: callers
+// must not modify it.
+func (c *Compound) IDs() []string { return c.plan.Load().ids }
 
-// RemoveBatch drops many subscriptions at once — AddBatch's removal
-// counterpart for callers maintaining one long-lived matcher across
-// subscription churn. Like all mutations it costs at most one
-// recompilation (deferred to the next Match) regardless of how many
-// IDs it drops. (The routing and dispatch tables currently rebuild
-// their compounds from scratch per plan instead of mutating them
-// incrementally, so today this is API surface for external callers.)
-func (c *Compound) RemoveBatch(subIDs []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range subIDs {
-		if _, ok := c.subs[id]; ok {
-			delete(c.subs, id)
-			c.dirty = true
-		}
-	}
-}
-
-// currentPlan returns the up-to-date plan, recompiling it first if
-// mutations are pending. The fast path is a read lock and two loads.
-func (c *Compound) currentPlan() *plan {
-	c.mu.RLock()
-	p, dirty := c.plan, c.dirty
-	c.mu.RUnlock()
-	if !dirty {
-		return p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dirty {
-		c.plan = compile(c.subs, &c.accessorStats)
-		c.dirty = false
-		c.recompiles++
-	}
-	return c.plan
-}
-
-// Len returns the number of registered subscriptions.
-func (c *Compound) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.subs)
-}
+// Unfiltered reports whether every entry matches every event (no entry
+// has a filter, or there is none): a match then needs no event.
+func (c *Compound) Unfiltered() bool { return !c.plan.Load().filtered }
 
 // Stats describes the factoring achieved by the current plan.
 type Stats struct {
-	// Subscriptions is the number of registered subscriptions.
+	// Subscriptions is the number of registered entries.
 	Subscriptions int
 	// TotalConds is the total number of leaf conditions across all
-	// subscription filters (what a naive matcher evaluates).
+	// entries' filters (what a naive matcher evaluates).
 	TotalConds int
 	// UniqueConds is the number of distinct conditions after
 	// common-subexpression elimination (what the compound evaluates).
@@ -192,20 +134,16 @@ type Stats struct {
 	// UniquePaths is the number of distinct accessor paths resolved
 	// per event.
 	UniquePaths int
-	// Recompiles is the number of plan compilations this matcher has
-	// performed over its lifetime. With lazy compilation it counts
-	// mutation bursts, not individual mutations.
-	Recompiles uint64
-	// AccessorPrograms is the number of compiled accessor programs this
-	// matcher has built over its lifetime: one per (event type, unique
-	// path) pair first seen by a plan. Type layouts never change, so a
-	// program is compiled at most once per plan per type.
+	// AccessorPrograms is the number of compiled accessor programs the
+	// current plan has built: one per (event type, unique path) pair it
+	// has seen. Type layouts never change, so a program is compiled at
+	// most once per plan per type.
 	AccessorPrograms uint64
 	// AccessorFallbacks counts per-event path resolutions that fell back
 	// to reflective lookup because the path cannot compile against the
 	// event's type (it then fails open per event, exactly as before).
 	AccessorFallbacks uint64
-	// PartialDecodes counts wire-encoded events this matcher evaluated
+	// PartialDecodes counts wire-encoded events this plan evaluated
 	// without materializing them: every path the plan references was
 	// extracted straight from the compact payload.
 	PartialDecodes uint64
@@ -215,24 +153,21 @@ type Stats struct {
 	WireMaterializations uint64
 }
 
-// Stats returns the factoring statistics of the current plan, forcing a
-// pending recompilation first so the figures describe the live set.
+// Stats returns the factoring statistics and accessor counters of the
+// current plan.
 func (c *Compound) Stats() Stats {
-	p := c.currentPlan()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	p := c.plan.Load()
 	st := p.stats
-	st.Recompiles = c.recompiles
-	st.AccessorPrograms = c.accessorStats.compiles.Load()
-	st.AccessorFallbacks = c.accessorStats.fallbacks.Load()
-	st.PartialDecodes = c.accessorStats.partials.Load()
-	st.WireMaterializations = c.accessorStats.materialized.Load()
+	st.AccessorPrograms = p.acc.compiles.Load()
+	st.AccessorFallbacks = p.acc.fallbacks.Load()
+	st.PartialDecodes = p.acc.partials.Load()
+	st.WireMaterializations = p.acc.materialized.Load()
 	return st
 }
 
-// Match returns the sorted IDs of all subscriptions whose filter accepts
-// the event. Conditions that fail to evaluate (missing accessor, type
-// mismatch) count as false for the affected subscriptions only.
+// Match returns the sorted IDs of all entries whose filter accepts the
+// event. Conditions that fail to evaluate (missing accessor, type
+// mismatch) count as false for the affected entries only.
 func (c *Compound) Match(event any) []string {
 	return c.MatchAppend(event, nil)
 }
@@ -243,18 +178,18 @@ func (c *Compound) Match(event any) []string {
 // must not allocate a fresh result slice per envelope. The appended IDs
 // are sorted; dst's existing contents are preserved.
 func (c *Compound) MatchAppend(event any, dst []string) []string {
-	return c.currentPlan().match(event, dst, false)
+	return c.plan.Load().match(event, dst, false)
 }
 
-// MatchAppendFailOpen is MatchAppend with fail-open error semantics: a
-// subscription whose formula cannot be evaluated (missing accessor,
-// type mismatch) is appended alongside the true matches instead of
-// being rejected. Publisher-side filtering hosts use this mode — an
+// MatchAppendFailOpen is MatchAppend with fail-open error semantics: an
+// entry whose formula cannot be evaluated (missing accessor, type
+// mismatch) is appended alongside the true matches instead of being
+// rejected. Publisher-side filtering hosts use this mode — an
 // unevaluable remote filter must not suppress the send, because the
 // subscriber's own evaluation is the authoritative pass (paper §2.3.2:
 // remote filtering is an optimization, never a semantic change).
 func (c *Compound) MatchAppendFailOpen(event any, dst []string) []string {
-	return c.currentPlan().match(event, dst, true)
+	return c.plan.Load().match(event, dst, true)
 }
 
 // MatchWireAppend evaluates the plan against a wire-encoded event,
@@ -266,26 +201,29 @@ func (c *Compound) MatchAppendFailOpen(event any, dst []string) []string {
 // fall back to one full compiled decode via full, which also backstops
 // malformed payloads (extraction and full decode reject exactly the
 // same inputs, so corrupt input is observed identically on both paths).
-// A non-nil error is full's decode failure; no IDs were appended.
+// An Unfiltered compound touches neither. A non-nil error is full's
+// decode failure; no IDs were appended.
 func (c *Compound) MatchWireAppend(wp *wire.Prog, payload []byte, full func() (any, error), dst []string) ([]string, error) {
-	return c.currentPlan().matchWire(wp, payload, full, dst, false)
+	return c.plan.Load().matchWire(wp, payload, full, dst, false)
 }
 
 // MatchWireAppendFailOpen is MatchWireAppend with fail-open error
 // semantics (see MatchAppendFailOpen): publisher-side filtering hosts
 // must ship on evaluation errors, never suppress.
 func (c *Compound) MatchWireAppendFailOpen(wp *wire.Prog, payload []byte, full func() (any, error), dst []string) ([]string, error) {
-	return c.currentPlan().matchWire(wp, payload, full, dst, true)
+	return c.plan.Load().matchWire(wp, payload, full, dst, true)
 }
 
-// MatchNaive evaluates every subscription's filter independently. It is
-// the baseline the compound matcher is benchmarked against, and the
+// MatchNaive evaluates every entry's filter independently. It is the
+// baseline the compound matcher is benchmarked against, and the
 // reference implementation for transparency tests.
 func (c *Compound) MatchNaive(event any) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var out []string
-	for id, e := range c.subs {
+	for id, e := range c.plan.Load().subs {
+		if e == nil {
+			out = append(out, id)
+			continue
+		}
 		ok, err := filter.Evaluate(e, event)
 		if err == nil && ok {
 			out = append(out, id)
@@ -299,12 +237,20 @@ func (c *Compound) MatchNaive(event any) []string {
 
 // plan is an immutable compiled matcher.
 type plan struct {
+	// subs are the entries the plan was compiled from (nil filter: match
+	// every event), kept for the next AddBatch and for MatchNaive.
+	subs map[string]*filter.Expr
+
 	conds []*filter.Cond // unique conditions, by slot
 
-	// Per-subscription formulas, aligned by index and sorted by ID so
-	// match emits sorted output without a per-event sort.
+	// Every entry's formula, aligned by index and sorted by ID so match
+	// emits sorted output without a per-event sort or merge. A nil
+	// formula is an entry without a filter.
 	ids   []string
 	progs [][]finstr
+	// filtered reports whether some entry has a formula; without one,
+	// every match is ids and needs no event.
+	filtered bool
 
 	// paths: unique accessor paths resolved once per event.
 	paths    []pathSlot
@@ -315,13 +261,10 @@ type plan struct {
 	// paths; a nil entry means the path cannot compile for that type and
 	// falls back to reflective resolution per event). Compiled on first
 	// sight of a type; a type's layout never changes, so entries stay
-	// valid for the plan's lifetime — invalidation happens by plan
-	// replacement, exactly like the engine's dispatchTable buckets
-	// (subscription churn here, registry growth there). Growth is capped
-	// at maxProgramTypes: the engine's and routing plane's matchers see
-	// one type each, but Compound is public API and a caller feeding one
-	// long-lived matcher arbitrarily many event types must degrade to
-	// the reflective fallback, not grow memory without bound.
+	// valid for the plan's lifetime. Growth is capped at
+	// maxProgramTypes: the routing and dispatch plans see one type each,
+	// and a caller feeding one matcher arbitrarily many event types must
+	// degrade to the reflective fallback, not grow memory without bound.
 	programs     sync.Map // reflect.Type -> []*accessor.Program
 	programTypes atomic.Int64
 
@@ -332,9 +275,8 @@ type plan struct {
 	// invalidation mirror programs: valid until plan replacement.
 	extractors sync.Map // reflect.Type -> wireExt
 
-	// acc are the owning Compound's accessor counters (shared across
-	// plan recompilations).
-	acc *accessorCounters
+	// acc counts the accessor-program activity of this plan.
+	acc accessorCounters
 
 	// direct: conditions evaluated one-by-one (referencing path slots).
 	direct []directCond
@@ -394,12 +336,9 @@ type finstr struct {
 	arg int
 }
 
-// compile builds a plan from the current subscription set.
-func compile(subs map[string]*filter.Expr, acc *accessorCounters) *plan {
-	p := &plan{
-		pathSlot: make(map[string]int),
-		acc:      acc,
-	}
+// compile builds a plan from a set of entries.
+func compile(subs map[string]*filter.Expr) *plan {
+	p := &plan{subs: subs, pathSlot: make(map[string]int)}
 	p.scratch.New = func() any { return &matchScratch{} }
 	condSlot := make(map[string]int)
 
@@ -413,6 +352,10 @@ func compile(subs map[string]*filter.Expr, acc *accessorCounters) *plan {
 	p.ids = ids
 	p.progs = make([][]finstr, len(ids))
 	for i, id := range ids {
+		if subs[id] == nil {
+			continue
+		}
+		p.filtered = true
 		prog := p.compileExpr(subs[id], condSlot, &total, nil)
 		p.progs[i] = prog
 		if d := stackDepth(prog); d > p.maxStack {
@@ -615,8 +558,8 @@ func (p *plan) getScratch() *matchScratch {
 // With failOpen, formulas whose outcome is an evaluation error count as
 // matches (the caller ships and lets the subscriber decide).
 func (p *plan) match(event any, dst []string, failOpen bool) []string {
-	if len(p.ids) == 0 {
-		return dst
+	if !p.filtered {
+		return append(dst, p.ids...)
 	}
 	sc := p.getScratch()
 	defer p.scratch.Put(sc)
@@ -661,8 +604,8 @@ func (p *plan) match(event any, dst []string, failOpen bool) []string {
 // over the extracted values. Otherwise the event is materialized once
 // via full and matched normally.
 func (p *plan) matchWire(wp *wire.Prog, payload []byte, full func() (any, error), dst []string, failOpen bool) ([]string, error) {
-	if len(p.ids) == 0 {
-		return dst, nil
+	if !p.filtered {
+		return append(dst, p.ids...), nil
 	}
 	if ex := p.extractorFor(wp.Type()); ex != nil {
 		sc := p.getScratch()
@@ -818,10 +761,14 @@ func (p *plan) evalConditions(sc *matchScratch, dst []string, failOpen bool) []s
 		}
 	}
 
-	// 3. Evaluate each subscription's formula over the results. IDs are
-	// pre-sorted, so the appended output is sorted without a per-event
-	// sort.
+	// 3. Evaluate each entry's formula over the results; an entry
+	// without one matches. IDs are pre-sorted, so the appended output is
+	// sorted without a per-event sort.
 	for i, prog := range p.progs {
+		if prog == nil {
+			dst = append(dst, p.ids[i])
+			continue
+		}
 		switch evalProg(prog, results, sc.stack[:0]) {
 		case rTrue:
 			dst = append(dst, p.ids[i])
@@ -835,10 +782,10 @@ func (p *plan) evalConditions(sc *matchScratch, dst []string, failOpen bool) []s
 }
 
 // maxProgramTypes bounds how many distinct event root types one plan
-// compiles program tables for. Engine buckets and routing plans see
-// exactly one type each; the cap only bites a public Compound user
-// matching heterogeneous types through one matcher, who then falls back
-// to reflective resolution (visible as AccessorFallbacks).
+// compiles program tables for. Routing and dispatch plans see exactly
+// one type each; the cap only bites a caller matching heterogeneous
+// types through one matcher, who then falls back to reflective
+// resolution (visible as AccessorFallbacks).
 const maxProgramTypes = 256
 
 // programsFor returns the accessor programs for one event root type,

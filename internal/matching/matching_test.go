@@ -26,20 +26,26 @@ func (q quote) GetPrice() float64 { return q.Price }
 
 func (q quote) GetCompany() string { return q.Company }
 
-func TestMatchBasic(t *testing.T) {
+// build returns a compound over filters, failing the test on a
+// validation error.
+func build(t testing.TB, filters map[string]*filter.Expr) *Compound {
+	t.Helper()
 	c := New()
-	if err := c.Add("cheap", filter.Path("Price").Lt(filter.Float(100))); err != nil {
+	if err := c.AddBatch(filters); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("telco", filter.Path("Company").Contains(filter.Str("Telco"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("both", filter.And(
-		filter.Path("Price").Lt(filter.Float(100)),
-		filter.Path("Company").Contains(filter.Str("Telco")),
-	)); err != nil {
-		t.Fatal(err)
-	}
+	return c
+}
+
+func TestMatchBasic(t *testing.T) {
+	c := build(t, map[string]*filter.Expr{
+		"cheap": filter.Path("Price").Lt(filter.Float(100)),
+		"telco": filter.Path("Company").Contains(filter.Str("Telco")),
+		"both": filter.And(
+			filter.Path("Price").Lt(filter.Float(100)),
+			filter.Path("Company").Contains(filter.Str("Telco")),
+		),
+	})
 
 	got := c.Match(quote{Company: "Telco Mobiles", Price: 80})
 	want := []string{"both", "cheap", "telco"}
@@ -59,30 +65,17 @@ func TestMatchBasic(t *testing.T) {
 }
 
 func TestMatchTrueFilter(t *testing.T) {
-	c := New()
-	_ = c.Add("all", filter.True())
+	c := build(t, map[string]*filter.Expr{"all": filter.True()})
 	if got := c.Match(quote{}); !reflect.DeepEqual(got, []string{"all"}) {
 		t.Errorf("Match = %v", got)
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New()
-	_ = c.Add("a", filter.True())
-	_ = c.Add("b", filter.True())
-	c.Remove("a")
-	if got := c.Match(quote{}); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Errorf("Match = %v", got)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
 func TestAddReplaces(t *testing.T) {
-	c := New()
-	_ = c.Add("s", filter.Path("Price").Lt(filter.Float(10)))
-	_ = c.Add("s", filter.Path("Price").Gt(filter.Float(10)))
+	c := build(t, map[string]*filter.Expr{"s": filter.Path("Price").Lt(filter.Float(10))})
+	if err := c.AddBatch(map[string]*filter.Expr{"s": filter.Path("Price").Gt(filter.Float(10))}); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Match(quote{Price: 5}); len(got) != 0 {
 		t.Errorf("old filter still active: %v", got)
 	}
@@ -92,26 +85,25 @@ func TestAddReplaces(t *testing.T) {
 }
 
 func TestAddRejectsInvalid(t *testing.T) {
-	c := New()
-	if err := c.Add("bad", filter.And()); err == nil {
+	c := build(t, map[string]*filter.Expr{"ok": filter.True()})
+	if err := c.AddBatch(map[string]*filter.Expr{"bad": filter.And(), "fine": nil}); err == nil {
 		t.Fatal("expected validation error")
+	}
+	if got := c.Stats().Subscriptions; got != 1 {
+		t.Errorf("failed AddBatch mutated the set: %d entries", got)
 	}
 }
 
 func TestStatsFactoring(t *testing.T) {
-	c := New()
 	// 50 subscriptions sharing one condition verbatim.
-	shared := filter.Path("Company").Contains(filter.Str("Telco"))
+	filters := map[string]*filter.Expr{}
 	for i := 0; i < 50; i++ {
-		f := filter.And(
+		filters[fmt.Sprintf("s%d", i)] = filter.And(
 			filter.Path("Company").Contains(filter.Str("Telco")),
 			filter.Path("Price").Lt(filter.Float(float64(i))),
 		)
-		if err := c.Add(fmt.Sprintf("s%d", i), f); err != nil {
-			t.Fatal(err)
-		}
 	}
-	_ = shared
+	c := build(t, filters)
 	st := c.Stats()
 	if st.Subscriptions != 50 {
 		t.Errorf("Subscriptions = %d", st.Subscriptions)
@@ -133,13 +125,14 @@ func TestStatsFactoring(t *testing.T) {
 }
 
 func TestThresholdIndexAllOperators(t *testing.T) {
-	c := New()
-	_ = c.Add("lt", filter.Path("Price").Lt(filter.Float(100)))
-	_ = c.Add("le", filter.Path("Price").Le(filter.Float(100)))
-	_ = c.Add("gt", filter.Path("Price").Gt(filter.Float(100)))
-	_ = c.Add("ge", filter.Path("Price").Ge(filter.Float(100)))
-	_ = c.Add("eq", filter.Path("Price").Eq(filter.Float(100)))
-	_ = c.Add("ne", filter.Path("Price").Ne(filter.Float(100)))
+	c := build(t, map[string]*filter.Expr{
+		"lt": filter.Path("Price").Lt(filter.Float(100)),
+		"le": filter.Path("Price").Le(filter.Float(100)),
+		"gt": filter.Path("Price").Gt(filter.Float(100)),
+		"ge": filter.Path("Price").Ge(filter.Float(100)),
+		"eq": filter.Path("Price").Eq(filter.Float(100)),
+		"ne": filter.Path("Price").Ne(filter.Float(100)),
+	})
 
 	tests := []struct {
 		price float64
@@ -158,9 +151,10 @@ func TestThresholdIndexAllOperators(t *testing.T) {
 }
 
 func TestMixedIntFloatThresholds(t *testing.T) {
-	c := New()
-	_ = c.Add("int", filter.Path("Amount").Lt(filter.Int(10)))
-	_ = c.Add("float", filter.Path("Amount").Lt(filter.Float(9.5)))
+	c := build(t, map[string]*filter.Expr{
+		"int":   filter.Path("Amount").Lt(filter.Int(10)),
+		"float": filter.Path("Amount").Lt(filter.Float(9.5)),
+	})
 	got := c.Match(quote{Amount: 9})
 	if !reflect.DeepEqual(got, []string{"float", "int"}) {
 		t.Errorf("Match = %v", got)
@@ -168,10 +162,11 @@ func TestMixedIntFloatThresholds(t *testing.T) {
 }
 
 func TestErrorPoisonsOnlyAffectedSubscriptions(t *testing.T) {
-	c := New()
-	_ = c.Add("good", filter.Path("Price").Ge(filter.Float(0)))
-	_ = c.Add("missing", filter.Path("NoSuchField").Eq(filter.Int(1)))
-	_ = c.Add("not-missing", filter.Not(filter.Path("NoSuchField").Eq(filter.Int(1))))
+	c := build(t, map[string]*filter.Expr{
+		"good":        filter.Path("Price").Ge(filter.Float(0)),
+		"missing":     filter.Path("NoSuchField").Eq(filter.Int(1)),
+		"not-missing": filter.Not(filter.Path("NoSuchField").Eq(filter.Int(1))),
+	})
 	got := c.Match(quote{Price: 1})
 	// "missing" errors -> rejected. "not-missing" must ALSO be
 	// rejected: filter.Evaluate propagates the error through Not
@@ -218,15 +213,30 @@ func randLeaf(r *rand.Rand) *filter.Expr {
 	}
 }
 
+// TestCompoundTransparencyProperty checks every match method, in both
+// fail modes, against per-entry filter.Evaluate on random entry sets
+// that mix filtered entries with entries without a filter (which match
+// every event): none, some, or all of them.
 func TestCompoundTransparencyProperty(t *testing.T) {
+	prog, err := wire.Compile(reflect.TypeOf(quote{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := New()
+		nilEvery := []int{0, 3, 1}[r.Intn(3)] // 0: no nil filter, 1: all nil
+		filters := map[string]*filter.Expr{}
 		n := 1 + r.Intn(20)
 		for i := 0; i < n; i++ {
-			if err := c.Add(fmt.Sprintf("s%02d", i), randExpr(r, 3)); err != nil {
-				return false
+			var e *filter.Expr
+			if nilEvery == 0 || r.Intn(nilEvery) != 0 {
+				e = randExpr(r, 3)
 			}
+			filters[fmt.Sprintf("s%02d", i)] = e
+		}
+		c := New()
+		if err := c.AddBatch(filters); err != nil {
+			return false
 		}
 		for trial := 0; trial < 10; trial++ {
 			q := quote{
@@ -234,9 +244,48 @@ func TestCompoundTransparencyProperty(t *testing.T) {
 				Price:   float64(r.Intn(20)),
 				Amount:  r.Intn(20),
 			}
-			if !reflect.DeepEqual(c.Match(q), c.MatchNaive(q)) {
-				t.Logf("mismatch: seed=%d quote=%+v\n compound=%v\n naive=%v",
-					seed, q, c.Match(q), c.MatchNaive(q))
+			// The oracles: filter.Evaluate per entry, an error rejecting
+			// (strict) or accepting (fail-open); no filter accepts.
+			var strict, open []string
+			for id, e := range filters {
+				ok, err := true, error(nil)
+				if e != nil {
+					ok, err = filter.Evaluate(e, q)
+				}
+				if err == nil && ok {
+					strict = append(strict, id)
+				}
+				if err != nil || ok {
+					open = append(open, id)
+				}
+			}
+			sort.Strings(strict)
+			sort.Strings(open)
+			payload, err := prog.Append(nil, reflect.ValueOf(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fulls := 0
+			full := func() (any, error) { fulls++; return q, nil }
+			wireStrict, _ := c.MatchWireAppend(prog, payload, full, nil)
+			wireOpen, _ := c.MatchWireAppendFailOpen(prog, payload, full, nil)
+			for _, m := range []struct {
+				name      string
+				got, want []string
+			}{
+				{"Match", c.Match(q), strict},
+				{"MatchNaive", c.MatchNaive(q), strict},
+				{"MatchAppendFailOpen", c.MatchAppendFailOpen(q, nil), open},
+				{"MatchWireAppend", wireStrict, strict},
+				{"MatchWireAppendFailOpen", wireOpen, open},
+			} {
+				if fmt.Sprint(m.got) != fmt.Sprint(m.want) {
+					t.Logf("mismatch: seed=%d quote=%+v %s=%v want %v", seed, q, m.name, m.got, m.want)
+					return false
+				}
+			}
+			if c.Unfiltered() && fulls != 0 {
+				t.Logf("seed=%d: a compound without filters materialized the event", seed)
 				return false
 			}
 		}
@@ -247,38 +296,56 @@ func TestCompoundTransparencyProperty(t *testing.T) {
 	}
 }
 
+// TestConcurrentMatchAndMutate runs every match method while AddBatch
+// publishes new plans (run it under -race): each match sees one whole
+// plan, the entries it held before the batch or after it.
 func TestConcurrentMatchAndMutate(t *testing.T) {
-	c := New()
+	filters := map[string]*filter.Expr{"all": nil}
 	for i := 0; i < 10; i++ {
-		_ = c.Add(fmt.Sprintf("s%d", i), filter.Path("Price").Lt(filter.Float(float64(i))))
+		filters[fmt.Sprintf("s%d", i)] = filter.Path("Price").Lt(filter.Float(float64(i)))
+	}
+	c := build(t, filters)
+	prog, err := wire.Compile(reflect.TypeOf(quote{}), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			_ = c.Add(fmt.Sprintf("x%d", i%5), filter.Path("Amount").Gt(filter.Int(int64(i))))
-			c.Remove(fmt.Sprintf("x%d", (i+1)%5))
+			_ = c.AddBatch(map[string]*filter.Expr{
+				fmt.Sprintf("x%d", i%5):     filter.Path("Amount").Gt(filter.Int(int64(i))),
+				fmt.Sprintf("y%d", (i+1)%5): nil,
+			})
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		_ = c.Match(quote{Price: float64(i % 10), Amount: i})
+		q := quote{Price: float64(i % 10), Amount: i}
+		payload, err := prog.Append(nil, reflect.ValueOf(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := func() (any, error) { return q, nil }
+		got, err := c.MatchWireAppendFailOpen(prog, payload, full, c.MatchAppend(q, nil))
+		if err != nil || len(got) == 0 || got[0] != "all" {
+			t.Fatalf("event %d: %v, %v", i, got, err)
+		}
+		_ = c.Stats()
 	}
 	<-done
 }
 
 func BenchmarkCompoundVsNaive(b *testing.B) {
 	for _, subs := range []int{10, 100, 1000} {
-		c := New()
 		r := rand.New(rand.NewSource(42))
+		filters := map[string]*filter.Expr{}
 		for i := 0; i < subs; i++ {
-			f := filter.And(
+			filters[fmt.Sprintf("s%d", i)] = filter.And(
 				filter.Path("Company").Contains(filter.Str("Telco")),
 				filter.Path("Price").Lt(filter.Float(float64(r.Intn(200)))),
 			)
-			if err := c.Add(fmt.Sprintf("s%d", i), f); err != nil {
-				b.Fatal(err)
-			}
 		}
+		c := build(b, filters)
 		q := quote{Company: "Telco Mobiles", Price: 80}
 		b.Run(fmt.Sprintf("compound/subs=%d", subs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -294,10 +361,11 @@ func BenchmarkCompoundVsNaive(b *testing.B) {
 }
 
 func TestMatchAppendReusesBuffer(t *testing.T) {
-	c := New()
-	_ = c.Add("cheap", filter.Path("Price").Lt(filter.Float(100)))
-	_ = c.Add("telco", filter.Path("Company").Contains(filter.Str("Telco")))
-	_ = c.Add("big", filter.Path("Amount").Gt(filter.Int(50)))
+	c := build(t, map[string]*filter.Expr{
+		"cheap": filter.Path("Price").Lt(filter.Float(100)),
+		"telco": filter.Path("Company").Contains(filter.Str("Telco")),
+		"big":   filter.Path("Amount").Gt(filter.Int(50)),
+	})
 
 	events := []quote{
 		{Company: "Telco Mobiles", Price: 80, Amount: 10},
@@ -318,8 +386,7 @@ func TestMatchAppendReusesBuffer(t *testing.T) {
 }
 
 func TestMatchAppendPreservesPrefix(t *testing.T) {
-	c := New()
-	_ = c.Add("all", filter.True())
+	c := build(t, map[string]*filter.Expr{"all": filter.True()})
 	out := c.MatchAppend(quote{}, []string{"sentinel"})
 	if !reflect.DeepEqual(out, []string{"sentinel", "all"}) {
 		t.Errorf("MatchAppend = %v, want [sentinel all]", out)
@@ -334,14 +401,15 @@ func TestMatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	c := New()
+	filters := map[string]*filter.Expr{}
 	for i := 0; i < 100; i++ {
 		c2 := float64((i % 10) * 30)
-		_ = c.Add(fmt.Sprintf("s%03d", i), filter.And(
+		filters[fmt.Sprintf("s%03d", i)] = filter.And(
 			filter.Path("Price").Lt(filter.Float(c2+100)),
 			filter.Path("Amount").Ge(filter.Int(int64(i%7))),
-		))
+		)
 	}
+	c := build(t, filters)
 	var ev any = quote{Company: "Telco", Price: 75, Amount: 5}
 	buf := make([]string, 0, 128)
 	buf = c.MatchAppend(ev, buf[:0]) // warm scratch pool and caches
@@ -373,10 +441,7 @@ func TestEvalProgShortCircuitOrder(t *testing.T) {
 	}
 	ev := quote{Company: "Acme", Price: 10, Amount: 1}
 	for _, tc := range cases {
-		c := New()
-		if err := c.Add("s", tc.e); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		c := build(t, map[string]*filter.Expr{"s": tc.e})
 		got := len(c.Match(ev)) == 1
 		want, err := filter.Evaluate(tc.e, ev)
 		want = want && err == nil
@@ -386,130 +451,18 @@ func TestEvalProgShortCircuitOrder(t *testing.T) {
 	}
 }
 
-func TestAddBatchMatchesIncrementalAdd(t *testing.T) {
-	filters := map[string]*filter.Expr{
-		"cheap": filter.Path("Price").Lt(filter.Float(100)),
-		"telco": filter.Path("Company").Contains(filter.Str("Telco")),
-		"both": filter.And(
-			filter.Path("Price").Lt(filter.Float(100)),
-			filter.Path("Company").Contains(filter.Str("Telco")),
-		),
-	}
-	batch := New()
-	if err := batch.AddBatch(filters); err != nil {
-		t.Fatal(err)
-	}
-	incr := New()
-	for id, f := range filters {
-		if err := incr.Add(id, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, ev := range []quote{
-		{Company: "Telco Mobiles", Price: 80},
-		{Company: "Acme", Price: 80},
-		{Company: "Telco", Price: 200},
-	} {
-		if got, want := batch.Match(ev), incr.Match(ev); !reflect.DeepEqual(got, want) {
-			t.Errorf("AddBatch Match(%+v) = %v, incremental = %v", ev, got, want)
-		}
-	}
-	if batch.Stats() != incr.Stats() {
-		t.Errorf("Stats diverge: batch %+v, incremental %+v", batch.Stats(), incr.Stats())
-	}
-
-	if err := batch.AddBatch(map[string]*filter.Expr{"bad": {}}); err == nil {
-		t.Error("AddBatch with invalid filter should fail")
-	}
-	if batch.Len() != 3 {
-		t.Errorf("failed AddBatch mutated the set: Len = %d", batch.Len())
-	}
-}
-
-func TestRemoveBatch(t *testing.T) {
-	c := New()
-	for _, id := range []string{"a", "b", "c", "d"} {
-		_ = c.Add(id, filter.True())
-	}
-	c.RemoveBatch([]string{"a", "c", "zzz-absent"})
-	if got := c.Match(quote{}); !reflect.DeepEqual(got, []string{"b", "d"}) {
-		t.Errorf("Match = %v", got)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestLazyRecompileOncePerBurst(t *testing.T) {
-	c := New()
-	for i := 0; i < 50; i++ {
-		_ = c.Add(fmt.Sprintf("s%02d", i), filter.Path("Price").Lt(filter.Float(float64(i))))
-	}
-	if got := c.Stats().Recompiles; got != 1 {
-		t.Fatalf("recompiles after 50 Adds + Stats = %d, want 1", got)
-	}
-	// A mixed burst — batch removal plus individual add/removes — must
-	// also compile exactly once, at the next Match.
-	ids := make([]string, 0, 25)
-	for i := 0; i < 25; i++ {
-		ids = append(ids, fmt.Sprintf("s%02d", i))
-	}
-	c.RemoveBatch(ids)
-	c.Remove("s30")
-	_ = c.Add("extra", filter.True())
-	_ = c.Match(quote{Price: 10})
-	_ = c.Match(quote{Price: 20})
-	if got := c.Stats().Recompiles; got != 2 {
-		t.Errorf("recompiles after mutation burst = %d, want 2", got)
-	}
-	if got := c.Len(); got != 25 {
-		t.Errorf("Len = %d, want 25", got)
-	}
-	// No-op mutations (removing absent IDs) must not dirty the plan.
-	c.Remove("never-there")
-	c.RemoveBatch([]string{"also-absent"})
-	_ = c.Match(quote{})
-	if got := c.Stats().Recompiles; got != 2 {
-		t.Errorf("recompiles after no-op removals = %d, want 2", got)
-	}
-}
-
-func TestRemoveBatchMatchesIterativeRemove(t *testing.T) {
-	build := func() *Compound {
-		c := New()
-		for i := 0; i < 20; i++ {
-			_ = c.Add(fmt.Sprintf("s%02d", i), filter.Path("Price").Lt(filter.Float(float64(i*50))))
-		}
-		return c
-	}
-	var drop []string
-	for i := 0; i < 20; i += 2 {
-		drop = append(drop, fmt.Sprintf("s%02d", i))
-	}
-	batch := build()
-	batch.RemoveBatch(drop)
-	iter := build()
-	for _, id := range drop {
-		iter.Remove(id)
-	}
-	for _, price := range []float64{25, 425, 975} {
-		ev := quote{Price: price}
-		if got, want := batch.Match(ev), iter.Match(ev); !reflect.DeepEqual(got, want) {
-			t.Errorf("price %v: RemoveBatch Match = %v, iterative = %v", price, got, want)
-		}
-	}
-}
-
 func TestMatchAppendFailOpen(t *testing.T) {
-	c := New()
-	_ = c.Add("ok", filter.Path("Price").Lt(filter.Float(100)))
-	_ = c.Add("broken", filter.Path("NoSuchField").Lt(filter.Float(100)))
-	// An erroring term inside a disjunction poisons the formula in
-	// strict mode but fails open here, even when it precedes a true term.
-	_ = c.Add("mixed", filter.Or(
-		filter.Path("NoSuchField").Lt(filter.Float(1)),
-		filter.Path("Price").Lt(filter.Float(100)),
-	))
+	c := build(t, map[string]*filter.Expr{
+		"ok":     filter.Path("Price").Lt(filter.Float(100)),
+		"broken": filter.Path("NoSuchField").Lt(filter.Float(100)),
+		// An erroring term inside a disjunction poisons the formula in
+		// strict mode but fails open here, even when it precedes a true
+		// term.
+		"mixed": filter.Or(
+			filter.Path("NoSuchField").Lt(filter.Float(1)),
+			filter.Path("Price").Lt(filter.Float(100)),
+		),
+	})
 	ev := quote{Company: "Acme", Price: 50}
 	if got := c.Match(ev); !reflect.DeepEqual(got, []string{"ok"}) {
 		t.Errorf("strict Match = %v, want [ok] (mixed's Or yields the leading error)", got)
@@ -518,7 +471,7 @@ func TestMatchAppendFailOpen(t *testing.T) {
 		t.Errorf("MatchAppendFailOpen = %v, want [broken mixed ok]", got)
 	}
 	// A formula that is plainly false stays excluded in both modes.
-	_ = c.Add("no", filter.Path("Price").Gt(filter.Float(100)))
+	_ = c.AddBatch(map[string]*filter.Expr{"no": filter.Path("Price").Gt(filter.Float(100))})
 	if got := c.MatchAppendFailOpen(ev, nil); !reflect.DeepEqual(got, []string{"broken", "mixed", "ok"}) {
 		t.Errorf("fail-open must not include false formulas: %v", got)
 	}
@@ -528,9 +481,10 @@ func TestMatchAppendFailOpen(t *testing.T) {
 // per (event type, compilable unique path), and one fallback count per
 // event for paths that cannot compile against the type.
 func TestAccessorProgramStats(t *testing.T) {
-	c := New()
-	_ = c.Add("a", filter.Path("Price").Lt(filter.Float(100)))
-	_ = c.Add("b", filter.Path("Missing").Eq(filter.Int(1))) // never compiles for quote
+	c := build(t, map[string]*filter.Expr{
+		"a": filter.Path("Price").Lt(filter.Float(100)),
+		"b": filter.Path("Missing").Eq(filter.Int(1)), // never compiles for quote
+	})
 
 	ev := quote{Company: "Telco", Price: 50}
 	for i := 0; i < 3; i++ {
@@ -550,12 +504,11 @@ func TestAccessorProgramStats(t *testing.T) {
 		t.Errorf("AccessorPrograms = %d after second root type, want 2", st.AccessorPrograms)
 	}
 
-	// Counters survive plan recompilation (they describe the matcher's
-	// lifetime, not one plan).
-	_ = c.Add("c", filter.Path("Amount").Ge(filter.Int(1)))
+	// A later AddBatch publishes a new plan, whose counters start over.
+	_ = c.AddBatch(map[string]*filter.Expr{"c": filter.Path("Amount").Ge(filter.Int(1))})
 	c.Match(ev)
-	if st := c.Stats(); st.AccessorPrograms < 4 {
-		t.Errorf("AccessorPrograms = %d after recompile, want >= 4 (Price+Amount for value roots)", st.AccessorPrograms)
+	if st := c.Stats(); st.AccessorPrograms != 2 || st.AccessorFallbacks != 1 {
+		t.Errorf("AccessorPrograms = %d, AccessorFallbacks = %d after a new plan, want 2 (Price+Amount) and 1", st.AccessorPrograms, st.AccessorFallbacks)
 	}
 }
 
@@ -563,13 +516,14 @@ func TestAccessorProgramStats(t *testing.T) {
 // methods specifically (value receivers through boxed values), the
 // paper's preferred encapsulated form.
 func TestMethodPathMatchesNaive(t *testing.T) {
-	c := New()
+	filters := map[string]*filter.Expr{}
 	for i := 0; i < 20; i++ {
-		_ = c.Add(fmt.Sprintf("m%02d", i), filter.And(
+		filters[fmt.Sprintf("m%02d", i)] = filter.And(
 			filter.Path("GetPrice").Lt(filter.Float(float64(i)*10)),
 			filter.Path("GetCompany").Contains(filter.Str("Tel")),
-		))
+		)
 	}
+	c := build(t, filters)
 	for _, ev := range []any{
 		quote{Company: "Telco", Price: 55},
 		quote{Company: "Acme", Price: 55},
@@ -588,9 +542,8 @@ func TestMethodPathMatchesNaive(t *testing.T) {
 // event root types; beyond that, matching stays correct through the
 // reflective fallback (counted in AccessorFallbacks).
 func TestProgramTableGrowthCapped(t *testing.T) {
-	c := New()
-	_ = c.Add("cheap", filter.Path("Price").Lt(filter.Float(100)))
-	p := c.currentPlan()
+	c := build(t, map[string]*filter.Expr{"cheap": filter.Path("Price").Lt(filter.Float(100))})
+	p := c.plan.Load()
 	// Saturate the cap artificially (distinct real types are hard to
 	// mint): the counter is what gates admission.
 	p.programTypes.Store(maxProgramTypes)
@@ -657,10 +610,7 @@ func TestMarshaledFieldFilterMaterializes(t *testing.T) {
 		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New()
-			if err := c.AddBatch(tc.filters); err != nil {
-				t.Fatal(err)
-			}
+			c := build(t, tc.filters)
 			rng := rand.New(rand.NewSource(3))
 			const events = 50
 			for i := 0; i < events; i++ {

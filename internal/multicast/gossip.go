@@ -10,6 +10,10 @@ import (
 	"govents/internal/codec"
 )
 
+// gossipRandomEdges is the number of uniformly random peers an
+// interest-biased gossip round adds per event to the interested fanout.
+const gossipRandomEdges = 1
+
 // Gossip implements probabilistic broadcast in the style of lpbcast
 // ([EGH+01], which the paper's DACE architecture uses for scalable
 // dissemination with weak guarantees, §4.2). Each node buffers recently
@@ -21,7 +25,7 @@ import (
 //
 // With an Interest function installed, rumor fanout is biased toward
 // peers the routing plane marks interested: each round an event goes to
-// up to fanout interested peers plus GossipRandomEdges uniformly random
+// up to fanout interested peers plus gossipRandomEdges uniformly random
 // peers (the anti-entropy floor that keeps rumors crossing interest
 // boundaries and reaching peers whose interest the local view has not
 // learned yet). An unevaluable payload fails open to the plain uniform
@@ -214,7 +218,7 @@ func (g *Gossip) round() {
 // targetsLocked selects one event's target peers for this round. With no
 // interest information: up to fanout uniformly random peers. With
 // interest information: up to fanout interested peers plus up to
-// GossipRandomEdges random peers not already picked. Caller holds g.mu.
+// gossipRandomEdges random peers not already picked. Caller holds g.mu.
 func (g *Gossip) targetsLocked(ev *gossipEvent, others []string) []string {
 	if ev.interested == nil {
 		return g.pickLocked(others, g.opts.GossipFanout, nil)
@@ -226,14 +230,11 @@ func (g *Gossip) targetsLocked(ev *gossipEvent, others []string) []string {
 		}
 	}
 	targets := g.pickLocked(interested, g.opts.GossipFanout, nil)
-	if g.opts.GossipRandomEdges > 0 {
-		taken := make(map[string]bool, len(targets))
-		for _, p := range targets {
-			taken[p] = true
-		}
-		targets = append(targets, g.pickLocked(others, g.opts.GossipRandomEdges, taken)...)
+	taken := make(map[string]bool, len(targets))
+	for _, p := range targets {
+		taken[p] = true
 	}
-	return targets
+	return append(targets, g.pickLocked(others, gossipRandomEdges, taken)...)
 }
 
 // pickLocked returns up to n random members of pool not in exclude. The

@@ -21,15 +21,6 @@ type Options struct {
 	GossipFanout int
 	// GossipRounds is the rounds-to-live of a gossiped event.
 	GossipRounds int
-	// GossipRandomEdges is the floor of uniformly random peers each
-	// interest-biased gossip round contacts per event in addition to the
-	// interested fanout — the anti-entropy edges that keep rumors
-	// crossing interest boundaries (and reaching nodes whose interest
-	// the local routing view has not learned yet). It only applies when
-	// an interest function is installed (SetInterest); plain gossip
-	// rounds are already uniformly random. Negative disables the floor;
-	// 0 selects the default.
-	GossipRandomEdges int
 	// Logger receives protocol diagnostics that have no error-return
 	// path (undecodable frames, failed redeliveries). Nil means discard.
 	Logger *slog.Logger
@@ -41,7 +32,6 @@ const (
 	DefaultGossipPeriod       = 10 * time.Millisecond
 	DefaultGossipFanout       = 3
 	DefaultGossipRounds       = 5
-	DefaultGossipRandomEdges  = 1
 )
 
 // withDefaults fills zero fields with defaults.
@@ -57,11 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GossipRounds == 0 {
 		o.GossipRounds = DefaultGossipRounds
-	}
-	if o.GossipRandomEdges == 0 {
-		o.GossipRandomEdges = DefaultGossipRandomEdges
-	} else if o.GossipRandomEdges < 0 {
-		o.GossipRandomEdges = 0
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)

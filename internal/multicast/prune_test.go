@@ -366,7 +366,6 @@ func TestGossipRandomEdgesCrossInterestBoundary(t *testing.T) {
 	opts := fastOpts()
 	opts.GossipFanout = 3
 	opts.GossipRounds = 10
-	opts.GossipRandomEdges = 2
 	var groups []*Gossip
 	for _, node := range nodes {
 		g := NewGossip(node.mux, "cls", node.record, opts)

@@ -11,22 +11,21 @@
 //	subscription ads ──► Table (per-node snapshots, seq-reconciled)
 //	                       │ lazily, per published class
 //	                       ▼
-//	                 classPlan: always-match nodes + one
-//	                 matching.Compound whose match IDs are nodes
+//	                 one matching.Compound whose match IDs are nodes
 //	                       │ per published event
 //	                       ▼
 //	               Destinations: one compound evaluation total,
 //	               instead of one filter.Evaluate per remote sub
 //
-// A node passes the class's compound when at least one of its
-// advertised filters passes; a node advertising any filterless
-// subscription for the class short-circuits to always-match and its
+// The compound holds one entry per node: the Or of the node's distinct
+// advertised filters, so the node passes when at least one of them
+// does. A node advertising any filterless subscription for the class
+// gets an entry without a filter, which matches every event; its
 // filters never evaluate. Identical filters from different subscribers
 // are deduplicated per node by their canonical wire bytes
-// (filter.MarshalCanonical). Plans carry the table and registry
-// generations they were compiled under and are recompiled lazily after
-// any advertisement or type registration, mirroring the subscriber-side
-// dispatchTable.
+// (filter.MarshalCanonical). The plans live in a matching.Cache, the
+// one the subscriber-side dispatch table also uses: a plan is compiled
+// again after any advertisement or type registration.
 //
 // Advertisement ingestion is idempotent and sequence-reconciled: full
 // snapshots replace a node's state when newer, deltas (add/remove by
@@ -74,12 +73,8 @@ type Table struct {
 	// now is the clock; replaceable in tests.
 	now func() time.Time
 
-	// plans caches class name -> *classPlan, invalidated by generation.
-	plans sync.Map
-
-	// match pools the compound-output scratch of Destinations so
-	// steady-state routing does not allocate.
-	match sync.Pool
+	// plans caches one compound per class, invalidated by Gen.
+	plans *matching.Cache[struct{}]
 
 	adsApplied   atomic.Uint64
 	adsStale     atomic.Uint64
@@ -93,7 +88,7 @@ type Table struct {
 	// classStats maps class name -> *classCounters. Only registered
 	// classes get entries; events of unknown wire names fold into
 	// unknownStats so arbitrary off-the-wire strings cannot grow the
-	// map (mirroring plan()'s caching rule).
+	// map (mirroring the plan cache's rule).
 	classStats   sync.Map
 	unknownStats classCounters
 }
@@ -228,27 +223,6 @@ type Stats struct {
 	WireMaterializations uint64
 }
 
-// classPlan is the immutable compiled routing state for one class.
-type classPlan struct {
-	gen    uint64 // table generation the plan was compiled under
-	regGen uint64 // registry generation the plan was compiled under
-
-	// always are nodes owed every event of the class (some filterless
-	// conforming subscription), sorted.
-	always []string
-	// condNodes are nodes whose inclusion depends on their filters,
-	// sorted. Disjoint from always.
-	condNodes []string
-	// compound factors the conditional nodes' filters; match IDs are
-	// node addresses. Nil when condNodes is empty.
-	compound *matching.Compound
-}
-
-// matchScratch is the pooled compound-output buffer of Destinations.
-type matchScratch struct {
-	ids []string
-}
-
 // NewTable returns an empty routing table over a type registry (shared
 // with the node's engine, so conformance agrees with dispatch).
 func NewTable(reg *obvent.Registry) *Table {
@@ -258,7 +232,7 @@ func NewTable(reg *obvent.Registry) *Table {
 		epochs: make(map[string]int64),
 		now:    time.Now,
 	}
-	t.match.New = func() any { return &matchScratch{} }
+	t.plans = matching.NewCache(reg, t.Gen, t.compile)
 	return t
 }
 
@@ -629,30 +603,10 @@ func (t *Table) ForEachConforming(class string, fn func(node string, info core.S
 
 // --- plan compilation ---
 
-// plan returns the compiled routing state for a class, compiling and
-// caching it on first use and recompiling when the table or the type
-// registry changed since. Classes the registry does not know are never
-// cached (class names come off the wire; caching arbitrary strings
-// would grow the map without bound).
-func (t *Table) plan(class string) *classPlan {
-	gen, regGen := t.gen.Load(), t.reg.Gen()
-	if v, ok := t.plans.Load(class); ok {
-		p := v.(*classPlan)
-		if p.gen == gen && p.regGen == regGen {
-			return p
-		}
-	}
-	p := t.compile(class)
-	if _, known := t.reg.TypeByName(class); known {
-		t.plans.Store(class, p)
-	}
-	return p
-}
-
 // compile builds the class plan from the current node states: group
-// each node's conforming subscriptions, short-circuit filterless nodes,
-// and factor the rest into one compound whose IDs are node addresses.
-func (t *Table) compile(class string) *classPlan {
+// each node's conforming subscriptions into one entry, the Or of its
+// distinct filters, or no filter when any of them has none.
+func (t *Table) compile(class string) (*matching.Compound, struct{}) {
 	type nodeAgg struct {
 		always bool
 		exprs  []*filter.Expr
@@ -660,11 +614,6 @@ func (t *Table) compile(class string) *classPlan {
 	}
 
 	t.mu.Lock()
-	// Generations are captured under the lock, before reading state: a
-	// mutation racing with compilation at worst stamps the plan with an
-	// older generation, which re-triggers compilation on the next event.
-	gen := t.gen.Load()
-	regGen := t.reg.Gen()
 	aggs := make(map[string]*nodeAgg)
 	for node, st := range t.nodes {
 		for _, r := range st.subs {
@@ -699,50 +648,37 @@ func (t *Table) compile(class string) *classPlan {
 	}
 	t.mu.Unlock()
 
-	p := &classPlan{gen: gen, regGen: regGen}
-	var filters map[string]*filter.Expr
+	filters := make(map[string]*filter.Expr, len(aggs))
 	for node, a := range aggs {
-		if a.always {
-			p.always = append(p.always, node)
-			continue
-		}
-		p.condNodes = append(p.condNodes, node)
-		if filters == nil {
-			filters = make(map[string]*filter.Expr)
-		}
-		if len(a.exprs) == 1 {
+		switch {
+		case a.always:
+			filters[node] = nil
+		case len(a.exprs) == 1:
 			filters[node] = a.exprs[0]
-		} else {
+		default:
 			filters[node] = filter.Or(a.exprs...)
 		}
 	}
-	sort.Strings(p.always)
-	sort.Strings(p.condNodes)
-	if filters != nil {
-		p.compound = matching.New()
-		// Validated on the subscriber at Subscribe and re-validated by
-		// filter.Unmarshal on ingestion; AddBatch cannot fail here.
-		_ = p.compound.AddBatch(filters)
-	}
+	c := matching.New()
+	// Validated on the subscriber at Subscribe and re-validated by
+	// filter.Unmarshal on ingestion; AddBatch cannot fail here.
+	_ = c.AddBatch(filters)
 	t.counters(class).plansCompiled.Add(1)
-	return p
+	return c, struct{}{}
 }
 
 // --- routing ---
 
 // Destinations appends the sorted node set owed an event of the given
-// class: every always-match node plus every conditional node with at
-// least one passing filter — decided by a single compound evaluation.
-// decode supplies the decoded event on demand; it is invoked at most
-// once, and only when some candidate node actually has filters. A nil
-// decode result fails open to all conditional nodes (the subscriber's
-// local evaluation decides).
+// class: every node whose entry passes — decided by a single compound
+// evaluation. decode supplies the decoded event on demand; it is invoked
+// at most once, and only when some candidate node actually has filters.
+// A nil decode result fails open to every candidate node (the
+// subscriber's local evaluation decides).
 func (t *Table) Destinations(class string, decode func() any, dst []string) []string {
-	p := t.plan(class)
-	cc := t.counters(class)
-	cc.eventsRouted.Add(1)
-	if p.compound == nil {
-		return append(dst, p.always...)
+	c, cc := t.route(class)
+	if c.Unfiltered() {
+		return append(dst, c.IDs()...)
 	}
 	var ev any
 	if decode != nil {
@@ -750,10 +686,8 @@ func (t *Table) Destinations(class string, decode func() any, dst []string) []st
 	}
 	if ev == nil {
 		cc.fallbackEvals.Add(1)
-		return mergeSorted(dst, p.always, p.condNodes)
+		return append(dst, c.IDs()...)
 	}
-	cc.compoundEvals.Add(1)
-	sc := t.match.Get().(*matchScratch)
 	// Fail-open matching: a node whose Or-of-filters errors (some
 	// advertised filter cannot evaluate against this event) is included,
 	// exactly as the per-entry baseline includes a node whose filter
@@ -761,13 +695,9 @@ func (t *Table) Destinations(class string, decode func() any, dst []string) []st
 	// yields true or error whenever any term is true or errored, and
 	// false only when every term is false, so node-level fail-open
 	// composes correctly from per-subscription fail-open.
-	matched := p.compound.MatchAppendFailOpen(ev, sc.ids[:0])
-	if pruned := len(p.condNodes) - len(matched); pruned > 0 {
-		cc.nodesPruned.Add(uint64(pruned))
-	}
-	dst = mergeSorted(dst, p.always, matched)
-	sc.ids = matched[:0]
-	t.match.Put(sc)
+	n := len(dst)
+	dst = c.MatchAppendFailOpen(ev, dst)
+	cc.noteEval(len(c.IDs()) - (len(dst) - n))
 	return dst
 }
 
@@ -775,30 +705,20 @@ func (t *Table) Destinations(class string, decode func() any, dst []string) []st
 // form: the compound plan evaluates straight off the payload when every
 // referenced path is a field chain, calling full() to materialize the
 // event only when some plan path needs a method accessor. A full()
-// error fails open to all conditional nodes, mirroring the nil-decode
+// error fails open to every candidate node, mirroring the nil-decode
 // path of Destinations.
 func (t *Table) DestinationsWire(class string, wp *wire.Prog, payload []byte, full func() (any, error), dst []string) []string {
-	p := t.plan(class)
-	cc := t.counters(class)
-	cc.eventsRouted.Add(1)
-	if p.compound == nil {
-		return append(dst, p.always...)
+	c, cc := t.route(class)
+	if c.Unfiltered() {
+		return append(dst, c.IDs()...)
 	}
-	sc := t.match.Get().(*matchScratch)
-	matched, err := p.compound.MatchWireAppendFailOpen(wp, payload, full, sc.ids[:0])
+	n := len(dst)
+	dst, err := c.MatchWireAppendFailOpen(wp, payload, full, dst)
 	if err != nil {
-		sc.ids = matched[:0]
-		t.match.Put(sc)
 		cc.fallbackEvals.Add(1)
-		return mergeSorted(dst, p.always, p.condNodes)
+		return append(dst[:n], c.IDs()...)
 	}
-	cc.compoundEvals.Add(1)
-	if pruned := len(p.condNodes) - len(matched); pruned > 0 {
-		cc.nodesPruned.Add(uint64(pruned))
-	}
-	dst = mergeSorted(dst, p.always, matched)
-	sc.ids = matched[:0]
-	t.match.Put(sc)
+	cc.noteEval(len(c.IDs()) - (len(dst) - n))
 	return dst
 }
 
@@ -807,9 +727,25 @@ func (t *Table) DestinationsWire(class string, wp *wire.Prog, payload []byte, fu
 // ignored. This is the subscriber-side-placement routing decision (and
 // the membership question "who subscribes to this class at all?").
 func (t *Table) NodesFor(class string, dst []string) []string {
-	p := t.plan(class)
-	t.counters(class).eventsRouted.Add(1)
-	return mergeSorted(dst, p.always, p.condNodes)
+	c, _ := t.route(class)
+	return append(dst, c.IDs()...)
+}
+
+// route counts one routing decision for a class and returns its plan
+// and counters.
+func (t *Table) route(class string) (*matching.Compound, *classCounters) {
+	c, _ := t.plans.Get(class)
+	cc := t.counters(class)
+	cc.eventsRouted.Add(1)
+	return c, cc
+}
+
+// noteEval counts one compound evaluation that pruned n nodes.
+func (cc *classCounters) noteEval(pruned int) {
+	cc.compoundEvals.Add(1)
+	if pruned > 0 {
+		cc.nodesPruned.Add(uint64(pruned))
+	}
 }
 
 // DestinationsNaive computes the same destination set by evaluating
@@ -845,22 +781,6 @@ func (t *Table) DestinationsNaive(class string, event any) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// mergeSorted appends the merge of two sorted, disjoint slices to dst.
-func mergeSorted(dst []string, a, b []string) []string {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }
 
 // --- stats ---
@@ -919,19 +839,12 @@ func (t *Table) Stats() Stats {
 		s.add(v.(*classCounters).snapshot())
 		return true
 	})
-	t.plans.Range(func(_, v any) bool {
-		s.foldAccessor(v.(*classPlan))
-		return true
-	})
+	s.foldAccessor(t.plans.AccessorStats(""))
 	return s
 }
 
-// foldAccessor adds one class plan's compound accessor counters.
-func (s *Stats) foldAccessor(p *classPlan) {
-	if p == nil || p.compound == nil {
-		return
-	}
-	ms := p.compound.Stats()
+// foldAccessor adds the plans' accessor counters.
+func (s *Stats) foldAccessor(ms matching.Stats) {
 	s.AccessorPrograms += ms.AccessorPrograms
 	s.AccessorFallbacks += ms.AccessorFallbacks
 	s.PartialDecodes += ms.PartialDecodes
@@ -969,9 +882,7 @@ func (t *Table) StatsByClass() map[string]Stats {
 	t.classStats.Range(func(k, v any) bool {
 		class := k.(string)
 		s := v.(*classCounters).snapshot()
-		if pv, ok := t.plans.Load(class); ok {
-			s.foldAccessor(pv.(*classPlan))
-		}
+		s.foldAccessor(t.plans.AccessorStats(class))
 		out[class] = s
 		return true
 	})

@@ -337,12 +337,15 @@ func TestForEachConforming(t *testing.T) {
 }
 
 // TestDestinationsEquivalenceProperty checks the compound routing
-// decision against the per-entry oracle across randomized tables.
+// decision against the per-entry oracle across randomized tables whose
+// subscriptions are all filterless, all filtered, or both; and that the
+// fail-open fallback and NodesFor name every candidate node.
 func TestDestinationsEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 60; round++ {
+	for round := 0; round < 90; round++ {
 		tb := NewTable(newReg(t))
 		nNodes := 1 + rng.Intn(5)
+		var candidates []string
 		for n := 0; n < nNodes; n++ {
 			var subs []core.SubscriptionInfo
 			for i := 0; i < rng.Intn(6); i++ {
@@ -352,7 +355,14 @@ func TestDestinationsEquivalenceProperty(t *testing.T) {
 					typeName = stockClass()
 				}
 				var f *filter.Expr
-				switch rng.Intn(5) {
+				kind := rng.Intn(5)
+				switch round % 3 {
+				case 1: // only filterless
+					kind = 0
+				case 2: // only filtered
+					kind = 1 + rng.Intn(4)
+				}
+				switch kind {
 				case 0: // filterless
 				case 1:
 					f = priceLt(float64(rng.Intn(1000)))
@@ -366,7 +376,17 @@ func TestDestinationsEquivalenceProperty(t *testing.T) {
 				}
 				subs = append(subs, info(t, id, typeName, f))
 			}
-			tb.ApplySnapshot(fmt.Sprintf("node-%d", n), 1, subs)
+			node := fmt.Sprintf("node-%d", n)
+			tb.ApplySnapshot(node, 1, subs)
+			if len(subs) > 0 {
+				candidates = append(candidates, node)
+			}
+		}
+		if got := tb.NodesFor(quoteClass(), nil); fmt.Sprint(got) != fmt.Sprint(candidates) {
+			t.Fatalf("round %d: NodesFor %v, candidates %v", round, got, candidates)
+		}
+		if got := tb.Destinations(quoteClass(), func() any { return nil }, nil); fmt.Sprint(got) != fmt.Sprint(candidates) {
+			t.Fatalf("round %d: undecodable event routed to %v, candidates %v", round, got, candidates)
 		}
 		for e := 0; e < 10; e++ {
 			ev := stockQuote{stockObvent{

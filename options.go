@@ -59,10 +59,6 @@ type RetentionPolicy struct {
 	// Ticks are jittered ±10% so a fleet of domains restarted together
 	// does not compact in lockstep. Zero disables the ticker.
 	Interval time.Duration
-	// MaxBytes makes retention size-based: when set, a tick compacts
-	// only while the durable logs' on-disk size exceeds MaxBytes.
-	// Zero compacts on every tick (purely time-based).
-	MaxBytes int64
 }
 
 // DurabilityTuning adjusts the durable event log (see WithDurability).
@@ -112,13 +108,6 @@ type Tuning struct {
 	GossipPeriod time.Duration
 	GossipFanout int
 	GossipRounds int
-	// GossipRandomEdges is the floor of uniformly random peers each
-	// interest-biased gossip round contacts per event in addition to
-	// the interested fanout — the anti-entropy edges that keep rumors
-	// crossing interest boundaries. It only applies while ordered
-	// pruning is on (see WithOrderedPruning). 0 selects the default
-	// (1); negative disables the floor.
-	GossipRandomEdges int
 }
 
 // config collects the Open options.
@@ -402,7 +391,6 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 			GossipPeriod:       c.tuning.GossipPeriod,
 			GossipFanout:       c.tuning.GossipFanout,
 			GossipRounds:       c.tuning.GossipRounds,
-			GossipRandomEdges:  c.tuning.GossipRandomEdges,
 		},
 	}
 }
