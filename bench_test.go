@@ -1,9 +1,15 @@
 // Benchmark harness: one benchmark per experiment the repository runs
 // on its own engine. The paper's evaluation is qualitative; every one
 // of its performance claims is regenerated here as a measurable series
-// (C1-C6 below; cmd/loadgen prints the tables of C7-C10). Shapes, not
-// absolute numbers, are the reproduction target. The end-to-end
-// benchmark over real TCP, with its gates, is bench/.
+// (C1-C6 below). Shapes, not absolute numbers, are the reproduction
+// target. The end-to-end benchmark over real TCP, with its gates, is
+// bench/. The loaded-system experiments live beside them:
+// sparse-interest multicast in BenchmarkSparseMulticast and the dace
+// prune tests, per-stage pipeline cost in BenchmarkDispatchOverhead and
+// bench/'s ledger, durable crash/catch-up/resume in
+// TestDomainGroupCertifiedChaosSchedule, overload in BenchmarkOverload
+// and the core quarantine tests, and a late-joining durable subscriber
+// in TestSelfSubscribedDurablePublisher.
 package govents_test
 
 import (

@@ -98,8 +98,9 @@ func exactlyOnce(t *testing.T, who string, r *recorder, pub string, n int) {
 // each event once; node-0 sends itself nothing; its outbox is
 // acknowledged by both identities and compaction retires it; a crash
 // replays to node-0's subscription what its cursor had not acknowledged
-// and no more; and what node-0 publishes while its own subscription is
-// away reaches it, once, when it is back.
+// and no more; what node-0 publishes while its own subscription is away
+// reaches it, once, when it is back; and a durable identity that joins
+// late owes no history.
 func TestSelfSubscribedDurablePublisher(t *testing.T) {
 	ctx := context.Background()
 	root := t.TempDir()
@@ -240,9 +241,28 @@ func TestSelfSubscribedDurablePublisher(t *testing.T) {
 
 	batchE := publish(d0, 5)
 	waitFor(t, "phase E at both", func() bool { return here.hasAll(batchE) && there.hasAll(batchE) })
+
+	// Phase F: a durable identity node-1 has never used joins behind
+	// everything above. It owes no history: SubscribeDurable replays
+	// nothing, and it sees only what is published from then on.
+	fresh := newRecorder()
+	replayed := d1.DurableStats().Replayed
+	if _, err := govents.SubscribeDurable(d1, "fresh-sub", func(e chaosTick) { fresh.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := d1.DurableStats().Replayed; got != replayed || len(fresh.keys()) != 0 {
+		t.Errorf("a fresh identity was replayed %d events and saw %v, want none", got-replayed, fresh.keys())
+	}
+	batchF := publish(d0, 3)
+	waitFor(t, "phase F everywhere", func() bool {
+		return here.hasAll(batchF) && there.hasAll(batchF) && fresh.hasAll(batchF)
+	})
 	time.Sleep(30 * time.Millisecond) // several redelivery ticks: a duplicate would land by now
 	exactlyOnce(t, "node-0", here, "node-0", seq)
 	exactlyOnce(t, "node-1", there, "node-0", seq)
+	if got := fresh.keys(); len(got) != len(batchF) || fresh.dups() != 0 {
+		t.Errorf("the fresh identity saw %v (%d duplicates), want only %v", got, fresh.dups(), batchF)
+	}
 }
 
 // TestCertifiedTwoDurableIdentitiesOnOneNode: node-1 subscribes to a

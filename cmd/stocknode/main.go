@@ -133,8 +133,8 @@ func run() error {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 		st := d.Stats()
-		fmt.Printf("dispatch: lanes=%d in=%d matched=%d delivered=%d expired=%d decode-errors=%d panics=%d\n",
-			d.DispatchLanes(), st.EventsIn, st.Matched, st.Delivered, st.Expired, st.DecodeErrors, st.HandlerPanics)
+		fmt.Printf("dispatch: lanes=%d in=%d delivered=%d expired=%d decode-errors=%d panics=%d\n",
+			d.DispatchLanes(), st.EventsIn, st.Delivered, st.Expired, st.DecodeErrors, st.HandlerPanics)
 		fmt.Printf("wire: compiles=%d rejects=%d encodes=%d decodes=%d partial-decodes=%d materializations=%d\n",
 			st.WireCompiles, st.WireRejects, st.WireEncodes, st.WireDecodes,
 			st.PartialDecodes, st.WireMaterializations)
@@ -143,8 +143,8 @@ func run() error {
 			if l.Serial {
 				name = "serial "
 			}
-			fmt.Printf("  %-8s routed=%-6d dispatched=%-6d delivered=%-6d queued=%d\n",
-				name, l.Enqueued, l.Stats.EventsIn, l.Stats.Delivered, l.Queued)
+			fmt.Printf("  %-8s routed=%-6d dispatched=%-6d delivered=%-6d queued=%d high-water=%d\n",
+				name, l.Enqueued, l.Stats.EventsIn, l.Stats.Delivered, l.Queued, l.HighWater)
 		}
 		printRoutingStats(d)
 		return sub.Deactivate()
@@ -170,19 +170,16 @@ func printStageLatencies(d *govents.Domain) {
 			time.Duration(snap.Max))
 	}
 	dropped := d.DroppedByReason()
-	var total uint64
-	for _, n := range dropped {
-		total += n
+	reasons := make([]string, 0, len(dropped))
+	for reason := range dropped {
+		reasons = append(reasons, reason)
 	}
-	if total > 0 {
-		fmt.Printf("dropped:")
-		for _, reason := range []string{"expired", "decode_error", "handler_panic", "executor_closed"} {
-			if n := dropped[reason]; n > 0 {
-				fmt.Printf(" %s=%d", reason, n)
-			}
-		}
-		fmt.Println()
+	sort.Strings(reasons)
+	fmt.Printf("dropped:")
+	for _, reason := range reasons {
+		fmt.Printf(" %s=%d", reason, dropped[reason])
 	}
+	fmt.Println()
 }
 
 // printRoutingStats dumps the domain's routing-plane counters, overall

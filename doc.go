@@ -575,13 +575,18 @@
 //
 // The e2e stage is timed against a publish timestamp carried in the
 // envelope; an envelope that carries none (a zero stamp) produces no
-// e2e sample. WithMetricsAddr serves the histograms,
-// drop counters and lane-depth gauges as Prometheus text on /metrics
-// (plus expvar on /debug/vars and the profiler under /debug/pprof);
+// e2e sample. The telemetry plane only times and traces: every count
+// is the engine's, one counter per fact, and stays live with telemetry
+// off. Domain.DroppedByReason is a view of Domain.Stats (expired,
+// decode_error, handler_panic, executor_closed, overload_shed,
+// slow_consumer), and the lane depth is LaneStat.Queued with its
+// high-water mark. WithMetricsAddr serves the histograms, those
+// counters and each lane's depth as Prometheus text on /metrics (plus
+// expvar on /debug/vars and the profiler under /debug/pprof);
 // Domain.MetricsAddr reports the bound address. WithTraceHook streams
-// sampled per-event TraceEvent records — failure outcomes (expired,
-// decode_error, handler_panic, executor_closed) bypass sampling and are
-// also counted in Domain.DroppedByReason. WithLogger injects an
+// sampled per-event TraceEvent records; failure outcomes (every drop
+// reason but overload_shed, which is counted under the lane's lock)
+// bypass sampling. WithLogger injects an
 // *slog.Logger for anomalies that have no error-return path (recovered
 // handler panics, undecodable frames, failed certified redeliveries);
 // the default discards them.

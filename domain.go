@@ -25,8 +25,9 @@ import (
 type Obvent = obvent.Obvent
 
 // DispatchStats are a domain's cumulative delivery counters (events
-// in, expired, matched, delivered, decode errors, recovered handler
-// panics), folded across dispatch lanes.
+// in, delivered, and each kind of drop: expired, decode errors,
+// recovered handler panics, closed executors, sheds and slow-consumer
+// drops), folded across dispatch lanes.
 type DispatchStats = core.DispatchStats
 
 // LaneStat is one dispatch lane's routing and delivery counters.
@@ -48,9 +49,11 @@ type TraceEvent = telemetry.TraceEvent
 // with Quantile and Mean accessors.
 type StageSnapshot = telemetry.Snapshot
 
-// LaneOccupancy is one dispatch lane's queue-depth gauge, sampled at
-// each dequeue.
-type LaneOccupancy = telemetry.LaneOccupancy
+// LaneOccupancy is the former name of LaneStat, whose Queued and
+// HighWater are the lane's depth gauges.
+//
+// Deprecated: use LaneStat.
+type LaneOccupancy = LaneStat
 
 // DurableStats are the cumulative counters of a domain's durability
 // plane (WithDurability): segment-log sizes and append/sync/compaction
@@ -302,8 +305,16 @@ func (d *Domain) RemoteSubscriptionCount() int {
 	return d.node.RemoteSubscriptionCount()
 }
 
-// Stats returns the domain's cumulative delivery counters.
-func (d *Domain) Stats() DispatchStats { return d.eng.Stats() }
+// Stats returns the domain's cumulative delivery counters. DecodeErrors
+// includes the data frames the distribution layer could not decode as
+// an envelope.
+func (d *Domain) Stats() DispatchStats {
+	st := d.eng.Stats()
+	if d.node != nil {
+		st.DecodeErrors += d.node.DecodeErrors()
+	}
+	return st
+}
 
 // Histograms returns an immutable snapshot of the per-stage latency
 // histograms, keyed by stage name (publish_to_route, route_to_write,
@@ -314,17 +325,25 @@ func (d *Domain) Histograms() map[string]StageSnapshot {
 	return d.tele.Histograms()
 }
 
-// DroppedByReason returns the cumulative count of events dropped per
-// reason (expired, decode_error, handler_panic, executor_closed).
+// DroppedByReason returns the cumulative count of deliveries dropped per
+// reason, keyed by the trace outcome names: each entry is the Stats
+// field named beside it.
 func (d *Domain) DroppedByReason() map[string]uint64 {
-	return d.tele.DroppedByReason()
+	st := d.Stats()
+	return map[string]uint64{
+		telemetry.ReasonExpired.String():        st.Expired,
+		telemetry.ReasonDecodeError.String():    st.DecodeErrors,
+		telemetry.ReasonHandlerPanic.String():   st.HandlerPanics,
+		telemetry.ReasonExecutorClosed.String(): st.ExecutorClosed,
+		telemetry.ReasonOverloadShed.String():   st.Shed,
+		telemetry.ReasonSlowConsumer.String():   st.SlowConsumerDrops,
+	}
 }
 
-// LaneOccupancies returns the last-sampled queue depth of each dispatch
-// lane (the serial lane has Lane -1, matching LaneStats order).
-func (d *Domain) LaneOccupancies() []LaneOccupancy {
-	return d.tele.LaneOccupancies()
-}
+// LaneOccupancies returns LaneStats.
+//
+// Deprecated: use LaneStats.
+func (d *Domain) LaneOccupancies() []LaneOccupancy { return d.LaneStats() }
 
 // MetricsAddr returns the effective listen address of the metrics
 // endpoint (useful with a ":0" WithMetricsAddr), or "" when the domain

@@ -46,24 +46,28 @@ type DispatchStats struct {
 	EventsIn uint64
 	// Expired counts timely envelopes dropped as obsolete (§3.1.2).
 	Expired uint64
-	// Matched counts (subscription, event) pairs that passed type,
-	// activation, remote-filter and local-filter matching.
-	Matched uint64
-	// Delivered counts clones actually handed to subscription
-	// executors. A clone that fails to decode surfaces in DecodeErrors
-	// before it can match, and a quarantined slow consumer's mailbox
-	// overflow surfaces in SlowConsumerDrops, so Matched and Delivered
-	// coincide; both exclude dropped deliveries.
+	// Delivered counts (subscription, event) pairs that passed type,
+	// activation, remote-filter and local-filter matching and were
+	// handed to the subscription's executor. A clone that fails to
+	// decode surfaces in DecodeErrors, a quarantined slow consumer's
+	// mailbox overflow in SlowConsumerDrops and a closed executor in
+	// ExecutorClosed; none of them is delivered.
 	Delivered uint64
-	// DecodeErrors counts envelopes or clones that failed to decode.
+	// DecodeErrors counts envelopes or clones that failed to decode
+	// (drop reason "decode_error").
 	DecodeErrors uint64
 	// HandlerPanics counts application handler panics recovered by the
-	// delivery pipeline (engine-wide; per-event, not per-lane).
+	// delivery pipeline (engine-wide; per-event, not per-lane; drop
+	// reason "handler_panic").
 	HandlerPanics uint64
+	// ExecutorClosed counts matched deliveries whose subscription's
+	// executor had already closed (a shutdown race; drop reason
+	// "executor_closed").
+	ExecutorClosed uint64
 
 	// Shed counts envelopes dropped by bounded lanes under the
 	// DropOldest overload policy (plus spill-failure degradations) —
-	// telemetry reason "overload_shed".
+	// drop reason "overload_shed".
 	Shed uint64
 	// Spilled / SpillDrained count envelopes written to and drained back
 	// from the per-lane overflow segment logs (OverloadSpill). Spilled
@@ -75,7 +79,7 @@ type DispatchStats struct {
 	Steals       uint64
 	StolenEvents uint64
 	// SlowConsumerDrops counts deliveries dropped because a quarantined
-	// slow consumer's bounded mailbox overflowed (engine-wide; telemetry
+	// slow consumer's bounded mailbox overflowed (engine-wide; drop
 	// reason "slow_consumer"). Other subscriptions are unaffected.
 	SlowConsumerDrops uint64
 	// Quarantines counts slow-consumer quarantine transitions
@@ -114,30 +118,30 @@ type DispatchStats struct {
 
 // dispatchCounters is the engine-internal atomic form of DispatchStats.
 type dispatchCounters struct {
-	eventsIn     atomic.Uint64
-	expired      atomic.Uint64
-	matched      atomic.Uint64
-	delivered    atomic.Uint64
-	decodeErrors atomic.Uint64
-	shed         atomic.Uint64
-	spilled      atomic.Uint64
-	spillDrained atomic.Uint64
-	steals       atomic.Uint64
-	stolen       atomic.Uint64
+	eventsIn       atomic.Uint64
+	expired        atomic.Uint64
+	delivered      atomic.Uint64
+	decodeErrors   atomic.Uint64
+	executorClosed atomic.Uint64
+	shed           atomic.Uint64
+	spilled        atomic.Uint64
+	spillDrained   atomic.Uint64
+	steals         atomic.Uint64
+	stolen         atomic.Uint64
 }
 
 func (c *dispatchCounters) snapshot() DispatchStats {
 	return DispatchStats{
-		EventsIn:     c.eventsIn.Load(),
-		Expired:      c.expired.Load(),
-		Matched:      c.matched.Load(),
-		Delivered:    c.delivered.Load(),
-		DecodeErrors: c.decodeErrors.Load(),
-		Shed:         c.shed.Load(),
-		Spilled:      c.spilled.Load(),
-		SpillDrained: c.spillDrained.Load(),
-		Steals:       c.steals.Load(),
-		StolenEvents: c.stolen.Load(),
+		EventsIn:       c.eventsIn.Load(),
+		Expired:        c.expired.Load(),
+		Delivered:      c.delivered.Load(),
+		DecodeErrors:   c.decodeErrors.Load(),
+		ExecutorClosed: c.executorClosed.Load(),
+		Shed:           c.shed.Load(),
+		Spilled:        c.spilled.Load(),
+		SpillDrained:   c.spillDrained.Load(),
+		Steals:         c.steals.Load(),
+		StolenEvents:   c.stolen.Load(),
 	}
 }
 
@@ -145,9 +149,9 @@ func (c *dispatchCounters) snapshot() DispatchStats {
 func (s *DispatchStats) add(o DispatchStats) {
 	s.EventsIn += o.EventsIn
 	s.Expired += o.Expired
-	s.Matched += o.Matched
 	s.Delivered += o.Delivered
 	s.DecodeErrors += o.DecodeErrors
+	s.ExecutorClosed += o.ExecutorClosed
 	s.Shed += o.Shed
 	s.Spilled += o.Spilled
 	s.SpillDrained += o.SpillDrained
@@ -340,11 +344,11 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		}
 		switch s.executor.submit(o, ordered, ln.deq, env.PubNanos, env.ID, env.Type) {
 		case submitOK:
-			ln.counters.matched.Add(1)
 			ln.counters.delivered.Add(1)
 		case submitShed:
 			e.noteDrop(env, telemetry.ReasonSlowConsumer)
 		default: // submitClosed
+			ln.counters.executorClosed.Add(1)
 			e.noteDrop(env, telemetry.ReasonExecutorClosed)
 		}
 	}
@@ -436,11 +440,11 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 		}
 		switch s.executor.submit(o, ordered, ln.deq, env.PubNanos, env.ID, env.Type) {
 		case submitOK:
-			ln.counters.matched.Add(1)
 			ln.counters.delivered.Add(1)
 		case submitShed:
 			e.noteDrop(env, telemetry.ReasonSlowConsumer)
 		default: // submitClosed
+			ln.counters.executorClosed.Add(1)
 			e.noteDrop(env, telemetry.ReasonExecutorClosed)
 		}
 	}
@@ -448,12 +452,10 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 	ln.scratch.src = codec.CloneSource{}
 }
 
-// noteDrop feeds one dropped delivery into the telemetry plane: the
-// by-reason counter map always, plus an always-on (never sampled away)
-// trace span so drop outcomes are visible to the hook. No-op without a
-// plane; the expired/decode counters in DispatchStats are unaffected.
+// noteDrop emits the trace span of one dropped delivery, never sampled
+// away, so drop outcomes are visible to the hook. The drop itself is
+// counted by the caller in DispatchStats.
 func (e *Engine) noteDrop(env *codec.Envelope, r telemetry.Reason) {
-	e.tele.Drop(r)
 	e.tele.Trace(env.ID, env.Type, telemetry.StageDispatch, 0, r.String())
 }
 

@@ -300,8 +300,8 @@ func TestDispatchStats(t *testing.T) {
 	if st.Expired != 1 {
 		t.Errorf("Expired = %d, want 1", st.Expired)
 	}
-	if st.Matched != 2 || st.Delivered != 2 {
-		t.Errorf("Matched/Delivered = %d/%d, want 2/2", st.Matched, st.Delivered)
+	if st.Delivered != 2 {
+		t.Errorf("Delivered = %d, want 2", st.Delivered)
 	}
 }
 

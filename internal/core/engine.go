@@ -256,7 +256,6 @@ func NewEngine(id string, diss Disseminator, opts ...Option) *Engine {
 	if e.tele.Node() == "" {
 		e.tele.SetNode(id)
 	}
-	e.tele.SetLanes(lanes + 1) // +1: the serial lane's gauge is index 0
 	e.table.Store(newDispatchTable(reg, nil))
 	e.lanes = newLaneSet(reg, lanes, e.dispatch, e.tele, laneConfig{
 		bound:    cfg.laneBound,

@@ -104,8 +104,7 @@ var (
 	// ErrSlowConsumer tags deliveries dropped because a quarantined
 	// slow consumer's bounded mailbox overflowed (slow-consumer
 	// isolation, WithSlowConsumerBudget). It is an accounting sentinel:
-	// such drops appear in DispatchStats.SlowConsumerDrops and under
-	// the telemetry drop reason "slow_consumer"; other subscriptions'
-	// deliveries are unaffected.
+	// such drops appear in DispatchStats.SlowConsumerDrops (drop reason
+	// "slow_consumer"); other subscriptions' deliveries are unaffected.
 	ErrSlowConsumer = errors.New("core: slow consumer")
 )

@@ -26,8 +26,9 @@ import (
 //	              └► lane{arrivalOrder}[hash(pub) % N] ── FIFO + everything else
 //
 // Both are the one lane type below: it owns the lock, the bound, the
-// overload policies, the spill log, the drain loop and the telemetry, and
-// is parameterised only by the order its queue pops in (laneOrder).
+// overload policies, the spill log, the drain loop, its depth counters
+// and the lane_wait timing, and is parameterised only by the order its
+// queue pops in (laneOrder).
 //
 // Routing rules, in order:
 //
@@ -71,7 +72,7 @@ const (
 	// and no publisher or transport reader slows down.
 	OverloadBlock OverloadPolicy = iota
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
-	// new one. Sheds are counted (DispatchStats.Shed, telemetry reason
+	// new one. Sheds are counted (DispatchStats.Shed, drop reason
 	// "overload_shed"), never silent.
 	OverloadDropOldest
 	// OverloadSpill overflows to a per-lane durable segment log and
@@ -140,6 +141,9 @@ type LaneStat struct {
 	// (publishers a thief lane is draining). It is what Bound bounds; an
 	// envelope a thief has in hand is in dispatch, not queued.
 	Queued int
+	// HighWater is the largest occupancy Queued has reached, read as each
+	// arrival is admitted (so it counts the arrival).
+	HighWater int
 	// Bound is the lane's occupancy bound (0 = unbounded).
 	Bound int
 	// Policy is the lane's overload policy (meaningful when Bound > 0).
@@ -175,8 +179,8 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 		cfg.policy = OverloadDropOldest
 	}
 	ls := &laneSet{reg: reg, cfg: cfg, par: make([]*lane, n)}
-	// The serial lane owns gauge (and spill directory) 0 and has no
-	// siblings: it neither steals nor lends.
+	// The serial lane owns histogram shard (and spill directory) 0 and
+	// has no siblings: it neither steals nor lends.
 	ls.serial = newLane(priorityOrder, dispatch, tele, 0, cfg, nil)
 	for i := range ls.par {
 		ls.par[i] = newLane(arrivalOrder, dispatch, tele, i+1, cfg, ls)
@@ -415,7 +419,7 @@ const spillDrainBatch = 64
 type lane struct {
 	dispatch func(*codec.Envelope, *laneState)
 	tele     *telemetry.Plane
-	gauge    int // telemetry gauge, histogram shard and spill directory index
+	idx      int // histogram shard and spill directory index
 	cfg      laneConfig
 	set      *laneSet // sibling access for work-stealing (nil: serial lane, tests)
 
@@ -426,6 +430,8 @@ type lane struct {
 	nextSeq uint64
 	closed  bool
 	wg      sync.WaitGroup
+	// high is the occupancy high-water mark (LaneStat.HighWater).
+	high int
 
 	// busyPub is the publisher key of the envelope currently being
 	// dispatched by this lane's goroutine ("" when idle); guarded by mu.
@@ -443,12 +449,12 @@ type lane struct {
 // newLane constructs a lane without starting its goroutine; newLaneSet
 // starts all lanes only after par is fully populated so a thief's steal
 // scan never races the set's construction.
-func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, gauge int, cfg laneConfig, set *laneSet) *lane {
-	l := &lane{dispatch: dispatch, tele: tele, gauge: gauge, cfg: cfg, set: set}
+func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, idx int, cfg laneConfig, set *laneSet) *lane {
+	l := &lane{dispatch: dispatch, tele: tele, idx: idx, cfg: cfg, set: set}
 	l.q.order = order
 	l.cond = sync.NewCond(&l.mu)
 	l.notFull = sync.NewCond(&l.mu)
-	l.spill.init(cfg, gauge)
+	l.spill.init(cfg, idx)
 	return l
 }
 
@@ -467,6 +473,14 @@ func (l *lane) occupancyLocked() int {
 		n += len(lo.buf)
 	}
 	return n
+}
+
+// noteOccupancyLocked raises the high-water mark to the current
+// occupancy; every path that adds to what the lane owes calls it.
+func (l *lane) noteOccupancyLocked() {
+	if n := l.occupancyLocked(); n > l.high {
+		l.high = n
+	}
 }
 
 func (l *lane) push(env *codec.Envelope, pub string, prio int) {
@@ -497,7 +511,7 @@ func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 			} else {
 				// A spill failure degrades to a counted shed — the lane
 				// must keep draining even with a broken disk.
-				l.noteShed()
+				l.st.counters.shed.Add(1)
 			}
 			l.cond.Signal()
 			l.mu.Unlock()
@@ -521,10 +535,12 @@ func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 	// per-publisher order — the thief drains it before returning.
 	if lo, ok := l.loans[pub]; ok {
 		lo.buf = append(lo.buf, item)
+		l.noteOccupancyLocked()
 		l.mu.Unlock()
 		return
 	}
 	l.q.push(item)
+	l.noteOccupancyLocked()
 	l.cond.Signal()
 	// A backlog crossing (or re-crossing) the steal threshold means this
 	// lane is hot while a sibling may be parked: wake one idle thief.
@@ -555,15 +571,9 @@ func (l *lane) shedOldestLocked() {
 		oldest.buf[0] = laneItem{}
 		oldest.buf = oldest.buf[1:]
 	}
-	l.noteShed()
-}
-
-// noteShed counts one shed envelope in the lane counters and the
-// telemetry drop map. It runs under l.mu, so it must not invoke user
-// hooks (a trace hook calling back into LaneStats would deadlock).
-func (l *lane) noteShed() {
+	// Counted, not traced: this runs under l.mu, and a trace hook calling
+	// back into LaneStats would deadlock.
 	l.st.counters.shed.Add(1)
-	l.tele.Drop(telemetry.ReasonOverloadShed)
 }
 
 // stat snapshots the lane for Engine.LaneStats; idx is its LaneStat.Lane.
@@ -575,6 +585,7 @@ func (l *lane) stat(idx int) LaneStat {
 		Serial:       l.q.order == priorityOrder,
 		Enqueued:     l.st.enqueued.Load(),
 		Queued:       l.occupancyLocked(),
+		HighWater:    l.high,
 		Bound:        l.cfg.bound,
 		Policy:       l.cfg.policy,
 		SpillBacklog: l.spill.count,
@@ -605,24 +616,22 @@ func (l *lane) loop() {
 		}
 		item := l.q.pop()
 		l.busyPub = item.pub
-		backlog := l.q.len()
 		l.notFull.Signal()
 		l.mu.Unlock()
-		l.runItem(item, backlog)
+		l.runItem(item)
 	}
 }
 
 // runItem records the queue-wait telemetry for one envelope and
 // dispatches it on this lane's private state.
-func (l *lane) runItem(item laneItem, backlog int) {
+func (l *lane) runItem(item laneItem) {
 	l.st.deq = 0
 	if item.enq != 0 {
 		// lane_wait closes on dequeue; the dequeue timestamp is
 		// reused as the dispatch-span start so the two stages tile
 		// without a second clock read.
 		now := telemetry.Now()
-		l.tele.Record(uint32(l.gauge), telemetry.StageLaneWait, now-item.enq)
-		l.tele.SampleQueue(l.gauge, backlog)
+		l.tele.Record(uint32(l.idx), telemetry.StageLaneWait, now-item.enq)
 		l.st.deq = now
 	}
 	l.dispatch(item.env, &l.st)
@@ -639,7 +648,6 @@ func (l *lane) refillFromSpillLocked() {
 		env, prio, err := unmarshalSpill(data)
 		if err != nil {
 			l.st.counters.decodeErrors.Add(1)
-			l.tele.Drop(telemetry.ReasonDecodeError)
 			return
 		}
 		var enq int64
@@ -649,6 +657,7 @@ func (l *lane) refillFromSpillLocked() {
 		l.nextSeq++
 		l.q.push(laneItem{env: env, pub: laneKey(env), prio: prio, seq: l.nextSeq, enq: enq})
 	})
+	l.noteOccupancyLocked()
 	l.st.counters.spillDrained.Add(uint64(l.spill.lastDrained))
 	if l.spill.count == 0 {
 		// Disk backlog fully drained: new arrivals queue in memory again
@@ -703,7 +712,7 @@ func (l *lane) stealCycle() bool {
 	for {
 		l.st.counters.stolen.Add(uint64(len(batch)))
 		for _, item := range batch {
-			l.runItem(item, 0)
+			l.runItem(item)
 		}
 		victim.mu.Lock()
 		lo := victim.loans[pub]

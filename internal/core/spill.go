@@ -23,7 +23,7 @@ type laneSpill struct {
 	dir    string // "" = spill unconfigured
 	seg    int64
 	logger *slog.Logger
-	gauge  int
+	idx    int
 
 	log    *durable.SegmentLog
 	next   uint64 // offset of the next record to drain
@@ -40,11 +40,11 @@ type laneSpill struct {
 // errSpillStop aborts a ReadFrom once the drain batch is full.
 var errSpillStop = errors.New("core: spill drain batch full")
 
-func (sp *laneSpill) init(cfg laneConfig, gauge int) {
+func (sp *laneSpill) init(cfg laneConfig, idx int) {
 	sp.dir = cfg.spillDir
 	sp.seg = cfg.spillSeg
 	sp.logger = cfg.logger
-	sp.gauge = gauge
+	sp.idx = idx
 }
 
 // append adds one envelope (plus its serial-lane priority) to the
@@ -63,7 +63,7 @@ func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
 	sp.rec = data
 	if sp.log == nil {
 		lg, err := durable.OpenSegmentLog(
-			filepath.Join(sp.dir, fmt.Sprintf("lane-%d", sp.gauge)),
+			filepath.Join(sp.dir, fmt.Sprintf("lane-%d", sp.idx)),
 			durable.SegmentConfig{
 				SegmentBytes: sp.seg,
 				// Spill is an overload valve, not a durability promise:
@@ -74,7 +74,7 @@ func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
 			})
 		if err != nil {
 			sp.logger.Error("opening lane spill log failed; shedding instead",
-				"lane", sp.gauge, "err", err)
+				"lane", sp.idx, "err", err)
 			sp.failed = true
 			return false
 		}
@@ -83,7 +83,7 @@ func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
 	}
 	if _, err := sp.log.Append(data); err != nil {
 		sp.logger.Error("lane spill append failed; shedding instead",
-			"lane", sp.gauge, "err", err)
+			"lane", sp.idx, "err", err)
 		sp.failed = true
 		return false
 	}
@@ -112,7 +112,7 @@ func (sp *laneSpill) drain(fn func(data []byte)) {
 	})
 	if err != nil && !errors.Is(err, errSpillStop) && sp.lastDrained == 0 {
 		sp.logger.Error("lane spill drain failed; discarding spilled backlog",
-			"lane", sp.gauge, "records", sp.count, "err", err)
+			"lane", sp.idx, "records", sp.count, "err", err)
 		sp.next = sp.log.NextOffset()
 		sp.count = 0
 		return

@@ -164,15 +164,13 @@ func (s *Subscription) SetMultiThreading(maxNb int) {
 // invoke runs the application handler for one obvent, reporting whether
 // it completed. A panicking handler is contained here — on a drainer
 // goroutine it would otherwise kill the whole process — counted in the
-// engine's HandlerPanics stat and the telemetry drop map, and logged
-// with its stack so the crash stays diagnosable (the net/http handler
-// convention); other subscriptions' deliveries of the same event are
-// unaffected.
+// engine's HandlerPanics stat, traced, and logged with its stack so the
+// crash stays diagnosable (the net/http handler convention); other
+// subscriptions' deliveries of the same event are unaffected.
 func (s *Subscription) invoke(item submission) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.engine.handlerPanics.Add(1)
-			s.engine.tele.Drop(telemetry.ReasonHandlerPanic)
 			s.engine.tele.Trace(item.id, item.class, telemetry.StageDispatch, 0,
 				telemetry.ReasonHandlerPanic.String())
 			s.engine.log.Error("recovered panic in obvent handler",

@@ -106,9 +106,6 @@ type Config struct {
 	// event BEFORE it is acknowledged to the publisher — so that it
 	// survives crash-restart, not just disconnect. Nil: see certStores.
 	Durable *durable.Manager
-	// DurableID is this node's default durable identity for certified
-	// subscriptions activated without one.
-	DurableID string
 	// AdTTL enables ad-stream GC: the node re-advertises its
 	// subscription state as a liveness heartbeat (several times per
 	// TTL) and drops any peer's routing entries once that peer has
@@ -149,6 +146,10 @@ type Node struct {
 	cfg  Config
 	tele *telemetry.Plane // Config.Telemetry (nil = disabled)
 	log  *slog.Logger     // Config.Logger (never nil; default discard)
+
+	// decodeErrors counts data frames that did not decode as an envelope
+	// (DecodeErrors).
+	decodeErrors atomic.Uint64
 
 	// routes is the routing plane: every node's advertised
 	// subscriptions (including our own, under our address) compiled
@@ -511,18 +512,14 @@ func (n *Node) certStores(class string) (*durable.Outbox, *durable.Inbox) {
 
 // durableIDsForLocked resolves the durable identities this node
 // acknowledges under for one certified class: the durable ID of every
-// local subscription conforming to the class, else the node-wide
-// Config.DurableID, else none (the group falls back to the node
-// address). Callers hold n.mu.
+// local subscription conforming to the class, else none (the group
+// falls back to the node address). Callers hold n.mu.
 func (n *Node) durableIDsForLocked(class string) []string {
 	var ids []string
 	for _, info := range n.lastAdv {
 		if info.DurableID != "" && !slices.Contains(ids, info.DurableID) && n.reg.ConformsTo(class, info.TypeName) {
 			ids = append(ids, info.DurableID)
 		}
-	}
-	if len(ids) == 0 && n.cfg.DurableID != "" {
-		ids = []string{n.cfg.DurableID}
 	}
 	return ids
 }
@@ -848,6 +845,11 @@ func (n *Node) RoutingStats() routing.Stats { return n.routes.Stats() }
 // RoutingStatsByClass breaks the routing counters out per obvent class.
 func (n *Node) RoutingStatsByClass() map[string]routing.Stats { return n.routes.StatsByClass() }
 
+// DecodeErrors counts the data frames this node dropped because they did
+// not decode as an envelope; they never reach the engine, whose
+// DispatchStats.DecodeErrors the domain folds this into.
+func (n *Node) DecodeErrors() uint64 { return n.decodeErrors.Load() }
+
 // certSubscribersFor lists the durable subscribers of a certified
 // class across the domain.
 func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
@@ -875,7 +877,7 @@ func (n *Node) onData(class, origin string, payload []byte) {
 	if err != nil {
 		// An undecodable frame was a silent vanish: make it count and
 		// make it loggable.
-		n.tele.Drop(telemetry.ReasonDecodeError)
+		n.decodeErrors.Add(1)
 		n.tele.Trace("", class, telemetry.StageWireLane, 0, telemetry.ReasonDecodeError.String())
 		n.log.Warn("dace: dropping undecodable data frame",
 			"class", class, "origin", origin, "bytes", len(payload), "err", err)

@@ -421,7 +421,6 @@ func TestCertifiedSurvivesSubscriberCrash(t *testing.T) {
 	cfgPub := fastCfg()
 	cfgPub.Durable = stable()
 	cfgSub := fastCfg()
-	cfgSub.DurableID = "durable-trader"
 	cfgSub.Durable = stable()
 
 	// Build the two nodes with distinct configs.

@@ -371,9 +371,7 @@ func TestUndecodableFrameIsLogged(t *testing.T) {
 			if err := be.BroadcastTo([]string{"node-0"}, tc.frame); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 5*time.Second, "the drop", func() bool {
-				return cfg.Telemetry.DroppedByReason()[telemetry.ReasonDecodeError.String()] == 1
-			})
+			waitFor(t, 5*time.Second, "the drop", func() bool { return n.DecodeErrors() == 1 })
 			_ = n.Close() // the group's delivery goroutine is done with the hook and the sink
 
 			rec.mu.Lock()

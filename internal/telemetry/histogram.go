@@ -1,7 +1,9 @@
-// Package telemetry is the engine's observability plane: lock-free
+// Package telemetry is the engine's timing and tracing plane: lock-free
 // log-bucketed latency histograms recording per-stage timings across the
-// delivery pipeline, queue-occupancy gauges sampled on drain, a
-// drop-reason counter map, and a sampled structured event-trace hook.
+// delivery pipeline, and a sampled structured event-trace hook. It counts
+// nothing else: drops and lane depths are the engine's own counters
+// (core.DispatchStats, core.LaneStat), which stay live with the plane
+// off; a Reason here only names a trace outcome.
 //
 // Everything here is built for the hot path. Recording a latency is a
 // handful of atomic adds with zero allocations (pinned by benchmark and

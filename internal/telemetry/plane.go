@@ -63,8 +63,9 @@ func Stages() []Stage {
 	return out
 }
 
-// Reason classifies a dropped (or failed) delivery for the
-// DroppedByReason counter map and the trace outcome field.
+// Reason names the trace outcome of a dropped (or failed) delivery. Its
+// String form is also the key under which the domain reports the
+// engine's counter for it.
 type Reason int
 
 const (
@@ -124,8 +125,7 @@ type TraceEvent struct {
 	// Duration is the span length; zero when the outcome made the
 	// segment unmeasurable (e.g. a decode error before any timing).
 	Duration time.Duration
-	// Outcome is OutcomeDelivered or a Reason name
-	// (expired/decode_error/handler_panic/executor_closed).
+	// Outcome is OutcomeDelivered or a Reason name.
 	Outcome string
 }
 
@@ -142,22 +142,6 @@ type traceCfg struct {
 // other's cache lines. Power of two; shard keys are masked.
 const numShards = 16
 
-// laneGauge is one lane's occupancy gauge, sampled on drain.
-type laneGauge struct {
-	depth atomic.Int64 // last sampled backlog
-	high  atomic.Int64 // high-water backlog
-}
-
-// LaneOccupancy is the exported form of one lane's queue gauge.
-type LaneOccupancy struct {
-	// Lane is the parallel lane index; -1 is the serial lane.
-	Lane int
-	// Depth is the backlog at the last drain sample.
-	Depth int
-	// HighWater is the largest sampled backlog.
-	HighWater int
-}
-
 // Plane is one domain's telemetry state. All methods are safe for
 // concurrent use and safe on a nil receiver (a nil plane is fully
 // disabled at zero cost beyond the nil check).
@@ -167,14 +151,9 @@ type Plane struct {
 
 	trace atomic.Pointer[traceCfg]
 
-	drops  [numReasons]atomic.Uint64
 	shards [numShards]struct {
 		h [numStages]Histogram
 	}
-
-	// gauges is sized by SetLanes before traffic flows (engine
-	// construction); index 0 is the serial lane, 1..n the parallel ones.
-	gauges atomic.Pointer[[]laneGauge]
 }
 
 // NewPlane returns an enabled plane.
@@ -184,7 +163,7 @@ func NewPlane() *Plane {
 	return p
 }
 
-// SetEnabled toggles histogram and gauge recording. The trace hook is
+// SetEnabled toggles histogram recording. The trace hook is
 // governed independently by SetTraceHook.
 func (p *Plane) SetEnabled(on bool) {
 	if p != nil {
@@ -226,74 +205,6 @@ func (p *Plane) Record(shard uint32, st Stage, ns int64) {
 		return
 	}
 	p.shards[shard&(numShards-1)].h[st].Record(ns)
-}
-
-// Drop counts one dropped delivery by reason.
-func (p *Plane) Drop(r Reason) {
-	if p == nil || r < 0 || r >= numReasons {
-		return
-	}
-	p.drops[r].Add(1)
-}
-
-// DroppedByReason snapshots the drop counters as a reason -> count map.
-func (p *Plane) DroppedByReason() map[string]uint64 {
-	out := make(map[string]uint64, numReasons)
-	if p == nil {
-		return out
-	}
-	for i := range p.drops {
-		out[Reason(i).String()] = p.drops[i].Load()
-	}
-	return out
-}
-
-// SetLanes sizes the lane-occupancy gauge array: n is the total lane
-// count including the serial lane. Call before traffic flows.
-func (p *Plane) SetLanes(n int) {
-	if p == nil || n <= 0 {
-		return
-	}
-	g := make([]laneGauge, n)
-	p.gauges.Store(&g)
-}
-
-// SampleQueue records a lane's backlog observed on drain. lane is the
-// gauge index (0 = serial, 1..n = parallel lane i-1).
-func (p *Plane) SampleQueue(lane, depth int) {
-	if p == nil || !p.on.Load() {
-		return
-	}
-	gp := p.gauges.Load()
-	if gp == nil || lane < 0 || lane >= len(*gp) {
-		return
-	}
-	g := &(*gp)[lane]
-	g.depth.Store(int64(depth))
-	for {
-		cur := g.high.Load()
-		if int64(depth) <= cur || g.high.CompareAndSwap(cur, int64(depth)) {
-			return
-		}
-	}
-}
-
-// LaneOccupancies snapshots the per-lane queue gauges, serial lane
-// first (Lane -1), matching Engine.LaneStats order.
-func (p *Plane) LaneOccupancies() []LaneOccupancy {
-	if p == nil {
-		return nil
-	}
-	gp := p.gauges.Load()
-	if gp == nil {
-		return nil
-	}
-	out := make([]LaneOccupancy, len(*gp))
-	for i := range *gp {
-		g := &(*gp)[i]
-		out[i] = LaneOccupancy{Lane: i - 1, Depth: int(g.depth.Load()), HighWater: int(g.high.Load())}
-	}
-	return out
 }
 
 // SetTraceHook installs (or, with a nil hook, removes) the event-trace

@@ -264,25 +264,9 @@ func TestPlaneDisabled(t *testing.T) {
 	}
 	var nilPlane *Plane
 	nilPlane.Record(0, StageE2E, 500) // must not panic
-	nilPlane.Drop(ReasonExpired)
 	nilPlane.Trace("id", "class", StageE2E, 1, OutcomeDelivered)
-	nilPlane.SampleQueue(0, 10)
-	if m := nilPlane.DroppedByReason(); len(m) != 0 {
-		t.Fatalf("nil plane DroppedByReason = %v", m)
-	}
 	if nilPlane.Enabled() || nilPlane.TraceEnabled() {
 		t.Fatal("nil plane reports enabled")
-	}
-}
-
-func TestDropCounters(t *testing.T) {
-	p := NewPlane()
-	p.Drop(ReasonExpired)
-	p.Drop(ReasonExpired)
-	p.Drop(ReasonHandlerPanic)
-	m := p.DroppedByReason()
-	if m["expired"] != 2 || m["handler_panic"] != 1 || m["decode_error"] != 0 {
-		t.Fatalf("DroppedByReason = %v", m)
 	}
 }
 
@@ -330,25 +314,6 @@ func TestTraceSamplingAndFailureBypass(t *testing.T) {
 	if p.TraceEnabled() {
 		t.Fatal("TraceEnabled = true after removing hook")
 	}
-}
-
-func TestLaneGauges(t *testing.T) {
-	p := NewPlane()
-	p.SetLanes(3)
-	p.SampleQueue(0, 5)
-	p.SampleQueue(0, 2)
-	p.SampleQueue(2, 9)
-	occ := p.LaneOccupancies()
-	if len(occ) != 3 {
-		t.Fatalf("len(occ) = %d, want 3", len(occ))
-	}
-	if occ[0].Lane != -1 || occ[0].Depth != 2 || occ[0].HighWater != 5 {
-		t.Fatalf("serial gauge = %+v", occ[0])
-	}
-	if occ[2].Lane != 1 || occ[2].Depth != 9 || occ[2].HighWater != 9 {
-		t.Fatalf("lane 1 gauge = %+v", occ[2])
-	}
-	p.SampleQueue(7, 1) // out of range: ignored
 }
 
 func TestNowMonotone(t *testing.T) {

@@ -144,7 +144,6 @@ func (ms *metricsServer) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		v    uint64
 	}{
 		{"in", st.EventsIn},
-		{"matched", st.Matched},
 		{"delivered", st.Delivered},
 	} {
 		fmt.Fprintf(&b, "govents_events_total{node=%q,kind=%q} %d\n", node, c.kind, c.v)
@@ -162,10 +161,10 @@ func (ms *metricsServer) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "govents_dropped_total{node=%q,reason=%q} %d\n", node, promEscape(reason), dropped[reason])
 	}
 
-	b.WriteString("# HELP govents_lane_depth Last-sampled dispatch lane queue depth.\n")
+	b.WriteString("# HELP govents_lane_depth Dispatch lane occupancy (LaneStat.Queued).\n")
 	b.WriteString("# TYPE govents_lane_depth gauge\n")
-	for _, lo := range ms.d.LaneOccupancies() {
-		fmt.Fprintf(&b, "govents_lane_depth{node=%q,lane=\"%d\"} %d\n", node, lo.Lane, lo.Depth)
+	for _, l := range ms.d.LaneStats() {
+		fmt.Fprintf(&b, "govents_lane_depth{node=%q,lane=\"%d\"} %d\n", node, l.Lane, l.Queued)
 	}
 
 	_, _ = w.Write([]byte(b.String()))

@@ -26,8 +26,8 @@ const (
 	// Publish slows down. This is the default.
 	OverloadBlock = core.OverloadBlock
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
-	// newest. Sheds are counted in DispatchStats.Shed and under the
-	// telemetry drop reason "overload_shed".
+	// newest. Sheds are counted in DispatchStats.Shed, reported as
+	// DroppedByReason "overload_shed".
 	OverloadDropOldest = core.OverloadDropOldest
 	// OverloadSpill overflows to a per-lane durable segment log under
 	// the domain's durability directory and drains it back, oldest
@@ -120,7 +120,6 @@ type config struct {
 	registry     *obvent.Registry
 	adTTL        time.Duration
 	tuning       Tuning
-	durableID    string
 	durDir       string
 	durTuning    DurabilityTuning
 	gossip       bool
@@ -195,7 +194,7 @@ func WithOverloadPolicy(p OverloadPolicy) Option {
 // stall while deliveries queue behind it is quarantined — its queue
 // becomes a bounded mailbox of the given size (<= 0 selects 1024)
 // whose overflow is dropped for that subscription only, counted in
-// DispatchStats.SlowConsumerDrops and under the telemetry drop reason
+// DispatchStats.SlowConsumerDrops, reported as DroppedByReason
 // "slow_consumer" (ErrSlowConsumer). The subscription leaves
 // quarantine once its handler resumes and the mailbox half-drains.
 // Other subscriptions, lane draining and Close are never blocked by a
@@ -232,12 +231,6 @@ func WithTuning(t Tuning) Option {
 // domains under loss at per-node cost independent of group size).
 func WithGossipUnreliable() Option {
 	return func(c *config) { c.gossip = true }
-}
-
-// WithDurableID sets the domain's default durable identity for
-// certified subscriptions activated without one (paper §3.4.1).
-func WithDurableID(id string) Option {
-	return func(c *config) { c.durableID = id }
 }
 
 // WithDurability gives the domain a durability directory: certified
@@ -294,7 +287,8 @@ func WithOrderedPruning(enabled bool) Option {
 // WithMetricsAddr starts an HTTP metrics endpoint on addr (e.g.
 // "127.0.0.1:0") when the domain opens and stops it on Close. The
 // endpoint serves /metrics (Prometheus text exposition of the per-stage
-// latency histograms, drop counters and lane gauges), /debug/vars
+// latency histograms, the Stats event and drop counters and each
+// lane's LaneStat.Queued), /debug/vars
 // (expvar) and /debug/pprof (the runtime profiler). The effective
 // address, including a kernel-chosen port, is available from
 // Domain.MetricsAddr.
@@ -314,9 +308,12 @@ func WithTraceHook(hook func(TraceEvent), every int) Option {
 }
 
 // WithTelemetry toggles per-stage latency measurement (default on).
-// Passing false turns the telemetry plane off: Histograms returns empty
-// snapshots and the hot paths skip timestamping entirely, one atomic
-// load per event. Drop counters and trace hooks stay live either way.
+// Passing false turns off exactly two things: the stage histograms
+// (Histograms returns empty snapshots) and the timestamps that feed
+// them, so the hot paths cost one atomic load per event. Everything
+// else stays live either way: Stats, DroppedByReason, LaneStats (lane
+// depth and its high-water mark), the /metrics counters and gauges, and
+// trace hooks.
 func WithTelemetry(enabled bool) Option {
 	return func(c *config) { c.teleOff = !enabled }
 }
@@ -356,9 +353,6 @@ func (c *config) distributedOnly() []string {
 	if c.gossip {
 		bad = append(bad, "WithGossipUnreliable")
 	}
-	if c.durableID != "" {
-		bad = append(bad, "WithDurableID")
-	}
 	if c.durDir != "" {
 		bad = append(bad, "WithDurability")
 	}
@@ -381,7 +375,6 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 		Placement:        placement,
 		GossipUnreliable: c.gossip,
 		Durable:          dur,
-		DurableID:        c.durableID,
 		AdTTL:            c.adTTL,
 		NoOrderedPruning: c.pruneOff,
 		Telemetry:        tele,

@@ -295,13 +295,8 @@ func TestCloseDrainsInFlightDeliveries(t *testing.T) {
 // TestOpenRejectsDistributedOptionsWithoutTransport pins that Open
 // fails loudly instead of silently dropping distribution-only options.
 func TestOpenRejectsDistributedOptionsWithoutTransport(t *testing.T) {
-	_, err := govents.Open(context.Background(), "oops", govents.WithPeers("a", "b"))
-	if err == nil {
+	if _, err := govents.Open(context.Background(), "oops", govents.WithPeers("a", "b")); err == nil {
 		t.Fatal("Open with WithPeers but no WithTransport succeeded")
-	}
-	_, err = govents.Open(context.Background(), "oops", govents.WithDurableID("x"))
-	if err == nil {
-		t.Fatal("Open with WithDurableID but no WithTransport succeeded")
 	}
 }
 

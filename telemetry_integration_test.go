@@ -127,15 +127,19 @@ func TestE2EHistogramAcrossNodes(t *testing.T) {
 			}
 		}
 	}
-	if len(sub.LaneOccupancies()) == 0 {
-		t.Error("subscriber has no lane occupancy gauges")
+	high := 0
+	for _, l := range sub.LaneStats() {
+		high = max(high, l.HighWater)
+	}
+	if high == 0 {
+		t.Error("no subscriber lane shows a high-water mark after deliveries")
 	}
 }
 
 // TestMetricsScrape opens the subscriber with a metrics endpoint and
-// scrapes it: /metrics must expose the stage histograms, event counters
-// and lane gauges in Prometheus text format, /debug/vars the expvar
-// JSON including the govents variable.
+// scrapes it: /metrics must expose the stage histograms, event counters,
+// every drop reason and lane gauges in Prometheus text format,
+// /debug/vars the expvar JSON including the govents variable.
 func TestMetricsScrape(t *testing.T) {
 	pub, sub := openTelemetryPair(t, govents.WithMetricsAddr("127.0.0.1:0"))
 	addr := sub.MetricsAddr()
@@ -187,6 +191,12 @@ func TestMetricsScrape(t *testing.T) {
 		`govents_stage_latency_seconds_count{node="sub",stage="e2e"}`,
 		`govents_events_total{node="sub",kind="delivered"}`,
 		"# TYPE govents_lane_depth gauge",
+		`govents_dropped_total{node="sub",reason="expired"}`,
+		`govents_dropped_total{node="sub",reason="decode_error"}`,
+		`govents_dropped_total{node="sub",reason="handler_panic"}`,
+		`govents_dropped_total{node="sub",reason="executor_closed"}`,
+		`govents_dropped_total{node="sub",reason="overload_shed"}`,
+		`govents_dropped_total{node="sub",reason="slow_consumer"}`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q\n--- scrape:\n%s", want, metrics)
