@@ -39,8 +39,8 @@
 // subscription; a dispatch under way, and deliveries already handed to
 // the subscription's executor, may still run the handler. A caller that
 // needs a cut waits for the lanes to drain (Domain.LaneStats: every
-// Queued zero, which covers a lane's queue and its loan buffers, and
-// the Enqueued total equal to Stats().EventsIn) before it toggles.
+// Queued zero and the Enqueued total equal to Stats().EventsIn) before
+// it toggles.
 //
 // # Thread semantics
 //
@@ -391,11 +391,10 @@
 // the receiver merges without a delivery. Gossip classes bias their
 // per-round fanout toward interested nodes while adding one uniformly
 // random edge per event and round, so rumors still cross interest
-// boundaries. Pruning fails open — an unevaluable
-// event or unknown node counts as interested — and preserves each
-// class's ordering contract exactly; WithOrderedPruning(false) restores
-// full-group broadcasts. RoutingStats reports the saved traffic as
-// PrunedSends, and the causal clock markers as SkipFrames.
+// boundaries. Pruning fails open — an unevaluable event or unknown
+// node counts as interested — and preserves each class's ordering
+// contract exactly; it is always on. RoutingStats reports the saved
+// traffic as PrunedSends, and the causal clock markers as SkipFrames.
 //
 // # Overload and flow control
 //
@@ -408,24 +407,18 @@
 // durable segment log (requires WithDurability) that drains back — in
 // order — once the lane catches up, so bursts cost latency rather than
 // loss.
-// FIFO-ordered traffic dispatches on per-publisher parallel sub-lanes
-// (only causal, total and prioritary classes serialize), and idle
-// lanes steal whole-publisher batches from overloaded siblings
-// through a loan protocol that preserves each publisher's delivery
-// order exactly.
+// FIFO-ordered traffic dispatches on parallel lanes chosen by a hash
+// of the publisher (only causal, total and prioritary classes
+// serialize). Each lane is drained by its own goroutine alone, so one
+// publisher's envelopes run in its order on its lane, and a wedged
+// lane holds up only the publishers that hash onto it.
 //
-// What the bound bounds is everything the lane owes: its queue plus
-// the arrivals of publishers on loan, which wait in the lane's loan
-// buffers for the thief to come back. That sum is LaneStat.Queued, it
-// is what a blocked intake waits on and what DropOldest sheds from
-// (the queue first), and above it a lane has only the one batch a
-// thief holds in hand, already in dispatch. A lane under OverloadSpill
-// is not stolen from: a loaned publisher's overflow could not go to
-// the lane's disk log without the lane refilling it behind the thief's
-// back, a per-publisher reorder. On the serial lane the spill log
-// keeps arrival order and each record's priority, so under Spill a
-// Prioritary obvent overtakes within the in-memory window only: what
-// is on disk waits its turn, whatever its priority. Causal and total
+// What the bound bounds is the lane's queue: LaneStat.Queued, what a
+// blocked intake waits on and what DropOldest sheds from; above it the
+// lane has only the envelope in dispatch. On the serial lane the spill
+// log keeps arrival order and each record's priority, so under Spill a
+// Prioritary obvent overtakes within the in-memory window only: what is
+// on disk waits its turn, whatever its priority. Causal and total
 // arrival order is never affected.
 //
 // The bound bounds the lane, not the node, and under OverloadBlock the
@@ -447,9 +440,9 @@
 // mailbox; ordered deliveries beyond the mailbox are dropped for that
 // subscription only, counted under ErrSlowConsumer, and the
 // subscription rejoins normal dispatch once it drains. Domain.Stats
-// exposes the accounting (Shed, Spilled, SpillDrained, Steals,
-// StolenEvents, Quarantines, SlowConsumerDrops) and Domain.LaneStats
-// the per-lane depths, bounds and policies.
+// exposes the accounting (Shed, Spilled, SpillDrained, Quarantines,
+// SlowConsumerDrops) and Domain.LaneStats the per-lane depths, bounds
+// and policies.
 //
 // # Durability
 //

@@ -74,10 +74,6 @@ type DispatchStats struct {
 	// minus SpillDrained is the aggregate on-disk backlog.
 	Spilled      uint64
 	SpillDrained uint64
-	// Steals counts whole-publisher batch steals performed by idle
-	// parallel lanes; StolenEvents counts the envelopes they moved.
-	Steals       uint64
-	StolenEvents uint64
 	// SlowConsumerDrops counts deliveries dropped because a quarantined
 	// slow consumer's bounded mailbox overflowed (engine-wide; drop
 	// reason "slow_consumer"). Other subscriptions are unaffected.
@@ -126,8 +122,6 @@ type dispatchCounters struct {
 	shed           atomic.Uint64
 	spilled        atomic.Uint64
 	spillDrained   atomic.Uint64
-	steals         atomic.Uint64
-	stolen         atomic.Uint64
 }
 
 func (c *dispatchCounters) snapshot() DispatchStats {
@@ -140,8 +134,6 @@ func (c *dispatchCounters) snapshot() DispatchStats {
 		Shed:           c.shed.Load(),
 		Spilled:        c.spilled.Load(),
 		SpillDrained:   c.spillDrained.Load(),
-		Steals:         c.steals.Load(),
-		StolenEvents:   c.stolen.Load(),
 	}
 }
 
@@ -155,8 +147,6 @@ func (s *DispatchStats) add(o DispatchStats) {
 	s.Shed += o.Shed
 	s.Spilled += o.Spilled
 	s.SpillDrained += o.SpillDrained
-	s.Steals += o.Steals
-	s.StolenEvents += o.StolenEvents
 }
 
 // Stats returns a snapshot of the engine's delivery counters, folded

@@ -46,20 +46,16 @@ import (
 //     publication ID when there is none), so one publisher's envelopes
 //     always share a lane and per-publisher arrival order stays stable.
 //
-// Every lane may be bounded (laneConfig.bound); a full lane applies the
-// engine's OverloadPolicy. Idle parallel lanes steal whole-publisher
-// batches from the hottest sibling (the loan protocol below), so one hot
-// publisher no longer pins one lane while the others sleep. What the
-// bound counts is the lane's occupancy — its queue plus the arrivals
-// waiting in open loan buffers — and occupancyLocked is the one function
-// that knows it.
+// Every lane is drained by its own goroutine and nothing else, and may
+// be bounded (laneConfig.bound): the bound counts the lane's queue, and
+// a full lane applies the engine's OverloadPolicy.
 //
 // Each lane owns its queue, its dispatchScratch and its dispatchCounters,
 // so lanes never contend on dispatch state; Engine.Stats folds the
 // per-lane counters, Engine.LaneStats exposes them individually.
 
 // OverloadPolicy selects what a bounded dispatch lane does with new
-// arrivals once it is full (its occupancy has reached laneConfig.bound).
+// arrivals once it is full (its queue has reached laneConfig.bound).
 // The zero value is OverloadBlock.
 type OverloadPolicy int
 
@@ -99,8 +95,8 @@ func (p OverloadPolicy) String() string {
 // laneConfig is the per-lane overload configuration, shared by every
 // lane of a laneSet.
 type laneConfig struct {
-	// bound caps each lane's occupancy (queue plus open loan buffers);
-	// 0 means unbounded (the default), and then policy never applies.
+	// bound caps each lane's queue; 0 means unbounded (the default), and
+	// then policy never applies.
 	bound int
 	// policy is applied by a full lane.
 	policy OverloadPolicy
@@ -136,15 +132,14 @@ type LaneStat struct {
 	Serial bool
 	// Enqueued counts envelopes ever routed to this lane.
 	Enqueued uint64
-	// Queued is the lane's instantaneous occupancy: everything it owes in
-	// memory, its queue plus the arrivals waiting in open loan buffers
-	// (publishers a thief lane is draining). It is what Bound bounds; an
-	// envelope a thief has in hand is in dispatch, not queued.
+	// Queued is the lane's instantaneous queue length: everything it owes
+	// in memory, and what Bound bounds. The envelope the lane's goroutine
+	// has in hand is in dispatch, not queued.
 	Queued int
-	// HighWater is the largest occupancy Queued has reached, read as each
+	// HighWater is the largest length Queued has reached, read as each
 	// arrival is admitted (so it counts the arrival).
 	HighWater int
-	// Bound is the lane's occupancy bound (0 = unbounded).
+	// Bound is the lane's queue bound (0 = unbounded).
 	Bound int
 	// Policy is the lane's overload policy (meaningful when Bound > 0).
 	Policy OverloadPolicy
@@ -159,7 +154,6 @@ type LaneStat struct {
 // plus N parallel arrival-ordered lanes.
 type laneSet struct {
 	reg    *obvent.Registry
-	cfg    laneConfig
 	serial *lane
 	par    []*lane
 }
@@ -178,19 +172,11 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 		cfg.logger.Warn("overload policy spill without a spill directory; degrading to drop-oldest")
 		cfg.policy = OverloadDropOldest
 	}
-	ls := &laneSet{reg: reg, cfg: cfg, par: make([]*lane, n)}
-	// The serial lane owns histogram shard (and spill directory) 0 and
-	// has no siblings: it neither steals nor lends.
-	ls.serial = newLane(priorityOrder, dispatch, tele, 0, cfg, nil)
+	ls := &laneSet{reg: reg, par: make([]*lane, n)}
+	// The serial lane owns histogram shard (and spill directory) 0.
+	ls.serial = newLane(priorityOrder, dispatch, tele, 0, cfg)
 	for i := range ls.par {
-		ls.par[i] = newLane(arrivalOrder, dispatch, tele, i+1, cfg, ls)
-	}
-	// Start the loops only once every sibling is in par: an idle lane's
-	// first act is a steal scan over set.par, which must never observe
-	// the slice mid-construction.
-	ls.serial.start()
-	for _, l := range ls.par {
-		l.start()
+		ls.par[i] = newLane(arrivalOrder, dispatch, tele, i+1, cfg)
 	}
 	return ls
 }
@@ -203,11 +189,10 @@ func (ls *laneSet) route(env *codec.Envelope) {
 		if env.HasPriority {
 			prio = env.Priority
 		}
-		ls.serial.push(env, "", prio)
+		ls.serial.push(env, prio)
 		return
 	}
-	key := laneKey(env)
-	ls.par[laneIndex(key, len(ls.par))].push(env, key, 0)
+	ls.par[laneIndex(laneKey(env), len(ls.par))].push(env, 0)
 }
 
 // routeSerial is the semantics-aware routing decision. It costs two
@@ -229,9 +214,8 @@ func (ls *laneSet) routeSerial(env *codec.Envelope) bool {
 	return false
 }
 
-// laneKey is the envelope's publisher identity for lane hashing and
-// per-publisher stealing: the publisher ID, or the publication ID when
-// there is none.
+// laneKey is the envelope's publisher identity, which picks its parallel
+// lane: the publisher ID, or the publication ID when there is none.
 func laneKey(env *codec.Envelope) string {
 	if env.Publisher != "" {
 		return env.Publisher
@@ -284,17 +268,15 @@ func (ls *laneSet) close() {
 	wg.Wait()
 }
 
-// laneItem is one queued envelope plus its publisher key (for
-// per-publisher stealing), its priority and arrival sequence (the
-// priority order's sort key; the sequence also finds the oldest item to
-// shed) and its telemetry enqueue timestamp (0 when telemetry is off at
+// laneItem is one queued envelope plus its priority and arrival sequence
+// (the priority order's sort key; the sequence also finds the oldest item
+// to shed) and its telemetry enqueue timestamp (0 when telemetry is off at
 // enqueue time). All of it rides the queue, never the envelope: the same
 // *Envelope may be routed concurrently many times (loopback fan-in,
 // benchmarks), so envelopes must stay immutable through the dispatcher —
 // which is also what lets the spill path re-encode them safely.
 type laneItem struct {
 	env  *codec.Envelope
-	pub  string
 	prio int
 	seq  uint64
 	enq  int64
@@ -396,32 +378,18 @@ func (q *laneQueue) compact() {
 	}
 }
 
-// pubLoan is one publisher's backlog on loan to a thief lane: while the
-// loan is open, every arrival for that publisher lands in buf (guarded
-// by the owning lane's mu) and the thief drains it before closing the
-// loan, so per-publisher order survives the steal.
-type pubLoan struct {
-	buf []laneItem
-}
-
-// stealMinBacklog is the sibling backlog below which stealing does not
-// pay: moving a couple of envelopes costs more in synchronization than
-// letting the owner drain them.
-const stealMinBacklog = 8
-
 // spillDrainBatch bounds how many spilled records one refill moves back
 // into memory.
 const spillDrainBatch = 64
 
-// lane is one dispatch lane: a single goroutine draining a bounded queue
-// in the lane's order. A full lane applies its overload policy; an idle
-// parallel lane steals whole-publisher batches from the hottest sibling.
+// lane is one dispatch lane: a bounded queue in the lane's order,
+// drained by the lane's own goroutine alone. A full lane applies its
+// overload policy.
 type lane struct {
 	dispatch func(*codec.Envelope, *laneState)
 	tele     *telemetry.Plane
 	idx      int // histogram shard and spill directory index
 	cfg      laneConfig
-	set      *laneSet // sibling access for work-stealing (nil: serial lane, tests)
 
 	mu      sync.Mutex
 	cond    *sync.Cond // work available (lane goroutine waits here)
@@ -430,60 +398,35 @@ type lane struct {
 	nextSeq uint64
 	closed  bool
 	wg      sync.WaitGroup
-	// high is the occupancy high-water mark (LaneStat.HighWater).
+	// high is the queue's high-water mark (LaneStat.HighWater).
 	high int
-
-	// busyPub is the publisher key of the envelope currently being
-	// dispatched by this lane's goroutine ("" when idle); guarded by mu.
-	// A thief never steals the busy publisher — its in-flight dispatch
-	// would race the stolen batch.
-	busyPub string
-	// loans are the publishers currently on loan to thief lanes.
-	loans map[string]*pubLoan
 
 	spill laneSpill
 
 	st laneState
 }
 
-// newLane constructs a lane without starting its goroutine; newLaneSet
-// starts all lanes only after par is fully populated so a thief's steal
-// scan never races the set's construction.
-func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, idx int, cfg laneConfig, set *laneSet) *lane {
-	l := &lane{dispatch: dispatch, tele: tele, idx: idx, cfg: cfg, set: set}
+// newLane constructs a lane and starts its goroutine.
+func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, idx int, cfg laneConfig) *lane {
+	l := &lane{dispatch: dispatch, tele: tele, idx: idx, cfg: cfg}
 	l.q.order = order
 	l.cond = sync.NewCond(&l.mu)
 	l.notFull = sync.NewCond(&l.mu)
 	l.spill.init(cfg, idx)
+	l.wg.Add(1)
+	go l.loop()
 	return l
 }
 
-func (l *lane) start() {
-	l.wg.Add(1)
-	go l.loop()
-}
-
-// occupancyLocked is what the lane owes in memory, and what its bound
-// bounds: the queue plus every arrival waiting in an open loan buffer.
-// A loan moves a publisher's backlog to a thief, not off the books — the
-// buffer behind it fills exactly as the queue would have.
-func (l *lane) occupancyLocked() int {
-	n := l.q.len()
-	for _, lo := range l.loans {
-		n += len(lo.buf)
-	}
-	return n
-}
-
-// noteOccupancyLocked raises the high-water mark to the current
-// occupancy; every path that adds to what the lane owes calls it.
-func (l *lane) noteOccupancyLocked() {
-	if n := l.occupancyLocked(); n > l.high {
+// noteHighLocked raises the high-water mark to the current queue length;
+// every path that adds to the queue calls it.
+func (l *lane) noteHighLocked() {
+	if n := l.q.len(); n > l.high {
 		l.high = n
 	}
 }
 
-func (l *lane) push(env *codec.Envelope, pub string, prio int) {
+func (l *lane) push(env *codec.Envelope, prio int) {
 	var enq int64
 	if l.tele.Enabled() {
 		enq = telemetry.Now()
@@ -494,17 +437,10 @@ func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 		return
 	}
 	l.st.enqueued.Add(1)
-	item := laneItem{env: env, pub: pub, prio: prio, enq: enq}
-	// Admission re-runs from the top after every Block wait: what freed
-	// the space may have been a thief putting this publisher on loan, and
-	// the item must then follow the loan, not the queue.
-	for l.cfg.bound > 0 {
-		// Spill mode is sticky: while a disk backlog exists (only the
-		// Spill policy makes one) it is older than any new arrival, so
-		// arrivals keep spilling until it fully drains.
-		if l.spill.count == 0 && l.occupancyLocked() < l.cfg.bound {
-			break
-		}
+	// Spill mode is sticky: while a disk backlog exists (only the Spill
+	// policy makes one) it is older than any new arrival, so arrivals keep
+	// spilling until it fully drains.
+	for l.cfg.bound > 0 && (l.spill.count > 0 || l.q.len() >= l.cfg.bound) {
 		if l.cfg.policy == OverloadSpill {
 			if l.spill.append(env, prio) {
 				l.st.counters.spilled.Add(1)
@@ -518,7 +454,10 @@ func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 			return
 		}
 		if l.cfg.policy == OverloadDropOldest {
-			l.shedOldestLocked()
+			// Counted, not traced: this runs under l.mu, and a trace hook
+			// calling back into LaneStats would deadlock.
+			l.q.dropOldest()
+			l.st.counters.shed.Add(1)
 			break
 		}
 		l.notFull.Wait() // OverloadBlock
@@ -528,52 +467,10 @@ func (l *lane) push(env *codec.Envelope, pub string, prio int) {
 		}
 	}
 	l.nextSeq++
-	item.seq = l.nextSeq
-	// A publisher on loan: its backlog belongs to the thief until the loan
-	// closes. Appending to the loan buffer (never the queue, which the
-	// victim would dispatch after the thief delivers later ones) keeps
-	// per-publisher order — the thief drains it before returning.
-	if lo, ok := l.loans[pub]; ok {
-		lo.buf = append(lo.buf, item)
-		l.noteOccupancyLocked()
-		l.mu.Unlock()
-		return
-	}
-	l.q.push(item)
-	l.noteOccupancyLocked()
+	l.q.push(laneItem{env: env, prio: prio, seq: l.nextSeq, enq: enq})
+	l.noteHighLocked()
 	l.cond.Signal()
-	// A backlog crossing (or re-crossing) the steal threshold means this
-	// lane is hot while a sibling may be parked: wake one idle thief.
-	// The wake runs after releasing our own lock — lane locks never nest.
-	backlog := l.q.len()
-	wake := l.set != nil && backlog >= stealMinBacklog && backlog%stealMinBacklog == 0
 	l.mu.Unlock()
-	if wake {
-		l.set.wakeThief(l)
-	}
-}
-
-// shedOldestLocked drops the oldest envelope the lane owes
-// (OverloadDropOldest): the queue's, and with the queue empty the oldest
-// waiting in a loan buffer. Only a full lane sheds, so one of the two is
-// there. Losing the front of a buffer leaves a gap in that publisher's
-// sequence, never a reorder.
-func (l *lane) shedOldestLocked() {
-	if l.q.len() > 0 {
-		l.q.dropOldest()
-	} else {
-		var oldest *pubLoan
-		for _, lo := range l.loans {
-			if len(lo.buf) > 0 && (oldest == nil || lo.buf[0].seq < oldest.buf[0].seq) {
-				oldest = lo
-			}
-		}
-		oldest.buf[0] = laneItem{}
-		oldest.buf = oldest.buf[1:]
-	}
-	// Counted, not traced: this runs under l.mu, and a trace hook calling
-	// back into LaneStats would deadlock.
-	l.st.counters.shed.Add(1)
 }
 
 // stat snapshots the lane for Engine.LaneStats; idx is its LaneStat.Lane.
@@ -584,7 +481,7 @@ func (l *lane) stat(idx int) LaneStat {
 		Lane:         idx,
 		Serial:       l.q.order == priorityOrder,
 		Enqueued:     l.st.enqueued.Load(),
-		Queued:       l.occupancyLocked(),
+		Queued:       l.q.len(),
 		HighWater:    l.high,
 		Bound:        l.cfg.bound,
 		Policy:       l.cfg.policy,
@@ -597,7 +494,6 @@ func (l *lane) loop() {
 	defer l.wg.Done()
 	for {
 		l.mu.Lock()
-		l.busyPub = ""
 		for l.q.len() == 0 {
 			if l.spill.count > 0 {
 				// Refill from the spill backlog before anything newer:
@@ -609,32 +505,22 @@ func (l *lane) loop() {
 				l.mu.Unlock()
 				return
 			}
-			if l.set != nil && l.stealLocked() {
-				continue
-			}
 			l.cond.Wait()
 		}
 		item := l.q.pop()
-		l.busyPub = item.pub
 		l.notFull.Signal()
 		l.mu.Unlock()
-		l.runItem(item)
+		l.st.deq = 0
+		if item.enq != 0 {
+			// lane_wait closes on dequeue; the dequeue timestamp is
+			// reused as the dispatch-span start so the two stages tile
+			// without a second clock read.
+			now := telemetry.Now()
+			l.tele.Record(uint32(l.idx), telemetry.StageLaneWait, now-item.enq)
+			l.st.deq = now
+		}
+		l.dispatch(item.env, &l.st)
 	}
-}
-
-// runItem records the queue-wait telemetry for one envelope and
-// dispatches it on this lane's private state.
-func (l *lane) runItem(item laneItem) {
-	l.st.deq = 0
-	if item.enq != 0 {
-		// lane_wait closes on dequeue; the dequeue timestamp is
-		// reused as the dispatch-span start so the two stages tile
-		// without a second clock read.
-		now := telemetry.Now()
-		l.tele.Record(uint32(l.idx), telemetry.StageLaneWait, now-item.enq)
-		l.st.deq = now
-	}
-	l.dispatch(item.env, &l.st)
 }
 
 // refillFromSpillLocked moves up to spillDrainBatch spilled records back
@@ -655,154 +541,15 @@ func (l *lane) refillFromSpillLocked() {
 			enq = telemetry.Now()
 		}
 		l.nextSeq++
-		l.q.push(laneItem{env: env, pub: laneKey(env), prio: prio, seq: l.nextSeq, enq: enq})
+		l.q.push(laneItem{env: env, prio: prio, seq: l.nextSeq, enq: enq})
 	})
-	l.noteOccupancyLocked()
+	l.noteHighLocked()
 	l.st.counters.spillDrained.Add(uint64(l.spill.lastDrained))
 	if l.spill.count == 0 {
 		// Disk backlog fully drained: new arrivals queue in memory again
 		// and Block-policy pushers may have space.
 		l.notFull.Broadcast()
 	}
-}
-
-// wakeThief signals the first idle parallel lane other than hot, so a
-// parked sibling gets a chance to steal hot's backlog. Called with no
-// lane lock held.
-func (ls *laneSet) wakeThief(hot *lane) {
-	for _, s := range ls.par {
-		if s == hot {
-			continue
-		}
-		s.mu.Lock()
-		idle := s.q.len() == 0 && s.spill.count == 0 && !s.closed
-		if idle {
-			s.cond.Signal()
-		}
-		s.mu.Unlock()
-		if idle {
-			return
-		}
-	}
-}
-
-// stealLocked is called by the lane goroutine when its own queue is
-// empty (caller holds mu). It releases the lane's own lock, steals and
-// dispatches the hottest sibling's hottest publisher batch, and
-// re-acquires the lock. Returns true when any work was done (caller
-// re-checks its queue), false when there was nothing to steal (caller
-// may sleep).
-func (l *lane) stealLocked() bool {
-	l.mu.Unlock()
-	stole := l.stealCycle()
-	l.mu.Lock()
-	return stole || l.q.len() > 0 || l.spill.count > 0 || l.closed
-}
-
-// stealCycle performs one complete loan: pick a victim and publisher,
-// extract the publisher's queued batch, dispatch it here, then drain any
-// arrivals that accumulated in the loan buffer until it runs dry. The
-// batch in hand is the one thing a bounded victim owes above its bound.
-func (l *lane) stealCycle() bool {
-	victim, pub, batch := l.stealBatch()
-	if victim == nil {
-		return false
-	}
-	l.st.counters.steals.Add(1)
-	for {
-		l.st.counters.stolen.Add(uint64(len(batch)))
-		for _, item := range batch {
-			l.runItem(item)
-		}
-		victim.mu.Lock()
-		lo := victim.loans[pub]
-		if len(lo.buf) == 0 {
-			delete(victim.loans, pub)
-			victim.mu.Unlock()
-			return true
-		}
-		batch, lo.buf = lo.buf, nil
-		// Taking the buffer lowered the victim's occupancy.
-		victim.notFull.Broadcast()
-		victim.mu.Unlock()
-	}
-}
-
-// stealBatch picks the sibling with the longest queue and extracts
-// every queued envelope of its hottest stealable publisher, installing
-// a loan so later arrivals for that publisher follow the batch instead
-// of racing it. Lock discipline: only the victim's mu is held — lane
-// locks never nest, so steals cannot deadlock.
-func (l *lane) stealBatch() (victim *lane, pub string, batch []laneItem) {
-	if l.cfg.bound > 0 && l.cfg.policy == OverloadSpill {
-		// A Spill-policy lane (the set shares one config) lends nothing:
-		// a loaned publisher's overflow could not go to the victim's disk
-		// log, which the victim refills and dispatches itself, without a
-		// per-publisher reorder — and a backlog already on disk is newer
-		// than the in-memory window a thief would take.
-		return nil, "", nil
-	}
-	var best *lane
-	bestLen := stealMinBacklog - 1
-	for _, s := range l.set.par {
-		if s == l {
-			continue
-		}
-		s.mu.Lock()
-		n := s.q.len()
-		s.mu.Unlock()
-		if n > bestLen {
-			best, bestLen = s, n
-		}
-	}
-	if best == nil {
-		return nil, "", nil
-	}
-	best.mu.Lock()
-	defer best.mu.Unlock()
-	// Hottest publisher among the queued items, skipping the one in
-	// dispatch right now and those already on loan. The map allocates,
-	// but only on this rare idle-lane path — never per envelope.
-	queued := best.q.items[best.q.head:]
-	counts := make(map[string]int)
-	for i := range queued {
-		p := queued[i].pub
-		if p == best.busyPub {
-			continue
-		}
-		if _, loaned := best.loans[p]; loaned {
-			continue
-		}
-		counts[p]++
-	}
-	bestCount := 0
-	for p, c := range counts {
-		if c > bestCount || (c == bestCount && p < pub) {
-			pub, bestCount = p, c
-		}
-	}
-	if bestCount == 0 {
-		return nil, "", nil
-	}
-	w := 0
-	for i := range queued {
-		if queued[i].pub == pub {
-			batch = append(batch, queued[i])
-		} else {
-			queued[w] = queued[i]
-			w++
-		}
-	}
-	clear(queued[w:])
-	best.q.items = best.q.items[:best.q.head+w]
-	if best.loans == nil {
-		best.loans = make(map[string]*pubLoan)
-	}
-	best.loans[pub] = &pubLoan{}
-	// The extraction lowered the victim's occupancy: wake Block-policy
-	// pushers.
-	best.notFull.Broadcast()
-	return best, pub, batch
 }
 
 // close marks the lane closed, wakes everyone (drain goroutine and any

@@ -245,9 +245,8 @@ func newWedgedLane(t *testing.T, order laneOrder, cfg laneConfig) (l *lane, disp
 		mu.Lock()
 		ids = append(ids, env.ID)
 		mu.Unlock()
-	}, nil, 1, cfg, nil)
-	l.start()
-	l.push(&codec.Envelope{ID: "blocker"}, "b", 0)
+	}, nil, 1, cfg)
+	l.push(&codec.Envelope{ID: "blocker"}, 0)
 	<-started
 	return l, func() []string {
 		mu.Lock()
@@ -269,9 +268,9 @@ var laneOrders = []struct {
 // low-priority backlog, FIFO among equals.
 func TestSerialLanePriorityOvertaking(t *testing.T) {
 	l, dispatched, release := newWedgedLane(t, priorityOrder, laneConfig{})
-	l.push(&codec.Envelope{ID: "low-1"}, "", 1)
-	l.push(&codec.Envelope{ID: "high"}, "", 9)
-	l.push(&codec.Envelope{ID: "low-2"}, "", 1)
+	l.push(&codec.Envelope{ID: "low-1"}, 1)
+	l.push(&codec.Envelope{ID: "high"}, 9)
+	l.push(&codec.Envelope{ID: "low-2"}, 1)
 	release()
 	l.close() // drains the backlog before returning
 
@@ -292,7 +291,7 @@ func testLaneQueueShrinks(t *testing.T, cfg laneConfig, n int) {
 		t.Run(o.name, func(t *testing.T) {
 			l, _, release := newWedgedLane(t, o.order, cfg)
 			for i := 0; i < n; i++ {
-				l.push(&codec.Envelope{}, "p", i%7)
+				l.push(&codec.Envelope{}, i%7)
 			}
 			want := n
 			if cfg.bound > 0 {
@@ -325,11 +324,10 @@ func TestLaneQueuesShrinkAfterBurst(t *testing.T) {
 // compaction must reclaim the dead prefix).
 func TestFifoLaneSteadyStateMemory(t *testing.T) {
 	var n atomic.Int64
-	l := newLane(arrivalOrder, func(*codec.Envelope, *laneState) { n.Add(1) }, nil, 1, laneConfig{}, nil)
-	l.start()
+	l := newLane(arrivalOrder, func(*codec.Envelope, *laneState) { n.Add(1) }, nil, 1, laneConfig{})
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < 5000; i++ {
-		l.push(&codec.Envelope{}, "p", 0)
+		l.push(&codec.Envelope{}, 0)
 		for n.Load() != int64(i+1) {
 			if time.Now().After(deadline) {
 				t.Fatalf("lane stalled at %d/%d", n.Load(), i+1)

@@ -14,10 +14,10 @@ import (
 )
 
 // This file pins the overload-resilience contract of the lane layer:
-// bounded queues with the three overload policies, whole-publisher
-// work-stealing, and slow-consumer quarantine. The property stress test
-// runs the full engine against an unbounded naive oracle; the rest are
-// deterministic lane- and executor-level tests for each mechanism.
+// bounded queues with the three overload policies, lane affinity, and
+// slow-consumer quarantine. The property stress test runs the full
+// engine against an unbounded naive oracle; the rest are deterministic
+// lane- and executor-level tests for each mechanism.
 
 // TestOverloadPropertyStress is the overload property test (run under
 // -race in CI): a hot publisher bursts into a bounded engine with a
@@ -27,7 +27,10 @@ import (
 // the lossless policies (Block, Spill) the non-wedged subscriptions
 // must reach exactly the oracle's delivery set; and the wedged handler
 // must never block the other subscriptions' deliveries — which are all
-// asserted complete while the wedge is still held.
+// asserted complete while the wedge is still held. Each lane drains
+// through its own goroutine alone, so the hot publisher's lane keeps up
+// with no sibling's help, and LaneStat.Queued, the lane's queue, reads
+// zero once it has.
 func TestOverloadPropertyStress(t *testing.T) {
 	const (
 		nPubs   = 4
@@ -308,7 +311,7 @@ func TestOverloadPropertyStress(t *testing.T) {
 
 // collidingPublishers returns two distinct publishers that hash onto the
 // same one of n parallel lanes: one to wedge the lane's goroutine with,
-// one for a thief to steal.
+// one whose envelopes queue behind the wedge.
 func collidingPublishers(n int) (victimPub, hotPub string, lane int) {
 	victimPub = "victim-pub"
 	lane = laneIndex(victimPub, n)
@@ -319,200 +322,84 @@ func collidingPublishers(n int) (victimPub, hotPub string, lane int) {
 	}
 }
 
-// TestFifoLaneWorkStealing wedges one parallel lane on a blocker and
-// keeps publishing a colliding publisher's envelopes at it. The idle
-// sibling must wake up, steal the backlog whole-publisher batches at a
-// time, and dispatch them in publication order — all while the victim
-// lane is still stuck.
-func TestFifoLaneWorkStealing(t *testing.T) {
-	reg := obvent.NewRegistry()
+// TestParallelLaneAffinity pins that a parallel lane is drained by its
+// own goroutine and nothing else. Two lanes; lane L is wedged inside the
+// handler of publisher A's envelope. Publisher C hashes onto L too and
+// publisher B onto the other lane. B's envelopes all run on B's lane
+// while L is wedged; none of C's runs before the wedge is released,
+// however idle the other lane is; then C's run on L in publication order.
+func TestParallelLaneAffinity(t *testing.T) {
+	const n = 64
+	pubA, pubC, wedgedLane := collidingPublishers(2)
+	pubB := "b-0"
+	for i := 1; laneIndex(pubB, 2) == wedgedLane; i++ {
+		pubB = fmt.Sprintf("b-%d", i)
+	}
+
 	var mu sync.Mutex
-	var got []int                  // stolen publisher's dispatched sequence
-	states := map[*laneState]int{} // which lane dispatched what
-	blockerStarted := make(chan struct{})
-	release := make(chan struct{})
-	var delivered atomic.Int64
-	ls := newLaneSet(reg, 2, func(env *codec.Envelope, st *laneState) {
+	var released bool
+	var gotC []int
+	var early int                      // C's envelopes dispatched before the release
+	lanes := map[string][]*laneState{} // publisher -> lane state of each dispatch
+	wedged, release, bDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ls := newLaneSet(obvent.NewRegistry(), 2, func(env *codec.Envelope, st *laneState) {
 		if env.ID == "blocker" {
-			close(blockerStarted)
+			close(wedged)
 			<-release
 			return
 		}
 		mu.Lock()
-		got = append(got, int(env.Seq))
-		states[st]++
-		mu.Unlock()
-		delivered.Add(1)
+		defer mu.Unlock()
+		lanes[env.Publisher] = append(lanes[env.Publisher], st)
+		switch env.Publisher {
+		case pubC:
+			gotC = append(gotC, int(env.Seq))
+			if !released {
+				early++
+			}
+		case pubB:
+			if len(lanes[pubB]) == n {
+				close(bDone)
+			}
+		}
 	}, nil, laneConfig{})
-	defer func() {
-		close(release)
-		ls.close()
-	}()
-
-	victimPub, hotPub, victimLane := collidingPublishers(2)
-
-	ls.par[victimLane].push(&codec.Envelope{ID: "blocker"}, victimPub, 0)
-	<-blockerStarted // victim lane goroutine now wedged in dispatch
-
-	// Keep the hot publisher producing until the thief has moved a solid
-	// batch; every eighth queued envelope wakes an idle sibling.
-	const want = 100
-	deadline := time.Now().Add(30 * time.Second)
-	for n := 0; delivered.Load() < want; n++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("thief never drained the hot publisher: delivered %d/%d, lanes %+v",
-				delivered.Load(), want, ls.laneStats())
-		}
-		ls.par[victimLane].push(&codec.Envelope{ID: fmt.Sprintf("hot-%d", n), Seq: uint64(n)}, hotPub, 0)
+	route := func(id, pub string, seq int) {
+		ls.route(&codec.Envelope{ID: id, Publisher: pub, Seq: uint64(seq), Ordering: obvent.FIFO})
 	}
 
+	route("blocker", pubA, 0)
+	<-wedged
+	for i := 0; i < n; i++ {
+		route(fmt.Sprintf("c-%d", i), pubC, i)
+	}
+	for i := 0; i < n; i++ {
+		route(fmt.Sprintf("b-%d", i), pubB, i)
+	}
+	<-bDone
 	mu.Lock()
-	defer mu.Unlock()
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("stolen batch reordered at %d: %d after %d", i, got[i], got[i-1])
+	released = true
+	mu.Unlock()
+	close(release)
+	ls.close()
+
+	if early != 0 {
+		t.Errorf("%d of C's %d envelopes dispatched while their lane was wedged", early, n)
+	}
+	for pub, want := range map[string]*laneState{pubB: &ls.par[1-wedgedLane].st, pubC: &ls.par[wedgedLane].st} {
+		for i, st := range lanes[pub] {
+			if st != want {
+				t.Errorf("publisher %s: envelope %d dispatched off its lane", pub, i)
+				break
+			}
 		}
 	}
-	// Every dispatch of the hot publisher happened on the thief lane: the
-	// victim's goroutine is provably still inside the blocker.
-	thief := &ls.par[1-victimLane].st
-	for st, n := range states {
-		if st != thief {
-			t.Errorf("%d hot envelopes dispatched off the thief lane", n)
+	if len(gotC) != n {
+		t.Fatalf("C delivered %d, want %d", len(gotC), n)
+	}
+	for i, seq := range gotC {
+		if seq != i {
+			t.Fatalf("C delivered out of publication order at %d: %v", i, gotC)
 		}
-	}
-	var steals, stolen uint64
-	for _, l := range ls.laneStats() {
-		steals += l.Stats.Steals
-		stolen += l.Stats.StolenEvents
-	}
-	if steals < 1 {
-		t.Errorf("Steals = %d, want >= 1", steals)
-	}
-	if stolen < want {
-		t.Errorf("StolenEvents = %d, want >= %d (all deliveries while victim wedged)", stolen, want)
-	}
-}
-
-// TestLoanCountsAgainstBound pins what a lane's bound counts: a
-// publisher on loan to a thief is still owed by its lane, so the arrivals
-// waiting in the loan buffer occupy the bound exactly as the queue would.
-// Two lanes, bound 8: the victim's goroutine is wedged on one publisher
-// and the thief is wedged inside the handler of the first envelope of the
-// batch it stole, so every later arrival for the stolen publisher lands in
-// the loan buffer. (Before the bound counted it, 100,000 of 100,000 such
-// pushes returned at once and 99,992 sat in the buffer.)
-func TestLoanCountsAgainstBound(t *testing.T) {
-	const bound, pushes = 8, 60
-	for _, policy := range []OverloadPolicy{OverloadBlock, OverloadDropOldest} {
-		t.Run(policy.String(), func(t *testing.T) {
-			var mu sync.Mutex
-			var got []int // the loaned publisher's dispatched sequence
-			victimWedged, thiefWedged := make(chan struct{}), make(chan struct{})
-			releaseVictim, releaseThief := make(chan struct{}), make(chan struct{})
-			ls := newLaneSet(obvent.NewRegistry(), 2, func(env *codec.Envelope, _ *laneState) {
-				switch {
-				case env.ID == "blocker":
-					close(victimWedged)
-					<-releaseVictim
-					return
-				case env.Seq == 0:
-					close(thiefWedged)
-					<-releaseThief
-				}
-				mu.Lock()
-				got = append(got, int(env.Seq))
-				mu.Unlock()
-			}, nil, laneConfig{bound: bound, policy: policy})
-			victimPub, hotPub, victimLane := collidingPublishers(2)
-			victim := ls.par[victimLane]
-			owed := func() int { return victim.stat(victimLane).Queued }
-			var returned atomic.Int64
-			push := func(n int) {
-				victim.push(&codec.Envelope{ID: fmt.Sprintf("hot-%d", n), Seq: uint64(n)}, hotPub, 0)
-				returned.Add(1)
-			}
-
-			victim.push(&codec.Envelope{ID: "blocker"}, victimPub, 0)
-			<-victimWedged
-			// Fill the queue to the bound, which is also the backlog a
-			// thief asks for, and nudge the idle sibling until it has taken
-			// the batch (its first wake may have raced its start-up scan).
-			for n := 0; n < bound; n++ {
-				push(n)
-			}
-			for wedged := false; !wedged; {
-				select {
-				case <-thiefWedged:
-					wedged = true
-				case <-time.After(time.Millisecond):
-					ls.wakeThief(victim)
-				}
-			}
-			if n := owed(); n != 0 {
-				t.Fatalf("victim owes %d with its whole queue in the thief's hand, want 0", n)
-			}
-
-			// The rest arrive while the loan is open and nothing drains.
-			rest := make(chan struct{})
-			go func() {
-				defer close(rest)
-				for n := bound; n < pushes; n++ {
-					push(n)
-					if o := owed(); o > bound {
-						t.Errorf("after push %d the victim owes %d, bound %d", n, o, bound)
-					}
-				}
-			}()
-			wantShed := uint64(0)
-			if policy == OverloadBlock {
-				// bound more pushes return and the next one blocks.
-				waitFor(t, 10*time.Second, "the loan buffer to fill", func() bool { return returned.Load() >= 2*bound })
-				time.Sleep(50 * time.Millisecond)
-				if r := returned.Load(); r != 2*bound {
-					t.Fatalf("%d pushes returned with victim and thief wedged, want %d (one batch in hand + bound)", r, 2*bound)
-				}
-			} else {
-				// Every push returns; all but the last bound are shed.
-				<-rest
-				wantShed = pushes - 2*bound
-			}
-			// LaneStat.Queued is the occupancy: the loan buffer is visible
-			// to a caller waiting for the lanes to drain.
-			if o := owed(); o != bound {
-				t.Errorf("victim owes %d with an empty queue and a full loan buffer, want %d", o, bound)
-			}
-			if shed := victim.stat(victimLane).Stats.Shed; shed != wantShed {
-				t.Errorf("Shed = %d, want %d", shed, wantShed)
-			}
-
-			// Releasing the thief alone unblocks the pusher: the thief
-			// drains the loan buffer, and whatever arrives after it closes
-			// the loan queues on the wedged victim until stolen again. (A
-			// lane full at exactly the steal threshold wakes a thief once,
-			// and that wake can race the thief's scan: hence the nudge.)
-			close(releaseThief)
-			waitFor(t, 10*time.Second, "every push to return once the thief drains", func() bool {
-				ls.wakeThief(victim)
-				return returned.Load() == pushes
-			})
-			<-rest
-			close(releaseVictim)
-			ls.close()
-			if o := owed(); o != 0 {
-				t.Errorf("victim owes %d after close, want 0", o)
-			}
-			// Publication order, none duplicated, and under DropOldest the
-			// survivors are the batch in hand and the newest bound.
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					t.Fatalf("loaned publisher reordered or duplicated at %d: %v", i, got)
-				}
-			}
-			if uint64(len(got)) != pushes-wantShed || got[len(got)-1] != pushes-1 {
-				t.Errorf("delivered %v, want %d ending at %d", got, pushes-wantShed, pushes-1)
-			}
-		})
 	}
 }
 
@@ -589,7 +476,7 @@ func testLaneOverloadPolicies(t *testing.T, order laneOrder) {
 			}
 			l, dispatched, release := newWedgedLane(t, order, cfg)
 			push := func(i int) {
-				l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"}, "p", row.prios[i])
+				l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"}, row.prios[i])
 			}
 			n := len(row.prios)
 			if row.blocks {

@@ -89,8 +89,8 @@ const (
 	// and sends only to nodes with at least one passing subscription,
 	// saving bandwidth. Unordered classes prune per message; ordered
 	// and gossip classes prune through the interest-aware multicast
-	// protocols (see WithOrderedPruning); certified classes address
-	// their durable subscribers explicitly.
+	// protocols (package doc, "Interest-aware multicast"); certified classes
+	// address their durable subscribers explicitly.
 	AtPublisher
 )
 
@@ -124,7 +124,6 @@ type config struct {
 	durTuning    DurabilityTuning
 	gossip       bool
 	naive        bool
-	pruneOff     bool
 	metricsAddr  string
 	traceHook    func(TraceEvent)
 	traceEvery   int
@@ -268,22 +267,6 @@ func WithRMI(tr Transport) Option {
 	return func(c *config) { c.rmiTransport = tr }
 }
 
-// WithOrderedPruning toggles interest-aware pruning of the ordered
-// (FIFO/Causal/Total) and gossip classes. It defaults to on: data
-// frames go only to nodes the routing plane marks interested — for
-// total order the sequencer filters as it broadcasts — and the rest
-// are sent nothing, because order rides each destination's own link
-// sequence (causal publishers alone follow up with an amortized clock
-// marker), so delivery cost scales with interest size instead of group
-// size. Pruning fails open (an unevaluable event or unknown node
-// counts as interested) and preserves every class's ordering contract;
-// the saved traffic shows in Stats as PrunedSends, the causal markers
-// as SkipFrames. Pass false to revert to full-group broadcasts with
-// subscriber-side filtering.
-func WithOrderedPruning(enabled bool) Option {
-	return func(c *config) { c.pruneOff = !enabled }
-}
-
 // WithMetricsAddr starts an HTTP metrics endpoint on addr (e.g.
 // "127.0.0.1:0") when the domain opens and stops it on Close. The
 // endpoint serves /metrics (Prometheus text exposition of the per-stage
@@ -356,9 +339,6 @@ func (c *config) distributedOnly() []string {
 	if c.durDir != "" {
 		bad = append(bad, "WithDurability")
 	}
-	if c.pruneOff {
-		bad = append(bad, "WithOrderedPruning")
-	}
 	return bad
 }
 
@@ -376,7 +356,6 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 		GossipUnreliable: c.gossip,
 		Durable:          dur,
 		AdTTL:            c.adTTL,
-		NoOrderedPruning: c.pruneOff,
 		Telemetry:        tele,
 		Logger:           log,
 		Multicast: multicast.Options{
