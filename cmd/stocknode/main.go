@@ -186,8 +186,8 @@ func printStageLatencies(d *govents.Domain) {
 // and broken out per obvent class.
 func printRoutingStats(d *govents.Domain) {
 	st := d.RoutingStats()
-	fmt.Printf("routing: ads-applied=%d ads-stale=%d ads-deferred=%d ads-heartbeat=%d ads-rejected=%d nodes-expired=%d plans=%d events=%d compound-evals=%d pruned=%d fallback=%d partial-decodes=%d materializations=%d\n",
-		st.AdsApplied, st.AdsStale, st.AdsDeferred, st.AdsRefreshed, st.AdsRejected, st.NodesExpired, st.PlansCompiled,
+	fmt.Printf("routing: ads-applied=%d ads-stale=%d ads-heartbeat=%d ads-rejected=%d nodes-expired=%d plans=%d events=%d compound-evals=%d pruned=%d fallback=%d partial-decodes=%d materializations=%d\n",
+		st.AdsApplied, st.AdsStale, st.AdsRefreshed, st.AdsRejected, st.NodesExpired, st.PlansCompiled,
 		st.EventsRouted, st.CompoundEvals, st.NodesPruned, st.FallbackEvals, st.PartialDecodes, st.WireMaterializations)
 	byClass := d.RoutingStatsByClass()
 	classes := make([]string, 0, len(byClass))

@@ -27,10 +27,14 @@ const maxAdBytes = 1 << 20
 //     subscription set at Seq. Idempotent; receivers apply the newest.
 //   - A delta (Delta true): Subs are additions and Removed are removals
 //     (by subscription ID) relative to the state at BaseSeq. Receivers
-//     apply a delta only on top of exactly BaseSeq and park it
-//     otherwise: the control channel releases one sender's frames in
-//     link order, but two of a node's ads may race each other to it, and
-//     a peer may join in the middle of a chain.
+//     apply a delta only on top of exactly BaseSeq and drop it
+//     otherwise. A node stamps its ads on the control link in Seq order
+//     and the link releases one sender's frames in the order stamped,
+//     so a delta misses its base only when the chain broke (a peer
+//     joined in the middle of it); the node's next snapshot mends that.
+//
+// Node is the sender: a receiver refuses an ad whose Node is not the
+// control link's origin of the frame.
 //
 // Epoch is the sender's process-incarnation boot stamp. A receiver
 // seeing a higher epoch than recorded for Node forgets the previous

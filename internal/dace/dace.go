@@ -15,7 +15,10 @@
 //     "allowing distributed processes to learn about other, possibly
 //     new, multicast classes". Advertisements come in two forms:
 //     idempotent full snapshots and deltas (add/remove per subscription
-//     ID) reconciled by per-node sequence numbers.
+//     ID) on the node's previous ad. A node stamps its ads on the
+//     control link in their sequence order, and the link hands one
+//     sender's frames over in the order they were stamped, so every
+//     peer applies a node's ads in sequence order.
 //
 //   - Remote filters travel in the advertisements; with publisher-side
 //     filter placement, a publishing node evaluates the filters of each
@@ -30,7 +33,7 @@
 //	control channel (subscription ads: snapshots + deltas)
 //	        │ onControl (decode outside locks)
 //	        ▼
-//	routing.Table ── per-node snapshots, seq-reconciled
+//	routing.Table ── per-node snapshots, in sequence order
 //	        │ compiled lazily per published class
 //	        ▼
 //	one matching.Compound per class (one entry per node)
@@ -157,12 +160,11 @@ type Node struct {
 	// locking and is never touched under n.mu.
 	routes *routing.Table
 
-	mu      sync.Mutex
-	peers   []string
-	sink    func(*codec.Envelope)
-	groups  map[string]multicast.Group   // by stream name
-	byClass map[groupKey]multicast.Group // the same groups as group() looks them up
-	closed  bool
+	mu     sync.Mutex
+	peers  []string
+	sink   func(*codec.Envelope)
+	groups map[groupKey]multicast.Group
+	closed bool
 
 	// epoch is this process incarnation's boot stamp, carried in every
 	// advertisement so peers can tell a restarted node (whose ad
@@ -170,9 +172,10 @@ type Node struct {
 	// previous life. See routing.Table.NoteEpoch.
 	epoch int64
 
-	// adMu makes taking an advertisement's sequence and applying it to our
-	// own routing table one step, so that the table meets our ads in
-	// order and parks none of them. It is taken before mu.
+	// adMu makes taking an advertisement's sequence, applying it to our
+	// own routing table and stamping it on the control link one step, so
+	// that our table and every peer's meet our ads in sequence order. It
+	// is taken before mu.
 	adMu         sync.Mutex
 	adSeq        uint64                           // our advertisement sequence number
 	lastAdv      map[string]core.SubscriptionInfo // our active subscriptions as of ad adSeq, by ID
@@ -217,8 +220,7 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 		cdc:     codec.New(reg),
 		cfg:     cfg,
 		routes:  routing.NewTable(reg),
-		groups:  make(map[string]multicast.Group),
-		byClass: make(map[groupKey]multicast.Group),
+		groups:  make(map[groupKey]multicast.Group),
 		lastAdv: make(map[string]core.SubscriptionInfo),
 	}
 	n.destBuf.New = func() any { return &destScratch{} }
@@ -330,11 +332,11 @@ func (n *Node) SetPeers(peers []string) {
 	n.advertise(nil, nil, true)
 }
 
-// groupsSnapshotLocked snapshots the live groups with their streams.
-func (n *Node) groupsSnapshotLocked() map[string]multicast.Group {
-	groups := make(map[string]multicast.Group, len(n.groups))
-	for stream, g := range n.groups {
-		groups[stream] = g
+// groupsSnapshotLocked snapshots the live groups with their keys.
+func (n *Node) groupsSnapshotLocked() map[groupKey]multicast.Group {
+	groups := make(map[groupKey]multicast.Group, len(n.groups))
+	for key, g := range n.groups {
+		groups[key] = g
 	}
 	return groups
 }
@@ -345,7 +347,7 @@ func (n *Node) groupsSnapshotLocked() map[string]multicast.Group {
 // every peer address as a durable consumer would register phantom
 // outbox consumers that never acknowledge, pinning the durable outbox's
 // GC frontier at zero forever.
-func (n *Node) setGroupsMembers(groups map[string]multicast.Group, peers []string) {
+func (n *Node) setGroupsMembers(groups map[groupKey]multicast.Group, peers []string) {
 	for _, g := range groups {
 		if _, ok := g.(*multicast.Certified); !ok {
 			g.SetMembers(peers)
@@ -420,19 +422,15 @@ type groupKey struct{ proto, class string }
 func (n *Node) group(proto, class string) multicast.Group {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	key := groupKey{proto, class}
-	g, ok := n.byClass[key]
-	if !ok {
-		g = n.groupLocked(proto, class, streamName(proto, class))
-		n.byClass[key] = g
-	}
-	return g
+	return n.groupLocked(groupKey{proto, class})
 }
 
-func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
-	if g, ok := n.groups[stream]; ok {
+func (n *Node) groupLocked(key groupKey) multicast.Group {
+	if g, ok := n.groups[key]; ok {
 		return g
 	}
+	proto, class := key.proto, key.class
+	stream := streamName(proto, class)
 	// A channel carries one class, so its frames need not name it.
 	deliver := func(origin string, payload []byte) { n.onData(class, origin, payload) }
 	prune := !n.cfg.NoOrderedPruning
@@ -484,7 +482,7 @@ func (n *Node) groupLocked(proto, class, stream string) multicast.Group {
 	} else {
 		g.SetMembers(n.peers)
 	}
-	n.groups[stream] = g
+	n.groups[key] = g
 	return g
 }
 
@@ -640,7 +638,7 @@ func (n *Node) onUnknownStream(stream, from string, payload []byte) {
 		n.mu.Unlock()
 		return
 	}
-	n.groupLocked(parts[1], parts[2], base)
+	n.groupLocked(groupKey{parts[1], parts[2]})
 	n.mu.Unlock()
 	n.mux.Redeliver(stream, from, payload)
 }
@@ -911,12 +909,15 @@ func (n *Node) SubscriptionChanged(active []core.SubscriptionInfo, removed ...st
 // way a peer applies it. When the change is smaller than the set, the
 // ad is a delta (add/remove per subscription ID); a full snapshot is
 // forced by forceSnapshot (membership changes, anti-entropy
-// introductions) and every snapshotEvery deltas. A delta that overtakes
-// its base on the way to a peer is parked there (bounded) until the
-// base arrives; see routing.Table.ApplyDelta.
+// introductions) and every snapshotEvery deltas.
 //
+// Taking the ad's sequence, applying it here, encoding it and stamping
+// it on the control link are one critical section under adMu, so the
+// ads leave in sequence order and the link, which orders one sender's
+// frames, delivers them so: a peer applies every delta on its base, and
+// drops one only when the chain broke (see routing.Table.ApplyDelta).
 // Only the sequence bump and the bookkeeping of the change run under
-// n.mu; encoding and the control broadcast happen outside every lock.
+// n.mu.
 func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, forceSnapshot bool) {
 	n.adMu.Lock()
 	n.mu.Lock()
@@ -940,13 +941,10 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 	if durable {
 		// Certified groups created before a durable activation must learn
 		// the durable identities they now acknowledge under.
-		for stream, g := range n.groups {
-			c, ok := g.(*multicast.Certified)
-			class := strings.TrimPrefix(stream, "dace/cert/")
-			if !ok || class == stream {
-				continue
+		for key, g := range n.groups {
+			if c, ok := g.(*multicast.Certified); ok {
+				c.SetDurableIDs(n.durableIDsForLocked(key.class))
 			}
-			c.SetDurableIDs(n.durableIDsForLocked(class))
 		}
 	}
 	if !forceSnapshot && n.adSeq > 1 && n.adsSinceSnap < snapshotEvery &&
@@ -968,24 +966,23 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 	// Our own state enters the routing table directly (the control
 	// echo of our broadcast is discarded in onControl).
 	moved := n.applyAd(&ad).Applied
-	n.adMu.Unlock()
-	if closed {
-		return
+	if !closed {
+		payload, err := encodeAd(&ad)
+		if err == nil {
+			err = n.control.Broadcast(payload)
+		}
+		if err != nil {
+			// Peers keep routing on our previous advertisement until the
+			// next snapshot gets through.
+			n.log.Warn("dace: advertisement not sent",
+				"node", n.self, "seq", ad.Seq, "delta", ad.Delta, "err", err)
+		}
 	}
-	if moved {
+	n.adMu.Unlock()
+	if moved && !closed {
 		// A local durable subscription that came back is owed what the
 		// outbox holds for it: redelivery must learn where it is.
 		n.refreshCertSubscribers()
-	}
-	payload, err := encodeAd(&ad)
-	if err == nil {
-		err = n.control.Broadcast(payload)
-	}
-	if err != nil {
-		// Peers keep routing on our previous advertisement until the next
-		// one gets through.
-		n.log.Warn("dace: advertisement not sent",
-			"node", n.self, "seq", ad.Seq, "delta", ad.Delta, "err", err)
 	}
 }
 
@@ -998,12 +995,15 @@ func (n *Node) applyAd(ad *subscriptionAd) routing.ApplyResult {
 	return n.routes.ApplySnapshot(ad.Node, ad.Seq, ad.Subs)
 }
 
-// onControl processes a subscription advertisement. The decode, filter
-// parsing and plan bookkeeping all happen outside n.mu — a slow, huge
-// or corrupt advertisement must never stall the publish path
-// (PublishEnvelope briefly takes n.mu); the routing table has its own
-// short-held lock.
-func (n *Node) onControl(_ string, payload []byte) {
+// onControl processes a subscription advertisement sent by from. The
+// decode, filter parsing and plan bookkeeping all happen outside n.mu —
+// a slow, huge or corrupt advertisement must never stall the publish
+// path (PublishEnvelope briefly takes n.mu); the routing table has its
+// own short-held lock. An ad speaks only for its sender: one naming
+// another node is refused, since taken for that node's it could end the
+// node's incarnation (NoteEpoch) or break the order of its ads, which
+// the link keeps per sender.
+func (n *Node) onControl(from string, payload []byte) {
 	if len(payload) > maxAdBytes {
 		n.routes.NoteAdRejected()
 		n.log.Warn("dace: rejecting oversized advertisement", "bytes", len(payload))
@@ -1015,6 +1015,12 @@ func (n *Node) onControl(_ string, payload []byte) {
 		n.log.Warn("dace: rejecting undecodable advertisement",
 			"bytes", len(payload), "err", err)
 		return // corrupt advertisement: ignore
+	}
+	if ad.Node != from {
+		n.routes.NoteAdRejected()
+		n.log.Warn("dace: rejecting advertisement for another node",
+			"from", from, "node", ad.Node)
+		return
 	}
 	if ad.Node == n.self {
 		return // our own broadcast echoed back
@@ -1050,18 +1056,14 @@ func (n *Node) refreshCertSubscribers() {
 	n.mu.Lock()
 	groups := n.groupsSnapshotLocked()
 	n.mu.Unlock()
-	for stream, g := range groups {
+	for key, g := range groups {
 		c, ok := g.(*multicast.Certified)
 		if !ok {
 			continue
 		}
-		class := strings.TrimPrefix(stream, "dace/cert/")
-		if class == stream {
-			continue
-		}
-		if err := c.SetSubscribers(n.certSubscribersFor(class)); err != nil {
+		if err := c.SetSubscribers(n.certSubscribersFor(key.class)); err != nil {
 			n.log.Warn("dace: certified membership update failed",
-				"stream", stream, "err", err)
+				"stream", streamName(key.proto, key.class), "err", err)
 			gen = 0 // no generation is 0: the next publish tries again
 		}
 	}

@@ -135,7 +135,7 @@ func TestHeaderFidelityEveryClass(t *testing.T) {
 						if publisher == pub.Addr() {
 							for i, n := range nodes {
 								n.mu.Lock()
-								_, made := n.groups[streamName(c.tag, c.name)]
+								_, made := n.groups[groupKey{c.tag, c.name}]
 								n.mu.Unlock()
 								if made && i != 1 {
 									t.Fatalf("%s: node-%d has the class's group before any frame of it", c.tag, i)

@@ -340,8 +340,8 @@ func TestExpiredNodeDropsFromRetransmission(t *testing.T) {
 	relGroup := func() *multicast.Reliable {
 		pub.node.mu.Lock()
 		defer pub.node.mu.Unlock()
-		for stream, g := range pub.node.groups {
-			if r, ok := g.(*multicast.Reliable); ok && stream != "dace/control" {
+		for _, g := range pub.node.groups {
+			if r, ok := g.(*multicast.Reliable); ok {
 				return r
 			}
 		}

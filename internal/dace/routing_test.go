@@ -2,6 +2,9 @@ package dace
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,6 +168,152 @@ func TestCorruptOrSlowAdCannotStallPublish(t *testing.T) {
 	})
 	close(stop)
 	flood.Wait()
+}
+
+// TestAdSpeaksOnlyForItsSender: an advertisement names the node whose
+// subscriptions it carries, and the control link names the node that
+// sent it. An ad from a third endpoint naming node-1 under a newer epoch
+// must be refused and counted, not taken for node-1's rebirth: that
+// would drop node-1's routing state and refuse node-1's own later ads as
+// a dead incarnation's.
+func TestAdSpeaksOnlyForItsSender(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	nodes := newDomain(t, net, 2, fastCfg())
+	pub, sub := nodes[0], nodes[1]
+	class := obvent.TypeName(obvent.TypeOf[StockQuote]())
+
+	subscribe := func() string {
+		s, err := core.Subscribe(sub.engine, nil, func(StockQuote) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Activate(); err != nil {
+			t.Fatal(err)
+		}
+		return s.ID()
+	}
+	want := map[[2]string]bool{{"node-1", subscribe()}: true}
+	waitRouted(t, pub.node, class, "node-1's subscription at the publisher", want)
+
+	ep, err := net.NewEndpoint("evil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := multicast.NewReliable(multicast.NewMux(ep), "dace/ctrl", func(string, []byte) {}, fastCfg().Multicast)
+	defer ctrl.Close()
+	ctrl.SetMembers([]string{"node-0", "node-1", "evil"})
+	evilSub := core.SubscriptionInfo{ID: "evil/sub-1", TypeName: class}
+	for _, ad := range []*subscriptionAd{
+		{Node: "node-1", Epoch: math.MaxInt64, Seq: 1},                           // forged: empties node-1
+		{Node: "evil", Epoch: 1, Seq: 1, Subs: []core.SubscriptionInfo{evilSub}}, // its own
+	} {
+		payload, err := encodeAd(ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The link hands over evil's frames in order: once its own ad is in,
+	// the forged one has been handled.
+	want[[2]string{"evil", evilSub.ID}] = true
+	routed := func() map[[2]string]bool {
+		got := make(map[[2]string]bool)
+		pub.node.routes.ForEachConforming(class, func(node string, info core.SubscriptionInfo) {
+			got[[2]string{node, info.ID}] = true
+		})
+		return got
+	}
+	waitFor(t, 10*time.Second, "evil's own ad at the publisher", func() bool {
+		return routed()[[2]string{"evil", evilSub.ID}]
+	})
+	if got := routed(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("routed at the publisher after an ad forged for node-1: %v, want %v", got, want)
+	}
+	if got := pub.node.RoutingStats().AdsRejected; got != 1 {
+		t.Errorf("AdsRejected = %d at the publisher, want 1 (the forged ad)", got)
+	}
+	// node-1's own ads still apply.
+	want[[2]string{"node-1", subscribe()}] = true
+	waitRouted(t, pub.node, class, "node-1's second subscription at the publisher", want)
+}
+
+// TestAdsArriveInSequenceOrder: a node stamps its ads on the control
+// link in sequence order, and the link hands one sender's frames over
+// in the order they were stamped. So under concurrent subscription
+// changes a peer meets a node's ads one sequence after another, each
+// delta on the base just before it, and drops none as stale.
+func TestAdsArriveInSequenceOrder(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	nodes := newDomain(t, net, 2, fastCfg())
+	pub, sub := nodes[0], nodes[1]
+	obs := adsOnControl(t, net, nodes)
+	class := obvent.TypeName(obvent.TypeOf[StockQuote]())
+
+	const workers, rounds = 8, 50
+	var (
+		mu   sync.Mutex
+		want = make(map[[2]string]bool) // each worker's last subscription stays active
+		wg   sync.WaitGroup
+		errs = make(chan error, workers)
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := filter.Path("GetPrice").Lt(filter.Float(float64(100 * (w + 1))))
+			for i := 0; i < rounds; i++ {
+				s, err := core.Subscribe(sub.engine, f, func(StockQuote) {})
+				if err == nil {
+					err = s.Activate()
+				}
+				if err == nil && i < rounds-1 {
+					err = s.Deactivate()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if i == rounds-1 {
+					mu.Lock()
+					want[[2]string{"node-1", s.ID()}] = true
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitRouted(t, pub.node, class, "node-1's active set at the publisher", want)
+
+	sub.node.mu.Lock()
+	last := sub.node.adSeq
+	sub.node.mu.Unlock()
+	var ads []subscriptionAd
+	waitFor(t, 10*time.Second, "node-1's last ad at the observer", func() bool {
+		ads = obs.from("node-1")
+		return slices.ContainsFunc(ads, func(ad subscriptionAd) bool { return ad.Seq == last })
+	})
+	if len(ads) < workers*(2*rounds-1) {
+		t.Fatalf("the observer saw %d ads of node-1 for %d changes", len(ads), workers*(2*rounds-1))
+	}
+	for i, ad := range ads {
+		if i > 0 && ad.Seq != ads[i-1].Seq+1 {
+			t.Fatalf("node-1's ad %d arrived right after its ad %d", ad.Seq, ads[i-1].Seq)
+		}
+		if ad.Delta && ad.BaseSeq != ad.Seq-1 {
+			t.Fatalf("delta %d is on base %d", ad.Seq, ad.BaseSeq)
+		}
+	}
+	if st := pub.node.RoutingStats(); st.AdsStale != 0 {
+		t.Errorf("the publisher dropped %d of node-1's ads as stale", st.AdsStale)
+	}
 }
 
 // adObserver records decoded control-channel advertisements from one

@@ -8,7 +8,7 @@
 // disseminates subscriptions as obvents (§4.2). A Table is the
 // publisher-side materialization of that advertisement stream:
 //
-//	subscription ads ──► Table (per-node snapshots, seq-reconciled)
+//	subscription ads ──► Table (per-node snapshots, in sequence order)
 //	                       │ lazily, per published class
 //	                       ▼
 //	                 one matching.Compound whose match IDs are nodes
@@ -27,12 +27,14 @@
 // one the subscriber-side dispatch table also uses: a plan is compiled
 // again after any advertisement or type registration.
 //
-// Advertisement ingestion is idempotent and sequence-reconciled: full
-// snapshots replace a node's state when newer, deltas (add/remove by
-// subscription ID) apply only on top of the exact base sequence they
-// were diffed against and are otherwise parked until the chain closes —
-// a node's ads may race each other to the control channel, and a peer
-// may join in the middle of a chain.
+// Advertisement ingestion is idempotent and ordered by each node's ad
+// sequence: full snapshots replace a node's state when newer, deltas
+// (add/remove by subscription ID) apply only on top of the exact base
+// sequence they were diffed against and are otherwise dropped as stale.
+// The control link hands a node's ads over in the order the node
+// stamped them, which is their sequence order, so an off-base delta
+// means the chain broke (a peer joined in the middle of it, or the link
+// wrote a frame off), and the node's next snapshot mends it.
 package routing
 
 import (
@@ -66,9 +68,9 @@ type Table struct {
 	gen    atomic.Uint64 // bumped on every applied mutation
 
 	// adTTL is the silent-node expiry: a node whose last advertisement
-	// (of any kind — stale and deferred ads also prove liveness) is
-	// older than adTTL is dropped by ExpireSilent even without a
-	// membership change. Zero disables expiry.
+	// (of any kind — stale ads also prove liveness) is older than adTTL
+	// is dropped by ExpireSilent even without a membership change. Zero
+	// disables expiry.
 	adTTL time.Duration
 	// now is the clock; replaceable in tests.
 	now func() time.Time
@@ -78,7 +80,6 @@ type Table struct {
 
 	adsApplied   atomic.Uint64
 	adsStale     atomic.Uint64
-	adsDeferred  atomic.Uint64
 	adsRefreshed atomic.Uint64
 	adsRejected  atomic.Uint64
 	nodesExpired atomic.Uint64
@@ -97,9 +98,6 @@ type Table struct {
 type nodeState struct {
 	seq  uint64
 	subs map[string]subRecord // by subscription ID; nil until a snapshot applied
-	// pending parks deltas whose base sequence has not been applied
-	// yet, keyed by that base.
-	pending map[uint64]*delta
 	// lastSeen is when the node last advertised anything (liveness for
 	// the silent-TTL expiry).
 	lastSeen time.Time
@@ -114,30 +112,14 @@ type subRecord struct {
 	expr *filter.Expr
 }
 
-// maxPendingDeltas bounds how many out-of-order deltas are parked per
-// node. Senders force a full snapshot at least every 8 deltas, so
-// legitimate chains never need more; anything beyond is a buggy or
-// hostile peer.
-const maxPendingDeltas = 16
-
-// delta is a parked delta advertisement.
-type delta struct {
-	seq    uint64
-	add    []subRecord
-	remove []string
-}
-
 // ApplyResult reports how an advertisement was ingested.
 type ApplyResult struct {
-	// Applied is true when the table changed (the ad, and possibly a
-	// chain of parked deltas behind it, took effect).
+	// Applied is true when the ad changed the table.
 	Applied bool
-	// NewNode is true the first time any advertisement (applied,
-	// deferred or stale) is witnessed from this node — the trigger for
-	// anti-entropy re-advertisement.
+	// NewNode is true the first time any advertisement (applied or
+	// stale) is witnessed from this node — the trigger for anti-entropy
+	// re-advertisement.
 	NewNode bool
-	// Deferred is true when a delta was parked awaiting its base.
-	Deferred bool
 }
 
 // classCounters is the per-class atomic form of Stats' routing half.
@@ -153,23 +135,22 @@ type classCounters struct {
 
 // Stats are a Table's cumulative routing-plane counters.
 type Stats struct {
-	// AdsApplied counts advertisements (snapshots and deltas, including
-	// drained parked deltas) that changed the table.
+	// AdsApplied counts advertisements (snapshots and deltas) that
+	// changed the table.
 	AdsApplied uint64
 	// AdsStale counts advertisements discarded as overtaken by a newer
-	// sequence.
+	// sequence, deltas whose base is not the node's applied sequence,
+	// and ads of a dead incarnation (NoteEpoch).
 	AdsStale uint64
-	// AdsDeferred counts deltas parked because their base had not been
-	// applied yet.
-	AdsDeferred uint64
 	// AdsRefreshed counts advertisements that only refreshed a node's
 	// liveness and sequence without changing its subscription set
 	// (heartbeats) — those do not invalidate compiled plans.
 	AdsRefreshed uint64
 	// AdsRejected counts advertisement payloads refused before
-	// ingestion — oversized or undecodable control messages (counted by
-	// the control-plane receiver via NoteAdRejected). A nonzero value
-	// means some peer is buggy, hostile, or speaking a different control
+	// ingestion — oversized or undecodable control messages, and ads
+	// naming a node other than their sender (counted by the
+	// control-plane receiver via NoteAdRejected). A nonzero value means
+	// some peer is buggy, hostile, or speaking a different control
 	// schema.
 	AdsRejected uint64
 	// NodesExpired counts nodes dropped by the silent-TTL expiry
@@ -295,11 +276,10 @@ func reuse(cur map[string]subRecord, subs []core.SubscriptionInfo) (recs []subRe
 
 // ApplySnapshot ingests a full snapshot advertisement: node's complete
 // subscription set at sequence seq. Snapshots are idempotent and
-// newest-wins; a snapshot additionally drains any parked deltas that
-// chain directly onto it. Only what the snapshot changes is parsed
-// (reuse), and a snapshot identical to the applied state (a
-// liveness heartbeat) advances the sequence and refreshes lastSeen but
-// does not invalidate compiled plans.
+// newest-wins. Only what the snapshot changes is parsed (reuse), and a
+// snapshot identical to the applied state (a liveness heartbeat)
+// advances the sequence and refreshes lastSeen but does not invalidate
+// compiled plans.
 func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionInfo) ApplyResult {
 	t.mu.Lock()
 	st, res, news := t.admitLocked(node, seq)
@@ -311,16 +291,10 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 	if st.subs != nil && len(fresh) == 0 && len(st.subs) == len(subs) {
 		// Heartbeat snapshot: nothing changed (nil subs — no snapshot
 		// applied yet — never equals, so a first snapshot always counts
-		// as a change). Advance the sequence, drain any parked deltas
-		// that now chain, and leave compiled plans alone unless a
-		// drained delta changed something.
+		// as a change). Advance the sequence and leave compiled plans
+		// alone.
 		st.seq = seq
 		t.adsRefreshed.Add(1)
-		changed := t.drainLocked(st)
-		if changed {
-			t.gen.Add(1)
-		}
-		res.Applied = changed
 		t.mu.Unlock()
 		return res
 	}
@@ -343,7 +317,6 @@ func (t *Table) ApplySnapshot(node string, seq uint64, subs []core.SubscriptionI
 	}
 	st.seq = seq
 	t.adsApplied.Add(1)
-	t.drainLocked(st)
 	t.gen.Add(1)
 	res.Applied = true
 	return res
@@ -382,11 +355,14 @@ func (t *Table) NoteEpoch(node string, epoch int64) bool {
 
 // ApplyDelta ingests a delta advertisement: adds and removals relative
 // to the node's state at baseSeq. A delta whose base is not the
-// currently applied sequence is parked and applied when the chain
-// closes; one already overtaken is discarded, unparsed.
+// currently applied sequence is dropped, unparsed, and counted stale:
+// the node's ads arrive in sequence order, so its base will not come
+// later, and the node's next snapshot restores its state. An empty
+// delta (a liveness heartbeat) only advances the sequence and does not
+// invalidate compiled plans.
 func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.SubscriptionInfo, remove []string) ApplyResult {
 	t.mu.Lock()
-	_, res, news := t.admitLocked(node, seq)
+	_, res, news := t.admitDeltaLocked(node, seq, baseSeq)
 	t.mu.Unlock()
 	if !news {
 		return res
@@ -396,41 +372,29 @@ func (t *Table) ApplyDelta(node string, seq, baseSeq uint64, add []core.Subscrip
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st, _, news := t.admitLocked(node, seq)
+	st, _, news := t.admitDeltaLocked(node, seq, baseSeq)
 	if !news {
 		return res
 	}
-	d := &delta{seq: seq, add: recs, remove: remove}
-	if st.subs == nil || st.seq != baseSeq {
-		// Base not applied yet: park until the chain closes. The park
-		// is bounded — a peer forces a snapshot every snapshotEvery
-		// deltas, so chains longer than that cannot be required, and an
-		// unbounded park would let a buggy or malicious peer grow the
-		// table without limit. When full, the farthest-future delta is
-		// dropped; the sender's next snapshot resynchronizes.
-		if st.pending == nil {
-			st.pending = make(map[uint64]*delta)
+	changed := false
+	for _, id := range remove {
+		if _, ok := st.subs[id]; ok {
+			delete(st.subs, id)
+			changed = true
 		}
-		if prev, ok := st.pending[baseSeq]; !ok || d.seq > prev.seq {
-			st.pending[baseSeq] = d
-		}
-		if len(st.pending) > maxPendingDeltas {
-			var maxBase uint64
-			for base := range st.pending {
-				if base > maxBase {
-					maxBase = base
-				}
-			}
-			delete(st.pending, maxBase)
-		}
-		t.adsDeferred.Add(1)
-		res.Deferred = true
-		return res
 	}
-	changed := t.applyDeltaLocked(st, d)
-	changed = t.drainLocked(st) || changed
+	for _, r := range recs {
+		if prev, ok := st.subs[r.info.ID]; !ok || !prev.info.Equal(r.info) {
+			st.subs[r.info.ID] = r
+			changed = true
+		}
+	}
+	st.seq = seq
 	if changed {
+		t.adsApplied.Add(1)
 		t.gen.Add(1)
+	} else {
+		t.adsRefreshed.Add(1)
 	}
 	res.Applied = changed
 	return res
@@ -456,50 +420,16 @@ func (t *Table) admitLocked(node string, seq uint64) (*nodeState, ApplyResult, b
 	return st, res, true
 }
 
-// applyDeltaLocked applies one delta and reports whether it actually
-// changed the subscription set (an empty delta — a liveness heartbeat —
-// only advances the sequence and must not invalidate compiled plans).
-func (t *Table) applyDeltaLocked(st *nodeState, d *delta) bool {
-	changed := false
-	for _, id := range d.remove {
-		if _, ok := st.subs[id]; ok {
-			delete(st.subs, id)
-			changed = true
-		}
+// admitDeltaLocked is admitLocked for a delta on baseSeq, which is news
+// only on top of the node's applied sequence; one off its base is
+// counted stale.
+func (t *Table) admitDeltaLocked(node string, seq, baseSeq uint64) (*nodeState, ApplyResult, bool) {
+	st, res, news := t.admitLocked(node, seq)
+	if news && (st.subs == nil || st.seq != baseSeq) {
+		t.adsStale.Add(1)
+		return st, res, false
 	}
-	for _, r := range d.add {
-		if prev, ok := st.subs[r.info.ID]; !ok || !prev.info.Equal(r.info) {
-			st.subs[r.info.ID] = r
-			changed = true
-		}
-	}
-	st.seq = d.seq
-	if changed {
-		t.adsApplied.Add(1)
-	} else {
-		t.adsRefreshed.Add(1)
-	}
-	return changed
-}
-
-// drainLocked applies every parked delta that now chains onto the
-// applied sequence, drops those overtaken by it, and reports whether
-// any drained delta changed the subscription set.
-func (t *Table) drainLocked(st *nodeState) bool {
-	for base := range st.pending {
-		if base < st.seq {
-			delete(st.pending, base)
-		}
-	}
-	changed := false
-	for {
-		d, ok := st.pending[st.seq]
-		if !ok {
-			return changed
-		}
-		delete(st.pending, st.seq)
-		changed = t.applyDeltaLocked(st, d) || changed
-	}
+	return st, res, news
 }
 
 // RetainNodes forgets every node not in members — the membership-change
@@ -534,8 +464,8 @@ func (t *Table) RetainNodes(members []string) {
 // whose heartbeats were delayed) re-enters as a new node on its next
 // full-snapshot advertisement — forced at least every snapshotEvery
 // deltas by the sender — which also triggers anti-entropy; its delta
-// heartbeats in between are parked, so the mis-expiry window is
-// bounded by a few heartbeat periods.
+// heartbeats in between have no base here and are dropped as stale, so
+// the mis-expiry window is bounded by a few heartbeat periods.
 func (t *Table) ExpireSilent(exclude ...string) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -828,7 +758,6 @@ func (t *Table) Stats() Stats {
 	s := Stats{
 		AdsApplied:    t.adsApplied.Load(),
 		AdsStale:      t.adsStale.Load(),
-		AdsDeferred:   t.adsDeferred.Load(),
 		AdsRefreshed:  t.adsRefreshed.Load(),
 		AdsRejected:   t.adsRejected.Load(),
 		NodesExpired:  t.nodesExpired.Load(),
@@ -852,7 +781,8 @@ func (s *Stats) foldAccessor(ms matching.Stats) {
 }
 
 // NoteAdRejected records an advertisement payload the control-plane
-// receiver refused before decoding (oversized or malformed framing).
+// receiver refused before ingestion (oversized or malformed framing, or
+// an ad naming a node other than its sender).
 // The table never sees such payloads; the receiver reports them here so
 // the rejection shows up next to the other advertisement counters.
 func (t *Table) NoteAdRejected() { t.adsRejected.Add(1) }

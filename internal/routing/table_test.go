@@ -153,55 +153,84 @@ func TestDeltaChainsInAndOutOfOrder(t *testing.T) {
 	tb := NewTable(newReg(t))
 	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
 
-	// Delta 3 (base 2) arrives before delta 2 (base 1): parked.
-	if res := tb.ApplyDelta("node-a", 3, 2, nil, []string{"a2"}); !res.Deferred || res.Applied {
+	// Delta 3 (base 2) arrives before delta 2 (base 1): dropped as stale,
+	// and not kept for later.
+	if res := tb.ApplyDelta("node-a", 3, 2, nil, []string{"a2"}); res.Applied || res.NewNode {
 		t.Fatalf("out-of-order delta: %+v", res)
 	}
 	if got := tb.SubscriptionCount(""); got != 1 {
-		t.Fatalf("parked delta mutated state: %d subs", got)
+		t.Fatalf("off-base delta mutated state: %d subs", got)
 	}
-	// Delta 2 closes the chain; both apply.
+	// Delta 2 applies on its base; the dropped delta 3 does not follow it.
 	if res := tb.ApplyDelta("node-a", 2, 1, []core.SubscriptionInfo{info(t, "a2", quoteClass(), nil), info(t, "a3", quoteClass(), nil)}, nil); !res.Applied {
 		t.Fatalf("chaining delta: %+v", res)
 	}
-	// a2 added by delta 2, removed by delta 3; a1 and a3 remain.
+	if got := tb.SubscriptionCount(""); got != 3 {
+		t.Errorf("after delta 2: %d subs, want 3", got)
+	}
+	// Delta 3 sent again, now on its base, applies.
+	if res := tb.ApplyDelta("node-a", 3, 2, nil, []string{"a2"}); !res.Applied {
+		t.Fatalf("delta on its base: %+v", res)
+	}
 	if got := tb.SubscriptionCount(""); got != 2 {
-		t.Errorf("after chain: %d subs, want 2", got)
+		t.Errorf("after delta 3: %d subs, want 2", got)
 	}
 	st := tb.Stats()
-	if st.AdsApplied != 3 || st.AdsDeferred != 1 {
+	if st.AdsApplied != 3 || st.AdsStale != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
-func TestDeltaBeforeSnapshotIsParked(t *testing.T) {
+func TestDeltaBeforeSnapshotIsDropped(t *testing.T) {
 	tb := NewTable(newReg(t))
 	// A delta from a never-seen node cannot apply (no base) but marks
 	// the node as witnessed.
 	res := tb.ApplyDelta("node-a", 2, 1, []core.SubscriptionInfo{info(t, "a2", quoteClass(), nil)}, nil)
-	if !res.Deferred || !res.NewNode || res.Applied {
+	if !res.NewNode || res.Applied {
 		t.Fatalf("delta before snapshot: %+v", res)
+	}
+	if st := tb.Stats(); st.AdsStale != 1 {
+		t.Errorf("AdsStale = %d, want 1", st.AdsStale)
 	}
 	if got := dests(tb, quoteClass(), stockQuote{}); len(got) != 0 {
 		t.Fatalf("unbased delta routed: %v", got)
 	}
-	// The base snapshot arrives late; the parked delta drains onto it.
+	// The snapshot arrives; the delta before it was not kept.
 	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
+	if got := tb.SubscriptionCount(""); got != 1 {
+		t.Errorf("after snapshot: %d subs, want 1", got)
+	}
+	// The deltas after it apply.
+	if res := tb.ApplyDelta("node-a", 2, 1, []core.SubscriptionInfo{info(t, "a2", quoteClass(), nil)}, nil); !res.Applied {
+		t.Fatalf("delta on the snapshot: %+v", res)
+	}
 	if got := tb.SubscriptionCount(""); got != 2 {
-		t.Errorf("after snapshot+drain: %d subs, want 2", got)
+		t.Errorf("after delta: %d subs, want 2", got)
 	}
 }
 
-func TestSnapshotOvertakesParkedDeltas(t *testing.T) {
+func TestSnapshotMendsBrokenChain(t *testing.T) {
 	tb := NewTable(newReg(t))
 	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
+	// Delta 2 never arrives: delta 3 is off its base and dropped.
 	tb.ApplyDelta("node-a", 3, 2, []core.SubscriptionInfo{info(t, "a3", quoteClass(), nil)}, nil)
-	// A full snapshot at seq 4 overtakes the parked chain; the stale
-	// delta must be dropped, not applied on top.
-	tb.ApplySnapshot("node-a", 4, []core.SubscriptionInfo{info(t, "a9", quoteClass(), nil)})
-	tb.ApplyDelta("node-a", 5, 4, nil, []string{"a9"})
+	// The full snapshot at seq 4 restores the node's state, and the
+	// deltas after it apply.
+	if res := tb.ApplySnapshot("node-a", 4, []core.SubscriptionInfo{info(t, "a9", quoteClass(), nil)}); !res.Applied {
+		t.Fatalf("mending snapshot: %+v", res)
+	}
+	if res := tb.ApplyDelta("node-a", 5, 4, nil, []string{"a9"}); !res.Applied {
+		t.Fatalf("delta after the snapshot: %+v", res)
+	}
 	if got := tb.SubscriptionCount(""); got != 0 {
-		t.Errorf("after overtaking snapshot: %d subs, want 0", got)
+		t.Errorf("after the mending snapshot and its delta: %d subs, want 0", got)
+	}
+	// The delta the snapshot overtook is stale for good.
+	if res := tb.ApplyDelta("node-a", 3, 2, []core.SubscriptionInfo{info(t, "a3", quoteClass(), nil)}, nil); res.Applied {
+		t.Fatalf("overtaken delta applied: %+v", res)
+	}
+	if st := tb.Stats(); st.AdsStale != 2 || st.AdsApplied != 3 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -470,22 +499,33 @@ func TestErroringFilterFailsOpenAtNodeLevel(t *testing.T) {
 	}
 }
 
-func TestPendingDeltasBounded(t *testing.T) {
+func TestOffBaseDeltasHoldNothing(t *testing.T) {
 	tb := NewTable(newReg(t))
 	tb.ApplySnapshot("node-a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
-	// A hostile peer parks deltas under bases that never close.
+	gen := tb.Gen()
+	// A hostile peer sends deltas on bases that never come.
 	for i := uint64(0); i < 500; i++ {
-		tb.ApplyDelta("node-a", 1000+i, 900+i, []core.SubscriptionInfo{info(t, "x", quoteClass(), nil)}, nil)
+		tb.ApplyDelta("node-a", 1000+i, 900+i, []core.SubscriptionInfo{info(t, "x", quoteClass(), priceLt(1))}, nil)
+	}
+	st := tb.Stats()
+	if st.AdsStale != 500 || st.FiltersParsed != 0 {
+		t.Errorf("500 off-base deltas: AdsStale = %d, FiltersParsed = %d, want 500 and 0", st.AdsStale, st.FiltersParsed)
+	}
+	if g := tb.Gen(); g != gen {
+		t.Errorf("off-base deltas moved the generation %d -> %d", gen, g)
 	}
 	tb.mu.Lock()
-	pending := len(tb.nodes["node-a"].pending)
+	seq := tb.nodes["node-a"].seq
 	tb.mu.Unlock()
-	if pending > maxPendingDeltas {
-		t.Errorf("pending deltas = %d, want <= %d", pending, maxPendingDeltas)
+	if seq != 1 || tb.SubscriptionCount("") != 1 {
+		t.Errorf("applied state moved: seq %d, %d subs", seq, tb.SubscriptionCount(""))
 	}
-	// Applied state is untouched and the table still routes.
-	if got := tb.SubscriptionCount(""); got != 1 {
-		t.Errorf("SubscriptionCount = %d, want 1", got)
+	// The delta on the applied base still applies.
+	if res := tb.ApplyDelta("node-a", 2, 1, nil, []string{"a1"}); !res.Applied {
+		t.Fatalf("delta on its base: %+v", res)
+	}
+	if got := tb.SubscriptionCount(""); got != 0 {
+		t.Errorf("SubscriptionCount = %d, want 0", got)
 	}
 }
 
