@@ -25,6 +25,22 @@
 // (type-based matching, §2.2): supertypes by struct embedding or
 // interface satisfaction.
 //
+// # Filters and accessors
+//
+// A filter reads an obvent through accessor methods and fields, as the
+// paper's filters call q.getPrice() (LP2, §3.3.4); each path is
+// compiled once per class. An accessor is a plain call, with no
+// reflection and no allocation, when this process named its class in a
+// generic call (Subscribe and its variants, SubscribeDurable) and it
+// has a value receiver, no parameters and an unnamed basic result
+// (bool, string, an int, uint or float kind). Any other accessor is a
+// reflect call: a named result such as type Price float64, an accessor
+// on a nested value, and every accessor on a node that never names the
+// class, such as a publisher-only node evaluating its subscribers'
+// filters. Both calls give the same value, so accessors must be pure
+// either way, and one that panics fails its condition either way: the
+// filtering host ships the event (fail-open), the subscriber drops it.
+//
 // # Activation is not a barrier
 //
 // The paper's activate and deactivate (§3.4.1, §3.4.2) say when a

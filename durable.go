@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"govents/internal/accessor"
 	"govents/internal/codec"
 	"govents/internal/core"
 	"govents/internal/obvent"
@@ -39,6 +40,7 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 	if d.node == nil || d.dur == nil {
 		return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, ErrNoDurability)
 	}
+	accessor.Register[T]()
 	t := obvent.TypeOf[T]()
 	var typeName string
 	if t.Kind() == reflect.Struct {

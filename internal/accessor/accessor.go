@@ -17,13 +17,24 @@
 // Compile simulates filter.ResolvePath at the type level and emits the
 // step sequence ResolvePath would have taken; Program.Resolve replays
 // it with no name lookups and, for pure field/deref paths, zero heap
-// allocations (pinned by test). Accessor-method segments still pay one
-// reflect Call. A path that cannot compile (missing segment, non-struct
-// hop, malformed accessor signature) reports an error at compile time;
-// callers fall back to per-event ResolvePath, which fails the same way,
-// so fail-open semantics are byte-for-byte unchanged — equivalence with
-// the reflective oracle is property-tested over randomized values and
-// paths.
+// allocations (pinned by test). A path that cannot compile (missing
+// segment, non-struct hop, malformed accessor signature) reports an
+// error at compile time; callers fall back to per-event ResolvePath,
+// which fails the same way, so fail-open semantics are byte-for-byte
+// unchanged — equivalence with the reflective oracle is property-tested
+// over randomized values and paths.
+//
+// An accessor-method segment is a reflect Call, with its allocations,
+// except where a generic subscribe call named the root class T
+// (Register[T]): a path naming a value-receiver, niladic accessor of T
+// with an unnamed basic result (bool, string, an int or uint kind,
+// float32, float64) is a direct call on the event's interface value,
+// with no allocation. Named results (type Price float64), accessors on
+// nested values and every class the process never named — a
+// publisher-only node's, say — keep the reflective step. Both give the
+// same constant and the same error, a panicking accessor's included, so
+// purity, fail-open outcomes and panic handling do not depend on which
+// runs.
 package accessor
 
 import (
@@ -41,6 +52,9 @@ type Program struct {
 	root  reflect.Type
 	path  string
 	steps []step
+	// direct is the root's getter for a one-segment accessor path, if
+	// Register built one; Constant calls it instead of the steps.
+	direct getter
 }
 
 // stepOp discriminates program steps.
@@ -102,6 +116,9 @@ func Compile(root reflect.Type, path []string) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if table, ok := getters.Load(root); ok && len(path) == 1 {
+		p.direct = table.(map[string]getter)[path[0]]
 	}
 	return p, nil
 }
@@ -232,8 +249,9 @@ func (p *Program) Path() string { return p.path }
 // Resolve replays the program against one event value (which must have
 // the program's root type) and returns the reflected result. Field and
 // deref steps perform zero heap allocations; method steps pay one
-// reflect Call each. The only possible failures are value-dependent:
-// nil pointers along the path.
+// reflect Call each, where Constant may call a direct getter instead.
+// The only possible failures are value-dependent: nil pointers along
+// the path, and accessors that panic.
 func (p *Program) Resolve(root reflect.Value) (reflect.Value, error) {
 	if !root.IsValid() || root.Type() != p.root {
 		return reflect.Value{}, fmt.Errorf("accessor: program for %s applied to %v", p.root, rootType(root))
@@ -274,7 +292,7 @@ func (p *Program) Resolve(root reflect.Value) (reflect.Value, error) {
 func callMethod(m reflect.Value) (rv reflect.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rv, err = reflect.Value{}, fmt.Errorf("accessor: accessor panicked: %v", r)
+			rv, err = reflect.Value{}, panicked(r)
 		}
 	}()
 	return m.Call(nil)[0], nil
@@ -289,17 +307,24 @@ func rootType(v reflect.Value) any {
 	return v.Type()
 }
 
-// Constant resolves the path and normalizes the result to a filter
-// constant — the compiled equivalent of filter.ResolvePath followed by
-// filter.ValueOf.
-func (p *Program) Constant(root reflect.Value) (filter.Constant, error) {
-	v, err := p.Resolve(root)
+// Constant resolves the path against event and normalizes the result
+// to a filter constant — the compiled equivalent of filter.ResolvePath
+// followed by filter.ValueOf. A program with a direct getter calls the
+// accessor on the event's interface value (no reflect Call, no
+// allocation); every other program replays its steps through Resolve.
+// The two give the same constant and fail on the same events: a
+// panicking accessor is the same resolution error either way.
+func (p *Program) Constant(event any) (filter.Constant, error) {
+	if p.direct != nil && reflect.TypeOf(event) == p.root {
+		return p.direct(event)
+	}
+	v, err := p.Resolve(reflect.ValueOf(event))
 	if err != nil {
 		return filter.Constant{}, err
 	}
 	c, err := filter.ValueOf(v)
 	if err != nil {
-		return filter.Constant{}, fmt.Errorf("accessor: path %s: %w", p.path, err)
+		return filter.Constant{}, resultErr(p.path, err)
 	}
 	return c, nil
 }

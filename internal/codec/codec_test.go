@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"govents/internal/allocs"
 	"govents/internal/obvent"
 )
 
@@ -454,6 +455,37 @@ func TestCloneFlatFirstCloneAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("first Clone of a flat compact payload allocates %.1f times, want <= 1 (the box)", allocs)
+	}
+}
+
+// A class whose events differ in length by a varint byte encodes each
+// into a buffer sized right the first time: alternating sizes cost
+// exactly the allocations of a constant size (the payload buffer's
+// starting room covers the class's recent encodings, not only the
+// latest one).
+func TestEncodeAlternatingSizesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	c := newCodec(t)
+	c.Registry().MustRegister(flatTick{})
+	// Seq 1 zigzag-encodes in one byte, Seq 64 in two.
+	var short, long obvent.Obvent = flatTick{Seq: 1}, flatTick{Seq: 64}
+	// The payload encode alone: Encode's envelope ID comes from
+	// crypto/rand, which allocates now and then on its own.
+	encode := func(pair ...obvent.Obvent) func() {
+		return func() {
+			for _, o := range pair {
+				if _, err := c.encodePayload(o, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	constant := allocs.PerRun(1000, encode(short, short))
+	alternating := allocs.PerRun(1000, encode(short, long))
+	if alternating != constant {
+		t.Errorf("encoding alternating sizes allocates %.3f per pair, constant size %.3f; want equal", alternating, constant)
 	}
 }
 

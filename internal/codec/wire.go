@@ -38,10 +38,13 @@ type wireEntry struct {
 	// flat reports that a value copy of the class is a deep copy, so
 	// every clone of one payload can be the same box (CloneSource).
 	flat bool
-	// size is the length of the class's latest encoding: the next one
-	// starts with that much room, since a class's events are mostly of a
-	// size, instead of growing from nothing.
-	size atomic.Int64
+	// size and prevSize are the longest encodings of the class in the
+	// current and the previous window of sizeWindow encodes (counted by
+	// encodes). The next buffer has room for the longer: an event a
+	// varint byte longer than the one before it does not regrow it, and
+	// an outsized event stops costing room two windows later.
+	size, prevSize atomic.Int64
+	encodes        atomic.Uint64
 	// scratch pools values payloads are decoded into on their way to a
 	// box (CloneSource.decode).
 	scratch sync.Pool
@@ -102,13 +105,27 @@ func (c *Codec) encodePayload(o obvent.Obvent, off int) ([]byte, error) {
 	if e.prog == nil {
 		return nil, e.err
 	}
-	buf, err := e.prog.Append(make([]byte, off, off+int(e.size.Load())), v)
+	hint := max(e.size.Load(), e.prevSize.Load())
+	buf, err := e.prog.Append(make([]byte, off, off+int(hint)), v)
 	if err != nil {
 		return nil, err
 	}
 	c.wireEncodes.Add(1)
-	e.size.Store(int64(len(buf) - off))
+	e.noteSize(int64(len(buf) - off))
 	return buf, nil
+}
+
+const sizeWindow = 256
+
+// noteSize records one encoding's length. Concurrent encodes may lose
+// an update; the cost is one buffer regrown, never a wrong payload.
+func (e *wireEntry) noteSize(n int64) {
+	if e.encodes.Add(1)%sizeWindow == 0 {
+		e.prevSize.Store(e.size.Load())
+		e.size.Store(n)
+	} else if n > e.size.Load() {
+		e.size.Store(n)
+	}
 }
 
 // Wire exposes the payload and its compiled program — the inputs to lazy

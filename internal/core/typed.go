@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"govents/internal/accessor"
 	"govents/internal/filter"
 	"govents/internal/obvent"
 )
@@ -87,15 +88,7 @@ func Publish[T obvent.Obvent](e *Engine, o T) error {
 //
 // The returned Subscription is inactive until Activate is called.
 func Subscribe[T obvent.Obvent](e *Engine, f *filter.Expr, handler func(T)) (*Subscription, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
-	}
-	t := obvent.TypeOf[T]()
-	return e.SubscribeDynamic(t, f, nil, func(o obvent.Obvent) {
-		if v, ok := As[T](o); ok {
-			handler(v)
-		}
-	})
+	return SubscribeFiltered(e, f, nil, handler)
 }
 
 // SubscribeLocal is the subscribe primitive with an opaque local
@@ -105,32 +98,20 @@ func Subscribe[T obvent.Obvent](e *Engine, f *filter.Expr, handler func(T)) (*Su
 // variables) but none of the factoring or traffic-saving benefits of a
 // migratable filter.
 func SubscribeLocal[T obvent.Obvent](e *Engine, pred func(T) bool, handler func(T)) (*Subscription, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
-	}
-	t := obvent.TypeOf[T]()
-	var local func(obvent.Obvent) bool
-	if pred != nil {
-		local = func(o obvent.Obvent) bool {
-			v, ok := As[T](o)
-			return ok && pred(v)
-		}
-	}
-	return e.SubscribeDynamic(t, nil, local, func(o obvent.Obvent) {
-		if v, ok := As[T](o); ok {
-			handler(v)
-		}
-	})
+	return SubscribeFiltered(e, nil, pred, handler)
 }
 
 // SubscribeFiltered combines a migratable filter with an additional
 // local predicate; the remote filter prunes traffic at filtering hosts,
 // the local predicate applies the residual opaque logic at the
-// subscriber.
+// subscriber. Every typed subscription but a durable one is made here,
+// and it turns T's accessors into direct calls for this process's
+// filters (accessor.Register).
 func SubscribeFiltered[T obvent.Obvent](e *Engine, f *filter.Expr, pred func(T) bool, handler func(T)) (*Subscription, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
+	accessor.Register[T]()
 	t := obvent.TypeOf[T]()
 	var local func(obvent.Obvent) bool
 	if pred != nil {

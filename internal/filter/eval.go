@@ -204,11 +204,7 @@ func ValueOf(rv reflect.Value) (Constant, error) {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return Constant{Kind: ConstInt, I: rv.Int()}, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		u := rv.Uint()
-		if u > 1<<62 {
-			return Constant{}, fmt.Errorf("unsigned value %d overflows filter integer", u)
-		}
-		return Constant{Kind: ConstInt, I: int64(u)}, nil
+		return UintConstant(rv.Uint())
 	case reflect.Float32, reflect.Float64:
 		return Constant{Kind: ConstFloat, F: rv.Float()}, nil
 	case reflect.String:
@@ -218,6 +214,15 @@ func ValueOf(rv reflect.Value) (Constant, error) {
 	default:
 		return Constant{}, fmt.Errorf("non-primitive result kind %s", rv.Kind())
 	}
+}
+
+// UintConstant is ValueOf for an unsigned result: filter integers are
+// int64, and a value above 1<<62 is refused rather than wrapped.
+func UintConstant[U uint | uint8 | uint16 | uint32 | uint64](u U) (Constant, error) {
+	if uint64(u) > 1<<62 {
+		return Constant{}, fmt.Errorf("unsigned value %d overflows filter integer", u)
+	}
+	return Constant{Kind: ConstInt, I: int64(u)}, nil
 }
 
 // Compare applies op to two primitive values with numeric promotion

@@ -578,7 +578,7 @@ func (p *plan) match(event any, dst []string, failOpen bool) []string {
 		var c filter.Constant
 		if progs != nil && progs[i] != nil {
 			var err error
-			if c, err = progs[i].Constant(rv); err != nil {
+			if c, err = progs[i].Constant(event); err != nil {
 				continue
 			}
 		} else {

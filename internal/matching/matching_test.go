@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"govents/internal/accessor"
+	"govents/internal/allocs"
 	"govents/internal/filter"
 	"govents/internal/wire"
 )
@@ -25,6 +27,10 @@ type quote struct {
 func (q quote) GetPrice() float64 { return q.Price }
 
 func (q quote) GetCompany() string { return q.Company }
+
+// typedQuote is quote as a class some subscriber named in a generic
+// Subscribe call, which registers its accessors (accessor.Register).
+type typedQuote struct{ quote }
 
 // build returns a compound over filters, failing the test on a
 // validation error.
@@ -401,23 +407,33 @@ func TestMatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	// What Subscribe[typedQuote] does on a node: GetPrice becomes a
+	// direct call.
+	accessor.Register[typedQuote]()
 	filters := map[string]*filter.Expr{}
 	for i := 0; i < 100; i++ {
 		c2 := float64((i % 10) * 30)
 		filters[fmt.Sprintf("s%03d", i)] = filter.And(
 			filter.Path("Price").Lt(filter.Float(c2+100)),
 			filter.Path("Amount").Ge(filter.Int(int64(i%7))),
+			filter.Path("GetPrice").Gt(filter.Float(float64(i%5))),
 		)
 	}
 	c := build(t, filters)
-	var ev any = quote{Company: "Telco", Price: 75, Amount: 5}
+	var ev any = typedQuote{quote{Company: "Telco", Price: 75, Amount: 5}}
 	buf := make([]string, 0, 128)
 	buf = c.MatchAppend(ev, buf[:0]) // warm scratch pool and caches
-	allocs := testing.AllocsPerRun(200, func() {
+	n := allocs.PerRun(200, func() {
 		buf = c.MatchAppend(ev, buf[:0])
 	})
-	if allocs > 0 {
-		t.Errorf("steady-state MatchAppend allocates %.1f objects/op, want 0", allocs)
+	if n > 0 {
+		t.Errorf("steady-state MatchAppend allocates %.3f objects/op, want 0", n)
+	}
+	if len(buf) == 0 {
+		t.Fatal("nothing matched; workload broken")
+	}
+	if st := c.Stats(); st.AccessorFallbacks != 0 {
+		t.Errorf("AccessorFallbacks = %d, want 0", st.AccessorFallbacks)
 	}
 }
 
@@ -474,6 +490,47 @@ func TestMatchAppendFailOpen(t *testing.T) {
 	_ = c.AddBatch(map[string]*filter.Expr{"no": filter.Path("Price").Gt(filter.Float(100))})
 	if got := c.MatchAppendFailOpen(ev, nil); !reflect.DeepEqual(got, []string{"broken", "mixed", "ok"}) {
 		t.Errorf("fail-open must not include false formulas: %v", got)
+	}
+}
+
+// viaPointer and typedViaPointer promote quote's accessors through a
+// nil-able embedded pointer: with it nil, GetPrice panics. Only
+// typedViaPointer is registered, so its accessors are direct calls.
+type (
+	viaPointer      struct{ *quote }
+	typedViaPointer struct{ *quote }
+)
+
+// TestTypedAccessorMatchesReflective checks that a registered class
+// (direct accessor calls) and an unregistered twin (reflective steps)
+// match the same entries, strict and fail-open, including when the
+// accessor panics through a nil embedded pointer; strict matching also
+// agrees with per-entry filter.Evaluate.
+func TestTypedAccessorMatchesReflective(t *testing.T) {
+	accessor.Register[typedViaPointer]()
+	c := build(t, map[string]*filter.Expr{
+		"lt":  filter.Path("GetPrice").Lt(filter.Float(100)),
+		"not": filter.Not(filter.Path("GetPrice").Lt(filter.Float(100))),
+		"or":  filter.Or(filter.Path("GetCompany").Eq(filter.Str("Acme")), filter.Path("GetPrice").Ge(filter.Float(50))),
+		"and": filter.And(filter.False(), filter.Path("GetPrice").Lt(filter.Float(1))),
+	})
+	for _, q := range []*quote{nil, {Company: "Acme", Price: 10}, {Company: "Telco", Price: 500}, {Price: 75}} {
+		var typed, reflective any = typedViaPointer{q}, viaPointer{q}
+		want := c.MatchNaive(reflective)
+		sort.Strings(want)
+		if got := c.Match(typed); !reflect.DeepEqual(got, c.Match(reflective)) || !reflect.DeepEqual(got, want) {
+			t.Errorf("quote %+v: typed %v, reflective %v, naive %v", q, got, c.Match(reflective), want)
+		}
+		typedOpen := c.MatchAppendFailOpen(typed, nil)
+		if reflOpen := c.MatchAppendFailOpen(reflective, nil); !reflect.DeepEqual(typedOpen, reflOpen) {
+			t.Errorf("quote %+v: fail-open typed %v, reflective %v", q, typedOpen, reflOpen)
+		}
+		if q == nil && len(typedOpen) != 3 {
+			t.Errorf("nil embedded pointer: fail-open matched %v, want every entry but the false conjunction", typedOpen)
+		}
+	}
+	if st := c.Stats(); st.AccessorFallbacks != 0 {
+		t.Errorf("AccessorFallbacks = %d, want 0", st.AccessorFallbacks)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"govents/internal/accessor"
+	"govents/internal/allocs"
 	"govents/internal/core"
 	"govents/internal/filter"
 	"govents/internal/obvent"
@@ -40,6 +42,8 @@ type flatQuote struct {
 	Company string
 	Price   float64
 }
+
+func (q flatQuote) GetPrice() float64 { return q.Price }
 
 func newReg(t testing.TB) *obvent.Registry {
 	t.Helper()
@@ -441,16 +445,22 @@ func TestDestinationsSteadyStateAllocs(t *testing.T) {
 	}
 	reg := obvent.NewRegistry()
 	reg.MustRegister(flatQuote{})
+	// What Subscribe[flatQuote] does on a node: the class's accessors
+	// with a basic result become direct calls.
+	accessor.Register[flatQuote]()
 	class := obvent.TypeName(obvent.TypeOf[flatQuote]())
 	tb := NewTable(reg)
 	for n := 0; n < 16; n++ {
 		var subs []core.SubscriptionInfo
 		for i := 0; i < 16; i++ {
-			// Field path, not accessor method: compiled field programs
-			// resolve with zero allocations, while a method segment
-			// still pays its reflect Call; this test pins the routing
-			// plane's own allocations.
-			f := filter.Path("Price").Lt(filter.Float(float64((i + 1) * 60)))
+			// A field path and the accessor-method path of the paper's
+			// encapsulated form (LP2): both resolve with zero
+			// allocations, so this test pins the routing plane's own.
+			path := "Price"
+			if i%2 == 1 {
+				path = "GetPrice"
+			}
+			f := filter.Path(path).Lt(filter.Float(float64((i + 1) * 60)))
 			subs = append(subs, info(t, fmt.Sprintf("n%d-s%d", n, i), class, f))
 		}
 		tb.ApplySnapshot(fmt.Sprintf("node-%02d", n), 1, subs)
@@ -459,14 +469,17 @@ func TestDestinationsSteadyStateAllocs(t *testing.T) {
 	decode := func() any { return ev }
 	buf := make([]string, 0, 32)
 	buf = tb.Destinations(class, decode, buf[:0]) // warm plan + pools
-	allocs := testing.AllocsPerRun(200, func() {
+	n := allocs.PerRun(200, func() {
 		buf = tb.Destinations(class, decode, buf[:0])
 	})
-	if allocs > 0 {
-		t.Errorf("steady-state Destinations allocates %.1f objects/op, want 0", allocs)
+	if n > 0 {
+		t.Errorf("steady-state Destinations allocates %.3f objects/op, want 0", n)
 	}
 	if len(buf) == 0 {
 		t.Fatal("no destinations matched; workload broken")
+	}
+	if st := tb.Stats(); st.AccessorFallbacks != 0 {
+		t.Errorf("AccessorFallbacks = %d, want 0", st.AccessorFallbacks)
 	}
 }
 

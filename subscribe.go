@@ -137,18 +137,7 @@ func subscribe[T Obvent](d *Domain, f *filter.Expr, pred func(T) bool, handler f
 			return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, err)
 		}
 	}
-	var local func(obvent.Obvent) bool
-	if pred != nil {
-		local = func(o obvent.Obvent) bool {
-			v, ok := core.As[T](o)
-			return ok && pred(v)
-		}
-	}
-	cs, err := d.eng.SubscribeDynamic(t, f, local, func(o obvent.Obvent) {
-		if v, ok := core.As[T](o); ok {
-			handler(v)
-		}
-	})
+	cs, err := core.SubscribeFiltered(d.eng, f, pred, handler)
 	if err != nil {
 		return nil, err
 	}
