@@ -606,9 +606,9 @@ func BenchmarkDispatchOverhead(b *testing.B) {
 
 // sinkTap is a Disseminator that exposes the engine's delivery sink for
 // direct envelope injection. Benchmarks use it to drive the dispatcher
-// from many publisher goroutines at once: the loopback substrate's
-// serial queue would otherwise serialize the workload upstream of the
-// lanes being measured.
+// from many publisher goroutines at once with envelopes encoded
+// beforehand, so neither Publish's encode nor the loopback substrate's
+// lock sits upstream of the lanes being measured.
 type sinkTap struct{ sink func(*codec.Envelope) }
 
 func (s *sinkTap) PublishEnvelope(env *codec.Envelope) error { s.sink(env); return nil }

@@ -208,8 +208,8 @@
 // one frame; the links of the other classes number each destination's
 // frames, so each gets a frame, and a copy, of its own. On the
 // subscriber the TCP transport reads each frame into a buffer of its own
-// (that side's one copy), which the link, the delivery queue and the
-// envelope share by slicing; the handler's value is decoded out of it.
+// (that side's one copy), which the link and the envelope share by
+// slicing; the handler's value is decoded out of it.
 //
 // Two forms of the record exist, and they differ only in which strings
 // are empty. Stored (outbox, inbox, spill log), every field is spelled
@@ -437,18 +437,20 @@
 // on disk waits its turn, whatever its priority. Causal and total
 // arrival order is never affected.
 //
-// The bound bounds the lane, not the node, and under OverloadBlock the
-// wait does not reach a publisher. The goroutine a full lane blocks is
-// the one that delivers to the engine: a distributed class's delivery
-// queue, which the link fills as frames arrive and acknowledges as it
-// fills, or a local domain's publish queue. Neither queue blocks or has
-// a bound, so the backlog a Block lane refuses waits there, in memory
-// and in arrival order, outside LaneStat.Queued; the link keeps
-// acknowledging and Publish keeps returning. In a probe, a reliable
-// receiver whose upcall blocked, as a full Block lane's push does,
-// acknowledged all of 20,000 broadcasts while one upcall had been
-// entered: the other 19,999 waited in its delivery queue. Backpressure
-// that reaches Publish is not implemented.
+// The bound bounds the lane, and under OverloadBlock the wait reaches
+// the goroutine that feeds it: nothing queues in front of a lane. That
+// is the publisher in a local domain, or for a publication delivered at
+// its own node; on TCP it is the reader of the connection the frame
+// came by, which stops reading, and so acknowledging, that peer's
+// frames until the lane has room (the peer keeps retransmitting into
+// the socket, whose buffers bound it). A goroutine that releases into a
+// group while another delivers for it (a second peer's reader, a netsim
+// delivery) lists its release and goes on: that backlog is acknowledged
+// and waits, in order, outside LaneStat.Queued. In a probe over TCP, a
+// reliable receiver whose upcall blocked left 1,999 of 2,000 broadcasts
+// unacknowledged at the sender until it returned, then handled all
+// 2,000 in order (TestReliableBlockedUpcallStopsAcks). No window carries
+// the wait back to a remote Publish.
 //
 // One stuck handler cannot stall the rest of the domain:
 // WithSlowConsumerBudget(stall, mailbox) quarantines a subscription

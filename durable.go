@@ -92,8 +92,8 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 
 	// Park live certified delivery while the backlog replays, so the
 	// replayed and live streams never interleave. Events arriving
-	// meanwhile are staged durably and queued; they drain after the
-	// subscription activates.
+	// meanwhile are staged durably and held; the resume delivers them,
+	// on this goroutine, after the subscription activates.
 	for _, class := range classes {
 		d.node.PauseCertified(class)
 	}

@@ -126,7 +126,9 @@ func (g *DomainGroup) Partition(a, b []int) {
 // Heal removes all partitions.
 func (g *DomainGroup) Heal() { g.net.Heal() }
 
-// Settle blocks until the network has no in-flight messages.
+// Settle blocks until the network has no in-flight messages, when
+// everything received has reached a dispatch lane (bar certified
+// deliveries paused for a durable replay), not yet its handlers.
 func (g *DomainGroup) Settle() { g.net.Settle() }
 
 func (g *DomainGroup) addrList(is []int) []string {

@@ -259,6 +259,7 @@ type dispatchScratch struct {
 // dispatch concurrently, sharing only the immutable table snapshot, the
 // codec and the (internally synchronized) executors.
 func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
+	table := e.table.Load() // before the count: no later activation reaches what it counted
 	ln.counters.eventsIn.Add(1)
 	// Timely obvents: obsolete envelopes are dropped, not delivered
 	// (§3.1.2).
@@ -272,7 +273,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		return
 	}
 
-	c, byID := e.table.Load().buckets.Get(env.Type)
+	c, byID := table.buckets.Get(env.Type)
 	if len(byID) == 0 {
 		return
 	}

@@ -62,10 +62,10 @@ type OverloadPolicy int
 const (
 	// OverloadBlock makes the push wait until the lane drains below its
 	// bound (or the lane closes); nothing is lost. The pusher is the
-	// goroutine that delivers to the engine, a multicast group's
-	// deliveryQueue drain or Local's loop, and the queue it drains never
-	// blocks and has no bound: the backlog moves in front of the lane,
-	// and no publisher or transport reader slows down.
+	// goroutine that delivers to the engine, with no queue in between:
+	// the publisher under Local, and under a multicast group the
+	// goroutine delivering its release list (a transport reader, or a
+	// publisher delivering at its own node), which waits with it.
 	OverloadBlock OverloadPolicy = iota
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
 	// new one. Sheds are counted (DispatchStats.Shed, drop reason

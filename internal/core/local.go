@@ -7,30 +7,23 @@ import (
 )
 
 // Local is the in-process dissemination substrate: publications loop
-// back to the local engine only. It preserves publication order (a
-// serial queue), which trivially satisfies every ordering semantics
-// within a single process, and is the substrate of choice for
-// single-process applications and tests. Distributed dissemination is
-// provided by package dace.
+// back to the local engine only. PublishEnvelope hands the envelope to
+// the engine's intake on the publisher's goroutine, so a publisher's
+// obvents reach the dispatch lanes in publication order, which within a
+// single process satisfies every ordering semantics, and a full
+// OverloadBlock lane holds up the Publish that feeds it. It is the
+// substrate of choice for single-process applications and tests.
+// Distributed dissemination is provided by package dace.
 type Local struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*codec.Envelope
 	sink   func(*codec.Envelope)
 	closed bool
-	wg     sync.WaitGroup
 }
 
 var _ Disseminator = (*Local)(nil)
 
 // NewLocal returns a loopback disseminator.
-func NewLocal() *Local {
-	l := &Local{}
-	l.cond = sync.NewCond(&l.mu)
-	l.wg.Add(1)
-	go l.loop()
-	return l
-}
+func NewLocal() *Local { return &Local{} }
 
 // SetSink implements Disseminator.
 func (l *Local) SetSink(sink func(*codec.Envelope)) {
@@ -42,12 +35,14 @@ func (l *Local) SetSink(sink func(*codec.Envelope)) {
 // PublishEnvelope implements Disseminator.
 func (l *Local) PublishEnvelope(env *codec.Envelope) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	sink, closed := l.sink, l.closed
+	l.mu.Unlock()
+	if closed {
 		return ErrEngineClosed
 	}
-	l.queue = append(l.queue, env)
-	l.cond.Signal()
+	if sink != nil {
+		sink(env)
+	}
 	return nil
 }
 
@@ -58,35 +53,7 @@ func (l *Local) SubscriptionChanged([]SubscriptionInfo, ...string) error { retur
 // Close implements Disseminator.
 func (l *Local) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
+	defer l.mu.Unlock()
 	l.closed = true
-	l.cond.Signal()
-	l.mu.Unlock()
-	l.wg.Wait()
 	return nil
-}
-
-func (l *Local) loop() {
-	defer l.wg.Done()
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if len(l.queue) == 0 && l.closed {
-			l.mu.Unlock()
-			return
-		}
-		env := l.queue[0]
-		l.queue[0] = nil // the backing array must not keep it alive
-		l.queue = l.queue[1:]
-		sink := l.sink
-		l.mu.Unlock()
-		if sink != nil {
-			sink(env)
-		}
-	}
 }

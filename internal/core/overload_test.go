@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -660,4 +661,103 @@ func TestWedgedConsumerShutdownAndLeak(t *testing.T) {
 		runtime.GC()
 		return countGoroutines() <= baseline+2
 	})
+}
+
+// TestLocalOverloadBlockReachesPublish: in a local domain the publisher
+// is the goroutine that feeds the lane, so a full OverloadBlock lane
+// holds up Publish. A local filter wedges the one lane on the first
+// publication, the next bound fill its queue, and the one after must
+// not return until the wedge lifts: the test waits until the publishing
+// goroutine is parked in the lane's push (or until every Publish has
+// returned, which is the failure) rather than for a while. Then every
+// publication is delivered, in order.
+func TestLocalOverloadBlockReachesPublish(t *testing.T) {
+	const bound, total = 2, 6
+	reg := obvent.NewRegistry()
+	registerTickTypes(reg)
+	e := NewEngine("local", NewLocal(), WithRegistry(reg), WithDispatchLanes(1),
+		WithLaneQueueBound(bound), WithOverloadPolicy(OverloadBlock))
+	t.Cleanup(func() { _ = e.Close() })
+
+	wedge := make(chan struct{})
+	var wedged atomic.Bool
+	var mu sync.Mutex
+	var got []int
+	sub, err := SubscribeLocal(e, func(o freeTick) bool {
+		if o.N == 0 {
+			wedged.Store(true)
+			<-wedge
+		}
+		return true
+	}, func(o freeTick) {
+		mu.Lock()
+		got = append(got, o.N)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	unwedge := sync.OnceFunc(func() { close(wedge) })
+	t.Cleanup(unwedge)
+
+	var returned atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for i := range total {
+			if err := Publish(e, freeTick{Pub: "p", N: i}); err != nil {
+				done <- err
+				return
+			}
+			returned.Add(1)
+		}
+		done <- nil
+	}()
+	queued := func() int {
+		for _, l := range e.LaneStats() {
+			if !l.Serial {
+				return l.Queued
+			}
+		}
+		return -1
+	}
+	waitFor(t, 10*time.Second, "the publisher parked on the full lane, or every Publish returned", func() bool {
+		return returned.Load() == total ||
+			wedged.Load() && queued() == bound && goroutineIn("TestLocalOverloadBlockReachesPublish", "(*lane).push")
+	})
+	if n := returned.Load(); n > bound+1 {
+		t.Fatalf("%d of %d Publish calls returned while the lane was wedged, want at most %d", n, total, bound+1)
+	}
+
+	unwedge()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "every publication delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == total
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i, n := range got {
+		if n != i {
+			t.Fatalf("delivered %v, want 0..%d in order", got, total-1)
+		}
+	}
+}
+
+// goroutineIn reports whether some goroutine's stack names every one
+// of frames.
+func goroutineIn(frames ...string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !slices.ContainsFunc(frames, func(f string) bool { return !strings.Contains(g, f) }) {
+			return true
+		}
+	}
+	return false
 }

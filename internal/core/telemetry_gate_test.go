@@ -15,7 +15,6 @@ import (
 func TestExecutorE2EGatedOnPublishStamp(t *testing.T) {
 	p := telemetry.NewPlane()
 	x := newExecutor(func(submission) bool { return true }, p, 0, 0, &overloadCounters{})
-	defer x.close()
 
 	deq := telemetry.Now()
 	if x.submit(freeTick{N: 1}, false, deq, 0, "legacy-1", "freeTick") != submitOK {
@@ -25,10 +24,10 @@ func TestExecutorE2EGatedOnPublishStamp(t *testing.T) {
 		t.Fatal("submit refused")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && p.StageSnapshot(telemetry.StageDispatch).Count < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	// close returns once no delivery is running, so after both have
+	// finished: finish records Dispatch before E2E, and a wait on the
+	// Dispatch count alone could read between the two.
+	x.close()
 	if got := p.StageSnapshot(telemetry.StageDispatch).Count; got != 2 {
 		t.Fatalf("dispatch samples = %d, want 2", got)
 	}

@@ -283,6 +283,9 @@ func TestSubscribingParsesWhatChanged(t *testing.T) {
 						tn.node.Addr(), got, n, n)
 				}
 			}
+			// Every ad has been sent; once the network settles, the
+			// observer's link has delivered each one it received.
+			net.Settle()
 			snapshots := 0
 			for _, ad := range obs.from("node-1") {
 				if !ad.Delta && len(ad.Subs) > 1 {

@@ -547,8 +547,8 @@ func (n *Node) PauseCertified(class string) {
 	}
 }
 
-// ResumeCertified releases PauseCertified, draining held deliveries in
-// arrival order.
+// ResumeCertified releases PauseCertified and delivers the held events
+// to the engine, in arrival order, on the caller.
 func (n *Node) ResumeCertified(class string) {
 	if c := n.certifiedGroup(class); c != nil {
 		c.Resume()
@@ -961,15 +961,17 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 		}
 	}
 	closed := n.closed
+	peers := slices.DeleteFunc(slices.Clone(n.peers), func(p string) bool { return p == n.self })
 	n.mu.Unlock()
 
-	// Our own state enters the routing table directly (the control
-	// echo of our broadcast is discarded in onControl).
+	// Our own state enters the routing table directly. The ad goes to
+	// the others only: delivering it here would run the control link's
+	// upcall list, whose peer ads may call advertise, under our adMu.
 	moved := n.applyAd(&ad).Applied
 	if !closed {
 		payload, err := encodeAd(&ad)
 		if err == nil {
-			err = n.control.Broadcast(payload)
+			err = n.control.BroadcastTo(peers, payload)
 		}
 		if err != nil {
 			// Peers keep routing on our previous advertisement until the
@@ -1023,7 +1025,7 @@ func (n *Node) onControl(from string, payload []byte) {
 		return
 	}
 	if ad.Node == n.self {
-		return // our own broadcast echoed back
+		return // ours: advertise applied it, and sends it to no one here
 	}
 	if !n.routes.NoteEpoch(ad.Node, ad.Epoch) {
 		n.log.Debug("dace: dropping advertisement from dead incarnation",

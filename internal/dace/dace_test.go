@@ -140,11 +140,14 @@ func waitRouted(t *testing.T, n *Node, class, what string, want map[[2]string]bo
 	})
 }
 
-// waitDrained waits until every engine has dispatched every envelope it
-// was handed. Call it after net.Settle(): Settle covers frames in flight
-// on netsim, not envelopes queued on a dispatch lane, and a queued
-// envelope is matched against the subscription table current when its
-// lane dispatches it (doc.go, "Activation is not a barrier").
+// waitDrained waits until every engine has taken into dispatch every
+// envelope it was handed. Call it after net.Settle(), which returns once
+// everything received has reached a lane (certified deliveries paused
+// for a replay excepted): a queued envelope is matched against the
+// subscription table current when its lane dispatches it (doc.go,
+// "Activation is not a barrier"), and a lane counts an envelope in
+// EventsIn only once it has read that table, so no later change can
+// reach what this wait saw counted.
 func waitDrained(t *testing.T, nodes []*testNode) {
 	t.Helper()
 	waitFor(t, 10*time.Second, "dispatch lanes drained", func() bool {

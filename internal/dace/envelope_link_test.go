@@ -372,7 +372,7 @@ func TestUndecodableFrameIsLogged(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitFor(t, 5*time.Second, "the drop", func() bool { return n.DecodeErrors() == 1 })
-			_ = n.Close() // the group's delivery goroutine is done with the hook and the sink
+			_ = n.Close() // waits out a delivery in progress: the hook and the sink are done with
 
 			rec.mu.Lock()
 			defer rec.mu.Unlock()

@@ -11,7 +11,7 @@ type BestEffort struct {
 	stream string
 	self   string
 
-	queue   *deliveryQueue
+	upcall  *releaseList
 	members membership
 	lc      *lifecycle
 }
@@ -24,8 +24,8 @@ func NewBestEffort(mux *Mux, stream string, deliver Deliver) *BestEffort {
 		mux:    mux,
 		stream: stream,
 		self:   mux.Addr(),
-		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
+		upcall: newReleaseList(deliver),
 	}
 	mux.Handle(stream, g.onMessage)
 	return g
@@ -56,10 +56,10 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 		return fmt.Errorf("multicast: besteffort %s: %w", g.stream, err)
 	}
 	for _, addr := range dests {
-		if addr == g.self {
-			// Local delivery: the publishing node may itself
-			// subscribe.
-			g.queue.push(g.self, payload)
+		if addr == g.self { // the publishing node may itself subscribe
+			g.upcall.add(g.self, payload)
+			g.upcall.run()
+			break
 		}
 	}
 	return nil
@@ -69,7 +69,7 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 func (g *BestEffort) Close() error {
 	g.mux.Unhandle(g.stream)
 	g.lc.close()
-	g.queue.close()
+	g.upcall.close()
 	return nil
 }
 
@@ -78,5 +78,6 @@ func (g *BestEffort) onMessage(from string, data []byte) {
 	if err := decodeMessage(data, &m); err != nil || m.Kind != kindData {
 		return
 	}
-	g.queue.push(from, m.Payload)
+	g.upcall.add(from, m.Payload)
+	g.upcall.run()
 }

@@ -95,6 +95,7 @@ func (g *Causal) Broadcast(payload []byte) error {
 // shipping each Send's payload variant to its destinations only. The
 // tick and the publication's place on the links are one critical
 // section, so a link carries its publisher's ticks in ascending order.
+// A local delivery runs after it, since onInner takes g.mu.
 func (g *Causal) BroadcastSplit(sends []Send) error {
 	framed := make([]Send, len(sends))
 	var few [4]linkFrame
@@ -114,9 +115,12 @@ func (g *Causal) BroadcastSplit(sends []Send) error {
 			g.sent[d] = tick
 		}
 	}
-	frames, err := g.inner.stamp(g.self, framed, few[:0])
+	frames, toSelf, err := g.inner.stamp(g.self, framed, few[:0])
 	g.mu.Unlock()
 	g.inner.transmit(frames)
+	if toSelf {
+		g.inner.upcall.run()
+	}
 	return err
 }
 
@@ -163,7 +167,8 @@ func (g *Causal) Held() int {
 	return len(g.hold)
 }
 
-// onInner runs on the inner group's single delivery goroutine.
+// onInner is the inner link's upcall: one call at a time, in link
+// order, on the goroutine that released the frame.
 func (g *Causal) onInner(origin string, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) {

@@ -64,8 +64,8 @@ type Certified struct {
 	opts   Options
 	epoch  uint64
 
-	queue *deliveryQueue
-	lc    *lifecycle
+	upcall *releaseList
+	lc     *lifecycle
 
 	log *durable.Outbox // publisher side: the outbox
 	in  Stager          // subscriber side: what has been received
@@ -125,7 +125,6 @@ func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliv
 		self:   mux.Addr(),
 		opts:   opts,
 		epoch:  newEpoch(),
-		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
 		log:    log,
 		in:     in,
@@ -134,6 +133,7 @@ func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliv
 		gen:    1, // 0 is certLink.ackGen's "never acknowledged"
 		young:  math.MaxUint64,
 		links:  make(map[string]*certLink),
+		upcall: newReleaseList(deliver),
 	}
 	mux.Handle(stream, g.onMessage)
 	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
@@ -223,10 +223,12 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if err := fits(g.stream, &data); err != nil {
 		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
 	}
+	// The local delivery runs after the barrier: a Block lane may hold
+	// it up, and a redelivery tick must not wait on that.
 	g.sending.RLock()
-	defer g.sending.RUnlock()
 	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
+		g.sending.RUnlock()
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
 	data.Seq = off
@@ -239,6 +241,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	fresh := false
 	if len(local) > 0 {
 		if fresh, err = g.in.Stage(id, g.self, payload); err != nil {
+			g.sending.RUnlock()
 			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 		}
 		run := [1]durable.Run{{Lo: off, Hi: off}}
@@ -251,8 +254,10 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 		}
 	}
 	_ = g.mux.fanOut(remote, g.self, g.stream, &data) // unacknowledged: redelivery sends it again
+	g.sending.RUnlock()
 	if fresh {
-		g.queue.push(g.self, payload)
+		g.upcall.add(g.self, payload)
+		g.upcall.run()
 	}
 	return nil
 }
@@ -261,7 +266,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 func (g *Certified) Close() error {
 	g.mux.Unhandle(g.stream)
 	g.lc.close()
-	g.queue.close()
+	g.upcall.close()
 	return nil
 }
 
@@ -346,14 +351,15 @@ func (g *Certified) SetDurableIDs(ids []string) {
 	g.ids = ids
 }
 
-// Pause parks the group's delivery goroutine; incoming events continue
-// to be staged and acknowledged but are not delivered until Resume.
+// Pause holds every delivery after the one in progress; incoming events
+// continue to be staged and acknowledged, and are listed until Resume.
 // Used to make the replay→live handoff of a durable subscription
 // seamless: nothing is delivered live while the backlog replays.
-func (g *Certified) Pause() { g.queue.pause() }
+func (g *Certified) Pause() { g.upcall.pause() }
 
-// Resume releases a Pause, draining accumulated deliveries in order.
-func (g *Certified) Resume() { g.queue.resume() }
+// Resume releases a Pause and delivers the held events, in order, on
+// the caller.
+func (g *Certified) Resume() { g.upcall.resume() }
 
 // sendAck sends one acknowledgement under each of ids. A lost one is
 // made good by the redelivery it fails to prevent.
@@ -385,9 +391,6 @@ func (g *Certified) onMessage(from string, data []byte) {
 				"stream", g.stream, "id", m.ID, "err", err)
 			return // no ack: the publisher keeps redelivering
 		}
-		if fresh {
-			g.queue.push(from, m.Payload)
-		}
 		g.mu.Lock()
 		l := g.links[from]
 		if l == nil || m.Epoch > l.epoch {
@@ -408,6 +411,10 @@ func (g *Certified) onMessage(from string, data []byte) {
 		g.mu.Unlock()
 		if ack.Kind != 0 {
 			g.sendAck(from, &ack, ids)
+		}
+		if fresh { // delivered once its acknowledgement is booked
+			g.upcall.add(from, m.Payload)
+			g.upcall.run()
 		}
 	case kindCertAck:
 		if m.Epoch != g.epoch {

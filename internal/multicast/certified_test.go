@@ -347,7 +347,7 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 			if gp.OutboxLen() != 0 {
 				t.Fatalf("outbox still holds %d of %d entries after %d periods", gp.OutboxLen(), msgs, periods)
 			}
-			waitFor(t, 10*time.Second, "the delivery queue to drain", func() bool { return sub.count() >= msgs })
+			waitFor(t, 10*time.Second, "every event delivered", func() bool { return sub.count() >= msgs })
 			seen := make(map[string]int)
 			for _, p := range sub.payloads() {
 				seen[p]++

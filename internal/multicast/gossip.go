@@ -37,8 +37,8 @@ type Gossip struct {
 	self   string
 	opts   Options
 
-	queue *deliveryQueue
-	lc    *lifecycle
+	upcall *releaseList
+	lc     *lifecycle
 
 	members membership
 
@@ -80,11 +80,11 @@ func NewGossip(mux *Mux, stream string, deliver Deliver, opts Options) *Gossip {
 		stream: stream,
 		self:   mux.Addr(),
 		opts:   opts,
-		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
 		rng:    rand.New(rand.NewSource(int64(seed.Sum64()))),
 		seen:   make(map[string]bool),
 		active: make(map[string]*gossipEvent),
+		upcall: newReleaseList(deliver),
 	}
 	mux.Handle(stream, g.onMessage)
 	g.lc.goTick(opts.GossipPeriod, g.round)
@@ -132,7 +132,8 @@ func (g *Gossip) Broadcast(payload []byte) error {
 	g.seen[id] = true
 	g.active[id] = &gossipEvent{origin: g.self, rounds: g.opts.GossipRounds, payload: payload, interested: interested}
 	g.mu.Unlock()
-	g.queue.push(g.self, payload)
+	g.upcall.add(g.self, payload)
+	g.upcall.run()
 	return nil
 }
 
@@ -161,7 +162,7 @@ func (g *Gossip) computeInterest(payload []byte) map[string]bool {
 func (g *Gossip) Close() error {
 	g.mux.Unhandle(g.stream)
 	g.lc.close()
-	g.queue.close()
+	g.upcall.close()
 	return nil
 }
 
@@ -277,8 +278,9 @@ func (g *Gossip) onMessage(_ string, data []byte) {
 			g.active[m.ID] = &gossipEvent{origin: m.Origin, rounds: rounds, payload: m.Payload, interested: interested}
 			g.mu.Unlock()
 		}
-		g.queue.push(m.Origin, m.Payload)
+		g.upcall.add(m.Origin, m.Payload)
 	}
+	g.upcall.run()
 }
 
 // batchHeader is what a batch of one adds to its message: the count and

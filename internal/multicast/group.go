@@ -117,108 +117,111 @@ func (m *membership) others(self string) []string {
 	return out
 }
 
-// queuedMsg is one pending delivery.
+// queuedMsg is one delivery owed to a group's upcall.
 type queuedMsg struct {
 	origin  string
 	payload []byte
 }
 
-// deliveryQueue serializes a group's deliveries on a single goroutine.
-// This guarantees per-group delivery order regardless of which transport
-// goroutine received the message, and prevents re-entrancy deadlocks when
-// a handler publishes from inside a delivery (paper §5.3 explicitly
-// allows obvents publishing obvents).
-type deliveryQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []queuedMsg
-	closed bool
-	paused atomic.Bool // written under mu; the drain reads it between deliveries
-	wg     sync.WaitGroup
+// releaseList is what a group has released and not yet delivered. The
+// group adds to it under the lock that orders its releases, and the
+// goroutine that added runs it once it holds no lock: whoever finds
+// nobody delivering calls Deliver, one item at a time and in add order,
+// until the list is empty, and any other caller returns at once. Deliver
+// keeps its contract with no goroutine or queue of the group's own, and
+// a Deliver that broadcasts to its own node (§5.3: obvents publish
+// obvents) leaves its delivery to the loop it is in. The runner delivers
+// whatever is listed, so a caller holding a lock that Deliver takes
+// must not run the list: a broadcast runs it only when it added a
+// delivery for this node.
+type releaseList struct {
+	deliver Deliver
+
+	mu      sync.Mutex
+	idle    sync.Cond // a runner stopped
+	items   []queuedMsg
+	spare   []queuedMsg // the batch emptied last, kept for its capacity
+	running bool
+	paused  atomic.Bool // written under mu; the runner reads it between deliveries
+	closed  bool
 }
 
-// newDeliveryQueue starts the drain goroutine invoking deliver for each
-// queued message in order.
-func newDeliveryQueue(deliver Deliver) *deliveryQueue {
-	q := &deliveryQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	q.wg.Add(1)
-	go func() {
-		defer q.wg.Done()
-		// The drain takes the whole backlog at once and leaves push the
-		// slice it emptied the time before, so the two backing arrays
-		// keep their capacity and no consumed item stays reachable.
-		var batch []queuedMsg
-		for {
-			q.mu.Lock()
-			for !q.closed && (q.paused.Load() || len(q.items) == 0) {
-				q.cond.Wait()
-			}
-			if len(q.items) == 0 {
-				q.mu.Unlock()
-				return // closed and drained
-			}
-			batch, q.items = q.items, batch[:0]
-			q.mu.Unlock()
-			for i := range batch {
-				if q.paused.Load() {
-					q.awaitResume()
-				}
-				deliver(batch[i].origin, batch[i].payload)
-				batch[i] = queuedMsg{}
-			}
-		}
-	}()
-	return q
+func newReleaseList(deliver Deliver) *releaseList {
+	r := &releaseList{deliver: deliver}
+	r.idle.L = &r.mu
+	return r
 }
 
-// awaitResume parks the drain between two deliveries of a batch until
-// the pause is released or the queue closes.
-func (q *deliveryQueue) awaitResume() {
-	q.mu.Lock()
-	for q.paused.Load() && !q.closed {
-		q.cond.Wait()
+// add lists a delivery. It never blocks; after close it drops.
+func (r *releaseList) add(origin string, payload []byte) {
+	r.mu.Lock()
+	if !r.closed {
+		r.items = append(r.items, queuedMsg{origin: origin, payload: payload})
 	}
-	q.mu.Unlock()
+	r.mu.Unlock()
 }
 
-// push enqueues a delivery; it never blocks. Pushes after close are
-// dropped.
-func (q *deliveryQueue) push(origin string, payload []byte) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+// run delivers the list until it is empty or paused, unless another
+// goroutine is delivering it.
+func (r *releaseList) run() {
+	r.mu.Lock()
+	if r.running {
+		r.mu.Unlock()
 		return
 	}
-	q.items = append(q.items, queuedMsg{origin: origin, payload: payload})
-	q.cond.Signal()
+	r.running = true
+	for len(r.items) > 0 && !r.paused.Load() {
+		// Take the whole list and leave add the batch emptied the time
+		// before: the two arrays keep their capacity, and no delivered
+		// item stays reachable.
+		batch := r.items
+		r.items, r.spare = r.spare, nil
+		r.mu.Unlock()
+		i := 0
+		for ; i < len(batch) && !r.paused.Load(); i++ {
+			r.deliver(batch[i].origin, batch[i].payload)
+			batch[i] = queuedMsg{}
+		}
+		r.mu.Lock()
+		if i < len(batch) { // paused: the rest goes back in front
+			r.items = append(slices.Clone(batch[i:]), r.items...)
+			clear(batch[i:])
+		}
+		r.spare = batch[:0]
+	}
+	r.running = false
+	r.idle.Broadcast()
+	r.mu.Unlock()
 }
 
-// pause parks the drain goroutine after its current delivery; pushes
-// keep accumulating in order. Used to hold live deliveries back while a
-// durable subscription replays its backlog.
-func (q *deliveryQueue) pause() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.paused.Store(true)
+// pause holds every delivery after the one in progress; adds go on.
+func (r *releaseList) pause() {
+	r.mu.Lock()
+	r.paused.Store(true)
+	r.mu.Unlock()
 }
 
-// resume releases a pause; the accumulated backlog drains in order.
-func (q *deliveryQueue) resume() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.paused.Store(false)
-	q.cond.Signal()
+// resume ends a pause and delivers the backlog on the caller.
+func (r *releaseList) resume() {
+	r.mu.Lock()
+	r.paused.Store(false)
+	r.mu.Unlock()
+	r.run()
 }
 
-// close drains remaining items and stops the goroutine. Close overrides
-// a pause so shutdown never hangs.
-func (q *deliveryQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Signal()
-	q.mu.Unlock()
-	q.wg.Wait()
+// close delivers what is left, a paused backlog included, waits out a
+// runner on another goroutine, and drops every later add.
+func (r *releaseList) close() {
+	r.mu.Lock()
+	r.closed = true
+	r.paused.Store(false)
+	r.mu.Unlock()
+	r.run()
+	r.mu.Lock()
+	for r.running {
+		r.idle.Wait()
+	}
+	r.mu.Unlock()
 }
 
 // lifecycle manages the background-goroutine shutdown of a protocol.

@@ -39,9 +39,10 @@ import (
 )
 
 // Deliver is the upcall invoked for every message delivered by a group,
-// carrying the address of the original publisher and the payload.
-// Deliver runs on the transport's delivery goroutine (or the caller's
-// goroutine for local self-delivery) and must not block indefinitely.
+// carrying the address of the original publisher and the payload, one
+// call at a time per group and in release order. It runs on a goroutine
+// that released one (the transport's delivery goroutine, or the caller's
+// for local self-delivery) and must not block indefinitely.
 type Deliver func(origin string, payload []byte)
 
 // Group is a dissemination channel: the runtime realization of one of

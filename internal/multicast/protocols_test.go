@@ -543,7 +543,7 @@ func TestTotalStateBoundedByInFlight(t *testing.T) {
 	// A queue's backing array keeps the capacity of the deepest it has
 	// been, which is the traffic in flight: the window, plus what awaits
 	// a batched acknowledgement. The sequencer has half a dozen such
-	// queues (two links out, two delivery queues and their spares), a few
+	// queues (two links out, two release lists and their spares), a few
 	// hundred deep each: thousands in sum, not 20 000.
 	const bound = total / 4
 	for _, name := range names {

@@ -57,13 +57,13 @@ type Reliable struct {
 	opts   Options
 	epoch  uint64
 
-	queue   *deliveryQueue
+	upcall  *releaseList
 	members membership
 	lc      *lifecycle
 
 	// mu is also the stamping lock: a broadcast takes its place on every
-	// link, the local delivery queue included, in one critical section,
-	// and a receiver queues what a frame releases in the one that books it.
+	// link and in the upcall list in one critical section, and a receiver
+	// lists what a frame releases in the one that books it.
 	mu       sync.Mutex
 	gen      uint64              // acknowledgement-timer periods elapsed
 	bcast    uint64              // broadcasts issued; names a broadcast across its links
@@ -186,7 +186,7 @@ type inLink struct {
 	got  seqset.Set
 	held map[uint64]queuedMsg
 	// ready collects, in link order, the frames raise and note release;
-	// the caller queues and clears it.
+	// the caller lists them for the upcall and clears it.
 	ready []queuedMsg
 	acker
 }
@@ -269,11 +269,11 @@ func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliab
 		self:   mux.Addr(),
 		opts:   opts,
 		epoch:  newEpoch(),
-		queue:  newDeliveryQueue(deliver),
 		lc:     newLifecycle(),
 		gen:    1, // 0 is inLink.ackGen's "never acknowledged"
 		out:    make(map[string]*outLink),
 		in:     make(map[string]*inLink),
+		upcall: newReleaseList(deliver),
 	}
 	mux.Handle(stream, g.onMessage)
 	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
@@ -311,18 +311,21 @@ func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
 // BroadcastSplit publishes one event, shipping each Send's payload to
 // its destinations only and counting the members of no Send as pruned.
 // The publication is atomic with respect to every other broadcast of
-// the group: all its link sequences, and its place in the local
-// delivery queue, are assigned in one critical section, so any two
-// publications are ordered the same way on every link that carries
-// both. A destination of no Send is sent nothing, now or later: it
-// consumed no link sequence, so it has no hole to heal.
+// the group: all its link sequences, and its place in the upcall list,
+// are assigned in one critical section, so any two publications are
+// ordered the same way on every link that carries both. A destination
+// of no Send is sent nothing, now or later: it consumed no link
+// sequence, so it has no hole to heal.
 func (g *Reliable) BroadcastSplit(sends []Send) error { return g.broadcastAs(g.self, sends) }
 
 // broadcastAs is BroadcastSplit on behalf of origin.
 func (g *Reliable) broadcastAs(origin string, sends []Send) error {
 	var few [4]linkFrame // the usual fan-out fits; append spills to the heap beyond it
-	frames, err := g.stamp(origin, sends, few[:0])
+	frames, toSelf, err := g.stamp(origin, sends, few[:0])
 	g.transmit(frames)
+	if toSelf {
+		g.upcall.run()
+	}
 	return err
 }
 
@@ -334,13 +337,14 @@ type linkFrame struct {
 
 // stamp is the ordering half of a broadcast on behalf of origin, which
 // the frames name when it is not the local node: it queues the
-// publication on every destination's link and for local delivery, and
+// publication on every destination's link, and in the upcall list if
+// this node is one (reported, for the caller to run the list), and
 // appends to frames what transmit must then send. A caller that orders
 // publications by a mark of its own (Causal's clock tick) marks and
-// stamps under one lock, and transmits outside it.
-func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, error) {
+// stamps under one lock, and transmits and runs outside it.
+func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, bool, error) {
 	if g.lc.closed() {
-		return frames, fmt.Errorf("multicast: reliable %s: closed", g.stream)
+		return frames, false, fmt.Errorf("multicast: reliable %s: closed", g.stream)
 	}
 	named := origin
 	if origin == g.self {
@@ -351,7 +355,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			continue // delivered here only: no frame
 		}
 		if err := g.fits(named, s.Payload); err != nil {
-			return frames, err
+			return frames, false, err
 		}
 	}
 	sent, toSelf := 0, false
@@ -364,7 +368,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			if addr == g.self {
 				if !toSelf {
 					toSelf = true
-					g.queue.push(origin, s.Payload)
+					g.upcall.add(origin, s.Payload)
 				}
 				continue
 			}
@@ -389,7 +393,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			obs(uint64(pruned), 0)
 		}
 	}
-	return frames, nil
+	return frames, toSelf, nil
 }
 
 // fits refuses, before it takes a link sequence, a payload whose data
@@ -415,7 +419,7 @@ func (g *Reliable) transmit(frames []linkFrame) {
 func (g *Reliable) Close() error {
 	g.mux.Unhandle(g.stream)
 	g.lc.close()
-	g.queue.close()
+	g.upcall.close()
 	return nil
 }
 
@@ -502,9 +506,9 @@ func (g *Reliable) onMessage(from string, data []byte) {
 }
 
 // onLink books a link frame — a data frame, or a base announcement,
-// which is a base and nothing else — queues for delivery whatever it
-// lets out in link order, and acknowledges a data frame according to
-// the policy in the type's documentation.
+// which is a base and nothing else — acknowledges a data frame according
+// to the policy in the type's documentation, and then delivers, on the
+// caller, whatever the frame lets out in link order.
 func (g *Reliable) onLink(from string, m *message) {
 	if m.Epoch == 0 || m.Base == 0 {
 		return // not a link frame
@@ -550,14 +554,15 @@ func (g *Reliable) onLink(from string, m *message) {
 	if ackNow {
 		_ = g.mux.sendMessage(from, g.stream, &ack)
 	}
+	g.upcall.run()
 }
 
-// releaseLocked queues what a link has ready, in order. Caller holds
-// g.mu, which is what keeps two frames of one link from queueing out of
-// turn.
+// releaseLocked lists what a link has ready for the upcall, in order.
+// Caller holds g.mu, which is what keeps two frames of one link from
+// being listed out of turn.
 func (g *Reliable) releaseLocked(l *inLink) {
 	for i, msg := range l.ready {
-		g.queue.push(msg.origin, msg.payload)
+		g.upcall.add(msg.origin, msg.payload)
 		l.ready[i] = queuedMsg{}
 	}
 	l.ready = l.ready[:0]

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"govents/internal/netsim"
+	"govents/internal/transport"
 )
 
 // tally counts deliveries per payload at one node and keeps their order.
@@ -628,5 +629,81 @@ func TestReliableTickAllocs(t *testing.T) {
 	}
 	if kept := g.tickFrames[:cap(g.tickFrames)]; len(kept) == 0 || kept[0].addr != "" || kept[0].msg.Kind != 0 {
 		t.Errorf("the period's frames were not kept and cleared after sending: %+v", kept)
+	}
+}
+
+// seqTap counts the data frames an endpoint sends with link sequence 2.
+type seqTap struct {
+	netsim.Transport
+	seq2 atomic.Int64
+}
+
+func (s *seqTap) Send(to string, frame []byte) error {
+	var m message
+	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindData && m.Seq == 2 {
+		s.seq2.Add(1)
+	}
+	return s.Transport.Send(to, frame)
+}
+
+// TestReliableBlockedUpcallStopsAcks: over TCP, a receiver whose upcall
+// blocks holds up the connection reader that released the frame, so the
+// frames behind it are neither read nor acknowledged, and the sender
+// keeps owing them. The oracle is the sender resending frame 2 (or
+// everything acknowledged, which is the failure), not a wait. Once the
+// upcall returns, every broadcast is handled exactly once, in order,
+// and acknowledged.
+func TestReliableBlockedUpcallStopsAcks(t *testing.T) {
+	const total = 2000
+	ta, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Close()
+	tb, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	tap := &seqTap{Transport: ta}
+	unblock := make(chan struct{})
+	handled := newTally()
+	opts := Options{RetransmitInterval: 20 * time.Millisecond}
+	ga := NewReliable(NewMux(tap), "cls", func(string, []byte) {}, opts)
+	defer ga.Close()
+	gb := NewReliable(NewMux(tb), "cls", func(origin string, payload []byte) {
+		<-unblock
+		handled.record(origin, payload)
+	}, opts)
+	defer gb.Close()
+	release := sync.OnceFunc(func() { close(unblock) })
+	defer release() // before the closes, should the test fail
+	members := []string{ta.Addr(), tb.Addr()}
+	ga.SetMembers(members)
+	gb.SetMembers(members)
+
+	for i := range total {
+		if err := ga.BroadcastTo([]string{tb.Addr()}, fmt.Appendf(nil, "m%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "frame 2 resent, or every frame acknowledged", func() bool {
+		return tap.seq2.Load() > 1 || ga.Outstanding() == 0
+	})
+	if owed := ga.Outstanding(); owed < total-1 {
+		t.Fatalf("sender owes %d of %d broadcasts while the receiver's upcall blocks, want at least %d", owed, total, total-1)
+	}
+
+	release()
+	waitFor(t, 10*time.Second, "every broadcast handled", func() bool { return handled.total() >= total })
+	waitFor(t, 10*time.Second, "every broadcast acknowledged", func() bool { return ga.Outstanding() == 0 })
+	got := handled.delivered()
+	if len(got) != total {
+		t.Fatalf("handled %d, want %d", len(got), total)
+	}
+	for i, p := range got {
+		if want := fmt.Sprintf("m%04d", i); p != want {
+			t.Fatalf("handled %q at %d, want %q", p, i, want)
+		}
 	}
 }

@@ -193,18 +193,17 @@ func (n *Network) Close() error {
 // dropped. It is a test aid: after Settle returns, no deliveries triggered
 // by earlier Sends remain pending (deliveries may themselves have sent new
 // messages, which Settle also waits for, as long as each cascade hop is
-// sent before the previous message's delivery completes; a handler that
-// defers its sends to another goroutine can slip past an in-progress
-// Settle, which then simply observes the counter's next zero).
+// sent before the previous message's delivery completes). A multicast
+// group delivers on the handler's goroutine, so everything received has
+// then reached a dispatch lane, bar a certified group's paused backlog.
 func (n *Network) Settle() {
 	n.inflight.Wait()
 }
 
 // inflightCounter is a WaitGroup variant whose Add may be called
-// concurrently with Wait even when the counter is at zero. Handlers on
-// asynchronous delivery queues send new messages while Settle waits —
-// the exact interleaving sync.WaitGroup forbids (Add-from-zero racing
-// Wait), observed as a data race under the multicast ad cascade.
+// concurrently with Wait even when the counter is at zero. Timer ticks
+// and publishers send new messages while Settle waits — the exact
+// interleaving sync.WaitGroup forbids (Add-from-zero racing Wait).
 type inflightCounter struct {
 	mu   sync.Mutex
 	cond *sync.Cond

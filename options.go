@@ -19,11 +19,11 @@ type OverloadPolicy = core.OverloadPolicy
 const (
 	// OverloadBlock makes a full lane's intake wait until the lane
 	// drains below its bound: no event is lost, and the lane holds at
-	// most its bound. The wait stops at the lane. What feeds it (a
-	// distributed class's delivery queue, a local domain's publish
-	// queue) never blocks and has no bound, so the backlog a full lane
-	// refuses waits there instead, and neither the wire reader nor
-	// Publish slows down. This is the default.
+	// most its bound. The wait holds the goroutine that feeds the lane:
+	// Publish in a local domain or for a publication delivered at its
+	// own node, and on TCP the reader of the publisher's connection,
+	// which stops reading until the lane has room ("Overload and flow
+	// control" in the package documentation). This is the default.
 	OverloadBlock = core.OverloadBlock
 	// OverloadDropOldest sheds the oldest queued envelope to admit the
 	// newest. Sheds are counted in DispatchStats.Shed, reported as
