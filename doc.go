@@ -207,9 +207,10 @@
 // best-effort or certified record goes to all its destinations in that
 // one frame; the links of the other classes number each destination's
 // frames, so each gets a frame, and a copy, of its own. On the
-// subscriber the TCP transport reads each frame into a buffer of its own
-// (that side's one copy), which the link and the envelope share by
-// slicing; the handler's value is decoded out of it.
+// subscriber the kernel writes each frame into one of the TCP
+// transport's receive blocks (that side's one copy: many frames to a
+// block, no allocation of a frame's own), and the link and the envelope
+// share it by slicing; the handler's value is decoded out of it.
 //
 // Two forms of the record exist, and they differ only in which strings
 // are empty. Stored (outbox, inbox, spill log), every field is spelled

@@ -66,12 +66,13 @@ const (
 	// opDeref replaces the current pointer with its pointee; a nil
 	// pointer aborts resolution with the step's preallocated error.
 	opDeref
-	// opMethod calls the idx-th method of the current value's own
-	// method set and continues with its single result.
+	// opMethod calls a method of the current value's own method set
+	// (fn, or for an interface the idx-th method) and continues with its
+	// single result.
 	opMethod
-	// opAddrMethod calls the idx-th method of the current value's
-	// pointer type (the value is addressable at this point by
-	// construction) and continues with its single result.
+	// opAddrMethod calls fn, a method of the current value's pointer
+	// type, on the value's address (the value is addressable at this
+	// point by construction) and continues with its single result.
 	opAddrMethod
 )
 
@@ -79,6 +80,10 @@ const (
 type step struct {
 	op  stepOp
 	idx int
+	// fn is a concrete receiver's method as a function of the receiver
+	// (reflect.Method.Func): calling it costs no method value, which
+	// v.Method(idx) allocates. An interface's method set has no Func.
+	fn reflect.Value
 	// err is the step's resolution failure, preallocated at compile time
 	// so the nil-pointer fail path does not allocate per event.
 	err error
@@ -137,7 +142,7 @@ func (p *Program) compileSegment(t reflect.Type, addressable bool, seg string) (
 			if err != nil {
 				return nil, false, err
 			}
-			p.steps = append(p.steps, step{op: opAddrMethod, idx: m.Index})
+			p.steps = append(p.steps, step{op: opAddrMethod, fn: m.Func})
 			return out, false, nil
 		}
 	} else if m, ok := t.MethodByName(seg); ok {
@@ -195,7 +200,7 @@ func (p *Program) emitMethod(t reflect.Type, m reflect.Method, seg string) (refl
 	if err != nil {
 		return nil, err
 	}
-	st := step{op: opMethod, idx: m.Index}
+	st := step{op: opMethod, idx: m.Index, fn: m.Func}
 	if iface {
 		st.err = fmt.Errorf("accessor: segment %q on nil interface", seg)
 	}
@@ -248,8 +253,11 @@ func (p *Program) Path() string { return p.path }
 
 // Resolve replays the program against one event value (which must have
 // the program's root type) and returns the reflected result. Field and
-// deref steps perform zero heap allocations; method steps pay one
-// reflect Call each, where Constant may call a direct getter instead.
+// deref steps perform zero heap allocations. A method step is a reflect
+// Call of the method as a function of its receiver, with the Call's own
+// allocations and none for a method value (an interface receiver's
+// method, which has no such function, still takes one); Constant may
+// call a direct getter instead.
 // The only possible failures are value-dependent: nil pointers along
 // the path, and accessors that panic.
 func (p *Program) Resolve(root reflect.Value) (reflect.Value, error) {
@@ -268,16 +276,21 @@ func (p *Program) Resolve(root reflect.Value) (reflect.Value, error) {
 			}
 			v = v.Elem()
 		case opMethod:
-			if st.err != nil && v.IsNil() { // interface method: nil receiver
-				return reflect.Value{}, st.err
-			}
 			var err error
-			if v, err = callMethod(v.Method(st.idx)); err != nil {
+			switch {
+			case st.fn.IsValid():
+				v, err = callMethod(st.fn, v)
+			case v.IsNil(): // interface method: nil receiver
+				return reflect.Value{}, st.err
+			default:
+				v, err = callMethod(v.Method(st.idx))
+			}
+			if err != nil {
 				return reflect.Value{}, err
 			}
 		default: // opAddrMethod
 			var err error
-			if v, err = callMethod(v.Addr().Method(st.idx)); err != nil {
+			if v, err = callMethod(st.fn, v.Addr()); err != nil {
 				return reflect.Value{}, err
 			}
 		}
@@ -285,17 +298,18 @@ func (p *Program) Resolve(root reflect.Value) (reflect.Value, error) {
 	return v, nil
 }
 
-// callMethod invokes one accessor step. A panicking accessor (typically
-// a promoted method reached through a nil embedded pointer) becomes a
-// resolution error, mirroring filter.callAccessor: a data-dependent
-// panic must never crash a filtering host.
-func callMethod(m reflect.Value) (rv reflect.Value, err error) {
+// callMethod invokes one accessor step: fn with the receiver, if any, as
+// its argument. A panicking accessor (typically a promoted method
+// reached through a nil embedded pointer) becomes a resolution error,
+// mirroring filter.callAccessor: a data-dependent panic must never crash
+// a filtering host.
+func callMethod(fn reflect.Value, recv ...reflect.Value) (rv reflect.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rv, err = reflect.Value{}, panicked(r)
 		}
 	}()
-	return m.Call(nil)[0], nil
+	return fn.Call(recv)[0], nil
 }
 
 // rootType renders a value's type for the mismatch error (invalid

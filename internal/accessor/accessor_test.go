@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"govents/internal/allocs"
 	"govents/internal/filter"
 )
 
@@ -383,6 +384,39 @@ func TestMethodProgramFewerAllocsThanNameLookup(t *testing.T) {
 	})
 	if compiled >= reflective {
 		t.Errorf("compiled method path allocates %.1f/op, reflective %.1f/op; want strictly fewer", compiled, reflective)
+	}
+}
+
+// TestMethodStepAllocs pins a concrete receiver's method step: the
+// method is called as a function of its receiver, so the step pays the
+// reflect Call's allocations (its result slice and the result) and no
+// method value. A receiver passed in registers is what it pins: one the
+// ABI passes on the stack (event by value) adds the Call's frame.
+func TestMethodStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ev := event{Company: "co", Amount: 3}
+	for _, tc := range []struct {
+		path string
+		root reflect.Value
+	}{
+		{"Price.Cents", reflect.ValueOf(ev)},
+		{"Nested.GetScore", reflect.ValueOf(ev)},
+		{"AddrAmount", reflect.ValueOf(&ev)},
+		{"Nested.PtrLabel", reflect.ValueOf(&ev)},
+	} {
+		prog, err := Compile(tc.root.Type(), strings.Split(tc.path, "."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := allocs.PerRun(300, func() {
+			if _, err := prog.Resolve(tc.root); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("%s on %s: %.2f allocations per call, want at most 2", tc.path, tc.root.Type(), n)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"time"
 
 	"govents/internal/obvent"
@@ -335,15 +336,35 @@ func (c *Codec) Clone(o obvent.Obvent) (obvent.Obvent, error) {
 	return c.Decode(e)
 }
 
-// NewID returns a fresh 128-bit random identifier.
+// ids is the block NewID mints from: idBlock IDs of random bits and
+// their hex text, handed out in order.
+var ids struct {
+	sync.Mutex
+	raw    [idBlock * 16]byte
+	text   [idBlock * 32]byte
+	minted string // text as a string; minted[next:] is not handed out yet
+	next   int
+}
+
+const idBlock = 16
+
+// NewID returns a fresh 128-bit random identifier, 32 lowercase hex
+// characters. IDs are minted idBlock at a time, from one crypto/rand
+// read into one 512-byte string, and each is a substring of it: a kept
+// ID keeps its 512-byte block reachable.
 func NewID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure means the platform is broken; there is
-		// no reasonable fallback for uniqueness.
-		panic(fmt.Sprintf("codec: crypto/rand failed: %v", err))
+	ids.Lock()
+	defer ids.Unlock()
+	if ids.next == len(ids.minted) {
+		if _, err := rand.Read(ids.raw[:]); err != nil {
+			// crypto/rand failure means the platform is broken; there is
+			// no reasonable fallback for uniqueness.
+			panic(fmt.Sprintf("codec: crypto/rand failed: %v", err))
+		}
+		hex.Encode(ids.text[:], ids.raw[:])
+		ids.minted, ids.next = string(ids.text[:]), 0
 	}
-	var s [2 * len(b)]byte
-	hex.Encode(s[:], b[:])
-	return string(s[:])
+	id := ids.minted[ids.next : ids.next+32]
+	ids.next += 32
+	return id
 }

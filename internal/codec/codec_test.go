@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -212,16 +213,38 @@ func TestCloneIsDeepAndDistinct(t *testing.T) {
 }
 
 func TestNewIDUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 1000; i++ {
-		id := NewID()
-		if len(id) != 32 {
-			t.Fatalf("ID length = %d", len(id))
+	const workers, per = 64, 2000
+	minted := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := range minted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range per {
+				minted[w] = append(minted[w], NewID())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, workers*per)
+	for _, batch := range minted {
+		for _, id := range batch {
+			if len(id) != 32 || strings.Trim(id, "0123456789abcdef") != "" {
+				t.Fatalf("ID %q is not 32 lowercase hex characters", id)
+			}
+			if seen[id] {
+				t.Fatalf("duplicate ID %s", id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			t.Fatal("duplicate ID")
-		}
-		seen[id] = true
+	}
+}
+
+// TestNewIDAllocs pins the minting cost: one string per block of
+// idBlock IDs, nothing per ID.
+func TestNewIDAllocs(t *testing.T) {
+	if n := allocs.PerRun(16*idBlock, func() { _ = NewID() }); n > 0.07 {
+		t.Errorf("NewID: %.3f allocations per call, want at most 0.07", n)
 	}
 }
 

@@ -20,7 +20,10 @@ import (
 )
 
 // Handler processes an inbound message. Handlers run on dedicated
-// delivery goroutines; they may call Send.
+// delivery goroutines; they may call Send. The payload is read-only: a
+// transport may hand one buffer to several frames (both copies of a
+// duplicated one here, a receive block of many frames over TCP). The
+// handler may keep it, and keeping it keeps that buffer reachable.
 type Handler func(from string, payload []byte)
 
 // Transport is the messaging abstraction shared by the simulated network

@@ -16,6 +16,12 @@
 // a hello longer than maxAddr makes the reader log and close the
 // connection. See "Link protocol" in the govents package documentation.
 //
+// A connection's reader reads the socket into 32 KiB receive blocks and
+// hands each payload to the handler as a slice of its block (a payload
+// over 8 KiB gets a buffer of its own), so a received frame costs no
+// allocation of its own and no copy. The payload is read-only; the
+// handler may keep it, and keeping it keeps its block reachable.
+//
 // Each destination has its own lock, so a peer that stops reading
 // stalls the senders to that peer only, and only until writeTimeout
 // fails the write and drops the connection. The transport is
@@ -24,7 +30,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,9 +88,11 @@ const (
 	dialTimeout  = 2 * time.Second
 	writeTimeout = 2 * time.Second
 
-	// readBuffer sizes an inbound connection's bufio.Reader: many small
-	// frames arrive per read.
-	readBuffer = 16 << 10
+	// blockSize is a receive block: many small frames arrive per read,
+	// and 32 KiB is the largest small-object size class, so no room is
+	// lost to rounding. ownBuffer is the largest body read into a block.
+	blockSize = 32 << 10
+	ownBuffer = 8 << 10
 	// maxScratch is the largest write buffer a peer keeps between sends.
 	maxScratch = 64 << 10
 )
@@ -143,8 +150,9 @@ func Listen(addr string) (*TCP, error) {
 // Addr implements netsim.Transport.
 func (t *TCP) Addr() string { return t.addr }
 
-// SetHandler implements netsim.Transport. The handler owns the payload
-// it is given: every frame is read into a buffer of its own.
+// SetHandler implements netsim.Transport. The handler may keep the
+// payload it is given and must not write to it: the payload is a slice
+// of a receive block that later frames on the connection share.
 func (t *TCP) SetHandler(h netsim.Handler) {
 	if h == nil {
 		t.handler.Store(nil)
@@ -305,12 +313,12 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.forget(conn)
-	br := bufio.NewReaderSize(conn, readBuffer)
-	from, err := readHello(br)
+	fr := &frameReader{r: conn}
+	from, err := readHello(fr)
 	for err == nil {
 		var hello bool
 		var payload []byte
-		if hello, payload, err = readFrame(br); err != nil {
+		if hello, payload, err = fr.readFrame(); err != nil {
 			break
 		}
 		if hello {
@@ -333,8 +341,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 
 // readHello reads a connection's first frame, which must be a hello,
 // and returns the sender address it carries.
-func readHello(br *bufio.Reader) (string, error) {
-	hello, addr, err := readFrame(br)
+func readHello(fr *frameReader) (string, error) {
+	hello, addr, err := fr.readFrame()
 	switch {
 	case err != nil:
 		return "", err
@@ -346,35 +354,76 @@ func readHello(br *bufio.Reader) (string, error) {
 	return string(addr), nil
 }
 
+// frameReader reads one connection's frames into receive blocks and
+// hands each body out as a slice of its block, capacity clipped: the
+// kernel's copy into the block is the only one. Bytes go in only past
+// the last body handed out, and a block whose tail cannot hold the next
+// frame is left to the bodies in it: the unread part of that frame
+// moves to the front of a fresh block. A body over ownBuffer bytes gets
+// a buffer of its own instead.
+type frameReader struct {
+	r     io.Reader
+	block []byte
+	start int // the first unread byte of block
+	end   int // the end of what has been read into block
+}
+
 // readFrame reads one frame: a hello's address or a data frame's
-// payload, in a buffer of its own (the one allocation per frame). It
-// returns io.EOF only at a frame boundary.
-func readFrame(br *bufio.Reader) (hello bool, body []byte, err error) {
-	// Peek, not ReadFull into a local array: the array would escape
-	// through the io.Reader interface and cost an allocation per frame.
-	head, err := br.Peek(frameHeader)
-	if err != nil {
-		if err == io.EOF && len(head) > 0 {
+// payload. It returns io.EOF only at a frame boundary.
+func (fr *frameReader) readFrame() (hello bool, body []byte, err error) {
+	if err := fr.fill(frameHeader); err != nil {
+		if err == io.EOF && fr.end > fr.start {
 			err = io.ErrUnexpectedEOF
 		}
 		return false, nil, err
 	}
-	word := binary.BigEndian.Uint32(head)
-	_, _ = br.Discard(frameHeader) // cannot fail: the bytes were just peeked
+	word := binary.BigEndian.Uint32(fr.block[fr.start:])
+	fr.start += frameHeader
 	hello = word&helloFlag != 0
-	n := word &^ helloFlag
+	n := int(word &^ helloFlag)
 	switch {
 	case hello && n > maxAddr:
 		return false, nil, fmt.Errorf("transport: hello address of %d bytes exceeds %d", n, maxAddr)
 	case n > maxFrame-frameHeader:
 		return false, nil, fmt.Errorf("transport: invalid frame length %d", n)
+	case n > ownBuffer:
+		body = make([]byte, n)
+		k := copy(body, fr.block[fr.start:fr.end])
+		fr.start += k
+		_, err = io.ReadFull(fr.r, body[k:])
+	default:
+		if err = fr.fill(n); err == nil {
+			body = fr.block[fr.start : fr.start+n : fr.start+n]
+			fr.start += n
+		}
 	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return false, nil, err
 	}
 	return hello, body, nil
+}
+
+// fill reads until at least n (at most ownBuffer) unread bytes are in
+// the block, starting a fresh block if the tail of this one cannot hold
+// them.
+func (fr *frameReader) fill(n int) error {
+	if fr.end-fr.start >= n {
+		return nil
+	}
+	if len(fr.block)-fr.start < n {
+		block := make([]byte, blockSize)
+		fr.end = copy(block, fr.block[fr.start:fr.end])
+		fr.block, fr.start = block, 0
+	}
+	for fr.end-fr.start < n {
+		m, err := fr.r.Read(fr.block[fr.end:])
+		fr.end += m
+		if err != nil && fr.end-fr.start < n {
+			return err
+		}
+	}
+	return nil
 }
