@@ -157,9 +157,9 @@
 // Around the payload, every publication travels — and is stored in
 // durable inboxes, outboxes and spill logs — as one envelope record, a
 // fixed binary layout written and read by hand (no reflection; reading a
-// plain FIFO envelope takes the struct and one block that ID, Type and
-// Publisher are slices of, plus the payload's copy where the reader
-// does not own the bytes):
+// plain FIFO envelope off a link takes one block that ID, Type and
+// Publisher are slices of; a reader that does not own the bytes takes a
+// struct and the payload's copy as well):
 //
 //	format       1 byte   0xE1
 //	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
@@ -211,6 +211,11 @@
 // transport's receive blocks (that side's one copy: many frames to a
 // block, no allocation of a frame's own), and the link and the envelope
 // share it by slicing; the handler's value is decoded out of it.
+// The envelope struct is not allocated per event at either end: the
+// publisher's comes from a pool and goes back when Publish returns (what
+// outlives it is the sealed record); on the subscriber a class's channel
+// decodes every frame into one envelope it rewrites, and a lane queues a
+// copy by value, dispatches it from a slot of its own and zeroes it.
 //
 // Two forms of the record exist, and they differ only in which strings
 // are empty. Stored (outbox, inbox, spill log), every field is spelled

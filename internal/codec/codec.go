@@ -14,10 +14,12 @@
 //
 // An envelope's Payload is read-only from the moment it exists: the
 // decoders copy what they keep of it and nothing writes to it, which is
-// what lets UnmarshalAlias hand out a slice of the frame where
+// what lets UnmarshalInto hand out a slice of the frame where
 // Unmarshal copies (framing.go says who may call which), and Seal hand
 // out a record that is the payload with a header written in front of it
-// (Encode leaves the room).
+// (Encode leaves the room). No envelope struct is allocated per event on
+// the wire path: a publisher's comes from a pool (EncodeFrom, Release), a
+// subscriber's is decoded into storage it reuses (UnmarshalInto).
 package codec
 
 import (
@@ -94,12 +96,16 @@ type Envelope struct {
 	room *headroom
 }
 
-// encoded is what Encode allocates: the envelope and its payload's
-// headroom in one object.
+// encoded is what EncodeFrom takes from encodedPool: the envelope and
+// its payload's headroom in one object.
 type encoded struct {
 	env  Envelope
 	room headroom
 }
+
+// encodedPool recycles what Release hands back, less the payload buffer,
+// which a sealed record may outlive the envelope in (a link, an outbox).
+var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
 
 // Expired reports whether a timely envelope is obsolete at instant now.
 func (e *Envelope) Expired(now time.Time) bool {
@@ -137,14 +143,15 @@ func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) { return c.EncodeFrom
 // envelope. With every header field but the ordering metadata known, the
 // compiled program writes the payload behind room for the envelope's
 // full record header, where the first Seal writes it: sealing the
-// envelope, or a link form of it, copies no payload.
+// envelope, or a link form of it, copies no payload. The envelope comes
+// from a pool: a caller done with it may hand it back (Release).
 func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error) {
 	name, err := c.reg.NameOf(o)
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode: %w", err)
 	}
 	sem := obvent.Resolve(o)
-	enc := new(encoded)
+	enc := encodedPool.Get().(*encoded)
 	env := &enc.env
 	*env = Envelope{
 		ID:          NewID(),
@@ -178,8 +185,22 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 		return nil, fmt.Errorf("codec: encode %s: %w", name, err)
 	}
 	env.Payload = buf[off:]
-	enc.room.buf, enc.room.off = buf, off
+	enc.room.buf, enc.room.off, enc.room.enc = buf, off, enc
 	return env, nil
+}
+
+// Release zeroes an envelope EncodeFrom returned, to which the caller
+// holds the only reference, and puts it back in EncodeFrom's pool. A
+// copy may outlive it but must not be sealed: it names the room, which
+// the pool hands on. Any other envelope, a copy included, is ignored.
+func Release(env *Envelope) {
+	r := env.room
+	if r == nil || r.enc == nil || &r.enc.env != env {
+		return
+	}
+	enc := r.enc
+	*enc = encoded{}
+	encodedPool.Put(enc)
 }
 
 // Decode reconstructs the obvent carried by an envelope. Each call

@@ -121,11 +121,13 @@ func Seal(e *Envelope) ([]byte, error) {
 
 // headroom is the buffer Encode wrote a payload into: room for the
 // record's header, then the payload, which runs to the buffer's end.
-// claimed is set by the one Seal that writes the header into it.
+// claimed is set by the one Seal that writes the header into it; enc is
+// the pooled object the room lives in (Release).
 type headroom struct {
 	buf     []byte
 	off     int // where the payload starts
 	claimed atomic.Bool
+	enc     *encoded
 }
 
 // holds reports whether payload is still the one Encode wrote behind the
@@ -222,35 +224,45 @@ func varintLen(x int64) int { return rec.UvarintLen(uint64(x<<1) ^ uint64(x>>63)
 // returned envelope shares no memory with data, so this is the form for
 // a caller that decodes out of a buffer it goes on using.
 func Unmarshal(data []byte) (*Envelope, error) {
-	e, err := UnmarshalAlias(data)
-	if err != nil {
+	e := new(Envelope)
+	if err := UnmarshalInto(e, data); err != nil {
 		return nil, err
 	}
 	e.Payload = slices.Clone(e.Payload)
 	return e, nil
 }
 
-// UnmarshalAlias is Unmarshal without the payload's copy: the returned
-// envelope's Payload is a slice of data (every other field is copied
-// out). It is for the caller that owns data and never writes to it
-// again (the receive path: the transport allocates a buffer per frame)
-// or that drops the envelope before data changes (routing a frame).
-// Anything else calls Unmarshal.
-func UnmarshalAlias(data []byte) (*Envelope, error) {
+// UnmarshalInto is Unmarshal into caller-owned storage and without the
+// payload's copy: every field of *e is overwritten, and e.Payload is a
+// slice of data (every other field is copied out). It is for the caller
+// that owns data and never writes to it again (the receive path: a frame
+// is a slice of a transport receive block nothing writes to again) or
+// that drops the envelope before data changes (routing a frame).
+// Anything else calls Unmarshal. On error *e is left zero.
+func UnmarshalInto(e *Envelope, data []byte) error {
+	if err := unmarshalInto(e, data); err != nil {
+		*e = Envelope{}
+		return fmt.Errorf("codec: unmarshal envelope: %w", err)
+	}
+	return nil
+}
+
+// unmarshalInto is UnmarshalInto, leaving *e in any state on error.
+func unmarshalInto(e *Envelope, data []byte) error {
 	r := envReader{rec.Reader{Buf: data}}
 	if format := r.U8(); r.Err == nil && format != envelopeFormat {
-		return nil, fmt.Errorf("codec: unmarshal envelope: unknown envelope format 0x%02x", format)
+		return fmt.Errorf("unknown envelope format 0x%02x", format)
 	}
 	flags := r.U8()
 	if flags&^knownFlags != 0 {
-		return nil, fmt.Errorf("codec: unmarshal envelope: unknown flags 0x%02x", flags&^knownFlags)
+		return fmt.Errorf("unknown flags 0x%02x", flags&^knownFlags)
 	}
 	if enc := r.U8(); r.Err == nil && enc != payloadEncoding {
-		return nil, fmt.Errorf("codec: unmarshal envelope: %w %d", ErrPayloadEncoding, enc)
+		return fmt.Errorf("%w %d", ErrPayloadEncoding, enc)
 	}
 	// The reads below run in lexical order, which is the wire order.
 	id, typ, pub := r.header()
-	e := &Envelope{
+	*e = Envelope{
 		ID:          id,
 		Type:        typ,
 		Publisher:   pub,
@@ -274,10 +286,7 @@ func UnmarshalAlias(data []byte) (*Envelope, error) {
 		e.VC = vclock.Read(&r.Reader, false)
 	}
 	e.Payload = r.payload()
-	if r.Err != nil {
-		return nil, fmt.Errorf("codec: unmarshal envelope: %w", r.Err)
-	}
-	return e, nil
+	return r.Err
 }
 
 // envReader reads an envelope's fields off the shared record cursor.

@@ -332,17 +332,26 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 	}); n > 3 {
 		t.Errorf("Unmarshal: %v allocs, want <= 3", n)
 	}
-	// A record with no header string allocates no block.
+	// Decoded into a caller's envelope, the block is all: a record with
+	// no header string allocates nothing.
+	var into Envelope
+	if n := testing.AllocsPerRun(200, func() {
+		if err := UnmarshalInto(&into, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("UnmarshalInto: %v allocs, want <= 1", n)
+	}
 	bare, err := Marshal(&Envelope{Seq: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := UnmarshalAlias(bare); err != nil {
+		if err := UnmarshalInto(&into, bare); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("UnmarshalAlias of a record with no header string: %v allocs, want <= 1", n)
+	}); n > 0 {
+		t.Errorf("UnmarshalInto of a record with no header string: %v allocs, want 0", n)
 	}
 	buf := make([]byte, 0, 2*len(data))
 	if n := testing.AllocsPerRun(200, func() {
@@ -357,7 +366,11 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 // FuzzEnvelopeUnmarshal feeds raw bytes to the peer- and disk-facing
 // decoder. It must never panic; what it accepts holds no more variable
 // data than the input carried (no length claim is trusted beyond the
-// bytes behind it) and survives a re-marshal unchanged.
+// bytes behind it) and survives a re-marshal unchanged. Decoded again
+// with UnmarshalInto over an envelope with every field set, as a
+// receiver's reused scratch may be, it yields the same envelope, keeping
+// nothing of the old one (a vector clock, a birth, a priority), or
+// rejects it too and leaves the target zero.
 func FuzzEnvelopeUnmarshal(f *testing.F) {
 	link := flatFIFOEnvelope() // as a link carries it: the channel names the class, the origin the publisher
 	link.Type, link.Publisher = "", ""
@@ -374,8 +387,18 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 	f.Add([]byte("not an envelope record"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
+		reused := everyFieldEnvelope()
+		if errInto := UnmarshalInto(reused, data); (errInto == nil) != (err == nil) {
+			t.Fatalf("Unmarshal: %v, but UnmarshalInto over a filled envelope: %v", err, errInto)
+		}
 		if err != nil {
+			if !reflect.ValueOf(*reused).IsZero() {
+				t.Fatalf("a rejected input left %+v in the target", reused)
+			}
 			return
+		}
+		if !sameEnvelope(env, reused) {
+			t.Fatalf("decoded over a filled envelope:\n got %+v\nwant %+v", reused, env)
 		}
 		held := len(env.ID) + len(env.Type) + len(env.Publisher) + len(env.Payload)
 		for k := range env.VC {

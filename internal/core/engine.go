@@ -23,10 +23,13 @@ import (
 // envelopes back up through the sink installed with SetSink.
 type Disseminator interface {
 	// PublishEnvelope disseminates an encoded obvent to every process
-	// hosting matching subscriptions (possibly including this one).
+	// hosting matching subscriptions (possibly including this one). It
+	// must not keep env after it returns, which the engine recycles: dace
+	// seals it into a record, Local's sink copies it into a lane.
 	PublishEnvelope(env *codec.Envelope) error
 	// SetSink installs the engine's delivery entry point. It must be
-	// called once before any traffic flows.
+	// called once before any traffic flows. The sink's env is valid for
+	// the call only, so a sink copies what it keeps of it.
 	SetSink(sink func(env *codec.Envelope))
 	// SubscriptionChanged notifies the substrate that the set of active
 	// local subscriptions changed (for advertisement to filtering hosts
@@ -330,14 +333,16 @@ func (e *Engine) Publish(o obvent.Obvent) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotPublish, err)
 	}
-	if err := e.diss.PublishEnvelope(env); err != nil {
+	err = e.diss.PublishEnvelope(env)
+	codec.Release(env) // the disseminator keeps no envelope
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrCannotPublish, err)
 	}
 	return nil
 }
 
 // deliver is the sink invoked by the disseminator for every inbound
-// envelope. It routes the envelope to its dispatch lane (serial for
+// envelope. It copies the envelope into its dispatch lane (serial for
 // ordered/prioritary semantics, hashed-parallel otherwise); actual
 // matching and handler execution happen on the lane goroutines.
 func (e *Engine) deliver(env *codec.Envelope) {

@@ -271,12 +271,14 @@ func (ls *laneSet) close() {
 // laneItem is one queued envelope plus its priority and arrival sequence
 // (the priority order's sort key; the sequence also finds the oldest item
 // to shed) and its telemetry enqueue timestamp (0 when telemetry is off at
-// enqueue time). All of it rides the queue, never the envelope: the same
-// *Envelope may be routed concurrently many times (loopback fan-in,
-// benchmarks), so envelopes must stay immutable through the dispatcher —
-// which is also what lets the spill path re-encode them safely.
+// enqueue time). All of it rides the queue, never the envelope, and a
+// lane holds its own copy of the envelope: the sink's is valid for the
+// sink call only (a channel's scratch, a publisher's pooled envelope).
+// The copy of a pooled envelope still names the publisher's headroom,
+// which the pool hands on; nothing seals a lane's copy, and Seal refuses
+// a room whose buffer is not the payload's.
 type laneItem struct {
-	env  *codec.Envelope
+	env  codec.Envelope
 	prio int
 	seq  uint64
 	enq  int64
@@ -403,7 +405,8 @@ type lane struct {
 
 	spill laneSpill
 
-	st laneState
+	st   laneState
+	slot laneItem // the item in dispatch, the lane goroutine's; zeroed after
 }
 
 // newLane constructs a lane and starts its goroutine.
@@ -467,7 +470,7 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 		}
 	}
 	l.nextSeq++
-	l.q.push(laneItem{env: env, prio: prio, seq: l.nextSeq, enq: enq})
+	l.q.push(laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq})
 	l.noteHighLocked()
 	l.cond.Signal()
 	l.mu.Unlock()
@@ -507,19 +510,20 @@ func (l *lane) loop() {
 			}
 			l.cond.Wait()
 		}
-		item := l.q.pop()
+		l.slot = l.q.pop()
 		l.notFull.Signal()
 		l.mu.Unlock()
 		l.st.deq = 0
-		if item.enq != 0 {
+		if l.slot.enq != 0 {
 			// lane_wait closes on dequeue; the dequeue timestamp is
 			// reused as the dispatch-span start so the two stages tile
 			// without a second clock read.
 			now := telemetry.Now()
-			l.tele.Record(uint32(l.idx), telemetry.StageLaneWait, now-item.enq)
+			l.tele.Record(uint32(l.idx), telemetry.StageLaneWait, now-l.slot.enq)
 			l.st.deq = now
 		}
-		l.dispatch(item.env, &l.st)
+		l.dispatch(&l.slot.env, &l.st)
+		l.slot = laneItem{}
 	}
 }
 
@@ -541,7 +545,7 @@ func (l *lane) refillFromSpillLocked() {
 			enq = telemetry.Now()
 		}
 		l.nextSeq++
-		l.q.push(laneItem{env: env, prio: prio, seq: l.nextSeq, enq: enq})
+		l.q.push(laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq})
 	})
 	l.noteHighLocked()
 	l.st.counters.spillDrained.Add(uint64(l.spill.lastDrained))

@@ -1,0 +1,129 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"govents/internal/allocs"
+	"govents/internal/codec"
+	"govents/internal/obvent"
+)
+
+// scratchDiss is a disseminator that hands its sink one envelope value,
+// rewritten for every delivery the way a dace channel's scratch is, and
+// keeps nothing it is asked to publish but the IDs.
+type scratchDiss struct {
+	sink    func(*codec.Envelope)
+	scratch codec.Envelope
+	ids     []string
+}
+
+func (d *scratchDiss) SetSink(sink func(*codec.Envelope))                      { d.sink = sink }
+func (d *scratchDiss) SubscriptionChanged([]SubscriptionInfo, ...string) error { return nil }
+func (d *scratchDiss) Close() error                                            { return nil }
+
+func (d *scratchDiss) PublishEnvelope(env *codec.Envelope) error {
+	d.ids = append(d.ids, env.ID)
+	return nil
+}
+
+// hand delivers env through the scratch.
+func (d *scratchDiss) hand(env *codec.Envelope) {
+	d.scratch = *env
+	d.sink(&d.scratch)
+}
+
+// TestLaneKeepsItsOwnEnvelope: the sink's envelope is valid for the call
+// only. With the lane wedged in a local filter on a first event, n more
+// are handed over through one rewritten envelope and queue on the lane;
+// once released, the handler sees each of them, its own ID and payload,
+// in order.
+func TestLaneKeepsItsOwnEnvelope(t *testing.T) {
+	const n = 32
+	d := &scratchDiss{}
+	e := NewEngine("lane-copy", d, WithDispatchLanes(1))
+	t.Cleanup(func() { _ = e.Close() })
+	registerTickTypes(e.Registry())
+	started, wedge := make(chan struct{}), make(chan struct{})
+	got := make(chan [2]string, n+1)
+	sub, err := SubscribeLocal(e, func(tk fifoTick) bool {
+		if tk.N == 0 {
+			close(started)
+			<-wedge
+		}
+		return true
+	}, func(tk fifoTick) { got <- [2]string{tk.Pub, fmt.Sprint(tk.N)} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Activate(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := make([][2]string, n)
+	for i := range n + 1 {
+		env := encodeFrom(t, e, fifoTick{Pub: fmt.Sprint("event-", i), N: i}, "peer")
+		d.hand(env)
+		if i == 0 {
+			<-started
+			continue
+		}
+		want[i-1] = [2]string{fmt.Sprint("event-", i), fmt.Sprint(i)}
+	}
+	queued := 0
+	for _, st := range e.LaneStats() {
+		queued += st.Queued
+	}
+	if queued != n {
+		t.Fatalf("%d envelopes queued behind the wedged filter, want %d", queued, n)
+	}
+	close(wedge)
+	if first := <-got; first[1] != "0" {
+		t.Fatalf("first delivery %v, want the wedged event", first)
+	}
+	ids := make(map[string]bool)
+	for i := range n {
+		select {
+		case g := <-got:
+			if g != want[i] {
+				t.Fatalf("delivery %d is %v, want %v", i+1, g, want[i])
+			}
+			ids[g[0]] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d queued envelopes delivered", i, n)
+		}
+	}
+	if len(ids) != n {
+		t.Errorf("%d distinct events among %d deliveries", len(ids), n)
+	}
+}
+
+// TestPublishRecyclesEnvelope: an engine hands its pooled envelope back
+// once PublishEnvelope returns, so a steady-state Publish of an event
+// already in an interface allocates the payload buffer and a share of
+// an ID block, and no envelope (it read 2.07 allocations while each
+// Publish allocated one). A recycled envelope carries a fresh ID.
+func TestPublishRecyclesEnvelope(t *testing.T) {
+	d := &scratchDiss{ids: make([]string, 0, 4096)} // past PerRun's 3,001 calls: no growth measured
+	e := NewEngine("recycle", d)
+	t.Cleanup(func() { _ = e.Close() })
+	registerTickTypes(e.Registry())
+	var o obvent.Obvent = freeTick{Pub: "p", N: 7}
+	n := allocs.PerRun(1000, func() {
+		if err := e.Publish(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.2f allocations per Publish", n)
+	if n > 1.1 && !raceEnabled {
+		t.Errorf("Publish costs %.2f allocations, want <= 1.1", n)
+	}
+	seen := make(map[string]bool, len(d.ids))
+	for _, id := range d.ids {
+		if seen[id] {
+			t.Fatalf("ID %s published twice", id)
+		}
+		seen[id] = true
+	}
+}

@@ -356,7 +356,9 @@ func (n *Node) setGroupsMembers(groups map[groupKey]multicast.Group, peers []str
 	n.refreshCertSubscribers()
 }
 
-// SetSink implements core.Disseminator.
+// SetSink implements core.Disseminator. The sink's envelope is a
+// channel's scratch, rewritten by the channel's next delivery: it is
+// valid for the call only, and a sink copies what it keeps.
 func (n *Node) SetSink(sink func(*codec.Envelope)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -432,7 +434,8 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	proto, class := key.proto, key.class
 	stream := streamName(proto, class)
 	// A channel carries one class, so its frames need not name it.
-	deliver := func(origin string, payload []byte) { n.onData(class, origin, payload) }
+	var scratch codec.Envelope // see onData
+	deliver := func(origin string, payload []byte) { n.onData(class, origin, payload, &scratch) }
 	prune := !n.cfg.NoOrderedPruning
 	var g multicast.Group
 	switch proto {
@@ -570,12 +573,13 @@ func (n *Node) pruneObserver(class string) multicast.PruneObserver {
 // ok=false, failing open to a full broadcast.
 func (n *Node) plannerFor(class string) multicast.Planner {
 	return func(payload []byte) ([]multicast.Send, bool) {
+		buf := n.destBuf.Get().(*destScratch)
+		defer n.putDest(buf)
 		// env is read for routing and dropped: the publisher is not missed.
-		env, err := open(class, "", payload)
-		if err != nil || env.Type != class {
+		env := &buf.env
+		if err := openInto(env, class, "", payload); err != nil || env.Type != class {
 			return nil, false
 		}
-		buf := n.destBuf.Get().(*destScratch)
 		dests := n.destinationsFor(env, buf, buf.ids[:0])
 		var sends []multicast.Send
 		if len(dests) > 0 {
@@ -584,7 +588,6 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 			sends = []multicast.Send{{Dests: append([]string(nil), dests...), Payload: payload}}
 		}
 		buf.ids = dests[:0]
-		n.destBuf.Put(buf)
 		return sends, true
 	}
 }
@@ -594,15 +597,14 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 // reports ok=false (uniform fanout).
 func (n *Node) interestFor(class string) multicast.Interest {
 	return func(payload []byte) ([]string, bool) {
+		buf := n.destBuf.Get().(*destScratch)
+		defer n.putDest(buf)
 		// As in plannerFor: read for routing and dropped.
-		env, err := open(class, "", payload)
-		if err != nil || env.Type != class {
+		env := &buf.env
+		if err := openInto(env, class, "", payload); err != nil || env.Type != class {
 			return nil, false
 		}
-		buf := n.destBuf.Get().(*destScratch)
-		dests := n.destinationsFor(env, buf, nil)
-		n.destBuf.Put(buf)
-		return dests, true
+		return n.destinationsFor(env, buf, nil), true
 	}
 }
 
@@ -743,7 +745,7 @@ func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicas
 // out (elide) what the link already says: the class, which the channel
 // names, and the publisher when it is this node, which the multicast
 // origin names. An empty string is a legal field, so the layout is one
-// and open puts both back. A certified class's record is sealed in full:
+// and openInto puts both back. A certified class's record is sealed in full:
 // the outbox and the subscriber's inbox keep it past the link and the
 // address, and replay reads it with neither. env is not written to; an
 // envelope fresh from Encode gets its header written in front of its
@@ -760,14 +762,14 @@ func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
 	return codec.Seal(&link)
 }
 
-// open decodes a record that arrived on class's channel from origin and
-// restores what seal left out. The envelope's payload aliases the record,
-// which the caller owns and never writes to again (a frame the transport
-// allocated, a buffer a local publisher marshalled), or outlives.
-func open(class, origin string, record []byte) (*codec.Envelope, error) {
-	env, err := codec.UnmarshalAlias(record)
-	if err != nil {
-		return nil, err
+// openInto decodes a record that arrived on class's channel from origin
+// into env and restores what seal left out: dace's one decode. The
+// envelope's payload aliases the record, which the caller owns and never
+// writes to again (a slice of a transport receive block, a buffer a
+// local publisher sealed), or outlives. On error env is left zero.
+func openInto(env *codec.Envelope, class, origin string, record []byte) error {
+	if err := codec.UnmarshalInto(env, record); err != nil {
+		return err
 	}
 	if env.Type == "" {
 		env.Type = class
@@ -775,7 +777,7 @@ func open(class, origin string, record []byte) (*codec.Envelope, error) {
 	if env.Publisher == "" {
 		env.Publisher = origin
 	}
-	return env, nil
+	return nil
 }
 
 // markRoute closes the publish→route span opened at t0 (0 = telemetry
@@ -801,12 +803,20 @@ func (n *Node) markWrite(t1 int64) {
 // closure is created once per scratch and captures the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
 // allocates neither a closure nor decode state; src is reset after every
-// event.
+// event. env is the envelope a sequencer's planner or a gossip interest
+// decodes a record into.
 type destScratch struct {
 	ids  []string
 	send [1]multicast.Send // the one Send of a routed publication
 	src  codec.CloneSource
 	full func() (any, error)
+	env  codec.Envelope
+}
+
+// putDest pools a scratch with its envelope zeroed, pinning no record.
+func (n *Node) putDest(buf *destScratch) {
+	buf.env = codec.Envelope{}
+	n.destBuf.Put(buf)
 }
 
 // destinationsFor appends the nodes owed a copy of env: nodes hosting
@@ -865,14 +875,16 @@ func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
 // onData receives a payload of class's channel, published by origin,
 // and hands the envelope to the engine. The wire→lane stage spans the
 // envelope decode plus the sink call (the sink is Engine.deliver, which
-// returns once the envelope is enqueued on its dispatch lane).
-func (n *Node) onData(class, origin string, payload []byte) {
+// returns once its lane holds a copy). env is the channel's scratch,
+// zeroed once the sink returns so that an idle channel pins no receive
+// block; one per channel is safe because a group makes one delivery call
+// at a time (multicast.Deliver).
+func (n *Node) onData(class, origin string, payload []byte, env *codec.Envelope) {
 	var t0 int64
 	if n.tele.Enabled() {
 		t0 = telemetry.Now()
 	}
-	env, err := open(class, origin, payload)
-	if err != nil {
+	if err := openInto(env, class, origin, payload); err != nil {
 		// An undecodable frame was a silent vanish: make it count and
 		// make it loggable.
 		n.decodeErrors.Add(1)
@@ -890,6 +902,7 @@ func (n *Node) onData(class, origin string, payload []byte) {
 			n.tele.Record(uint32(t0), telemetry.StageWireLane, telemetry.Now()-t0)
 		}
 	}
+	*env = codec.Envelope{}
 }
 
 // --- control plane ---

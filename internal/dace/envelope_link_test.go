@@ -20,7 +20,8 @@ import (
 	"govents/internal/vclock"
 )
 
-// envelopeSink keeps the envelopes a node hands its engine, by ID.
+// envelopeSink keeps copies of the envelopes a node hands its engine, by
+// ID: the sink's envelope is the channel's scratch.
 type envelopeSink struct {
 	mu  sync.Mutex
 	got map[string][]*codec.Envelope
@@ -32,7 +33,8 @@ func (s *envelopeSink) put(env *codec.Envelope) {
 	if s.got == nil {
 		s.got = make(map[string][]*codec.Envelope)
 	}
-	s.got[env.ID] = append(s.got[env.ID], env)
+	kept := *env
+	s.got[env.ID] = append(s.got[env.ID], &kept)
 }
 
 func (s *envelopeSink) byID(id string) []*codec.Envelope {
@@ -288,11 +290,11 @@ func TestParentFrameOpens(t *testing.T) {
 	nodes, _ := bareNodes(t, net, 1, fastCfg(), nil)
 	want := parentEnvelope(t, nodes[0].cdc)
 
-	got, err := open("some.other.Class", "some-other-node", record)
-	if err != nil {
+	var got codec.Envelope
+	if err := openInto(&got, "some.other.Class", "some-other-node", record); err != nil {
 		t.Fatal(err)
 	}
-	if !sameFields(got, want) {
+	if !sameFields(&got, want) {
 		t.Errorf("the parent's record opens to\n%+v, want\n%+v", got, want)
 	}
 
@@ -310,13 +312,12 @@ func TestParentFrameOpens(t *testing.T) {
 	if saved := len(want.Type) + len(want.Publisher); len(link) != len(record)-saved {
 		t.Errorf("the link record has %d bytes, want the full one's %d less %d", len(link), len(record), saved)
 	}
-	back, err := open(want.Type, "node-0", link)
-	if err != nil || !sameFields(back, want) {
+	var back, routed codec.Envelope
+	if err := openInto(&back, want.Type, "node-0", link); err != nil || !sameFields(&back, want) {
 		t.Errorf("the link record opens to\n%+v, %v; want\n%+v", back, err, want)
 	}
 	// The sequencer's planner knows the class and not the publisher.
-	routed, err := open(want.Type, "", link)
-	if err != nil || routed.Type != want.Type || routed.Publisher != "" {
+	if err := openInto(&routed, want.Type, "", link); err != nil || routed.Type != want.Type || routed.Publisher != "" {
 		t.Errorf("opened with no origin: %+v, %v", routed, err)
 	}
 }

@@ -104,8 +104,8 @@ func TestSealedRecordIsMarshalsRecord(t *testing.T) {
 			if !inPlace(got, env) {
 				t.Errorf("%s: the record copies the payload", what)
 			}
-			back, err := open(env.Type, n.Addr(), got)
-			if err != nil || !sameFields(back, env) {
+			var back codec.Envelope
+			if err := openInto(&back, env.Type, n.Addr(), got); err != nil || !sameFields(&back, env) {
 				t.Errorf("%s: the record opens to\n%+v, %v; want\n%+v", what, back, err, env)
 			}
 		}
