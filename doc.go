@@ -192,30 +192,40 @@
 // but the ordering metadata, the publishing node included). The first
 // seal of that buffer writes the header, in the link form or in full,
 // into the room, directly in front of the payload, so the record is the
-// header and the payload where they lie; the envelope, the record, the
-// link's retransmission queue and a certified outbox all share that one
-// buffer, and nothing writes to it again. The right to the room is the
-// buffer's, not the envelope value's: a copy of the envelope sealed
-// after it (another ID), or a header the room cannot hold (a vector
-// clock or a sequence number added later), gets a record of its own by
-// copy, and a record already handed to a link or an outbox is never
-// written over. The multiplexer then builds the frame (stream name, link
-// header, record) in a buffer it reuses once the transport's Send has
-// returned, since no transport keeps what Send is given: on the
-// publisher a payload is copied once on its way to the transport's
-// write buffer, into the frame, and no frame costs an allocation. A
-// best-effort or certified record goes to all its destinations in that
-// one frame; the links of the other classes number each destination's
-// frames, so each gets a frame, and a copy, of its own. On the
-// subscriber the kernel writes each frame into one of the TCP
-// transport's receive blocks (that side's one copy: many frames to a
-// block, no allocation of a frame's own), and the link and the envelope
-// share it by slicing; the handler's value is decoded out of it.
-// The envelope struct is not allocated per event at either end: the
-// publisher's comes from a pool and goes back when Publish returns (what
-// outlives it is the sealed record); on the subscriber a class's channel
-// decodes every frame into one envelope it rewrites, and a lane queues a
-// copy by value, dispatches it from a slot of its own and zeroes it.
+// header and the payload where they lie; the envelope, the record, a
+// certified outbox and a delivery to the publishing node itself (a
+// local domain's lane, or its own subscriptions') share that one
+// buffer. A link copies what it keeps: the caller may reuse the payload
+// once the call returns. A reliable link's retransmission queue holds
+// its own copy of each record in a log of fixed-size chunks, retired
+// whole as acknowledgements pass them and reused only once no timer
+// period can still be resending from them. So a record that went only
+// to links, with no outbox and no local delivery, is free when Publish
+// returns, and the publisher's next event is encoded into the same
+// buffer; every other record is kept, and nothing writes to it again.
+// The right to the room is the buffer's, not the envelope value's: a
+// copy of the envelope sealed after it (another ID), or a header the
+// room cannot hold (a vector clock or a sequence number added later),
+// gets a record of its own by copy, and a record already handed to an
+// outbox or a lane is never written over. The multiplexer then builds
+// the frame (stream name, link header, record) in a buffer it reuses
+// once the transport's Send has returned, since no transport keeps what
+// Send is given: on the publisher a payload is copied once on its way
+// to the transport's write buffer, into the frame (and, on a reliable
+// link, once more into the link's log), and no frame costs an
+// allocation. A best-effort or certified record goes to all its
+// destinations in that one frame; the links of the other classes number
+// each destination's frames, so each gets a frame, and a copy, of its
+// own. On the subscriber the kernel writes each frame into one of the
+// TCP transport's receive blocks (that side's one copy: many frames to
+// a block, no allocation of a frame's own), and the link and the
+// envelope share it by slicing; the handler's value is decoded out of
+// it. The envelope struct is not allocated per event at either end: the
+// publisher's comes from a pool and goes back when Publish returns
+// (what outlives it is a kept record, or, for a free one, nothing); on
+// the subscriber a class's channel decodes every frame into one
+// envelope it rewrites, and a lane queues a copy by value, dispatches
+// it from a slot of its own and zeroes it.
 //
 // Two forms of the record exist, and they differ only in which strings
 // are empty. Stored (outbox, inbox, spill log), every field is spelled

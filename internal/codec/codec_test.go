@@ -499,7 +499,7 @@ func TestEncodeAlternatingSizesAllocs(t *testing.T) {
 	encode := func(pair ...obvent.Obvent) func() {
 		return func() {
 			for _, o := range pair {
-				if _, err := c.encodePayload(o, 0); err != nil {
+				if _, err := c.encodePayload(nil, o, 0); err != nil {
 					t.Fatal(err)
 				}
 			}

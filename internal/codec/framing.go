@@ -122,12 +122,14 @@ func Seal(e *Envelope) ([]byte, error) {
 // headroom is the buffer Encode wrote a payload into: room for the
 // record's header, then the payload, which runs to the buffer's end.
 // claimed is set by the one Seal that writes the header into it; enc is
-// the pooled object the room lives in (Release).
+// the pooled object the room lives in (Release), and free says whether
+// Release may hand the buffer on with it (MarkFree).
 type headroom struct {
 	buf     []byte
 	off     int // where the payload starts
 	claimed atomic.Bool
 	enc     *encoded
+	free    bool
 }
 
 // holds reports whether payload is still the one Encode wrote behind the

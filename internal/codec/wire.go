@@ -95,8 +95,9 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 }
 
 // encodePayload serializes o with its class's compiled program, behind
-// off bytes of room: the payload is buf[off:].
-func (c *Codec) encodePayload(o obvent.Obvent, off int) ([]byte, error) {
+// off bytes of room: the payload is buf[off:]. It writes into dst's
+// storage when that holds what the class's recent encodings took.
+func (c *Codec) encodePayload(dst []byte, o obvent.Obvent, off int) ([]byte, error) {
 	v := reflect.ValueOf(o)
 	for v.Kind() == reflect.Pointer {
 		v = v.Elem()
@@ -105,8 +106,11 @@ func (c *Codec) encodePayload(o obvent.Obvent, off int) ([]byte, error) {
 	if e.prog == nil {
 		return nil, e.err
 	}
-	hint := max(e.size.Load(), e.prevSize.Load())
-	buf, err := e.prog.Append(make([]byte, off, off+int(hint)), v)
+	buf := dst[:0]
+	if size := off + int(max(e.size.Load(), e.prevSize.Load())); cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	buf, err := e.prog.Append(buf[:off], v)
 	if err != nil {
 		return nil, err
 	}

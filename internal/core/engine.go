@@ -25,7 +25,10 @@ type Disseminator interface {
 	// PublishEnvelope disseminates an encoded obvent to every process
 	// hosting matching subscriptions (possibly including this one). It
 	// must not keep env after it returns, which the engine recycles: dace
-	// seals it into a record, Local's sink copies it into a lane.
+	// seals it into a record, Local's sink copies it into a lane. The
+	// payload buffer is recycled with it only if the disseminator marked
+	// it free (codec.MarkFree), as dace does for a record that went to
+	// links alone; a record kept anywhere keeps its buffer.
 	PublishEnvelope(env *codec.Envelope) error
 	// SetSink installs the engine's delivery entry point. It must be
 	// called once before any traffic flows. The sink's env is valid for

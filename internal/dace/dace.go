@@ -724,10 +724,16 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 // publishRouted resolves env's destination set, marshals it once and
 // hands both to send as one Send (a targeted or split broadcast, which
 // copies what it keeps of the destinations and of the slice, so the
-// pooled scratch is reused afterwards).
+// pooled scratch is reused afterwards). A record that goes to other
+// nodes only is marked free: a link copies what it keeps and a
+// best-effort send keeps nothing, so the engine's next publication may
+// encode into the same buffer. A local delivery keeps the record itself.
 func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicast.Send) error) error {
 	buf := n.destBuf.Get().(*destScratch)
 	dests := n.destinationsFor(env, buf, buf.ids[:0])
+	if !slices.Contains(dests, n.self) {
+		codec.MarkFree(env)
+	}
 	t1 := n.markRoute(t0)
 	payload, err := n.seal(env, true)
 	if err == nil {

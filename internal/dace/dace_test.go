@@ -76,7 +76,7 @@ func fastCfg() Config {
 }
 
 // newDomain builds n connected nodes with engines over a fresh netsim.
-func newDomain(t *testing.T, net *netsim.Network, count int, cfg Config) []*testNode {
+func newDomain(t *testing.T, net *netsim.Network, count int, cfg Config, opts ...core.Option) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, count)
 	addrs := make([]string, count)
@@ -89,7 +89,7 @@ func newDomain(t *testing.T, net *netsim.Network, count int, cfg Config) []*test
 		reg := obvent.NewRegistry()
 		registerAll(reg)
 		dn := NewNode(ep, reg, cfg)
-		eng := core.NewEngine(addr, dn, core.WithRegistry(reg))
+		eng := core.NewEngine(addr, dn, append([]core.Option{core.WithRegistry(reg)}, opts...)...)
 		nodes[i] = &testNode{node: dn, engine: eng}
 		addrs[i] = addr
 	}

@@ -47,6 +47,15 @@ type Deliver func(origin string, payload []byte)
 
 // Group is a dissemination channel: the runtime realization of one of
 // the paper's multicast classes.
+//
+// A link copies what it keeps: the caller may reuse a payload once the
+// call that was given it returns, except where the group keeps the
+// caller's bytes themselves. A delivery to the local node holds them
+// until the upcall has run, a certified group's outbox keeps them, and
+// a gossip group keeps them for the rounds it spreads them. So what
+// may be reused is a payload addressed to other nodes only, through
+// BroadcastTo or BroadcastSplit, on a reliable, ordered or best-effort
+// group.
 type Group interface {
 	// Broadcast disseminates payload to all members of the group,
 	// including the local node.

@@ -40,7 +40,9 @@ import (
 //
 // State on both ends is bounded by the traffic in flight: the sender
 // holds one queue entry per (message, destination) pair sent since the
-// oldest one still unacknowledged, the receiver one run per hole in what
+// oldest one still unacknowledged, with a copy of its payload in the
+// link's log (chunks of chunkSize, recycled through a short free list),
+// the receiver one run per hole in what
 // it has received (at most maxAhead per origin) and the frames of those
 // runs, and both one small record per peer ever addressed or heard.
 // Nothing is remembered per delivered message.
@@ -75,6 +77,8 @@ type Reliable struct {
 	// its capacity. The timer goroutine, tick's one caller, owns it, and
 	// writes it only in a period that sends something.
 	tickFrames []linkFrame
+	// chunks is the storage of the links' logs, recycled.
+	chunks chunkPool
 }
 
 // The acknowledgement policy's constants; the timer is the one knob
@@ -97,6 +101,12 @@ const (
 	// one more is dropped unacknowledged and comes back by retransmission
 	// once the holes below it have filled.
 	maxAhead = 256
+	// chunkSize is the size of the chunks a link copies what it queues
+	// into; a longer payload gets a chunk of its own, which is not
+	// recycled.
+	chunkSize = 8 << 10
+	// freeChunks bounds the retired chunks a group keeps for reuse.
+	freeChunks = 16
 )
 
 // lastEpoch makes epochs strictly increasing within a process even when
@@ -129,16 +139,27 @@ type outLink struct {
 	// next, the ones settled holds included.
 	entries []outEntry
 	head    int
+	// log is the link's copy of the payloads of entries[head:], oldest
+	// chunk first; push appends to the last one, from pool.
+	log  []logChunk
+	pool *chunkPool
 }
 
-// outEntry is one queued frame of a link. The payload is the
-// broadcast's, shared by all its destinations; origin is empty unless
-// the broadcast was on another node's behalf.
+// outEntry is one queued frame of a link. The payload is the link's own
+// copy, in its log; origin is empty unless the broadcast was on another
+// node's behalf.
 type outEntry struct {
 	payload []byte
 	origin  string
 	bcast   uint64
 	gen     uint64 // timer period of the latest transmission
+}
+
+// logChunk is a stretch of a link's log: payloads copied in link order,
+// the last of them with link sequence last.
+type logChunk struct {
+	buf  []byte
+	last uint64
 }
 
 // seqAt is the link sequence of entries[i].
@@ -147,17 +168,26 @@ func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-
 // base is the lowest link sequence still owed.
 func (l *outLink) base() uint64 { return l.settled.Floor() + 1 }
 
-// push queues a new frame and returns its link sequence.
+// push queues a new frame, its payload copied into the link's log, and
+// returns its link sequence.
 func (l *outLink) push(payload []byte, origin string, bcast, gen uint64) uint64 {
 	l.next++
-	l.entries = append(l.entries, outEntry{payload: payload, origin: origin, bcast: bcast, gen: gen})
+	n := len(l.log)
+	if n == 0 || cap(l.log[n-1].buf)-len(l.log[n-1].buf) < len(payload) {
+		l.log = append(l.log, logChunk{buf: l.pool.get(len(payload))})
+		n++
+	}
+	c := &l.log[n-1]
+	start := len(c.buf)
+	c.buf, c.last = append(c.buf, payload...), l.next
+	l.entries = append(l.entries, outEntry{payload: c.buf[start:len(c.buf):len(c.buf)], origin: origin, bcast: bcast, gen: gen})
 	return l.next
 }
 
 // settle retires the queued frames with link sequences lo through hi,
-// dropping what the base passes, and keeps the queue's backing array
-// from creeping: once the dead prefix is the larger part, the live
-// entries move down over it.
+// dropping what the base passes, with the log chunks it passes whole,
+// and keeps the queue's backing array from creeping: once the dead
+// prefix is the larger part, the live entries move down over it.
 func (l *outLink) settle(lo, hi uint64) {
 	l.settled.Add(lo, min(hi, l.next), 0)
 	for l.head < len(l.entries) && l.seqAt(l.head) < l.base() {
@@ -167,6 +197,7 @@ func (l *outLink) settle(lo, hi uint64) {
 	if l.head > len(l.entries)-l.head {
 		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
 	}
+	l.retire(len(l.log) - 1)
 }
 
 // drop forgets everything queued: the destination is no longer owed it.
@@ -174,6 +205,63 @@ func (l *outLink) drop() {
 	clear(l.entries)
 	l.entries, l.head = l.entries[:0], 0
 	l.settled.Raise(l.next)
+	l.retire(len(l.log))
+}
+
+// retire hands the pool, oldest first, the log chunks among the first n
+// whose payloads all lie below the base. settle leaves out the chunk
+// push appends to; a tick takes it once the link owes nothing.
+func (l *outLink) retire(n int) {
+	k := 0
+	for k < n && l.log[k].last < l.base() {
+		l.pool.retire(l.log[k].buf)
+		k++
+	}
+	if k > 0 {
+		l.log = slices.Delete(l.log, 0, k)
+	}
+}
+
+// chunkPool recycles a group's log chunks. A retired chunk may still be
+// read by the retransmissions a tick built under the group's lock and is
+// sending outside it, so it waits in retired until the next timer
+// period begins, by which time that tick has returned, and only then
+// joins free, up to freeChunks of them; the collector takes the rest.
+// Guarded by the group's mu.
+type chunkPool struct {
+	retired, free [][]byte
+}
+
+// get returns an empty chunk for a payload of n bytes.
+func (p *chunkPool) get(n int) []byte {
+	if n > chunkSize {
+		return make([]byte, 0, n)
+	}
+	if k := len(p.free) - 1; k >= 0 {
+		b := p.free[k]
+		p.free[k], p.free = nil, p.free[:k]
+		return b
+	}
+	return make([]byte, 0, chunkSize)
+}
+
+// retire takes back a chunk no entry reads any more.
+func (p *chunkPool) retire(b []byte) {
+	if cap(b) == chunkSize {
+		p.retired = append(p.retired, b[:0])
+	}
+}
+
+// period starts a timer period: what was retired before it is free.
+func (p *chunkPool) period() {
+	for _, b := range p.retired {
+		if len(p.free) == freeChunks {
+			break
+		}
+		p.free = append(p.free, b)
+	}
+	clear(p.retired)
+	p.retired = p.retired[:0]
 }
 
 // inLink is the receiver's end of one link.
@@ -301,9 +389,10 @@ func (g *Reliable) Broadcast(payload []byte) error {
 // BroadcastTo reliably disseminates to an explicit destination set
 // (which may include the local node), supporting publisher-side
 // filtering (paper §2.3.2). Destinations that subsequently leave the
-// membership stop being owed retransmissions. The payload is kept, not
-// copied, until every destination has acknowledged it; the caller must
-// not modify it afterwards.
+// membership stop being owed retransmissions. A link copies what it
+// keeps: the caller may reuse the payload once the call returns, unless
+// the local node is a destination, whose delivery holds the payload
+// itself until the upcall has run.
 func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
 	return g.broadcastAs(g.self, []Send{{Dests: dests, Payload: payload}})
 }
@@ -374,13 +463,15 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			}
 			l := g.out[addr]
 			if l == nil {
-				l = &outLink{}
+				l = &outLink{pool: &g.chunks}
 				g.out[addr] = l
 			}
 			if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
 				continue // addr listed twice
 			}
 			seq := l.push(s.Payload, named, g.bcast, g.gen)
+			// The caller's payload, not the link's copy: once g.mu is
+			// released, an acknowledgement may retire the copy.
 			frames = append(frames, linkFrame{addr, message{
 				Kind: kindData, Epoch: g.epoch, Seq: seq, Base: l.base(), Origin: named, Payload: s.Payload}})
 		}
@@ -452,12 +543,17 @@ func (g *Reliable) tick() {
 
 	g.mu.Lock()
 	g.gen++
+	g.chunks.period()
 	for origin, l := range g.in {
 		if l.unacked > 0 {
 			frames = append(frames, linkFrame{origin, l.ack(g.gen)})
 		}
 	}
 	for addr, l := range g.out {
+		if l.head == len(l.entries) {
+			l.retire(len(l.log)) // owes nothing: the chunk push appends to goes too
+			continue
+		}
 		base, checked := l.base(), false
 		for i := l.head; i < len(l.entries); i++ {
 			e := &l.entries[i]

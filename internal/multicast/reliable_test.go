@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -706,4 +707,201 @@ func TestReliableBlockedUpcallStopsAcks(t *testing.T) {
 			t.Fatalf("handled %q at %d, want %q", p, i, want)
 		}
 	}
+}
+
+// sentBytesTap checks every data frame an endpoint sends against the
+// payload its test says belongs to the frame's link sequence, and counts
+// the frames that carry other bytes. hold, if set, sees each data frame
+// before it goes on.
+type sentBytesTap struct {
+	netsim.Transport
+	want  func(seq uint64) []byte
+	hold  func(m *message)
+	data  atomic.Int64
+	wrong atomic.Int64
+}
+
+func (s *sentBytesTap) Send(to string, frame []byte) error {
+	var m message
+	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindData {
+		s.data.Add(1)
+		if !bytes.Equal(m.Payload, s.want(m.Seq)) {
+			s.wrong.Add(1)
+		}
+		if s.hold != nil {
+			s.hold(&m)
+		}
+	}
+	return s.Transport.Send(to, frame)
+}
+
+// retainedLog is the chunk memory a group holds: its links' logs and
+// its pool.
+func retainedLog(g *Reliable) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, l := range g.out {
+		for _, c := range l.log {
+			n += cap(c.buf)
+		}
+	}
+	for _, b := range slices.Concat(g.chunks.retired, g.chunks.free) {
+		n += cap(b)
+	}
+	return n
+}
+
+// TestReliableRetransmitsFromItsOwnCopy: a link resends what it was
+// given, byte for byte, from a copy of its own, and recycles the copy's
+// chunks only once no timer period can still be sending from them. The
+// publisher writes every payload into one buffer it rewrites as soon as
+// the broadcast returns.
+func TestReliableRetransmitsFromItsOwnCopy(t *testing.T) {
+	// payload is the i-th broadcast's: its index, then 200 to 2,000
+	// bytes, a few to a chunk.
+	payload := func(i int) []byte {
+		p := binary.BigEndian.AppendUint64(nil, uint64(i))
+		for j := range 200 + i*397%1800 {
+			p = append(p, byte(i*7+j))
+		}
+		return p
+	}
+	// broadcast sends the i-th payload from the publisher's one buffer.
+	buf := make([]byte, 0, 2048)
+	broadcast := func(t *testing.T, g *Reliable, dests []string, i int) {
+		t.Helper()
+		buf = append(buf[:0], payload(i)...)
+		if err := g.BroadcastTo(dests, buf); err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xEE // the caller's to reuse
+		}
+	}
+
+	// Thousands of broadcasts over a network that loses a tenth of the
+	// frames, so that much is resent while acknowledgements retire chunks
+	// and new broadcasts fill recycled ones; one of the two members
+	// leaves halfway, and what it is still owed is dropped. Every data
+	// frame sent carries the payload of its link sequence, each member
+	// delivers, in order, only payloads as they were published, and once
+	// the burst is acknowledged the chunk memory the group keeps shrinks
+	// to its free list's cap.
+	t.Run("lossy burst", func(t *testing.T) {
+		const total = 4000
+		net := netsim.New(netsim.Config{LossRate: 0.1, MaxLatency: 200 * time.Microsecond, Seed: 11})
+		defer net.Close()
+		epA, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both links number the publisher's broadcasts from 1: b is sent
+		// every one, c the first half.
+		tap := &sentBytesTap{Transport: epA, want: func(seq uint64) []byte { return payload(int(seq) - 1) }}
+		ga := NewReliable(NewMux(tap), "cls", func(string, []byte) {}, fastOpts())
+		defer ga.Close()
+		members := map[string]*tally{"b": newTally(), "c": newTally()}
+		for name, tl := range members {
+			g := NewReliable(newTestNode(t, net, name).mux, "cls", tl.record, fastOpts())
+			defer g.Close()
+			g.SetMembers([]string{"a", "b", "c"})
+		}
+		ga.SetMembers([]string{"a", "b", "c"})
+
+		dests := []string{"b", "c"}
+		for i := range total {
+			// A window in flight: the next broadcasts go out as resent
+			// frames fill the holes.
+			for i-members["b"].total() >= 64 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			if i == total/2 {
+				ga.SetMembers([]string{"a", "b"})
+				dests = dests[:1]
+			}
+			broadcast(t, ga, dests, i)
+		}
+		waitFor(t, 20*time.Second, "every broadcast delivered at b", func() bool { return members["b"].total() == total })
+		waitFor(t, 20*time.Second, "every broadcast acknowledged or dropped", func() bool { return ga.Outstanding() == 0 })
+
+		t.Logf("%d data frames sent for %d broadcasts; c delivered %d of %d", tap.data.Load(), total*3/2, members["c"].total(), total/2)
+		if n, wrong := tap.data.Load(), tap.wrong.Load(); wrong != 0 || n <= total*3/2 {
+			t.Errorf("%d of %d data frames sent carried bytes other than their link sequence's payload; want none, and some resent", wrong, n)
+		}
+		for name, tl := range members {
+			last := -1
+			for k, p := range tl.delivered() {
+				i := int(binary.BigEndian.Uint64([]byte(p)))
+				if i <= last || !bytes.Equal([]byte(p), payload(i)) {
+					t.Fatalf("%s's delivery %d after payload %d is not a later payload as published: %x...", name, k, last, p[:min(len(p), 16)])
+				}
+				last = i
+			}
+			if name == "b" && last != total-1 {
+				t.Errorf("b delivered up to payload %d, want %d", last, total-1)
+			}
+		}
+		waitFor(t, 5*time.Second, "the log's chunks back to the free list's cap", func() bool {
+			return retainedLog(ga) <= freeChunks*chunkSize
+		})
+	})
+
+	// A timer period that resends is held after its first frame. Meanwhile
+	// an acknowledgement retires the log's first chunk, whose frames that
+	// period has still to send, and new broadcasts need a chunk: they must
+	// not be given that one.
+	t.Run("period held open", func(t *testing.T) {
+		net := netsim.New(netsim.Config{})
+		defer net.Close()
+		ep, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, release := make(chan struct{}), make(chan struct{})
+		var armed atomic.Bool
+		tap := &sentBytesTap{Transport: discardTransport{ep}, want: func(seq uint64) []byte { return payload(int(seq) - 1) },
+			hold: func(*message) {
+				if armed.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+				}
+			}}
+		ga := NewReliable(NewMux(tap), "cls", func(string, []byte) {}, fastOpts())
+		defer ga.Close()
+		defer close(release)
+		ga.SetMembers([]string{"a", "b"})
+
+		// Payloads 0 to 7 fill the first chunk, 8 starts the second, and
+		// 13 will need a third.
+		for i := range 9 {
+			broadcast(t, ga, []string{"b"}, i)
+		}
+		ga.mu.Lock()
+		chunks := len(ga.out["b"].log)
+		ga.mu.Unlock()
+		if chunks != 2 {
+			t.Fatalf("9 broadcasts fill %d chunks, want 2", chunks)
+		}
+		armed.Store(true) // nothing was acknowledged: the next data frame is a resend
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+			t.Fatal("nothing was resent")
+		}
+		ack, err := encodeMessage(&message{Kind: kindAck, Epoch: ga.epoch, Seq: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ga.onMessage("b", ack)
+		for i := 9; i < 14; i++ {
+			broadcast(t, ga, []string{"b"}, i)
+		}
+		release <- struct{}{}
+		// The 9 first sends, the period's 9 resends and the 5 new sends.
+		waitFor(t, 5*time.Second, "the held period's frames", func() bool { return tap.data.Load() >= 23 })
+		if wrong := tap.wrong.Load(); wrong != 0 {
+			t.Errorf("%d data frames carried bytes other than their link sequence's payload, want none", wrong)
+		}
+	})
 }
