@@ -238,7 +238,7 @@
 // stream names it, and Publisher is empty when the publisher is the
 // node that published, because the multicast origin names it (the
 // transport's hello, or the Origin field of a frame the total-order
-// sequencer relays or gossip forwards). The receiving node puts both
+// sequencer relays). The receiving node puts both
 // back before the engine sees the envelope, which is field for field
 // the published one; a Publisher that is not the publishing node
 // travels as it is. An empty string was always a legal field, so there
@@ -284,14 +284,14 @@
 // last and unprefixed (it is the rest of the record):
 //
 //	kind      1 byte
-//	flags     uvarint: 1 Seq, 4 Epoch, 8 Base, 32 Origin, 64 ID, 128 Rounds,
-//	          256 VC (2 and 16 are retired and rejected as unknown)
+//	flags     uvarint: 1 Seq, 4 Epoch, 8 Base, 32 Origin, 64 ID, 256 VC
+//	          (2, 16 and 128 are retired and rejected as unknown; kind 5
+//	          is retired too, and no protocol reads it)
 //	Seq       uvarint
 //	Epoch     uvarint
 //	Base      uvarint, counted down from Seq (absolute when there is no Seq)
 //	Origin    uvarint length (1 to 65535) + bytes
 //	ID        likewise
-//	Rounds    1 byte
 //	VC        uvarint count (1 to 65535), then per entry, keys ascending, a
 //	          length-prefixed key and a uvarint value
 //	Payload   the remaining bytes
@@ -420,10 +420,7 @@
 // follows the pruned one would wait there forever, so on its
 // retransmission tick a causal publisher sends the members it did not
 // send its latest tick a payload-less marker carrying its clock, which
-// the receiver merges without a delivery. Gossip classes bias their
-// per-round fanout toward interested nodes while adding one uniformly
-// random edge per event and round, so rumors still cross interest
-// boundaries. Pruning fails open — an unevaluable event or unknown
+// the receiver merges without a delivery. Pruning fails open — an unevaluable event or unknown
 // node counts as interested — and preserves each class's ordering
 // contract exactly; it is always on. RoutingStats reports the saved
 // traffic as PrunedSends, and the causal clock markers as SkipFrames.

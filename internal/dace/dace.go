@@ -7,8 +7,8 @@
 //   - Every obvent class is mapped to a dissemination channel (a
 //     "multicast class"), realized as a multicast.Group on a stream
 //     named after the class, with the protocol chosen by the class's
-//     resolved QoS semantics (besteffort/gossip, reliable, fifo,
-//     causal, total-order, certified).
+//     resolved QoS semantics (besteffort, reliable, fifo, causal,
+//     total-order, certified).
 //
 //   - The control plane is reflexive: subscription advertisements are
 //     themselves obvents, published on a dedicated control channel,
@@ -45,18 +45,17 @@
 // evaluation total instead of one filter interpretation per remote
 // subscription.
 //
-// Ordered and gossip classes are interest-aware too (unless
+// Ordered classes are interest-aware too (unless
 // Config.NoOrderedPruning): FIFO and Causal publishers ship data frames
 // to interested nodes only, which costs the rest nothing because order
 // rides each destination's own link sequence (Causal alone follows up
 // with a clock marker); Total publications still route to the
 // sequencer, which filters as it broadcasts, every member seeing a
-// subsequence of its one order; gossip biases rumor fanout toward
-// interested peers with a random-edge floor for anti-entropy. All
-// pruning fails open — an unevaluable event is shipped to every
-// candidate, each subscriber's local pass deciding — so delivery
-// contracts are preserved and only bandwidth changes. Certified
-// classes already address their durable subscribers explicitly.
+// subsequence of its one order. All pruning fails open — an
+// unevaluable event is shipped to every candidate, each subscriber's
+// local pass deciding — so delivery contracts are preserved and only
+// bandwidth changes. Certified classes already address their durable
+// subscribers explicitly.
 package dace
 
 import (
@@ -89,8 +88,8 @@ const (
 	// AtPublisher evaluates migrated filters at the publishing node
 	// and sends only to nodes with at least one passing subscription,
 	// saving bandwidth (paper §2.3.2). Unordered classes prune per
-	// message; ordered and gossip classes prune through the
-	// interest-aware multicast protocols (see Config.NoOrderedPruning);
+	// message; ordered classes prune through the interest-aware
+	// multicast protocols (see Config.NoOrderedPruning);
 	// certified classes address durable subscribers explicitly.
 	AtPublisher
 )
@@ -99,9 +98,6 @@ const (
 type Config struct {
 	// Placement selects filter placement (default AtSubscriber).
 	Placement Placement
-	// GossipUnreliable routes unreliable classes through the gossip
-	// protocol instead of plain best-effort fanout.
-	GossipUnreliable bool
 	// Multicast tunes the protocol timers.
 	Multicast multicast.Options
 	// Durable, when set, keeps each certified class's state in segment
@@ -120,7 +116,7 @@ type Config struct {
 	// have it set.
 	AdTTL time.Duration
 	// NoOrderedPruning disables interest-aware pruning of the ordered
-	// (FIFO/Causal/Total) and gossip classes, reverting them to full
+	// (FIFO/Causal/Total) classes, reverting them to full
 	// group broadcasts with subscriber-side filtering. The zero value
 	// keeps pruning on: data frames go only to nodes the routing plane
 	// marks interested (fail-open — an unevaluable event or unknown
@@ -403,8 +399,6 @@ func (n *Node) protoFor(env *codec.Envelope) string {
 		return "fifo"
 	case env.Reliability == obvent.ReliableDelivery:
 		return "rel"
-	case n.cfg.GossipUnreliable:
-		return "gossip"
 	default:
 		return "be"
 	}
@@ -465,13 +459,6 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 		g = f
 	case "rel":
 		g = multicast.NewReliable(n.mux, stream, deliver, n.cfg.Multicast)
-	case "gossip":
-		gg := multicast.NewGossip(n.mux, stream, deliver, n.cfg.Multicast)
-		if prune {
-			gg.SetInterest(n.interestFor(class))
-			gg.SetPruneObserver(n.pruneObserver(class))
-		}
-		g = gg
 	default:
 		g = multicast.NewBestEffort(n.mux, stream, deliver)
 	}
@@ -592,22 +579,6 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 	}
 }
 
-// interestFor builds the gossip interest function of a class: the
-// routed destination set, freshly allocated. An unevaluable payload
-// reports ok=false (uniform fanout).
-func (n *Node) interestFor(class string) multicast.Interest {
-	return func(payload []byte) ([]string, bool) {
-		buf := n.destBuf.Get().(*destScratch)
-		defer n.putDest(buf)
-		// As in plannerFor: read for routing and dropped.
-		env := &buf.env
-		if err := openInto(env, class, "", payload); err != nil || env.Type != class {
-			return nil, false
-		}
-		return n.destinationsFor(env, buf, nil), true
-	}
-}
-
 // sequencerLocked returns the domain's total-order sequencer: the
 // lexicographically smallest peer address, on which all correctly
 // configured nodes agree.
@@ -708,9 +679,8 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		}
 	}
 	// Everything else is one frame to the whole group: total order routes
-	// to the sequencer, which filters after stamping (plannerFor); gossip
-	// biases its per-round fanout instead (interestFor); ordered classes
-	// with pruning off broadcast by definition.
+	// to the sequencer, which filters after stamping (plannerFor), and
+	// ordered classes with pruning off broadcast by definition.
 	payload, err := n.seal(env, true)
 	if err != nil {
 		return err
@@ -809,8 +779,8 @@ func (n *Node) markWrite(t1 int64) {
 // closure is created once per scratch and captures the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
 // allocates neither a closure nor decode state; src is reset after every
-// event. env is the envelope a sequencer's planner or a gossip interest
-// decodes a record into.
+// event. env is the envelope a sequencer's planner decodes a record
+// into.
 type destScratch struct {
 	ids  []string
 	send [1]multicast.Send // the one Send of a routed publication

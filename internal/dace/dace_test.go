@@ -72,7 +72,7 @@ func registerAll(reg *obvent.Registry) {
 }
 
 func fastCfg() Config {
-	return Config{Multicast: multicast.Options{RetransmitInterval: 5 * time.Millisecond, GossipPeriod: 3 * time.Millisecond}}
+	return Config{Multicast: multicast.Options{RetransmitInterval: 5 * time.Millisecond}}
 }
 
 // newDomain builds n connected nodes with engines over a fresh netsim.
@@ -571,26 +571,4 @@ func TestUnsubscribeStopsCrossNodeTraffic(t *testing.T) {
 	if sent != 0 {
 		t.Errorf("%d messages sent with zero subscriptions", sent)
 	}
-}
-
-func TestGossipUnreliableClasses(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	cfg := fastCfg()
-	cfg.GossipUnreliable = true
-	cfg.Multicast.GossipFanout = 3
-	cfg.Multicast.GossipRounds = 6
-	nodes := newDomain(t, net, 8, cfg)
-
-	var total atomic.Int32
-	for _, n := range nodes[1:] {
-		s, err := core.Subscribe(n.engine, nil, func(q StockQuote) { total.Add(1) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = s.Activate()
-	}
-	waitAds(t, nodes[0].node, 7)
-	_ = core.Publish(nodes[0].engine, StockQuote{StockObvent{Company: "rumor"}})
-	waitFor(t, 10*time.Second, "gossip saturation", func() bool { return total.Load() == 7 })
 }

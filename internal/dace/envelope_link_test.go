@@ -97,74 +97,67 @@ func TestHeaderFidelityEveryClass(t *testing.T) {
 		o    obvent.Obvent
 	}
 	for _, placement := range []Placement{AtSubscriber, AtPublisher} {
-		for _, gossip := range []bool{false, true} {
-			classes := []class{
-				{"rel", className[relPing](), relPing{N: 1}},
-				{"fifo", className[fifoTick](), fifoTick{N: 2}},
-				{"causal", className[causalMsg](), causalMsg{Text: "three"}},
-				{"total", className[orderedTick](), orderedTick{N: 4}},
-				{"cert", className[certTrade](), certTrade{N: 5}},
+		classes := []class{
+			{"rel", className[relPing](), relPing{N: 1}},
+			{"fifo", className[fifoTick](), fifoTick{N: 2}},
+			{"causal", className[causalMsg](), causalMsg{Text: "three"}},
+			{"total", className[orderedTick](), orderedTick{N: 4}},
+			{"cert", className[certTrade](), certTrade{N: 5}},
+			{"be", className[StockQuote](), StockQuote{StockObvent{Company: "T", Amount: 6}}},
+		}
+		t.Run(fmt.Sprintf("placement=%d/be", placement), func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			cfg := fastCfg()
+			cfg.Placement = placement
+			var names []string
+			for _, c := range classes {
+				names = append(names, c.name)
 			}
-			unreliable := class{"be", className[StockQuote](), StockQuote{StockObvent{Company: "T", Amount: 6}}}
-			if gossip {
-				unreliable.tag = "gossip"
-				classes = classes[:0] // the other classes do not read the flag
-			}
-			classes = append(classes, unreliable)
-			t.Run(fmt.Sprintf("placement=%d/%s", placement, unreliable.tag), func(t *testing.T) {
-				net := netsim.New(netsim.Config{})
-				defer net.Close()
-				cfg := fastCfg()
-				cfg.Placement, cfg.GossipUnreliable = placement, gossip
-				var names []string
-				for _, c := range classes {
-					names = append(names, c.name)
-				}
-				nodes, sinks := bareNodes(t, net, 3, cfg, names)
-				pub := nodes[1]
-				for _, c := range classes {
-					for _, publisher := range []string{pub.Addr(), "somebody-else"} {
-						env, err := pub.cdc.Encode(c.o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						env.Publisher = publisher
-						env.Seq, env.GlobalSeq = 42, 7
-						env.VC = vclock.VC{pub.Addr(): 3, "node-9": 1}
-						if proto := pub.protoFor(env); proto != c.tag {
-							t.Fatalf("%s resolves to protocol %q, want %q", c.name, proto, c.tag)
-						}
-						if publisher == pub.Addr() {
-							for i, n := range nodes {
-								n.mu.Lock()
-								_, made := n.groups[groupKey{c.tag, c.name}]
-								n.mu.Unlock()
-								if made && i != 1 {
-									t.Fatalf("%s: node-%d has the class's group before any frame of it", c.tag, i)
-								}
-							}
-						}
-						want := *env
-						if err := pub.PublishEnvelope(env); err != nil {
-							t.Fatalf("%s: publish: %v", c.tag, err)
-						}
-						if !reflect.DeepEqual(*env, want) {
-							t.Errorf("%s: publishing wrote to the envelope: %+v, was %+v", c.tag, *env, want)
-						}
-						for i, sink := range sinks {
-							var got []*codec.Envelope
-							waitFor(t, 10*time.Second, fmt.Sprintf("%s envelope of %s at node-%d", c.tag, publisher, i), func() bool {
-								got = sink.byID(env.ID)
-								return len(got) > 0
-							})
-							if !sameFields(got[0], &want) {
-								t.Errorf("%s, publisher %s, at node-%d:\n got %+v\nwant %+v", c.tag, publisher, i, *got[0], want)
+			nodes, sinks := bareNodes(t, net, 3, cfg, names)
+			pub := nodes[1]
+			for _, c := range classes {
+				for _, publisher := range []string{pub.Addr(), "somebody-else"} {
+					env, err := pub.cdc.Encode(c.o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					env.Publisher = publisher
+					env.Seq, env.GlobalSeq = 42, 7
+					env.VC = vclock.VC{pub.Addr(): 3, "node-9": 1}
+					if proto := pub.protoFor(env); proto != c.tag {
+						t.Fatalf("%s resolves to protocol %q, want %q", c.name, proto, c.tag)
+					}
+					if publisher == pub.Addr() {
+						for i, n := range nodes {
+							n.mu.Lock()
+							_, made := n.groups[groupKey{c.tag, c.name}]
+							n.mu.Unlock()
+							if made && i != 1 {
+								t.Fatalf("%s: node-%d has the class's group before any frame of it", c.tag, i)
 							}
 						}
 					}
+					want := *env
+					if err := pub.PublishEnvelope(env); err != nil {
+						t.Fatalf("%s: publish: %v", c.tag, err)
+					}
+					if !reflect.DeepEqual(*env, want) {
+						t.Errorf("%s: publishing wrote to the envelope: %+v, was %+v", c.tag, *env, want)
+					}
+					for i, sink := range sinks {
+						var got []*codec.Envelope
+						waitFor(t, 10*time.Second, fmt.Sprintf("%s envelope of %s at node-%d", c.tag, publisher, i), func() bool {
+							got = sink.byID(env.ID)
+							return len(got) > 0
+						})
+						if !sameFields(got[0], &want) {
+							t.Errorf("%s, publisher %s, at node-%d:\n got %+v\nwant %+v", c.tag, publisher, i, *got[0], want)
+						}
+					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

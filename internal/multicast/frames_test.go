@@ -50,7 +50,6 @@ func TestSentFramesAreNotKept(t *testing.T) {
 		{"Certified", true, func(n *testNode) Group {
 			return NewCertified(n.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), n.record, fastOpts())
 		}},
-		{"Gossip", false, func(n *testNode) Group { return NewGossip(n.mux, "cls", n.record, fastOpts()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := netsim.Config{Seed: 7}
@@ -128,7 +127,6 @@ func TestUnframeablePayloadIsDeliveredLocally(t *testing.T) {
 		{"FIFO", true, func(n *testNode) Group { return NewFIFO(n.mux, "cls", n.record, fastOpts()) }, nil},
 		{"Causal", true, func(n *testNode) Group { return NewCausal(n.mux, "cls", n.record, fastOpts()) }, nil},
 		{"TotalSequencer", true, func(n *testNode) Group { return NewTotal(n.mux, "cls", "a", n.record, fastOpts()) }, nil},
-		{"Gossip", true, func(n *testNode) Group { return NewGossip(n.mux, "cls", n.record, fastOpts()) }, nil},
 		{"BestEffortPruned", false, func(n *testNode) Group { return NewBestEffort(n.mux, "cls", n.record) },
 			func(g Group) error { return g.(*BestEffort).BroadcastTo([]string{"a"}, huge) }},
 		{"ReliablePruned", false, func(n *testNode) Group { return NewReliable(n.mux, "cls", n.record, fastOpts()) },
@@ -191,7 +189,6 @@ func TestUnframeableBroadcastIsRefused(t *testing.T) {
 		{"Causal", func(n *testNode) Group { return NewCausal(n.mux, "cls", n.record, fastOpts()) }, nil},
 		{"Total", func(n *testNode) Group { return NewTotal(n.mux, "cls", "b", n.record, fastOpts()) }, nil},
 		{"TotalSequencer", func(n *testNode) Group { return NewTotal(n.mux, "cls", "a", n.record, fastOpts()) }, nil},
-		{"Gossip", func(n *testNode) Group { return NewGossip(n.mux, "cls", n.record, fastOpts()) }, nil},
 		{"Certified", certified, nil},
 		{"CertifiedLongID", certified, func(g Group) error {
 			return g.(*Certified).BroadcastWithID(string(make([]byte, 1<<16)), []byte("payload"))

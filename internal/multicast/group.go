@@ -12,41 +12,22 @@ import (
 // protocols. Zero values select the defaults below.
 type Options struct {
 	// RetransmitInterval is the period between retransmissions of
-	// unacknowledged messages (Reliable, Certified, Total). Reliable
-	// also derives its acknowledgement timer from it (a quarter).
+	// unacknowledged messages (Reliable, and FIFO, Causal and Total,
+	// which run on it; Certified). Reliable also derives its
+	// acknowledgement timer from it (a quarter).
 	RetransmitInterval time.Duration
-	// GossipPeriod is the interval between gossip rounds.
-	GossipPeriod time.Duration
-	// GossipFanout is the number of peers gossiped to per round.
-	GossipFanout int
-	// GossipRounds is the rounds-to-live of a gossiped event.
-	GossipRounds int
 	// Logger receives protocol diagnostics that have no error-return
 	// path (undecodable frames, failed redeliveries). Nil means discard.
 	Logger *slog.Logger
 }
 
-// Default protocol timing parameters.
-const (
-	DefaultRetransmitInterval = 20 * time.Millisecond
-	DefaultGossipPeriod       = 10 * time.Millisecond
-	DefaultGossipFanout       = 3
-	DefaultGossipRounds       = 5
-)
+// DefaultRetransmitInterval is RetransmitInterval's default.
+const DefaultRetransmitInterval = 20 * time.Millisecond
 
 // withDefaults fills zero fields with defaults.
 func (o Options) withDefaults() Options {
 	if o.RetransmitInterval == 0 {
 		o.RetransmitInterval = DefaultRetransmitInterval
-	}
-	if o.GossipPeriod == 0 {
-		o.GossipPeriod = DefaultGossipPeriod
-	}
-	if o.GossipFanout == 0 {
-		o.GossipFanout = DefaultGossipFanout
-	}
-	if o.GossipRounds == 0 {
-		o.GossipRounds = DefaultGossipRounds
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)

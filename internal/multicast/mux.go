@@ -19,7 +19,6 @@
 //     sequencer, its atomic broadcasts back
 //   - Certified  — durable delivery backed by a durable.Outbox, surviving
 //     subscriber disconnection
-//   - Gossip     — probabilistic broadcast in the style of lpbcast
 //
 // All protocols run over a Mux, which multiplexes named streams onto a
 // single point-to-point netsim.Transport endpoint and builds every frame
@@ -51,11 +50,10 @@ type Deliver func(origin string, payload []byte)
 // A link copies what it keeps: the caller may reuse a payload once the
 // call that was given it returns, except where the group keeps the
 // caller's bytes themselves. A delivery to the local node holds them
-// until the upcall has run, a certified group's outbox keeps them, and
-// a gossip group keeps them for the rounds it spreads them. So what
-// may be reused is a payload addressed to other nodes only, through
-// BroadcastTo or BroadcastSplit, on a reliable, ordered or best-effort
-// group.
+// until the upcall has run, and a certified group's outbox keeps them.
+// So what may be reused is a payload addressed to other nodes only,
+// through BroadcastTo or BroadcastSplit, on a reliable, ordered or
+// best-effort group.
 type Group interface {
 	// Broadcast disseminates payload to all members of the group,
 	// including the local node.
@@ -125,17 +123,6 @@ func (m *Mux) Redeliver(stream, from string, payload []byte) {
 	if h != nil {
 		h(from, payload)
 	}
-}
-
-// Send transmits payload on the named stream to the destination address.
-func (m *Mux) Send(to, stream string, payload []byte) error {
-	f, err := newFrame(stream, len(payload))
-	if err != nil {
-		return err
-	}
-	defer f.release()
-	f.b = append(f.b, payload...)
-	return m.tr.Send(to, f.b)
 }
 
 // sendMessage transmits one protocol record on the named stream.

@@ -10,6 +10,18 @@ import (
 	"govents/internal/netsim"
 )
 
+// sendRaw sends payload to one address as the whole body of a frame on
+// stream, no protocol record around it: a frame as any peer may inject.
+func sendRaw(m *Mux, to, stream string, payload []byte) error {
+	f, err := newFrame(stream, len(payload))
+	if err != nil {
+		return err
+	}
+	defer f.release()
+	f.b = append(f.b, payload...)
+	return m.tr.Send(to, f.b)
+}
+
 func TestMuxFallbackAndRedeliver(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -32,9 +44,9 @@ func TestMuxFallbackAndRedeliver(t *testing.T) {
 		b.mux.Redeliver(stream, from, payload)
 	})
 
-	_ = a.mux.Send("b", "lazy/stream", []byte("first"))
+	_ = sendRaw(a.mux, "b", "lazy/stream", []byte("first"))
 	net.Settle()
-	_ = a.mux.Send("b", "lazy/stream", []byte("second"))
+	_ = sendRaw(a.mux, "b", "lazy/stream", []byte("second"))
 	net.Settle()
 
 	mu.Lock()
@@ -67,10 +79,10 @@ func TestMuxUnhandleStopsDelivery(t *testing.T) {
 		defer mu.Unlock()
 		n++
 	})
-	_ = a.mux.Send("b", "s", []byte("1"))
+	_ = sendRaw(a.mux, "b", "s", []byte("1"))
 	net.Settle()
 	b.mux.Unhandle("s")
-	_ = a.mux.Send("b", "s", []byte("2"))
+	_ = sendRaw(a.mux, "b", "s", []byte("2"))
 	net.Settle()
 	mu.Lock()
 	defer mu.Unlock()
@@ -99,7 +111,7 @@ func TestMuxStreamNameTooLong(t *testing.T) {
 	for i := range long {
 		long[i] = 's'
 	}
-	if err := a.mux.Send("a", string(long), nil); err == nil {
+	if err := a.mux.sendMessage("a", string(long), &message{Kind: kindData}); err == nil {
 		t.Error("oversized stream name must fail")
 	}
 }
@@ -153,12 +165,11 @@ func TestFanOutFramesOnce(t *testing.T) {
 	}
 }
 
-// TestMuxSendAllocs pins the cost of a frame: none. A protocol record
-// (sendMessage, or fanOut to several destinations at once) and a payload
-// on a stream (Send, which gossip uses) are each framed in a pooled
-// buffer that goes back once Transport.Send has returned. A frame too
-// long for the pool to keep costs its one buffer, however many
-// destinations it is fanned out to.
+// TestMuxSendAllocs pins the cost of a frame: none. A protocol record,
+// sent to one destination (sendMessage) or fanned out to several at once
+// (fanOut), is framed in a pooled buffer that goes back once
+// Transport.Send has returned. A frame too long for the pool to keep
+// costs its one buffer, however many destinations it is fanned out to.
 func TestMuxSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -181,7 +192,6 @@ func TestMuxSendAllocs(t *testing.T) {
 	}{
 		{"sendMessage", func() error { return m.sendMessage("b", "dace/fifo/some.Class", &data) }, 0},
 		{"fanOut", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &data) }, 0},
-		{"Send", func() error { return m.Send("b", "dace/gossip/some.Class", payload) }, 0},
 		{"fanOut of a long record", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &long) }, 1},
 	} {
 		if n := testing.AllocsPerRun(200, func() {

@@ -1,10 +1,8 @@
 package multicast
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,7 +75,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // fastOpts keeps protocol timers tight for tests.
 func fastOpts() Options {
-	return Options{RetransmitInterval: 5 * time.Millisecond, GossipPeriod: 3 * time.Millisecond}
+	return Options{RetransmitInterval: 5 * time.Millisecond}
 }
 
 func addrs(nodes []*testNode) []string {
@@ -106,13 +104,13 @@ func TestMuxRouting(t *testing.T) {
 		defer mu.Unlock()
 		s2 = append(s2, string(p))
 	})
-	if err := a.mux.Send("b", "s1", []byte("one")); err != nil {
+	if err := sendRaw(a.mux, "b", "s1", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.mux.Send("b", "s2", []byte("two")); err != nil {
+	if err := sendRaw(a.mux, "b", "s2", []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.mux.Send("b", "unknown", []byte("dropped")); err != nil {
+	if err := sendRaw(a.mux, "b", "unknown", []byte("dropped")); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
@@ -668,135 +666,6 @@ func TestCertifiedSubscriberMovesAddress(t *testing.T) {
 	}
 }
 
-func TestGossipReachesAllMembers(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	const n = 20
-	var nodes []*testNode
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, newTestNode(t, net, fmt.Sprintf("n%02d", i)))
-	}
-	opts := fastOpts()
-	opts.GossipFanout = 4
-	opts.GossipRounds = 6
-	var groups []*Gossip
-	for _, node := range nodes {
-		groups = append(groups, NewGossip(node.mux, "cls", node.record, opts))
-	}
-	for _, g := range groups {
-		g.SetMembers(addrs(nodes))
-	}
-	defer func() {
-		for _, g := range groups {
-			_ = g.Close()
-		}
-	}()
-
-	if err := groups[0].Broadcast([]byte("rumor")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "gossip saturation", func() bool {
-		reached := 0
-		for _, node := range nodes {
-			if node.count() > 0 {
-				reached++
-			}
-		}
-		return reached == n
-	})
-	// Exactly-once at each member despite redundant gossip.
-	time.Sleep(50 * time.Millisecond)
-	for i, node := range nodes {
-		if node.count() != 1 {
-			t.Errorf("node %d delivered %d times", i, node.count())
-		}
-	}
-}
-
-func TestGossipToleratesLoss(t *testing.T) {
-	net := netsim.New(netsim.Config{LossRate: 0.2, Seed: 31})
-	defer net.Close()
-	const n = 16
-	var nodes []*testNode
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, newTestNode(t, net, fmt.Sprintf("n%02d", i)))
-	}
-	opts := fastOpts()
-	opts.GossipFanout = 4
-	opts.GossipRounds = 8
-	var groups []*Gossip
-	for _, node := range nodes {
-		groups = append(groups, NewGossip(node.mux, "cls", node.record, opts))
-	}
-	for _, g := range groups {
-		g.SetMembers(addrs(nodes))
-	}
-	defer func() {
-		for _, g := range groups {
-			_ = g.Close()
-		}
-	}()
-
-	_ = groups[0].Broadcast([]byte("rumor"))
-	// With fanout 4 and 8 rounds at 20% loss, saturation is
-	// overwhelmingly likely.
-	waitFor(t, 10*time.Second, "gossip under loss", func() bool {
-		reached := 0
-		for _, node := range nodes {
-			if node.count() > 0 {
-				reached++
-			}
-		}
-		return reached >= n*9/10
-	})
-}
-
-// TestGossipPeerChoiceDiffersByNode: two groups at different addresses
-// shuffle the same candidates differently, so the nodes of a domain do
-// not all gossip to the same peers.
-func TestGossipPeerChoiceDiffersByNode(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	pool := make([]string, 16)
-	for i := range pool {
-		pool[i] = fmt.Sprintf("n%02d", i)
-	}
-	var picks [2][]string
-	for i, addr := range []string{"a", "b"} {
-		g := NewGossip(newTestNode(t, net, addr).mux, "cls", func(string, []byte) {}, Options{GossipPeriod: time.Hour})
-		g.mu.Lock()
-		picks[i] = g.pickLocked(pool, 3, nil)
-		g.mu.Unlock()
-		_ = g.Close()
-	}
-	if slices.Equal(picks[0], picks[1]) {
-		t.Errorf("a and b both picked %v first", picks[0])
-	}
-}
-
-// TestGossipRoundLargerThanAFrame: a round whose rumors for one peer
-// exceed what one frame carries goes out as several batches, and every
-// rumor arrives.
-func TestGossipRoundLargerThanAFrame(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	a, b := newTestNode(t, net, "a"), newTestNode(t, net, "b")
-	opts := Options{GossipPeriod: time.Hour, GossipRounds: 1} // rounds run by hand, once
-	ga := NewGossip(a.mux, "cls", func(string, []byte) {}, opts)
-	gb := NewGossip(b.mux, "cls", b.record, opts)
-	defer ga.Close()
-	defer gb.Close()
-	ga.SetMembers([]string{"a", "b"})
-	gb.SetMembers([]string{"a", "b"})
-	for i := range 3 {
-		if err := ga.Broadcast(bytes.Repeat([]byte{byte(i)}, 6<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ga.round()
-	waitFor(t, 10*time.Second, "three 6 MiB rumors at b", func() bool { return b.count() == 3 })
-}
-
 func TestBroadcastOnClosedGroupFails(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -810,11 +679,6 @@ func TestBroadcastOnClosedGroupFails(t *testing.T) {
 	_ = gb.Close()
 	if err := gb.Broadcast([]byte("x")); err == nil {
 		t.Error("besteffort: broadcast after close should fail")
-	}
-	gg := NewGossip(a.mux, "g", a.record, fastOpts())
-	_ = gg.Close()
-	if err := gg.Broadcast([]byte("x")); err == nil {
-		t.Error("gossip: broadcast after close should fail")
 	}
 }
 

@@ -299,96 +299,3 @@ func TestTotalPlannerFailOpen(t *testing.T) {
 		return seq.count() == 1 && b.count() == 1
 	})
 }
-
-// TestGossipInterestBias pins interest-biased fanout: rumors reach
-// every interested member, and the pruning counters record rounds that
-// contacted fewer peers than the plain fanout would have.
-func TestGossipInterestBias(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	const n = 12
-	interested := map[string]bool{"n00": true, "n01": true, "n02": true, "n03": true}
-	var nodes []*testNode
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, newTestNode(t, net, fmt.Sprintf("n%02d", i)))
-	}
-	// Fanout well above the interested-set size, so biased rounds
-	// contact measurably fewer peers than plain fanout would.
-	opts := fastOpts()
-	opts.GossipFanout = 8
-	opts.GossipRounds = 6
-	var groups []*Gossip
-	var pruned atomic.Uint64
-	for _, node := range nodes {
-		g := NewGossip(node.mux, "cls", node.record, opts)
-		g.SetInterest(func(payload []byte) ([]string, bool) {
-			return []string{"n00", "n01", "n02", "n03"}, true
-		})
-		g.SetPruneObserver(func(p, _ uint64) { pruned.Add(p) })
-		groups = append(groups, g)
-	}
-	for _, g := range groups {
-		g.SetMembers(addrs(nodes))
-	}
-	defer func() {
-		for _, g := range groups {
-			_ = g.Close()
-		}
-	}()
-
-	_ = groups[0].Broadcast([]byte("rumor"))
-	waitFor(t, 10*time.Second, "all interested members infected", func() bool {
-		for i, node := range nodes {
-			if interested[fmt.Sprintf("n%02d", i)] && node.count() == 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if pruned.Load() == 0 {
-		t.Error("no pruned gossip sends counted despite sparse interest")
-	}
-}
-
-// TestGossipRandomEdgesCrossInterestBoundary pins the anti-entropy
-// floor: even when the interest function names nobody, the random edges
-// keep the rumor moving, so uninterested members still learn it
-// (gossip's eventual-delivery contract is probabilistic, never
-// partitioned by interest).
-func TestGossipRandomEdgesCrossInterestBoundary(t *testing.T) {
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	const n = 8
-	var nodes []*testNode
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, newTestNode(t, net, fmt.Sprintf("n%02d", i)))
-	}
-	opts := fastOpts()
-	opts.GossipFanout = 3
-	opts.GossipRounds = 10
-	var groups []*Gossip
-	for _, node := range nodes {
-		g := NewGossip(node.mux, "cls", node.record, opts)
-		g.SetInterest(func(payload []byte) ([]string, bool) { return nil, true })
-		groups = append(groups, g)
-	}
-	for _, g := range groups {
-		g.SetMembers(addrs(nodes))
-	}
-	defer func() {
-		for _, g := range groups {
-			_ = g.Close()
-		}
-	}()
-
-	_ = groups[0].Broadcast([]byte("rumor"))
-	waitFor(t, 10*time.Second, "random edges saturate the group", func() bool {
-		reached := 0
-		for _, node := range nodes {
-			if node.count() > 0 {
-				reached++
-			}
-		}
-		return reached >= n*3/4
-	})
-}

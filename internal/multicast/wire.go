@@ -21,7 +21,6 @@ import (
 //	                    record has no Seq)
 //	Origin    uvarint length (1..maxWireString) + bytes      flagOrigin
 //	ID        likewise                                       flagID
-//	Rounds    1 byte                                         flagRounds
 //	VC        uvarint count (1..maxWireVC), then per entry,  flagVC
 //	          in ascending key order, a length-prefixed key
 //	          and a uvarint value
@@ -36,8 +35,11 @@ import (
 // Flag bits 2 and 16 belonged to the ordered classes' own sequencing
 // (a skip-range start and a global sequence), which rode on top of the
 // link's; they are retired, and a record that sets one is rejected like
-// any unknown flag. Nodes of different eras do not interoperate (see
-// "Link protocol" in the govents package documentation).
+// any unknown flag. Flag bit 128 (a gossip rumor's Rounds to live) and
+// kind 5 (a gossip event batch) belonged to a gossip protocol that is
+// gone; they are retired likewise, the flag rejected as unknown and the
+// kind read by no protocol. Nodes of different eras do not interoperate
+// (see "Link protocol" in the govents package documentation).
 
 // msgKind enumerates protocol message types.
 type msgKind byte
@@ -47,7 +49,7 @@ const (
 	kindAck                         // reliable-broadcast cumulative acknowledgement
 	kindCertData                    // certified payload at an outbox offset
 	kindCertAck                     // certified acknowledgement of runs of offsets
-	kindGossip                      // gossip event batch
+	_                               // 5: retired (see above)
 	kindSkip                        // "step over": no payload, consumes no sequence
 )
 
@@ -70,7 +72,6 @@ type message struct {
 	Seq     uint64 // link sequence, cumulative acknowledgement, or outbox offset
 	Epoch   uint64 // incarnation of the data frame's sender
 	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
-	Rounds  uint8  // gossip rounds-to-live
 	ID      string // unique message ID
 	VC      vclock.VC
 	Payload []byte // aliases the decoded frame
@@ -82,9 +83,8 @@ const (
 	flagBase   = 1 << 3
 	flagOrigin = 1 << 5
 	flagID     = 1 << 6
-	flagRounds = 1 << 7
 	flagVC     = 1 << 8
-	knownFlags = flagSeq | flagEpoch | flagBase | flagOrigin | flagID | flagRounds | flagVC
+	knownFlags = flagSeq | flagEpoch | flagBase | flagOrigin | flagID | flagVC
 
 	// Field caps, enforced on encode and decode alike.
 	maxWireString = rec.MaxString
@@ -108,9 +108,6 @@ func (m *message) flags() uint64 {
 	}
 	if m.ID != "" {
 		f |= flagID
-	}
-	if m.Rounds != 0 {
-		f |= flagRounds
 	}
 	if len(m.VC) > 0 {
 		f |= flagVC
@@ -155,9 +152,6 @@ func messageSize(m *message) (int, error) {
 	if f&flagID != 0 {
 		n += rec.LenStringLen(m.ID)
 	}
-	if f&flagRounds != 0 {
-		n++
-	}
 	if f&flagVC != 0 {
 		n += rec.UvarintLen(uint64(len(m.VC)))
 		for k, v := range m.VC {
@@ -190,9 +184,6 @@ func appendMessage(dst []byte, m *message) []byte {
 	}
 	if f&flagID != 0 {
 		b = rec.AppendLenString(b, m.ID)
-	}
-	if f&flagRounds != 0 {
-		b = append(b, m.Rounds)
 	}
 	if f&flagVC != 0 {
 		keys := make([]string, 0, len(m.VC))
@@ -252,11 +243,6 @@ func decodeMessage(data []byte, m *message) error {
 	}
 	if f&flagID != 0 {
 		m.ID = d.Str("ID")
-	}
-	if f&flagRounds != 0 {
-		if m.Rounds = d.U8(); m.Rounds == 0 {
-			d.Fail("zero Rounds")
-		}
 	}
 	if f&flagVC != 0 {
 		m.VC = vclock.Read(&d, true)

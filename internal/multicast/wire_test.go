@@ -34,7 +34,7 @@ func roundTrip(t *testing.T, m *message) message {
 // TestMessageRoundTripEveryCombination walks every kind with every
 // subset of the optional fields, with and without a payload.
 func TestMessageRoundTripEveryCombination(t *testing.T) {
-	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindGossip, kindSkip}
+	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindSkip}
 	for _, kind := range kinds {
 		for fields := uint64(0); fields <= knownFlags; fields++ {
 			if fields&^knownFlags != 0 {
@@ -56,9 +56,6 @@ func TestMessageRoundTripEveryCombination(t *testing.T) {
 				}
 				if fields&flagID != 0 {
 					m.ID = "0123456789abcdef0123456789abcdef"
-				}
-				if fields&flagRounds != 0 {
-					m.Rounds = 5
 				}
 				if fields&flagVC != 0 {
 					m.VC = vclock.VC{"b": 9, "a": 1, "": 3, "z": 0}
@@ -95,7 +92,6 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 		{"total data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 8 + 1 + 1 + 2 + 1},
 		{"certified data", message{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 8 + 5 + 7},
 		{"certified ack", message{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "consumer", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}})}, 2 + 8 + 9 + 4},
-		{"gossip", message{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")}, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -111,14 +107,14 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 }
 
 func TestMessageRoundTripProperty(t *testing.T) {
-	f := func(origin, id string, seq, base, epoch uint64, rounds uint8, payload []byte) bool {
+	f := func(origin, id string, seq, base, epoch uint64, payload []byte) bool {
 		if len(origin) > maxWireString || len(id) > maxWireString {
 			return true // out of contract
 		}
 		if seq != 0 {
 			base = seq/2 + seq%2 // a data frame's base trails its sequence; an announcement's stands alone
 		}
-		m := &message{Kind: kindData, Origin: origin, Seq: seq, Epoch: epoch, Base: base, Rounds: rounds, ID: id, Payload: payload}
+		m := &message{Kind: kindData, Origin: origin, Seq: seq, Epoch: epoch, Base: base, ID: id, Payload: payload}
 		wire, err := encodeMessage(m)
 		if err != nil {
 			return false
@@ -162,11 +158,11 @@ func TestDecodeMessageRejectsNonCanonical(t *testing.T) {
 		"varint overflow":        {byte(kindData), flagSeq, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 		"retired SkipFrom flag":  {byte(kindData), flagSeq | 2, 5, 5},
 		"retired GSeq flag":      {byte(kindData), 16, 5},
+		"retired Rounds flag":    {byte(kindData), 0x80, 0x01, 5},
 		"base below 1":           {byte(kindData), flagSeq | flagBase, 5, 5},
 		"absolute base zero":     {byte(kindSkip), flagBase, 0},
 		"empty Origin":           {byte(kindData), flagOrigin, 0},
 		"Origin past the end":    {byte(kindData), flagOrigin, 9, 'a'},
-		"zero Rounds":            {byte(kindGossip), 0x80, 0x01, 0},
 		"empty vector clock":     {byte(kindData), 0x80, 0x02, 0},
 		"vector clock too large": {byte(kindData), 0x80, 0x02, 9, 1, 'a', 1},
 		"vector clock unordered": {byte(kindData), 0x80, 0x02, 2, 1, 'b', 1, 1, 'a', 1},
@@ -217,36 +213,6 @@ func TestMessageCodecAllocs(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	batch := []*message{
-		{Kind: kindGossip, Origin: "a", ID: "1", Rounds: 3, Payload: []byte("x")},
-		{Kind: kindGossip, Origin: "b", ID: "2", Rounds: 1, Payload: nil},
-	}
-	wire, err := encodeBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeBatch(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !reflect.DeepEqual(got[0], *batch[0]) || !reflect.DeepEqual(got[1], *batch[1]) {
-		t.Errorf("batch = %+v", got)
-	}
-}
-
-func TestDecodeBatchCorrupt(t *testing.T) {
-	if _, err := decodeBatch(nil); err == nil {
-		t.Error("nil batch should fail")
-	}
-	if _, err := decodeBatch([]byte{0, 5}); err == nil {
-		t.Error("batch claiming 5 events with no bytes should fail")
-	}
-	if _, err := decodeBatch([]byte{0xFF, 0xFF, 0, 0, 0, 0}); err == nil {
-		t.Error("batch claiming 65535 events in 4 bytes should fail before allocating for them")
-	}
-}
-
 // FuzzDecodeMessage feeds the peer-facing decoder raw bytes: it must
 // never panic, must hold no more memory than the input it was given,
 // and whatever it accepts must re-encode to the same bytes.
@@ -260,7 +226,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}},
 		{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}},
 		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindGossip, Origin: "a", ID: "z", Rounds: 5, Payload: []byte("x")},
 		{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
 		{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "desk", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}, {Lo: 70017, Hi: 70017}})},
 		// Run lists seqset.EachRun must stop at, quietly: a zero gap, a run
@@ -278,6 +243,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(kindData), 0xFF, 0x03})
+	f.Add([]byte{byte(kindData), 0x80, 0x01, 5}) // the retired Rounds flag
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m message
 		if err := decodeMessage(data, &m); err != nil {

@@ -178,7 +178,7 @@ type Stats struct {
 	// PrunedSends counts per-destination data frames an interest-aware
 	// multicast class did not send because the destination had no
 	// matching subscriber (reported by the dissemination layer via
-	// NotePrunedSends) — the wire traffic ordered/gossip pruning saves.
+	// NotePrunedSends) — the wire traffic ordered-class pruning saves.
 	PrunedSends uint64
 	// SkipFrames counts the per-destination clock markers a causal class
 	// shipped to nodes it had pruned (reported via NoteSkipFrames); FIFO

@@ -88,8 +88,8 @@ const (
 	// AtPublisher evaluates migrated filters at the publishing node
 	// and sends only to nodes with at least one passing subscription,
 	// saving bandwidth. Unordered classes prune per message; ordered
-	// and gossip classes prune through the interest-aware multicast
-	// protocols (package doc, "Interest-aware multicast"); certified classes
+	// classes prune through the interest-aware multicast protocols
+	// (package doc, "Interest-aware multicast"); certified classes
 	// address their durable subscribers explicitly.
 	AtPublisher
 )
@@ -99,15 +99,9 @@ const (
 // shorten the intervals.
 type Tuning struct {
 	// RetransmitInterval is the period between retransmissions of
-	// unacknowledged messages (reliable, certified and total-order
-	// classes).
+	// unacknowledged messages (reliable, FIFO, causal, total-order and
+	// certified classes).
 	RetransmitInterval time.Duration
-	// GossipPeriod, GossipFanout and GossipRounds tune the gossip
-	// protocol used for unreliable classes when WithGossipUnreliable
-	// is set.
-	GossipPeriod time.Duration
-	GossipFanout int
-	GossipRounds int
 }
 
 // config collects the Open options.
@@ -122,7 +116,6 @@ type config struct {
 	tuning       Tuning
 	durDir       string
 	durTuning    DurabilityTuning
-	gossip       bool
 	naive        bool
 	metricsAddr  string
 	traceHook    func(TraceEvent)
@@ -223,13 +216,6 @@ func WithAdTTL(d time.Duration) Option {
 // WithTuning adjusts the dissemination protocol timers.
 func WithTuning(t Tuning) Option {
 	return func(c *config) { c.tuning = t }
-}
-
-// WithGossipUnreliable routes unreliable classes through the gossip
-// protocol instead of plain best-effort fanout (scales to large
-// domains under loss at per-node cost independent of group size).
-func WithGossipUnreliable() Option {
-	return func(c *config) { c.gossip = true }
 }
 
 // WithDurability gives the domain a durability directory: certified
@@ -333,9 +319,6 @@ func (c *config) distributedOnly() []string {
 	if c.tuning != (Tuning{}) {
 		bad = append(bad, "WithTuning")
 	}
-	if c.gossip {
-		bad = append(bad, "WithGossipUnreliable")
-	}
 	if c.durDir != "" {
 		bad = append(bad, "WithDurability")
 	}
@@ -352,17 +335,11 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 		placement = dace.AtSubscriber
 	}
 	return dace.Config{
-		Placement:        placement,
-		GossipUnreliable: c.gossip,
-		Durable:          dur,
-		AdTTL:            c.adTTL,
-		Telemetry:        tele,
-		Logger:           log,
-		Multicast: multicast.Options{
-			RetransmitInterval: c.tuning.RetransmitInterval,
-			GossipPeriod:       c.tuning.GossipPeriod,
-			GossipFanout:       c.tuning.GossipFanout,
-			GossipRounds:       c.tuning.GossipRounds,
-		},
+		Placement: placement,
+		Durable:   dur,
+		AdTTL:     c.adTTL,
+		Telemetry: tele,
+		Logger:    log,
+		Multicast: multicast.Options{RetransmitInterval: c.tuning.RetransmitInterval},
 	}
 }
