@@ -5,6 +5,7 @@ package govents_test
 import (
 	"context"
 	"encoding/binary"
+	"hash/fnv"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -24,27 +25,47 @@ type selfTap struct {
 	toSelf atomic.Int64
 
 	mu      sync.Mutex
-	streams map[string][]string // destination -> stream of each frame sent there
+	streams map[string][]uint32 // destination -> stream key of each frame sent there
 }
 
 func (tap *selfTap) Send(to string, frame []byte) error {
 	if to == tap.Addr() {
 		tap.toSelf.Add(1)
 	}
-	// A mux frame opens with its stream's name, length-prefixed.
-	if n := int(binary.BigEndian.Uint16(frame)); 2+n <= len(frame) {
+	if key, ok := frameKey(frame); ok {
 		tap.mu.Lock()
-		tap.streams[to] = append(tap.streams[to], string(frame[2:2+n]))
+		tap.streams[to] = append(tap.streams[to], key)
 		tap.mu.Unlock()
 	}
 	return tap.Transport.Send(to, frame)
 }
 
-// sentTo returns the streams of the frames sent to addr so far.
-func (tap *selfTap) sentTo(addr string) []string {
+// sentTo returns the stream keys of the frames sent to addr so far.
+func (tap *selfTap) sentTo(addr string) []uint32 {
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
-	return append([]string(nil), tap.streams[addr]...)
+	return append([]uint32(nil), tap.streams[addr]...)
+}
+
+// frameKey returns the key of the stream a mux frame carries a record
+// on, whether it spells the stream's name (1, a two-byte length, the
+// name, then the short form) or is short (0, the four-byte key, the
+// record). A handshake frame carries no record.
+func frameKey(frame []byte) (uint32, bool) {
+	if len(frame) >= 3 && frame[0] == 1 {
+		frame = frame[min(3+int(binary.BigEndian.Uint16(frame[1:])), len(frame)):]
+	}
+	if len(frame) < 5 || frame[0] != 0 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(frame[1:]), true
+}
+
+// streamKey is the key of a stream name: its FNV-1a hash.
+func streamKey(name string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return h.Sum32()
 }
 
 // selfNet opens domains by hand (a DomainGroup owns its endpoints, and
@@ -62,7 +83,7 @@ func (sn *selfNet) open(addr string) (*govents.Domain, *selfTap) {
 	if err != nil {
 		sn.t.Fatal(err)
 	}
-	tap := &selfTap{Transport: ep, streams: make(map[string][]string)}
+	tap := &selfTap{Transport: ep, streams: make(map[string][]uint32)}
 	opts := append([]govents.Option{
 		govents.WithTransport(tap),
 		govents.WithPeers(sn.addrs...),
@@ -306,10 +327,10 @@ func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 	waitFor(t, "every event at both handlers", func() bool { return seen[0].hasAll(keys) && seen[1].hasAll(keys) })
 	// Everything is acknowledged once a whole redelivery interval sends
 	// nothing: the tick resends whatever either identity is still owed.
-	class := "dace/cert/" + obvent.TypeName(obvent.TypeOf[chaosTick]())
+	class := streamKey("dace/cert/" + obvent.TypeName(obvent.TypeOf[chaosTick]()))
 	dataFrames := func() (n int) {
-		for _, stream := range tap0.sentTo("node-1") {
-			if stream == class {
+		for _, key := range tap0.sentTo("node-1") {
+			if key == class {
 				n++
 			}
 		}

@@ -162,10 +162,11 @@
 // struct and the payload's copy as well):
 //
 //	format       1 byte   0xE1
-//	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock
+//	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock,
+//	                      8 packed-ID (link form only)
 //	Enc          1 byte   payload encoding, always 1 (the compiled one)
-//	ID           uvarint length (at most 65535) + bytes
-//	Type         likewise
+//	ID           uvarint length (at most 65535) + bytes; packed-ID: 16 bytes
+//	Type         uvarint length (at most 65535) + bytes
 //	Publisher    likewise
 //	Seq          uvarint
 //	GlobalSeq    uvarint
@@ -208,7 +209,7 @@
 // room cannot hold (a vector clock or a sequence number added later),
 // gets a record of its own by copy, and a record already handed to an
 // outbox or a lane is never written over. The multiplexer then builds
-// the frame (stream name, link header, record) in a buffer it reuses
+// the frame (stream key, link header, record) in a buffer it reuses
 // once the transport's Send has returned, since no transport keeps what
 // Send is given: on the publisher a payload is copied once on its way
 // to the transport's write buffer, into the frame (and, on a reliable
@@ -243,7 +244,14 @@
 // the published one; a Publisher that is not the publishing node
 // travels as it is. An empty string was always a legal field, so there
 // is no flag, no second layout and no second decoder, and the saving is
-// the two strings: about a tenth of the wire bytes of a small event.
+// the two strings: about a tenth of the wire bytes of a small event. The
+// link form also packs the ID: an ID of 32 lowercase hex characters (the
+// form every ID Publish mints has) travels as the 16 bytes it spells,
+// under the packed-ID flag, and the decoder spells it out again in the
+// one allocation that holds the three strings. Any other ID travels as
+// it is. In memory, in traces, in an outbox and on disk the ID is the
+// string; a stored record never sets the flag, so every stored record
+// is byte for byte what it was.
 // The break is one way and stated, not negotiated: this build reads a
 // full record on any link (a fixture written by the build before it
 // pins that), while a build from before the link form finds no class in
@@ -275,9 +283,11 @@
 //
 // Under the envelope sit three thin layers, each with a few bytes of
 // header: the reliable link that the reliable and ordered classes
-// (§3.1.2) ride, the stream multiplexer, and the TCP transport. A
-// 60-byte FIFO event crosses the wire as one data frame of about 130
-// bytes, and a sixteenth of an acknowledgement.
+// (§3.1.2) ride, the stream multiplexer, and the TCP transport. A FIFO
+// event whose payload is 44 bytes crosses the wire as one data frame of
+// 102 bytes (98 and the TCP length word), and a sixteenth of a 20-byte
+// acknowledgement (TestFIFOFrameBytesAfterHandshake in internal/dace
+// pins both).
 //
 // Every multicast protocol speaks one record: a kind byte, a uvarint of
 // presence flags, then only the fields that are not zero, the payload
@@ -368,14 +378,39 @@
 // traffic in flight and the peers they have met, and none per message
 // delivered.
 //
-// The multiplexer prefixes each frame with its stream name (a two-byte
-// length and the name), building it in a reused buffer for each Send:
-// netsim.Transport's Send keeps nothing it is given, on every transport.
-// A publication whose frame would exceed what one carries (16 MiB less
+// The multiplexer names each frame's stream, a channel's name such as
+// dace/fifo/<class>, by its key: the name's 32-bit FNV-1a hash, which
+// each group computes once. A frame has one of four forms, told apart
+// by its first byte:
+//
+//	short    0, the key (4 bytes, big-endian), the record
+//	spelled  1, the name's length (2 bytes), the name, then the short frame
+//	known    2, a key: the receiver resolves it to the name it was spelled
+//	unknown  3, a key: the receiver resolves it to no stream
+//
+// A sender spells a stream to a destination until the destination has
+// confirmed the key, and sends it short from then on: a spelled frame
+// is the name in front of the short one, so one frame, built once in a
+// reused buffer, goes to a fan-out's destinations in whichever form
+// each needs. A receiver answers a spelled frame that reached a handler
+// (a group, or one the lazy-creation fallback made from the name) with
+// known, unless another stream it handles has the same key: such a key
+// is never confirmed, and both streams stay spelled to it. It answers a
+// short frame whose key names no one stream it handles with unknown and
+// drops the frame, and the sender spells that stream to it again; the
+// reliable classes resend the dropped frame. A lost handshake frame
+// costs one spelled frame more or one short frame dropped, and the next
+// frame draws another. A key is a hash of the name, not a number the
+// sender picks, so a receiver's key cannot come to mean another stream
+// across a sender's restart, and a restarted receiver that has made
+// its groups resolves the key at once. The multiplexer builds every
+// frame in a reused buffer for each Send: netsim.Transport's Send keeps
+// nothing it is given, on every transport. A publication whose frame,
+// spelled, the longer form, would exceed what one carries (16 MiB less
 // the length word below, a bound the simulated network enforces too) is
 // refused by Publish with ErrCannotPublish before any protocol stamps or
-// persists it: no link sequence, no outbox entry, nothing resent on any
-// tick. One with no frame to send, delivered only at the publishing
+// persists it, so a publication refused once is refused every time: no
+// link sequence, no outbox entry, nothing resent on any tick. One with no frame to send, delivered only at the publishing
 // node, is not refused, bar a certified one, which its outbox may owe
 // to a subscriber elsewhere later. The TCP transport keeps one outbound
 // connection per destination, with a lock of its own: a peer that stops
@@ -390,17 +425,26 @@
 // again.
 //
 // None of this is negotiated. Like the envelope record, the link
-// layouts replaced their predecessors outright, twice: first a
+// layouts replaced their predecessors outright, three times: first a
 // fixed-width record with a random 32-character ID per message, an
 // acknowledgement per message and a sender address in every TCP frame;
 // then the ordered classes' own sequence numbers, skip ranges and
 // request IDs, carried in a second record nested inside the link's
 // payload (FIFO and total-order payloads are now the envelope itself,
-// and total-order requests travel on a link of their own). A node of
-// one era drops another's frames as undecodable or, where only the
-// nested record differs, hands up payloads that fail to decode as
-// envelopes and are counted as decode errors: upgrade a domain's nodes
-// together.
+// and total-order requests travel on a link of their own); then the
+// stream name in front of every frame, which gave way to the key and
+// its handshake, together with the packed ID of the envelope's link
+// form. A node of one era drops another's frames as undecodable or,
+// where only the nested record differs, hands up payloads that fail to
+// decode as envelopes and are counted as decode errors. A frame of the
+// build before keys opens with a zero byte, so this build reads it as a
+// short frame with a key it cannot resolve, answers unknown and drops
+// it; the older build drops this build's frames as naming streams it
+// has never heard of. Upgrade a domain's nodes together. Within one
+// era, a receiver that restarts before it has made a stream's group
+// answers unknown to the short frames already on their way: a reliable
+// class resends them, spelled, and the lazily made group delivers them
+// once and in order, while a best-effort frame to it may be lost.
 //
 // # Interest-aware multicast
 //

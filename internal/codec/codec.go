@@ -190,7 +190,7 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 	// place of the empty payload's. A header the caps refuse gets no room:
 	// Seal reports it.
 	off := 0
-	if head, err := headerSize(env); err == nil {
+	if head, err := headerSize(env, false); err == nil {
 		off = head - 1 + rec.UvarintLen(maxEnvelopePayload)
 	}
 	buf, err := c.encodePayload(enc.room.buf, o, off)

@@ -2,9 +2,11 @@ package codec
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -19,10 +21,11 @@ import (
 // self-describing stream:
 //
 //	format       1 byte   envelopeFormat
-//	flags        1 byte   flagPriority | flagBirth | flagVC
+//	flags        1 byte   flagPriority | flagBirth | flagVC | flagPackedID
 //	Enc          1 byte   payloadEncoding
-//	ID           uvarint length (≤ maxEnvelopeString) + bytes
-//	Type         likewise
+//	ID           uvarint length (≤ maxEnvelopeString) + bytes; with
+//	             flagPackedID, 16 bytes and no length
+//	Type         uvarint length (≤ maxEnvelopeString) + bytes
 //	Publisher    likewise
 //	Seq          uvarint
 //	GlobalSeq    uvarint
@@ -39,7 +42,11 @@ import (
 // An empty payload and a nil one are the same record and decode as nil;
 // so are an empty vector clock and a nil one. Any of the three strings
 // may be empty: a record on a link leaves out Type and, when the link
-// names it, Publisher; a stored one spells them out (dace's seal).
+// names it, Publisher; a stored one spells them out (dace's seal). A
+// record on a link (SealLink) also packs an ID of 32 lowercase hex
+// characters, as NewID mints them, into the 16 bytes they spell, under
+// flagPackedID; the decoder spells it out again, so in memory an ID is
+// always the string. A stored record never packs (Seal, Marshal).
 const (
 	// envelopeFormat leads every record. No gob stream starts with it
 	// (gob's leading byte count is below 0x80 or above 0xF7), so a record
@@ -56,7 +63,11 @@ const (
 	flagPriority = 1 << 0
 	flagBirth    = 1 << 1
 	flagVC       = 1 << 2
-	knownFlags   = flagPriority | flagBirth | flagVC
+	flagPackedID = 1 << 3
+	knownFlags   = flagPriority | flagBirth | flagVC | flagPackedID
+
+	// packedID is the length of a packed ID, half its hex spelling.
+	packedID = 16
 
 	// Field caps, enforced on encode and decode alike.
 	maxEnvelopeString  = rec.MaxString
@@ -78,22 +89,23 @@ func Marshal(e *Envelope) ([]byte, error) {
 // once, and returns the extended slice. On error dst is returned
 // unchanged.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
-	head, err := headerSize(e)
+	head, err := headerSize(e, false)
 	if err != nil {
 		return dst, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
-	return appendRecord(dst, head, e), nil
+	return appendRecord(dst, head, e, nil), nil
 }
 
-// appendRecord is AppendEnvelope once headerSize has vouched for e.
-func appendRecord(dst []byte, head int, e *Envelope) []byte {
+// appendRecord is AppendEnvelope, with the ID packed into id when id is
+// not nil, once headerSize has vouched for e.
+func appendRecord(dst []byte, head int, e *Envelope, id *[packedID]byte) []byte {
 	b := dst
 	if size := head + len(e.Payload); cap(b)-len(b) < size {
 		// Not slices.Grow: the race detector's build allocates twice there.
 		b = make([]byte, len(dst), len(dst)+size)
 		copy(b, dst)
 	}
-	return append(appendHeader(b, e), e.Payload...)
+	return append(appendHeader(b, e, id), e.Payload...)
 }
 
 // Seal returns e's wire record, byte for byte Marshal's, without copying
@@ -106,18 +118,59 @@ func appendRecord(dst []byte, head int, e *Envelope) []byte {
 // and a header that does not fit the room, copies as Marshal does. The
 // record is read-only like the payload it shares; a record a link or an
 // outbox keeps is never written again.
-func Seal(e *Envelope) ([]byte, error) {
-	head, err := headerSize(e)
+func Seal(e *Envelope) ([]byte, error) { return seal(e, nil) }
+
+// SealLink is Seal for a record that travels a link and is not stored:
+// an ID of 32 lowercase hex characters goes as the 16 bytes it spells.
+// Every other ID, and every other field, is written as Seal writes it.
+func SealLink(e *Envelope) ([]byte, error) {
+	if id, ok := packID(e.ID); ok {
+		return seal(e, &id)
+	}
+	return seal(e, nil)
+}
+
+// seal is Seal, with the ID packed into id when id is not nil.
+func seal(e *Envelope, id *[packedID]byte) ([]byte, error) {
+	head, err := headerSize(e, id != nil)
 	if err != nil {
 		return nil, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
 	if r := e.room; r != nil && head <= r.off && r.holds(e.Payload) && r.claimed.CompareAndSwap(false, true) {
 		start := r.off - head
-		appendHeader(r.buf[start:start:r.off], e)
+		appendHeader(r.buf[start:start:r.off], e, id)
 		return r.buf[start:len(r.buf):len(r.buf)], nil
 	}
-	return appendRecord(nil, head, e), nil
+	return appendRecord(nil, head, e, id), nil
 }
+
+// packID returns the 16 bytes that id spells, and whether it is 32
+// lowercase hex characters, which a link packs: the decoder spells the
+// bytes out in lowercase again.
+func packID(id string) (packed [packedID]byte, ok bool) {
+	if len(id) != 2*packedID {
+		return packed, false
+	}
+	var bad byte
+	for i := range packed {
+		hi, lo := nibble[id[2*i]], nibble[id[2*i+1]]
+		bad |= hi | lo
+		packed[i] = hi<<4 | lo
+	}
+	return packed, bad <= 0xF
+}
+
+// nibble maps a lowercase hex digit to its value and any other byte to
+// 0xFF.
+var nibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
 
 // headroom is the buffer Encode wrote a payload into: room for the
 // record's header, then the payload, which runs to the buffer's end.
@@ -139,10 +192,10 @@ func (r *headroom) holds(payload []byte) bool {
 }
 
 // appendHeader appends e's record up to and including the payload's
-// length prefix: the one header writer, behind Marshal's copy and Seal's
-// room alike. The caller has sized dst with headerSize, which also
-// vouches for the fields.
-func appendHeader(b []byte, e *Envelope) []byte {
+// length prefix, with the ID packed into id when id is not nil: the one
+// header writer, behind Marshal's copy and Seal's room alike. The caller
+// has sized dst with headerSize, which also vouches for the fields.
+func appendHeader(b []byte, e *Envelope, id *[packedID]byte) []byte {
 	var flags byte
 	if e.HasPriority {
 		flags |= flagPriority
@@ -153,8 +206,15 @@ func appendHeader(b []byte, e *Envelope) []byte {
 	if len(e.VC) > 0 {
 		flags |= flagVC
 	}
+	if id != nil {
+		flags |= flagPackedID
+	}
 	b = append(b, envelopeFormat, flags, payloadEncoding)
-	b = rec.AppendLenString(b, e.ID)
+	if id != nil {
+		b = append(b, id[:]...)
+	} else {
+		b = rec.AppendLenString(b, e.ID)
+	}
 	b = rec.AppendLenString(b, e.Type)
 	b = rec.AppendLenString(b, e.Publisher)
 	b = binary.AppendUvarint(b, e.Seq)
@@ -181,8 +241,9 @@ func appendHeader(b []byte, e *Envelope) []byte {
 }
 
 // headerSize returns the exact length of e's wire record less the
-// payload's bytes, or an error when a field exceeds its cap.
-func headerSize(e *Envelope) (int, error) {
+// payload's bytes, the ID packed if packed says so, or an error when a
+// field exceeds its cap.
+func headerSize(e *Envelope, packed bool) (int, error) {
 	switch {
 	case len(e.ID) > maxEnvelopeString:
 		return 0, fmt.Errorf("ID of %d bytes exceeds %d", len(e.ID), maxEnvelopeString)
@@ -195,8 +256,11 @@ func headerSize(e *Envelope) (int, error) {
 	case len(e.Payload) > maxEnvelopePayload:
 		return 0, fmt.Errorf("payload of %d bytes exceeds %d", len(e.Payload), maxEnvelopePayload)
 	}
-	n := 3 +
-		rec.LenStringLen(e.ID) + rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) +
+	id := rec.LenStringLen(e.ID)
+	if packed {
+		id = packedID
+	}
+	n := 3 + id + rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) +
 		rec.UvarintLen(e.Seq) + rec.UvarintLen(e.GlobalSeq) +
 		varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) +
 		varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + varintLen(e.PubNanos) +
@@ -263,7 +327,7 @@ func unmarshalInto(e *Envelope, data []byte) error {
 		return fmt.Errorf("%w %d", ErrPayloadEncoding, enc)
 	}
 	// The reads below run in lexical order, which is the wire order.
-	id, typ, pub := r.header()
+	id, typ, pub := r.header(flags&flagPackedID != 0)
 	*e = Envelope{
 		ID:          id,
 		Type:        typ,
@@ -307,28 +371,58 @@ func (r *envReader) intVal() int {
 // header reads ID, Type and Publisher, which are adjacent on the wire,
 // in one allocation: the bytes from the first of ID to the last of the
 // last field that is not empty are converted once, and the three strings
-// are slices of that.
-func (r *envReader) header() (id, typ, pub string) {
+// are slices of that. A packed ID is spelled out in hex at the front of
+// the block, ahead of the bytes from Type on.
+func (r *envReader) header(packed bool) (id, typ, pub string) {
+	var raw []byte
+	if packed {
+		if raw = r.Buf[r.Off:]; len(raw) < packedID {
+			r.Fail("truncated at offset %d", r.Off)
+			return "", "", ""
+		}
+		raw = raw[:packedID]
+		r.Off += packedID
+	}
 	var at, n [3]int
-	end := 0
+	start := r.Off
+	end := start
 	for i, what := range [...]string{"ID", "Type", "Publisher"} {
+		if i == 0 && packed {
+			continue
+		}
 		b := r.Span(what, 0, maxEnvelopeString)
 		at[i], n[i] = r.Off-len(b), len(b)
 		if len(b) > 0 {
 			end = r.Off
 		}
 	}
-	if r.Err != nil || end == 0 {
+	if r.Err != nil {
 		return "", "", ""
 	}
-	block := string(r.Buf[at[0]:end])
+	var block string
+	switch {
+	case packed:
+		var text [2 * packedID]byte
+		hex.Encode(text[:], raw)
+		var b strings.Builder
+		b.Grow(len(text) + end - start)
+		b.Write(text[:])
+		b.Write(r.Buf[start:end])
+		block = b.String()
+	case end > start:
+		block = string(r.Buf[start:end])
+	}
+	front := 2 * len(raw)
 	field := func(i int) string {
 		if n[i] == 0 {
 			return ""
 		}
-		return block[at[i]-at[0]:][:n[i]]
+		return block[front+at[i]-start:][:n[i]]
 	}
-	return field(0), field(1), field(2)
+	if id = field(0); packed {
+		id = block[:front]
+	}
+	return id, field(1), field(2)
 }
 
 // payload reads the final field, which must end the record. The result

@@ -16,6 +16,12 @@ import (
 	"govents/internal/vclock"
 )
 
+// packable reports whether a link packs id.
+func packable(id string) bool {
+	_, ok := packID(id)
+	return ok
+}
+
 // sameEnvelope compares two envelopes field by field, Birth as an
 // instant (its location is not on the wire).
 func sameEnvelope(a, b *Envelope) bool {
@@ -106,19 +112,29 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data, err := Marshal(tc.env)
-			if err != nil {
-				t.Fatalf("Marshal: %v", err)
-			}
-			if head, _ := headerSize(tc.env); head+len(tc.env.Payload) != len(data) {
-				t.Errorf("headerSize = %d and a payload of %d bytes, record has %d bytes", head, len(tc.env.Payload), len(data))
-			}
-			back, err := Unmarshal(data)
-			if err != nil {
-				t.Fatalf("Unmarshal: %v", err)
-			}
-			if !sameEnvelope(tc.env, back) {
-				t.Errorf("round trip:\n got %+v\nwant %+v", back, tc.env)
+			// Stored, and as a link carries it: with a hex ID, packed.
+			for _, form := range []struct {
+				name   string
+				seal   func(*Envelope) ([]byte, error)
+				packed bool
+			}{{"stored", Marshal, false}, {"link", SealLink, packable(tc.env.ID)}} {
+				data, err := form.seal(tc.env)
+				if err != nil {
+					t.Fatalf("%s: %v", form.name, err)
+				}
+				if head, _ := headerSize(tc.env, form.packed); head+len(tc.env.Payload) != len(data) {
+					t.Errorf("%s: headerSize = %d and a payload of %d bytes, record has %d bytes", form.name, head, len(tc.env.Payload), len(data))
+				}
+				if packed := data[1]&flagPackedID != 0; packed != form.packed {
+					t.Errorf("%s: the record's packed-ID flag is %v, want %v", form.name, packed, form.packed)
+				}
+				back, err := Unmarshal(data)
+				if err != nil {
+					t.Fatalf("%s: Unmarshal: %v", form.name, err)
+				}
+				if !sameEnvelope(tc.env, back) {
+					t.Errorf("%s: round trip:\n got %+v\nwant %+v", form.name, back, tc.env)
+				}
 			}
 		})
 	}
@@ -257,7 +273,8 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"empty", "truncated", nil},
 		{"text", "unknown envelope format", []byte("not an envelope record")},
 		{"gob-framed record of an older build", "unknown envelope format", gobFramed.Bytes()},
-		{"unknown flag", "unknown flags", patch(flagsAt, 0x08)},
+		{"unknown flag", "unknown flags", patch(flagsAt, 0x10)},
+		{"packed ID shorter than 16 bytes", "truncated", patch(flagsAt, flagPackedID)[:flagsAt+1+1+15]},
 		{"trailing byte", "trailing", append(append([]byte(nil), valid...), 0)},
 		{"string longer than the frame", "truncated", patch(idLenAt, 0x7F)},
 		{"string over its cap", "ID of 65536 bytes exceeds", patch(idLenAt, 0x80, 0x80, 0x04)},
@@ -385,6 +402,15 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		f.Add(data[:len(data)/2])
 	}
 	f.Add([]byte("not an envelope record"))
+	for _, env := range []*Envelope{flatFIFOEnvelope(), everyFieldEnvelope(), link, noType} {
+		data, err := SealLink(env) // the ID is hex: packed
+		if err != nil || data[1]&flagPackedID == 0 {
+			f.Fatalf("SealLink of %+v: %x, %v", env, data, err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:5]) // a packed ID cut short
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
 		reused := everyFieldEnvelope()
@@ -401,6 +427,9 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 			t.Fatalf("decoded over a filled envelope:\n got %+v\nwant %+v", reused, env)
 		}
 		held := len(env.ID) + len(env.Type) + len(env.Publisher) + len(env.Payload)
+		if data[1]&flagPackedID != 0 {
+			held -= packedID // a packed ID's 32 characters come from 16 bytes
+		}
 		for k := range env.VC {
 			held += len(k)
 		}
@@ -417,6 +446,35 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		}
 		if !sameEnvelope(env, back) {
 			t.Fatalf("re-marshal changed the envelope:\n got %+v\nwant %+v", back, env)
+		}
+		// The stored form, and the link form, which packs a hex ID: both
+		// decode to the envelope, and each re-encodes byte for byte in its
+		// own form. A clock of two entries or more is written in map
+		// order, so there only the fields are compared.
+		for _, packed := range []bool{false, packable(env.ID)} {
+			head, err := headerSize(env, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var id *[packedID]byte
+			if packed {
+				raw, _ := packID(env.ID)
+				id = &raw
+			}
+			form := appendRecord(nil, head, env, id)
+			if got := form[1]&flagPackedID != 0; got != packed {
+				t.Fatalf("a record sealed with packed=%v has the packed-ID flag %v", packed, got)
+			}
+			back, err := Unmarshal(form)
+			if err != nil || !sameEnvelope(env, back) {
+				t.Fatalf("the packed=%v form decodes to %+v, %v; want %+v", packed, back, err, env)
+			}
+			if len(env.VC) > 1 {
+				continue
+			}
+			if again := appendRecord(nil, head, back, id); !bytes.Equal(again, form) {
+				t.Fatalf("the packed=%v form re-encodes as\n%x, was\n%x", packed, again, form)
+			}
 		}
 	})
 }

@@ -721,7 +721,9 @@ func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicas
 // out (elide) what the link already says: the class, which the channel
 // names, and the publisher when it is this node, which the multicast
 // origin names. An empty string is a legal field, so the layout is one
-// and openInto puts both back. A certified class's record is sealed in full:
+// and openInto puts both back. The link form also packs the ID into the
+// 16 bytes its hex spells (codec.SealLink), which the decoder spells out
+// again. A certified class's record is sealed in full:
 // the outbox and the subscriber's inbox keep it past the link and the
 // address, and replay reads it with neither. env is not written to; an
 // envelope fresh from Encode gets its header written in front of its
@@ -735,7 +737,7 @@ func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
 	if link.Publisher == n.self {
 		link.Publisher = ""
 	}
-	return codec.Seal(&link)
+	return codec.SealLink(&link)
 }
 
 // openInto decodes a record that arrived on class's channel from origin

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +42,30 @@ func (s scribbleTransport) Send(to string, frame []byte) error {
 // the subscriber at the other domain, and the publisher's own, intact
 // and once each, and nothing fails to decode.
 func TestSentFramesAreNotKeptAcrossDomains(t *testing.T) {
+	matrixAcrossDomains(t, netsim.Config{DupRate: 0.2, Seed: 5})
+}
+
+// TestStreamHandshakeUnderLossAndDuplication runs the same matrix on a
+// network that also loses a fifth of all frames, the handshake's own
+// known and unknown frames included, while every stream is spelled,
+// confirmed and shortened: every event of a reliable class arrives once,
+// no best-effort event arrives that was not published, and once the
+// first burst is in, every class's frames go short. Fails in some runs
+// (4 in 10 when tried) if a receiver answers only the first spelled
+// frame of a stream with known: when that answer is lost, the stream
+// stays spelled for good (TestMuxLostKnownIsAnsweredAgain in
+// internal/multicast fails on it every time).
+func TestStreamHandshakeUnderLossAndDuplication(t *testing.T) {
+	matrixAcrossDomains(t, netsim.Config{LossRate: 0.2, DupRate: 0.2, Seed: 7})
+}
+
+// matrixAcrossDomains publishes two bursts of 20 events of each
+// protocol's class from one of two domains on a network with the given
+// faults, both domains subscribed to every class, and checks what each
+// delivered, and that the publishing domain's second burst went short:
+// the first confirmed every class's stream. A lossy network may lose
+// best-effort events, which must then only not be invented.
+func matrixAcrossDomains(t *testing.T, cfg netsim.Config) {
 	classes := []matrixClass{
 		matrixClassOf("be",
 			func(n int) StockQuote { return StockQuote{StockObvent{Company: "T", Amount: n}} },
@@ -52,10 +78,14 @@ func TestSentFramesAreNotKeptAcrossDomains(t *testing.T) {
 		matrixClassOf("total", func(n int) orderedTick { return orderedTick{N: n} }, func(k orderedTick) int { return k.N }),
 		matrixClassOf("cert", func(n int) certTrade { return certTrade{N: n} }, func(c certTrade) int { return c.N }),
 	}
-	net := netsim.New(netsim.Config{DupRate: 0.2, Seed: 5})
+	net := netsim.New(cfg)
 	defer net.Close()
 	addrs := []string{"node-0", "node-1"}
 	nodes := make([]*testNode, len(addrs))
+	counter := &formCounter{streams: make(map[uint32]bool)}
+	for _, c := range classes {
+		counter.streams[streamKey(c.stream)] = true
+	}
 	for i, addr := range addrs {
 		ep, err := net.NewEndpoint(addr)
 		if err != nil {
@@ -63,7 +93,12 @@ func TestSentFramesAreNotKeptAcrossDomains(t *testing.T) {
 		}
 		reg := obvent.NewRegistry()
 		registerAll(reg)
-		dn := NewNode(scribbleTransport{ep}, reg, fastCfg())
+		var tr netsim.Transport = scribbleTransport{ep}
+		if i == 0 {
+			counter.Transport = tr
+			tr = counter
+		}
+		dn := NewNode(tr, reg, fastCfg())
 		nodes[i] = &testNode{node: dn, engine: core.NewEngine(addr, dn, core.WithRegistry(reg))}
 		defer nodes[i].engine.Close()
 	}
@@ -90,47 +125,88 @@ func TestSentFramesAreNotKeptAcrossDomains(t *testing.T) {
 		waitAds(t, n.node, len(classes))
 	}
 	const events = 20
-	for n := 0; n < events; n++ {
-		for _, c := range classes {
-			if err := c.publish(nodes[0].engine, n); err != nil {
-				t.Fatalf("%s: publish %d: %v", c.tag, n, err)
+	lossy := cfg.LossRate > 0
+	var want, published []string
+	for burst := range 2 {
+		counter.reset()
+		from, to := burst*events, (burst+1)*events
+		for n := from; n < to; n++ {
+			for _, c := range classes {
+				if err := c.publish(nodes[0].engine, n); err != nil {
+					t.Fatalf("%s: publish %d: %v", c.tag, n, err)
+				}
 			}
 		}
+		for _, addr := range addrs {
+			for _, c := range classes {
+				for n := from; n < to; n++ {
+					k := fmt.Sprintf("%s/%s/%d", addr, c.tag, n)
+					published = append(published, k)
+					if !lossy || c.tag != "be" || addr == addrs[0] {
+						want = append(want, k)
+					}
+				}
+			}
+		}
+		waitFor(t, 15*time.Second, "every event at both domains", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, k := range want {
+				if got[k] == 0 {
+					return false
+				}
+			}
+			return true
+		})
 	}
-	var want []string
-	for _, addr := range addrs {
-		for _, c := range classes {
-			for n := 0; n < events; n++ {
-				want = append(want, fmt.Sprintf("%s/%s/%d", addr, c.tag, n))
-			}
-		}
+	if short, spelled := counter.count(); spelled != 0 || short == 0 {
+		t.Errorf("node-0 sent its second burst's class frames %d short and %d spelled, want every one short", short, spelled)
 	}
-	waitFor(t, 15*time.Second, "every event at both domains", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, k := range want {
-			if got[k] == 0 {
-				return false
-			}
-		}
-		return true
-	})
 	mu.Lock()
 	for k, n := range got {
 		if n != 1 && !strings.Contains(k, "/be/") { // the unreliable class does not deduplicate
 			t.Errorf("%s delivered %d times", k, n)
 		}
+		if !slices.Contains(published, k) {
+			t.Errorf("%s delivered, and never published", k)
+		}
 	}
-	if len(got) != len(want) {
+	if !lossy && len(got) != len(want) {
 		t.Errorf("%d distinct deliveries, want %d", len(got), len(want))
 	}
 	mu.Unlock()
+	if _, _, dropped, _ := net.Stats(); lossy && dropped == 0 {
+		t.Error("the network lost no frame")
+	}
 	for i, n := range nodes {
 		if st := n.engine.Stats(); st.DecodeErrors != 0 {
 			t.Errorf("%s: DecodeErrors = %d, want 0", addrs[i], st.DecodeErrors)
 		}
 	}
 }
+
+// formCounter counts the frames its endpoint sends on the given
+// streams, short and spelled.
+type formCounter struct {
+	netsim.Transport
+	streams        map[uint32]bool // by key; read-only once sending starts
+	short, spelled atomic.Int64
+}
+
+func (f *formCounter) Send(to string, frame []byte) error {
+	if key, ok := frameKey(frame); ok && f.streams[key] {
+		if frame[0] == 0 {
+			f.short.Add(1)
+		} else {
+			f.spelled.Add(1)
+		}
+	}
+	return f.Transport.Send(to, frame)
+}
+
+func (f *formCounter) reset() { f.short.Store(0); f.spelled.Store(0) }
+
+func (f *formCounter) count() (short, spelled int64) { return f.short.Load(), f.spelled.Load() }
 
 // padFIFO and padCert are a FIFO and a certified class with a payload of
 // any size.
@@ -165,7 +241,7 @@ func TestUnframeablePublicationIsDeliveredLocally(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tap := &sendTap{Transport: ep, streams: map[string]bool{streamName("fifo", fifoClass): true}}
+				tap := &sendTap{Transport: ep, streams: map[uint32]bool{streamKey(streamName("fifo", fifoClass)): true}}
 				reg := obvent.NewRegistry()
 				reg.MustRegister(padFIFO{})
 				dn := NewNode(tap, reg, fastCfg())
@@ -203,18 +279,40 @@ func TestUnframeablePublicationIsDeliveredLocally(t *testing.T) {
 	}
 }
 
-// sendTap counts the frames its endpoint sends on the given streams.
+// sendTap counts the frames its endpoint sends on the given streams,
+// by key.
 type sendTap struct {
 	netsim.Transport
-	streams map[string]bool
+	streams map[uint32]bool
 	sent    atomic.Int64
 }
 
 func (s *sendTap) Send(to string, frame []byte) error {
-	if n := int(binary.BigEndian.Uint16(frame)); s.streams[string(frame[2:2+n])] {
+	if key, ok := frameKey(frame); ok && s.streams[key] {
 		s.sent.Add(1)
 	}
 	return s.Transport.Send(to, frame)
+}
+
+// frameKey returns the key of the stream a mux frame carries a record
+// on, whether it spells the stream's name (1, a two-byte length, the
+// name, then the short form) or is short (0, the four-byte key, the
+// record). A handshake frame carries no record.
+func frameKey(frame []byte) (uint32, bool) {
+	if len(frame) >= 3 && frame[0] == 1 {
+		frame = frame[min(3+int(binary.BigEndian.Uint16(frame[1:])), len(frame)):]
+	}
+	if len(frame) < 5 || frame[0] != 0 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(frame[1:]), true
+}
+
+// streamKey is the key of a stream name: its FNV-1a hash.
+func streamKey(name string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return h.Sum32()
 }
 
 // TestUnframeablePublicationIsRefused publishes, over TCP to a
@@ -244,8 +342,8 @@ func TestUnframeablePublicationIsRefused(t *testing.T) {
 	}
 	defer subTr.Close()
 	fifoClass, certClass := className[padFIFO](), className[padCert]()
-	tap := &sendTap{Transport: pubTr, streams: map[string]bool{
-		streamName("fifo", fifoClass): true, streamName("cert", certClass): true}}
+	tap := &sendTap{Transport: pubTr, streams: map[uint32]bool{
+		streamKey(streamName("fifo", fifoClass)): true, streamKey(streamName("cert", certClass)): true}}
 	pub, sub := open(tap), open(subTr)
 	peers := []string{pubTr.Addr(), subTr.Addr()}
 	pub.node.SetPeers(peers)

@@ -15,13 +15,15 @@ import (
 // its semantics resolve to; events are told apart by a number.
 type matrixClass struct {
 	tag       string
+	stream    string // the class's channel
 	subscribe func(e *core.Engine, got func(n int)) error
 	publish   func(e *core.Engine, n int) error
 }
 
 func matrixClassOf[T obvent.Obvent](tag string, mk func(n int) T, num func(T) int) matrixClass {
 	return matrixClass{
-		tag: tag,
+		tag:    tag,
+		stream: streamName(tag, className[T]()),
 		subscribe: func(e *core.Engine, got func(n int)) error {
 			s, err := core.Subscribe(e, nil, func(o T) { got(num(o)) })
 			if err != nil {

@@ -37,18 +37,22 @@ func sealNode(t *testing.T) *Node {
 	return n
 }
 
-// marshaled is the record seal owes env: Marshal's, with what a link
-// leaves out left out.
+// marshaled is the record seal owes env: Marshal's, or on a link,
+// with what a link leaves out left out and the ID packed, SealLink's of
+// a copy of the payload, which it cannot write in place.
 func marshaled(t *testing.T, n *Node, env *codec.Envelope, elide bool) []byte {
 	t.Helper()
 	want := *env
+	marshal := codec.Marshal
 	if elide {
 		want.Type = ""
 		if want.Publisher == n.self {
 			want.Publisher = ""
 		}
+		want.Payload = bytes.Clone(want.Payload)
+		marshal = codec.SealLink
 	}
-	b, err := codec.Marshal(&want)
+	b, err := marshal(&want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import "fmt"
 // the paper's DACE architecture uses for unreliable obvents (§4.2).
 type BestEffort struct {
 	mux    *Mux
-	stream string
+	stream stream
 	self   string
 
 	upcall  *releaseList
@@ -22,7 +22,7 @@ var _ Group = (*BestEffort)(nil)
 func NewBestEffort(mux *Mux, stream string, deliver Deliver) *BestEffort {
 	g := &BestEffort{
 		mux:    mux,
-		stream: stream,
+		stream: newStream(stream),
 		self:   mux.Addr(),
 		lc:     newLifecycle(),
 		upcall: newReleaseList(deliver),
@@ -67,7 +67,7 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 
 // Close implements Group.
 func (g *BestEffort) Close() error {
-	g.mux.Unhandle(g.stream)
+	g.mux.Unhandle(g.stream.name)
 	g.lc.close()
 	g.upcall.close()
 	return nil

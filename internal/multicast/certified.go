@@ -59,7 +59,7 @@ type Stager interface {
 // package documentation).
 type Certified struct {
 	mux    *Mux
-	stream string
+	stream stream
 	self   string
 	opts   Options
 	epoch  uint64
@@ -121,7 +121,7 @@ func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliv
 	opts = opts.withDefaults()
 	g := &Certified{
 		mux:    mux,
-		stream: stream,
+		stream: newStream(stream),
 		self:   mux.Addr(),
 		opts:   opts,
 		epoch:  newEpoch(),
@@ -192,7 +192,7 @@ func (g *Certified) SetMembers(members []string) {
 	}
 	if err := g.SetSubscribers(subs); err != nil {
 		g.opts.Logger.Warn("multicast: certified membership update failed",
-			"stream", g.stream, "err", err)
+			"stream", g.stream.name, "err", err)
 	}
 }
 
@@ -249,7 +249,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 			if err := g.log.AckRuns(durableID, run[:]); err != nil {
 				// Still pending for us: redelivery acknowledges it.
 				g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
-					"stream", g.stream, "subscriber", durableID, "id", id, "err", err)
+					"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
 			}
 		}
 	}
@@ -264,7 +264,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 
 // Close implements Group.
 func (g *Certified) Close() error {
-	g.mux.Unhandle(g.stream)
+	g.mux.Unhandle(g.stream.name)
 	g.lc.close()
 	g.upcall.close()
 	return nil
@@ -311,7 +311,7 @@ func (g *Certified) redeliver() {
 		pending, err := g.log.Pending(durableID)
 		if err != nil {
 			g.opts.Logger.Warn("multicast: certified redelivery cannot read outbox",
-				"stream", g.stream, "subscriber", durableID, "err", err)
+				"stream", g.stream.name, "subscriber", durableID, "err", err)
 			continue
 		}
 		if owed, shared := due[addr]; shared {
@@ -333,7 +333,7 @@ func (g *Certified) redeliver() {
 			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Seq: e.Offset, Epoch: g.epoch, Payload: e.Payload})
 			if err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
-					"stream", g.stream, "addr", addr, "id", e.ID, "err", err)
+					"stream", g.stream.name, "addr", addr, "id", e.ID, "err", err)
 			}
 		}
 	}
@@ -374,7 +374,7 @@ func (g *Certified) onMessage(from string, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil {
 		g.opts.Logger.Warn("multicast: certified dropping undecodable frame",
-			"stream", g.stream, "from", from, "bytes", len(data), "err", err)
+			"stream", g.stream.name, "from", from, "bytes", len(data), "err", err)
 		return
 	}
 	switch m.Kind {
@@ -388,7 +388,7 @@ func (g *Certified) onMessage(from string, data []byte) {
 		fresh, err := g.in.Stage(m.ID, from, m.Payload)
 		if err != nil {
 			g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
-				"stream", g.stream, "id", m.ID, "err", err)
+				"stream", g.stream.name, "id", m.ID, "err", err)
 			return // no ack: the publisher keeps redelivering
 		}
 		g.mu.Lock()
@@ -432,7 +432,7 @@ func (g *Certified) onMessage(from string, data []byte) {
 				level = slog.LevelDebug // an identity that subscribed and left
 			}
 			g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
-				"stream", g.stream, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
+				"stream", g.stream.name, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package multicast
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"reflect"
@@ -40,7 +39,7 @@ func newTapNode(t *testing.T, net *netsim.Network, addr string) (*testNode, *tap
 
 func (tt *tapTransport) Send(to string, frame []byte) error {
 	var m message
-	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil {
+	if decodeFrame(frame, &m) == nil {
 		tt.mu.Lock()
 		switch m.Kind {
 		case kindCertData:
@@ -410,7 +409,7 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: []byte{0, 0}}, // a zero gap: malformed
 		{Kind: kindCertAck, Origin: "nobody", Epoch: gp.epoch, Payload: all},
 	} {
-		if err := sub.mux.sendMessage("pub", "cls", &ack); err != nil {
+		if err := sub.mux.sendMessage("pub", newStream("cls"), &ack); err != nil {
 			t.Fatal(err)
 		}
 		if n := owed(); n != 3 {
@@ -418,7 +417,7 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 		}
 	}
 	ack := message{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
-	if err := sub.mux.sendMessage("pub", "cls", &ack); err != nil {
+	if err := sub.mux.sendMessage("pub", newStream("cls"), &ack); err != nil {
 		t.Fatal(err)
 	}
 	if n := owed(); n != 1 {

@@ -2,6 +2,7 @@ package multicast
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -13,13 +14,27 @@ import (
 // sendRaw sends payload to one address as the whole body of a frame on
 // stream, no protocol record around it: a frame as any peer may inject.
 func sendRaw(m *Mux, to, stream string, payload []byte) error {
-	f, err := newFrame(stream, len(payload))
+	f, err := newFrame(newStream(stream), len(payload))
 	if err != nil {
 		return err
 	}
 	defer f.release()
 	f.b = append(f.b, payload...)
 	return m.tr.Send(to, f.b)
+}
+
+// decodeFrame decodes the record of a frame as a transport is handed
+// it, spelled or short; a handshake frame has none.
+func decodeFrame(frame []byte, m *message) error {
+	switch {
+	case len(frame) >= shortHeader && frame[0] == frameShort:
+		return decodeMessage(frame[shortHeader:], m)
+	case len(frame) >= 3 && frame[0] == frameSpelled:
+		if n := int(binary.BigEndian.Uint16(frame[1:])); len(frame) >= spelledHeader+n {
+			return decodeMessage(frame[spelledHeader+n:], m)
+		}
+	}
+	return errors.New("not a record frame")
 }
 
 func TestMuxFallbackAndRedeliver(t *testing.T) {
@@ -91,16 +106,48 @@ func TestMuxUnhandleStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestMuxMalformedFramesIgnored: a frame too short for a key, a spelled
+// frame whose name runs past its end, whose short form is missing or
+// another kind, or whose key is not its name's, and a short frame whose
+// key is nobody's (a frame of the layout before keys reads as one) reach
+// no handler. Only the last is answered, with unknown.
 func TestMuxMalformedFramesIgnored(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 	a, _ := net.NewEndpoint("raw")
+	var mu sync.Mutex
+	var answers [][]byte
+	a.SetHandler(func(_ string, p []byte) {
+		mu.Lock()
+		answers = append(answers, bytes.Clone(p))
+		mu.Unlock()
+	})
 	b := newTestNode(t, net, "b")
 	b.mux.Handle("s", func(string, []byte) { t.Error("malformed frame dispatched") })
-	// Too short, and stream-length pointing past the end.
-	_ = a.Send("b", []byte{0x00})
-	_ = a.Send("b", []byte{0xFF, 0xFF, 'x'})
+	key := binary.BigEndian.AppendUint32(nil, streamKey("s"))
+	wrong := binary.BigEndian.AppendUint32(nil, streamKey("t"))
+	for _, f := range [][]byte{
+		{},
+		{frameShort},
+		append([]byte{frameShort}, key[:3]...),
+		{frameSpelled, 0xFF, 0xFF, 's'},
+		{frameSpelled, 0, 1, 's'},
+		append([]byte{frameSpelled, 0, 1, 's', frameShort}, key[:3]...),
+		append(append([]byte{frameSpelled, 0, 1, 's', frameKnown}, key...), "x"...),
+		append(append([]byte{frameSpelled, 0, 1, 's', frameShort}, wrong...), "x"...),
+		append([]byte{frameKnown}, append(key, 0)...),
+		{frameUnknown},
+		{0xFF, 0, 0, 0, 0, 'x'},
+	} {
+		_ = a.Send("b", f)
+	}
+	_ = a.Send("b", append([]byte{0, 1, 's'}, "record"...))
 	net.Settle()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(answers) != 1 || answers[0][0] != frameUnknown {
+		t.Errorf("the malformed frames drew %x, want one unknown frame", answers)
+	}
 }
 
 func TestMuxStreamNameTooLong(t *testing.T) {
@@ -111,7 +158,7 @@ func TestMuxStreamNameTooLong(t *testing.T) {
 	for i := range long {
 		long[i] = 's'
 	}
-	if err := a.mux.sendMessage("a", string(long), &message{Kind: kindData}); err == nil {
+	if err := a.mux.sendMessage("a", newStream(string(long)), &message{Kind: kindData}); err == nil {
 		t.Error("oversized stream name must fail")
 	}
 }
@@ -143,7 +190,8 @@ func TestFanOutFramesOnce(t *testing.T) {
 	tap := &frameTap{Transport: ep}
 	m := NewMux(tap)
 	msg := message{Kind: kindData, Payload: []byte("m")}
-	if err := m.fanOut([]string{"b", "a", "c", "d"}, "a", "s", &msg); err != nil {
+	s := newStream("s")
+	if err := m.fanOut([]string{"b", "a", "c", "d"}, "a", s, &msg); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(tap.to, ","); got != "b,c,d" {
@@ -151,16 +199,17 @@ func TestFanOutFramesOnce(t *testing.T) {
 	}
 	var got message
 	for _, f := range tap.frames {
-		if err := decodeMessage([]byte(f[3:]), &got); err != nil || string(got.Payload) != "m" {
+		// Nobody confirmed the key: the name is spelled to everyone.
+		if err := decodeMessage([]byte(f[spelledHeader+len("s"):]), &got); err != nil || string(got.Payload) != "m" {
 			t.Errorf("a destination was sent %q", f)
 		}
 	}
 	tap.to = nil
 	huge := message{Kind: kindData, Payload: make([]byte, netsim.MaxFrame)}
-	if err := m.fanOut([]string{"a"}, "a", "s", &huge); err != nil || len(tap.to) != 0 {
+	if err := m.fanOut([]string{"a"}, "a", s, &huge); err != nil || len(tap.to) != 0 {
 		t.Errorf("a fan-out to self only: %v, %d sends; want nil and none", err, len(tap.to))
 	}
-	if err := m.fanOut([]string{"a", "b"}, "a", "s", &huge); !errors.Is(err, netsim.ErrFrameTooLarge) || len(tap.to) != 0 {
+	if err := m.fanOut([]string{"a", "b"}, "a", s, &huge); !errors.Is(err, netsim.ErrFrameTooLarge) || len(tap.to) != 0 {
 		t.Errorf("an unframeable fan-out: %v, %d sends; want ErrFrameTooLarge and none", err, len(tap.to))
 	}
 }
@@ -184,15 +233,16 @@ func TestMuxSendAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 1200)
 	data := message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
 	dests := []string{"b", "a", "c", "d"}
+	fifo, be := newStream("dace/fifo/some.Class"), newStream("dace/be/some.Class")
 	long := message{Kind: kindData, Payload: make([]byte, 2*maxPooledFrame)}
 	for _, tc := range []struct {
 		what string
 		send func() error
 		want float64
 	}{
-		{"sendMessage", func() error { return m.sendMessage("b", "dace/fifo/some.Class", &data) }, 0},
-		{"fanOut", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &data) }, 0},
-		{"fanOut of a long record", func() error { return m.fanOut(dests, "a", "dace/be/some.Class", &long) }, 1},
+		{"sendMessage", func() error { return m.sendMessage("b", fifo, &data) }, 0},
+		{"fanOut", func() error { return m.fanOut(dests, "a", be, &data) }, 0},
+		{"fanOut of a long record", func() error { return m.fanOut(dests, "a", be, &long) }, 1},
 	} {
 		if n := testing.AllocsPerRun(200, func() {
 			if err := tc.send(); err != nil {

@@ -537,6 +537,12 @@ func TestTotalStateBoundedByInFlight(t *testing.T) {
 	waitFor(t, 30*time.Second, "all acknowledged", func() bool {
 		return groups["b"].req.Outstanding() == 0 && groups["seq"].inner.Outstanding() == 0
 	})
+	// stateSize reads the groups without their locks: stop their timers
+	// (a tick retires log chunks) and let what is in flight land first.
+	for _, g := range groups {
+		_ = g.Close()
+	}
+	net.Settle()
 
 	// A queue's backing array keeps the capacity of the deepest it has
 	// been, which is the traffic in flight: the window, plus what awaits

@@ -54,7 +54,7 @@ import (
 // stable storage.
 type Reliable struct {
 	mux    *Mux
-	stream string
+	stream stream
 	self   string
 	opts   Options
 	epoch  uint64
@@ -353,7 +353,7 @@ func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliab
 	opts = opts.withDefaults()
 	g := &Reliable{
 		mux:    mux,
-		stream: stream,
+		stream: newStream(stream),
 		self:   mux.Addr(),
 		opts:   opts,
 		epoch:  newEpoch(),
@@ -508,7 +508,7 @@ func (g *Reliable) transmit(frames []linkFrame) {
 
 // Close implements Group.
 func (g *Reliable) Close() error {
-	g.mux.Unhandle(g.stream)
+	g.mux.Unhandle(g.stream.name)
 	g.lc.close()
 	g.upcall.close()
 	return nil

@@ -219,8 +219,7 @@ type lossyTransport struct {
 
 func (l *lossyTransport) Send(to string, frame []byte) error {
 	var m message
-	stream := int(binary.BigEndian.Uint16(frame))
-	if decodeMessage(frame[2+stream:], &m) == nil && l.drop(&m) {
+	if decodeFrame(frame, &m) == nil && l.drop(&m) {
 		return nil
 	}
 	return l.Transport.Send(to, frame)
@@ -641,7 +640,7 @@ type seqTap struct {
 
 func (s *seqTap) Send(to string, frame []byte) error {
 	var m message
-	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindData && m.Seq == 2 {
+	if decodeFrame(frame, &m) == nil && m.Kind == kindData && m.Seq == 2 {
 		s.seq2.Add(1)
 	}
 	return s.Transport.Send(to, frame)
@@ -723,7 +722,7 @@ type sentBytesTap struct {
 
 func (s *sentBytesTap) Send(to string, frame []byte) error {
 	var m message
-	if n := int(binary.BigEndian.Uint16(frame)); decodeMessage(frame[2+n:], &m) == nil && m.Kind == kindData {
+	if decodeFrame(frame, &m) == nil && m.Kind == kindData {
 		s.data.Add(1)
 		if !bytes.Equal(m.Payload, s.want(m.Seq)) {
 			s.wrong.Add(1)
