@@ -1004,7 +1004,7 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	flat.Publisher, flat.Seq = "127.0.0.1:40123", 1234
+	flat.Publisher = "127.0.0.1:40123"
 	every := *flat
 	every.VC = vclock.VC{"127.0.0.1:40123": 1234, "127.0.0.1:40124": 77, "127.0.0.1:40125": 3}
 	every.Priority, every.HasPriority = 5, true

@@ -48,17 +48,19 @@ func (tap *selfTap) sentTo(addr string) []uint32 {
 }
 
 // frameKey returns the key of the stream a mux frame carries a record
-// on, whether it spells the stream's name (1, a two-byte length, the
-// name, then the short form) or is short (0, the four-byte key, the
-// record). A handshake frame carries no record.
+// on, whether it spells the stream's name (1, or 5 with an epoch, then a
+// two-byte length and the name) or is short (0, or 4 with a number,
+// then the four-byte key). A handshake frame carries no record.
 func frameKey(frame []byte) (uint32, bool) {
-	if len(frame) >= 3 && frame[0] == 1 {
-		frame = frame[min(3+int(binary.BigEndian.Uint16(frame[1:])), len(frame)):]
+	switch {
+	case len(frame) >= 3 && (frame[0] == 1 || frame[0] == 5):
+		if n := int(binary.BigEndian.Uint16(frame[1:])); len(frame) >= 3+n {
+			return streamKey(string(frame[3 : 3+n])), true
+		}
+	case len(frame) >= 5 && (frame[0] == 0 || frame[0] == 4):
+		return binary.BigEndian.Uint32(frame[1:]), true
 	}
-	if len(frame) < 5 || frame[0] != 0 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(frame[1:]), true
+	return 0, false
 }
 
 // streamKey is the key of a stream name: its FNV-1a hash.

@@ -162,23 +162,24 @@
 // struct and the payload's copy as well):
 //
 //	format       1 byte   0xE1
-//	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock,
-//	                      8 packed-ID (link form only)
+//	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock;
+//	                      link form only: 8 packed-ID, 16 has-Type,
+//	                      32 has-Publisher, 64 has-TTL, 128 link form
 //	Enc          1 byte   payload encoding, always 1 (the compiled one)
 //	ID           uvarint length (at most 65535) + bytes; packed-ID: 16 bytes
-//	Type         uvarint length (at most 65535) + bytes
-//	Publisher    likewise
-//	Seq          uvarint
-//	GlobalSeq    uvarint
+//	Type         uvarint length (at most 65535) + bytes; link form: has-Type only
+//	Publisher    likewise; link form: has-Publisher only
+//	(retired)    stored form only: two uvarints, written 0, read and dropped
 //	Reliability  zigzag varint
 //	Ordering     zigzag varint
-//	Priority     zigzag varint
-//	TTL          zigzag varint, nanoseconds
+//	Priority     zigzag varint; link form: has-priority only
+//	TTL          zigzag varint, nanoseconds; link form: has-TTL only
 //	PubNanos     zigzag varint
 //	Birth        has-birth only: zigzag varint Unix seconds, uvarint nanoseconds
 //	VC           has-vector-clock only: uvarint count (1 to 65535), then per
 //	             entry a length-prefixed key and a uvarint value
-//	Payload      uvarint length + bytes, ending the record
+//	Payload      stored form: uvarint length + bytes, ending the record;
+//	             link form: the rest of the record
 //
 // The decoder faces peers and disks: it checks every length against
 // the bytes that remain and the field's cap before allocating, and
@@ -228,10 +229,10 @@
 // envelope it rewrites, and a lane queues a copy by value, dispatches
 // it from a slot of its own and zeroes it.
 //
-// Two forms of the record exist, and they differ only in which strings
-// are empty. Stored (outbox, inbox, spill log), every field is spelled
-// out: the record outlives the link it came by and the address of the
-// node that wrote it, and replay reads it with neither. So is the
+// Two forms of the record exist. Stored (outbox, inbox, spill log),
+// every field is spelled out: the record outlives the link it came by
+// and the address of the node that wrote it, and replay reads it with
+// neither. So is the
 // record of a certified class on the wire, because that record is the
 // one its outbox and its subscriber's inbox keep. On the link of every
 // other class the record leaves out what the link already says: Type is
@@ -242,21 +243,30 @@
 // sequencer relays). The receiving node puts both
 // back before the engine sees the envelope, which is field for field
 // the published one; a Publisher that is not the publishing node
-// travels as it is. An empty string was always a legal field, so there
-// is no flag, no second layout and no second decoder, and the saving is
-// the two strings: about a tenth of the wire bytes of a small event. The
-// link form also packs the ID: an ID of 32 lowercase hex characters (the
+// travels as it is. The link form then sends only what is not zero:
+// Type, Publisher and TTL each under a flag of its own, Priority only
+// with has-priority (a Priority without it does not travel), no
+// payload length (the payload is the rest of the record), and neither
+// of the two sequence numbers the envelope once had, which nothing set
+// or read and which are gone; for a plain FIFO event that is 7 bytes
+// less. It also packs the ID: an ID of 32 lowercase hex characters (the
 // form every ID Publish mints has) travels as the 16 bytes it spells,
 // under the packed-ID flag, and the decoder spells it out again in the
 // one allocation that holds the three strings. Any other ID travels as
 // it is. In memory, in traces, in an outbox and on disk the ID is the
-// string; a stored record never sets the flag, so every stored record
-// is byte for byte what it was.
+// string. A stored record sets none of the link form's flags and keeps
+// its layout byte for byte: it writes 0 where the retired sequence
+// numbers were, and the decoder reads whatever an older build wrote
+// there and drops it, so every stored record still opens, and one an
+// older build wrote with a sequence number is written back with 0 in
+// its place.
 // The break is one way and stated, not negotiated: this build reads a
 // full record on any link (a fixture written by the build before it
 // pins that), while a build from before the link form finds no class in
 // a link record, so no subscription to hand it to, and drops it without
-// a count. Upgrade a domain together.
+// a count, and one from before the link form's flags refuses this
+// build's link records as naming unknown flags. Upgrade a domain
+// together.
 //
 // Builds before this one sent a class their compiler refused as gob,
 // payload encoding 0: every Timely class, and any class with an
@@ -285,20 +295,22 @@
 // header: the reliable link that the reliable and ordered classes
 // (§3.1.2) ride, the stream multiplexer, and the TCP transport. A FIFO
 // event whose payload is 44 bytes crosses the wire as one data frame of
-// 102 bytes (98 and the TCP length word), and a sixteenth of a 20-byte
-// acknowledgement (TestFIFOFrameBytesAfterHandshake in internal/dace
-// pins both).
+// 85 bytes (84 and the TCP length prefix, one byte), and a sixteenth of
+// an 11-byte acknowledgement (TestFIFOFrameBytesAfterHandshake in
+// internal/dace pins the frames without the prefix). The stream's name
+// and the sender's incarnation cross each link once, in a handshake, and
+// a key and a one-byte number stand for them afterwards.
 //
 // Every multicast protocol speaks one record: a kind byte, a uvarint of
 // presence flags, then only the fields that are not zero, the payload
 // last and unprefixed (it is the rest of the record):
 //
 //	kind      1 byte
-//	flags     uvarint: 1 Seq, 4 Epoch, 8 Base, 32 Origin, 64 ID, 256 VC
+//	flags     uvarint: 1 Seq, 4 Inc, 8 Base, 32 Origin, 64 ID, 256 VC
 //	          (2, 16 and 128 are retired and rejected as unknown; kind 5
 //	          is retired too, and no protocol reads it)
 //	Seq       uvarint
-//	Epoch     uvarint
+//	Inc       uvarint
 //	Base      uvarint, counted down from Seq (absolute when there is no Seq)
 //	Origin    uvarint length (1 to 65535) + bytes
 //	ID        likewise
@@ -313,14 +325,15 @@
 // it was given rather than a copy.
 //
 // The reliable layer numbers what it sends per link, one (sender,
-// destination) pair, instead of naming each message. A data frame
-// carries:
+// destination) pair, instead of naming each message. Every frame of a
+// link is of one incarnation of its sender's group, whose epoch is the
+// microsecond it created the group, strictly increasing within a
+// process; the multiplexer carries it (below) and hands it over with
+// each frame. A receiver that meets a later epoch than it knows starts
+// the link afresh, so a restarted sender, numbering from 1 again, is
+// delivered and not mistaken for its own duplicates; a frame of an
+// earlier epoch is dropped. A data frame carries:
 //
-//	Epoch  the sender's incarnation: the microsecond it created the group,
-//	       strictly increasing within a process. A receiver that meets a
-//	       later epoch than it knows starts the link afresh, so a restarted
-//	       sender, numbering from 1 again, is delivered and not mistaken for
-//	       its own duplicates; a frame of an earlier epoch is dropped.
 //	Seq    the link sequence, 1, 2, 3, … per destination, never reused, and
 //	       continued across the destination leaving and rejoining.
 //	Base   the lowest link sequence the sender still owes this destination.
@@ -349,12 +362,15 @@
 // to a destination until it acknowledges or leaves the membership; it
 // never gives up on a member. When it abandons a destination that left,
 // it drops what it owed there and announces the new Base in a frame of
-// its own, of the "step over" kind: Epoch and Base, no Seq and no
-// payload, consuming no sequence. A receiver that holds frames behind
+// its own, of the "step over" kind: a Base, no Seq and no payload,
+// consuming no sequence. A receiver that holds frames behind
 // the abandoned ones releases them on it, not on the next publication,
-// which may never come. An acknowledgement carries the epoch it
-// answers, the cumulative sequence, and the 32 lowest runs beyond it,
-// each as the distance from the run before and a length. It is sent
+// which may never come. An acknowledgement carries, as Inc, the number
+// its sender's multiplexer gave the incarnation it answers (below), the
+// cumulative sequence, and the 32 lowest runs beyond it, each as the
+// distance from the run before and a length; a sender takes only an
+// acknowledgement that names the number the destination gave its
+// current epoch. It is sent
 //
 //   - when 16 data frames await acknowledgement;
 //   - when the acknowledgement timer, a quarter of
@@ -380,49 +396,79 @@
 //
 // The multiplexer names each frame's stream, a channel's name such as
 // dace/fifo/<class>, by its key: the name's 32-bit FNV-1a hash, which
-// each group computes once. A frame has one of four forms, told apart
-// by its first byte:
+// each group computes once. A group with an incarnation (every reliable
+// and ordered class, and the certified one) gives the multiplexer its
+// epoch, and its frames are numbered; a best-effort group's are not. A
+// frame has one of six forms, told apart by its first byte:
 //
-//	short    0, the key (4 bytes, big-endian), the record
-//	spelled  1, the name's length (2 bytes), the name, then the short frame
-//	known    2, a key: the receiver resolves it to the name it was spelled
-//	unknown  3, a key: the receiver resolves it to no stream
+//	short     0, the key (4 bytes, big-endian), the record
+//	spelled   1, the name's length (2 bytes), the name, the record
+//	known     2, a key: the receiver resolves it to the name it was spelled;
+//	          on a numbered stream, then the epoch it was spelled and the
+//	          number it gave that epoch (uvarints)
+//	unknown   3, a key: the receiver resolves it to no stream; on a
+//	          numbered stream, then the number the frame carried (a uvarint)
+//	numbered  4, the key, the number (a uvarint), the record
+//	incarnate 5, the name's length, the name, the epoch (a uvarint), the
+//	          record
 //
 // A sender spells a stream to a destination until the destination has
-// confirmed the key, and sends it short from then on: a spelled frame
-// is the name in front of the short one, so one frame, built once in a
-// reused buffer, goes to a fan-out's destinations in whichever form
-// each needs. A receiver answers a spelled frame that reached a handler
-// (a group, or one the lazy-creation fallback made from the name) with
-// known, unless another stream it handles has the same key: such a key
-// is never confirmed, and both streams stay spelled to it. It answers a
-// short frame whose key names no one stream it handles with unknown and
-// drops the frame, and the sender spells that stream to it again; the
-// reliable classes resend the dropped frame. A lost handshake frame
-// costs one spelled frame more or one short frame dropped, and the next
-// frame draws another. A key is a hash of the name, not a number the
-// sender picks, so a receiver's key cannot come to mean another stream
-// across a sender's restart, and a restarted receiver that has made
-// its groups resolves the key at once. The multiplexer builds every
-// frame in a reused buffer for each Send: netsim.Transport's Send keeps
-// nothing it is given, on every transport. A publication whose frame,
-// spelled, the longer form, would exceed what one carries (16 MiB less
-// the length word below, a bound the simulated network enforces too) is
-// refused by Publish with ErrCannotPublish before any protocol stamps or
-// persists it, so a publication refused once is refused every time: no
-// link sequence, no outbox entry, nothing resent on any tick. One with no frame to send, delivered only at the publishing
-// node, is not refused, bar a certified one, which its outbox may owe
-// to a subscriber elsewhere later. The TCP transport keeps one outbound
-// connection per destination, with a lock of its own: a peer that stops
-// reading stalls the senders to it, for at most the two-second write
-// deadline, and nobody else. The first frame on a connection is a
-// hello, a four-byte word with the top bit set and the length of the
-// sender's listen address in the rest, then the address (at most 512
-// bytes); it names the sender of every frame that follows. Every other
-// frame is a four-byte big-endian length and the payload, together at
-// most 16 MiB. A frame before the hello, a second hello or an over-long
-// address closes the connection and is logged; a reconnect says hello
-// again.
+// confirmed it, and sends it short from then on. The multiplexer frames
+// a record once, in a reused buffer, behind room for the longest
+// prefix, and writes each destination's prefix in front of the record
+// before its Send, so a fan-out's destinations get whichever form each
+// needs from one copy of the record. A receiver answers a spelled frame
+// that reached a group (one it has, or one the lazy-creation fallback
+// made from the name) with known. On a numbered stream that answer
+// gives the incarnation a number: the receiver numbers the incarnations
+// of each origin under each key 1, 2, 3, … and never gives a number
+// twice in its lifetime; a spelled frame of the bound epoch gets the
+// bound number again, one of a later epoch the next number, and one of
+// an earlier epoch, a straggler of a dead incarnation, is dropped
+// unanswered. A numbered frame goes to the group with the epoch its
+// (origin, key, number) is bound to; one whose number is not the
+// origin's current one under the key (a straggler, or any frame after
+// the receiver restarted) draws unknown with its number and is dropped,
+// and a sender that gave that number forgets the confirmation and
+// spells again. Since a number is never reused, a dead incarnation's
+// frame cannot pass for the live one's, and an acknowledgement naming
+// it is refused. Two numbered streams with one key are told apart by
+// their numbers. An unnumbered stream is resolved by its key alone, so
+// a receiver confirms it only when no other stream it handles has the
+// key, and a sender records the confirmation only when no other stream
+// it sends has it: such a key is never confirmed, and both streams stay
+// spelled. The reliable classes resend a dropped frame. A lost
+// handshake frame costs one spelled frame more or one short frame
+// dropped, and the next frame draws another; an acknowledgement that
+// overtakes the known frame of its incarnation is refused, and its
+// frames are resent once more. A key is a hash of the name, not a number
+// the sender picks, so a receiver's key cannot come to mean another
+// stream across a sender's restart, and a restarted receiver that has
+// made its groups resolves an unnumbered key at once. The multiplexer
+// builds every frame in a reused buffer for each Send:
+// netsim.Transport's Send keeps nothing it is given, on every
+// transport. A publication whose frame, in its longest form (spelled
+// with the epoch, or short with the widest number), would exceed what
+// one carries (16 MiB less the longest length prefix below, a bound the
+// simulated network enforces too) is refused by Publish with
+// ErrCannotPublish before any protocol stamps or persists it, so a
+// publication refused once is refused every time: no link sequence, no
+// outbox entry, nothing resent on any tick. One with no frame to send,
+// delivered only at the publishing node, is not refused, bar a
+// certified one, which its outbox may owe to a subscriber elsewhere
+// later. The TCP transport keeps one outbound connection per
+// destination, with a lock of its own: a peer that stops reading stalls
+// the senders to it, for at most the two-second write deadline, and
+// nobody else. The first frame on a connection is a hello: the bytes
+// 0x80 0x00 (a two-byte spelling of zero, which no data frame's length
+// takes), the length of the sender's listen address in two bytes, then
+// the address (at most 512 bytes); it names the sender of every frame
+// that follows. Every other frame is its payload's length as a uvarint
+// in its shortest form (one byte below 128 bytes, two below 16 KiB, at
+// most four) and the payload, together at most 16 MiB. A frame before
+// the hello, a second hello, an over-long address, and a length not in
+// its shortest form, longer than four bytes or over the bound close the
+// connection and are logged; a reconnect says hello again.
 //
 // None of this is negotiated. Like the envelope record, the link
 // layouts replaced their predecessors outright, three times: first a
@@ -434,17 +480,24 @@
 // and total-order requests travel on a link of their own); then the
 // stream name in front of every frame, which gave way to the key and
 // its handshake, together with the packed ID of the envelope's link
-// form. A node of one era drops another's frames as undecodable or,
-// where only the nested record differs, hands up payloads that fail to
-// decode as envelopes and are counted as decode errors. A frame of the
-// build before keys opens with a zero byte, so this build reads it as a
-// short frame with a key it cannot resolve, answers unknown and drops
-// it; the older build drops this build's frames as naming streams it
-// has never heard of. Upgrade a domain's nodes together. Within one
-// era, a receiver that restarts before it has made a stream's group
-// answers unknown to the short frames already on their way: a reliable
-// class resends them, spelled, and the lazily made group delivers them
-// once and in order, while a best-effort frame to it may be lost.
+// form; then the epoch on every link record, the envelope's zero fields
+// and a four-byte TCP length word, which gave way to the numbered
+// handshake, the link form's presence flags and the uvarint length. A
+// node of one era drops another's frames as undecodable or, where only
+// the nested record differs, hands up payloads that fail to decode as
+// envelopes and are counted as decode errors. On TCP the build before
+// this one closes a connection from this build at its first data frame,
+// whose length prefix it reads as a length over its bound; this build
+// finds no incarnation on the older one's frames of a reliable, ordered
+// or certified class and drops them, and no record behind the name of
+// its spelled frames. Upgrade a domain's nodes together. Within one era, a receiver that restarts answers unknown to
+// the short frames already on their way: a reliable class resends them,
+// spelled, and the lazily made group delivers them once and in order,
+// while a best-effort frame to it may be lost. A number is never reused
+// within a receiver's lifetime, not across it: a frame that outlived
+// both its receiver's restart and its sender's could meet a number the
+// new receiver gave again. Over TCP none can, since a connection's
+// frames die with either end.
 //
 // # Interest-aware multicast
 //
@@ -596,11 +649,11 @@
 //	data  Seq    the entry's outbox offset: 1, 2, 3, … per class and
 //	             publisher, in append order, and across a restart of a
 //	             publisher with a durability directory
-//	      Epoch  the publisher's incarnation, as on a reliable link
 //	      ID     the event's identity, which the subscriber deduplicates by
 //	      Payload
 //	ack   Origin   a durable identity of the subscriber
-//	      Epoch    the incarnation whose offsets it names
+//	      Inc      the number the subscriber's node gave the incarnation
+//	               whose offsets it names
 //	      Payload  runs of offsets, each as the distance from the run before
 //	               (from 0, for the first) and a length, as a link
 //	               acknowledgement lists them
@@ -616,9 +669,11 @@
 // offsets it acknowledged: a frontier and the runs above it, in memory
 // as many as the holes in what it acknowledged, and on disk, in a
 // snapshot, the frontier and every offset above it. The
-// publisher books an acknowledgement as one outbox record, whatever it
-// names, and drops one of another epoch: an in-memory outbox numbers
-// from 1 again after a restart. Neither frame is negotiated. On the
+// The publisher's incarnation travels as on a reliable link, in the
+// multiplexer's handshake. The publisher books an acknowledgement as
+// one outbox record, whatever it names, and drops one naming another
+// incarnation's number: an in-memory outbox numbers from 1 again after
+// a restart. Neither frame is negotiated. On the
 // wire, both ways: a build from before offsets acknowledges by event
 // ID, which retires nothing here, and finds no ID in this build's
 // acknowledgements; upgrade a domain together. On disk, one way: this

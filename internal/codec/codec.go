@@ -60,15 +60,11 @@ type Envelope struct {
 
 	// Publisher is the node that published the obvent.
 	Publisher string
-	// Seq is the per-publisher, per-class publication sequence number
-	// (FIFO ordering metadata).
-	Seq uint64
 	// VC is the publisher's vector clock at publication (causal
 	// ordering metadata). Nil unless the type requests causal order.
+	// FIFO and total order need no field: the links number what they
+	// carry (internal/multicast).
 	VC vclock.VC
-	// GlobalSeq is the sequencer-assigned total-order number. Zero
-	// until a sequencer stamps it.
-	GlobalSeq uint64
 
 	// Reliability and Ordering mirror the resolved semantics of the
 	// obvent type so that intermediate hosts can route correctly
@@ -146,8 +142,7 @@ func (c *Codec) Registry() *obvent.Registry { return c.reg }
 
 // Encode wraps obvent o into an Envelope: it resolves the QoS semantics of
 // o's type, stamps timely/priority metadata, and serializes the value.
-// Ordering metadata (Seq, VC, GlobalSeq) is left for the dissemination
-// layer to fill in.
+// Ordering metadata (VC) is left for the dissemination layer to fill in.
 func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) { return c.EncodeFrom("", o) }
 
 // EncodeFrom is Encode for a publisher that names itself on the
@@ -190,7 +185,7 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 	// place of the empty payload's. A header the caps refuse gets no room:
 	// Seal reports it.
 	off := 0
-	if head, err := headerSize(env, false); err == nil {
+	if head, err := headerSize(env, recordFlags(env, false, false)); err == nil {
 		off = head - 1 + rec.UvarintLen(maxEnvelopePayload)
 	}
 	buf, err := c.encodePayload(enc.room.buf, o, off)

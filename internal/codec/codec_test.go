@@ -174,7 +174,7 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Publisher = "node-1"
-	env.Seq = 42
+	env.PubNanos = 42
 	data, err := Marshal(env)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
@@ -183,7 +183,7 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.ID != env.ID || back.Type != env.Type || back.Seq != 42 || back.Publisher != "node-1" {
+	if back.ID != env.ID || back.Type != env.Type || back.PubNanos != 42 || back.Publisher != "node-1" {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
 	out, err := c.Decode(back)

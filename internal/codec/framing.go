@@ -18,17 +18,17 @@ import (
 // The envelope's wire record. Every hop reads it (paper §3.1.2, the
 // "reified message"), peers and disks feed it to Unmarshal, so it is a
 // fixed binary layout with a bounds-checked decoder rather than a
-// self-describing stream:
+// self-describing stream. It has two forms, told apart by flagLink. The
+// stored form (Seal, Marshal, AppendEnvelope) spells every field out:
 //
 //	format       1 byte   envelopeFormat
-//	flags        1 byte   flagPriority | flagBirth | flagVC | flagPackedID
+//	flags        1 byte   flagPriority | flagBirth | flagVC
 //	Enc          1 byte   payloadEncoding
-//	ID           uvarint length (≤ maxEnvelopeString) + bytes; with
-//	             flagPackedID, 16 bytes and no length
-//	Type         uvarint length (≤ maxEnvelopeString) + bytes
+//	ID           uvarint length (≤ maxEnvelopeString) + bytes
+//	Type         likewise
 //	Publisher    likewise
-//	Seq          uvarint
-//	GlobalSeq    uvarint
+//	(retired)    two uvarints, written 0, read and dropped: a per-publisher
+//	             and a sequencer's sequence number that nothing set
 //	Reliability  varint (zigzag)
 //	Ordering     varint
 //	Priority     varint (HasPriority travels as flagPriority)
@@ -39,14 +39,29 @@ import (
 //	             a length-prefixed key and a uvarint value
 //	Payload      uvarint length + bytes, ending the record
 //
+// The link form (SealLink) sets flagLink and sends only what is not
+// zero: Type, Publisher and TTL travel under flags of their own
+// (flagType, flagPublisher, flagTTL), Priority only under flagPriority,
+// the retired numbers not at all, and the payload is the rest of the
+// record, with no length in front. An ID of 32 lowercase hex characters,
+// as NewID mints them, travels as the 16 bytes it spells, under
+// flagPackedID, and the decoder spells it out again, so in memory an ID
+// is always the string:
+//
+//	format, flags, Enc
+//	ID           flagPackedID: 16 bytes; else uvarint length + bytes
+//	Type         flagType only: uvarint length (1..maxEnvelopeString) + bytes
+//	Publisher    flagPublisher only: likewise
+//	Reliability, Ordering
+//	Priority     flagPriority only
+//	TTL          flagTTL only, not zero
+//	PubNanos, Birth, VC as stored
+//	Payload      the rest of the record
+//
 // An empty payload and a nil one are the same record and decode as nil;
 // so are an empty vector clock and a nil one. Any of the three strings
 // may be empty: a record on a link leaves out Type and, when the link
-// names it, Publisher; a stored one spells them out (dace's seal). A
-// record on a link (SealLink) also packs an ID of 32 lowercase hex
-// characters, as NewID mints them, into the 16 bytes they spell, under
-// flagPackedID; the decoder spells it out again, so in memory an ID is
-// always the string. A stored record never packs (Seal, Marshal).
+// names it, Publisher; a stored one spells them out (dace's seal).
 const (
 	// envelopeFormat leads every record. No gob stream starts with it
 	// (gob's leading byte count is below 0x80 or above 0xF7), so a record
@@ -60,11 +75,15 @@ const (
 	// retired.
 	payloadEncoding = 1
 
-	flagPriority = 1 << 0
-	flagBirth    = 1 << 1
-	flagVC       = 1 << 2
-	flagPackedID = 1 << 3
-	knownFlags   = flagPriority | flagBirth | flagVC | flagPackedID
+	flagPriority  = 1 << 0
+	flagBirth     = 1 << 1
+	flagVC        = 1 << 2
+	flagPackedID  = 1 << 3 // link form only, as are the three below
+	flagType      = 1 << 4
+	flagPublisher = 1 << 5
+	flagTTL       = 1 << 6
+	flagLink      = 1 << 7
+	linkFlags     = flagPackedID | flagType | flagPublisher | flagTTL
 
 	// packedID is the length of a packed ID, half its hex spelling.
 	packedID = 16
@@ -89,23 +108,24 @@ func Marshal(e *Envelope) ([]byte, error) {
 // once, and returns the extended slice. On error dst is returned
 // unchanged.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
-	head, err := headerSize(e, false)
+	f := recordFlags(e, false, false)
+	head, err := headerSize(e, f)
 	if err != nil {
 		return dst, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
-	return appendRecord(dst, head, e, nil), nil
+	return appendRecord(dst, head, e, f, nil), nil
 }
 
-// appendRecord is AppendEnvelope, with the ID packed into id when id is
-// not nil, once headerSize has vouched for e.
-func appendRecord(dst []byte, head int, e *Envelope, id *[packedID]byte) []byte {
+// appendRecord is AppendEnvelope in the form flags f name, with the ID
+// packed into id under flagPackedID, once headerSize has vouched for e.
+func appendRecord(dst []byte, head int, e *Envelope, f byte, id *[packedID]byte) []byte {
 	b := dst
 	if size := head + len(e.Payload); cap(b)-len(b) < size {
 		// Not slices.Grow: the race detector's build allocates twice there.
 		b = make([]byte, len(dst), len(dst)+size)
 		copy(b, dst)
 	}
-	return append(appendHeader(b, e, id), e.Payload...)
+	return append(appendHeader(b, e, f, id), e.Payload...)
 }
 
 // Seal returns e's wire record, byte for byte Marshal's, without copying
@@ -118,30 +138,65 @@ func appendRecord(dst []byte, head int, e *Envelope, id *[packedID]byte) []byte 
 // and a header that does not fit the room, copies as Marshal does. The
 // record is read-only like the payload it shares; a record a link or an
 // outbox keeps is never written again.
-func Seal(e *Envelope) ([]byte, error) { return seal(e, nil) }
+func Seal(e *Envelope) ([]byte, error) { return seal(e, recordFlags(e, false, false), nil) }
 
 // SealLink is Seal for a record that travels a link and is not stored:
-// an ID of 32 lowercase hex characters goes as the 16 bytes it spells.
-// Every other ID, and every other field, is written as Seal writes it.
+// the link form, which leaves out every field that is zero and the
+// payload's length, and sends an ID of 32 lowercase hex characters as
+// the 16 bytes it spells. Its header is never longer than the stored
+// form's, so it fits the room Encode left.
 func SealLink(e *Envelope) ([]byte, error) {
 	if id, ok := packID(e.ID); ok {
-		return seal(e, &id)
+		return seal(e, recordFlags(e, true, true), &id)
 	}
-	return seal(e, nil)
+	return seal(e, recordFlags(e, true, false), nil)
 }
 
-// seal is Seal, with the ID packed into id when id is not nil.
-func seal(e *Envelope, id *[packedID]byte) ([]byte, error) {
-	head, err := headerSize(e, id != nil)
+// seal is Seal in the form flags f name, with the ID packed into id
+// under flagPackedID.
+func seal(e *Envelope, f byte, id *[packedID]byte) ([]byte, error) {
+	head, err := headerSize(e, f)
 	if err != nil {
 		return nil, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
 	if r := e.room; r != nil && head <= r.off && r.holds(e.Payload) && r.claimed.CompareAndSwap(false, true) {
 		start := r.off - head
-		appendHeader(r.buf[start:start:r.off], e, id)
+		appendHeader(r.buf[start:start:r.off], e, f, id)
 		return r.buf[start:len(r.buf):len(r.buf)], nil
 	}
-	return appendRecord(nil, head, e, id), nil
+	return appendRecord(nil, head, e, f, id), nil
+}
+
+// recordFlags returns the flags byte of e's record: the stored form, or
+// the link form, with the ID packed when packed says so.
+func recordFlags(e *Envelope, link, packed bool) byte {
+	var f byte
+	if e.HasPriority {
+		f |= flagPriority
+	}
+	if !e.Birth.IsZero() {
+		f |= flagBirth
+	}
+	if len(e.VC) > 0 {
+		f |= flagVC
+	}
+	if !link {
+		return f
+	}
+	f |= flagLink
+	if packed {
+		f |= flagPackedID
+	}
+	if e.Type != "" {
+		f |= flagType
+	}
+	if e.Publisher != "" {
+		f |= flagPublisher
+	}
+	if e.TTL != 0 {
+		f |= flagTTL
+	}
+	return f
 }
 
 // packID returns the 16 bytes that id spells, and whether it is 32
@@ -191,59 +246,60 @@ func (r *headroom) holds(payload []byte) bool {
 	return len(payload) > 0 && len(payload) == len(r.buf)-r.off && &payload[0] == &r.buf[r.off]
 }
 
-// appendHeader appends e's record up to and including the payload's
-// length prefix, with the ID packed into id when id is not nil: the one
-// header writer, behind Marshal's copy and Seal's room alike. The caller
-// has sized dst with headerSize, which also vouches for the fields.
-func appendHeader(b []byte, e *Envelope, id *[packedID]byte) []byte {
-	var flags byte
-	if e.HasPriority {
-		flags |= flagPriority
-	}
-	if !e.Birth.IsZero() {
-		flags |= flagBirth
-	}
-	if len(e.VC) > 0 {
-		flags |= flagVC
-	}
-	if id != nil {
-		flags |= flagPackedID
-	}
-	b = append(b, envelopeFormat, flags, payloadEncoding)
-	if id != nil {
+// appendHeader appends e's record in the form flags f name, up to the
+// payload (and its length prefix, stored), with the ID packed into id
+// under flagPackedID: the one header writer, behind Marshal's copy and
+// Seal's room alike. The caller has sized dst with headerSize, which
+// also vouches for the fields.
+func appendHeader(b []byte, e *Envelope, f byte, id *[packedID]byte) []byte {
+	link := f&flagLink != 0
+	b = append(b, envelopeFormat, f, payloadEncoding)
+	if f&flagPackedID != 0 {
 		b = append(b, id[:]...)
 	} else {
 		b = rec.AppendLenString(b, e.ID)
 	}
-	b = rec.AppendLenString(b, e.Type)
-	b = rec.AppendLenString(b, e.Publisher)
-	b = binary.AppendUvarint(b, e.Seq)
-	b = binary.AppendUvarint(b, e.GlobalSeq)
+	if !link || f&flagType != 0 {
+		b = rec.AppendLenString(b, e.Type)
+	}
+	if !link || f&flagPublisher != 0 {
+		b = rec.AppendLenString(b, e.Publisher)
+	}
+	if !link {
+		b = append(b, 0, 0) // the retired sequence numbers
+	}
 	b = binary.AppendVarint(b, int64(e.Reliability))
 	b = binary.AppendVarint(b, int64(e.Ordering))
-	b = binary.AppendVarint(b, int64(e.Priority))
-	b = binary.AppendVarint(b, int64(e.TTL))
+	if !link || f&flagPriority != 0 {
+		b = binary.AppendVarint(b, int64(e.Priority))
+	}
+	if !link || f&flagTTL != 0 {
+		b = binary.AppendVarint(b, int64(e.TTL))
+	}
 	b = binary.AppendVarint(b, e.PubNanos)
-	if flags&flagBirth != 0 {
+	if f&flagBirth != 0 {
 		// Seconds and nanoseconds, not a bare UnixNano: the latter
 		// overflows outside 1678–2262.
 		b = binary.AppendVarint(b, e.Birth.Unix())
 		b = binary.AppendUvarint(b, uint64(e.Birth.Nanosecond()))
 	}
-	if flags&flagVC != 0 {
+	if f&flagVC != 0 {
 		b = binary.AppendUvarint(b, uint64(len(e.VC)))
 		for k, v := range e.VC {
 			b = rec.AppendLenString(b, k)
 			b = binary.AppendUvarint(b, v)
 		}
 	}
+	if link {
+		return b
+	}
 	return binary.AppendUvarint(b, uint64(len(e.Payload)))
 }
 
-// headerSize returns the exact length of e's wire record less the
-// payload's bytes, the ID packed if packed says so, or an error when a
-// field exceeds its cap.
-func headerSize(e *Envelope, packed bool) (int, error) {
+// headerSize returns the exact length of e's record in the form flags f
+// name, less the payload's bytes, or an error when a field exceeds its
+// cap.
+func headerSize(e *Envelope, f byte) (int, error) {
 	switch {
 	case len(e.ID) > maxEnvelopeString:
 		return 0, fmt.Errorf("ID of %d bytes exceeds %d", len(e.ID), maxEnvelopeString)
@@ -256,19 +312,33 @@ func headerSize(e *Envelope, packed bool) (int, error) {
 	case len(e.Payload) > maxEnvelopePayload:
 		return 0, fmt.Errorf("payload of %d bytes exceeds %d", len(e.Payload), maxEnvelopePayload)
 	}
-	id := rec.LenStringLen(e.ID)
-	if packed {
-		id = packedID
+	n := 3 + varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) + varintLen(e.PubNanos)
+	if f&flagPackedID != 0 {
+		n += packedID
+	} else {
+		n += rec.LenStringLen(e.ID)
 	}
-	n := 3 + id + rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) +
-		rec.UvarintLen(e.Seq) + rec.UvarintLen(e.GlobalSeq) +
-		varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) +
-		varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + varintLen(e.PubNanos) +
-		rec.UvarintLen(uint64(len(e.Payload)))
-	if !e.Birth.IsZero() {
+	if f&flagLink == 0 {
+		n += rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) + 2 +
+			varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + rec.UvarintLen(uint64(len(e.Payload)))
+	} else {
+		if f&flagType != 0 {
+			n += rec.LenStringLen(e.Type)
+		}
+		if f&flagPublisher != 0 {
+			n += rec.LenStringLen(e.Publisher)
+		}
+		if f&flagPriority != 0 {
+			n += varintLen(int64(e.Priority))
+		}
+		if f&flagTTL != 0 {
+			n += varintLen(int64(e.TTL))
+		}
+	}
+	if f&flagBirth != 0 {
 		n += varintLen(e.Birth.Unix()) + rec.UvarintLen(uint64(e.Birth.Nanosecond()))
 	}
-	if len(e.VC) > 0 {
+	if f&flagVC != 0 {
 		n += rec.UvarintLen(uint64(len(e.VC)))
 		for k, v := range e.VC {
 			if len(k) > maxEnvelopeString {
@@ -315,48 +385,65 @@ func UnmarshalInto(e *Envelope, data []byte) error {
 
 // unmarshalInto is UnmarshalInto, leaving *e in any state on error.
 func unmarshalInto(e *Envelope, data []byte) error {
-	r := envReader{rec.Reader{Buf: data}}
+	r := envReader{Reader: rec.Reader{Buf: data}}
 	if format := r.U8(); r.Err == nil && format != envelopeFormat {
 		return fmt.Errorf("unknown envelope format 0x%02x", format)
 	}
-	flags := r.U8()
-	if flags&^knownFlags != 0 {
-		return fmt.Errorf("unknown flags 0x%02x", flags&^knownFlags)
+	r.f = r.U8()
+	if r.f&flagLink == 0 && r.f&linkFlags != 0 {
+		return fmt.Errorf("unknown flags 0x%02x", r.f&linkFlags)
 	}
 	if enc := r.U8(); r.Err == nil && enc != payloadEncoding {
 		return fmt.Errorf("%w %d", ErrPayloadEncoding, enc)
 	}
 	// The reads below run in lexical order, which is the wire order.
-	id, typ, pub := r.header(flags&flagPackedID != 0)
+	id, typ, pub := r.header()
+	if !r.link() {
+		r.Uvarint() // the retired sequence numbers, whatever an older build wrote
+		r.Uvarint()
+	}
 	*e = Envelope{
 		ID:          id,
 		Type:        typ,
 		Publisher:   pub,
-		Seq:         r.Uvarint(),
-		GlobalSeq:   r.Uvarint(),
 		Reliability: obvent.Reliability(r.intVal()),
 		Ordering:    obvent.Ordering(r.intVal()),
-		Priority:    r.intVal(),
-		HasPriority: flags&flagPriority != 0,
-		TTL:         time.Duration(r.Varint()),
-		PubNanos:    r.Varint(),
+		HasPriority: r.f&flagPriority != 0,
 	}
-	if flags&flagBirth != 0 {
+	if !r.link() || e.HasPriority {
+		e.Priority = r.intVal()
+	}
+	if !r.link() {
+		e.TTL = time.Duration(r.Varint())
+	} else if r.f&flagTTL != 0 {
+		if e.TTL = time.Duration(r.Varint()); e.TTL == 0 {
+			r.Fail("zero TTL under its flag")
+		}
+	}
+	e.PubNanos = r.Varint()
+	if r.f&flagBirth != 0 {
 		sec, nsec := r.Varint(), r.Uvarint()
 		if nsec >= 1e9 {
 			r.Fail("Birth nanoseconds %d out of range", nsec)
 		}
 		e.Birth = time.Unix(sec, int64(nsec))
 	}
-	if flags&flagVC != 0 {
+	if r.f&flagVC != 0 {
 		e.VC = vclock.Read(&r.Reader, false)
 	}
 	e.Payload = r.payload()
 	return r.Err
 }
 
-// envReader reads an envelope's fields off the shared record cursor.
-type envReader struct{ rec.Reader }
+// envReader reads an envelope's fields off the shared record cursor; f
+// is the record's flags byte.
+type envReader struct {
+	rec.Reader
+	f byte
+}
+
+// link reports whether the record is in the link form.
+func (r *envReader) link() bool { return r.f&flagLink != 0 }
 
 // intVal reads a varint that must fit the platform's int.
 func (r *envReader) intVal() int {
@@ -372,8 +459,10 @@ func (r *envReader) intVal() int {
 // in one allocation: the bytes from the first of ID to the last of the
 // last field that is not empty are converted once, and the three strings
 // are slices of that. A packed ID is spelled out in hex at the front of
-// the block, ahead of the bytes from Type on.
-func (r *envReader) header(packed bool) (id, typ, pub string) {
+// the block, ahead of the bytes from Type on. In the link form a string
+// its flag leaves out is empty, and one it flags is not.
+func (r *envReader) header() (id, typ, pub string) {
+	packed := r.f&flagPackedID != 0
 	var raw []byte
 	if packed {
 		if raw = r.Buf[r.Off:]; len(raw) < packedID {
@@ -387,10 +476,16 @@ func (r *envReader) header(packed bool) (id, typ, pub string) {
 	start := r.Off
 	end := start
 	for i, what := range [...]string{"ID", "Type", "Publisher"} {
-		if i == 0 && packed {
+		lo := 0
+		switch {
+		case i == 0 && packed,
+			i == 1 && r.link() && r.f&flagType == 0,
+			i == 2 && r.link() && r.f&flagPublisher == 0:
 			continue
+		case i > 0 && r.link():
+			lo = 1
 		}
-		b := r.Span(what, 0, maxEnvelopeString)
+		b := r.Span(what, lo, maxEnvelopeString)
 		at[i], n[i] = r.Off-len(b), len(b)
 		if len(b) > 0 {
 			end = r.Off
@@ -425,10 +520,18 @@ func (r *envReader) header(packed bool) (id, typ, pub string) {
 	return id, field(1), field(2)
 }
 
-// payload reads the final field, which must end the record. The result
-// aliases the frame.
+// payload reads the final field, which must end the record: stored,
+// behind its length; in the link form, the rest of the record. The
+// result aliases the frame.
 func (r *envReader) payload() []byte {
-	b := r.Span("payload", 0, maxEnvelopePayload)
+	var b []byte
+	if r.link() {
+		if r.Err == nil {
+			b, r.Off = r.Buf[r.Off:], len(r.Buf)
+		}
+	} else {
+		b = r.Span("payload", 0, maxEnvelopePayload)
+	}
 	if r.End() != nil || len(b) == 0 {
 		return nil
 	}

@@ -22,6 +22,16 @@ func packable(id string) bool {
 	return ok
 }
 
+// linkView is e as the link form carries it: a Priority without its
+// flag does not travel.
+func linkView(e *Envelope) *Envelope {
+	v := *e
+	if !v.HasPriority {
+		v.Priority = 0
+	}
+	return &v
+}
+
 // sameEnvelope compares two envelopes field by field, Birth as an
 // instant (its location is not on the wire).
 func sameEnvelope(a, b *Envelope) bool {
@@ -41,7 +51,6 @@ func flatFIFOEnvelope() *Envelope {
 		Type:        "bench.Event",
 		Payload:     bytes.Repeat([]byte{0xA5}, 60),
 		Publisher:   "127.0.0.1:40123",
-		Seq:         1234,
 		Reliability: obvent.ReliableDelivery,
 		Ordering:    obvent.FIFO,
 		PubNanos:    1790000000123456789,
@@ -51,7 +60,6 @@ func flatFIFOEnvelope() *Envelope {
 // everyFieldEnvelope sets every field, optional ones included.
 func everyFieldEnvelope() *Envelope {
 	e := flatFIFOEnvelope()
-	e.GlobalSeq = 99
 	e.VC = vclock.VC{"a": 1, "node-2": math.MaxUint64, "": 7}
 	e.Priority, e.HasPriority = -3, true
 	e.Birth = time.Unix(1790000000, 999999999)
@@ -81,7 +89,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			e.TTL, e.PubNanos = math.MinInt64, math.MinInt64
 		})},
 		{"largest numbers", with(func(e *Envelope) {
-			e.Seq, e.GlobalSeq = math.MaxUint64, math.MaxUint64
+			e.Reliability, e.Ordering, e.Priority = math.MaxInt32, math.MaxInt32, math.MaxInt32
 			e.TTL, e.PubNanos = math.MaxInt64, math.MaxInt64
 		})},
 		{"birth at the epoch", with(func(e *Envelope) { e.Birth = time.Unix(0, 0) })},
@@ -112,17 +120,23 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Stored, and as a link carries it: with a hex ID, packed.
+			// Stored, and as a link carries it: with a hex ID, packed, and
+			// a Priority without its flag left out.
 			for _, form := range []struct {
 				name   string
 				seal   func(*Envelope) ([]byte, error)
+				link   bool
 				packed bool
-			}{{"stored", Marshal, false}, {"link", SealLink, packable(tc.env.ID)}} {
+				want   *Envelope
+			}{
+				{"stored", Marshal, false, false, tc.env},
+				{"link", SealLink, true, packable(tc.env.ID), linkView(tc.env)},
+			} {
 				data, err := form.seal(tc.env)
 				if err != nil {
 					t.Fatalf("%s: %v", form.name, err)
 				}
-				if head, _ := headerSize(tc.env, form.packed); head+len(tc.env.Payload) != len(data) {
+				if head, _ := headerSize(tc.env, recordFlags(tc.env, form.link, form.packed)); head+len(tc.env.Payload) != len(data) {
 					t.Errorf("%s: headerSize = %d and a payload of %d bytes, record has %d bytes", form.name, head, len(tc.env.Payload), len(data))
 				}
 				if packed := data[1]&flagPackedID != 0; packed != form.packed {
@@ -132,8 +146,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Unmarshal: %v", form.name, err)
 				}
-				if !sameEnvelope(tc.env, back) {
-					t.Errorf("%s: round trip:\n got %+v\nwant %+v", form.name, back, tc.env)
+				if !sameEnvelope(form.want, back) {
+					t.Errorf("%s: round trip:\n got %+v\nwant %+v", form.name, back, form.want)
 				}
 			}
 		})
@@ -274,7 +288,8 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"text", "unknown envelope format", []byte("not an envelope record")},
 		{"gob-framed record of an older build", "unknown envelope format", gobFramed.Bytes()},
 		{"unknown flag", "unknown flags", patch(flagsAt, 0x10)},
-		{"packed ID shorter than 16 bytes", "truncated", patch(flagsAt, flagPackedID)[:flagsAt+1+1+15]},
+		{"link-form flag on a stored record", "unknown flags", patch(flagsAt, flagType)},
+		{"packed ID shorter than 16 bytes", "truncated", patch(flagsAt, flagLink|flagPackedID)[:flagsAt+1+1+15]},
 		{"trailing byte", "trailing", append(append([]byte(nil), valid...), 0)},
 		{"string longer than the frame", "truncated", patch(idLenAt, 0x7F)},
 		{"string over its cap", "ID of 65536 bytes exceeds", patch(idLenAt, 0x80, 0x80, 0x04)},
@@ -295,6 +310,21 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"duplicate vector clock key", "duplicate",
 			append(patch(flagsAt, flagVC)[:payloadLenAt], 2, 1, 'k', 1, 1, 'k', 2, 0)},
 	}
+	// The link form sends a field its flag names, and no other: a flagged
+	// string is not empty and a flagged TTL not zero.
+	link := func(flags byte, fields ...byte) []byte {
+		return append([]byte{envelopeFormat, flagLink | flags, payloadEncoding, 1, 'i'}, fields...)
+	}
+	cases = append(cases, []struct {
+		name, want string
+		data       []byte
+	}{
+		{"link form: empty Type under its flag", "Type of 0 bytes", link(flagType, 0, 0, 0, 0)},
+		{"link form: empty Publisher under its flag", "Publisher of 0 bytes", link(flagPublisher, 0, 0, 0, 0)},
+		{"link form: zero TTL under its flag", "zero TTL", link(flagTTL, 0, 0, 0, 0)},
+		{"link form: Type cut short", "truncated", link(flagType, 5, 't')},
+		{"link form: no Priority under its flag", "truncated", link(flagPriority, 0, 0)},
+	}...)
 	for _, tc := range cases {
 		e, err := Unmarshal(tc.data)
 		if err == nil {
@@ -359,7 +389,7 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("UnmarshalInto: %v allocs, want <= 1", n)
 	}
-	bare, err := Marshal(&Envelope{Seq: 7})
+	bare, err := Marshal(&Envelope{PubNanos: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +441,28 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		f.Add(data[:len(data)/2])
 		f.Add(data[:5]) // a packed ID cut short
 	}
+	// The link form's presence bits one at a time, with an ID it does not
+	// pack; and a flagged field that is empty or zero, which no encoder
+	// writes.
+	for _, mut := range []func(*Envelope){
+		func(e *Envelope) { e.Type, e.Publisher = "", "" },
+		func(e *Envelope) { e.Publisher = "" },
+		func(e *Envelope) { e.Type = "" },
+		func(e *Envelope) { e.Type, e.Publisher, e.TTL = "", "", time.Second },
+		func(e *Envelope) { e.Type, e.Publisher, e.Priority, e.HasPriority = "", "", 0, true },
+	} {
+		e := flatFIFOEnvelope()
+		e.ID = "not-hex"
+		mut(e)
+		data, err := SealLink(e)
+		if err != nil || data[1]&flagLink == 0 || data[1]&flagPackedID != 0 {
+			f.Fatalf("SealLink of %+v: %x, %v", e, data, err)
+		}
+		f.Add(data)
+	}
+	for _, f2 := range []byte{flagType, flagPublisher, flagTTL} {
+		f.Add([]byte{envelopeFormat, flagLink | f2, payloadEncoding, 0, 0, 0, 0, 0, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
 		reused := everyFieldEnvelope()
@@ -447,33 +499,40 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		if !sameEnvelope(env, back) {
 			t.Fatalf("re-marshal changed the envelope:\n got %+v\nwant %+v", back, env)
 		}
-		// The stored form, and the link form, which packs a hex ID: both
-		// decode to the envelope, and each re-encodes byte for byte in its
-		// own form. A clock of two entries or more is written in map
-		// order, so there only the fields are compared.
-		for _, packed := range []bool{false, packable(env.ID)} {
-			head, err := headerSize(env, packed)
+		// The stored form, and the link form, unpacked and, for a hex ID,
+		// packed: each decodes to the envelope (the link form less a
+		// Priority without its flag, which it does not carry), and each
+		// re-encodes byte for byte in its own form. A clock of two
+		// entries or more is written in map order, so there only the
+		// fields are compared.
+		for _, form := range []struct{ link, packed bool }{{false, false}, {true, false}, {true, packable(env.ID)}} {
+			f := recordFlags(env, form.link, form.packed)
+			head, err := headerSize(env, f)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var id *[packedID]byte
-			if packed {
+			if form.packed {
 				raw, _ := packID(env.ID)
 				id = &raw
 			}
-			form := appendRecord(nil, head, env, id)
-			if got := form[1]&flagPackedID != 0; got != packed {
-				t.Fatalf("a record sealed with packed=%v has the packed-ID flag %v", packed, got)
+			rec := appendRecord(nil, head, env, f, id)
+			if got := rec[1]&flagPackedID != 0; got != form.packed {
+				t.Fatalf("a record sealed with packed=%v has the packed-ID flag %v", form.packed, got)
 			}
-			back, err := Unmarshal(form)
-			if err != nil || !sameEnvelope(env, back) {
-				t.Fatalf("the packed=%v form decodes to %+v, %v; want %+v", packed, back, err, env)
+			want := env
+			if form.link {
+				want = linkView(env)
+			}
+			back, err := Unmarshal(rec)
+			if err != nil || !sameEnvelope(want, back) {
+				t.Fatalf("the %+v form decodes to %+v, %v; want %+v", form, back, err, want)
 			}
 			if len(env.VC) > 1 {
 				continue
 			}
-			if again := appendRecord(nil, head, back, id); !bytes.Equal(again, form) {
-				t.Fatalf("the packed=%v form re-encodes as\n%x, was\n%x", packed, again, form)
+			if again := appendRecord(nil, head, back, f, id); !bytes.Equal(again, rec) {
+				t.Fatalf("the %+v form re-encodes as\n%x, was\n%x", form, again, rec)
 			}
 		}
 	})

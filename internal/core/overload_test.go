@@ -354,7 +354,7 @@ func TestParallelLaneAffinity(t *testing.T) {
 		lanes[env.Publisher] = append(lanes[env.Publisher], st)
 		switch env.Publisher {
 		case pubC:
-			gotC = append(gotC, int(env.Seq))
+			gotC = append(gotC, int(env.PubNanos))
 			if !released {
 				early++
 			}
@@ -365,7 +365,7 @@ func TestParallelLaneAffinity(t *testing.T) {
 		}
 	}, nil, laneConfig{})
 	route := func(id, pub string, seq int) {
-		ls.route(&codec.Envelope{ID: id, Publisher: pub, Seq: uint64(seq), Ordering: obvent.FIFO})
+		ls.route(&codec.Envelope{ID: id, Publisher: pub, PubNanos: int64(seq), Ordering: obvent.FIFO})
 	}
 
 	route("blocker", pubA, 0)

@@ -46,7 +46,7 @@ func checkSpillRoundTrip(t *testing.T, env *codec.Envelope, prio int) {
 func FuzzSpillRecord(f *testing.F) {
 	full := &codec.Envelope{
 		ID: "e1", Type: "freeTick", Publisher: "p", Payload: []byte{1, 2, 3},
-		Seq: 7, GlobalSeq: 9, VC: vclock.VC{"a": 1, "b": math.MaxUint64},
+		VC:          vclock.VC{"a": 1, "b": math.MaxUint64},
 		Reliability: obvent.ReliableDelivery, Ordering: obvent.Causal,
 		Priority: -3, HasPriority: true, Birth: time.Unix(1790000000, 999999999),
 		TTL: 5 * time.Second, PubNanos: 1790000000123456789,
@@ -71,7 +71,6 @@ func FuzzSpillRecord(f *testing.F) {
 			Type:        "freeTick",
 			Publisher:   "p",
 			Payload:     data,
-			Seq:         uint64(prio),
 			Ordering:    obvent.Ordering(prio & 3),
 			Priority:    int(prio >> 1),
 			HasPriority: prio&1 != 0,

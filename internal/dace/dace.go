@@ -596,8 +596,9 @@ func (n *Node) sequencerLocked() string {
 }
 
 // onUnknownStream lazily creates the group for a class channel the
-// first time a frame for it arrives, then re-dispatches the frame.
-func (n *Node) onUnknownStream(stream, from string, payload []byte) {
+// first time a frame for it arrives; the multiplexer then hands the
+// frame to it.
+func (n *Node) onUnknownStream(stream string) {
 	// Auxiliary streams (the total-order "!ord" request stream) belong
 	// to the group of their base stream; creating the base group also
 	// registers the auxiliary handler.
@@ -613,7 +614,6 @@ func (n *Node) onUnknownStream(stream, from string, payload []byte) {
 	}
 	n.groupLocked(groupKey{parts[1], parts[2]})
 	n.mu.Unlock()
-	n.mux.Redeliver(stream, from, payload)
 }
 
 // --- publishing ---

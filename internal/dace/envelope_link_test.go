@@ -124,7 +124,6 @@ func TestHeaderFidelityEveryClass(t *testing.T) {
 						t.Fatal(err)
 					}
 					env.Publisher = publisher
-					env.Seq, env.GlobalSeq = 42, 7
 					env.VC = vclock.VC{pub.Addr(): 3, "node-9": 1}
 					if proto := pub.protoFor(env); proto != c.tag {
 						t.Fatalf("%s resolves to protocol %q, want %q", c.name, proto, c.tag)
@@ -269,7 +268,6 @@ func parentEnvelope(t *testing.T, cdc *codec.Codec) *codec.Envelope {
 	}
 	env.ID = "0123456789abcdef0123456789abcdef"
 	env.Publisher = "node-0"
-	env.Seq = 42
 	env.PubNanos = 1790000000123456789
 	return env
 }
@@ -279,7 +277,10 @@ func parentEnvelope(t *testing.T, cdc *codec.Codec) *codec.Envelope {
 // class's channel, class and publisher spelled out. The break is one
 // way: this build reads that record to the same envelope, taking both
 // from the record and neither from the link; and what this build seals
-// for a link is that record less the two strings.
+// for a link is that record less every field the link form leaves out.
+// The parent set the envelope's per-publisher sequence number to 42, a
+// field that is gone: this build reads it and drops it, and writes 0 in
+// its place.
 func TestParentFrameOpens(t *testing.T) {
 	record, err := os.ReadFile("testdata/parent-pr21/fifo-data.bin")
 	if err != nil {
@@ -302,16 +303,27 @@ func TestParentFrameOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(full, record) {
-		t.Errorf("the full record moved:\n got %x\nwant %x", full, record)
+	seqAt := 3 + 1 + len(want.ID) + 1 + len(want.Type) + 1 + len(want.Publisher)
+	if record[seqAt] != 42 {
+		t.Fatalf("the parent's record holds %d where its sequence number 42 was", record[seqAt])
+	}
+	stored := bytes.Clone(record)
+	stored[seqAt] = 0
+	if !bytes.Equal(full, stored) {
+		t.Errorf("the full record moved:\n got %x\nwant %x", full, stored)
 	}
 	link, err := nodes[0].seal(want, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The link leaves out the two strings, and packs the ID's 32 hex
+	// The link leaves out the two strings with their length bytes, the
+	// two retired sequence numbers, the Priority and TTL the event does
+	// not have, and the payload's length byte, and packs the ID's 32 hex
 	// characters and their length byte into 16 bytes.
-	if saved := len(want.Type) + len(want.Publisher) + 1 + 32 - 16; len(link) != len(record)-saved {
+	if len(want.Payload) >= 128 || want.HasPriority || want.TTL != 0 {
+		t.Fatalf("the fixture's envelope is not the one the arithmetic below describes: %+v", want)
+	}
+	if saved := len(want.Type) + 1 + len(want.Publisher) + 1 + 2 + 1 + 1 + 1 + 1 + 32 - 16; len(link) != len(record)-saved {
 		t.Errorf("the link record has %d bytes, want the full one's %d less %d", len(link), len(record), saved)
 	}
 	var back, routed codec.Envelope

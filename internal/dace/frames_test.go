@@ -50,7 +50,9 @@ func TestSentFramesAreNotKeptAcrossDomains(t *testing.T) {
 // known and unknown frames included, while every stream is spelled,
 // confirmed and shortened: every event of a reliable class arrives once,
 // no best-effort event arrives that was not published, and once the
-// first burst is in, every class's frames go short. Fails in some runs
+// first burst is in, every class's frames go short, numbered with the
+// sender's incarnation on every class but the best-effort one, whose
+// stream has none. Fails in some runs
 // (4 in 10 when tried) if a receiver answers only the first spelled
 // frame of a stream with known: when that answer is lost, the stream
 // stays spelled for good (TestMuxLostKnownIsAnsweredAgain in
@@ -162,6 +164,15 @@ func matrixAcrossDomains(t *testing.T, cfg netsim.Config) {
 	if short, spelled := counter.count(); spelled != 0 || short == 0 {
 		t.Errorf("node-0 sent its second burst's class frames %d short and %d spelled, want every one short", short, spelled)
 	}
+	for _, c := range classes {
+		want := []byte{4} // short, numbered
+		if c.tag == "be" {
+			want = []byte{0}
+		}
+		if forms := counter.formsOf(streamKey(c.stream)); !slices.Equal(forms, want) {
+			t.Errorf("%s: node-0's second burst went in the forms %v, want %v", c.tag, forms, want)
+		}
+	}
 	mu.Lock()
 	for k, n := range got {
 		if n != 1 && !strings.Contains(k, "/be/") { // the unreliable class does not deduplicate
@@ -186,27 +197,59 @@ func matrixAcrossDomains(t *testing.T, cfg netsim.Config) {
 }
 
 // formCounter counts the frames its endpoint sends on the given
-// streams, short and spelled.
+// streams, short and spelled, and notes each stream's forms by their
+// first byte: 0 short, 1 spelled, 4 short and 5 spelled with the
+// sender's incarnation.
 type formCounter struct {
 	netsim.Transport
 	streams        map[uint32]bool // by key; read-only once sending starts
 	short, spelled atomic.Int64
+
+	mu    sync.Mutex
+	forms map[uint32]map[byte]bool
 }
 
 func (f *formCounter) Send(to string, frame []byte) error {
 	if key, ok := frameKey(frame); ok && f.streams[key] {
-		if frame[0] == 0 {
+		if frame[0]&1 == 0 {
 			f.short.Add(1)
 		} else {
 			f.spelled.Add(1)
 		}
+		f.mu.Lock()
+		if f.forms == nil {
+			f.forms = make(map[uint32]map[byte]bool)
+		}
+		if f.forms[key] == nil {
+			f.forms[key] = make(map[byte]bool)
+		}
+		f.forms[key][frame[0]] = true
+		f.mu.Unlock()
 	}
 	return f.Transport.Send(to, frame)
 }
 
-func (f *formCounter) reset() { f.short.Store(0); f.spelled.Store(0) }
+func (f *formCounter) reset() {
+	f.short.Store(0)
+	f.spelled.Store(0)
+	f.mu.Lock()
+	f.forms = make(map[uint32]map[byte]bool)
+	f.mu.Unlock()
+}
 
 func (f *formCounter) count() (short, spelled int64) { return f.short.Load(), f.spelled.Load() }
+
+// formsOf returns the forms a stream's frames took since the last reset.
+func (f *formCounter) formsOf(key uint32) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []byte
+	for form := range f.forms[key] {
+		out = append(out, form)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // padFIFO and padCert are a FIFO and a certified class with a payload of
 // any size.
@@ -295,17 +338,19 @@ func (s *sendTap) Send(to string, frame []byte) error {
 }
 
 // frameKey returns the key of the stream a mux frame carries a record
-// on, whether it spells the stream's name (1, a two-byte length, the
-// name, then the short form) or is short (0, the four-byte key, the
-// record). A handshake frame carries no record.
+// on, whether it spells the stream's name (1, or 5 with an epoch, then a
+// two-byte length and the name) or is short (0, or 4 with a number,
+// then the four-byte key). A handshake frame carries no record.
 func frameKey(frame []byte) (uint32, bool) {
-	if len(frame) >= 3 && frame[0] == 1 {
-		frame = frame[min(3+int(binary.BigEndian.Uint16(frame[1:])), len(frame)):]
+	switch {
+	case len(frame) >= 3 && (frame[0] == 1 || frame[0] == 5):
+		if n := int(binary.BigEndian.Uint16(frame[1:])); len(frame) >= 3+n {
+			return streamKey(string(frame[3 : 3+n])), true
+		}
+	case len(frame) >= 5 && (frame[0] == 0 || frame[0] == 4):
+		return binary.BigEndian.Uint32(frame[1:]), true
 	}
-	if len(frame) < 5 || frame[0] != 0 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(frame[1:]), true
+	return 0, false
 }
 
 // streamKey is the key of a stream name: its FNV-1a hash.

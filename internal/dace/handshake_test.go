@@ -86,8 +86,8 @@ func TestSequencerCreatesGroupFromSpelledRequest(t *testing.T) {
 		}
 	}
 	tap.mu.Unlock()
-	if len(forms) < 2 || forms[0] != 1 || forms[len(forms)-1] != 0 {
-		t.Errorf("node-1's request frames had forms %v (1 spelled, 0 short), want the first spelled and the last short", forms)
+	if len(forms) < 2 || forms[0] != 5 || forms[len(forms)-1] != 4 {
+		t.Errorf("node-1's request frames had forms %v (5 spelled, 4 short, both numbered), want the first spelled and the last short", forms)
 	}
 }
 
@@ -103,14 +103,17 @@ type wireTick struct {
 
 // TestFIFOFrameBytesAfterHandshake pins, in bytes counted on a loss-free
 // network and not timed, what a FIFO event costs on the wire once the
-// stream's key is known: a data frame is at most 60 bytes more than the
-// event's payload (the short stream prefix, the link record, the link
-// envelope with its packed ID), and an acknowledgement frame at most 20
-// bytes. Before streams had keys, the frame spelled the stream's name
-// and the envelope the ID's 32 hex characters: 96 bytes and the class
-// name's length over the payload. The retransmission timer is an hour,
-// so the acknowledgements are exactly the ones the link's batching
-// sends: one per 16 data frames here.
+// stream's key and the sender's incarnation are known: a data frame is
+// at most 42 bytes more than the event's payload (the short stream
+// prefix with the incarnation's number, the link record, the link
+// envelope with its packed ID and no zero field), and an
+// acknowledgement frame at most 12 bytes. When the link record carried
+// the sender's epoch and the envelope every field, zero or not, the
+// frame was 54 bytes over the payload and the acknowledgement 16 bytes;
+// before streams had keys, 96 bytes and the class name's length over
+// the payload. The retransmission timer is an hour, so the
+// acknowledgements are exactly the ones the link's batching sends: one
+// per 16 data frames here.
 func TestFIFOFrameBytesAfterHandshake(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -174,8 +177,8 @@ func TestFIFOFrameBytesAfterHandshake(t *testing.T) {
 		t.Fatalf("%d events sent %d frames, want %d data frames and nothing else", batch, frames, batch)
 	}
 	data := bytes / batch
-	if bytes%batch != 0 || data-payload > 60 {
-		t.Errorf("a data frame is %d bytes (%d over %d), for a %d-byte payload: %d bytes over it, want at most 60",
+	if bytes%batch != 0 || data-payload > 42 {
+		t.Errorf("a data frame is %d bytes (%d over %d), for a %d-byte payload: %d bytes over it, want at most 42",
 			data, bytes, batch, payload, data-payload)
 	}
 	// The 16th unacknowledged frame draws an acknowledgement.
@@ -183,8 +186,8 @@ func TestFIFOFrameBytesAfterHandshake(t *testing.T) {
 	if frames != 2 {
 		t.Fatalf("the 16th event sent %d frames, want its data frame and an acknowledgement", frames)
 	}
-	if ack := bytes - data; ack > 20 {
-		t.Errorf("an acknowledgement frame is %d bytes, want at most 20", ack)
+	if ack := bytes - data; ack > 12 {
+		t.Errorf("an acknowledgement frame is %d bytes, want at most 12", ack)
 	}
 	t.Logf("payload %d bytes, data frame %d bytes, acknowledgement %d bytes", payload, data, bytes-data)
 }

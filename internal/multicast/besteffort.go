@@ -8,7 +8,7 @@ import "fmt"
 // the paper's DACE architecture uses for unreliable obvents (§4.2).
 type BestEffort struct {
 	mux    *Mux
-	stream stream
+	stream *stream
 	self   string
 
 	upcall  *releaseList
@@ -22,12 +22,12 @@ var _ Group = (*BestEffort)(nil)
 func NewBestEffort(mux *Mux, stream string, deliver Deliver) *BestEffort {
 	g := &BestEffort{
 		mux:    mux,
-		stream: newStream(stream),
+		stream: newStream(stream, 0),
 		self:   mux.Addr(),
 		lc:     newLifecycle(),
 		upcall: newReleaseList(deliver),
 	}
-	mux.Handle(stream, g.onMessage)
+	mux.open(g.stream, g.onMessage)
 	return g
 }
 
@@ -67,13 +67,13 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 
 // Close implements Group.
 func (g *BestEffort) Close() error {
-	g.mux.Unhandle(g.stream.name)
+	g.mux.close(g.stream)
 	g.lc.close()
 	g.upcall.close()
 	return nil
 }
 
-func (g *BestEffort) onMessage(from string, data []byte) {
+func (g *BestEffort) onMessage(from string, _ incarnation, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil || m.Kind != kindData {
 		return

@@ -51,18 +51,18 @@ type Stager interface {
 // publisher is a subscriber only if SetSubscribers names its own
 // address.
 //
-// A data frame names its entry's outbox offset (Seq) and the group's
-// incarnation (Epoch); a subscriber acknowledges runs of offsets, when
-// Reliable would (ackEvery, ticksPerInterval), under each identity it
-// holds, and the publisher books each acknowledgement of its own
-// incarnation as one outbox record ("Durability" in the govents
-// package documentation).
+// A data frame names its entry's outbox offset (Seq), and the stream's
+// handshake (Mux) hands the subscriber the group's incarnation; a
+// subscriber acknowledges runs of offsets, when Reliable would
+// (ackEvery, ticksPerInterval), under each identity it holds, naming the
+// incarnation by the number it gave it, and the publisher books each
+// acknowledgement of its own incarnation as one outbox record
+// ("Durability" in the govents package documentation).
 type Certified struct {
 	mux    *Mux
-	stream stream
+	stream *stream // its epoch is the group's incarnation
 	self   string
 	opts   Options
-	epoch  uint64
 
 	upcall *releaseList
 	lc     *lifecycle
@@ -92,8 +92,8 @@ type Certified struct {
 // offsets of the frames received since the last acknowledgement, a
 // duplicate's too, and when that was.
 type certLink struct {
-	epoch  uint64     // the publisher's incarnation the offsets are of
-	staged seqset.Set // offsets start at 1: the floor is a run from 1
+	in     incarnation // the publisher's incarnation the offsets are of
+	staged seqset.Set  // offsets start at 1: the floor is a run from 1
 	acker
 }
 
@@ -108,7 +108,7 @@ func (l *certLink) ack(gen uint64) message {
 	runs = append(runs, l.staged.Runs()...)
 	l.staged.Clip(0)
 	l.sent(gen)
-	return message{Kind: kindCertAck, Epoch: l.epoch, Payload: seqset.AppendRuns(nil, 0, runs)}
+	return message{Kind: kindCertAck, Inc: l.in.num, Payload: seqset.AppendRuns(nil, 0, runs)}
 }
 
 var _ Group = (*Certified)(nil)
@@ -121,10 +121,9 @@ func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliv
 	opts = opts.withDefaults()
 	g := &Certified{
 		mux:    mux,
-		stream: newStream(stream),
+		stream: newStream(stream, newEpoch()),
 		self:   mux.Addr(),
 		opts:   opts,
-		epoch:  newEpoch(),
 		lc:     newLifecycle(),
 		log:    log,
 		in:     in,
@@ -135,7 +134,7 @@ func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliv
 		links:  make(map[string]*certLink),
 		upcall: newReleaseList(deliver),
 	}
-	mux.Handle(stream, g.onMessage)
+	mux.open(g.stream, g.onMessage)
 	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
 	return g
 }
@@ -219,7 +218,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	// even with no remote subscriber now: the outbox owes an entry to
 	// every durable identity it knows, departed ones included, and
 	// redelivers it to wherever one reappears.
-	data := message{Kind: kindCertData, ID: id, Seq: math.MaxUint64, Epoch: g.epoch, Payload: payload}
+	data := message{Kind: kindCertData, ID: id, Seq: math.MaxUint64, Payload: payload}
 	if err := fits(g.stream, &data); err != nil {
 		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
 	}
@@ -264,7 +263,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 
 // Close implements Group.
 func (g *Certified) Close() error {
-	g.mux.Unhandle(g.stream.name)
+	g.mux.close(g.stream)
 	g.lc.close()
 	g.upcall.close()
 	return nil
@@ -330,7 +329,7 @@ func (g *Certified) redeliver() {
 			if e.Offset >= young {
 				break // the rest left since the previous tick
 			}
-			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Seq: e.Offset, Epoch: g.epoch, Payload: e.Payload})
+			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Seq: e.Offset, Payload: e.Payload})
 			if err != nil {
 				g.opts.Logger.Debug("multicast: certified redelivery send failed",
 					"stream", g.stream.name, "addr", addr, "id", e.ID, "err", err)
@@ -370,7 +369,7 @@ func (g *Certified) sendAck(to string, ack *message, ids []string) {
 	}
 }
 
-func (g *Certified) onMessage(from string, data []byte) {
+func (g *Certified) onMessage(from string, in incarnation, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil {
 		g.opts.Logger.Warn("multicast: certified dropping undecodable frame",
@@ -379,8 +378,8 @@ func (g *Certified) onMessage(from string, data []byte) {
 	}
 	switch m.Kind {
 	case kindCertData:
-		if m.Seq == 0 || m.Epoch == 0 {
-			return // names no offset: nothing here could acknowledge it
+		if m.Seq == 0 || in.epoch == 0 {
+			return // names no offset or no incarnation: nothing here could acknowledge it
 		}
 		// The offset is acknowledged after the event is recorded, so a
 		// crash between the two causes a redelivery that the record
@@ -393,14 +392,14 @@ func (g *Certified) onMessage(from string, data []byte) {
 		}
 		g.mu.Lock()
 		l := g.links[from]
-		if l == nil || m.Epoch > l.epoch {
+		if l == nil || in.epoch > l.in.epoch {
 			// A publisher never heard from, or its next incarnation, which
 			// would drop an acknowledgement of the last one's offsets.
-			l = &certLink{epoch: m.Epoch}
+			l = &certLink{in: in}
 			g.links[from] = l
 		}
-		var ack message         // of no kind until it is due
-		if m.Epoch == l.epoch { // else a straggler of a dead incarnation
+		var ack message             // of no kind until it is due
+		if in.epoch == l.in.epoch { // else a straggler of a dead incarnation
 			// A duplicate is owed an acknowledgement like a first arrival.
 			l.staged.Add(m.Seq, m.Seq, 0)
 			if l.arrived(g.gen) {
@@ -417,7 +416,7 @@ func (g *Certified) onMessage(from string, data []byte) {
 			g.upcall.run()
 		}
 	case kindCertAck:
-		if m.Epoch != g.epoch {
+		if m.Inc == 0 || m.Inc != g.mux.number(g.stream, from) {
 			return // addressed to an earlier incarnation of this group
 		}
 		var few [4]durable.Run

@@ -372,14 +372,16 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 
 // TestCertifiedAckOfAnotherEpochRetiresNothing: offsets are an
 // incarnation's (an in-memory outbox numbers from 1 again after a
-// restart), so an acknowledgement addressed to another epoch is dropped,
-// as is one that names no run; the same runs under the group's own
-// epoch retire what they name.
+// restart), so an acknowledgement naming another incarnation than the
+// number the subscriber's node gave the group's epoch, or none, is
+// dropped, as is one that names no run; the same runs under that number
+// retire what they name.
 func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 	pub := newTestNode(t, net, "pub")
-	sub := newTestNode(t, net, "sub") // runs no group: the test is the subscriber
+	sub := newTestNode(t, net, "sub")              // runs no group: the test is the subscriber
+	sub.mux.Handle("cls", func(string, []byte) {}) // but numbers the publisher's incarnation
 	log := durable.NewMemOutbox()
 	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, Options{RetransmitInterval: time.Hour})
 	defer gp.Close()
@@ -400,28 +402,32 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 		}
 		return len(pending)
 	}
+	net.Settle()
+	num := gp.mux.number(gp.stream, "sub")
+	if num == 0 {
+		t.Fatal("the subscriber's node numbered no incarnation of the group")
+	}
 	all := seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 3}})
 	for _, ack := range []message{
-		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch - 1, Payload: all},
-		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch + 1, Payload: all},
+		{Kind: kindCertAck, Origin: "tenant", Inc: num + 1, Payload: all},
 		{Kind: kindCertAck, Origin: "tenant", Payload: all},
-		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch},
-		{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: []byte{0, 0}}, // a zero gap: malformed
-		{Kind: kindCertAck, Origin: "nobody", Epoch: gp.epoch, Payload: all},
+		{Kind: kindCertAck, Origin: "tenant", Inc: num},
+		{Kind: kindCertAck, Origin: "tenant", Inc: num, Payload: []byte{0, 0}}, // a zero gap: malformed
+		{Kind: kindCertAck, Origin: "nobody", Inc: num, Payload: all},
 	} {
-		if err := sub.mux.sendMessage("pub", newStream("cls"), &ack); err != nil {
+		if err := sub.mux.sendMessage("pub", newStream("cls", 0), &ack); err != nil {
 			t.Fatal(err)
 		}
 		if n := owed(); n != 3 {
 			t.Fatalf("after %+v: %d entries owed, want all 3", ack, n)
 		}
 	}
-	ack := message{Kind: kindCertAck, Origin: "tenant", Epoch: gp.epoch, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
-	if err := sub.mux.sendMessage("pub", newStream("cls"), &ack); err != nil {
+	ack := message{Kind: kindCertAck, Origin: "tenant", Inc: num, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
+	if err := sub.mux.sendMessage("pub", newStream("cls", 0), &ack); err != nil {
 		t.Fatal(err)
 	}
 	if n := owed(); n != 1 {
-		t.Fatalf("after the group's own epoch acknowledged 1 and 3..9: %d entries owed, want entry 2 alone", n)
+		t.Fatalf("after the group's own incarnation acknowledged 1 and 3..9: %d entries owed, want entry 2 alone", n)
 	}
 }
 

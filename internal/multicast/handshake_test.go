@@ -17,15 +17,15 @@ import (
 type formTap struct {
 	netsim.Transport
 	mu    sync.Mutex
-	forms map[string][4]int // destination -> frames by first byte
+	forms map[string][6]int // destination -> frames by first byte
 }
 
 func newFormTap(ep netsim.Transport) *formTap {
-	return &formTap{Transport: ep, forms: make(map[string][4]int)}
+	return &formTap{Transport: ep, forms: make(map[string][6]int)}
 }
 
 func (f *formTap) Send(to string, frame []byte) error {
-	if len(frame) > 0 && int(frame[0]) < 4 {
+	if len(frame) > 0 && int(frame[0]) < 6 {
 		f.mu.Lock()
 		c := f.forms[to]
 		c[frame[0]]++
@@ -46,8 +46,19 @@ func (f *formTap) sent(addr string, form byte) int {
 func knows(m *Mux, addr, stream string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	name, ok := m.known[peerKey{addr, streamKey(stream)}]
-	return ok && name == stream
+	s := m.streams[stream]
+	if s == nil {
+		return false
+	}
+	_, ok := s.known[addr]
+	return ok
+}
+
+// opened returns the stream m has open under name.
+func opened(m *Mux, name string) *stream {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.streams[name]
 }
 
 // TestMuxShortFrameOnceKnown: a stream is spelled to a destination until
@@ -70,7 +81,7 @@ func TestMuxShortFrameOnceKnown(t *testing.T) {
 		mu.Unlock()
 	})
 	a.Handle(stream, func(string, []byte) {})
-	s := newStream(stream)
+	s := opened(a, stream)
 	msg := message{Kind: kindData, Payload: []byte("x")}
 	if err := a.sendMessage("b", s, &msg); err != nil {
 		t.Fatal(err)
@@ -99,7 +110,7 @@ func TestMuxShortFrameOnceKnown(t *testing.T) {
 	}
 	defer f.release()
 	record, _ := encodeMessage(&msg)
-	if short := f.b[f.short:]; len(short)-len(record) != shortHeader || !bytes.HasSuffix(short, record) {
+	if short := f.prefixed(s, true, 0); len(short)-len(record) != shortHeader || !bytes.HasSuffix(short, record) {
 		t.Errorf("the short frame %x has %d bytes in front of the record, want %d", short, len(short)-len(record), shortHeader)
 	}
 }
@@ -134,7 +145,7 @@ func TestMuxLostKnownIsAnsweredAgain(t *testing.T) {
 	b.Handle(stream, func(string, []byte) {})
 	msg := message{Kind: kindData, Payload: []byte("x")}
 	for i, known := range []bool{false, true, true} {
-		if err := a.sendMessage("b", newStream(stream), &msg); err != nil {
+		if err := a.sendMessage("b", opened(a, stream), &msg); err != nil {
 			t.Fatal(err)
 		}
 		net.Settle()
@@ -154,9 +165,10 @@ func TestMuxLostKnownIsAnsweredAgain(t *testing.T) {
 // answers unknown and drops each short frame, the publisher spells the
 // stream again, the fallback creates the group, and FIFO, resending what
 // was dropped, delivers every later event exactly once and in order.
-// Fails if an unresolved short frame is dropped unanswered, or if
-// unknown does not clear the publisher's mark: the resends stay short
-// and are never delivered.
+// The stream is numbered, so the restarted receiver gives the
+// publisher's incarnation a number anew. Fails if an unresolved short
+// frame is dropped unanswered, or if unknown does not clear the
+// publisher's mark: the resends stay short and are never delivered.
 func TestMuxRestartedReceiverIsSpelledAgain(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -190,7 +202,7 @@ func TestMuxRestartedReceiverIsSpelledAgain(t *testing.T) {
 	if !knows(pubMux, "b", stream) {
 		t.Fatal("the publisher does not send the stream short after the handshake")
 	}
-	spelled := tap.sent("b", frameSpelled)
+	spelled := tap.sent("b", frameIncarnate)
 	_ = g.Close()
 	_ = epB.Close()
 
@@ -200,14 +212,13 @@ func TestMuxRestartedReceiverIsSpelledAgain(t *testing.T) {
 	second := &testNode{mux: NewMux(tapB)}
 	var mu sync.Mutex
 	var lazy *FIFO
-	second.mux.SetFallback(func(name, from string, p []byte) {
+	second.mux.SetFallback(func(name string) {
 		mu.Lock()
 		if name == stream && lazy == nil {
 			lazy = NewFIFO(second.mux, stream, second.record, fastOpts())
 			lazy.SetMembers(members)
 		}
 		mu.Unlock()
-		second.mux.Redeliver(name, from, p)
 	})
 	defer func() {
 		mu.Lock()
@@ -225,7 +236,7 @@ func TestMuxRestartedReceiverIsSpelledAgain(t *testing.T) {
 	if n := tapB.sent("a", frameUnknown); n == 0 {
 		t.Error("the restarted subscriber answered no short frame with unknown")
 	}
-	if tap.sent("b", frameSpelled) == spelled {
+	if tap.sent("b", frameIncarnate) == spelled {
 		t.Error("the publisher never spelled the stream to the restarted subscriber")
 	}
 	waitFor(t, 5e9, "the restarted subscriber to confirm the key", func() bool { return knows(pubMux, "b", stream) })
@@ -250,48 +261,84 @@ var collidingNames = sync.OnceValues(func() (string, string) {
 	}
 })
 
-// TestMuxCollidingKeysStaySpelled: one receiver handles two streams
-// whose names have the same key, each published by a node of its own,
-// in two bursts, the second once the first is in. Neither key is ever
-// confirmed, so both stay spelled, and each frame reaches the handler of
-// the stream it spells. Fails if a receiver confirms a key two of its
-// streams share: the publishers go short in the second burst and the
-// receiver cannot tell the streams apart.
+// TestMuxCollidingKeysStaySpelled: one receiver handles two best-effort
+// streams whose names have the same key, each published by a node of
+// its own, in two bursts, the second once the first is in. A stream without an
+// incarnation is resolved by its key alone, so neither key is ever
+// confirmed, both stay spelled, and each frame reaches the handler of
+// the stream it spells (the network keeps no order, and best effort
+// restores none). Fails if a receiver confirms a key two of its streams
+// share: the publishers go short in the second burst and the receiver
+// cannot tell the streams apart.
 func TestMuxCollidingKeysStaySpelled(t *testing.T) {
+	taps := collide(t, []string{"a", "c"}, false, func(m *Mux, name string, deliver Deliver) Group { return NewBestEffort(m, name, deliver) })
+	for addr, tap := range taps {
+		if short := tap.sent("b", frameShort); short != 0 {
+			t.Errorf("%s sent %d short frames to a receiver of two streams with one key", addr, short)
+		}
+	}
+}
+
+// TestMuxCollidingNumberedKeysGoShort: the same with FIFO streams, which
+// are numbered, both published by one node. The receiver numbers incarnations per origin and key, so
+// the two streams' incarnations get numbers of their own, 1 and 2, and a
+// short frame's (key, number) names one of them: the publisher goes
+// short in the second burst, and each frame still reaches its own
+// stream. Fails if numbers are given per stream rather than per key
+// (both are 1, and one stream's frames reach the other), or if a
+// colliding numbered stream is never confirmed (no short frame).
+func TestMuxCollidingNumberedKeysGoShort(t *testing.T) {
+	taps := collide(t, []string{"a", "a"}, true, func(m *Mux, name string, deliver Deliver) Group { return NewFIFO(m, name, deliver, fastOpts()) })
+	if short := taps["a"].sent("b", frameNumbered); short == 0 {
+		t.Error("the publisher sent no short frame to a receiver that numbered its incarnations")
+	}
+}
+
+// collide runs a receiver b of the two colliding streams, published by
+// the nodes at pubAddrs, for two bursts of events, checks that each
+// stream delivered its events once, and in order if ordered, and returns
+// the publishers' taps.
+func collide(t *testing.T, pubAddrs []string, ordered bool, newGroup func(m *Mux, name string, deliver Deliver) Group) map[string]*formTap {
+	t.Helper()
 	n1, n2 := collidingNames()
 	if streamKey(n1) != streamKey(n2) || n1 == n2 {
 		t.Fatalf("%q and %q do not collide", n1, n2)
 	}
 	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	members := []string{"a", "b", "c"}
+	t.Cleanup(func() { net.Close() })
+	members := append([]string{"b"}, pubAddrs...)
 	sub := newTestNode(t, net, "b")
+	taps, muxes := map[string]*formTap{}, map[string]*Mux{}
+	for _, addr := range pubAddrs {
+		if taps[addr] == nil {
+			ep, _ := net.NewEndpoint(addr)
+			taps[addr] = newFormTap(ep)
+			muxes[addr] = NewMux(taps[addr])
+		}
+	}
 	var mu sync.Mutex
 	got := map[string][]string{}
-	for _, name := range []string{n1, n2} {
-		g := NewFIFO(sub.mux, name, func(origin string, p []byte) {
+	var pubs []Group
+	for k, name := range []string{n1, n2} {
+		g := newGroup(sub.mux, name, func(origin string, p []byte) {
 			mu.Lock()
 			got[name] = append(got[name], origin+":"+string(p))
 			mu.Unlock()
-		}, fastOpts())
+		})
 		g.SetMembers(members)
-		defer g.Close()
-	}
-	var taps []*formTap
-	var pubs []*FIFO
-	for i, addr := range []string{"a", "c"} {
-		ep, _ := net.NewEndpoint(addr)
-		tap := newFormTap(ep)
-		g := NewFIFO(NewMux(tap), []string{n1, n2}[i], func(string, []byte) {}, fastOpts())
-		g.SetMembers(members)
-		defer g.Close()
-		taps, pubs = append(taps, tap), append(pubs, g)
+		t.Cleanup(func() { g.Close() })
+		p := newGroup(muxes[pubAddrs[k]], name, func(string, []byte) {})
+		p.SetMembers(members)
+		t.Cleanup(func() { p.Close() })
+		pubs = append(pubs, p)
 	}
 	const events = 20
 	for burst := range 2 {
 		for i := burst * events / 2; i < (burst+1)*events/2; i++ {
-			for _, g := range pubs {
-				if err := g.BroadcastTo([]string{"b"}, []byte(fmt.Sprint(i))); err != nil {
+			for k, g := range pubs {
+				if err := g.(interface {
+					BroadcastTo([]string, []byte) error
+				}).BroadcastTo([]string{"b"}, []byte(fmt.Sprint(k, "/", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -305,18 +352,20 @@ func TestMuxCollidingKeysStaySpelled(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for i, name := range []string{n1, n2} {
+	for k, name := range []string{n1, n2} {
 		var want []string
-		for k := range events {
-			want = append(want, fmt.Sprintf("%s:%d", []string{"a", "c"}[i], k))
+		for i := range events {
+			want = append(want, fmt.Sprint(pubAddrs[k], ":", k, "/", i))
+		}
+		if !ordered {
+			slices.Sort(got[name])
+			slices.Sort(want)
 		}
 		if !slices.Equal(got[name], want) {
 			t.Errorf("%s delivered %q, want %q", name, got[name], want)
 		}
-		if short := taps[i].sent("b", frameShort); short != 0 {
-			t.Errorf("the publisher of %s sent %d short frames to a receiver of two streams with its key", name, short)
-		}
 	}
+	return taps
 }
 
 // recordTransport keeps a copy of every frame it is given to send.
@@ -335,22 +384,36 @@ func (r *recordTransport) Send(_ string, b []byte) error {
 	return nil
 }
 
-// FuzzMuxFrame feeds the peer-facing frame decoder anything. It never
-// panics; a short frame reaches only the one handler registered under
-// its key, and only when no other name has that key; a spelled frame
-// reaches only the handler of the name it spells, or the fallback with
-// that name, and only when the key it carries is the name's; a known
-// frame is answered only to a spelled frame that reached a handler, an
-// unknown one only to a short frame that reached none.
+// FuzzMuxFrame feeds the peer-facing frame decoder anything, after the
+// peer has spelled the one numbered stream with epoch 5, which the mux
+// numbered 1. It never panics. A short frame reaches only the one
+// handler registered under its key, and only when no other name has
+// that key; a numbered one only the numbered stream, and only with its
+// key and the number 1, and hands it epoch 5. A spelled frame reaches
+// only the handler of the name it spells, or the fallback with that
+// name; spelling the numbered stream with an epoch below 5 reaches
+// nothing, and one above 5 gets the number 2. A known frame is answered
+// only to a spelled frame that reached a handler, with the epoch and
+// number on a numbered frame; an unknown one only to a short frame that
+// reached none, with the number it carried.
 func FuzzMuxFrame(f *testing.F) {
 	c1, c2 := collidingNames()
-	names := []string{"s", "dace/fifo/some.Class", c1, c2}
+	const numbered = "dace/fifo/some.Class"
+	names := []string{"s", numbered, c1, c2}
 	short := func(name string, body string) []byte {
 		return append(binary.BigEndian.AppendUint32([]byte{frameShort}, streamKey(name)), body...)
 	}
 	spelled := func(name string, body string) []byte {
 		b := binary.BigEndian.AppendUint16([]byte{frameSpelled}, uint16(len(name)))
-		return append(append(b, name...), short(name, body)...)
+		return append(append(b, name...), body...)
+	}
+	shortNum := func(name string, num uint64, body string) []byte {
+		b := binary.BigEndian.AppendUint32([]byte{frameNumbered}, streamKey(name))
+		return append(binary.AppendUvarint(b, num), body...)
+	}
+	incarnate := func(name string, epoch uint64, body string) []byte {
+		b := binary.BigEndian.AppendUint16([]byte{frameIncarnate}, uint16(len(name)))
+		return append(binary.AppendUvarint(append(b, name...), epoch), body...)
 	}
 	for _, name := range append(names, "unhandled", "") {
 		f.Add(short(name, "body"))
@@ -358,29 +421,62 @@ func FuzzMuxFrame(f *testing.F) {
 		f.Add(binary.BigEndian.AppendUint32([]byte{frameKnown}, streamKey(name)))
 		f.Add(binary.BigEndian.AppendUint32([]byte{frameUnknown}, streamKey(name)))
 	}
-	f.Add(short("s", "")[:3])                                                  // a truncated key
-	f.Add(spelled("s", "x")[:5])                                               // a spelled frame cut short
-	f.Add(append(spelled("s", "x")[:4], short("dace/fifo/some.Class", "")...)) // a key that is another name's
-	f.Add([]byte{frameSpelled, 0xFF, 0xFF, 's'})                               // a name longer than the frame
-	f.Add(append([]byte{0, 1, 's'}, "record"...))                              // the layout before keys
+	f.Add(short("s", "")[:3])                     // a truncated key
+	f.Add(spelled("s", "x")[:2])                  // a spelled frame cut short
+	f.Add(incarnate("s", 5, "x")[:5])             // an epoch missing
+	f.Add([]byte{frameSpelled, 0xFF, 0xFF, 's'})  // a name longer than the frame
+	f.Add(append([]byte{0, 1, 's'}, "record"...)) // the layout before keys
+	for _, num := range []uint64{0, 1, 2, 300} {
+		f.Add(shortNum(numbered, num, "body"))
+		f.Add(shortNum("s", num, "body"))
+	}
+	for _, epoch := range []uint64{0, 4, 5, 6} {
+		f.Add(incarnate(numbered, epoch, "body"))
+		f.Add(incarnate(c1, epoch, "body"))
+	}
+	f.Add(append(shortNum(numbered, 1, "")[:5], 0x81, 0x00))                                                                        // a number not in its shortest form
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(binary.BigEndian.AppendUint32([]byte{frameKnown}, streamKey(numbered)), 7), 1)) // known with a number
+	f.Add(binary.AppendUvarint(binary.BigEndian.AppendUint32([]byte{frameUnknown}, streamKey(numbered)), 1))                        // unknown with a number
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := &recordTransport{}
 		m := NewMux(tr)
 		var hit []string
 		var body []byte
+		var got incarnation
 		for _, name := range names {
-			m.Handle(name, func(_ string, p []byte) {
-				hit, body = append(hit, name), p
+			epoch := uint64(0)
+			if name == numbered {
+				epoch = 9
+			}
+			m.open(newStream(name, epoch), func(_ string, in incarnation, p []byte) {
+				hit, body, got = append(hit, name), p, in
 			})
 		}
-		m.SetFallback(func(stream, _ string, p []byte) {
-			hit, body = append(hit, "fallback:"+stream), p
-		})
+		m.SetFallback(func(stream string) { hit = append(hit, "fallback:"+stream) })
+		m.dispatch("peer", incarnate(numbered, 5, ""))
+		hit, body, got, tr.sent = nil, nil, incarnation{}, nil
 		m.dispatch("peer", data)
 
 		var want []string
 		var wantBody []byte
-		var answer byte = 0xFF
+		var wantIn incarnation
+		var answer []byte // the handshake frame the peer is owed, if any
+		keyed := func(kind byte, key uint32, nums ...uint64) []byte {
+			b := binary.BigEndian.AppendUint32([]byte{kind}, key)
+			for _, n := range nums {
+				if n != 0 {
+					b = binary.AppendUvarint(b, n)
+				}
+			}
+			return b
+		}
+		minimal := func(b []byte) (uint64, int) {
+			v, n := binary.Uvarint(b)
+			if n <= 0 || (n > 1 && b[n-1] == 0) {
+				return 0, 0
+			}
+			return v, n
+		}
 		switch {
 		case len(data) >= shortHeader && data[0] == frameShort:
 			key := binary.BigEndian.Uint32(data[1:])
@@ -393,34 +489,57 @@ func FuzzMuxFrame(f *testing.F) {
 			if len(under) == 1 {
 				want, wantBody = under, data[shortHeader:]
 			} else {
-				answer = frameUnknown
+				answer = keyed(frameUnknown, key)
 			}
-		case len(data) >= 3 && data[0] == frameSpelled:
+		case len(data) >= shortHeader && data[0] == frameNumbered:
+			key := binary.BigEndian.Uint32(data[1:])
+			num, n := minimal(data[shortHeader:])
+			switch {
+			case n == 0 || num == 0:
+			case key == streamKey(numbered) && num == 1:
+				want, wantBody, wantIn = []string{numbered}, data[shortHeader+n:], incarnation{5, 1}
+			default:
+				answer = keyed(frameUnknown, key, num)
+			}
+		case len(data) >= 3 && (data[0] == frameSpelled || data[0] == frameIncarnate):
 			n := int(binary.BigEndian.Uint16(data[1:]))
-			if len(data) < spelledHeader+n || data[3+n] != frameShort ||
-				binary.BigEndian.Uint32(data[4+n:]) != streamKey(data[3:3+n]) {
+			if len(data) < spelledHeader+n {
 				break
 			}
-			name := string(data[3 : 3+n])
-			wantBody = data[spelledHeader+n:]
+			name, rest := string(data[3:3+n]), data[3+n:]
+			var epoch uint64
+			if data[0] == frameIncarnate {
+				k := 0
+				if epoch, k = minimal(rest); k == 0 || epoch == 0 {
+					break
+				}
+				rest = rest[k:]
+			}
 			if !slices.Contains(names, name) {
 				want = []string{"fallback:" + name}
 				break
 			}
-			want = []string{name}
-			if name != c1 && name != c2 {
-				answer = frameKnown
+			switch {
+			case epoch == 0:
+				want, wantBody = []string{name}, rest
+				if name != c1 && name != c2 {
+					answer = keyed(frameKnown, streamKey(name))
+				}
+			case name == numbered && epoch < 5:
+			default:
+				wantIn = incarnation{epoch, 1}
+				if name == numbered && epoch > 5 {
+					wantIn.num = 2
+				}
+				want, wantBody = []string{name}, rest
+				answer = keyed(frameKnown, streamKey(name), epoch, wantIn.num)
 			}
 		}
-		if !slices.Equal(hit, want) || !bytes.Equal(body, wantBody) {
-			t.Fatalf("frame %x reached %q with %x, want %q with %x", data, hit, body, want, wantBody)
+		if !slices.Equal(hit, want) || !bytes.Equal(body, wantBody) || (want != nil && got != wantIn) {
+			t.Fatalf("frame %x reached %q with %x from %+v, want %q with %x from %+v", data, hit, body, got, want, wantBody, wantIn)
 		}
-		var answers []byte
-		for _, b := range tr.sent {
-			answers = append(answers, b[0])
-		}
-		if (answer == 0xFF) != (len(answers) == 0) || len(answers) > 1 || (len(answers) == 1 && answers[0] != answer) {
-			t.Fatalf("frame %x was answered with %v, want kind %d", data, tr.sent, answer)
+		if (answer == nil) != (len(tr.sent) == 0) || len(tr.sent) > 1 || (answer != nil && !bytes.Equal(tr.sent[0], answer)) {
+			t.Fatalf("frame %x was answered with %x, want %x", data, tr.sent, answer)
 		}
 	})
 }

@@ -9,34 +9,65 @@ import (
 	"testing"
 
 	"govents/internal/netsim"
+	"govents/internal/rec"
 )
 
 // sendRaw sends payload to one address as the whole body of a frame on
 // stream, no protocol record around it: a frame as any peer may inject.
 func sendRaw(m *Mux, to, stream string, payload []byte) error {
-	f, err := newFrame(newStream(stream), len(payload))
+	s := newStream(stream, 0)
+	f, err := newFrame(s, len(payload))
 	if err != nil {
 		return err
 	}
 	defer f.release()
 	f.b = append(f.b, payload...)
-	return m.tr.Send(to, f.b)
+	return m.tr.Send(to, f.prefixed(s, false, 0))
+}
+
+// frameRecord returns the record of a frame as a transport is handed it,
+// in any of its four forms; a handshake frame has none.
+func frameRecord(frame []byte) ([]byte, bool) {
+	if len(frame) == 0 {
+		return nil, false
+	}
+	rest := frame[1:]
+	switch frame[0] {
+	case frameShort, frameNumbered:
+		if len(rest) < 4 {
+			return nil, false
+		}
+		rest = rest[4:]
+	case frameSpelled, frameIncarnate:
+		if len(rest) < 2 || len(rest) < 2+int(binary.BigEndian.Uint16(rest)) {
+			return nil, false
+		}
+		rest = rest[2+int(binary.BigEndian.Uint16(rest)):]
+	default:
+		return nil, false
+	}
+	if frame[0] == frameNumbered || frame[0] == frameIncarnate {
+		d := rec.Reader{Buf: rest}
+		if d.Uvarint(); d.Err != nil {
+			return nil, false
+		}
+		rest = rest[d.Off:]
+	}
+	return rest, true
 }
 
 // decodeFrame decodes the record of a frame as a transport is handed
-// it, spelled or short; a handshake frame has none.
+// it; a handshake frame has none.
 func decodeFrame(frame []byte, m *message) error {
-	switch {
-	case len(frame) >= shortHeader && frame[0] == frameShort:
-		return decodeMessage(frame[shortHeader:], m)
-	case len(frame) >= 3 && frame[0] == frameSpelled:
-		if n := int(binary.BigEndian.Uint16(frame[1:])); len(frame) >= spelledHeader+n {
-			return decodeMessage(frame[spelledHeader+n:], m)
-		}
+	if rec, ok := frameRecord(frame); ok {
+		return decodeMessage(rec, m)
 	}
 	return errors.New("not a record frame")
 }
 
+// TestMuxFallbackAndRedeliver: a spelled frame on a stream nobody has
+// open runs the fallback, which opens it, and the mux then delivers the
+// frame to the new handler; later frames go straight to it.
 func TestMuxFallbackAndRedeliver(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -46,17 +77,16 @@ func TestMuxFallbackAndRedeliver(t *testing.T) {
 	var mu sync.Mutex
 	var fallbackStreams []string
 	var delivered []string
-	b.mux.SetFallback(func(stream, from string, payload []byte) {
+	b.mux.SetFallback(func(stream string) {
 		mu.Lock()
 		fallbackStreams = append(fallbackStreams, stream)
 		mu.Unlock()
-		// Lazily register, then re-dispatch — the dace pattern.
+		// Lazily register; the mux re-dispatches — the dace pattern.
 		b.mux.Handle(stream, func(from string, p []byte) {
 			mu.Lock()
 			defer mu.Unlock()
 			delivered = append(delivered, string(p))
 		})
-		b.mux.Redeliver(stream, from, payload)
 	})
 
 	_ = sendRaw(a.mux, "b", "lazy/stream", []byte("first"))
@@ -74,12 +104,27 @@ func TestMuxFallbackAndRedeliver(t *testing.T) {
 	}
 }
 
+// TestMuxRedeliverUnknownStreamIsDropped: a frame whose fallback opens
+// no stream is dropped, and unconfirmed.
 func TestMuxRedeliverUnknownStreamIsDropped(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
-	a := newTestNode(t, net, "a")
-	// No handler, no panic.
-	a.mux.Redeliver("ghost", "nobody", []byte("x"))
+	tap := newFormTap(must(net.NewEndpoint("b")))
+	a, b := newTestNode(t, net, "a"), NewMux(tap)
+	calls := 0
+	b.SetFallback(func(string) { calls++ })
+	_ = sendRaw(a.mux, "b", "ghost", []byte("x"))
+	net.Settle()
+	if calls != 1 || tap.sent("a", frameKnown) != 0 {
+		t.Errorf("the fallback ran %d times and b sent %d known frames; want 1 and none", calls, tap.sent("a", frameKnown))
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func TestMuxUnhandleStopsDelivery(t *testing.T) {
@@ -107,10 +152,12 @@ func TestMuxUnhandleStopsDelivery(t *testing.T) {
 }
 
 // TestMuxMalformedFramesIgnored: a frame too short for a key, a spelled
-// frame whose name runs past its end, whose short form is missing or
-// another kind, or whose key is not its name's, and a short frame whose
-// key is nobody's (a frame of the layout before keys reads as one) reach
-// no handler. Only the last is answered, with unknown.
+// frame whose name runs past its end or whose epoch is missing, zero or
+// not in its shortest form, a numbered frame whose number is, a
+// handshake frame with a trailing byte, a frame of an unknown kind, and
+// a short frame whose key is nobody's (a frame of the layout before keys
+// reads as one) reach no handler. Only the last is answered, with
+// unknown.
 func TestMuxMalformedFramesIgnored(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -131,13 +178,18 @@ func TestMuxMalformedFramesIgnored(t *testing.T) {
 		{frameShort},
 		append([]byte{frameShort}, key[:3]...),
 		{frameSpelled, 0xFF, 0xFF, 's'},
-		{frameSpelled, 0, 1, 's'},
-		append([]byte{frameSpelled, 0, 1, 's', frameShort}, key[:3]...),
-		append(append([]byte{frameSpelled, 0, 1, 's', frameKnown}, key...), "x"...),
-		append(append([]byte{frameSpelled, 0, 1, 's', frameShort}, wrong...), "x"...),
+		{frameSpelled, 0, 2, 's'},
+		{frameIncarnate, 0, 1, 's'},
+		{frameIncarnate, 0, 1, 's', 0, 'x'},
+		{frameIncarnate, 0, 1, 's', 0x81, 0x00, 'x'},
+		append(append([]byte{frameNumbered}, key...), 0),
+		append(append([]byte{frameNumbered}, key...), 0x81, 0x00, 'x'),
 		append([]byte{frameKnown}, append(key, 0)...),
+		append([]byte{frameKnown}, append(key, 7)...),
+		append([]byte{frameUnknown}, append(key, 1, 0)...),
 		{frameUnknown},
 		{0xFF, 0, 0, 0, 0, 'x'},
+		append(append([]byte{frameShort}, wrong...), "x"...)[:3],
 	} {
 		_ = a.Send("b", f)
 	}
@@ -158,7 +210,7 @@ func TestMuxStreamNameTooLong(t *testing.T) {
 	for i := range long {
 		long[i] = 's'
 	}
-	if err := a.mux.sendMessage("a", newStream(string(long)), &message{Kind: kindData}); err == nil {
+	if err := a.mux.sendMessage("a", newStream(string(long), 0), &message{Kind: kindData}); err == nil {
 		t.Error("oversized stream name must fail")
 	}
 }
@@ -190,7 +242,7 @@ func TestFanOutFramesOnce(t *testing.T) {
 	tap := &frameTap{Transport: ep}
 	m := NewMux(tap)
 	msg := message{Kind: kindData, Payload: []byte("m")}
-	s := newStream("s")
+	s := newStream("s", 0)
 	if err := m.fanOut([]string{"b", "a", "c", "d"}, "a", s, &msg); err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +283,13 @@ func TestMuxSendAllocs(t *testing.T) {
 	}
 	m := NewMux(discardTransport{ep})
 	payload := bytes.Repeat([]byte{7}, 1200)
-	data := message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
+	data := message{Kind: kindData, Seq: 70000, Base: 69990, Payload: payload}
 	dests := []string{"b", "a", "c", "d"}
-	fifo, be := newStream("dace/fifo/some.Class"), newStream("dace/be/some.Class")
+	fifo, be := newStream("dace/fifo/some.Class", 1_759_000_000_000_000), newStream("dace/be/some.Class", 0)
+	m.open(fifo, nil)
+	m.mu.Lock()
+	fifo.known["b"] = 3 // a destination that confirmed the stream: short frames
+	m.mu.Unlock()
 	long := message{Kind: kindData, Payload: make([]byte, 2*maxPooledFrame)}
 	for _, tc := range []struct {
 		what string

@@ -20,11 +20,13 @@ import (
 //
 // Identity, acknowledgement and order are per link — one (origin →
 // destination) pair — not per message. The sender numbers what it sends
-// each destination 1, 2, 3, … and stamps every data frame with its epoch
+// each destination 1, 2, 3, … and stamps every data frame with its base,
+// the lowest link sequence it still owes that destination; its epoch
 // (the incarnation of this group: a restarted sender starts a new link
-// rather than being mistaken for its own duplicates) and its base, the
-// lowest link sequence it still owes that destination. The receiver
-// keeps, per origin, a seqset.Set of what it has received: the
+// rather than being mistaken for its own duplicates) rides the stream's
+// handshake (Mux), which hands the receiver the epoch of every frame,
+// and the receiver's acknowledgements name it by the number it gave it.
+// The receiver keeps, per origin, a seqset.Set of what it has received: the
 // cumulative sequence below which everything is settled, and the runs
 // of sequences received ahead of it. It hands frames to its upcall in
 // link-sequence order: a frame waits only while a hole sits below it,
@@ -54,10 +56,9 @@ import (
 // stable storage.
 type Reliable struct {
 	mux    *Mux
-	stream stream
+	stream *stream // its epoch is the group's incarnation
 	self   string
 	opts   Options
-	epoch  uint64
 
 	upcall  *releaseList
 	members membership
@@ -264,9 +265,10 @@ func (p *chunkPool) period() {
 	p.retired = p.retired[:0]
 }
 
-// inLink is the receiver's end of one link.
+// inLink is the receiver's end of one link, from the sender's
+// incarnation in.
 type inLink struct {
-	epoch uint64
+	in incarnation
 	// got's floor is the cumulative sequence, up to which every one was
 	// handed to the upcall or written off by the sender's base; its runs,
 	// maxAhead at most, are what was received beyond it, their frames
@@ -339,7 +341,7 @@ func (l *inLink) note(seq uint64, msg queuedMsg) bool {
 func (l *inLink) ack(gen uint64) message {
 	l.sent(gen)
 	cum, runs := l.got.Floor(), l.got.Runs()
-	m := message{Kind: kindAck, Epoch: l.epoch, Seq: cum}
+	m := message{Kind: kindAck, Inc: l.in.num, Seq: cum}
 	if len(runs) > 0 {
 		m.Payload = seqset.AppendRuns(nil, cum, runs[:min(len(runs), maxAckList)])
 	}
@@ -353,17 +355,16 @@ func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliab
 	opts = opts.withDefaults()
 	g := &Reliable{
 		mux:    mux,
-		stream: newStream(stream),
+		stream: newStream(stream, newEpoch()),
 		self:   mux.Addr(),
 		opts:   opts,
-		epoch:  newEpoch(),
 		lc:     newLifecycle(),
 		gen:    1, // 0 is inLink.ackGen's "never acknowledged"
 		out:    make(map[string]*outLink),
 		in:     make(map[string]*inLink),
 		upcall: newReleaseList(deliver),
 	}
-	mux.Handle(stream, g.onMessage)
+	mux.open(g.stream, g.onMessage)
 	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
 	return g
 }
@@ -473,7 +474,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			// The caller's payload, not the link's copy: once g.mu is
 			// released, an acknowledgement may retire the copy.
 			frames = append(frames, linkFrame{addr, message{
-				Kind: kindData, Epoch: g.epoch, Seq: seq, Base: l.base(), Origin: named, Payload: s.Payload}})
+				Kind: kindData, Seq: seq, Base: l.base(), Origin: named, Payload: s.Payload}})
 		}
 	}
 	obs := g.observer
@@ -491,7 +492,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 // frame naming origin (empty for this node) no transport would carry,
 // with the link sequence and base at their widest.
 func (g *Reliable) fits(named string, payload []byte) error {
-	err := fits(g.stream, &message{Kind: kindData, Epoch: g.epoch, Seq: math.MaxUint64, Base: 1, Origin: named, Payload: payload})
+	err := fits(g.stream, &message{Kind: kindData, Seq: math.MaxUint64, Base: 1, Origin: named, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("multicast: reliable %s: %w", g.stream, err)
 	}
@@ -508,7 +509,7 @@ func (g *Reliable) transmit(frames []linkFrame) {
 
 // Close implements Group.
 func (g *Reliable) Close() error {
-	g.mux.Unhandle(g.stream.name)
+	g.mux.close(g.stream)
 	g.lc.close()
 	g.upcall.close()
 	return nil
@@ -563,13 +564,13 @@ func (g *Reliable) tick() {
 			if !checked {
 				if checked = true; !g.members.has(addr) {
 					l.drop() // a member that left the group no longer owes an ack
-					frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Epoch: g.epoch, Base: l.base()}})
+					frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Base: l.base()}})
 					break
 				}
 			}
 			e.gen = g.gen
 			frames = append(frames, linkFrame{addr, message{
-				Kind: kindData, Epoch: g.epoch, Seq: l.seqAt(i), Base: base, Origin: e.origin, Payload: e.payload}})
+				Kind: kindData, Seq: l.seqAt(i), Base: base, Origin: e.origin, Payload: e.payload}})
 		}
 	}
 	g.mu.Unlock()
@@ -580,16 +581,16 @@ func (g *Reliable) tick() {
 	}
 }
 
-func (g *Reliable) onMessage(from string, data []byte) {
+func (g *Reliable) onMessage(from string, in incarnation, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil {
 		return
 	}
 	switch m.Kind {
 	case kindData, kindSkip:
-		g.onLink(from, &m)
+		g.onLink(from, in, &m)
 	case kindAck:
-		if m.Epoch != g.epoch {
+		if m.Inc == 0 || m.Inc != g.mux.number(g.stream, from) {
 			return // addressed to an earlier incarnation of this group
 		}
 		g.mu.Lock()
@@ -601,12 +602,13 @@ func (g *Reliable) onMessage(from string, data []byte) {
 	}
 }
 
-// onLink books a link frame — a data frame, or a base announcement,
-// which is a base and nothing else — acknowledges a data frame according
-// to the policy in the type's documentation, and then delivers, on the
-// caller, whatever the frame lets out in link order.
-func (g *Reliable) onLink(from string, m *message) {
-	if m.Epoch == 0 || m.Base == 0 {
+// onLink books a link frame from the sender's incarnation in — a data
+// frame, or a base announcement, which is a base and nothing else —
+// acknowledges a data frame according to the policy in the type's
+// documentation, and then delivers, on the caller, whatever the frame
+// lets out in link order.
+func (g *Reliable) onLink(from string, in incarnation, m *message) {
+	if in.epoch == 0 || m.Base == 0 {
 		return // not a link frame
 	}
 	origin := from
@@ -616,7 +618,7 @@ func (g *Reliable) onLink(from string, m *message) {
 	g.mu.Lock()
 	l := g.in[from]
 	switch {
-	case l == nil || m.Epoch > l.epoch:
+	case l == nil || in.epoch > l.in.epoch:
 		// A sender never heard from, or its next incarnation: the link
 		// starts at the frame's base. What is still held of the previous
 		// incarnation goes out first; its holes will never fill.
@@ -624,10 +626,10 @@ func (g *Reliable) onLink(from string, m *message) {
 			l.raise(math.MaxUint64)
 			g.releaseLocked(l)
 		}
-		l = &inLink{epoch: m.Epoch}
+		l = &inLink{in: in}
 		l.got.Raise(m.Base - 1)
 		g.in[from] = l
-	case m.Epoch < l.epoch:
+	case in.epoch < l.in.epoch:
 		g.mu.Unlock()
 		return // a straggler of a dead incarnation
 	}

@@ -158,12 +158,12 @@ func TestReliableExactlyOnceProperty(t *testing.T) {
 	// A sender restart: the new incarnation numbers its links from 1
 	// again under a later epoch, and must be delivered, not deduplicated
 	// against its predecessor.
-	old := groups["a"].epoch
+	old := groups["a"].stream.epoch
 	_ = groups["a"].Close()
 	groups["a"] = NewReliable(nodes["a"].mux, "cls", tallies["a"].record, fastOpts())
 	groups["a"].SetMembers(names)
-	if groups["a"].epoch <= old {
-		t.Fatalf("restarted epoch %d does not outrank %d", groups["a"].epoch, old)
+	if groups["a"].stream.epoch <= old {
+		t.Fatalf("restarted epoch %d does not outrank %d", groups["a"].stream.epoch, old)
 	}
 	for i := 0; i < 40; i++ {
 		p := fmt.Sprintf("restart-%03d", i)
@@ -604,11 +604,11 @@ func TestReliableTickAllocs(t *testing.T) {
 	// interval keeps the timer out of the way.
 	g := NewReliable(NewMux(discardTransport{ep}), "cls", func(string, []byte) {}, Options{RetransmitInterval: time.Hour})
 	defer g.Close()
-	data, err := encodeMessage(&message{Kind: kindData, Epoch: 1, Seq: 1, Base: 1, Payload: []byte("m")})
+	data, err := encodeMessage(&message{Kind: kindData, Seq: 1, Base: 1, Payload: []byte("m")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.onMessage("a", data)
+	g.onMessage("a", incarnation{epoch: 1, num: 1}, data)
 	g.mu.Lock()
 	l := g.in["a"]
 	g.mu.Unlock()
@@ -888,11 +888,14 @@ func TestReliableRetransmitsFromItsOwnCopy(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("nothing was resent")
 		}
-		ack, err := encodeMessage(&message{Kind: kindAck, Epoch: ga.epoch, Seq: 9})
+		ack, err := encodeMessage(&message{Kind: kindAck, Inc: 1, Seq: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ga.onMessage("b", ack)
+		ga.mux.mu.Lock()
+		ga.stream.known["b"] = 1 // b confirmed the stream, numbering ga's incarnation 1
+		ga.mux.mu.Unlock()
+		ga.onMessage("b", incarnation{}, ack)
 		for i := 9; i < 14; i++ {
 			broadcast(t, ga, []string{"b"}, i)
 		}

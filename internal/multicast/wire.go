@@ -16,7 +16,7 @@ import (
 //	kind      1 byte    msgKind
 //	flags     uvarint   one presence bit per optional field below
 //	Seq       uvarint                                        flagSeq
-//	Epoch     uvarint                                        flagEpoch
+//	Inc       uvarint                                        flagInc
 //	Base      uvarint   Seq - Base (absolute when the        flagBase
 //	                    record has no Seq)
 //	Origin    uvarint length (1..maxWireString) + bytes      flagOrigin
@@ -57,20 +57,22 @@ const (
 // Fields are used selectively per kind; unused fields stay zero and do
 // not travel.
 //
-// Epoch, Seq and Base belong to Reliable's link protocol (reliable.go):
+// Seq, Base and Inc belong to Reliable's link protocol (reliable.go):
 // on a data frame Seq is the link sequence and Base the lowest link
 // sequence the sender still owes this destination; a kindSkip link
 // frame announces a Base alone; on an acknowledgement Seq is the
-// cumulative acknowledgement and Payload lists the runs of link
-// sequences received above it (appendRanges). Certified (certified.go)
-// borrows them: Seq is a data frame's outbox offset, Epoch the
-// publisher's incarnation on both its kinds, and an acknowledgement's
-// Payload lists runs of offsets above 0.
+// cumulative acknowledgement, Payload lists the runs of link sequences
+// received above it (appendRanges), and Inc is the number the
+// acknowledging node gave the incarnation it acknowledges (Mux). The
+// sender's incarnation itself travels in the frame's prefix, not here.
+// Certified (certified.go) borrows them: Seq is a data frame's outbox
+// offset, Inc names the publisher's incarnation on an acknowledgement,
+// and an acknowledgement's Payload lists runs of offsets above 0.
 type message struct {
 	Kind    msgKind
 	Origin  string // original publisher where it is not the frame's sender (or durable consumer ID in cert acks)
 	Seq     uint64 // link sequence, cumulative acknowledgement, or outbox offset
-	Epoch   uint64 // incarnation of the data frame's sender
+	Inc     uint64 // an acknowledgement's number for the incarnation it acknowledges
 	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
 	ID      string // unique message ID
 	VC      vclock.VC
@@ -79,12 +81,12 @@ type message struct {
 
 const (
 	flagSeq    = 1 << 0
-	flagEpoch  = 1 << 2
+	flagInc    = 1 << 2
 	flagBase   = 1 << 3
 	flagOrigin = 1 << 5
 	flagID     = 1 << 6
 	flagVC     = 1 << 8
-	knownFlags = flagSeq | flagEpoch | flagBase | flagOrigin | flagID | flagVC
+	knownFlags = flagSeq | flagInc | flagBase | flagOrigin | flagID | flagVC
 
 	// Field caps, enforced on encode and decode alike.
 	maxWireString = rec.MaxString
@@ -97,8 +99,8 @@ func (m *message) flags() uint64 {
 	if m.Seq != 0 {
 		f |= flagSeq
 	}
-	if m.Epoch != 0 {
-		f |= flagEpoch
+	if m.Inc != 0 {
+		f |= flagInc
 	}
 	if m.Base != 0 {
 		f |= flagBase
@@ -140,8 +142,8 @@ func messageSize(m *message) (int, error) {
 	if f&flagSeq != 0 {
 		n += rec.UvarintLen(m.Seq)
 	}
-	if f&flagEpoch != 0 {
-		n += rec.UvarintLen(m.Epoch)
+	if f&flagInc != 0 {
+		n += rec.UvarintLen(m.Inc)
 	}
 	if f&flagBase != 0 {
 		n += rec.UvarintLen(m.baseDelta())
@@ -173,8 +175,8 @@ func appendMessage(dst []byte, m *message) []byte {
 	if f&flagSeq != 0 {
 		b = binary.AppendUvarint(b, m.Seq)
 	}
-	if f&flagEpoch != 0 {
-		b = binary.AppendUvarint(b, m.Epoch)
+	if f&flagInc != 0 {
+		b = binary.AppendUvarint(b, m.Inc)
 	}
 	if f&flagBase != 0 {
 		b = binary.AppendUvarint(b, m.baseDelta())
@@ -224,8 +226,8 @@ func decodeMessage(data []byte, m *message) error {
 	if f&flagSeq != 0 {
 		m.Seq = d.NonZero("Seq")
 	}
-	if f&flagEpoch != 0 {
-		m.Epoch = d.NonZero("Epoch")
+	if f&flagInc != 0 {
+		m.Inc = d.NonZero("Inc")
 	}
 	if f&flagBase != 0 {
 		switch delta := d.Uvarint(); {

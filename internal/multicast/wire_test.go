@@ -45,8 +45,8 @@ func TestMessageRoundTripEveryCombination(t *testing.T) {
 				if fields&flagSeq != 0 {
 					m.Seq = 300
 				}
-				if fields&flagEpoch != 0 {
-					m.Epoch = 1_759_000_000_000_000
+				if fields&flagInc != 0 {
+					m.Inc = 1_759_000_000_000_000
 				}
 				if fields&flagBase != 0 {
 					m.Base = 299
@@ -84,14 +84,14 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 		size int // 0: not pinned
 	}{
 		{"besteffort data", message{Kind: kindData, Payload: []byte("payload")}, 2 + 7},
-		{"reliable data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")}, 2 + 8 + 3 + 1 + 1},
-		{"reliable ack", message{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})}, 2 + 8 + 3 + 4},
-		{"reliable base announcement", message{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001}, 2 + 8 + 3},
+		{"reliable data", message{Kind: kindData, Seq: 70000, Base: 69990, Payload: []byte("p")}, 2 + 3 + 1 + 1},
+		{"reliable ack", message{Kind: kindAck, Inc: 1, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})}, 2 + 1 + 3 + 4},
+		{"reliable base announcement", message{Kind: kindSkip, Base: 70001}, 2 + 3},
 		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}, 0},
 		{"causal clock marker", message{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}}, 0},
-		{"total data", message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 8 + 1 + 1 + 2 + 1},
-		{"certified data", message{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 8 + 5 + 7},
-		{"certified ack", message{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "consumer", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}})}, 2 + 8 + 9 + 4},
+		{"total data", message{Kind: kindData, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 1 + 1 + 2 + 1},
+		{"certified data", message{Kind: kindCertData, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 5 + 7},
+		{"certified ack", message{Kind: kindCertAck, Inc: 1, Origin: "consumer", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}})}, 2 + 1 + 9 + 4},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -107,14 +107,14 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 }
 
 func TestMessageRoundTripProperty(t *testing.T) {
-	f := func(origin, id string, seq, base, epoch uint64, payload []byte) bool {
+	f := func(origin, id string, seq, base, inc uint64, payload []byte) bool {
 		if len(origin) > maxWireString || len(id) > maxWireString {
 			return true // out of contract
 		}
 		if seq != 0 {
 			base = seq/2 + seq%2 // a data frame's base trails its sequence; an announcement's stands alone
 		}
-		m := &message{Kind: kindData, Origin: origin, Seq: seq, Epoch: epoch, Base: base, ID: id, Payload: payload}
+		m := &message{Kind: kindData, Origin: origin, Seq: seq, Inc: inc, Base: base, ID: id, Payload: payload}
 		wire, err := encodeMessage(m)
 		if err != nil {
 			return false
@@ -134,7 +134,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeMessageTruncated(t *testing.T) {
-	m := &message{Kind: kindData, Origin: "origin", Seq: 300, Epoch: 77, Base: 1, ID: "id", VC: vclock.VC{"k": 1}}
+	m := &message{Kind: kindData, Origin: "origin", Seq: 300, Inc: 77, Base: 1, ID: "id", VC: vclock.VC{"k": 1}}
 	wire, err := encodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestDecodeMessageAliasesPayload(t *testing.T) {
 // (TestMuxSendAllocs).
 func TestMessageCodecAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 120)
-	data := message{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
+	data := message{Kind: kindData, Inc: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: payload}
 	var wire []byte
 	if n := testing.AllocsPerRun(100, func() { wire, _ = encodeMessage(&data) }); n > 1 {
 		t.Errorf("encodeMessage: %v allocations, want at most 1", n)
@@ -219,21 +219,21 @@ func TestMessageCodecAllocs(t *testing.T) {
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range []message{
 		{Kind: kindData, Payload: []byte("payload")},
-		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")},
-		{Kind: kindAck, Epoch: 1_759_000_000_000_000, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})},
-		{Kind: kindSkip, Epoch: 1_759_000_000_000_000, Base: 70001},
-		{Kind: kindData, Epoch: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")},
+		{Kind: kindData, Inc: 1_759_000_000_000_000, Seq: 70000, Base: 69990, Payload: []byte("p")},
+		{Kind: kindAck, Inc: 1_759_000_000_000_000, Seq: 70000, Payload: seqset.AppendRuns(nil, 70000, []seqset.Run{{Lo: 70002, Hi: 70002}, {Lo: 70005, Hi: 70009}})},
+		{Kind: kindSkip, Inc: 1_759_000_000_000_000, Base: 70001},
+		{Kind: kindData, Inc: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")},
 		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}},
 		{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}},
 		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindCertData, Epoch: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindCertAck, Epoch: 1_759_000_000_000_000, Origin: "desk", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}, {Lo: 70017, Hi: 70017}})},
+		{Kind: kindCertData, Inc: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
+		{Kind: kindCertAck, Inc: 1_759_000_000_000_000, Origin: "desk", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}, {Lo: 70017, Hi: 70017}})},
 		// Run lists seqset.EachRun must stop at, quietly: a zero gap, a run
 		// past the end of the numbers, half a pair.
-		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
-		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
-		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
-		{Kind: kindCertAck, Epoch: 1, Origin: "desk", Payload: []byte{5, 2, 4}},
+		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
+		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
+		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{5, 2, 4}},
 	} {
 		wire, err := encodeMessage(&m)
 		if err != nil {

@@ -105,7 +105,8 @@ func New(cfg Config) *Network {
 var ErrClosed = errors.New("netsim: closed")
 
 // MaxFrame is the longest payload a Transport carries in one Send: the
-// TCP transport's 16 MiB frame less its four-byte length word. The
+// TCP transport's 16 MiB frame less its longest length prefix, four
+// bytes. The
 // simulated network enforces the same bound, and the multicast protocols
 // refuse a publication whose frame would exceed it before they stamp or
 // persist it, since no retransmission could ever deliver it.

@@ -7,14 +7,18 @@
 // listener accepts. The two directions between a pair of nodes are
 // separate connections: nothing is ever written on an accepted one.
 //
-// Every frame on a connection is a 4-byte big-endian word and a body.
-// The first frame is the hello: the word is helloFlag | length and the
-// body the sender's listen address, which names the sender of every
-// frame that follows. All other frames are data: the word is the
-// payload's length (word and payload together at most maxFrame), the
-// body the payload. A data frame before the hello, a second hello, or
-// a hello longer than maxAddr makes the reader log and close the
-// connection. See "Link protocol" in the govents package documentation.
+// Every frame on a connection is a prefix and a body. A data frame's
+// prefix is the payload's length as a uvarint in its shortest form: one
+// byte below 128 bytes, two below 16 KiB, and at most four up to
+// netsim.MaxFrame. The first frame is the hello, whose body is the
+// sender's listen address, which names the sender of every frame that
+// follows; its prefix is the bytes 0x80 0x00, the two-byte spelling of
+// zero that no shortest uvarint takes, then the address's length as two
+// bytes big-endian. A data frame before the hello, a second hello, a
+// hello longer than maxAddr, a length not in its shortest form, one
+// longer than four bytes or one over netsim.MaxFrame makes the reader
+// log and close the connection. See "Link protocol" in the govents
+// package documentation.
 //
 // A connection's reader reads the socket into 32 KiB receive blocks and
 // hands each payload to the handler as a slice of its block (a payload
@@ -69,17 +73,19 @@ func logger() *slog.Logger {
 }
 
 const (
-	// maxFrame bounds a single frame, length word included (16 MiB), to
-	// stop a corrupted length from allocating unbounded memory. The
-	// payload's share is netsim.MaxFrame, the bound every transport keeps.
-	maxFrame = netsim.MaxFrame + frameHeader
-	// helloFlag marks a frame's length word as a hello's.
-	helloFlag = 1 << 31
+	// maxFrame bounds a single frame, prefix included (16 MiB), to stop
+	// a corrupted length from allocating unbounded memory. The payload's
+	// share is netsim.MaxFrame, the bound every transport keeps.
+	maxFrame = netsim.MaxFrame + maxPrefix
+	// maxPrefix is the longest data frame prefix: netsim.MaxFrame is a
+	// four-byte uvarint.
+	maxPrefix = 4
+	// helloHeader is a hello's prefix: 0x80, 0x00 and the address's
+	// length as two bytes.
+	helloHeader = 4
 	// maxAddr bounds the address a hello may carry: a DNS name, a colon
 	// and a port fit with room to spare.
 	maxAddr = 512
-	// frameHeader is the length word.
-	frameHeader = 4
 
 	// dialTimeout bounds connection establishment and writeTimeout one
 	// frame's write: a peer that is unreachable, or that has stopped
@@ -209,7 +215,7 @@ func (t *TCP) write(p *peer, payload []byte) error {
 			return err
 		}
 	}
-	buf := frame(p.scratch[:0], uint32(len(payload)), payload)
+	buf := frame(p.scratch[:0], payload)
 	if cap(buf) <= maxScratch {
 		p.scratch = buf
 	}
@@ -237,7 +243,7 @@ func (t *TCP) dial(p *peer) error {
 	}
 	err = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err == nil {
-		_, err = conn.Write(frame(nil, helloFlag|uint32(len(t.addr)), []byte(t.addr)))
+		_, err = conn.Write(hello(nil, t.addr))
 	}
 	if err != nil {
 		t.forget(conn)
@@ -247,10 +253,16 @@ func (t *TCP) dial(p *peer) error {
 	return nil
 }
 
-// frame appends a length word and a body to dst.
-func frame(dst []byte, word uint32, body []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, word)
+// frame appends a data frame, body's length and body, to dst.
+func frame(dst, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...)
+}
+
+// hello appends a hello naming addr to dst.
+func hello(dst []byte, addr string) []byte {
+	dst = binary.BigEndian.AppendUint16(append(dst, 0x80, 0x00), uint16(len(addr)))
+	return append(dst, addr...)
 }
 
 // track registers an open connection so that Close can reach it; on a
@@ -371,20 +383,16 @@ type frameReader struct {
 // readFrame reads one frame: a hello's address or a data frame's
 // payload. It returns io.EOF only at a frame boundary.
 func (fr *frameReader) readFrame() (hello bool, body []byte, err error) {
-	if err := fr.fill(frameHeader); err != nil {
+	n, hello, err := fr.prefix()
+	switch {
+	case err != nil:
 		if err == io.EOF && fr.end > fr.start {
 			err = io.ErrUnexpectedEOF
 		}
 		return false, nil, err
-	}
-	word := binary.BigEndian.Uint32(fr.block[fr.start:])
-	fr.start += frameHeader
-	hello = word&helloFlag != 0
-	n := int(word &^ helloFlag)
-	switch {
 	case hello && n > maxAddr:
 		return false, nil, fmt.Errorf("transport: hello address of %d bytes exceeds %d", n, maxAddr)
-	case n > maxFrame-frameHeader:
+	case n > netsim.MaxFrame:
 		return false, nil, fmt.Errorf("transport: invalid frame length %d", n)
 	case n > ownBuffer:
 		body = make([]byte, n)
@@ -404,6 +412,36 @@ func (fr *frameReader) readFrame() (hello bool, body []byte, err error) {
 		return false, nil, err
 	}
 	return hello, body, nil
+}
+
+// prefix reads a frame's prefix and returns the length of the body
+// behind it, and whether it is a hello's.
+func (fr *frameReader) prefix() (n int, hello bool, err error) {
+	var v uint64
+	for i := 0; ; i++ {
+		if err := fr.fill(i + 1); err != nil {
+			return 0, false, err
+		}
+		b := fr.block[fr.start+i]
+		v |= uint64(b&0x7F) << (7 * i)
+		switch {
+		case b >= 0x80 && i == maxPrefix-1:
+			return 0, false, fmt.Errorf("transport: frame length longer than %d bytes", maxPrefix)
+		case b >= 0x80:
+			continue
+		case i == 1 && b == 0 && fr.block[fr.start] == 0x80:
+			if err := fr.fill(helloHeader); err != nil {
+				return 0, false, err
+			}
+			n = int(binary.BigEndian.Uint16(fr.block[fr.start+2:]))
+			fr.start += helloHeader
+			return n, true, nil
+		case i > 0 && b == 0:
+			return 0, false, errors.New("transport: frame length not in its shortest form")
+		}
+		fr.start += i + 1
+		return int(v), false, nil
+	}
 }
 
 // fill reads until at least n (at most ownBuffer) unread bytes are in

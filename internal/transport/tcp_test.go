@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"govents/internal/allocs"
+	"govents/internal/netsim"
 )
 
 func newPair(t *testing.T) (*TCP, *TCP) {
@@ -237,9 +239,9 @@ func TestConcurrentSenders(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var wire []byte
-	wire = frame(wire, helloFlag|9, []byte("1.2.3.4:5"))
-	wire = frame(wire, 7, []byte("payload"))
-	wire = frame(wire, 0, nil)
+	wire = hello(wire, "1.2.3.4:5")
+	wire = frame(wire, []byte("payload"))
+	wire = frame(wire, nil)
 	fr := &frameReader{r: bytes.NewReader(wire)}
 	from, err := readHello(fr)
 	if err != nil || from != "1.2.3.4:5" {
@@ -261,17 +263,28 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 		_, _, err := (&frameReader{r: bytes.NewReader(wire)}).readFrame()
 		return err
 	}
-	// A frame claiming more than maxFrame.
-	if err := read([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0, 0}); err == nil {
-		t.Error("expected error for oversized frame")
+	// A length over netsim.MaxFrame, one not in its shortest form, and
+	// one longer than four bytes.
+	for _, tc := range []struct {
+		name, want string
+		wire       []byte
+	}{
+		{"over MaxFrame", "invalid frame length", binary.AppendUvarint(nil, netsim.MaxFrame+1)},
+		{"not shortest", "shortest form", []byte{0x81, 0x00, 'x'}},
+		{"not shortest, three bytes", "shortest form", []byte{0x81, 0x80, 0x00, 'x'}},
+		{"five bytes", "longer than 4 bytes", []byte{0x81, 0x80, 0x80, 0x80, 0x00}},
+	} {
+		if err := read(tc.wire); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 	// A hello claiming more than maxAddr.
-	long := frame(nil, helloFlag|(maxAddr+1), bytes.Repeat([]byte{'a'}, maxAddr+1))
+	long := hello(nil, strings.Repeat("a", maxAddr+1))
 	if err := read(long); err == nil || !strings.Contains(err.Error(), "hello address") {
 		t.Errorf("over-long hello: %v", err)
 	}
-	// Torn inside the length word and inside the body: not a clean end.
-	whole := frame(nil, 7, []byte("payload"))
+	// Torn inside the prefix and inside the body: not a clean end.
+	whole := frame(nil, bytes.Repeat([]byte{'p'}, 200)) // a two-byte prefix
 	for _, cut := range []int{1, 3, 5, len(whole) - 1} {
 		if err := read(whole[:cut]); err != io.ErrUnexpectedEOF {
 			t.Errorf("frame cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
@@ -281,7 +294,7 @@ func TestReadFrameRejectsCorruptInput(t *testing.T) {
 	if _, err := readHello(&frameReader{r: bytes.NewReader(whole)}); err == nil {
 		t.Error("a data frame was taken for a hello")
 	}
-	if _, err := readHello(&frameReader{r: bytes.NewReader(frame(nil, helloFlag, nil))}); err == nil {
+	if _, err := readHello(&frameReader{r: bytes.NewReader(hello(nil, ""))}); err == nil {
 		t.Error("an empty hello was accepted")
 	}
 }
@@ -313,11 +326,16 @@ func (s *shortReader) Read(p []byte) (int, error) {
 // account for. Every body is kept to the end of the input and must
 // still hold its bytes then, with no room past them to append into.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(frame(frame(nil, helloFlag|9, []byte("1.2.3.4:5")), 7, []byte("payload")), []byte{3})
+	f.Add(frame(hello(nil, "1.2.3.4:5"), []byte("payload")), []byte{3})
 	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF}, []byte{})
 	f.Add([]byte{0x80, 0x00, 0x02, 0x01, 'a'}, []byte{0, 255})
 	f.Add([]byte{}, []byte{})
-	f.Add(frame(frame(nil, 5000, bytes.Repeat([]byte{1}, 5000)), ownBuffer+1, bytes.Repeat([]byte{2}, ownBuffer+1)), []byte{255, 17, 200})
+	f.Add(frame(frame(nil, bytes.Repeat([]byte{1}, 5000)), bytes.Repeat([]byte{2}, ownBuffer+1)), []byte{255, 17, 200})
+	f.Add([]byte{0x80}, []byte{})                                             // a length cut short
+	f.Add([]byte{0x81, 0x00, 'x'}, []byte{1})                                 // not in its shortest form
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01}, []byte{})                     // longer than four bytes
+	f.Add(binary.AppendUvarint(nil, netsim.MaxFrame+1), []byte{})             // over MaxFrame
+	f.Add(hello(frame(hello(nil, "1.2.3.4:5"), []byte("x")), "a"), []byte{2}) // a hello that is not first
 	f.Fuzz(func(t *testing.T, data, limits []byte) {
 		wire := data
 		if len(data) > 0 {
@@ -325,6 +343,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		fr := &frameReader{r: &shortReader{r: bytes.NewReader(wire), limits: limits}}
 		var kept [][]byte
+		var prefixes []int
 		used := 0
 		for {
 			hello, body, err := fr.readFrame()
@@ -340,15 +359,19 @@ func FuzzReadFrame(f *testing.F) {
 			if cap(body) != len(body) {
 				t.Fatalf("a %d-byte body has capacity %d", len(body), cap(body))
 			}
-			used += frameHeader + len(body)
+			prefix := len(binary.AppendUvarint(nil, uint64(len(body))))
+			if hello {
+				prefix = helloHeader
+			}
+			used += prefix + len(body)
 			if used > len(wire) {
 				t.Fatalf("frames account for %d bytes of a %d-byte input", used, len(wire))
 			}
-			kept = append(kept, body)
+			kept, prefixes = append(kept, body), append(prefixes, prefix)
 		}
 		at := 0
-		for _, body := range kept {
-			at += frameHeader
+		for i, body := range kept {
+			at += prefixes[i]
 			if !bytes.Equal(body, wire[at:at+len(body)]) {
 				t.Fatalf("the body kept from %d differs from the input", at)
 			}
@@ -402,7 +425,7 @@ func TestKeptFramesSurvive(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i := range got {
-		_ = append(got[i], bytes.Repeat([]byte{0xEE}, 2*frameHeader)...)
+		_ = append(got[i], bytes.Repeat([]byte{0xEE}, 2*maxPrefix)...)
 	}
 	for i, p := range got {
 		if !bytes.Equal(p, sent[i]) {
@@ -418,7 +441,7 @@ func TestReadFrameAllocations(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 150)
 	var wire []byte
 	for range frames {
-		wire = frame(wire, uint32(len(payload)), payload)
+		wire = frame(wire, payload)
 	}
 	per := allocs.PerRun(5, func() {
 		fr := &frameReader{r: bytes.NewReader(wire)}
@@ -490,10 +513,10 @@ func TestHelloViolationsCloseTheConnection(t *testing.T) {
 		log  string
 		want int32 // frames delivered before the violation
 	}{
-		{"data frame before hello", frame(nil, 1, []byte("x")), "before hello", 0},
-		{"second hello", frame(frame(frame(frame(nil, helloFlag|4, []byte("peer")), 1, []byte("x")), helloFlag|4, []byte("peer")), 1, []byte("y")), "second hello", 1},
-		{"over-long address", frame(nil, helloFlag|(maxAddr+1), bytes.Repeat([]byte{'a'}, maxAddr+1)), "hello address", 0},
-		{"hello without an address", frame(nil, helloFlag, nil), "without an address", 0},
+		{"data frame before hello", frame(nil, []byte("x")), "before hello", 0},
+		{"second hello", frame(hello(frame(hello(nil, "peer"), []byte("x")), "peer"), []byte("y")), "second hello", 1},
+		{"over-long address", hello(nil, strings.Repeat("a", maxAddr+1)), "hello address", 0},
+		{"hello without an address", hello(nil, ""), "without an address", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -568,14 +591,14 @@ func TestHelloOncePerConnectionAndAgainOnReconnect(t *testing.T) {
 		}
 	}
 	conn := peer.accept(t)
-	want := frame(nil, helloFlag|uint32(len(a.Addr())), []byte(a.Addr()))
+	want := hello(nil, a.Addr())
 	for i := 0; i < 3; i++ {
-		want = frame(want, 1, []byte("m"))
+		want = frame(want, []byte("m"))
 	}
 	got := make([]byte, len(want))
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("first connection carried %x (%v), want one hello and three 5-byte frames %x", got, err, want)
+		t.Fatalf("first connection carried %x (%v), want one hello and three 2-byte frames %x", got, err, want)
 	}
 
 	// The peer drops the connection; the transport notices on a later
@@ -602,6 +625,40 @@ func TestHelloOncePerConnectionAndAgainOnReconnect(t *testing.T) {
 	_ = conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if from, err := readHello(&frameReader{r: conn2}); err != nil || from != a.Addr() {
 		t.Fatalf("second connection began with %q, %v; want a hello from %s", from, err, a.Addr())
+	}
+}
+
+// TestFrameLengthIsShortestUvarint: on the socket, a frame's length is a
+// uvarint in its shortest form, so a payload under 128 bytes has a
+// one-byte prefix and one under 16 KiB a two-byte one. Fails with any
+// fixed-width length word.
+func TestFrameLengthIsShortestUvarint(t *testing.T) {
+	a, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	peer := newRawPeer(t)
+	sizes := []struct{ payload, prefix int }{{0, 1}, {1, 1}, {127, 1}, {128, 2}, {16<<10 - 1, 2}, {16 << 10, 3}}
+	for i, sz := range sizes {
+		if err := a.Send(peer.addr(), bytes.Repeat([]byte{byte(i)}, sz.payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := peer.accept(t)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if from, err := readHello(&frameReader{r: io.LimitReader(conn, helloHeader+int64(len(a.Addr())))}); err != nil || from != a.Addr() {
+		t.Fatalf("hello: %q, %v", from, err)
+	}
+	for i, sz := range sizes {
+		got := make([]byte, sz.prefix+sz.payload)
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatal(err)
+		}
+		n, k := binary.Uvarint(got)
+		if k != sz.prefix || int(n) != sz.payload || !bytes.Equal(got[k:], bytes.Repeat([]byte{byte(i)}, sz.payload)) {
+			t.Errorf("a %d-byte payload went with a %d-byte prefix reading %d, want a %d-byte prefix", sz.payload, k, n, sz.prefix)
+		}
 	}
 }
 
@@ -691,13 +748,13 @@ func TestSendAndReceiveAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(frame(frame(nil, helloFlag|4, []byte("peer")), uint32(len(payload)), payload)); err != nil {
+	if _, err := conn.Write(frame(hello(nil, "peer"), payload)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 }) // the connection's own set-up is done
-	wire := make([]byte, 0, frames*(frameHeader+len(payload)))
+	wire := make([]byte, 0, frames*(maxPrefix+len(payload)))
 	for i := 0; i < frames; i++ {
-		wire = frame(wire, uint32(len(payload)), payload)
+		wire = frame(wire, payload)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -107,6 +107,15 @@ func TestE2EHistogramAcrossNodes(t *testing.T) {
 		return delivered
 	})
 
+	// The subscriber records the dispatch and e2e stages once the
+	// handler has returned, so the handler's count can run ahead of
+	// theirs: give them until the deadline to catch up.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if h := sub.Histograms(); h["dispatch"].Count >= n && h["e2e"].Count >= n {
+			break
+		}
+	}
+
 	pubStages := pub.Histograms()
 	for _, stage := range []string{"publish_to_route", "route_to_write"} {
 		snap := pubStages[stage]
