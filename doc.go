@@ -292,8 +292,8 @@
 // # Link protocol
 //
 // Under the envelope sit three thin layers, each with a few bytes of
-// header: the reliable link that the reliable and ordered classes
-// (§3.1.2) ride, the stream multiplexer, and the TCP transport. A FIFO
+// header: the reliable link that the reliable, ordered and certified
+// classes (§3.1.2) ride, the stream multiplexer, and the TCP transport. A FIFO
 // event whose payload is 44 bytes crosses the wire as one data frame of
 // 85 bytes (84 and the TCP length prefix, one byte), and a sixteenth of
 // an 11-byte acknowledgement (TestFIFOFrameBytesAfterHandshake in
@@ -307,8 +307,8 @@
 //
 //	kind      1 byte
 //	flags     uvarint: 1 Seq, 4 Inc, 8 Base, 32 Origin, 64 ID, 256 VC
-//	          (2, 16 and 128 are retired and rejected as unknown; kind 5
-//	          is retired too, and no protocol reads it)
+//	          (2, 16 and 128 are retired and rejected as unknown; kinds
+//	          3, 4 and 5 are retired too, and no protocol reads them)
 //	Seq       uvarint
 //	Inc       uvarint
 //	Base      uvarint, counted down from Seq (absolute when there is no Seq)
@@ -348,8 +348,8 @@
 // cumulative sequence, at or below which everything is settled, and the
 // runs of sequences received above it (one run per hole, at most 256),
 // whose frames it holds; a frame is a duplicate when the set has its
-// sequence. The certified acknowledgement and the durable cursors keep
-// the same set ("Durability"). Frames are released to the class above
+// sequence. The certified class rides this link, and the durable
+// cursors keep the same set ("Durability"). Frames are released to the class above
 // in link-sequence order: a first arrival that is next in line goes up
 // at once, together with the run it was the hole below, and any other
 // is held while a hole sits below it. A hole closes when the missing
@@ -365,7 +365,10 @@
 // its own, of the "step over" kind: a Base, no Seq and no payload,
 // consuming no sequence. A receiver that holds frames behind
 // the abandoned ones releases them on it, not on the next publication,
-// which may never come. An acknowledgement carries, as Inc, the number
+// which may never come. A link that owes nothing announces its Base so
+// while the receiver's cumulative acknowledgement lags it (a certified
+// link passes over offsets owed elsewhere), and a step-over is
+// acknowledged like a data frame. An acknowledgement carries, as Inc, the number
 // its sender's multiplexer gave the incarnation it answers (below), the
 // cumulative sequence, and the 32 lowest runs beyond it, each as the
 // distance from the run before and a length; a sender takes only an
@@ -440,8 +443,8 @@
 // spelled. The reliable classes resend a dropped frame. A lost
 // handshake frame costs one spelled frame more or one short frame
 // dropped, and the next frame draws another; an acknowledgement that
-// overtakes the known frame of its incarnation is refused, and its
-// frames are resent once more. A key is a hash of the name, not a number
+// overtakes the known frame of its incarnation is kept and taken when
+// that frame arrives. A key is a hash of the name, not a number
 // the sender picks, so a receiver's key cannot come to mean another
 // stream across a sender's restart, and a restarted receiver that has
 // made its groups resolves an unnumbered key at once. The multiplexer
@@ -482,7 +485,9 @@
 // its handshake, together with the packed ID of the envelope's link
 // form; then the epoch on every link record, the envelope's zero fields
 // and a four-byte TCP length word, which gave way to the numbered
-// handshake, the link form's presence flags and the uvarint length. A
+// handshake, the link form's presence flags and the uvarint length;
+// then the certified class's own data frame and acknowledgement (kinds
+// 3 and 4, now retired), which gave way to the link's frames. A
 // node of one era drops another's frames as undecodable or, where only
 // the nested record differs, hands up payloads that fail to decode as
 // envelopes and are counted as decode errors. On TCP the build before
@@ -636,49 +641,51 @@
 // sending itself the frame. Activation is not a barrier here either: an
 // event published while the publisher's own subscription is away
 // (deactivated, or not yet back after a restart) is not staged, but
-// stays owed to that identity by the outbox, which redelivers it once
-// the subscription is back. Redelivery resends what a subscriber has
-// not acknowledged only once it has been out for a full
-// Tuning.RetransmitInterval, the rule of the link protocol: a tick
-// leaves alone what was first sent since the tick before. Payloads are
-// handed on, not copied: internal/durable.Outbox and internal/codec
-// state who may keep and who may alias one.
+// stays owed to that identity by the outbox, which sends it once the
+// subscription is back, over the link to its own address: the one
+// frame a publisher sends itself.
 //
-// The certified class speaks two frames of the link protocol's record:
+// A certified class rides the reliable link ("Link protocol") with
+// three differences. Its log is the outbox, and a link sequence is an
+// outbox offset (1, 2, 3, … per class and publisher, continued across
+// a restart of a publisher with a durability directory); a link passes
+// over, settled, what no identity at its destination is owed. A
+// subscriber stages a first arrival before its link takes it, and never
+// a frame the link would refuse; a duplicate is only acknowledged. The
+// link's members are the addresses of the durable identities, none
+// abandoned: when the identities at an address change, its link is
+// rebuilt from what the outbox owes them, so a re-addressed identity
+// gets its backlog there, and an address they all left loses its link
+// without the step-over that would write off what they are owed.
+// Payloads are handed on, not copied: internal/durable.Outbox and
+// internal/codec state who may keep and who may alias one.
 //
-//	data  Seq    the entry's outbox offset: 1, 2, 3, … per class and
-//	             publisher, in append order, and across a restart of a
-//	             publisher with a durability directory
-//	      ID     the event's identity, which the subscriber deduplicates by
-//	      Payload
-//	ack   Origin   a durable identity of the subscriber
-//	      Inc      the number the subscriber's node gave the incarnation
-//	               whose offsets it names
-//	      Payload  runs of offsets, each as the distance from the run before
-//	               (from 0, for the first) and a length, as a link
-//	               acknowledgement lists them
+// The data frame is the link's plus ID, the event's identity, which the
+// staging inbox deduplicates by; the acknowledgement is the link's plus
+// Origin, a durable identity of the subscriber. A subscriber
+// acknowledges when the link would, once under each durable identity
+// it holds for the class; a node with two identities is sent one data
+// frame per event, and an entry leaves its link once neither is owed
+// it. The publisher books an acknowledgement of its current incarnation
+// as one outbox record, whatever it names. Each outbox consumer and
+// each inbox cursor keeps the link's set again, of the offsets it
+// acknowledged: in memory a frontier and the runs above it, on disk, in
+// a snapshot, the frontier and every offset above it.
 //
-// A subscriber stages an arrival, a duplicate like any other, then adds
-// its offset to the set of offsets it owes that publisher, the set a
-// reliable link keeps, and sends its runs when the reliable link would
-// acknowledge ("Link protocol": 16 frames, the quarter-interval timer,
-// at once for the first frame of a quiet period), once under each
-// durable identity it holds for the class, and empties it; a node with
-// two identities is still sent one data frame per event. Each outbox
-// consumer and each inbox cursor keeps the same set again, of the
-// offsets it acknowledged: a frontier and the runs above it, in memory
-// as many as the holes in what it acknowledged, and on disk, in a
-// snapshot, the frontier and every offset above it. The
-// The publisher's incarnation travels as on a reliable link, in the
-// multiplexer's handshake. The publisher books an acknowledgement as
-// one outbox record, whatever it names, and drops one naming another
-// incarnation's number: an in-memory outbox numbers from 1 again after
-// a restart. Neither frame is negotiated. On the
-// wire, both ways: a build from before offsets acknowledges by event
-// ID, which retires nothing here, and finds no ID in this build's
-// acknowledgements; upgrade a domain together. On disk, one way: this
-// build replays the older record of one acknowledged offset, the older
-// build refuses an outbox holding a record of runs.
+// A subscriber releases one publisher incarnation's certified events in
+// offset order, and a restarted subscriber replays in staging order;
+// across a publisher's restart, what the old incarnation's link held
+// behind a hole goes out first. A Causal or Total ordering declared on
+// a certified class is not provided: internal/dace carries every
+// certified class on its certified channel, which orders per publisher
+// only.
+//
+// Neither frame is negotiated. On the wire, both ways: kinds 3 and 4,
+// an earlier build's certified frames, are retired here, and this
+// build's certified frames are read by no protocol there; upgrade a
+// domain together. On disk, one way, unchanged by the wire: this build
+// replays the older record of one acknowledged offset, the older build
+// refuses an outbox holding a record of runs.
 //
 // # Observability
 //

@@ -269,9 +269,11 @@ func TestDomainGroupCertifiedChaosSchedule(t *testing.T) {
 		t.Errorf("oracle saw %d duplicate deliveries in a clean run", d)
 	}
 
-	// Per-publisher order over the lockstep segments (delivery order of
-	// retransmitted backlog is unordered by design — certified is a
-	// reliability contract, not an ordering one).
+	// Per-publisher order over the lockstep segments. A certified link
+	// releases each publisher incarnation's events in offset order, but
+	// across a crash of either end the order is not promised: a restarted
+	// subscriber replays in staging order, and what a dead incarnation's
+	// link held behind a hole goes out before the new one's frames.
 	live := append(append([]string(nil), batchA...), batchD...)
 	if got := durable.orderRestricted(live); !reflect.DeepEqual(got, live) {
 		t.Errorf("durable lockstep delivery order mismatch:\n got %v\nwant %v", got, live)

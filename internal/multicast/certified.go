@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"slices"
-	"sync"
-	"time"
 
 	"govents/internal/codec"
 	"govents/internal/durable"
@@ -28,87 +26,35 @@ type CertSubscriber struct {
 // Stager is the subscriber-side store of a certified group, the
 // counterpart of the publisher's outbox: an incoming event is staged —
 // recorded and deduplicated by event ID, test and add in one step —
-// before its offset joins those the next acknowledgement names and
-// before it is delivered. fresh reports whether the event was new; a
-// false return means it is recorded here already (a redelivery) and
-// must be acknowledged again but not delivered again. durable.Inbox is
-// the one a node uses: on disk it stages the whole event, so a
-// restarted subscriber can replay it; in memory (durable.NewMemInbox)
-// it keeps the ID.
+// before the link takes it, and so before it is acknowledged or
+// delivered. fresh reports whether the event was new; a false return
+// means it is recorded here already (a redelivery) and must be
+// acknowledged again but not delivered again. durable.Inbox is the one a
+// node uses: on disk it stages the whole event, so a restarted
+// subscriber can replay it; in memory (durable.NewMemInbox) it keeps the
+// ID. Stage runs without the group's lock, on one copy of a frame at a
+// time.
 type Stager interface {
 	Stage(id, origin string, payload []byte) (fresh bool, err error)
 }
 
 // Certified implements the paper's Certified delivery semantics
 // (§3.1.2): "even if a notifiable temporarily disconnects or fails, it
-// will eventually deliver the obvent". The publisher persists every
-// broadcast in a durable.Outbox and retransmits to each registered durable
-// subscriber until that subscriber acknowledges (what has gone a full
-// RetransmitInterval without acknowledgement, not what has just left);
-// subscribers record every event in a Stager before acknowledging it,
-// so a redelivery is delivered exactly once. How much of that survives
-// a crash is the two stores' business, not the protocol's. The
-// publisher is a subscriber only if SetSubscribers names its own
-// address.
-//
-// A data frame names its entry's outbox offset (Seq), and the stream's
-// handshake (Mux) hands the subscriber the group's incarnation; a
-// subscriber acknowledges runs of offsets, when Reliable would
-// (ackEvery, ticksPerInterval), under each identity it holds, naming the
-// incarnation by the number it gave it, and the publisher books each
-// acknowledgement of its own incarnation as one outbox record
+// will eventually deliver the obvent". It is the reliable link over
+// stable storage: its log is the durable.Outbox, which takes every
+// broadcast before a frame leaves, and its sequences are outbox offsets;
+// a subscriber stages every event in a Stager before its link takes it.
+// Its members are the addresses of the durable identities, none ever
+// abandoned (SetSubscribers), and a node sent one frame per event
+// acknowledges under each identity it holds (SetDurableIDs). How much of
+// this survives a crash is the two stores' business, not the protocol's
 // ("Durability" in the govents package documentation).
 type Certified struct {
-	mux    *Mux
-	stream *stream // its epoch is the group's incarnation
-	self   string
-	opts   Options
+	*link
+	log    *durable.Outbox // publisher side: the outbox
+	stager Stager          // subscriber side: what has been received
 
-	upcall *releaseList
-	lc     *lifecycle
-
-	log *durable.Outbox // publisher side: the outbox
-	in  Stager          // subscriber side: what has been received
-
-	mu     sync.Mutex
-	subs   map[string]string    // durable ID -> current address
-	remote []string             // the addresses of the durable IDs subscribed elsewhere
-	local  []string             // durable IDs subscribed at this node
-	ids    []string             // our identities when acknowledging
-	gen    uint64               // acknowledgement-timer periods elapsed
-	links  map[string]*certLink // publisher -> what to acknowledge to it
-
-	// young is the lowest offset first sent since the last redelivery
-	// tick, which a tick leaves alone with all above it: they have not
-	// been out for a RetransmitInterval. A broadcast holds
-	// sending shared from its outbox append to its last send and the
-	// tick takes the watermark holding it exclusively, so no broadcast
-	// straddles a tick.
-	sending sync.RWMutex
-	young   uint64
-}
-
-// certLink is the subscriber's end of one publisher's stream: the
-// offsets of the frames received since the last acknowledgement, a
-// duplicate's too, and when that was.
-type certLink struct {
-	in     incarnation // the publisher's incarnation the offsets are of
-	staged seqset.Set  // offsets start at 1: the floor is a run from 1
-	acker
-}
-
-// ack builds the link's acknowledgement, identity apart, books it as
-// sent in timer period gen and empties the set.
-func (l *certLink) ack(gen uint64) message {
-	var few [ackEvery]seqset.Run
-	runs := few[:0]
-	if floor := l.staged.Floor(); floor > 0 {
-		runs = append(runs, seqset.Run{Lo: 1, Hi: floor})
-	}
-	runs = append(runs, l.staged.Runs()...)
-	l.staged.Clip(0)
-	l.sent(gen)
-	return message{Kind: kindCertAck, Inc: l.in.num, Payload: seqset.AppendRuns(nil, 0, runs)}
+	at map[string][]string // address -> the durable IDs there, sorted; guarded by mu
 }
 
 var _ Group = (*Certified)(nil)
@@ -118,67 +64,68 @@ var _ Group = (*Certified)(nil)
 // receives. A node uses the one its role calls for and leaves the other
 // empty.
 func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliver Deliver, opts Options) *Certified {
-	opts = opts.withDefaults()
-	g := &Certified{
-		mux:    mux,
-		stream: newStream(stream, newEpoch()),
-		self:   mux.Addr(),
-		opts:   opts,
-		lc:     newLifecycle(),
-		log:    log,
-		in:     in,
-		subs:   make(map[string]string),
-		ids:    []string{mux.Addr()},
-		gen:    1, // 0 is certLink.ackGen's "never acknowledged"
-		young:  math.MaxUint64,
-		links:  make(map[string]*certLink),
-		upcall: newReleaseList(deliver),
-	}
-	mux.open(g.stream, g.onMessage)
-	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
+	g := &Certified{log: log, stager: in, at: make(map[string][]string)}
+	g.link = newLink(mux, stream, deliver, opts, g)
 	return g
 }
 
 // SetSubscribers replaces the set of durable subscribers. New durable
-// IDs are registered as consumers of the outbox log and are owed every
-// entry not yet garbage-collected; a subscriber reconnecting under a new
-// address receives its pending backlog there. Only with a subscriber at
-// this node's own address does a broadcast take the local leg (record,
-// self-acknowledge, deliver), and never over the transport.
+// IDs are registered as consumers of the outbox and are owed every
+// entry it holds; the link of an address whose identities changed is
+// rebuilt from what they are owed, sent a RetransmitInterval later.
+// Only with a subscriber at this node's own address does a broadcast
+// take the local leg (record, self-acknowledge, deliver), and never
+// over the transport: the link to this node carries only what an
+// identity here was owed before it was.
 func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	next := make(map[string]string, len(subs))
+	at := make(map[string][]string)
 	for _, s := range subs {
-		next[s.DurableID] = s.Addr
-		if _, known := g.subs[s.DurableID]; !known {
-			if err := g.log.RegisterConsumer(s.DurableID); err != nil {
-				return fmt.Errorf("multicast: certified %s: register %s: %w", g.stream, s.DurableID, err)
-			}
+		// Registering a known identity costs nothing.
+		if err := g.log.RegisterConsumer(s.DurableID); err != nil {
+			return fmt.Errorf("multicast: certified %s: register %s: %w", g.stream, s.DurableID, err)
 		}
+		at[s.Addr] = append(at[s.Addr], s.DurableID)
 	}
 	// Note: durable IDs that disappear are intentionally NOT
 	// unregistered from the log — a disconnected subscriber is exactly
 	// the case certified delivery exists for. Nothing says a permanent
 	// goodbye yet: what a departed identity is owed stays in the outbox.
-	g.subs = next
-	g.splitLocked()
+	var addrs []string
+	for addr, ids := range at {
+		slices.Sort(ids)
+		at[addr] = slices.Compact(ids)
+		addrs = append(addrs, addr)
+		if !slices.Equal(at[addr], g.at[addr]) {
+			g.relinkLocked(addr, at[addr])
+		}
+	}
+	for addr := range g.out {
+		if at[addr] == nil { // not dropped: its step-over would write off what they are owed
+			delete(g.out, addr)
+		}
+	}
+	g.at = at
+	g.members.set(addrs)
 	return nil
 }
 
-// splitLocked derives remote and local from subs: a node holding
-// several identities is one address, sent one frame. The slices are
-// replaced, never written to: a broadcast reads them outside the lock.
-func (g *Certified) splitLocked() {
-	g.remote, g.local = nil, nil
-	for id, addr := range g.subs {
-		switch {
-		case addr == g.self:
-			g.local = append(g.local, id)
-		case !slices.Contains(g.remote, addr):
-			g.remote = append(g.remote, addr)
-		}
+// relinkLocked rebuilds addr's link from what the outbox owes the
+// identities there, each entry as if sent now. Caller holds mu.
+func (g *Certified) relinkLocked(addr string, ids []string) {
+	var owed []durable.Entry
+	for _, id := range ids {
+		pending, _ := g.log.Pending(id) // SetSubscribers registered id
+		owed = append(owed, pending...)
 	}
+	// A second identity at the address: what either is owed, once.
+	slices.SortFunc(owed, func(a, b durable.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
+	l := &outLink{}
+	for _, e := range slices.CompactFunc(owed, func(a, b durable.Entry) bool { return a.Offset == b.Offset }) {
+		l.push(outEntry{payload: e.Payload, id: e.ID, seq: e.Offset, gen: g.gen})
+	}
+	g.out[addr] = l
 }
 
 // SetMembers implements Group by treating each address, this node's
@@ -195,10 +142,7 @@ func (g *Certified) SetMembers(members []string) {
 	}
 }
 
-// Broadcast implements Group: the payload is persisted before any
-// transmission (write-ahead), then pushed to all currently connected
-// subscribers. Retransmission to absent or unacknowledged subscribers is
-// driven by the redelivery tick.
+// Broadcast implements Group under a new event identity.
 func (g *Certified) Broadcast(payload []byte) error {
 	return g.BroadcastWithID(codec.NewID(), payload)
 }
@@ -206,54 +150,61 @@ func (g *Certified) Broadcast(payload []byte) error {
 // BroadcastWithID is Broadcast under a caller-chosen event identity.
 // Callers whose payload already carries an ID (envelopes) pass it here,
 // so the durable staging inbox and the application-level delivery
-// acknowledgements key the same event by the same string. The outbox
-// keeps payload (durable.Outbox): the caller does not write to it again.
+// acknowledgements key the same event by the same string. The payload
+// is persisted before any transmission (write-ahead) and queued on the
+// link of every subscribed address; the outbox keeps payload
+// (durable.Outbox): the caller does not write to it again.
 func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
-	// No Origin on the record: there is no relay, so the publisher is
-	// the transport's sender. The frame is checked at its widest offset
-	// before the outbox takes the event, which it would owe for ever,
-	// even with no remote subscriber now: the outbox owes an entry to
-	// every durable identity it knows, departed ones included, and
-	// redelivers it to wherever one reappears.
-	data := message{Kind: kindCertData, ID: id, Seq: math.MaxUint64, Payload: payload}
-	if err := fits(g.stream, &data); err != nil {
+	// No Origin on the frame: there is no relay. The frame is checked at
+	// its widest before the outbox takes the event, which it would owe
+	// for ever, even with no remote subscriber now: the outbox owes an
+	// entry to every durable identity it knows, departed ones included,
+	// and redelivers it to wherever one reappears.
+	err := fits(g.stream, &message{Kind: kindData, Seq: math.MaxUint64, Base: 1, ID: id, Payload: payload})
+	if err != nil {
 		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
 	}
-	// The local delivery runs after the barrier: a Block lane may hold
-	// it up, and a redelivery tick must not wait on that.
-	g.sending.RLock()
+	var few [4]linkFrame
+	frames := few[:0]
+	g.mu.Lock()
 	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
-		g.sending.RUnlock()
+		g.mu.Unlock()
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
-	data.Seq = off
-	g.mu.Lock()
-	remote, local := g.remote, g.local
-	g.young = min(g.young, off)
-	g.mu.Unlock()
-	// The local leg of a node subscribed to its own class: record as a
-	// received event is, acknowledge to ourselves, deliver in-process.
-	fresh := false
-	if len(local) > 0 {
-		if fresh, err = g.in.Stage(id, g.self, payload); err != nil {
-			g.sending.RUnlock()
-			return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
-		}
-		run := [1]durable.Run{{Lo: off, Hi: off}}
-		for _, durableID := range local {
-			if err := g.log.AckRuns(durableID, run[:]); err != nil {
-				// Still pending for us: redelivery acknowledges it.
-				g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
-					"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
-			}
+	for _, addr := range g.members.snapshot() {
+		if addr != g.self { // every member's link was made by SetSubscribers
+			frames = append(frames, g.queueLocked(addr, g.out[addr], outEntry{payload: payload, id: id, seq: off}))
 		}
 	}
-	_ = g.mux.fanOut(remote, g.self, g.stream, &data) // unacknowledged: redelivery sends it again
-	g.sending.RUnlock()
+	local := g.at[g.self]
+	g.mu.Unlock()
+	g.transmit(frames)
+	if len(local) == 0 {
+		return nil
+	}
+	// The local leg of a node subscribed to its own class: record as a
+	// received event is, acknowledge to ourselves, deliver in-process.
+	fresh, err := g.stager.Stage(id, g.self, payload)
+	if err != nil {
+		return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
+	}
+	run, acked := [1]durable.Run{{Lo: off, Hi: off}}, true
+	for _, durableID := range local {
+		if err := g.log.AckRuns(durableID, run[:]); err != nil {
+			acked = false // still owed
+			g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
+				"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
+		}
+	}
+	g.mu.Lock()
+	if l := g.out[g.self]; acked && l != nil {
+		l.settle(off, off) // a link to this node rebuilt since the append may hold it
+	}
+	g.mu.Unlock()
 	if fresh {
 		g.upcall.add(g.self, payload)
 		g.upcall.run()
@@ -261,82 +212,8 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	return nil
 }
 
-// Close implements Group.
-func (g *Certified) Close() error {
-	g.mux.close(g.stream)
-	g.lc.close()
-	g.upcall.close()
-	return nil
-}
-
 // OutboxLen returns how many entries the outbox holds.
 func (g *Certified) OutboxLen() int { return g.log.Len() }
-
-// tick is one acknowledgement-timer period: it acknowledges what was
-// staged and not yet acknowledged, and every ticksPerInterval-th period
-// is a redelivery tick.
-func (g *Certified) tick() {
-	var acks []linkFrame
-	g.mu.Lock()
-	g.gen++
-	gen, ids := g.gen, g.ids
-	for from, l := range g.links {
-		if l.unacked > 0 {
-			acks = append(acks, linkFrame{from, l.ack(gen)})
-		}
-	}
-	g.mu.Unlock()
-	for i := range acks {
-		g.sendAck(acks[i].addr, &acks[i].msg, ids)
-	}
-	if gen%ticksPerInterval == 0 {
-		g.redeliver()
-	}
-}
-
-// redeliver is one redelivery tick: it sends each subscribed address
-// what an identity there has not acknowledged, bar the entries first
-// sent since the previous tick. What is owed is read inside the barrier
-// that takes the watermark: read after it, an entry appended since would
-// be on neither side of it and be sent again at once — to this very
-// node, if it subscribes here and had not yet acknowledged to itself.
-func (g *Certified) redeliver() {
-	due := make(map[string][]durable.Entry) // address -> owed there, by offset
-	g.sending.Lock()
-	g.mu.Lock()
-	young := g.young
-	g.young = math.MaxUint64
-	for durableID, addr := range g.subs {
-		pending, err := g.log.Pending(durableID)
-		if err != nil {
-			g.opts.Logger.Warn("multicast: certified redelivery cannot read outbox",
-				"stream", g.stream.name, "subscriber", durableID, "err", err)
-			continue
-		}
-		if owed, shared := due[addr]; shared {
-			// A second identity at the address: what either is owed, once.
-			owed = append(owed, pending...)
-			slices.SortFunc(owed, func(a, b durable.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
-			pending = slices.CompactFunc(owed, func(a, b durable.Entry) bool { return a.Offset == b.Offset })
-		}
-		due[addr] = pending
-	}
-	g.mu.Unlock()
-	g.sending.Unlock()
-
-	for addr, owed := range due {
-		for _, e := range owed {
-			if e.Offset >= young {
-				break // the rest left since the previous tick
-			}
-			err := g.mux.sendMessage(addr, g.stream, &message{Kind: kindCertData, ID: e.ID, Seq: e.Offset, Payload: e.Payload})
-			if err != nil {
-				g.opts.Logger.Debug("multicast: certified redelivery send failed",
-					"stream", g.stream.name, "addr", addr, "id", e.ID, "err", err)
-			}
-		}
-	}
-}
 
 // SetDurableIDs sets the durable identities this node acknowledges
 // under: those of its subscriptions to the class. With none it
@@ -360,78 +237,91 @@ func (g *Certified) Pause() { g.upcall.pause() }
 // the caller.
 func (g *Certified) Resume() { g.upcall.resume() }
 
-// sendAck sends one acknowledgement under each of ids. A lost one is
-// made good by the redelivery it fails to prevent.
-func (g *Certified) sendAck(to string, ack *message, ids []string) {
-	for _, id := range ids {
-		ack.Origin = id
-		_ = g.mux.sendMessage(to, g.stream, ack)
+// stage is a certified link's receive hook, run with mu held, which it
+// lets go for the Stager, before note takes a frame the link does not
+// hold. A frame note would refuse must not be staged (its resend would
+// read as staged, and go undelivered): it is refused here, as is a copy
+// of a frame being staged, and so is a frame the Stager fails. An event
+// staged already is delivered by nobody (a zero queuedMsg).
+func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
+	// Every frame being staged may open a run.
+	if l.staging[m.Seq] || m.Seq != l.got.Floor()+1 && len(l.got.Runs())+len(l.staging) >= maxAhead {
+		return msg, false
 	}
+	if l.staging == nil {
+		l.staging = make(map[uint64]bool)
+	}
+	l.staging[m.Seq] = true
+	g.mu.Unlock()
+	fresh, err := g.cert.stager.Stage(m.ID, msg.origin, m.Payload)
+	g.mu.Lock()
+	delete(l.staging, m.Seq)
+	switch {
+	case err != nil:
+		g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
+			"stream", g.stream.name, "id", m.ID, "err", err)
+		return msg, false
+	case !fresh:
+		return queuedMsg{}, true
+	case l.got.Has(m.Seq): // a base passed it meanwhile
+		g.upcall.add(msg.origin, msg.payload)
+	}
+	return msg, true
 }
 
-func (g *Certified) onMessage(from string, in incarnation, data []byte) {
-	var m message
-	if err := decodeMessage(data, &m); err != nil {
-		g.opts.Logger.Warn("multicast: certified dropping undecodable frame",
-			"stream", g.stream.name, "from", from, "bytes", len(data), "err", err)
+// book takes a certified acknowledgement from the identity it names at
+// from: the outbox books it as one record, and from's link settles what
+// no identity there is owed any more. One the outbox does not book
+// settles nothing, and the link resends what it names.
+func (g *link) book(from string, m *message) {
+	var few [4]durable.Run
+	runs := few[:0]
+	if m.Seq > 0 {
+		runs = append(runs, durable.Run{Lo: 1, Hi: m.Seq})
+	}
+	seqset.EachRun(m.Payload, m.Seq, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
+	if len(runs) == 0 {
 		return
 	}
-	switch m.Kind {
-	case kindCertData:
-		if m.Seq == 0 || in.epoch == 0 {
-			return // names no offset or no incarnation: nothing here could acknowledge it
+	// Booked and settled in one critical section: no tick resends an
+	// entry whose acknowledgement is being written.
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.cert.log.AckRuns(m.Origin, runs); err != nil {
+		level := slog.LevelWarn
+		if errors.Is(err, durable.ErrUnknownConsumer) {
+			level = slog.LevelDebug // an identity that subscribed and left
 		}
-		// The offset is acknowledged after the event is recorded, so a
-		// crash between the two causes a redelivery that the record
-		// suppresses.
-		fresh, err := g.in.Stage(m.ID, from, m.Payload)
-		if err != nil {
-			g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
-				"stream", g.stream.name, "id", m.ID, "err", err)
-			return // no ack: the publisher keeps redelivering
+		g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
+			"stream", g.stream.name, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
+		return
+	}
+	l, ids := g.out[from], g.cert.at[from]
+	if l == nil || !slices.Contains(ids, m.Origin) {
+		return // an identity not, or no longer, at from
+	}
+	l.cum = max(l.cum, m.Seq)
+	if len(ids) == 1 {
+		for _, r := range runs {
+			l.settle(r.Lo, r.Hi)
 		}
-		g.mu.Lock()
-		l := g.links[from]
-		if l == nil || in.epoch > l.in.epoch {
-			// A publisher never heard from, or its next incarnation, which
-			// would drop an acknowledgement of the last one's offsets.
-			l = &certLink{in: in}
-			g.links[from] = l
+		return
+	}
+	// Several identities here: what any of them is still owed stays.
+	owed := make(map[uint64]bool)
+	for _, id := range ids {
+		pending, _ := g.cert.log.Pending(id) // an identity here is registered
+		for _, e := range pending {
+			owed[e.Offset] = true
 		}
-		var ack message             // of no kind until it is due
-		if in.epoch == l.in.epoch { // else a straggler of a dead incarnation
-			// A duplicate is owed an acknowledgement like a first arrival.
-			l.staged.Add(m.Seq, m.Seq, 0)
-			if l.arrived(g.gen) {
-				ack = l.ack(g.gen)
-			}
+	}
+	var done []uint64
+	for _, e := range l.entries[l.head:] {
+		if !owed[e.seq] {
+			done = append(done, e.seq)
 		}
-		ids := g.ids
-		g.mu.Unlock()
-		if ack.Kind != 0 {
-			g.sendAck(from, &ack, ids)
-		}
-		if fresh { // delivered once its acknowledgement is booked
-			g.upcall.add(from, m.Payload)
-			g.upcall.run()
-		}
-	case kindCertAck:
-		if m.Inc == 0 || m.Inc != g.mux.number(g.stream, from) {
-			return // addressed to an earlier incarnation of this group
-		}
-		var few [4]durable.Run
-		runs := few[:0]
-		seqset.EachRun(m.Payload, 0, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
-		if len(runs) == 0 {
-			return
-		}
-		if err := g.log.AckRuns(m.Origin, runs); err != nil {
-			level := slog.LevelWarn
-			if errors.Is(err, durable.ErrUnknownConsumer) {
-				level = slog.LevelDebug // an identity that subscribed and left
-			}
-			g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
-				"stream", g.stream.name, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
-		}
+	}
+	for _, seq := range done {
+		l.settle(seq, seq)
 	}
 }

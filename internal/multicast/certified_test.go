@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +19,7 @@ import (
 	"govents/internal/seqset"
 )
 
-// tapTransport counts the certified data and acknowledgement frames an
+// tapTransport counts the link data and acknowledgement frames an
 // endpoint sends, by destination, and shows each data frame to onData.
 type tapTransport struct {
 	netsim.Transport
@@ -42,12 +44,12 @@ func (tt *tapTransport) Send(to string, frame []byte) error {
 	if decodeFrame(frame, &m) == nil {
 		tt.mu.Lock()
 		switch m.Kind {
-		case kindCertData:
+		case kindData:
 			tt.data[to]++
 			if tt.onData != nil {
 				tt.onData(&m)
 			}
-		case kindCertAck:
+		case kindAck:
 			tt.acks[to]++
 		}
 		tt.mu.Unlock()
@@ -252,9 +254,10 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 	}
 }
 
-// TestCertifiedRedeliveryWaitsAFullInterval drives the redelivery tick
-// by hand against a subscriber that never acknowledges: a tick resends
-// what was first sent before the previous tick, not what left since.
+// TestCertifiedRedeliveryWaitsAFullInterval drives the link's timer by
+// hand against a subscriber that never acknowledges, a RetransmitInterval
+// (ticksPerInterval periods) at a time: an interval resends what has
+// been out for a whole one, not what left since the one before.
 func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -265,6 +268,11 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	defer gp.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
 		t.Fatal(err)
+	}
+	redeliver := func() {
+		for i := 0; i < ticksPerInterval; i++ {
+			gp.tick()
+		}
 	}
 	step := func(what string, do func(), want int) {
 		t.Helper()
@@ -281,12 +289,12 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 		}
 	}
 	step("publishing m1", broadcast("m1"), 1)
-	step("the tick m1 left in", gp.redeliver, 1)
+	step("the interval m1 left in", redeliver, 1)
 	step("publishing m2", broadcast("m2"), 2)
-	step("the next tick (m1 is due, m2 is not)", gp.redeliver, 3)
-	step("the tick after (both due)", gp.redeliver, 5)
+	step("the next interval (m1 is due, m2 is not)", redeliver, 3)
+	step("the interval after (both due)", redeliver, 5)
 	step("publishing m3", broadcast("m3"), 6)
-	step("one more tick (m1, m2)", gp.redeliver, 8)
+	step("one more interval (m1, m2)", redeliver, 8)
 }
 
 // TestCertifiedRunAcksUnderLoss drives both timers by hand over a
@@ -403,17 +411,17 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 		return len(pending)
 	}
 	net.Settle()
-	num := gp.mux.number(gp.stream, "sub")
+	num := number(gp.mux, gp.stream, "sub")
 	if num == 0 {
 		t.Fatal("the subscriber's node numbered no incarnation of the group")
 	}
 	all := seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 3}})
 	for _, ack := range []message{
-		{Kind: kindCertAck, Origin: "tenant", Inc: num + 1, Payload: all},
-		{Kind: kindCertAck, Origin: "tenant", Payload: all},
-		{Kind: kindCertAck, Origin: "tenant", Inc: num},
-		{Kind: kindCertAck, Origin: "tenant", Inc: num, Payload: []byte{0, 0}}, // a zero gap: malformed
-		{Kind: kindCertAck, Origin: "nobody", Inc: num, Payload: all},
+		{Kind: kindAck, Origin: "tenant", Inc: num + 1, Payload: all},
+		{Kind: kindAck, Origin: "tenant", Payload: all},
+		{Kind: kindAck, Origin: "tenant", Inc: num},
+		{Kind: kindAck, Origin: "tenant", Inc: num, Payload: []byte{0, 0}}, // a zero gap: malformed
+		{Kind: kindAck, Origin: "nobody", Inc: num, Payload: all},
 	} {
 		if err := sub.mux.sendMessage("pub", newStream("cls", 0), &ack); err != nil {
 			t.Fatal(err)
@@ -422,7 +430,7 @@ func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 			t.Fatalf("after %+v: %d entries owed, want all 3", ack, n)
 		}
 	}
-	ack := message{Kind: kindCertAck, Origin: "tenant", Inc: num, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
+	ack := message{Kind: kindAck, Origin: "tenant", Inc: num, Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 9}})}
 	if err := sub.mux.sendMessage("pub", newStream("cls", 0), &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -480,4 +488,92 @@ func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
 	if atSub.Load() != total {
 		t.Errorf("subscriber delivered %d, want exactly %d", atSub.Load(), total)
 	}
+}
+
+// ackGate loses every acknowledgement its endpoint sends while shut.
+type ackGate struct {
+	netsim.Transport
+	shut atomic.Bool
+}
+
+func (a *ackGate) Send(to string, frame []byte) error {
+	var m message
+	if a.shut.Load() && decodeFrame(frame, &m) == nil && m.Kind == kindAck {
+		return nil
+	}
+	return a.Transport.Send(to, frame)
+}
+
+// TestCertifiedInOrderAcrossPublisherRestart: over a network that loses
+// and duplicates a fifth of the frames and delays each by up to 2 ms, a
+// certified subscriber delivers one publisher's events exactly once and
+// in publish order, across a publisher restart over an outbox on disk.
+// No acknowledgement reaches the first incarnation, so the second, a new
+// link, starts by resending all it published, which the subscriber has
+// staged and delivered already, and numbers its own events on from
+// there. Fails if a certified link delivers in arrival order.
+func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
+	net := netsim.New(netsim.Config{LossRate: 0.2, DupRate: 0.2, MaxLatency: 2 * time.Millisecond, Seed: 31})
+	defer net.Close()
+	pub := newTestNode(t, net, "pub")
+	ep, err := net.NewEndpoint("sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &ackGate{Transport: ep}
+	sub := &testNode{mux: NewMux(gate)}
+	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, fastOpts())
+	defer gs.Close()
+	dir := t.TempDir()
+	var want []string
+	start := func() (*Certified, *durable.Outbox) {
+		t.Helper()
+		log, err := durable.OpenOutbox(filepath.Join(dir, "data"), filepath.Join(dir, "meta"), durable.SegmentConfig{Sync: durable.SyncBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, fastOpts())
+		if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 150; i++ {
+			p := fmt.Sprintf("m%03d", len(want))
+			if err := gp.Broadcast([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+		return gp, log
+	}
+
+	gate.shut.Store(true)
+	gp, log := start()
+	waitFor(t, 15*time.Second, "the first incarnation's events", func() bool { return sub.count() >= len(want) })
+	if err := gp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gate.shut.Store(false)
+	gp, log = start()
+	defer log.Close()
+	defer gp.Close()
+	waitFor(t, 15*time.Second, "every event", func() bool { return sub.count() >= len(want) })
+	waitFor(t, 15*time.Second, "the outbox acknowledged and emptied", func() bool { return gp.OutboxLen() == 0 })
+	time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+	if got := sub.payloads(); !slices.Equal(got, want) {
+		t.Errorf("delivered %d events, want each of %d once and in publish order; first out of place at %d",
+			len(got), len(want), firstDiff(got, want))
+	}
+}
+
+// firstDiff is the first index at which a and b differ.
+func firstDiff(a, b []string) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

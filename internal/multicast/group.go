@@ -12,12 +12,12 @@ import (
 // protocols. Zero values select the defaults below.
 type Options struct {
 	// RetransmitInterval is the period between retransmissions of
-	// unacknowledged messages (Reliable, and FIFO, Causal and Total,
-	// which run on it; Certified). Reliable also derives its
+	// unacknowledged messages (Reliable, and FIFO, Causal, Total and
+	// Certified, which run on its link). The link also derives its
 	// acknowledgement timer from it (a quarter).
 	RetransmitInterval time.Duration
 	// Logger receives protocol diagnostics that have no error-return
-	// path (undecodable frames, failed redeliveries). Nil means discard.
+	// path (undecodable frames, a store's failures). Nil means discard.
 	Logger *slog.Logger
 }
 

@@ -8,7 +8,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"govents/internal/durable"
 	"govents/internal/netsim"
 )
 
@@ -52,6 +54,14 @@ func knows(m *Mux, addr, stream string) bool {
 	}
 	_, ok := s.known[addr]
 	return ok
+}
+
+// number returns the number to gave s's epoch, or 0 if it has confirmed
+// none: the one an acknowledgement from it must name.
+func number(m *Mux, s *stream, to string) uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return s.known[to]
 }
 
 // opened returns the stream m has open under name.
@@ -542,4 +552,60 @@ func FuzzMuxFrame(f *testing.F) {
 			t.Fatalf("frame %x was answered with %x, want %x", data, tr.sent, answer)
 		}
 	})
+}
+
+// holdKnown holds back every known frame its endpoint sends by a few
+// milliseconds, so that what the endpoint sends right behind one, the
+// acknowledgement of the frame it answers, arrives first.
+type holdKnown struct{ netsim.Transport }
+
+func (h holdKnown) Send(to string, frame []byte) error {
+	if len(frame) > 0 && frame[0] == frameKnown {
+		held := append([]byte(nil), frame...)
+		time.AfterFunc(5*time.Millisecond, func() { _ = h.Transport.Send(to, held) })
+		return nil
+	}
+	return h.Transport.Send(to, frame)
+}
+
+// TestMuxAckOvertakingKnownIsKept: the subscriber's known frame is held
+// back, so the acknowledgement of the publisher's first data frame
+// always arrives before the number it names. The publisher keeps the
+// acknowledgement and applies it when known brings that number: on a
+// loss-free network the event's data frame is sent exactly once, on a
+// FIFO stream and on a certified one. Fails if an acknowledgement that
+// overtakes known is thrown away: the frame goes again a
+// RetransmitInterval later.
+func TestMuxAckOvertakingKnownIsKept(t *testing.T) {
+	for _, class := range []string{"fifo", "certified"} {
+		t.Run(class, func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			pub, tap := newTapNode(t, net, "pub")
+			ep, err := net.NewEndpoint("sub")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := &testNode{mux: NewMux(holdKnown{ep})}
+			opts := Options{RetransmitInterval: 20 * time.Millisecond}
+			var gp, gs Group
+			if class == "fifo" {
+				gp, gs = NewFIFO(pub.mux, "cls", pub.record, opts), NewFIFO(sub.mux, "cls", sub.record, opts)
+			} else {
+				gp = NewCertified(pub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), pub.record, opts)
+				gs = NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, opts)
+			}
+			defer gp.Close()
+			defer gs.Close()
+			gp.SetMembers([]string{"sub"})
+			if err := gp.Broadcast([]byte("m")); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, "the delivery", func() bool { return sub.count() == 1 })
+			time.Sleep(3 * opts.RetransmitInterval) // a resend would have gone by now
+			if n := tap.dataTo("sub"); n != 1 {
+				t.Errorf("%d data frames sent for one event, want 1", n)
+			}
+		})
+	}
 }

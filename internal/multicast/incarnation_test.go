@@ -192,7 +192,7 @@ func TestIncarnationAckOfADeadNumberIsIgnored(t *testing.T) {
 		}
 	}
 	net.Settle()
-	if num := pub.mux.number(live.stream, "b"); num != 2 {
+	if num := number(pub.mux, live.stream, "b"); num != 2 {
 		t.Fatalf("the receiver numbered the live incarnation %d, want 2", num)
 	}
 	for _, inc := range []uint64{1, 3, 0} {

@@ -17,8 +17,10 @@
 //   - Causal     — vector-clock causal order on top of Reliable
 //   - Total      — fixed-sequencer total order: one Reliable link to the
 //     sequencer, its atomic broadcasts back
-//   - Certified  — durable delivery backed by a durable.Outbox, surviving
-//     subscriber disconnection
+//   - Certified  — the Reliable link over stable storage: its log is a
+//     durable.Outbox, whose offsets are its sequences, and what it
+//     receives is staged first; durable delivery that survives subscriber
+//     disconnection
 //
 // All protocols run over a Mux, which multiplexes named streams onto a
 // single point-to-point netsim.Transport endpoint and builds every frame
@@ -98,7 +100,7 @@ type Group interface {
 // incarnation, or any frame after the receiver restarted) draws unknown
 // and is dropped: a number is never reused, so a dead incarnation's
 // frame cannot pass for the live one's. An acknowledgement names the
-// incarnation it acknowledges by that number (number). A stream without
+// incarnation it acknowledges by that number (acked). A stream without
 // an epoch (BestEffort) is resolved by its key alone, and only where one
 // stream it handles has that key; a key two of them share is never
 // confirmed, and both stay spelled.
@@ -127,10 +129,12 @@ type stream struct {
 	epoch uint64
 	// h is the group's upcall; nil once the stream is closed. known maps
 	// each destination that confirmed the stream to the number it gave
-	// the epoch (0 on a stream without one). Both are guarded by the
-	// mux's mu.
-	h     handler
-	known map[string]uint64
+	// the epoch (0 on a stream without one), and parked each destination
+	// to a copy of the latest acknowledgement from it that named another
+	// (acked). All three are guarded by the mux's mu.
+	h      handler
+	known  map[string]uint64
+	parked map[string][]byte
 }
 
 func (s *stream) String() string { return s.name }
@@ -239,18 +243,28 @@ func (m *Mux) SetFallback(f func(stream string)) {
 	m.fallback = f
 }
 
-// number returns the number the destination to gave s's epoch, or 0 if
-// it has confirmed none: the one an acknowledgement from it must name.
-func (m *Mux) number(s *stream, to string) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return s.known[to]
+// acked reports whether num, an acknowledgement's, is the number the
+// destination to gave s's epoch. An acknowledgement can overtake the
+// known frame that gives its number (a reordering transport), so the
+// latest one naming another is copied (record aliases the frame) and
+// handed to the group again when a known frame from to confirms one.
+func (m *Mux) acked(s *stream, to string, num uint64, record []byte) bool {
+	if num == 0 {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s.known[to] == num {
+		return true
+	}
+	s.parked[to] = append(s.parked[to][:0], record...)
+	return false
 }
 
 // newStream returns the stream name of a group whose incarnation is
 // epoch (0 for none), for open.
 func newStream(name string, epoch uint64) *stream {
-	return &stream{name: name, key: streamKey(name), epoch: epoch, known: make(map[string]uint64)}
+	return &stream{name: name, key: streamKey(name), epoch: epoch, known: make(map[string]uint64), parked: make(map[string][]byte)}
 }
 
 // streamKey is a stream name's key: its 32-bit FNV-1a hash. A hash of
@@ -615,8 +629,9 @@ func (m *Mux) answered(from string, data []byte) {
 			return
 		}
 	}
+	var h handler
+	var parked []byte
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	rs := m.keys[key]
 	for _, s := range rs {
 		switch {
@@ -625,6 +640,10 @@ func (m *Mux) answered(from string, data []byte) {
 			// stream that was confirmed.
 			if s.epoch == epoch {
 				s.known[from] = num
+				if parked = s.parked[from]; parked != nil {
+					h = s.h
+					delete(s.parked, from)
+				}
 			}
 		case data[0] == frameKnown:
 			// Without an epoch, the key alone says what was confirmed:
@@ -638,6 +657,10 @@ func (m *Mux) answered(from string, data []byte) {
 				delete(s.known, from)
 			}
 		}
+	}
+	m.mu.Unlock()
+	if h != nil {
+		h(from, incarnation{}, parked)
 	}
 }
 

@@ -52,13 +52,19 @@ import (
 // The protocol tolerates message loss and duplication but not publisher
 // crash (there is no relay phase: Total's sequencer, the one sender that
 // publishes on behalf of others, names the publisher on the frame); that
-// stronger guarantee is the domain of the Certified protocol backed by
-// stable storage.
-type Reliable struct {
+// stronger guarantee is Certified's: the same link over stable storage.
+type Reliable struct{ *link }
+
+// link is the protocol Reliable documents, and Certified's, which
+// differs where cert is consulted: its log is the outbox, whose offsets
+// are its sequences (those it passes over settled unsent), it stages
+// what it takes, and it acknowledges under each durable identity (ids).
+type link struct {
 	mux    *Mux
 	stream *stream // its epoch is the group's incarnation
 	self   string
 	opts   Options
+	cert   *Certified // nil on a reliable link
 
 	upcall  *releaseList
 	members membership
@@ -72,6 +78,7 @@ type Reliable struct {
 	bcast    uint64              // broadcasts issued; names a broadcast across its links
 	out      map[string]*outLink // destination -> what it has not acknowledged
 	in       map[string]*inLink  // origin -> what has been received from it
+	ids      []string            // what each acknowledgement names: a certified link's identities
 	observer PruneObserver       // optional pruning counters sink
 
 	// tickFrames is the cleared slice of what a tick last sent, kept for
@@ -108,6 +115,9 @@ const (
 	chunkSize = 8 << 10
 	// freeChunks bounds the retired chunks a group keeps for reuse.
 	freeChunks = 16
+	// restCap bounds the capacity a link that owes nothing keeps for its
+	// queue: a burst's is let go.
+	restCap = 64
 )
 
 // lastEpoch makes epochs strictly increasing within a process even when
@@ -134,26 +144,35 @@ type outLink struct {
 	// after returning continues the numbering, and the base on those
 	// frames steps its receiver over everything dropped meanwhile.
 	next uint64
-	// settled holds the link sequences acknowledged or dropped.
+	// settled holds the link sequences acknowledged, dropped or passed
+	// over; cum is the highest cumulative acknowledgement heard.
 	settled seqset.Set
+	cum     uint64
 	// entries[head:] carry the sequences above the floor of settled up to
 	// next, the ones settled holds included.
 	entries []outEntry
 	head    int
 	// log is the link's copy of the payloads of entries[head:], oldest
-	// chunk first; push appends to the last one, from pool.
+	// chunk first; push appends to the last one, from pool. A link with
+	// no pool keeps the payloads it is given: a certified one, whose log
+	// is the outbox.
 	log  []logChunk
 	pool *chunkPool
 }
 
-// outEntry is one queued frame of a link. The payload is the link's own
-// copy, in its log; origin is empty unless the broadcast was on another
-// node's behalf.
+// outEntry is one queued frame of a link: its payload, in the link's
+// log; the publisher it names, empty unless the broadcast was on another
+// node's behalf; and a certified event's ID.
 type outEntry struct {
-	payload []byte
-	origin  string
-	bcast   uint64
-	gen     uint64 // timer period of the latest transmission
+	payload    []byte
+	origin, id string
+	seq, bcast uint64
+	gen        uint64 // timer period of the latest transmission
+}
+
+// frame is the entry's data frame, naming base.
+func (e *outEntry) frame(base uint64) message {
+	return message{Kind: kindData, Seq: e.seq, Base: base, Origin: e.origin, ID: e.id, Payload: e.payload}
 }
 
 // logChunk is a stretch of a link's log: payloads copied in link order,
@@ -163,40 +182,40 @@ type logChunk struct {
 	last uint64
 }
 
-// seqAt is the link sequence of entries[i].
-func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-i) }
-
 // base is the lowest link sequence still owed.
 func (l *outLink) base() uint64 { return l.settled.Floor() + 1 }
 
-// push queues a new frame, its payload copied into the link's log, and
-// returns its link sequence.
-func (l *outLink) push(payload []byte, origin string, bcast, gen uint64) uint64 {
-	l.next++
-	n := len(l.log)
-	if n == 0 || cap(l.log[n-1].buf)-len(l.log[n-1].buf) < len(payload) {
-		l.log = append(l.log, logChunk{buf: l.pool.get(len(payload))})
-		n++
+// push queues e above every frame queued, settling the sequences it
+// passes over (on a certified link, offsets owed elsewhere), and copies
+// its payload into the link's log if the link has a pool. A full queue
+// moves its live entries down over the dead prefix before it grows.
+func (l *outLink) push(e outEntry) {
+	if len(l.entries) == cap(l.entries) && l.head > 0 {
+		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
 	}
-	c := &l.log[n-1]
-	start := len(c.buf)
-	c.buf, c.last = append(c.buf, payload...), l.next
-	l.entries = append(l.entries, outEntry{payload: c.buf[start:len(c.buf):len(c.buf)], origin: origin, bcast: bcast, gen: gen})
-	return l.next
+	l.settled.Add(l.next+1, e.seq-1, 0)
+	l.next = e.seq
+	if l.pool != nil {
+		n := len(l.log)
+		if n == 0 || cap(l.log[n-1].buf)-len(l.log[n-1].buf) < len(e.payload) {
+			l.log = append(l.log, logChunk{buf: l.pool.get(len(e.payload))})
+			n++
+		}
+		c := &l.log[n-1]
+		start := len(c.buf)
+		c.buf, c.last = append(c.buf, e.payload...), e.seq
+		e.payload = c.buf[start:len(c.buf):len(c.buf)]
+	}
+	l.entries = append(l.entries, e)
 }
 
 // settle retires the queued frames with link sequences lo through hi,
-// dropping what the base passes, with the log chunks it passes whole,
-// and keeps the queue's backing array from creeping: once the dead
-// prefix is the larger part, the live entries move down over it.
+// dropping what the base passes, with the log chunks it passes whole.
 func (l *outLink) settle(lo, hi uint64) {
 	l.settled.Add(lo, min(hi, l.next), 0)
-	for l.head < len(l.entries) && l.seqAt(l.head) < l.base() {
+	for l.head < len(l.entries) && l.entries[l.head].seq < l.base() {
 		l.entries[l.head] = outEntry{}
 		l.head++
-	}
-	if l.head > len(l.entries)-l.head {
-		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
 	}
 	l.retire(len(l.log) - 1)
 }
@@ -206,6 +225,7 @@ func (l *outLink) drop() {
 	clear(l.entries)
 	l.entries, l.head = l.entries[:0], 0
 	l.settled.Raise(l.next)
+	l.cum = l.next // nor is its acknowledgement of the base waited for
 	l.retire(len(l.log))
 }
 
@@ -275,15 +295,18 @@ type inLink struct {
 	// held by link sequence until the floor reaches them.
 	got  seqset.Set
 	held map[uint64]queuedMsg
+	// staging holds the sequences of the certified frames being staged,
+	// which stage does without the group's lock.
+	staging map[uint64]bool
 	// ready collects, in link order, the frames raise and note release;
 	// the caller lists them for the upcall and clears it.
 	ready []queuedMsg
 	acker
 }
 
-// acker is the acknowledging half of a link's receiving end, the same
-// for a reliable link and a certified one: the data frames received
-// since the last acknowledgement, and the timer period that one went.
+// acker is the acknowledging half of a link's receiving end: the data
+// frames received since the last acknowledgement, and the timer period
+// that one went.
 type acker struct {
 	unacked int
 	ackGen  uint64
@@ -352,17 +375,28 @@ var _ Group = (*Reliable)(nil)
 
 // NewReliable creates a reliable group on the given stream.
 func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliable {
+	return &Reliable{newLink(mux, stream, deliver, opts, nil)}
+}
+
+// newLink opens a link on stream, certified when cert is not nil: cert's
+// stores must be set, as the link may use them before newLink returns.
+func newLink(mux *Mux, stream string, deliver Deliver, opts Options, cert *Certified) *link {
 	opts = opts.withDefaults()
-	g := &Reliable{
+	g := &link{
 		mux:    mux,
 		stream: newStream(stream, newEpoch()),
 		self:   mux.Addr(),
 		opts:   opts,
+		cert:   cert,
 		lc:     newLifecycle(),
 		gen:    1, // 0 is inLink.ackGen's "never acknowledged"
 		out:    make(map[string]*outLink),
 		in:     make(map[string]*inLink),
 		upcall: newReleaseList(deliver),
+	}
+	g.ids = []string{""} // one acknowledgement, naming no identity
+	if cert != nil {
+		g.ids = []string{g.self}
 	}
 	mux.open(g.stream, g.onMessage)
 	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
@@ -409,7 +443,7 @@ func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
 func (g *Reliable) BroadcastSplit(sends []Send) error { return g.broadcastAs(g.self, sends) }
 
 // broadcastAs is BroadcastSplit on behalf of origin.
-func (g *Reliable) broadcastAs(origin string, sends []Send) error {
+func (g *link) broadcastAs(origin string, sends []Send) error {
 	var few [4]linkFrame // the usual fan-out fits; append spills to the heap beyond it
 	frames, toSelf, err := g.stamp(origin, sends, few[:0])
 	g.transmit(frames)
@@ -432,7 +466,7 @@ type linkFrame struct {
 // appends to frames what transmit must then send. A caller that orders
 // publications by a mark of its own (Causal's clock tick) marks and
 // stamps under one lock, and transmits and runs outside it.
-func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, bool, error) {
+func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, bool, error) {
 	if g.lc.closed() {
 		return frames, false, fmt.Errorf("multicast: reliable %s: closed", g.stream)
 	}
@@ -470,11 +504,7 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 			if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
 				continue // addr listed twice
 			}
-			seq := l.push(s.Payload, named, g.bcast, g.gen)
-			// The caller's payload, not the link's copy: once g.mu is
-			// released, an acknowledgement may retire the copy.
-			frames = append(frames, linkFrame{addr, message{
-				Kind: kindData, Seq: seq, Base: l.base(), Origin: named, Payload: s.Payload}})
+			frames = append(frames, g.queueLocked(addr, l, outEntry{payload: s.Payload, origin: named, seq: l.next + 1, bcast: g.bcast}))
 		}
 	}
 	obs := g.observer
@@ -488,10 +518,20 @@ func (g *Reliable) stamp(origin string, sends []Send, frames []linkFrame) ([]lin
 	return frames, toSelf, nil
 }
 
+// queueLocked queues e on addr's link l, sent in this period, and
+// returns its frame. The frame carries the caller's payload, not the
+// link's copy: once mu is released, an acknowledgement may retire the
+// copy. Caller holds mu.
+func (g *link) queueLocked(addr string, l *outLink, e outEntry) linkFrame {
+	e.gen = g.gen
+	l.push(e)
+	return linkFrame{addr, e.frame(l.base())}
+}
+
 // fits refuses, before it takes a link sequence, a payload whose data
 // frame naming origin (empty for this node) no transport would carry,
 // with the link sequence and base at their widest.
-func (g *Reliable) fits(named string, payload []byte) error {
+func (g *link) fits(named string, payload []byte) error {
 	err := fits(g.stream, &message{Kind: kindData, Seq: math.MaxUint64, Base: 1, Origin: named, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("multicast: reliable %s: %w", g.stream, err)
@@ -501,14 +541,14 @@ func (g *Reliable) fits(named string, payload []byte) error {
 
 // transmit sends link frames. A failed send is a lost frame:
 // retransmission covers it.
-func (g *Reliable) transmit(frames []linkFrame) {
+func (g *link) transmit(frames []linkFrame) {
 	for i := range frames {
 		_ = g.mux.sendMessage(frames[i].addr, g.stream, &frames[i].msg)
 	}
 }
 
 // Close implements Group.
-func (g *Reliable) Close() error {
+func (g *link) Close() error {
 	g.mux.close(g.stream)
 	g.lc.close()
 	g.upcall.close()
@@ -522,9 +562,9 @@ func (g *Reliable) Outstanding() int {
 	defer g.mu.Unlock()
 	owed := make(map[uint64]struct{})
 	for _, l := range g.out {
-		for i := l.head; i < len(l.entries); i++ {
-			if !l.settled.Has(l.seqAt(i)) {
-				owed[l.entries[i].bcast] = struct{}{}
+		for _, e := range l.entries[l.head:] {
+			if !l.settled.Has(e.seq) {
+				owed[e.bcast] = struct{}{}
 			}
 		}
 	}
@@ -538,8 +578,10 @@ func (g *Reliable) Outstanding() int {
 // periods only once the generation passes p+ticksPerInterval. A link
 // whose destination has left the membership is dropped instead, and
 // announces the base that moved, so that its receiver, should it hear,
-// is stepped over the frames dropped.
-func (g *Reliable) tick() {
+// is stepped over the frames dropped; a link that owes nothing
+// announces it while its receiver's cumulative acknowledgement lags it
+// (sequences it passed over).
+func (g *link) tick() {
 	frames := g.tickFrames[:0]
 
 	g.mu.Lock()
@@ -547,18 +589,24 @@ func (g *Reliable) tick() {
 	g.chunks.period()
 	for origin, l := range g.in {
 		if l.unacked > 0 {
-			frames = append(frames, linkFrame{origin, l.ack(g.gen)})
+			frames = g.appendAcks(frames, origin, l.ack(g.gen))
 		}
 	}
 	for addr, l := range g.out {
 		if l.head == len(l.entries) {
 			l.retire(len(l.log)) // owes nothing: the chunk push appends to goes too
+			if cap(l.entries) > restCap {
+				l.entries, l.head = nil, 0
+			}
+			if l.cum+1 < l.base() {
+				frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Base: l.base()}})
+			}
 			continue
 		}
 		base, checked := l.base(), false
 		for i := l.head; i < len(l.entries); i++ {
 			e := &l.entries[i]
-			if g.gen-e.gen <= ticksPerInterval || l.settled.Has(l.seqAt(i)) {
+			if g.gen-e.gen <= ticksPerInterval || l.settled.Has(e.seq) {
 				continue
 			}
 			if !checked {
@@ -569,8 +617,7 @@ func (g *Reliable) tick() {
 				}
 			}
 			e.gen = g.gen
-			frames = append(frames, linkFrame{addr, message{
-				Kind: kindData, Seq: l.seqAt(i), Base: base, Origin: e.origin, Payload: e.payload}})
+			frames = append(frames, linkFrame{addr, e.frame(base)})
 		}
 	}
 	g.mu.Unlock()
@@ -581,7 +628,7 @@ func (g *Reliable) tick() {
 	}
 }
 
-func (g *Reliable) onMessage(from string, in incarnation, data []byte) {
+func (g *link) onMessage(from string, in incarnation, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil {
 		return
@@ -590,11 +637,16 @@ func (g *Reliable) onMessage(from string, in incarnation, data []byte) {
 	case kindData, kindSkip:
 		g.onLink(from, in, &m)
 	case kindAck:
-		if m.Inc == 0 || m.Inc != g.mux.number(g.stream, from) {
-			return // addressed to an earlier incarnation of this group
+		if !g.mux.acked(g.stream, from, m.Inc, data) {
+			return // names no incarnation of this group that from numbered
+		}
+		if g.cert != nil {
+			g.book(from, &m)
+			return
 		}
 		g.mu.Lock()
 		if l := g.out[from]; l != nil {
+			l.cum = max(l.cum, m.Seq)
 			l.settle(1, m.Seq)
 			seqset.EachRun(m.Payload, m.Seq, l.settle)
 		}
@@ -604,10 +656,10 @@ func (g *Reliable) onMessage(from string, in incarnation, data []byte) {
 
 // onLink books a link frame from the sender's incarnation in — a data
 // frame, or a base announcement, which is a base and nothing else —
-// acknowledges a data frame according to the policy in the type's
-// documentation, and then delivers, on the caller, whatever the frame
-// lets out in link order.
-func (g *Reliable) onLink(from string, in incarnation, m *message) {
+// acknowledges it according to the policy in the type's documentation,
+// and then delivers, on the caller, whatever the frame lets out in link
+// order.
+func (g *link) onLink(from string, in incarnation, m *message) {
 	if in.epoch == 0 || m.Base == 0 {
 		return // not a link frame
 	}
@@ -637,30 +689,57 @@ func (g *Reliable) onLink(from string, in incarnation, m *message) {
 	// A duplicate is owed an acknowledgement like a first arrival (the
 	// earlier one was lost, or the frame was resent before it landed),
 	// and is batched like one: a burst of retransmissions is answered
-	// by the cumulative acknowledgement its first frame draws. A frame
-	// note refuses is owed none.
-	var ack message
-	ackNow := false
-	if m.Kind == kindData && (l.got.Has(m.Seq) || l.note(m.Seq, queuedMsg{origin, m.Payload})) {
-		if ackNow = l.arrived(g.gen); ackNow {
-			ack = l.ack(g.gen)
-		}
+	// by the cumulative acknowledgement its first frame draws. So is a
+	// base announcement, which its sender repeats until the cumulative
+	// acknowledgement reaches the base. A frame take refuses is owed none.
+	var few [2]linkFrame
+	acks := few[:0]
+	if g.take(l, m, origin) && l.arrived(g.gen) {
+		acks = g.appendAcks(acks, from, l.ack(g.gen))
 	}
 	g.releaseLocked(l)
 	g.mu.Unlock()
 
-	if ackNow {
-		_ = g.mux.sendMessage(from, g.stream, &ack)
-	}
+	g.transmit(acks)
 	g.upcall.run()
 }
 
-// releaseLocked lists what a link has ready for the upcall, in order.
+// take books a link frame's arrival on l: a base announcement's, a
+// duplicate's, or a data frame's the link notes (staged first if
+// certified). A data frame refused is owed no acknowledgement: false.
+func (g *link) take(l *inLink, m *message, origin string) bool {
+	if m.Kind != kindData || l.got.Has(m.Seq) {
+		return true
+	}
+	msg := queuedMsg{origin, m.Payload}
+	if g.cert != nil {
+		var ok bool
+		if msg, ok = g.stage(l, m, msg); !ok {
+			return false
+		}
+	}
+	return l.got.Has(m.Seq) || l.note(m.Seq, msg)
+}
+
+// appendAcks appends the acknowledgement ack to to once under each of
+// the link's identities.
+func (g *link) appendAcks(frames []linkFrame, to string, ack message) []linkFrame {
+	for _, id := range g.ids {
+		ack.Origin = id
+		frames = append(frames, linkFrame{to, ack})
+	}
+	return frames
+}
+
+// releaseLocked lists what a link has ready for the upcall, in order,
+// bar a certified event that was staged already (a zero queuedMsg).
 // Caller holds g.mu, which is what keeps two frames of one link from
 // being listed out of turn.
-func (g *Reliable) releaseLocked(l *inLink) {
+func (g *link) releaseLocked(l *inLink) {
 	for i, msg := range l.ready {
-		g.upcall.add(msg.origin, msg.payload)
+		if msg.origin != "" {
+			g.upcall.add(msg.origin, msg.payload)
+		}
 		l.ready[i] = queuedMsg{}
 	}
 	l.ready = l.ready[:0]

@@ -38,40 +38,40 @@ import (
 // any unknown flag. Flag bit 128 (a gossip rumor's Rounds to live) and
 // kind 5 (a gossip event batch) belonged to a gossip protocol that is
 // gone; they are retired likewise, the flag rejected as unknown and the
-// kind read by no protocol. Nodes of different eras do not interoperate
-// (see "Link protocol" in the govents package documentation).
+// kind read by no protocol. Kinds 3 and 4 were the certified class's own
+// data frame and acknowledgement, before it rode the link; no protocol
+// reads them either. Nodes of different eras do not interoperate (see
+// "Link protocol" in the govents package documentation).
 
 // msgKind enumerates protocol message types.
 type msgKind byte
 
 const (
-	kindData     msgKind = iota + 1 // broadcast payload
-	kindAck                         // reliable-broadcast cumulative acknowledgement
-	kindCertData                    // certified payload at an outbox offset
-	kindCertAck                     // certified acknowledgement of runs of offsets
-	_                               // 5: retired (see above)
-	kindSkip                        // "step over": no payload, consumes no sequence
+	kindData msgKind = 1 // link data frame
+	kindAck  msgKind = 2 // link acknowledgement: cumulative, and runs above it
+	kindSkip msgKind = 6 // "step over": no payload, consumes no sequence; 3 to 5 are retired (see above)
 )
 
 // message is the wire record exchanged by all protocols in this package.
 // Fields are used selectively per kind; unused fields stay zero and do
 // not travel.
 //
-// Seq, Base and Inc belong to Reliable's link protocol (reliable.go):
-// on a data frame Seq is the link sequence and Base the lowest link
-// sequence the sender still owes this destination; a kindSkip link
-// frame announces a Base alone; on an acknowledgement Seq is the
-// cumulative acknowledgement, Payload lists the runs of link sequences
-// received above it (appendRanges), and Inc is the number the
-// acknowledging node gave the incarnation it acknowledges (Mux). The
-// sender's incarnation itself travels in the frame's prefix, not here.
-// Certified (certified.go) borrows them: Seq is a data frame's outbox
-// offset, Inc names the publisher's incarnation on an acknowledgement,
-// and an acknowledgement's Payload lists runs of offsets above 0.
+// Seq, Base and Inc belong to the link protocol (reliable.go): on a
+// data frame Seq is the link sequence and Base the lowest link sequence
+// the sender still owes this destination; a kindSkip link frame
+// announces a Base alone; on an acknowledgement Seq is the cumulative
+// acknowledgement, Payload lists the runs of link sequences received
+// above it (seqset.AppendRuns), and Inc is the number the acknowledging
+// node gave the incarnation it acknowledges (Mux). The sender's
+// incarnation itself travels in the frame's prefix, not here. A
+// certified link (certified.go) is the same link whose sequences are
+// outbox offsets, with one field more on each frame: ID on a data
+// frame, and Origin, the durable identity acknowledging, on an
+// acknowledgement.
 type message struct {
 	Kind    msgKind
-	Origin  string // original publisher where it is not the frame's sender (or durable consumer ID in cert acks)
-	Seq     uint64 // link sequence, cumulative acknowledgement, or outbox offset
+	Origin  string // original publisher where it is not the frame's sender, or a certified acknowledgement's durable identity
+	Seq     uint64 // link sequence (an outbox offset on a certified link), or cumulative acknowledgement
 	Inc     uint64 // an acknowledgement's number for the incarnation it acknowledges
 	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
 	ID      string // unique message ID

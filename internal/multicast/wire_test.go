@@ -34,7 +34,7 @@ func roundTrip(t *testing.T, m *message) message {
 // TestMessageRoundTripEveryCombination walks every kind with every
 // subset of the optional fields, with and without a payload.
 func TestMessageRoundTripEveryCombination(t *testing.T) {
-	kinds := []msgKind{kindData, kindAck, kindCertData, kindCertAck, kindSkip}
+	kinds := []msgKind{kindData, kindAck, kindSkip}
 	for _, kind := range kinds {
 		for fields := uint64(0); fields <= knownFlags; fields++ {
 			if fields&^knownFlags != 0 {
@@ -90,8 +90,8 @@ func TestMessageRoundTripProtocolFrames(t *testing.T) {
 		{"causal data", message{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}}, 0},
 		{"causal clock marker", message{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}}, 0},
 		{"total data", message{Kind: kindData, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")}, 2 + 1 + 1 + 2 + 1},
-		{"certified data", message{Kind: kindCertData, Seq: 70000, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 5 + 7},
-		{"certified ack", message{Kind: kindCertAck, Inc: 1, Origin: "consumer", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}})}, 2 + 1 + 9 + 4},
+		{"certified data", message{Kind: kindData, Seq: 70000, Base: 69990, ID: "id-1", Payload: []byte("payload")}, 2 + 3 + 1 + 5 + 7},
+		{"certified ack", message{Kind: kindAck, Inc: 1, Seq: 70015, Origin: "consumer", Payload: seqset.AppendRuns(nil, 70015, []seqset.Run{{Lo: 70017, Hi: 70017}})}, 2 + 1 + 3 + 9 + 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -225,15 +225,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Kind: kindData, Inc: 1_759_000_000_000_000, Seq: 99, Base: 90, Origin: "p", Payload: []byte("x")},
 		{Kind: kindData, VC: vclock.VC{"a": 1, "b": 9}, Payload: []byte{0}},
 		{Kind: kindSkip, VC: vclock.VC{"a": 1, "b": 9}},
-		{Kind: kindCertData, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindCertData, Inc: 1_759_000_000_000_000, Seq: 70000, ID: "id-1", Payload: []byte("payload")},
-		{Kind: kindCertAck, Inc: 1_759_000_000_000_000, Origin: "desk", Payload: seqset.AppendRuns(nil, 0, []seqset.Run{{Lo: 70000, Hi: 70015}, {Lo: 70017, Hi: 70017}})},
+		{Kind: kindData, ID: "id-1", Payload: []byte("payload")},
+		{Kind: kindData, Seq: 70000, Base: 69990, ID: "id-1", Payload: []byte("payload")},
+		{Kind: kindAck, Inc: 1_759_000_000_000_000, Seq: 70015, Origin: "desk", Payload: seqset.AppendRuns(nil, 70015, []seqset.Run{{Lo: 70017, Hi: 70017}})},
 		// Run lists seqset.EachRun must stop at, quietly: a zero gap, a run
 		// past the end of the numbers, half a pair.
-		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
-		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
-		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
-		{Kind: kindCertAck, Inc: 1, Origin: "desk", Payload: []byte{5, 2, 4}},
+		{Kind: kindAck, Inc: 1, Origin: "desk", Payload: []byte{3, 0, 0, 0}},
+		{Kind: kindAck, Inc: 1, Origin: "desk", Payload: append(binary.AppendUvarint(nil, math.MaxUint64), 1, 1, 0)},
+		{Kind: kindAck, Inc: 1, Origin: "desk", Payload: []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+		{Kind: kindAck, Inc: 1, Origin: "desk", Payload: []byte{5, 2, 4}},
 	} {
 		wire, err := encodeMessage(&m)
 		if err != nil {
@@ -269,7 +269,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// An acknowledgement's run list is a peer's too: whatever it
 		// holds, the runs read from it ascend above the floor, a gap
 		// apart, and each costs at least the two bytes of its pair.
-		if m.Kind == kindAck || m.Kind == kindCertAck {
+		if m.Kind == kindAck {
 			runs, end := 0, m.Seq
 			seqset.EachRun(m.Payload, m.Seq, func(lo, hi uint64) {
 				if runs++; lo <= end || hi < lo {
