@@ -293,13 +293,14 @@
 //
 // Under the envelope sit three thin layers, each with a few bytes of
 // header: the reliable link that the reliable, ordered and certified
-// classes (§3.1.2) ride, the stream multiplexer, and the TCP transport. A FIFO
-// event whose payload is 44 bytes crosses the wire as one data frame of
-// 85 bytes (84 and the TCP length prefix, one byte), and a sixteenth of
-// an 11-byte acknowledgement (TestFIFOFrameBytesAfterHandshake in
-// internal/dace pins the frames without the prefix). The stream's name
-// and the sender's incarnation cross each link once, in a handshake, and
-// a key and a one-byte number stand for them afterwards.
+// classes (§3.1.2) ride, the stream multiplexer, and the TCP transport.
+// A FIFO event whose payload is 44 bytes crosses the wire as one data
+// frame of 85 bytes (84 and the TCP length prefix, one byte), and a
+// sixteenth of an 11-byte acknowledgement
+// (TestFIFOFrameBytesAfterHandshake in internal/dace pins the frames
+// without the prefix). The stream's name and the sender's incarnation
+// cross each link once, in a handshake, and a key and a one-byte number
+// stand for them afterwards.
 //
 // Every multicast protocol speaks one record: a kind byte, a uvarint of
 // presence flags, then only the fields that are not zero, the payload
@@ -349,7 +350,8 @@
 // runs of sequences received above it (one run per hole, at most 256),
 // whose frames it holds; a frame is a duplicate when the set has its
 // sequence. The certified class rides this link, and the durable
-// cursors keep the same set ("Durability"). Frames are released to the class above
+// cursors keep the same set ("Durability"). Frames are released to the
+// class above
 // in link-sequence order: a first arrival that is next in line goes up
 // at once, together with the run it was the hole below, and any other
 // is held while a hole sits below it. A hole closes when the missing
@@ -365,10 +367,7 @@
 // its own, of the "step over" kind: a Base, no Seq and no payload,
 // consuming no sequence. A receiver that holds frames behind
 // the abandoned ones releases them on it, not on the next publication,
-// which may never come. A link that owes nothing announces its Base so
-// while the receiver's cumulative acknowledgement lags it (a certified
-// link passes over offsets owed elsewhere), and a step-over is
-// acknowledged like a data frame. An acknowledgement carries, as Inc, the number
+// which may never come. An acknowledgement carries, as Inc, the number
 // its sender's multiplexer gave the incarnation it answers (below), the
 // cumulative sequence, and the 32 lowest runs beyond it, each as the
 // distance from the run before and a length; a sender takes only an
@@ -646,36 +645,42 @@
 // frame a publisher sends itself.
 //
 // A certified class rides the reliable link ("Link protocol") with
-// three differences. Its log is the outbox, and a link sequence is an
-// outbox offset (1, 2, 3, … per class and publisher, continued across
-// a restart of a publisher with a durability directory); a link passes
-// over, settled, what no identity at its destination is owed. A
-// subscriber stages a first arrival before its link takes it, and never
-// a frame the link would refuse; a duplicate is only acknowledged. The
-// link's members are the addresses of the durable identities, none
-// abandoned: when the identities at an address change, its link is
-// rebuilt from what the outbox owes them, so a re-addressed identity
-// gets its backlog there, and an address they all left loses its link
-// without the step-over that would write off what they are owed.
-// Payloads are handed on, not copied: internal/durable.Outbox and
-// internal/codec state who may keep and who may alias one.
+// three differences. Its log is the outbox: each link entry carries an
+// outbox entry and knows its offset (1, 2, 3, … per class and
+// publisher, continued across a restart of a publisher with a
+// durability directory), and the link numbers its frames as any link
+// does, so a link never goes back below a sequence its receiver has
+// passed. A subscriber stages a first arrival before its link takes it,
+// and never a frame the link would refuse; a duplicate is only
+// acknowledged. The link's members are the addresses of the durable
+// identities: when the identities at an address change, what the outbox
+// owes them and the link does not hold is queued on it, a
+// RetransmitInterval later, so a re-addressed identity gets its backlog
+// there; an address they all left is dropped as a reliable member is,
+// and the outbox still owes them what it dropped. Payloads are handed
+// on, not copied: internal/durable.Outbox and internal/codec state who
+// may keep and who may alias one.
 //
 // The data frame is the link's plus ID, the event's identity, which the
 // staging inbox deduplicates by; the acknowledgement is the link's plus
 // Origin, a durable identity of the subscriber. A subscriber
 // acknowledges when the link would, once under each durable identity
 // it holds for the class; a node with two identities is sent one data
-// frame per event, and an entry leaves its link once neither is owed
-// it. The publisher books an acknowledgement of its current incarnation
-// as one outbox record, whatever it names. Each outbox consumer and
-// each inbox cursor keeps the link's set again, of the offsets it
+// frame per event, and an entry leaves its link once the cumulative
+// acknowledgement of each has passed it. The publisher takes an
+// acknowledgement of its current incarnation from an identity at the
+// address that sent it, and books as one outbox record the offsets of
+// the entries that address's link sent at the sequences it names: an
+// entry the link never sent there is not booked. Each outbox consumer
+// and each inbox cursor keeps the link's set again, of the offsets it
 // acknowledged: in memory a frontier and the runs above it, on disk, in
 // a snapshot, the frontier and every offset above it.
 //
 // A subscriber releases one publisher incarnation's certified events in
-// offset order, and a restarted subscriber replays in staging order;
-// across a publisher's restart, what the old incarnation's link held
-// behind a hole goes out first. A Causal or Total ordering declared on
+// link order, which is offset order but for the backlog queued when an
+// identity comes to its address, and a restarted subscriber replays in
+// staging order; across a publisher's restart, what the old
+// incarnation's link held behind a hole goes out first. A Causal or Total ordering declared on
 // a certified class is not provided: internal/dace carries every
 // certified class on its certified channel, which orders per publisher
 // only.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"slices"
+	"sync"
 
 	"govents/internal/codec"
 	"govents/internal/durable"
@@ -42,19 +43,29 @@ type Stager interface {
 // (§3.1.2): "even if a notifiable temporarily disconnects or fails, it
 // will eventually deliver the obvent". It is the reliable link over
 // stable storage: its log is the durable.Outbox, which takes every
-// broadcast before a frame leaves, and its sequences are outbox offsets;
-// a subscriber stages every event in a Stager before its link takes it.
-// Its members are the addresses of the durable identities, none ever
-// abandoned (SetSubscribers), and a node sent one frame per event
-// acknowledges under each identity it holds (SetDurableIDs). How much of
-// this survives a crash is the two stores' business, not the protocol's
-// ("Durability" in the govents package documentation).
+// broadcast before a frame leaves, each link entry naming the outbox
+// offset it carries; a subscriber stages every event in a Stager before
+// its link takes it. Its members are the addresses of the durable
+// identities, and what an identity that left is owed stays in the outbox
+// (SetSubscribers); a node sent one frame per event acknowledges under
+// each identity it holds (SetDurableIDs). How much of this survives a crash is the two stores'
+// business, not the protocol's ("Durability" in the govents package
+// documentation).
 type Certified struct {
 	*link
 	log    *durable.Outbox // publisher side: the outbox
 	stager Stager          // subscriber side: what has been received
 
-	at map[string][]string // address -> the durable IDs there, sorted; guarded by mu
+	// order is held, before mu, from reading the outbox to queueing what
+	// was read on the links: by a broadcast from its append, and by
+	// SetSubscribers. The disk write holds no lock the receive path or
+	// the timer takes.
+	order sync.Mutex
+	// at maps each address to the durable IDs there, sorted, and cums to
+	// the cumulative acknowledgement heard from each of them, in that
+	// order. Both are guarded by mu.
+	at   map[string][]string
+	cums map[string][]uint64
 }
 
 var _ Group = (*Certified)(nil)
@@ -64,22 +75,22 @@ var _ Group = (*Certified)(nil)
 // receives. A node uses the one its role calls for and leaves the other
 // empty.
 func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliver Deliver, opts Options) *Certified {
-	g := &Certified{log: log, stager: in, at: make(map[string][]string)}
+	g := &Certified{log: log, stager: in, at: make(map[string][]string), cums: make(map[string][]uint64)}
 	g.link = newLink(mux, stream, deliver, opts, g)
 	return g
 }
 
 // SetSubscribers replaces the set of durable subscribers. New durable
 // IDs are registered as consumers of the outbox and are owed every
-// entry it holds; the link of an address whose identities changed is
-// rebuilt from what they are owed, sent a RetransmitInterval later.
-// Only with a subscriber at this node's own address does a broadcast
-// take the local leg (record, self-acknowledge, deliver), and never
-// over the transport: the link to this node carries only what an
-// identity here was owed before it was.
+// entry it holds; an address whose identities changed has queued on
+// its link what they are owed and it does not hold, sent a
+// RetransmitInterval later. Only with a subscriber at this node's own
+// address does a broadcast take the local leg (record, self-acknowledge,
+// deliver), and never over the transport: the link to this node carries
+// only what an identity here was owed before it was.
 func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.order.Lock()
+	defer g.order.Unlock()
 	at := make(map[string][]string)
 	for _, s := range subs {
 		// Registering a known identity costs nothing.
@@ -91,41 +102,64 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 	// Note: durable IDs that disappear are intentionally NOT
 	// unregistered from the log — a disconnected subscriber is exactly
 	// the case certified delivery exists for. Nothing says a permanent
-	// goodbye yet: what a departed identity is owed stays in the outbox.
+	// goodbye yet: what a departed identity is owed stays in the outbox,
+	// and the link of an address left with none is dropped, as a
+	// reliable link's is, without touching it.
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var addrs []string
+	cums := make(map[string][]uint64, len(at))
 	for addr, ids := range at {
 		slices.Sort(ids)
 		at[addr] = slices.Compact(ids)
 		addrs = append(addrs, addr)
+		cums[addr] = g.cums[addr]
 		if !slices.Equal(at[addr], g.at[addr]) {
-			g.relinkLocked(addr, at[addr])
+			cums[addr] = g.relinkLocked(addr, at[addr])
 		}
 	}
-	for addr := range g.out {
-		if at[addr] == nil { // not dropped: its step-over would write off what they are owed
-			delete(g.out, addr)
-		}
-	}
-	g.at = at
+	g.at, g.cums = at, cums
 	g.members.set(addrs)
 	return nil
 }
 
-// relinkLocked rebuilds addr's link from what the outbox owes the
-// identities there, each entry as if sent now. Caller holds mu.
-func (g *Certified) relinkLocked(addr string, ids []string) {
+// relinkLocked queues on addr's link, due a RetransmitInterval from now,
+// what the outbox owes the identities now there (ids) and the link does
+// not hold, and returns their cumulative acknowledgements, those of the
+// ones that were there kept. The link numbers on from where it was: a
+// receiver's sequence never goes back, and an offset it passed for one
+// identity is new to it for another. Caller holds mu.
+func (g *Certified) relinkLocked(addr string, ids []string) []uint64 {
+	l := g.out[addr]
+	if l == nil {
+		l = &outLink{}
+		g.out[addr] = l
+	}
+	held := make(map[uint64]bool)
+	for i := l.head; i < len(l.entries); i++ {
+		if !l.settled.Has(l.seqAt(i)) {
+			held[l.entries[i].bcast] = true
+		}
+	}
 	var owed []durable.Entry
-	for _, id := range ids {
+	cums := make([]uint64, len(ids))
+	for i, id := range ids {
+		if k := slices.Index(g.at[addr], id); k >= 0 {
+			cums[i] = g.cums[addr][k]
+		}
 		pending, _ := g.log.Pending(id) // SetSubscribers registered id
-		owed = append(owed, pending...)
+		for _, e := range pending {
+			if !held[e.Offset] { // a second identity's too: once
+				held[e.Offset] = true
+				owed = append(owed, e)
+			}
+		}
 	}
-	// A second identity at the address: what either is owed, once.
 	slices.SortFunc(owed, func(a, b durable.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
-	l := &outLink{}
-	for _, e := range slices.CompactFunc(owed, func(a, b durable.Entry) bool { return a.Offset == b.Offset }) {
-		l.push(outEntry{payload: e.Payload, id: e.ID, seq: e.Offset, gen: g.gen})
+	for _, e := range owed {
+		g.queueLocked(addr, l, outEntry{payload: e.Payload, id: e.ID, bcast: e.Offset})
 	}
-	g.out[addr] = l
+	return cums
 }
 
 // SetMembers implements Group by treating each address, this node's
@@ -169,19 +203,21 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	}
 	var few [4]linkFrame
 	frames := few[:0]
-	g.mu.Lock()
+	g.order.Lock()
 	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
-		g.mu.Unlock()
+		g.order.Unlock()
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
 	}
+	g.mu.Lock()
 	for _, addr := range g.members.snapshot() {
 		if addr != g.self { // every member's link was made by SetSubscribers
-			frames = append(frames, g.queueLocked(addr, g.out[addr], outEntry{payload: payload, id: id, seq: off}))
+			frames = append(frames, g.queueLocked(addr, g.out[addr], outEntry{payload: payload, id: id, bcast: off}))
 		}
 	}
 	local := g.at[g.self]
 	g.mu.Unlock()
+	g.order.Unlock()
 	g.transmit(frames)
 	if len(local) == 0 {
 		return nil
@@ -192,19 +228,13 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 	}
-	run, acked := [1]durable.Run{{Lo: off, Hi: off}}, true
+	run := [1]durable.Run{{Lo: off, Hi: off}}
 	for _, durableID := range local {
-		if err := g.log.AckRuns(durableID, run[:]); err != nil {
-			acked = false // still owed
+		if err := g.log.AckRuns(durableID, run[:]); err != nil { // still owed
 			g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
 				"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
 		}
 	}
-	g.mu.Lock()
-	if l := g.out[g.self]; acked && l != nil {
-		l.settle(off, off) // a link to this node rebuilt since the append may hold it
-	}
-	g.mu.Unlock()
 	if fresh {
 		g.upcall.add(g.self, payload)
 		g.upcall.run()
@@ -269,59 +299,67 @@ func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
 	return msg, true
 }
 
-// book takes a certified acknowledgement from the identity it names at
-// from: the outbox books it as one record, and from's link settles what
-// no identity there is owed any more. One the outbox does not book
-// settles nothing, and the link resends what it names.
-func (g *link) book(from string, m *message) {
+// book takes a certified acknowledgement from the identity it names,
+// if that identity is at from: the outbox books, as one record, the
+// offsets of the entries it names that from's link carried and has not
+// settled, and the link then settles what each identity there has
+// acknowledged. One the outbox does not book settles nothing, and the
+// link resends what it names.
+func (g *Certified) book(from string, m *message) {
 	var few [4]durable.Run
-	runs := few[:0]
-	if m.Seq > 0 {
-		runs = append(runs, durable.Run{Lo: 1, Hi: m.Seq})
-	}
-	seqset.EachRun(m.Payload, m.Seq, func(lo, hi uint64) { runs = append(runs, durable.Run{Lo: lo, Hi: hi}) })
-	if len(runs) == 0 {
-		return
-	}
-	// Booked and settled in one critical section: no tick resends an
-	// entry whose acknowledgement is being written.
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.cert.log.AckRuns(m.Origin, runs); err != nil {
-		level := slog.LevelWarn
-		if errors.Is(err, durable.ErrUnknownConsumer) {
-			level = slog.LevelDebug // an identity that subscribed and left
-		}
-		g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
-			"stream", g.stream.name, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
-		return
-	}
-	l, ids := g.out[from], g.cert.at[from]
-	if l == nil || !slices.Contains(ids, m.Origin) {
+	l := g.out[from]
+	if l == nil || !slices.Contains(g.at[from], m.Origin) {
+		g.mu.Unlock()
 		return // an identity not, or no longer, at from
 	}
-	l.cum = max(l.cum, m.Seq)
-	if len(ids) == 1 {
-		for _, r := range runs {
-			l.settle(r.Lo, r.Hi)
+	runs := l.offsets(m.Seq, m.Payload, few[:0])
+	g.mu.Unlock()
+	if len(runs) > 0 {
+		if err := g.log.AckRuns(m.Origin, runs); err != nil {
+			level := slog.LevelWarn
+			if errors.Is(err, durable.ErrUnknownConsumer) {
+				level = slog.LevelDebug // an identity that subscribed and left
+			}
+			g.opts.Logger.Log(context.Background(), level, "multicast: certified acknowledgement not booked",
+				"stream", g.stream.name, "subscriber", m.Origin, "lo", runs[0].Lo, "hi", runs[0].Hi, "err", err)
+			return
 		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	i := slices.Index(g.at[from], m.Origin)
+	if i < 0 {
+		return // moved on meanwhile
+	}
+	cums := g.cums[from]
+	cums[i] = max(cums[i], m.Seq)
+	if len(cums) > 1 { // several identities here: an entry stays until each passed it
+		l.settle(1, slices.Min(cums))
 		return
 	}
-	// Several identities here: what any of them is still owed stays.
-	owed := make(map[uint64]bool)
-	for _, id := range ids {
-		pending, _ := g.cert.log.Pending(id) // an identity here is registered
-		for _, e := range pending {
-			owed[e.Offset] = true
+	l.settle(1, m.Seq)
+	seqset.EachRun(m.Payload, m.Seq, l.settle)
+}
+
+// offsets appends to runs the outbox offsets of the entries that an
+// acknowledgement of cum and of the runs in list names and l has not
+// settled: what the link carried, and nothing it passed over.
+func (l *outLink) offsets(cum uint64, list []byte, runs []durable.Run) []durable.Run {
+	name := func(lo, hi uint64) {
+		for seq := max(lo, l.base()); seq <= min(hi, l.next); seq++ {
+			if l.settled.Has(seq) {
+				continue
+			}
+			off := l.entries[len(l.entries)-1-int(l.next-seq)].bcast
+			if n := len(runs); n > 0 && runs[n-1].Hi+1 == off {
+				runs[n-1].Hi = off
+			} else {
+				runs = append(runs, durable.Run{Lo: off, Hi: off})
+			}
 		}
 	}
-	var done []uint64
-	for _, e := range l.entries[l.head:] {
-		if !owed[e.seq] {
-			done = append(done, e.seq)
-		}
-	}
-	for _, seq := range done {
-		l.settle(seq, seq)
-	}
+	name(1, cum)
+	seqset.EachRun(list, cum, name)
+	return runs
 }

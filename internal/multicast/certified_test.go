@@ -95,11 +95,11 @@ func (r *refusals) Handle(_ context.Context, rec slog.Record) error {
 	return nil
 }
 
-// pendingAt reports whether the outbox owes consumer the entry at off.
-func pendingAt(log *durable.Outbox, consumer string, off uint64) bool {
-	pending, _ := log.Pending(consumer)
-	for _, e := range pending {
-		if e.Offset == off {
+// pending reports whether the outbox owes consumer the entry with ID id.
+func pending(log *durable.Outbox, consumer, id string) bool {
+	owed, _ := log.Pending(consumer)
+	for _, e := range owed {
+		if e.ID == id {
 			return true
 		}
 	}
@@ -315,7 +315,7 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 			log := durable.NewMemOutbox()
 			var resentAcked atomic.Int64
 			pubTap.onData = func(m *message) {
-				if !pendingAt(log, "sub", m.Seq) {
+				if !pending(log, "sub", m.ID) {
 					resentAcked.Add(1)
 				}
 			}
@@ -369,7 +369,7 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 				t.Errorf("%d acknowledgement frames for %d data frames over %d periods, want at most %d", acks, data, periods, limit)
 			}
 			if n := resentAcked.Load(); n != 0 {
-				t.Errorf("%d data frames sent for offsets the outbox had an acknowledgement of", n)
+				t.Errorf("%d data frames sent for entries the outbox had an acknowledgement of", n)
 			}
 			if limit := msgs + ackEvery*int(dropped); data > limit {
 				t.Errorf("%d data frames for %d events with %d frames lost, want at most %d", data, msgs, dropped, limit)
@@ -378,12 +378,12 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 	}
 }
 
-// TestCertifiedAckOfAnotherEpochRetiresNothing: offsets are an
-// incarnation's (an in-memory outbox numbers from 1 again after a
-// restart), so an acknowledgement naming another incarnation than the
-// number the subscriber's node gave the group's epoch, or none, is
-// dropped, as is one that names no run; the same runs under that number
-// retire what they name.
+// TestCertifiedAckOfAnotherEpochRetiresNothing: link sequences are an
+// incarnation's (a restarted publisher's links number from 1 again), so
+// an acknowledgement naming another incarnation than the number the
+// subscriber's node gave the group's epoch, or none, is dropped, as is
+// one that names no run; the same runs under that number retire the
+// entries the link sent at those sequences (here offsets 1 and 3).
 func TestCertifiedAckOfAnotherEpochRetiresNothing(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -565,6 +565,66 @@ func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
 	if got := sub.payloads(); !slices.Equal(got, want) {
 		t.Errorf("delivered %d events, want each of %d once and in publish order; first out of place at %d",
 			len(got), len(want), firstDiff(got, want))
+	}
+}
+
+// TestCertifiedIdentityMovedOntoAPassedLink: identity y acknowledges
+// m00..m49 at node a and moves to node b, whose link then carries only
+// m50..m59; identity z, owed all sixty at a node that never answers,
+// moves onto b too. b's node must then stage and deliver m00..m49 as
+// well, and the outbox may retire them only once it has: b's link
+// already passed the numbers those entries had when y was owed them,
+// and an acknowledgement of that stretch names none of them.
+func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
+	net := netsim.New(netsim.Config{MaxLatency: 200 * time.Microsecond, Seed: 7})
+	defer net.Close()
+	pub, a, b := newTestNode(t, net, "pub"), newTestNode(t, net, "a"), newTestNode(t, net, "b")
+	newTestNode(t, net, "away") // reachable, runs no group: it never acknowledges
+	log := durable.NewMemOutbox()
+	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, fastOpts())
+	defer gp.Close()
+	ga := NewCertified(a.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), a.record, fastOpts())
+	defer ga.Close()
+	gb := NewCertified(b.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), b.record, fastOpts())
+	defer gb.Close()
+	ga.SetDurableIDs([]string{"y"})
+	gb.SetDurableIDs([]string{"y"})
+	var want []string
+	publish := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			p := fmt.Sprintf("m%02d", len(want))
+			if err := gp.Broadcast([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+	}
+	subscribe := func(subs ...CertSubscriber) {
+		t.Helper()
+		if err := gp.SetSubscribers(subs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owed := func(id string) int {
+		pending, _ := log.Pending(id)
+		return len(pending)
+	}
+
+	subscribe(CertSubscriber{"y", "a"}, CertSubscriber{"z", "away"})
+	publish(50)
+	waitFor(t, 10*time.Second, "y served at a", func() bool { return a.count() == 50 && owed("y") == 0 })
+	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "away"})
+	publish(10)
+	waitFor(t, 10*time.Second, "y served at b", func() bool { return b.count() == 10 && owed("y") == 0 })
+	gb.SetDurableIDs([]string{"y", "z"})
+	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "b"})
+	waitFor(t, 10*time.Second, "the outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
+	time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+	got := b.payloads()
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("b delivered %d events, want each of the %d z was owed once: %v", len(got), len(want), got)
 	}
 }
 

@@ -18,9 +18,8 @@
 //   - Total      — fixed-sequencer total order: one Reliable link to the
 //     sequencer, its atomic broadcasts back
 //   - Certified  — the Reliable link over stable storage: its log is a
-//     durable.Outbox, whose offsets are its sequences, and what it
-//     receives is staged first; durable delivery that survives subscriber
-//     disconnection
+//     durable.Outbox, and what it receives is staged first; durable
+//     delivery that survives subscriber disconnection
 //
 // All protocols run over a Mux, which multiplexes named streams onto a
 // single point-to-point netsim.Transport endpoint and builds every frame
@@ -252,9 +251,15 @@ func (m *Mux) acked(s *stream, to string, num uint64, record []byte) bool {
 	if num == 0 {
 		return false
 	}
+	m.mu.RLock()
+	ok := s.known[to] == num
+	m.mu.RUnlock()
+	if ok {
+		return true
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s.known[to] == num {
+	if s.known[to] == num { // confirmed meanwhile
 		return true
 	}
 	s.parked[to] = append(s.parked[to][:0], record...)

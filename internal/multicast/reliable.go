@@ -56,9 +56,9 @@ import (
 type Reliable struct{ *link }
 
 // link is the protocol Reliable documents, and Certified's, which
-// differs where cert is consulted: its log is the outbox, whose offsets
-// are its sequences (those it passes over settled unsent), it stages
-// what it takes, and it acknowledges under each durable identity (ids).
+// differs where cert is consulted: its log is the outbox, each entry
+// naming the offset it sends, it stages what it takes, and it
+// acknowledges under each durable identity (ids).
 type link struct {
 	mux    *Mux
 	stream *stream // its epoch is the group's incarnation
@@ -115,8 +115,9 @@ const (
 	chunkSize = 8 << 10
 	// freeChunks bounds the retired chunks a group keeps for reuse.
 	freeChunks = 16
-	// restCap bounds the capacity a link that owes nothing keeps for its
-	// queue: a burst's is let go.
+	// restCap bounds the capacity a certified link that owes nothing
+	// keeps for its queue: a burst's is let go, so that the publisher
+	// holds only what is in flight beside its outbox.
 	restCap = 64
 )
 
@@ -144,10 +145,8 @@ type outLink struct {
 	// after returning continues the numbering, and the base on those
 	// frames steps its receiver over everything dropped meanwhile.
 	next uint64
-	// settled holds the link sequences acknowledged, dropped or passed
-	// over; cum is the highest cumulative acknowledgement heard.
+	// settled holds the link sequences acknowledged or dropped.
 	settled seqset.Set
-	cum     uint64
 	// entries[head:] carry the sequences above the floor of settled up to
 	// next, the ones settled holds included.
 	entries []outEntry
@@ -162,17 +161,18 @@ type outLink struct {
 
 // outEntry is one queued frame of a link: its payload, in the link's
 // log; the publisher it names, empty unless the broadcast was on another
-// node's behalf; and a certified event's ID.
+// node's behalf; a certified event's ID; and the broadcast it belongs
+// to, which on a certified link is the event's outbox offset.
 type outEntry struct {
 	payload    []byte
 	origin, id string
-	seq, bcast uint64
+	bcast      uint64
 	gen        uint64 // timer period of the latest transmission
 }
 
-// frame is the entry's data frame, naming base.
-func (e *outEntry) frame(base uint64) message {
-	return message{Kind: kindData, Seq: e.seq, Base: base, Origin: e.origin, ID: e.id, Payload: e.payload}
+// frame is the entry's data frame at link sequence seq, naming base.
+func (e *outEntry) frame(seq, base uint64) message {
+	return message{Kind: kindData, Seq: seq, Base: base, Origin: e.origin, ID: e.id, Payload: e.payload}
 }
 
 // logChunk is a stretch of a link's log: payloads copied in link order,
@@ -182,19 +182,16 @@ type logChunk struct {
 	last uint64
 }
 
+// seqAt is the link sequence of entries[i].
+func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-i) }
+
 // base is the lowest link sequence still owed.
 func (l *outLink) base() uint64 { return l.settled.Floor() + 1 }
 
-// push queues e above every frame queued, settling the sequences it
-// passes over (on a certified link, offsets owed elsewhere), and copies
-// its payload into the link's log if the link has a pool. A full queue
-// moves its live entries down over the dead prefix before it grows.
-func (l *outLink) push(e outEntry) {
-	if len(l.entries) == cap(l.entries) && l.head > 0 {
-		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
-	}
-	l.settled.Add(l.next+1, e.seq-1, 0)
-	l.next = e.seq
+// push queues e as the next frame, its payload copied into the link's
+// log if the link has a pool, and returns its link sequence.
+func (l *outLink) push(e outEntry) uint64 {
+	l.next++
 	if l.pool != nil {
 		n := len(l.log)
 		if n == 0 || cap(l.log[n-1].buf)-len(l.log[n-1].buf) < len(e.payload) {
@@ -203,19 +200,25 @@ func (l *outLink) push(e outEntry) {
 		}
 		c := &l.log[n-1]
 		start := len(c.buf)
-		c.buf, c.last = append(c.buf, e.payload...), e.seq
+		c.buf, c.last = append(c.buf, e.payload...), l.next
 		e.payload = c.buf[start:len(c.buf):len(c.buf)]
 	}
 	l.entries = append(l.entries, e)
+	return l.next
 }
 
 // settle retires the queued frames with link sequences lo through hi,
-// dropping what the base passes, with the log chunks it passes whole.
+// dropping what the base passes, with the log chunks it passes whole,
+// and keeps the queue's backing array from creeping: once the dead
+// prefix is the larger part, the live entries move down over it.
 func (l *outLink) settle(lo, hi uint64) {
 	l.settled.Add(lo, min(hi, l.next), 0)
-	for l.head < len(l.entries) && l.entries[l.head].seq < l.base() {
+	for l.head < len(l.entries) && l.seqAt(l.head) < l.base() {
 		l.entries[l.head] = outEntry{}
 		l.head++
+	}
+	if l.head > len(l.entries)-l.head {
+		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
 	}
 	l.retire(len(l.log) - 1)
 }
@@ -225,7 +228,6 @@ func (l *outLink) drop() {
 	clear(l.entries)
 	l.entries, l.head = l.entries[:0], 0
 	l.settled.Raise(l.next)
-	l.cum = l.next // nor is its acknowledgement of the base waited for
 	l.retire(len(l.log))
 }
 
@@ -504,7 +506,7 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 			if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
 				continue // addr listed twice
 			}
-			frames = append(frames, g.queueLocked(addr, l, outEntry{payload: s.Payload, origin: named, seq: l.next + 1, bcast: g.bcast}))
+			frames = append(frames, g.queueLocked(addr, l, outEntry{payload: s.Payload, origin: named, bcast: g.bcast}))
 		}
 	}
 	obs := g.observer
@@ -524,8 +526,8 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 // copy. Caller holds mu.
 func (g *link) queueLocked(addr string, l *outLink, e outEntry) linkFrame {
 	e.gen = g.gen
-	l.push(e)
-	return linkFrame{addr, e.frame(l.base())}
+	seq := l.push(e)
+	return linkFrame{addr, e.frame(seq, l.base())}
 }
 
 // fits refuses, before it takes a link sequence, a payload whose data
@@ -562,9 +564,9 @@ func (g *Reliable) Outstanding() int {
 	defer g.mu.Unlock()
 	owed := make(map[uint64]struct{})
 	for _, l := range g.out {
-		for _, e := range l.entries[l.head:] {
-			if !l.settled.Has(e.seq) {
-				owed[e.bcast] = struct{}{}
+		for i := l.head; i < len(l.entries); i++ {
+			if !l.settled.Has(l.seqAt(i)) {
+				owed[l.entries[i].bcast] = struct{}{}
 			}
 		}
 	}
@@ -578,9 +580,7 @@ func (g *Reliable) Outstanding() int {
 // periods only once the generation passes p+ticksPerInterval. A link
 // whose destination has left the membership is dropped instead, and
 // announces the base that moved, so that its receiver, should it hear,
-// is stepped over the frames dropped; a link that owes nothing
-// announces it while its receiver's cumulative acknowledgement lags it
-// (sequences it passed over).
+// is stepped over the frames dropped.
 func (g *link) tick() {
 	frames := g.tickFrames[:0]
 
@@ -595,18 +595,15 @@ func (g *link) tick() {
 	for addr, l := range g.out {
 		if l.head == len(l.entries) {
 			l.retire(len(l.log)) // owes nothing: the chunk push appends to goes too
-			if cap(l.entries) > restCap {
-				l.entries, l.head = nil, 0
-			}
-			if l.cum+1 < l.base() {
-				frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Base: l.base()}})
+			if g.cert != nil && cap(l.entries) > restCap {
+				l.entries, l.head = nil, 0 // the outbox holds what a certified one would
 			}
 			continue
 		}
 		base, checked := l.base(), false
 		for i := l.head; i < len(l.entries); i++ {
 			e := &l.entries[i]
-			if g.gen-e.gen <= ticksPerInterval || l.settled.Has(e.seq) {
+			if g.gen-e.gen <= ticksPerInterval || l.settled.Has(l.seqAt(i)) {
 				continue
 			}
 			if !checked {
@@ -617,7 +614,7 @@ func (g *link) tick() {
 				}
 			}
 			e.gen = g.gen
-			frames = append(frames, linkFrame{addr, e.frame(base)})
+			frames = append(frames, linkFrame{addr, e.frame(l.seqAt(i), base)})
 		}
 	}
 	g.mu.Unlock()
@@ -641,12 +638,11 @@ func (g *link) onMessage(from string, in incarnation, data []byte) {
 			return // names no incarnation of this group that from numbered
 		}
 		if g.cert != nil {
-			g.book(from, &m)
+			g.cert.book(from, &m)
 			return
 		}
 		g.mu.Lock()
 		if l := g.out[from]; l != nil {
-			l.cum = max(l.cum, m.Seq)
 			l.settle(1, m.Seq)
 			seqset.EachRun(m.Payload, m.Seq, l.settle)
 		}
@@ -656,9 +652,9 @@ func (g *link) onMessage(from string, in incarnation, data []byte) {
 
 // onLink books a link frame from the sender's incarnation in — a data
 // frame, or a base announcement, which is a base and nothing else —
-// acknowledges it according to the policy in the type's documentation,
-// and then delivers, on the caller, whatever the frame lets out in link
-// order.
+// acknowledges a data frame according to the policy in the type's
+// documentation, and then delivers, on the caller, whatever the frame
+// lets out in link order.
 func (g *link) onLink(from string, in incarnation, m *message) {
 	if in.epoch == 0 || m.Base == 0 {
 		return // not a link frame
@@ -689,9 +685,8 @@ func (g *link) onLink(from string, in incarnation, m *message) {
 	// A duplicate is owed an acknowledgement like a first arrival (the
 	// earlier one was lost, or the frame was resent before it landed),
 	// and is batched like one: a burst of retransmissions is answered
-	// by the cumulative acknowledgement its first frame draws. So is a
-	// base announcement, which its sender repeats until the cumulative
-	// acknowledgement reaches the base. A frame take refuses is owed none.
+	// by the cumulative acknowledgement its first frame draws. A frame
+	// take refuses is owed none.
 	var few [2]linkFrame
 	acks := few[:0]
 	if g.take(l, m, origin) && l.arrived(g.gen) {
@@ -704,11 +699,14 @@ func (g *link) onLink(from string, in incarnation, m *message) {
 	g.upcall.run()
 }
 
-// take books a link frame's arrival on l: a base announcement's, a
-// duplicate's, or a data frame's the link notes (staged first if
-// certified). A data frame refused is owed no acknowledgement: false.
+// take books a data frame's arrival on l, a duplicate's or one the link
+// notes (staged first if certified), and reports whether it is owed an
+// acknowledgement: a frame refused, or a base announcement, is not.
 func (g *link) take(l *inLink, m *message, origin string) bool {
-	if m.Kind != kindData || l.got.Has(m.Seq) {
+	if m.Kind != kindData {
+		return false
+	}
+	if l.got.Has(m.Seq) {
 		return true
 	}
 	msg := queuedMsg{origin, m.Payload}

@@ -64,14 +64,13 @@ const (
 // above it (seqset.AppendRuns), and Inc is the number the acknowledging
 // node gave the incarnation it acknowledges (Mux). The sender's
 // incarnation itself travels in the frame's prefix, not here. A
-// certified link (certified.go) is the same link whose sequences are
-// outbox offsets, with one field more on each frame: ID on a data
-// frame, and Origin, the durable identity acknowledging, on an
-// acknowledgement.
+// certified link (certified.go) is the same link, with one field more
+// on each frame: ID on a data frame, and Origin, the durable identity
+// acknowledging, on an acknowledgement.
 type message struct {
 	Kind    msgKind
 	Origin  string // original publisher where it is not the frame's sender, or a certified acknowledgement's durable identity
-	Seq     uint64 // link sequence (an outbox offset on a certified link), or cumulative acknowledgement
+	Seq     uint64 // link sequence, or cumulative acknowledgement
 	Inc     uint64 // an acknowledgement's number for the incarnation it acknowledges
 	Base    uint64 // lowest link sequence still owed (1 <= Base; Base <= Seq on a data frame)
 	ID      string // unique message ID
