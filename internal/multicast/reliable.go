@@ -596,7 +596,7 @@ func (g *link) tick() {
 		if l.head == len(l.entries) {
 			l.retire(len(l.log)) // owes nothing: the chunk push appends to goes too
 			if g.cert != nil && cap(l.entries) > restCap {
-				l.entries, l.head = nil, 0 // the outbox holds what a certified one would
+				l.entries, l.head = nil, 0 // a burst's queue: see restCap
 			}
 			continue
 		}
