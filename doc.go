@@ -186,7 +186,8 @@
 // rejects an unknown format byte, unknown flags, a uvarint not in its
 // shortest form and trailing bytes. A reader that goes on using its
 // buffer (a durable segment, a spill log) gets the payload copied out;
-// the receive path, which owns its frame, reads it in place.
+// the receive path, whose frame is valid for the call that hands it up,
+// reads it in place, and whatever keeps it past that call copies it.
 //
 // Who owns each buffer, and how often a payload is copied per hop: the
 // publisher encodes the event once, into one buffer, behind room for
@@ -194,22 +195,20 @@
 // but the ordering metadata, the publishing node included). The first
 // seal of that buffer writes the header, in the link form or in full,
 // into the room, directly in front of the payload, so the record is the
-// header and the payload where they lie; the envelope, the record, a
-// certified outbox and a delivery to the publishing node itself (a
-// local domain's lane, or its own subscriptions') share that one
-// buffer. A link copies what it keeps: the caller may reuse the payload
-// once the call returns. A reliable link's retransmission queue holds
-// its own copy of each record in a log of fixed-size chunks, retired
-// whole as acknowledgements pass them and reused only once no timer
-// period can still be resending from them. So a record that went only
-// to links, with no outbox and no local delivery, is free when Publish
-// returns, and the publisher's next event is encoded into the same
-// buffer; every other record is kept, and nothing writes to it again.
-// The right to the room is the buffer's, not the envelope value's: a
-// copy of the envelope sealed after it (another ID), or a header the
-// room cannot hold (a vector clock or a sequence number added later),
-// gets a record of its own by copy, and a record already handed to an
-// outbox or a lane is never written over. The multiplexer then builds
+// header and the payload where they lie, and the envelope and the
+// record share that one buffer for the length of Publish. Whatever
+// keeps the record or its payload past that copies it, into fixed-size
+// chunks it recycles (internal/chunk): a link's retransmission queue,
+// which gives a copy back as acknowledgements pass it, and lets a timer
+// period resend from a copy only while it holds its chunk; a certified
+// outbox, until the entry retires; a delivery to the publishing node
+// that waits for another goroutine's delivery or a pause; a dispatch
+// lane, until its handlers have run. So every record is free when
+// Publish returns, and the publisher's next event is encoded into the
+// same buffer. The right to the room is the buffer's, not the envelope
+// value's: a copy of the envelope sealed after it (another ID), or a
+// header the room cannot hold (a vector clock or a sequence number
+// added later), gets a record of its own by copy. The multiplexer then builds
 // the frame (stream key, link header, record) in a buffer it reuses
 // once the transport's Send has returned, since no transport keeps what
 // Send is given: on the publisher a payload is copied once on its way
@@ -218,16 +217,16 @@
 // allocation. A best-effort or certified record goes to all its
 // destinations in that one frame; the links of the other classes number
 // each destination's frames, so each gets a frame, and a copy, of its
-// own. On the subscriber the kernel writes each frame into one of the
-// TCP transport's receive blocks (that side's one copy: many frames to
-// a block, no allocation of a frame's own), and the link and the
-// envelope share it by slicing; the handler's value is decoded out of
-// it. The envelope struct is not allocated per event at either end: the
-// publisher's comes from a pool and goes back when Publish returns
-// (what outlives it is a kept record, or, for a free one, nothing); on
-// the subscriber a class's channel decodes every frame into one
-// envelope it rewrites, and a lane queues a copy by value, dispatches
-// it from a slot of its own and zeroes it.
+// own. On the subscriber the kernel writes each frame into its TCP
+// connection's one receive buffer (no allocation of a frame's own), and
+// the link and the envelope share it by slicing for the call that hands
+// it up; the lane copies the payload into its chunks, and the handler's
+// value is decoded out of that copy. The envelope struct is not
+// allocated per event at either end: the publisher's comes from a pool
+// and goes back, with its buffer, when Publish returns; on the
+// subscriber a class's channel decodes every frame into one envelope it
+// rewrites, and a lane queues a copy by value, dispatches it from a
+// slot of its own and zeroes it.
 //
 // Two forms of the record exist. Stored (outbox, inbox, spill log),
 // every field is spelled out: the record outlives the link it came by
@@ -472,6 +471,19 @@
 // its shortest form, longer than four bytes or over the bound close the
 // connection and are logged; a reconnect says hello again.
 //
+// A transport hands each frame it receives to its handler for that call
+// only. The TCP transport reads a connection's frames into one buffer
+// of its own, hands each out as a slice of it, and moves the unread
+// bytes to the buffer's front when its tail cannot hold the next frame
+// (a frame longer than the buffer grows it); the simulated network gives
+// every delivery, a duplicate's too, a copy of its own and writes poison
+// over it once the handler returns, so that a test fails wherever a
+// frame is kept without a copy. Whatever keeps received bytes past the
+// call copies them into recycled chunks: a frame a link holds behind a
+// hole, one a causal group holds for its predecessors, a delivery a
+// release list leaves to another goroutine or to a pause, and a
+// dispatch lane's payload.
+//
 // None of this is negotiated. Like the envelope record, the link
 // layouts replaced their predecessors outright, three times: first a
 // fixed-width record with a random 32-character ID per message, an
@@ -657,9 +669,11 @@
 // owes them and the link does not hold is queued on it, a
 // RetransmitInterval later, so a re-addressed identity gets its backlog
 // there; an address they all left is dropped as a reliable member is,
-// and the outbox still owes them what it dropped. Payloads are handed
-// on, not copied: internal/durable.Outbox and internal/codec state who
-// may keep and who may alias one.
+// and the outbox still owes them what it dropped. Each keeper copies:
+// the outbox copies a record into chunks it recycles as entries retire
+// (internal/durable.Outbox), and the link copies what it queues, as a
+// reliable link does, so the publisher's buffer is free when Publish
+// returns.
 //
 // The data frame is the link's plus ID, the event's identity, which the
 // staging inbox deduplicates by; the acknowledgement is the link's plus

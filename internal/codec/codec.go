@@ -14,16 +14,15 @@
 //
 // An envelope's Payload is read-only from the moment it exists: the
 // decoders copy what they keep of it and nothing writes to it (until
-// Release hands a buffer marked free to the next EncodeFrom), which is
+// Release hands the buffer to the next EncodeFrom), which is
 // what lets UnmarshalInto hand out a slice of the frame where
 // Unmarshal copies (framing.go says who may call which), and Seal hand
 // out a record that is the payload with a header written in front of it
 // (Encode leaves the room). No envelope struct is allocated per event on
 // the wire path: a publisher's comes from a pool (EncodeFrom, Release), a
 // subscriber's is decoded into storage it reuses (UnmarshalInto). Nor is
-// a payload buffer, where the record went only to links, which copy what
-// they keep (MarkFree): the pooled envelope keeps its buffer from one
-// EncodeFrom to the next.
+// a payload buffer: whatever keeps a record copies it, and the pooled
+// envelope keeps its buffer from one EncodeFrom to the next.
 package codec
 
 import (
@@ -103,11 +102,8 @@ type encoded struct {
 	room headroom
 }
 
-// encodedPool recycles what Release hands back. The payload buffer goes
-// with it only when MarkFree said nothing keeps a record of it (a link
-// copies what it keeps); one an outbox, a lane or a local delivery may
-// still read is left to them. The next EncodeFrom writes into the buffer
-// it finds there.
+// encodedPool recycles what Release hands back, payload buffer included:
+// the next EncodeFrom writes into the buffer it finds there.
 var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
 
 // maxKeptPayload bounds the buffer a pooled envelope keeps: a rare large
@@ -151,8 +147,8 @@ func (c *Codec) Encode(o obvent.Obvent) (*Envelope, error) { return c.EncodeFrom
 // full record header, where the first Seal writes it: sealing the
 // envelope, or a link form of it, copies no payload. The envelope comes
 // from a pool, and the payload is written into the buffer of an earlier
-// envelope that was marked free (MarkFree): a caller done with it may
-// hand it back (Release).
+// envelope handed back: a caller done with it may hand it back
+// (Release).
 func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error) {
 	name, err := c.reg.NameOf(o)
 	if err != nil {
@@ -197,30 +193,20 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 	return env, nil
 }
 
-// MarkFree tells Release that nothing keeps env's payload, or a record
-// sealed around it, past the publication: it went only to links, which
-// copy what they keep, and to no outbox, lane or local delivery. Release
-// then hands the buffer to the next EncodeFrom. An envelope EncodeFrom
-// did not return is ignored.
-func MarkFree(env *Envelope) {
-	if r := env.room; r != nil {
-		r.free = true
-	}
-}
-
 // Release zeroes an envelope EncodeFrom returned, to which the caller
-// holds the only reference, and puts it back in EncodeFrom's pool, with
-// its payload buffer if it was marked free (MarkFree); otherwise the
-// buffer is left to whoever kept it. A copy may outlive the envelope but
-// must not be sealed: it names the room, which the pool hands on. Any
-// other envelope, a copy included, is ignored.
+// holds the only reference, and puts it back in EncodeFrom's pool with
+// its payload buffer, which the next EncodeFrom writes into: nothing may
+// keep the payload, or a record sealed around it, past Release (whatever
+// keeps one copies it). A copy of the envelope may outlive it but must
+// not be sealed: it names the room, which the pool hands on. Any other
+// envelope, a copy included, is ignored.
 func Release(env *Envelope) {
 	r := env.room
 	if r == nil || r.enc == nil || &r.enc.env != env {
 		return
 	}
 	enc, buf := r.enc, r.buf[:0]
-	if !r.free || cap(buf) > maxKeptPayload {
+	if cap(buf) > maxKeptPayload {
 		buf = nil
 	}
 	*enc = encoded{}

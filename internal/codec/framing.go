@@ -230,14 +230,12 @@ var nibble = func() (t [256]byte) {
 // headroom is the buffer Encode wrote a payload into: room for the
 // record's header, then the payload, which runs to the buffer's end.
 // claimed is set by the one Seal that writes the header into it; enc is
-// the pooled object the room lives in (Release), and free says whether
-// Release may hand the buffer on with it (MarkFree).
+// the pooled object the room lives in (Release).
 type headroom struct {
 	buf     []byte
 	off     int // where the payload starts
 	claimed atomic.Bool
 	enc     *encoded
-	free    bool
 }
 
 // holds reports whether payload is still the one Encode wrote behind the
@@ -371,10 +369,10 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // UnmarshalInto is Unmarshal into caller-owned storage and without the
 // payload's copy: every field of *e is overwritten, and e.Payload is a
 // slice of data (every other field is copied out). It is for the caller
-// that owns data and never writes to it again (the receive path: a frame
-// is a slice of a transport receive block nothing writes to again) or
-// that drops the envelope before data changes (routing a frame).
-// Anything else calls Unmarshal. On error *e is left zero.
+// that drops the envelope, or copies its payload, before data changes:
+// the receive path, whose frame is valid for the handler's call, and
+// routing a frame. Anything else calls Unmarshal. On error *e is left
+// zero.
 func UnmarshalInto(e *Envelope, data []byte) error {
 	if err := unmarshalInto(e, data); err != nil {
 		*e = Envelope{}

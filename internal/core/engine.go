@@ -24,15 +24,15 @@ import (
 type Disseminator interface {
 	// PublishEnvelope disseminates an encoded obvent to every process
 	// hosting matching subscriptions (possibly including this one). It
-	// must not keep env after it returns, which the engine recycles: dace
-	// seals it into a record, Local's sink copies it into a lane. The
-	// payload buffer is recycled with it only if the disseminator marked
-	// it free (codec.MarkFree), as dace does for a record that went to
-	// links alone; a record kept anywhere keeps its buffer.
+	// must not keep env, its payload or a record sealed around it after
+	// it returns: the engine recycles all three (codec.Release). dace
+	// seals it into a record whose keepers copy it, Local's sink copies
+	// it into a lane.
 	PublishEnvelope(env *codec.Envelope) error
 	// SetSink installs the engine's delivery entry point. It must be
-	// called once before any traffic flows. The sink's env is valid for
-	// the call only, so a sink copies what it keeps of it.
+	// called once before any traffic flows. The sink's env, and the
+	// bytes it names, are valid for the call only, so a sink copies what
+	// it keeps of them.
 	SetSink(sink func(env *codec.Envelope))
 	// SubscriptionChanged notifies the substrate that the set of active
 	// local subscriptions changed (for advertisement to filtering hosts

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"govents/internal/chunk"
 	"govents/internal/codec"
 	"govents/internal/obvent"
 	"govents/internal/telemetry"
@@ -272,16 +273,19 @@ func (ls *laneSet) close() {
 // (the priority order's sort key; the sequence also finds the oldest item
 // to shed) and its telemetry enqueue timestamp (0 when telemetry is off at
 // enqueue time). All of it rides the queue, never the envelope, and a
-// lane holds its own copy of the envelope: the sink's is valid for the
-// sink call only (a channel's scratch, a publisher's pooled envelope).
-// The copy of a pooled envelope still names the publisher's headroom,
-// which the pool hands on; nothing seals a lane's copy, and Seal refuses
-// a room whose buffer is not the payload's.
+// lane holds its own copy of the envelope and of its payload (in chunk,
+// of the lane's store): the sink's envelope and the bytes it names are
+// valid for the sink call only (a channel's scratch over a transport's
+// frame, a publisher's pooled envelope and buffer). The copy of a pooled
+// envelope still names the publisher's headroom, which the pool hands
+// on; nothing seals a lane's copy, and Seal refuses a room whose buffer
+// is not the payload's.
 type laneItem struct {
-	env  codec.Envelope
-	prio int
-	seq  uint64
-	enq  int64
+	env   codec.Envelope
+	chunk *chunk.Chunk
+	prio  int
+	seq   uint64
+	enq   int64
 }
 
 // laneOrder is a lane's one parameter: the order its queue pops in.
@@ -335,10 +339,9 @@ func (q *laneQueue) pop() (item laneItem) {
 // dropOldest removes the earliest arrival whatever its priority: the
 // ring's head, or the heap's minimum sequence — an O(n) scan, but only
 // DropOldest at the overload boundary asks, never the steady state.
-func (q *laneQueue) dropOldest() {
+func (q *laneQueue) dropOldest() (item laneItem) {
 	if q.order == arrivalOrder {
-		q.pop()
-		return
+		return q.pop()
 	}
 	oldest := 0
 	for i := range q.items {
@@ -346,7 +349,8 @@ func (q *laneQueue) dropOldest() {
 			oldest = i
 		}
 	}
-	q.items, _ = heapRemove(q.items, oldest)
+	q.items, item = heapRemove(q.items, oldest)
+	return item
 }
 
 // compact keeps the queue's memory proportional to its live backlog.
@@ -404,6 +408,8 @@ type lane struct {
 	high int
 
 	spill laneSpill
+	// store holds the payloads of the queued items and of slot.
+	store chunk.Store
 
 	st   laneState
 	slot laneItem // the item in dispatch, the lane goroutine's; zeroed after
@@ -459,7 +465,7 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 		if l.cfg.policy == OverloadDropOldest {
 			// Counted, not traced: this runs under l.mu, and a trace hook
 			// calling back into LaneStats would deadlock.
-			l.q.dropOldest()
+			l.store.Release(l.q.dropOldest().chunk)
 			l.st.counters.shed.Add(1)
 			break
 		}
@@ -470,7 +476,9 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 		}
 	}
 	l.nextSeq++
-	l.q.push(laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq})
+	item := laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq}
+	item.env.Payload, item.chunk = l.store.Copy(env.Payload)
+	l.q.push(item)
 	l.noteHighLocked()
 	l.cond.Signal()
 	l.mu.Unlock()
@@ -495,8 +503,10 @@ func (l *lane) stat(idx int) LaneStat {
 
 func (l *lane) loop() {
 	defer l.wg.Done()
+	var done *chunk.Chunk // the payload of the item dispatched last
 	for {
 		l.mu.Lock()
+		l.store.Release(done)
 		for l.q.len() == 0 {
 			if l.spill.count > 0 {
 				// Refill from the spill backlog before anything newer:
@@ -523,6 +533,7 @@ func (l *lane) loop() {
 			l.st.deq = now
 		}
 		l.dispatch(&l.slot.env, &l.st)
+		done = l.slot.chunk
 		l.slot = laneItem{}
 	}
 }

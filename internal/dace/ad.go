@@ -3,6 +3,7 @@ package dace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"govents/internal/core"
 	"govents/internal/obvent"
@@ -145,8 +146,8 @@ func encodeAd(ad *subscriptionAd) ([]byte, error) {
 // decodeAd parses an advertisement's wire record. It faces peers: every
 // count and length is checked against the bytes that remain before
 // anything is allocated for it, and only a record encodeAd would have
-// written is accepted. The filters of the result alias data, which the
-// control channel hands over for keeps and nobody may mutate.
+// written is accepted. The result keeps nothing of data, which is valid
+// for the control channel's upcall only.
 func decodeAd(data []byte) (*subscriptionAd, error) {
 	r := rec.Reader{Buf: data}
 	ad := &subscriptionAd{}
@@ -180,7 +181,7 @@ func decodeAd(data []byte) (*subscriptionAd, error) {
 		s.ID = r.Str("ID")
 		s.TypeName = r.Str("TypeName")
 		if flags&subFilter != 0 {
-			s.Filter = r.Span("Filter", 1, maxAdBytes)
+			s.Filter = slices.Clone(r.Span("Filter", 1, maxAdBytes))
 		}
 		if flags&subDurable != 0 {
 			s.DurableID = r.Str("DurableID")

@@ -622,7 +622,10 @@ func (n *Node) onUnknownStream(stream string) {
 // times two publisher-side stages around each protocol branch:
 // publish→route (entry until the destination set or outbound frame is
 // resolved, closed by markRoute) and route→write (until the multicast
-// send hands off to the transport, closed by markWrite).
+// send hands off to the transport, closed by markWrite). Every group
+// copies what it keeps of the record (a link, an outbox, a delivery to
+// this node that waits), and so does the engine's lane, so the engine's
+// next publication may encode into the same buffer.
 func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 	n.mu.Lock()
 	if n.closed {
@@ -646,7 +649,6 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if n.routes.Gen() != n.certGen.Load() {
 			n.refreshCertSubscribers()
 		}
-		// A fresh buffer nothing writes to again: the outbox keeps it.
 		payload, err := n.seal(env, false)
 		if err != nil {
 			return err
@@ -694,16 +696,10 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 // publishRouted resolves env's destination set, marshals it once and
 // hands both to send as one Send (a targeted or split broadcast, which
 // copies what it keeps of the destinations and of the slice, so the
-// pooled scratch is reused afterwards). A record that goes to other
-// nodes only is marked free: a link copies what it keeps and a
-// best-effort send keeps nothing, so the engine's next publication may
-// encode into the same buffer. A local delivery keeps the record itself.
+// pooled scratch is reused afterwards).
 func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicast.Send) error) error {
 	buf := n.destBuf.Get().(*destScratch)
 	dests := n.destinationsFor(env, buf, buf.ids[:0])
-	if !slices.Contains(dests, n.self) {
-		codec.MarkFree(env)
-	}
 	t1 := n.markRoute(t0)
 	payload, err := n.seal(env, true)
 	if err == nil {
@@ -742,9 +738,10 @@ func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
 
 // openInto decodes a record that arrived on class's channel from origin
 // into env and restores what seal left out: dace's one decode. The
-// envelope's payload aliases the record, which the caller owns and never
-// writes to again (a slice of a transport receive block, a buffer a
-// local publisher sealed), or outlives. On error env is left zero.
+// envelope's payload aliases the record, which is valid for the caller's
+// call only (a transport's frame, a group's copy, a buffer a local
+// publisher sealed): whatever keeps the envelope past it copies the
+// payload. On error env is left zero.
 func openInto(env *codec.Envelope, class, origin string, record []byte) error {
 	if err := codec.UnmarshalInto(env, record); err != nil {
 		return err
@@ -854,9 +851,9 @@ func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
 // and hands the envelope to the engine. The wire→lane stage spans the
 // envelope decode plus the sink call (the sink is Engine.deliver, which
 // returns once its lane holds a copy). env is the channel's scratch,
-// zeroed once the sink returns so that an idle channel pins no receive
-// block; one per channel is safe because a group makes one delivery call
-// at a time (multicast.Deliver).
+// zeroed once the sink returns, since the bytes it names are valid for
+// the call only; one per channel is safe because a group makes one
+// delivery call at a time (multicast.Deliver).
 func (n *Node) onData(class, origin string, payload []byte, env *codec.Envelope) {
 	var t0 int64
 	if n.tele.Enabled() {

@@ -35,6 +35,7 @@ func (s *envelopeSink) put(env *codec.Envelope) {
 		s.got = make(map[string][]*codec.Envelope)
 	}
 	kept := *env
+	kept.Payload = bytes.Clone(env.Payload) // the frame's, for the call only
 	s.got[env.ID] = append(s.got[env.ID], &kept)
 }
 

@@ -98,13 +98,12 @@ func (g *gatedTransport) Send(to string, frame []byte) error {
 
 // TestRemoteOnlyPublishRecyclesItsBuffer pins the publisher's side of a
 // routed publication of an unreliable class that goes to another node
-// only: its record is
-// marked free, so the pooled envelope keeps its payload buffer for the
-// next Publish, and a steady-state Publish of an event already in an
-// interface costs a share of an ID block and nothing else (it read 1.06
-// allocations while each Publish encoded into a buffer of its own). The
-// frames stop at the publisher's transport, so that nothing the network
-// or the subscriber does is counted.
+// only: nothing keeps its record, so the pooled envelope keeps its
+// payload buffer for the next Publish, and a steady-state Publish of an
+// event already in an interface costs a share of an ID block and nothing
+// else (it read 1.06 allocations while each Publish encoded into a
+// buffer of its own). The frames stop at the publisher's transport, so
+// that nothing the network or the subscriber does is counted.
 func TestRemoteOnlyPublishRecyclesItsBuffer(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -151,12 +150,12 @@ func TestRemoteOnlyPublishRecyclesItsBuffer(t *testing.T) {
 }
 
 // TestRecycleOnlyWhatNobodyKept: a payload buffer is reused by the next
-// publication only when its record went to links alone. In three cases
-// something else keeps the record: a local domain's lane, the lane of a
-// publisher that subscribes too (its own node is a destination) and a
-// certified outbox. In each, with every handler's one lane wedged on a
-// first event while n more are published behind it, each handler sees
-// every event once, as it was published.
+// publication, so whatever keeps a record copies it. In three cases
+// something keeps the record past Publish: a local domain's lane, the
+// lane of a publisher that subscribes too (its own node is a
+// destination) and a certified outbox. In each, with every handler's one
+// lane wedged on a first event while n more are published behind it,
+// each handler sees every event once, as it was published.
 func TestRecycleOnlyWhatNobodyKept(t *testing.T) {
 	const n = 32
 	// seesOwnEvents subscribes a handler at each engine, waits until the

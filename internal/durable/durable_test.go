@@ -400,10 +400,12 @@ func TestDurableAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestOutboxKeepsCallersPayload: the Outbox's ownership contract as the
-// outbox uses it. Append keeps the slice it was given, and every Pending
-// hands out that same slice.
-func TestOutboxKeepsCallersPayload(t *testing.T) {
+// TestOutboxCopiesCallersPayload: the Outbox's ownership contract as the
+// certified link uses it. Add copies the payload, so the caller may
+// write over its buffer at once, and every Pending hands out a copy of
+// its own. Entries that retire give their chunks back: a steady stream
+// of appends and acknowledgements copies into recycled chunks.
+func TestOutboxCopiesCallersPayload(t *testing.T) {
 	o := openTestOutbox(t, t.TempDir())
 	defer o.Close()
 	if err := o.RegisterConsumer("sub"); err != nil {
@@ -413,14 +415,45 @@ func TestOutboxKeepsCallersPayload(t *testing.T) {
 	if err := o.Append(Entry{ID: "e0", Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
+	copy(payload, "written over")
 	for range 2 {
 		pending, err := o.Pending("sub")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pending) != 1 || &pending[0].Payload[0] != &payload[0] {
-			t.Fatalf("Pending = %v: not the appended slice", pending)
+		if len(pending) != 1 || string(pending[0].Payload) != "handed over" {
+			t.Fatalf("Pending = %q, want the payload as appended", pending)
 		}
+		copy(pending[0].Payload, "the caller's")
+	}
+
+	mem := NewMemOutbox()
+	defer mem.Close()
+	if err := mem.RegisterConsumer("sub"); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 1024)
+	ids := make([]string, 2200)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("event-%06d", i)
+	}
+	next := 0
+	step := func() {
+		id := ids[next]
+		next++
+		off, err := mem.Add(Entry{ID: id, Payload: big})
+		if err == nil {
+			err = mem.AckRuns("sub", []Run{{Lo: off, Hi: off}})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 100 { // the store's chunks, the log's buffers, the map
+		step()
+	}
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Errorf("an entry added and retired allocates %.0f times, want 0", n)
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"govents/internal/chunk"
 )
 
 // Entry is one certified record: an opaque payload under a unique ID.
-// The payload's bytes are immutable from the moment the entry is given
-// to an Outbox (see Outbox.Add). Offset is the outbox's to assign: Add
-// ignores the caller's and returns its own, Pending fills it in.
+// Offset is the outbox's to assign: Add ignores the caller's and returns
+// its own, Pending fills it in.
 type Entry struct {
 	ID      string
 	Payload []byte
@@ -42,27 +43,33 @@ var ErrUnknownConsumer = errors.New("durable: unknown consumer")
 // drops the segment holding it. A consumer registered later is not owed
 // what was retired before it came.
 //
-// Ownership of payloads: Add takes e.Payload — the outbox keeps the
-// slice instead of copying it, so the caller must not write to it
-// afterwards (it may go on reading and sending it). Pending returns
-// read-only entries — their payloads are the outbox's own, shared with
-// every other Pending result, so a caller forwards them and never
-// writes to them. A slice of runs stays the caller's: AckRuns reads it
-// and keeps nothing of it.
+// Ownership of payloads: Add copies e.Payload into chunks the outbox
+// recycles once the entries in them retire, so the caller may reuse its
+// buffer as soon as Add returns. Pending returns entries whose payloads
+// are the caller's own copies. A slice of runs stays the caller's:
+// AckRuns reads it and keeps nothing of it.
 type Outbox struct {
 	data *SegmentLog
 	meta *SegmentLog
 	log  *slog.Logger
 
 	mu        sync.Mutex
-	hdr       []byte  // record-header scratch, reused under mu
-	base      uint64  // the offset of buf[head]
-	head      int     // buf[:head] is spent: the held span is buf[head:]
-	buf       []Entry // offsets base through the data log's last; a retired one is zero
-	live      int     // the entries of buf not retired
+	hdr       []byte      // record-header scratch, reused under mu
+	base      uint64      // the offset of buf[head]
+	head      int         // buf[:head] is spent: the held span is buf[head:]
+	buf       []heldEntry // offsets base through the data log's last; a retired one is zero
+	live      int         // the entries of buf not retired
+	chunks    chunk.Store // the payloads Add copied
 	byID      map[string]uint64
 	consumers map[string]*cursorState // consumer -> acknowledged offsets
 	closed    bool
+}
+
+// heldEntry is an entry the outbox holds, and the chunk its payload was
+// copied into (nil for one replay read, whose buffer is its own).
+type heldEntry struct {
+	Entry
+	chunk *chunk.Chunk
 }
 
 // Meta-log record kinds. Kinds 1, 3 and 4 are read, no longer written.
@@ -158,13 +165,13 @@ func (o *Outbox) replay() error {
 		}
 		switch {
 		case !o.ackedByAllLocked(off):
-			o.push(Entry{ID: string(id), Payload: payload, Offset: off}) // rec is the read's own
+			o.push(heldEntry{Entry: Entry{ID: string(id), Payload: payload, Offset: off}}) // rec is the read's own
 			o.byID[string(id)] = off
 			o.live++
 		case o.head == len(o.buf):
 			o.base = off + 1 // retired, and nothing held before it
 		default:
-			o.push(Entry{}) // retired behind an entry still owed
+			o.push(heldEntry{}) // retired behind an entry still owed
 		}
 		return nil
 	})
@@ -303,11 +310,11 @@ func (o *Outbox) snapshotMetaLocked(compact func() error) error {
 func (o *Outbox) last() uint64 { return o.base + uint64(len(o.buf)-o.head) - 1 }
 
 // slot is the held span's entry at off, base <= off <= last.
-func (o *Outbox) slot(off uint64) *Entry { return &o.buf[o.head+int(off-o.base)] }
+func (o *Outbox) slot(off uint64) *heldEntry { return &o.buf[o.head+int(off-o.base)] }
 
 // push appends to the held span, moving it to the front of buf before
 // growing buf when at least half of buf is spent.
-func (o *Outbox) push(e Entry) {
+func (o *Outbox) push(e heldEntry) {
 	if len(o.buf) == cap(o.buf) && o.head > 0 && o.head >= len(o.buf)/2 {
 		n := copy(o.buf, o.buf[o.head:])
 		clear(o.buf[n:])
@@ -336,7 +343,8 @@ func (o *Outbox) retireLocked(lo, hi uint64) {
 			continue
 		}
 		delete(o.byID, e.ID)
-		*e = Entry{} // the payload goes with it
+		o.chunks.Release(e.chunk)
+		*e = heldEntry{}
 		o.live--
 		for o.head < len(o.buf) && o.buf[o.head].Offset == 0 {
 			o.head++
@@ -348,9 +356,9 @@ func (o *Outbox) retireLocked(lo, hi uint64) {
 	}
 }
 
-// Add stores an entry, taking its payload, and returns its offset.
-// Adding an ID the outbox holds returns the offset it has (idempotent);
-// an ID retired already is a new entry.
+// Add stores an entry, with a copy of its payload, and returns its
+// offset. Adding an ID the outbox holds returns the offset it has
+// (idempotent); an ID retired already is a new entry.
 func (o *Outbox) Add(e Entry) (uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -366,7 +374,9 @@ func (o *Outbox) Add(e Entry) (uint64, error) {
 		return 0, err
 	}
 	e.Offset = off
-	o.push(e) // the caller's payload, kept
+	h := heldEntry{Entry: e}
+	h.Payload, h.chunk = o.chunks.Copy(e.Payload)
+	o.push(h)
 	o.byID[e.ID] = off
 	o.live++
 	return off, nil
@@ -481,8 +491,8 @@ func (o *Outbox) AckRuns(consumer string, runs []Run) error {
 
 // Pending returns, in append (offset) order, the entries the consumer
 // has not acknowledged, walking from its frontier, so the cost is what
-// it has in flight and not what the outbox holds. The payloads are the
-// outbox's own: read-only.
+// it has in flight and not what the outbox holds. The payloads are
+// copies, in one buffer, that the caller owns.
 func (o *Outbox) Pending(consumer string) ([]Entry, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -494,11 +504,18 @@ func (o *Outbox) Pending(consumer string) ([]Entry, error) {
 	if from >= end {
 		return nil, nil
 	}
-	out := make([]Entry, 0, end-from)
+	out, size := make([]Entry, 0, end-from), 0
 	for off := from; off < end; off++ {
 		if e := o.slot(off); e.Offset != 0 && !cs.acked.Has(off) {
-			out = append(out, *e)
+			out = append(out, e.Entry)
+			size += len(e.Payload)
 		}
+	}
+	buf := make([]byte, 0, size)
+	for i := range out {
+		start := len(buf)
+		buf = append(buf, out[i].Payload...)
+		out[i].Payload = buf[start:len(buf):len(buf)]
 	}
 	return out, nil
 }

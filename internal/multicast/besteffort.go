@@ -57,8 +57,9 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 	}
 	for _, addr := range dests {
 		if addr == g.self { // the publishing node may itself subscribe
-			g.upcall.add(g.self, payload)
-			g.upcall.run()
+			if g.upcall.post(queuedMsg{origin: g.self, payload: payload}) {
+				g.upcall.run()
+			}
 			break
 		}
 	}
@@ -78,6 +79,7 @@ func (g *BestEffort) onMessage(from string, _ incarnation, data []byte) {
 	if err := decodeMessage(data, &m); err != nil || m.Kind != kindData {
 		return
 	}
-	g.upcall.add(from, m.Payload)
-	g.upcall.run()
+	if g.upcall.post(queuedMsg{origin: from, payload: m.Payload}) {
+		g.upcall.run()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"govents/internal/chunk"
 	"govents/internal/vclock"
 )
 
@@ -40,12 +41,14 @@ type Causal struct {
 }
 
 // heldMsg is a frame waiting for its causal predecessors; marker marks
-// a payload-less clock marker.
+// a payload-less clock marker. A frame held past the upcall that lent it
+// is a copy in the inner list's store (kept).
 type heldMsg struct {
 	origin  string
 	vc      vclock.VC
 	marker  bool
 	payload []byte
+	kept    *chunk.Chunk
 }
 
 var _ Group = (*Causal)(nil)
@@ -115,10 +118,10 @@ func (g *Causal) BroadcastSplit(sends []Send) error {
 			g.sent[d] = tick
 		}
 	}
-	frames, toSelf, err := g.inner.stamp(g.self, framed, few[:0])
+	frames, run, err := g.inner.stamp(g.self, framed, few[:0])
 	g.mu.Unlock()
 	g.inner.transmit(frames)
-	if toSelf {
+	if run {
 		g.inner.upcall.run()
 	}
 	return err
@@ -186,10 +189,17 @@ func (g *Causal) onInner(origin string, data []byte) {
 	g.mu.Lock()
 	g.hold = append(g.hold, heldMsg{origin: origin, vc: m.VC, marker: m.Kind == kindSkip, payload: m.Payload})
 	ready := g.releaseLocked()
+	if n := len(g.hold); n > 0 && g.hold[n-1].kept == nil {
+		// This frame waits (releasing keeps the rest in order, so it is
+		// the last), and its payload is lent for this call only.
+		h := &g.hold[n-1]
+		h.payload, h.kept = g.inner.upcall.keep(h.payload)
+	}
 	g.mu.Unlock()
 
 	for _, r := range ready {
 		g.deliver(r.origin, r.payload)
+		g.inner.upcall.release(r.kept)
 	}
 }
 

@@ -132,7 +132,7 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 func (g *Certified) relinkLocked(addr string, ids []string) []uint64 {
 	l := g.out[addr]
 	if l == nil {
-		l = &outLink{}
+		l = &outLink{store: &g.chunks}
 		g.out[addr] = l
 	}
 	held := make(map[uint64]bool)
@@ -186,8 +186,8 @@ func (g *Certified) Broadcast(payload []byte) error {
 // so the durable staging inbox and the application-level delivery
 // acknowledgements key the same event by the same string. The payload
 // is persisted before any transmission (write-ahead) and queued on the
-// link of every subscribed address; the outbox keeps payload
-// (durable.Outbox): the caller does not write to it again.
+// link of every subscribed address; the outbox and the links copy what
+// they keep, so the caller may reuse payload once the call returns.
 func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	if g.lc.closed() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
@@ -235,8 +235,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 				"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
 		}
 	}
-	if fresh {
-		g.upcall.add(g.self, payload)
+	if fresh && g.upcall.post(queuedMsg{origin: g.self, payload: payload}) {
 		g.upcall.run()
 	}
 	return nil
@@ -294,7 +293,7 @@ func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
 	case !fresh:
 		return queuedMsg{}, true
 	case l.got.Has(m.Seq): // a base passed it meanwhile
-		g.upcall.add(msg.origin, msg.payload)
+		l.ready = append(l.ready, msg)
 	}
 	return msg, true
 }

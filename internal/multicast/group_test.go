@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestReleaseListDeliversOnceInOrder: goroutines that add to one list
-// and run it at once get every item delivered exactly once, each one's
-// items in the order it added them, and never two Deliver calls at the
-// same time.
+// TestReleaseListDeliversOnceInOrder: goroutines that post to one list
+// and run it when told get every item delivered exactly once, each one's
+// items in the order it posted them, and never two Deliver calls at the
+// same time. Each lends one buffer, which it writes over as soon as its
+// post and run return: what another runner delivers later is a copy.
 func TestReleaseListDeliversOnceInOrder(t *testing.T) {
 	const adders, each = 4, 500
 	var inside atomic.Int32
@@ -31,9 +32,13 @@ func TestReleaseListDeliversOnceInOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]byte, 3)
 			for n := range each {
-				r.add("o", []byte{byte(a), byte(n >> 8), byte(n)})
-				r.run()
+				buf[0], buf[1], buf[2] = byte(a), byte(n>>8), byte(n)
+				if r.post(queuedMsg{origin: "o", payload: buf}) {
+					r.run()
+				}
+				buf[0], buf[1], buf[2] = 0xFF, 0xFF, 0xFF
 			}
 		}()
 	}
@@ -46,9 +51,9 @@ func TestReleaseListDeliversOnceInOrder(t *testing.T) {
 }
 
 // TestReleaseListPauseHoldsTheRest: a pause taken inside a delivery
-// holds the rest of the batch and every later add until resume, which
-// delivers them in order; close delivers a paused backlog and drops
-// what is added after it.
+// holds the rest of the batch and every later post until resume, which
+// delivers them in order, from copies of what their posters lent; close
+// delivers a paused backlog and drops what is posted after it.
 func TestReleaseListPauseHoldsTheRest(t *testing.T) {
 	var got []int
 	var r *releaseList
@@ -58,20 +63,27 @@ func TestReleaseListPauseHoldsTheRest(t *testing.T) {
 			r.pause()
 		}
 	})
-	add := func(i int) {
-		r.add("o", []byte{byte(i)})
-		r.run()
+	lent := make([]byte, 1)
+	post := func(is ...int) {
+		msgs := make([]queuedMsg, len(is))
+		for k, i := range is {
+			msgs[k] = queuedMsg{origin: "o", payload: lent[k : k+1]}
+			lent[k] = byte(i)
+		}
+		if r.post(msgs...) {
+			r.run()
+		}
+		clear(lent) // the poster's call is over
 	}
+	add := func(i int) { post(i) }
 	want := func(w ...int) {
 		t.Helper()
 		if !slices.Equal(got, w) {
 			t.Fatalf("delivered %v, want %v", got, w)
 		}
 	}
-	r.add("o", []byte{0})
-	r.add("o", []byte{1})
-	r.add("o", []byte{2})
-	r.run()
+	lent = make([]byte, 3)
+	post(0, 1, 2)
 	want(0, 1)
 	add(3)
 	want(0, 1)

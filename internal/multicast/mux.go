@@ -48,19 +48,18 @@ import (
 // carrying the address of the original publisher and the payload, one
 // call at a time per group and in release order. It runs on a goroutine
 // that released one (the transport's delivery goroutine, or the caller's
-// for local self-delivery) and must not block indefinitely.
+// for local self-delivery) and must not block indefinitely. The payload
+// is valid for the call only: Deliver copies what it keeps.
 type Deliver func(origin string, payload []byte)
 
 // Group is a dissemination channel: the runtime realization of one of
 // the paper's multicast classes.
 //
-// A link copies what it keeps: the caller may reuse a payload once the
-// call that was given it returns, except where the group keeps the
-// caller's bytes themselves. A delivery to the local node holds them
-// until the upcall has run, and a certified group's outbox keeps them.
-// So what may be reused is a payload addressed to other nodes only,
-// through BroadcastTo or BroadcastSplit, on a reliable, ordered or
-// best-effort group.
+// A group copies what it keeps of a payload, to send, to resend, to
+// deliver later or to persist: the caller may reuse a payload once the
+// call that was given it returns. A frame received is likewise valid
+// for the transport handler's call only, and a group copies what it
+// holds of it past that call.
 type Group interface {
 	// Broadcast disseminates payload to all members of the group,
 	// including the local node.

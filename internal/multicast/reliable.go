@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govents/internal/chunk"
 	"govents/internal/seqset"
 )
 
@@ -43,11 +44,10 @@ import (
 // State on both ends is bounded by the traffic in flight: the sender
 // holds one queue entry per (message, destination) pair sent since the
 // oldest one still unacknowledged, with a copy of its payload in the
-// link's log (chunks of chunkSize, recycled through a short free list),
-// the receiver one run per hole in what
-// it has received (at most maxAhead per origin) and the frames of those
-// runs, and both one small record per peer ever addressed or heard.
-// Nothing is remembered per delivered message.
+// group's recycled chunks (internal/chunk), the receiver one run per
+// hole in what it has received (at most maxAhead per origin) and a copy
+// of the frames of those runs, and both one small record per peer ever
+// addressed or heard. Nothing is remembered per delivered message.
 //
 // The protocol tolerates message loss and duplication but not publisher
 // crash (there is no relay phase: Total's sequencer, the one sender that
@@ -56,9 +56,9 @@ import (
 type Reliable struct{ *link }
 
 // link is the protocol Reliable documents, and Certified's, which
-// differs where cert is consulted: its log is the outbox, each entry
-// naming the offset it sends, it stages what it takes, and it
-// acknowledges under each durable identity (ids).
+// differs where cert is consulted: each entry names the outbox offset it
+// sends, it stages what it takes, and it acknowledges under each durable
+// identity (ids).
 type link struct {
 	mux    *Mux
 	stream *stream // its epoch is the group's incarnation
@@ -85,8 +85,8 @@ type link struct {
 	// its capacity. The timer goroutine, tick's one caller, owns it, and
 	// writes it only in a period that sends something.
 	tickFrames []linkFrame
-	// chunks is the storage of the links' logs, recycled.
-	chunks chunkPool
+	// chunks holds the links' copies of what they queue.
+	chunks chunk.Store
 }
 
 // The acknowledgement policy's constants; the timer is the one knob
@@ -109,12 +109,6 @@ const (
 	// one more is dropped unacknowledged and comes back by retransmission
 	// once the holes below it have filled.
 	maxAhead = 256
-	// chunkSize is the size of the chunks a link copies what it queues
-	// into; a longer payload gets a chunk of its own, which is not
-	// recycled.
-	chunkSize = 8 << 10
-	// freeChunks bounds the retired chunks a group keeps for reuse.
-	freeChunks = 16
 	// restCap bounds the capacity a certified link that owes nothing
 	// keeps for its queue: a burst's is let go, so that the publisher
 	// holds only what is in flight beside its outbox.
@@ -148,23 +142,20 @@ type outLink struct {
 	// settled holds the link sequences acknowledged or dropped.
 	settled seqset.Set
 	// entries[head:] carry the sequences above the floor of settled up to
-	// next, the ones settled holds included.
+	// next, the ones settled holds included, each with its copy of the
+	// payload, in store.
 	entries []outEntry
 	head    int
-	// log is the link's copy of the payloads of entries[head:], oldest
-	// chunk first; push appends to the last one, from pool. A link with
-	// no pool keeps the payloads it is given: a certified one, whose log
-	// is the outbox.
-	log  []logChunk
-	pool *chunkPool
+	store   *chunk.Store
 }
 
-// outEntry is one queued frame of a link: its payload, in the link's
-// log; the publisher it names, empty unless the broadcast was on another
-// node's behalf; a certified event's ID; and the broadcast it belongs
-// to, which on a certified link is the event's outbox offset.
+// outEntry is one queued frame of a link: its payload, the link's copy
+// in chunk; the publisher it names, empty unless the broadcast was on
+// another node's behalf; a certified event's ID; and the broadcast it
+// belongs to, which on a certified link is the event's outbox offset.
 type outEntry struct {
 	payload    []byte
+	chunk      *chunk.Chunk
 	origin, id string
 	bcast      uint64
 	gen        uint64 // timer period of the latest transmission
@@ -175,116 +166,45 @@ func (e *outEntry) frame(seq, base uint64) message {
 	return message{Kind: kindData, Seq: seq, Base: base, Origin: e.origin, ID: e.id, Payload: e.payload}
 }
 
-// logChunk is a stretch of a link's log: payloads copied in link order,
-// the last of them with link sequence last.
-type logChunk struct {
-	buf  []byte
-	last uint64
-}
-
 // seqAt is the link sequence of entries[i].
 func (l *outLink) seqAt(i int) uint64 { return l.next - uint64(len(l.entries)-1-i) }
 
 // base is the lowest link sequence still owed.
 func (l *outLink) base() uint64 { return l.settled.Floor() + 1 }
 
-// push queues e as the next frame, its payload copied into the link's
-// log if the link has a pool, and returns its link sequence.
+// push queues e as the next frame, with a copy of its payload, and
+// returns its link sequence.
 func (l *outLink) push(e outEntry) uint64 {
 	l.next++
-	if l.pool != nil {
-		n := len(l.log)
-		if n == 0 || cap(l.log[n-1].buf)-len(l.log[n-1].buf) < len(e.payload) {
-			l.log = append(l.log, logChunk{buf: l.pool.get(len(e.payload))})
-			n++
-		}
-		c := &l.log[n-1]
-		start := len(c.buf)
-		c.buf, c.last = append(c.buf, e.payload...), l.next
-		e.payload = c.buf[start:len(c.buf):len(c.buf)]
-	}
+	e.payload, e.chunk = l.store.Copy(e.payload)
 	l.entries = append(l.entries, e)
 	return l.next
 }
 
 // settle retires the queued frames with link sequences lo through hi,
-// dropping what the base passes, with the log chunks it passes whole,
-// and keeps the queue's backing array from creeping: once the dead
-// prefix is the larger part, the live entries move down over it.
+// dropping, with their copies, what the base passes, and keeps the
+// queue's backing array from creeping: once the dead prefix is the
+// larger part, the live entries move down over it.
 func (l *outLink) settle(lo, hi uint64) {
 	l.settled.Add(lo, min(hi, l.next), 0)
 	for l.head < len(l.entries) && l.seqAt(l.head) < l.base() {
+		l.store.Release(l.entries[l.head].chunk)
 		l.entries[l.head] = outEntry{}
 		l.head++
 	}
 	if l.head > len(l.entries)-l.head {
 		l.entries, l.head = slices.Delete(l.entries, 0, l.head), 0
 	}
-	l.retire(len(l.log) - 1)
 }
 
 // drop forgets everything queued: the destination is no longer owed it.
 func (l *outLink) drop() {
+	for _, e := range l.entries[l.head:] {
+		l.store.Release(e.chunk)
+	}
 	clear(l.entries)
 	l.entries, l.head = l.entries[:0], 0
 	l.settled.Raise(l.next)
-	l.retire(len(l.log))
-}
-
-// retire hands the pool, oldest first, the log chunks among the first n
-// whose payloads all lie below the base. settle leaves out the chunk
-// push appends to; a tick takes it once the link owes nothing.
-func (l *outLink) retire(n int) {
-	k := 0
-	for k < n && l.log[k].last < l.base() {
-		l.pool.retire(l.log[k].buf)
-		k++
-	}
-	if k > 0 {
-		l.log = slices.Delete(l.log, 0, k)
-	}
-}
-
-// chunkPool recycles a group's log chunks. A retired chunk may still be
-// read by the retransmissions a tick built under the group's lock and is
-// sending outside it, so it waits in retired until the next timer
-// period begins, by which time that tick has returned, and only then
-// joins free, up to freeChunks of them; the collector takes the rest.
-// Guarded by the group's mu.
-type chunkPool struct {
-	retired, free [][]byte
-}
-
-// get returns an empty chunk for a payload of n bytes.
-func (p *chunkPool) get(n int) []byte {
-	if n > chunkSize {
-		return make([]byte, 0, n)
-	}
-	if k := len(p.free) - 1; k >= 0 {
-		b := p.free[k]
-		p.free[k], p.free = nil, p.free[:k]
-		return b
-	}
-	return make([]byte, 0, chunkSize)
-}
-
-// retire takes back a chunk no entry reads any more.
-func (p *chunkPool) retire(b []byte) {
-	if cap(b) == chunkSize {
-		p.retired = append(p.retired, b[:0])
-	}
-}
-
-// period starts a timer period: what was retired before it is free.
-func (p *chunkPool) period() {
-	for _, b := range p.retired {
-		if len(p.free) == freeChunks {
-			break
-		}
-		p.free = append(p.free, b)
-	}
-	clear(p.retired)
-	p.retired = p.retired[:0]
 }
 
 // inLink is the receiver's end of one link, from the sender's
@@ -296,7 +216,7 @@ type inLink struct {
 	// maxAhead at most, are what was received beyond it, their frames
 	// held by link sequence until the floor reaches them.
 	got  seqset.Set
-	held map[uint64]queuedMsg
+	held map[uint64]queuedMsg // copies, in the upcall list's store
 	// staging holds the sequences of the certified frames being staged,
 	// which stage does without the group's lock.
 	staging map[uint64]bool
@@ -343,9 +263,10 @@ func (l *inLink) raise(base uint64) {
 
 // note records the first arrival of seq and its frame: released at once
 // when it is the next in order, with whatever it was the hole below,
-// and held otherwise. It reports false when seq would open one hole more
-// than a link remembers, in which case the frame must be dropped.
-func (l *inLink) note(seq uint64, msg queuedMsg) bool {
+// and held otherwise, copied into up's store unless it is a copy
+// already. It reports false when seq would open one hole more than a
+// link remembers, in which case the frame must be dropped.
+func (l *inLink) note(seq uint64, msg queuedMsg, up *releaseList) bool {
 	if seq == l.got.Floor()+1 {
 		l.ready = append(l.ready, msg)
 		l.raise(seq + 1)
@@ -356,6 +277,9 @@ func (l *inLink) note(seq uint64, msg queuedMsg) bool {
 	}
 	if l.held == nil {
 		l.held = make(map[uint64]queuedMsg)
+	}
+	if msg.kept == nil {
+		msg.payload, msg.kept = up.keep(msg.payload)
 	}
 	l.held[seq] = msg
 	return true
@@ -426,10 +350,8 @@ func (g *Reliable) Broadcast(payload []byte) error {
 // BroadcastTo reliably disseminates to an explicit destination set
 // (which may include the local node), supporting publisher-side
 // filtering (paper §2.3.2). Destinations that subsequently leave the
-// membership stop being owed retransmissions. A link copies what it
-// keeps: the caller may reuse the payload once the call returns, unless
-// the local node is a destination, whose delivery holds the payload
-// itself until the upcall has run.
+// membership stop being owed retransmissions. The group copies what it
+// keeps: the caller may reuse the payload once the call returns.
 func (g *Reliable) BroadcastTo(dests []string, payload []byte) error {
 	return g.broadcastAs(g.self, []Send{{Dests: dests, Payload: payload}})
 }
@@ -447,27 +369,30 @@ func (g *Reliable) BroadcastSplit(sends []Send) error { return g.broadcastAs(g.s
 // broadcastAs is BroadcastSplit on behalf of origin.
 func (g *link) broadcastAs(origin string, sends []Send) error {
 	var few [4]linkFrame // the usual fan-out fits; append spills to the heap beyond it
-	frames, toSelf, err := g.stamp(origin, sends, few[:0])
+	frames, run, err := g.stamp(origin, sends, few[:0])
 	g.transmit(frames)
-	if toSelf {
+	if run {
 		g.upcall.run()
 	}
 	return err
 }
 
-// linkFrame is one link frame and where it goes.
+// linkFrame is one link frame and where it goes, and the chunk of its
+// payload a retransmission holds while it is sent.
 type linkFrame struct {
-	addr string
-	msg  message
+	addr  string
+	msg   message
+	chunk *chunk.Chunk
 }
 
 // stamp is the ordering half of a broadcast on behalf of origin, which
 // the frames name when it is not the local node: it queues the
-// publication on every destination's link, and in the upcall list if
-// this node is one (reported, for the caller to run the list), and
-// appends to frames what transmit must then send. A caller that orders
-// publications by a mark of its own (Causal's clock tick) marks and
-// stamps under one lock, and transmits and runs outside it.
+// publication on every destination's link, and posts it to the upcall
+// list if this node is one, reporting whether the caller must then run
+// the list, and appends to frames what transmit must then send. A
+// caller that orders publications by a mark of its own (Causal's clock
+// tick) marks and stamps under one lock, and transmits and runs outside
+// it.
 func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, bool, error) {
 	if g.lc.closed() {
 		return frames, false, fmt.Errorf("multicast: reliable %s: closed", g.stream)
@@ -484,7 +409,7 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 			return frames, false, err
 		}
 	}
-	sent, toSelf := 0, false
+	sent, toSelf, run := 0, false, false
 
 	g.mu.Lock()
 	g.bcast++
@@ -494,13 +419,13 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 			if addr == g.self {
 				if !toSelf {
 					toSelf = true
-					g.upcall.add(origin, s.Payload)
+					run = g.upcall.post(queuedMsg{origin: origin, payload: s.Payload})
 				}
 				continue
 			}
 			l := g.out[addr]
 			if l == nil {
-				l = &outLink{pool: &g.chunks}
+				l = &outLink{store: &g.chunks}
 				g.out[addr] = l
 			}
 			if n := len(l.entries); n > 0 && l.entries[n-1].bcast == g.bcast {
@@ -517,17 +442,17 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 			obs(uint64(pruned), 0)
 		}
 	}
-	return frames, toSelf, nil
+	return frames, run, nil
 }
 
 // queueLocked queues e on addr's link l, sent in this period, and
 // returns its frame. The frame carries the caller's payload, not the
-// link's copy: once mu is released, an acknowledgement may retire the
+// link's copy: once mu is released, an acknowledgement may release the
 // copy. Caller holds mu.
 func (g *link) queueLocked(addr string, l *outLink, e outEntry) linkFrame {
 	e.gen = g.gen
 	seq := l.push(e)
-	return linkFrame{addr, e.frame(seq, l.base())}
+	return linkFrame{addr: addr, msg: e.frame(seq, l.base())}
 }
 
 // fits refuses, before it takes a link sequence, a payload whose data
@@ -580,21 +505,21 @@ func (g *Reliable) Outstanding() int {
 // periods only once the generation passes p+ticksPerInterval. A link
 // whose destination has left the membership is dropped instead, and
 // announces the base that moved, so that its receiver, should it hear,
-// is stepped over the frames dropped.
+// is stepped over the frames dropped. A retransmission is the link's
+// copy, sent outside mu: it holds the copy's chunk until it is sent.
 func (g *link) tick() {
 	frames := g.tickFrames[:0]
 
 	g.mu.Lock()
 	g.gen++
-	g.chunks.period()
 	for origin, l := range g.in {
 		if l.unacked > 0 {
 			frames = g.appendAcks(frames, origin, l.ack(g.gen))
 		}
 	}
+	held := false
 	for addr, l := range g.out {
 		if l.head == len(l.entries) {
-			l.retire(len(l.log)) // owes nothing: the chunk push appends to goes too
 			if g.cert != nil && cap(l.entries) > restCap {
 				l.entries, l.head = nil, 0 // a burst's queue: see restCap
 			}
@@ -609,16 +534,25 @@ func (g *link) tick() {
 			if !checked {
 				if checked = true; !g.members.has(addr) {
 					l.drop() // a member that left the group no longer owes an ack
-					frames = append(frames, linkFrame{addr, message{Kind: kindSkip, Base: l.base()}})
+					frames = append(frames, linkFrame{addr: addr, msg: message{Kind: kindSkip, Base: l.base()}})
 					break
 				}
 			}
 			e.gen = g.gen
-			frames = append(frames, linkFrame{addr, e.frame(l.seqAt(i), base)})
+			g.chunks.Hold(e.chunk)
+			held = true
+			frames = append(frames, linkFrame{addr, e.frame(l.seqAt(i), base), e.chunk})
 		}
 	}
 	g.mu.Unlock()
 	g.transmit(frames)
+	if held {
+		g.mu.Lock()
+		for _, f := range frames {
+			g.chunks.Release(f.chunk)
+		}
+		g.mu.Unlock()
+	}
 	if len(frames) > 0 {
 		clear(frames) // pin no payload until the next period
 		g.tickFrames = frames[:0]
@@ -670,11 +604,12 @@ func (g *link) onLink(from string, in incarnation, m *message) {
 		// A sender never heard from, or its next incarnation: the link
 		// starts at the frame's base. What is still held of the previous
 		// incarnation goes out first; its holes will never fill.
+		var ready []queuedMsg
 		if l != nil {
 			l.raise(math.MaxUint64)
-			g.releaseLocked(l)
+			ready = l.ready
 		}
-		l = &inLink{in: in}
+		l = &inLink{in: in, ready: ready}
 		l.got.Raise(m.Base - 1)
 		g.in[from] = l
 	case in.epoch < l.in.epoch:
@@ -692,11 +627,13 @@ func (g *link) onLink(from string, in incarnation, m *message) {
 	if g.take(l, m, origin) && l.arrived(g.gen) {
 		acks = g.appendAcks(acks, from, l.ack(g.gen))
 	}
-	g.releaseLocked(l)
+	run := g.releaseLocked(l)
 	g.mu.Unlock()
 
 	g.transmit(acks)
-	g.upcall.run()
+	if run {
+		g.upcall.run()
+	}
 }
 
 // take books a data frame's arrival on l, a duplicate's or one the link
@@ -709,14 +646,14 @@ func (g *link) take(l *inLink, m *message, origin string) bool {
 	if l.got.Has(m.Seq) {
 		return true
 	}
-	msg := queuedMsg{origin, m.Payload}
+	msg := queuedMsg{origin: origin, payload: m.Payload}
 	if g.cert != nil {
 		var ok bool
 		if msg, ok = g.stage(l, m, msg); !ok {
 			return false
 		}
 	}
-	return l.got.Has(m.Seq) || l.note(m.Seq, msg)
+	return l.got.Has(m.Seq) || l.note(m.Seq, msg, g.upcall)
 }
 
 // appendAcks appends the acknowledgement ack to to once under each of
@@ -724,21 +661,20 @@ func (g *link) take(l *inLink, m *message, origin string) bool {
 func (g *link) appendAcks(frames []linkFrame, to string, ack message) []linkFrame {
 	for _, id := range g.ids {
 		ack.Origin = id
-		frames = append(frames, linkFrame{to, ack})
+		frames = append(frames, linkFrame{addr: to, msg: ack})
 	}
 	return frames
 }
 
-// releaseLocked lists what a link has ready for the upcall, in order,
-// bar a certified event that was staged already (a zero queuedMsg).
-// Caller holds g.mu, which is what keeps two frames of one link from
-// being listed out of turn.
-func (g *link) releaseLocked(l *inLink) {
-	for i, msg := range l.ready {
-		if msg.origin != "" {
-			g.upcall.add(msg.origin, msg.payload)
-		}
-		l.ready[i] = queuedMsg{}
-	}
+// releaseLocked posts what a link has ready for the upcall, in order,
+// bar a certified event that was staged already (a zero queuedMsg), and
+// reports whether the caller must run the list. Caller holds g.mu, which
+// is what keeps two frames of one link from being listed out of turn,
+// and what it posts is either held copies or the frame the caller lends.
+func (g *link) releaseLocked(l *inLink) bool {
+	ready := slices.DeleteFunc(l.ready, func(msg queuedMsg) bool { return msg.origin == "" })
+	run := len(ready) > 0 && g.upcall.post(ready...)
+	clear(l.ready)
 	l.ready = l.ready[:0]
+	return run
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"govents/internal/chunk"
 	"govents/internal/netsim"
 	"govents/internal/transport"
 )
@@ -429,6 +430,7 @@ func TestReliableSendsOnLossFreeNetwork(t *testing.T) {
 type inLinkOracle struct {
 	t        *testing.T
 	l        inLink
+	up       *releaseList // the store of what l holds
 	set      map[uint64]bool
 	floor    uint64
 	released int
@@ -436,7 +438,7 @@ type inLinkOracle struct {
 }
 
 func newInLinkOracle(t *testing.T) *inLinkOracle {
-	return &inLinkOracle{t: t, set: map[uint64]bool{}}
+	return &inLinkOracle{t: t, set: map[uint64]bool{}, up: newReleaseList(func(string, []byte) {})}
 }
 
 // step applies the arrival of a data frame with link sequence seq or,
@@ -452,7 +454,7 @@ func (o *inLinkOracle) step(where string, i int, seq, base uint64) {
 			t.Fatalf("%s step %d: seen(%d) = %v, want %v (cum %d, runs %v)", where, i, seq, got, want, l.got.Floor(), l.got.Runs())
 		}
 		if !want {
-			if !l.note(seq, queuedMsg{payload: binary.AppendUvarint(nil, seq)}) {
+			if !l.note(seq, queuedMsg{payload: binary.AppendUvarint(nil, seq)}, o.up) {
 				t.Fatalf("%s step %d: note(%d) refused with %d runs", where, i, seq, len(l.got.Runs()))
 			}
 			o.set[seq] = true
@@ -550,16 +552,16 @@ func TestInLinkRunsAgainstSet(t *testing.T) {
 }
 
 func TestInLinkRefusesOneHoleTooMany(t *testing.T) {
-	l := &inLink{}
+	l, up := &inLink{}, newReleaseList(func(string, []byte) {})
 	for i := 0; i < maxAhead; i++ {
-		if !l.note(uint64(2*i+2), queuedMsg{}) {
+		if !l.note(uint64(2*i+2), queuedMsg{}, up) {
 			t.Fatalf("run %d refused", i)
 		}
 	}
-	if l.note(uint64(2*maxAhead+2), queuedMsg{}) {
+	if l.note(uint64(2*maxAhead+2), queuedMsg{}, up) {
 		t.Error("a run beyond maxAhead was accepted")
 	}
-	if !l.note(3, queuedMsg{}) || !l.note(1, queuedMsg{}) {
+	if !l.note(3, queuedMsg{}, up) || !l.note(1, queuedMsg{}, up) {
 		t.Error("a sequence that fills a hole must be accepted at the bound")
 	}
 	if cum, runs := l.got.Floor(), len(l.got.Runs()); cum != 4 || runs != maxAhead-2 {
@@ -573,7 +575,7 @@ func TestInLinkInOrderAllocs(t *testing.T) {
 	l, seq := &inLink{}, uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		seq++
-		l.note(seq, queuedMsg{})
+		l.note(seq, queuedMsg{}, nil) // in order: nothing is held
 		l.ready = l.ready[:0]
 	}); n != 0 {
 		t.Errorf("an in-order frame allocates %.1f times, want 0", n)
@@ -734,21 +736,20 @@ func (s *sentBytesTap) Send(to string, frame []byte) error {
 	return s.Transport.Send(to, frame)
 }
 
-// retainedLog is the chunk memory a group holds: its links' logs and
-// its pool.
-func retainedLog(g *Reliable) int {
+// logChunks is how many distinct chunks the copies a group's links
+// still hold lie in.
+func logChunks(g *Reliable) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := 0
+	seen := make(map[*chunk.Chunk]bool)
 	for _, l := range g.out {
-		for _, c := range l.log {
-			n += cap(c.buf)
+		for _, e := range l.entries[l.head:] {
+			if e.chunk != nil {
+				seen[e.chunk] = true
+			}
 		}
 	}
-	for _, b := range slices.Concat(g.chunks.retired, g.chunks.free) {
-		n += cap(b)
-	}
-	return n
+	return len(seen)
 }
 
 // TestReliableRetransmitsFromItsOwnCopy: a link resends what it was
@@ -785,8 +786,7 @@ func TestReliableRetransmitsFromItsOwnCopy(t *testing.T) {
 	// leaves halfway, and what it is still owed is dropped. Every data
 	// frame sent carries the payload of its link sequence, each member
 	// delivers, in order, only payloads as they were published, and once
-	// the burst is acknowledged the chunk memory the group keeps shrinks
-	// to its free list's cap.
+	// the burst is acknowledged the links hold no copy.
 	t.Run("lossy burst", func(t *testing.T) {
 		const total = 4000
 		net := netsim.New(netsim.Config{LossRate: 0.1, MaxLatency: 200 * time.Microsecond, Seed: 11})
@@ -841,15 +841,13 @@ func TestReliableRetransmitsFromItsOwnCopy(t *testing.T) {
 				t.Errorf("b delivered up to payload %d, want %d", last, total-1)
 			}
 		}
-		waitFor(t, 5*time.Second, "the log's chunks back to the free list's cap", func() bool {
-			return retainedLog(ga) <= freeChunks*chunkSize
-		})
+		waitFor(t, 5*time.Second, "every copy given back", func() bool { return logChunks(ga) == 0 })
 	})
 
 	// A timer period that resends is held after its first frame. Meanwhile
-	// an acknowledgement retires the log's first chunk, whose frames that
-	// period has still to send, and new broadcasts need a chunk: they must
-	// not be given that one.
+	// an acknowledgement releases the copies in the first chunk, whose
+	// frames that period has still to send, and new broadcasts need a
+	// chunk: they must not be given that one.
 	t.Run("period held open", func(t *testing.T) {
 		net := netsim.New(netsim.Config{})
 		defer net.Close()
@@ -876,10 +874,7 @@ func TestReliableRetransmitsFromItsOwnCopy(t *testing.T) {
 		for i := range 9 {
 			broadcast(t, ga, []string{"b"}, i)
 		}
-		ga.mu.Lock()
-		chunks := len(ga.out["b"].log)
-		ga.mu.Unlock()
-		if chunks != 2 {
+		if chunks := logChunks(ga); chunks != 2 {
 			t.Fatalf("9 broadcasts fill %d chunks, want 2", chunks)
 		}
 		armed.Store(true) // nothing was acknowledged: the next data frame is a resend

@@ -212,8 +212,8 @@ func encodeMessage(m *message) ([]byte, error) {
 
 // decodeMessage parses a wire record into m, which the caller owns (a
 // hot path keeps it on its stack). Nothing but the strings and the
-// vector clock is allocated: m.Payload aliases data, which every
-// transport hands over for keeps and nobody may mutate.
+// vector clock is allocated: m.Payload aliases data, which a transport
+// hands over for its handler's call only and nobody may mutate.
 func decodeMessage(data []byte, m *message) error {
 	*m = message{}
 	d := rec.Reader{Buf: data}

@@ -20,10 +20,12 @@ import (
 )
 
 // Handler processes an inbound message. Handlers run on dedicated
-// delivery goroutines; they may call Send. The payload is read-only: a
-// transport may hand one buffer to several frames (both copies of a
-// duplicated one here, a receive block of many frames over TCP). The
-// handler may keep it, and keeping it keeps that buffer reachable.
+// delivery goroutines; they may call Send. The payload is valid for the
+// call only, and read-only: the transport reuses its buffer once the
+// handler returns (the TCP transport reads the connection's next frames
+// into it), so a handler copies whatever it keeps. The simulated
+// network enforces this: it writes poison over each delivery's copy as
+// soon as the handler returns.
 type Handler func(from string, payload []byte)
 
 // Transport is the messaging abstraction shared by the simulated network
@@ -291,14 +293,15 @@ func (n *Network) send(from, to string, payload []byte) error {
 	}
 	n.mu.Unlock()
 
-	// A copy of the payload is taken once so handlers can retain it.
-	data := make([]byte, len(payload))
-	copy(data, payload)
-
 	for _, d := range delays {
+		// Each delivery, a duplicate's too, gets a copy of its own, which
+		// is poisoned once its handler returns: a handler that kept the
+		// payload without copying it reads poison (Handler).
+		data := append([]byte(nil), payload...)
 		n.inflight.Add(1)
 		go func(delay time.Duration) {
 			defer n.inflight.Done()
+			defer poison(data)
 			if delay > 0 {
 				time.Sleep(delay)
 			}
@@ -319,6 +322,17 @@ func (n *Network) send(from, to string, payload []byte) error {
 		}(d)
 	}
 	return nil
+}
+
+// poisonByte is what the network writes over a delivered payload once
+// its handler has returned.
+const poisonByte = 0xDB
+
+// poison writes poisonByte over b.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
 }
 
 func (n *Network) randLatencyLocked() time.Duration {

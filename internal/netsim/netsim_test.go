@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,14 +266,48 @@ func TestPayloadIsolation(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint("a")
 	b, _ := n.NewEndpoint("b")
-	got := make(chan []byte, 1)
-	b.SetHandler(func(_ string, p []byte) { got <- p })
+	got := make(chan string, 1)
+	b.SetHandler(func(_ string, p []byte) { got <- string(p) })
 	buf := []byte("original")
 	_ = a.Send("b", buf)
 	buf[0] = 'X' // mutate after send
-	received := <-got
-	if string(received) != "original" {
+	if received := <-got; received != "original" {
 		t.Errorf("payload aliased sender buffer: %q", received)
+	}
+}
+
+// TestKeptPayloadIsPoisoned: a handler has its payload for the call
+// only. Each delivery, both copies of a duplicated frame included, gets
+// a copy of its own, and a handler that keeps it without copying finds
+// poison in it once it has returned.
+func TestKeptPayloadIsPoisoned(t *testing.T) {
+	n := New(Config{DupRate: 1})
+	defer n.Close()
+	a, _ := n.NewEndpoint("a")
+	b, _ := n.NewEndpoint("b")
+	var mu sync.Mutex
+	var kept [][]byte
+	b.SetHandler(func(_ string, p []byte) {
+		if string(p) != "payload" {
+			t.Errorf("handler got %q, want %q", p, "payload")
+		}
+		mu.Lock()
+		kept = append(kept, p)
+		mu.Unlock()
+	})
+	if err := a.Send("b", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	n.Settle()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != 2 || &kept[0][0] == &kept[1][0] {
+		t.Fatalf("%d deliveries of a duplicated frame, want 2 with a copy each", len(kept))
+	}
+	for _, p := range kept {
+		if !bytes.Equal(p, bytes.Repeat([]byte{poisonByte}, len("payload"))) {
+			t.Errorf("a payload kept past its handler holds %q, want poison", p)
+		}
 	}
 }
 

@@ -344,7 +344,13 @@ func (r *Runtime) handleCall(m *wireMsg) *wireMsg {
 		}
 		in[i] = v.Elem()
 	}
-	out := method.Call(in)
+	// A variadic method's last argument travels as the slice it is.
+	var out []reflect.Value
+	if mt.IsVariadic() {
+		out = method.CallSlice(in)
+	} else {
+		out = method.Call(in)
+	}
 
 	// A trailing error result travels in Err.
 	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == reflect.TypeOf((*error)(nil)).Elem() {

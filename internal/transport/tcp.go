@@ -20,11 +20,12 @@
 // log and close the connection. See "Link protocol" in the govents
 // package documentation.
 //
-// A connection's reader reads the socket into 32 KiB receive blocks and
-// hands each payload to the handler as a slice of its block (a payload
-// over 8 KiB gets a buffer of its own), so a received frame costs no
-// allocation of its own and no copy. The payload is read-only; the
-// handler may keep it, and keeping it keeps its block reachable.
+// A connection's reader reads the socket into one buffer of its own,
+// 32 KiB to start with, and hands each payload to the handler as a
+// slice of it, so a received frame costs no allocation and no copy. The
+// payload is valid for the handler's call only, and read-only: the
+// reader then moves what it has read of the next frames over it. A
+// handler copies whatever it keeps (netsim.Handler).
 //
 // Each destination has its own lock, so a peer that stops reading
 // stalls the senders to that peer only, and only until writeTimeout
@@ -94,11 +95,11 @@ const (
 	dialTimeout  = 2 * time.Second
 	writeTimeout = 2 * time.Second
 
-	// blockSize is a receive block: many small frames arrive per read,
-	// and 32 KiB is the largest small-object size class, so no room is
-	// lost to rounding. ownBuffer is the largest body read into a block.
-	blockSize = 32 << 10
-	ownBuffer = 8 << 10
+	// readBuffer is a connection's receive buffer to start with: many
+	// small frames arrive per read, and 32 KiB is the largest
+	// small-object size class, so no room is lost to rounding. A longer
+	// frame grows it.
+	readBuffer = 32 << 10
 	// maxScratch is the largest write buffer a peer keeps between sends.
 	maxScratch = 64 << 10
 )
@@ -156,9 +157,10 @@ func Listen(addr string) (*TCP, error) {
 // Addr implements netsim.Transport.
 func (t *TCP) Addr() string { return t.addr }
 
-// SetHandler implements netsim.Transport. The handler may keep the
-// payload it is given and must not write to it: the payload is a slice
-// of a receive block that later frames on the connection share.
+// SetHandler implements netsim.Transport. The payload a handler is given
+// is a slice of its connection's receive buffer: valid for the call
+// only, since the connection's next frames are read into the same
+// buffer, and not to be written to. A handler copies what it keeps.
 func (t *TCP) SetHandler(h netsim.Handler) {
 	if h == nil {
 		t.handler.Store(nil)
@@ -366,22 +368,22 @@ func readHello(fr *frameReader) (string, error) {
 	return string(addr), nil
 }
 
-// frameReader reads one connection's frames into receive blocks and
-// hands each body out as a slice of its block, capacity clipped: the
-// kernel's copy into the block is the only one. Bytes go in only past
-// the last body handed out, and a block whose tail cannot hold the next
-// frame is left to the bodies in it: the unread part of that frame
-// moves to the front of a fresh block. A body over ownBuffer bytes gets
-// a buffer of its own instead.
+// frameReader reads one connection's frames into one buffer and hands
+// each body out as a slice of it, capacity clipped, valid until the
+// next call: the kernel's copy into the buffer is the only one. When
+// the buffer's tail cannot hold the next frame, the unread bytes move
+// to its front, and a frame longer than the whole buffer grows it: the
+// buffer never shrinks, and no other is allocated.
 type frameReader struct {
 	r     io.Reader
-	block []byte
-	start int // the first unread byte of block
-	end   int // the end of what has been read into block
+	buf   []byte
+	start int // the first unread byte of buf
+	end   int // the end of what has been read into buf
 }
 
 // readFrame reads one frame: a hello's address or a data frame's
-// payload. It returns io.EOF only at a frame boundary.
+// payload, valid until the next call. It returns io.EOF only at a frame
+// boundary.
 func (fr *frameReader) readFrame() (hello bool, body []byte, err error) {
 	n, hello, err := fr.prefix()
 	switch {
@@ -394,23 +396,15 @@ func (fr *frameReader) readFrame() (hello bool, body []byte, err error) {
 		return false, nil, fmt.Errorf("transport: hello address of %d bytes exceeds %d", n, maxAddr)
 	case n > netsim.MaxFrame:
 		return false, nil, fmt.Errorf("transport: invalid frame length %d", n)
-	case n > ownBuffer:
-		body = make([]byte, n)
-		k := copy(body, fr.block[fr.start:fr.end])
-		fr.start += k
-		_, err = io.ReadFull(fr.r, body[k:])
-	default:
-		if err = fr.fill(n); err == nil {
-			body = fr.block[fr.start : fr.start+n : fr.start+n]
-			fr.start += n
-		}
 	}
-	if err != nil {
+	if err = fr.fill(n); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return false, nil, err
 	}
+	body = fr.buf[fr.start : fr.start+n : fr.start+n]
+	fr.start += n
 	return hello, body, nil
 }
 
@@ -422,18 +416,18 @@ func (fr *frameReader) prefix() (n int, hello bool, err error) {
 		if err := fr.fill(i + 1); err != nil {
 			return 0, false, err
 		}
-		b := fr.block[fr.start+i]
+		b := fr.buf[fr.start+i]
 		v |= uint64(b&0x7F) << (7 * i)
 		switch {
 		case b >= 0x80 && i == maxPrefix-1:
 			return 0, false, fmt.Errorf("transport: frame length longer than %d bytes", maxPrefix)
 		case b >= 0x80:
 			continue
-		case i == 1 && b == 0 && fr.block[fr.start] == 0x80:
+		case i == 1 && b == 0 && fr.buf[fr.start] == 0x80:
 			if err := fr.fill(helloHeader); err != nil {
 				return 0, false, err
 			}
-			n = int(binary.BigEndian.Uint16(fr.block[fr.start+2:]))
+			n = int(binary.BigEndian.Uint16(fr.buf[fr.start+2:]))
 			fr.start += helloHeader
 			return n, true, nil
 		case i > 0 && b == 0:
@@ -444,20 +438,24 @@ func (fr *frameReader) prefix() (n int, hello bool, err error) {
 	}
 }
 
-// fill reads until at least n (at most ownBuffer) unread bytes are in
-// the block, starting a fresh block if the tail of this one cannot hold
-// them.
+// fill reads until at least n unread bytes are in the buffer, moving the
+// unread ones to its front if its tail cannot hold n, or if there are
+// none (so that a read has the whole buffer), and growing it if the
+// whole buffer cannot hold n.
 func (fr *frameReader) fill(n int) error {
 	if fr.end-fr.start >= n {
 		return nil
 	}
-	if len(fr.block)-fr.start < n {
-		block := make([]byte, blockSize)
-		fr.end = copy(block, fr.block[fr.start:fr.end])
-		fr.block, fr.start = block, 0
+	if len(fr.buf)-fr.start < n || fr.start == fr.end {
+		buf := fr.buf
+		if len(buf) < n {
+			buf = make([]byte, max(n, min(2*len(buf), maxFrame), readBuffer))
+		}
+		fr.end = copy(buf, fr.buf[fr.start:fr.end])
+		fr.buf, fr.start = buf, 0
 	}
 	for fr.end-fr.start < n {
-		m, err := fr.r.Read(fr.block[fr.end:])
+		m, err := fr.r.Read(fr.buf[fr.end:])
 		fr.end += m
 		if err != nil && fr.end-fr.start < n {
 			return err

@@ -13,7 +13,10 @@ import internal "govents/internal/netsim"
 // govents.Open's WithTransport accepts any implementation.
 type Transport = internal.Transport
 
-// Handler processes an inbound message.
+// Handler processes an inbound message. The payload is valid for the
+// call only: a transport reuses its buffer once the handler returns, so
+// a handler copies whatever it keeps. The simulated network writes
+// poison over each delivered payload when its handler returns.
 type Handler = internal.Handler
 
 // Config controls the fault model of a simulated Network.
