@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govents"
+	"govents/internal/clock"
 	"govents/netsim"
 	"govents/obvent"
 )
@@ -18,7 +19,13 @@ import (
 // moving one event from Publish at the first to the handler: 5000 events
 // after 500 to warm groups, plans, scratch, framing buffers and indexes,
 // paced with a handful in flight, as an open loop below capacity has, so
-// that no event waits for a timer.
+// that no event waits for a timer. The domains run on a fake clock, which
+// moves one timer period (a quarter of the default 20 ms
+// RetransmitInterval) after each batch of pinBatch events has landed:
+// whether an acknowledgement beats a retransmission is the protocol's
+// business, not the machine's load. A batch is four acknowledgements'
+// worth (ackEvery, 16), fewer events than a real period passes under
+// this loop on an unloaded machine (about 185).
 func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	subscribe func(d *govents.Domain, got *atomic.Int64) error,
 	publish func(d *govents.Domain, seq int64) error) (r pinReading) {
@@ -29,6 +36,7 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	ctx := context.Background()
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
+	clk := clock.NewFake(time.Unix(0, 0))
 	addrs := []string{"node-0", "node-1"}
 	domains := make([]*govents.Domain, len(addrs))
 	for i, addr := range addrs {
@@ -37,6 +45,7 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 			t.Fatal(err)
 		}
 		d, err := govents.Open(ctx, addr, append(opts(),
+			govents.WithClock(clk),
 			govents.WithTransport(ep),
 			govents.WithPeers(addrs...),
 			govents.WithTelemetry(false))...)
@@ -62,7 +71,11 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 			if err := publish(domains[0], seq); err != nil {
 				t.Fatal(err)
 			}
-			seq++
+			if seq++; seq%pinBatch == 0 {
+				net.Settle()
+				clk.Advance(pinPeriod)
+				r.periods++
+			}
 		}
 		waitFor(t, "every event handled", func() bool { return got.Load() == seq })
 		net.Settle() // the acknowledgements too
@@ -70,11 +83,12 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	run(500)
 
 	var before, after runtime.MemStats
-	pub0, sub0, start := domains[0].DurableStats(), domains[1].DurableStats(), time.Now()
+	pub0, sub0 := domains[0].DurableStats(), domains[1].DurableStats()
+	r.periods = 0
 	runtime.ReadMemStats(&before)
 	run(pinEvents)
 	runtime.ReadMemStats(&after)
-	r.took, r.pub, r.sub = time.Since(start), domains[0].DurableStats(), domains[1].DurableStats()
+	r.pub, r.sub = domains[0].DurableStats(), domains[1].DurableStats()
 	r.pub.Appends -= pub0.Appends
 	r.sub.Staged, r.sub.StageDups = r.sub.Staged-sub0.Staged, r.sub.StageDups-sub0.StageDups
 	r.bytes = float64(after.TotalAlloc-before.TotalAlloc) / pinEvents
@@ -83,15 +97,21 @@ func allocsPerEvent(t *testing.T, opts func() []govents.Option,
 	return r
 }
 
-// pinEvents is how many events allocsPerEvent measures over.
-const pinEvents = 5000
+// pinEvents is how many events allocsPerEvent measures over, pinBatch
+// how many it publishes per timer period, and pinPeriod that period.
+const (
+	pinEvents = 5000
+	pinBatch  = 64
+	pinPeriod = 5 * time.Millisecond
+)
 
-// pinReading is what they cost per event, how long they took, and what
-// they added to the durability counters of the publisher (Appends) and
-// the subscriber (Staged, StageDups).
+// pinReading is what they cost per event, how many timer periods the
+// fake clock moved over them, and what they added to the durability
+// counters of the publisher (Appends) and the subscriber (Staged,
+// StageDups).
 type pinReading struct {
 	bytes, allocs float64
-	took          time.Duration
+	periods       int
 	pub, sub      govents.DurableStats
 }
 
@@ -110,9 +130,8 @@ type pinReading struct {
 // buffer goes back to the pool (2.75 KB, 10.5), and a tenth. The steady
 // state it measures resends nothing, and the
 // publisher's meta log takes a record per acknowledgement, of which the
-// subscriber sends one per ackEvery (16) events and one per timer period
-// (a quarter of the default 20 ms RetransmitInterval), where it took
-// 5000.
+// subscriber sends one per ackEvery (16) events and one per timer period,
+// where it took 5000.
 func TestCertifiedDurableAllocsPerEvent(t *testing.T) {
 	ctx := context.Background()
 	pad := make([]byte, 1024)
@@ -133,7 +152,7 @@ func TestCertifiedDurableAllocsPerEvent(t *testing.T) {
 	if r.sub.Staged != pinEvents || r.sub.StageDups != 0 {
 		t.Errorf("the subscriber staged %d events and suppressed %d redeliveries of %d published, want each sent once", r.sub.Staged, r.sub.StageDups, pinEvents)
 	}
-	records, periods := int(r.pub.Appends)-pinEvents, int(r.took/(5*time.Millisecond))+1
+	records, periods := int(r.pub.Appends)-pinEvents, r.periods
 	t.Logf("%d acknowledgement records in the publisher's meta log over %d timer periods", records, periods)
 	if limit := pinEvents/8 + periods; records > limit {
 		t.Errorf("the publisher's meta log took %d acknowledgement records for %d events over %d timer periods, want <= %d", records, pinEvents, periods, limit)

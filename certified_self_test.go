@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"govents"
+	"govents/internal/clock"
 	"govents/internal/durable"
 	"govents/netsim"
 	"govents/obvent"
@@ -77,6 +78,7 @@ type selfNet struct {
 	net   *netsim.Network
 	addrs []string
 	opts  func(addr string) []govents.Option
+	clk   *clock.Fake // nil: the wall clock
 }
 
 func (sn *selfNet) open(addr string) (*govents.Domain, *selfTap) {
@@ -89,14 +91,29 @@ func (sn *selfNet) open(addr string) (*govents.Domain, *selfTap) {
 	opts := append([]govents.Option{
 		govents.WithTransport(tap),
 		govents.WithPeers(sn.addrs...),
-		govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
+		govents.WithTuning(govents.Tuning{RetransmitInterval: selfInterval}),
 	}, sn.opts(addr)...)
+	if sn.clk != nil {
+		opts = append(opts, govents.WithClock(sn.clk))
+	}
 	d, err := govents.Open(context.Background(), addr, opts...)
 	if err != nil {
 		sn.t.Fatal(err)
 	}
 	sn.t.Cleanup(func() { _ = d.Close(context.Background()) })
 	return d, tap
+}
+
+// selfInterval is the RetransmitInterval of selfNet's domains.
+const selfInterval = 5 * time.Millisecond
+
+// advance moves sn's fake clock d a timer period (a quarter of
+// selfInterval) at a time, and lets the network settle after each.
+func (sn *selfNet) advance(d time.Duration) {
+	for range d / (selfInterval / 4) {
+		sn.clk.Advance(selfInterval / 4)
+		sn.net.Settle()
+	}
 }
 
 // exactlyOnce fails unless r holds each of seq 0..n-1 of pub once and
@@ -294,7 +311,10 @@ func TestSelfSubscribedDurablePublisher(t *testing.T) {
 // acknowledges under both: each handler sees each event once, neither
 // identity stays owed anything, and once nothing is owed nothing is sent
 // again. The node used to acknowledge under one identity only, so the
-// other's whole backlog came back every redelivery tick, for ever.
+// other's whole backlog came back every redelivery tick, for ever. The
+// domains run on a fake clock that moves a timer period after each batch
+// of events has landed, so that whether an acknowledgement beats a
+// retransmission is the protocol's business, not the machine's load.
 func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 	ctx := context.Background()
 	root := t.TempDir()
@@ -305,6 +325,7 @@ func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 		opts: func(addr string) []govents.Option {
 			return []govents.Option{govents.WithDurability(filepath.Join(root, addr))}
 		},
+		clk: clock.NewFake(time.Unix(0, 0)),
 	}
 	defer sn.net.Close()
 	d0, tap0 := sn.open("node-0")
@@ -318,13 +339,16 @@ func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 	}
 	waitFor(t, "both ads at node-0", func() bool { return d0.RemoteSubscriptionCount() >= 2 })
 
-	const events = 200
+	const events, batch = 200, 10
 	var keys []string
 	for i := 0; i < events; i++ {
 		if err := d0.Publish(ctx, chaosTick{Pub: "node-0", Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, tickKey("node-0", i))
+		if (i+1)%batch == 0 {
+			sn.advance(selfInterval / 4)
+		}
 	}
 	waitFor(t, "every event at both handlers", func() bool { return seen[0].hasAll(keys) && seen[1].hasAll(keys) })
 	// Everything is acknowledged once a whole redelivery interval sends
@@ -340,12 +364,10 @@ func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 	}
 	waitFor(t, "the publisher to fall silent", func() bool {
 		before := dataFrames()
-		time.Sleep(15 * time.Millisecond) // three intervals
+		sn.advance(3 * selfInterval)
 		return dataFrames() == before
 	})
-	// A 5 ms interval resends what a loaded machine has not staged yet:
-	// that is a few frames per event, where a backlog that keeps coming
-	// back is 200 frames per tick.
+	// A backlog that keeps coming back is 200 frames per interval.
 	if n := dataFrames(); n > 10*events {
 		t.Errorf("%d data frames for %d events to one node", n, events)
 	}

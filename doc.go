@@ -395,6 +395,18 @@
 // traffic in flight and the peers they have met, and none per message
 // delivered.
 //
+// A group's links share one timer, and it runs only from the first
+// frame or acknowledgement they owe until they owe nothing: the period
+// after the last acknowledgement ends the run, and the next frame queued
+// or received starts a new one, which counts as a new timer period (an
+// idle stretch passes as the periods it lasted would have). So an
+// acknowledgement is still at most a quarter interval late, a lone frame
+// after a quiet spell is still answered at once, and an idle class costs
+// no timer wake-up and no goroutine (an idle domain wakes only for the
+// AdTTL heartbeat and the retention pass, when those are set). A node's
+// timers, its causal flushes, its heartbeat and its retention pass run
+// on one clock, which its tests can move by hand.
+//
 // The multiplexer names each frame's stream, a channel's name such as
 // dace/fifo/<class>, by its key: the name's 32-bit FNV-1a hash, which
 // each group computes once. A group with an incarnation (every reliable
@@ -530,10 +542,11 @@
 // which the sequencer's broadcasts took their place on its links.
 // Causal order needs one thing more. A pruned node misses the
 // publisher's clock tick, and a third party's event that causally
-// follows the pruned one would wait there forever, so on its
-// retransmission tick a causal publisher sends the members it did not
-// send its latest tick a payload-less marker carrying its clock, which
-// the receiver merges without a delivery. Pruning fails open — an unevaluable event or unknown
+// follows the pruned one would wait there forever, so a causal
+// publisher, a RetransmitInterval after a publication that left a member
+// behind, sends the members it did not send its latest tick a
+// payload-less marker carrying its clock, which the receiver merges
+// without a delivery. Pruning fails open — an unevaluable event or unknown
 // node counts as interested — and preserves each class's ordering
 // contract exactly; it is always on. RoutingStats reports the saved
 // traffic as PrunedSends, and the causal clock markers as SkipFrames.
@@ -626,10 +639,11 @@
 // acknowledgement records, an inbox up to 3 staged events and 5
 // acknowledgements. A lost acknowledgement costs a redelivery; a lost
 // entry, or a staged event already acknowledged, is not sent again.
-// DurabilityTuning.Retention schedules that compaction on a
-// jittered background ticker instead — reclaiming only behind the
-// slowest consumer frontier, never a record still owed to a durable
-// identity — and DurableStats reports the reclaimed bytes and records.
+// DurabilityTuning.Retention schedules that compaction on a jittered
+// timer instead, on the node's one clock, which also runs its links'
+// timers — reclaiming only behind the slowest consumer frontier, never
+// a record still owed to a durable identity — and DurableStats reports
+// the reclaimed bytes and records.
 //
 // SubscribeDurable is the paper's activate(long id): the subscription
 // is owned by the durable identity, not the process. A new incarnation

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"govents/internal/clock"
 	"govents/internal/core"
 	"govents/internal/dace"
 	"govents/internal/durable"
@@ -84,11 +85,9 @@ type Domain struct {
 	rmiRT   *rmi.Runtime
 	metrics *metricsServer // nil unless WithMetricsAddr
 
-	// Retention ticker lifecycle (nil unless DurabilityTuning.Retention
-	// set an interval): closing retainStop stops the ticker goroutine,
-	// which closes retainDone on exit.
-	retainStop chan struct{}
-	retainDone chan struct{}
+	// retain is the retention pass (never armed unless
+	// DurabilityTuning.Retention set an interval).
+	retain clock.Job
 
 	mu        sync.Mutex
 	ts        *tuplespace.Space
@@ -237,7 +236,7 @@ func Open(ctx context.Context, name string, opts ...Option) (*Domain, error) {
 		d.metrics = ms
 	}
 	if d.dur != nil && cfg.durTuning.Retention.Interval > 0 {
-		d.startRetention(cfg.durTuning.Retention)
+		d.startRetention(cfg.durTuning.Retention, cfg.clock)
 	}
 	return d, nil
 }
@@ -450,12 +449,9 @@ func (d *Domain) Close(ctx context.Context) error {
 			if d.metrics != nil {
 				d.metrics.close() // stop scrapes before state goes down
 			}
-			if d.retainStop != nil {
-				// Stop the retention ticker before the durable logs
-				// close underneath its compaction pass.
-				close(d.retainStop)
-				<-d.retainDone
-			}
+			// Stop the retention pass before the durable logs close
+			// underneath it.
+			d.retain.Stop()
 			err := d.eng.Close() // drains handlers, closes the disseminator
 			if d.dur != nil {
 				// After the engine: in-flight certified deliveries may

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"govents/internal/accessor"
+	"govents/internal/clock"
 	"govents/internal/codec"
 	"govents/internal/core"
 	"govents/internal/obvent"
@@ -202,35 +203,30 @@ func (d *Domain) releaseDurable(classes []string, durableID string) {
 	}
 }
 
-// startRetention launches the background retention ticker
-// (DurabilityTuning.Retention): every Interval ± 10% jitter it runs the
+// startRetention arms the retention timer (DurabilityTuning.Retention)
+// on clk (nil: the wall clock): every Interval ± 10% jitter it runs the
 // same snapshot+compact pass as CompactDurable — outbox GC up to the
 // consumer frontier, inbox compaction behind every cursor — so durable
 // disk usage is reclaimed without manual calls. The jitter
-// decorrelates a fleet of domains restarted together. Close
-// stops the ticker before the durable logs shut down.
-func (d *Domain) startRetention(p RetentionPolicy) {
-	d.retainStop = make(chan struct{})
-	d.retainDone = make(chan struct{})
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	go func() {
-		defer close(d.retainDone)
-		for {
-			wait := p.Interval
-			if j := int64(p.Interval / 10); j > 0 {
-				wait += time.Duration(rng.Int63n(2*j+1) - j)
-			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-d.retainStop:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			if err := d.dur.Compact(); err != nil {
-				d.log.Warn("govents: retention compaction failed; will retry next tick",
-					"domain", d.name, "err", err)
-			}
+// decorrelates a fleet of domains restarted together. Close stops the
+// timer before the durable logs shut down.
+func (d *Domain) startRetention(p RetentionPolicy, clk clock.Clock) {
+	if clk == nil {
+		clk = clock.Real{}
+	}
+	rng := rand.New(rand.NewSource(time.Now().UnixNano())) // used by one pass at a time
+	wait := func() time.Duration {
+		if j := int64(p.Interval / 10); j > 0 {
+			return p.Interval + time.Duration(rng.Int63n(2*j+1)-j)
 		}
-	}()
+		return p.Interval
+	}
+	d.retain.Init(clk, func() {
+		if err := d.dur.Compact(); err != nil {
+			d.log.Warn("govents: retention compaction failed; will retry next tick",
+				"domain", d.name, "err", err)
+		}
+		d.retain.Reset(wait())
+	})
+	d.retain.Reset(wait())
 }

@@ -67,6 +67,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/codec"
 	"govents/internal/core"
 	"govents/internal/durable"
@@ -133,6 +134,10 @@ type Config struct {
 	// path (undecodable data frames, rejected advertisements). Default:
 	// discard.
 	Logger *slog.Logger
+	// Clock is the node's one clock: the multicast groups' timers (it
+	// replaces Multicast.Clock), the heartbeat and the silence AdTTL
+	// measures run on it. Nil means the wall clock.
+	Clock clock.Clock
 }
 
 // Node is a DACE process: it owns the dissemination channels of one
@@ -185,10 +190,8 @@ type Node struct {
 	certMu  sync.Mutex
 	certGen atomic.Uint64
 
-	// hbStop ends the ad-TTL heartbeat goroutine (nil when AdTTL is
-	// unset); hbWG waits it out on Close.
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
+	// hb is the ad-TTL heartbeat (never armed when AdTTL is unset).
+	hb clock.Job
 
 	// destBuf pools destination scratch so routing a publication does
 	// not allocate per event.
@@ -208,6 +211,10 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 	if cfg.Placement == 0 {
 		cfg.Placement = AtSubscriber
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
+	}
+	cfg.Multicast.Clock = cfg.Clock
 	mux := multicast.NewMux(tr)
 	n := &Node{
 		mux:     mux,
@@ -238,16 +245,15 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 	n.control = multicast.NewReliable(mux, "dace/ctrl", n.onControl, cfg.Multicast)
 	mux.SetFallback(n.onUnknownStream)
 	if cfg.AdTTL > 0 {
-		n.routes.SetAdTTL(cfg.AdTTL)
-		n.hbStop = make(chan struct{})
-		n.hbWG.Add(1)
-		go n.heartbeatLoop(cfg.AdTTL)
+		n.routes.SetAdTTL(cfg.AdTTL, cfg.Clock)
+		n.hb.Init(cfg.Clock, n.heartbeat)
+		n.hb.Reset(n.heartbeatPeriod())
 	}
 	if cfg.Durable != nil {
 		// Recovered certified classes resume retransmission immediately:
 		// a restarted publisher owes its durable subscribers the pending
 		// outbox backlog even if it never publishes again, so the groups
-		// (and their redelivery tickers) must not wait for traffic.
+		// (and their links' timers) must not wait for traffic.
 		for _, class := range cfg.Durable.Classes() {
 			n.group("cert", class)
 		}
@@ -255,31 +261,27 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 	return n
 }
 
-// heartbeatLoop re-advertises this node's subscription state several
-// times per TTL (so peers never expire a live node) and expires peers
-// silent past the TTL. Heartbeat ads that change nothing are applied by
-// receivers as liveness refreshes without invalidating compiled plans.
-// Expired peers also leave the multicast memberships, so the reliable
-// protocols' retransmission loops stop resending to dead destinations.
-func (n *Node) heartbeatLoop(ttl time.Duration) {
-	defer n.hbWG.Done()
-	period := ttl / 3
-	if period <= 0 {
-		period = time.Millisecond
+// heartbeat re-advertises this node's subscription state, several
+// times per TTL (so peers never expire a live node), expires peers
+// silent past the TTL, and re-arms its timer. Heartbeat ads that change
+// nothing are applied by receivers as liveness refreshes without
+// invalidating compiled plans. Expired peers also leave the multicast
+// memberships, so the reliable protocols stop resending to dead
+// destinations.
+func (n *Node) heartbeat() {
+	n.advertise(nil, nil, false)
+	if expired := n.routes.ExpireSilent(n.self); len(expired) > 0 {
+		n.dropPeers(expired)
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.hbStop:
-			return
-		case <-tick.C:
-			n.advertise(nil, nil, false)
-			if expired := n.routes.ExpireSilent(n.self); len(expired) > 0 {
-				n.dropPeers(expired)
-			}
-		}
+	n.hb.Reset(n.heartbeatPeriod())
+}
+
+// heartbeatPeriod is a third of the TTL.
+func (n *Node) heartbeatPeriod() time.Duration {
+	if p := n.cfg.AdTTL / 3; p > 0 {
+		return p
 	}
+	return time.Millisecond
 }
 
 // dropPeers removes TTL-expired nodes from the domain membership
@@ -369,15 +371,12 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	if n.hbStop != nil {
-		close(n.hbStop)
-	}
 	groups := make([]multicast.Group, 0, len(n.groups))
 	for _, g := range n.groups {
 		groups = append(groups, g)
 	}
 	n.mu.Unlock()
-	n.hbWG.Wait()
+	n.hb.Stop()
 	for _, g := range groups {
 		_ = g.Close()
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/core"
 	"govents/internal/durable"
 	"govents/internal/filter"
@@ -73,6 +74,13 @@ func registerAll(reg *obvent.Registry) {
 
 func fastCfg() Config {
 	return Config{Multicast: multicast.Options{RetransmitInterval: 5 * time.Millisecond}}
+}
+
+// fakeCfg is fastCfg on a fake clock, which the test moves.
+func fakeCfg() (Config, *clock.Fake) {
+	cfg, clk := fastCfg(), clock.NewFake(time.Unix(0, 0))
+	cfg.Clock = clk
+	return cfg, clk
 }
 
 // newDomain builds n connected nodes with engines over a fresh netsim.

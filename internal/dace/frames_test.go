@@ -274,6 +274,7 @@ func TestUnframeablePublicationIsDeliveredLocally(t *testing.T) {
 		t.Run(fmt.Sprintf("domain of %d", size), func(t *testing.T) {
 			net := netsim.New(netsim.Config{})
 			defer net.Close()
+			cfg, clk := fakeCfg()
 			fifoClass := className[padFIFO]()
 			var peers []string
 			var taps []*sendTap
@@ -287,7 +288,7 @@ func TestUnframeablePublicationIsDeliveredLocally(t *testing.T) {
 				tap := &sendTap{Transport: ep, streams: map[uint32]bool{streamKey(streamName("fifo", fifoClass)): true}}
 				reg := obvent.NewRegistry()
 				reg.MustRegister(padFIFO{})
-				dn := NewNode(tap, reg, fastCfg())
+				dn := NewNode(tap, reg, cfg)
 				eng := core.NewEngine(addr, dn, core.WithRegistry(reg))
 				defer eng.Close()
 				peers, taps = append(peers, addr), append(taps, tap)
@@ -309,7 +310,7 @@ func TestUnframeablePublicationIsDeliveredLocally(t *testing.T) {
 				t.Fatalf("publish of a 17 MiB event with a local subscriber only: %v", err)
 			}
 			waitFor(t, 5*time.Second, "the local delivery", func() bool { return got.Load() == int64(len(huge)) })
-			time.Sleep(10 * fastCfg().Multicast.RetransmitInterval) // ticks, which would send anything owed
+			clk.Advance(10 * cfg.Multicast.RetransmitInterval) // ticks, which would send anything owed
 			if n := nodes[0].node.group("fifo", fifoClass).(*multicast.FIFO).Outstanding(); n != 0 {
 				t.Errorf("the FIFO group owes %d broadcasts, want 0", n)
 			}
@@ -367,11 +368,12 @@ func streamKey(name string) uint32 {
 // to anyone, and no frame of either class follows on any retransmission
 // or redelivery tick.
 func TestUnframeablePublicationIsRefused(t *testing.T) {
+	cfg, clk := fakeCfg()
 	open := func(tr netsim.Transport) *testNode {
 		reg := obvent.NewRegistry()
 		reg.MustRegister(padFIFO{})
 		reg.MustRegister(padCert{})
-		dn := NewNode(tr, reg, fastCfg())
+		dn := NewNode(tr, reg, cfg)
 		eng := core.NewEngine(tr.Addr(), dn, core.WithRegistry(reg))
 		t.Cleanup(func() { _ = eng.Close() })
 		return &testNode{node: dn, engine: eng}
@@ -413,7 +415,7 @@ func TestUnframeablePublicationIsRefused(t *testing.T) {
 			t.Errorf("publish of a 17 MiB %T: %v, want ErrCannotPublish for a frame too large", o, err)
 		}
 	}
-	time.Sleep(20 * multicast.DefaultRetransmitInterval) // ticks, which would resend anything owed
+	clk.Advance(20 * cfg.Multicast.RetransmitInterval) // ticks, which would resend anything owed
 	if n := pub.node.group("fifo", fifoClass).(*multicast.FIFO).Outstanding(); n != 0 {
 		t.Errorf("the FIFO group owes %d broadcasts, want 0", n)
 	}

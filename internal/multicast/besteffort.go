@@ -1,6 +1,9 @@
 package multicast
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BestEffort is the weakest dissemination protocol: a unicast fanout with
 // no acknowledgements, retransmissions, or ordering. It models the
@@ -13,7 +16,7 @@ type BestEffort struct {
 
 	upcall  *releaseList
 	members membership
-	lc      *lifecycle
+	closed  atomic.Bool
 }
 
 var _ Group = (*BestEffort)(nil)
@@ -24,7 +27,6 @@ func NewBestEffort(mux *Mux, stream string, deliver Deliver) *BestEffort {
 		mux:    mux,
 		stream: newStream(stream, 0),
 		self:   mux.Addr(),
-		lc:     newLifecycle(),
 		upcall: newReleaseList(deliver),
 	}
 	mux.open(g.stream, g.onMessage)
@@ -46,7 +48,7 @@ func (g *BestEffort) Broadcast(payload []byte) error {
 // include the local node). It supports publisher-side filtering, where
 // the sender prunes destinations per message (paper §2.3.2).
 func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
-	if g.lc.closed() {
+	if g.closed.Load() {
 		return fmt.Errorf("multicast: besteffort %s: closed", g.stream)
 	}
 	// The record carries nothing but the payload: there is no relay, so
@@ -69,7 +71,7 @@ func (g *BestEffort) BroadcastTo(dests []string, payload []byte) error {
 // Close implements Group.
 func (g *BestEffort) Close() error {
 	g.mux.close(g.stream)
-	g.lc.close()
+	g.closed.Store(true)
 	g.upcall.close()
 	return nil
 }

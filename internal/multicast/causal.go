@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"govents/internal/chunk"
+	"govents/internal/clock"
 	"govents/internal/vclock"
 )
 
@@ -22,7 +23,9 @@ import (
 // publisher's tick, which would block a third party's causal successor
 // there forever, so destinations that were not sent the latest tick get
 // a payload-less marker carrying the publisher's clock on the next
-// flush; consuming one merges that clock without an upcall. Skipping is
+// flush, a RetransmitInterval after the publication that left one behind
+// (the flush timer runs only then); consuming one merges that clock
+// without an upcall. Skipping is
 // sound because causal order only constrains the events a node actually
 // delivers, and a skipped event's causal successors still wait for the
 // clock advance the marker carries.
@@ -30,9 +33,10 @@ type Causal struct {
 	inner   *Reliable
 	self    string
 	deliver Deliver
-	lc      *lifecycle
+	flushes clock.Job // armed while a member is behind the clock
 
 	mu       sync.Mutex
+	armed    bool // flushes is armed, or flush is running
 	clock    vclock.VC
 	lastVC   vclock.VC         // clock of the latest publication (the marker's body)
 	sent     map[string]uint64 // destination -> latest own tick shipped to it
@@ -59,12 +63,11 @@ func NewCausal(mux *Mux, stream string, deliver Deliver, opts Options) *Causal {
 	g := &Causal{
 		self:    mux.Addr(),
 		deliver: deliver,
-		lc:      newLifecycle(),
 		clock:   vclock.New(),
 		sent:    make(map[string]uint64),
 	}
+	g.flushes.Init(opts.Clock, g.flush)
 	g.inner = NewReliable(mux, stream, g.onInner, opts)
-	g.lc.goTick(opts.RetransmitInterval, g.flush)
 	return g
 }
 
@@ -77,7 +80,20 @@ func (g *Causal) SetMembers(members []string) {
 			delete(g.sent, d)
 		}
 	}
+	g.armLocked()
 	g.mu.Unlock()
+}
+
+// armLocked starts the idle flush timer if a member other than this
+// node was not sent the latest tick. Caller holds mu.
+func (g *Causal) armLocked() {
+	tick := g.clock.Get(g.self)
+	for _, d := range g.inner.members.snapshot() {
+		if !g.armed && d != g.self && g.sent[d] < tick {
+			g.armed = true
+			g.flushes.Reset(g.inner.opts.RetransmitInterval)
+		}
+	}
 }
 
 // SetPruneObserver installs the pruning-counters sink.
@@ -119,6 +135,7 @@ func (g *Causal) BroadcastSplit(sends []Send) error {
 		}
 	}
 	frames, run, err := g.inner.stamp(g.self, framed, few[:0])
+	g.armLocked()
 	g.mu.Unlock()
 	g.inner.transmit(frames)
 	if run {
@@ -131,7 +148,8 @@ func (g *Causal) BroadcastSplit(sends []Send) error {
 // latest tick. Without it a pruned tick could block a causal successor
 // at another node forever (the successor's clock references a tick its
 // holder never sees data for). A marker overtaken by a later tick's
-// data is harmless: merging a clock never moves it back.
+// data is harmless: merging a clock never moves it back. It leaves the
+// timer idle: every member is sent the latest tick.
 func (g *Causal) flush() {
 	var lagging []string
 	g.mu.Lock()
@@ -142,6 +160,7 @@ func (g *Causal) flush() {
 			lagging = append(lagging, d)
 		}
 	}
+	g.armed = false
 	g.mu.Unlock()
 	if len(lagging) == 0 {
 		return
@@ -158,7 +177,7 @@ func (g *Causal) flush() {
 
 // Close implements Group.
 func (g *Causal) Close() error {
-	g.lc.close()
+	g.flushes.Stop()
 	return g.inner.Close()
 }
 

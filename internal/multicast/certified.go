@@ -189,7 +189,7 @@ func (g *Certified) Broadcast(payload []byte) error {
 // link of every subscribed address; the outbox and the links copy what
 // they keep, so the caller may reuse payload once the call returns.
 func (g *Certified) BroadcastWithID(id string, payload []byte) error {
-	if g.lc.closed() {
+	if g.timer.Stopped() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
 	// No Origin on the frame: there is no relay. The frame is checked at

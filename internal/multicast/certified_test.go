@@ -205,11 +205,12 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 				in = stager
 			}
 			refused := &refusals{}
-			opts := fastOpts()
+			subOpts, clk := fakeOpts()
+			opts := subOpts
 			opts.Logger = slog.New(refused)
 			gp := NewCertified(pub.mux, "cls", log, in, pub.record, opts)
 			defer gp.Close()
-			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, fastOpts())
+			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, subOpts)
 			gs.SetDurableIDs([]string{"tenant"})
 			defer gs.Close()
 			err := gp.SetSubscribers([]CertSubscriber{
@@ -226,9 +227,9 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, 10*time.Second, "delivery at both", func() bool { return pub.count() >= msgs && sub.count() >= msgs })
-			waitFor(t, 10*time.Second, "outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
-			time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+			advanceUntil(t, net, clk, "delivery at both", func() bool { return pub.count() >= msgs && sub.count() >= msgs })
+			advanceUntil(t, net, clk, "outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
+			advance(net, clk, 4*opts.RetransmitInterval) // a redelivery would land by now
 			if pub.count() != msgs || sub.count() != msgs {
 				t.Errorf("delivered %d here and %d there, want exactly %d each", pub.count(), sub.count(), msgs)
 			}
@@ -254,8 +255,8 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 	}
 }
 
-// TestCertifiedRedeliveryWaitsAFullInterval drives the link's timer by
-// hand against a subscriber that never acknowledges, a RetransmitInterval
+// TestCertifiedRedeliveryWaitsAFullInterval moves the link's clock
+// against a subscriber that never acknowledges, a RetransmitInterval
 // (ticksPerInterval periods) at a time: an interval resends what has
 // been out for a whole one, not what left since the one before.
 func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
@@ -263,17 +264,13 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	defer net.Close()
 	pub, tap := newTapNode(t, net, "pub")
 	newTestNode(t, net, "sub")
-	gp := NewCertified(pub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), pub.record,
-		Options{RetransmitInterval: time.Hour}) // the timer never fires: the test is the timer
+	opts, clk := fakeOpts()
+	gp := NewCertified(pub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), pub.record, opts)
 	defer gp.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant", Addr: "sub"}}); err != nil {
 		t.Fatal(err)
 	}
-	redeliver := func() {
-		for i := 0; i < ticksPerInterval; i++ {
-			gp.tick()
-		}
-	}
+	redeliver := func() { clk.Advance(opts.RetransmitInterval) }
 	step := func(what string, do func(), want int) {
 		t.Helper()
 		do()
@@ -297,14 +294,14 @@ func TestCertifiedRedeliveryWaitsAFullInterval(t *testing.T) {
 	step("one more interval (m1, m2)", redeliver, 8)
 }
 
-// TestCertifiedRunAcksUnderLoss drives both timers by hand over a
-// network that loses and duplicates frames, data and acknowledgements
-// alike: every event is delivered once and the outbox drains; the
-// subscriber acknowledges in batches (an acknowledgement per ackEvery
-// frames received, which duplication makes at most two per ackEvery
-// sent, and one per timer period); and the publisher resends only what
-// it has no acknowledgement of, which is at most what the lost frames
-// carried or named.
+// TestCertifiedRunAcksUnderLoss moves both timers' clock a period at a
+// time over a network that loses and duplicates frames, data and
+// acknowledgements alike: every event is delivered once and the outbox
+// drains; the subscriber acknowledges in batches (an acknowledgement per
+// ackEvery frames received, which duplication makes at most two per
+// ackEvery sent, and one per timer period); and the publisher resends
+// only what it has no acknowledgement of, which is at most what the lost
+// frames carried or named.
 func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 	for _, seed := range []int64{3, 11, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -319,10 +316,12 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 					resentAcked.Add(1)
 				}
 			}
-			opts := Options{RetransmitInterval: time.Hour} // the timers never fire: the test is the timers
-			gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, opts)
+			// A clock per node: the subscriber's moves first in a period.
+			pubOpts, pubClk := fakeOpts()
+			subOpts, subClk := fakeOpts()
+			gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, pubOpts)
 			defer gp.Close()
-			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, opts)
+			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, subOpts)
 			defer gs.Close()
 			if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
 				t.Fatal(err)
@@ -332,9 +331,9 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 			periods := 0
 			period := func() { // acknowledgements first, so that a redelivery finds them booked
 				periods++
-				gs.tick()
+				subClk.Advance(fakePeriod)
 				net.Settle()
-				gp.tick()
+				pubClk.Advance(fakePeriod)
 				net.Settle()
 			}
 			for r := 0; r < rounds; r++ {
@@ -451,11 +450,12 @@ func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
 	pub := newTestNode(t, net, "pub")
 	sub := newTestNode(t, net, "sub")
 	pubLog, pubDedup := durable.NewMemOutbox(), durable.NewMemInbox()
-	gp := NewCertified(pub.mux, "cls", pubLog, pubDedup, pub.record, fastOpts())
+	opts, clk := fakeOpts()
+	gp := NewCertified(pub.mux, "cls", pubLog, pubDedup, pub.record, opts)
 	defer gp.Close()
 	var atSub atomic.Int64
 	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(),
-		func(string, []byte) { atSub.Add(1) }, fastOpts())
+		func(string, []byte) { atSub.Add(1) }, opts)
 	defer gs.Close()
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
 		t.Fatal(err)
@@ -473,11 +473,11 @@ func TestCertifiedPublisherStateBoundedByInFlight(t *testing.T) {
 	}
 	// Nobody calls GC: the outbox retires an entry at the acknowledgement
 	// that completes it.
-	waitFor(t, 30*time.Second, "all delivered and acknowledged", func() bool {
+	advanceUntil(t, net, clk, "all delivered and acknowledged", func() bool {
 		return atSub.Load() >= total && pubLog.Len() == 0
 	})
-	time.Sleep(4 * fastOpts().RetransmitInterval) // two ticks empty the set of the recently sent
-	gp.Close()                                    // the timer stops: the state can be read
+	advance(net, clk, 4*opts.RetransmitInterval) // two ticks empty the set of the recently sent
+	gp.Close()                                   // the timer stops: the state can be read
 
 	if n := pubDedup.Stats().Staged; n != 0 {
 		t.Errorf("publisher's delivered set holds %d IDs after %d events it never delivered", n, total)
@@ -522,7 +522,8 @@ func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
 	}
 	gate := &ackGate{Transport: ep}
 	sub := &testNode{mux: NewMux(gate)}
-	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, fastOpts())
+	opts, clk := fakeOpts()
+	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, opts)
 	defer gs.Close()
 	dir := t.TempDir()
 	var want []string
@@ -532,7 +533,7 @@ func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, fastOpts())
+		gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, opts)
 		if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
 			t.Fatal(err)
 		}
@@ -548,7 +549,7 @@ func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
 
 	gate.shut.Store(true)
 	gp, log := start()
-	waitFor(t, 15*time.Second, "the first incarnation's events", func() bool { return sub.count() >= len(want) })
+	advanceUntil(t, net, clk, "the first incarnation's events", func() bool { return sub.count() >= len(want) })
 	if err := gp.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -559,9 +560,9 @@ func TestCertifiedInOrderAcrossPublisherRestart(t *testing.T) {
 	gp, log = start()
 	defer log.Close()
 	defer gp.Close()
-	waitFor(t, 15*time.Second, "every event", func() bool { return sub.count() >= len(want) })
-	waitFor(t, 15*time.Second, "the outbox acknowledged and emptied", func() bool { return gp.OutboxLen() == 0 })
-	time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+	advanceUntil(t, net, clk, "every event", func() bool { return sub.count() >= len(want) })
+	advanceUntil(t, net, clk, "the outbox acknowledged and emptied", func() bool { return gp.OutboxLen() == 0 })
+	advance(net, clk, 4*opts.RetransmitInterval) // a redelivery would land by now
 	if got := sub.payloads(); !slices.Equal(got, want) {
 		t.Errorf("delivered %d events, want each of %d once and in publish order; first out of place at %d",
 			len(got), len(want), firstDiff(got, want))
@@ -581,11 +582,12 @@ func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
 	pub, a, b := newTestNode(t, net, "pub"), newTestNode(t, net, "a"), newTestNode(t, net, "b")
 	newTestNode(t, net, "away") // reachable, runs no group: it never acknowledges
 	log := durable.NewMemOutbox()
-	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, fastOpts())
+	opts, clk := fakeOpts()
+	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, opts)
 	defer gp.Close()
-	ga := NewCertified(a.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), a.record, fastOpts())
+	ga := NewCertified(a.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), a.record, opts)
 	defer ga.Close()
-	gb := NewCertified(b.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), b.record, fastOpts())
+	gb := NewCertified(b.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), b.record, opts)
 	defer gb.Close()
 	ga.SetDurableIDs([]string{"y"})
 	gb.SetDurableIDs([]string{"y"})
@@ -613,14 +615,14 @@ func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
 
 	subscribe(CertSubscriber{"y", "a"}, CertSubscriber{"z", "away"})
 	publish(50)
-	waitFor(t, 10*time.Second, "y served at a", func() bool { return a.count() == 50 && owed("y") == 0 })
+	advanceUntil(t, net, clk, "y served at a", func() bool { return a.count() == 50 && owed("y") == 0 })
 	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "away"})
 	publish(10)
-	waitFor(t, 10*time.Second, "y served at b", func() bool { return b.count() == 10 && owed("y") == 0 })
+	advanceUntil(t, net, clk, "y served at b", func() bool { return b.count() == 10 && owed("y") == 0 })
 	gb.SetDurableIDs([]string{"y", "z"})
 	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "b"})
-	waitFor(t, 10*time.Second, "the outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
-	time.Sleep(4 * fastOpts().RetransmitInterval) // a redelivery would land by now
+	advanceUntil(t, net, clk, "the outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
+	advance(net, clk, 4*opts.RetransmitInterval) // a redelivery would land by now
 	got := b.payloads()
 	slices.Sort(got)
 	if !slices.Equal(got, want) {

@@ -119,29 +119,30 @@ func TestUnframeablePayloadIsDeliveredLocally(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		alone bool // the group's only member; else b is a member too
-		open  func(n *testNode) Group
+		open  func(n *testNode, opts Options) Group
 		send  func(g Group) error
 	}{
-		{"BestEffort", true, func(n *testNode) Group { return NewBestEffort(n.mux, "cls", n.record) }, nil},
-		{"Reliable", true, func(n *testNode) Group { return NewReliable(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"FIFO", true, func(n *testNode) Group { return NewFIFO(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"Causal", true, func(n *testNode) Group { return NewCausal(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"TotalSequencer", true, func(n *testNode) Group { return NewTotal(n.mux, "cls", "a", n.record, fastOpts()) }, nil},
-		{"BestEffortPruned", false, func(n *testNode) Group { return NewBestEffort(n.mux, "cls", n.record) },
+		{"BestEffort", true, func(n *testNode, opts Options) Group { return NewBestEffort(n.mux, "cls", n.record) }, nil},
+		{"Reliable", true, func(n *testNode, opts Options) Group { return NewReliable(n.mux, "cls", n.record, opts) }, nil},
+		{"FIFO", true, func(n *testNode, opts Options) Group { return NewFIFO(n.mux, "cls", n.record, opts) }, nil},
+		{"Causal", true, func(n *testNode, opts Options) Group { return NewCausal(n.mux, "cls", n.record, opts) }, nil},
+		{"TotalSequencer", true, func(n *testNode, opts Options) Group { return NewTotal(n.mux, "cls", "a", n.record, opts) }, nil},
+		{"BestEffortPruned", false, func(n *testNode, opts Options) Group { return NewBestEffort(n.mux, "cls", n.record) },
 			func(g Group) error { return g.(*BestEffort).BroadcastTo([]string{"a"}, huge) }},
-		{"ReliablePruned", false, func(n *testNode) Group { return NewReliable(n.mux, "cls", n.record, fastOpts()) },
+		{"ReliablePruned", false, func(n *testNode, opts Options) Group { return NewReliable(n.mux, "cls", n.record, opts) },
 			func(g Group) error { return g.(*Reliable).BroadcastTo([]string{"a"}, huge) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.New(netsim.Config{})
 			defer net.Close()
+			opts, clk := fakeOpts()
 			nodes := []*testNode{newTestNode(t, net, "a")}
 			if !tc.alone {
 				nodes = append(nodes, newTestNode(t, net, "b"))
 			}
 			groups := make([]Group, len(nodes))
 			for i, n := range nodes {
-				groups[i] = tc.open(n)
+				groups[i] = tc.open(n, opts)
 				groups[i].SetMembers(addrs(nodes))
 				defer groups[i].Close()
 			}
@@ -156,8 +157,7 @@ func TestUnframeablePayloadIsDeliveredLocally(t *testing.T) {
 			if p := nodes[0].payloads()[0]; len(p) != len(huge) {
 				t.Errorf("delivered %d bytes, want %d", len(p), len(huge))
 			}
-			time.Sleep(10 * fastOpts().RetransmitInterval) // ticks, which would send anything owed
-			net.Settle()
+			advance(net, clk, 10*opts.RetransmitInterval) // ticks, which would send anything owed
 			if sent, _, _, _ := net.Stats(); sent != 0 {
 				t.Errorf("%d frames sent, want none", sent)
 			}
@@ -175,20 +175,20 @@ func TestUnframeablePayloadIsDeliveredLocally(t *testing.T) {
 // and no member, the publisher included, delivers anything.
 func TestUnframeableBroadcastIsRefused(t *testing.T) {
 	huge := make([]byte, netsim.MaxFrame)
-	certified := func(n *testNode) Group {
-		return NewCertified(n.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), n.record, fastOpts())
+	certified := func(n *testNode, opts Options) Group {
+		return NewCertified(n.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), n.record, opts)
 	}
 	for _, tc := range []struct {
 		name string
-		open func(n *testNode) Group
+		open func(n *testNode, opts Options) Group
 		send func(g Group) error
 	}{
-		{"BestEffort", func(n *testNode) Group { return NewBestEffort(n.mux, "cls", n.record) }, nil},
-		{"Reliable", func(n *testNode) Group { return NewReliable(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"FIFO", func(n *testNode) Group { return NewFIFO(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"Causal", func(n *testNode) Group { return NewCausal(n.mux, "cls", n.record, fastOpts()) }, nil},
-		{"Total", func(n *testNode) Group { return NewTotal(n.mux, "cls", "b", n.record, fastOpts()) }, nil},
-		{"TotalSequencer", func(n *testNode) Group { return NewTotal(n.mux, "cls", "a", n.record, fastOpts()) }, nil},
+		{"BestEffort", func(n *testNode, opts Options) Group { return NewBestEffort(n.mux, "cls", n.record) }, nil},
+		{"Reliable", func(n *testNode, opts Options) Group { return NewReliable(n.mux, "cls", n.record, opts) }, nil},
+		{"FIFO", func(n *testNode, opts Options) Group { return NewFIFO(n.mux, "cls", n.record, opts) }, nil},
+		{"Causal", func(n *testNode, opts Options) Group { return NewCausal(n.mux, "cls", n.record, opts) }, nil},
+		{"Total", func(n *testNode, opts Options) Group { return NewTotal(n.mux, "cls", "b", n.record, opts) }, nil},
+		{"TotalSequencer", func(n *testNode, opts Options) Group { return NewTotal(n.mux, "cls", "a", n.record, opts) }, nil},
 		{"Certified", certified, nil},
 		{"CertifiedLongID", certified, func(g Group) error {
 			return g.(*Certified).BroadcastWithID(string(make([]byte, 1<<16)), []byte("payload"))
@@ -197,10 +197,11 @@ func TestUnframeableBroadcastIsRefused(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.New(netsim.Config{})
 			defer net.Close()
+			opts, clk := fakeOpts()
 			nodes := []*testNode{newTestNode(t, net, "a"), newTestNode(t, net, "b")}
 			groups := make([]Group, len(nodes))
 			for i, n := range nodes {
-				groups[i] = tc.open(n)
+				groups[i] = tc.open(n, opts)
 				groups[i].SetMembers(addrs(nodes))
 				defer groups[i].Close()
 			}
@@ -211,8 +212,7 @@ func TestUnframeableBroadcastIsRefused(t *testing.T) {
 			} else if err := groups[0].Broadcast(huge); !errors.Is(err, netsim.ErrFrameTooLarge) {
 				t.Errorf("broadcast of %d bytes: %v, want ErrFrameTooLarge", len(huge), err)
 			}
-			time.Sleep(10 * fastOpts().RetransmitInterval) // ticks, which would resend anything owed
-			net.Settle()
+			advance(net, clk, 10*opts.RetransmitInterval) // ticks, which would resend anything owed
 			if sent, _, _, _ := net.Stats(); sent != 0 {
 				t.Errorf("%d frames sent, want none", sent)
 			}

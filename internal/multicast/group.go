@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govents/internal/chunk"
+	"govents/internal/clock"
 )
 
 // Options tune the timing and fault-tolerance parameters shared by the
@@ -21,6 +22,9 @@ type Options struct {
 	// Logger receives protocol diagnostics that have no error-return
 	// path (undecodable frames, a store's failures). Nil means discard.
 	Logger *slog.Logger
+	// Clock runs the protocols' timers: the node's one clock. Nil means
+	// the wall clock.
+	Clock clock.Clock
 }
 
 // DefaultRetransmitInterval is RetransmitInterval's default.
@@ -33,6 +37,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
+	}
+	if o.Clock == nil {
+		o.Clock = clock.Real{}
 	}
 	return o
 }
@@ -262,49 +269,4 @@ func (r *releaseList) close() {
 		r.idle.Wait()
 	}
 	r.mu.Unlock()
-}
-
-// lifecycle manages the background-goroutine shutdown of a protocol.
-type lifecycle struct {
-	once sync.Once
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-func newLifecycle() *lifecycle {
-	return &lifecycle{done: make(chan struct{})}
-}
-
-// goTick runs fn every interval until close.
-func (l *lifecycle) goTick(interval time.Duration, fn func()) {
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-l.done:
-				return
-			case <-t.C:
-				fn()
-			}
-		}
-	}()
-}
-
-// close stops the background goroutines and waits for them.
-func (l *lifecycle) close() {
-	l.once.Do(func() { close(l.done) })
-	l.wg.Wait()
-}
-
-// closed reports whether close has been requested.
-func (l *lifecycle) closed() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return false
-	}
 }

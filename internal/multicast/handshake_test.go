@@ -587,7 +587,7 @@ func TestMuxAckOvertakingKnownIsKept(t *testing.T) {
 				t.Fatal(err)
 			}
 			sub := &testNode{mux: NewMux(holdKnown{ep})}
-			opts := Options{RetransmitInterval: 20 * time.Millisecond}
+			opts, clk := fakeOpts()
 			var gp, gs Group
 			if class == "fifo" {
 				gp, gs = NewFIFO(pub.mux, "cls", pub.record, opts), NewFIFO(sub.mux, "cls", sub.record, opts)
@@ -601,8 +601,10 @@ func TestMuxAckOvertakingKnownIsKept(t *testing.T) {
 			if err := gp.Broadcast([]byte("m")); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 5*time.Second, "the delivery", func() bool { return sub.count() == 1 })
-			time.Sleep(3 * opts.RetransmitInterval) // a resend would have gone by now
+			waitFor(t, 5*time.Second, "the delivery and the known frame behind it", func() bool {
+				return sub.count() == 1 && number(pub.mux, opened(pub.mux, "cls"), "sub") != 0
+			})
+			advance(net, clk, 3*opts.RetransmitInterval) // a resend would have gone by now
 			if n := tap.dataTo("sub"); n != 1 {
 				t.Errorf("%d data frames sent for one event, want 1", n)
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"govents/internal/clock"
 	"govents/internal/durable"
 	"govents/internal/netsim"
 )
@@ -76,6 +77,40 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // fastOpts keeps protocol timers tight for tests.
 func fastOpts() Options {
 	return Options{RetransmitInterval: 5 * time.Millisecond}
+}
+
+// fakeOpts is fastOpts on a fake clock, which the test moves.
+func fakeOpts() (Options, *clock.Fake) {
+	clk := clock.NewFake(time.Unix(0, 0))
+	opts := fastOpts()
+	opts.Clock = clk
+	return opts, clk
+}
+
+// fakePeriod is the timer period of fakeOpts' links.
+const fakePeriod = 5 * time.Millisecond / ticksPerInterval
+
+// advanceUntil lets net settle and moves clk a timer period, again and
+// again, until cond holds, and fails if it does not within 10 s of fake
+// time.
+func advanceUntil(t *testing.T, net *netsim.Network, clk *clock.Fake, what string, cond func() bool) {
+	t.Helper()
+	for range 10 * time.Second / fakePeriod {
+		if net.Settle(); cond() {
+			return
+		}
+		clk.Advance(fakePeriod)
+	}
+	t.Fatalf("no %s within 10 s of fake time", what)
+}
+
+// advance moves clk d a timer period at a time, and lets net settle
+// after each.
+func advance(net *netsim.Network, clk *clock.Fake, d time.Duration) {
+	for range d / fakePeriod {
+		clk.Advance(fakePeriod)
+		net.Settle()
+	}
 }
 
 func addrs(nodes []*testNode) []string {

@@ -22,9 +22,10 @@ func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 	a := newTestNode(t, net, "a")
 	b := newTestNode(t, net, "b")
 	c := newTestNode(t, net, "c")
-	ga := NewFIFO(a.mux, "cls", a.record, fastOpts())
-	gb := NewFIFO(b.mux, "cls", b.record, fastOpts())
-	gc := NewFIFO(c.mux, "cls", c.record, fastOpts())
+	opts, clk := fakeOpts()
+	ga := NewFIFO(a.mux, "cls", a.record, opts)
+	gb := NewFIFO(b.mux, "cls", b.record, opts)
+	gc := NewFIFO(c.mux, "cls", c.record, opts)
 	defer ga.Close()
 	defer gb.Close()
 	defer gc.Close()
@@ -57,7 +58,7 @@ func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 	// With c cut off from a, every frame between the two is one the
 	// network drops and counts. Publications pruned for c, and the
 	// retransmission periods after them, must add none.
-	waitFor(t, 5*time.Second, "everything acknowledged", func() bool { return ga.Outstanding() == 0 })
+	advanceUntil(t, net, clk, "everything acknowledged", func() bool { return ga.Outstanding() == 0 })
 	net.Settle()
 	net.Partition([]string{"a"}, []string{"c"})
 	net.ResetStats()
@@ -65,9 +66,8 @@ func TestFIFOSplitPrunesAndHeals(t *testing.T) {
 		_ = ga.BroadcastSplit([]Send{{Dests: []string{"b"}, Payload: []byte("to-b")}})
 	}
 	waitFor(t, 5*time.Second, "b gets the pruned batch", func() bool { return b.count() == 8 })
-	waitFor(t, 5*time.Second, "the pruned batch acknowledged", func() bool { return ga.Outstanding() == 0 })
-	time.Sleep(4 * fastOpts().RetransmitInterval)
-	net.Settle()
+	advanceUntil(t, net, clk, "the pruned batch acknowledged", func() bool { return ga.Outstanding() == 0 })
+	advance(net, clk, 4*opts.RetransmitInterval)
 	if _, _, dropped, _ := net.Stats(); dropped != 0 {
 		t.Errorf("%d frames travelled between a and the pruned c, want none", dropped)
 	}

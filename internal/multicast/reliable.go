@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"govents/internal/chunk"
+	"govents/internal/clock"
 	"govents/internal/seqset"
 )
 
@@ -68,13 +69,21 @@ type link struct {
 
 	upcall  *releaseList
 	members membership
-	lc      *lifecycle
+	// timer runs tick, a period after it is armed: from the first frame
+	// or acknowledgement the link owes until it owes nothing.
+	timer  clock.Job
+	period time.Duration
 
 	// mu is also the stamping lock: a broadcast takes its place on every
 	// link and in the upcall list in one critical section, and a receiver
 	// lists what a frame releases in the one that books it.
-	mu       sync.Mutex
-	gen      uint64              // acknowledgement-timer periods elapsed
+	mu    sync.Mutex
+	armed bool // the timer is armed, or tick is running
+	// gen counts acknowledgement-timer periods: each tick starts one,
+	// and so does arming the idle timer, as if it had run across the
+	// idle stretch (queued entries, whose age gen measures, keep it
+	// running).
+	gen      uint64
 	bcast    uint64              // broadcasts issued; names a broadcast across its links
 	out      map[string]*outLink // destination -> what it has not acknowledged
 	in       map[string]*inLink  // origin -> what has been received from it
@@ -82,7 +91,7 @@ type link struct {
 	observer PruneObserver       // optional pruning counters sink
 
 	// tickFrames is the cleared slice of what a tick last sent, kept for
-	// its capacity. The timer goroutine, tick's one caller, owns it, and
+	// its capacity. The running tick owns it (ticks run one at a time), and
 	// writes it only in a period that sends something.
 	tickFrames []linkFrame
 	// chunks holds the links' copies of what they queue.
@@ -314,18 +323,18 @@ func newLink(mux *Mux, stream string, deliver Deliver, opts Options, cert *Certi
 		self:   mux.Addr(),
 		opts:   opts,
 		cert:   cert,
-		lc:     newLifecycle(),
+		period: max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond),
 		gen:    1, // 0 is inLink.ackGen's "never acknowledged"
 		out:    make(map[string]*outLink),
 		in:     make(map[string]*inLink),
 		upcall: newReleaseList(deliver),
 	}
+	g.timer.Init(opts.Clock, g.tick)
 	g.ids = []string{""} // one acknowledgement, naming no identity
 	if cert != nil {
 		g.ids = []string{g.self}
 	}
 	mux.open(g.stream, g.onMessage)
-	g.lc.goTick(max(opts.RetransmitInterval/ticksPerInterval, time.Nanosecond), g.tick)
 	return g
 }
 
@@ -394,7 +403,7 @@ type linkFrame struct {
 // tick) marks and stamps under one lock, and transmits and runs outside
 // it.
 func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFrame, bool, error) {
-	if g.lc.closed() {
+	if g.timer.Stopped() {
 		return frames, false, fmt.Errorf("multicast: reliable %s: closed", g.stream)
 	}
 	named := origin
@@ -450,9 +459,20 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 // link's copy: once mu is released, an acknowledgement may release the
 // copy. Caller holds mu.
 func (g *link) queueLocked(addr string, l *outLink, e outEntry) linkFrame {
+	g.armLocked()
 	e.gen = g.gen
 	seq := l.push(e)
 	return linkFrame{addr: addr, msg: e.frame(seq, l.base())}
+}
+
+// armLocked starts the timer unless it runs, and with it a period: the
+// link owes a frame or an acknowledgement. Caller holds mu.
+func (g *link) armLocked() {
+	if !g.armed {
+		g.armed = true
+		g.timer.Reset(g.period)
+		g.gen++
+	}
 }
 
 // fits refuses, before it takes a link sequence, a payload whose data
@@ -477,7 +497,7 @@ func (g *link) transmit(frames []linkFrame) {
 // Close implements Group.
 func (g *link) Close() error {
 	g.mux.close(g.stream)
-	g.lc.close()
+	g.timer.Stop()
 	g.upcall.close()
 	return nil
 }
@@ -507,6 +527,9 @@ func (g *Reliable) Outstanding() int {
 // announces the base that moved, so that its receiver, should it hear,
 // is stepped over the frames dropped. A retransmission is the link's
 // copy, sent outside mu: it holds the copy's chunk until it is sent.
+// The tick re-arms the timer while a destination has not acknowledged
+// all that was queued for it, or if this tick sent an acknowledgement,
+// and leaves it idle otherwise.
 func (g *link) tick() {
 	frames := g.tickFrames[:0]
 
@@ -517,7 +540,9 @@ func (g *link) tick() {
 			frames = g.appendAcks(frames, origin, l.ack(g.gen))
 		}
 	}
-	held := false
+	// The period this tick starts has had an acknowledgement: the next
+	// tick must end it, or a frame in it would be answered at once.
+	held, owes := false, len(frames) > 0
 	for addr, l := range g.out {
 		if l.head == len(l.entries) {
 			if g.cert != nil && cap(l.entries) > restCap {
@@ -543,6 +568,10 @@ func (g *link) tick() {
 			held = true
 			frames = append(frames, linkFrame{addr, e.frame(l.seqAt(i), base), e.chunk})
 		}
+		owes = owes || l.head < len(l.entries)
+	}
+	if g.armed = owes; owes {
+		g.timer.Reset(g.period)
 	}
 	g.mu.Unlock()
 	g.transmit(frames)
@@ -624,8 +653,11 @@ func (g *link) onLink(from string, in incarnation, m *message) {
 	// take refuses is owed none.
 	var few [2]linkFrame
 	acks := few[:0]
-	if g.take(l, m, origin) && l.arrived(g.gen) {
-		acks = g.appendAcks(acks, from, l.ack(g.gen))
+	if g.take(l, m, origin) {
+		g.armLocked() // an acknowledgement is owed: now, or at the period's end
+		if l.arrived(g.gen) {
+			acks = g.appendAcks(acks, from, l.ack(g.gen))
+		}
 	}
 	run := g.releaseLocked(l)
 	g.mu.Unlock()

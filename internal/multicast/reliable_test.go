@@ -602,9 +602,9 @@ func TestReliableTickAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing leaves, so that a send costs what the group pays for it; the
-	// interval keeps the timer out of the way.
-	g := NewReliable(NewMux(discardTransport{ep}), "cls", func(string, []byte) {}, Options{RetransmitInterval: time.Hour})
+	// Nothing leaves, so that a send costs what the group pays for it.
+	opts, clk := fakeOpts()
+	g := NewReliable(NewMux(discardTransport{ep}), "cls", func(string, []byte) {}, opts)
 	defer g.Close()
 	data, err := encodeMessage(&message{Kind: kindData, Seq: 1, Base: 1, Payload: []byte("m")})
 	if err != nil {
@@ -620,8 +620,9 @@ func TestReliableTickAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		g.mu.Lock()
 		l.unacked = 1
+		g.armLocked()
 		g.mu.Unlock()
-		g.tick()
+		clk.Advance(fakePeriod)
 		if l.unacked != 0 {
 			t.Fatal("the period did not acknowledge")
 		}

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/core"
 	"govents/internal/filter"
 	"govents/internal/matching"
@@ -72,8 +73,8 @@ type Table struct {
 	// is dropped by ExpireSilent even without a membership change. Zero
 	// disables expiry.
 	adTTL time.Duration
-	// now is the clock; replaceable in tests.
-	now func() time.Time
+	// clock measures the silence (the node's clock, set with the TTL).
+	clock clock.Clock
 
 	// plans caches one compound per class, invalidated by Gen.
 	plans *matching.Cache[struct{}]
@@ -211,20 +212,20 @@ func NewTable(reg *obvent.Registry) *Table {
 		reg:    reg,
 		nodes:  make(map[string]*nodeState),
 		epochs: make(map[string]int64),
-		now:    time.Now,
+		clock:  clock.Real{},
 	}
 	t.plans = matching.NewCache(reg, t.Gen, t.compile)
 	return t
 }
 
-// SetAdTTL configures the silent-node TTL consulted by ExpireSilent.
-// Zero (the default) disables expiry. The TTL must be paired with
-// re-advertisement heartbeats domain-wide (dace sends them when its
-// AdTTL is set): nodes only advertise on subscription changes, so
-// without heartbeats a healthy but quiet node would be expired.
-func (t *Table) SetAdTTL(d time.Duration) {
+// SetAdTTL configures the silent-node TTL consulted by ExpireSilent,
+// measured on clk. Zero (the default) disables expiry. The TTL must be
+// paired with re-advertisement heartbeats domain-wide (dace sends them
+// when its AdTTL is set): nodes only advertise on subscription changes,
+// so without heartbeats a healthy but quiet node would be expired.
+func (t *Table) SetAdTTL(d time.Duration, clk clock.Clock) {
 	t.mu.Lock()
-	t.adTTL = d
+	t.adTTL, t.clock = d, clk
 	t.mu.Unlock()
 }
 
@@ -412,7 +413,7 @@ func (t *Table) admitLocked(node string, seq uint64) (*nodeState, ApplyResult, b
 		t.nodes[node] = st
 		res.NewNode = true
 	}
-	st.lastSeen = t.now()
+	st.lastSeen = t.clock.Now()
 	if st.subs != nil && seq <= st.seq {
 		t.adsStale.Add(1)
 		return st, res, false
@@ -472,7 +473,7 @@ func (t *Table) ExpireSilent(exclude ...string) []string {
 	if t.adTTL <= 0 {
 		return nil
 	}
-	cutoff := t.now().Add(-t.adTTL)
+	cutoff := t.clock.Now().Add(-t.adTTL)
 	var dropped []string
 	for node, st := range t.nodes {
 		skip := false

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/core"
 )
 
@@ -12,18 +13,17 @@ import (
 // routed to), while recently heard-from and excluded nodes survive.
 func TestExpireSilentDropsQuietNodes(t *testing.T) {
 	tb := NewTable(newReg(t))
-	now := time.Unix(1000, 0)
-	tb.now = func() time.Time { return now }
-	tb.SetAdTTL(time.Second)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tb.SetAdTTL(time.Second, clk)
 
 	tb.ApplySnapshot("self", 1, []core.SubscriptionInfo{info(t, "s1", quoteClass(), nil)})
 	tb.ApplySnapshot("quiet", 1, []core.SubscriptionInfo{info(t, "q1", quoteClass(), nil)})
-	now = now.Add(600 * time.Millisecond)
+	clk.Advance(600 * time.Millisecond)
 	tb.ApplySnapshot("fresh", 1, []core.SubscriptionInfo{info(t, "f1", quoteClass(), nil)})
 
 	// 1.2s after quiet's last ad; 600ms after fresh's and 1.2s after
 	// self's — self is excluded (a node never expires itself).
-	now = now.Add(600 * time.Millisecond)
+	clk.Advance(600 * time.Millisecond)
 	dropped := tb.ExpireSilent("self")
 	if len(dropped) != 1 || dropped[0] != "quiet" {
 		t.Fatalf("ExpireSilent dropped %v, want [quiet]", dropped)
@@ -48,10 +48,10 @@ func TestExpireSilentDropsQuietNodes(t *testing.T) {
 // TestExpireSilentDisabledWithoutTTL pins that expiry is opt-in.
 func TestExpireSilentDisabledWithoutTTL(t *testing.T) {
 	tb := NewTable(newReg(t))
-	now := time.Unix(1000, 0)
-	tb.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tb.SetAdTTL(0, clk)
 	tb.ApplySnapshot("a", 1, []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)})
-	now = now.Add(24 * time.Hour)
+	clk.Advance(24 * time.Hour)
 	if dropped := tb.ExpireSilent(); dropped != nil {
 		t.Fatalf("expiry without TTL dropped %v", dropped)
 	}
@@ -63,9 +63,8 @@ func TestExpireSilentDisabledWithoutTTL(t *testing.T) {
 // compiled plans survive heartbeats.
 func TestHeartbeatAdsDoNotInvalidatePlans(t *testing.T) {
 	tb := NewTable(newReg(t))
-	now := time.Unix(1000, 0)
-	tb.now = func() time.Time { return now }
-	tb.SetAdTTL(time.Second)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tb.SetAdTTL(time.Second, clk)
 
 	subs := []core.SubscriptionInfo{info(t, "a1", quoteClass(), nil)}
 	tb.ApplySnapshot("a", 1, subs)
@@ -90,7 +89,7 @@ func TestHeartbeatAdsDoNotInvalidatePlans(t *testing.T) {
 
 	// Heartbeats kept the node alive: 0.9s after the last one, even
 	// though the first ad is long past the TTL.
-	now = now.Add(900 * time.Millisecond)
+	clk.Advance(900 * time.Millisecond)
 	if dropped := tb.ExpireSilent(); len(dropped) != 0 {
 		t.Fatalf("live heartbeating node expired: %v", dropped)
 	}

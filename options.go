@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/core"
 	"govents/internal/dace"
 	"govents/internal/durable"
@@ -126,6 +127,7 @@ type config struct {
 	policy       OverloadPolicy
 	stallBudget  time.Duration
 	mailbox      int
+	clock        clock.Clock // nil: the wall clock; set by this package's tests
 }
 
 // An Option configures a Domain at Open.
@@ -341,5 +343,6 @@ func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durabl
 		Telemetry: tele,
 		Logger:    log,
 		Multicast: multicast.Options{RetransmitInterval: c.tuning.RetransmitInterval},
+		Clock:     c.clock,
 	}
 }
