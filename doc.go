@@ -122,8 +122,9 @@
 // repository puts a value in an interface field of an obvent. The
 // compiler refuses only what gob refused too (unsafe.Pointer, and chan
 // or func outside a struct field), and Publish of such a class fails
-// with the compiler's error. gob carries nothing on the data path;
-// remote invocation (rmi) is all it still carries.
+// with the compiler's error. gob carries nothing outside tests, where
+// it is the wire codec's oracle: remote invocation (rmi) encodes its
+// records, arguments and results with wire programs too.
 //
 // The control plane left gob too. A subscription advertisement and a
 // filter's marshaled form (filter.Marshal, which ads carry) are binary
@@ -763,4 +764,10 @@
 // substrate. Subpackages govents/filter and govents/obvent carry the
 // filter DSL and the obvent markers; govents/netsim supplies the
 // simulated network.
+//
+// Domain.RMI shares the domain's transport, node and clock (package rmi
+// has the details). On TCP a reply shares its connection with the
+// domain's events: a handler's synchronous call to a peer whose
+// connection its own full OverloadBlock lane is holding back fails with
+// rmi.ErrTimeout after the call timeout rather than hanging.
 package govents

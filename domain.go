@@ -12,12 +12,12 @@ import (
 	"govents/internal/core"
 	"govents/internal/dace"
 	"govents/internal/durable"
+	"govents/internal/multicast"
 	"govents/internal/obvent"
 	"govents/internal/rmi"
 	"govents/internal/routing"
 	"govents/internal/telemetry"
 	"govents/internal/topics"
-	"govents/internal/transport"
 	"govents/internal/tuplespace"
 )
 
@@ -80,9 +80,8 @@ type Domain struct {
 	tele *telemetry.Plane
 	log  *slog.Logger
 
-	tr      Transport // owned; nil for local domains
-	rmiTr   Transport // owned; nil unless WithRMI
-	rmiRT   *rmi.Runtime
+	tr      Transport      // owned; nil for local domains
+	rmiRT   *rmi.Runtime   // nil for local domains
 	metrics *metricsServer // nil unless WithMetricsAddr
 
 	// retain is the retention pass (never armed unless
@@ -114,13 +113,10 @@ func Open(ctx context.Context, name string, opts ...Option) (*Domain, error) {
 		o(&cfg)
 	}
 	fail := func(err error) (*Domain, error) {
-		// Ownership of the transports transferred at WithTransport /
-		// WithRMI; a failed Open must not leak them.
+		// Ownership of the transport transferred at WithTransport; a
+		// failed Open must not leak it.
 		if cfg.transport != nil {
 			_ = cfg.transport.Close()
-		}
-		if cfg.rmiTransport != nil {
-			_ = cfg.rmiTransport.Close()
 		}
 		return nil, fmt.Errorf("govents: open %q: %w", name, err)
 	}
@@ -161,11 +157,8 @@ func Open(ctx context.Context, name string, opts ...Option) (*Domain, error) {
 	log := cfg.logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
-	} else {
-		// The TCP transport's package-level sink has no per-domain
-		// hook; the most recent domain's logger wins, which is the
-		// common single-domain case.
-		transport.SetLogger(log)
+	} else if tr, ok := cfg.transport.(interface{ SetLogger(*slog.Logger) }); ok {
+		tr.SetLogger(log) // a TCP transport's bad-frame warnings
 	}
 	d.log = log
 
@@ -214,15 +207,15 @@ func Open(ctx context.Context, name string, opts ...Option) (*Domain, error) {
 		d.tr = cfg.transport
 		d.node = dace.NewNode(cfg.transport, reg, cfg.daceConfig(d.tele, log, d.dur))
 		d.eng = core.NewEngine(cfg.transport.Addr(), d.node, engOpts...)
+		node := d.node
+		d.rmiRT = rmi.Attach(node.Addr(), func(deliver multicast.Deliver) *multicast.Reliable {
+			return node.OpenLink(rmi.Stream, deliver)
+		}, node.Clock(), reg, rmi.Options{Logger: log})
 		if len(cfg.peers) > 0 {
 			d.node.SetPeers(cfg.peers)
 		}
 	} else {
 		d.eng = core.NewEngine(name, core.NewLocal(), engOpts...)
-	}
-	if cfg.rmiTransport != nil {
-		d.rmiTr = cfg.rmiTransport
-		d.rmiRT = rmi.New(cfg.rmiTransport, rmi.Options{Logger: log})
 	}
 	if cfg.metricsAddr != "" {
 		ms, err := startMetricsServer(cfg.metricsAddr, d)
@@ -429,13 +422,14 @@ func (d *Domain) Topics() *topics.Bus {
 	return d.topics
 }
 
-// RMI returns the domain's remote-method-invocation runtime, or nil if
-// the domain was opened without WithRMI.
+// RMI returns the domain's remote-method-invocation runtime (paper
+// §5.4), or nil for a local domain. It shares the domain's transport,
+// and resends a lost request or reply to the domain's peers.
 func (d *Domain) RMI() *rmi.Runtime { return d.rmiRT }
 
 // Close shuts the domain down: it deactivates all subscriptions,
 // drains in-flight deliveries, closes the dissemination substrate, the
-// owned transports, the RMI runtime and the tuple space. Close is
+// RMI runtime, the owned transport and the tuple space. Close is
 // idempotent; if ctx expires first, Close returns ctx.Err() while
 // shutdown continues in the background, and a later Close call waits
 // for that same shutdown to finish.
@@ -465,17 +459,14 @@ func (d *Domain) Close(ctx context.Context) error {
 				ts.Close()
 			}
 			if d.rmiRT != nil {
+				// After the engine: a handler's call is answered while it
+				// drains.
 				if cerr := d.rmiRT.Close(); err == nil {
 					err = cerr
 				}
 			}
 			if d.tr != nil {
 				if cerr := d.tr.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if d.rmiTr != nil {
-				if cerr := d.rmiTr.Close(); err == nil {
 					err = cerr
 				}
 			}

@@ -13,7 +13,7 @@
 //     once the quote satisfies the limit.
 //
 // Every participant is one govents.Domain composing publish/subscribe
-// and RMI over the same facade (WithRMI).
+// and RMI (Domain.RMI) over the same facade and the same transport.
 package main
 
 import (
@@ -39,14 +39,11 @@ func (m *stockMarket) Buy(company string, price float64, amount int, buyer strin
 }
 
 func newParticipant(ctx context.Context, net *netsim.Network, name string, peers []string) *govents.Domain {
-	psEp, err := net.NewEndpoint(name)
-	must(err)
-	rmiEp, err := net.NewEndpoint(name + ".rmi")
+	ep, err := net.NewEndpoint(name)
 	must(err)
 	d, err := govents.Open(ctx, name,
-		govents.WithTransport(psEp),
+		govents.WithTransport(ep),
 		govents.WithPeers(peers...),
-		govents.WithRMI(rmiEp),
 		govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
 	)
 	must(err)

@@ -333,7 +333,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(o, ordered, ln.deq, env.PubNanos, env.ID, env.Type) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:
@@ -429,7 +429,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(o, ordered, ln.deq, env.PubNanos, env.ID, env.Type) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:

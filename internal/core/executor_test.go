@@ -53,7 +53,7 @@ func (g *gate) letOne() { g.release <- struct{}{} }
 func submitN(t *testing.T, x *executor, n int, ordered bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if st := x.submit(freeTick{N: i}, ordered, 0, 0, fmt.Sprint(i), "freeTick"); st != submitOK {
+		if st := x.submit(&submission{o: freeTick{N: i}, ordered: ordered, id: fmt.Sprint(i), class: "freeTick"}); st != submitOK {
 			t.Fatalf("submit %d = %v, want submitOK", i, st)
 		}
 	}
@@ -204,7 +204,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perSubmitter; i++ {
 					n := s*perSubmitter + i
-					accepted[n] = x.submit(freeTick{N: n}, n%5 == 0, int64(n), 0, "", "freeTick") == submitOK
+					accepted[n] = x.submit(&submission{o: freeTick{N: n}, ordered: n%5 == 0, deq: int64(n), class: "freeTick"}) == submitOK
 				}
 			}()
 		}
@@ -225,7 +225,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 		wg.Wait()
 		close(stop)
 		flipper.Wait()
-		if st := x.submit(freeTick{}, false, 0, 0, "", "freeTick"); st != submitClosed {
+		if st := x.submit(&submission{o: freeTick{}, class: "freeTick"}); st != submitClosed {
 			t.Fatalf("submit after close = %v, want submitClosed", st)
 		}
 		for n := range ran {
@@ -359,5 +359,47 @@ func TestSharedBoxIsForFlatClassesOnly(t *testing.T) {
 	a.Levels[0] = -1
 	if b.Levels[0] != 9 {
 		t.Errorf("mutation leaked across subscribers: %+v", b)
+	}
+}
+
+// TestExecutorQueuesByPriority: behind a running handler, a delivery
+// overtakes the queued ones of lower priority and none of at least its
+// own, so equal priorities keep submit order.
+func TestExecutorQueuesByPriority(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	release := make(chan struct{})
+	x := newExecutor(func(s submission) bool {
+		if s.id == "running" {
+			<-release
+		}
+		mu.Lock()
+		order = append(order, s.id)
+		mu.Unlock()
+		return true
+	}, nil, 0, 0, &overloadCounters{})
+	x.setLimit(1)
+	submit := func(id string, prio int) {
+		if st := x.submit(&submission{o: freeTick{}, prio: prio, id: id, class: "freeTick"}); st != submitOK {
+			t.Fatalf("submit %s = %v", id, st)
+		}
+	}
+	submit("running", 0)
+	waitFor(t, time.Second, "the first handler", func() bool {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return x.active == 1
+	})
+	for _, d := range []struct {
+		id   string
+		prio int
+	}{{"low-a", 1}, {"high-a", 9}, {"low-b", 1}, {"zero", 0}, {"high-b", 9}, {"mid", 5}} {
+		submit(d.id, d.prio)
+	}
+	close(release)
+	x.close()
+	want := []string{"running", "high-a", "high-b", "mid", "low-a", "low-b", "zero"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
 	}
 }

@@ -186,14 +186,18 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 // dissemination substrate may deliver from many goroutines.
 func (ls *laneSet) route(env *codec.Envelope) {
 	if ls.routeSerial(env) {
-		prio := 0
-		if env.HasPriority {
-			prio = env.Priority
-		}
-		ls.serial.push(env, prio)
+		ls.serial.push(env, lanePriority(env))
 		return
 	}
 	ls.par[laneIndex(laneKey(env), len(ls.par))].push(env, 0)
+}
+
+// lanePriority is an envelope's stamped priority, 0 without one.
+func lanePriority(env *codec.Envelope) int {
+	if env.HasPriority {
+		return env.Priority
+	}
+	return 0
 }
 
 // routeSerial is the semantics-aware routing decision. It costs two

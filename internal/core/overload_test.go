@@ -563,7 +563,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 	defer x.close()
 	x.setLimit(1) // single-threading: the wedge blocks the whole queue, the worst case
 
-	x.submit(freeTick{N: 0}, false, 0, 0, "wedge", "freeTick")
+	x.submit(&submission{o: freeTick{N: 0}, id: "wedge", class: "freeTick"})
 	<-started
 	time.Sleep(3 * budget) // the era is now provably past the budget
 
@@ -576,7 +576,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 			t.Fatalf("mailbox never overflowed: quarantines=%d quarantined=%v",
 				counters.quarantines.Load(), x.quarantined.Load())
 		}
-		if x.submit(freeTick{N: i}, false, 0, 0, fmt.Sprintf("e%d", i), "freeTick") == submitShed {
+		if x.submit(&submission{o: freeTick{N: i}, id: fmt.Sprintf("e%d", i), class: "freeTick"}) == submitShed {
 			shed++
 		}
 	}
@@ -597,7 +597,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 		return !x.quarantined.Load()
 	})
 	before := done.Load()
-	if st := x.submit(freeTick{N: -1}, false, 0, 0, "after", "freeTick"); st != submitOK {
+	if st := x.submit(&submission{o: freeTick{N: -1}, id: "after", class: "freeTick"}); st != submitOK {
 		t.Fatalf("post-recovery submit = %v, want submitOK", st)
 	}
 	waitFor(t, 10*time.Second, "post-recovery delivery", func() bool {

@@ -273,10 +273,11 @@ const defaultQuarantineMailbox = 1024
 // the dequeue→handler and end-to-end spans: deq is the lane's dequeue
 // timestamp (0 when telemetry was off), pub the publisher's wall-clock
 // UnixNano stamp (0 when the envelope carries none), id/class the
-// envelope identity for trace spans.
+// envelope identity for trace spans. prio orders the queue (submit).
 type submission struct {
 	o       obvent.Obvent
 	ordered bool
+	prio    int
 	deq     int64
 	pub     int64
 	id      string
@@ -304,9 +305,10 @@ func (x *executor) setLimit(n int) {
 // submit enqueues one delivery; the status reports when the executor is
 // already closed (the obvent will never reach the handler, so the
 // engine's delivery counters stay truthful during shutdown) or when the
-// quarantined consumer's bounded mailbox overflowed. deq, pub, id and
-// class are the delivery's telemetry context (see submission).
-func (x *executor) submit(o obvent.Obvent, ordered bool, deq, pub int64, id, class string) submitStatus {
+// quarantined consumer's bounded mailbox overflowed. It queues s behind
+// the last delivery of at least its priority: with every priority 0,
+// at the tail.
+func (x *executor) submit(s *submission) submitStatus {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
@@ -331,7 +333,10 @@ func (x *executor) submit(o obvent.Obvent, ordered bool, deq, pub int64, id, cla
 		clear(x.queue[n:])
 		x.queue, x.head = x.queue[:n], 0
 	}
-	x.queue = append(x.queue, submission{o: o, ordered: ordered, deq: deq, pub: pub, id: id, class: class})
+	x.queue = append(x.queue, *s)
+	for i := len(x.queue) - 1; i > x.head && x.queue[i-1].prio < s.prio; i-- {
+		x.queue[i-1], x.queue[i] = x.queue[i], x.queue[i-1]
+	}
 	x.kickLocked()
 	return submitOK
 }

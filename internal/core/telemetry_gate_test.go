@@ -17,10 +17,10 @@ func TestExecutorE2EGatedOnPublishStamp(t *testing.T) {
 	x := newExecutor(func(submission) bool { return true }, p, 0, 0, &overloadCounters{})
 
 	deq := telemetry.Now()
-	if x.submit(freeTick{N: 1}, false, deq, 0, "legacy-1", "freeTick") != submitOK {
+	if x.submit(&submission{o: freeTick{N: 1}, deq: deq, id: "legacy-1", class: "freeTick"}) != submitOK {
 		t.Fatal("submit refused")
 	}
-	if x.submit(freeTick{N: 2}, false, deq, time.Now().UnixNano(), "modern-1", "freeTick") != submitOK {
+	if x.submit(&submission{o: freeTick{N: 2}, deq: deq, pub: time.Now().UnixNano(), id: "modern-1", class: "freeTick"}) != submitOK {
 		t.Fatal("submit refused")
 	}
 

@@ -311,6 +311,21 @@ func (n *Node) dropPeers(expired []string) {
 // Addr returns the node's transport address.
 func (n *Node) Addr() string { return n.self }
 
+// Clock returns the node's clock.
+func (n *Node) Clock() clock.Clock { return n.cfg.Clock }
+
+// OpenLink opens a reliable link on the node's multiplexer for a stream
+// outside the dace/ channels: its membership is the node's view, with
+// SetPeers and AdTTL expiry, and it closes with the node.
+func (n *Node) OpenLink(stream string, deliver multicast.Deliver) *multicast.Reliable {
+	g := multicast.NewReliable(n.mux, stream, deliver, n.cfg.Multicast)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	g.SetMembers(n.peers)
+	n.groups[groupKey{proto: stream}] = g
+	return g
+}
+
 // Registry returns the node's obvent type registry.
 func (n *Node) Registry() *obvent.Registry { return n.reg }
 

@@ -1,40 +1,41 @@
-// Package rmi implements a remote-method-invocation substrate in the
-// style of Java RMI, the interaction paradigm the paper positions as
-// complementary to publish/subscribe (§5.4): "a combination of both
-// represents a very powerful tool for devising distributed
-// applications, e.g., by passing object references with obvents."
+// Package rmi implements remote method invocation in the style of Java
+// RMI, the paradigm the paper pairs with publish/subscribe (§5.4): "a
+// combination of both represents a very powerful tool for devising
+// distributed applications, e.g., by passing object references with
+// obvents." A server Binds named receivers; a client Dials proxies and
+// invokes methods by name (reflection plays rmic's skeletons). A Ref
+// can travel inside an obvent: in the paper's Figure 8 a stock quote
+// carries a reference to the market, on which a broker then buys.
 //
-// A server Binds named receivers; clients Dial proxies and invoke
-// methods by name with gob-encoded arguments (the reflection dispatch
-// plays the part of rmic-generated skeletons). Ref values — serializable
-// remote references — can travel inside obvents, enabling the paper's
-// Figure 8 scenario where a stock quote carries a reference to the
-// stock market on which a broker then synchronously buys.
+// Calls, results and lease messages are records on one reliable link
+// (stream "rmi"), encoded by internal/wire programs: on a distributed
+// domain the link is the node's and resends to the node's view; the
+// runtime New makes has a link with no members, which sends once. An
+// argument travels as its dynamic type and decodes as the parameter's;
+// an interface field in either holds a class of the runtime's registry.
 //
 // Distributed garbage collection is modeled both ways the paper
-// discusses:
-//
-//   - DGCPinned reproduces the Java RMI caveat of §5.4.2: a remotely
-//     accessible object is pinned while at least one proxy exists, so a
-//     crashed subscriber holding a proxy pins the object forever.
-//   - DGCLeased implements the "weaker" lease-based scheme of [CNH99]
-//     that the paper suggests as the fix: proxies renew leases, and an
-//     object whose leases all expire is collected.
+// discusses (DGCMode): the Java RMI caveat of §5.4.2, and the "weaker"
+// lease-based scheme of [CNH99] the paper suggests as the fix.
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"govents/internal/clock"
 	"govents/internal/codec"
+	"govents/internal/multicast"
 	"govents/internal/netsim"
+	"govents/internal/obvent"
+	"govents/internal/wire"
 )
 
 // Errors returned by remote invocations.
@@ -64,6 +65,9 @@ const (
 	DGCLeased
 )
 
+// Stream is the name of a runtime's link on its multiplexer.
+const Stream = "rmi"
+
 // Ref is a serializable remote reference: the value placed inside
 // obvents when passing objects by reference (paper §5.4.1). Resolve it
 // against a local Runtime to obtain an invocable Proxy.
@@ -72,28 +76,34 @@ type Ref struct {
 	Name string // exported object name
 }
 
-// wire message kinds.
-type wireKind byte
+// kind is a record's kind.
+type kind byte
 
 const (
-	kindCall wireKind = iota + 1
+	kindCall kind = iota + 1
 	kindResult
-	kindAttach  // register interest in an exported object (DGC)
-	kindRenew   // renew a lease
+	kindLease   // take or renew a lease on an exported object (DGC)
 	kindRelease // drop a reference explicitly
 )
 
-// wireMsg is the single request/response record.
-type wireMsg struct {
-	Kind    wireKind
-	ReqID   string
-	Target  string
-	Method  string
-	Client  string
-	Args    [][]byte
-	Results [][]byte
-	Err     string
+// record is the single request/response record; the link names its
+// sender. Values are a call's arguments or a result's results.
+type record struct {
+	Kind   kind
+	ReqID  string
+	Target string
+	Method string
+	Values [][]byte
+	Err    string
 }
+
+var recordProg = func() *wire.Prog {
+	p, err := wire.Compile(reflect.TypeFor[record](), nil)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}()
 
 // Options tunes a Runtime.
 type Options struct {
@@ -102,8 +112,8 @@ type Options struct {
 	// LeaseDuration is how long an unrenewed reference survives in
 	// DGCLeased mode (default 200ms — short, for simulation scale).
 	LeaseDuration time.Duration
-	// RenewInterval is the client-side lease renewal period (default
-	// LeaseDuration/4).
+	// RenewInterval is the client-side lease renewal period, and the
+	// server's collection period (default LeaseDuration/4).
 	RenewInterval time.Duration
 	// CallTimeout bounds a synchronous invocation (default 5s).
 	CallTimeout time.Duration
@@ -132,21 +142,35 @@ func (o Options) withDefaults() Options {
 }
 
 // Runtime is one process's RMI endpoint: server (exported objects) and
-// client (proxies) share the transport.
+// client (proxies) share the link.
 type Runtime struct {
-	tr   netsim.Transport
-	self string
-	opts Options
+	link  *multicast.Reliable
+	self  string
+	clock clock.Clock
+	reg   *obvent.Registry
+	progs sync.Map // reflect.Type -> its *wire.Prog
+	opts  Options
+
+	// leases renews the proxies' leases and collects exports, armed while
+	// there is either to do.
+	leases clock.Job
 
 	mu      sync.Mutex
 	exports map[string]*export
-	pending map[string]chan *wireMsg // reqID -> reply
-	proxies map[string]*Proxy        // key addr+"/"+name
+	pending map[string]chan *record // reqID -> reply
+	proxies map[Ref]*Proxy
+	armed   bool // leases is armed, or running
 	closed  bool
 
-	lc   sync.WaitGroup
-	done chan struct{}
+	calls sync.WaitGroup // invocations running
+	// tokens holds one token per invocation that may start: none until
+	// the link is open, then maxInvocations less those running.
+	tokens chan struct{}
 }
+
+// maxInvocations bounds the invocations a runtime runs at once: a call
+// past it waits, on the link's delivery goroutine, for one to return.
+const maxInvocations = 64
 
 // export is one remotely accessible object.
 type export struct {
@@ -155,41 +179,51 @@ type export struct {
 	refs     map[string]time.Time // client -> last renewal
 }
 
-// New creates an RMI runtime over a transport endpoint.
+// New creates an RMI runtime over a transport endpoint of its own, on
+// the wall clock.
 func New(tr netsim.Transport, opts Options) *Runtime {
+	mux := multicast.NewMux(tr)
+	return Attach(tr.Addr(), func(deliver multicast.Deliver) *multicast.Reliable {
+		return multicast.NewReliable(mux, Stream, deliver, multicast.Options{Logger: opts.Logger})
+	}, clock.Real{}, nil, opts)
+}
+
+// Attach creates an RMI runtime at node address addr, on the link open
+// opens with the runtime's upcall and on the node's clock c. Interface
+// fields of arguments and results hold classes of reg (nil: none).
+func Attach(addr string, open func(multicast.Deliver) *multicast.Reliable, c clock.Clock, reg *obvent.Registry, opts Options) *Runtime {
 	r := &Runtime{
-		tr:      tr,
-		self:    tr.Addr(),
+		self:    addr,
+		clock:   c,
+		reg:     reg,
 		opts:    opts.withDefaults(),
 		exports: make(map[string]*export),
-		pending: make(map[string]chan *wireMsg),
-		proxies: make(map[string]*Proxy),
-		done:    make(chan struct{}),
+		pending: make(map[string]chan *record),
+		proxies: make(map[Ref]*Proxy),
+		tokens:  make(chan struct{}, maxInvocations),
 	}
-	tr.SetHandler(r.onMessage)
-	r.lc.Add(1)
-	go r.gcLoop()
+	r.leases.Init(c, r.renewAndCollect)
+	r.link = open(r.onRecord)
+	for range maxInvocations {
+		r.tokens <- struct{}{}
+	}
 	return r
 }
 
 // Addr returns the runtime's transport address.
 func (r *Runtime) Addr() string { return r.self }
 
-// Close shuts the runtime down.
+// Close shuts the runtime down once the invocations running here have
+// returned.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
 	r.closed = true
-	close(r.done)
 	r.mu.Unlock()
-	r.lc.Wait()
-	return nil
+	r.leases.Stop()
+	err := r.link.Close() // no record arrives once it returns
+	r.calls.Wait()
+	return err
 }
-
-// --- server side ---
 
 // Bind exports a receiver under a stable name as a collection root: it
 // stays exported regardless of references (like an RMI registry entry).
@@ -221,6 +255,9 @@ func (r *Runtime) export(name string, recv any, anchored bool) error {
 		anchored: anchored,
 		refs:     make(map[string]time.Time),
 	}
+	if !anchored {
+		r.armLocked()
+	}
 	return nil
 }
 
@@ -245,79 +282,92 @@ func (r *Runtime) RefTo(name string) Ref {
 	return Ref{Addr: r.self, Name: name}
 }
 
-// gcLoop retires unreferenced non-anchored exports.
-func (r *Runtime) gcLoop() {
-	defer r.lc.Done()
-	tick := time.NewTicker(r.opts.LeaseDuration / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick.C:
-		}
-		now := time.Now()
-		r.mu.Lock()
-		for name, ex := range r.exports {
-			if ex.anchored {
-				continue
-			}
-			if r.opts.DGC == DGCLeased {
-				for client, last := range ex.refs {
-					if now.Sub(last) > r.opts.LeaseDuration {
-						delete(ex.refs, client)
-					}
-				}
-			}
-			// In DGCPinned mode references never expire: a crashed
-			// client keeps the object alive forever — the paper's
-			// caveat.
-			if len(ex.refs) == 0 {
-				delete(r.exports, name)
-			}
-		}
-		r.mu.Unlock()
+// armLocked arms leases unless it is armed. Caller holds mu.
+func (r *Runtime) armLocked() {
+	if !r.armed {
+		r.armed = true
+		r.leases.Reset(r.opts.RenewInterval)
 	}
 }
 
-// onMessage handles both server requests and client replies.
-func (r *Runtime) onMessage(from string, payload []byte) {
-	var m wireMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+// renewAndCollect renews the lease of every proxy (DGCLeased) and
+// retires unreferenced exports, and re-arms while it has either to do.
+func (r *Runtime) renewAndCollect() {
+	now := r.clock.Now()
+	leased := r.opts.DGC == DGCLeased
+	var renew []Ref
+	r.mu.Lock()
+	if leased {
+		renew = slices.Collect(maps.Keys(r.proxies))
+	}
+	r.armed = len(renew) > 0
+	for name, ex := range r.exports {
+		if ex.anchored {
+			continue
+		}
+		if leased {
+			maps.DeleteFunc(ex.refs, func(_ string, last time.Time) bool { return now.Sub(last) > r.opts.LeaseDuration })
+		}
+		// In DGCPinned mode references never expire: a crashed
+		// client keeps the object alive forever — the paper's
+		// caveat.
+		if len(ex.refs) == 0 {
+			delete(r.exports, name)
+		} else {
+			r.armed = true
+		}
+	}
+	if r.armed {
+		r.leases.Reset(r.opts.RenewInterval)
+	}
+	r.mu.Unlock()
+	for _, ref := range renew {
+		_ = r.send(ref.Addr, &record{Kind: kindLease, Target: ref.Name})
+	}
+}
+
+// onRecord is the link's upcall: it handles both server requests and
+// client replies. An invocation runs on a goroutine of its own, so a
+// slow method holds up no delivery while fewer than maxInvocations run.
+func (r *Runtime) onRecord(from string, payload []byte) {
+	var m record
+	if err := recordProg.Decode(payload, reflect.ValueOf(&m).Elem()); err != nil {
 		r.opts.Logger.Warn("rmi: dropping undecodable message",
 			"from", from, "bytes", len(payload), "err", err)
 		return
 	}
+	if m.Kind == kindCall {
+		<-r.tokens
+		r.calls.Add(1)
+		go func() {
+			defer r.calls.Done()
+			_ = r.send(from, r.handleCall(&m))
+			r.tokens <- struct{}{}
+		}()
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	switch m.Kind {
-	case kindCall:
-		reply := r.handleCall(&m)
-		r.send(from, reply)
 	case kindResult:
-		r.mu.Lock()
-		ch, ok := r.pending[m.ReqID]
-		delete(r.pending, m.ReqID)
-		r.mu.Unlock()
-		if ok {
+		if ch, ok := r.pending[m.ReqID]; ok {
+			delete(r.pending, m.ReqID)
 			ch <- &m
 		}
-	case kindAttach, kindRenew:
-		r.mu.Lock()
+	case kindLease:
 		if ex, ok := r.exports[m.Target]; ok {
-			ex.refs[m.Client] = time.Now()
+			ex.refs[from] = r.clock.Now()
 		}
-		r.mu.Unlock()
 	case kindRelease:
-		r.mu.Lock()
 		if ex, ok := r.exports[m.Target]; ok {
-			delete(ex.refs, m.Client)
+			delete(ex.refs, from)
 		}
-		r.mu.Unlock()
 	}
 }
 
 // handleCall dispatches an invocation by reflection.
-func (r *Runtime) handleCall(m *wireMsg) *wireMsg {
-	reply := &wireMsg{Kind: kindResult, ReqID: m.ReqID}
+func (r *Runtime) handleCall(m *record) *record {
+	reply := &record{Kind: kindResult, ReqID: m.ReqID}
 	r.mu.Lock()
 	ex, ok := r.exports[m.Target]
 	r.mu.Unlock()
@@ -331,84 +381,116 @@ func (r *Runtime) handleCall(m *wireMsg) *wireMsg {
 		return reply
 	}
 	mt := method.Type()
-	if mt.NumIn() != len(m.Args) {
-		reply.Err = fmt.Sprintf("%v: %s takes %d args, got %d", ErrBadArguments, m.Method, mt.NumIn(), len(m.Args))
+	if mt.NumIn() != len(m.Values) {
+		reply.Err = fmt.Sprintf("%v: %s takes %d args, got %d", ErrBadArguments, m.Method, mt.NumIn(), len(m.Values))
 		return reply
 	}
-	in := make([]reflect.Value, len(m.Args))
-	for i, raw := range m.Args {
-		v := reflect.New(mt.In(i))
-		if err := gob.NewDecoder(bytes.NewReader(raw)).DecodeValue(v); err != nil {
-			reply.Err = fmt.Sprintf("%v: arg %d: %v", ErrBadArguments, i, err)
-			return reply
-		}
-		in[i] = v.Elem()
+	in := make([]reflect.Value, len(m.Values))
+	for i := range in {
+		in[i] = reflect.New(mt.In(i)).Elem()
+	}
+	if err := r.decode(m.Values, in, "arg"); err != nil {
+		reply.Err = fmt.Sprintf("%v: %v", ErrBadArguments, err)
+		return reply
 	}
 	// A variadic method's last argument travels as the slice it is.
-	var out []reflect.Value
+	call := method.Call
 	if mt.IsVariadic() {
-		out = method.CallSlice(in)
-	} else {
-		out = method.Call(in)
+		call = method.CallSlice
 	}
+	out := call(in)
 
 	// A trailing error result travels in Err.
-	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == reflect.TypeOf((*error)(nil)).Elem() {
+	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == reflect.TypeFor[error]() {
 		if errV := out[n-1]; !errV.IsNil() {
 			reply.Err = errV.Interface().(error).Error()
 		}
 		out = out[:n-1]
 	}
-	for _, v := range out {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).EncodeValue(v); err != nil {
-			reply.Err = fmt.Sprintf("rmi: encode result: %v", err)
-			return reply
-		}
-		reply.Results = append(reply.Results, buf.Bytes())
+	var err error
+	if reply.Values, err = r.encode(out, "result"); err != nil {
+		reply.Err = err.Error()
 	}
 	return reply
 }
 
-func (r *Runtime) send(to string, m *wireMsg) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return
+// send sends m to to on the link.
+func (r *Runtime) send(to string, m *record) error {
+	payload, err := recordProg.Append(nil, reflect.ValueOf(m).Elem())
+	if err != nil {
+		return err
 	}
-	_ = r.tr.Send(to, buf.Bytes())
+	return r.link.BroadcastTo([]string{to}, payload)
 }
 
-// --- client side ---
+// prog returns the wire program of v's type, compiled once.
+func (r *Runtime) prog(v reflect.Value) (*wire.Prog, error) {
+	if !v.IsValid() {
+		return nil, errors.New("a nil interface does not travel")
+	}
+	t := v.Type()
+	if p, ok := r.progs.Load(t); ok {
+		return p.(*wire.Prog), nil
+	}
+	p, err := wire.CompileValue(t, r.reg)
+	if err == nil {
+		r.progs.Store(t, p)
+	}
+	return p, err
+}
+
+// encode encodes each of vs, the what of the call, as its type.
+func (r *Runtime) encode(vs []reflect.Value, what string) ([][]byte, error) {
+	raws := make([][]byte, len(vs))
+	for i, v := range vs {
+		p, err := r.prog(v)
+		if err == nil {
+			raws[i], err = p.Append(nil, v)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rmi: encode %s %d: %w", what, i, err)
+		}
+	}
+	return raws, nil
+}
+
+// decode decodes raws into vs, which are settable.
+func (r *Runtime) decode(raws [][]byte, vs []reflect.Value, what string) error {
+	for i, v := range vs {
+		p, err := r.prog(v)
+		if err == nil {
+			err = p.Decode(raws[i], v)
+		}
+		if err != nil {
+			return fmt.Errorf("rmi: decode %s %d: %w", what, i, err)
+		}
+	}
+	return nil
+}
 
 // Proxy is a client-side stub for a remote object (the analog of an
 // rmic-generated stub). Obtain one with Dial or Resolve.
 type Proxy struct {
-	rt   *Runtime
-	addr string
-	name string
-
-	mu       sync.Mutex
-	released bool
-	stopped  chan struct{}
+	rt  *Runtime
+	ref Ref
 }
 
 // Dial returns a proxy for the object name exported at addr and
 // registers the reference with the server's DGC.
 func (r *Runtime) Dial(addr, name string) *Proxy {
-	key := addr + "/" + name
+	ref := Ref{Addr: addr, Name: name}
 	r.mu.Lock()
-	if p, ok := r.proxies[key]; ok {
-		r.mu.Unlock()
-		return p
+	p, ok := r.proxies[ref]
+	if !ok {
+		p = &Proxy{rt: r, ref: ref}
+		r.proxies[ref] = p
+		if r.opts.DGC == DGCLeased {
+			r.armLocked()
+		}
 	}
-	p := &Proxy{rt: r, addr: addr, name: name, stopped: make(chan struct{})}
-	r.proxies[key] = p
 	r.mu.Unlock()
-
-	r.send(addr, &wireMsg{Kind: kindAttach, Target: name, Client: r.self})
-	if r.opts.DGC == DGCLeased {
-		r.lc.Add(1)
-		go p.renewLoop()
+	if !ok {
+		_ = r.send(addr, &record{Kind: kindLease, Target: name})
 	}
 	return p
 }
@@ -419,28 +501,23 @@ func (r *Runtime) Resolve(ref Ref) *Proxy {
 }
 
 // Call synchronously invokes a remote method. results receives the
-// non-error return values gob-decoded into the pointed-to variables:
+// non-error return values decoded into the pointed-to variables:
 //
 //	var ok bool
 //	err := proxy.Call("Buy", []any{"Telco", 80.0}, &ok)
 func (p *Proxy) Call(method string, args []any, results ...any) error {
 	r := p.rt
-	m := &wireMsg{
-		Kind:   kindCall,
-		ReqID:  codec.NewID(),
-		Target: p.name,
-		Method: method,
-		Client: r.self,
-	}
+	m := &record{Kind: kindCall, ReqID: codec.NewID(), Target: p.ref.Name, Method: method}
+	vs := make([]reflect.Value, len(args))
 	for i, a := range args {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).EncodeValue(reflect.ValueOf(a)); err != nil {
-			return fmt.Errorf("rmi: encode arg %d: %w", i, err)
-		}
-		m.Args = append(m.Args, buf.Bytes())
+		vs[i] = reflect.ValueOf(a)
+	}
+	var err error
+	if m.Values, err = r.encode(vs, "arg"); err != nil {
+		return err
 	}
 
-	ch := make(chan *wireMsg, 1)
+	ch := make(chan *record, 1)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -448,68 +525,53 @@ func (p *Proxy) Call(method string, args []any, results ...any) error {
 	}
 	r.pending[m.ReqID] = ch
 	r.mu.Unlock()
+	expired := make(chan struct{})
+	timeout := r.clock.AfterFunc(r.opts.CallTimeout, func() { close(expired) })
+	defer timeout.Stop()
 
-	r.send(p.addr, m)
-
-	var reply *wireMsg
-	select {
-	case reply = <-ch:
-	case <-time.After(r.opts.CallTimeout):
-		r.mu.Lock()
-		delete(r.pending, m.ReqID)
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %s.%s", ErrTimeout, p.name, method)
+	err = r.send(p.ref.Addr, m)
+	var reply *record
+	if err == nil {
+		select {
+		case reply = <-ch:
+		case <-expired:
+			err = fmt.Errorf("%w: %s.%s", ErrTimeout, p.ref.Name, method)
+		}
 	}
-	if reply.Err != "" {
+	r.mu.Lock()
+	delete(r.pending, m.ReqID)
+	r.mu.Unlock()
+	switch {
+	case err != nil:
+		return err
+	case reply.Err != "":
 		return remoteError(reply.Err)
+	case len(results) > len(reply.Values):
+		return fmt.Errorf("%w: %d results, want %d", ErrBadArguments, len(reply.Values), len(results))
 	}
-	if len(results) > len(reply.Results) {
-		return fmt.Errorf("%w: %d results, want %d", ErrBadArguments, len(reply.Results), len(results))
-	}
+	vs = make([]reflect.Value, len(results))
 	for i, out := range results {
 		v := reflect.ValueOf(out)
 		if v.Kind() != reflect.Pointer || v.IsNil() {
 			return fmt.Errorf("rmi: result %d must be a non-nil pointer", i)
 		}
-		if err := gob.NewDecoder(bytes.NewReader(reply.Results[i])).DecodeValue(v.Elem()); err != nil {
-			return fmt.Errorf("rmi: decode result %d: %w", i, err)
-		}
+		vs[i] = v.Elem()
 	}
-	return nil
+	return r.decode(reply.Values, vs, "result")
 }
 
 // Release drops the client's reference, letting the server collect the
 // object once all references are gone.
 func (p *Proxy) Release() {
-	p.mu.Lock()
-	if p.released {
-		p.mu.Unlock()
-		return
+	r := p.rt
+	r.mu.Lock()
+	live := r.proxies[p.ref] == p
+	if live {
+		delete(r.proxies, p.ref)
 	}
-	p.released = true
-	close(p.stopped)
-	p.mu.Unlock()
-
-	p.rt.mu.Lock()
-	delete(p.rt.proxies, p.addr+"/"+p.name)
-	p.rt.mu.Unlock()
-	p.rt.send(p.addr, &wireMsg{Kind: kindRelease, Target: p.name, Client: p.rt.self})
-}
-
-// renewLoop keeps the lease alive until Release or runtime close.
-func (p *Proxy) renewLoop() {
-	defer p.rt.lc.Done()
-	tick := time.NewTicker(p.rt.opts.RenewInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopped:
-			return
-		case <-p.rt.done:
-			return
-		case <-tick.C:
-			p.rt.send(p.addr, &wireMsg{Kind: kindRenew, Target: p.name, Client: p.rt.self})
-		}
+	r.mu.Unlock()
+	if live {
+		_ = r.send(p.ref.Addr, &record{Kind: kindRelease, Target: p.ref.Name})
 	}
 }
 

@@ -3,10 +3,13 @@ package rmi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"govents/internal/clock"
+	"govents/internal/multicast"
 	"govents/internal/netsim"
 )
 
@@ -38,6 +41,12 @@ func (m *stockMarket) Purchases() int {
 
 func newPair(t *testing.T, netCfg netsim.Config, opts Options) (*Runtime, *Runtime, *netsim.Network) {
 	t.Helper()
+	return newPairOn(t, clock.Real{}, netCfg, opts)
+}
+
+// newPairOn is newPair with both runtimes, and their links, on clock c.
+func newPairOn(t *testing.T, c clock.Clock, netCfg netsim.Config, opts Options) (*Runtime, *Runtime, *netsim.Network) {
+	t.Helper()
 	net := netsim.New(netCfg)
 	srvEp, err := net.NewEndpoint("server")
 	if err != nil {
@@ -47,8 +56,8 @@ func newPair(t *testing.T, netCfg netsim.Config, opts Options) (*Runtime, *Runti
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(srvEp, opts)
-	cli := New(cliEp, opts)
+	srv := newOwn(srvEp, c, opts)
+	cli := newOwn(cliEp, c, opts)
 	t.Cleanup(func() {
 		_ = srv.Close()
 		_ = cli.Close()
@@ -152,6 +161,65 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 }
 
+// gate's Wait parks until release is closed, and counts the calls
+// inside it.
+type gate struct {
+	release      chan struct{}
+	mu           sync.Mutex
+	inside, most int
+}
+
+func (g *gate) Wait() {
+	g.mu.Lock()
+	g.inside++
+	g.most = max(g.most, g.inside)
+	g.mu.Unlock()
+	<-g.release
+	g.mu.Lock()
+	g.inside--
+	g.mu.Unlock()
+}
+
+// TestConcurrentCallsPastTheInvocationBound: more concurrent calls than a
+// server runs at once all return, and no more than the bound ran at once.
+func TestConcurrentCallsPastTheInvocationBound(t *testing.T) {
+	srv, cli, _ := newPair(t, netsim.Config{}, Options{})
+	g := &gate{release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(release) // before the runtimes close: Close waits for invocations
+	if err := srv.Bind("gate", g); err != nil {
+		t.Fatal(err)
+	}
+	p := cli.Dial("server", "gate")
+	const n = maxInvocations + 16
+	errs := make(chan error, n)
+	for range n {
+		go func() { errs <- p.Call("Wait", nil) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g.mu.Lock()
+		inside := g.inside
+		g.mu.Unlock()
+		if inside == maxInvocations {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls inside, want %d", inside, maxInvocations)
+		}
+		runtime.Gosched()
+	}
+	release()
+	for range n {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if g.most > maxInvocations {
+		t.Errorf("%d calls ran at once, want at most %d", g.most, maxInvocations)
+	}
+}
+
 func TestBindErrors(t *testing.T) {
 	srv, _, _ := newPair(t, netsim.Config{}, Options{})
 	if err := srv.Bind("x", nil); err == nil {
@@ -178,20 +246,38 @@ func TestRefResolve(t *testing.T) {
 	}
 }
 
+// newOwn is New on clock c.
+func newOwn(tr netsim.Transport, c clock.Clock, opts Options) *Runtime {
+	mux := multicast.NewMux(tr)
+	return Attach(tr.Addr(), func(deliver multicast.Deliver) *multicast.Reliable {
+		return multicast.NewReliable(mux, Stream, deliver, multicast.Options{Clock: c})
+	}, c, nil, opts)
+}
+
+// advance moves c on by d in steps of step, letting the network settle
+// after each, so that what a timer sends lands before the next one runs.
+func advance(c *clock.Fake, net *netsim.Network, d, step time.Duration) {
+	for ; d > 0; d -= step {
+		c.Advance(step)
+		net.Settle()
+	}
+}
+
 func TestDGCCaveatPinnedMode(t *testing.T) {
 	// Paper §5.4.2: with RMI-style DGC, "if a single subscriber
 	// crashes, the remote object will never be garbage collected."
+	c := clock.NewFake(time.Unix(0, 0))
 	opts := Options{DGC: DGCPinned, LeaseDuration: 40 * time.Millisecond}
-	srv, cli, net := newPair(t, netsim.Config{}, opts)
+	srv, cli, net := newPairOn(t, c, netsim.Config{}, opts)
 	if err := srv.Export("session", &stockMarket{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = cli.Dial("server", "session")
-	time.Sleep(30 * time.Millisecond) // attach lands
+	net.Settle() // attach lands
 
 	net.Crash("client") // subscriber crashes without releasing
 
-	time.Sleep(200 * time.Millisecond) // many lease periods pass
+	advance(c, net, 200*time.Millisecond, 10*time.Millisecond) // many lease periods pass
 	if !srv.Exported("session") {
 		t.Fatal("pinned mode collected an object referenced by a crashed client; the paper's caveat should reproduce")
 	}
@@ -200,58 +286,83 @@ func TestDGCCaveatPinnedMode(t *testing.T) {
 func TestDGCLeasedCollectsAfterCrash(t *testing.T) {
 	// The [CNH99]-style fix: leases from the crashed client expire and
 	// the object is collected.
+	c := clock.NewFake(time.Unix(0, 0))
 	opts := Options{DGC: DGCLeased, LeaseDuration: 40 * time.Millisecond}
-	srv, cli, net := newPair(t, netsim.Config{}, opts)
+	srv, cli, net := newPairOn(t, c, netsim.Config{}, opts)
 	if err := srv.Export("session", &stockMarket{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = cli.Dial("server", "session")
-	time.Sleep(30 * time.Millisecond)
+	net.Settle()
 
 	net.Crash("client")
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	for range 200 {
 		if !srv.Exported("session") {
 			return // collected
 		}
-		time.Sleep(10 * time.Millisecond)
+		advance(c, net, 10*time.Millisecond, 10*time.Millisecond)
 	}
 	t.Fatal("leased mode failed to collect after client crash")
 }
 
 func TestDGCLeasedRenewalKeepsAlive(t *testing.T) {
+	c := clock.NewFake(time.Unix(0, 0))
 	opts := Options{DGC: DGCLeased, LeaseDuration: 60 * time.Millisecond}
-	srv, cli, _ := newPair(t, netsim.Config{}, opts)
+	srv, cli, net := newPairOn(t, c, netsim.Config{}, opts)
 	if err := srv.Export("session", &stockMarket{}); err != nil {
 		t.Fatal(err)
 	}
 	p := cli.Dial("server", "session")
-	// Across several lease periods the renewal loop keeps it alive.
-	time.Sleep(300 * time.Millisecond)
+	net.Settle()
+	// Across several lease periods the renewals keep it alive.
+	advance(c, net, 300*time.Millisecond, 5*time.Millisecond)
 	if !srv.Exported("session") {
 		t.Fatal("live proxy's lease expired despite renewals")
 	}
 	p.Release()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	net.Settle()
+	for range 200 {
 		if !srv.Exported("session") {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		advance(c, net, 10*time.Millisecond, 10*time.Millisecond)
 	}
 	t.Fatal("object not collected after explicit release")
 }
 
 func TestAnchoredBindSurvivesGC(t *testing.T) {
+	c := clock.NewFake(time.Unix(0, 0))
 	opts := Options{DGC: DGCLeased, LeaseDuration: 30 * time.Millisecond}
-	srv, _, _ := newPair(t, netsim.Config{}, opts)
+	srv, _, net := newPairOn(t, c, netsim.Config{}, opts)
 	if err := srv.Bind("registry-root", &stockMarket{}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	advance(c, net, 150*time.Millisecond, 10*time.Millisecond)
 	if !srv.Exported("registry-root") {
 		t.Fatal("anchored bind must never be collected")
+	}
+}
+
+// TestProxiesHoldNoGoroutines pins that a proxy costs no goroutine: the
+// runtime renews every lease from one timer on its clock.
+func TestProxiesHoldNoGoroutines(t *testing.T) {
+	c := clock.NewFake(time.Unix(0, 0))
+	_, cli, net := newPairOn(t, c, netsim.Config{}, Options{DGC: DGCLeased})
+	net.Settle()
+	before := runtime.NumGoroutine()
+	for i := range 50 {
+		_ = cli.Dial("server", fmt.Sprintf("object-%d", i))
+	}
+	net.Settle()
+	c.Advance(time.Second) // renewals fall due
+	net.Settle()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines with 50 proxies, %d with none", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }
 

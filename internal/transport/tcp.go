@@ -49,30 +49,6 @@ import (
 	"govents/internal/netsim"
 )
 
-// pkgLogger receives transport diagnostics that have no error-return
-// path to the application — torn frames and protocol violations on
-// inbound connections. Package-level because accepted connections have
-// no per-instance configuration hook. Default: discard.
-var pkgLogger atomic.Pointer[slog.Logger]
-
-// SetLogger installs the package's diagnostics logger (nil restores the
-// discarding default). Safe for concurrent use.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		pkgLogger.Store(nil)
-		return
-	}
-	pkgLogger.Store(l)
-}
-
-// logger returns the installed logger or a discarding one.
-func logger() *slog.Logger {
-	if l := pkgLogger.Load(); l != nil {
-		return l
-	}
-	return slog.New(slog.DiscardHandler)
-}
-
 const (
 	// maxFrame bounds a single frame, prefix included (16 MiB), to stop
 	// a corrupted length from allocating unbounded memory. The payload's
@@ -114,6 +90,10 @@ type TCP struct {
 	addr string
 
 	handler atomic.Pointer[netsim.Handler]
+	// log receives the diagnostics that have no error-return path to
+	// the application: torn frames and protocol violations on inbound
+	// connections. Nil discards them.
+	log atomic.Pointer[slog.Logger]
 
 	mu     sync.Mutex
 	peers  map[string]*peer      // destination address -> its outbound side
@@ -168,6 +148,10 @@ func (t *TCP) SetHandler(h netsim.Handler) {
 	}
 	t.handler.Store(&h)
 }
+
+// SetLogger installs the transport's diagnostics logger (nil discards).
+// Safe for concurrent use.
+func (t *TCP) SetLogger(l *slog.Logger) { t.log.Store(l) }
 
 // Send implements netsim.Transport. The first send to a destination
 // dials a connection, introduces this transport on it with a hello and
@@ -347,8 +331,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// socket down) is the normal end of a connection; anything else — a
 	// torn frame, a corrupt length, a broken hello — is a peer or
 	// network anomaly worth surfacing.
-	if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-		logger().Warn("transport: closing inbound connection on bad frame",
+	if l := t.log.Load(); l != nil && err != io.EOF && !errors.Is(err, net.ErrClosed) {
+		l.Warn("transport: closing inbound connection on bad frame",
 			"remote", conn.RemoteAddr().String(), "err", err)
 	}
 }

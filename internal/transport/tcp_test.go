@@ -587,7 +587,7 @@ func TestReadFrameAllocations(t *testing.T) {
 	}
 }
 
-// logSink collects the package logger's records.
+// logSink collects a transport logger's records.
 type logSink struct {
 	mu   sync.Mutex
 	msgs []string
@@ -619,11 +619,10 @@ func (s *logSink) contains(sub string) bool {
 	return false
 }
 
-func captureLog(t *testing.T) *logSink {
-	t.Helper()
+// captureLog gives tr a logger of its own and returns what it records.
+func captureLog(tr *TCP) *logSink {
 	sink := &logSink{}
-	SetLogger(slog.New(sink))
-	t.Cleanup(func() { SetLogger(nil) })
+	tr.SetLogger(slog.New(sink))
 	return sink
 }
 
@@ -651,12 +650,12 @@ func TestHelloViolationsCloseTheConnection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			logs := captureLog(t)
 			a, err := Listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
+			logs := captureLog(a)
 			var got atomic.Int32
 			a.SetHandler(func(from string, _ []byte) {
 				if from != "peer" {
@@ -678,6 +677,37 @@ func TestHelloViolationsCloseTheConnection(t *testing.T) {
 			}
 			waitFor(t, time.Second, func() bool { return logs.contains(tc.log) })
 		})
+	}
+}
+
+// TestLoggerIsPerTransport pins that a transport's diagnostics go to its
+// own logger: two transports in one process, a bad frame sent to one,
+// and the warning in that one's log only.
+func TestLoggerIsPerTransport(t *testing.T) {
+	var trs [2]*TCP
+	var logs [2]*logSink
+	for i := range trs {
+		tr, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i], logs[i] = tr, captureLog(tr)
+	}
+	conn, err := net.Dial("tcp", trs[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame(nil, []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	expectClosed(t, conn)
+	waitFor(t, time.Second, func() bool { return logs[0].contains("before hello") })
+	logs[1].mu.Lock()
+	defer logs[1].mu.Unlock()
+	if len(logs[1].msgs) != 0 {
+		t.Errorf("the other transport logged %q", logs[1].msgs)
 	}
 }
 

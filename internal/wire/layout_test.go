@@ -28,7 +28,7 @@ type StockQuote struct {
 // TestEmbeddedAndForeignStructFields pins that a class embedding a
 // same-package struct beside a foreign package's struct field compiles
 // and round-trips through the compiled program. It is an external test
-// package because internal/rmi reaches this one through internal/codec.
+// package because internal/rmi imports this one.
 func TestEmbeddedAndForeignStructFields(t *testing.T) {
 	q := StockQuote{
 		StockObvent: StockObvent{Company: "Telco", Price: 42, Amount: 9},

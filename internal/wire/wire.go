@@ -135,6 +135,13 @@ func Compile(t reflect.Type, reg *obvent.Registry) (*Prog, error) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
+	return CompileValue(t, reg)
+}
+
+// CompileValue builds the codec program for values of type t as they
+// are: unlike Compile's, a pointer's is its presence byte and its
+// pointee's. Remote invocation encodes its arguments and results so.
+func CompileValue(t reflect.Type, reg *obvent.Registry) (*Prog, error) {
 	b := &builder{reg: reg, building: make(map[reflect.Type]*codecFns)}
 	enc, dec, _, err := b.build(t)
 	if err != nil {

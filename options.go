@@ -107,27 +107,26 @@ type Tuning struct {
 
 // config collects the Open options.
 type config struct {
-	transport    Transport
-	rmiTransport Transport
-	peers        []string
-	placement    Placement
-	lanes        int
-	registry     *obvent.Registry
-	adTTL        time.Duration
-	tuning       Tuning
-	durDir       string
-	durTuning    DurabilityTuning
-	naive        bool
-	metricsAddr  string
-	traceHook    func(TraceEvent)
-	traceEvery   int
-	logger       *slog.Logger
-	teleOff      bool
-	laneBound    int
-	policy       OverloadPolicy
-	stallBudget  time.Duration
-	mailbox      int
-	clock        clock.Clock // nil: the wall clock; set by this package's tests
+	transport   Transport
+	peers       []string
+	placement   Placement
+	lanes       int
+	registry    *obvent.Registry
+	adTTL       time.Duration
+	tuning      Tuning
+	durDir      string
+	durTuning   DurabilityTuning
+	naive       bool
+	metricsAddr string
+	traceHook   func(TraceEvent)
+	traceEvery  int
+	logger      *slog.Logger
+	teleOff     bool
+	laneBound   int
+	policy      OverloadPolicy
+	stallBudget time.Duration
+	mailbox     int
+	clock       clock.Clock // nil: the wall clock; set by this package's tests
 }
 
 // An Option configures a Domain at Open.
@@ -244,15 +243,6 @@ func WithDurability(dir string) Option {
 // fsync policy. It only has effect together with WithDurability.
 func WithDurabilityTuning(t DurabilityTuning) Option {
 	return func(c *config) { c.durTuning = t }
-}
-
-// WithRMI attaches a remote-method-invocation runtime (paper §5.4) to
-// the domain over its own transport endpoint, reachable from
-// Domain.RMI — so one process composes publish/subscribe and RMI, e.g.
-// obvents carrying rmi.Ref values that handlers invoke synchronously.
-// Ownership of tr transfers to the Domain.
-func WithRMI(tr Transport) Option {
-	return func(c *config) { c.rmiTransport = tr }
 }
 
 // WithMetricsAddr starts an HTTP metrics endpoint on addr (e.g.

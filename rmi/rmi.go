@@ -3,8 +3,9 @@
 // paper positions as complementary to publish/subscribe. Ref values
 // travel inside obvents, enabling the paper's Figure 8 scenario — a
 // stock quote carries a reference to the market on which a broker then
-// synchronously buys. Attach a Runtime to a govents Domain with
-// govents.WithRMI, or run one standalone with New.
+// synchronously buys. Every distributed govents Domain has a Runtime
+// (Domain.RMI) that shares the domain's transport; New runs one
+// standalone over a transport endpoint of its own.
 package rmi
 
 import (
