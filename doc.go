@@ -158,16 +158,21 @@
 // Around the payload, every publication travels — and is stored in
 // durable inboxes, outboxes and spill logs — as one envelope record, a
 // fixed binary layout written and read by hand (no reflection; reading a
-// plain FIFO envelope off a link takes one block that ID, Type and
-// Publisher are slices of; a reader that does not own the bytes takes a
-// struct and the payload's copy as well):
+// plain FIFO envelope off a link allocates nothing, and a stored record
+// takes one block that its ID, Type and Publisher are slices of; a
+// reader that does not own the bytes takes a struct and the payload's
+// copy as well):
 //
 //	format       1 byte   0xE1
 //	flags        1 byte   1 has-priority, 2 has-birth, 4 has-vector-clock;
-//	                      link form only: 8 packed-ID, 16 has-Type,
+//	                      link form only: 8 has-incarnation, 16 has-Type,
 //	                      32 has-Publisher, 64 has-TTL, 128 link form
 //	Enc          1 byte   payload encoding, always 1 (the compiled one)
-//	ID           uvarint length (at most 65535) + bytes; packed-ID: 16 bytes
+//	ID           stored form only: uvarint length (at most 65535) + bytes,
+//	             the name's text
+//	N            link form only: uvarint, the name's count
+//	Inc          link form, has-incarnation only: uvarint, not 0, the
+//	             name's incarnation
 //	Type         uvarint length (at most 65535) + bytes; link form: has-Type only
 //	Publisher    likewise; link form: has-Publisher only
 //	(retired)    stored form only: two uvarints, written 0, read and dropped
@@ -208,8 +213,8 @@
 // Publish returns, and the publisher's next event is encoded into the
 // same buffer. The right to the room is the buffer's, not the envelope
 // value's: a copy of the envelope sealed after it (another ID), or a
-// header the room cannot hold (a vector clock or a sequence number
-// added later), gets a record of its own by copy. The multiplexer then builds
+// header the room cannot hold (a vector clock added later), gets a
+// record of its own by copy. The multiplexer then builds
 // the frame (stream key, link header, record) in a buffer it reuses
 // once the transport's Send has returned, since no transport keeps what
 // Send is given: on the publisher a payload is copied once on its way
@@ -249,24 +254,60 @@
 // payload length (the payload is the rest of the record), and neither
 // of the two sequence numbers the envelope once had, which nothing set
 // or read and which are gone; for a plain FIFO event that is 7 bytes
-// less. It also packs the ID: an ID of 32 lowercase hex characters (the
-// form every ID Publish mints has) travels as the 16 bytes it spells,
-// under the packed-ID flag, and the decoder spells it out again in the
-// one allocation that holds the three strings. Any other ID travels as
-// it is. In memory, in traces, in an outbox and on disk the ID is the
-// string. A stored record sets none of the link form's flags and keeps
+// less. A stored record sets none of the link form's flags and keeps
 // its layout byte for byte: it writes 0 where the retired sequence
 // numbers were, and the decoder reads whatever an older build wrote
 // there and drops it, so every stored record still opens, and one an
 // older build wrote with a sequence number is written back with 0 in
 // its place.
-// The break is one way and stated, not negotiated: this build reads a
+//
+// An event is named by where it came from, as CBCAST and ISIS name a
+// message (Birman, Schiper and Stephenson, TOCS 1991): its name is the
+// incarnation of the channel that published it and the count of that
+// channel's publications, from 1. internal/dace names each publication
+// as it publishes it, by its class's channel, from an atomic counter
+// (multicast.Group.NextName): no lock, nothing random. No two
+// publications of one incarnation share a count, and no two
+// incarnations of a channel share an incarnation: a reliable, ordered
+// or certified channel's is its link's epoch, wall-clock microseconds
+// that increase within a process and across its restarts, and a
+// best-effort channel, whose stream has no epochs, takes one the same
+// way. A name is unique per publisher; a certified one across
+// publishers too, since a subscriber's inbox keys certified events by
+// the name alone: a certified channel's incarnation is its epoch mixed
+// with its publisher's address (64-bit FNV-1a), so two publishers whose
+// epochs agree still name their events apart, but for a collision of
+// the two mixes. The link form carries the count, a uvarint, and the
+// incarnation only where the frame's binding does not name it: a
+// reliable, FIFO or causal record travels from its publisher on a
+// numbered link, whose receiver resolves the epoch from the frame's
+// number ("Link protocol") and puts it back, as it puts back the class
+// and the publisher. A best-effort record, and a total-order record,
+// which the sequencer relays on a link of its own, carry the
+// incarnation: an epoch takes 8 bytes as a uvarint until the year 4253,
+// a count below 2^56 at most 8 more, so a name never takes more than
+// the 16 bytes the random ID of earlier builds did. In memory a name is
+// two numbers (internal/codec.Name). It is rendered as text, its two
+// numbers in 16 lowercase hex digits each, only where text is needed: a
+// span the trace hook takes, and the certified class, whose stored
+// record spells it and whose outbox, staging inbox and durable
+// acknowledgements key it (a block of 16 texts at a time in the
+// outbox). The text is the same at the publisher and at every
+// subscriber, so trace records join by EventID. A stored record spells
+// the name's text where the ID always was, so its layout did not move;
+// the 128 random bits earlier builds minted as IDs read as the name
+// whose text they are, so every stored record they wrote opens and is
+// written back byte for byte.
+//
+// The breaks are one way and stated, not negotiated: this build reads a
 // full record on any link (a fixture written by the build before it
 // pins that), while a build from before the link form finds no class in
 // a link record, so no subscription to hand it to, and drops it without
 // a count, and one from before the link form's flags refuses this
-// build's link records as naming unknown flags. Upgrade a domain
-// together.
+// build's link records as naming unknown flags. Flag 8 was a packed
+// random ID in the build before this one: each build misreads the
+// other's link records (most fail to decode; the rest carry names and
+// fields that are not the published ones). Upgrade a domain together.
 //
 // Builds before this one sent a class their compiler refused as gob,
 // payload encoding 0: every Timely class, and any class with an
@@ -295,7 +336,7 @@
 // header: the reliable link that the reliable, ordered and certified
 // classes (§3.1.2) ride, the stream multiplexer, and the TCP transport.
 // A FIFO event whose payload is 44 bytes crosses the wire as one data
-// frame of 85 bytes (84 and the TCP length prefix, one byte), and a
+// frame of 70 bytes (69 and the TCP length prefix, one byte), and a
 // sixteenth of an 11-byte acknowledgement
 // (TestFIFOFrameBytesAfterHandshake in internal/dace pins the frames
 // without the prefix). The stream's name and the sender's incarnation
@@ -511,7 +552,10 @@
 // and a four-byte TCP length word, which gave way to the numbered
 // handshake, the link form's presence flags and the uvarint length;
 // then the certified class's own data frame and acknowledgement (kinds
-// 3 and 4, now retired), which gave way to the link's frames. A
+// 3 and 4, now retired), which gave way to the link's frames; then the
+// envelope's packed random ID, and the certified frame's second copy of
+// it, which gave way to the name's count and the incarnation the
+// binding names. A
 // node of one era drops another's frames as undecodable or, where only
 // the nested record differs, hands up payloads that fail to decode as
 // envelopes and are counted as decode errors. On TCP the build before
@@ -690,8 +734,12 @@
 // reliable link does, so the publisher's buffer is free when Publish
 // returns.
 //
-// The data frame is the link's plus ID, the event's identity, which the
-// staging inbox deduplicates by; the acknowledgement is the link's plus
+// The data frame is the link's, and its record is the stored one, which
+// spells the event's name, the identity the staging inbox deduplicates
+// by: the subscriber reads it off the record's header, and the frame
+// carries it once (a payload that is not an envelope's record, which
+// internal/multicast's Certified also takes, travels with an ID field
+// of the link record instead). The acknowledgement is the link's plus
 // Origin, a durable identity of the subscriber. A subscriber
 // acknowledges when the link would, once under each durable identity
 // it holds for the class; a node with two identities is sent one data
@@ -716,10 +764,18 @@
 //
 // Neither frame is negotiated. On the wire, both ways: kinds 3 and 4,
 // an earlier build's certified frames, are retired here, and this
-// build's certified frames are read by no protocol there; upgrade a
-// domain together. On disk, one way, unchanged by the wire: this build
-// replays the older record of one acknowledged offset, the older build
-// refuses an outbox holding a record of runs.
+// build's certified frames are read by no protocol there; the build
+// before this one stages a data frame of this one, which carries no ID
+// field, under the empty ID, so it delivers one such event and
+// acknowledges the rest as redeliveries of it. Upgrade a domain
+// together. On disk, one way, unchanged by the wire: this build replays
+// the older record of one acknowledged offset, the older build refuses
+// an outbox holding a record of runs. Names did not change what is on
+// disk: an outbox, an inbox or a spill log an earlier build wrote opens
+// as it was, and an upgraded subscriber's inbox deduplicates by the
+// random IDs it staged as well as by the names it stages now, which
+// cannot be taken for one of those but by chance (a 64-bit collision
+// at least).
 //
 // # Observability
 //

@@ -26,8 +26,6 @@
 package codec
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -47,9 +45,19 @@ var ErrUnregistered = errors.New("codec: unregistered obvent class")
 
 // Envelope is the wire representation of a published obvent.
 type Envelope struct {
-	// ID uniquely identifies this publication (not the clone: every
-	// delivery of the same publication shares the ID; every clone is a
-	// distinct object).
+	// Name names this publication (not the clone: every delivery of the
+	// same publication shares the Name; every clone is a distinct
+	// object). The disseminator names an envelope as it publishes it
+	// (core.Disseminator.PublishEnvelope); Encode leaves it zero.
+	Name Name
+	// ID is the Name's text where a record spelled it: the stored form
+	// writes the text, and Unmarshal of a stored record sets ID, at no
+	// allocation beyond the one its Type and Publisher take. It is empty
+	// on an envelope that came off a link, which carries the Name's
+	// numbers only, and on one not yet stored: IDText renders the Name
+	// for whoever needs text (a trace record, a certified delivery's
+	// acknowledgement). When set, it is what a stored record of the
+	// envelope spells.
 	ID string
 	// Type is the registered wire name of the obvent's concrete class.
 	Type string
@@ -110,6 +118,18 @@ var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
 // event does not pin its buffer in the pool.
 const maxKeptPayload = 64 << 10
 
+// IDText returns the publication's name as text (codec.IDText).
+func (e *Envelope) IDText() string { return IDText(e.Name, e.ID) }
+
+// IDText returns a publication's name as text: its ID when a record
+// spelled it, and else its Name rendered, which allocates.
+func IDText(name Name, id string) string {
+	if id != "" || name.IsZero() {
+		return id
+	}
+	return name.String()
+}
+
 // Expired reports whether a timely envelope is obsolete at instant now.
 func (e *Envelope) Expired(now time.Time) bool {
 	if e.TTL == 0 || e.Birth.IsZero() {
@@ -158,7 +178,6 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 	enc := encodedPool.Get().(*encoded)
 	env := &enc.env
 	*env = Envelope{
-		ID:          NewID(),
 		Type:        name,
 		Publisher:   publisher,
 		Reliability: sem.Reliability,
@@ -177,12 +196,13 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 			env.Birth = time.Now()
 		}
 	}
-	// The header as it stands, with the longest payload length prefix in
-	// place of the empty payload's. A header the caps refuse gets no room:
-	// Seal reports it.
+	// The header as it stands, with a Name's text in place of the empty
+	// ID (the disseminator names the envelope before it seals it) and the
+	// longest payload length prefix in place of the empty payload's. A
+	// header the caps refuse gets no room: Seal reports it.
 	off := 0
-	if head, err := headerSize(env, recordFlags(env, false, false)); err == nil {
-		off = head - 1 + rec.UvarintLen(maxEnvelopePayload)
+	if head, err := headerSize(env, recordFlags(env, false)); err == nil {
+		off = head + nameText - 1 + rec.UvarintLen(maxEnvelopePayload)
 	}
 	buf, err := c.encodePayload(enc.room.buf, o, off)
 	if err != nil {
@@ -366,37 +386,4 @@ func (c *Codec) Clone(o obvent.Obvent) (obvent.Obvent, error) {
 		return nil, err
 	}
 	return c.Decode(e)
-}
-
-// ids is the block NewID mints from: idBlock IDs of random bits and
-// their hex text, handed out in order.
-var ids struct {
-	sync.Mutex
-	raw    [idBlock * 16]byte
-	text   [idBlock * 32]byte
-	minted string // text as a string; minted[next:] is not handed out yet
-	next   int
-}
-
-const idBlock = 16
-
-// NewID returns a fresh 128-bit random identifier, 32 lowercase hex
-// characters. IDs are minted idBlock at a time, from one crypto/rand
-// read into one 512-byte string, and each is a substring of it: a kept
-// ID keeps its 512-byte block reachable.
-func NewID() string {
-	ids.Lock()
-	defer ids.Unlock()
-	if ids.next == len(ids.minted) {
-		if _, err := rand.Read(ids.raw[:]); err != nil {
-			// crypto/rand failure means the platform is broken; there is
-			// no reasonable fallback for uniqueness.
-			panic(fmt.Sprintf("codec: crypto/rand failed: %v", err))
-		}
-		hex.Encode(ids.text[:], ids.raw[:])
-		ids.minted, ids.next = string(ids.text[:]), 0
-	}
-	id := ids.minted[ids.next : ids.next+32]
-	ids.next += 32
-	return id
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -63,8 +64,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if env.ID == "" {
-		t.Error("envelope must carry an ID")
+	if !env.Name.IsZero() || env.ID != "" {
+		t.Errorf("Encode named the envelope %v %q: the disseminator names it", env.Name, env.ID)
 	}
 	out, err := c.Decode(env)
 	if err != nil {
@@ -175,6 +176,7 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 	}
 	env.Publisher = "node-1"
 	env.PubNanos = 42
+	env.Name = Name{Inc: 1790000000123456, N: 9}
 	data, err := Marshal(env)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
@@ -183,7 +185,7 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.ID != env.ID || back.Type != env.Type || back.PubNanos != 42 || back.Publisher != "node-1" {
+	if back.Name != env.Name || back.ID != env.Name.String() || back.Type != env.Type || back.PubNanos != 42 || back.Publisher != "node-1" {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
 	out, err := c.Decode(back)
@@ -212,39 +214,63 @@ func TestCloneIsDeepAndDistinct(t *testing.T) {
 	}
 }
 
-func TestNewIDUnique(t *testing.T) {
-	const workers, per = 64, 2000
-	minted := make([][]string, workers)
-	var wg sync.WaitGroup
-	for w := range minted {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range per {
-				minted[w] = append(minted[w], NewID())
-			}
-		}()
+// TestNameText: a Name's text is its two numbers in 16 lowercase hex
+// digits each, and reads back as the Name; an earlier build's random ID
+// reads as the Name whose text it is; anything else is no Name.
+func TestNameText(t *testing.T) {
+	for _, n := range []Name{{}, {Inc: 1, N: 1}, {Inc: 1790000000123456, N: 70000}, {Inc: math.MaxUint64, N: math.MaxUint64}} {
+		text := n.String()
+		if len(text) != nameText || strings.Trim(text, "0123456789abcdef") != "" {
+			t.Fatalf("%v renders as %q", n, text)
+		}
+		if back, ok := ParseName(text); !ok || back != n {
+			t.Fatalf("%q parses as %v, %v; want %v", text, back, ok, n)
+		}
+		if got := string(n.AppendText([]byte("x"))); got != "x"+text {
+			t.Fatalf("AppendText = %q", got)
+		}
 	}
-	wg.Wait()
-	seen := make(map[string]bool, workers*per)
-	for _, batch := range minted {
-		for _, id := range batch {
-			if len(id) != 32 || strings.Trim(id, "0123456789abcdef") != "" {
-				t.Fatalf("ID %q is not 32 lowercase hex characters", id)
-			}
-			if seen[id] {
-				t.Fatalf("duplicate ID %s", id)
-			}
-			seen[id] = true
+	const random = "9f86d081884c7d659a2feaa0c55ad015" // 128 random bits, as NewID minted them
+	if n, ok := ParseName([]byte(random)); !ok || n.String() != random {
+		t.Fatalf("an earlier build's ID parses as %v, %v", n, ok)
+	}
+	for _, bad := range []string{"", "0123", "9F86D081884C7D659A2FEAA0C55AD015", "9f86d081884c7d659a2feaa0c55ad01g", random + "0"} {
+		if n, ok := ParseName(bad); ok {
+			t.Errorf("%q parses as %v", bad, n)
 		}
 	}
 }
 
-// TestNewIDAllocs pins the minting cost: one string per block of
-// idBlock IDs, nothing per ID.
-func TestNewIDAllocs(t *testing.T) {
-	if n := allocs.PerRun(16*idBlock, func() { _ = NewID() }); n > 0.07 {
-		t.Errorf("NewID: %.3f allocations per call, want at most 0.07", n)
+// TestNameAllocs pins the costs of a name: rendering into a buffer
+// allocates nothing, and a TextBlock one string per idBlock names.
+func TestNameAllocs(t *testing.T) {
+	buf := make([]byte, 0, nameText)
+	n := Name{Inc: 1790000000123456}
+	if a := allocs.PerRun(1000, func() { n.N++; buf = n.AppendText(buf[:0]) }); a != 0 {
+		t.Errorf("AppendText: %.3f allocations per name, want 0", a)
+	}
+	var b TextBlock
+	seen := make(map[string]bool)
+	if a := allocs.PerRun(16*idBlock, func() {
+		n.N++
+		text := b.Text(n)
+		if text != n.String() {
+			t.Fatalf("TextBlock renders %v as %q", n, text)
+		}
+	}); a > 1.07 { // the check's String is one
+		t.Errorf("TextBlock: %.3f allocations per name, want at most 0.07 beside the check's one", a-1)
+	}
+	for range 3 * idBlock {
+		n.N++
+		text := b.Text(n)
+		if seen[text] {
+			t.Fatalf("text %q handed out twice", text)
+		}
+		seen[text] = true
+	}
+	// A name out of the block's order starts a block of its own.
+	if text := b.Text(Name{Inc: 7, N: 3}); text != (Name{Inc: 7, N: 3}).String() {
+		t.Fatalf("out of order: %q", text)
 	}
 }
 

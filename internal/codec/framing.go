@@ -2,11 +2,9 @@ package codec
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +22,8 @@ import (
 //	format       1 byte   envelopeFormat
 //	flags        1 byte   flagPriority | flagBirth | flagVC
 //	Enc          1 byte   payloadEncoding
-//	ID           uvarint length (≤ maxEnvelopeString) + bytes
+//	ID           uvarint length (≤ maxEnvelopeString) + bytes: the Name's
+//	             text, or an empty ID for an envelope nobody named
 //	Type         likewise
 //	Publisher    likewise
 //	(retired)    two uvarints, written 0, read and dropped: a per-publisher
@@ -43,13 +42,16 @@ import (
 // zero: Type, Publisher and TTL travel under flags of their own
 // (flagType, flagPublisher, flagTTL), Priority only under flagPriority,
 // the retired numbers not at all, and the payload is the rest of the
-// record, with no length in front. An ID of 32 lowercase hex characters,
-// as NewID mints them, travels as the 16 bytes it spells, under
-// flagPackedID, and the decoder spells it out again, so in memory an ID
-// is always the string:
+// record, with no length in front. The Name travels as its numbers, not
+// its text: the count always, and the incarnation under flagInc, which a
+// record on a numbered link leaves out when the link's binding names it
+// (the receiver puts it back, as it does the class and the publisher).
+// The decoder spells nothing out: a link-form envelope's ID text is
+// empty.
 //
 //	format, flags, Enc
-//	ID           flagPackedID: 16 bytes; else uvarint length + bytes
+//	N            uvarint: the Name's count
+//	Inc          flagInc only: uvarint, not zero: the Name's incarnation
 //	Type         flagType only: uvarint length (1..maxEnvelopeString) + bytes
 //	Publisher    flagPublisher only: likewise
 //	Reliability, Ordering
@@ -61,7 +63,10 @@ import (
 // An empty payload and a nil one are the same record and decode as nil;
 // so are an empty vector clock and a nil one. Any of the three strings
 // may be empty: a record on a link leaves out Type and, when the link
-// names it, Publisher; a stored one spells them out (dace's seal).
+// names it, Publisher; a stored one spells them out (dace's seal). A
+// stored record's ID that is not a Name's text (none this build or an
+// earlier one wrote) decodes as that ID text under a zero Name, and is
+// written back as it was.
 const (
 	// envelopeFormat leads every record. No gob stream starts with it
 	// (gob's leading byte count is below 0x80 or above 0xF7), so a record
@@ -78,15 +83,12 @@ const (
 	flagPriority  = 1 << 0
 	flagBirth     = 1 << 1
 	flagVC        = 1 << 2
-	flagPackedID  = 1 << 3 // link form only, as are the three below
+	flagInc       = 1 << 3 // link form only, as are the three below
 	flagType      = 1 << 4
 	flagPublisher = 1 << 5
 	flagTTL       = 1 << 6
 	flagLink      = 1 << 7
-	linkFlags     = flagPackedID | flagType | flagPublisher | flagTTL
-
-	// packedID is the length of a packed ID, half its hex spelling.
-	packedID = 16
+	linkFlags     = flagInc | flagType | flagPublisher | flagTTL
 
 	// Field caps, enforced on encode and decode alike.
 	maxEnvelopeString  = rec.MaxString
@@ -108,24 +110,24 @@ func Marshal(e *Envelope) ([]byte, error) {
 // once, and returns the extended slice. On error dst is returned
 // unchanged.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
-	f := recordFlags(e, false, false)
+	f := recordFlags(e, false)
 	head, err := headerSize(e, f)
 	if err != nil {
 		return dst, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
-	return appendRecord(dst, head, e, f, nil), nil
+	return appendRecord(dst, head, e, f), nil
 }
 
-// appendRecord is AppendEnvelope in the form flags f name, with the ID
-// packed into id under flagPackedID, once headerSize has vouched for e.
-func appendRecord(dst []byte, head int, e *Envelope, f byte, id *[packedID]byte) []byte {
+// appendRecord is AppendEnvelope in the form flags f name, once
+// headerSize has vouched for e.
+func appendRecord(dst []byte, head int, e *Envelope, f byte) []byte {
 	b := dst
 	if size := head + len(e.Payload); cap(b)-len(b) < size {
 		// Not slices.Grow: the race detector's build allocates twice there.
 		b = make([]byte, len(dst), len(dst)+size)
 		copy(b, dst)
 	}
-	return append(appendHeader(b, e, f, id), e.Payload...)
+	return append(appendHeader(b, e, f), e.Payload...)
 }
 
 // Seal returns e's wire record, byte for byte Marshal's, without copying
@@ -133,43 +135,39 @@ func appendRecord(dst []byte, head int, e *Envelope, f byte, id *[packedID]byte)
 // first Seal of that buffer writes the header there, and the record is
 // the header and the payload where they lie. The right to the room is
 // the buffer's, not the Envelope value's, so of the copies of an
-// envelope sharing one payload (a copy with another ID, a link form with
-// strings left out) only the first sealed writes it; any later Seal,
+// envelope sharing one payload (a copy with another Name, a link form
+// with fields left out) only the first sealed writes it; any later Seal,
 // and a header that does not fit the room, copies as Marshal does. The
 // record is read-only like the payload it shares; a record a link or an
 // outbox keeps is never written again.
-func Seal(e *Envelope) ([]byte, error) { return seal(e, recordFlags(e, false, false), nil) }
+func Seal(e *Envelope) ([]byte, error) { return seal(e, recordFlags(e, false)) }
 
 // SealLink is Seal for a record that travels a link and is not stored:
 // the link form, which leaves out every field that is zero and the
-// payload's length, and sends an ID of 32 lowercase hex characters as
-// the 16 bytes it spells. Its header is never longer than the stored
-// form's, so it fits the room Encode left.
-func SealLink(e *Envelope) ([]byte, error) {
-	if id, ok := packID(e.ID); ok {
-		return seal(e, recordFlags(e, true, true), &id)
-	}
-	return seal(e, recordFlags(e, true, false), nil)
-}
+// payload's length, and carries the Name's numbers, not its text: the
+// incarnation only when it is not zero, so a caller whose link names it
+// zeroes it in the copy it seals. The ID text does not travel. The
+// header is never longer than the stored form's of a named envelope, so
+// it fits the room Encode left.
+func SealLink(e *Envelope) ([]byte, error) { return seal(e, recordFlags(e, true)) }
 
-// seal is Seal in the form flags f name, with the ID packed into id
-// under flagPackedID.
-func seal(e *Envelope, f byte, id *[packedID]byte) ([]byte, error) {
+// seal is Seal in the form flags f name.
+func seal(e *Envelope, f byte) ([]byte, error) {
 	head, err := headerSize(e, f)
 	if err != nil {
 		return nil, fmt.Errorf("codec: marshal envelope: %w", err)
 	}
 	if r := e.room; r != nil && head <= r.off && r.holds(e.Payload) && r.claimed.CompareAndSwap(false, true) {
 		start := r.off - head
-		appendHeader(r.buf[start:start:r.off], e, f, id)
+		appendHeader(r.buf[start:start:r.off], e, f)
 		return r.buf[start:len(r.buf):len(r.buf)], nil
 	}
-	return appendRecord(nil, head, e, f, id), nil
+	return appendRecord(nil, head, e, f), nil
 }
 
 // recordFlags returns the flags byte of e's record: the stored form, or
-// the link form, with the ID packed when packed says so.
-func recordFlags(e *Envelope, link, packed bool) byte {
+// the link form.
+func recordFlags(e *Envelope, link bool) byte {
 	var f byte
 	if e.HasPriority {
 		f |= flagPriority
@@ -184,8 +182,8 @@ func recordFlags(e *Envelope, link, packed bool) byte {
 		return f
 	}
 	f |= flagLink
-	if packed {
-		f |= flagPackedID
+	if e.Name.Inc != 0 {
+		f |= flagInc
 	}
 	if e.Type != "" {
 		f |= flagType
@@ -198,34 +196,6 @@ func recordFlags(e *Envelope, link, packed bool) byte {
 	}
 	return f
 }
-
-// packID returns the 16 bytes that id spells, and whether it is 32
-// lowercase hex characters, which a link packs: the decoder spells the
-// bytes out in lowercase again.
-func packID(id string) (packed [packedID]byte, ok bool) {
-	if len(id) != 2*packedID {
-		return packed, false
-	}
-	var bad byte
-	for i := range packed {
-		hi, lo := nibble[id[2*i]], nibble[id[2*i+1]]
-		bad |= hi | lo
-		packed[i] = hi<<4 | lo
-	}
-	return packed, bad <= 0xF
-}
-
-// nibble maps a lowercase hex digit to its value and any other byte to
-// 0xFF.
-var nibble = func() (t [256]byte) {
-	for i := range t {
-		t[i] = 0xFF
-	}
-	for i, c := range "0123456789abcdef" {
-		t[c] = byte(i)
-	}
-	return t
-}()
 
 // headroom is the buffer Encode wrote a payload into: room for the
 // record's header, then the payload, which runs to the buffer's end.
@@ -245,17 +215,22 @@ func (r *headroom) holds(payload []byte) bool {
 }
 
 // appendHeader appends e's record in the form flags f name, up to the
-// payload (and its length prefix, stored), with the ID packed into id
-// under flagPackedID: the one header writer, behind Marshal's copy and
-// Seal's room alike. The caller has sized dst with headerSize, which
-// also vouches for the fields.
-func appendHeader(b []byte, e *Envelope, f byte, id *[packedID]byte) []byte {
+// payload (and its length prefix, stored): the one header writer, behind
+// Marshal's copy and Seal's room alike. The caller has sized dst with
+// headerSize, which also vouches for the fields.
+func appendHeader(b []byte, e *Envelope, f byte) []byte {
 	link := f&flagLink != 0
 	b = append(b, envelopeFormat, f, payloadEncoding)
-	if f&flagPackedID != 0 {
-		b = append(b, id[:]...)
-	} else {
+	switch {
+	case link:
+		b = binary.AppendUvarint(b, e.Name.N)
+		if f&flagInc != 0 {
+			b = binary.AppendUvarint(b, e.Name.Inc)
+		}
+	case e.ID != "" || e.Name.IsZero():
 		b = rec.AppendLenString(b, e.ID)
+	default:
+		b = e.Name.AppendText(append(b, nameText))
 	}
 	if !link || f&flagType != 0 {
 		b = rec.AppendLenString(b, e.Type)
@@ -311,15 +286,19 @@ func headerSize(e *Envelope, f byte) (int, error) {
 		return 0, fmt.Errorf("payload of %d bytes exceeds %d", len(e.Payload), maxEnvelopePayload)
 	}
 	n := 3 + varintLen(int64(e.Reliability)) + varintLen(int64(e.Ordering)) + varintLen(e.PubNanos)
-	if f&flagPackedID != 0 {
-		n += packedID
-	} else {
-		n += rec.LenStringLen(e.ID)
-	}
 	if f&flagLink == 0 {
-		n += rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) + 2 +
+		id := len(e.ID)
+		if id == 0 && !e.Name.IsZero() {
+			id = nameText
+		}
+		n += rec.UvarintLen(uint64(id)) + id +
+			rec.LenStringLen(e.Type) + rec.LenStringLen(e.Publisher) + 2 +
 			varintLen(int64(e.Priority)) + varintLen(int64(e.TTL)) + rec.UvarintLen(uint64(len(e.Payload)))
 	} else {
+		n += rec.UvarintLen(e.Name.N)
+		if f&flagInc != 0 {
+			n += rec.UvarintLen(e.Name.Inc)
+		}
 		if f&flagType != 0 {
 			n += rec.LenStringLen(e.Type)
 		}
@@ -395,12 +374,13 @@ func unmarshalInto(e *Envelope, data []byte) error {
 		return fmt.Errorf("%w %d", ErrPayloadEncoding, enc)
 	}
 	// The reads below run in lexical order, which is the wire order.
-	id, typ, pub := r.header()
+	name, id, typ, pub := r.header()
 	if !r.link() {
 		r.Uvarint() // the retired sequence numbers, whatever an older build wrote
 		r.Uvarint()
 	}
 	*e = Envelope{
+		Name:        name,
 		ID:          id,
 		Type:        typ,
 		Publisher:   pub,
@@ -433,6 +413,19 @@ func unmarshalInto(e *Envelope, data []byte) error {
 	return r.Err
 }
 
+// StoredID returns the ID text a stored record spells, a slice of
+// record, read off its header without decoding the rest: what a
+// certified subscriber keys the event by. It reports false for anything
+// that does not start as a stored record does.
+func StoredID(record []byte) ([]byte, bool) {
+	r := rec.Reader{Buf: record}
+	if r.U8() != envelopeFormat || r.U8()&flagLink != 0 || r.U8() != payloadEncoding {
+		return nil, false
+	}
+	id := r.Span("ID", 0, maxEnvelopeString)
+	return id, r.Err == nil
+}
+
 // envReader reads an envelope's fields off the shared record cursor; f
 // is the record's flags byte.
 type envReader struct {
@@ -453,22 +446,20 @@ func (r *envReader) intVal() int {
 	return int(v)
 }
 
-// header reads ID, Type and Publisher, which are adjacent on the wire,
-// in one allocation: the bytes from the first of ID to the last of the
-// last field that is not empty are converted once, and the three strings
-// are slices of that. A packed ID is spelled out in hex at the front of
-// the block, ahead of the bytes from Type on. In the link form a string
-// its flag leaves out is empty, and one it flags is not.
-func (r *envReader) header() (id, typ, pub string) {
-	packed := r.f&flagPackedID != 0
-	var raw []byte
-	if packed {
-		if raw = r.Buf[r.Off:]; len(raw) < packedID {
-			r.Fail("truncated at offset %d", r.Off)
-			return "", "", ""
+// header reads the Name and the Type and Publisher strings, the two in
+// one allocation, and, in the stored form, the ID text, which is the
+// first of three adjacent strings: the bytes from the first of them to
+// the last of the last that is not empty are converted once, and the
+// strings are slices of that. A stored ID that is a Name's text gives
+// the Name; the link form carries the Name's numbers and no text. In
+// the link form a string its flag leaves out is empty, and one it flags
+// is not.
+func (r *envReader) header() (name Name, id, typ, pub string) {
+	if r.link() {
+		name.N = r.Uvarint()
+		if r.f&flagInc != 0 {
+			name.Inc = r.NonZero("incarnation")
 		}
-		raw = raw[:packedID]
-		r.Off += packedID
 	}
 	var at, n [3]int
 	start := r.Off
@@ -476,11 +467,11 @@ func (r *envReader) header() (id, typ, pub string) {
 	for i, what := range [...]string{"ID", "Type", "Publisher"} {
 		lo := 0
 		switch {
-		case i == 0 && packed,
+		case i == 0 && r.link(),
 			i == 1 && r.link() && r.f&flagType == 0,
 			i == 2 && r.link() && r.f&flagPublisher == 0:
 			continue
-		case i > 0 && r.link():
+		case r.link():
 			lo = 1
 		}
 		b := r.Span(what, lo, maxEnvelopeString)
@@ -490,32 +481,22 @@ func (r *envReader) header() (id, typ, pub string) {
 		}
 	}
 	if r.Err != nil {
-		return "", "", ""
+		return Name{}, "", "", ""
 	}
 	var block string
-	switch {
-	case packed:
-		var text [2 * packedID]byte
-		hex.Encode(text[:], raw)
-		var b strings.Builder
-		b.Grow(len(text) + end - start)
-		b.Write(text[:])
-		b.Write(r.Buf[start:end])
-		block = b.String()
-	case end > start:
+	if end > start {
 		block = string(r.Buf[start:end])
 	}
-	front := 2 * len(raw)
 	field := func(i int) string {
 		if n[i] == 0 {
 			return ""
 		}
-		return block[front+at[i]-start:][:n[i]]
+		return block[at[i]-start:][:n[i]]
 	}
-	if id = field(0); packed {
-		id = block[:front]
+	if id = field(0); id != "" {
+		name, _ = ParseName(id)
 	}
-	return id, field(1), field(2)
+	return name, id, field(1), field(2)
 }
 
 // payload reads the final field, which must end the record: stored,

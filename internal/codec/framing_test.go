@@ -16,19 +16,23 @@ import (
 	"govents/internal/vclock"
 )
 
-// packable reports whether a link packs id.
-func packable(id string) bool {
-	_, ok := packID(id)
-	return ok
-}
-
-// linkView is e as the link form carries it: a Priority without its
-// flag does not travel.
+// linkView is e as the link form carries it: the Name's numbers and no
+// ID text, and a Priority without its flag does not travel.
 func linkView(e *Envelope) *Envelope {
 	v := *e
+	v.ID = ""
 	if !v.HasPriority {
 		v.Priority = 0
 	}
+	return &v
+}
+
+// storedView is e as the stored form carries it: the ID text spelled,
+// the Name's when e has none, and the Name that text parses as.
+func storedView(e *Envelope) *Envelope {
+	v := *e
+	v.ID = e.IDText()
+	v.Name, _ = ParseName(v.ID)
 	return &v
 }
 
@@ -47,7 +51,7 @@ func sameEnvelope(a, b *Envelope) bool {
 // optional field set.
 func flatFIFOEnvelope() *Envelope {
 	return &Envelope{
-		ID:          "0123456789abcdef0123456789abcdef",
+		Name:        Name{Inc: 1790000000123456, N: 70000},
 		Type:        "bench.Event",
 		Payload:     bytes.Repeat([]byte{0xA5}, 60),
 		Publisher:   "127.0.0.1:40123",
@@ -109,38 +113,43 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		// read as slices of one span.
 		{"no Type", with(func(e *Envelope) { e.Type = "" })},
 		{"no Type, no Publisher", with(func(e *Envelope) { e.Type, e.Publisher = "", "" })},
-		{"no ID", with(func(e *Envelope) { e.ID = "" })},
-		{"Type only", with(func(e *Envelope) { e.ID, e.Publisher = "", "" })},
-		{"Publisher only", with(func(e *Envelope) { e.ID, e.Type = "", "" })},
+		{"no ID", with(func(e *Envelope) { e.Name = Name{} })},
+		{"Type only", with(func(e *Envelope) { e.Name, e.Publisher = Name{}, "" })},
+		{"Publisher only", with(func(e *Envelope) { e.Name, e.Type = Name{}, "" })},
 		{"no Publisher", with(func(e *Envelope) { e.Publisher = "" })},
-		{"no header string", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", "" })},
-		{"64 KiB-1 ID alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = long, "", "" })},
-		{"64 KiB-1 Publisher alone", with(func(e *Envelope) { e.ID, e.Type, e.Publisher = "", "", long })},
+		{"no header string", with(func(e *Envelope) { e.Name, e.Type, e.Publisher = Name{}, "", "" })},
+		{"64 KiB-1 ID alone", with(func(e *Envelope) { e.Name, e.ID, e.Type, e.Publisher = Name{}, long, "", "" })},
+		{"64 KiB-1 Publisher alone", with(func(e *Envelope) { e.Name, e.Type, e.Publisher = Name{}, "", long })},
+		// A Name's text as a stored record of an earlier build spells it,
+		// and the incarnation a numbered link leaves out.
+		{"ID text of a Name", with(func(e *Envelope) { e.ID = "0123456789abcdef0123456789abcdef" })},
+		{"count only", with(func(e *Envelope) { e.Name.Inc = 0 })},
+		{"widest Name", with(func(e *Envelope) { e.Name = Name{Inc: math.MaxUint64, N: math.MaxUint64} })},
 		{"64 KiB payload", with(func(e *Envelope) { e.Payload = bytes.Repeat([]byte{1}, 64<<10) })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Stored, and as a link carries it: with a hex ID, packed, and
-			// a Priority without its flag left out.
+			// Stored, with the Name's text, and as a link carries it: the
+			// Name's numbers, the incarnation under its flag, and a
+			// Priority without its flag left out.
 			for _, form := range []struct {
-				name   string
-				seal   func(*Envelope) ([]byte, error)
-				link   bool
-				packed bool
-				want   *Envelope
+				name string
+				seal func(*Envelope) ([]byte, error)
+				link bool
+				want *Envelope
 			}{
-				{"stored", Marshal, false, false, tc.env},
-				{"link", SealLink, true, packable(tc.env.ID), linkView(tc.env)},
+				{"stored", Marshal, false, storedView(tc.env)},
+				{"link", SealLink, true, linkView(tc.env)},
 			} {
 				data, err := form.seal(tc.env)
 				if err != nil {
 					t.Fatalf("%s: %v", form.name, err)
 				}
-				if head, _ := headerSize(tc.env, recordFlags(tc.env, form.link, form.packed)); head+len(tc.env.Payload) != len(data) {
+				if head, _ := headerSize(tc.env, recordFlags(tc.env, form.link)); head+len(tc.env.Payload) != len(data) {
 					t.Errorf("%s: headerSize = %d and a payload of %d bytes, record has %d bytes", form.name, head, len(tc.env.Payload), len(data))
 				}
-				if packed := data[1]&flagPackedID != 0; packed != form.packed {
-					t.Errorf("%s: the record's packed-ID flag is %v, want %v", form.name, packed, form.packed)
+				if inc := data[1]&flagInc != 0; inc != (form.link && tc.env.Name.Inc != 0) {
+					t.Errorf("%s: the record's incarnation flag is %v for incarnation %d", form.name, inc, tc.env.Name.Inc)
 				}
 				back, err := Unmarshal(data)
 				if err != nil {
@@ -241,7 +250,7 @@ func TestAppendEnvelopeKeepsPrefix(t *testing.T) {
 		t.Fatalf("prefix lost: %q", out[:6])
 	}
 	back, err := Unmarshal(out[6:])
-	if err != nil || !sameEnvelope(env, back) {
+	if err != nil || !sameEnvelope(storedView(env), back) {
 		t.Fatalf("record after the prefix: %+v, %v", back, err)
 	}
 }
@@ -289,7 +298,7 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"gob-framed record of an older build", "unknown envelope format", gobFramed.Bytes()},
 		{"unknown flag", "unknown flags", patch(flagsAt, 0x10)},
 		{"link-form flag on a stored record", "unknown flags", patch(flagsAt, flagType)},
-		{"packed ID shorter than 16 bytes", "truncated", patch(flagsAt, flagLink|flagPackedID)[:flagsAt+1+1+15]},
+		{"incarnation flag on a stored record", "unknown flags", patch(flagsAt, flagInc)},
 		{"trailing byte", "trailing", append(append([]byte(nil), valid...), 0)},
 		{"string longer than the frame", "truncated", patch(idLenAt, 0x7F)},
 		{"string over its cap", "ID of 65536 bytes exceeds", patch(idLenAt, 0x80, 0x80, 0x04)},
@@ -311,9 +320,10 @@ func TestUnmarshalGarbage(t *testing.T) {
 			append(patch(flagsAt, flagVC)[:payloadLenAt], 2, 1, 'k', 1, 1, 'k', 2, 0)},
 	}
 	// The link form sends a field its flag names, and no other: a flagged
-	// string is not empty and a flagged TTL not zero.
+	// string is not empty, and a flagged TTL or incarnation not zero. It
+	// always sends the Name's count (1 here).
 	link := func(flags byte, fields ...byte) []byte {
-		return append([]byte{envelopeFormat, flagLink | flags, payloadEncoding, 1, 'i'}, fields...)
+		return append([]byte{envelopeFormat, flagLink | flags, payloadEncoding, 1}, fields...)
 	}
 	cases = append(cases, []struct {
 		name, want string
@@ -324,6 +334,11 @@ func TestUnmarshalGarbage(t *testing.T) {
 		{"link form: zero TTL under its flag", "zero TTL", link(flagTTL, 0, 0, 0, 0)},
 		{"link form: Type cut short", "truncated", link(flagType, 5, 't')},
 		{"link form: no Priority under its flag", "truncated", link(flagPriority, 0, 0)},
+		{"link form: zero incarnation under its flag", "zero incarnation", link(flagInc, 0, 0, 0, 0)},
+		{"link form: incarnation cut short", "truncated", link(flagInc, 0x80)},
+		{"link form: no count", "truncated", []byte{envelopeFormat, flagLink, payloadEncoding}},
+		{"link form: count cut short", "truncated", []byte{envelopeFormat, flagLink, payloadEncoding, 0xFF, 0xFF}},
+		{"link form: overlong count", "overlong", []byte{envelopeFormat, flagLink, payloadEncoding, 0x80, 0x00, 0, 0, 0}},
 	}...)
 	for _, tc := range cases {
 		e, err := Unmarshal(tc.data)
@@ -350,7 +365,7 @@ func TestUnmarshalCopiesPayload(t *testing.T) {
 	for i := range data {
 		data[i] = 0
 	}
-	if !sameEnvelope(env, back) {
+	if !sameEnvelope(storedView(env), back) {
 		t.Errorf("envelope changed with the frame: %+v", back)
 	}
 }
@@ -400,6 +415,21 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("UnmarshalInto of a record with no header string: %v allocs, want 0", n)
 	}
+	// Nor does the link form a FIFO link carries: no Type, no Publisher
+	// and, the Name being numbers, no ID text.
+	onLink := flatFIFOEnvelope()
+	onLink.Type, onLink.Publisher, onLink.Name.Inc = "", "", 0
+	linkData, err := SealLink(onLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := UnmarshalInto(&into, linkData); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("UnmarshalInto of a FIFO link record: %v allocs, want 0", n)
+	}
 	buf := make([]byte, 0, 2*len(data))
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := AppendEnvelope(buf, env); err != nil {
@@ -433,17 +463,17 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte("not an envelope record"))
 	for _, env := range []*Envelope{flatFIFOEnvelope(), everyFieldEnvelope(), link, noType} {
-		data, err := SealLink(env) // the ID is hex: packed
-		if err != nil || data[1]&flagPackedID == 0 {
+		data, err := SealLink(env) // the incarnation travels
+		if err != nil || data[1]&flagInc == 0 {
 			f.Fatalf("SealLink of %+v: %x, %v", env, data, err)
 		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])
-		f.Add(data[:5]) // a packed ID cut short
+		f.Add(data[:5]) // the incarnation cut short
 	}
-	// The link form's presence bits one at a time, with an ID it does not
-	// pack; and a flagged field that is empty or zero, which no encoder
-	// writes.
+	// The link form's presence bits one at a time, under the count alone,
+	// as a numbered link carries it; and a flagged field that is empty or
+	// zero, which no encoder writes.
 	for _, mut := range []func(*Envelope){
 		func(e *Envelope) { e.Type, e.Publisher = "", "" },
 		func(e *Envelope) { e.Publisher = "" },
@@ -452,16 +482,25 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		func(e *Envelope) { e.Type, e.Publisher, e.Priority, e.HasPriority = "", "", 0, true },
 	} {
 		e := flatFIFOEnvelope()
-		e.ID = "not-hex"
+		e.Name.Inc = 0
 		mut(e)
 		data, err := SealLink(e)
-		if err != nil || data[1]&flagLink == 0 || data[1]&flagPackedID != 0 {
+		if err != nil || data[1]&flagLink == 0 || data[1]&flagInc != 0 {
 			f.Fatalf("SealLink of %+v: %x, %v", e, data, err)
 		}
 		f.Add(data)
 	}
 	for _, f2 := range []byte{flagType, flagPublisher, flagTTL} {
 		f.Add([]byte{envelopeFormat, flagLink | f2, payloadEncoding, 0, 0, 0, 0, 0, 0})
+	}
+	// A count cut short, alone and under an incarnation; and the widest
+	// Name.
+	f.Add([]byte{envelopeFormat, flagLink, payloadEncoding, 0x80})
+	f.Add([]byte{envelopeFormat, flagLink | flagInc, payloadEncoding, 0xFF, 0xFF})
+	widest := flatFIFOEnvelope()
+	widest.Name = Name{Inc: math.MaxUint64, N: math.MaxUint64}
+	if data, err := SealLink(widest); err == nil {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
@@ -479,14 +518,14 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 			t.Fatalf("decoded over a filled envelope:\n got %+v\nwant %+v", reused, env)
 		}
 		held := len(env.ID) + len(env.Type) + len(env.Publisher) + len(env.Payload)
-		if data[1]&flagPackedID != 0 {
-			held -= packedID // a packed ID's 32 characters come from 16 bytes
-		}
 		for k := range env.VC {
 			held += len(k)
 		}
 		if held > len(data) || 2*len(env.VC) > len(data) {
 			t.Fatalf("decoded %d variable bytes and %d clock entries from %d input bytes", held, len(env.VC), len(data))
+		}
+		if data[1]&flagLink != 0 && env.ID != "" {
+			t.Fatalf("a link record decoded to the ID text %q", env.ID)
 		}
 		again, err := Marshal(env)
 		if err != nil {
@@ -496,43 +535,35 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal of the re-marshaled envelope: %v", err)
 		}
-		if !sameEnvelope(env, back) {
-			t.Fatalf("re-marshal changed the envelope:\n got %+v\nwant %+v", back, env)
+		if want := storedView(env); !sameEnvelope(want, back) {
+			t.Fatalf("re-marshal changed the envelope:\n got %+v\nwant %+v", back, want)
 		}
-		// The stored form, and the link form, unpacked and, for a hex ID,
-		// packed: each decodes to the envelope (the link form less a
-		// Priority without its flag, which it does not carry), and each
-		// re-encodes byte for byte in its own form. A clock of two
-		// entries or more is written in map order, so there only the
-		// fields are compared.
-		for _, form := range []struct{ link, packed bool }{{false, false}, {true, false}, {true, packable(env.ID)}} {
-			f := recordFlags(env, form.link, form.packed)
+		// The stored form and the link form each decode to the envelope
+		// (the stored form with the Name's text, the link form with no
+		// text and less a Priority without its flag, which it does not
+		// carry), and each re-encodes byte for byte in its own form. A
+		// clock of two entries or more is written in map order, so there
+		// only the fields are compared.
+		for _, link := range []bool{false, true} {
+			f := recordFlags(env, link)
 			head, err := headerSize(env, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var id *[packedID]byte
-			if form.packed {
-				raw, _ := packID(env.ID)
-				id = &raw
-			}
-			rec := appendRecord(nil, head, env, f, id)
-			if got := rec[1]&flagPackedID != 0; got != form.packed {
-				t.Fatalf("a record sealed with packed=%v has the packed-ID flag %v", form.packed, got)
-			}
-			want := env
-			if form.link {
+			rec := appendRecord(nil, head, env, f)
+			want := storedView(env)
+			if link {
 				want = linkView(env)
 			}
 			back, err := Unmarshal(rec)
 			if err != nil || !sameEnvelope(want, back) {
-				t.Fatalf("the %+v form decodes to %+v, %v; want %+v", form, back, err, want)
+				t.Fatalf("the link=%v form decodes to %+v, %v; want %+v", link, back, err, want)
 			}
 			if len(env.VC) > 1 {
 				continue
 			}
-			if again := appendRecord(nil, head, back, f, id); !bytes.Equal(again, rec) {
-				t.Fatalf("the %+v form re-encodes as\n%x, was\n%x", form, again, rec)
+			if again := appendRecord(nil, head, back, f); !bytes.Equal(again, rec) {
+				t.Fatalf("the link=%v form re-encodes as\n%x, was\n%x", link, again, rec)
 			}
 		}
 	})

@@ -1,0 +1,102 @@
+package codec
+
+// A Name names one publication: the incarnation of the group that
+// published it and the count of that group's publications, from 1 (the
+// CBCAST/ISIS message name, (sender, sequence)). Every hop agrees on it
+// (paper §3.1.2, the reified message): a link carries the count, and the
+// incarnation only where the link's binding does not name it (see
+// SealLink). It is minted from an atomic counter, with no lock and
+// nothing random: two publications of one group never share a count,
+// and a group's next incarnation is a new one (multicast.Group.NextName).
+//
+// A Name's text is its two numbers in 16 lowercase hex digits each.
+// That is also how 128 random bits read that earlier builds minted as
+// IDs, so such an ID parses as the Name whose text it is (ParseName).
+type Name struct {
+	Inc uint64 // the publishing group's incarnation
+	N   uint64 // the publication's count in it
+}
+
+// nameText is the length of a Name's text.
+const nameText = 32
+
+// IsZero reports whether n names nothing.
+func (n Name) IsZero() bool { return n == Name{} }
+
+// AppendText appends n's text to b.
+func (n Name) AppendText(b []byte) []byte {
+	for _, x := range [2]uint64{n.Inc, n.N} {
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[x>>shift&0xF])
+		}
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// String renders n's text in one allocation. Only what needs text calls
+// it: a trace record, a certified event's key (TextBlock renders those
+// in blocks).
+func (n Name) String() string {
+	var b [nameText]byte
+	return string(n.AppendText(b[:0]))
+}
+
+// ParseName reads a Name's text, and reports whether text is one: 32
+// lowercase hex digits.
+func ParseName[T string | []byte](text T) (Name, bool) {
+	if len(text) != nameText {
+		return Name{}, false
+	}
+	var x [2]uint64
+	for i := 0; i < nameText; i++ {
+		d := nibble[text[i]]
+		if d > 0xF {
+			return Name{}, false
+		}
+		x[i/16] = x[i/16]<<4 | uint64(d)
+	}
+	return Name{Inc: x[0], N: x[1]}, true
+}
+
+// nibble maps a lowercase hex digit to its value and any other byte to
+// 0xFF.
+var nibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	for i, c := range hexDigits {
+		t[c] = byte(i)
+	}
+	return t
+}()
+
+// idBlock is how many names' texts a TextBlock renders into one string.
+const idBlock = 16
+
+// A TextBlock renders the texts of consecutive names idBlock at a time
+// into one string and hands each out as a slice of it: what keeps a
+// name's text as a string (a certified outbox keys its entries by it)
+// costs one allocation per idBlock names, not one per name. A kept text
+// keeps its block reachable. It is not safe for concurrent use: its
+// owner serializes Text.
+type TextBlock struct {
+	first Name   // the block's first name
+	text  string // the texts of first and the idBlock-1 names after it
+}
+
+// Text returns n's text, from the current block if it holds n and else
+// from a new one, rendered from n on.
+func (b *TextBlock) Text(n Name) string {
+	if b.text == "" || n.Inc != b.first.Inc || n.N < b.first.N || n.N-b.first.N >= idBlock {
+		var buf [idBlock * nameText]byte
+		text := buf[:0]
+		for i := range uint64(idBlock) {
+			text = Name{Inc: n.Inc, N: n.N + i}.AppendText(text)
+		}
+		b.first, b.text = n, string(text)
+	}
+	at := int(n.N-b.first.N) * nameText
+	return b.text[at : at+nameText]
+}

@@ -617,7 +617,7 @@ func TestLocalReleasesDeliveredEnvelopes(t *testing.T) {
 	delivered := make(chan struct{}, 1)
 	l.SetSink(func(*codec.Envelope) { delivered <- struct{}{} })
 	collected := make(chan struct{})
-	env := &codec.Envelope{ID: codec.NewID(), Payload: make([]byte, 1<<10)}
+	env := &codec.Envelope{ID: "local-1", Payload: make([]byte, 1<<10)}
 	runtime.SetFinalizer(env, func(*codec.Envelope) { close(collected) })
 	if err := l.PublishEnvelope(env); err != nil {
 		t.Fatal(err)

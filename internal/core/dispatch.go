@@ -333,7 +333,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, id: env.ID, class: env.Type}) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:
@@ -429,7 +429,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, id: env.ID, class: env.Type}) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:
@@ -447,7 +447,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 // away, so drop outcomes are visible to the hook. The drop itself is
 // counted by the caller in DispatchStats.
 func (e *Engine) noteDrop(env *codec.Envelope, r telemetry.Reason) {
-	e.tele.Trace(env.ID, env.Type, telemetry.StageDispatch, 0, r.String())
+	e.tele.TraceRendered(env.IDText, env.Type, telemetry.StageDispatch, 0, r.String())
 }
 
 // rebuildTable republishes the dispatch table from the current

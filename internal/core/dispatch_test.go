@@ -288,7 +288,7 @@ func TestDispatchStats(t *testing.T) {
 	_ = Publish(e, timelyTick{TimelyBase: obvent.TimelyBase{TTL: time.Millisecond, BirthTime: time.Now().Add(-time.Second)}, N: 1})
 	// A corrupt payload for a class with live candidates: decode error.
 	e.deliver(&codec.Envelope{
-		ID:      codec.NewID(),
+		Name:    codec.Name{Inc: 1, N: 1},
 		Type:    obvent.TypeName(reflect.TypeOf(StockQuote{})),
 		Payload: []byte{0xff, 0x00, 0xba, 0xad},
 	})
@@ -422,7 +422,7 @@ func TestUnknownWireTypeNotCached(t *testing.T) {
 	c := subscribeCollector[StockQuote](t, e, nil)
 
 	for i := 0; i < 3; i++ {
-		e.deliver(&codec.Envelope{ID: codec.NewID(), Type: fmt.Sprintf("garbage.Type%d", i), Payload: []byte{1}})
+		e.deliver(&codec.Envelope{Name: codec.Name{Inc: 1, N: uint64(i)}, Type: fmt.Sprintf("garbage.Type%d", i), Payload: []byte{1}})
 	}
 	_ = Publish(e, StockQuote{StockObvent: StockObvent{Company: "Acme", Price: 1}})
 	waitFor(t, 5*time.Second, "traffic dispatched", func() bool {

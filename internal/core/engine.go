@@ -22,12 +22,12 @@ import (
 // into envelopes and hands them down; the disseminator hands arriving
 // envelopes back up through the sink installed with SetSink.
 type Disseminator interface {
-	// PublishEnvelope disseminates an encoded obvent to every process
-	// hosting matching subscriptions (possibly including this one). It
-	// must not keep env, its payload or a record sealed around it after
-	// it returns: the engine recycles all three (codec.Release). dace
-	// seals it into a record whose keepers copy it, Local's sink copies
-	// it into a lane.
+	// PublishEnvelope names an encoded obvent (env.Name, which it sets)
+	// and disseminates it to every process hosting matching
+	// subscriptions (possibly including this one). It must not keep env,
+	// its payload or a record sealed around it after it returns: the
+	// engine recycles all three (codec.Release). dace seals it into a
+	// record whose keepers copy it, Local's sink copies it into a lane.
 	PublishEnvelope(env *codec.Envelope) error
 	// SetSink installs the engine's delivery entry point. It must be
 	// called once before any traffic flows. The sink's env, and the
@@ -429,9 +429,10 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 }
 
 // Delivery is the per-event metadata handed to a delivery-aware
-// handler: the envelope's unique event ID and the event's concrete
-// class name. Durable subscriptions acknowledge deliveries in their
-// inbox keyed by exactly this pair.
+// handler: the event's name as text (codec.IDText: a certified event's
+// is the ID its stored record spells) and the event's concrete class
+// name. Durable subscriptions acknowledge deliveries in their inbox
+// keyed by exactly this pair.
 type Delivery struct {
 	EventID string
 	Class   string

@@ -189,7 +189,7 @@ func (ls *laneSet) route(env *codec.Envelope) {
 		ls.serial.push(env, lanePriority(env))
 		return
 	}
-	ls.par[laneIndex(laneKey(env), len(ls.par))].push(env, 0)
+	ls.par[laneOf(env, len(ls.par))].push(env, 0)
 }
 
 // lanePriority is an envelope's stamped priority, 0 without one.
@@ -219,13 +219,15 @@ func (ls *laneSet) routeSerial(env *codec.Envelope) bool {
 	return false
 }
 
-// laneKey is the envelope's publisher identity, which picks its parallel
-// lane: the publisher ID, or the publication ID when there is none.
-func laneKey(env *codec.Envelope) string {
+// laneOf picks the envelope's parallel lane of n by its publisher
+// identity: the publisher ID, or, when there is none, the count of its
+// name, which spreads such envelopes over the lanes without rendering
+// anything.
+func laneOf(env *codec.Envelope, n int) int {
 	if env.Publisher != "" {
-		return env.Publisher
+		return laneIndex(env.Publisher, n)
 	}
-	return env.ID
+	return int(env.Name.N % uint64(n))
 }
 
 // laneIndex hashes a publisher key onto a parallel lane: one publisher's

@@ -125,10 +125,10 @@ func TestLaneRoutingSemantics(t *testing.T) {
 	for p := 0; p < 16; p++ {
 		pub := fmt.Sprintf("pub-%d", p)
 		env := encodeFrom(t, e, StockQuote{}, pub)
-		lane := laneIndex(laneKey(env), len(e.lanes.par))
+		lane := laneOf(env, len(e.lanes.par))
 		for i := 0; i < 5; i++ {
-			if got := laneIndex(laneKey(env), len(e.lanes.par)); got != lane {
-				t.Fatalf("publisher %s: lane flapped %d -> %d", pub, lane, got)
+			if env.Name.N++; laneOf(env, len(e.lanes.par)) != lane {
+				t.Fatalf("publisher %s: lane flapped from %d", pub, lane)
 			}
 		}
 		lanesSeen[lane] = true
@@ -137,10 +137,14 @@ func TestLaneRoutingSemantics(t *testing.T) {
 		t.Errorf("16 publishers hashed onto %d lane(s), want a spread", len(lanesSeen))
 	}
 
-	// A publisher-less envelope falls back to its publication ID.
+	// A publisher-less envelope falls back to its name's count: the
+	// lanes take such envelopes in turn, and nothing is rendered.
 	anon := encodeFrom(t, e, StockQuote{}, "")
-	if laneKey(anon) != anon.ID {
-		t.Errorf("publisher-less envelope keyed by %q, want its publication ID %q", laneKey(anon), anon.ID)
+	for n := range uint64(2 * len(e.lanes.par)) {
+		anon.Name.N = n
+		if got, want := laneOf(anon, len(e.lanes.par)), int(n%uint64(len(e.lanes.par))); got != want {
+			t.Errorf("publisher-less envelope of count %d on lane %d, want %d", n, got, want)
+		}
 	}
 }
 
@@ -175,7 +179,7 @@ func TestLaneRoutingZeroAlloc(t *testing.T) {
 		if !e.lanes.routeSerial(ordered) || !e.lanes.routeSerial(unstamped) {
 			t.Fatal("ordered not routed serial")
 		}
-		_ = laneIndex(laneKey(free), len(e.lanes.par))
+		_ = laneOf(free, len(e.lanes.par))
 	})
 	if allocs != 0 {
 		t.Errorf("routing decision allocates %.1f times per envelope, want 0", allocs)

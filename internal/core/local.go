@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"govents/internal/codec"
 )
@@ -18,12 +20,16 @@ type Local struct {
 	mu     sync.Mutex
 	sink   func(*codec.Envelope)
 	closed bool
+	// inc and names name the publications (the loopback's incarnation, a
+	// clock reading, and its count).
+	inc   uint64
+	names atomic.Uint64
 }
 
 var _ Disseminator = (*Local)(nil)
 
 // NewLocal returns a loopback disseminator.
-func NewLocal() *Local { return &Local{} }
+func NewLocal() *Local { return &Local{inc: uint64(time.Now().UnixMicro())} }
 
 // SetSink implements Disseminator.
 func (l *Local) SetSink(sink func(*codec.Envelope)) {
@@ -34,6 +40,7 @@ func (l *Local) SetSink(sink func(*codec.Envelope)) {
 
 // PublishEnvelope implements Disseminator.
 func (l *Local) PublishEnvelope(env *codec.Envelope) error {
+	env.Name = codec.Name{Inc: l.inc, N: l.names.Add(1)}
 	l.mu.Lock()
 	sink, closed := l.sink, l.closed
 	l.mu.Unlock()

@@ -12,11 +12,11 @@ import (
 
 // scratchDiss is a disseminator that hands its sink one envelope value,
 // rewritten for every delivery the way a dace channel's scratch is, and
-// keeps nothing it is asked to publish but the IDs.
+// keeps nothing it is asked to publish but whether it came named.
 type scratchDiss struct {
 	sink    func(*codec.Envelope)
 	scratch codec.Envelope
-	ids     []string
+	named   int
 }
 
 func (d *scratchDiss) SetSink(sink func(*codec.Envelope))                      { d.sink = sink }
@@ -24,7 +24,9 @@ func (d *scratchDiss) SubscriptionChanged([]SubscriptionInfo, ...string) error {
 func (d *scratchDiss) Close() error                                            { return nil }
 
 func (d *scratchDiss) PublishEnvelope(env *codec.Envelope) error {
-	d.ids = append(d.ids, env.ID)
+	if !env.Name.IsZero() || env.ID != "" {
+		d.named++
+	}
 	return nil
 }
 
@@ -100,12 +102,14 @@ func TestLaneKeepsItsOwnEnvelope(t *testing.T) {
 }
 
 // TestPublishRecyclesEnvelope: an engine hands its pooled envelope back
-// once PublishEnvelope returns, so a steady-state Publish of an event
-// already in an interface allocates the payload buffer and a share of
-// an ID block, and no envelope (it read 2.07 allocations while each
-// Publish allocated one). A recycled envelope carries a fresh ID.
+// once PublishEnvelope returns, with its payload buffer, so a
+// steady-state Publish of an event already in an interface allocates
+// nothing (it read 2.07 allocations while each Publish allocated an
+// envelope, and 1.06 while it minted a share of a random ID block). A
+// recycled envelope reaches the disseminator unnamed, keeping nothing of
+// the name the last publication was given.
 func TestPublishRecyclesEnvelope(t *testing.T) {
-	d := &scratchDiss{ids: make([]string, 0, 4096)} // past PerRun's 3,001 calls: no growth measured
+	d := &scratchDiss{}
 	e := NewEngine("recycle", d)
 	t.Cleanup(func() { _ = e.Close() })
 	registerTickTypes(e.Registry())
@@ -116,14 +120,10 @@ func TestPublishRecyclesEnvelope(t *testing.T) {
 		}
 	})
 	t.Logf("%.2f allocations per Publish", n)
-	if n > 1.1 && !raceEnabled {
-		t.Errorf("Publish costs %.2f allocations, want <= 1.1", n)
+	if n > 0.1 && !raceEnabled {
+		t.Errorf("Publish costs %.2f allocations, want <= 0.1", n)
 	}
-	seen := make(map[string]bool, len(d.ids))
-	for _, id := range d.ids {
-		if seen[id] {
-			t.Fatalf("ID %s published twice", id)
-		}
-		seen[id] = true
+	if d.named > 0 {
+		t.Fatalf("%d envelopes reached the disseminator named", d.named)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"govents/internal/codec"
 	"govents/internal/filter"
 	"govents/internal/obvent"
 	"govents/internal/telemetry"
@@ -171,18 +172,18 @@ func (s *Subscription) invoke(item submission) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.engine.handlerPanics.Add(1)
-			s.engine.tele.Trace(item.id, item.class, telemetry.StageDispatch, 0,
+			s.engine.tele.TraceRendered(item.eventID, item.class, telemetry.StageDispatch, 0,
 				telemetry.ReasonHandlerPanic.String())
 			s.engine.log.Error("recovered panic in obvent handler",
 				"subscription", s.id,
 				"type", s.typeName,
-				"event", item.id,
+				"event", item.eventID(),
 				"panic", r,
 				"stack", string(debug.Stack()))
 		}
 	}()
 	if s.deliveryHandler != nil {
-		s.deliveryHandler(item.o, Delivery{EventID: item.id, Class: item.class})
+		s.deliveryHandler(item.o, Delivery{EventID: item.eventID(), Class: item.class})
 	} else {
 		s.handler(item.o)
 	}
@@ -272,17 +273,23 @@ const defaultQuarantineMailbox = 1024
 // never the envelope or the clone — so handler-return timing can close
 // the dequeue→handler and end-to-end spans: deq is the lane's dequeue
 // timestamp (0 when telemetry was off), pub the publisher's wall-clock
-// UnixNano stamp (0 when the envelope carries none), id/class the
-// envelope identity for trace spans. prio orders the queue (submit).
+// UnixNano stamp (0 when the envelope carries none), name, id and class
+// the envelope identity for trace spans and delivery-aware handlers
+// (codec.Envelope's Name, ID and Type). prio orders the queue (submit).
 type submission struct {
 	o       obvent.Obvent
 	ordered bool
 	prio    int
 	deq     int64
 	pub     int64
+	name    codec.Name
 	id      string
 	class   string
 }
+
+// eventID is the event's name as text, rendered only where text is
+// asked for (codec.IDText).
+func (s *submission) eventID() string { return codec.IDText(s.name, s.id) }
 
 func newExecutor(run func(submission) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor {
 	if stallBudget > 0 && mailbox <= 0 {
@@ -442,9 +449,9 @@ func (x *executor) finish(item submission, ok bool) {
 	}
 	if p.TraceEnabled() {
 		if e2eNS >= 0 {
-			p.Trace(item.id, item.class, telemetry.StageE2E, e2eNS, telemetry.OutcomeDelivered)
+			p.TraceRendered(item.eventID, item.class, telemetry.StageE2E, e2eNS, telemetry.OutcomeDelivered)
 		} else {
-			p.Trace(item.id, item.class, telemetry.StageDispatch, dispatchNS, telemetry.OutcomeDelivered)
+			p.TraceRendered(item.eventID, item.class, telemetry.StageDispatch, dispatchNS, telemetry.OutcomeDelivered)
 		}
 	}
 }

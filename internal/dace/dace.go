@@ -443,7 +443,9 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	stream := streamName(proto, class)
 	// A channel carries one class, so its frames need not name it.
 	var scratch codec.Envelope // see onData
-	deliver := func(origin string, payload []byte) { n.onData(class, origin, payload, &scratch) }
+	var deliver multicast.DeliverFrom = func(origin string, epoch uint64, payload []byte) {
+		n.onData(class, origin, epoch, payload, &scratch)
+	}
 	prune := !n.cfg.NoOrderedPruning
 	var g multicast.Group
 	switch proto {
@@ -578,7 +580,7 @@ func (n *Node) plannerFor(class string) multicast.Planner {
 		defer n.putDest(buf)
 		// env is read for routing and dropped: the publisher is not missed.
 		env := &buf.env
-		if err := openInto(env, class, "", payload); err != nil || env.Type != class {
+		if err := openInto(env, class, "", 0, payload); err != nil || env.Type != class {
 			return nil, false
 		}
 		dests := n.destinationsFor(env, buf, buf.ids[:0])
@@ -632,8 +634,10 @@ func (n *Node) onUnknownStream(stream string) {
 
 // --- publishing ---
 
-// PublishEnvelope implements core.Disseminator. The telemetry plane
-// times two publisher-side stages around each protocol branch:
+// PublishEnvelope implements core.Disseminator. It names env (Name) by
+// its class's channel: the channel's incarnation and count
+// (multicast.Group.NextName). The telemetry plane times two
+// publisher-side stages around each protocol branch:
 // publish→route (entry until the destination set or outbound frame is
 // resolved, closed by markRoute) and route→write (until the multicast
 // send hands off to the transport, closed by markWrite). Every group
@@ -654,6 +658,8 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 	}
 	proto := n.protoFor(env)
 	g := n.group(proto, env.Type)
+	inc, count := g.NextName()
+	env.Name = codec.Name{Inc: inc, N: count}
 
 	switch proto {
 	case "cert":
@@ -663,15 +669,15 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if n.routes.Gen() != n.certGen.Load() {
 			n.refreshCertSubscribers()
 		}
-		payload, err := n.seal(env, false)
+		payload, err := n.seal(env, proto)
 		if err != nil {
 			return err
 		}
 		t1 := n.markRoute(t0)
-		// The envelope ID is the certified event identity end to end:
-		// outbox entry, staging inbox record and the engine's delivery
-		// acknowledgement all key the same string.
-		err = cert.BroadcastWithID(env.ID, payload)
+		// The stored record spells the name: the certified event identity
+		// end to end. The outbox entry, the staging inbox record and the
+		// engine's delivery acknowledgement all key its text.
+		err = cert.Broadcast(payload)
 		n.markWrite(t1)
 		return err
 	case "be", "rel":
@@ -679,7 +685,7 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if tg, ok := g.(interface {
 			BroadcastTo(dests []string, payload []byte) error
 		}); ok {
-			return n.publishRouted(env, t0, func(s []multicast.Send) error {
+			return n.publishRouted(env, proto, t0, func(s []multicast.Send) error {
 				return tg.BroadcastTo(s[0].Dests, s[0].Payload)
 			})
 		}
@@ -691,13 +697,13 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		if sp, ok := g.(interface {
 			BroadcastSplit(sends []multicast.Send) error
 		}); ok && !n.cfg.NoOrderedPruning {
-			return n.publishRouted(env, t0, sp.BroadcastSplit)
+			return n.publishRouted(env, proto, t0, sp.BroadcastSplit)
 		}
 	}
 	// Everything else is one frame to the whole group: total order routes
 	// to the sequencer, which filters after stamping (plannerFor), and
 	// ordered classes with pruning off broadcast by definition.
-	payload, err := n.seal(env, true)
+	payload, err := n.seal(env, proto)
 	if err != nil {
 		return err
 	}
@@ -711,11 +717,11 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 // hands both to send as one Send (a targeted or split broadcast, which
 // copies what it keeps of the destinations and of the slice, so the
 // pooled scratch is reused afterwards).
-func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicast.Send) error) error {
+func (n *Node) publishRouted(env *codec.Envelope, proto string, t0 int64, send func([]multicast.Send) error) error {
 	buf := n.destBuf.Get().(*destScratch)
 	dests := n.destinationsFor(env, buf, buf.ids[:0])
 	t1 := n.markRoute(t0)
-	payload, err := n.seal(env, true)
+	payload, err := n.seal(env, proto)
 	if err == nil {
 		buf.send[0] = multicast.Send{Dests: dests, Payload: payload}
 		err = send(buf.send[:])
@@ -727,19 +733,22 @@ func (n *Node) publishRouted(env *codec.Envelope, t0 int64, send func([]multicas
 	return err
 }
 
-// seal marshals env for its class's channel. On a link the record leaves
-// out (elide) what the link already says: the class, which the channel
-// names, and the publisher when it is this node, which the multicast
-// origin names. An empty string is a legal field, so the layout is one
-// and openInto puts both back. The link form also packs the ID into the
-// 16 bytes its hex spells (codec.SealLink), which the decoder spells out
-// again. A certified class's record is sealed in full:
-// the outbox and the subscriber's inbox keep it past the link and the
-// address, and replay reads it with neither. env is not written to; an
-// envelope fresh from Encode gets its header written in front of its
-// payload, which is not copied (codec.Seal).
-func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
-	if !elide {
+// seal marshals env for its class's channel, proto's. On a link the
+// record leaves out what the link already says: the class, which the
+// channel names; the publisher when it is this node, which the multicast
+// origin names; and the name's incarnation where a numbered link from
+// this node carries the frame, whose binding names it (best effort has
+// no epochs, and total order reaches the members relayed by the
+// sequencer). An empty string and a zero incarnation are legal fields,
+// so the layout is one and openInto puts all three back. The name
+// travels as its count (codec.SealLink). A certified class's record is
+// sealed in full, the name as its text: the outbox and the subscriber's
+// inbox keep it past the link and the address, and replay reads it with
+// neither. env is not written to; an envelope fresh from Encode gets its
+// header written in front of its payload, which is not copied
+// (codec.Seal).
+func (n *Node) seal(env *codec.Envelope, proto string) ([]byte, error) {
+	if proto == "cert" {
 		return codec.Seal(env)
 	}
 	link := *env
@@ -747,18 +756,26 @@ func (n *Node) seal(env *codec.Envelope, elide bool) ([]byte, error) {
 	if link.Publisher == n.self {
 		link.Publisher = ""
 	}
+	switch proto {
+	case "fifo", "causal", "rel":
+		link.Name.Inc = 0
+	}
 	return codec.SealLink(&link)
 }
 
-// openInto decodes a record that arrived on class's channel from origin
-// into env and restores what seal left out: dace's one decode. The
+// openInto decodes a record that arrived on class's channel from origin,
+// whose group's epoch the link named (0 if it did not), into env and
+// restores what seal left out: dace's one decode. The
 // envelope's payload aliases the record, which is valid for the caller's
 // call only (a transport's frame, a group's copy, a buffer a local
 // publisher sealed): whatever keeps the envelope past it copies the
 // payload. On error env is left zero.
-func openInto(env *codec.Envelope, class, origin string, record []byte) error {
+func openInto(env *codec.Envelope, class, origin string, epoch uint64, record []byte) error {
 	if err := codec.UnmarshalInto(env, record); err != nil {
 		return err
+	}
+	if env.Name.Inc == 0 {
+		env.Name.Inc = epoch
 	}
 	if env.Type == "" {
 		env.Type = class
@@ -861,19 +878,19 @@ func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
 	return subs
 }
 
-// onData receives a payload of class's channel, published by origin,
-// and hands the envelope to the engine. The wire→lane stage spans the
-// envelope decode plus the sink call (the sink is Engine.deliver, which
-// returns once its lane holds a copy). env is the channel's scratch,
-// zeroed once the sink returns, since the bytes it names are valid for
-// the call only; one per channel is safe because a group makes one
-// delivery call at a time (multicast.Deliver).
-func (n *Node) onData(class, origin string, payload []byte, env *codec.Envelope) {
+// onData receives a payload of class's channel, published by origin's
+// group of the given epoch, and hands the envelope to the engine. The
+// wire→lane stage spans the envelope decode plus the sink call (the sink
+// is Engine.deliver, which returns once its lane holds a copy). env is
+// the channel's scratch, zeroed once the sink returns, since the bytes
+// it names are valid for the call only; one per channel is safe because
+// a group makes one delivery call at a time (multicast.DeliverFrom).
+func (n *Node) onData(class, origin string, epoch uint64, payload []byte, env *codec.Envelope) {
 	var t0 int64
 	if n.tele.Enabled() {
 		t0 = telemetry.Now()
 	}
-	if err := openInto(env, class, origin, payload); err != nil {
+	if err := openInto(env, class, origin, epoch, payload); err != nil {
 		// An undecodable frame was a silent vanish: make it count and
 		// make it loggable.
 		n.decodeErrors.Add(1)

@@ -2,7 +2,7 @@ package dace
 
 import (
 	"bytes"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"os"
@@ -22,7 +22,7 @@ import (
 )
 
 // envelopeSink keeps copies of the envelopes a node hands its engine, by
-// ID: the sink's envelope is the channel's scratch.
+// the text of their names: the sink's envelope is the channel's scratch.
 type envelopeSink struct {
 	mu  sync.Mutex
 	got map[string][]*codec.Envelope
@@ -36,7 +36,8 @@ func (s *envelopeSink) put(env *codec.Envelope) {
 	}
 	kept := *env
 	kept.Payload = bytes.Clone(env.Payload) // the frame's, for the call only
-	s.got[env.ID] = append(s.got[env.ID], &kept)
+	id := env.IDText()
+	s.got[id] = append(s.got[id], &kept)
 }
 
 func (s *envelopeSink) byID(id string) []*codec.Envelope {
@@ -90,8 +91,12 @@ func className[T obvent.Obvent]() string { return obvent.TypeName(obvent.TypeOf[
 // node-0 (the total-order sequencer, so that class's frame is relayed),
 // of node-1 itself and of node-2 equal to the published one field for
 // field, whether its publisher is the publishing node (left out of the
-// record) or somebody else (carried). No receiver has a group for the
-// class before the first frame: each is made by onUnknownStream.
+// record) or somebody else (carried): the name PublishEnvelope gave it
+// included, whether the link's binding names its incarnation (rel, fifo,
+// causal), the record carries it (be, and total, relayed by the
+// sequencer), or the stored record spells it (cert, whose ID text the
+// receiver has besides). No receiver has a group for the class before
+// the first frame: each is made by onUnknownStream.
 func TestHeaderFidelityEveryClass(t *testing.T) {
 	type class struct {
 		tag  string
@@ -143,13 +148,16 @@ func TestHeaderFidelityEveryClass(t *testing.T) {
 					if err := pub.PublishEnvelope(env); err != nil {
 						t.Fatalf("%s: publish: %v", c.tag, err)
 					}
-					if !reflect.DeepEqual(*env, want) {
-						t.Errorf("%s: publishing wrote to the envelope: %+v, was %+v", c.tag, *env, want)
+					if want.Name = env.Name; env.Name.IsZero() || !reflect.DeepEqual(*env, want) {
+						t.Errorf("%s: publishing wrote to the envelope beside naming it: %+v, was %+v", c.tag, *env, want)
+					}
+					if c.tag == "cert" {
+						want.ID = env.Name.String()
 					}
 					for i, sink := range sinks {
 						var got []*codec.Envelope
 						waitFor(t, 10*time.Second, fmt.Sprintf("%s envelope of %s at node-%d", c.tag, publisher, i), func() bool {
-							got = sink.byID(env.ID)
+							got = sink.byID(env.IDText())
 							return len(got) > 0
 						})
 						if !sameFields(got[0], &want) {
@@ -190,19 +198,20 @@ func (f *frameTap) Send(to string, frame []byte) error {
 }
 
 // TestLinkFrameNamesItsClassOnce looks at the bytes: a data frame of a
-// non-certified class spells the class once, in the stream prefix, and
-// the publisher's address not at all (the transport's hello said it); a
-// certified frame carries the record its outbox and the subscriber's
-// inbox keep, so it spells both again.
+// non-certified class spells the class once, in the stream prefix, the
+// publisher's address not at all (the transport's hello said it) and
+// the event's name not as text; a certified frame carries the record its
+// outbox and the subscriber's inbox keep, so it spells the class and the
+// address again, and the name's text once, in that record.
 func TestLinkFrameNamesItsClassOnce(t *testing.T) {
 	for _, tc := range []struct {
-		tag              string
-		o                obvent.Obvent
-		class, publisher int
+		tag                    string
+		o                      obvent.Obvent
+		class, publisher, name int
 	}{
-		{"fifo", fifoTick{N: 1}, 1, 0},
-		{"be", StockQuote{StockObvent{Company: "T"}}, 1, 0},
-		{"cert", certTrade{N: 1}, 2, 1},
+		{"fifo", fifoTick{N: 1}, 1, 0, 0},
+		{"be", StockQuote{StockObvent{Company: "T"}}, 1, 0, 0},
+		{"cert", certTrade{N: 1}, 2, 1, 1},
 	} {
 		t.Run(tc.tag, func(t *testing.T) {
 			net := netsim.New(netsim.Config{})
@@ -232,16 +241,10 @@ func TestLinkFrameNamesItsClassOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			stream := streamName(tc.tag, env.Type)
-			// A link packs the ID into the 16 bytes it spells; a certified
-			// record is the stored one.
-			id := []byte(env.ID)
-			if tc.tag != "cert" {
-				id, _ = hex.DecodeString(env.ID)
-			}
 			var frame []byte
 			tap.mu.Lock()
 			for _, f := range tap.frames {
-				if bytes.Contains(f, []byte(stream)) && bytes.Contains(f, id) {
+				if bytes.Contains(f, []byte(stream)) && bytes.Contains(f, env.Payload) {
 					frame = f
 				}
 			}
@@ -254,6 +257,9 @@ func TestLinkFrameNamesItsClassOnce(t *testing.T) {
 			}
 			if got := bytes.Count(frame, []byte(pub.Addr())); got != tc.publisher {
 				t.Errorf("the frame spells the publisher's address %d times, want %d: %q", got, tc.publisher, frame)
+			}
+			if got := bytes.Count(frame, []byte(env.Name.String())); got != tc.name {
+				t.Errorf("the frame spells the event's name %d times, want %d: %q", got, tc.name, frame)
 			}
 		})
 	}
@@ -268,6 +274,7 @@ func parentEnvelope(t *testing.T, cdc *codec.Codec) *codec.Envelope {
 		t.Fatal(err)
 	}
 	env.ID = "0123456789abcdef0123456789abcdef"
+	env.Name, _ = codec.ParseName(env.ID)
 	env.Publisher = "node-0"
 	env.PubNanos = 1790000000123456789
 	return env
@@ -281,7 +288,7 @@ func parentEnvelope(t *testing.T, cdc *codec.Codec) *codec.Envelope {
 // for a link is that record less every field the link form leaves out.
 // The parent set the envelope's per-publisher sequence number to 42, a
 // field that is gone: this build reads it and drops it, and writes 0 in
-// its place.
+// its place. The parent's random ID reads as the name whose text it is.
 func TestParentFrameOpens(t *testing.T) {
 	record, err := os.ReadFile("testdata/parent-pr21/fifo-data.bin")
 	if err != nil {
@@ -293,14 +300,14 @@ func TestParentFrameOpens(t *testing.T) {
 	want := parentEnvelope(t, nodes[0].cdc)
 
 	var got codec.Envelope
-	if err := openInto(&got, "some.other.Class", "some-other-node", record); err != nil {
+	if err := openInto(&got, "some.other.Class", "some-other-node", 7, record); err != nil {
 		t.Fatal(err)
 	}
 	if !sameFields(&got, want) {
 		t.Errorf("the parent's record opens to\n%+v, want\n%+v", got, want)
 	}
 
-	full, err := nodes[0].seal(want, false)
+	full, err := nodes[0].seal(want, "cert")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,26 +320,30 @@ func TestParentFrameOpens(t *testing.T) {
 	if !bytes.Equal(full, stored) {
 		t.Errorf("the full record moved:\n got %x\nwant %x", full, stored)
 	}
-	link, err := nodes[0].seal(want, true)
+	link, err := nodes[0].seal(want, "fifo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The link leaves out the two strings with their length bytes, the
 	// two retired sequence numbers, the Priority and TTL the event does
-	// not have, and the payload's length byte, and packs the ID's 32 hex
-	// characters and their length byte into 16 bytes.
+	// not have, and the payload's length byte, and carries of the name's
+	// 32 hex characters and their length byte only the count, as a
+	// uvarint: a FIFO link's binding names the incarnation.
 	if len(want.Payload) >= 128 || want.HasPriority || want.TTL != 0 {
 		t.Fatalf("the fixture's envelope is not the one the arithmetic below describes: %+v", want)
 	}
-	if saved := len(want.Type) + 1 + len(want.Publisher) + 1 + 2 + 1 + 1 + 1 + 1 + 32 - 16; len(link) != len(record)-saved {
+	count := len(binary.AppendUvarint(nil, want.Name.N))
+	if saved := len(want.Type) + 1 + len(want.Publisher) + 1 + 2 + 1 + 1 + 1 + 1 + 32 - count; len(link) != len(record)-saved {
 		t.Errorf("the link record has %d bytes, want the full one's %d less %d", len(link), len(record), saved)
 	}
+	onLink := *want
+	onLink.ID = ""
 	var back, routed codec.Envelope
-	if err := openInto(&back, want.Type, "node-0", link); err != nil || !sameFields(&back, want) {
-		t.Errorf("the link record opens to\n%+v, %v; want\n%+v", back, err, want)
+	if err := openInto(&back, want.Type, "node-0", want.Name.Inc, link); err != nil || !sameFields(&back, &onLink) {
+		t.Errorf("the link record opens to\n%+v, %v; want\n%+v", back, err, onLink)
 	}
 	// The sequencer's planner knows the class and not the publisher.
-	if err := openInto(&routed, want.Type, "", link); err != nil || routed.Type != want.Type || routed.Publisher != "" {
+	if err := openInto(&routed, want.Type, "", 0, link); err != nil || routed.Type != want.Type || routed.Publisher != "" {
 		t.Errorf("opened with no origin: %+v, %v", routed, err)
 	}
 }

@@ -67,10 +67,10 @@ func TestSequencerCreatesGroupFromSpelledRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := env.ID
 		if err := nodes[1].PublishEnvelope(env); err != nil {
 			t.Fatal(err)
 		}
+		id := env.IDText()
 		waitFor(t, 5*time.Second, "the stamped event at node-2", func() bool { return len(sinks[2].byID(id)) > 0 })
 		net.Settle()
 	}
@@ -104,14 +104,14 @@ type wireTick struct {
 // TestFIFOFrameBytesAfterHandshake pins, in bytes counted on a loss-free
 // network and not timed, what a FIFO event costs on the wire once the
 // stream's key and the sender's incarnation are known: a data frame is
-// at most 42 bytes more than the event's payload (the short stream
+// at most 30 bytes more than the event's payload (the short stream
 // prefix with the incarnation's number, the link record, the link
-// envelope with its packed ID and no zero field), and an
-// acknowledgement frame at most 12 bytes. When the link record carried
-// the sender's epoch and the envelope every field, zero or not, the
-// frame was 54 bytes over the payload and the acknowledgement 16 bytes;
-// before streams had keys, 96 bytes and the class name's length over
-// the payload. The retransmission timer is an hour, so the
+// envelope with its name's count and no zero field), and an
+// acknowledgement frame at most 12 bytes. While the envelope carried a
+// random 16-byte ID, the frame was 40 bytes over the payload; when the
+// link record carried the sender's epoch and the envelope every field,
+// zero or not, 54 bytes and the acknowledgement 16 bytes; before streams
+// had keys, 96 bytes and the class name's length over the payload. The retransmission timer is an hour, so the
 // acknowledgements are exactly the ones the link's batching sends: one
 // per 16 data frames here.
 func TestFIFOFrameBytesAfterHandshake(t *testing.T) {
@@ -177,8 +177,8 @@ func TestFIFOFrameBytesAfterHandshake(t *testing.T) {
 		t.Fatalf("%d events sent %d frames, want %d data frames and nothing else", batch, frames, batch)
 	}
 	data := bytes / batch
-	if bytes%batch != 0 || data-payload > 42 {
-		t.Errorf("a data frame is %d bytes (%d over %d), for a %d-byte payload: %d bytes over it, want at most 42",
+	if bytes%batch != 0 || data-payload > 30 {
+		t.Errorf("a data frame is %d bytes (%d over %d), for a %d-byte payload: %d bytes over it, want at most 30",
 			data, bytes, batch, payload, data-payload)
 	}
 	// The 16th unacknowledged frame draws an acknowledgement.

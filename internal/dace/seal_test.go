@@ -37,17 +37,21 @@ func sealNode(t *testing.T) *Node {
 	return n
 }
 
-// marshaled is the record seal owes env: Marshal's, or on a link,
-// with what a link leaves out left out and the ID packed, SealLink's of
-// a copy of the payload, which it cannot write in place.
-func marshaled(t *testing.T, n *Node, env *codec.Envelope, elide bool) []byte {
+// marshaled is the record seal owes env on proto's channel: Marshal's
+// for a certified class, or on a link, with what a link leaves out left
+// out (the incarnation too, where the link's binding names it),
+// SealLink's of a copy of the payload, which it cannot write in place.
+func marshaled(t *testing.T, n *Node, env *codec.Envelope, proto string) []byte {
 	t.Helper()
 	want := *env
 	marshal := codec.Marshal
-	if elide {
+	if proto != "cert" {
 		want.Type = ""
 		if want.Publisher == n.self {
 			want.Publisher = ""
+		}
+		if proto == "fifo" || proto == "causal" || proto == "rel" {
+			want.Name.Inc = 0
 		}
 		want.Payload = bytes.Clone(want.Payload)
 		marshal = codec.SealLink
@@ -92,13 +96,13 @@ func TestSealedRecordIsMarshalsRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			env.Name = testName
 			if proto := n.protoFor(env); proto != c.tag {
 				t.Fatalf("%s resolves to protocol %q, want %q", env.Type, proto, c.tag)
 			}
 			what := fmt.Sprintf("%s from %s", env.Type, publisher)
-			elide := c.tag != "cert"
-			want := marshaled(t, n, env, elide)
-			got, err := n.seal(env, elide)
+			want := marshaled(t, n, env, c.tag)
+			got, err := n.seal(env, c.tag)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -108,13 +112,22 @@ func TestSealedRecordIsMarshalsRecord(t *testing.T) {
 			if !inPlace(got, env) {
 				t.Errorf("%s: the record copies the payload", what)
 			}
+			// The receiver's link names the publisher's epoch; a stored
+			// record spells the name.
+			opened := *env
+			if c.tag == "cert" {
+				opened.ID = env.Name.String()
+			}
 			var back codec.Envelope
-			if err := openInto(&back, env.Type, n.Addr(), got); err != nil || !sameFields(&back, env) {
-				t.Errorf("%s: the record opens to\n%+v, %v; want\n%+v", what, back, err, env)
+			if err := openInto(&back, env.Type, n.Addr(), testName.Inc, got); err != nil || !sameFields(&back, &opened) {
+				t.Errorf("%s: the record opens to\n%+v, %v; want\n%+v", what, back, err, opened)
 			}
 		}
 	}
 }
+
+// testName is the name PublishEnvelope would give an envelope.
+var testName = codec.Name{Inc: 1790000000123456, N: 7}
 
 // TestEnvelopeCopySealsItsOwnRecord: a copy of an envelope shares its
 // payload and the room in front of it, and the room goes to the first
@@ -130,14 +143,15 @@ func TestEnvelopeCopySealsItsOwnRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		env.Name = testName
 		return env
 	}
 	seal := func(env *codec.Envelope) []byte {
-		record, err := n.seal(env, false)
+		record, err := n.seal(env, "cert")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := marshaled(t, n, env, false); !bytes.Equal(record, want) {
+		if want := marshaled(t, n, env, "cert"); !bytes.Equal(record, want) {
 			t.Fatalf("%s sealed\n%x, Marshal writes\n%x", env.ID, record, want)
 		}
 		return record
@@ -145,7 +159,7 @@ func TestEnvelopeCopySealsItsOwnRecord(t *testing.T) {
 
 	env := encode()
 	later := *env
-	later.ID += "-later"
+	later.ID = env.Name.String() + "-later"
 	first := seal(env)
 	kept := bytes.Clone(first)
 	if !inPlace(first, env) {
@@ -163,7 +177,7 @@ func TestEnvelopeCopySealsItsOwnRecord(t *testing.T) {
 
 	env = encode()
 	earlier := *env
-	earlier.ID += "-earlier"
+	earlier.ID = env.Name.String() + "-earlier"
 	if record := seal(&earlier); inPlace(record, &earlier) {
 		t.Error("a copy whose header does not fit the room sealed in place")
 	}
@@ -184,13 +198,13 @@ func TestEnvelopeCopySealsItsOwnRecord(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			records[i], _ = n.seal(&envs[i], false)
+			records[i], _ = n.seal(&envs[i], "cert")
 		}()
 	}
 	wg.Wait()
 	inPlaces := 0
 	for i, record := range records {
-		if want := marshaled(t, n, &envs[i], false); !bytes.Equal(record, want) {
+		if want := marshaled(t, n, &envs[i], "cert"); !bytes.Equal(record, want) {
 			t.Errorf("copy %d sealed\n%x, Marshal writes\n%x", i, record, want)
 		}
 		if inPlace(record, &envs[i]) {
@@ -212,10 +226,10 @@ func TestSealAllocs(t *testing.T) {
 	n := sealNode(t)
 	for _, c := range []struct {
 		o     obvent.Obvent
-		elide bool
+		proto string
 	}{
-		{fifoTick{N: 1}, true},
-		{certTrade{N: 1}, false},
+		{fifoTick{N: 1}, "fifo"},
+		{certTrade{N: 1}, "cert"},
 	} {
 		const runs = 100
 		envs := make([]*codec.Envelope, runs+1) // AllocsPerRun calls once more to warm up
@@ -224,18 +238,19 @@ func TestSealAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			env.Name = codec.Name{Inc: testName.Inc, N: uint64(i + 1)}
 			envs[i] = env
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			record, err := n.seal(envs[i], c.elide)
+			record, err := n.seal(envs[i], c.proto)
 			if err != nil || !inPlace(record, envs[i]) {
 				t.Fatalf("seal: %v, or a copy", err)
 			}
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("sealing a %T envelope fresh from Encode (elide=%v) allocates %.1f times, want 0", c.o, c.elide, allocs)
+			t.Errorf("sealing a %T envelope fresh from Encode (%s) allocates %.1f times, want 0", c.o, c.proto, allocs)
 		}
 	}
 }

@@ -13,6 +13,10 @@ type BestEffort struct {
 	mux    *Mux
 	stream *stream
 	self   string
+	// epoch is the group's incarnation, for NextName: its stream has
+	// none, so a record names it itself.
+	epoch uint64
+	names atomic.Uint64
 
 	upcall  *releaseList
 	members membership
@@ -22,16 +26,20 @@ type BestEffort struct {
 var _ Group = (*BestEffort)(nil)
 
 // NewBestEffort creates a best-effort group on the given stream.
-func NewBestEffort(mux *Mux, stream string, deliver Deliver) *BestEffort {
+func NewBestEffort[U Upcall](mux *Mux, stream string, deliver U) *BestEffort {
 	g := &BestEffort{
 		mux:    mux,
 		stream: newStream(stream, 0),
 		self:   mux.Addr(),
-		upcall: newReleaseList(deliver),
+		epoch:  newEpoch(),
+		upcall: newReleaseList(upcallOf(deliver)),
 	}
 	mux.open(g.stream, g.onMessage)
 	return g
 }
+
+// NextName implements Group.
+func (g *BestEffort) NextName() (inc, n uint64) { return g.epoch, g.names.Add(1) }
 
 // SetMembers implements Group.
 func (g *BestEffort) SetMembers(members []string) { g.members.set(members) }

@@ -32,7 +32,7 @@ import (
 type Causal struct {
 	inner   *Reliable
 	self    string
-	deliver Deliver
+	deliver DeliverFrom
 	flushes clock.Job // armed while a member is behind the clock
 
 	mu       sync.Mutex
@@ -49,6 +49,7 @@ type Causal struct {
 // is a copy in the inner list's store (kept).
 type heldMsg struct {
 	origin  string
+	epoch   uint64
 	vc      vclock.VC
 	marker  bool
 	payload []byte
@@ -58,11 +59,11 @@ type heldMsg struct {
 var _ Group = (*Causal)(nil)
 
 // NewCausal creates a causally ordered group on the given stream.
-func NewCausal(mux *Mux, stream string, deliver Deliver, opts Options) *Causal {
+func NewCausal[U Upcall](mux *Mux, stream string, deliver U, opts Options) *Causal {
 	opts = opts.withDefaults()
 	g := &Causal{
 		self:    mux.Addr(),
-		deliver: deliver,
+		deliver: upcallOf(deliver),
 		clock:   vclock.New(),
 		sent:    make(map[string]uint64),
 	}
@@ -70,6 +71,9 @@ func NewCausal(mux *Mux, stream string, deliver Deliver, opts Options) *Causal {
 	g.inner = NewReliable(mux, stream, g.onInner, opts)
 	return g
 }
+
+// NextName implements Group.
+func (g *Causal) NextName() (inc, n uint64) { return g.inner.NextName() }
 
 // SetMembers implements Group.
 func (g *Causal) SetMembers(members []string) {
@@ -191,7 +195,7 @@ func (g *Causal) Held() int {
 
 // onInner is the inner link's upcall: one call at a time, in link
 // order, on the goroutine that released the frame.
-func (g *Causal) onInner(origin string, data []byte) {
+func (g *Causal) onInner(origin string, epoch uint64, data []byte) {
 	var m message
 	if err := decodeMessage(data, &m); err != nil || (m.Kind != kindData && m.Kind != kindSkip) {
 		return
@@ -200,13 +204,13 @@ func (g *Causal) onInner(origin string, data []byte) {
 		// Own publications were ticked at Broadcast and are always
 		// locally deliverable in publication order.
 		if m.Kind == kindData {
-			g.deliver(origin, m.Payload)
+			g.deliver(origin, epoch, m.Payload)
 		}
 		return
 	}
 
 	g.mu.Lock()
-	g.hold = append(g.hold, heldMsg{origin: origin, vc: m.VC, marker: m.Kind == kindSkip, payload: m.Payload})
+	g.hold = append(g.hold, heldMsg{origin: origin, epoch: epoch, vc: m.VC, marker: m.Kind == kindSkip, payload: m.Payload})
 	ready := g.releaseLocked()
 	if n := len(g.hold); n > 0 && g.hold[n-1].kept == nil {
 		// This frame waits (releasing keeps the rest in order, so it is
@@ -217,7 +221,7 @@ func (g *Causal) onInner(origin string, data []byte) {
 	g.mu.Unlock()
 
 	for _, r := range ready {
-		g.deliver(r.origin, r.payload)
+		g.deliver(r.origin, r.epoch, r.payload)
 		g.inner.upcall.release(r.kept)
 	}
 }

@@ -26,7 +26,8 @@ type CertSubscriber struct {
 
 // Stager is the subscriber-side store of a certified group, the
 // counterpart of the publisher's outbox: an incoming event is staged —
-// recorded and deduplicated by event ID, test and add in one step —
+// recorded and deduplicated by event ID (the ID its envelope's stored
+// record spells, or the one its frame carries), test and add in one step —
 // before the link takes it, and so before it is acknowledged or
 // delivered. fresh reports whether the event was new; a false return
 // means it is recorded here already (a redelivery) and must be
@@ -57,10 +58,14 @@ type Certified struct {
 	stager Stager          // subscriber side: what has been received
 
 	// order is held, before mu, from reading the outbox to queueing what
-	// was read on the links: by a broadcast from its append, and by
-	// SetSubscribers. The disk write holds no lock the receive path or
-	// the timer takes.
+	// was read on the links: by a broadcast from the text of its ID, which
+	// texts renders, to its append, and by SetSubscribers. The disk write
+	// holds no lock the receive path or the timer takes.
 	order sync.Mutex
+	texts codec.TextBlock
+	// inc is the group's incarnation as its names carry it
+	// (certIncarnation).
+	inc uint64
 	// at maps each address to the durable IDs there, sorted, and cums to
 	// the cumulative acknowledgement heard from each of them, in that
 	// order. Both are guarded by mu.
@@ -74,10 +79,35 @@ var _ Group = (*Certified)(nil)
 // class: log is the outbox it publishes from, in records what it
 // receives. A node uses the one its role calls for and leaves the other
 // empty.
-func NewCertified(mux *Mux, stream string, log *durable.Outbox, in Stager, deliver Deliver, opts Options) *Certified {
+func NewCertified[U Upcall](mux *Mux, stream string, log *durable.Outbox, in Stager, deliver U, opts Options) *Certified {
 	g := &Certified{log: log, stager: in, at: make(map[string][]string), cums: make(map[string][]uint64)}
-	g.link = newLink(mux, stream, deliver, opts, g)
+	g.link = newLink(mux, stream, upcallOf(deliver), opts, g)
+	g.inc = certIncarnation(g.self, g.stream.epoch)
 	return g
+}
+
+// certIncarnation is the incarnation a certified group's names carry:
+// its epoch mixed with its address (64-bit FNV-1a over both). A
+// subscriber's inbox keys an event by its name alone, and two publishers'
+// epochs may agree (they are clock readings); their names then differ,
+// but for a collision of the 64-bit mixes.
+func certIncarnation(self string, epoch uint64) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(self); i++ {
+		h = (h ^ uint64(self[i])) * prime
+	}
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ epoch>>i&0xFF) * prime
+	}
+	return h
+}
+
+// NextName implements Group: the count is the link's, the incarnation
+// certIncarnation's.
+func (g *Certified) NextName() (inc, n uint64) {
+	_, n = g.link.NextName()
+	return g.inc, n
 }
 
 // SetSubscribers replaces the set of durable subscribers. New durable
@@ -157,7 +187,7 @@ func (g *Certified) relinkLocked(addr string, ids []string) []uint64 {
 	}
 	slices.SortFunc(owed, func(a, b durable.Entry) int { return cmp.Compare(a.Offset, b.Offset) })
 	for _, e := range owed {
-		g.queueLocked(addr, l, outEntry{payload: e.Payload, id: e.ID, bcast: e.Offset})
+		g.queueLocked(addr, l, outEntry{payload: e.Payload, id: linkID(e.ID, e.Payload), bcast: e.Offset})
 	}
 	return cums
 }
@@ -176,34 +206,44 @@ func (g *Certified) SetMembers(members []string) {
 	}
 }
 
-// Broadcast implements Group under a new event identity.
-func (g *Certified) Broadcast(payload []byte) error {
-	return g.BroadcastWithID(codec.NewID(), payload)
+// Broadcast implements Group. An envelope's stored record is the event
+// under the name it spells, which dace gives it (NextName); any other
+// payload is given one here.
+func (g *Certified) Broadcast(payload []byte) error { return g.broadcast("", payload) }
+
+// BroadcastWithID is Broadcast under a caller-chosen event identity,
+// which the outbox keys the event by, and which a subscriber stages it by
+// unless the payload is a stored record that spells another.
+func (g *Certified) BroadcastWithID(id string, payload []byte) error {
+	return g.broadcast(id, payload)
 }
 
-// BroadcastWithID is Broadcast under a caller-chosen event identity.
-// Callers whose payload already carries an ID (envelopes) pass it here,
-// so the durable staging inbox and the application-level delivery
-// acknowledgements key the same event by the same string. The payload
-// is persisted before any transmission (write-ahead) and queued on the
-// link of every subscribed address; the outbox and the links copy what
-// they keep, so the caller may reuse payload once the call returns.
-func (g *Certified) BroadcastWithID(id string, payload []byte) error {
+// broadcast persists the event under id, or, when id is empty, under the
+// ID eventID reads or gives it, before any transmission (write-ahead),
+// and queues it on the link of every subscribed address; the outbox and
+// the links copy what they keep, so the caller may reuse payload once
+// the call returns.
+func (g *Certified) broadcast(id string, payload []byte) error {
 	if g.timer.Stopped() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
+	var few [4]linkFrame
+	frames := few[:0]
+	g.order.Lock()
+	if id == "" {
+		id = g.eventID(payload)
+	}
+	sent := linkID(id, payload)
 	// No Origin on the frame: there is no relay. The frame is checked at
 	// its widest before the outbox takes the event, which it would owe
 	// for ever, even with no remote subscriber now: the outbox owes an
 	// entry to every durable identity it knows, departed ones included,
 	// and redelivers it to wherever one reappears.
-	err := fits(g.stream, &message{Kind: kindData, Seq: math.MaxUint64, Base: 1, ID: id, Payload: payload})
+	err := fits(g.stream, &message{Kind: kindData, Seq: math.MaxUint64, Base: 1, ID: sent, Payload: payload})
 	if err != nil {
+		g.order.Unlock()
 		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
 	}
-	var few [4]linkFrame
-	frames := few[:0]
-	g.order.Lock()
 	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
 	if err != nil {
 		g.order.Unlock()
@@ -212,7 +252,7 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 	g.mu.Lock()
 	for _, addr := range g.members.snapshot() {
 		if addr != g.self { // every member's link was made by SetSubscribers
-			frames = append(frames, g.queueLocked(addr, g.out[addr], outEntry{payload: payload, id: id, bcast: off}))
+			frames = append(frames, g.queueLocked(addr, g.out[addr], outEntry{payload: payload, id: sent, bcast: off}))
 		}
 	}
 	local := g.at[g.self]
@@ -235,10 +275,34 @@ func (g *Certified) BroadcastWithID(id string, payload []byte) error {
 				"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
 		}
 	}
-	if fresh && g.upcall.post(queuedMsg{origin: g.self, payload: payload}) {
+	if fresh && g.upcall.post(queuedMsg{origin: g.self, epoch: g.stream.epoch, payload: payload}) {
 		g.upcall.run()
 	}
 	return nil
+}
+
+// eventID returns the ID the outbox keys payload by: the ID its stored
+// record spells, a slice of texts' block when it is a Name's text, or
+// else a name the group gives it. Caller holds order.
+func (g *Certified) eventID(payload []byte) string {
+	if b, ok := codec.StoredID(payload); ok && len(b) > 0 {
+		if name, ok := codec.ParseName(b); ok {
+			return g.texts.Text(name)
+		}
+		return string(b)
+	}
+	inc, n := g.NextName()
+	return g.texts.Text(codec.Name{Inc: inc, N: n})
+}
+
+// linkID is the ID a data frame carries for the event id: none when its
+// payload is a stored record that spells id, as an envelope's is (the
+// subscriber reads it there), and id otherwise.
+func linkID(id string, payload []byte) string {
+	if b, ok := codec.StoredID(payload); ok && string(b) == id {
+		return ""
+	}
+	return id
 }
 
 // OutboxLen returns how many entries the outbox holds.
@@ -277,18 +341,28 @@ func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
 	if l.staging[m.Seq] || m.Seq != l.got.Floor()+1 && len(l.got.Runs())+len(l.staging) >= maxAhead {
 		return msg, false
 	}
+	id := m.ID
+	if id == "" { // the payload's stored record spells it (linkID)
+		b, ok := codec.StoredID(m.Payload)
+		if !ok || len(b) == 0 {
+			g.opts.Logger.Warn("multicast: certified frame names no event; dropped",
+				"stream", g.stream.name, "origin", msg.origin)
+			return msg, false
+		}
+		id = string(b)
+	}
 	if l.staging == nil {
 		l.staging = make(map[uint64]bool)
 	}
 	l.staging[m.Seq] = true
 	g.mu.Unlock()
-	fresh, err := g.cert.stager.Stage(m.ID, msg.origin, m.Payload)
+	fresh, err := g.cert.stager.Stage(id, msg.origin, m.Payload)
 	g.mu.Lock()
 	delete(l.staging, m.Seq)
 	switch {
 	case err != nil:
 		g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
-			"stream", g.stream.name, "id", m.ID, "err", err)
+			"stream", g.stream.name, "id", id, "err", err)
 		return msg, false
 	case !fresh:
 		return queuedMsg{}, true

@@ -17,6 +17,6 @@ type FIFO struct{ *Reliable }
 var _ Group = (*FIFO)(nil)
 
 // NewFIFO creates a FIFO-ordered group on the given stream.
-func NewFIFO(mux *Mux, stream string, deliver Deliver, opts Options) *FIFO {
+func NewFIFO[U Upcall](mux *Mux, stream string, deliver U, opts Options) *FIFO {
 	return &FIFO{NewReliable(mux, stream, deliver, opts)}
 }

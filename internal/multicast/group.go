@@ -107,11 +107,13 @@ func (m *membership) others(self string) []string {
 	return out
 }
 
-// queuedMsg is one delivery owed to a group's upcall: its payload is
-// lent by the caller that lists it (kept nil) or the list's own copy
-// (kept, its chunk).
+// queuedMsg is one delivery owed to a group's upcall: its origin and
+// the epoch of origin's group (DeliverFrom), and its payload, lent by the
+// caller that lists it (kept nil) or the list's own copy (kept, its
+// chunk).
 type queuedMsg struct {
 	origin  string
+	epoch   uint64
 	payload []byte
 	kept    *chunk.Chunk
 }
@@ -132,7 +134,7 @@ type queuedMsg struct {
 // before its run returns; what any other poster lists, and what a pause
 // holds back, the list copies into its store, recycled once delivered.
 type releaseList struct {
-	deliver Deliver
+	deliver DeliverFrom
 
 	mu      sync.Mutex
 	idle    sync.Cond // a runner stopped
@@ -144,8 +146,8 @@ type releaseList struct {
 	store   chunk.Store // the payloads of items with kept set
 }
 
-func newReleaseList(deliver Deliver) *releaseList {
-	r := &releaseList{deliver: deliver}
+func newReleaseList[U Upcall](deliver U) *releaseList {
+	r := &releaseList{deliver: upcallOf(deliver)}
 	r.idle.L = &r.mu
 	return r
 }
@@ -202,7 +204,7 @@ func (r *releaseList) run() {
 		r.mu.Unlock()
 		i := 0
 		for ; i < len(batch) && !r.paused.Load(); i++ {
-			r.deliver(batch[i].origin, batch[i].payload)
+			r.deliver(batch[i].origin, batch[i].epoch, batch[i].payload)
 		}
 		r.mu.Lock()
 		for _, m := range batch[:i] {

@@ -447,6 +447,16 @@ func FuzzMuxFrame(f *testing.F) {
 	f.Add(append(shortNum(numbered, 1, "")[:5], 0x81, 0x00))                                                                        // a number not in its shortest form
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(binary.BigEndian.AppendUint32([]byte{frameKnown}, streamKey(numbered)), 7), 1)) // known with a number
 	f.Add(binary.AppendUvarint(binary.BigEndian.AppendUint32([]byte{frameUnknown}, streamKey(numbered)), 1))                        // unknown with a number
+	// A numbered frame's link record, carrying an envelope named by its
+	// count (the binding names the incarnation), whole and cut short.
+	for _, rec := range envelopeRecords(f) {
+		data, err := encodeMessage(&message{Kind: kindData, Seq: 1, Base: 1, Payload: rec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(shortNum(numbered, 1, string(data)))
+		f.Add(shortNum(numbered, 1, string(data[:len(data)-len(rec)+4])))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := &recordTransport{}
 		m := NewMux(tr)

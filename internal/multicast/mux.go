@@ -50,7 +50,30 @@ import (
 // that released one (the transport's delivery goroutine, or the caller's
 // for local self-delivery) and must not block indefinitely. The payload
 // is valid for the call only: Deliver copies what it keeps.
-type Deliver func(origin string, payload []byte)
+type Deliver = func(origin string, payload []byte)
+
+// DeliverFrom is a Deliver that is also told the epoch of origin's group
+// as the link names it (the incarnation NextName gave the publication at
+// origin): the epoch the frame's binding carries, this group's own for a
+// delivery at this node, and 0 where no link names it, on a stream
+// without epochs (BestEffort) or for a frame relayed on origin's behalf
+// (Total).
+type DeliverFrom = func(origin string, epoch uint64, payload []byte)
+
+// An Upcall is what a group delivers to, either form: a constructor
+// takes one or the other.
+type Upcall interface{ Deliver | DeliverFrom }
+
+// upcallOf returns u as a DeliverFrom.
+func upcallOf[U Upcall](u U) DeliverFrom {
+	switch f := any(u).(type) {
+	case DeliverFrom:
+		return f
+	case Deliver:
+		return func(origin string, _ uint64, payload []byte) { f(origin, payload) }
+	}
+	panic("unreachable")
+}
 
 // Group is a dissemination channel: the runtime realization of one of
 // the paper's multicast classes.
@@ -67,6 +90,12 @@ type Group interface {
 	// SetMembers replaces the full membership (addresses, including
 	// the local node).
 	SetMembers(members []string)
+	// NextName names this node's next publication on the group: the
+	// group's incarnation and a count of the names it gave, from 1, from
+	// an atomic counter. On a numbered link the incarnation is the epoch
+	// the link's binding names (what DeliverFrom is told at a receiver);
+	// a certified group's is unique across origins as well.
+	NextName() (inc, n uint64)
 	// Close stops the group's background work. The group must not be
 	// used afterwards.
 	Close() error
@@ -213,21 +242,6 @@ func (m *Mux) closeLocked(s *stream) {
 		delete(m.keys, s.key)
 	} else {
 		m.keys[s.key] = rs
-	}
-}
-
-// Handle opens stream, without an incarnation, for h, replacing any
-// previous handler.
-func (m *Mux) Handle(stream string, h netsim.Handler) {
-	m.open(newStream(stream, 0), func(from string, _ incarnation, record []byte) { h(from, record) })
-}
-
-// Unhandle closes the stream.
-func (m *Mux) Unhandle(stream string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s := m.streams[stream]; s != nil {
-		m.closeLocked(s)
 	}
 }
 

@@ -309,3 +309,18 @@ func TestMuxSendAllocs(t *testing.T) {
 		}
 	}
 }
+
+// Handle opens stream, without an incarnation, for h, replacing any
+// previous handler: a stream a test reads raw.
+func (m *Mux) Handle(stream string, h netsim.Handler) {
+	m.open(newStream(stream, 0), func(from string, _ incarnation, record []byte) { h(from, record) })
+}
+
+// Unhandle closes the stream.
+func (m *Mux) Unhandle(stream string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s := m.streams[stream]; s != nil {
+		m.closeLocked(s)
+	}
+}

@@ -96,6 +96,8 @@ type link struct {
 	tickFrames []linkFrame
 	// chunks holds the links' copies of what they queue.
 	chunks chunk.Store
+	// names counts the names NextName gave.
+	names atomic.Uint64
 }
 
 // The acknowledgement policy's constants; the timer is the one knob
@@ -309,13 +311,13 @@ func (l *inLink) ack(gen uint64) message {
 var _ Group = (*Reliable)(nil)
 
 // NewReliable creates a reliable group on the given stream.
-func NewReliable(mux *Mux, stream string, deliver Deliver, opts Options) *Reliable {
-	return &Reliable{newLink(mux, stream, deliver, opts, nil)}
+func NewReliable[U Upcall](mux *Mux, stream string, deliver U, opts Options) *Reliable {
+	return &Reliable{newLink(mux, stream, upcallOf(deliver), opts, nil)}
 }
 
 // newLink opens a link on stream, certified when cert is not nil: cert's
 // stores must be set, as the link may use them before newLink returns.
-func newLink(mux *Mux, stream string, deliver Deliver, opts Options, cert *Certified) *link {
+func newLink(mux *Mux, stream string, deliver DeliverFrom, opts Options, cert *Certified) *link {
 	opts = opts.withDefaults()
 	g := &link{
 		mux:    mux,
@@ -337,6 +339,10 @@ func newLink(mux *Mux, stream string, deliver Deliver, opts Options, cert *Certi
 	mux.open(g.stream, g.onMessage)
 	return g
 }
+
+// NextName implements Group: the link's epoch, which its receivers'
+// bindings name.
+func (g *link) NextName() (inc, n uint64) { return g.stream.epoch, g.names.Add(1) }
 
 // SetMembers implements Group. Members added after a broadcast do not
 // retroactively receive it; members removed stop being owed what they
@@ -419,6 +425,10 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 		}
 	}
 	sent, toSelf, run := 0, false, false
+	var epoch uint64 // origin's, as DeliverFrom is told it here
+	if origin == g.self {
+		epoch = g.stream.epoch
+	}
 
 	g.mu.Lock()
 	g.bcast++
@@ -428,7 +438,7 @@ func (g *link) stamp(origin string, sends []Send, frames []linkFrame) ([]linkFra
 			if addr == g.self {
 				if !toSelf {
 					toSelf = true
-					run = g.upcall.post(queuedMsg{origin: origin, payload: s.Payload})
+					run = g.upcall.post(queuedMsg{origin: origin, epoch: epoch, payload: s.Payload})
 				}
 				continue
 			}
@@ -679,6 +689,9 @@ func (g *link) take(l *inLink, m *message, origin string) bool {
 		return true
 	}
 	msg := queuedMsg{origin: origin, payload: m.Payload}
+	if m.Origin == "" { // not relayed: the link names origin's epoch
+		msg.epoch = l.in.epoch
+	}
 	if g.cert != nil {
 		var ok bool
 		if msg, ok = g.stage(l, m, msg); !ok {

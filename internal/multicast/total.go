@@ -46,12 +46,17 @@ var _ Group = (*Total)(nil)
 // NewTotal creates a totally ordered group on the given stream with the
 // designated sequencer address (every member must configure the same
 // sequencer). Requests travel on the stream's "!ord" companion.
-func NewTotal(mux *Mux, stream, sequencer string, deliver Deliver, opts Options) *Total {
+func NewTotal[U Upcall](mux *Mux, stream, sequencer string, deliver U, opts Options) *Total {
 	g := &Total{self: mux.Addr(), sequencer: sequencer}
 	g.inner = NewReliable(mux, stream, deliver, opts)
 	g.req = NewReliable(mux, stream+"!ord", g.onRequest, opts)
 	return g
 }
+
+// NextName implements Group. A publication reaches the members relayed
+// by the sequencer, whose link does not name this node's incarnation: a
+// record carries it.
+func (g *Total) NextName() (inc, n uint64) { return g.inner.NextName() }
 
 // SetMembers implements Group. The sequencer must be a member, or
 // requests to it are dropped as owed to nobody.

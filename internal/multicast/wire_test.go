@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"govents/internal/codec"
 	"govents/internal/seqset"
 	"govents/internal/vclock"
 )
@@ -244,6 +245,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(kindData), 0xFF, 0x03})
 	f.Add([]byte{byte(kindData), 0x80, 0x01, 5}) // the retired Rounds flag
+	// The records a data frame carries: an envelope's link form, named by
+	// its count alone or with its incarnation, and a certified event's
+	// stored record, which spells the name the frame leaves out.
+	for _, rec := range envelopeRecords(f) {
+		wire, err := encodeMessage(&message{Kind: kindData, Seq: 70000, Base: 69990, Payload: rec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+		f.Add(wire[:len(wire)-len(rec)+4]) // cut inside the name
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m message
 		if err := decodeMessage(data, &m); err != nil {
@@ -282,4 +294,27 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// envelopeRecords are the records of one event a data frame carries: the
+// link form with the name's count alone (a numbered link names the
+// incarnation) and with the incarnation (best effort, relayed), and the
+// stored form (certified).
+func envelopeRecords(tb testing.TB) [][]byte {
+	env := &codec.Envelope{Name: codec.Name{Inc: 1_759_000_000_000_000, N: 70000}, Payload: []byte("payload"), PubNanos: 1}
+	counted := *env
+	counted.Name.Inc = 0
+	var out [][]byte
+	for _, seal := range []func() ([]byte, error){
+		func() ([]byte, error) { return codec.SealLink(&counted) },
+		func() ([]byte, error) { return codec.SealLink(env) },
+		func() ([]byte, error) { return codec.Marshal(env) },
+	} {
+		rec, err := seal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
 }

@@ -80,13 +80,13 @@ func encArgs(t testing.TB, args ...any) [][]byte {
 // can decode is answered once: by one frame, the reply's, sent before
 // the link's timer ever runs.
 func FuzzRMIDecode(f *testing.F) {
-	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: "r1", Target: "market", Method: "Buy",
+	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: 1, Target: "market", Method: "Buy",
 		Values: encArgs(f, "Telco", 80.0, 10, "broker")}))
-	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: "r2", Target: "market", Method: "Sum", Values: encArgs(f, []int{1, 2, 3})}))
-	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: "r3", Target: "market", Method: "Join", Values: encArgs(f, []string{"a", "b"}, ",")}))
-	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: "r4", Target: "market", Method: "Quote", Values: encArgs(f, 7)}))
-	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: "r5", Target: "nobody", Method: "Buy"}))
-	f.Add(encRecord(f, &record{Kind: kindResult, ReqID: "r6", Values: [][]byte{{1, 2}}}))
+	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: 2, Target: "market", Method: "Sum", Values: encArgs(f, []int{1, 2, 3})}))
+	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: 3, Target: "market", Method: "Join", Values: encArgs(f, []string{"a", "b"}, ",")}))
+	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: 4, Target: "market", Method: "Quote", Values: encArgs(f, 7)}))
+	f.Add(encRecord(f, &record{Kind: kindCall, ReqID: 5, Target: "nobody", Method: "Buy"}))
+	f.Add(encRecord(f, &record{Kind: kindResult, ReqID: 6, Values: [][]byte{{1, 2}}}))
 	f.Add(encRecord(f, &record{Kind: kindLease, Target: "market"}))
 	f.Add(encRecord(f, &record{Kind: kindRelease, Target: "market"}))
 	f.Add(encRecord(f, &record{Kind: 99}))

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"govents/internal/clock"
-	"govents/internal/codec"
 	"govents/internal/multicast"
 	"govents/internal/netsim"
 	"govents/internal/obvent"
@@ -90,7 +89,7 @@ const (
 // sender. Values are a call's arguments or a result's results.
 type record struct {
 	Kind   kind
-	ReqID  string
+	ReqID  uint64 // a call's number in its caller's runtime, which its result names
 	Target string
 	Method string
 	Values [][]byte
@@ -157,7 +156,8 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	exports map[string]*export
-	pending map[string]chan *record // reqID -> reply
+	pending map[uint64]chan *record // reqID -> reply
+	reqs    uint64                  // the calls numbered
 	proxies map[Ref]*Proxy
 	armed   bool // leases is armed, or running
 	closed  bool
@@ -198,7 +198,7 @@ func Attach(addr string, open func(multicast.Deliver) *multicast.Reliable, c clo
 		reg:     reg,
 		opts:    opts.withDefaults(),
 		exports: make(map[string]*export),
-		pending: make(map[string]chan *record),
+		pending: make(map[uint64]chan *record),
 		proxies: make(map[Ref]*Proxy),
 		tokens:  make(chan struct{}, maxInvocations),
 	}
@@ -507,7 +507,7 @@ func (r *Runtime) Resolve(ref Ref) *Proxy {
 //	err := proxy.Call("Buy", []any{"Telco", 80.0}, &ok)
 func (p *Proxy) Call(method string, args []any, results ...any) error {
 	r := p.rt
-	m := &record{Kind: kindCall, ReqID: codec.NewID(), Target: p.ref.Name, Method: method}
+	m := &record{Kind: kindCall, Target: p.ref.Name, Method: method}
 	vs := make([]reflect.Value, len(args))
 	for i, a := range args {
 		vs[i] = reflect.ValueOf(a)
@@ -523,6 +523,8 @@ func (p *Proxy) Call(method string, args []any, results ...any) error {
 		r.mu.Unlock()
 		return ErrClosed
 	}
+	r.reqs++
+	m.ReqID = r.reqs
 	r.pending[m.ReqID] = ch
 	r.mu.Unlock()
 	expired := make(chan struct{})

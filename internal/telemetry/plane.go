@@ -234,6 +234,13 @@ func (p *Plane) TraceEnabled() bool {
 // Trace emits one span record through the hook, applying the sample
 // rate to delivered outcomes. The disabled path is one atomic load.
 func (p *Plane) Trace(eventID, class string, st Stage, ns int64, outcome string) {
+	p.TraceRendered(func() string { return eventID }, class, st, ns, outcome)
+}
+
+// TraceRendered is Trace for an event whose ID is text rendered on
+// demand: id runs only for a span the hook takes, so a delivered span
+// the sample rate skips renders nothing.
+func (p *Plane) TraceRendered(id func() string, class string, st Stage, ns int64, outcome string) {
 	if p == nil {
 		return
 	}
@@ -248,7 +255,7 @@ func (p *Plane) Trace(eventID, class string, st Stage, ns int64, outcome string)
 		ns = 0
 	}
 	cfg.hook(TraceEvent{
-		EventID:  eventID,
+		EventID:  id(),
 		Class:    class,
 		Node:     p.Node(),
 		Stage:    st.String(),

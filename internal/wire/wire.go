@@ -52,8 +52,11 @@
 //
 // # Compilation
 //
-// Compile refuses only what gob refuses too: unsafe.Pointer anywhere,
-// and chan or func anywhere but a struct field. Compilation is
+// Compile refuses what gob refuses too: unsafe.Pointer anywhere, and
+// chan or func anywhere but a struct field. It also refuses an
+// unexported embedded struct with an exported field, which gob drops
+// silently: Go promotes the field, so the class reads as if it had it,
+// and every receiver would decode it zero. Compilation is
 // deterministic per layout, so every node of one build compiles each
 // class alike.
 //
@@ -195,6 +198,35 @@ func travels(f reflect.StructField) bool {
 		t = t.Elem()
 	}
 	return t.Kind() != reflect.Chan && t.Kind() != reflect.Func
+}
+
+// promotedAway refuses f, a field of t that does not travel, when it is
+// an unexported embedded struct (or pointer to one) holding a field that
+// would: Go promotes that field into t, where it reads as t's own (a
+// filter path, an accessor method reads it), but gob's rule leaves the
+// whole embedded field off the wire, so every receiver would see it
+// zero.
+func promotedAway(t reflect.Type, f reflect.StructField) error {
+	if !f.Anonymous || f.IsExported() {
+		return nil
+	}
+	et := f.Type
+	for et.Kind() == reflect.Pointer {
+		et = et.Elem()
+	}
+	if et.Kind() != reflect.Struct {
+		return nil
+	}
+	for i := 0; i < et.NumField(); i++ {
+		g := et.Field(i)
+		if travels(g) {
+			return fmt.Errorf("wire: %s: field %s.%s would not travel: it is promoted from the unexported embedded %s, which gob's rule leaves off the wire (export the embedded type, or name the field)", t, f.Name, g.Name, et)
+		}
+		if err := promotedAway(et, g); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // codecFns is one type's compiled functions, filled in once its build
@@ -690,6 +722,9 @@ func (b *builder) buildStruct(t reflect.Type) (encFn, decFn, skipFn, error) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !travels(f) {
+			if err := promotedAway(t, f); err != nil {
+				return nil, nil, nil, err
+			}
 			continue
 		}
 		enc, dec, skip, err := b.build(f.Type)

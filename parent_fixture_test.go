@@ -53,7 +53,8 @@ func parentTickEnvelope(t *testing.T, cdc *codec.Codec) *codec.Envelope {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.ID = "0123456789abcdef0123456789abcdef"
+	env.ID = "0123456789abcdef0123456789abcdef" // the parent's random ID, which reads as a name
+	env.Name, _ = codec.ParseName(env.ID)
 	env.PubNanos = 1790000000123456789
 	return env
 }

@@ -7,13 +7,17 @@ package govents_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"govents"
+	"govents/filter"
 	"govents/netsim"
+	"govents/obvent"
 	"govents/workload"
 
 	ifilter "govents/internal/filter"
@@ -136,5 +140,98 @@ func TestPublicAPIDeliverySetMatchesOracle(t *testing.T) {
 					placement, len(delivered), want, events, fmt.Sprintf("%.2f", float64(want)/events))
 			}
 		})
+	}
+}
+
+// keyBody holds a key and its accessor, and is embedded unexported in
+// hiddenKeyed: Go promotes both, so the class reads as if it had a Key.
+type keyBody struct{ Key int }
+
+func (b keyBody) GetKey() int { return b.Key }
+
+type hiddenKeyed struct {
+	obvent.Base
+	obvent.FIFOOrderBase
+	keyBody
+}
+
+// TestUnexportedEmbeddedFieldIsRefused: a class whose exported fields sit
+// in an unexported embedded struct cannot travel (gob's rule leaves the
+// embedded field off the wire), yet the field and its accessor read as
+// the class's own. The build before delivered every such event with Key
+// 0: under a filter GetKey < 50 it delivered the event keyed 70 too, and
+// under GetKey < 0 it delivered the one keyed -5 not at all. Publish
+// refuses the class instead, naming the field, and nothing reaches a
+// subscriber that the filter would not pass with the value published.
+func TestUnexportedEmbeddedFieldIsRefused(t *testing.T) {
+	for _, placement := range []govents.Placement{govents.AtSubscriber, govents.AtPublisher} {
+		for _, tc := range []struct {
+			bound int64
+			keys  []int
+		}{{50, []int{10, 70}}, {0, []int{-5, 30}}} {
+			t.Run(fmt.Sprintf("placement=%d/GetKey<%d", placement, tc.bound), func(t *testing.T) {
+				ctx := context.Background()
+				net := netsim.New(netsim.Config{})
+				defer net.Close()
+				domains := make([]*govents.Domain, 2)
+				addrs := []string{"pub", "sub"}
+				for i, addr := range addrs {
+					ep, err := net.NewEndpoint(addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := govents.Open(ctx, addr, govents.WithTransport(ep), govents.WithPeers(addrs...),
+						govents.WithPlacement(placement))
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { _ = d.Close(context.Background()) })
+					domains[i] = d
+				}
+				var mu sync.Mutex
+				var got []int
+				_, err := govents.Subscribe(domains[1], filter.Path("GetKey").Lt(filter.Int(tc.bound)), func(e hiddenKeyed) {
+					mu.Lock()
+					got = append(got, e.Key)
+					mu.Unlock()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "the subscription ad", func() bool { return domains[0].RemoteSubscriptionCount() >= 1 })
+				want := map[int]bool{}
+				for _, k := range tc.keys {
+					err := domains[0].Publish(ctx, hiddenKeyed{keyBody: keyBody{Key: k}})
+					switch {
+					case err == nil:
+						if int64(k) < tc.bound {
+							want[k] = true
+						}
+					case !errors.Is(err, govents.ErrCannotPublish) || !strings.Contains(err.Error(), "keyBody.Key"):
+						t.Errorf("Publish of key %d: %v, want %v naming keyBody.Key", k, err, govents.ErrCannotPublish)
+					}
+				}
+				waitFor(t, "the deliveries", func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					return len(got) >= len(want)
+				})
+				net.Settle()
+				mu.Lock()
+				defer mu.Unlock()
+				delivered := map[int]bool{}
+				for _, k := range got {
+					if !want[k] {
+						t.Errorf("delivered an event with Key %d; published %v under GetKey < %d", k, tc.keys, tc.bound)
+					}
+					delivered[k] = true
+				}
+				for k := range want {
+					if !delivered[k] {
+						t.Errorf("the event keyed %d passes GetKey < %d and was not delivered", k, tc.bound)
+					}
+				}
+			})
+		}
 	}
 }

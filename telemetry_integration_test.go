@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"govents"
 	"govents/netsim"
+	"govents/obvent"
 	"govents/workload"
 )
 
@@ -337,4 +339,108 @@ func TestTelemetryOff(t *testing.T) {
 			t.Errorf("stage %s recorded %d samples with telemetry off", stage, snap.Count)
 		}
 	}
+}
+
+// Classes whose events TestTraceNamesAnEventAlike traces.
+type (
+	tracedFIFO struct {
+		obvent.Base
+		obvent.FIFOOrderBase
+		N int
+	}
+	tracedBestEffort struct {
+		obvent.Base
+		N int
+	}
+	tracedTotal struct {
+		obvent.Base
+		obvent.TotalOrderBase
+		N int
+	}
+)
+
+// TestTraceNamesAnEventAlike: an event's name is rendered for the trace
+// hook only, and alike wherever it is delivered. Two domains over netsim
+// both subscribe to a FIFO, a best-effort and a total-order class; the
+// publisher is not the sequencer, so its total-order events reach both
+// domains relayed. Each event's delivered spans carry one EventID at the
+// publisher and at the subscriber, and no two events share one.
+func TestTraceNamesAnEventAlike(t *testing.T) {
+	ctx := context.Background()
+	net := netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 5})
+	defer net.Close()
+	var mu sync.Mutex
+	ids := map[string]map[string]string{} // node -> "class/N" -> EventID
+	addrs := []string{"a-sequencer", "b-publisher"}
+	domains := make([]*govents.Domain, len(addrs))
+	for i, addr := range addrs {
+		ep, err := net.NewEndpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := govents.Open(ctx, addr, govents.WithTransport(ep), govents.WithPeers(addrs...),
+			govents.WithTuning(govents.Tuning{RetransmitInterval: 5 * time.Millisecond}),
+			govents.WithTraceHook(func(ev govents.TraceEvent) {
+				if ev.Outcome != "delivered" {
+					t.Errorf("%s: a %s span of %s", ev.Node, ev.Outcome, ev.Class)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if ids[ev.Node] == nil {
+					ids[ev.Node] = map[string]string{}
+				}
+				ids[ev.Node][ev.Class+"/"+ev.EventID] = ev.EventID
+			}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close(ctx)
+		domains[i] = d
+	}
+	const n = 20
+	var delivered atomic.Int64
+	for _, d := range domains {
+		for _, err := range []error{
+			subscribeCount[tracedFIFO](d, &delivered),
+			subscribeCount[tracedBestEffort](d, &delivered),
+			subscribeCount[tracedTotal](d, &delivered),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, "the subscription ads", func() bool {
+		return domains[0].RemoteSubscriptionCount() >= 3 && domains[1].RemoteSubscriptionCount() >= 3
+	})
+	pub := domains[1]
+	for i := range n {
+		for _, o := range []govents.Obvent{tracedFIFO{N: i}, tracedBestEffort{N: i}, tracedTotal{N: i}} {
+			if err := pub.Publish(ctx, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, "every delivery", func() bool { return delivered.Load() == 2*3*n })
+	waitFor(t, "every span", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ids[addrs[0]]) == 3*n && len(ids[addrs[1]]) == 3*n
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for key, id := range ids[addrs[1]] {
+		if ids[addrs[0]][key] != id {
+			t.Errorf("the publisher traced %s, the subscriber has no span of that name", key)
+		}
+		if len(id) != 32 {
+			t.Errorf("EventID %q is not a name's text", id)
+		}
+	}
+}
+
+// subscribeCount subscribes to T at d, counting deliveries.
+func subscribeCount[T govents.Obvent](d *govents.Domain, n *atomic.Int64) error {
+	_, err := govents.Subscribe(d, nil, func(T) { n.Add(1) })
+	return err
 }
