@@ -250,13 +250,18 @@ func (d *Domain) Addr() string {
 func (d *Domain) Registry() *obvent.Registry { return d.reg }
 
 // Register records the concrete types of the samples as obvent classes
-// ahead of use. Publishing and subscribing register types lazily, so
-// Register is only needed for classes this process never publishes or
-// subscribes directly — typically subtypes published by other nodes
-// that must still decode here (type knowledge is per-process).
+// ahead of use, and compiles their encodings, refusing a class that
+// cannot travel (Publish refuses it likewise). Publishing and subscribing
+// register types lazily, so Register is only needed for classes this
+// process never publishes or subscribes directly — typically subtypes
+// published by other nodes that must still decode here (type knowledge
+// is per-process).
 func (d *Domain) Register(samples ...Obvent) error {
 	for _, s := range samples {
 		if _, err := d.reg.Register(s); err != nil {
+			return fmt.Errorf("govents: register: %w", err)
+		}
+		if err := d.eng.Codec().Compile(s); err != nil {
 			return fmt.Errorf("govents: register: %w", err)
 		}
 	}

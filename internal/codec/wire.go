@@ -94,6 +94,16 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 	return e
 }
 
+// Compile compiles the program of o's class ahead of its first use, and
+// reports why the class cannot travel if it cannot.
+func (c *Codec) Compile(o obvent.Obvent) error {
+	t := reflect.TypeOf(o)
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return c.wireEntryFor(t).err
+}
+
 // encodePayload serializes o with its class's compiled program, behind
 // off bytes of room: the payload is buf[off:]. It writes into dst's
 // storage when that holds what the class's recent encodings took.

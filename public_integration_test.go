@@ -163,7 +163,16 @@ type hiddenKeyed struct {
 // under GetKey < 0 it delivered the one keyed -5 not at all. Publish
 // refuses the class instead, naming the field, and nothing reaches a
 // subscriber that the filter would not pass with the value published.
+// Register refuses the class too.
 func TestUnexportedEmbeddedFieldIsRefused(t *testing.T) {
+	d, err := govents.Open(context.Background(), "local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close(context.Background())
+	if err := d.Register(hiddenKeyed{}); err == nil || !strings.Contains(err.Error(), "keyBody.Key") {
+		t.Errorf("Register: %v, want an error naming keyBody.Key", err)
+	}
 	for _, placement := range []govents.Placement{govents.AtSubscriber, govents.AtPublisher} {
 		for _, tc := range []struct {
 			bound int64
