@@ -139,12 +139,8 @@ func run() error {
 			st.WireCompiles, st.WireRejects, st.WireEncodes, st.WireDecodes,
 			st.PartialDecodes, st.WireMaterializations)
 		for _, l := range d.LaneStats() {
-			name := fmt.Sprintf("lane %d ", l.Lane)
-			if l.Serial {
-				name = "serial "
-			}
-			fmt.Printf("  %-8s routed=%-6d dispatched=%-6d delivered=%-6d queued=%d high-water=%d\n",
-				name, l.Enqueued, l.Stats.EventsIn, l.Stats.Delivered, l.Queued, l.HighWater)
+			fmt.Printf("  lane %-3d routed=%-6d dispatched=%-6d delivered=%-6d queued=%d high-water=%d\n",
+				l.Lane, l.Enqueued, l.Stats.EventsIn, l.Stats.Delivered, l.Queued, l.HighWater)
 		}
 		printRoutingStats(d)
 		return sub.Deactivate()

@@ -607,19 +607,23 @@
 // durable segment log (requires WithDurability) that drains back — in
 // order — once the lane catches up, so bursts cost latency rather than
 // loss.
-// FIFO-ordered traffic dispatches on parallel lanes chosen by a hash
-// of the publisher (only causal, total and prioritary classes
-// serialize). Each lane is drained by its own goroutine alone, so one
-// publisher's envelopes run in its order on its lane, and a wedged
-// lane holds up only the publishers that hash onto it.
+//
+// Every lane is the same arrival-ordered queue, drained by its own
+// goroutine alone. A causal or total-order class dispatches on the lane
+// its name hashes onto, and every other envelope, FIFO and prioritary
+// included, on the lane its publisher hashes onto; so one publisher's
+// envelopes, and one ordered class's, run in their order on their lane,
+// and a wedged lane holds up only the publishers and ordered classes
+// that hash onto it. Priority reorders only the deliveries waiting for a
+// subscription's handler: a Prioritary obvent overtakes every
+// lower-priority delivery queued for its subscription, whichever lane
+// it came by, but not the envelopes still waiting on its own lane to be
+// matched.
 //
 // What the bound bounds is the lane's queue: LaneStat.Queued, what a
 // blocked intake waits on and what DropOldest sheds from; above it the
-// lane has only the envelope in dispatch. On the serial lane the spill
-// log keeps arrival order and each record's priority, so under Spill a
-// Prioritary obvent overtakes within the in-memory window only: what is
-// on disk waits its turn, whatever its priority. Causal and total
-// arrival order is never affected.
+// lane has only the envelope in dispatch. The spill log keeps arrival
+// order.
 //
 // The bound bounds the lane, and under OverloadBlock the wait reaches
 // the goroutine that feeds it: nothing queues in front of a lane. That

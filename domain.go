@@ -352,11 +352,11 @@ func (d *Domain) MetricsAddr() string {
 	return d.metrics.addr()
 }
 
-// LaneStats returns per-lane dispatcher counters: the serial
-// (ordered/prioritary) lane first, then each parallel lane.
+// LaneStats returns per-lane dispatcher counters, one entry per lane
+// in lane order (LaneStat.Lane).
 func (d *Domain) LaneStats() []LaneStat { return d.eng.LaneStats() }
 
-// DispatchLanes returns the number of parallel dispatch lanes.
+// DispatchLanes returns the number of dispatch lanes.
 func (d *Domain) DispatchLanes() int { return d.eng.DispatchLanes() }
 
 // RoutingStats returns the routing-plane counters of a distributed

@@ -446,9 +446,8 @@ func TestBoundedMultiThreadingPolicy(t *testing.T) {
 }
 
 func TestPriorityOvertakesBacklog(t *testing.T) {
-	// Two obvents queued behind a blocked dispatcher: the higher
-	// priority one must be dispatched first even though it arrived
-	// later.
+	// Two obvents queued behind a blocked handler: the higher priority
+	// one must be dispatched first even though it arrived later.
 	e := newLocalEngine(t)
 
 	var mu sync.Mutex
@@ -477,7 +476,11 @@ func TestPriorityOvertakesBacklog(t *testing.T) {
 	waitFor(t, time.Second, "blocker in handler", func() bool { return len(first) == 1 })
 	_ = Publish(e, prioAlert{Msg: "low", PriorityBase: obvent.PriorityBase{Prio: 1}})
 	_ = Publish(e, prioAlert{Msg: "high", PriorityBase: obvent.PriorityBase{Prio: 9}})
-	time.Sleep(20 * time.Millisecond) // both reach the priority inbox
+	waitFor(t, 5*time.Second, "both queued behind the blocker", func() bool {
+		sub.executor.mu.Lock()
+		defer sub.executor.mu.Unlock()
+		return len(sub.executor.queue)-sub.executor.head == 2
+	})
 	close(release)
 
 	waitFor(t, 5*time.Second, "all delivered", func() bool {

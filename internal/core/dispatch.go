@@ -171,13 +171,12 @@ func (e *Engine) Stats() DispatchStats {
 	return st
 }
 
-// LaneStats returns a per-lane snapshot of the dispatcher: the serial
-// (ordered/prioritary) lane first, then each parallel lane.
+// LaneStats returns a per-lane snapshot of the dispatcher, one entry per
+// lane in lane order.
 func (e *Engine) LaneStats() []LaneStat { return e.lanes.laneStats() }
 
-// DispatchLanes returns the number of parallel dispatch lanes (the
-// serial lane is additional).
-func (e *Engine) DispatchLanes() int { return len(e.lanes.par) }
+// DispatchLanes returns the number of dispatch lanes.
+func (e *Engine) DispatchLanes() int { return len(e.lanes.lanes) }
 
 // dispatchTable is an immutable snapshot of the active subscriptions,
 // grouped by subscribed (target) type name. It is published via
@@ -333,7 +332,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: priorityOf(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:
@@ -353,15 +352,11 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 
 // orderedDelivery reports whether this envelope's deliveries must run
 // in order on the subscriber executors: stamped wire ordering, or the
-// envelope's class resolving to an ordering. It mirrors the ordering
-// half of the lane router's rule (lanes.go routeSerial), so an envelope
-// steered to the serial lane because its class is ordered — e.g. a peer
-// that forgot to stamp the wire metadata — is also executed serially,
-// not just queued serially. Deliberately narrower than routeSerial:
-// Prioritary envelopes are queued serially (so they can overtake
-// backlog) but execute under the normal thread policy — priority and
-// ordering cannot combine (Figure 4), and forcing inline execution here
-// would change Prioritary handler concurrency from the paper's default.
+// envelope's class resolving to an ordering, as laneOf resolves it, so
+// an ordered class's envelopes from a peer that forgot to stamp the wire
+// metadata are executed in order, not just queued in order. Prioritary
+// envelopes execute under the normal thread policy: priority and
+// ordering cannot combine (Figure 4).
 func (e *Engine) orderedDelivery(env *codec.Envelope) bool {
 	if env.Ordering > obvent.NoOrder {
 		return true
@@ -370,6 +365,15 @@ func (e *Engine) orderedDelivery(env *codec.Envelope) bool {
 		return sem.Ordering > obvent.NoOrder
 	}
 	return false
+}
+
+// priorityOf is an envelope's stamped priority, 0 without one: the key
+// executor.submit orders a subscription's queued deliveries by.
+func priorityOf(env *codec.Envelope) int {
+	if env.HasPriority {
+		return env.Priority
+	}
+	return 0
 }
 
 // dispatchNaive is the pre-index delivery path: snapshot and sort the
@@ -429,7 +433,7 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 		if s.localFilter != nil && !s.localFilter(o) {
 			continue
 		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: lanePriority(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
+		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: priorityOf(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
 		case submitOK:
 			ln.counters.delivered.Add(1)
 		case submitShed:

@@ -92,11 +92,8 @@ type Engine struct {
 	advMu sync.Mutex
 
 	// Inbound delivery: the sharded multi-lane dispatcher (lanes.go).
-	// Ordered and Prioritary envelopes drain through one serial
-	// priority-aware lane — preserving arrival order except that
-	// Prioritary envelopes overtake lower-priority backlog (§3.1.2
-	// transmission semantics) — while unordered envelopes fan out
-	// across parallel lanes hashed by publisher.
+	// Causal and total-order classes hash onto lanes by class, every
+	// other envelope by publisher; each lane keeps arrival order.
 	lanes *laneSet
 
 	// table is the copy-on-write dispatch index (see dispatch.go):
@@ -153,11 +150,11 @@ func WithRegistry(reg *obvent.Registry) Option {
 	return func(c *engineConfig) { c.registry = reg }
 }
 
-// WithDispatchLanes sets the number of parallel dispatch lanes for
-// unordered traffic. Zero (or leaving the option unset) means
-// GOMAXPROCS; negative values are clamped to 1. Ordered and Prioritary
-// envelopes always drain through one additional serial lane regardless
-// of n, so their delivery semantics are unaffected by the lane count.
+// WithDispatchLanes sets the number of dispatch lanes. Zero (or leaving
+// the option unset) means GOMAXPROCS; negative values are clamped to 1.
+// A causal or total-order class drains through the lane its name hashes
+// onto and everything else through its publisher's lane (lanes.go
+// laneOf), so delivery semantics are unaffected by the lane count.
 func WithDispatchLanes(n int) Option {
 	return func(c *engineConfig) { c.lanes = n }
 }
@@ -345,9 +342,8 @@ func (e *Engine) Publish(o obvent.Obvent) error {
 }
 
 // deliver is the sink invoked by the disseminator for every inbound
-// envelope. It copies the envelope into its dispatch lane (serial for
-// ordered/prioritary semantics, hashed-parallel otherwise); actual
-// matching and handler execution happen on the lane goroutines.
+// envelope. It copies the envelope into its dispatch lane (laneOf);
+// actual matching and handler execution happen on the lane goroutines.
 func (e *Engine) deliver(env *codec.Envelope) {
 	e.lanes.route(env)
 }

@@ -27,37 +27,41 @@
 // # Dispatch architecture
 //
 // Inbound envelopes flow through a sharded, indexed, allocation-light
-// pipeline (see lanes.go and dispatch.go). A semantics-aware router
-// first shards every envelope across dispatch lanes; each lane then
-// runs the indexed matching pipeline with its own private scratch and
-// counters:
+// pipeline (see lanes.go and dispatch.go). A router first shards every
+// envelope across N dispatch lanes (WithDispatchLanes, default
+// GOMAXPROCS); each lane is the same arrival-ordered queue drained by
+// its own goroutine, and runs the indexed matching pipeline with its own
+// private scratch and counters:
 //
-//	           ┌► serial lane (priority heap) ─┐
-//	           │   ordered / prioritary        │
-//	envelope ─►│                               ├─► type index ──► compound match ──► one obvent per match
-//	           └► lane[hash(publisher) % N] ───┘
-//	               unordered (parallel)
+//	envelope ─► laneOf ─► lane[hash(class or publisher) % N]
+//	         ─► type index ─► compound match ─► one obvent per match ─► subscription executor
 //
 // Lane routing realizes the transmission semantics of §3.1.2 with the
-// least serialization they permit:
+// least serialization they permit. Each ordering is a property of what
+// one multicast group releases, which reaches the engine one envelope at
+// a time and in order, so routing only has to keep each ordered stream
+// on one lane:
 //
-//   - FIFO, Causal and Total ordered obvents, and Prioritary obvents,
-//     drain through the single serial lane: a priority heap (higher
-//     priority first, FIFO among equals) whose one goroutine preserves
-//     arrival order for ordered traffic and lets Prioritary envelopes
-//     overtake lower-priority backlog. Ordering and priority cannot
-//     combine (Figure 4 drops priority under any ordering), so the two
-//     semantics share the lane without interfering.
-//   - Unordered obvents — bound by no delivery-order contract — fan out
-//     across N parallel lanes (WithDispatchLanes, default GOMAXPROCS),
-//     hashed by publisher so one publisher's envelopes keep their
-//     arrival order relative to each other.
+//   - Causal and total-order classes hash by class: one class's
+//     envelopes share a lane and keep their release order. Two ordered
+//     classes on different lanes never wait for each other.
+//   - Every other envelope — FIFO, Prioritary and unordered — hashes by
+//     publisher, so one publisher's envelopes keep their arrival order
+//     relative to each other, which is the whole FIFO contract.
 //
-// The serial-or-parallel decision reads the envelope's wire metadata
-// and, for unordered metadata, a per-class semantics lookup cached in
+// The decision reads the envelope's wire metadata and, for an envelope
+// whose ordering was not stamped, a per-class semantics lookup cached in
 // the type registry (Registry.ClassSemantics, invalidated by the
 // registry generation counter) — a lock-free map hit, never a payload
 // decode, with zero steady-state allocations.
+//
+// Priority acts where backlog forms at the handler: a subscription's
+// executor queues a delivery behind every queued delivery of at least
+// its priority, so a Prioritary obvent overtakes lower-priority
+// deliveries waiting for that subscription's handler, whichever lane
+// they came by. It does not overtake envelopes still waiting on its
+// lane to be matched. Ordered deliveries run alone on the executor, in
+// submit order.
 //
 // Within a lane, matching is indexed:
 //

@@ -39,7 +39,7 @@ func newGate(t *testing.T) *gate {
 // open lets every parked and future handler return.
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
-func (g *gate) run(submission) bool {
+func (g *gate) run(*submission) bool {
 	g.started.Add(1)
 	g.inside.Add(1)
 	<-g.release
@@ -96,7 +96,7 @@ func TestExecutorOrderedRunsAloneInOrder(t *testing.T) {
 	g := newGate(t)
 	var mu sync.Mutex
 	var order []string
-	x := newExecutor(func(s submission) bool {
+	x := newExecutor(func(s *submission) bool {
 		if s.ordered {
 			if in := g.inside.Load(); in != 0 {
 				t.Errorf("ordered %s started beside %d running handlers", s.id, in)
@@ -179,7 +179,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 		var ran [submitters * perSubmitter]atomic.Int32
 		var inside atomic.Int32
 		var alone atomic.Bool // an ordered delivery is inside
-		x := newExecutor(func(s submission) bool {
+		x := newExecutor(func(s *submission) bool {
 			ran[s.deq].Add(1)
 			if in := inside.Add(1); alone.Load() || (s.ordered && in != 1) {
 				t.Errorf("item %d (ordered=%v) started with %d inside, ordered inside=%v", s.deq, s.ordered, in, alone.Load())
@@ -369,7 +369,7 @@ func TestExecutorQueuesByPriority(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	release := make(chan struct{})
-	x := newExecutor(func(s submission) bool {
+	x := newExecutor(func(s *submission) bool {
 		if s.id == "running" {
 			<-release
 		}

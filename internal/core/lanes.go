@@ -14,42 +14,22 @@ import (
 
 // This file implements the engine's sharded multi-lane dispatcher.
 //
-// The paper's transmission semantics (§3.1.2) only constrain delivery
-// order for obvents whose type requests ordering (FIFO/Causal/Total) or
-// priority. FIFO needs only *per-publisher* order, which the parallel
-// lanes already provide (one publisher's envelopes always share a lane),
-// so FIFO traffic fans out with the unordered traffic; only the
-// semantics that need a single global arrival order — Causal, Total and
-// Prioritary — share the strictly serial lane:
+// The paper's transmission semantics (§3.1.2) constrain delivery order
+// only within what one multicast group releases: FIFO per publisher,
+// Causal and Total per class. Every lane is the same arrival-ordered
+// queue drained by its own goroutine, so routing only has to keep each
+// of those streams on one lane:
 //
-//	              ┌► lane{priorityOrder}               ── causal/total/prioritary
-//	deliver ─► route
-//	              └► lane{arrivalOrder}[hash(pub) % N] ── FIFO + everything else
+//	deliver ─► laneOf ─► lane[hash(class) % N]     ── causal/total classes
+//	                  └► lane[hash(publisher) % N] ── FIFO, prioritary, everything else
 //
-// Both are the one lane type below: it owns the lock, the bound, the
-// overload policies, the spill log, the drain loop, its depth counters
-// and the lane_wait timing, and is parameterised only by the order its
-// queue pops in (laneOrder).
+// A lane owns the lock, the bound, the overload policies, the spill log,
+// the drain loop, its depth counters and the lane_wait timing. Priority
+// is not a lane's business: the subscription executor reorders by
+// priority where handler backlog forms (executor.submit).
 //
-// Routing rules, in order:
-//
-//   - env.HasPriority, or env.Ordering stronger than FIFO (stamped by
-//     the publishing codec) → serial lane. The heap preserves
-//     Prioritary-overtaking behavior exactly; ordered envelopes share
-//     priority 0 and therefore drain in arrival order.
-//   - env.Ordering == FIFO → parallel lane by publisher hash: the lane
-//     is FIFO per publisher, which is the whole FIFO contract.
-//   - the envelope's class resolves (Registry.ClassSemantics, a cached
-//     lock-free lookup — never a decode) to a stronger-than-FIFO
-//     ordering or priority → serial lane. This catches peers that
-//     forgot to stamp the wire metadata.
-//   - otherwise → parallel lane chosen by hashing the publisher ID (the
-//     publication ID when there is none), so one publisher's envelopes
-//     always share a lane and per-publisher arrival order stays stable.
-//
-// Every lane is drained by its own goroutine and nothing else, and may
-// be bounded (laneConfig.bound): the bound counts the lane's queue, and
-// a full lane applies the engine's OverloadPolicy.
+// Every lane may be bounded (laneConfig.bound): the bound counts the
+// lane's queue, and a full lane applies the engine's OverloadPolicy.
 //
 // Each lane owns its queue, its dispatchScratch and its dispatchCounters,
 // so lanes never contend on dispatch state; Engine.Stats folds the
@@ -126,11 +106,8 @@ type laneState struct {
 
 // LaneStat is one dispatch lane's observable state (Engine.LaneStats).
 type LaneStat struct {
-	// Lane is the parallel lane index; -1 identifies the serial lane.
+	// Lane is the lane's index.
 	Lane int
-	// Serial reports whether this is the serial (causal/total/prioritary)
-	// lane.
-	Serial bool
 	// Enqueued counts envelopes ever routed to this lane.
 	Enqueued uint64
 	// Queued is the lane's instantaneous queue length: everything it owes
@@ -151,12 +128,10 @@ type LaneStat struct {
 	Stats DispatchStats
 }
 
-// laneSet is the engine's dispatcher: one serial priority-ordered lane
-// plus N parallel arrival-ordered lanes.
+// laneSet is the engine's dispatcher: N arrival-ordered lanes.
 type laneSet struct {
-	reg    *obvent.Registry
-	serial *lane
-	par    []*lane
+	reg   *obvent.Registry
+	lanes []*lane
 }
 
 func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, cfg laneConfig) *laneSet {
@@ -173,11 +148,9 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 		cfg.logger.Warn("overload policy spill without a spill directory; degrading to drop-oldest")
 		cfg.policy = OverloadDropOldest
 	}
-	ls := &laneSet{reg: reg, par: make([]*lane, n)}
-	// The serial lane owns histogram shard (and spill directory) 0.
-	ls.serial = newLane(priorityOrder, dispatch, tele, 0, cfg)
-	for i := range ls.par {
-		ls.par[i] = newLane(arrivalOrder, dispatch, tele, i+1, cfg)
+	ls := &laneSet{reg: reg, lanes: make([]*lane, n)}
+	for i := range ls.lanes {
+		ls.lanes[i] = newLane(dispatch, tele, i, cfg)
 	}
 	return ls
 }
@@ -185,53 +158,36 @@ func newLaneSet(reg *obvent.Registry, n int, dispatch func(*codec.Envelope, *lan
 // route steers one envelope to its lane. Safe for concurrent use: the
 // dissemination substrate may deliver from many goroutines.
 func (ls *laneSet) route(env *codec.Envelope) {
-	if ls.routeSerial(env) {
-		ls.serial.push(env, lanePriority(env))
-		return
-	}
-	ls.par[laneOf(env, len(ls.par))].push(env, 0)
+	ls.lanes[ls.laneOf(env)].push(env)
 }
 
-// lanePriority is an envelope's stamped priority, 0 without one.
-func lanePriority(env *codec.Envelope) int {
-	if env.HasPriority {
-		return env.Priority
+// laneOf picks the envelope's lane. A class ordered beyond FIFO hashes
+// by its name, so its lane keeps the order its group released it in.
+// Every other envelope, FIFO included, hashes by its publisher ID, or
+// without one by its name's count, which spreads such envelopes over the
+// lanes without rendering anything. An envelope whose ordering was not
+// stamped is resolved through its class's cached semantics
+// (Registry.ClassSemantics, a lock-free lookup, never a decode). Routing
+// allocates nothing (TestLaneRoutingZeroAlloc).
+func (ls *laneSet) laneOf(env *codec.Envelope) int {
+	n := len(ls.lanes)
+	ordering := env.Ordering
+	if ordering == obvent.NoOrder {
+		if sem, ok := ls.reg.ClassSemantics(env.Type); ok {
+			ordering = sem.Ordering
+		}
 	}
-	return 0
-}
-
-// routeSerial is the semantics-aware routing decision. It costs two
-// envelope field reads and, for unordered wire metadata, one lock-free
-// cached class-semantics lookup — never a payload decode and zero
-// steady-state allocations (pinned by TestLaneRoutingZeroAlloc). FIFO
-// deliberately routes parallel: per-publisher order is exactly what the
-// publisher-hashed lanes preserve.
-func (ls *laneSet) routeSerial(env *codec.Envelope) bool {
-	if env.HasPriority || env.Ordering > obvent.FIFO {
-		return true
-	}
-	if env.Ordering == obvent.FIFO {
-		return false
-	}
-	if sem, ok := ls.reg.ClassSemantics(env.Type); ok {
-		return sem.Prioritary || sem.Ordering > obvent.FIFO
-	}
-	return false
-}
-
-// laneOf picks the envelope's parallel lane of n by its publisher
-// identity: the publisher ID, or, when there is none, the count of its
-// name, which spreads such envelopes over the lanes without rendering
-// anything.
-func laneOf(env *codec.Envelope, n int) int {
-	if env.Publisher != "" {
+	switch {
+	case ordering > obvent.FIFO:
+		return laneIndex(env.Type, n)
+	case env.Publisher != "":
 		return laneIndex(env.Publisher, n)
 	}
 	return int(env.Name.N % uint64(n))
 }
 
-// laneIndex hashes a publisher key onto a parallel lane: one publisher's
-// envelopes always share a lane, keeping per-publisher arrival order
+// laneIndex hashes a publisher or class key onto one of n lanes: one
+// key's envelopes always share a lane, keeping their arrival order
 // stable. FNV-1a, inlined to stay allocation-free.
 func laneIndex(key string, n int) int {
 	h := uint32(2166136261)
@@ -244,19 +200,18 @@ func laneIndex(key string, n int) int {
 
 // stats folds every lane's counters into one engine-wide snapshot.
 func (ls *laneSet) stats() DispatchStats {
-	total := ls.serial.st.counters.snapshot()
-	for _, l := range ls.par {
+	var total DispatchStats
+	for _, l := range ls.lanes {
 		total.add(l.st.counters.snapshot())
 	}
 	return total
 }
 
-// laneStats snapshots each lane individually, serial lane first.
+// laneStats snapshots each lane individually.
 func (ls *laneSet) laneStats() []LaneStat {
-	out := make([]LaneStat, 0, len(ls.par)+1)
-	out = append(out, ls.serial.stat(-1))
-	for i, l := range ls.par {
-		out = append(out, l.stat(i))
+	out := make([]LaneStat, len(ls.lanes))
+	for i, l := range ls.lanes {
+		out[i] = l.stat()
 	}
 	return out
 }
@@ -265,7 +220,7 @@ func (ls *laneSet) laneStats() []LaneStat {
 // spill backlog) first.
 func (ls *laneSet) close() {
 	var wg sync.WaitGroup
-	for _, l := range append([]*lane{ls.serial}, ls.par...) {
+	for _, l := range ls.lanes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -275,36 +230,20 @@ func (ls *laneSet) close() {
 	wg.Wait()
 }
 
-// laneItem is one queued envelope plus its priority and arrival sequence
-// (the priority order's sort key; the sequence also finds the oldest item
-// to shed) and its telemetry enqueue timestamp (0 when telemetry is off at
-// enqueue time). All of it rides the queue, never the envelope, and a
-// lane holds its own copy of the envelope and of its payload (in chunk,
-// of the lane's store): the sink's envelope and the bytes it names are
-// valid for the sink call only (a channel's scratch over a transport's
-// frame, a publisher's pooled envelope and buffer). The copy of a pooled
-// envelope still names the publisher's headroom, which the pool hands
-// on; nothing seals a lane's copy, and Seal refuses a room whose buffer
-// is not the payload's.
+// laneItem is one queued envelope plus its telemetry enqueue timestamp
+// (0 when telemetry is off at enqueue time), which rides the queue, never
+// the envelope. A lane holds its own copy of the envelope and of its
+// payload (in chunk, of the lane's store): the sink's envelope and the
+// bytes it names are valid for the sink call only (a channel's scratch
+// over a transport's frame, a publisher's pooled envelope and buffer).
+// The copy of a pooled envelope still names the publisher's headroom,
+// which the pool hands on; nothing seals a lane's copy, and Seal refuses
+// a room whose buffer is not the payload's.
 type laneItem struct {
 	env   codec.Envelope
 	chunk *chunk.Chunk
-	prio  int
-	seq   uint64
 	enq   int64
 }
-
-// laneOrder is a lane's one parameter: the order its queue pops in.
-type laneOrder int
-
-const (
-	// arrivalOrder pops oldest first, off a ring: a publisher-hashed
-	// parallel lane.
-	arrivalOrder laneOrder = iota
-	// priorityOrder pops the highest priority first and in arrival order
-	// among equals, off the heap of inbox.go: the serial lane.
-	priorityOrder
-)
 
 // laneShrinkMin is the queue capacity below which lanes never bother
 // shrinking their backing arrays: reclaiming a few hundred pointers is
@@ -312,57 +251,30 @@ const (
 // ordinary jitter.
 const laneShrinkMin = 64
 
-// laneQueue is a lane's in-memory queue in either order, over one
-// []laneItem so that nothing is boxed on the way in or out.
+// laneQueue is a lane's in-memory queue: a ring over one []laneItem,
+// oldest first, so that nothing is boxed on the way in or out.
 type laneQueue struct {
-	order laneOrder
 	items []laneItem
-	head  int // arrivalOrder: index of the next item to pop; a heap keeps 0
+	head  int // index of the next item to pop
 }
 
 func (q *laneQueue) len() int { return len(q.items) - q.head }
 
-func (q *laneQueue) push(item laneItem) {
-	q.items = append(q.items, item)
-	if q.order == priorityOrder {
-		heapUp(q.items, len(q.items)-1)
-	}
-}
+func (q *laneQueue) push(item laneItem) { q.items = append(q.items, item) }
 
-// pop removes the next item in the queue's order.
-func (q *laneQueue) pop() (item laneItem) {
-	if q.order == priorityOrder {
-		q.items, item = heapRemove(q.items, 0)
-	} else {
-		item = q.items[q.head]
-		q.items[q.head] = laneItem{}
-		q.head++
-	}
+// pop removes the oldest item.
+func (q *laneQueue) pop() laneItem {
+	item := q.items[q.head]
+	q.items[q.head] = laneItem{}
+	q.head++
 	q.compact()
-	return item
-}
-
-// dropOldest removes the earliest arrival whatever its priority: the
-// ring's head, or the heap's minimum sequence — an O(n) scan, but only
-// DropOldest at the overload boundary asks, never the steady state.
-func (q *laneQueue) dropOldest() (item laneItem) {
-	if q.order == arrivalOrder {
-		return q.pop()
-	}
-	oldest := 0
-	for i := range q.items {
-		if q.items[i].seq < q.items[oldest].seq {
-			oldest = i
-		}
-	}
-	q.items, item = heapRemove(q.items, oldest)
 	return item
 }
 
 // compact keeps the queue's memory proportional to its live backlog.
 // Without it, append would grow a ring forever (head only advances) and
 // a one-time burst would pin its high-water array for the engine's
-// lifetime. A straight copy preserves the heap invariant.
+// lifetime.
 func (q *laneQueue) compact() {
 	live := q.len()
 	switch {
@@ -394,8 +306,8 @@ func (q *laneQueue) compact() {
 // into memory.
 const spillDrainBatch = 64
 
-// lane is one dispatch lane: a bounded queue in the lane's order,
-// drained by the lane's own goroutine alone. A full lane applies its
+// lane is one dispatch lane: a bounded arrival-ordered queue, drained
+// by the lane's own goroutine alone. A full lane applies its
 // overload policy.
 type lane struct {
 	dispatch func(*codec.Envelope, *laneState)
@@ -407,7 +319,6 @@ type lane struct {
 	cond    *sync.Cond // work available (lane goroutine waits here)
 	notFull *sync.Cond // space available (OverloadBlock pushers wait here)
 	q       laneQueue
-	nextSeq uint64
 	closed  bool
 	wg      sync.WaitGroup
 	// high is the queue's high-water mark (LaneStat.HighWater).
@@ -422,9 +333,8 @@ type lane struct {
 }
 
 // newLane constructs a lane and starts its goroutine.
-func newLane(order laneOrder, dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, idx int, cfg laneConfig) *lane {
+func newLane(dispatch func(*codec.Envelope, *laneState), tele *telemetry.Plane, idx int, cfg laneConfig) *lane {
 	l := &lane{dispatch: dispatch, tele: tele, idx: idx, cfg: cfg}
-	l.q.order = order
 	l.cond = sync.NewCond(&l.mu)
 	l.notFull = sync.NewCond(&l.mu)
 	l.spill.init(cfg, idx)
@@ -441,7 +351,7 @@ func (l *lane) noteHighLocked() {
 	}
 }
 
-func (l *lane) push(env *codec.Envelope, prio int) {
+func (l *lane) push(env *codec.Envelope) {
 	var enq int64
 	if l.tele.Enabled() {
 		enq = telemetry.Now()
@@ -457,7 +367,7 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 	// spilling until it fully drains.
 	for l.cfg.bound > 0 && (l.spill.count > 0 || l.q.len() >= l.cfg.bound) {
 		if l.cfg.policy == OverloadSpill {
-			if l.spill.append(env, prio) {
+			if l.spill.append(env) {
 				l.st.counters.spilled.Add(1)
 			} else {
 				// A spill failure degrades to a counted shed — the lane
@@ -471,7 +381,7 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 		if l.cfg.policy == OverloadDropOldest {
 			// Counted, not traced: this runs under l.mu, and a trace hook
 			// calling back into LaneStats would deadlock.
-			l.store.Release(l.q.dropOldest().chunk)
+			l.store.Release(l.q.pop().chunk)
 			l.st.counters.shed.Add(1)
 			break
 		}
@@ -481,8 +391,7 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 			return
 		}
 	}
-	l.nextSeq++
-	item := laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq}
+	item := laneItem{env: *env, enq: enq}
 	item.env.Payload, item.chunk = l.store.Copy(env.Payload)
 	l.q.push(item)
 	l.noteHighLocked()
@@ -490,13 +399,12 @@ func (l *lane) push(env *codec.Envelope, prio int) {
 	l.mu.Unlock()
 }
 
-// stat snapshots the lane for Engine.LaneStats; idx is its LaneStat.Lane.
-func (l *lane) stat(idx int) LaneStat {
+// stat snapshots the lane for Engine.LaneStats.
+func (l *lane) stat() LaneStat {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return LaneStat{
-		Lane:         idx,
-		Serial:       l.q.order == priorityOrder,
+		Lane:         l.idx,
 		Enqueued:     l.st.enqueued.Load(),
 		Queued:       l.q.len(),
 		HighWater:    l.high,
@@ -545,14 +453,12 @@ func (l *lane) loop() {
 }
 
 // refillFromSpillLocked moves up to spillDrainBatch spilled records back
-// into the in-memory queue (caller holds mu), re-sequencing them in spill
-// (arrival) order with the priority each record carries. Spill therefore
-// preserves arrival order, and priority overtaking applies within the
-// in-memory window only: a degradation of Prioritary under overload,
-// never of Causal/Total arrival order.
+// into the in-memory queue (caller holds mu), in spill (arrival) order.
 func (l *lane) refillFromSpillLocked() {
 	l.spill.drain(func(data []byte) {
-		env, prio, err := unmarshalSpill(data)
+		// The copying decode: a refill reads records out of the spill
+		// log's buffer, and the envelope outlives the read.
+		env, err := codec.Unmarshal(data)
 		if err != nil {
 			l.st.counters.decodeErrors.Add(1)
 			return
@@ -561,8 +467,7 @@ func (l *lane) refillFromSpillLocked() {
 		if l.tele.Enabled() {
 			enq = telemetry.Now()
 		}
-		l.nextSeq++
-		l.q.push(laneItem{env: *env, prio: prio, seq: l.nextSeq, enq: enq})
+		l.q.push(laneItem{env: *env, enq: enq})
 	})
 	l.noteHighLocked()
 	l.st.counters.spillDrained.Add(uint64(l.spill.lastDrained))

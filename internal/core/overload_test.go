@@ -386,7 +386,7 @@ func TestParallelLaneAffinity(t *testing.T) {
 	if early != 0 {
 		t.Errorf("%d of C's %d envelopes dispatched while their lane was wedged", early, n)
 	}
-	for pub, want := range map[string]*laneState{pubB: &ls.par[1-wedgedLane].st, pubC: &ls.par[wedgedLane].st} {
+	for pub, want := range map[string]*laneState{pubB: &ls.lanes[1-wedgedLane].st, pubC: &ls.lanes[wedgedLane].st} {
 		for i, st := range lanes[pub] {
 			if st != want {
 				t.Errorf("publisher %s: envelope %d dispatched off its lane", pub, i)
@@ -404,82 +404,55 @@ func TestParallelLaneAffinity(t *testing.T) {
 	}
 }
 
-// overloadPolicyRows is the one table of lane-level overload behaviour,
-// driven through the one lane constructor in both orders. Each row
-// wedges a lane, pushes one envelope per entry of prios (IDs e0, e1, …,
-// one publisher) and releases it. Rows with mixed priorities are the
-// serial-only expectations: a ring ignores priority.
-var overloadPolicyRows = []struct {
-	name   string
-	orders []laneOrder // nil: both
-	cfg    laneConfig
-	prios  []int
-	// blocks says the last push must not return until the lane is released.
-	blocks bool
-	// want is the dispatch order after the wedge; shed and spilled are the
-	// lane's counters once closed (everything spilled must drain).
-	want          string
-	shed, spilled uint64
-}{
-	{
-		name:  "block",
-		cfg:   laneConfig{bound: 2, policy: OverloadBlock},
-		prios: make([]int, 3), blocks: true,
-		want: "[e0 e1 e2]",
-	},
-	{
-		// The last bound arrivals survive, in order.
-		name:  "drop-oldest",
-		cfg:   laneConfig{bound: 4, policy: OverloadDropOldest},
-		prios: make([]int, 10),
-		want:  "[e6 e7 e8 e9]", shed: 6,
-	},
-	{
-		// bound in memory, the rest on disk; arrival order survives the
-		// round trip.
-		name:  "spill",
-		cfg:   laneConfig{bound: 2, policy: OverloadSpill},
-		prios: make([]int, 10),
-		want:  "[e0 e1 e2 e3 e4 e5 e6 e7 e8 e9]", spilled: 8,
-	},
-	{
-		// The shed victim is the oldest arrival whatever its priority;
-		// the survivors still overtake by priority.
-		name: "drop-oldest-priorities", orders: []laneOrder{priorityOrder},
-		cfg:   laneConfig{bound: 3, policy: OverloadDropOldest},
-		prios: []int{1, 9, 1, 5, 9},
-		want:  "[e4 e3 e2]", shed: 2,
-	},
-	{
-		// A spill record carries its priority, and overtaking applies
-		// within the in-memory window: e1 overtakes e0 in the first
-		// window, the refilled e2..e4 re-sort among themselves, and
-		// nothing on disk overtakes what was in memory before it.
-		name: "spill-priorities", orders: []laneOrder{priorityOrder},
-		cfg:   laneConfig{bound: 2, policy: OverloadSpill},
-		prios: []int{1, 9, 9, 1, 5},
-		want:  "[e1 e0 e2 e4 e3]", spilled: 3,
-	},
-}
-
-// testLaneOverloadPolicies runs every row of overloadPolicyRows that
-// applies to the order, with the lane goroutine wedged so the queue state
-// is fully controlled.
-func testLaneOverloadPolicies(t *testing.T, order laneOrder) {
-	for _, row := range overloadPolicyRows {
-		if row.orders != nil && !slices.Contains(row.orders, order) {
-			continue
-		}
+// TestFifoLaneOverloadPolicies pins each policy's exact lane-level
+// semantics. Each row wedges a lane, pushes n envelopes (IDs e0, e1, …,
+// one publisher) and releases it.
+func TestFifoLaneOverloadPolicies(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		cfg  laneConfig
+		n    int
+		// blocks says the last push must not return until the lane is
+		// released.
+		blocks bool
+		// want is the dispatch order after the wedge; shed and spilled
+		// are the lane's counters once closed (everything spilled must
+		// drain).
+		want          string
+		shed, spilled uint64
+	}{
+		{
+			name: "block",
+			cfg:  laneConfig{bound: 2, policy: OverloadBlock},
+			n:    3, blocks: true,
+			want: "[e0 e1 e2]",
+		},
+		{
+			// The last bound arrivals survive, in order.
+			name: "drop-oldest",
+			cfg:  laneConfig{bound: 4, policy: OverloadDropOldest},
+			n:    10,
+			want: "[e6 e7 e8 e9]", shed: 6,
+		},
+		{
+			// bound in memory, the rest on disk; arrival order survives
+			// the round trip.
+			name: "spill",
+			cfg:  laneConfig{bound: 2, policy: OverloadSpill},
+			n:    10,
+			want: "[e0 e1 e2 e3 e4 e5 e6 e7 e8 e9]", spilled: 8,
+		},
+	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg
 			if cfg.policy == OverloadSpill {
 				cfg.spillDir = t.TempDir()
 			}
-			l, dispatched, release := newWedgedLane(t, order, cfg)
+			l, dispatched, release := newWedgedLane(t, cfg)
 			push := func(i int) {
-				l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"}, row.prios[i])
+				l.push(&codec.Envelope{ID: fmt.Sprintf("e%d", i), Type: "freeTick", Publisher: "p"})
 			}
-			n := len(row.prios)
+			n := row.n
 			if row.blocks {
 				n--
 			}
@@ -498,7 +471,7 @@ func testLaneOverloadPolicies(t *testing.T, order laneOrder) {
 				case <-time.After(50 * time.Millisecond):
 				}
 			}
-			if st := l.stat(0); st.SpillBacklog != int(row.spilled) || st.Queued > cfg.bound {
+			if st := l.stat(); st.SpillBacklog != int(row.spilled) || st.Queued > cfg.bound {
 				t.Fatalf("wedged lane holds %d in memory and %d on disk, want at most bound %d and %d",
 					st.Queued, st.SpillBacklog, cfg.bound, row.spilled)
 			}
@@ -522,21 +495,14 @@ func testLaneOverloadPolicies(t *testing.T, order laneOrder) {
 	}
 }
 
-// TestFifoLaneOverloadPolicies pins each policy's exact lane-level
-// semantics on an arrival-ordered (parallel) lane.
-func TestFifoLaneOverloadPolicies(t *testing.T) { testLaneOverloadPolicies(t, arrivalOrder) }
-
-// TestSerialInboxOverloadPolicies runs the same rows on the
-// priority-ordered (causal/total/prioritary) lane, plus the rows only a
-// priority order can show.
-func TestSerialInboxOverloadPolicies(t *testing.T) { testLaneOverloadPolicies(t, priorityOrder) }
-
 // TestBoundedLaneQueueShrinksAfterOverload extends the memory pin to
 // bounded lanes: a queue that filled to a large bound under sustained
 // overload (the second half of the pushes sheds; the queue stays full)
 // must still release its high-water backing array once drained.
 func TestBoundedLaneQueueShrinksAfterOverload(t *testing.T) {
-	testLaneQueueShrinks(t, laneConfig{bound: 4096, policy: OverloadDropOldest}, 2*4096)
+	t.Run("fifo", func(t *testing.T) {
+		testLaneQueueShrinks(t, laneConfig{bound: 4096, policy: OverloadDropOldest}, 2*4096)
+	})
 }
 
 // TestExecutorQuarantineLifecycle drives one executor through the full
@@ -552,7 +518,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	var done atomic.Int64
 	var once sync.Once
-	x := newExecutor(func(s submission) bool {
+	x := newExecutor(func(s *submission) bool {
 		if s.id == "wedge" {
 			once.Do(func() { close(started) })
 			<-release
@@ -697,6 +663,9 @@ func TestLocalOverloadBlockReachesPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The class is unordered: only a single-threaded handler runs its
+	// deliveries in submit order, which is the order asserted below.
+	sub.SetSingleThreading()
 	if err := sub.Activate(); err != nil {
 		t.Fatal(err)
 	}
@@ -715,14 +684,7 @@ func TestLocalOverloadBlockReachesPublish(t *testing.T) {
 		}
 		done <- nil
 	}()
-	queued := func() int {
-		for _, l := range e.LaneStats() {
-			if !l.Serial {
-				return l.Queued
-			}
-		}
-		return -1
-	}
+	queued := func() int { return e.LaneStats()[0].Queued }
 	waitFor(t, 10*time.Second, "the publisher parked on the full lane, or every Publish returned", func() bool {
 		return returned.Load() == total ||
 			wedged.Load() && queued() == bound && goroutineIn("TestLocalOverloadBlockReachesPublish", "(*lane).push")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -47,16 +46,17 @@ func (sp *laneSpill) init(cfg laneConfig, idx int) {
 	sp.idx = idx
 }
 
-// append adds one envelope (plus its serial-lane priority) to the
-// overflow log, reporting whether it is safely spilled. Any failure (no
-// directory, open error, disk error, an envelope that does not encode)
-// returns false and the caller sheds the envelope instead — a broken
-// disk must never wedge the lane.
-func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
+// append adds one envelope to the overflow log as its full record
+// (codec.AppendEnvelope, which carries Priority like every other field),
+// reporting whether it is safely spilled. Any failure (no directory,
+// open error, disk error, an envelope that does not encode) returns
+// false and the caller sheds the envelope instead — a broken disk must
+// never wedge the lane.
+func (sp *laneSpill) append(env *codec.Envelope) bool {
 	if sp.failed || sp.dir == "" {
 		return false
 	}
-	data, err := marshalSpill(sp.rec[:0], env, prio)
+	data, err := codec.AppendEnvelope(sp.rec[:0], env)
 	if err != nil {
 		return false
 	}
@@ -79,6 +79,8 @@ func (sp *laneSpill) append(env *codec.Envelope, prio int) bool {
 			return false
 		}
 		sp.log = lg
+		// Records an earlier run left are never read: the drain starts
+		// at the log's end.
 		sp.next = lg.NextOffset()
 	}
 	if _, err := sp.log.Append(data); err != nil {
@@ -132,30 +134,4 @@ func (sp *laneSpill) close() {
 	if sp.log != nil {
 		_ = sp.log.Close()
 	}
-}
-
-// spillPrioBytes prefixes each spill record with the envelope's lane
-// priority so the serial lane round-trips Prioritary metadata; parallel
-// lanes store zero.
-const spillPrioBytes = 8
-
-// marshalSpill appends one spill record — the envelope behind its
-// serial-lane priority — to dst.
-func marshalSpill(dst []byte, env *codec.Envelope, prio int) ([]byte, error) {
-	return codec.AppendEnvelope(binary.BigEndian.AppendUint64(dst, uint64(int64(prio))), env)
-}
-
-// unmarshalSpill decodes one spill record.
-func unmarshalSpill(data []byte) (*codec.Envelope, int, error) {
-	if len(data) < spillPrioBytes {
-		return nil, 0, fmt.Errorf("core: spill record too short (%d bytes)", len(data))
-	}
-	prio := int(int64(binary.BigEndian.Uint64(data)))
-	// The copying decode: a refill reads records out of the spill log's
-	// buffer, and the envelope outlives the read.
-	env, err := codec.Unmarshal(data[spillPrioBytes:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return env, prio, nil
 }

@@ -12,20 +12,18 @@ import (
 	"govents/internal/vclock"
 )
 
-// checkSpillRoundTrip writes env and prio as a spill record and reads the
-// record back: the priority and every envelope field must survive.
-func checkSpillRoundTrip(t *testing.T, env *codec.Envelope, prio int) {
+// checkSpillRoundTrip writes env as a spill record and reads the record
+// back: every envelope field must survive, Priority and HasPriority
+// included.
+func checkSpillRoundTrip(t *testing.T, env *codec.Envelope) {
 	t.Helper()
-	rec, err := marshalSpill(nil, env, prio)
+	rec, err := codec.AppendEnvelope(nil, env)
 	if err != nil {
-		t.Fatalf("marshalSpill: %v", err)
+		t.Fatalf("AppendEnvelope: %v", err)
 	}
-	back, gotPrio, err := unmarshalSpill(rec)
+	back, err := codec.Unmarshal(rec)
 	if err != nil {
-		t.Fatalf("unmarshalSpill of a marshalSpill record: %v", err)
-	}
-	if gotPrio != prio {
-		t.Fatalf("priority %d came back as %d", prio, gotPrio)
+		t.Fatalf("Unmarshal of a spill record: %v", err)
 	}
 	if !back.Birth.Equal(env.Birth) || !bytes.Equal(back.Payload, env.Payload) {
 		t.Fatalf("round trip changed Birth or Payload:\n got %+v\nwant %+v", back, env)
@@ -41,19 +39,20 @@ func checkSpillRoundTrip(t *testing.T, env *codec.Envelope, prio int) {
 // FuzzSpillRecord feeds raw bytes to the decoder of the spill log's
 // records, which reads whatever the lane's overflow segment holds: it
 // must return an error or an envelope, never panic, and what it accepts
-// must round-trip. A record marshalSpill writes from the input must
-// decode to the priority and the envelope it was given.
+// must round-trip. A record the lane writes for an envelope built from
+// the input must decode to that envelope, its Priority included.
 func FuzzSpillRecord(f *testing.F) {
-	full := &codec.Envelope{
+	full := codec.Envelope{
 		ID: "e1", Type: "freeTick", Publisher: "p", Payload: []byte{1, 2, 3},
 		VC:          vclock.VC{"a": 1, "b": math.MaxUint64},
 		Reliability: obvent.ReliableDelivery, Ordering: obvent.Causal,
-		Priority: -3, HasPriority: true, Birth: time.Unix(1790000000, 999999999),
+		HasPriority: true, Birth: time.Unix(1790000000, 999999999),
 		TTL: 5 * time.Second, PubNanos: 1790000000123456789,
 	}
 	for _, prio := range []int64{0, -3, math.MaxInt64, math.MinInt64} {
-		for _, env := range []*codec.Envelope{{}, full} {
-			rec, err := marshalSpill(nil, env, int(prio))
+		for _, env := range []codec.Envelope{{}, full} {
+			env.Priority = int(prio)
+			rec, err := codec.AppendEnvelope(nil, &env)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -62,19 +61,19 @@ func FuzzSpillRecord(f *testing.F) {
 		}
 	}
 	f.Add([]byte("short"), int64(1))
-	f.Fuzz(func(t *testing.T, data []byte, prio int64) {
-		if env, p, err := unmarshalSpill(data); err == nil {
-			checkSpillRoundTrip(t, env, p)
+	f.Fuzz(func(t *testing.T, data []byte, n int64) {
+		if env, err := codec.Unmarshal(data); err == nil {
+			checkSpillRoundTrip(t, env)
 		}
 		checkSpillRoundTrip(t, &codec.Envelope{
 			ID:          string(data[:min(len(data), 64)]),
 			Type:        "freeTick",
 			Publisher:   "p",
 			Payload:     data,
-			Ordering:    obvent.Ordering(prio & 3),
-			Priority:    int(prio >> 1),
-			HasPriority: prio&1 != 0,
-			PubNanos:    prio,
-		}, int(prio))
+			Ordering:    obvent.Ordering(n & 3),
+			Priority:    int(n >> 1),
+			HasPriority: n&1 != 0,
+			PubNanos:    n,
+		})
 	})
 }

@@ -168,7 +168,7 @@ func (s *Subscription) SetMultiThreading(maxNb int) {
 // engine's HandlerPanics stat, traced, and logged with its stack so the
 // crash stays diagnosable (the net/http handler convention); other
 // subscriptions' deliveries of the same event are unaffected.
-func (s *Subscription) invoke(item submission) (ok bool) {
+func (s *Subscription) invoke(item *submission) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.engine.handlerPanics.Add(1)
@@ -211,8 +211,8 @@ func (s *Subscription) invoke(item submission) (ok bool) {
 // head-of-line-block the lane, the engine, or — via the close-abandon
 // path below — shutdown.
 type executor struct {
-	run     func(submission) bool // reports whether the handler completed
-	drainFn func()                // x.drain, bound once: `go x.drainFn()` allocates nothing
+	run     func(*submission) bool // reports whether the handler completed
+	drainFn func()                 // x.drain, bound once: `go x.drainFn()` allocates nothing
 	tele    *telemetry.Plane
 
 	// Slow-consumer isolation (quarantine) configuration: a zero
@@ -224,7 +224,8 @@ type executor struct {
 	mu      sync.Mutex
 	queue   []submission // live items are queue[head:]
 	head    int
-	limit   int // 0 = unlimited, 1 = single, n = bounded
+	spare   []*submission // the drainers' slots (drain)
+	limit   int           // 0 = unlimited, 1 = single, n = bounded
 	closed  bool
 	active  int           // handlers running now
 	serial  bool          // one of them must run with nothing started beside it
@@ -291,7 +292,7 @@ type submission struct {
 // asked for (codec.IDText).
 func (s *submission) eventID() string { return codec.IDText(s.name, s.id) }
 
-func newExecutor(run func(submission) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor {
+func newExecutor(run func(*submission) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor {
 	if stallBudget > 0 && mailbox <= 0 {
 		mailbox = defaultQuarantineMailbox
 	}
@@ -381,11 +382,22 @@ func (x *executor) kickLocked() {
 }
 
 // drain runs admissible deliveries on this goroutine until none is left.
+// It hands each to run and finish by pointer, from a slot of x.spare, so
+// the drainer's frames stay the same size whatever a submission holds,
+// and since a slot a func value is given lives on the heap, the slots are
+// reused: delivery allocates none, and there are never more of them than
+// drainers that once ran at the same time.
 func (x *executor) drain() {
 	x.mu.Lock()
 	x.pending = false
+	var item *submission
+	if n := len(x.spare); n > 0 {
+		item, x.spare = x.spare[n-1], x.spare[:n-1]
+	} else {
+		item = new(submission)
+	}
 	for x.admitLocked() {
-		item := x.queue[x.head]
+		*item = x.queue[x.head]
 		x.queue[x.head] = submission{} // do not pin the obvent for the GC
 		if x.head++; x.head == len(x.queue) {
 			x.queue, x.head = x.queue[:0], 0
@@ -416,6 +428,8 @@ func (x *executor) drain() {
 			}
 		}
 	}
+	*item = submission{}
+	x.spare = append(x.spare, item)
 	if x.idle != nil && x.active == 0 && !x.pending {
 		close(x.idle)
 		x.idle = nil
@@ -430,7 +444,7 @@ func (x *executor) drain() {
 // absent means no e2e sample), and a sampled
 // delivered trace span. The no-telemetry path costs two integer field
 // checks plus one atomic load.
-func (x *executor) finish(item submission, ok bool) {
+func (x *executor) finish(item *submission, ok bool) {
 	p := x.tele
 	if p == nil || !ok {
 		return // a panic outcome already traced and counted in invoke

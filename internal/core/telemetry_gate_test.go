@@ -14,7 +14,7 @@ import (
 // records both.
 func TestExecutorE2EGatedOnPublishStamp(t *testing.T) {
 	p := telemetry.NewPlane()
-	x := newExecutor(func(submission) bool { return true }, p, 0, 0, &overloadCounters{})
+	x := newExecutor(func(*submission) bool { return true }, p, 0, 0, &overloadCounters{})
 
 	deq := telemetry.Now()
 	if x.submit(&submission{o: freeTick{N: 1}, deq: deq, id: "legacy-1", class: "freeTick"}) != submitOK {

@@ -154,12 +154,12 @@ func WithPlacement(p Placement) Option {
 	return func(c *config) { c.placement = p }
 }
 
-// WithDispatchLanes sets the number of parallel dispatch lanes for
-// FIFO and unordered traffic. Zero (the default) means GOMAXPROCS.
-// Causal, total-order and prioritary obvents always drain through one
-// additional serial lane, so their delivery semantics are unaffected;
-// FIFO traffic runs parallel per publisher (FIFO only promises
-// per-publisher order, which publisher-hashed lanes preserve).
+// WithDispatchLanes sets the number of dispatch lanes. Zero (the
+// default) means GOMAXPROCS. A causal or total-order class drains
+// through the one lane its name hashes onto, and every other obvent
+// through its publisher's lane, so each ordering contract holds for any
+// n: FIFO only promises per-publisher order, and causal and total order
+// are per class.
 func WithDispatchLanes(n int) Option {
 	return func(c *config) { c.lanes = n }
 }
