@@ -288,16 +288,20 @@
 // a count below 2^56 at most 8 more, so a name never takes more than
 // the 16 bytes the random ID of earlier builds did. In memory a name is
 // two numbers (internal/codec.Name). It is rendered as text, its two
-// numbers in 16 lowercase hex digits each, only where text is needed: a
-// span the trace hook takes, and the certified class, whose stored
-// record spells it and whose outbox, staging inbox and durable
-// acknowledgements key it (a block of 16 texts at a time in the
-// outbox). The text is the same at the publisher and at every
-// subscriber, so trace records join by EventID. A stored record spells
-// the name's text where the ID always was, so its layout did not move;
-// the 128 random bits earlier builds minted as IDs read as the name
-// whose text they are, so every stored record they wrote opens and is
-// written back byte for byte.
+// numbers in 16 lowercase hex digits each, only on disk and in traces:
+// a span the trace hook takes, a certified class's stored record, which
+// spells it, its outbox, which keys the text (a block of 16 texts at a
+// time), and the staging inbox's data record. The staging inbox and the
+// durable acknowledgements key the name as its two numbers
+// (internal/codec.Ident; an ID text that is no name's, which no build
+// since names writes, keys as that text), so nothing renders or copies
+// text between a certified frame and its durable acknowledgement. The
+// text is the same at the publisher and at every subscriber, so trace
+// records join by EventID. A stored record spells the name's text where
+// the ID always was, so its layout did not move; the 128 random bits
+// earlier builds minted as IDs read as the name whose text they are, so
+// every stored record they wrote opens, as that name with no ID text,
+// and is written back byte for byte.
 //
 // The breaks are one way and stated, not negotiated: this build reads a
 // full record on any link (a fixture written by the build before it
@@ -676,7 +680,13 @@
 // nothing. One retirement rule holds for both: an outbox entry leaves
 // memory at the acknowledgement that completes it (every registered
 // durable identity has acknowledged it), and its record leaves the disk
-// when compaction drops the segment holding it.
+// when compaction drops the segment holding it. An entry published while
+// a member of the view has not been heard from (no advertisement on
+// record) also waits until that member advertises, registering the
+// identities it hosts, or leaves the view: a subscriber whose
+// advertisement arrives late is owed what was published before it, even
+// once the identities heard from first have acknowledged it. That wait
+// lives in memory only.
 //
 // Sync policy (fsync per record vs batched) and segment size come from
 // WithDurabilityTuning; Domain.DurableStats exposes the plane's

@@ -107,7 +107,9 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 	// seen bridges the replay→live handoff: an event staged during
 	// replay can be both replayed (the inbox snapshot caught it) and
 	// queued for live delivery; the live wrapper drops the second copy.
-	seen := make(map[string]bool)
+	// Both key the event's identity, which the replay reads from the
+	// text its data record spells.
+	seen := make(map[codec.Ident]bool)
 	var seenMu sync.Mutex
 	cod := d.eng.Codec()
 	for _, class := range classes {
@@ -132,10 +134,11 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 			} else if v, ok := core.As[T](o); ok {
 				handler(v)
 			}
+			id := codec.IdentOf(eventID)
 			seenMu.Lock()
-			seen[eventID] = true
+			seen[id] = true
 			seenMu.Unlock()
-			return ib.Ack(durableID, eventID)
+			return ib.AckIdent(durableID, id)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%w: replay %s: %w", ErrCannotSubscribe, class, err)
@@ -144,9 +147,9 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 
 	cs, err := d.eng.SubscribeDynamicDelivery(t, nil, nil, func(o obvent.Obvent, del core.Delivery) {
 		seenMu.Lock()
-		dup := seen[del.EventID]
+		dup := seen[del.Ident]
 		if dup {
-			delete(seen, del.EventID)
+			delete(seen, del.Ident)
 		}
 		seenMu.Unlock()
 		if dup {
@@ -158,9 +161,9 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 		if sem, ok := d.reg.ClassSemantics(del.Class); !ok || sem.Reliability != obvent.CertifiedDelivery {
 			return // only certified deliveries are inbox-tracked
 		}
-		if aerr := d.dur.AckDelivered(del.Class, durableID, del.EventID); aerr != nil {
+		if aerr := d.dur.AckDelivered(del.Class, durableID, del.Ident); aerr != nil {
 			d.log.Warn("govents: durable delivery ack failed; event will replay after restart",
-				"class", del.Class, "durable", durableID, "event", del.EventID, "err", aerr)
+				"class", del.Class, "durable", durableID, "event", del.Ident.Text(), "err", aerr)
 		}
 	})
 	if err != nil {

@@ -50,14 +50,15 @@ type Envelope struct {
 	// object). The disseminator names an envelope as it publishes it
 	// (core.Disseminator.PublishEnvelope); Encode leaves it zero.
 	Name Name
-	// ID is the Name's text where a record spelled it: the stored form
-	// writes the text, and Unmarshal of a stored record sets ID, at no
-	// allocation beyond the one its Type and Publisher take. It is empty
-	// on an envelope that came off a link, which carries the Name's
-	// numbers only, and on one not yet stored: IDText renders the Name
-	// for whoever needs text (a trace record, a certified delivery's
-	// acknowledgement). When set, it is what a stored record of the
-	// envelope spells.
+	// ID is the event's ID text where it is not a Name's: what a stored
+	// record of an earlier build may spell (the disk goldens' "s0"), or
+	// what a caller chose. A stored record spells the Name's text, and
+	// Unmarshal of one gives the Name and leaves ID empty (IdentOf), as
+	// it is on an envelope that came off a link, which carries the Name's
+	// numbers only. IDText renders the Name for whoever needs text (a
+	// trace record, a delivery-aware handler); the certified path keys
+	// the pair (Ident) and renders nothing. When set, it is what a stored
+	// record of the envelope spells.
 	ID string
 	// Type is the registered wire name of the obvent's concrete class.
 	Type string
@@ -118,17 +119,8 @@ var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
 // event does not pin its buffer in the pool.
 const maxKeptPayload = 64 << 10
 
-// IDText returns the publication's name as text (codec.IDText).
-func (e *Envelope) IDText() string { return IDText(e.Name, e.ID) }
-
-// IDText returns a publication's name as text: its ID when a record
-// spelled it, and else its Name rendered, which allocates.
-func IDText(name Name, id string) string {
-	if id != "" || name.IsZero() {
-		return id
-	}
-	return name.String()
-}
+// IDText returns the publication's name as text (Ident.Text).
+func (e *Envelope) IDText() string { return Ident{Name: e.Name, ID: e.ID}.Text() }
 
 // Expired reports whether a timely envelope is obsolete at instant now.
 func (e *Envelope) Expired(now time.Time) bool {

@@ -185,7 +185,7 @@ func TestMarshalUnmarshalEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.Name != env.Name || back.ID != env.Name.String() || back.Type != env.Type || back.PubNanos != 42 || back.Publisher != "node-1" {
+	if back.Name != env.Name || back.ID != "" || back.Type != env.Type || back.PubNanos != 42 || back.Publisher != "node-1" {
 		t.Errorf("round trip mismatch: %+v", back)
 	}
 	out, err := c.Decode(back)

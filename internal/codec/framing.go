@@ -64,9 +64,10 @@ import (
 // so are an empty vector clock and a nil one. Any of the three strings
 // may be empty: a record on a link leaves out Type and, when the link
 // names it, Publisher; a stored one spells them out (dace's seal). A
-// stored record's ID that is not a Name's text (none this build or an
-// earlier one wrote) decodes as that ID text under a zero Name, and is
-// written back as it was.
+// stored record's ID that is a Name's text decodes as that Name, with no
+// ID text, and one that is not (none this build or an earlier one wrote;
+// the zero Name's text is not one either) as that ID text under a zero
+// Name: each is written back as it was.
 const (
 	// envelopeFormat leads every record. No gob stream starts with it
 	// (gob's leading byte count is below 0x80 or above 0xF7), so a record
@@ -352,16 +353,23 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // the receive path, whose frame is valid for the handler's call, and
 // routing a frame. Anything else calls Unmarshal. On error *e is left
 // zero.
-func UnmarshalInto(e *Envelope, data []byte) error {
-	if err := unmarshalInto(e, data); err != nil {
+func UnmarshalInto(e *Envelope, data []byte) error { return UnmarshalKnown(e, data, "", "") }
+
+// UnmarshalKnown is UnmarshalInto for a caller that knows the class and
+// the publisher a record most likely spells, as a channel knows its
+// class and the node a frame came from: a Type or Publisher spelled with
+// the bytes of typ or pub is that string, not a copy. It fills in
+// neither where the record leaves it out.
+func UnmarshalKnown(e *Envelope, data []byte, typ, pub string) error {
+	if err := unmarshalInto(e, data, typ, pub); err != nil {
 		*e = Envelope{}
 		return fmt.Errorf("codec: unmarshal envelope: %w", err)
 	}
 	return nil
 }
 
-// unmarshalInto is UnmarshalInto, leaving *e in any state on error.
-func unmarshalInto(e *Envelope, data []byte) error {
+// unmarshalInto is UnmarshalKnown, leaving *e in any state on error.
+func unmarshalInto(e *Envelope, data []byte, knownType, knownPub string) error {
 	r := envReader{Reader: rec.Reader{Buf: data}}
 	if format := r.U8(); r.Err == nil && format != envelopeFormat {
 		return fmt.Errorf("unknown envelope format 0x%02x", format)
@@ -374,7 +382,7 @@ func unmarshalInto(e *Envelope, data []byte) error {
 		return fmt.Errorf("%w %d", ErrPayloadEncoding, enc)
 	}
 	// The reads below run in lexical order, which is the wire order.
-	name, id, typ, pub := r.header()
+	name, id, typ, pub := r.header(knownType, knownPub)
 	if !r.link() {
 		r.Uvarint() // the retired sequence numbers, whatever an older build wrote
 		r.Uvarint()
@@ -446,15 +454,15 @@ func (r *envReader) intVal() int {
 	return int(v)
 }
 
-// header reads the Name and the Type and Publisher strings, the two in
-// one allocation, and, in the stored form, the ID text, which is the
-// first of three adjacent strings: the bytes from the first of them to
-// the last of the last that is not empty are converted once, and the
-// strings are slices of that. A stored ID that is a Name's text gives
-// the Name; the link form carries the Name's numbers and no text. In
-// the link form a string its flag leaves out is empty, and one it flags
-// is not.
-func (r *envReader) header() (name Name, id, typ, pub string) {
+// header reads the Name and the Type and Publisher strings. In the
+// stored form the ID text comes first: one that is a Name's text, not
+// the zero Name's, gives that Name and no text (IdentOf); the link form
+// carries the Name's numbers and no text. A Type or Publisher spelled
+// with the bytes of knownType or knownPub is that string, not a copy.
+// The strings left, of three adjacent ones, are converted once, from the
+// first of them to the last, and are slices of that. In the link form a
+// string its flag leaves out is empty, and one it flags is not.
+func (r *envReader) header(knownType, knownPub string) (name Name, id, typ, pub string) {
 	if r.link() {
 		name.N = r.Uvarint()
 		if r.f&flagInc != 0 {
@@ -462,8 +470,6 @@ func (r *envReader) header() (name Name, id, typ, pub string) {
 		}
 	}
 	var at, n [3]int
-	start := r.Off
-	end := start
 	for i, what := range [...]string{"ID", "Type", "Publisher"} {
 		lo := 0
 		switch {
@@ -476,27 +482,42 @@ func (r *envReader) header() (name Name, id, typ, pub string) {
 		}
 		b := r.Span(what, lo, maxEnvelopeString)
 		at[i], n[i] = r.Off-len(b), len(b)
-		if len(b) > 0 {
-			end = r.Off
-		}
 	}
 	if r.Err != nil {
 		return Name{}, "", "", ""
 	}
-	var block string
-	if end > start {
-		block = string(r.Buf[start:end])
-	}
-	field := func(i int) string {
-		if n[i] == 0 {
-			return ""
+	out := [3]string{"", knownType, knownPub}
+	for i := range out {
+		b := r.Buf[at[i] : at[i]+n[i]]
+		switch {
+		case n[i] == 0:
+			out[i] = ""
+		case i == 0:
+			if named, ok := ParseName(b); ok && !named.IsZero() {
+				name, n[i] = named, 0
+			}
+		case string(b) == out[i]:
+			n[i] = 0
 		}
-		return block[at[i]-start:][:n[i]]
 	}
-	if id = field(0); id != "" {
-		name, _ = ParseName(id)
+	start, end := -1, 0
+	for i := range n {
+		if n[i] > 0 {
+			if start < 0 {
+				start = at[i]
+			}
+			end = at[i] + n[i]
+		}
 	}
-	return name, id, field(1), field(2)
+	if start >= 0 {
+		block := string(r.Buf[start:end])
+		for i := range n {
+			if n[i] > 0 {
+				out[i] = block[at[i]-start:][:n[i]]
+			}
+		}
+	}
+	return name, out[0], out[1], out[2]
 }
 
 // payload reads the final field, which must end the record: stored,

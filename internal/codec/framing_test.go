@@ -28,11 +28,12 @@ func linkView(e *Envelope) *Envelope {
 }
 
 // storedView is e as the stored form carries it: the ID text spelled,
-// the Name's when e has none, and the Name that text parses as.
+// the Name's when e has none, read back as IdentOf reads it (a Name's
+// text is that Name, with no text).
 func storedView(e *Envelope) *Envelope {
 	v := *e
-	v.ID = e.IDText()
-	v.Name, _ = ParseName(v.ID)
+	id := IdentOf(e.IDText())
+	v.Name, v.ID = id.Name, id.ID
 	return &v
 }
 
@@ -516,6 +517,13 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		}
 		if !sameEnvelope(env, reused) {
 			t.Fatalf("decoded over a filled envelope:\n got %+v\nwant %+v", reused, env)
+		}
+		// Strings a caller knows change nothing but where a string's bytes
+		// live, whether the record spells them or others.
+		flat := flatFIFOEnvelope()
+		var known Envelope
+		if err := UnmarshalKnown(&known, data, flat.Type, flat.Publisher); err != nil || !sameEnvelope(&known, reused) {
+			t.Fatalf("decoded knowing %q and %q:\n got %+v, %v\nwant %+v", flat.Type, flat.Publisher, known, err, reused)
 		}
 		held := len(env.ID) + len(env.Type) + len(env.Publisher) + len(env.Payload)
 		for k := range env.VC {

@@ -36,7 +36,7 @@ func (n Name) AppendText(b []byte) []byte {
 const hexDigits = "0123456789abcdef"
 
 // String renders n's text in one allocation. Only what needs text calls
-// it: a trace record, a certified event's key (TextBlock renders those
+// it: a trace record, a certified outbox's key (TextBlock renders those
 // in blocks).
 func (n Name) String() string {
 	var b [nameText]byte
@@ -58,6 +58,44 @@ func ParseName[T string | []byte](text T) (Name, bool) {
 		x[i/16] = x[i/16]<<4 | uint64(d)
 	}
 	return Name{Inc: x[0], N: x[1]}, true
+}
+
+// An Ident is an event's identity as the certified path keys it: its
+// Name, or, for an ID text that is not a Name's, that text under a zero
+// Name (no build since names writes one, but the disk goldens of earlier
+// builds hold IDs such as "s0"). IdentOf gives one Ident for every
+// spelling of an event, so an Ident keys a map; it holds no text for a
+// Name, which renders only where text is needed (Text, AppendText): on
+// disk and in traces.
+type Ident struct {
+	Name Name
+	ID   string
+}
+
+// IdentOf is the Ident of an ID text: the Name it is the text of, not
+// the zero Name, or else the text, copied from a byte slice.
+func IdentOf[T string | []byte](text T) Ident {
+	if name, ok := ParseName(text); ok && !name.IsZero() {
+		return Ident{Name: name}
+	}
+	return Ident{ID: string(text)}
+}
+
+// Text returns the Ident's text: its ID, or else its Name rendered,
+// which allocates.
+func (i Ident) Text() string {
+	if i.ID != "" || i.Name.IsZero() {
+		return i.ID
+	}
+	return i.Name.String()
+}
+
+// AppendText appends the Ident's text to b.
+func (i Ident) AppendText(b []byte) []byte {
+	if i.ID != "" || i.Name.IsZero() {
+		return append(b, i.ID...)
+	}
+	return i.Name.AppendText(b)
 }
 
 // nibble maps a lowercase hex digit to its value and any other byte to

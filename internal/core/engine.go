@@ -425,13 +425,14 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 }
 
 // Delivery is the per-event metadata handed to a delivery-aware
-// handler: the event's name as text (codec.IDText: a certified event's
-// is the ID its stored record spells) and the event's concrete class
-// name. Durable subscriptions acknowledge deliveries in their inbox
-// keyed by exactly this pair.
+// handler: the event's identity as its envelope carries it (codec.Ident:
+// a certified event's is the Name its stored record spells, with no
+// text) and the event's concrete class name. Durable subscriptions
+// acknowledge deliveries in their inbox keyed by exactly this pair, and
+// render no text; Ident.Text does, for a handler that needs it.
 type Delivery struct {
-	EventID string
-	Class   string
+	Ident codec.Ident
+	Class string
 }
 
 // SubscribeDynamicDelivery is SubscribeDynamic for handlers that need

@@ -65,8 +65,11 @@ func FuzzSpillRecord(f *testing.F) {
 		if env, err := codec.Unmarshal(data); err == nil {
 			checkSpillRoundTrip(t, env)
 		}
+		// An ID that is a name's text is that name (codec.IdentOf).
+		id := codec.IdentOf(data[:min(len(data), 64)])
 		checkSpillRoundTrip(t, &codec.Envelope{
-			ID:          string(data[:min(len(data), 64)]),
+			Name:        id.Name,
+			ID:          id.ID,
 			Type:        "freeTick",
 			Publisher:   "p",
 			Payload:     data,

@@ -183,7 +183,7 @@ func (s *Subscription) invoke(item *submission) (ok bool) {
 		}
 	}()
 	if s.deliveryHandler != nil {
-		s.deliveryHandler(item.o, Delivery{EventID: item.eventID(), Class: item.class})
+		s.deliveryHandler(item.o, Delivery{Ident: item.ident(), Class: item.class})
 	} else {
 		s.handler(item.o)
 	}
@@ -289,8 +289,11 @@ type submission struct {
 }
 
 // eventID is the event's name as text, rendered only where text is
-// asked for (codec.IDText).
-func (s *submission) eventID() string { return codec.IDText(s.name, s.id) }
+// asked for (codec.Ident.Text).
+func (s *submission) eventID() string { return s.ident().Text() }
+
+// ident is the event's identity, the pair a delivery-aware handler gets.
+func (s *submission) ident() codec.Ident { return codec.Ident{Name: s.name, ID: s.id} }
 
 func newExecutor(run func(*submission) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor {
 	if stallBudget > 0 && mailbox <= 0 {

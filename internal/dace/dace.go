@@ -481,7 +481,7 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	if c, ok := g.(*multicast.Certified); ok {
 		// Certified membership is the durable-subscriber set, never the
 		// raw peer list (see setGroupsMembers).
-		if err := c.SetSubscribers(n.certSubscribersFor(class)); err != nil {
+		if err := c.SetView(n.certSubscribersFor(class), n.routes.Unheard(n.peers, n.self)); err != nil {
 			n.log.Warn("dace: certified membership update failed",
 				"stream", stream, "err", err)
 		}
@@ -675,8 +675,8 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		}
 		t1 := n.markRoute(t0)
 		// The stored record spells the name: the certified event identity
-		// end to end. The outbox entry, the staging inbox record and the
-		// engine's delivery acknowledgement all key its text.
+		// end to end. The outbox keys its text; the staging inbox and the
+		// engine's delivery acknowledgement key the name itself.
 		err = cert.Broadcast(payload)
 		n.markWrite(t1)
 		return err
@@ -765,13 +765,15 @@ func (n *Node) seal(env *codec.Envelope, proto string) ([]byte, error) {
 
 // openInto decodes a record that arrived on class's channel from origin,
 // whose group's epoch the link named (0 if it did not), into env and
-// restores what seal left out: dace's one decode. The
-// envelope's payload aliases the record, which is valid for the caller's
-// call only (a transport's frame, a group's copy, a buffer a local
-// publisher sealed): whatever keeps the envelope past it copies the
-// payload. On error env is left zero.
+// restores what seal left out: dace's one decode. A class or publisher
+// the record spells as the binding names it is the binding's string, so
+// a stored record of a certified class opens with no copy of its header.
+// The envelope's payload aliases the record, which is valid for the
+// caller's call only (a transport's frame, a group's copy, a buffer a
+// local publisher sealed): whatever keeps the envelope past it copies
+// the payload. On error env is left zero.
 func openInto(env *codec.Envelope, class, origin string, epoch uint64, record []byte) error {
-	if err := codec.UnmarshalInto(env, record); err != nil {
+	if err := codec.UnmarshalKnown(env, record, class, origin); err != nil {
 		return err
 	}
 	if env.Name.Inc == 0 {
@@ -1076,13 +1078,15 @@ func (n *Node) refreshCertSubscribers() {
 	gen := n.routes.Gen() // read before the table is: a change in between shows as a newer generation
 	n.mu.Lock()
 	groups := n.groupsSnapshotLocked()
+	peers := n.peers
 	n.mu.Unlock()
+	unheard := n.routes.Unheard(peers, n.self)
 	for key, g := range groups {
 		c, ok := g.(*multicast.Certified)
 		if !ok {
 			continue
 		}
-		if err := c.SetSubscribers(n.certSubscribersFor(key.class)); err != nil {
+		if err := c.SetView(n.certSubscribersFor(key.class), unheard); err != nil {
 			n.log.Warn("dace: certified membership update failed",
 				"stream", streamName(key.proto, key.class), "err", err)
 			gen = 0 // no generation is 0: the next publish tries again

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"govents/internal/allocs"
 	"govents/internal/codec"
 	"govents/internal/netsim"
 	"govents/internal/obvent"
@@ -113,14 +114,10 @@ func TestSealedRecordIsMarshalsRecord(t *testing.T) {
 				t.Errorf("%s: the record copies the payload", what)
 			}
 			// The receiver's link names the publisher's epoch; a stored
-			// record spells the name.
-			opened := *env
-			if c.tag == "cert" {
-				opened.ID = env.Name.String()
-			}
+			// record spells the name, which opens as the name.
 			var back codec.Envelope
-			if err := openInto(&back, env.Type, n.Addr(), testName.Inc, got); err != nil || !sameFields(&back, &opened) {
-				t.Errorf("%s: the record opens to\n%+v, %v; want\n%+v", what, back, err, opened)
+			if err := openInto(&back, env.Type, n.Addr(), testName.Inc, got); err != nil || !sameFields(&back, env) {
+				t.Errorf("%s: the record opens to\n%+v, %v; want\n%+v", what, back, err, *env)
 			}
 		}
 	}
@@ -251,6 +248,43 @@ func TestSealAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("sealing a %T envelope fresh from Encode (%s) allocates %.1f times, want 0", c.o, c.proto, allocs)
+		}
+	}
+}
+
+// TestCertifiedRecordOpensWithoutCopies pins what opening a certified
+// stored record costs: nothing, when its class and publisher are the
+// binding's and its ID is a name's text, which opens as the name. A
+// publisher other than the frame's origin is copied, in one allocation.
+func TestCertifiedRecordOpensWithoutCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	n := sealNode(t)
+	env, err := n.cdc.EncodeFrom(n.Addr(), certTrade{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Name = testName
+	record, err := n.seal(env, "cert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	class, origin := string([]byte(env.Type)), string([]byte(n.Addr())) // not the record's own strings
+	var back codec.Envelope
+	for _, c := range []struct {
+		origin string
+		want   float64
+	}{{origin, 0}, {"somebody-else", 1}} {
+		if got := allocs.PerRun(100, func() {
+			if err := openInto(&back, class, c.origin, 0, record); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.want {
+			t.Errorf("opening the record from %s allocates %.2f times, want %.0f", c.origin, got, c.want)
+		}
+		if back.Name != testName || back.ID != "" || back.Type != class || back.Publisher != n.Addr() {
+			t.Errorf("the record from %s opens to %+v", c.origin, back)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
+
+	"govents/internal/codec"
 )
 
 // Tiny length-prefixed encoding helpers shared by the outbox and inbox
@@ -16,6 +18,15 @@ import (
 func appendBlob[T ~string | ~[]byte](dst []byte, b T) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
+}
+
+// appendIdent appends an event's identity as the blob of its text,
+// rendered in place.
+func appendIdent(dst []byte, id codec.Ident) []byte {
+	at := len(dst)
+	dst = id.AppendText(append(dst, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
 // appendUint32 appends a big-endian u32.

@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"govents/internal/allocs"
+	"govents/internal/codec"
 )
 
 func openTestOutbox(t *testing.T, dir string) *Outbox {
@@ -297,7 +300,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if _, err := ib.Stage("e1", "pub", []byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AckDelivered("pkg.Quote", "d1", "e1"); err != nil {
+	if err := m.AckDelivered("pkg.Quote", "d1", codec.IdentOf("e1")); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -669,5 +672,45 @@ func TestOutboxAckOfLostRecordIsNotInherited(t *testing.T) {
 	}
 	if len(pending) != 1 || pending[0].ID != "e3" {
 		t.Fatalf("Pending = %v, want [e3]: the lost record's acknowledgement was inherited", pending)
+	}
+}
+
+// TestStageAckByNameAllocs pins the staging inbox's steady state: an
+// event staged and acknowledged by its name, as a certified subscriber
+// does both, allocates nothing but its share of the index's growth (a
+// few allocations per doubling, well under one per 64 events); the data
+// record's ID text is rendered into the header scratch.
+func TestStageAckByNameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ib := NewMemInbox()
+	defer ib.Close()
+	if _, err := ib.EnsureCursor("d1"); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1024)
+	name := codec.Name{Inc: 0x5eed, N: 0}
+	step := func() {
+		name.N++
+		id := codec.Ident{Name: name}
+		if fresh, err := ib.StageIdent(id, "pub", payload); err != nil || !fresh {
+			t.Fatalf("StageIdent(%v) = %v, %v", name, fresh, err)
+		}
+		if err := ib.AckIdent("d1", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 1000 {
+		step()
+	}
+	got := allocs.PerRun(4096, step)
+	t.Logf("%.4f allocations per event staged and acknowledged", got)
+	if got > 1.0/64 {
+		t.Errorf("Stage and Ack by name allocate %.4f times per event, want only the index's growth (<= %.4f)", got, 1.0/64)
+	}
+	// The text wrappers key the same pair.
+	if fresh, err := ib.Stage(name.String(), "pub", payload); err != nil || fresh {
+		t.Errorf("staging the last name's text again = %v, %v; want the dedup hit", fresh, err)
 	}
 }

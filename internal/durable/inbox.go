@@ -6,9 +6,11 @@ import (
 	"log/slog"
 	"slices"
 	"sync"
+
+	"govents/internal/codec"
 )
 
-// ErrUnknownEvent reports an acknowledgement for an event ID the inbox
+// ErrUnknownEvent reports an acknowledgement for an event the inbox
 // never staged — offset misuse by the caller.
 var ErrUnknownEvent = errors.New("durable: unknown event")
 
@@ -17,7 +19,7 @@ var ErrUnknownEvent = errors.New("durable: unknown event")
 var ErrUnknownCursor = errors.New("durable: unknown durable cursor")
 
 // Inbox is the subscriber-side staging log for one class. Incoming
-// certified events are staged (appended + deduplicated by event ID)
+// certified events are staged (appended + deduplicated by identity)
 // BEFORE they are acknowledged to the publisher, closing the §3.1.2
 // crash window between delivery and acknowledgement: if the process
 // dies after the ack but before the handler ran, the event is still on
@@ -34,8 +36,8 @@ type Inbox struct {
 	log  *slog.Logger
 
 	mu      sync.Mutex
-	hdr     []byte            // record-header scratch, reused under mu
-	byID    map[string]uint64 // staged event ID -> offset
+	hdr     []byte                 // record-header scratch, reused under mu
+	byID    map[codec.Ident]uint64 // staged event -> offset
 	cursors map[string]*cursorState
 	closed  bool
 
@@ -72,7 +74,7 @@ func OpenInbox(dataDir, acksDir string, cfg SegmentConfig) (*Inbox, error) {
 		data:    data,
 		acks:    acks,
 		log:     logger,
-		byID:    make(map[string]uint64),
+		byID:    make(map[codec.Ident]uint64),
 		cursors: make(map[string]*cursorState),
 	}
 	if err := ib.replay(); err != nil {
@@ -85,8 +87,9 @@ func OpenInbox(dataDir, acksDir string, cfg SegmentConfig) (*Inbox, error) {
 
 // NewMemInbox returns an empty inbox that keeps its state in memory
 // only: what a certified class of a domain without a durability
-// directory stages into. It deduplicates by the IDs it has staged,
-// which it keeps for as long as it lives, and holds no event to replay.
+// directory stages into. It deduplicates by the identities it has
+// staged, which it keeps for as long as it lives, and holds no event to
+// replay.
 func NewMemInbox() *Inbox {
 	ib, err := OpenInbox("inbox-data", "inbox-acks", memConfig)
 	if err != nil {
@@ -110,7 +113,7 @@ func (ib *Inbox) replay() error {
 		if err != nil {
 			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
 		}
-		ib.byID[string(id)] = off
+		ib.byID[codec.IdentOf(id)] = off
 		return nil
 	})
 	if err != nil {
@@ -225,12 +228,14 @@ func decodeCursorSnapshot(rec []byte) (map[string]*cursorState, error) {
 	return out, nil
 }
 
-// Stage appends an incoming event if its ID is new, reporting whether
-// it was fresh. A false return with nil error is the dedup hit: the
-// event is already durable here, so the caller should re-acknowledge
-// it to the publisher but not deliver it again. Stage succeeding means
-// the event survives a crash — callers must stage BEFORE acking.
-func (ib *Inbox) Stage(id, origin string, payload []byte) (fresh bool, err error) {
+// StageIdent appends an incoming event if its identity is new,
+// reporting whether it was fresh. A false return with nil error is the
+// dedup hit: the event is already durable here, so the caller should
+// re-acknowledge it to the publisher but not deliver it again.
+// StageIdent succeeding means the event survives a crash — callers must
+// stage BEFORE acking. The data record spells the identity's text,
+// rendered into the record's header.
+func (ib *Inbox) StageIdent(id codec.Ident, origin string, payload []byte) (fresh bool, err error) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	if ib.closed {
@@ -240,7 +245,7 @@ func (ib *Inbox) Stage(id, origin string, payload []byte) (fresh bool, err error
 		ib.stageDups++
 		return false, nil
 	}
-	ib.hdr = appendBlob(appendBlob(ib.hdr[:0], id), origin)
+	ib.hdr = appendBlob(appendIdent(ib.hdr[:0], id), origin)
 	off, err := ib.data.AppendParts(ib.hdr, payload)
 	if err != nil {
 		return false, err
@@ -248,6 +253,11 @@ func (ib *Inbox) Stage(id, origin string, payload []byte) (fresh bool, err error
 	ib.byID[id] = off
 	ib.staged++
 	return true, nil
+}
+
+// Stage is StageIdent for an event named by its ID text.
+func (ib *Inbox) Stage(id, origin string, payload []byte) (fresh bool, err error) {
+	return ib.StageIdent(codec.IdentOf(id), origin, payload)
 }
 
 // EnsureCursor creates (and persists) the cursor for a durable
@@ -280,10 +290,10 @@ func (ib *Inbox) HasCursor(durableID string) bool {
 	return ok
 }
 
-// Ack durably marks the staged event delivered to the durable
-// subscription. Unknown event IDs are ErrUnknownEvent (the caller is
+// AckIdent durably marks the staged event delivered to the durable
+// subscription. An event never staged is ErrUnknownEvent (the caller is
 // confusing offsets or classes); duplicate acks are a no-op.
-func (ib *Inbox) Ack(durableID, eventID string) error {
+func (ib *Inbox) AckIdent(durableID string, id codec.Ident) error {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	if ib.closed {
@@ -293,9 +303,9 @@ func (ib *Inbox) Ack(durableID, eventID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownCursor, durableID)
 	}
-	off, ok := ib.byID[eventID]
+	off, ok := ib.byID[id]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEvent, eventID)
+		return fmt.Errorf("%w: %q", ErrUnknownEvent, id.Text())
 	}
 	if cs.acked.Has(off) {
 		return nil
@@ -309,12 +319,18 @@ func (ib *Inbox) Ack(durableID, eventID string) error {
 	return nil
 }
 
+// Ack is AckIdent for an event named by its ID text.
+func (ib *Inbox) Ack(durableID, eventID string) error {
+	return ib.AckIdent(durableID, codec.IdentOf(eventID))
+}
+
 // Replay streams, in staging order, every event the durable
-// subscription has not acknowledged — the "missed while down" set. fn
-// runs without the inbox lock held, so it may Stage and Ack (the usual
-// flow: handler runs, then Ack). Events staged after the snapshot was
-// taken are not included; callers pause live delivery around Replay to
-// make the handoff seamless.
+// subscription has not acknowledged — the "missed while down" set —
+// with the ID text its data record spells. fn runs without the inbox
+// lock held, so it may Stage and Ack (the usual flow: handler runs, then
+// Ack). Events staged after the snapshot was taken are not included;
+// callers pause live delivery around Replay to make the handoff
+// seamless.
 func (ib *Inbox) Replay(durableID string, fn func(eventID, origin string, payload []byte) error) error {
 	ib.mu.Lock()
 	if ib.closed {

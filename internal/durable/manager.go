@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"govents/internal/codec"
 )
 
 // ErrNoDurability reports a durable operation on a domain opened
@@ -177,7 +179,7 @@ func (m *Manager) InboxFor(class string) (*Inbox, error) {
 // durable subscription resumed starts being owed events from its first
 // live delivery onward (the delivery being acknowledged was just made,
 // so it lands at or before the fresh cursor and the ack is a no-op).
-func (m *Manager) AckDelivered(class, durableID, eventID string) error {
+func (m *Manager) AckDelivered(class, durableID string, id codec.Ident) error {
 	cs, err := m.stateFor(class)
 	if err != nil {
 		return err
@@ -185,7 +187,7 @@ func (m *Manager) AckDelivered(class, durableID, eventID string) error {
 	if _, err := cs.inbox.EnsureCursor(durableID); err != nil {
 		return err
 	}
-	return cs.inbox.Ack(durableID, eventID)
+	return cs.inbox.AckIdent(durableID, id)
 }
 
 // Classes returns every class with durable state, sorted.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -41,7 +42,8 @@ var ErrUnknownConsumer = errors.New("durable: unknown consumer")
 // somebody is registered (with nobody registered the outbox holds
 // everything, for whoever registers next). On disk it stays until GC
 // drops the segment holding it. A consumer registered later is not owed
-// what was retired before it came.
+// what was retired before it came, so an entry added while a member the
+// caller awaits has not been heard from waits for it too (Await).
 //
 // Ownership of payloads: Add copies e.Payload into chunks the outbox
 // recycles once the entries in them retire, so the caller may reuse its
@@ -62,6 +64,7 @@ type Outbox struct {
 	chunks    chunk.Store // the payloads Add copied
 	byID      map[string]uint64
 	consumers map[string]*cursorState // consumer -> acknowledged offsets
+	awaits    map[string]uint64       // awaited member -> the first offset added meanwhile
 	closed    bool
 }
 
@@ -339,7 +342,7 @@ func (o *Outbox) ackedByAllLocked(off uint64) bool {
 func (o *Outbox) retireLocked(lo, hi uint64) {
 	for off := max(lo, o.base); off <= min(hi, o.last()); off = max(off+1, o.base) {
 		e := o.slot(off)
-		if e.Offset == 0 || !o.ackedByAllLocked(off) {
+		if e.Offset == 0 || !o.ackedByAllLocked(off) || o.awaitedLocked(off) {
 			continue
 		}
 		delete(o.byID, e.ID)
@@ -354,6 +357,48 @@ func (o *Outbox) retireLocked(lo, hi uint64) {
 			o.buf, o.head = o.buf[:0], 0
 		}
 	}
+}
+
+// awaitedLocked reports whether an awaited member holds off back: the
+// entry was added while the member was awaited.
+func (o *Outbox) awaitedLocked(off uint64) bool {
+	for _, from := range o.awaits {
+		if off >= from {
+			return true
+		}
+	}
+	return false
+}
+
+// Await sets the members of the view the outbox waits to hear from: an
+// entry added while a member is awaited does not retire, whatever its
+// consumers acknowledged, until the member is no longer awaited, so that
+// the identities the member turns out to host, registered once it is
+// heard from, are owed the entry. A member no longer awaited lets go of
+// what it held back; the next one it names waits from the next entry on.
+// What Await sets lives in memory only.
+func (o *Outbox) Await(members []string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return
+	}
+	released := uint64(math.MaxUint64)
+	for m, from := range o.awaits {
+		if !slices.Contains(members, m) {
+			delete(o.awaits, m)
+			released = min(released, from)
+		}
+	}
+	for _, m := range members {
+		if _, ok := o.awaits[m]; !ok {
+			if o.awaits == nil {
+				o.awaits = make(map[string]uint64)
+			}
+			o.awaits[m] = o.data.NextOffset()
+		}
+	}
+	o.retireLocked(released, o.last())
 }
 
 // Add stores an entry, with a copy of its payload, and returns its
@@ -539,6 +584,9 @@ func (o *Outbox) GC() (int, error) {
 	frontier := o.last()
 	for _, cs := range o.consumers {
 		frontier = min(frontier, cs.acked.Floor())
+	}
+	for _, from := range o.awaits {
+		frontier = min(frontier, from-1)
 	}
 	var records uint64
 	err := o.snapshotMetaLocked(func() (err error) {

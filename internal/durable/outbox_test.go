@@ -461,3 +461,56 @@ func TestInboxStageIsOneStep(t *testing.T) {
 		t.Errorf("inbox staged %d IDs, want %d", st.Staged, ids)
 	}
 }
+
+// TestOutboxAwaitHoldsBackRetirement: an entry added while a member is
+// awaited stays, acknowledged by every consumer, until the member is no
+// longer awaited, and a consumer registered meanwhile is owed it; GC
+// drops nothing it holds back. An entry added before the member was
+// awaited retires as usual.
+func TestOutboxAwaitHoldsBackRetirement(t *testing.T) {
+	for name, open := range factories() {
+		t.Run(name, func(t *testing.T) {
+			l := open(t)
+			defer l.Close()
+			if err := l.RegisterConsumer("early"); err != nil {
+				t.Fatal(err)
+			}
+			before := add(t, l, Entry{ID: "before", Payload: []byte("b")})
+			l.Await([]string{"late-node"})
+			during := add(t, l, Entry{ID: "during", Payload: []byte("d")})
+			if err := l.AckRuns("early", []Run{{Lo: before, Hi: during}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.GC(); err != nil {
+				t.Fatal(err)
+			}
+			if n := l.Len(); n != 1 {
+				t.Fatalf("Len = %d after every consumer acknowledged both, want 1: the entry added while a member was awaited", n)
+			}
+			if err := l.RegisterConsumer("late"); err != nil {
+				t.Fatal(err)
+			}
+			l.Await(nil)
+			if pend, _ := l.Pending("late"); len(pend) != 1 || pend[0].ID != "during" {
+				t.Fatalf("the consumer registered while the member was awaited is owed %v, want [during]", pend)
+			}
+			if err := l.AckRuns("late", []Run{{Lo: during, Hi: during}}); err != nil {
+				t.Fatal(err)
+			}
+			if n := l.Len(); n != 0 {
+				t.Fatalf("Len = %d once every consumer acknowledged it and nobody is awaited, want 0", n)
+			}
+			// Acknowledged first, let go of after.
+			l.Await([]string{"late-node"})
+			last := add(t, l, Entry{ID: "last", Payload: []byte("l")})
+			for _, c := range []string{"early", "late"} {
+				if err := l.AckRuns(c, []Run{{Lo: last, Hi: last}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if l.Await(nil); l.Len() != 0 {
+				t.Fatalf("Len = %d once the member it waited for is no longer awaited, want 0", l.Len())
+			}
+		})
+	}
+}

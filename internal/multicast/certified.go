@@ -26,18 +26,18 @@ type CertSubscriber struct {
 
 // Stager is the subscriber-side store of a certified group, the
 // counterpart of the publisher's outbox: an incoming event is staged —
-// recorded and deduplicated by event ID (the ID its envelope's stored
-// record spells, or the one its frame carries), test and add in one step —
-// before the link takes it, and so before it is acknowledged or
-// delivered. fresh reports whether the event was new; a false return
-// means it is recorded here already (a redelivery) and must be
-// acknowledged again but not delivered again. durable.Inbox is the one a
-// node uses: on disk it stages the whole event, so a restarted
+// recorded and deduplicated by its identity (codec.IdentOf the ID its
+// envelope's stored record spells, or the one its frame carries), test
+// and add in one step — before the link takes it, and so before it is
+// acknowledged or delivered. fresh reports whether the event was new; a
+// false return means it is recorded here already (a redelivery) and must
+// be acknowledged again but not delivered again. durable.Inbox is the
+// one a node uses: on disk it stages the whole event, so a restarted
 // subscriber can replay it; in memory (durable.NewMemInbox) it keeps the
-// ID. Stage runs without the group's lock, on one copy of a frame at a
-// time.
+// identity. StageIdent runs without the group's lock, on one copy of a
+// frame at a time.
 type Stager interface {
-	Stage(id, origin string, payload []byte) (fresh bool, err error)
+	StageIdent(id codec.Ident, origin string, payload []byte) (fresh bool, err error)
 }
 
 // Certified implements the paper's Certified delivery semantics
@@ -110,15 +110,23 @@ func (g *Certified) NextName() (inc, n uint64) {
 	return g.inc, n
 }
 
-// SetSubscribers replaces the set of durable subscribers. New durable
-// IDs are registered as consumers of the outbox and are owed every
-// entry it holds; an address whose identities changed has queued on
-// its link what they are owed and it does not hold, sent a
-// RetransmitInterval later. Only with a subscriber at this node's own
-// address does a broadcast take the local leg (record, self-acknowledge,
-// deliver), and never over the transport: the link to this node carries
-// only what an identity here was owed before it was.
-func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
+// SetSubscribers is SetView with every member heard from.
+func (g *Certified) SetSubscribers(subs []CertSubscriber) error { return g.SetView(subs, nil) }
+
+// SetView replaces the set of durable subscribers, and the members of
+// the view not heard from yet (unheard), which may host subscribers
+// nobody knows of: an entry broadcast while one is unheard stays in the
+// outbox until it is heard from or leaves the view (durable.Outbox.Await),
+// for the identities it then turns out to host. New durable IDs are
+// registered as consumers of the outbox, before any member lets go of
+// what it held back, and are owed every entry it holds; an address
+// whose identities changed has queued on its link what they are owed and
+// it does not hold, sent a RetransmitInterval later. Only with a
+// subscriber at this node's own address does a broadcast take the local
+// leg (record, self-acknowledge, deliver), and never over the transport:
+// the link to this node carries only what an identity here was owed
+// before it was.
+func (g *Certified) SetView(subs []CertSubscriber, unheard []string) error {
 	g.order.Lock()
 	defer g.order.Unlock()
 	at := make(map[string][]string)
@@ -129,6 +137,7 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error {
 		}
 		at[s.Addr] = append(at[s.Addr], s.DurableID)
 	}
+	g.log.Await(unheard)
 	// Note: durable IDs that disappear are intentionally NOT
 	// unregistered from the log — a disconnected subscriber is exactly
 	// the case certified delivery exists for. Nothing says a permanent
@@ -264,7 +273,7 @@ func (g *Certified) broadcast(id string, payload []byte) error {
 	}
 	// The local leg of a node subscribed to its own class: record as a
 	// received event is, acknowledge to ourselves, deliver in-process.
-	fresh, err := g.stager.Stage(id, g.self, payload)
+	fresh, err := g.stager.StageIdent(codec.IdentOf(id), g.self, payload)
 	if err != nil {
 		return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 	}
@@ -341,28 +350,28 @@ func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
 	if l.staging[m.Seq] || m.Seq != l.got.Floor()+1 && len(l.got.Runs())+len(l.staging) >= maxAhead {
 		return msg, false
 	}
-	id := m.ID
-	if id == "" { // the payload's stored record spells it (linkID)
+	id := codec.IdentOf(m.ID)
+	if m.ID == "" { // the payload's stored record spells it (linkID)
 		b, ok := codec.StoredID(m.Payload)
 		if !ok || len(b) == 0 {
 			g.opts.Logger.Warn("multicast: certified frame names no event; dropped",
 				"stream", g.stream.name, "origin", msg.origin)
 			return msg, false
 		}
-		id = string(b)
+		id = codec.IdentOf(b)
 	}
 	if l.staging == nil {
 		l.staging = make(map[uint64]bool)
 	}
 	l.staging[m.Seq] = true
 	g.mu.Unlock()
-	fresh, err := g.cert.stager.Stage(id, msg.origin, m.Payload)
+	fresh, err := g.cert.stager.StageIdent(id, msg.origin, m.Payload)
 	g.mu.Lock()
 	delete(l.staging, m.Seq)
 	switch {
 	case err != nil:
 		g.opts.Logger.Warn("multicast: certified cannot record delivery; withholding ack",
-			"stream", g.stream.name, "id", id, "err", err)
+			"stream", g.stream.name, "id", id.Text(), "err", err)
 		return msg, false
 	case !fresh:
 		return queuedMsg{}, true

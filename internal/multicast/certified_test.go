@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"govents/internal/codec"
 	"govents/internal/durable"
 	"govents/internal/netsim"
 	"govents/internal/seqset"
@@ -109,16 +110,16 @@ func pending(log *durable.Outbox, consumer, id string) bool {
 // countingStager is a Stager that deduplicates in memory and counts.
 type countingStager struct {
 	mu     sync.Mutex
-	staged map[string]bool
+	staged map[codec.Ident]bool
 	calls  int
 }
 
-func (s *countingStager) Stage(id, origin string, payload []byte) (bool, error) {
+func (s *countingStager) StageIdent(id codec.Ident, origin string, payload []byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++
 	if s.staged == nil {
-		s.staged = make(map[string]bool)
+		s.staged = make(map[codec.Ident]bool)
 	}
 	fresh := !s.staged[id]
 	s.staged[id] = true

@@ -109,7 +109,7 @@ func TestCertifiedFrameCarriesTheIDOnce(t *testing.T) {
 		}
 	}
 	for _, id := range []string{name.String(), raw} {
-		if !stager.staged[id] {
+		if !stager.staged[codec.IdentOf(id)] {
 			t.Errorf("the subscriber did not stage %s: %v", id, stager.staged)
 		}
 		if !pending(log, "away", id) {

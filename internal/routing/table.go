@@ -496,6 +496,22 @@ func (t *Table) ExpireSilent(exclude ...string) []string {
 	return dropped
 }
 
+// Unheard returns the members, but for self, that have no
+// advertisement on record: never heard from, or forgotten since
+// (RetainNodes, ExpireSilent). A snapshot of no subscriptions is a
+// record.
+func (t *Table) Unheard(members []string, self string) []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []string
+	for _, m := range members {
+		if st := t.nodes[m]; m != self && (st == nil || st.subs == nil) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // SubscriptionCount reports the number of applied subscriptions,
 // excluding those of node exclude (the caller's own, for a
 // "remote subscriptions known" reading).

@@ -834,9 +834,11 @@ func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
 			if n > uint64(len(data)-pos) {
 				return 0, fmt.Errorf("wire: byte-slice length %d exceeds remaining input", n)
 			}
-			s := reflect.MakeSlice(t, int(n), int(n))
-			reflect.Copy(s, reflect.ValueOf(data[pos:pos+int(n)]))
-			v.Set(s)
+			// One allocation, the array: v takes the slice header in
+			// place. An empty slice is not nil (make of zero length).
+			b := make([]byte, n)
+			copy(b, data[pos:])
+			v.SetBytes(b)
 			return pos + int(n), nil
 		}
 		skip := func(data []byte, pos, _ int) (int, error) {
@@ -861,6 +863,7 @@ func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
 		return nil, nil, nil, err
 	}
 	elemMin := minSize(et)
+	empty := reflect.MakeSlice(t, 0, 0)
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		if v.IsNil() {
 			return binary.AppendUvarint(dst, 0), nil
@@ -888,13 +891,22 @@ func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
 		if err := checkCount(n, elemMin, len(data)-pos); err != nil {
 			return 0, err
 		}
-		s := reflect.MakeSlice(t, int(n), int(n))
+		// The elements are decoded in place, into an array grown from
+		// the zeroed field: one allocation, where MakeSlice and Set take
+		// a second for the slice header. Grow(0) leaves a nil slice, so
+		// an empty one is empty, shared.
+		v.SetZero()
+		if n == 0 {
+			v.Set(empty)
+			return pos, nil
+		}
+		v.Grow(int(n))
+		v.SetLen(int(n))
 		for i := 0; i < int(n); i++ {
-			if pos, err = elemDec(data, pos, s.Index(i), depth); err != nil {
+			if pos, err = elemDec(data, pos, v.Index(i), depth); err != nil {
 				return 0, err
 			}
 		}
-		v.Set(s)
 		return pos, nil
 	}
 	skip := func(data []byte, pos, depth int) (int, error) {

@@ -108,8 +108,10 @@ func TestParentRecordsOfTheGobEra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameEnvelope(got, want) {
-		t.Errorf("the parent's flat record opens to\n%+v, want\n%+v", got, want)
+	opened := *want
+	opened.ID = "" // the parent's ID is a name's text: it opens as the name, with no text
+	if !sameEnvelope(got, &opened) {
+		t.Errorf("the parent's flat record opens to\n%+v, want\n%+v", got, opened)
 	}
 	o, err := cdc.Decode(got)
 	if err != nil || o != parentTickValue {
