@@ -685,8 +685,12 @@
 // record) also waits until that member advertises, registering the
 // identities it hosts, or leaves the view: a subscriber whose
 // advertisement arrives late is owed what was published before it, even
-// once the identities heard from first have acknowledged it. That wait
-// lives in memory only.
+// once the identities heard from first have acknowledged it. The wait is
+// bounded: a member silent for WithAdTTL's TTL (10 s when it is unset)
+// since it entered the view is taken for down, and what it held back
+// retires. The wait lives in memory only, so a publisher that restarts
+// meanwhile keeps only what its registered identities have not
+// acknowledged.
 //
 // Sync policy (fsync per record vs batched) and segment size come from
 // WithDurabilityTuning; Domain.DurableStats exposes the plane's

@@ -339,7 +339,7 @@ func varintLen(x int64) int { return rec.UvarintLen(uint64(x<<1) ^ uint64(x>>63)
 // a caller that decodes out of a buffer it goes on using.
 func Unmarshal(data []byte) (*Envelope, error) {
 	e := new(Envelope)
-	if err := UnmarshalInto(e, data); err != nil {
+	if err := UnmarshalInto(e, data, "", ""); err != nil {
 		return nil, err
 	}
 	e.Payload = slices.Clone(e.Payload)
@@ -351,16 +351,12 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // slice of data (every other field is copied out). It is for the caller
 // that drops the envelope, or copies its payload, before data changes:
 // the receive path, whose frame is valid for the handler's call, and
-// routing a frame. Anything else calls Unmarshal. On error *e is left
-// zero.
-func UnmarshalInto(e *Envelope, data []byte) error { return UnmarshalKnown(e, data, "", "") }
-
-// UnmarshalKnown is UnmarshalInto for a caller that knows the class and
-// the publisher a record most likely spells, as a channel knows its
-// class and the node a frame came from: a Type or Publisher spelled with
-// the bytes of typ or pub is that string, not a copy. It fills in
-// neither where the record leaves it out.
-func UnmarshalKnown(e *Envelope, data []byte, typ, pub string) error {
+// routing a frame. Anything else calls Unmarshal. typ and pub are the
+// class and the publisher the record most likely spells, as a channel
+// knows its class and the node a frame came from, or "": a Type or
+// Publisher spelled with their bytes is that string, not a copy. Neither
+// is filled in where the record leaves it out. On error *e is left zero.
+func UnmarshalInto(e *Envelope, data []byte, typ, pub string) error {
 	if err := unmarshalInto(e, data, typ, pub); err != nil {
 		*e = Envelope{}
 		return fmt.Errorf("codec: unmarshal envelope: %w", err)
@@ -368,7 +364,7 @@ func UnmarshalKnown(e *Envelope, data []byte, typ, pub string) error {
 	return nil
 }
 
-// unmarshalInto is UnmarshalKnown, leaving *e in any state on error.
+// unmarshalInto is UnmarshalInto, leaving *e in any state on error.
 func unmarshalInto(e *Envelope, data []byte, knownType, knownPub string) error {
 	r := envReader{Reader: rec.Reader{Buf: data}}
 	if format := r.U8(); r.Err == nil && format != envelopeFormat {

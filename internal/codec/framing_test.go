@@ -399,7 +399,7 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 	// no header string allocates nothing.
 	var into Envelope
 	if n := testing.AllocsPerRun(200, func() {
-		if err := UnmarshalInto(&into, data); err != nil {
+		if err := UnmarshalInto(&into, data, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {
@@ -410,7 +410,7 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if err := UnmarshalInto(&into, bare); err != nil {
+		if err := UnmarshalInto(&into, bare, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -425,7 +425,7 @@ func TestEnvelopeFramingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if err := UnmarshalInto(&into, linkData); err != nil {
+		if err := UnmarshalInto(&into, linkData, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -506,7 +506,7 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Unmarshal(data)
 		reused := everyFieldEnvelope()
-		if errInto := UnmarshalInto(reused, data); (errInto == nil) != (err == nil) {
+		if errInto := UnmarshalInto(reused, data, "", ""); (errInto == nil) != (err == nil) {
 			t.Fatalf("Unmarshal: %v, but UnmarshalInto over a filled envelope: %v", err, errInto)
 		}
 		if err != nil {
@@ -522,7 +522,7 @@ func FuzzEnvelopeUnmarshal(f *testing.F) {
 		// live, whether the record spells them or others.
 		flat := flatFIFOEnvelope()
 		var known Envelope
-		if err := UnmarshalKnown(&known, data, flat.Type, flat.Publisher); err != nil || !sameEnvelope(&known, reused) {
+		if err := UnmarshalInto(&known, data, flat.Type, flat.Publisher); err != nil || !sameEnvelope(&known, reused) {
 			t.Fatalf("decoded knowing %q and %q:\n got %+v, %v\nwant %+v", flat.Type, flat.Publisher, known, err, reused)
 		}
 		held := len(env.ID) + len(env.Type) + len(env.Publisher) + len(env.Payload)

@@ -158,11 +158,13 @@ type Node struct {
 	// routes is the routing plane: every node's advertised
 	// subscriptions (including our own, under our address) compiled
 	// into per-class destination matchers. It has its own internal
-	// locking and is never touched under n.mu.
+	// locking, and is read under n.mu only to set up a certified
+	// group's view (short reads; its lock never waits on n.mu).
 	routes *routing.Table
 
 	mu     sync.Mutex
 	peers  []string
+	joined map[string]time.Time // when each member of peers entered the view
 	sink   func(*codec.Envelope)
 	groups map[groupKey]multicast.Group
 	closed bool
@@ -192,6 +194,9 @@ type Node struct {
 
 	// hb is the ad-TTL heartbeat (never armed when AdTTL is unset).
 	hb clock.Job
+	// awaitEnd refreshes the certified groups when an unheard member's
+	// grace runs out (awaitedLocked).
+	awaitEnd clock.Job
 
 	// destBuf pools destination scratch so routing a publication does
 	// not allocate per event.
@@ -244,6 +249,7 @@ func NewNode(tr netsim.Transport, reg *obvent.Registry, cfg Config) *Node {
 	reg.MustRegister(subscriptionAd{})
 	n.control = multicast.NewReliable(mux, "dace/ctrl", n.onControl, cfg.Multicast)
 	mux.SetFallback(n.onUnknownStream)
+	n.awaitEnd.Init(cfg.Clock, n.refreshCertSubscribers)
 	if cfg.AdTTL > 0 {
 		n.routes.SetAdTTL(cfg.AdTTL, cfg.Clock)
 		n.hb.Init(cfg.Clock, n.heartbeat)
@@ -298,6 +304,8 @@ func (n *Node) dropPeers(expired []string) {
 	for _, p := range n.peers {
 		if !dead[p] {
 			kept = append(kept, p)
+		} else {
+			delete(n.joined, p)
 		}
 	}
 	n.peers = kept
@@ -336,6 +344,15 @@ func (n *Node) Registry() *obvent.Registry { return n.reg }
 func (n *Node) SetPeers(peers []string) {
 	n.mu.Lock()
 	n.peers = append([]string(nil), peers...)
+	now, joined := n.cfg.Clock.Now(), make(map[string]time.Time, len(peers))
+	for _, p := range peers {
+		if at, ok := n.joined[p]; ok {
+			joined[p] = at
+		} else {
+			joined[p] = now
+		}
+	}
+	n.joined = joined
 	groups := n.groupsSnapshotLocked()
 	n.mu.Unlock()
 	n.routes.RetainNodes(append([]string{n.self}, peers...))
@@ -392,6 +409,7 @@ func (n *Node) Close() error {
 	}
 	n.mu.Unlock()
 	n.hb.Stop()
+	n.awaitEnd.Stop()
 	for _, g := range groups {
 		_ = g.Close()
 	}
@@ -481,7 +499,7 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	if c, ok := g.(*multicast.Certified); ok {
 		// Certified membership is the durable-subscriber set, never the
 		// raw peer list (see setGroupsMembers).
-		if err := c.SetView(n.certSubscribersFor(class), n.routes.Unheard(n.peers, n.self)); err != nil {
+		if err := c.SetView(n.certSubscribersFor(class), n.awaitedLocked()); err != nil {
 			n.log.Warn("dace: certified membership update failed",
 				"stream", stream, "err", err)
 		}
@@ -773,7 +791,7 @@ func (n *Node) seal(env *codec.Envelope, proto string) ([]byte, error) {
 // local publisher sealed): whatever keeps the envelope past it copies
 // the payload. On error env is left zero.
 func openInto(env *codec.Envelope, class, origin string, epoch uint64, record []byte) error {
-	if err := codec.UnmarshalKnown(env, record, class, origin); err != nil {
+	if err := codec.UnmarshalInto(env, record, class, origin); err != nil {
 		return err
 	}
 	if env.Name.Inc == 0 {
@@ -1078,21 +1096,60 @@ func (n *Node) refreshCertSubscribers() {
 	gen := n.routes.Gen() // read before the table is: a change in between shows as a newer generation
 	n.mu.Lock()
 	groups := n.groupsSnapshotLocked()
-	peers := n.peers
+	var awaited []string
+	for key := range groups {
+		if key.proto == "cert" { // no certified group, no timer
+			awaited = n.awaitedLocked()
+			break
+		}
+	}
 	n.mu.Unlock()
-	unheard := n.routes.Unheard(peers, n.self)
 	for key, g := range groups {
 		c, ok := g.(*multicast.Certified)
 		if !ok {
 			continue
 		}
-		if err := c.SetView(n.certSubscribersFor(key.class), unheard); err != nil {
+		if err := c.SetView(n.certSubscribersFor(key.class), awaited); err != nil {
 			n.log.Warn("dace: certified membership update failed",
 				"stream", streamName(key.proto, key.class), "err", err)
 			gen = 0 // no generation is 0: the next publish tries again
 		}
 	}
 	n.certGen.Store(gen)
+}
+
+// awaitGrace is how long a member of the view may go unheard while the
+// certified outboxes wait for it, when AdTTL is unset; with AdTTL set it
+// is AdTTL, the silence after which the domain takes a node for dead.
+const awaitGrace = 10 * time.Second
+
+// awaitedLocked returns the members of the view the certified outboxes
+// wait to hear from (Certified.SetView): those, but for self, with no
+// advertisement on record that entered the view less than the grace
+// ago. One silent longer is taken for down or for no dace node, and
+// waiting for it would hold every certified entry from then on; the
+// identities it turns out to host, should it speak later, are owed only
+// what has not retired by then. awaitEnd is armed for the first
+// grace to run out. The routing table's lock nests inside n.mu.
+func (n *Node) awaitedLocked() []string {
+	grace := n.cfg.AdTTL
+	if grace <= 0 {
+		grace = awaitGrace
+	}
+	now := n.cfg.Clock.Now()
+	var next time.Duration
+	awaited := n.routes.Unheard(n.peers, n.self)
+	awaited = slices.DeleteFunc(awaited, func(m string) bool {
+		left := n.joined[m].Add(grace).Sub(now)
+		if left > 0 && (next == 0 || left < next) {
+			next = left
+		}
+		return left <= 0
+	})
+	if next > 0 && !n.closed {
+		n.awaitEnd.Reset(next)
+	}
+	return awaited
 }
 
 // RemoteSubscriptionCount reports how many remote subscriptions this

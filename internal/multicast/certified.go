@@ -116,8 +116,8 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error { return g.SetVi
 // SetView replaces the set of durable subscribers, and the members of
 // the view not heard from yet (unheard), which may host subscribers
 // nobody knows of: an entry broadcast while one is unheard stays in the
-// outbox until it is heard from or leaves the view (durable.Outbox.Await),
-// for the identities it then turns out to host. New durable IDs are
+// outbox until it is heard from or no longer named unheard
+// (durable.Outbox.Await), for the identities it then turns out to host. New durable IDs are
 // registered as consumers of the outbox, before any member lets go of
 // what it held back, and are owed every entry it holds; an address
 // whose identities changed has queued on its link what they are owed and
