@@ -396,6 +396,70 @@ func TestCertifiedTwoDurableIdentitiesOnOneNode(t *testing.T) {
 	}
 }
 
+// TestCertifiedMixedDurableAndPlainSubscriber: node-1 holds a durable
+// and a plain subscription to one certified class. The view lists both
+// at node-1, the durable ID and, for the plain one, the node's address,
+// and node-1 must acknowledge under each: then each handler sees each
+// event once, the publisher's outbox empties, and node-0 falls silent.
+// node-1 used to acknowledge under the durable ID alone, so the outbox
+// held every event for the address and resent them all every interval,
+// for ever.
+func TestCertifiedMixedDurableAndPlainSubscriber(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	sn := &selfNet{
+		t:     t,
+		net:   netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 31}),
+		addrs: []string{"node-0", "node-1"},
+		opts: func(addr string) []govents.Option {
+			if addr == "node-1" {
+				return []govents.Option{govents.WithDurability(filepath.Join(root, addr))}
+			}
+			return nil
+		},
+		clk: clock.NewFake(time.Unix(0, 0)),
+	}
+	defer sn.net.Close()
+	d0, tap0 := sn.open("node-0")
+	d1, _ := sn.open("node-1")
+	durableSeen, plainSeen := newRecorder(), newRecorder()
+	if _, err := govents.SubscribeDurable(d1, "desk", func(e chaosTick) { durableSeen.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := govents.Subscribe(d1, nil, func(e chaosTick) { plainSeen.record(e.Pub, e.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both ads at node-0", func() bool { return d0.RemoteSubscriptionCount() >= 2 })
+
+	const events, batch = 100, 10
+	var keys []string
+	for i := 0; i < events; i++ {
+		if err := d0.Publish(ctx, chaosTick{Pub: "node-0", Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tickKey("node-0", i))
+		if (i+1)%batch == 0 {
+			sn.advance(selfInterval / 4)
+		}
+	}
+	class := obvent.TypeName(obvent.TypeOf[chaosTick]())
+	waitFor(t, "every event at both handlers and the outbox emptied", func() bool {
+		sn.advance(selfInterval / 4)
+		return durableSeen.hasAll(keys) && plainSeen.hasAll(keys) && govents.CertifiedOutboxLen(d0, class) == 0
+	})
+	sent := len(tap0.sentTo("node-1"))
+	sn.advance(20 * selfInterval)
+	if n := len(tap0.sentTo("node-1")) - sent; n != 0 {
+		t.Errorf("node-0 sent node-1 %d frames in 20 retransmit intervals after its outbox emptied, want none", n)
+	}
+	for who, r := range map[string]*recorder{"the durable handler": durableSeen, "the plain handler": plainSeen} {
+		exactlyOnce(t, who, r, "node-0", events)
+		if n := r.dups(); n != 0 {
+			t.Errorf("%s saw %d duplicates", who, n)
+		}
+	}
+}
+
 // TestSelfSubscribedPublisherWithoutDurability is the same node on the
 // in-memory stores of a default domain: the delivered set stands in for
 // the staging inbox.

@@ -758,11 +758,15 @@
 // carries it once (a payload that is not an envelope's record, which
 // internal/multicast's Certified also takes, travels with an ID field
 // of the link record instead). The acknowledgement is the link's plus
-// Origin, a durable identity of the subscriber. A subscriber
-// acknowledges when the link would, once under each durable identity
-// it holds for the class; a node with two identities is sent one data
-// frame per event, and an entry leaves its link once the cumulative
-// acknowledgement of each has passed it. The publisher takes an
+// Origin, a durable identity of the subscriber. The identities at a
+// node are the ones the view lists at its address, by the one rule both
+// ends apply to the advertised subscriptions: a subscription's durable
+// ID, and the node's address for a subscription that has none. A
+// subscriber acknowledges when the link would, once under each identity
+// the view lists at its address, or under its address when it lists
+// none; a node with two identities is sent one data frame per event,
+// and an entry leaves its link once the cumulative acknowledgement of
+// each has passed it. The publisher takes an
 // acknowledgement of its current incarnation from an identity at the
 // address that sent it, and books as one outbox record the offsets of
 // the entries that address's link sent at the sequences it names: an

@@ -241,36 +241,13 @@ func TestNameText(t *testing.T) {
 	}
 }
 
-// TestNameAllocs pins the costs of a name: rendering into a buffer
-// allocates nothing, and a TextBlock one string per idBlock names.
+// TestNameAllocs pins the cost of a name's text: rendering into a
+// buffer allocates nothing.
 func TestNameAllocs(t *testing.T) {
 	buf := make([]byte, 0, nameText)
 	n := Name{Inc: 1790000000123456}
 	if a := allocs.PerRun(1000, func() { n.N++; buf = n.AppendText(buf[:0]) }); a != 0 {
 		t.Errorf("AppendText: %.3f allocations per name, want 0", a)
-	}
-	var b TextBlock
-	seen := make(map[string]bool)
-	if a := allocs.PerRun(16*idBlock, func() {
-		n.N++
-		text := b.Text(n)
-		if text != n.String() {
-			t.Fatalf("TextBlock renders %v as %q", n, text)
-		}
-	}); a > 1.07 { // the check's String is one
-		t.Errorf("TextBlock: %.3f allocations per name, want at most 0.07 beside the check's one", a-1)
-	}
-	for range 3 * idBlock {
-		n.N++
-		text := b.Text(n)
-		if seen[text] {
-			t.Fatalf("text %q handed out twice", text)
-		}
-		seen[text] = true
-	}
-	// A name out of the block's order starts a block of its own.
-	if text := b.Text(Name{Inc: 7, N: 3}); text != (Name{Inc: 7, N: 3}).String() {
-		t.Fatalf("out of order: %q", text)
 	}
 }
 

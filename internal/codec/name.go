@@ -36,8 +36,7 @@ func (n Name) AppendText(b []byte) []byte {
 const hexDigits = "0123456789abcdef"
 
 // String renders n's text in one allocation. Only what needs text calls
-// it: a trace record, a certified outbox's key (TextBlock renders those
-// in blocks).
+// it: a trace record, an outbox entry handed out for a relink.
 func (n Name) String() string {
 	var b [nameText]byte
 	return string(n.AppendText(b[:0]))
@@ -109,32 +108,3 @@ var nibble = func() (t [256]byte) {
 	}
 	return t
 }()
-
-// idBlock is how many names' texts a TextBlock renders into one string.
-const idBlock = 16
-
-// A TextBlock renders the texts of consecutive names idBlock at a time
-// into one string and hands each out as a slice of it: what keeps a
-// name's text as a string (a certified outbox keys its entries by it)
-// costs one allocation per idBlock names, not one per name. A kept text
-// keeps its block reachable. It is not safe for concurrent use: its
-// owner serializes Text.
-type TextBlock struct {
-	first Name   // the block's first name
-	text  string // the texts of first and the idBlock-1 names after it
-}
-
-// Text returns n's text, from the current block if it holds n and else
-// from a new one, rendered from n on.
-func (b *TextBlock) Text(n Name) string {
-	if b.text == "" || n.Inc != b.first.Inc || n.N < b.first.N || n.N-b.first.N >= idBlock {
-		var buf [idBlock * nameText]byte
-		text := buf[:0]
-		for i := range uint64(idBlock) {
-			text = Name{Inc: n.Inc, N: n.N + i}.AppendText(text)
-		}
-		b.first, b.text = n, string(text)
-	}
-	at := int(n.N-b.first.N) * nameText
-	return b.text[at : at+nameText]
-}

@@ -470,7 +470,9 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	case "cert":
 		log, in := n.certStores(class)
 		c := multicast.NewCertified(n.mux, stream, log, in, deliver, n.cfg.Multicast)
-		c.SetDurableIDs(n.durableIDsForLocked(class))
+		// Certified membership is the durable-subscriber set, never the
+		// raw peer list (see setGroupsMembers).
+		n.setCertView(c, class, n.awaitedLocked())
 		g = c
 	case "total":
 		t := multicast.NewTotal(n.mux, stream, n.sequencerLocked(), deliver, n.cfg.Multicast)
@@ -496,87 +498,11 @@ func (n *Node) groupLocked(key groupKey) multicast.Group {
 	default:
 		g = multicast.NewBestEffort(n.mux, stream, deliver)
 	}
-	if c, ok := g.(*multicast.Certified); ok {
-		// Certified membership is the durable-subscriber set, never the
-		// raw peer list (see setGroupsMembers).
-		if err := c.SetView(n.certSubscribersFor(class), n.awaitedLocked()); err != nil {
-			n.log.Warn("dace: certified membership update failed",
-				"stream", stream, "err", err)
-		}
-	} else {
+	if proto != "cert" {
 		g.SetMembers(n.peers)
 	}
 	n.groups[key] = g
 	return g
-}
-
-// certStores is the one place a certified class's stores come from: the
-// durability manager's outbox and inbox of the class, else a fresh pair
-// in memory that the class's group owns (durable.NewMemOutbox,
-// NewMemInbox). Either way no two classes share one, so no class is owed
-// another's events. The manager opens both logs of a class or neither;
-// failing that the class falls back to memory, loudly — delivery
-// degrades to disconnect-only recovery, it does not disappear.
-func (n *Node) certStores(class string) (*durable.Outbox, *durable.Inbox) {
-	if n.cfg.Durable != nil {
-		ob, err := n.cfg.Durable.OutboxFor(class)
-		if err == nil {
-			var ib *durable.Inbox
-			if ib, err = n.cfg.Durable.InboxFor(class); err == nil {
-				return ob, ib
-			}
-		}
-		n.log.Warn("dace: durable state unavailable; certified class keeps its state in memory",
-			"class", class, "err", err)
-	}
-	return durable.NewMemOutbox(), durable.NewMemInbox()
-}
-
-// durableIDsForLocked resolves the durable identities this node
-// acknowledges under for one certified class: the durable ID of every
-// local subscription conforming to the class, else none (the group
-// falls back to the node address). Callers hold n.mu.
-func (n *Node) durableIDsForLocked(class string) []string {
-	var ids []string
-	for _, info := range n.lastAdv {
-		if info.DurableID != "" && !slices.Contains(ids, info.DurableID) && n.reg.ConformsTo(class, info.TypeName) {
-			ids = append(ids, info.DurableID)
-		}
-	}
-	return ids
-}
-
-// certifiedGroup returns (creating lazily) the certified group of a
-// class.
-func (n *Node) certifiedGroup(class string) *multicast.Certified {
-	g := n.group("cert", class)
-	c, _ := g.(*multicast.Certified)
-	return c
-}
-
-// CertifiedOutboxLen returns how many events of a certified class this
-// node's outbox holds (a test aid: it creates the class's group if the
-// node has not used the class yet).
-func (n *Node) CertifiedOutboxLen(class string) int {
-	return n.certifiedGroup(class).OutboxLen()
-}
-
-// PauseCertified parks a certified class's local delivery: incoming
-// events keep being staged and acknowledged, but nothing reaches the
-// engine until ResumeCertified. Durable subscriptions pause around
-// their backlog replay so replay and live delivery never interleave.
-func (n *Node) PauseCertified(class string) {
-	if c := n.certifiedGroup(class); c != nil {
-		c.Pause()
-	}
-}
-
-// ResumeCertified releases PauseCertified and delivers the held events
-// to the engine, in arrival order, on the caller.
-func (n *Node) ResumeCertified(class string) {
-	if c := n.certifiedGroup(class); c != nil {
-		c.Resume()
-	}
 }
 
 // pruneObserver funnels a group's pruning counters into the routing
@@ -693,8 +619,8 @@ func (n *Node) PublishEnvelope(env *codec.Envelope) error {
 		}
 		t1 := n.markRoute(t0)
 		// The stored record spells the name: the certified event identity
-		// end to end. The outbox keys its text; the staging inbox and the
-		// engine's delivery acknowledgement key the name itself.
+		// end to end. The outbox, the staging inbox and the engine's
+		// delivery acknowledgement key the name itself.
 		err = cert.Broadcast(payload)
 		n.markWrite(t1)
 		return err
@@ -884,20 +810,6 @@ func (n *Node) RoutingStatsByClass() map[string]routing.Stats { return n.routes.
 // DispatchStats.DecodeErrors the domain folds this into.
 func (n *Node) DecodeErrors() uint64 { return n.decodeErrors.Load() }
 
-// certSubscribersFor lists the durable subscribers of a certified
-// class across the domain.
-func (n *Node) certSubscribersFor(class string) []multicast.CertSubscriber {
-	var subs []multicast.CertSubscriber
-	n.routes.ForEachConforming(class, func(node string, info core.SubscriptionInfo) {
-		id := info.DurableID
-		if id == "" {
-			id = node // fall back to the node address as identity
-		}
-		subs = append(subs, multicast.CertSubscriber{DurableID: id, Addr: node})
-	})
-	return subs
-}
-
 // onData receives a payload of class's channel, published by origin's
 // group of the given epoch, and hands the envelope to the engine. The
 // wire→lane stage spans the envelope decode plus the sink call (the sink
@@ -962,28 +874,16 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 	n.mu.Lock()
 	n.adSeq++
 	ad := subscriptionAd{Node: n.self, Seq: n.adSeq, Epoch: n.epoch}
-	durable := false // whether a durable identity came or went
 	for _, id := range removed {
-		if prev, ok := n.lastAdv[id]; ok {
+		if _, ok := n.lastAdv[id]; ok {
 			delete(n.lastAdv, id)
 			ad.Removed = append(ad.Removed, id)
-			durable = durable || prev.DurableID != ""
 		}
 	}
 	for _, info := range active {
 		if prev, ok := n.lastAdv[info.ID]; !ok || !prev.Equal(info) {
 			n.lastAdv[info.ID] = info
 			ad.Subs = append(ad.Subs, info)
-			durable = durable || info.DurableID != "" || prev.DurableID != ""
-		}
-	}
-	if durable {
-		// Certified groups created before a durable activation must learn
-		// the durable identities they now acknowledge under.
-		for key, g := range n.groups {
-			if c, ok := g.(*multicast.Certified); ok {
-				c.SetDurableIDs(n.durableIDsForLocked(key.class))
-			}
 		}
 	}
 	if !forceSnapshot && n.adSeq > 1 && n.adsSinceSnap < snapshotEvery &&
@@ -1003,10 +903,14 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 	peers := slices.DeleteFunc(slices.Clone(n.peers), func(p string) bool { return p == n.self })
 	n.mu.Unlock()
 
-	// Our own state enters the routing table directly. The ad goes to
-	// the others only: delivering it here would run the control link's
-	// upcall list, whose peer ads may call advertise, under our adMu.
-	moved := n.applyAd(&ad).Applied
+	// Our own state enters the routing table directly, and the certified
+	// groups take its view before the ad leaves, so that this node
+	// acknowledges under every identity it advertises. The ad goes to the
+	// others only: delivering it here would run the control link's upcall
+	// list, whose peer ads may call advertise, under our adMu.
+	if n.applyAd(&ad).Applied && !closed {
+		n.refreshCertSubscribers()
+	}
 	if !closed {
 		payload, err := encodeAd(&ad)
 		if err == nil {
@@ -1020,11 +924,6 @@ func (n *Node) advertise(active []core.SubscriptionInfo, removed []string, force
 		}
 	}
 	n.adMu.Unlock()
-	if moved && !closed {
-		// A local durable subscription that came back is owed what the
-		// outbox holds for it: redelivery must learn where it is.
-		n.refreshCertSubscribers()
-	}
 }
 
 // applyAd ingests an advertisement, a peer's or our own, into the
@@ -1085,71 +984,6 @@ func (n *Node) onControl(from string, payload []byte) {
 		// waiting for the next local publish.
 		n.refreshCertSubscribers()
 	}
-}
-
-// refreshCertSubscribers pushes the routing plane's durable-subscriber
-// view into every live certified group, one refresh at a time, and
-// notes the table generation the view is at least as new as.
-func (n *Node) refreshCertSubscribers() {
-	n.certMu.Lock()
-	defer n.certMu.Unlock()
-	gen := n.routes.Gen() // read before the table is: a change in between shows as a newer generation
-	n.mu.Lock()
-	groups := n.groupsSnapshotLocked()
-	var awaited []string
-	for key := range groups {
-		if key.proto == "cert" { // no certified group, no timer
-			awaited = n.awaitedLocked()
-			break
-		}
-	}
-	n.mu.Unlock()
-	for key, g := range groups {
-		c, ok := g.(*multicast.Certified)
-		if !ok {
-			continue
-		}
-		if err := c.SetView(n.certSubscribersFor(key.class), awaited); err != nil {
-			n.log.Warn("dace: certified membership update failed",
-				"stream", streamName(key.proto, key.class), "err", err)
-			gen = 0 // no generation is 0: the next publish tries again
-		}
-	}
-	n.certGen.Store(gen)
-}
-
-// awaitGrace is how long a member of the view may go unheard while the
-// certified outboxes wait for it, when AdTTL is unset; with AdTTL set it
-// is AdTTL, the silence after which the domain takes a node for dead.
-const awaitGrace = 10 * time.Second
-
-// awaitedLocked returns the members of the view the certified outboxes
-// wait to hear from (Certified.SetView): those, but for self, with no
-// advertisement on record that entered the view less than the grace
-// ago. One silent longer is taken for down or for no dace node, and
-// waiting for it would hold every certified entry from then on; the
-// identities it turns out to host, should it speak later, are owed only
-// what has not retired by then. awaitEnd is armed for the first
-// grace to run out. The routing table's lock nests inside n.mu.
-func (n *Node) awaitedLocked() []string {
-	grace := n.cfg.AdTTL
-	if grace <= 0 {
-		grace = awaitGrace
-	}
-	now := n.cfg.Clock.Now()
-	var next time.Duration
-	awaited := n.routes.Unheard(n.peers, n.self)
-	awaited = slices.DeleteFunc(awaited, func(m string) bool {
-		left := n.joined[m].Add(grace).Sub(now)
-		if left > 0 && (next == 0 || left < next) {
-			next = left
-		}
-		return left <= 0
-	})
-	if next > 0 && !n.closed {
-		n.awaitEnd.Reset(next)
-	}
-	return awaited
 }
 
 // RemoteSubscriptionCount reports how many remote subscriptions this

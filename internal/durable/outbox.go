@@ -10,11 +10,12 @@ import (
 	"sync"
 
 	"govents/internal/chunk"
+	"govents/internal/codec"
 )
 
-// Entry is one certified record: an opaque payload under a unique ID.
-// Offset is the outbox's to assign: Add ignores the caller's and returns
-// its own, Pending fills it in.
+// Entry is one certified record: an opaque payload under a unique ID,
+// which the outbox keys by its codec.Ident (AddIdent). Offset is the
+// outbox's to assign: Add ignores the caller's, Pending fills it in.
 type Entry struct {
 	ID      string
 	Payload []byte
@@ -45,7 +46,7 @@ var ErrUnknownConsumer = errors.New("durable: unknown consumer")
 // what was retired before it came, so an entry added while a member the
 // caller awaits has not been heard from waits for it too (Await).
 //
-// Ownership of payloads: Add copies e.Payload into chunks the outbox
+// Ownership of payloads: AddIdent copies the payload into chunks the outbox
 // recycles once the entries in them retire, so the caller may reuse its
 // buffer as soon as Add returns. Pending returns entries whose payloads
 // are the caller's own copies. A slice of runs stays the caller's:
@@ -61,8 +62,8 @@ type Outbox struct {
 	head      int         // buf[:head] is spent: the held span is buf[head:]
 	buf       []heldEntry // offsets base through the data log's last; a retired one is zero
 	live      int         // the entries of buf not retired
-	chunks    chunk.Store // the payloads Add copied
-	byID      map[string]uint64
+	chunks    chunk.Store // the payloads AddIdent copied
+	byID      map[codec.Ident]uint64
 	consumers map[string]*cursorState // consumer -> acknowledged offsets
 	awaits    map[string]uint64       // awaited member -> the first offset added meanwhile
 	closed    bool
@@ -71,8 +72,10 @@ type Outbox struct {
 // heldEntry is an entry the outbox holds, and the chunk its payload was
 // copied into (nil for one replay read, whose buffer is its own).
 type heldEntry struct {
-	Entry
-	chunk *chunk.Chunk
+	id      codec.Ident
+	payload []byte
+	offset  uint64
+	chunk   *chunk.Chunk
 }
 
 // Meta-log record kinds. Kinds 1, 3 and 4 are read, no longer written.
@@ -111,7 +114,7 @@ func OpenOutbox(dataDir, metaDir string, cfg SegmentConfig) (*Outbox, error) {
 		meta:      meta,
 		log:       logger,
 		base:      data.FirstOffset(),
-		byID:      make(map[string]uint64),
+		byID:      make(map[codec.Ident]uint64),
 		consumers: make(map[string]*cursorState),
 	}
 	if err := o.replay(); err != nil {
@@ -168,8 +171,9 @@ func (o *Outbox) replay() error {
 		}
 		switch {
 		case !o.ackedByAllLocked(off):
-			o.push(heldEntry{Entry: Entry{ID: string(id), Payload: payload, Offset: off}}) // rec is the read's own
-			o.byID[string(id)] = off
+			h := heldEntry{id: codec.IdentOf(id), payload: payload, offset: off} // rec is the read's own
+			o.push(h)
+			o.byID[h.id] = off
 			o.live++
 		case o.head == len(o.buf):
 			o.base = off + 1 // retired, and nothing held before it
@@ -342,14 +346,14 @@ func (o *Outbox) ackedByAllLocked(off uint64) bool {
 func (o *Outbox) retireLocked(lo, hi uint64) {
 	for off := max(lo, o.base); off <= min(hi, o.last()); off = max(off+1, o.base) {
 		e := o.slot(off)
-		if e.Offset == 0 || !o.ackedByAllLocked(off) || o.awaitedLocked(off) {
+		if e.offset == 0 || !o.ackedByAllLocked(off) || o.awaitedLocked(off) {
 			continue
 		}
-		delete(o.byID, e.ID)
+		delete(o.byID, e.id)
 		o.chunks.Release(e.chunk)
 		*e = heldEntry{}
 		o.live--
-		for o.head < len(o.buf) && o.buf[o.head].Offset == 0 {
+		for o.head < len(o.buf) && o.buf[o.head].offset == 0 {
 			o.head++
 			o.base++
 		}
@@ -401,31 +405,34 @@ func (o *Outbox) Await(members []string) {
 	o.retireLocked(released, o.last())
 }
 
-// Add stores an entry, with a copy of its payload, and returns its
-// offset. Adding an ID the outbox holds returns the offset it has
-// (idempotent); an ID retired already is a new entry.
-func (o *Outbox) Add(e Entry) (uint64, error) {
+// AddIdent stores an entry under the identity id, with a copy of its
+// payload, and returns its offset. Adding an identity the outbox holds
+// returns the offset it has (idempotent); one retired already is a new
+// entry. The data record spells the identity's text.
+func (o *Outbox) AddIdent(id codec.Ident, payload []byte) (uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return 0, ErrLogClosed
 	}
-	if off, ok := o.byID[e.ID]; ok {
+	if off, ok := o.byID[id]; ok {
 		return off, nil
 	}
-	o.hdr = appendBlob(o.hdr[:0], e.ID)
-	off, err := o.data.AppendParts(o.hdr, e.Payload)
+	o.hdr = appendIdent(o.hdr[:0], id)
+	off, err := o.data.AppendParts(o.hdr, payload)
 	if err != nil {
 		return 0, err
 	}
-	e.Offset = off
-	h := heldEntry{Entry: e}
-	h.Payload, h.chunk = o.chunks.Copy(e.Payload)
+	h := heldEntry{id: id, offset: off}
+	h.payload, h.chunk = o.chunks.Copy(payload)
 	o.push(h)
-	o.byID[e.ID] = off
+	o.byID[id] = off
 	o.live++
 	return off, nil
 }
+
+// Add is AddIdent for an entry named by its ID text.
+func (o *Outbox) Add(e Entry) (uint64, error) { return o.AddIdent(codec.IdentOf(e.ID), e.Payload) }
 
 // Append and Ack are Add and AckRuns for a caller that works an event
 // at a time, by ID (the benchmark's durable probe).
@@ -433,7 +440,7 @@ func (o *Outbox) Append(e Entry) error { _, err := o.Add(e); return err }
 
 func (o *Outbox) Ack(consumer, entryID string) error {
 	o.mu.Lock()
-	off := o.byID[entryID] // 0, which no entry has, when the outbox does not hold it
+	off := o.byID[codec.IdentOf(entryID)] // 0, which no entry has, when the outbox does not hold it
 	o.mu.Unlock()
 	return o.AckRuns(consumer, []Run{{Lo: off, Hi: off}})
 }
@@ -452,7 +459,7 @@ func (o *Outbox) RegisterConsumer(id string) error {
 	}
 	cs := newCursor(o.base - 1)
 	for off := o.base; off <= o.last(); off++ {
-		if o.slot(off).Offset == 0 { // retired before this consumer came
+		if o.slot(off).offset == 0 { // retired before this consumer came
 			cs.acked.Add(off, off, 0)
 		}
 	}
@@ -537,7 +544,8 @@ func (o *Outbox) AckRuns(consumer string, runs []Run) error {
 // Pending returns, in append (offset) order, the entries the consumer
 // has not acknowledged, walking from its frontier, so the cost is what
 // it has in flight and not what the outbox holds. The payloads are
-// copies, in one buffer, that the caller owns.
+// copies, in one buffer, that the caller owns, and each ID is its
+// identity's text, rendered here.
 func (o *Outbox) Pending(consumer string) ([]Entry, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -551,9 +559,9 @@ func (o *Outbox) Pending(consumer string) ([]Entry, error) {
 	}
 	out, size := make([]Entry, 0, end-from), 0
 	for off := from; off < end; off++ {
-		if e := o.slot(off); e.Offset != 0 && !cs.acked.Has(off) {
-			out = append(out, e.Entry)
-			size += len(e.Payload)
+		if e := o.slot(off); e.offset != 0 && !cs.acked.Has(off) {
+			out = append(out, Entry{ID: e.id.Text(), Payload: e.payload, Offset: off})
+			size += len(e.payload)
 		}
 	}
 	buf := make([]byte, 0, size)

@@ -49,20 +49,20 @@ type Stager interface {
 // its link takes it. Its members are the addresses of the durable
 // identities, and what an identity that left is owed stays in the outbox
 // (SetSubscribers); a node sent one frame per event acknowledges under
-// each identity it holds (SetDurableIDs). How much of this survives a crash is the two stores'
-// business, not the protocol's ("Durability" in the govents package
-// documentation).
+// each identity the view lists at its own address, or under its address
+// when the view lists none (SetView). How much of this survives a crash
+// is the two stores' business, not the protocol's ("Durability" in the
+// govents package documentation).
 type Certified struct {
 	*link
 	log    *durable.Outbox // publisher side: the outbox
 	stager Stager          // subscriber side: what has been received
 
 	// order is held, before mu, from reading the outbox to queueing what
-	// was read on the links: by a broadcast from the text of its ID, which
-	// texts renders, to its append, and by SetSubscribers. The disk write
-	// holds no lock the receive path or the timer takes.
+	// was read on the links: by a broadcast from reading its ID to its
+	// append, and by SetView. The disk write holds no lock the receive
+	// path or the timer takes.
 	order sync.Mutex
-	texts codec.TextBlock
 	// inc is the group's incarnation as its names carry it
 	// (certIncarnation).
 	inc uint64
@@ -121,11 +121,12 @@ func (g *Certified) SetSubscribers(subs []CertSubscriber) error { return g.SetVi
 // registered as consumers of the outbox, before any member lets go of
 // what it held back, and are owed every entry it holds; an address
 // whose identities changed has queued on its link what they are owed and
-// it does not hold, sent a RetransmitInterval later. Only with a
-// subscriber at this node's own address does a broadcast take the local
-// leg (record, self-acknowledge, deliver), and never over the transport:
-// the link to this node carries only what an identity here was owed
-// before it was.
+// it does not hold, sent a RetransmitInterval later. The identities at
+// this node's own address are the ones it acknowledges under, its
+// address when there are none. Only with a subscriber at its own address
+// does a broadcast take the local leg (record, self-acknowledge,
+// deliver), and never over the transport: the link to this node carries
+// only what an identity here was owed before it was.
 func (g *Certified) SetView(subs []CertSubscriber, unheard []string) error {
 	g.order.Lock()
 	defer g.order.Unlock()
@@ -158,6 +159,10 @@ func (g *Certified) SetView(subs []CertSubscriber, unheard []string) error {
 		}
 	}
 	g.at, g.cums = at, cums
+	g.ids = at[g.self]
+	if len(g.ids) == 0 {
+		g.ids = []string{g.self}
+	}
 	g.members.set(addrs)
 	return nil
 }
@@ -223,26 +228,22 @@ func (g *Certified) Broadcast(payload []byte) error { return g.broadcast("", pay
 // BroadcastWithID is Broadcast under a caller-chosen event identity,
 // which the outbox keys the event by, and which a subscriber stages it by
 // unless the payload is a stored record that spells another.
-func (g *Certified) BroadcastWithID(id string, payload []byte) error {
-	return g.broadcast(id, payload)
+func (g *Certified) BroadcastWithID(text string, payload []byte) error {
+	return g.broadcast(text, payload)
 }
 
-// broadcast persists the event under id, or, when id is empty, under the
-// ID eventID reads or gives it, before any transmission (write-ahead),
-// and queues it on the link of every subscribed address; the outbox and
-// the links copy what they keep, so the caller may reuse payload once
-// the call returns.
-func (g *Certified) broadcast(id string, payload []byte) error {
+// broadcast persists the event under the identity eventID gives it
+// before any transmission (write-ahead), and queues it on the link of
+// every subscribed address; the outbox and the links copy what they
+// keep, so the caller may reuse payload once the call returns.
+func (g *Certified) broadcast(text string, payload []byte) error {
 	if g.timer.Stopped() {
 		return fmt.Errorf("multicast: certified %s: closed", g.stream)
 	}
 	var few [4]linkFrame
 	frames := few[:0]
 	g.order.Lock()
-	if id == "" {
-		id = g.eventID(payload)
-	}
-	sent := linkID(id, payload)
+	id, sent := g.eventID(text, payload)
 	// No Origin on the frame: there is no relay. The frame is checked at
 	// its widest before the outbox takes the event, which it would owe
 	// for ever, even with no remote subscriber now: the outbox owes an
@@ -253,7 +254,7 @@ func (g *Certified) broadcast(id string, payload []byte) error {
 		g.order.Unlock()
 		return fmt.Errorf("multicast: certified %s: %w", g.stream, err)
 	}
-	off, err := g.log.Add(durable.Entry{ID: id, Payload: payload})
+	off, err := g.log.AddIdent(id, payload)
 	if err != nil {
 		g.order.Unlock()
 		return fmt.Errorf("multicast: certified %s: persist: %w", g.stream, err)
@@ -273,7 +274,7 @@ func (g *Certified) broadcast(id string, payload []byte) error {
 	}
 	// The local leg of a node subscribed to its own class: record as a
 	// received event is, acknowledge to ourselves, deliver in-process.
-	fresh, err := g.stager.StageIdent(codec.IdentOf(id), g.self, payload)
+	fresh, err := g.stager.StageIdent(id, g.self, payload)
 	if err != nil {
 		return fmt.Errorf("multicast: certified %s: stage local: %w", g.stream, err)
 	}
@@ -281,7 +282,7 @@ func (g *Certified) broadcast(id string, payload []byte) error {
 	for _, durableID := range local {
 		if err := g.log.AckRuns(durableID, run[:]); err != nil { // still owed
 			g.opts.Logger.Warn("multicast: certified self-acknowledgement failed",
-				"stream", g.stream.name, "subscriber", durableID, "id", id, "err", err)
+				"stream", g.stream.name, "subscriber", durableID, "id", id.Text(), "err", err)
 		}
 	}
 	if fresh && g.upcall.post(queuedMsg{origin: g.self, epoch: g.stream.epoch, payload: payload}) {
@@ -290,18 +291,21 @@ func (g *Certified) broadcast(id string, payload []byte) error {
 	return nil
 }
 
-// eventID returns the ID the outbox keys payload by: the ID its stored
-// record spells, a slice of texts' block when it is a Name's text, or
-// else a name the group gives it. Caller holds order.
-func (g *Certified) eventID(payload []byte) string {
+// eventID returns the identity the outbox keys payload by, and the ID
+// its data frames carry (linkID): text's, if the caller chose one; else
+// the one its stored record spells, which the frames leave to the
+// record; else a name the group gives it, which they carry. Caller holds
+// order.
+func (g *Certified) eventID(text string, payload []byte) (codec.Ident, string) {
+	if text != "" {
+		return codec.IdentOf(text), linkID(text, payload)
+	}
 	if b, ok := codec.StoredID(payload); ok && len(b) > 0 {
-		if name, ok := codec.ParseName(b); ok {
-			return g.texts.Text(name)
-		}
-		return string(b)
+		return codec.IdentOf(b), ""
 	}
 	inc, n := g.NextName()
-	return g.texts.Text(codec.Name{Inc: inc, N: n})
+	name := codec.Name{Inc: inc, N: n}
+	return codec.Ident{Name: name}, name.String()
 }
 
 // linkID is the ID a data frame carries for the event id: none when its
@@ -316,18 +320,6 @@ func linkID(id string, payload []byte) string {
 
 // OutboxLen returns how many entries the outbox holds.
 func (g *Certified) OutboxLen() int { return g.log.Len() }
-
-// SetDurableIDs sets the durable identities this node acknowledges
-// under: those of its subscriptions to the class. With none it
-// acknowledges under its address.
-func (g *Certified) SetDurableIDs(ids []string) {
-	if len(ids) == 0 {
-		ids = []string{g.self}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.ids = ids
-}
 
 // Pause holds every delivery after the one in progress; incoming events
 // continue to be staged and acknowledged, and are listed until Resume.

@@ -212,7 +212,7 @@ func TestCertifiedSelfSubscribedPublisher(t *testing.T) {
 			gp := NewCertified(pub.mux, "cls", log, in, pub.record, opts)
 			defer gp.Close()
 			gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), sub.record, subOpts)
-			gs.SetDurableIDs([]string{"tenant"})
+			ackUnder(t, gs, "sub", "tenant")
 			defer gs.Close()
 			err := gp.SetSubscribers([]CertSubscriber{
 				{DurableID: "tenant", Addr: "sub"},
@@ -590,8 +590,8 @@ func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
 	defer ga.Close()
 	gb := NewCertified(b.mux, "cls", durable.NewMemOutbox(), durable.NewMemInbox(), b.record, opts)
 	defer gb.Close()
-	ga.SetDurableIDs([]string{"y"})
-	gb.SetDurableIDs([]string{"y"})
+	ackUnder(t, ga, "a", "y")
+	ackUnder(t, gb, "b", "y")
 	var want []string
 	publish := func(n int) {
 		t.Helper()
@@ -620,7 +620,7 @@ func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
 	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "away"})
 	publish(10)
 	advanceUntil(t, net, clk, "y served at b", func() bool { return b.count() == 10 && owed("y") == 0 })
-	gb.SetDurableIDs([]string{"y", "z"})
+	ackUnder(t, gb, "b", "y", "z")
 	subscribe(CertSubscriber{"y", "b"}, CertSubscriber{"z", "b"})
 	advanceUntil(t, net, clk, "the outbox acknowledged and emptied", func() bool { return log.Len() == 0 })
 	advance(net, clk, 4*opts.RetransmitInterval) // a redelivery would land by now
@@ -628,6 +628,19 @@ func TestCertifiedIdentityMovedOntoAPassedLink(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("b delivered %d events, want each of the %d z was owed once: %v", len(got), len(want), got)
+	}
+}
+
+// ackUnder gives a subscriber's group at addr the view of itself that
+// lists ids at addr: the identities it acknowledges under.
+func ackUnder(t *testing.T, g *Certified, addr string, ids ...string) {
+	t.Helper()
+	subs := make([]CertSubscriber, len(ids))
+	for i, id := range ids {
+		subs[i] = CertSubscriber{DurableID: id, Addr: addr}
+	}
+	if err := g.SetSubscribers(subs); err != nil {
+		t.Fatal(err)
 	}
 }
 

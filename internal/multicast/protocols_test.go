@@ -609,7 +609,7 @@ func TestCertifiedDeliversAfterSubscriberRestart(t *testing.T) {
 	defer gp.Close()
 	subDedup := durable.NewMemInbox() // survives the "crash" (stable storage)
 	gs := NewCertified(sub.mux, "cls", durable.NewMemOutbox(), subDedup, sub.record, fastOpts())
-	gs.SetDurableIDs([]string{"durable-sub"})
+	ackUnder(t, gs, "sub", "durable-sub")
 	defer gs.Close()
 
 	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "durable-sub", Addr: "sub"}}); err != nil {
@@ -683,7 +683,7 @@ func TestCertifiedSubscriberMovesAddress(t *testing.T) {
 	defer gp.Close()
 	dedup := durable.NewMemInbox()
 	gs1 := NewCertified(sub1.mux, "cls", durable.NewMemOutbox(), dedup, sub1.record, fastOpts())
-	gs1.SetDurableIDs([]string{"tenant-7"})
+	ackUnder(t, gs1, "sub1", "tenant-7")
 	_ = gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant-7", Addr: "sub1"}})
 
 	_ = gp.Broadcast([]byte("m1"))
@@ -697,7 +697,7 @@ func TestCertifiedSubscriberMovesAddress(t *testing.T) {
 
 	sub2 := newTestNode(t, net, "sub2")
 	gs2 := NewCertified(sub2.mux, "cls", durable.NewMemOutbox(), dedup, sub2.record, fastOpts())
-	gs2.SetDurableIDs([]string{"tenant-7"})
+	ackUnder(t, gs2, "sub2", "tenant-7")
 	defer gs2.Close()
 	_ = gp.SetSubscribers([]CertSubscriber{{DurableID: "tenant-7", Addr: "sub2"}})
 

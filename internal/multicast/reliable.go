@@ -87,7 +87,7 @@ type link struct {
 	bcast    uint64              // broadcasts issued; names a broadcast across its links
 	out      map[string]*outLink // destination -> what it has not acknowledged
 	in       map[string]*inLink  // origin -> what has been received from it
-	ids      []string            // what each acknowledgement names: a certified link's identities
+	ids      []string            // what each acknowledgement names: a certified link's identities (Certified.SetView)
 	observer PruneObserver       // optional pruning counters sink
 
 	// tickFrames is the cleared slice of what a tick last sent, kept for

@@ -1,6 +1,7 @@
 package govents
 
 import (
+	"cmp"
 	"log/slog"
 	"time"
 
@@ -79,20 +80,20 @@ type DurabilityTuning struct {
 
 // Placement selects where migratable remote filters are evaluated
 // (paper §2.3.2, §3.3.3).
-type Placement int
+type Placement = dace.Placement
 
 const (
 	// AtSubscriber ships every matching-typed obvent to the
 	// subscriber's node, which filters locally (the unoptimized
 	// baseline).
-	AtSubscriber Placement = iota + 1
+	AtSubscriber = dace.AtSubscriber
 	// AtPublisher evaluates migrated filters at the publishing node
 	// and sends only to nodes with at least one passing subscription,
 	// saving bandwidth. Unordered classes prune per message; ordered
 	// classes prune through the interest-aware multicast protocols
 	// (package doc, "Interest-aware multicast"); certified classes
 	// address their durable subscribers explicitly.
-	AtPublisher
+	AtPublisher = dace.AtPublisher
 )
 
 // Tuning adjusts the dissemination protocol timers. The zero value
@@ -322,12 +323,8 @@ func (c *config) distributedOnly() []string {
 // opened durability manager (nil without WithDurability) — all built by
 // Open and shared with the engine.
 func (c *config) daceConfig(tele *telemetry.Plane, log *slog.Logger, dur *durable.Manager) dace.Config {
-	placement := dace.AtPublisher
-	if c.placement == AtSubscriber {
-		placement = dace.AtSubscriber
-	}
 	return dace.Config{
-		Placement: placement,
+		Placement: cmp.Or(c.placement, AtPublisher),
 		Durable:   dur,
 		AdTTL:     c.adTTL,
 		Telemetry: tele,
