@@ -849,31 +849,15 @@ func BenchmarkFilterEvaluate(b *testing.B) {
 // program (package accessor). "field" is a promoted struct field
 // (Price, reached through the embedded StockObvent); "method" is the
 // paper's encapsulated accessor form (GetPrice). The compiled method
-// row is the reflective Method(i) step, which is what a class no
-// generic Subscribe call has named gets (run with -run='^$', so no test
-// subscribes StockQuote first); "typed/method" is the direct call a
-// subscribed class gets (accessor.Register). Part of the dispatch CI
-// family; cmd/benchjson archives it into BENCH_dispatch.json.
+// row is the direct call every class's value-receiver accessor with a
+// basic result gets from its getter table (package accessor), built
+// when the path compiles: no subscription needs to name the class.
+// Part of the dispatch CI family; cmd/benchjson archives it into
+// BENCH_dispatch.json.
 func BenchmarkAccessor(b *testing.B) {
 	q := workload.StockQuote{StockObvent: workload.StockObvent{Company: "Telco Mobiles", Price: 80, Amount: 1}}
 	rv := reflect.ValueOf(q)
 	var boxed any = q
-	b.Run("typed/method", func(b *testing.B) {
-		type typedQuote struct{ workload.StockQuote }
-		accessor.Register[typedQuote]()
-		var ev any = typedQuote{q}
-		prog, err := accessor.Compile(reflect.TypeOf(ev), []string{"GetPrice"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Constant(ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, path := range []struct {
 		name string
 		segs []string

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"govents"
+	"govents/filter"
 	"govents/internal/clock"
 	"govents/netsim"
 	"govents/obvent"
@@ -222,5 +223,46 @@ func TestFIFOWirePathAllocsPerEvent(t *testing.T) {
 		func(d *govents.Domain, seq int64) error { return d.Publish(ctx, flatFIFO{Seq: seq, A: 1.5}) })
 	if r.bytes > 310 || r.allocs > 6.9 {
 		t.Errorf("one flat FIFO event costs %.0f bytes and %.1f allocations, want <= 310 and <= 6.9", r.bytes, r.allocs)
+	}
+}
+
+// keyedFIFO is flatFIFO with the accessor the benchmark's migratable
+// filters name (paper LP2).
+type keyedFIFO struct {
+	obvent.Base
+	obvent.FIFOOrderBase
+	Seq        int64
+	Key        int32
+	A, B, C, D float64
+}
+
+func (e keyedFIFO) GetKey() int64 { return int64(e.Key) }
+
+// TestFilteredRoutingAllocsPerEvent pins what a migratable filter costs
+// the publisher that evaluates it (AtPublisher, the default placement).
+// The publisher routes on the value it published, which decoding its
+// payload would give back, and calls the accessor the filter names
+// directly, so a GetKey < k filter that every event passes costs what no
+// filter costs, within 0.05 allocations and 8 B. While routing decoded
+// the payload into a fresh box to call the accessor on, the gap read 1.0
+// allocation and 45 B.
+func TestFilteredRoutingAllocsPerEvent(t *testing.T) {
+	ctx := context.Background()
+	reading := func(f *filter.Expr) pinReading {
+		return allocsPerEvent(t,
+			func() []govents.Option { return nil },
+			func(d *govents.Domain, got *atomic.Int64) error {
+				_, err := govents.Subscribe(d, f, func(keyedFIFO) { got.Add(1) })
+				return err
+			},
+			func(d *govents.Domain, seq int64) error {
+				return d.Publish(ctx, keyedFIFO{Seq: seq, Key: int32(seq % 100), A: 1.5})
+			})
+	}
+	plain := reading(nil)
+	filtered := reading(filter.Path("GetKey").Lt(filter.Int(100)))
+	if filtered.allocs > plain.allocs+0.05 || filtered.bytes > plain.bytes+8 {
+		t.Errorf("a GetKey filter costs %.0f bytes and %.2f allocations per event, no filter %.0f and %.2f; want within 8 B and 0.05",
+			filtered.bytes, filtered.allocs, plain.bytes, plain.allocs)
 	}
 }

@@ -30,16 +30,27 @@
 // A filter reads an obvent through accessor methods and fields, as the
 // paper's filters call q.getPrice() (LP2, §3.3.4); each path is
 // compiled once per class. An accessor is a plain call, with no
-// reflection and no allocation, when this process named its class in a
-// generic call (Subscribe and its variants, SubscribeDurable) and it
-// has a value receiver, no parameters and an unnamed basic result
-// (bool, string, an int, uint or float kind). Any other accessor is a
+// reflection and no allocation, when it has a value receiver, no
+// parameters and an unnamed basic result (bool, string, an int, uint or
+// float kind): the class's table of such calls is built from its type
+// the first time a path compiles against it, so no generic call needs
+// to name the class, and a publisher-only node evaluating its
+// subscribers' filters calls them directly too. Any other accessor is a
 // reflect call: a named result such as type Price float64, an accessor
-// on a nested value, and every accessor on a node that never names the
-// class, such as a publisher-only node evaluating its subscribers'
-// filters. Both calls give the same value, so accessors must be pure
-// either way, and one that panics fails its condition either way: the
-// filtering host ships the event (fail-open), the subscriber drops it.
+// on a nested value, and every accessor of a class an interface holds
+// by value (a pointer, or a struct of one pointer field). Both calls
+// give the same value, so accessors must be pure either way, and one
+// that panics fails its condition either way: the filtering host ships
+// the event (fail-open), the subscriber drops it.
+//
+// A publisher evaluates its subscribers' filters on the value a
+// subscriber will decode. When that is the value it published (a
+// class published by value, with no pointer, slice, map or interface
+// in it, every field exported, no marshaler and no float32), it routes
+// on that value without decoding its own payload. Otherwise it decodes:
+// an accessor reading an unexported field, a field whose marshaler
+// drops state, or a pointer-receiver accessor of a class published as a
+// pointer sees, at the publisher, what every subscriber will see.
 //
 // # Activation is not a barrier
 //

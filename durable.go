@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"govents/internal/accessor"
 	"govents/internal/clock"
 	"govents/internal/codec"
 	"govents/internal/core"
@@ -41,7 +40,6 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 	if d.node == nil || d.dur == nil {
 		return nil, fmt.Errorf("%w: %w", ErrCannotSubscribe, ErrNoDurability)
 	}
-	accessor.Register[T]()
 	t := obvent.TypeOf[T]()
 	var typeName string
 	if t.Kind() == reflect.Struct {

@@ -24,17 +24,21 @@
 // unchanged — equivalence with the reflective oracle is property-tested
 // over randomized values and paths.
 //
-// An accessor-method segment is a reflect Call, with its allocations,
-// except where a generic subscribe call named the root class T
-// (Register[T]): a path naming a value-receiver, niladic accessor of T
-// with an unnamed basic result (bool, string, an int or uint kind,
-// float32, float64) is a direct call on the event's interface value,
-// with no allocation. Named results (type Price float64), accessors on
-// nested values and every class the process never named — a
-// publisher-only node's, say — keep the reflective step. Both give the
-// same constant and the same error, a panicking accessor's included, so
-// purity, fail-open outcomes and panic handling do not depend on which
-// runs.
+// A one-segment path naming a value-receiver, niladic accessor with an
+// unnamed basic result (bool, string, an int or uint kind, float32,
+// float64) is a direct call, with no allocation and no reflect Call:
+// Compile builds the root class's getter table once, from its
+// reflect.Type alone, so every class gets direct calls, the classes of
+// a publisher-only node that evaluates its subscribers' filters
+// included. A getter calls the pointer method (*T).M, the wrapper Go
+// generates for a value method, on the address the event's interface
+// holds; this is the package's one use of unsafe. Named results (type
+// Price float64), accessors on nested values, and pointer-shaped
+// classes (a pointer, or a struct holding one pointer and nothing
+// else, which an interface holds by value, not by address) keep the
+// reflective step. Both give the same constant and the same error, a
+// panicking accessor's included, so purity, fail-open outcomes and
+// panic handling do not depend on which runs.
 package accessor
 
 import (
@@ -53,7 +57,8 @@ type Program struct {
 	path  string
 	steps []step
 	// direct is the root's getter for a one-segment accessor path, if
-	// Register built one; Constant calls it instead of the steps.
+	// its table has one (gettersFor); Constant calls it instead of the
+	// steps.
 	direct getter
 }
 
@@ -122,8 +127,8 @@ func Compile(root reflect.Type, path []string) (*Program, error) {
 			return nil, err
 		}
 	}
-	if table, ok := getters.Load(root); ok && len(path) == 1 {
-		p.direct = table.(map[string]getter)[path[0]]
+	if len(path) == 1 {
+		p.direct = gettersFor(root)[path[0]]
 	}
 	return p, nil
 }

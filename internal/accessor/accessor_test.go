@@ -352,12 +352,12 @@ func TestFieldProgramZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMethodProgramFewerAllocsThanNameLookup pins the reflective
-// method step's win: on a class no Register call has seen (event is
-// never registered), a compiled Method(i) call must stay strictly
-// cheaper than the MethodByName resolution it replaces. This step still
-// allocates for its reflect Call; a registered class's accessor with a
-// basic result resolves with none (TestTypedAccessorZeroAllocs).
+// TestMethodProgramFewerAllocsThanNameLookup pins the compiled method
+// path's win: a compiled accessor call must stay strictly cheaper than
+// the MethodByName resolution it replaces. GetCompany has a basic
+// result, so it is a direct call with no allocation
+// (TestTypedAccessorZeroAllocs); the reflective step's own cost is
+// TestMethodStepAllocs'.
 func TestMethodProgramFewerAllocsThanNameLookup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

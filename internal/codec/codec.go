@@ -98,6 +98,10 @@ type Envelope struct {
 	// PubNanos > 0.
 	PubNanos int64
 
+	// value is the obvent EncodeFrom encoded into Payload, kept when
+	// decoding Payload gives it back (Value); nil otherwise.
+	value obvent.Obvent
+
 	// room is the buffer Encode wrote Payload into, behind headroom for
 	// the record's header (Seal); nil for an envelope Encode did not
 	// make. A copy of the envelope shares it, and the claim on it.
@@ -118,6 +122,14 @@ var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
 // maxKeptPayload bounds the buffer a pooled envelope keeps: a rare large
 // event does not pin its buffer in the pool.
 const maxKeptPayload = 64 << 10
+
+// Value returns the obvent EncodeFrom encoded into the envelope's
+// payload when decoding the payload would give back that very value: the
+// obvent was published as a value, not a pointer, of a class whose
+// encoding is exact (wire.Exact). It is nil for any other envelope, a
+// decoded one included.
+// A publisher routes on it instead of decoding what it just encoded.
+func (e *Envelope) Value() obvent.Obvent { return e.value }
 
 // IDText returns the publication's name as text (Ident.Text).
 func (e *Envelope) IDText() string { return Ident{Name: e.Name, ID: e.ID}.Text() }
@@ -196,9 +208,12 @@ func (c *Codec) EncodeFrom(publisher string, o obvent.Obvent) (*Envelope, error)
 	if head, err := headerSize(env, recordFlags(env, false)); err == nil {
 		off = head + nameText - 1 + rec.UvarintLen(maxEnvelopePayload)
 	}
-	buf, err := c.encodePayload(enc.room.buf, o, off)
+	buf, exact, err := c.encodePayload(enc.room.buf, o, off)
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode %s: %w", name, err)
+	}
+	if exact {
+		env.value = o
 	}
 	env.Payload = buf[off:]
 	enc.room.buf, enc.room.off, enc.room.enc = buf, off, enc

@@ -502,7 +502,7 @@ func TestEncodeAlternatingSizesAllocs(t *testing.T) {
 	encode := func(pair ...obvent.Obvent) func() {
 		return func() {
 			for _, o := range pair {
-				if _, err := c.encodePayload(nil, o, 0); err != nil {
+				if _, _, err := c.encodePayload(nil, o, 0); err != nil {
 					t.Fatal(err)
 				}
 			}

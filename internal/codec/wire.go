@@ -38,6 +38,10 @@ type wireEntry struct {
 	// flat reports that a value copy of the class is a deep copy, so
 	// every clone of one payload can be the same box (CloneSource).
 	flat bool
+	// exact reports that decoding an encoding of the class gives back
+	// the value encoded (wire.Exact), so an envelope of a value published
+	// as it is can carry that value (Envelope.Value).
+	exact bool
 	// size and prevSize are the longest encodings of the class in the
 	// current and the previous window of sizeWindow encodes (counted by
 	// encodes). The next buffer has room for the longer: an event a
@@ -82,7 +86,7 @@ func (c *Codec) wireEntryFor(t reflect.Type) *wireEntry {
 		return v.(*wireEntry)
 	}
 	p, err := wire.Compile(t, c.reg)
-	e := &wireEntry{prog: p, err: err, flat: isFlat(t)}
+	e := &wireEntry{prog: p, err: err, flat: isFlat(t), exact: wire.Exact(t)}
 	if v, loaded := c.wireProgs.LoadOrStore(t, e); loaded {
 		return v.(*wireEntry)
 	}
@@ -107,26 +111,28 @@ func (c *Codec) Compile(o obvent.Obvent) error {
 // encodePayload serializes o with its class's compiled program, behind
 // off bytes of room: the payload is buf[off:]. It writes into dst's
 // storage when that holds what the class's recent encodings took.
-func (c *Codec) encodePayload(dst []byte, o obvent.Obvent, off int) ([]byte, error) {
+// exact reports that o is a value of an exact class, not a pointer to
+// one: decoding the payload gives back o itself.
+func (c *Codec) encodePayload(dst []byte, o obvent.Obvent, off int) (buf []byte, exact bool, err error) {
 	v := reflect.ValueOf(o)
+	byValue := v.Kind() != reflect.Pointer
 	for v.Kind() == reflect.Pointer {
 		v = v.Elem()
 	}
 	e := c.wireEntryFor(v.Type())
 	if e.prog == nil {
-		return nil, e.err
+		return nil, false, e.err
 	}
-	buf := dst[:0]
+	buf = dst[:0]
 	if size := off + int(max(e.size.Load(), e.prevSize.Load())); cap(buf) < size {
 		buf = make([]byte, 0, size)
 	}
-	buf, err := e.prog.Append(buf[:off], v)
-	if err != nil {
-		return nil, err
+	if buf, err = e.prog.Append(buf[:off], v); err != nil {
+		return nil, false, err
 	}
 	c.wireEncodes.Add(1)
 	e.noteSize(int64(len(buf) - off))
-	return buf, nil
+	return buf, byValue && e.exact, nil
 }
 
 const sizeWindow = 256

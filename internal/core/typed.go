@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"govents/internal/accessor"
 	"govents/internal/filter"
 	"govents/internal/obvent"
 )
@@ -104,14 +103,11 @@ func SubscribeLocal[T obvent.Obvent](e *Engine, pred func(T) bool, handler func(
 // SubscribeFiltered combines a migratable filter with an additional
 // local predicate; the remote filter prunes traffic at filtering hosts,
 // the local predicate applies the residual opaque logic at the
-// subscriber. Every typed subscription but a durable one is made here,
-// and it turns T's accessors into direct calls for this process's
-// filters (accessor.Register).
+// subscriber. Every typed subscription but a durable one is made here.
 func SubscribeFiltered[T obvent.Obvent](e *Engine, f *filter.Expr, pred func(T) bool, handler func(T)) (*Subscription, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
-	accessor.Register[T]()
 	t := obvent.TypeOf[T]()
 	var local func(obvent.Obvent) bool
 	if pred != nil {

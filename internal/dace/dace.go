@@ -754,15 +754,16 @@ func (n *Node) markWrite(t1 int64) {
 // destScratch is the pooled per-publication destination buffer. The
 // closure is created once per scratch and captures the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
-// allocates neither a closure nor decode state; src is reset after every
-// event. env is the envelope a sequencer's planner decodes a record
-// into.
+// allocates neither a closure nor decode state; src and value are reset
+// after every event. env is the envelope a sequencer's planner decodes
+// a record into.
 type destScratch struct {
-	ids  []string
-	send [1]multicast.Send // the one Send of a routed publication
-	src  codec.CloneSource
-	full func() (any, error)
-	env  codec.Envelope
+	ids   []string
+	send  [1]multicast.Send // the one Send of a routed publication
+	src   codec.CloneSource
+	value any // the envelope's own Value, routed on instead of a decode
+	full  func() (any, error)
+	env   codec.Envelope
 }
 
 // putDest pools a scratch with its envelope zeroed, pinning no record.
@@ -779,8 +780,10 @@ func (n *Node) putDest(buf *destScratch) {
 // subscription. The payload is evaluated lazily: the plan reads only
 // the fields it references straight off the wire bytes and the event is
 // materialized only when some referenced path needs a method accessor
-// or goes into a marshaled field. An undecodable event fails open to
-// all candidates (each subscriber's local pass decides).
+// or goes into a marshaled field; an envelope that carries the value it
+// was encoded from (codec.Envelope.Value) materializes as that value,
+// with no decode. An undecodable event fails open to all candidates
+// (each subscriber's local pass decides).
 func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []string) []string {
 	if n.cfg.Placement != AtPublisher {
 		return n.routes.NodesFor(env.Type, dst)
@@ -789,11 +792,17 @@ func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []stri
 		return n.routes.Destinations(env.Type, nil, dst)
 	}
 	if buf.full == nil {
-		buf.full = func() (any, error) { return buf.src.Clone() }
+		buf.full = func() (any, error) {
+			if buf.value != nil {
+				return buf.value, nil
+			}
+			return buf.src.Clone()
+		}
 	}
+	buf.value = env.Value()
 	wp, payload, _ := buf.src.Wire()
 	dst = n.routes.DestinationsWire(env.Type, wp, payload, buf.full, dst)
-	buf.src = codec.CloneSource{}
+	buf.src, buf.value = codec.CloneSource{}, nil
 	return dst
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"govents/internal/accessor"
 	"govents/internal/allocs"
 	"govents/internal/filter"
 	"govents/internal/wire"
@@ -27,10 +26,6 @@ type quote struct {
 func (q quote) GetPrice() float64 { return q.Price }
 
 func (q quote) GetCompany() string { return q.Company }
-
-// typedQuote is quote as a class some subscriber named in a generic
-// Subscribe call, which registers its accessors (accessor.Register).
-type typedQuote struct{ quote }
 
 // build returns a compound over filters, failing the test on a
 // validation error.
@@ -407,9 +402,6 @@ func TestMatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	// What Subscribe[typedQuote] does on a node: GetPrice becomes a
-	// direct call.
-	accessor.Register[typedQuote]()
 	filters := map[string]*filter.Expr{}
 	for i := 0; i < 100; i++ {
 		c2 := float64((i % 10) * 30)
@@ -420,7 +412,7 @@ func TestMatchSteadyStateAllocs(t *testing.T) {
 		)
 	}
 	c := build(t, filters)
-	var ev any = typedQuote{quote{Company: "Telco", Price: 75, Amount: 5}}
+	var ev any = quote{Company: "Telco", Price: 75, Amount: 5}
 	buf := make([]string, 0, 128)
 	buf = c.MatchAppend(ev, buf[:0]) // warm scratch pool and caches
 	n := allocs.PerRun(200, func() {
@@ -494,20 +486,24 @@ func TestMatchAppendFailOpen(t *testing.T) {
 }
 
 // viaPointer and typedViaPointer promote quote's accessors through a
-// nil-able embedded pointer: with it nil, GetPrice panics. Only
-// typedViaPointer is registered, so its accessors are direct calls.
+// nil-able embedded pointer: with it nil, GetPrice panics. viaPointer
+// holds the pointer and nothing else, so an interface holds it by value
+// and its accessors keep the reflective step; typedViaPointer holds one
+// more field, so an interface holds its address and its accessors are
+// direct calls.
 type (
 	viaPointer      struct{ *quote }
-	typedViaPointer struct{ *quote }
+	typedViaPointer struct {
+		*quote
+		pad int
+	}
 )
 
-// TestTypedAccessorMatchesReflective checks that a registered class
-// (direct accessor calls) and an unregistered twin (reflective steps)
-// match the same entries, strict and fail-open, including when the
+// TestTypedAccessorMatchesReflective checks that a class with direct
+// accessor calls and a pointer-shaped twin (reflective steps) match the same entries, strict and fail-open, including when the
 // accessor panics through a nil embedded pointer; strict matching also
 // agrees with per-entry filter.Evaluate.
 func TestTypedAccessorMatchesReflective(t *testing.T) {
-	accessor.Register[typedViaPointer]()
 	c := build(t, map[string]*filter.Expr{
 		"lt":  filter.Path("GetPrice").Lt(filter.Float(100)),
 		"not": filter.Not(filter.Path("GetPrice").Lt(filter.Float(100))),
@@ -515,7 +511,7 @@ func TestTypedAccessorMatchesReflective(t *testing.T) {
 		"and": filter.And(filter.False(), filter.Path("GetPrice").Lt(filter.Float(1))),
 	})
 	for _, q := range []*quote{nil, {Company: "Acme", Price: 10}, {Company: "Telco", Price: 500}, {Price: 75}} {
-		var typed, reflective any = typedViaPointer{q}, viaPointer{q}
+		var typed, reflective any = typedViaPointer{quote: q}, viaPointer{q}
 		want := c.MatchNaive(reflective)
 		sort.Strings(want)
 		if got := c.Match(typed); !reflect.DeepEqual(got, c.Match(reflective)) || !reflect.DeepEqual(got, want) {

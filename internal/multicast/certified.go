@@ -63,6 +63,12 @@ type Certified struct {
 	// append, and by SetView. The disk write holds no lock the receive
 	// path or the timer takes.
 	order sync.Mutex
+	// resending is held, before mu, by a tick from checking that a
+	// retransmission is still owed to sending it (transmitOwed), and by
+	// book from reading what an acknowledgement names to settling it: no
+	// entry is resent once the outbox holds its acknowledgement. A book
+	// waits for one frame's send at most.
+	resending sync.Mutex
 	// inc is the group's incarnation as its names carry it
 	// (certIncarnation).
 	inc uint64
@@ -381,6 +387,8 @@ func (g *link) stage(l *inLink, m *message, msg queuedMsg) (queuedMsg, bool) {
 // link resends what it names.
 func (g *Certified) book(from string, m *message) {
 	var few [4]durable.Run
+	g.resending.Lock()
+	defer g.resending.Unlock()
 	g.mu.Lock()
 	l := g.out[from]
 	if l == nil || !slices.Contains(g.at[from], m.Origin) {
@@ -414,6 +422,31 @@ func (g *Certified) book(from string, m *message) {
 	}
 	l.settle(1, m.Seq)
 	seqset.EachRun(m.Payload, m.Seq, l.settle)
+}
+
+// transmitOwed is transmit for a tick of a certified link: a
+// retransmission goes out only if its entry is still unsettled as it is
+// sent, which no acknowledgement can change meanwhile (resending). A
+// tick builds its batch under mu and sends it outside mu, so an
+// acknowledgement the batch's first frames draw may be booked before
+// its last frames go.
+func (g *Certified) transmitOwed(frames []linkFrame) {
+	for i := range frames {
+		f := &frames[i]
+		if f.msg.Kind != kindData {
+			_ = g.mux.sendMessage(f.addr, g.stream, &f.msg)
+			continue
+		}
+		g.resending.Lock()
+		g.mu.Lock()
+		l := g.out[f.addr]
+		owed := l != nil && !l.settled.Has(f.msg.Seq)
+		g.mu.Unlock()
+		if owed {
+			_ = g.mux.sendMessage(f.addr, g.stream, &f.msg)
+		}
+		g.resending.Unlock()
+	}
 }
 
 // offsets appends to runs the outbox offsets of the entries that an

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -375,6 +376,71 @@ func TestCertifiedRunAcksUnderLoss(t *testing.T) {
 				t.Errorf("%d data frames for %d events with %d frames lost, want at most %d", data, msgs, dropped, limit)
 			}
 		})
+	}
+}
+
+// TestCertifiedResendSkipsWhatAnAckBooksMidTick is the interleaving
+// behind TestCertifiedRunAcksUnderLoss's rare "data frames sent for
+// entries the outbox had an acknowledgement of", made deterministic: a
+// tick has built its batch of resends (sequences 1 and 2), and while it
+// sends the first, an acknowledgement of both arrives. The publisher
+// must not send the second once the outbox holds its acknowledgement:
+// the acknowledgement is booked after the send, or the send is skipped.
+func TestCertifiedResendSkipsWhatAnAckBooksMidTick(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	pub, pubTap := newTapNode(t, net, "pub")
+	sub := newTestNode(t, net, "sub")              // runs no group: the test is the subscriber
+	sub.mux.Handle("cls", func(string, []byte) {}) // but numbers the publisher's incarnation
+	log := durable.NewMemOutbox()
+	opts, clk := fakeOpts()
+	gp := NewCertified(pub.mux, "cls", log, durable.NewMemInbox(), pub.record, opts)
+	defer gp.Close()
+	if err := gp.SetSubscribers([]CertSubscriber{{DurableID: "sub", Addr: "sub"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := gp.Broadcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Settle()
+	num := number(gp.mux, gp.stream, "sub")
+	if num == 0 {
+		t.Fatal("the subscriber's node numbered no incarnation of the group")
+	}
+
+	var resent, resentAcked int
+	pubTap.onData = func(m *message) { // runs inside the publisher's Send
+		resent++
+		if !pending(log, "sub", m.ID) {
+			resentAcked++
+		}
+		if m.Seq != 1 {
+			return
+		}
+		ack := message{Kind: kindAck, Origin: "sub", Inc: num, Seq: 2}
+		if err := sub.mux.sendMessage("pub", newStream("cls", 0), &ack); err != nil {
+			t.Error(err)
+		}
+		// Give the acknowledgement time to be booked, which it is at
+		// once unless booking waits for this send.
+		for deadline := time.Now().Add(50 * time.Millisecond); log.Len() > 0 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	for range ticksPerInterval + 1 {
+		clk.Advance(fakePeriod)
+	}
+	net.Settle()
+	if resent == 0 {
+		t.Fatal("the tick resent nothing")
+	}
+	if resentAcked != 0 {
+		t.Errorf("%d of %d resent data frames were sent for entries the outbox had an acknowledgement of", resentAcked, resent)
+	}
+	if n := gp.OutboxLen(); n != 0 {
+		t.Errorf("the outbox holds %d entries after their acknowledgement, want 0", n)
 	}
 }
 

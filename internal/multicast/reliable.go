@@ -536,7 +536,8 @@ func (g *Reliable) Outstanding() int {
 // whose destination has left the membership is dropped instead, and
 // announces the base that moved, so that its receiver, should it hear,
 // is stepped over the frames dropped. A retransmission is the link's
-// copy, sent outside mu: it holds the copy's chunk until it is sent.
+// copy, sent outside mu: it holds the copy's chunk until it is sent, and
+// on a certified link it is sent only if still owed (transmitOwed).
 // The tick re-arms the timer while a destination has not acknowledged
 // all that was queued for it, or if this tick sent an acknowledgement,
 // and leaves it idle otherwise.
@@ -584,7 +585,11 @@ func (g *link) tick() {
 		g.timer.Reset(g.period)
 	}
 	g.mu.Unlock()
-	g.transmit(frames)
+	if g.cert != nil {
+		g.cert.transmitOwed(frames)
+	} else {
+		g.transmit(frames)
+	}
 	if held {
 		g.mu.Lock()
 		for _, f := range frames {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"govents/internal/accessor"
 	"govents/internal/allocs"
 	"govents/internal/core"
 	"govents/internal/filter"
@@ -445,9 +444,6 @@ func TestDestinationsSteadyStateAllocs(t *testing.T) {
 	}
 	reg := obvent.NewRegistry()
 	reg.MustRegister(flatQuote{})
-	// What Subscribe[flatQuote] does on a node: the class's accessors
-	// with a basic result become direct calls.
-	accessor.Register[flatQuote]()
 	class := obvent.TypeName(obvent.TypeOf[flatQuote]())
 	tb := NewTable(reg)
 	for n := 0; n < 16; n++ {

@@ -200,6 +200,36 @@ func travels(f reflect.StructField) bool {
 	return t.Kind() != reflect.Chan && t.Kind() != reflect.Func
 }
 
+// Exact reports whether decoding the encoding of any value of type t
+// gives back that value bit for bit: t holds no reference kind (a
+// pointer, slice, map, interface, chan or func), every struct field in
+// it travels, and none of its types has a marshaler, whose output may
+// leave state behind. A float32 or complex64 anywhere in it does not
+// count as exact either: its bits travel through a float64, where a
+// signaling NaN comes back quiet.
+func Exact(t reflect.Type) bool {
+	if _, ok := marshalerOf(t); ok {
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float64, reflect.Complex128, reflect.String:
+		return true
+	case reflect.Array:
+		return Exact(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); !travels(f) || !Exact(f.Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // promotedAway refuses f, a field of t that does not travel, when it is
 // an unexported embedded struct (or pointer to one) holding a field that
 // would: Go promotes that field into t, where it reads as t's own (a
