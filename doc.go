@@ -786,6 +786,22 @@
 // acknowledged: in memory a frontier and the runs above it, on disk, in
 // a snapshot, the frontier and every offset above it.
 //
+// The staging inbox deduplicates a named event by its count, in the runs
+// of counts it keeps per publisher incarnation (that set once more), and
+// keeps the event's offset only while a cursor owes it: from its staging,
+// when some durable identity has a cursor then, to the acknowledgement
+// of the last cursor that owed it. An event named by an ID text that is
+// no name's (an earlier build's, such as "s0") keeps its offset for the
+// inbox's life, as every event did before. So an inbox holds
+// O(incarnations + holes + in flight) in memory, not an entry per event
+// ever staged. It keeps an incarnation's runs while it is open, after
+// Compact has dropped every record of it too, so in-process a redelivery
+// of a compacted event is still a duplicate; reopened, it rebuilds the
+// runs and the index from the records its logs hold, and knows nothing
+// of what compaction dropped. That is the rule across a compaction as it
+// was. The records did not change, so an inbox an earlier build wrote
+// opens as after any restart.
+//
 // A subscriber releases one publisher incarnation's certified events in
 // link order, which is offset order but for the backlog queued when an
 // identity comes to its address, and a restarted subscriber replays in

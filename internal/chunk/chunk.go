@@ -6,11 +6,16 @@
 // A Store copies each slice into its current chunk, behind the ones
 // copied before, and counts the copies a chunk holds. Releasing the
 // last of them recycles the chunk: the current one is emptied in place,
-// any other joins a short free list, and the collector takes the rest.
-// Copies are released in any order. A Store is not safe for concurrent
-// use: its owner's lock guards it, and a copy may be read outside that
-// lock only by a holder that has not released it yet (Hold).
+// any other joins a short free list, and the rest go to a pool that
+// every store takes from before it allocates, and that the collector
+// empties: what a burst made one store allocate serves the next burst,
+// and is not kept for ever. Copies are released in any order. A Store
+// is not safe for concurrent use: its owner's lock guards it, and a
+// copy may be read outside that lock only by a holder that has not
+// released it yet (Hold).
 package chunk
+
+import "sync"
 
 // Size is a chunk's capacity: many small copies share one. A slice
 // longer than Size gets a chunk of its own, which is not recycled.
@@ -18,6 +23,9 @@ const Size = 8 << 10
 
 // maxFree bounds the empty chunks a store keeps for reuse.
 const maxFree = 16
+
+// spare holds the empty chunks of Size that free lists had no room for.
+var spare sync.Pool
 
 // A Chunk is a buffer the copies of a store share, and how many of them
 // are not released.
@@ -65,6 +73,9 @@ func (s *Store) fresh() *Chunk {
 		s.free[k], s.free = nil, s.free[:k]
 		return c
 	}
+	if c, ok := spare.Get().(*Chunk); ok {
+		return c
+	}
 	return &Chunk{buf: make([]byte, 0, Size)}
 }
 
@@ -87,7 +98,11 @@ func (s *Store) Release(c *Chunk) {
 		return
 	}
 	c.buf = c.buf[:0]
-	if c != s.cur && cap(c.buf) == Size && len(s.free) < maxFree {
+	switch {
+	case c == s.cur || cap(c.buf) != Size: // in use again, or never recycled
+	case len(s.free) < maxFree:
 		s.free = append(s.free, c)
+	default:
+		spare.Put(c)
 	}
 }

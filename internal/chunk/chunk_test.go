@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"math/rand/v2"
+	"runtime/debug"
 	"testing"
 )
 
@@ -63,6 +64,36 @@ func TestCopyReusesChunks(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("%v allocations per copy, want 0", n)
+	}
+}
+
+// TestBurstChunksAreReused: a store that a burst grew past its free list
+// gives the chunks it has no room for to the pool, and the next burst,
+// in it or in another store, allocates none of them again, unless the
+// collector has run in between (here it does not).
+func TestBurstChunksAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b := bytes.Repeat([]byte{1}, 1000)
+	const burst = 8 * 4 * maxFree // four free lists' worth of chunks
+	burstOf := func(s *Store) func() {
+		return func() {
+			held := make([]*Chunk, 0, burst)
+			for range burst {
+				_, c := s.Copy(b)
+				held = append(held, c)
+			}
+			for _, c := range held {
+				s.Release(c)
+			}
+		}
+	}
+	var first, second Store
+	burstOf(&first)() // fills the pool
+	if n := testing.AllocsPerRun(10, burstOf(&second)); n > 1 {
+		t.Errorf("a burst in a second store allocates %v times, want only its list of copies (1)", n)
 	}
 }
 

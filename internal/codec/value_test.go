@@ -25,7 +25,7 @@ type stampedQuote struct {
 	Stamp stamp
 }
 
-// narrowQuote holds a float32, whose bits travel through a float64.
+// narrowQuote holds a float32, which travels as its own bits.
 type narrowQuote struct {
 	obvent.Base
 	Price float32
@@ -51,7 +51,7 @@ func TestEnvelopeValueOnlyForExactClasses(t *testing.T) {
 		{"published as a pointer", &quote{Company: "Acme", Price: 10}, false},
 		{"unexported field", hiddenQuote{Price: 1, secret: 5}, false},
 		{"marshaler field", stampedQuote{Price: 1, Stamp: stamp{N: 5}}, false},
-		{"float32 field", narrowQuote{Price: 1}, false},
+		{"float32 field", narrowQuote{Price: 1}, true},
 		{"slice and map fields", nested{Tags: []string{"a"}}, false},
 		{"timely (time.Time has a marshaler)", timelyQuote{Price: 1}, false},
 	} {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"govents/internal/codec"
 )
 
 // The crash enumeration runs a small workload once over a simDisk, then
@@ -38,10 +40,12 @@ type crashStep struct {
 	done    int // the number of disk records when the call returned
 }
 
-// crashWorkload is a workload's calls, on the disk they were made on.
+// crashWorkload is a workload's calls, on the disk they were made on,
+// and the IDs of the events an inbox workload staged.
 type crashWorkload struct {
 	disk  *simDisk
 	steps []crashStep
+	ids   []string
 }
 
 // call runs fn as the next step, attributing to it the one write it
@@ -80,6 +84,17 @@ var crashIDs = func() []string {
 	ids := make([]string, 20)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("e%02d", i)
+	}
+	return ids
+}()
+
+// crashNames are the texts of names, 1 to 20 of one incarnation: IDs
+// the inbox deduplicates by the runs of counts it keeps, where it keeps
+// crashIDs' offsets by their text.
+var crashNames = func() []string {
+	ids := make([]string, 20)
+	for i := range ids {
+		ids[i] = codec.Name{Inc: 0x1d, N: uint64(i + 1)}.String()
 	}
 	return ids
 }()
@@ -349,9 +364,9 @@ func values(m map[uint64]string) []string {
 // acknowledging the second first; d2's cursor, owed from the fourth
 // on; seventeen more, d1 acknowledging each at once and d2 every third
 // three at a time; Compact after the tenth, a clean reopen after the
-// fifteenth.
-func inboxWorkload(t *testing.T, policy SyncPolicy) *crashWorkload {
-	w := &crashWorkload{disk: newSimDisk()}
+// fifteenth. ids are the events' IDs, twenty of them.
+func inboxWorkload(t *testing.T, policy SyncPolicy, ids []string) *crashWorkload {
+	w := &crashWorkload{disk: newSimDisk(), ids: ids}
 	open := func() *Inbox {
 		ib, err := OpenInbox(ibData, ibAcks, crashCfg(policy, w.disk))
 		if err != nil {
@@ -379,19 +394,19 @@ func inboxWorkload(t *testing.T, policy SyncPolicy) *crashWorkload {
 	}
 
 	cursor("d1")
-	for _, id := range crashIDs[:3] {
+	for _, id := range ids[:3] {
 		stage(id)
 	}
-	ack("d1", "e01")
+	ack("d1", ids[1])
 	cursor("d2")
-	ack("d1", "e00")
-	ack("d1", "e02")
-	for i := 3; i < len(crashIDs); i++ {
-		id := crashIDs[i]
+	ack("d1", ids[0])
+	ack("d1", ids[2])
+	for i := 3; i < len(ids); i++ {
+		id := ids[i]
 		stage(id)
 		ack("d1", id)
 		if i%3 == 2 {
-			for _, prev := range crashIDs[i-2 : i+1] {
+			for _, prev := range ids[i-2 : i+1] {
 				ack("d2", prev)
 			}
 		}
@@ -529,7 +544,7 @@ func checkInbox(w *crashWorkload, policy SyncPolicy, disk *simDisk, survived, co
 		held[id] = !compacted[off]
 	}
 	var again []string
-	for _, id := range append(slices.Clone(crashIDs), "after-0", "after-1") {
+	for _, id := range append(slices.Clone(w.ids), "after-0", "after-1") {
 		fresh, err := ib.Stage(id, "pub", []byte("payload-"+id))
 		if err != nil {
 			return fmt.Errorf("stage %s: %w", id, err)
@@ -698,16 +713,21 @@ func TestCrashEnumeration(t *testing.T) {
 				t.Errorf("SyncAlways lost records after the call that wrote them returned: %v", lost)
 			}
 		})
-		t.Run("Inbox/"+name, func(t *testing.T) {
-			w := inboxWorkload(t, policy)
-			crashes, lost := crashEnumeration(t, w, policy, func(disk *simDisk, survived, compacted func(int) bool) error {
-				return checkInbox(w, policy, disk, survived, compacted)
+		for _, ids := range []struct {
+			kind string
+			ids  []string
+		}{{"Inbox/", crashIDs}, {"InboxNames/", crashNames}} {
+			t.Run(ids.kind+name, func(t *testing.T) {
+				w := inboxWorkload(t, policy, ids.ids)
+				crashes, lost := crashEnumeration(t, w, policy, func(disk *simDisk, survived, compacted func(int) bool) error {
+					return checkInbox(w, policy, disk, survived, compacted)
+				})
+				t.Logf("%d disk operations, %d crashes; at most %d staged events and %d acknowledgements lost after the call returned",
+					len(w.disk.records), crashes, lost["stage"], lost["ack"])
+				if policy == SyncAlways && len(lost) > 0 {
+					t.Errorf("SyncAlways lost records after the call that wrote them returned: %v", lost)
+				}
 			})
-			t.Logf("%d disk operations, %d crashes; at most %d staged events and %d acknowledgements lost after the call returned",
-				len(w.disk.records), crashes, lost["stage"], lost["ack"])
-			if policy == SyncAlways && len(lost) > 0 {
-				t.Errorf("SyncAlways lost records after the call that wrote them returned: %v", lost)
-			}
-		})
+		}
 	}
 }

@@ -677,9 +677,11 @@ func TestOutboxAckOfLostRecordIsNotInherited(t *testing.T) {
 
 // TestStageAckByNameAllocs pins the staging inbox's steady state: an
 // event staged and acknowledged by its name, as a certified subscriber
-// does both, allocates nothing but its share of the index's growth (a
-// few allocations per doubling, well under one per 64 events); the data
-// record's ID text is rendered into the header scratch.
+// does both, allocates nothing. The data record's ID text is rendered
+// into the header scratch, the name joins a run of counts, and its index
+// entry lasts from the staging to the acknowledgement. While the index
+// kept every name, its growth cost a few allocations per doubling (the
+// limit was one per 64 events).
 func TestStageAckByNameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -706,8 +708,8 @@ func TestStageAckByNameAllocs(t *testing.T) {
 	}
 	got := allocs.PerRun(4096, step)
 	t.Logf("%.4f allocations per event staged and acknowledged", got)
-	if got > 1.0/64 {
-		t.Errorf("Stage and Ack by name allocate %.4f times per event, want only the index's growth (<= %.4f)", got, 1.0/64)
+	if got > 1.0/1024 {
+		t.Errorf("Stage and Ack by name allocate %.4f times per event, want none (<= %.4f)", got, 1.0/1024)
 	}
 	// The text wrappers key the same pair.
 	if fresh, err := ib.Stage(name.String(), "pub", payload); err != nil || fresh {

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"govents/internal/codec"
 )
 
 // recoveryLogs are the four logs of a class, by the directory of each.
@@ -17,7 +19,9 @@ var recoveryLogs = []string{obData, obMeta, ibData, ibAcks}
 
 // recoveryDisk is a class's outbox and inbox after a little of
 // everything: registrations, appends and stagings, acknowledgements in
-// and out of order, a compaction on each side and history after it.
+// and out of order, a compaction on each side and history after it,
+// then named events of two incarnations, with a hole in the first's
+// counts and a cursor that comes after them.
 func recoveryDisk(tb testing.TB) *simDisk {
 	disk := newSimDisk()
 	cfg := SegmentConfig{SegmentBytes: 128, Sync: SyncBatch, fs: disk}
@@ -59,6 +63,19 @@ func recoveryDisk(tb testing.TB) *simDisk {
 			must(ib.Compact())
 		}
 	}
+	named := func(inc, n uint64) codec.Ident { return codec.Ident{Name: codec.Name{Inc: inc, N: n}} }
+	for _, n := range []uint64{1, 2, 3, 5, 6} {
+		_, err = ib.StageIdent(named(1, n), "pub", []byte("named"))
+		must(err)
+	}
+	_, err = ib.EnsureCursor("d3")
+	must(err)
+	for n := uint64(1); n <= 3; n++ {
+		_, err = ib.StageIdent(named(2, n), "pub", []byte("named"))
+		must(err)
+		must(ib.AckIdent("d3", named(2, n)))
+	}
+	must(ib.AckIdent("d1", named(1, 5)))
 	must(o.Close())
 	must(ib.Close())
 	return disk
@@ -180,7 +197,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 			if _, err := ib.Stage("new", "pub", []byte("p")); err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range []string{"d1", "d2"} {
+			for _, d := range []string{"d1", "d2", "d3"} {
 				if ib.HasCursor(d) {
 					if err := ib.Replay(d, func(string, string, []byte) error { return nil }); err != nil {
 						t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"govents/internal/codec"
+	"govents/internal/seqset"
 )
 
 // ErrUnknownEvent reports an acknowledgement for an event the inbox
@@ -30,6 +31,11 @@ var ErrUnknownCursor = errors.New("durable: unknown durable cursor")
 // contiguous acknowledged frontier, and the runs acknowledged out of
 // order above it. SubscribeDurable resumes by replaying everything
 // between the frontier and the log head that no run holds.
+//
+// What it keeps per event follows what is still owed. A named event is
+// remembered as staged by its count in the runs of its incarnation, and
+// its offset only while some cursor owes it; an event named by an ID
+// text that is no name's keeps its offset for the inbox's life.
 type Inbox struct {
 	data *SegmentLog // staged events: [blob id][blob origin][payload]
 	acks *SegmentLog // cursor history
@@ -37,7 +43,9 @@ type Inbox struct {
 
 	mu      sync.Mutex
 	hdr     []byte                 // record-header scratch, reused under mu
-	byID    map[codec.Ident]uint64 // staged event -> offset
+	names   map[uint64]*seqset.Set // incarnation -> the counts staged of it
+	owed    map[codec.Name]uint64  // named event some cursor owes -> offset
+	texts   map[codec.Ident]uint64 // event named by text -> offset
 	cursors map[string]*cursorState
 	closed  bool
 
@@ -74,7 +82,9 @@ func OpenInbox(dataDir, acksDir string, cfg SegmentConfig) (*Inbox, error) {
 		data:    data,
 		acks:    acks,
 		log:     logger,
-		byID:    make(map[codec.Ident]uint64),
+		names:   make(map[uint64]*seqset.Set),
+		owed:    make(map[codec.Name]uint64),
+		texts:   make(map[codec.Ident]uint64),
 		cursors: make(map[string]*cursorState),
 	}
 	if err := ib.replay(); err != nil {
@@ -88,8 +98,8 @@ func OpenInbox(dataDir, acksDir string, cfg SegmentConfig) (*Inbox, error) {
 // NewMemInbox returns an empty inbox that keeps its state in memory
 // only: what a certified class of a domain without a durability
 // directory stages into. It deduplicates by the identities it has
-// staged, which it keeps for as long as it lives, and holds no event to
-// replay.
+// staged, which it keeps for as long as it lives (as runs, for names),
+// and holds no event to replay.
 func NewMemInbox() *Inbox {
 	ib, err := OpenInbox("inbox-data", "inbox-acks", memConfig)
 	if err != nil {
@@ -98,31 +108,33 @@ func NewMemInbox() *Inbox {
 	return ib
 }
 
-// replay rebuilds the dedup index from the data log and the cursors
-// from the ack log. Dedup knowledge for compacted events is gone, but a
-// compacted event was acknowledged by every cursor AND acknowledged to
-// its publisher, so a redelivery of it can only come from a publisher
-// that itself lost the ack — a duplicate within the at-least-once
-// floor, not a correctness break. A cursor naming an offset beyond the
-// data log's last names an event a crash took (SyncBatch): the offset
-// is dropped from it, and the ack history is cut behind a snapshot, so
-// that it cannot apply to the event that takes the offset next.
+// replay rebuilds the cursors from the ack log, then the runs of staged
+// names and the index of what the cursors owe from the data log. Dedup
+// knowledge for compacted events is gone, but a compacted event was
+// acknowledged by every cursor AND acknowledged to its publisher, so a
+// redelivery of it can only come from a publisher that itself lost the
+// ack — a duplicate within the at-least-once floor, not a correctness
+// break. A cursor naming an offset beyond the data log's last names an
+// event a crash took (SyncBatch): the offset is dropped from it, and
+// the ack history is cut behind a snapshot, so that it cannot apply to
+// the event that takes the offset next. Dropping it changes no offset
+// the data log holds, so the index built before stands.
 func (ib *Inbox) replay() error {
-	err := ib.data.ReadFrom(ib.data.FirstOffset(), func(off uint64, rec []byte) error {
-		id, _, _, err := takeStaged(rec)
-		if err != nil {
-			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
+	err := ib.acks.ReadFrom(ib.acks.FirstOffset(), func(off uint64, rec []byte) error {
+		if err := ib.applyAck(rec); err != nil {
+			return fmt.Errorf("durable: inbox ack record %d: %w", off, err)
 		}
-		ib.byID[codec.IdentOf(id)] = off
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	err = ib.acks.ReadFrom(ib.acks.FirstOffset(), func(off uint64, rec []byte) error {
-		if err := ib.applyAck(rec); err != nil {
-			return fmt.Errorf("durable: inbox ack record %d: %w", off, err)
+	err = ib.data.ReadFrom(ib.data.FirstOffset(), func(off uint64, rec []byte) error {
+		id, _, _, err := takeStaged(rec)
+		if err != nil {
+			return fmt.Errorf("durable: inbox data record %d: %w", off, err)
 		}
+		ib.noteStaged(codec.IdentOf(id), off)
 		return nil
 	})
 	if err != nil {
@@ -137,6 +149,49 @@ func (ib *Inbox) replay() error {
 	}
 	ib.log.Warn("durable: inbox cursors name events the data log lost; snapshotting", "last", last)
 	return ib.snapshotAcksLocked(nil)
+}
+
+// named reports whether id is deduplicated by the runs of its
+// incarnation: a Name, whose count 0 no publication has.
+func named(id codec.Ident) bool { return id.ID == "" && id.Name.N != 0 }
+
+// stagedLocked reports whether the event id names is staged here.
+func (ib *Inbox) stagedLocked(id codec.Ident) bool {
+	if !named(id) {
+		_, ok := ib.texts[id]
+		return ok
+	}
+	runs := ib.names[id.Name.Inc]
+	return runs != nil && runs.Has(id.Name.N)
+}
+
+// noteStaged records id as staged at off: a name in the runs of its
+// incarnation and in the index while a cursor owes it, a text in the
+// text index.
+func (ib *Inbox) noteStaged(id codec.Ident, off uint64) {
+	if !named(id) {
+		ib.texts[id] = off
+		return
+	}
+	runs := ib.names[id.Name.Inc]
+	if runs == nil {
+		runs = new(seqset.Set)
+		ib.names[id.Name.Inc] = runs
+	}
+	runs.Add(id.Name.N, id.Name.N, 0)
+	if ib.owedLocked(off) {
+		ib.owed[id.Name] = off
+	}
+}
+
+// owedLocked reports whether some cursor has not acknowledged off.
+func (ib *Inbox) owedLocked(off uint64) bool {
+	for _, cs := range ib.cursors {
+		if !cs.acked.Has(off) {
+			return true
+		}
+	}
+	return false
 }
 
 // takeStaged decodes a data record, [blob id][blob origin][payload].
@@ -241,7 +296,7 @@ func (ib *Inbox) StageIdent(id codec.Ident, origin string, payload []byte) (fres
 	if ib.closed {
 		return false, ErrLogClosed
 	}
-	if _, ok := ib.byID[id]; ok {
+	if ib.stagedLocked(id) {
 		ib.stageDups++
 		return false, nil
 	}
@@ -250,7 +305,7 @@ func (ib *Inbox) StageIdent(id codec.Ident, origin string, payload []byte) (fres
 	if err != nil {
 		return false, err
 	}
-	ib.byID[id] = off
+	ib.noteStaged(id, off)
 	ib.staged++
 	return true, nil
 }
@@ -292,7 +347,10 @@ func (ib *Inbox) HasCursor(durableID string) bool {
 
 // AckIdent durably marks the staged event delivered to the durable
 // subscription. An event never staged is ErrUnknownEvent (the caller is
-// confusing offsets or classes); duplicate acks are a no-op.
+// confusing offsets or classes); duplicate acks are a no-op, and so is
+// an ack of a staged event the cursor is not owed (staged before it).
+// The last cursor to acknowledge a named event takes it out of the
+// index.
 func (ib *Inbox) AckIdent(durableID string, id codec.Ident) error {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
@@ -303,9 +361,17 @@ func (ib *Inbox) AckIdent(durableID string, id codec.Ident) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownCursor, durableID)
 	}
-	off, ok := ib.byID[id]
+	var off uint64
+	if named(id) {
+		off, ok = ib.owed[id.Name]
+	} else {
+		off, ok = ib.texts[id]
+	}
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEvent, id.Text())
+		if !ib.stagedLocked(id) {
+			return fmt.Errorf("%w: %q", ErrUnknownEvent, id.Text())
+		}
+		return nil // every cursor acknowledged it, or none was owed it
 	}
 	if cs.acked.Has(off) {
 		return nil
@@ -316,6 +382,9 @@ func (ib *Inbox) AckIdent(durableID string, id codec.Ident) error {
 	}
 	cs.acked.Add(off, off, 0)
 	ib.acked++
+	if named(id) && !ib.owedLocked(off) {
+		delete(ib.owed, id.Name)
+	}
 	return nil
 }
 
@@ -401,6 +470,29 @@ func (ib *Inbox) snapshotAcksLocked(compact func() error) error {
 	}
 	_, _, err = ib.acks.Compact(snapOff)
 	return err
+}
+
+// InboxFootprint is what an Inbox holds in memory for the events it
+// staged.
+type InboxFootprint struct {
+	Incarnations int // publisher incarnations whose names it staged
+	Runs         int // runs of staged counts, over every incarnation
+	Owed         int // named events some cursor has not acknowledged
+	Texts        int // events staged under an ID text that is no name's
+}
+
+// Footprint returns what the inbox holds.
+func (ib *Inbox) Footprint() InboxFootprint {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	fp := InboxFootprint{Incarnations: len(ib.names), Owed: len(ib.owed), Texts: len(ib.texts)}
+	for _, runs := range ib.names {
+		fp.Runs += len(runs.Runs())
+		if runs.Floor() > 0 {
+			fp.Runs++ // the counts from 1 to the floor
+		}
+	}
+	return fp
 }
 
 // InboxStats are an Inbox's counters.

@@ -204,9 +204,8 @@ func travels(f reflect.StructField) bool {
 // gives back that value bit for bit: t holds no reference kind (a
 // pointer, slice, map, interface, chan or func), every struct field in
 // it travels, and none of its types has a marshaler, whose output may
-// leave state behind. A float32 or complex64 anywhere in it does not
-// count as exact either: its bits travel through a float64, where a
-// signaling NaN comes back quiet.
+// leave state behind. Every float and complex kind travels as its own
+// bits, NaN payloads included.
 func Exact(t reflect.Type) bool {
 	if _, ok := marshalerOf(t); ok {
 		return false
@@ -215,7 +214,7 @@ func Exact(t reflect.Type) bool {
 	case reflect.Bool,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float64, reflect.Complex128, reflect.String:
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128, reflect.String:
 		return true
 	case reflect.Array:
 		return Exact(t.Elem())
@@ -476,15 +475,36 @@ func decUint(t reflect.Type) decFn {
 	}
 }
 
+// pointerTo returns a *T to what v, addressable and of a type whose
+// underlying type is T, holds. A float32 or complex64 is read and
+// written through one, as its own bits: v.Float and v.SetFloat pass it
+// through a float64, which turns a signaling NaN into a quiet one.
+func pointerTo[T any](v reflect.Value) *T {
+	return v.Addr().Convert(reflect.TypeFor[*T]()).Interface().(*T)
+}
+
+// bitsOf returns the T v, of a type whose underlying type is T, holds.
+func bitsOf[T any](v reflect.Value) T {
+	switch {
+	case v.CanAddr():
+		return *pointerTo[T](v)
+	case v.Type() == reflect.TypeFor[T]():
+		return v.Interface().(T)
+	}
+	c := reflect.New(v.Type()).Elem()
+	c.Set(v)
+	return *pointerTo[T](c)
+}
+
 func encFloat32(dst []byte, v reflect.Value, _ int) ([]byte, error) {
-	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v.Float()))), nil
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(bitsOf[float32](v))), nil
 }
 
 func decFloat32(data []byte, pos int, v reflect.Value, _ int) (int, error) {
 	if pos+4 > len(data) {
 		return 0, errShort
 	}
-	v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))))
+	*pointerTo[float32](v) = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
 	return pos + 4, nil
 }
 
@@ -501,18 +521,18 @@ func decFloat64(data []byte, pos int, v reflect.Value, _ int) (int, error) {
 }
 
 func encComplex64(dst []byte, v reflect.Value, _ int) ([]byte, error) {
-	c := v.Complex()
-	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(real(c))))
-	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(imag(c)))), nil
+	c := bitsOf[complex64](v)
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(real(c)))
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(imag(c))), nil
 }
 
 func decComplex64(data []byte, pos int, v reflect.Value, _ int) (int, error) {
 	if pos+8 > len(data) {
 		return 0, errShort
 	}
-	re := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[pos:])))
-	im := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4:])))
-	v.SetComplex(complex(re, im))
+	re := math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
+	im := math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4:]))
+	*pointerTo[complex64](v) = complex(re, im)
 	return pos + 8, nil
 }
 
