@@ -154,9 +154,14 @@
 // fields from the encoded bytes, stepping over marshaled and interface
 // fields by their length — and the event is materialized only
 // for actual matches and deliveries, or when a filter reads a method or
-// a field inside a marshaled type. A clone for a subscriber is one
-// decode of the payload, except for a class with no pointer, slice or
-// map anywhere, whose subscribers share one immutable box. Domain.Stats
+// a field inside a marshaled type (at a subscriber, decoded in place,
+// with no box). A typed subscriber's clone is a copy of the decoded
+// event, held by its queue slot and then by its handler's argument, with
+// no box either: the payload is decoded once per match, or once per
+// event for a class with no pointer, slice or map anywhere, whose plain
+// copy is already deep. An interface-typed subscription takes the event
+// boxed; such subscriptions to a class of the second kind share one
+// immutable box. Domain.Stats
 // exposes the codec counters (WireEncodes, WireDecodes, PartialDecodes,
 // WireMaterializations, ...). The compiled program is a class's one
 // encoding: there is no per-class hook, generated or hand-written, that

@@ -143,7 +143,7 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 		}
 	}
 
-	cs, err := d.eng.SubscribeDynamicDelivery(t, nil, nil, func(o obvent.Obvent, del core.Delivery) {
+	cs, err := core.SubscribeDelivery(d.eng, nil, func(v T, del core.Delivery) {
 		seenMu.Lock()
 		dup := seen[del.Ident]
 		if dup {
@@ -153,9 +153,7 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 		if dup {
 			return // already delivered (and acknowledged) by replay
 		}
-		if v, ok := core.As[T](o); ok {
-			handler(v)
-		}
+		handler(v)
 		if sem, ok := d.reg.ClassSemantics(del.Class); !ok || sem.Reliability != obvent.CertifiedDelivery {
 			return // only certified deliveries are inbox-tracked
 		}

@@ -326,6 +326,28 @@ func rootType(v reflect.Value) any {
 	return v.Type()
 }
 
+// ConstantAt is Constant for the event ptr points at (a *T for the
+// program's root T), read in place, with T's value semantics: the same
+// constant as Constant of a copy of *ptr, with no copy. A direct getter
+// reads through the interface's data word, which for ptr is the address
+// of a T, as it is for an interface holding a T; the steps run on *ptr,
+// whose addressability they do not use (Compile decided them for a T
+// that is not addressable).
+func (p *Program) ConstantAt(ptr any) (filter.Constant, error) {
+	if p.direct != nil {
+		return p.direct(ptr)
+	}
+	v, err := p.Resolve(reflect.ValueOf(ptr).Elem())
+	if err != nil {
+		return filter.Constant{}, err
+	}
+	c, err := filter.ValueOf(v)
+	if err != nil {
+		return filter.Constant{}, resultErr(p.path, err)
+	}
+	return c, nil
+}
+
 // Constant resolves the path against event and normalizes the result
 // to a filter constant — the compiled equivalent of filter.ResolvePath
 // followed by filter.ValueOf. A program with a direct getter calls the

@@ -245,24 +245,28 @@ func Release(env *Envelope) {
 // returns a fresh, distinct value: decoding is the paper's "distributed
 // object creation" (§2.1.2) — every subscriber receives a new clone.
 func (c *Codec) Decode(e *Envelope) (obvent.Obvent, error) {
-	s, err := c.Source(e)
-	if err != nil {
+	var s CloneSource
+	if err := c.SourceInto(e, &s); err != nil {
 		return nil, err
 	}
+	defer s.Reset()
 	return s.Clone()
 }
 
 // A CloneSource produces per-subscriber clones of one envelope. It
 // front-loads the registry lookup so that a dispatcher delivering one
 // publication to many local subscriptions pays the (read-locked) type
-// resolution once and only the clone cost per clone. A clone is one
-// decode of the payload by the class's compiled program, except for a
-// flat class: one with no reference kinds, whose payload is decoded and
-// boxed once, every Clone returning that same interface value. The box
-// cannot be observed to be shared: a value held in an interface is not
-// addressable, so no subscriber can write to it, and with no reference
-// kinds inside there is nothing to write through. Every assertion
-// (As[T]) copies the value out, and that copy is already a deep copy.
+// resolution once and only the clone cost per clone.
+//
+// The payload is decoded into a value of the class from the class's
+// pool, which the source holds until Reset. Value hands out that value
+// for the caller to copy; Clone boxes a copy of it. A clone is one
+// decode of the payload, except for a flat class: one with no reference
+// kinds, which is decoded once per source, since a value copy of it is
+// already a deep copy. Every Clone of a flat class returns the same box,
+// which cannot be observed to be shared: a value held in an interface is
+// not addressable, so no subscriber can write to it, and with no
+// reference kinds inside there is nothing to write through.
 //
 // A CloneSource is not safe for concurrent use: it belongs to the one
 // dispatch invocation that created it.
@@ -276,6 +280,14 @@ type CloneSource struct {
 	// activity is attributed wherever the decode actually happens.
 	we *wireEntry
 	cw *codecWire
+
+	// p is the value the payload is decoded into (a *T for class T),
+	// taken from the class's pool at the first decode and handed back by
+	// Reset; v is p's element, and decoded reports that it holds the
+	// payload.
+	p       any
+	v       reflect.Value
+	decoded bool
 
 	// shared is a flat class's decoded payload, boxed once.
 	shared obvent.Obvent
@@ -292,8 +304,9 @@ func (c *Codec) Source(e *Envelope) (*CloneSource, error) {
 
 // SourceInto is Source into caller-owned storage: dispatch loops reuse
 // one CloneSource per lane across envelopes instead of allocating one
-// per envelope. Any previous state of s is discarded.
+// per envelope. Any previous state of s is discarded (Reset).
 func (c *Codec) SourceInto(e *Envelope, s *CloneSource) error {
+	s.Reset()
 	t, ok := c.reg.TypeByName(e.Type)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnregistered, e.Type)
@@ -306,51 +319,65 @@ func (c *Codec) SourceInto(e *Envelope, s *CloneSource) error {
 	return nil
 }
 
+// Reset hands the decoded value back to its class's pool, zeroed (it
+// pins nothing of the event), and empties s. What Value returned is
+// invalid from then on; what Clone returned is the caller's.
+func (s *CloneSource) Reset() {
+	if s.p != nil {
+		s.v.SetZero()
+		s.we.scratch.Put(s.p)
+	}
+	*s = CloneSource{}
+}
+
+// Value decodes the payload and returns a pointer to the decoded value,
+// a *T for class T, which stays the source's: it is valid until the
+// next Value, Clone or Reset, and the caller copies what it keeps of it.
+// A flat class is decoded once per source. Any other class is decoded
+// again on every call, into a zeroed value, so that no two calls share
+// a slice, a map or a pointee: a copy of what each call returns is a
+// clone of its own (§2.1.2).
+func (s *CloneSource) Value() (any, error) {
+	if s.decoded && s.we.flat {
+		return s.p, nil
+	}
+	if s.p == nil {
+		if s.p = s.we.scratch.Get(); s.p == nil {
+			s.p = reflect.New(s.typ).Interface()
+		}
+		s.v = reflect.ValueOf(s.p).Elem()
+	} else if s.decoded {
+		s.v.SetZero()
+	}
+	s.cw.wireDecodes.Add(1)
+	if err := s.we.prog.Decode(s.payload, s.v); err != nil {
+		s.v.SetZero() // a failed decode leaves nothing behind
+		s.decoded = false
+		return nil, fmt.Errorf("codec: decode %s: %w", s.name, err)
+	}
+	s.decoded = true
+	return s.p, nil
+}
+
 // Clone decodes one fresh obvent value — the paper's distributed object
-// creation (§2.1.2): every call yields a distinct object.
+// creation (§2.1.2): every call yields a distinct object, boxed, except
+// a flat class's, whose one box every call returns (see CloneSource).
 func (s *CloneSource) Clone() (obvent.Obvent, error) {
 	if s.shared != nil {
 		return s.shared, nil
 	}
-	o, err := s.decode()
-	if s.we.flat {
-		s.shared = o // nil on error: the next Clone decodes again
+	if _, err := s.Value(); err != nil {
+		return nil, err
 	}
-	return o, err
-}
-
-// decode decodes the payload straight to its box. Boxing copies the
-// value, so the payload is decoded into a scratch value from the class's
-// pool, which goes back zeroed (it pins nothing of the event, and a
-// failed decode leaves nothing behind): the box is the one allocation
-// beyond what the event's own strings, slices, maps and pointees need.
-func (s *CloneSource) decode() (obvent.Obvent, error) {
-	p := s.we.scratch.Get()
-	if p == nil {
-		p = reflect.New(s.typ).Interface()
-	}
-	v := reflect.ValueOf(p).Elem()
-	s.cw.wireDecodes.Add(1)
-	var o obvent.Obvent
-	err := s.we.prog.Decode(s.payload, v)
-	if err == nil {
-		o, err = s.box(v)
-	} else {
-		err = fmt.Errorf("codec: decode %s: %w", s.name, err)
-	}
-	v.SetZero()
-	s.we.scratch.Put(p)
-	return o, err
-}
-
-// box converts a decoded value to the Obvent interface (copying it into
-// the interface box, which completes the clone's independence).
-func (s *CloneSource) box(v reflect.Value) (obvent.Obvent, error) {
-	o, ok := v.Interface().(obvent.Obvent)
+	// Boxing copies the value, which completes the clone's independence.
+	o, ok := s.v.Interface().(obvent.Obvent)
 	if !ok {
 		// The registry only holds Obvent types, so this indicates a
 		// registry/codec mismatch, not user error.
 		return nil, fmt.Errorf("codec: decode: %s is not an obvent", s.name)
+	}
+	if s.we.flat {
+		s.shared = o
 	}
 	return o, nil
 }

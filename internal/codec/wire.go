@@ -36,7 +36,7 @@ type wireEntry struct {
 	prog *wire.Prog
 	err  error
 	// flat reports that a value copy of the class is a deep copy, so
-	// every clone of one payload can be the same box (CloneSource).
+	// one decode of a payload serves every clone of it (CloneSource).
 	flat bool
 	// exact reports that decoding an encoding of the class gives back
 	// the value encoded (wire.Exact), so an envelope of a value published
@@ -49,8 +49,8 @@ type wireEntry struct {
 	// an outsized event stops costing room two windows later.
 	size, prevSize atomic.Int64
 	encodes        atomic.Uint64
-	// scratch pools values payloads are decoded into on their way to a
-	// box (CloneSource.decode).
+	// scratch pools the values payloads are decoded into (*T for class
+	// T), each held by one CloneSource from its first decode to Reset.
 	scratch sync.Pool
 }
 

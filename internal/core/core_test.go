@@ -477,9 +477,10 @@ func TestPriorityOvertakesBacklog(t *testing.T) {
 	_ = Publish(e, prioAlert{Msg: "low", PriorityBase: obvent.PriorityBase{Prio: 1}})
 	_ = Publish(e, prioAlert{Msg: "high", PriorityBase: obvent.PriorityBase{Prio: 9}})
 	waitFor(t, 5*time.Second, "both queued behind the blocker", func() bool {
-		sub.executor.mu.Lock()
-		defer sub.executor.mu.Unlock()
-		return len(sub.executor.queue)-sub.executor.head == 2
+		x := sub.executor.(*executor[prioAlert])
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return x.queue.len() == 2
 	})
 	close(release)
 

@@ -15,7 +15,7 @@ import (
 // This file implements the engine's indexed delivery pipeline:
 //
 //	wire type name ──► dispatchTable ──► per-class plan ──► compound match
-//	                   (atomic COW)      (matching.Cache) ──► one obvent per match
+//	                   (atomic COW)      (matching.Cache) ──► one value per match
 //
 // The table is an immutable snapshot of the active subscription set,
 // republished through an atomic pointer on every activate/deactivate, so
@@ -26,16 +26,17 @@ import (
 // filter for each one that has no remote filter, so an event's
 // conditions are evaluated once across all subscribers instead of once
 // per subscription, reading the fields it needs straight from the
-// encoded payload where it can. Obvent
-// local uniqueness (§2.1.2) is then paid only for the subscriptions
-// whose remote matching passed: for a class with reference kinds one
-// decode of the payload per match, and one immutable box per envelope
-// for a flat class (no pointer, slice or map, transitively). A boxed
-// flat value cannot be observed to be shared: a value held in an
-// interface is not addressable and holds nothing to write through, and
-// every typed handler copies it out (As[T]), so each subscriber still
-// owns what it sees.
-// Opaque local filters run on the subscriber's own obvent (as in the
+// encoded payload where it can, and otherwise from the event decoded in
+// place (CloneSource.Value). Obvent local uniqueness (§2.1.2) is then
+// paid only for the subscriptions whose remote matching passed, each
+// through its own executor's offer: a typed subscription queues a copy
+// of the decoded event, of a class with reference kinds decoded once
+// per match, of a flat class (no pointer, slice or map, transitively)
+// once per envelope, since its copy is already deep; an interface-typed
+// or dynamic subscription queues the event boxed, a flat class's one
+// box per envelope, which cannot be observed to be shared: a value held
+// in an interface is not addressable and holds nothing to write through.
+// Opaque local filters run on the subscriber's own value (as in the
 // naive path), so filters can never observe another subscriber's state.
 
 // DispatchStats are the engine's cumulative delivery counters. They make
@@ -244,16 +245,17 @@ type dispatchScratch struct {
 	ids     []string          // compound match output buffer
 	deliver []*Subscription   // delivery list for the current envelope
 	src     codec.CloneSource // clone source, reset per envelope
-	// full materializes the current envelope's event from src — the
-	// fallback the wire match path invokes when lazy extraction cannot
-	// decide a plan. One persistent closure per lane (created on first
-	// use, capturing the lane's stable scratch pointer) so the hot path
-	// does not allocate a closure per envelope.
+	// full materializes the current envelope's event from src, in place
+	// (CloneSource.Value: no box) — the fallback the wire match path
+	// invokes when lazy extraction cannot decide a plan. One persistent
+	// closure per lane (created on first use, capturing the lane's
+	// stable scratch pointer) so the hot path does not allocate a
+	// closure per envelope.
 	full func() (any, error)
 }
 
 // dispatch matches one envelope against the indexed subscription table
-// and hands each matching subscription's executor its obvent. It
+// and hands each matching subscription's executor its own value. It
 // runs on a lane goroutine with that lane's private state ln; lanes
 // dispatch concurrently, sharing only the immutable table snapshot, the
 // codec and the (internally synchronized) executors.
@@ -286,7 +288,7 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 	if err := e.codec.SourceInto(env, src); err != nil {
 		ln.counters.decodeErrors.Add(1)
 		e.noteDrop(env, telemetry.ReasonDecodeError)
-		sc.src = codec.CloneSource{} // do not pin the failed envelope
+		src.Reset() // do not pin the failed envelope
 		return
 	}
 	// The compound evaluates lazily: it extracts the referenced fields
@@ -294,14 +296,14 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 	// sc.full) only when a plan path goes through an accessor method or
 	// a marshaled field. Its matches come in subscription-ID order.
 	if sc.full == nil {
-		sc.full = func() (any, error) { return sc.src.Clone() }
+		sc.full = func() (any, error) { return sc.src.Value() }
 	}
 	wp, payload, _ := src.Wire()
 	matched, err := c.MatchWireAppend(wp, payload, sc.full, sc.ids[:0])
 	if err != nil {
 		ln.counters.decodeErrors.Add(1)
 		e.noteDrop(env, telemetry.ReasonDecodeError)
-		sc.src = codec.CloneSource{} // do not pin the failed envelope
+		src.Reset() // do not pin the failed envelope
 		return
 	}
 	deliver := sc.deliver[:0]
@@ -311,43 +313,51 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		}
 	}
 
-	// One obvent per match (§2.1.2; see the header for what a flat class
+	// One value per match (§2.1.2; see the header for what a flat class
 	// shares): only subscriptions whose remote matching passed pay for
 	// one, O(matches) instead of O(subscriptions). Opaque local filters
-	// run on the subscriber's own obvent — exactly as in the naive path —
+	// run on the subscriber's own value — exactly as in the naive path —
 	// so a mutating local filter can never leak state across
 	// subscriptions.
-	ordered := e.orderedDelivery(env)
+	m := e.metaOf(env, ln)
 	decodeFailed := false // count decode errors once per envelope
 	for _, s := range deliver {
-		o, err := src.Clone()
-		if err != nil {
-			if !decodeFailed {
-				decodeFailed = true
-				ln.counters.decodeErrors.Add(1)
-				e.noteDrop(env, telemetry.ReasonDecodeError)
-			}
-			continue
-		}
-		if s.localFilter != nil && !s.localFilter(o) {
-			continue
-		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: priorityOf(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
-		case submitOK:
-			ln.counters.delivered.Add(1)
-		case submitShed:
-			e.noteDrop(env, telemetry.ReasonSlowConsumer)
-		default: // submitClosed
-			ln.counters.executorClosed.Add(1)
-			e.noteDrop(env, telemetry.ReasonExecutorClosed)
+		if e.offer(s, src, m, env, ln) && !decodeFailed {
+			decodeFailed = true
+			ln.counters.decodeErrors.Add(1)
+			e.noteDrop(env, telemetry.ReasonDecodeError)
 		}
 	}
-	// Retain any buffer growth for this lane's next envelope; drop the
-	// clone source's payload and shared box so an idle lane
-	// does not pin its last envelope's obvent for the GC.
+	// Retain any buffer growth for this lane's next envelope; hand back
+	// the clone source's decoded value and drop its payload and shared
+	// box, so an idle lane does not pin its last envelope's obvent for
+	// the GC.
 	sc.ids = matched[:0]
 	sc.deliver = deliver[:0]
-	sc.src = codec.CloneSource{}
+	src.Reset()
+}
+
+// metaOf is what each delivery of env carries of it.
+func (e *Engine) metaOf(env *codec.Envelope, ln *laneState) meta {
+	return meta{ordered: e.orderedDelivery(env), prio: priorityOf(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}
+}
+
+// offer hands s its own value of the event in src and counts the
+// outcome; it reports whether that value failed to decode, which the
+// caller counts once per envelope.
+func (e *Engine) offer(s *Subscription, src *codec.CloneSource, m meta, env *codec.Envelope, ln *laneState) (undecodable bool) {
+	switch s.executor.offer(src, m) {
+	case submitOK:
+		ln.counters.delivered.Add(1)
+	case submitShed:
+		e.noteDrop(env, telemetry.ReasonSlowConsumer)
+	case submitClosed:
+		ln.counters.executorClosed.Add(1)
+		e.noteDrop(env, telemetry.ReasonExecutorClosed)
+	case submitUndecodable:
+		return true
+	}
+	return false
 }
 
 // orderedDelivery reports whether this envelope's deliveries must run
@@ -390,12 +400,12 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 	// Deterministic dispatch order (map iteration is random).
 	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
 
-	ordered := e.orderedDelivery(env)
 	// One clone source per envelope — the same decode entry point as the
 	// indexed path (SourceInto on the lane scratch), resolved lazily so
 	// an envelope no subscription conforms to never decodes at all.
 	src := &ln.scratch.src
 	srcResolved := false
+	m := e.metaOf(env, ln)
 	decodeFailed := false // count decode errors once per envelope, as the indexed path does
 	for _, s := range subs {
 		if !s.Active() {
@@ -408,43 +418,33 @@ func (e *Engine) dispatchNaive(env *codec.Envelope, ln *laneState) {
 			if err := e.codec.SourceInto(env, src); err != nil {
 				ln.counters.decodeErrors.Add(1)
 				e.noteDrop(env, telemetry.ReasonDecodeError)
-				ln.scratch.src = codec.CloneSource{}
+				src.Reset()
 				return
 			}
 			srcResolved = true
 		}
-		// Obvent local uniqueness (§2.1.2): each subscription gets
-		// its own clone.
-		o, err := src.Clone()
-		if err != nil {
-			if !decodeFailed {
-				decodeFailed = true
-				ln.counters.decodeErrors.Add(1)
-				e.noteDrop(env, telemetry.ReasonDecodeError)
-			}
-			continue
-		}
+		// Obvent local uniqueness (§2.1.2): the remote filter runs on a
+		// clone, and the subscription gets its own value (offer).
+		undecodable := false
 		if s.remoteFilter != nil {
-			ok, err := filter.Evaluate(s.remoteFilter, o)
-			if err != nil || !ok {
-				continue
+			o, err := src.Clone()
+			if undecodable = err != nil; !undecodable {
+				if ok, err := filter.Evaluate(s.remoteFilter, o); err != nil || !ok {
+					continue
+				}
 			}
 		}
-		if s.localFilter != nil && !s.localFilter(o) {
-			continue
+		if !undecodable {
+			undecodable = e.offer(s, src, m, env, ln)
 		}
-		switch s.executor.submit(&submission{o: o, ordered: ordered, prio: priorityOf(env), deq: ln.deq, pub: env.PubNanos, name: env.Name, id: env.ID, class: env.Type}) {
-		case submitOK:
-			ln.counters.delivered.Add(1)
-		case submitShed:
-			e.noteDrop(env, telemetry.ReasonSlowConsumer)
-		default: // submitClosed
-			ln.counters.executorClosed.Add(1)
-			e.noteDrop(env, telemetry.ReasonExecutorClosed)
+		if undecodable && !decodeFailed {
+			decodeFailed = true
+			ln.counters.decodeErrors.Add(1)
+			e.noteDrop(env, telemetry.ReasonDecodeError)
 		}
 	}
 	// Do not pin the envelope's payload or shared box on an idle lane.
-	ln.scratch.src = codec.CloneSource{}
+	src.Reset()
 }
 
 // noteDrop emits the trace span of one dropped delivery, never sampled

@@ -387,7 +387,8 @@ var marshalFilter = filter.MarshalCanonical
 // type t with an optional remote filter and an optional opaque local
 // predicate. Most callers use the typed generic Subscribe /
 // SubscribeLocal wrappers; this entry point exists for tooling (psc
-// adapters) and tests that work with reflect.Type directly.
+// adapters) and tests that work with reflect.Type directly. Its handler
+// takes each event boxed (codec.CloneSource.Clone).
 //
 // The returned subscription is inactive: call Activate to start
 // receiving (paper §3.4.1).
@@ -395,6 +396,21 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
+	return newSubscription(e, t, remote, cloneObvent, local, func(item *submission[obvent.Obvent]) { handler(item.o) })
+}
+
+// cloneObvent is a dynamic subscription's take: the event boxed.
+func cloneObvent(src *codec.CloneSource) (obvent.Obvent, bool, error) {
+	o, err := src.Clone()
+	return o, err == nil, err
+}
+
+// newSubscription builds and registers an inactive subscription to t
+// whose executor queues values of type V: take gives the subscription
+// its own value of a matched event, local is its opaque local filter
+// (nil for none), and handle hands a delivery to the application.
+func newSubscription[V any](e *Engine, t reflect.Type, remote *filter.Expr,
+	take func(*codec.CloneSource) (V, bool, error), local func(V) bool, handle func(*submission[V])) (*Subscription, error) {
 	var filterBytes []byte
 	if remote != nil {
 		var err error
@@ -414,10 +430,10 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 		goType:       t,
 		remoteFilter: remote,
 		filterBytes:  filterBytes,
-		localFilter:  local,
-		handler:      handler,
 	}
-	s.executor = newExecutor(s.invoke, e.tele, e.stallBudget, e.mailbox, &e.overload)
+	x := newExecutor(func(item *submission[V]) bool { return invoke(s, handle, item) }, e.tele, e.stallBudget, e.mailbox, &e.overload)
+	x.take, x.local = take, local
+	s.executor = x
 	if err := e.register(s); err != nil {
 		return nil, err
 	}
@@ -433,19 +449,4 @@ func (e *Engine) SubscribeDynamic(t reflect.Type, remote *filter.Expr, local fun
 type Delivery struct {
 	Ident codec.Ident
 	Class string
-}
-
-// SubscribeDynamicDelivery is SubscribeDynamic for handlers that need
-// the delivery metadata alongside the obvent — the entry point durable
-// subscriptions build on.
-func (e *Engine) SubscribeDynamicDelivery(t reflect.Type, remote *filter.Expr, local func(obvent.Obvent) bool, handler func(obvent.Obvent, Delivery)) (*Subscription, error) {
-	if handler == nil {
-		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
-	}
-	s, err := e.SubscribeDynamic(t, remote, local, func(obvent.Obvent) {})
-	if err != nil {
-		return nil, err
-	}
-	s.deliveryHandler = handler
-	return s, nil
 }

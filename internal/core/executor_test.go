@@ -39,7 +39,7 @@ func newGate(t *testing.T) *gate {
 // open lets every parked and future handler return.
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
-func (g *gate) run(*submission) bool {
+func (g *gate) run(*submission[freeTick]) bool {
 	g.started.Add(1)
 	g.inside.Add(1)
 	<-g.release
@@ -50,10 +50,10 @@ func (g *gate) run(*submission) bool {
 // letOne lets exactly one parked handler return.
 func (g *gate) letOne() { g.release <- struct{}{} }
 
-func submitN(t *testing.T, x *executor, n int, ordered bool) {
+func submitN(t *testing.T, x *executor[freeTick], n int, ordered bool) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if st := x.submit(&submission{o: freeTick{N: i}, ordered: ordered, id: fmt.Sprint(i), class: "freeTick"}); st != submitOK {
+		if st := x.submit(freeTick{N: i}, meta{ordered: ordered, id: fmt.Sprint(i), class: "freeTick"}); st != submitOK {
 			t.Fatalf("submit %d = %v, want submitOK", i, st)
 		}
 	}
@@ -96,7 +96,7 @@ func TestExecutorOrderedRunsAloneInOrder(t *testing.T) {
 	g := newGate(t)
 	var mu sync.Mutex
 	var order []string
-	x := newExecutor(func(s *submission) bool {
+	x := newExecutor(func(s *submission[freeTick]) bool {
 		if s.ordered {
 			if in := g.inside.Load(); in != 0 {
 				t.Errorf("ordered %s started beside %d running handlers", s.id, in)
@@ -179,7 +179,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 		var ran [submitters * perSubmitter]atomic.Int32
 		var inside atomic.Int32
 		var alone atomic.Bool // an ordered delivery is inside
-		x := newExecutor(func(s *submission) bool {
+		x := newExecutor(func(s *submission[freeTick]) bool {
 			ran[s.deq].Add(1)
 			if in := inside.Add(1); alone.Load() || (s.ordered && in != 1) {
 				t.Errorf("item %d (ordered=%v) started with %d inside, ordered inside=%v", s.deq, s.ordered, in, alone.Load())
@@ -204,7 +204,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perSubmitter; i++ {
 					n := s*perSubmitter + i
-					accepted[n] = x.submit(&submission{o: freeTick{N: n}, ordered: n%5 == 0, deq: int64(n), class: "freeTick"}) == submitOK
+					accepted[n] = x.submit(freeTick{N: n}, meta{ordered: n%5 == 0, deq: int64(n), class: "freeTick"}) == submitOK
 				}
 			}()
 		}
@@ -225,7 +225,7 @@ func TestExecutorStressExactlyOnce(t *testing.T) {
 		wg.Wait()
 		close(stop)
 		flipper.Wait()
-		if st := x.submit(&submission{o: freeTick{}, class: "freeTick"}); st != submitClosed {
+		if st := x.submit(freeTick{}, meta{class: "freeTick"}); st != submitClosed {
 			t.Fatalf("submit after close = %v, want submitClosed", st)
 		}
 		for n := range ran {
@@ -369,7 +369,7 @@ func TestExecutorQueuesByPriority(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	release := make(chan struct{})
-	x := newExecutor(func(s *submission) bool {
+	x := newExecutor(func(s *submission[freeTick]) bool {
 		if s.id == "running" {
 			<-release
 		}
@@ -380,7 +380,7 @@ func TestExecutorQueuesByPriority(t *testing.T) {
 	}, nil, 0, 0, &overloadCounters{})
 	x.setLimit(1)
 	submit := func(id string, prio int) {
-		if st := x.submit(&submission{o: freeTick{}, prio: prio, id: id, class: "freeTick"}); st != submitOK {
+		if st := x.submit(freeTick{}, meta{prio: prio, id: id, class: "freeTick"}); st != submitOK {
 			t.Fatalf("submit %s = %v", id, st)
 		}
 	}

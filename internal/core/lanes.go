@@ -245,63 +245,6 @@ type laneItem struct {
 	enq   int64
 }
 
-// laneShrinkMin is the queue capacity below which lanes never bother
-// shrinking their backing arrays: reclaiming a few hundred pointers is
-// not worth the copy, and a small warm buffer avoids re-growing under
-// ordinary jitter.
-const laneShrinkMin = 64
-
-// laneQueue is a lane's in-memory queue: a ring over one []laneItem,
-// oldest first, so that nothing is boxed on the way in or out.
-type laneQueue struct {
-	items []laneItem
-	head  int // index of the next item to pop
-}
-
-func (q *laneQueue) len() int { return len(q.items) - q.head }
-
-func (q *laneQueue) push(item laneItem) { q.items = append(q.items, item) }
-
-// pop removes the oldest item.
-func (q *laneQueue) pop() laneItem {
-	item := q.items[q.head]
-	q.items[q.head] = laneItem{}
-	q.head++
-	q.compact()
-	return item
-}
-
-// compact keeps the queue's memory proportional to its live backlog.
-// Without it, append would grow a ring forever (head only advances) and
-// a one-time burst would pin its high-water array for the engine's
-// lifetime.
-func (q *laneQueue) compact() {
-	live := q.len()
-	switch {
-	case live == 0:
-		// Empty: restart at the front; release a burst-sized array.
-		if cap(q.items) > laneShrinkMin {
-			q.items = nil
-		} else {
-			q.items = q.items[:0]
-		}
-		q.head = 0
-	case cap(q.items) > laneShrinkMin && cap(q.items) > 4*live:
-		// Backlog occupies under a quarter of the array: right-size it.
-		shrunk := make([]laneItem, live)
-		copy(shrunk, q.items[q.head:])
-		q.items = shrunk
-		q.head = 0
-	case q.head >= laneShrinkMin && 2*q.head >= len(q.items):
-		// Mostly dead prefix: slide the live tail down in place so
-		// append reuses the front instead of growing.
-		copy(q.items, q.items[q.head:])
-		clear(q.items[live:])
-		q.items = q.items[:live]
-		q.head = 0
-	}
-}
-
 // spillDrainBatch bounds how many spilled records one refill moves back
 // into memory.
 const spillDrainBatch = 64
@@ -318,7 +261,7 @@ type lane struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // work available (lane goroutine waits here)
 	notFull *sync.Cond // space available (OverloadBlock pushers wait here)
-	q       laneQueue
+	q       queue[laneItem]
 	closed  bool
 	wg      sync.WaitGroup
 	// high is the queue's high-water mark (LaneStat.HighWater).

@@ -229,8 +229,9 @@ func newWedgedLane(t *testing.T, cfg laneConfig) (l *lane, dispatched func() []s
 
 // testLaneQueueShrinks wedges a lane, pushes n envelopes at it and
 // checks that the queue grew to hold what the configuration admits (all
-// n, or the bound) and that draining released the high-water backing
-// array.
+// n, or the bound), and that once the backlog drained, single envelopes
+// give the high-water backing array back within the windows of the
+// queue's rule (queue).
 func testLaneQueueShrinks(t *testing.T, cfg laneConfig, n int) {
 	l, _, release := newWedgedLane(t, cfg)
 	for i := 0; i < n; i++ {
@@ -247,9 +248,26 @@ func testLaneQueueShrinks(t *testing.T, cfg laneConfig, n int) {
 		t.Fatalf("backlog did not accumulate: cap=%d queued=%d, want %d", grown, queued, want)
 	}
 	release()
+	queuedLen := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.q.len()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i <= 3*queueWindow; i++ {
+		for queuedLen() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("lane stalled with %d queued after %d single envelopes", queuedLen(), i)
+			}
+			runtime.Gosched()
+		}
+		if i < 3*queueWindow {
+			l.push(&codec.Envelope{})
+		}
+	}
 	l.close()
-	if c := cap(l.q.items); c > laneShrinkMin {
-		t.Errorf("queue capacity after drain = %d, want <= %d", c, laneShrinkMin)
+	if c := cap(l.q.items); c > queueKeepMin {
+		t.Errorf("queue capacity after drain and %d single envelopes = %d, want <= %d", 3*queueWindow, c, queueKeepMin)
 	}
 }
 
@@ -280,8 +298,8 @@ func TestFifoLaneSteadyStateMemory(t *testing.T) {
 	c := cap(l.q.items)
 	l.mu.Unlock()
 	l.close()
-	if c > laneShrinkMin {
-		t.Errorf("steady-state queue capacity = %d, want <= %d", c, laneShrinkMin)
+	if c > queueKeepMin {
+		t.Errorf("steady-state queue capacity = %d, want <= %d", c, queueKeepMin)
 	}
 }
 

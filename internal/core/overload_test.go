@@ -518,7 +518,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	var done atomic.Int64
 	var once sync.Once
-	x := newExecutor(func(s *submission) bool {
+	x := newExecutor(func(s *submission[freeTick]) bool {
 		if s.id == "wedge" {
 			once.Do(func() { close(started) })
 			<-release
@@ -529,7 +529,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 	defer x.close()
 	x.setLimit(1) // single-threading: the wedge blocks the whole queue, the worst case
 
-	x.submit(&submission{o: freeTick{N: 0}, id: "wedge", class: "freeTick"})
+	x.submit(freeTick{N: 0}, meta{id: "wedge", class: "freeTick"})
 	<-started
 	time.Sleep(3 * budget) // the era is now provably past the budget
 
@@ -542,7 +542,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 			t.Fatalf("mailbox never overflowed: quarantines=%d quarantined=%v",
 				counters.quarantines.Load(), x.quarantined.Load())
 		}
-		if x.submit(&submission{o: freeTick{N: i}, id: fmt.Sprintf("e%d", i), class: "freeTick"}) == submitShed {
+		if x.submit(freeTick{N: i}, meta{id: fmt.Sprintf("e%d", i), class: "freeTick"}) == submitShed {
 			shed++
 		}
 	}
@@ -563,7 +563,7 @@ func TestExecutorQuarantineLifecycle(t *testing.T) {
 		return !x.quarantined.Load()
 	})
 	before := done.Load()
-	if st := x.submit(&submission{o: freeTick{N: -1}, id: "after", class: "freeTick"}); st != submitOK {
+	if st := x.submit(freeTick{N: -1}, meta{id: "after", class: "freeTick"}); st != submitOK {
 		t.Fatalf("post-recovery submit = %v, want submitOK", st)
 	}
 	waitFor(t, 10*time.Second, "post-recovery delivery", func() bool {

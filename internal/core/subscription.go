@@ -25,14 +25,9 @@ type Subscription struct {
 	goType   reflect.Type
 
 	remoteFilter *filter.Expr
-	localFilter  func(obvent.Obvent) bool
-	handler      func(obvent.Obvent)
-	// deliveryHandler, when set, is invoked instead of handler and
-	// additionally receives the delivery metadata (event ID, concrete
-	// class). Durable subscriptions use it to acknowledge exactly the
-	// delivered event in their inbox.
-	deliveryHandler func(obvent.Obvent, Delivery)
-	executor        *executor
+	// executor takes the subscription's own value of each event its
+	// remote filter passed, runs its local filter and runs its handler.
+	executor deliverer
 	// filterBytes is remoteFilter's canonical wire form, marshaled once at
 	// Subscribe (the filter is immutable afterwards). Canonical means
 	// semantically identical filters of different subscribers are
@@ -162,13 +157,13 @@ func (s *Subscription) SetMultiThreading(maxNb int) {
 	s.executor.setLimit(maxNb)
 }
 
-// invoke runs the application handler for one obvent, reporting whether
-// it completed. A panicking handler is contained here — on a drainer
-// goroutine it would otherwise kill the whole process — counted in the
-// engine's HandlerPanics stat, traced, and logged with its stack so the
-// crash stays diagnosable (the net/http handler convention); other
-// subscriptions' deliveries of the same event are unaffected.
-func (s *Subscription) invoke(item *submission) (ok bool) {
+// invoke runs the application handler for one delivery, reporting
+// whether it completed. A panicking handler is contained here — on a
+// drainer goroutine it would otherwise kill the whole process — counted
+// in the engine's HandlerPanics stat, traced, and logged with its stack
+// so the crash stays diagnosable (the net/http handler convention);
+// other subscriptions' deliveries of the same event are unaffected.
+func invoke[V any](s *Subscription, handle func(*submission[V]), item *submission[V]) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.engine.handlerPanics.Add(1)
@@ -182,16 +177,26 @@ func (s *Subscription) invoke(item *submission) (ok bool) {
 				"stack", string(debug.Stack()))
 		}
 	}()
-	if s.deliveryHandler != nil {
-		s.deliveryHandler(item.o, Delivery{Ident: item.ident(), Class: item.class})
-	} else {
-		s.handler(item.o)
-	}
+	handle(item)
 	return true
 }
 
+// deliverer is a subscription's executor as dispatch and the handle see
+// it, whatever the type of the values it queues.
+type deliverer interface {
+	// offer gives the subscription its own value of the event in src,
+	// runs the subscription's local filter on it and queues it with m.
+	offer(src *codec.CloneSource, m meta) submitStatus
+	setLimit(n int)
+	close()
+}
+
 // executor runs a subscription's handler according to its thread policy
-// (§3.3.5). It owns no goroutine of its own: deliveries wait in an
+// (§3.3.5). Its queue holds each delivery's value as the handler takes
+// it: a typed subscription's T, a copy of the decoded event, so that the
+// queue slot and then the handler's argument are the value's only homes
+// (no box), and an interface-typed or dynamic subscription's boxed
+// obvent. It owns no goroutine of its own: deliveries wait in an
 // unbounded queue, one predicate under mu (admitLocked) decides whether
 // the head of the queue may start now, and on-demand drainer goroutines
 // pop admissible items and run the handler themselves, so a delivery
@@ -210,10 +215,17 @@ func (s *Subscription) invoke(item *submission) (ok bool) {
 // makes progress again. One wedged subscriber can therefore never
 // head-of-line-block the lane, the engine, or — via the close-abandon
 // path below — shutdown.
-type executor struct {
-	run     func(*submission) bool // reports whether the handler completed
-	drainFn func()                 // x.drain, bound once: `go x.drainFn()` allocates nothing
+type executor[V any] struct {
+	run     func(*submission[V]) bool // reports whether the handler completed
+	drainFn func()                    // x.drain, bound once: `go x.drainFn()` allocates nothing
 	tele    *telemetry.Plane
+
+	// take gives the subscription its own value of a matched event; ok
+	// is false for an event with no view of type V. local is the opaque
+	// local filter, nil for none. offer calls both, on the dispatching
+	// lane's goroutine.
+	take  func(src *codec.CloneSource) (v V, ok bool, err error)
+	local func(V) bool
 
 	// Slow-consumer isolation (quarantine) configuration: a zero
 	// stallBudget disables it and every probe short-circuits.
@@ -222,10 +234,9 @@ type executor struct {
 	counters    *overloadCounters
 
 	mu      sync.Mutex
-	queue   []submission // live items are queue[head:]
-	head    int
-	spare   []*submission // the drainers' slots (drain)
-	limit   int           // 0 = unlimited, 1 = single, n = bounded
+	queue   queue[submission[V]]
+	spare   []*submission[V] // the drainers' slots (drain)
+	limit   int              // 0 = unlimited, 1 = single, n = bounded
 	closed  bool
 	active  int           // handlers running now
 	serial  bool          // one of them must run with nothing started beside it
@@ -261,24 +272,37 @@ const (
 	// submitShed: the quarantined consumer's bounded mailbox was full;
 	// the delivery was dropped for this subscription only.
 	submitShed
+	// submitFiltered: the subscription's local filter refused the event,
+	// or the event has no view of the subscribed type (offer).
+	submitFiltered
+	// submitUndecodable: the subscription's value of the event failed to
+	// decode (offer).
+	submitUndecodable
 )
 
 // defaultQuarantineMailbox bounds a quarantined consumer's queue when
 // the engine enables a stall budget without choosing a mailbox size.
 const defaultQuarantineMailbox = 1024
 
-// submission is one queued delivery; ordered deliveries bypass the
-// thread policy and run alone, in submit order, because "multi-
-// threading ... [is] assumed by default, except in the case of ordered
-// obvents" (paper §3.3.5). The telemetry context rides the submission —
-// never the envelope or the clone — so handler-return timing can close
-// the dequeue→handler and end-to-end spans: deq is the lane's dequeue
-// timestamp (0 when telemetry was off), pub the publisher's wall-clock
-// UnixNano stamp (0 when the envelope carries none), name, id and class
-// the envelope identity for trace spans and delivery-aware handlers
-// (codec.Envelope's Name, ID and Type). prio orders the queue (submit).
-type submission struct {
-	o       obvent.Obvent
+// submission is one queued delivery: the subscription's value of the
+// event and the envelope facts that ride with it (meta).
+type submission[V any] struct {
+	o V
+	meta
+}
+
+// meta is what a delivery carries of its envelope. Ordered deliveries
+// bypass the thread policy and run alone, in submit order, because
+// "multi-threading ... [is] assumed by default, except in the case of
+// ordered obvents" (paper §3.3.5). The telemetry context rides the
+// delivery — never the envelope or the clone — so handler-return timing
+// can close the dequeue→handler and end-to-end spans: deq is the lane's
+// dequeue timestamp (0 when telemetry was off), pub the publisher's
+// wall-clock UnixNano stamp (0 when the envelope carries none), name, id
+// and class the envelope identity for trace spans and delivery-aware
+// handlers (codec.Envelope's Name, ID and Type). prio orders the queue
+// (submit).
+type meta struct {
 	ordered bool
 	prio    int
 	deq     int64
@@ -290,23 +314,35 @@ type submission struct {
 
 // eventID is the event's name as text, rendered only where text is
 // asked for (codec.Ident.Text).
-func (s *submission) eventID() string { return s.ident().Text() }
+func (m *meta) eventID() string { return m.ident().Text() }
 
 // ident is the event's identity, the pair a delivery-aware handler gets.
-func (s *submission) ident() codec.Ident { return codec.Ident{Name: s.name, ID: s.id} }
+func (m *meta) ident() codec.Ident { return codec.Ident{Name: m.name, ID: m.id} }
 
-func newExecutor(run func(*submission) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor {
+func newExecutor[V any](run func(*submission[V]) bool, tele *telemetry.Plane, stallBudget time.Duration, mailbox int, counters *overloadCounters) *executor[V] {
 	if stallBudget > 0 && mailbox <= 0 {
 		mailbox = defaultQuarantineMailbox
 	}
-	x := &executor{run: run, tele: tele, stallBudget: stallBudget, mailbox: mailbox, counters: counters}
+	x := &executor[V]{run: run, tele: tele, stallBudget: stallBudget, mailbox: mailbox, counters: counters}
 	x.drainFn = x.drain
 	return x
 }
 
+// offer implements deliverer.
+func (x *executor[V]) offer(src *codec.CloneSource, m meta) submitStatus {
+	v, ok, err := x.take(src)
+	switch {
+	case err != nil:
+		return submitUndecodable
+	case !ok || x.local != nil && !x.local(v):
+		return submitFiltered
+	}
+	return x.submit(v, m)
+}
+
 // setLimit changes the thread policy and re-examines the queue at once:
 // a wider limit may admit items that were waiting.
-func (x *executor) setLimit(n int) {
+func (x *executor[V]) setLimit(n int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.limit = max(n, 0)
@@ -316,17 +352,17 @@ func (x *executor) setLimit(n int) {
 // submit enqueues one delivery; the status reports when the executor is
 // already closed (the obvent will never reach the handler, so the
 // engine's delivery counters stay truthful during shutdown) or when the
-// quarantined consumer's bounded mailbox overflowed. It queues s behind
+// quarantined consumer's bounded mailbox overflowed. It queues v behind
 // the last delivery of at least its priority: with every priority 0,
 // at the tail.
-func (x *executor) submit(s *submission) submitStatus {
+func (x *executor[V]) submit(v V, m meta) submitStatus {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
 		return submitClosed
 	}
 	if x.stallBudget > 0 {
-		queued := len(x.queue) - x.head
+		queued := x.queue.len()
 		if !x.quarantined.Load() && queued > 0 && x.stalledLocked(telemetry.Now()) {
 			x.quarantined.Store(true)
 			x.counters.quarantines.Add(1)
@@ -336,17 +372,10 @@ func (x *executor) submit(s *submission) submitStatus {
 			return submitShed
 		}
 	}
-	if x.head > len(x.queue)/2 {
-		// Reuse the popped prefix: a queue that never quite empties must
-		// not creep through memory. Fewer items move than were popped
-		// since the last move, so the cost stays constant per delivery.
-		n := copy(x.queue, x.queue[x.head:])
-		clear(x.queue[n:])
-		x.queue, x.head = x.queue[:n], 0
-	}
-	x.queue = append(x.queue, *s)
-	for i := len(x.queue) - 1; i > x.head && x.queue[i-1].prio < s.prio; i-- {
-		x.queue[i-1], x.queue[i] = x.queue[i], x.queue[i-1]
+	x.queue.push(submission[V]{o: v, meta: m})
+	q := x.queue.items
+	for i := len(q) - 1; i > x.queue.head && q[i-1].prio < m.prio; i-- {
+		q[i-1], q[i] = q[i], q[i-1]
 	}
 	x.kickLocked()
 	return submitOK
@@ -356,7 +385,7 @@ func (x *executor) submit(s *submission) submitStatus {
 // the busy era started longer than the stall budget ago, and nothing has
 // completed within the budget either. A healthy consumer fails the
 // lastDone check.
-func (x *executor) stalledLocked(now int64) bool {
+func (x *executor[V]) stalledLocked(now int64) bool {
 	budget := int64(x.stallBudget)
 	return x.active > 0 && now-x.eraStart > budget && now-x.lastDone > budget
 }
@@ -365,11 +394,11 @@ func (x *executor) stalledLocked(now int64) bool {
 // start now? Up to limit handlers run at once; an ordered delivery
 // starts only with nothing running, and nothing starts beside a serial
 // one (see drain).
-func (x *executor) admitLocked() bool {
+func (x *executor[V]) admitLocked() bool {
 	switch {
-	case x.head == len(x.queue) || x.serial:
+	case x.queue.len() == 0 || x.serial:
 		return false
-	case x.queue[x.head].ordered:
+	case x.queue.front().ordered:
 		return x.active == 0
 	}
 	return x.limit == 0 || x.active < x.limit
@@ -377,7 +406,7 @@ func (x *executor) admitLocked() bool {
 
 // kickLocked starts a drainer if the head of the queue is admissible and
 // none is already on its way.
-func (x *executor) kickLocked() {
+func (x *executor[V]) kickLocked() {
 	if !x.pending && x.admitLocked() {
 		x.pending = true
 		go x.drainFn()
@@ -390,21 +419,17 @@ func (x *executor) kickLocked() {
 // and since a slot a func value is given lives on the heap, the slots are
 // reused: delivery allocates none, and there are never more of them than
 // drainers that once ran at the same time.
-func (x *executor) drain() {
+func (x *executor[V]) drain() {
 	x.mu.Lock()
 	x.pending = false
-	var item *submission
+	var item *submission[V]
 	if n := len(x.spare); n > 0 {
 		item, x.spare = x.spare[n-1], x.spare[:n-1]
 	} else {
-		item = new(submission)
+		item = new(submission[V])
 	}
 	for x.admitLocked() {
-		*item = x.queue[x.head]
-		x.queue[x.head] = submission{} // do not pin the obvent for the GC
-		if x.head++; x.head == len(x.queue) {
-			x.queue, x.head = x.queue[:0], 0
-		}
+		*item = x.queue.pop()
 		// Ordered deliveries run alone. So do a quarantined consumer's:
 		// more goroutines at a handler that finishes nothing would only
 		// grow the leak.
@@ -426,12 +451,12 @@ func (x *executor) drain() {
 			// A completion is progress: release the quarantine once the
 			// mailbox has drained to half, so recovery has headroom before
 			// the next overflow.
-			if x.quarantined.Load() && len(x.queue)-x.head <= x.mailbox/2 {
+			if x.quarantined.Load() && x.queue.len() <= x.mailbox/2 {
 				x.quarantined.Store(false)
 			}
 		}
 	}
-	*item = submission{}
+	*item = submission[V]{}
 	x.spare = append(x.spare, item)
 	if x.idle != nil && x.active == 0 && !x.pending {
 		close(x.idle)
@@ -447,7 +472,7 @@ func (x *executor) drain() {
 // absent means no e2e sample), and a sampled
 // delivered trace span. The no-telemetry path costs two integer field
 // checks plus one atomic load.
-func (x *executor) finish(item *submission, ok bool) {
+func (x *executor[V]) finish(item *submission[V], ok bool) {
 	p := x.tele
 	if p == nil || !ok {
 		return // a panic outcome already traced and counted in invoke
@@ -481,7 +506,7 @@ func (x *executor) finish(item *submission, ok bool) {
 // enabled shutdown waits at most two budgets. An abandoned drainer
 // finishes the remaining queue and exits on its own whenever the handler
 // finally returns, so nothing leaks beyond the handler's own lifetime.
-func (x *executor) close() {
+func (x *executor[V]) close() {
 	x.mu.Lock()
 	x.closed = true
 	if (x.active == 0 && !x.pending) || (x.stallBudget > 0 && x.stalledLocked(telemetry.Now())) {

@@ -14,13 +14,13 @@ import (
 // records both.
 func TestExecutorE2EGatedOnPublishStamp(t *testing.T) {
 	p := telemetry.NewPlane()
-	x := newExecutor(func(*submission) bool { return true }, p, 0, 0, &overloadCounters{})
+	x := newExecutor(func(*submission[freeTick]) bool { return true }, p, 0, 0, &overloadCounters{})
 
 	deq := telemetry.Now()
-	if x.submit(&submission{o: freeTick{N: 1}, deq: deq, id: "legacy-1", class: "freeTick"}) != submitOK {
+	if x.submit(freeTick{N: 1}, meta{deq: deq, id: "legacy-1", class: "freeTick"}) != submitOK {
 		t.Fatal("submit refused")
 	}
-	if x.submit(&submission{o: freeTick{N: 2}, deq: deq, pub: time.Now().UnixNano(), id: "modern-1", class: "freeTick"}) != submitOK {
+	if x.submit(freeTick{N: 2}, meta{deq: deq, pub: time.Now().UnixNano(), id: "modern-1", class: "freeTick"}) != submitOK {
 		t.Fatal("submit refused")
 	}
 

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 
+	"govents/internal/codec"
 	"govents/internal/filter"
 	"govents/internal/obvent"
 )
@@ -30,37 +32,89 @@ func As[T obvent.Obvent](o obvent.Obvent) (T, bool) {
 		}
 		rv = rv.Elem()
 	}
-	emb, ok := findEmbedded(rv, target)
-	if !ok {
+	path := embeddedPath(rv.Type(), target)
+	if path == nil {
 		return zero, false
+	}
+	emb, err := rv.FieldByIndexErr(path)
+	if err != nil {
+		return zero, false // a nil embedded pointer on the way
 	}
 	v, ok := emb.Interface().(T)
 	return v, ok
 }
 
-// findEmbedded locates the (transitively) embedded field of type target.
-func findEmbedded(v reflect.Value, target reflect.Type) (reflect.Value, bool) {
-	if v.Kind() != reflect.Struct {
-		return reflect.Value{}, false
+// embeddedPath is the field index path from struct type t to its first
+// (transitively) embedded field of type target, depth first, through
+// embedded pointers; nil if t embeds no target.
+func embeddedPath(t, target reflect.Type) []int {
+	if t.Kind() != reflect.Struct {
+		return nil
 	}
-	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.Anonymous {
 			continue
 		}
-		fv := v.Field(i)
-		for fv.Kind() == reflect.Pointer && !fv.IsNil() {
-			fv = fv.Elem()
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
 		}
-		if fv.Type() == target {
-			return fv, true
+		if ft == target {
+			return []int{i}
 		}
-		if emb, ok := findEmbedded(fv, target); ok {
-			return emb, true
+		if sub := embeddedPath(ft, target); sub != nil {
+			return append([]int{i}, sub...)
 		}
 	}
-	return reflect.Value{}, false
+	return nil
+}
+
+// takeAs returns a typed subscription's take (executor): the value of
+// type T the subscription queues for one matched event. An interface T
+// takes the event boxed (CloneSource.Clone) and asserts it. A struct T
+// takes a copy of the decoded event (CloneSource.Value), with no box:
+// the event itself when its class is T, or else the T its class embeds
+// (§2.2), copied out along the field path embeddedPath resolves once per
+// class the subscription sees.
+func takeAs[T obvent.Obvent]() func(*codec.CloneSource) (T, bool, error) {
+	target := obvent.TypeOf[T]()
+	if target.Kind() == reflect.Interface {
+		return func(src *codec.CloneSource) (v T, ok bool, err error) {
+			o, err := src.Clone()
+			if err != nil {
+				return v, false, err
+			}
+			v, ok = o.(T)
+			return v, ok, nil
+		}
+	}
+	var paths sync.Map // class reflect.Type -> []int, nil for a class with no T
+	return func(src *codec.CloneSource) (v T, ok bool, err error) {
+		p, err := src.Value()
+		if err != nil {
+			return v, false, err
+		}
+		if pt, ok := p.(*T); ok {
+			return *pt, true, nil
+		}
+		class := src.Type()
+		entry, hit := paths.Load(class)
+		if !hit {
+			entry, _ = paths.LoadOrStore(class, embeddedPath(class, target))
+		}
+		path := entry.([]int)
+		if path == nil {
+			return v, false, nil
+		}
+		emb, err := reflect.ValueOf(p).Elem().FieldByIndexErr(path)
+		if err != nil {
+			return v, false, nil // a nil embedded pointer on the way
+		}
+		// The embedded value is addressable (p is a pointer): its address
+		// boxes as a pointer, with no allocation, and the copy is v's.
+		return *emb.Addr().Interface().(*T), true, nil
+	}
 }
 
 // Publish is the publish primitive (paper §3.2): it asynchronously
@@ -104,21 +158,24 @@ func SubscribeLocal[T obvent.Obvent](e *Engine, pred func(T) bool, handler func(
 // local predicate; the remote filter prunes traffic at filtering hosts,
 // the local predicate applies the residual opaque logic at the
 // subscriber. Every typed subscription but a durable one is made here.
+// The predicate and the handler run on the subscription's own value
+// (takeAs): for a struct T, a copy of the decoded event that nothing
+// boxes.
 func SubscribeFiltered[T obvent.Obvent](e *Engine, f *filter.Expr, pred func(T) bool, handler func(T)) (*Subscription, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
-	t := obvent.TypeOf[T]()
-	var local func(obvent.Obvent) bool
-	if pred != nil {
-		local = func(o obvent.Obvent) bool {
-			v, ok := As[T](o)
-			return ok && pred(v)
-		}
+	return newSubscription(e, obvent.TypeOf[T](), f, takeAs[T](), pred, func(item *submission[T]) { handler(item.o) })
+}
+
+// SubscribeDelivery is Subscribe for a handler that needs the delivery
+// metadata beside the event: the entry point durable subscriptions
+// build on, to acknowledge exactly the delivered event.
+func SubscribeDelivery[T obvent.Obvent](e *Engine, f *filter.Expr, handler func(T, Delivery)) (*Subscription, error) {
+	if handler == nil {
+		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
-	return e.SubscribeDynamic(t, f, local, func(o obvent.Obvent) {
-		if v, ok := As[T](o); ok {
-			handler(v)
-		}
+	return newSubscription(e, obvent.TypeOf[T](), f, takeAs[T](), nil, func(item *submission[T]) {
+		handler(item.o, Delivery{Ident: item.ident(), Class: item.class})
 	})
 }

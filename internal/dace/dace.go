@@ -802,7 +802,8 @@ func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []stri
 	buf.value = env.Value()
 	wp, payload, _ := buf.src.Wire()
 	dst = n.routes.DestinationsWire(env.Type, wp, payload, buf.full, dst)
-	buf.src, buf.value = codec.CloneSource{}, nil
+	buf.src.Reset()
+	buf.value = nil
 	return dst
 }
 

@@ -178,7 +178,7 @@ func (c *Compound) Match(event any) []string {
 // must not allocate a fresh result slice per envelope. The appended IDs
 // are sorted; dst's existing contents are preserved.
 func (c *Compound) MatchAppend(event any, dst []string) []string {
-	return c.plan.Load().match(event, dst, false)
+	return c.plan.Load().match(event, false, dst, false)
 }
 
 // MatchAppendFailOpen is MatchAppend with fail-open error semantics: an
@@ -189,7 +189,7 @@ func (c *Compound) MatchAppend(event any, dst []string) []string {
 // subscriber's own evaluation is the authoritative pass (paper §2.3.2:
 // remote filtering is an optimization, never a semantic change).
 func (c *Compound) MatchAppendFailOpen(event any, dst []string) []string {
-	return c.plan.Load().match(event, dst, true)
+	return c.plan.Load().match(event, false, dst, true)
 }
 
 // MatchWireAppend evaluates the plan against a wire-encoded event,
@@ -201,8 +201,10 @@ func (c *Compound) MatchAppendFailOpen(event any, dst []string) []string {
 // fall back to one full compiled decode via full, which also backstops
 // malformed payloads (extraction and full decode reject exactly the
 // same inputs, so corrupt input is observed identically on both paths).
-// An Unfiltered compound touches neither. A non-nil error is full's
-// decode failure; no IDs were appended.
+// full returns the event, or a pointer to it (a *T for the payload's
+// class T, decoded in place), which is evaluated as the value it points
+// at, with no copy. An Unfiltered compound touches neither. A non-nil
+// error is full's decode failure; no IDs were appended.
 func (c *Compound) MatchWireAppend(wp *wire.Prog, payload []byte, full func() (any, error), dst []string) ([]string, error) {
 	return c.plan.Load().matchWire(wp, payload, full, dst, false)
 }
@@ -557,7 +559,10 @@ func (p *plan) getScratch() *matchScratch {
 // match evaluates the plan against one event, appending matches to dst.
 // With failOpen, formulas whose outcome is an evaluation error count as
 // matches (the caller ships and lets the subscriber decide).
-func (p *plan) match(event any, dst []string, failOpen bool) []string {
+//
+// With inPlace, event is a pointer to the event, evaluated as the value
+// it points at (matchWire).
+func (p *plan) match(event any, inPlace bool, dst []string, failOpen bool) []string {
 	if !p.filtered {
 		return append(dst, p.ids...)
 	}
@@ -568,6 +573,9 @@ func (p *plan) match(event any, dst []string, failOpen bool) []string {
 	// compiled for this event type (first sight compiles them); paths
 	// that cannot compile fall back to reflective resolution per event.
 	rv := reflect.ValueOf(event)
+	if inPlace {
+		rv = rv.Elem()
+	}
 	var progs []*accessor.Program
 	if len(p.paths) > 0 && rv.IsValid() {
 		progs = p.programsFor(rv.Type())
@@ -578,11 +586,22 @@ func (p *plan) match(event any, dst []string, failOpen bool) []string {
 		var c filter.Constant
 		if progs != nil && progs[i] != nil {
 			var err error
-			if c, err = progs[i].Constant(event); err != nil {
+			if inPlace {
+				c, err = progs[i].ConstantAt(event)
+			} else {
+				c, err = progs[i].Constant(event)
+			}
+			if err != nil {
 				continue
 			}
 		} else {
 			p.acc.fallbacks.Add(1)
+			if rv.CanAddr() {
+				// In place: ResolvePath reaches the pointer method set
+				// of an addressable value. Resolve on a copy, as on the
+				// value.
+				rv = reflect.ValueOf(rv.Interface())
+			}
 			v, err := filter.ResolvePath(rv, ps.path)
 			if err != nil {
 				continue
@@ -624,7 +643,9 @@ func (p *plan) matchWire(wp *wire.Prog, payload []byte, full func() (any, error)
 		return dst, err
 	}
 	p.acc.materialized.Add(1)
-	return p.match(event, dst, failOpen), nil
+	rt := reflect.TypeOf(event)
+	inPlace := rt != nil && rt.Kind() == reflect.Pointer && rt.Elem() == wp.Type()
+	return p.match(event, inPlace, dst, failOpen), nil
 }
 
 // extractorFor returns the wire extractor evaluating this plan's paths

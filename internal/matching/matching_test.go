@@ -27,6 +27,11 @@ func (q quote) GetPrice() float64 { return q.Price }
 
 func (q quote) GetCompany() string { return q.Company }
 
+// AddrPrice has a pointer receiver, which a quote value (as a decoded
+// event is) does not reach: a path naming it fails on one, also when
+// the event is materialized in place.
+func (q *quote) AddrPrice() float64 { return q.Price }
+
 // build returns a compound over filters, failing the test on a
 // validation error.
 func build(t testing.TB, filters map[string]*filter.Expr) *Compound {
@@ -206,8 +211,11 @@ func randLeaf(r *rand.Rand) *filter.Expr {
 	case 2:
 		return filter.Path("Company").Contains(filter.Str(string(rune('A' + r.Intn(4)))))
 	case 3:
-		// Occasionally reference a missing field to exercise error
-		// propagation.
+		// Occasionally reference a missing field, or a method only the
+		// pointer reaches, to exercise error propagation.
+		if r.Intn(2) == 0 {
+			return filter.Path("AddrPrice").Lt(filter.Float(100))
+		}
 		return filter.Path("Ghost").Eq(filter.Int(1))
 	default:
 		return filter.Path("Company").Eq(filter.Str(string(rune('A' + r.Intn(4)))))
@@ -270,6 +278,11 @@ func TestCompoundTransparencyProperty(t *testing.T) {
 			full := func() (any, error) { fulls++; return q, nil }
 			wireStrict, _ := c.MatchWireAppend(prog, payload, full, nil)
 			wireOpen, _ := c.MatchWireAppendFailOpen(prog, payload, full, nil)
+			// Materialized in place: a pointer to the event, evaluated as
+			// the value.
+			inPlace := func() (any, error) { fulls++; return &q, nil }
+			placeStrict, _ := c.MatchWireAppend(prog, payload, inPlace, nil)
+			placeOpen, _ := c.MatchWireAppendFailOpen(prog, payload, inPlace, nil)
 			for _, m := range []struct {
 				name      string
 				got, want []string
@@ -279,6 +292,8 @@ func TestCompoundTransparencyProperty(t *testing.T) {
 				{"MatchAppendFailOpen", c.MatchAppendFailOpen(q, nil), open},
 				{"MatchWireAppend", wireStrict, strict},
 				{"MatchWireAppendFailOpen", wireOpen, open},
+				{"MatchWireAppend in place", placeStrict, strict},
+				{"MatchWireAppendFailOpen in place", placeOpen, open},
 			} {
 				if fmt.Sprint(m.got) != fmt.Sprint(m.want) {
 					t.Logf("mismatch: seed=%d quote=%+v %s=%v want %v", seed, q, m.name, m.got, m.want)
