@@ -1014,103 +1014,6 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyRoute measures the publisher's per-event destination
-// decision straight from an encoded envelope, with 1000 remote
-// subscriptions spread across 16 nodes: the materializing path (decode
-// the event from its payload, then evaluate the compound routing plan —
-// what every wire-encoded event paid before lazy partial decode)
-// against the lazy path (extract only the plan's referenced fields from
-// the compact payload; the event value is never built). Subscriptions
-// filter on the promoted Price field — a structural path the wire
-// extractor can resolve from bytes. Part of the dispatch CI family.
-func BenchmarkLazyRoute(b *testing.B) {
-	const (
-		nNodes = 16
-		nSubs  = 1000
-	)
-	for _, sel := range []struct {
-		name string
-		frac float64
-	}{{"sel=1pct", 0.01}, {"sel=10pct", 0.10}} {
-		reg := obvent.NewRegistry()
-		workload.RegisterTypes(reg)
-		class := obvent.TypeName(obvent.TypeOf[workload.StockQuote]())
-		tbl := routing.NewTable(reg)
-		for n := 0; n < nNodes; n++ {
-			var infos []core.SubscriptionInfo
-			for i := n; i < nSubs; i += nNodes {
-				threshold := (float64(i) + 0.5) * 1000 / nSubs
-				data, err := filter.MarshalCanonical(filter.Path("Price").Lt(filter.Float(threshold)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				infos = append(infos, core.SubscriptionInfo{
-					ID:       fmt.Sprintf("node-%02d/sub-%04d", n, i),
-					TypeName: class,
-					Filter:   data,
-				})
-			}
-			tbl.ApplySnapshot(fmt.Sprintf("node-%02d", n), 1, infos)
-		}
-		matches := int(sel.frac * nSubs)
-		price := float64(nSubs-matches) * 1000 / nSubs
-		q := workload.StockQuote{StockObvent: workload.StockObvent{Company: "Telco Mobiles", Price: price, Amount: 1}}
-		c := codec.New(reg)
-		env, err := c.Encode(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		b.Run(fmt.Sprintf("materialize/subs=%d/%s", nSubs, sel.name), func(b *testing.B) {
-			b.ReportAllocs()
-			var src codec.CloneSource
-			dec := func() any {
-				o, err := src.Clone()
-				if err != nil {
-					return nil
-				}
-				return o
-			}
-			dst := make([]string, 0, nNodes)
-			var nDests int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.SourceInto(env, &src); err != nil {
-					b.Fatal(err)
-				}
-				dst = tbl.Destinations(class, dec, dst[:0])
-				nDests = len(dst)
-			}
-			b.ReportMetric(float64(nDests), "dests/op")
-		})
-		b.Run(fmt.Sprintf("lazy/subs=%d/%s", nSubs, sel.name), func(b *testing.B) {
-			b.ReportAllocs()
-			var src codec.CloneSource
-			full := func() (any, error) { return src.Clone() }
-			dst := make([]string, 0, nNodes)
-			var nDests int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.SourceInto(env, &src); err != nil {
-					b.Fatal(err)
-				}
-				wp, payload, ok := src.Wire()
-				if !ok {
-					b.Fatal("envelope is not wire-encoded; the lazy side would silently measure materialization")
-				}
-				dst = tbl.DestinationsWire(class, wp, payload, full, dst[:0])
-				nDests = len(dst)
-			}
-			st := tbl.Stats()
-			b.StopTimer()
-			if st.PartialDecodes == 0 {
-				b.Fatal("no partial decodes recorded; the plan fell back to materialization")
-			}
-			b.ReportMetric(float64(nDests), "dests/op")
-		})
-	}
-}
-
 // quoteBook is the pointer-bearing benchmark class: an order book
 // snapshot whose clones used to cost a full gob decode each.
 type quoteBook struct {

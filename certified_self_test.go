@@ -532,3 +532,78 @@ func TestPublisherWithoutLocalSubscriptionStagesNothing(t *testing.T) {
 	}
 	exactlyOnce(t, "node-1", got, "node-0", n)
 }
+
+// TickHeader is a certified class that pricedTick embeds. It is exported
+// because the wire leaves off what an unexported embedded type promotes.
+type TickHeader struct {
+	obvent.Base
+	obvent.CertifiedBase
+	Pub string
+	Seq int
+}
+
+// pricedTick is a TickHeader by embedding (implicit declaration, §2.2).
+type pricedTick struct {
+	TickHeader
+	Price float64
+}
+
+// TestDurableReplayTakesTheEmbeddedStruct: a durable subscriber of
+// TickHeader is delivered pricedTick events as the TickHeader they
+// embed, live and, for the events its handler died under, by replay
+// once it subscribes again: each event once, in the same view.
+func TestDurableReplayTakesTheEmbeddedStruct(t *testing.T) {
+	ctx := context.Background()
+	root := t.TempDir()
+	sn := &selfNet{
+		t:     t,
+		net:   netsim.New(netsim.Config{MaxLatency: time.Millisecond, Seed: 23}),
+		addrs: []string{"node-0"},
+		opts: func(addr string) []govents.Option {
+			return []govents.Option{govents.WithDurability(filepath.Join(root, addr))}
+		},
+	}
+	defer sn.net.Close()
+	d, _ := sn.open("node-0")
+
+	got := newRecorder()
+	var crashing atomic.Bool
+	subscribe := func() *govents.Subscription {
+		t.Helper()
+		sub, err := govents.SubscribeDurable(d, "header-sub", func(h TickHeader) {
+			if crashing.Load() {
+				panic("handler dies before the cursor moves")
+			}
+			got.record(h.Pub, h.Seq)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	publish := func(seq int) {
+		t.Helper()
+		if err := d.Publish(ctx, pricedTick{TickHeader: TickHeader{Pub: "node-0", Seq: seq}, Price: float64(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sub := subscribe()
+	publish(0)
+	waitFor(t, "the live event", func() bool { return got.has(tickKey("node-0", 0)) })
+
+	crashing.Store(true)
+	for seq := 1; seq <= 3; seq++ {
+		publish(seq)
+	}
+	waitFor(t, "three handler deaths", func() bool { return d.Stats().HandlerPanics >= 3 })
+	crashing.Store(false)
+	if err := sub.Deactivate(); err != nil {
+		t.Fatal(err)
+	}
+	subscribe()
+	if st := d.DurableStats(); st.Replayed != 3 {
+		t.Errorf("replayed %d events, want the 3 the handler died under", st.Replayed)
+	}
+	exactlyOnce(t, "node-0", got, "node-0", 4)
+}

@@ -135,9 +135,8 @@ func run() error {
 		st := d.Stats()
 		fmt.Printf("dispatch: lanes=%d in=%d delivered=%d expired=%d decode-errors=%d panics=%d\n",
 			d.DispatchLanes(), st.EventsIn, st.Delivered, st.Expired, st.DecodeErrors, st.HandlerPanics)
-		fmt.Printf("wire: compiles=%d rejects=%d encodes=%d decodes=%d partial-decodes=%d materializations=%d\n",
-			st.WireCompiles, st.WireRejects, st.WireEncodes, st.WireDecodes,
-			st.PartialDecodes, st.WireMaterializations)
+		fmt.Printf("wire: compiles=%d rejects=%d encodes=%d decodes=%d\n",
+			st.WireCompiles, st.WireRejects, st.WireEncodes, st.WireDecodes)
 		for _, l := range d.LaneStats() {
 			fmt.Printf("  lane %-3d routed=%-6d dispatched=%-6d delivered=%-6d queued=%d high-water=%d\n",
 				l.Lane, l.Enqueued, l.Stats.EventsIn, l.Stats.Delivered, l.Queued, l.HighWater)
@@ -182,9 +181,9 @@ func printStageLatencies(d *govents.Domain) {
 // and broken out per obvent class.
 func printRoutingStats(d *govents.Domain) {
 	st := d.RoutingStats()
-	fmt.Printf("routing: ads-applied=%d ads-stale=%d ads-heartbeat=%d ads-rejected=%d nodes-expired=%d plans=%d events=%d compound-evals=%d pruned=%d fallback=%d partial-decodes=%d materializations=%d\n",
+	fmt.Printf("routing: ads-applied=%d ads-stale=%d ads-heartbeat=%d ads-rejected=%d nodes-expired=%d plans=%d events=%d compound-evals=%d pruned=%d fallback=%d\n",
 		st.AdsApplied, st.AdsStale, st.AdsRefreshed, st.AdsRejected, st.NodesExpired, st.PlansCompiled,
-		st.EventsRouted, st.CompoundEvals, st.NodesPruned, st.FallbackEvals, st.PartialDecodes, st.WireMaterializations)
+		st.EventsRouted, st.CompoundEvals, st.NodesPruned, st.FallbackEvals)
 	byClass := d.RoutingStatsByClass()
 	classes := make([]string, 0, len(byClass))
 	for c := range byClass {

@@ -149,25 +149,24 @@
 // at its first byte and counted (RoutingStats.AdsRejected), and its
 // filters would not parse, so upgrade a domain together. The layouts
 // are in internal/dace/ad.go and internal/filter/marshal.go. On the
-// routing and matching path, plans whose filters reference only
-// structural fields evaluate by partial decode — extracting just those
-// fields from the encoded bytes, stepping over marshaled and interface
-// fields by their length — and the event is materialized only
-// for actual matches and deliveries, or when a filter reads a method or
-// a field inside a marshaled type (at a subscriber, decoded in place,
-// with no box). A typed subscriber's clone is a copy of the decoded
+// routing and matching path a filter reads the event through its
+// accessors alone (§3.3.4), on a value its host already holds: a
+// publisher evaluates the value it published when decoding the payload
+// would give that value back (an exact class published by value), and
+// otherwise the payload decoded in place, with no box; a subscriber
+// evaluates the event decoded in place, the decode its deliveries then
+// copy from. A typed subscriber's clone is a copy of the decoded
 // event, held by its queue slot and then by its handler's argument, with
 // no box either: the payload is decoded once per match, or once per
 // event for a class with no pointer, slice or map anywhere, whose plain
 // copy is already deep. An interface-typed subscription takes the event
 // boxed; such subscriptions to a class of the second kind share one
-// immutable box. Domain.Stats
-// exposes the codec counters (WireEncodes, WireDecodes, PartialDecodes,
-// WireMaterializations, ...). The compiled program is a class's one
-// encoding: there is no per-class hook, generated or hand-written, that
-// replaces it (LM1: serialization needs no application code). The psc
-// generator emits typed adapters and lifted filters, nothing that
-// touches the payload.
+// immutable box. Domain.Stats exposes the codec counters (WireEncodes,
+// WireDecodes, ...). The compiled program is a class's one encoding and
+// the payload's only reader: there is no per-class hook, generated or
+// hand-written, that replaces it (LM1: serialization needs no
+// application code). The psc generator emits typed adapters and lifted
+// filters, nothing that touches the payload.
 //
 // # Envelope wire format
 //

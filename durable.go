@@ -109,7 +109,19 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 	// text its data record spells.
 	seen := make(map[codec.Ident]bool)
 	var seenMu sync.Mutex
+	// A replayed event is taken as T by the rule live delivery uses
+	// (core.Take): for a struct T, a copy of the event decoded in place.
 	cod := d.eng.Codec()
+	take := core.Take[T]()
+	var src codec.CloneSource
+	replayed := func(env *codec.Envelope) (T, bool, error) {
+		defer src.Reset()
+		if err := cod.SourceInto(env, &src); err != nil {
+			var zero T
+			return zero, false, err
+		}
+		return take(&src)
+	}
 	for _, class := range classes {
 		ib, err := d.dur.InboxFor(class)
 		if err != nil {
@@ -126,10 +138,10 @@ func SubscribeDurable[T Obvent](d *Domain, durableID string, handler func(T)) (*
 				// forever: drop it, acknowledged, and say so.
 				d.log.Warn("govents: durable replay: undecodable envelope; dropping",
 					"class", class, "event", eventID, "origin", origin, "err", uerr)
-			} else if o, derr := cod.Decode(env); derr != nil {
+			} else if v, ok, derr := replayed(env); derr != nil {
 				d.log.Warn("govents: durable replay: undecodable obvent; dropping",
 					"class", class, "event", eventID, "origin", origin, "err", derr)
-			} else if v, ok := core.As[T](o); ok {
+			} else if ok {
 				handler(v)
 			}
 			id := codec.IdentOf(eventID)

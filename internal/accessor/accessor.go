@@ -228,28 +228,6 @@ func accessorResult(m reflect.Method, iface bool, seg string) (reflect.Type, err
 	return mt.Out(0), nil
 }
 
-// FieldSteps reports the program as a chain of struct-field indices
-// (with -1 marking a pointer dereference) when the path is purely
-// structural — no accessor-method steps. Such a chain is decidable
-// against the class's wire encoding alone, which is what lets the wire
-// extractor (internal/wire) resolve the path from encoded bytes without
-// materializing the event. Paths with method steps report ok == false:
-// a method's result is not a wire location.
-func (p *Program) FieldSteps() (chain []int, ok bool) {
-	chain = make([]int, 0, len(p.steps))
-	for i := range p.steps {
-		switch p.steps[i].op {
-		case opField:
-			chain = append(chain, p.steps[i].idx)
-		case opDeref:
-			chain = append(chain, -1)
-		default:
-			return nil, false
-		}
-	}
-	return chain, true
-}
-
 // Root returns the type the program was compiled for.
 func (p *Program) Root() reflect.Type { return p.root }
 

@@ -61,10 +61,7 @@ type WireStats struct {
 	// encoded).
 	Compiles uint64
 	Rejects  uint64
-	// Encodes / Decodes count payload encodes and full decodes
-	// (materializations). Partial decodes — plan evaluations that never
-	// materialized the event — are counted by the matching layer, which
-	// owns that decision.
+	// Encodes / Decodes count payload encodes and decodes.
 	Encodes uint64
 	Decodes uint64
 }
@@ -148,9 +145,9 @@ func (e *wireEntry) noteSize(n int64) {
 	}
 }
 
-// Wire exposes the payload and its compiled program — the inputs to lazy
-// partial evaluation (matching's wire match path). ok is false only for
-// a source no envelope resolved into.
+// Wire exposes the payload and its compiled program, which the wire
+// match path (matching.Compound.MatchWireAppend) takes. ok is false only
+// for a source no envelope resolved into.
 func (s *CloneSource) Wire() (prog *wire.Prog, payload []byte, ok bool) {
 	if s.we == nil {
 		return nil, nil, false

@@ -25,9 +25,8 @@ import (
 // through the registry's conformance relation), an entry without a
 // filter for each one that has no remote filter, so an event's
 // conditions are evaluated once across all subscribers instead of once
-// per subscription, reading the fields it needs straight from the
-// encoded payload where it can, and otherwise from the event decoded in
-// place (CloneSource.Value). Obvent local uniqueness (§2.1.2) is then
+// per subscription, on the event decoded in place (CloneSource.Value),
+// the decode its deliveries then copy from. Obvent local uniqueness (§2.1.2) is then
 // paid only for the subscriptions whose remote matching passed, each
 // through its own executor's offer: a typed subscription queues a copy
 // of the decoded event, of a class with reference kinds decoded once
@@ -100,17 +99,10 @@ type DispatchStats struct {
 	// once; a rejected class cannot be published).
 	WireCompiles uint64
 	WireRejects  uint64
-	// WireEncodes / WireDecodes count payload encodes and full decodes
-	// (materializations) by the engine's codec.
+	// WireEncodes / WireDecodes count payload encodes and decodes by
+	// the engine's codec.
 	WireEncodes uint64
 	WireDecodes uint64
-	// PartialDecodes counts wire-encoded events the live table's
-	// matchers evaluated straight from the compact payload, without
-	// materializing the event at all.
-	PartialDecodes uint64
-	// WireMaterializations counts wire-encoded events the matchers had
-	// to decode fully (plans referencing accessor methods).
-	WireMaterializations uint64
 }
 
 // dispatchCounters is the engine-internal atomic form of DispatchStats.
@@ -167,8 +159,6 @@ func (e *Engine) Stats() DispatchStats {
 	ms := e.table.Load().buckets.AccessorStats("")
 	st.AccessorPrograms = ms.AccessorPrograms
 	st.AccessorFallbacks = ms.AccessorFallbacks
-	st.PartialDecodes = ms.PartialDecodes
-	st.WireMaterializations = ms.WireMaterializations
 	return st
 }
 
@@ -245,11 +235,10 @@ type dispatchScratch struct {
 	ids     []string          // compound match output buffer
 	deliver []*Subscription   // delivery list for the current envelope
 	src     codec.CloneSource // clone source, reset per envelope
-	// full materializes the current envelope's event from src, in place
-	// (CloneSource.Value: no box) — the fallback the wire match path
-	// invokes when lazy extraction cannot decide a plan. One persistent
-	// closure per lane (created on first use, capturing the lane's
-	// stable scratch pointer) so the hot path does not allocate a
+	// full decodes the current envelope's event from src, in place
+	// (CloneSource.Value: no box), for the compound to evaluate. One
+	// persistent closure per lane (created on first use, capturing the
+	// lane's stable scratch pointer) so the hot path does not allocate a
 	// closure per envelope.
 	full func() (any, error)
 }
@@ -291,10 +280,9 @@ func (e *Engine) dispatch(env *codec.Envelope, ln *laneState) {
 		src.Reset() // do not pin the failed envelope
 		return
 	}
-	// The compound evaluates lazily: it extracts the referenced fields
-	// straight from the payload and materializes the event (through
-	// sc.full) only when a plan path goes through an accessor method or
-	// a marshaled field. Its matches come in subscription-ID order.
+	// The compound evaluates the event decoded in place (sc.full), which
+	// the deliveries below copy from; a plan with no filter decodes
+	// nothing. Its matches come in subscription-ID order.
 	if sc.full == nil {
 		sc.full = func() (any, error) { return sc.src.Value() }
 	}

@@ -147,7 +147,7 @@ func testDispatchPopulation(t *testing.T, filteredOf10 int, opts ...Option) {
 		if rng.Intn(10) < 3 {
 			parity := rng.Intn(2)
 			spec.local = func(o obvent.Obvent) bool {
-				v, ok := As[StockObvent](o)
+				v, ok := as[StockObvent](e.Codec(), o)
 				return ok && v.Amount%2 == parity
 			}
 		}
@@ -156,7 +156,7 @@ func testDispatchPopulation(t *testing.T, filteredOf10 int, opts ...Option) {
 
 		idx := i
 		sub, err := e.SubscribeDynamic(spec.target, spec.remote, spec.local, func(o obvent.Obvent) {
-			v, ok := As[StockObvent](o)
+			v, ok := as[StockObvent](e.Codec(), o)
 			if !ok {
 				t.Errorf("sub %d: delivered obvent %T lacks StockObvent view", idx, o)
 				return

@@ -674,7 +674,6 @@ func TestLaneStatsFold(t *testing.T) {
 	// so the comparison checks exactly the lane-folded fields.
 	got2.WireCompiles, got2.WireRejects = 0, 0
 	got2.WireEncodes, got2.WireDecodes = 0, 0
-	got2.PartialDecodes, got2.WireMaterializations = 0, 0
 	if got2 != fold {
 		t.Errorf("Stats() = %+v, fold of LaneStats = %+v", got2, fold)
 	}

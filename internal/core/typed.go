@@ -10,40 +10,6 @@ import (
 	"govents/internal/obvent"
 )
 
-// As converts a received obvent to the subscribed type T. For interface
-// types this is a plain assertion. For struct types it is the Go analog
-// of a Java upcast: when the dynamic type is a subtype by embedding
-// (implicit declaration, paper §2.2), the embedded T value — the
-// supertype view of the obvent — is extracted. Fields of the subtype
-// are invisible through that view, exactly as with an upcast.
-func As[T obvent.Obvent](o obvent.Obvent) (T, bool) {
-	if v, ok := o.(T); ok {
-		return v, true
-	}
-	var zero T
-	target := obvent.TypeOf[T]()
-	if target.Kind() == reflect.Interface {
-		return zero, false
-	}
-	rv := reflect.ValueOf(o)
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return zero, false
-		}
-		rv = rv.Elem()
-	}
-	path := embeddedPath(rv.Type(), target)
-	if path == nil {
-		return zero, false
-	}
-	emb, err := rv.FieldByIndexErr(path)
-	if err != nil {
-		return zero, false // a nil embedded pointer on the way
-	}
-	v, ok := emb.Interface().(T)
-	return v, ok
-}
-
 // embeddedPath is the field index path from struct type t to its first
 // (transitively) embedded field of type target, depth first, through
 // embedded pointers; nil if t embeds no target.
@@ -70,14 +36,16 @@ func embeddedPath(t, target reflect.Type) []int {
 	return nil
 }
 
-// takeAs returns a typed subscription's take (executor): the value of
-// type T the subscription queues for one matched event. An interface T
-// takes the event boxed (CloneSource.Clone) and asserts it. A struct T
-// takes a copy of the decoded event (CloneSource.Value), with no box:
-// the event itself when its class is T, or else the T its class embeds
-// (§2.2), copied out along the field path embeddedPath resolves once per
-// class the subscription sees.
-func takeAs[T obvent.Obvent]() func(*codec.CloneSource) (T, bool, error) {
+// Take returns a typed subscription's take (executor): the value of
+// type T the subscription queues for one event, read from its source.
+// An interface T takes the event boxed (CloneSource.Clone) and asserts
+// it. A struct T takes a copy of the decoded event (CloneSource.Value),
+// with no box: the event itself when its class is T, or else the T its
+// class embeds (§2.2), copied out along the field path embeddedPath
+// resolves once per class the take sees. That view is an upcast: the
+// subtype's own fields are invisible through it. ok is false for an
+// event that is not a T; a non-nil error is the decode's.
+func Take[T obvent.Obvent]() func(*codec.CloneSource) (T, bool, error) {
 	target := obvent.TypeOf[T]()
 	if target.Kind() == reflect.Interface {
 		return func(src *codec.CloneSource) (v T, ok bool, err error) {
@@ -159,13 +127,13 @@ func SubscribeLocal[T obvent.Obvent](e *Engine, pred func(T) bool, handler func(
 // the local predicate applies the residual opaque logic at the
 // subscriber. Every typed subscription but a durable one is made here.
 // The predicate and the handler run on the subscription's own value
-// (takeAs): for a struct T, a copy of the decoded event that nothing
+// (Take): for a struct T, a copy of the decoded event that nothing
 // boxes.
 func SubscribeFiltered[T obvent.Obvent](e *Engine, f *filter.Expr, pred func(T) bool, handler func(T)) (*Subscription, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
-	return newSubscription(e, obvent.TypeOf[T](), f, takeAs[T](), pred, func(item *submission[T]) { handler(item.o) })
+	return newSubscription(e, obvent.TypeOf[T](), f, Take[T](), pred, func(item *submission[T]) { handler(item.o) })
 }
 
 // SubscribeDelivery is Subscribe for a handler that needs the delivery
@@ -175,7 +143,7 @@ func SubscribeDelivery[T obvent.Obvent](e *Engine, f *filter.Expr, handler func(
 	if handler == nil {
 		return nil, fmt.Errorf("%w: nil handler", ErrCannotSubscribe)
 	}
-	return newSubscription(e, obvent.TypeOf[T](), f, takeAs[T](), nil, func(item *submission[T]) {
+	return newSubscription(e, obvent.TypeOf[T](), f, Take[T](), nil, func(item *submission[T]) {
 		handler(item.o, Delivery{Ident: item.ident(), Class: item.class})
 	})
 }

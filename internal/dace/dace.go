@@ -754,9 +754,9 @@ func (n *Node) markWrite(t1 int64) {
 // destScratch is the pooled per-publication destination buffer. The
 // closure is created once per scratch and captures the scratch pointer
 // (stable for the scratch's lifetime), so routing a publication
-// allocates neither a closure nor decode state; src and value are reset
-// after every event. env is the envelope a sequencer's planner decodes
-// a record into.
+// allocates neither a closure nor decode state, nor a box for the
+// decoded event; src and value are reset after every event. env is the
+// envelope a sequencer's planner decodes a record into.
 type destScratch struct {
 	ids   []string
 	send  [1]multicast.Send // the one Send of a routed publication
@@ -777,13 +777,11 @@ func (n *Node) putDest(buf *destScratch) {
 // by publisher-side compound-filter evaluation when Placement is
 // AtPublisher — one indexed evaluation per event against the class's
 // compiled routing plan, not one interpretation per remote
-// subscription. The payload is evaluated lazily: the plan reads only
-// the fields it references straight off the wire bytes and the event is
-// materialized only when some referenced path needs a method accessor
-// or goes into a marshaled field; an envelope that carries the value it
-// was encoded from (codec.Envelope.Value) materializes as that value,
-// with no decode. An undecodable event fails open to all candidates
-// (each subscriber's local pass decides).
+// subscription. The plan evaluates the value the envelope was encoded
+// from when it carries it (codec.Envelope.Value), with no decode, and
+// otherwise the payload decoded in place (CloneSource.Value), with no
+// box. An undecodable event fails open to all candidates (each
+// subscriber's local pass decides).
 func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []string) []string {
 	if n.cfg.Placement != AtPublisher {
 		return n.routes.NodesFor(env.Type, dst)
@@ -796,7 +794,7 @@ func (n *Node) destinationsFor(env *codec.Envelope, buf *destScratch, dst []stri
 			if buf.value != nil {
 				return buf.value, nil
 			}
-			return buf.src.Clone()
+			return buf.src.Value()
 		}
 	}
 	buf.value = env.Value()

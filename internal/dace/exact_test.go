@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"govents/internal/allocs"
 	"govents/internal/core"
 	"govents/internal/filter"
 	"govents/internal/netsim"
@@ -42,6 +43,7 @@ type (
 func (e hiddenKeyed) GetHidden() int { return e.hidden }
 func (e stampKeyed) GetStamp() int64 { return e.Stamp.N }
 func (e *addrKeyed) AddrKey() int    { return e.Key }
+func (e addrKeyed) GetKey() int      { return e.Key }
 
 // dropStamp marshals to nothing: a round trip zeroes it.
 type dropStamp struct{ N int64 }
@@ -122,6 +124,59 @@ func TestPublisherRoutesInexactClassesOnTheDecodedValue(t *testing.T) {
 				t.Errorf("publisher routing: EventsRouted = %d, NodesPruned = %d; want %d and 0", st.EventsRouted, st.NodesPruned, events)
 			}
 			t.Logf("%d of %d delivered past the subscriber's own filter pass", got.Load(), events)
+		})
+	}
+}
+
+// TestPublisherRoutesInexactClassesWithNoAllocation pins the routing
+// decision for the three classes whose envelope carries no value: the
+// publisher evaluates their payload decoded in place, through the
+// accessor the filter names, with no box (it read 1.0 allocation per
+// decision while it evaluated a boxed clone).
+func TestPublisherRoutesInexactClassesWithNoAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		class obvent.Obvent
+		f     *filter.Expr
+		event obvent.Obvent
+	}{
+		{"unexported field", hiddenKeyed{}, filter.Path("GetHidden").Lt(filter.Int(1)), hiddenKeyed{Key: 1, hidden: 5}},
+		{"marshaler field", stampKeyed{}, filter.Path("GetStamp").Lt(filter.Int(1)), stampKeyed{Key: 1, Stamp: dropStamp{N: 5}}},
+		{"published as a pointer", addrKeyed{}, filter.Path("GetKey").Lt(filter.Int(2)), &addrKeyed{Key: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := netsim.New(netsim.Config{})
+			defer net.Close()
+			cfg := fastCfg()
+			cfg.Placement = AtPublisher
+			nodes := newDomain(t, net, 2, cfg)
+			for _, n := range nodes {
+				n.node.Registry().MustRegister(tc.class)
+			}
+			pub, sub := nodes[0], nodes[1]
+			if err := activate(sub.engine.SubscribeDynamic(reflect.TypeOf(tc.class), tc.f, nil, func(obvent.Obvent) {})); err != nil {
+				t.Fatal(err)
+			}
+			waitAds(t, pub.node, 1)
+
+			env, err := pub.engine.Codec().Encode(tc.event)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Value() != nil {
+				t.Fatal("the envelope carries its value: the class is exact")
+			}
+			var buf destScratch
+			route := func() { buf.ids = pub.node.destinationsFor(env, &buf, buf.ids[:0]) }
+			route() // compiles the class's routing plan
+			if len(buf.ids) != 1 {
+				t.Fatalf("routed to %v, want the subscriber's node", buf.ids)
+			}
+			got := allocs.PerRun(200, route)
+			t.Logf("%.2f allocations per routing decision", got)
+			if got > 0 && !raceEnabled {
+				t.Errorf("a routing decision costs %.2f allocations, want 0", got)
+			}
 		})
 	}
 }

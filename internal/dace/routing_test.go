@@ -526,7 +526,8 @@ func TestMembershipDepartureDropsRoutingState(t *testing.T) {
 }
 
 // timelyReading is a Timely class: TimelyBase's time.Time is a marshaled
-// field, which the routing plan skips over on the wire.
+// field, so the class is not exact (wire.Exact) and its published value
+// does not ride the envelope.
 type timelyReading struct {
 	obvent.Base
 	obvent.TimelyBase
@@ -535,11 +536,11 @@ type timelyReading struct {
 	Seq    int
 }
 
-// TestTimelyClassRoutesByPartialDecode: a publisher-side filter on a
-// Timely class is decided straight from the payload's bytes, on the
-// publisher's routing plan and on the subscriber's dispatch table alike;
-// no event is materialized to be matched.
-func TestTimelyClassRoutesByPartialDecode(t *testing.T) {
+// TestTimelyClassRoutesOnItsDecodedValue: a publisher-side filter on a
+// Timely class is decided on the payload decoded in place: the publisher
+// prunes the subscriber for every reading the filter fails, and the
+// subscriber receives exactly the ones it passes.
+func TestTimelyClassRoutesOnItsDecodedValue(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
 	cfg := fastCfg()
@@ -570,12 +571,8 @@ func TestTimelyClassRoutesByPartialDecode(t *testing.T) {
 	waitFor(t, 10*time.Second, "the passing readings", func() bool { return got.Load() == 4 })
 
 	st := pub.node.RoutingStatsByClass()[obvent.TypeName(obvent.TypeOf[timelyReading]())]
-	if st.PartialDecodes != events || st.WireMaterializations != 0 {
-		t.Errorf("publisher routing: PartialDecodes = %d, WireMaterializations = %d; want %d and 0",
-			st.PartialDecodes, st.WireMaterializations, events)
-	}
-	if es := sub.engine.Stats(); es.PartialDecodes == 0 || es.WireMaterializations != 0 {
-		t.Errorf("subscriber dispatch: PartialDecodes = %d, WireMaterializations = %d; want > 0 and 0",
-			es.PartialDecodes, es.WireMaterializations)
+	if st.EventsRouted != events || st.NodesPruned != events-4 || st.FallbackEvals != 0 {
+		t.Errorf("publisher routing: EventsRouted = %d, NodesPruned = %d, FallbackEvals = %d; want %d, %d and 0",
+			st.EventsRouted, st.NodesPruned, st.FallbackEvals, events, events-4)
 	}
 }

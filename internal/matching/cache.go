@@ -58,8 +58,7 @@ func (c *Cache[X]) Range(fn func(class string, m *Compound) bool) {
 }
 
 // AccessorStats sums the accessor counters (AccessorPrograms,
-// AccessorFallbacks, PartialDecodes, WireMaterializations) of the cached
-// plans: of every class, or of one when class is not empty.
+// AccessorFallbacks) of the cached plans: of every class, or of one when class is not empty.
 func (c *Cache[X]) AccessorStats(class string) Stats {
 	var s Stats
 	c.Range(func(k string, m *Compound) bool {
@@ -67,8 +66,6 @@ func (c *Cache[X]) AccessorStats(class string) Stats {
 			ms := m.Stats()
 			s.AccessorPrograms += ms.AccessorPrograms
 			s.AccessorFallbacks += ms.AccessorFallbacks
-			s.PartialDecodes += ms.PartialDecodes
-			s.WireMaterializations += ms.WireMaterializations
 		}
 		return true
 	})

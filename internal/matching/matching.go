@@ -65,13 +65,6 @@ type accessorCounters struct {
 	// fallbacks counts per-event path resolutions that went through
 	// reflective filter.ResolvePath because no program could compile.
 	fallbacks atomic.Uint64
-	// partials counts wire-encoded events evaluated entirely from their
-	// compact payload — plan decided, event never materialized.
-	partials atomic.Uint64
-	// materialized counts wire-encoded events that had to be fully
-	// decoded to evaluate the plan (a referenced path goes through an
-	// accessor method, or the payload failed partial extraction).
-	materialized atomic.Uint64
 }
 
 // emptyPlan is the plan of a Compound no AddBatch has added to. It
@@ -143,14 +136,6 @@ type Stats struct {
 	// to reflective lookup because the path cannot compile against the
 	// event's type (it then fails open per event, exactly as before).
 	AccessorFallbacks uint64
-	// PartialDecodes counts wire-encoded events this plan evaluated
-	// without materializing them: every path the plan references was
-	// extracted straight from the compact payload.
-	PartialDecodes uint64
-	// WireMaterializations counts wire-encoded events that needed a full
-	// decode to evaluate (method-accessor paths, or a payload that failed
-	// extraction).
-	WireMaterializations uint64
 }
 
 // Stats returns the factoring statistics and accessor counters of the
@@ -160,8 +145,6 @@ func (c *Compound) Stats() Stats {
 	st := p.stats
 	st.AccessorPrograms = p.acc.compiles.Load()
 	st.AccessorFallbacks = p.acc.fallbacks.Load()
-	st.PartialDecodes = p.acc.partials.Load()
-	st.WireMaterializations = p.acc.materialized.Load()
 	return st
 }
 
@@ -192,28 +175,24 @@ func (c *Compound) MatchAppendFailOpen(event any, dst []string) []string {
 	return c.plan.Load().match(event, false, dst, true)
 }
 
-// MatchWireAppend evaluates the plan against a wire-encoded event,
-// materializing it only when it must: when every accessor path the plan
-// references is a structural (field/deref) chain, the referenced values
-// are extracted straight from the compact payload by a per-(type, plan)
-// extractor program and the event is never decoded at all. Plans
-// referencing accessor methods — whose results are not wire locations —
-// fall back to one full compiled decode via full, which also backstops
-// malformed payloads (extraction and full decode reject exactly the
-// same inputs, so corrupt input is observed identically on both paths).
-// full returns the event, or a pointer to it (a *T for the payload's
+// MatchWireAppend evaluates the plan against the event full returns:
+// the value its host already holds, or a pointer to it (a *T for wp's
 // class T, decoded in place), which is evaluated as the value it points
-// at, with no copy. An Unfiltered compound touches neither. A non-nil
+// at, with no copy. An Unfiltered compound calls nothing. A non-nil
 // error is full's decode failure; no IDs were appended.
+//
+// payload is not read. It stays only for the benchmark harness's
+// probes, and ROADMAP item 20(a), which moves them onto the library's
+// own paths, retires it.
 func (c *Compound) MatchWireAppend(wp *wire.Prog, payload []byte, full func() (any, error), dst []string) ([]string, error) {
-	return c.plan.Load().matchWire(wp, payload, full, dst, false)
+	return c.plan.Load().matchWire(wp, full, dst, false)
 }
 
 // MatchWireAppendFailOpen is MatchWireAppend with fail-open error
 // semantics (see MatchAppendFailOpen): publisher-side filtering hosts
 // must ship on evaluation errors, never suppress.
 func (c *Compound) MatchWireAppendFailOpen(wp *wire.Prog, payload []byte, full func() (any, error), dst []string) ([]string, error) {
-	return c.plan.Load().matchWire(wp, payload, full, dst, true)
+	return c.plan.Load().matchWire(wp, full, dst, true)
 }
 
 // MatchNaive evaluates every entry's filter independently. It is the
@@ -269,13 +248,6 @@ type plan struct {
 	// degrade to the reflective fallback, not grow memory without bound.
 	programs     sync.Map // reflect.Type -> []*accessor.Program
 	programTypes atomic.Int64
-
-	// extractors caches, per concrete event type, the wire extractor
-	// resolving this plan's unique paths from compact payloads — or a
-	// nil entry when the plan cannot be evaluated lazily for that type
-	// (a referenced path goes through an accessor method). Lifetime and
-	// invalidation mirror programs: valid until plan replacement.
-	extractors sync.Map // reflect.Type -> wireExt
 
 	// acc counts the accessor-program activity of this plan.
 	acc accessorCounters
@@ -613,90 +585,6 @@ func (p *plan) match(event any, inPlace bool, dst []string, failOpen bool) []str
 		vals[i], valOK[i] = c, true
 	}
 
-	return p.evalConditions(sc, dst, failOpen)
-}
-
-// matchWire evaluates the plan against one wire-encoded event: path
-// resolution (step 1) runs as a partial extraction over the compact
-// payload when the per-(type, plan) extractor covers every referenced
-// path, and the shared condition/formula evaluation (steps 2–3) runs
-// over the extracted values. Otherwise the event is materialized once
-// via full and matched normally.
-func (p *plan) matchWire(wp *wire.Prog, payload []byte, full func() (any, error), dst []string, failOpen bool) ([]string, error) {
-	if !p.filtered {
-		return append(dst, p.ids...), nil
-	}
-	if ex := p.extractorFor(wp.Type()); ex != nil {
-		sc := p.getScratch()
-		if err := ex.Extract(payload, sc.vals, sc.valOK); err == nil {
-			p.acc.partials.Add(1)
-			dst = p.evalConditions(sc, dst, failOpen)
-			p.scratch.Put(sc)
-			return dst, nil
-		}
-		// Malformed payload: fall through to materialization, whose
-		// decode rejects the same input with the authoritative error.
-		p.scratch.Put(sc)
-	}
-	event, err := full()
-	if err != nil {
-		return dst, err
-	}
-	p.acc.materialized.Add(1)
-	rt := reflect.TypeOf(event)
-	inPlace := rt != nil && rt.Kind() == reflect.Pointer && rt.Elem() == wp.Type()
-	return p.match(event, inPlace, dst, failOpen), nil
-}
-
-// extractorFor returns the wire extractor evaluating this plan's paths
-// for one event type, or nil when lazy evaluation is impossible for it.
-// The steady-state path is one lock-free map hit. An extractor exists
-// only when it covers every unique path: a partially resolved value
-// table could not reproduce the materialized path's error semantics for
-// the uncovered paths.
-func (p *plan) extractorFor(t reflect.Type) *wire.Extractor {
-	if v, ok := p.extractors.Load(t); ok {
-		return v.(wireExt).ex
-	}
-	var ex *wire.Extractor
-	if progs := p.programsFor(t); progs != nil {
-		chains := make([][]int, len(p.paths))
-		all := true
-		for i, prog := range progs {
-			if prog == nil {
-				all = false
-				break
-			}
-			chain, ok := prog.FieldSteps()
-			if !ok {
-				all = false
-				break
-			}
-			chains[i] = chain
-		}
-		if all {
-			if compiled, err := wire.CompileExtract(t, chains); err == nil && compiled.AllAble() {
-				ex = compiled
-			}
-		}
-	}
-	if v, loaded := p.extractors.LoadOrStore(t, wireExt{ex}); loaded {
-		return v.(wireExt).ex
-	}
-	return ex
-}
-
-// wireExt is one cached extractor outcome (nil = materialize).
-type wireExt struct{ ex *wire.Extractor }
-
-// evalConditions runs the plan's condition evaluation (step 2) and
-// per-subscription formulas (step 3) over the resolved path values in
-// sc, appending matches to dst. Shared verbatim by the materialized and
-// wire paths, so the two can never drift semantically.
-func (p *plan) evalConditions(sc *matchScratch, dst []string, failOpen bool) []string {
-	vals := sc.vals
-	valOK := sc.valOK
-
 	// 2. Evaluate unique conditions.
 	results := sc.results
 
@@ -800,6 +688,21 @@ func (p *plan) evalConditions(sc *matchScratch, dst []string, failOpen bool) []s
 		}
 	}
 	return dst
+}
+
+// matchWire evaluates the plan against the event full returns, calling
+// full only when some entry has a filter.
+func (p *plan) matchWire(wp *wire.Prog, full func() (any, error), dst []string, failOpen bool) ([]string, error) {
+	if !p.filtered {
+		return append(dst, p.ids...), nil
+	}
+	event, err := full()
+	if err != nil {
+		return dst, err
+	}
+	rt := reflect.TypeOf(event)
+	inPlace := rt != nil && rt.Kind() == reflect.Pointer && rt.Elem() == wp.Type()
+	return p.match(event, inPlace, dst, failOpen), nil
 }
 
 // maxProgramTypes bounds how many distinct event root types one plan

@@ -196,13 +196,6 @@ type Stats struct {
 	// AccessorFallbacks counts per-event path resolutions in the live
 	// plans that fell back to name-based reflection.
 	AccessorFallbacks uint64
-	// PartialDecodes counts routing decisions evaluated straight from
-	// the event's compact wire payload, without materializing the event.
-	PartialDecodes uint64
-	// WireMaterializations counts wire-encoded events the routing plans
-	// had to decode fully (a referenced path goes through an accessor
-	// method).
-	WireMaterializations uint64
 }
 
 // NewTable returns an empty routing table over a type registry (shared
@@ -648,12 +641,12 @@ func (t *Table) Destinations(class string, decode func() any, dst []string) []st
 	return dst
 }
 
-// DestinationsWire is Destinations for an event still in compact wire
-// form: the compound plan evaluates straight off the payload when every
-// referenced path is a field chain, calling full() to materialize the
-// event only when some plan path needs a method accessor. A full()
-// error fails open to every candidate node, mirroring the nil-decode
-// path of Destinations.
+// DestinationsWire is Destinations for an event that full returns as
+// the value the publisher holds or as a *T decoded in place
+// (matching.Compound.MatchWireAppend). A full() error fails open to
+// every candidate node, mirroring the nil-decode path of Destinations.
+// payload is not read. It stays only for the benchmark harness's
+// probes, and ROADMAP item 20(a) retires it.
 func (t *Table) DestinationsWire(class string, wp *wire.Prog, payload []byte, full func() (any, error), dst []string) []string {
 	c, cc := t.route(class)
 	if c.Unfiltered() {
@@ -793,8 +786,6 @@ func (t *Table) Stats() Stats {
 func (s *Stats) foldAccessor(ms matching.Stats) {
 	s.AccessorPrograms += ms.AccessorPrograms
 	s.AccessorFallbacks += ms.AccessorFallbacks
-	s.PartialDecodes += ms.PartialDecodes
-	s.WireMaterializations += ms.WireMaterializations
 }
 
 // NoteAdRejected records an advertisement payload the control-plane

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"govents/internal/filter"
 	"govents/internal/obvent"
 )
 
@@ -84,8 +83,7 @@ func buildFuzzEvent(b bool, i int64, i8 int8, i32 int32, u uint64, u16 uint16,
 
 // FuzzWireRoundTrip is the differential fuzz harness of the compact
 // codec against the gob oracle: every generated value must survive a
-// wire round trip exactly, agree with gob's round trip, and its lazy
-// field extraction must equal the fields of the fully decoded value.
+// wire round trip exactly and agree with gob's round trip.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(false, int64(0), int8(0), int32(0), uint64(0), uint16(0), 0.0, float32(0), "", []byte(nil), 0, false, 0, "")
 	f.Add(true, int64(-1), int8(-128), int32(1<<30), ^uint64(0), uint16(65535), -1.5, float32(3.25), "hello", []byte{1, 2, 3}, 5, true, -42, "nested")
@@ -94,23 +92,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 	prog, err := Compile(reflect.TypeOf(fuzzEvent{}), nil)
 	if err != nil {
 		f.Fatal(err)
-	}
-	// The extractor reads primitive leaves across the struct, including
-	// one through the pointer field and one inside the nested struct.
-	chains := [][]int{
-		{0},      // B
-		{1},      // I
-		{3},      // I32
-		{8},      // S
-		{12, -1}, // *P
-		{13, 1},  // N.Y
-	}
-	ext, err := CompileExtract(reflect.TypeOf(fuzzEvent{}), chains)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if !ext.AllAble() {
-		f.Fatal("all fuzz chains must be extractable")
 	}
 
 	f.Fuzz(func(t *testing.T, b bool, i int64, i8 int8, i32 int32, u uint64, u16 uint16,
@@ -132,32 +113,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if oracle := gobRoundTrip(t, ev); !reflect.DeepEqual(got, oracle) {
 			t.Fatalf("wire and gob round trips disagree:\nwire %#v\n gob %#v", got, oracle)
 		}
-
-		// Lazy extraction must equal the fully decoded fields.
-		vals := make([]filter.Constant, len(chains))
-		ok := make([]bool, len(chains))
-		if err := ext.Extract(data, vals, ok); err != nil {
-			t.Fatalf("extract: %v", err)
-		}
-		checkSlot := func(slot int, wantResolved bool, check func() bool) {
-			t.Helper()
-			if ok[slot] != wantResolved {
-				t.Fatalf("slot %d resolved = %v, want %v", slot, ok[slot], wantResolved)
-			}
-			if wantResolved && !check() {
-				t.Fatalf("slot %d value %+v disagrees with decoded field", slot, vals[slot])
-			}
-		}
-		checkSlot(0, true, func() bool { return vals[0].B == got.B })
-		checkSlot(1, true, func() bool { return vals[1].I == got.I })
-		checkSlot(2, true, func() bool { return vals[2].I == int64(got.I32) })
-		checkSlot(3, true, func() bool { return vals[3].S == got.S })
-		if got.P != nil {
-			checkSlot(4, true, func() bool { return vals[4].I == *got.P })
-		} else {
-			checkSlot(4, false, nil)
-		}
-		checkSlot(5, true, func() bool { return vals[5].S == got.N.Y })
 	})
 }
 
@@ -339,7 +294,7 @@ func sameKinds(a, b kindsEvent) bool {
 // FuzzWireKinds is FuzzWireRoundTrip's sibling over kindsEvent: every
 // generated value must round-trip through the wire exactly as through
 // gob, its instants intact, the state GobDecode rebuilds unshared
-// between two decodes, and fields behind the new kinds extractable.
+// between two decodes.
 func FuzzWireKinds(f *testing.F) {
 	f.Add(int64(0), uint32(0), int16(0), int32(0), int32(0), int64(0), "", uint8(0), false)
 	f.Add(int64(1790000000), uint32(999999999), int16(330), int32(-7), int32(1<<30), int64(-21500), "hello", uint8(5), true)
@@ -350,15 +305,6 @@ func FuzzWireKinds(f *testing.F) {
 	prog, err := Compile(typ, reg)
 	if err != nil {
 		f.Fatal(err)
-	}
-	// List.V goes through the recursion; Tail sits behind every new kind.
-	chains := [][]int{{3, -1, 0}, {16}}
-	ext, err := CompileExtract(typ, chains)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if !ext.AllAble() {
-		f.Fatal("all kinds chains must be extractable")
 	}
 
 	f.Fuzz(func(t *testing.T, sec int64, nsec uint32, zone int16, x, y int32, milli int64, text string, n uint8, hold bool) {
@@ -388,18 +334,6 @@ func FuzzWireKinds(f *testing.F) {
 		got.Count.vals[0] = -1
 		if again.Count.vals[0] != int(n) {
 			t.Fatal("two decodes share the state GobDecode rebuilt")
-		}
-
-		vals := make([]filter.Constant, len(chains))
-		ok := make([]bool, len(chains))
-		if err := ext.Extract(data, vals, ok); err != nil {
-			t.Fatalf("extract: %v", err)
-		}
-		if (again.List != nil) != ok[0] || (ok[0] && vals[0].I != int64(again.List.V)) {
-			t.Fatalf("List.V extracted %+v (ok=%v), decoded %+v", vals[0], ok[0], again.List)
-		}
-		if !ok[1] || vals[1].S != again.Tail {
-			t.Fatalf("Tail extracted %+v (ok=%v), decoded %q", vals[1], ok[1], again.Tail)
 		}
 	})
 }
@@ -443,15 +377,11 @@ func refusedKinds() []struct {
 	}
 }
 
-// FuzzWireDecode throws raw bytes at the compiled decoders and the
-// extractor: malformed payloads must error (never panic, never
-// over-allocate), and any payload both accept must tell one story.
+// FuzzWireDecode throws raw bytes at the compiled decoders: malformed
+// payloads must error (never panic, never over-allocate), and any
+// payload a decoder accepts must encode to what decodes to it again.
 func FuzzWireDecode(f *testing.F) {
 	prog, err := Compile(reflect.TypeOf(fuzzEvent{}), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ext, err := CompileExtract(reflect.TypeOf(fuzzEvent{}), [][]int{{1}, {8}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -472,26 +402,8 @@ func FuzzWireDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rv := reflect.New(reflect.TypeOf(fuzzEvent{})).Elem()
-		decErr := prog.Decode(data, rv)
-
-		vals := make([]filter.Constant, 2)
-		ok := make([]bool, 2)
-		extErr := ext.Extract(data, vals, ok)
-
-		if decErr == nil {
-			// A fully decodable payload must also extract (the
-			// extractor validates a prefix of what the decoder
-			// validates), and the extracted fields must match.
-			if extErr != nil {
-				t.Fatalf("decode accepted but extract rejected: %v", extErr)
-			}
+		if prog.Decode(data, rv) == nil {
 			got := rv.Interface().(fuzzEvent)
-			if !ok[0] || vals[0].I != got.I {
-				t.Fatalf("extracted I = %+v (ok=%v), decoded %d", vals[0], ok[0], got.I)
-			}
-			if !ok[1] || vals[1].S != got.S {
-				t.Fatalf("extracted S = %+v (ok=%v), decoded %q", vals[1], ok[1], got.S)
-			}
 			// Re-encoding the decoded value must round-trip to an
 			// equal value (bytes may legally differ: map iteration
 			// order and non-minimal varints are not canonicalized).

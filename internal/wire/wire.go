@@ -91,9 +91,6 @@ type encFn func(dst []byte, v reflect.Value, depth int) ([]byte, error)
 // position.
 type decFn func(data []byte, pos int, v reflect.Value, depth int) (int, error)
 
-// skipFn advances past one encoded value without materializing it.
-type skipFn func(data []byte, pos, depth int) (int, error)
-
 // Prog is one class's compiled codec program pair. Programs are
 // immutable and safe for concurrent use.
 type Prog struct {
@@ -146,7 +143,7 @@ func Compile(t reflect.Type, reg *obvent.Registry) (*Prog, error) {
 // pointee's. Remote invocation encodes its arguments and results so.
 func CompileValue(t reflect.Type, reg *obvent.Registry) (*Prog, error) {
 	b := &builder{reg: reg, building: make(map[reflect.Type]*codecFns)}
-	enc, dec, _, err := b.build(t)
+	enc, dec, err := b.build(t)
 	if err != nil {
 		return nil, err
 	}
@@ -261,9 +258,8 @@ func promotedAway(t reflect.Type, f reflect.StructField) error {
 // codecFns is one type's compiled functions, filled in once its build
 // is done; a recursive reference built meanwhile calls through it.
 type codecFns struct {
-	enc  encFn
-	dec  decFn
-	skip skipFn
+	enc encFn
+	dec decFn
 }
 
 // builder compiles one class, tracking in-progress types to detect
@@ -273,8 +269,8 @@ type builder struct {
 	building map[reflect.Type]*codecFns
 }
 
-// build compiles the encoder, decoder and skipper for t.
-func (b *builder) build(t reflect.Type) (encFn, decFn, skipFn, error) {
+// build compiles the encoder and decoder for t.
+func (b *builder) build(t reflect.Type) (encFn, decFn, error) {
 	if pair, ok := marshalerOf(t); ok {
 		return buildMarshaler(t, pair)
 	}
@@ -283,15 +279,15 @@ func (b *builder) build(t reflect.Type) (encFn, decFn, skipFn, error) {
 	}
 	fns := new(codecFns)
 	b.building[t] = fns
-	enc, dec, skip, err := b.buildKind(t)
+	enc, dec, err := b.buildKind(t)
 	delete(b.building, t)
-	*fns = codecFns{enc, dec, skip}
-	return enc, dec, skip, err
+	*fns = codecFns{enc, dec}
+	return enc, dec, err
 }
 
 // recursion is a type's reference to itself: one level deeper, through
 // the functions its build fills in.
-func recursion(fns *codecFns) (encFn, decFn, skipFn, error) {
+func recursion(fns *codecFns) (encFn, decFn, error) {
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		if depth >= maxNesting {
 			return dst, errNesting
@@ -304,33 +300,27 @@ func recursion(fns *codecFns) (encFn, decFn, skipFn, error) {
 		}
 		return fns.dec(data, pos, v, depth+1)
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		if depth >= maxNesting {
-			return 0, errNesting
-		}
-		return fns.skip(data, pos, depth+1)
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
-func (b *builder) buildKind(t reflect.Type) (encFn, decFn, skipFn, error) {
+func (b *builder) buildKind(t reflect.Type) (encFn, decFn, error) {
 	switch t.Kind() {
 	case reflect.Bool:
-		return encBool, decBool, skipFixed(1), nil
+		return encBool, decBool, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return encInt, decInt(t), skipUvarint, nil
+		return encInt, decInt(t), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return encUint, decUint(t), skipUvarint, nil
+		return encUint, decUint(t), nil
 	case reflect.Float32:
-		return encFloat32, decFloat32, skipFixed(4), nil
+		return encFloat32, decFloat32, nil
 	case reflect.Float64:
-		return encFloat64, decFloat64, skipFixed(8), nil
+		return encFloat64, decFloat64, nil
 	case reflect.Complex64:
-		return encComplex64, decComplex64, skipFixed(8), nil
+		return encComplex64, decComplex64, nil
 	case reflect.Complex128:
-		return encComplex128, decComplex128, skipFixed(16), nil
+		return encComplex128, decComplex128, nil
 	case reflect.String:
-		return encString, decString, skipSpan, nil
+		return encString, decString, nil
 	case reflect.Struct:
 		return b.buildStruct(t)
 	case reflect.Pointer:
@@ -346,7 +336,7 @@ func (b *builder) buildKind(t reflect.Type) (encFn, decFn, skipFn, error) {
 	default:
 		// unsafe.Pointer, and chan or func outside a struct field
 		// (where they are skipped): gob refuses these too.
-		return nil, nil, nil, fmt.Errorf("wire: unsupported kind %s (%s)", t.Kind(), t)
+		return nil, nil, fmt.Errorf("wire: unsupported kind %s (%s)", t.Kind(), t)
 	}
 }
 
@@ -571,7 +561,7 @@ func decString(data []byte, pos int, v reflect.Value, _ int) (int, error) {
 
 // buildMarshaler compiles a type that travels as the output of its
 // marshaler pair's methods.
-func buildMarshaler(t reflect.Type, pair int) (encFn, decFn, skipFn, error) {
+func buildMarshaler(t reflect.Type, pair int) (encFn, decFn, error) {
 	onValue := t.Implements(marshalPairs[pair].marshal)
 	enc := func(dst []byte, v reflect.Value, _ int) ([]byte, error) {
 		var m any
@@ -620,7 +610,7 @@ func buildMarshaler(t reflect.Type, pair int) (encFn, decFn, skipFn, error) {
 		}
 		return pos, nil
 	}
-	return enc, dec, skipSpan, nil
+	return enc, dec, nil
 }
 
 // --- interface fields ---
@@ -684,7 +674,7 @@ func (f *ifaceField) store(name string, ct reflect.Type) (*ifaceClass, error) {
 	return c, nil
 }
 
-func (b *builder) buildInterface(t reflect.Type) (encFn, decFn, skipFn, error) {
+func (b *builder) buildInterface(t reflect.Type) (encFn, decFn, error) {
 	f := &ifaceField{t: t, reg: b.reg}
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		if v.IsNil() {
@@ -737,14 +727,7 @@ func (b *builder) buildInterface(t reflect.Type) (encFn, decFn, skipFn, error) {
 		v.Set(nv)
 		return pos, nil
 	}
-	skip := func(data []byte, pos, _ int) (int, error) {
-		name, pos, err := readSpan(data, pos)
-		if err != nil || len(name) == 0 {
-			return pos, err
-		}
-		return skipSpan(data, pos, 0)
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
 // prefixLength inserts, at start, the unsigned varint length of what
@@ -761,27 +744,26 @@ func prefixLength(dst []byte, start int) []byte {
 
 // --- composite codecs ---
 
-func (b *builder) buildStruct(t reflect.Type) (encFn, decFn, skipFn, error) {
+func (b *builder) buildStruct(t reflect.Type) (encFn, decFn, error) {
 	type fieldProg struct {
-		idx  int
-		enc  encFn
-		dec  decFn
-		skip skipFn
+		idx int
+		enc encFn
+		dec decFn
 	}
 	var fields []fieldProg
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !travels(f) {
 			if err := promotedAway(t, f); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			continue
 		}
-		enc, dec, skip, err := b.build(f.Type)
+		enc, dec, err := b.build(f.Type)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		fields = append(fields, fieldProg{idx: i, enc: enc, dec: dec, skip: skip})
+		fields = append(fields, fieldProg{idx: i, enc: enc, dec: dec})
 	}
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		var err error
@@ -803,22 +785,13 @@ func (b *builder) buildStruct(t reflect.Type) (encFn, decFn, skipFn, error) {
 		}
 		return pos, nil
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		var err error
-		for i := range fields {
-			if pos, err = fields[i].skip(data, pos, depth); err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
-func (b *builder) buildPointer(t reflect.Type) (encFn, decFn, skipFn, error) {
-	elemEnc, elemDec, elemSkip, err := b.build(t.Elem())
+func (b *builder) buildPointer(t reflect.Type) (encFn, decFn, error) {
+	elemEnc, elemDec, err := b.build(t.Elem())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	et := t.Elem()
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
@@ -847,19 +820,10 @@ func (b *builder) buildPointer(t reflect.Type) (encFn, decFn, skipFn, error) {
 			return 0, fmt.Errorf("wire: invalid presence byte %d", data[pos])
 		}
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		if pos >= len(data) {
-			return 0, errShort
-		}
-		if data[pos] == 0 {
-			return pos + 1, nil
-		}
-		return elemSkip(data, pos+1, depth)
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
-func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
+func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, error) {
 	et := t.Elem()
 	// []byte (and any byte-kind slice whose elements have no marshaler):
 	// bulk copy.
@@ -891,26 +855,12 @@ func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
 			v.SetBytes(b)
 			return pos + int(n), nil
 		}
-		skip := func(data []byte, pos, _ int) (int, error) {
-			n, pos, err := readUvarint(data, pos)
-			if err != nil {
-				return 0, err
-			}
-			if n == 0 {
-				return pos, nil
-			}
-			n--
-			if n > uint64(len(data)-pos) {
-				return 0, fmt.Errorf("wire: byte-slice length %d exceeds remaining input", n)
-			}
-			return pos + int(n), nil
-		}
-		return enc, dec, skip, nil
+		return enc, dec, nil
 	}
 
-	elemEnc, elemDec, elemSkip, err := b.build(et)
+	elemEnc, elemDec, err := b.build(et)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	elemMin := minSize(et)
 	empty := reflect.MakeSlice(t, 0, 0)
@@ -959,32 +909,13 @@ func (b *builder) buildSlice(t reflect.Type) (encFn, decFn, skipFn, error) {
 		}
 		return pos, nil
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		n, pos, err := readUvarint(data, pos)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return pos, nil
-		}
-		n--
-		if err := checkCount(n, elemMin, len(data)-pos); err != nil {
-			return 0, err
-		}
-		for i := 0; i < int(n); i++ {
-			if pos, err = elemSkip(data, pos, depth); err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
-func (b *builder) buildArray(t reflect.Type) (encFn, decFn, skipFn, error) {
-	elemEnc, elemDec, elemSkip, err := b.build(t.Elem())
+func (b *builder) buildArray(t reflect.Type) (encFn, decFn, error) {
+	elemEnc, elemDec, err := b.build(t.Elem())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	l := t.Len()
 	enc := func(dst []byte, v reflect.Value, depth int) ([]byte, error) {
@@ -1005,16 +936,7 @@ func (b *builder) buildArray(t reflect.Type) (encFn, decFn, skipFn, error) {
 		}
 		return pos, nil
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		var err error
-		for i := 0; i < l; i++ {
-			if pos, err = elemSkip(data, pos, depth); err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
 // holdsInterface reports whether a value of t can hold an interface:
@@ -1036,14 +958,14 @@ func holdsInterface(t reflect.Type) bool {
 	return false
 }
 
-func (b *builder) buildMap(t reflect.Type) (encFn, decFn, skipFn, error) {
-	keyEnc, keyDec, keySkip, err := b.build(t.Key())
+func (b *builder) buildMap(t reflect.Type) (encFn, decFn, error) {
+	keyEnc, keyDec, err := b.build(t.Key())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	valEnc, valDec, valSkip, err := b.build(t.Elem())
+	valEnc, valDec, err := b.build(t.Elem())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	kt, vt := t.Key(), t.Elem()
 	entryMin := minSize(kt) + minSize(vt)
@@ -1098,29 +1020,7 @@ func (b *builder) buildMap(t reflect.Type) (encFn, decFn, skipFn, error) {
 		v.Set(m)
 		return pos, nil
 	}
-	skip := func(data []byte, pos, depth int) (int, error) {
-		n, pos, err := readUvarint(data, pos)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return pos, nil
-		}
-		n--
-		if err := checkCount(n, entryMin, len(data)-pos); err != nil {
-			return 0, err
-		}
-		for i := 0; i < int(n); i++ {
-			if pos, err = keySkip(data, pos, depth); err != nil {
-				return 0, err
-			}
-			if pos, err = valSkip(data, pos, depth); err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
-	}
-	return enc, dec, skip, nil
+	return enc, dec, nil
 }
 
 // --- low-level readers ---
@@ -1149,26 +1049,4 @@ func readSpan(data []byte, pos int) ([]byte, int, error) {
 	}
 	end := pos + int(n)
 	return data[pos:end:end], end, nil
-}
-
-// skipFixed skips n bytes.
-func skipFixed(n int) skipFn {
-	return func(data []byte, pos, _ int) (int, error) {
-		if pos+n > len(data) {
-			return 0, errShort
-		}
-		return pos + n, nil
-	}
-}
-
-// skipUvarint skips one varint of either signedness.
-func skipUvarint(data []byte, pos, _ int) (int, error) {
-	_, pos, err := readUvarint(data, pos)
-	return pos, err
-}
-
-// skipSpan skips one length-prefixed byte string.
-func skipSpan(data []byte, pos, _ int) (int, error) {
-	_, pos, err := readSpan(data, pos)
-	return pos, err
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"time"
 	"unsafe"
 
-	"govents/internal/filter"
 	"govents/internal/obvent"
 )
 
@@ -192,114 +190,6 @@ func TestDecodeDefensive(t *testing.T) {
 	out = reflect.New(p.Type()).Elem()
 	if err := p.Decode(huge, out); err == nil {
 		t.Fatal("oversized length decoded successfully")
-	}
-}
-
-func TestExtractorFlat(t *testing.T) {
-	type ev struct {
-		A int
-		B string
-		C float64
-		D bool
-	}
-	p := mustCompile(t, ev{})
-	et := reflect.TypeOf(ev{})
-	// Chains: C, A, B, D and one non-extractable (nil).
-	ex, err := CompileExtract(et, [][]int{{2}, {0}, {1}, {3}, nil})
-	if err != nil {
-		t.Fatalf("CompileExtract: %v", err)
-	}
-	if ex.AllAble() {
-		t.Fatal("AllAble with a nil chain")
-	}
-	for i, want := range []bool{true, true, true, true, false} {
-		if ex.Able(i) != want {
-			t.Fatalf("Able(%d) = %v", i, ex.Able(i))
-		}
-	}
-	v := ev{A: -7, B: "str", C: 2.5, D: true}
-	data := mustAppend(t, p, reflect.ValueOf(v))
-	vals := make([]filter.Constant, 5)
-	ok := make([]bool, 5)
-	if err := ex.Extract(data, vals, ok); err != nil {
-		t.Fatalf("Extract: %v", err)
-	}
-	want := []filter.Constant{
-		{Kind: filter.ConstFloat, F: 2.5},
-		{Kind: filter.ConstInt, I: -7},
-		{Kind: filter.ConstString, S: "str"},
-		{Kind: filter.ConstBool, B: true},
-		{},
-	}
-	for i := range want {
-		if ok[i] != (i < 4) || (ok[i] && vals[i] != want[i]) {
-			t.Fatalf("slot %d: ok=%v val=%#v want %#v", i, ok[i], vals[i], want[i])
-		}
-	}
-}
-
-func TestExtractorNested(t *testing.T) {
-	type leaf struct {
-		V int
-	}
-	type ev struct {
-		Skip []string
-		P    *leaf
-		Tail string
-	}
-	p := mustCompile(t, ev{})
-	et := reflect.TypeOf(ev{})
-	// Chain P(-1 deref).V and Tail.
-	ex, err := CompileExtract(et, [][]int{{1, -1, 0}, {2}})
-	if err != nil {
-		t.Fatalf("CompileExtract: %v", err)
-	}
-	if !ex.AllAble() {
-		t.Fatal("expected all chains extractable")
-	}
-	vals := make([]filter.Constant, 2)
-	ok := make([]bool, 2)
-
-	v := ev{Skip: []string{"a", "b"}, P: &leaf{V: 11}, Tail: "t"}
-	data := mustAppend(t, p, reflect.ValueOf(v))
-	if err := ex.Extract(data, vals, ok); err != nil {
-		t.Fatalf("Extract: %v", err)
-	}
-	if !ok[0] || vals[0] != (filter.Constant{Kind: filter.ConstInt, I: 11}) {
-		t.Fatalf("slot 0: ok=%v val=%#v", ok[0], vals[0])
-	}
-	if !ok[1] || vals[1].S != "t" {
-		t.Fatalf("slot 1: ok=%v val=%#v", ok[1], vals[1])
-	}
-
-	// Nil pointer: slot 0 unresolved, slot 1 still resolves.
-	v = ev{Tail: "u"}
-	data = mustAppend(t, p, reflect.ValueOf(v))
-	if err := ex.Extract(data, vals, ok); err != nil {
-		t.Fatalf("Extract nil ptr: %v", err)
-	}
-	if ok[0] {
-		t.Fatal("slot through nil pointer resolved")
-	}
-	if !ok[1] || vals[1].S != "u" {
-		t.Fatalf("slot 1 after nil: ok=%v val=%#v", ok[1], vals[1])
-	}
-}
-
-func TestExtractorCorruptFallsBack(t *testing.T) {
-	type ev struct {
-		S string
-		V int
-	}
-	ex, err := CompileExtract(reflect.TypeOf(ev{}), [][]int{{1}})
-	if err != nil {
-		t.Fatalf("CompileExtract: %v", err)
-	}
-	vals := make([]filter.Constant, 1)
-	ok := make([]bool, 1)
-	// String claims 200 bytes, input ends: must error, not panic.
-	if err := ex.Extract([]byte{200, 1}, vals, ok); err == nil {
-		t.Fatal("corrupt payload extracted successfully")
 	}
 }
 
@@ -495,57 +385,6 @@ func TestInterfaceFieldNeedsRegisteredClass(t *testing.T) {
 	}
 	if data := mustAppend(t, bare, reflect.ValueOf(withIface{})); !bytes.Equal(data, []byte{0}) {
 		t.Errorf("nil interface = %x, want 00", data)
-	}
-}
-
-// geo has exported fields and MarshalBinary: on the wire it is the
-// method's output, whatever its fields.
-type geo struct{ Lat, Lon float64 }
-
-func (g geo) MarshalBinary() ([]byte, error) {
-	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(g.Lon)), math.Float64bits(g.Lat)), nil
-}
-
-func (g *geo) UnmarshalBinary(b []byte) error {
-	if len(b) != 16 {
-		return errShort
-	}
-	g.Lon, g.Lat = math.Float64frombits(binary.LittleEndian.Uint64(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	return nil
-}
-
-// TestExtractorTreatsMarshaledAsOpaque: a chain into a marshaled type's
-// fields is not extractable (its bytes are the method's), and fields
-// behind a marshaled, interface, recursive or chan field still extract.
-func TestExtractorTreatsMarshaledAsOpaque(t *testing.T) {
-	type ev struct {
-		Loc  geo
-		Held any
-		List *node
-		Ch   chan int
-		At   time.Time
-		Name string
-	}
-	et := reflect.TypeOf(ev{})
-	ex, err := CompileExtract(et, [][]int{{0, 0}, {5}, {2, -1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Able(0) || ex.AllAble() {
-		t.Error("a chain into a marshaled struct's field is extractable")
-	}
-	if !ex.Able(1) || !ex.Able(2) {
-		t.Fatal("chains behind the new kinds are not extractable")
-	}
-	v := ev{Loc: geo{1, 2}, Held: note{Text: "x"}, List: newList(3), At: time.Unix(5, 0), Name: "last"}
-	data := mustAppend(t, mustCompile(t, v), reflect.ValueOf(v))
-	vals := make([]filter.Constant, 3)
-	ok := make([]bool, 3)
-	if err := ex.Extract(data, vals, ok); err != nil {
-		t.Fatal(err)
-	}
-	if ok[0] || !ok[1] || vals[1].S != "last" || !ok[2] || vals[2].I != 1 {
-		t.Errorf("extracted %+v (ok %v), want slot 0 unresolved, \"last\" and 1", vals, ok)
 	}
 }
 
